@@ -20,10 +20,10 @@ examples:
 
 ## lint: dead-symbol analysis — unexported package-level declarations that
 ## nothing in their package references (the class of bug behind the dead
-## openSyscalls dictionary in correlate.go), plus an audit of the store and
-## durable packages for exported symbols nothing outside them uses.
+## openSyscalls dictionary in correlate.go), plus an audit of every serving
+## package under internal/ for exported symbols nothing uses.
 lint:
-	$(GO) run ./internal/tools/deadsym -exported internal/store,internal/durable,internal/repl,internal/cluster,internal/diagnose .
+	$(GO) run ./internal/tools/deadsym -exported internal/store,internal/durable,internal/repl,internal/cluster,internal/diagnose,internal/core,internal/resilience,internal/telemetry,internal/event,internal/ebpf,internal/viz,internal/metrics,internal/clock,internal/replay .
 
 test:
 	$(GO) test ./...
@@ -45,8 +45,9 @@ bench-smoke:
 
 ## bench-read: a fast smoke run of the dashboard read-path benchmark
 ## (rollups + query cache vs the uncached scan ablation) and the tiered
-## segment-pruning benchmark (time-range planner vs the full-scan ablation)
-## so the p50/p99 and pruning-speedup numbers cannot silently rot.
+## segment-pruning benchmark (time-range planner vs the same predicate
+## spelled so the planner extracts no bounds) so the p50/p99 and
+## pruning-speedup numbers cannot silently rot.
 bench-read:
 	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch' -benchtime=50x .
 
@@ -57,7 +58,8 @@ diagnose:
 	$(GO) run ./cmd/dio diagnose -workload fluentbit-buggy | grep critical >/dev/null
 	$(GO) run ./cmd/dio diff buggy fixed | grep improvement >/dev/null
 
-## scale: the backend/tracer scalability experiment (legacy vs sharded).
+## scale: the backend/tracer scalability experiment (shards=1 vs the default
+## shard count; one drain worker vs one per CPU ring).
 scale:
 	$(GO) run ./cmd/diobench -exp scale
 

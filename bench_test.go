@@ -31,7 +31,7 @@ func BenchmarkTable1SyscallCoverage(b *testing.B) {
 		if err := k.MkdirAll("/t"); err != nil {
 			b.Fatal(err)
 		}
-		backend := store.New()
+		backend := memStore(b)
 		tracer, err := core.NewTracer(core.Config{
 			SessionName: "table1", Backend: backend, FlushInterval: time.Millisecond,
 		})
@@ -315,7 +315,7 @@ func BenchmarkAblationFilterPushdown(b *testing.B) {
 			var shipped uint64
 			for i := 0; i < b.N; i++ {
 				stats := benchTracedWorkload(b, core.Config{
-					Backend:       store.New(),
+					Backend:       memStore(b),
 					Filter:        c.filter,
 					FlushInterval: time.Millisecond,
 				}, 100)
@@ -333,7 +333,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				benchTracedWorkload(b, core.Config{
-					Backend:       store.New(),
+					Backend:       memStore(b),
 					BatchSize:     batch,
 					FlushInterval: time.Millisecond,
 				}, 100)
@@ -454,7 +454,7 @@ func BenchmarkStoreBulkIndex(b *testing.B) {
 		}
 	}
 	b.ResetTimer()
-	st := store.New()
+	st := memStore(b)
 	for i := 0; i < b.N; i++ {
 		if err := st.Bulk(context.Background(), "bench", docs); err != nil {
 			b.Fatal(err)
@@ -482,7 +482,7 @@ func BenchmarkShipperOverhead(b *testing.B) {
 		return docs
 	}
 	b.Run("direct", func(b *testing.B) {
-		st := store.New()
+		st := memStore(b)
 		docs := mkDocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -492,7 +492,7 @@ func BenchmarkShipperOverhead(b *testing.B) {
 		}
 	})
 	b.Run("shipper", func(b *testing.B) {
-		sh := resilience.NewShipper(store.New(), resilience.Config{})
+		sh := resilience.NewShipper(memStore(b), resilience.Config{})
 		docs := mkDocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -509,16 +509,19 @@ func BenchmarkShipperOverhead(b *testing.B) {
 
 // BenchmarkStoreQuery measures a filtered, aggregated search over 50k docs.
 func BenchmarkStoreQuery(b *testing.B) {
-	st := store.New()
-	ix := st.IndexOrCreate("bench")
-	for i := 0; i < 50_000; i++ {
-		ix.Add(store.Document{
+	st := memStore(b)
+	docs := make([]store.Document, 50_000)
+	for i := range docs {
+		docs[i] = store.Document{
 			store.FieldSession:    "s",
 			store.FieldSyscall:    []string{"read", "write", "close"}[i%3],
 			store.FieldThreadName: fmt.Sprintf("t%d", i%8),
 			store.FieldTimeEnter:  int64(i) * 1000,
 			store.FieldDuration:   int64(i % 997),
-		})
+		}
+	}
+	if err := st.Bulk(context.Background(), "bench", docs); err != nil {
+		b.Fatal(err)
 	}
 	req := store.SearchRequest{
 		Query: store.Term(store.FieldSyscall, "write"),
@@ -538,9 +541,10 @@ func BenchmarkStoreQuery(b *testing.B) {
 	}
 }
 
-// buildBenchIndex fills a sharded index with n session-shaped documents.
-func buildBenchIndex(n int) *store.Index {
-	ix := store.NewIndex("bench")
+// buildBenchIndex fills an index of the given shard count (0 = default) with
+// n session-shaped documents.
+func buildBenchIndex(n, shards int) *store.Index {
+	ix := store.NewIndexWithShards("bench", shards)
 	syscalls := []string{"read", "write", "openat", "close", "fsync", "lseek"}
 	batch := make([]store.Document, 0, 4096)
 	for i := 0; i < n; i++ {
@@ -561,33 +565,29 @@ func buildBenchIndex(n int) *store.Index {
 	return ix
 }
 
-// benchLegacyVsSharded runs the same operation under the legacy serial scan
-// and the sharded parallel execution, as sub-benchmarks.
-func benchLegacyVsSharded(b *testing.B, ix *store.Index, op func()) {
-	b.Run("legacy-scan", func(b *testing.B) {
-		ix.SetLegacyScan(true)
-		defer ix.SetLegacyScan(false)
-		op() // warm
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			op()
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		ix.SetLegacyScan(false)
-		op() // warm columnar caches
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			op()
-		}
-	})
+// benchOneShardVsSharded runs the same operation over a 120k-document index
+// built with one shard (no fan-out, no merge) and with the default shard
+// count, as sub-benchmarks.
+func benchOneShardVsSharded(b *testing.B, op func(ix *store.Index)) {
+	for _, arm := range []struct {
+		name   string
+		shards int
+	}{{"shards=1", 1}, {"sharded", 0}} {
+		ix := buildBenchIndex(120_000, arm.shards)
+		b.Run(arm.name, func(b *testing.B) {
+			op(ix) // warm columnar caches
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(ix)
+			}
+		})
+	}
 }
 
-// BenchmarkStoreSearchParallel contrasts the sharded fan-out search (posting
-// lists, columnar range scan, per-shard top-k) with the legacy serial
-// full-materialize scan over a session-scale index.
+// BenchmarkStoreSearchParallel measures what shard fan-out buys the search
+// path (posting lists, columnar range scan, per-shard top-k, k-way merge)
+// over a session-scale index.
 func BenchmarkStoreSearchParallel(b *testing.B) {
-	ix := buildBenchIndex(120_000)
 	req := store.SearchRequest{
 		Query: store.Query{Bool: &store.BoolQuery{Must: []store.Query{
 			store.Term(store.FieldSyscall, "write"),
@@ -596,7 +596,7 @@ func BenchmarkStoreSearchParallel(b *testing.B) {
 		Sort: []store.SortField{{Field: store.FieldTimeEnter, Desc: true}},
 		Size: 50,
 	}
-	benchLegacyVsSharded(b, ix, func() {
+	benchOneShardVsSharded(b, func(ix *store.Index) {
 		resp := ix.Search(req)
 		if resp.Total == 0 {
 			b.Fatal("no matches")
@@ -604,10 +604,9 @@ func BenchmarkStoreSearchParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkAggFanout contrasts the merged per-shard aggregation partials
-// with the legacy serial aggregation over the full matched set.
+// BenchmarkAggFanout contrasts merged per-shard aggregation partials with
+// the same aggregations over a single shard.
 func BenchmarkAggFanout(b *testing.B) {
-	ix := buildBenchIndex(120_000)
 	req := store.SearchRequest{
 		Query: store.MatchAll(),
 		Size:  1,
@@ -620,7 +619,7 @@ func BenchmarkAggFanout(b *testing.B) {
 			"stats":  {Stats: &store.StatsAgg{Field: store.FieldDuration}},
 		},
 	}
-	benchLegacyVsSharded(b, ix, func() {
+	benchOneShardVsSharded(b, func(ix *store.Index) {
 		resp := ix.Search(req)
 		if len(resp.Aggs) != 4 {
 			b.Fatal("missing aggs")
@@ -643,7 +642,7 @@ func BenchmarkTracerDrainWorkers(b *testing.B) {
 				Disk:  kernel.DiskConfig{BytesPerSecond: 1 << 40, PerOpLatency: 0},
 			})
 			tracer, err := core.NewTracer(core.Config{
-				Backend:       store.New(),
+				Backend:       memStore(b),
 				NumCPU:        4,
 				RingBytes:     64 << 20,
 				BatchSize:     1024,
@@ -693,7 +692,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				Disk:  kernel.DiskConfig{BytesPerSecond: 1 << 40, PerOpLatency: 0},
 			})
 			tracer, err := core.NewTracer(core.Config{
-				Backend:          store.New(),
+				Backend:          memStore(b),
 				NumCPU:           4,
 				RingBytes:        64 << 20,
 				BatchSize:        1024,
@@ -730,8 +729,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 func BenchmarkCorrelation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := store.New()
-		ix := st.IndexOrCreate("bench")
+		ix := store.NewIndex("bench")
 		for f := 0; f < 100; f++ {
 			tag := fmt.Sprintf("1 %d 5", f)
 			ix.Add(store.Document{
@@ -862,4 +860,14 @@ func BenchmarkAblationPageCache(b *testing.B) {
 		}
 		b.ReportMetric(float64(k.Clock().NowNS()-start)/float64(b.N), "sim-ns/read")
 	})
+}
+
+// memStore opens an in-memory store.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }

@@ -135,7 +135,9 @@ func (fc FileConfig) TracerConfig() (core.Config, *store.Store, error) {
 	if fc.BackendURL != "" {
 		cfg.Backend = store.NewClient(fc.BackendURL)
 	} else {
-		inproc = store.New()
+		if inproc, err = store.Open(); err != nil {
+			return cfg, nil, err
+		}
 		cfg.Backend = inproc
 	}
 	return cfg, inproc, nil

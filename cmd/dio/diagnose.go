@@ -52,7 +52,10 @@ func cmdDiagnose(args []string) error {
 		return nil
 	}
 
-	st := store.New()
+	st, err := store.Open()
+	if err != nil {
+		return err
+	}
 	name := *session
 	if name == "" {
 		name = *workload
@@ -100,13 +103,15 @@ func cmdDiff(args []string) error {
 			return err
 		}
 	} else {
-		st := store.New()
+		st, err := store.Open()
+		if err != nil {
+			return err
+		}
 		for _, session := range []string{a, b} {
 			if err := traceSessionInto(st, *index, session, diffWorkload(session)); err != nil {
 				return fmt.Errorf("session %s: %w", session, err)
 			}
 		}
-		var err error
 		res, err = diagnose.NewEngine(diagnose.DefaultRegistry()).
 			DiffSessions(ctx, st, *index, a, b, diagnose.Params{})
 		if err != nil {

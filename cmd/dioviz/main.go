@@ -47,7 +47,7 @@ func main() {
 func run(backendURL, index, session, session2, view string, interval time.Duration, csv, list bool) error {
 	client := store.NewClient(backendURL)
 	if list {
-		names, err := client.Indices()
+		names, err := client.ListIndices(context.Background())
 		if err != nil {
 			return err
 		}

@@ -56,7 +56,7 @@ func diagBenchBatchEvents(base int64, start, n int) []event.Event {
 
 func diagBenchStore(b *testing.B) *store.Store {
 	b.Helper()
-	st := store.New()
+	st := memStore(b)
 	ctx := context.Background()
 	var clock int64 = 1_000_000_000
 	for n := 0; n < diagBenchEvents; n += diagBenchBatch {

@@ -163,7 +163,13 @@ func NewVirtualKernel() *Kernel {
 func NewTracer(cfg TracerConfig) (*Tracer, error) { return core.NewTracer(cfg) }
 
 // NewStore creates an in-process analysis backend.
-func NewStore() *Store { return store.New() }
+func NewStore() *Store {
+	st, err := store.Open()
+	if err != nil {
+		panic(err) // unreachable: only a data directory can fail to open
+	}
+	return st
+}
 
 // NewServer wraps a store in an HTTP handler (the remote backend of §II-F).
 func NewServer(st *Store) *Server { return store.NewServer(st) }

@@ -98,7 +98,7 @@ func BenchmarkIngestTypedVsDocument(b *testing.B) {
 	raws := ingestRecords()
 
 	b.Run("Typed", func(b *testing.B) {
-		st := store.New()
+		st := memStore(b)
 		srv := httptest.NewServer(store.NewServer(st))
 		defer srv.Close()
 		c := store.NewClient(srv.URL)
@@ -119,7 +119,7 @@ func BenchmarkIngestTypedVsDocument(b *testing.B) {
 	})
 
 	b.Run("Document", func(b *testing.B) {
-		st := store.New()
+		st := memStore(b)
 		srv := httptest.NewServer(store.NewServer(st))
 		defer srv.Close()
 		c := store.NewClient(srv.URL)

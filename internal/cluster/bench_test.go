@@ -64,7 +64,7 @@ func benchCluster(b *testing.B, nodes, rows int) (*Coordinator, []*memNode) {
 	mems := make([]*memNode, nodes)
 	ns := make([]Node, nodes)
 	for i := range mems {
-		mems[i] = newMemNode(fmt.Sprintf("mem-%d", i))
+		mems[i] = newMemNode(b, fmt.Sprintf("mem-%d", i))
 		ns[i] = mems[i]
 	}
 	co, err := New(Config{Clock: clock.NewVirtual(0)}, ns...)

@@ -37,8 +37,18 @@ type memNode struct {
 
 var _ Node = (*memNode)(nil)
 
-func newMemNode(name string) *memNode {
-	return &memNode{st: store.New(), name: name}
+func newMemNode(tb testing.TB, name string) *memNode {
+	return &memNode{st: memStore(tb), name: name}
+}
+
+// memStore opens an in-memory store.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }
 
 // setFault arms (or, with nil, clears) the injected failure.
@@ -221,7 +231,7 @@ func newTestCluster(t *testing.T, nodes int) (*Coordinator, []*memNode) {
 	mems := make([]*memNode, nodes)
 	ns := make([]Node, nodes)
 	for i := range mems {
-		mems[i] = newMemNode(fmt.Sprintf("mem-%d", i))
+		mems[i] = newMemNode(t, fmt.Sprintf("mem-%d", i))
 		ns[i] = mems[i]
 	}
 	co, err := New(Config{Clock: clock.NewVirtual(0)}, ns...)
@@ -292,7 +302,7 @@ func fingerprintCluster(t *testing.T, resp store.GatherResponse) string {
 // ingest.
 func TestClusterDifferentialFingerprint(t *testing.T) {
 	ctx := context.Background()
-	single := store.New()
+	single := memStore(t)
 	co, _ := newTestCluster(t, 4)
 	ingestBoth(t, single, co)
 
@@ -368,7 +378,7 @@ func TestClusterDifferentialFingerprint(t *testing.T) {
 // coordinator is a pure proxy — same bytes as the store underneath it.
 func TestClusterSingleNodeTransparent(t *testing.T) {
 	ctx := context.Background()
-	single := store.New()
+	single := memStore(t)
 	co, mems := newTestCluster(t, 1)
 	ingestBoth(t, single, co)
 	for name, req := range differentialRequests() {
@@ -405,7 +415,7 @@ func TestClusterNodeLossMidScatter(t *testing.T) {
 	mems := make([]*memNode, 4)
 	ns := make([]Node, 4)
 	for i := range mems {
-		mems[i] = newMemNode(fmt.Sprintf("mem-%d", i))
+		mems[i] = newMemNode(t, fmt.Sprintf("mem-%d", i))
 		ns[i] = mems[i]
 	}
 	co, err := New(Config{Clock: clk, BreakerThreshold: 3, BreakerCooldown: time.Second}, ns...)
@@ -511,7 +521,7 @@ func TestClusterWriteFailureReseeds(t *testing.T) {
 // (and therefore cursor positions) are stable across coordinator restarts.
 func TestClusterCursorResumeAcrossCoordinators(t *testing.T) {
 	ctx := context.Background()
-	single := store.New()
+	single := memStore(t)
 	co1, mems := newTestCluster(t, 4)
 	ingestBoth(t, single, co1)
 
@@ -580,7 +590,7 @@ func TestClusterCursorResumeAcrossCoordinators(t *testing.T) {
 // the coordinator and exposes per-partition doc counts.
 func TestClusterStatsAggregation(t *testing.T) {
 	ctx := context.Background()
-	single := store.New()
+	single := memStore(t)
 	co, _ := newTestCluster(t, 4)
 	ingestBoth(t, single, co)
 
@@ -629,7 +639,7 @@ func TestClusterCorrelateTyped501(t *testing.T) {
 // node); with more partitions the frame is split at event granularity.
 func TestClusterFrameForwardVerbatim(t *testing.T) {
 	ctx := context.Background()
-	rec := &frameRecorder{memNode: newMemNode("rec-0")}
+	rec := &frameRecorder{memNode: newMemNode(t, "rec-0")}
 	co, err := New(Config{Clock: clock.NewVirtual(0)}, rec)
 	if err != nil {
 		t.Fatalf("new coordinator: %v", err)

@@ -30,7 +30,7 @@ func newHTTPCluster(t *testing.T, n int) (*Coordinator, *httptest.Server, []*sto
 	stores := make([]*store.Store, n)
 	nodes := make([]Node, n)
 	for i := range nodes {
-		st := store.New()
+		st := memStore(t)
 		srv := httptest.NewServer(store.NewServer(st))
 		t.Cleanup(srv.Close)
 		fc, err := store.NewFailoverClient(store.NewClient(srv.URL, store.WithAPIPrefix("/v1")))
@@ -69,7 +69,7 @@ func postRaw(t *testing.T, url, contentType string, body []byte) (int, []byte) {
 // bare node, then every query compared as raw response bodies — including
 // the aggregation partials' JSON round-trip across the real wire.
 func TestClusterHTTPTransparency(t *testing.T) {
-	singleStore := store.New()
+	singleStore := memStore(t)
 	ssrv := httptest.NewServer(store.NewServer(singleStore))
 	defer ssrv.Close()
 
@@ -265,7 +265,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	}
 	defer primary.Close()
 	psrv := httptest.NewServer(store.NewServer(primary))
-	follower := store.New()
+	follower := memStore(t)
 	follower.SetFollower()
 	fsrv := httptest.NewServer(store.NewServer(follower))
 	defer fsrv.Close()
@@ -281,7 +281,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	}
 
 	// Partition 1: a plain single-member node.
-	st1 := store.New()
+	st1 := memStore(t)
 	srv1 := httptest.NewServer(store.NewServer(st1))
 	defer srv1.Close()
 	fo1, err := store.NewFailoverClient(store.NewClient(srv1.URL, store.WithAPIPrefix("/v1")))
@@ -295,7 +295,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	}
 
 	// Control: the same rows in a single store, walked uninterrupted.
-	control := store.New()
+	control := memStore(t)
 	ingestBoth(t, control, co)
 
 	// Drain replication so the follower holds exactly the primary's state
@@ -373,7 +373,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 // logic rides on: an HTTP 404 from a node surfaces as ErrIndexNotFound.
 func TestClusterHTTPNode404Sentinel(t *testing.T) {
 	ctx := context.Background()
-	st := store.New()
+	st := memStore(t)
 	srv := httptest.NewServer(store.NewServer(st))
 	defer srv.Close()
 	fc, err := store.NewFailoverClient(store.NewClient(srv.URL, store.WithAPIPrefix("/v1")))

@@ -89,9 +89,13 @@ func runMode(mode Mode, cfg OverheadConfig) (execNS int64, syscalls uint64, err 
 		finish = func() error { tr.Detach(); tr.Consume(); return nil }
 	case ModeDIO:
 		half := cfg.Costs.DIOPerSyscall / 2
+		backend, oerr := store.Open()
+		if oerr != nil {
+			return 0, 0, oerr
+		}
 		tracer, terr := core.NewTracer(core.Config{
 			SessionName: "table2-dio",
-			Backend:     store.New(),
+			Backend:     backend,
 			RingBytes:   1 << 30,
 			// The program charges this at both entry and exit.
 			PerEventCost: func() { clk.Sleep(half) },

@@ -80,7 +80,7 @@ func assertLedgerBalanced(t *testing.T, tr *Tracer) {
 
 func TestTracerChaosExactAccounting(t *testing.T) {
 	k := newTracedKernel(t)
-	inner := store.New()
+	inner := memStore(t)
 	faulty := resilience.NewFaultyBackend(inner, 1)
 	faulty.SetErrorRate(0.3)
 	faulty.ScriptOutage(10, 16) // one scripted full outage mid-run
@@ -139,7 +139,7 @@ func TestTracerChaosExactAccounting(t *testing.T) {
 
 func TestTracerChaosOverHTTP(t *testing.T) {
 	k := newTracedKernel(t)
-	st := store.New()
+	st := memStore(t)
 	chaos := store.NewChaosHandler(store.NewServer(st), 1)
 	chaos.SetConfig(store.ChaosConfig{Rate: 0.3, RetryAfterSec: 0})
 	srv := httptest.NewServer(chaos)
@@ -190,7 +190,7 @@ func TestTracerChaosOverHTTP(t *testing.T) {
 
 func TestTracerChaosPermanentOutageCountsDrops(t *testing.T) {
 	k := newTracedKernel(t)
-	faulty := resilience.NewFaultyBackend(store.New(), 1)
+	faulty := resilience.NewFaultyBackend(memStore(t), 1)
 	faulty.SetErrorRate(1) // dead for the whole session, shutdown included
 
 	tr, _ := NewTracer(Config{
@@ -242,7 +242,7 @@ func (c *countingFailBackend) Bulk(context.Context, string, []store.Document) er
 func TestTracerErrorListBoundedAndDistinct(t *testing.T) {
 	k := newTracedKernel(t)
 	tr, _ := NewTracer(Config{
-		Backend:       &countingFailBackend{Backend: store.New()},
+		Backend:       &countingFailBackend{Backend: memStore(t)},
 		BatchSize:     1, // one failing flush per event
 		FlushInterval: time.Millisecond,
 	})
@@ -277,7 +277,7 @@ var errShortRecord = []byte{0x01, 0x02, 0x03}
 
 func TestTracerCountsParseErrors(t *testing.T) {
 	k := newTracedKernel(t)
-	backend := store.New()
+	backend := memStore(t)
 	tr, _ := NewTracer(Config{
 		SessionName:   "parse",
 		Index:         "events",

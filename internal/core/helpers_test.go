@@ -14,3 +14,13 @@ func newHTTPServer(t *testing.T, st *store.Store) string {
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
+
+// memStore opens an in-memory store.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}

@@ -16,7 +16,7 @@ import (
 // still running, without stopping the tracer.
 func TestNearRealTimeVisibility(t *testing.T) {
 	k := newTracedKernel(t)
-	backend := store.New()
+	backend := memStore(t)
 	tracer, _ := NewTracer(Config{
 		SessionName:   "live",
 		Index:         "events",
@@ -51,7 +51,7 @@ func TestNearRealTimeVisibility(t *testing.T) {
 // of several processes issue syscalls simultaneously.
 func TestTracerConcurrentTasks(t *testing.T) {
 	k := newTracedKernel(t)
-	backend := store.New()
+	backend := memStore(t)
 	tracer, _ := NewTracer(Config{
 		SessionName:   "mt",
 		Index:         "events",
@@ -113,7 +113,7 @@ func TestTracerConcurrentTasks(t *testing.T) {
 // TestTracerTIDFilter narrows tracing to a single thread of a process.
 func TestTracerTIDFilter(t *testing.T) {
 	k := newTracedKernel(t)
-	backend := store.New()
+	backend := memStore(t)
 	proc := k.NewProcess("app")
 	keep := proc.NewTask("keep")
 	skip := proc.NewTask("skip")
@@ -154,7 +154,7 @@ func TestTracerTIDFilter(t *testing.T) {
 // §II-F) must not interleave events.
 func TestTracerSessionIsolation(t *testing.T) {
 	k := newTracedKernel(t)
-	backend := store.New()
+	backend := memStore(t)
 
 	procA := k.NewProcess("a")
 	procB := k.NewProcess("b")

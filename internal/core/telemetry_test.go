@@ -32,7 +32,7 @@ func TestTracerTelemetrySnapshot(t *testing.T) {
 	tr, err := NewTracer(Config{
 		SessionName:   "tm",
 		Index:         "events",
-		Backend:       store.New(),
+		Backend:       memStore(t),
 		FlushInterval: time.Millisecond,
 		Resilience:    chaosResilience(),
 	})
@@ -86,7 +86,7 @@ func TestTracerTelemetryDisabled(t *testing.T) {
 	k := newTracedKernel(t)
 	tr, err := NewTracer(Config{
 		SessionName:      "off",
-		Backend:          store.New(),
+		Backend:          memStore(t),
 		FlushInterval:    time.Millisecond,
 		DisableTelemetry: true,
 	})
@@ -118,7 +118,7 @@ func TestTracerTelemetryDisabled(t *testing.T) {
 // /metrics scrape exposes instruments from all five pipeline stages.
 func TestMetricsEndpointAllStages(t *testing.T) {
 	k := newTracedKernel(t)
-	st := store.New()
+	st := memStore(t)
 	srv := store.NewServer(st)
 
 	tr, err := NewTracer(Config{

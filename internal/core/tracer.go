@@ -70,8 +70,7 @@ type Config struct {
 	// endpoint. See DESIGN.md §9.
 	Telemetry *telemetry.Registry
 	// DisableTelemetry turns self-accounting off entirely — the ablation
-	// switch for BenchmarkTelemetryOverhead, in the same spirit as
-	// Index.SetLegacyScan and DrainWorkers=1.
+	// switch for BenchmarkTelemetryOverhead.
 	DisableTelemetry bool
 }
 

@@ -25,7 +25,7 @@ func TestNewTracerValidation(t *testing.T) {
 	if _, err := NewTracer(Config{}); !errors.Is(err, ErrNoBackend) {
 		t.Fatalf("err = %v, want ErrNoBackend", err)
 	}
-	tr, err := NewTracer(Config{Backend: store.New()})
+	tr, err := NewTracer(Config{Backend: memStore(t)})
 	if err != nil {
 		t.Fatalf("NewTracer: %v", err)
 	}
@@ -36,7 +36,7 @@ func TestNewTracerValidation(t *testing.T) {
 
 func TestTracerLifecycleErrors(t *testing.T) {
 	k := newTracedKernel(t)
-	tr, _ := NewTracer(Config{Backend: store.New()})
+	tr, _ := NewTracer(Config{Backend: memStore(t)})
 	if _, err := tr.Stop(); !errors.Is(err, ErrNotStarted) {
 		t.Fatalf("Stop before Start = %v", err)
 	}
@@ -57,7 +57,7 @@ func TestTracerLifecycleErrors(t *testing.T) {
 
 func TestTracerEndToEnd(t *testing.T) {
 	k := newTracedKernel(t)
-	backend := store.New()
+	backend := memStore(t)
 	tr, _ := NewTracer(Config{
 		SessionName:   "e2e",
 		Index:         "events",
@@ -125,7 +125,7 @@ func TestTracerEndToEnd(t *testing.T) {
 
 func TestTracerFiltersToConfiguredSyscalls(t *testing.T) {
 	k := newTracedKernel(t)
-	backend := store.New()
+	backend := memStore(t)
 	tr, _ := NewTracer(Config{
 		SessionName: "subset",
 		Index:       "events",
@@ -159,7 +159,7 @@ func TestTracerFiltersToConfiguredSyscalls(t *testing.T) {
 
 func TestTracerMultipleSessionsShareBackend(t *testing.T) {
 	k := newTracedKernel(t)
-	backend := store.New()
+	backend := memStore(t)
 	run := func(session string) {
 		tr, _ := NewTracer(Config{
 			SessionName:   session,
@@ -186,7 +186,7 @@ func TestTracerMultipleSessionsShareBackend(t *testing.T) {
 
 func TestTracerDropAccounting(t *testing.T) {
 	k := newTracedKernel(t)
-	backend := store.New()
+	backend := memStore(t)
 	tr, _ := NewTracer(Config{
 		SessionName: "drops",
 		Index:       "events",
@@ -229,7 +229,7 @@ func (f failingBackend) Bulk(context.Context, string, []store.Document) error {
 func TestTracerShipErrorsSurface(t *testing.T) {
 	k := newTracedKernel(t)
 	tr, _ := NewTracer(Config{
-		Backend:       failingBackend{store.New()},
+		Backend:       failingBackend{memStore(t)},
 		FlushInterval: time.Millisecond,
 	})
 	tr.Start(k)
@@ -247,7 +247,7 @@ func TestTracerShipErrorsSurface(t *testing.T) {
 
 func TestTracerOverHTTPBackend(t *testing.T) {
 	k := newTracedKernel(t)
-	st := store.New()
+	st := memStore(t)
 	srv := newHTTPServer(t, st)
 	client := store.NewClient(srv)
 

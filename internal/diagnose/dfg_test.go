@@ -41,7 +41,10 @@ func traceWorkload(t *testing.T, shards int, session string, fn func(k *kernel.K
 	if err := k.MkdirAll("/d"); err != nil {
 		t.Fatal(err)
 	}
-	backend := store.New(store.WithShards(shards))
+	backend, err := store.Open(store.WithShards(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
 	tracer, err := core.NewTracer(core.Config{
 		SessionName: session, Index: "events", Backend: backend,
 		AutoCorrelate: true, FlushInterval: time.Millisecond,

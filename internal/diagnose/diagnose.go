@@ -18,12 +18,9 @@
 package diagnose
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
-
-	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
 // Severity grades a finding.
@@ -159,17 +156,4 @@ func (r Report) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Config is the legacy name for the engine parameters.
-//
-// Deprecated: use Params with Engine.Run.
-type Config = Params
-
-// Run executes the default detector registry over one session.
-//
-// Deprecated: use NewEngine(DefaultRegistry()).Run, which is context-first
-// and scores the report.
-func Run(b store.Backend, index, session string, cfg Config) (Report, error) {
-	return NewEngine(DefaultRegistry()).RunParams(context.Background(), b, index, session, cfg)
 }

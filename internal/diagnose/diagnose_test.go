@@ -19,7 +19,7 @@ import (
 func traceFluentBit(t *testing.T, version fluentbit.Version, session string) *store.Store {
 	t.Helper()
 	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-	backend := store.New()
+	backend := memStore(t)
 	tracer, err := core.NewTracer(core.Config{
 		SessionName:   session,
 		Index:         "events",
@@ -115,7 +115,7 @@ func TestEngineRunSeparatesVersions(t *testing.T) {
 func TestEngineFlagsCostlyPatterns(t *testing.T) {
 	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
 	k.MkdirAll("/d")
-	backend := store.New()
+	backend := memStore(t)
 	tracer, _ := core.NewTracer(core.Config{
 		SessionName: "patterns", Index: "events", Backend: backend,
 		AutoCorrelate: true, FlushInterval: time.Millisecond,
@@ -151,7 +151,7 @@ func TestEngineFlagsCostlyPatterns(t *testing.T) {
 
 func TestEngineFlagsFailingSyscalls(t *testing.T) {
 	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-	backend := store.New()
+	backend := memStore(t)
 	tracer, _ := core.NewTracer(core.Config{
 		SessionName: "errs", Index: "events", Backend: backend,
 		FlushInterval: time.Millisecond,
@@ -204,7 +204,7 @@ func TestEngineNoContentionSignalOnQuietTrace(t *testing.T) {
 	// A single-threaded quiet trace yields no contention findings.
 	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
 	k.MkdirAll("/d")
-	backend := store.New()
+	backend := memStore(t)
 	tracer, _ := core.NewTracer(core.Config{
 		SessionName: "quiet", Index: "events", Backend: backend,
 		Filter:        ebpf.Filter{},
@@ -231,13 +231,12 @@ func TestEngineNoContentionSignalOnQuietTrace(t *testing.T) {
 	}
 }
 
-func TestDeprecatedRunWrapperStillWorks(t *testing.T) {
-	b := traceFluentBit(t, fluentbit.VersionBuggy, "buggy")
-	rep, err := Run(b, "events", "buggy", Config{})
+// memStore opens an in-memory store.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if !rep.Critical() {
-		t.Fatalf("wrapper lost the critical finding: %s", rep)
-	}
+	return st
 }

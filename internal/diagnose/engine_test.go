@@ -39,7 +39,7 @@ func TestRegistryRejectsDuplicatesAndEmptyNames(t *testing.T) {
 
 func TestEngineRunsDetectorsInRegistrationOrderAndAttributes(t *testing.T) {
 	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-	backend := store.New()
+	backend := memStore(t)
 	tracer, _ := core.NewTracer(core.Config{
 		SessionName: "order", Index: "events", Backend: backend,
 		FlushInterval: time.Millisecond,
@@ -73,7 +73,7 @@ func TestEngineRunsDetectorsInRegistrationOrderAndAttributes(t *testing.T) {
 
 func TestEngineTelemetry(t *testing.T) {
 	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-	backend := store.New()
+	backend := memStore(t)
 	tracer, _ := core.NewTracer(core.Config{
 		SessionName: "tm", Index: "events", Backend: backend,
 		FlushInterval: time.Millisecond,
@@ -99,7 +99,7 @@ func TestEngineTelemetry(t *testing.T) {
 // differently named sessions, the setup dio diff exercises.
 func tracedFluentBitPair(t *testing.T) *store.Store {
 	t.Helper()
-	backend := store.New()
+	backend := memStore(t)
 	for _, v := range []struct {
 		session string
 		version fluentbit.Version

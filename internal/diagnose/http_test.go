@@ -23,7 +23,10 @@ import (
 // serves it with the diagnosis endpoints installed.
 func newDiagnosisServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	backend := store.New()
+	backend, err := store.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range []struct {
 		session string
 		version fluentbit.Version

@@ -1,7 +1,6 @@
 package diagnose
 
-// The custom analyses that used to live in internal/analysis (the paper's
-// flexibility claim, §IV), folded into the engine package: context-first,
+// The custom analyses (the paper's flexibility claim, §IV): context-first,
 // and reading events through the streaming cursor instead of materializing
 // a whole session per query.
 

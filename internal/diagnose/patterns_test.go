@@ -2,6 +2,7 @@ package diagnose
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func tracedSession(t *testing.T, session string, fn func(k *kernel.Kernel)) *sto
 	if err := k.MkdirAll("/d"); err != nil {
 		t.Fatal(err)
 	}
-	backend := store.New()
+	backend := memStore(t)
 	tracer, err := core.NewTracer(core.Config{
 		SessionName:   session,
 		Index:         "events",
@@ -157,7 +158,7 @@ func TestHotFilesRanking(t *testing.T) {
 }
 
 func TestCompareSessions(t *testing.T) {
-	backend := store.New()
+	backend := memStore(t)
 	run := func(session string, withSeek bool) {
 		k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
 		k.MkdirAll("/d")
@@ -197,10 +198,13 @@ func TestCompareSessions(t *testing.T) {
 	if d := byName["write"]; d.CountA != 1 || d.CountB != 1 {
 		t.Fatalf("write delta = %+v", d)
 	}
+	if out := ComparisonTable(deltas, "a", "b").String(); !strings.Contains(out, "write") || !strings.Contains(out, "errors(a)") {
+		t.Fatalf("rendered comparison:\n%s", out)
+	}
 }
 
 func TestPatternsErrorOnMissingIndex(t *testing.T) {
-	st := store.New()
+	st := memStore(t)
 	ctx := context.Background()
 	if _, err := FileOffsetPattern(ctx, st, "missing", "s", "/f"); err == nil {
 		t.Fatal("FileOffsetPattern succeeded on missing index")

@@ -2,7 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -304,6 +306,13 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 		"flip-body-byte": func(d []byte) []byte { d[segHeaderLen+2] ^= 0x55; return d },
 		"truncate":       func(d []byte) []byte { return d[:len(d)/2] },
 		"too-short":      func(d []byte) []byte { return d[:6] },
+		// A well-formed file of another format version: the checksum is
+		// recomputed so the version byte alone is what the reader rejects.
+		"unknown-version": func(d []byte) []byte {
+			d[segMagicLen] = segVersion - 1
+			binary.LittleEndian.PutUint32(d[len(d)-4:], crc32.Checksum(d[:len(d)-4], crcTable))
+			return d
+		},
 	}
 	for name, mut := range mutations {
 		t.Run(name, func(t *testing.T) {
@@ -361,22 +370,19 @@ func TestManifestLifecycle(t *testing.T) {
 	}
 }
 
-func TestManifestV1Migration(t *testing.T) {
-	dir := t.TempDir()
-	v1 := []byte(`{"version":1,"shards":8,"wal_seq":3,"segment_seq":2,"has_segment":true}`)
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := LoadManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if got.Version != 2 || got.HasSegment || got.SegmentSeq != 3 || len(got.Segments) != 1 {
-		t.Fatalf("migrated = %+v", got)
-	}
-	sm := got.Segments[0]
-	if sm.Seq != 2 || sm.Rows != -1 || sm.StartRow != 0 || sm.EndRow != -1 || !sm.TimeUnknown() {
-		t.Fatalf("migrated segment = %+v", sm)
+func TestManifestUnknownVersionRejected(t *testing.T) {
+	for name, body := range map[string]string{
+		"v1":      `{"version":1,"shards":8,"wal_seq":3,"segment_seq":2,"has_segment":true}`,
+		"future":  `{"version":3,"shards":8,"wal_seq":3,"segment_seq":2}`,
+		"missing": `{"shards":8,"wal_seq":3,"segment_seq":2}`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := LoadManifest(dir); ok || !errors.Is(err, ErrManifestVersion) {
+			t.Errorf("%s: ok=%v err=%v, want ErrManifestVersion", name, ok, err)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,11 +15,13 @@ import (
 // interrupted snapshot or compaction and is ignored, then cleaned.
 const ManifestName = "MANIFEST"
 
-// manifestVersion is the current manifest schema. Version 1 named at most
-// one monolithic segment (HasSegment/SegmentSeq); version 2 carries the
-// leveled segment list. LoadManifest migrates v1 in place so the rest of
-// the system only ever sees the leveled form.
+// manifestVersion is the manifest schema this build reads and writes (the
+// leveled segment list). LoadManifest rejects any other version.
 const manifestVersion = 2
+
+// ErrManifestVersion reports a manifest whose schema version this build does
+// not read. Recovery fails rather than guess at the layout it names.
+var ErrManifestVersion = errors.New("durable: unsupported manifest version")
 
 // SegmentMeta describes one committed immutable segment in the leveled
 // layout. Segments are listed in ascending row order; StartRow is the global
@@ -35,24 +37,15 @@ type SegmentMeta struct {
 	EndRow   int64 `json:"end_row"`
 	// MinTime/MaxTime bound time_enter_ns over the segment's timed rows,
 	// the basis for query-time segment pruning. An empty range
-	// (MinTime > MaxTime) means no row carries a numeric time; an unknown
-	// range (MinTime = math.MinInt64, MaxTime = math.MaxInt64, the v1
-	// migration default) overlaps everything and is never pruned.
+	// (MinTime > MaxTime) means no row carries a numeric time.
 	MinTime int64 `json:"min_time"`
 	MaxTime int64 `json:"max_time"`
 	Bytes   int64 `json:"bytes"`
 	// Generic counts the segment's generic (schemaless) rows. Recovery that
 	// leaves segments cold on disk still needs the index's generic-row count
 	// (it gates integer range-bound folding in query-cache keys), and this
-	// field supplies it without reading the file. Unknown (v1-era) metas
-	// carry 0 alongside Rows < 0 and are fixed up on first read.
+	// field supplies it without reading the file.
 	Generic int64 `json:"generic,omitempty"`
-}
-
-// TimeUnknown reports whether the segment's time range was never stamped
-// (a v1-era segment): it must be treated as overlapping every filter.
-func (s SegmentMeta) TimeUnknown() bool {
-	return s.MinTime == math.MinInt64 && s.MaxTime == math.MaxInt64
 }
 
 // Overlaps reports whether the segment's time range intersects [min, max].
@@ -67,16 +60,13 @@ type Manifest struct {
 	WALSeq  int `json:"wal_seq"`
 	// SegmentSeq is the next unused segment sequence number: every committed
 	// segment's Seq is below it, and new segments (flush or compaction
-	// output) claim it and increment. (In v1 manifests it named the single
-	// committed segment; LoadManifest migrates.)
+	// output) claim it and increment.
 	SegmentSeq int `json:"segment_seq"`
 	// Segments is the leveled segment list in ascending StartRow order.
 	// Committing a manifest with a changed list is the atomic multi-segment
 	// commit point: flushes append one entry, compactions replace a run with
 	// its merged output, retention deletes a prefix.
 	Segments []SegmentMeta `json:"segments,omitempty"`
-	// HasSegment/v1 compatibility: retained on read only (see LoadManifest).
-	HasSegment bool `json:"has_segment,omitempty"`
 	// BaseSeq is the replication sequence number of the live WAL's first
 	// record: every record folded into committed segments has a sequence
 	// below it. The index head sequence is BaseSeq plus the live WAL's record
@@ -143,11 +133,7 @@ func SegmentName(seq int) string { return fmt.Sprintf("seg-%06d.snap", seq) }
 // LoadManifest reads the manifest in dir. A missing manifest returns
 // (zero manifest, false, nil): the directory is fresh (or a crash happened
 // before the first commit) and recovery starts empty with WAL seq 0.
-//
-// Version 1 manifests (one monolithic HasSegment/SegmentSeq snapshot) are
-// migrated to the leveled form in memory: the single segment becomes a
-// one-entry list with Rows/EndRow = -1 (unknown until the file is read) and
-// an unknown time range, and SegmentSeq advances to the next free sequence.
+// A manifest of any other schema version fails with ErrManifestVersion.
 func LoadManifest(dir string) (Manifest, bool, error) {
 	var m Manifest
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -160,20 +146,9 @@ func LoadManifest(dir string) (Manifest, bool, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, false, fmt.Errorf("durable: parse manifest: %w", err)
 	}
-	if m.Version < manifestVersion && len(m.Segments) == 0 && m.HasSegment {
-		m.Segments = []SegmentMeta{{
-			Seq:      m.SegmentSeq,
-			Level:    0,
-			Rows:     -1,
-			StartRow: 0,
-			EndRow:   -1,
-			MinTime:  math.MinInt64,
-			MaxTime:  math.MaxInt64,
-		}}
-		m.SegmentSeq++
+	if m.Version != manifestVersion {
+		return m, false, fmt.Errorf("%w: %d (want %d)", ErrManifestVersion, m.Version, manifestVersion)
 	}
-	m.Version = manifestVersion
-	m.HasSegment = false
 	return m, true, nil
 }
 
@@ -181,7 +156,6 @@ func LoadManifest(dir string) (Manifest, bool, error) {
 // a crash at any point recovers from exactly the state m names.
 func CommitManifest(dir string, m Manifest) error {
 	m.Version = manifestVersion
-	m.HasSegment = false
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("durable: encode manifest: %w", err)

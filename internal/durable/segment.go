@@ -16,13 +16,13 @@ import (
 // store's locks and published by the manifest:
 //
 //	[4]  magic "DIOS"
-//	[1]  version (2; version-1 files lack the two time fields)
+//	[1]  version (2; any other value is rejected as ErrCorruptSegment)
 //	[4]  u32 shard count (advisory: recovery recreates the index with it)
 //	[8]  u64 total rows
 //	[8]  u64 typed rows T
 //	[8]  u64 generic rows G
-//	[8]  i64 min time_enter_ns over timed rows   } v2 only; empty range
-//	[8]  i64 max time_enter_ns over timed rows   } (min > max) when none timed
+//	[8]  i64 min time_enter_ns over timed rows   } empty range (min > max)
+//	[8]  i64 max time_enter_ns over timed rows   } when none timed
 //	typed block (columnar — one array per field over the T typed rows):
 //	  gids        T × u64
 //	  i64 columns T × u64 each: ret_val, arg_offset, time_enter, time_exit,
@@ -41,11 +41,8 @@ import (
 // naturally because equal values are loaded once per column read.
 const (
 	segMagicLen  = 4
-	segHeaderLen = segMagicLen + 1 + 4 + 8 + 8 + 8
+	segHeaderLen = segMagicLen + 1 + 4 + 8 + 8 + 8 + 8 + 8
 	segVersion   = 2
-	// segVersionV1 files predate the header time range; readers accept them
-	// with an unknown (never-pruned) range.
-	segVersionV1 = 1
 )
 
 var segMagic = [segMagicLen]byte{'D', 'I', 'O', 'S'}
@@ -136,7 +133,7 @@ func WriteSegment(path string, shards int, src RowSource) (SegmentInfo, error) {
 			}
 		}
 	}
-	w := &segWriter{buf: make([]byte, 0, segHeaderLen+16+64*n)}
+	w := &segWriter{buf: make([]byte, 0, segHeaderLen+64*n)}
 	w.bytes(segMagic[:])
 	w.u8(segVersion)
 	w.u32(uint32(shards))
@@ -260,8 +257,7 @@ func (r *segReader) u64() (uint64, error) {
 
 // SegmentInfo summarizes a written or loaded segment. MinTime/MaxTime are
 // the header's time_enter_ns range: empty (MinTime > MaxTime) when no row is
-// timed, and the unknown sentinel (MinInt64, MaxInt64) for version-1 files
-// that predate range stamping.
+// timed.
 type SegmentInfo struct {
 	Shards  int
 	Rows    int
@@ -299,31 +295,21 @@ func ReadSegment(path string, fn func(gid int, ev *event.Event, doc []byte) erro
 		return info, fmt.Errorf("%w: bad magic", ErrCorruptSegment)
 	}
 	ver, _ := r.u8()
-	if ver != segVersion && ver != segVersionV1 {
+	if ver != segVersion {
 		return info, fmt.Errorf("%w: unsupported version %d", ErrCorruptSegment, ver)
 	}
 	shards, _ := r.u32()
 	total, _ := r.u64()
 	typedN, _ := r.u64()
 	genericN, _ := r.u64()
-	minT, maxT := int64(math.MinInt64), int64(math.MaxInt64)
-	if ver >= segVersion {
-		mn, err := r.u64()
-		if err != nil {
-			return info, err
-		}
-		mx, err := r.u64()
-		if err != nil {
-			return info, err
-		}
-		minT, maxT = int64(mn), int64(mx)
-	}
+	minT, _ := r.u64()
+	maxT, _ := r.u64()
 	if total > segMaxRows || typedN+genericN != total {
 		return info, fmt.Errorf("%w: implausible row counts %d=%d+%d", ErrCorruptSegment, total, typedN, genericN)
 	}
 	info = SegmentInfo{
 		Shards: int(shards), Rows: int(total), Typed: int(typedN), Generic: int(genericN),
-		Bytes: int64(len(data)), MinTime: minT, MaxTime: maxT,
+		Bytes: int64(len(data)), MinTime: int64(minT), MaxTime: int64(maxT),
 	}
 
 	T := int(typedN)

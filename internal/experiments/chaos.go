@@ -74,7 +74,11 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if err := k.MkdirAll("/data"); err != nil {
 		return ChaosResult{}, err
 	}
-	faulty := resilience.NewFaultyBackend(store.New(), cfg.Seed)
+	backend, err := store.Open()
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	faulty := resilience.NewFaultyBackend(backend, cfg.Seed)
 	faulty.SetErrorRate(cfg.ErrorRate)
 	faulty.ScriptOutage(cfg.OutageFrom, cfg.OutageTo)
 

@@ -87,7 +87,10 @@ func runDropsPoint(ringBytes int, cfg DropsConfig) (DropsPoint, error) {
 	if err := k.MkdirAll("/data"); err != nil {
 		return DropsPoint{}, err
 	}
-	backend := store.New()
+	backend, err := store.Open()
+	if err != nil {
+		return DropsPoint{}, err
+	}
 	tracer, err := core.NewTracer(core.Config{
 		SessionName:   fmt.Sprintf("drops-%d", ringBytes),
 		Backend:       backend,

@@ -86,7 +86,10 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	psrv := httptest.NewServer(store.NewServer(primary))
 	defer psrv.Close()
 
-	follower := store.New()
+	follower, err := store.Open()
+	if err != nil {
+		return FailoverResult{}, err
+	}
 	follower.SetFollower()
 	fsrv := httptest.NewServer(store.NewServer(follower))
 	defer fsrv.Close()

@@ -38,7 +38,10 @@ func RunFig2(version fluentbit.Version) (Fig2Result, error) {
 	k := kernel.New(kernel.Config{
 		Clock: clock.NewVirtualTicking(kernel.BaseTimestampNS, 200*time.Microsecond),
 	})
-	backend := store.New()
+	backend, err := store.Open()
+	if err != nil {
+		return Fig2Result{}, err
+	}
 	session := "fig2a-fluentbit-" + version.String()
 	if version == fluentbit.VersionFixed {
 		session = "fig2b-fluentbit-" + version.String()

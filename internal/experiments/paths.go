@@ -99,7 +99,10 @@ func RunPathResolution(cfg PathsConfig) (PathsResult, error) {
 	}
 
 	// Attach both tracers.
-	backend := store.New()
+	backend, err := store.Open()
+	if err != nil {
+		return PathsResult{}, err
+	}
 	dio, err := core.NewTracer(core.Config{
 		SessionName:   "paths-dio",
 		Index:         "dio-events",

@@ -181,7 +181,9 @@ func RunRocksDB(cfg RocksDBConfig) (RocksDBResult, error) {
 	res := RocksDBResult{Index: "dio-events", Session: "rocksdb-ycsb-a"}
 	var tracer *core.Tracer
 	if cfg.Trace {
-		res.Backend = store.New()
+		if res.Backend, err = store.Open(); err != nil {
+			return RocksDBResult{}, err
+		}
 		tracer, err = core.NewTracer(core.Config{
 			SessionName: res.Session,
 			Index:       res.Index,

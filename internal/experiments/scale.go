@@ -35,20 +35,20 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	return c
 }
 
-// ScalePoint is one measurement: the legacy (serial full-scan) strategy
-// against the sharded parallel execution.
+// ScalePoint is one measurement: the same operation on a one-shard index
+// (no fan-out, no merge) against the default shard count.
 type ScalePoint struct {
-	Name      string
-	LegacyNS  int64
-	ShardedNS int64
+	Name       string
+	OneShardNS int64
+	ShardedNS  int64
 }
 
-// Speedup is legacy time over sharded time.
+// Speedup is one-shard time over sharded time.
 func (p ScalePoint) Speedup() float64 {
 	if p.ShardedNS == 0 {
 		return 0
 	}
-	return float64(p.LegacyNS) / float64(p.ShardedNS)
+	return float64(p.OneShardNS) / float64(p.ShardedNS)
 }
 
 // ScaleResult is the output of the scalability experiment.
@@ -62,16 +62,16 @@ type ScaleResult struct {
 	Table          *viz.Table
 }
 
-// RunScale measures what the sharded backend buys over the original serial
-// implementation at session scale: filtered+sorted search, dashboard-style
-// aggregation fan-out, count, and correlation rewrite over a 100k+ document
-// index, plus tracer drain throughput with one consumer versus one consumer
-// per CPU ring. The paper's pipeline stands or falls on this path: DIO
+// RunScale measures what shard fan-out buys at session scale: filtered+sorted
+// search, dashboard-style aggregation fan-out, and count over a 100k+
+// document index built once with a single shard and once with the default
+// shard count, plus tracer drain throughput with one consumer versus one
+// consumer per CPU ring. The paper's pipeline stands or falls on this path: DIO
 // ingests hundreds of millions of events per run and serves interactive
 // queries over them (§II-F, §III-D).
 func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	cfg = cfg.withDefaults()
-	ix := buildScaleIndex(cfg.Docs)
+	one, sharded := buildScaleIndex(cfg.Docs, 1), buildScaleIndex(cfg.Docs, 0)
 
 	searchReq := store.SearchRequest{
 		Query: store.Query{Bool: &store.BoolQuery{Must: []store.Query{
@@ -97,13 +97,13 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 
 	res := ScaleResult{}
 	res.Points = append(res.Points,
-		measure(ix, cfg.Reps, "search (filter+sort, top 50)", func() {
+		measure(one, sharded, cfg.Reps, "search (filter+sort, top 50)", func(ix *store.Index) {
 			ix.Search(searchReq)
 		}),
-		measure(ix, cfg.Reps, "aggregation fan-out (4 aggs)", func() {
+		measure(one, sharded, cfg.Reps, "aggregation fan-out (4 aggs)", func(ix *store.Index) {
 			ix.Search(aggReq)
 		}),
-		measure(ix, cfg.Reps, "count (range)", func() {
+		measure(one, sharded, cfg.Reps, "count (range)", func(ix *store.Index) {
 			ix.Count(countQ)
 		}),
 	)
@@ -116,12 +116,12 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 
 	res.Table = &viz.Table{
 		Title:   "Backend sharding + tracer drain scalability",
-		Columns: []string{"operation", "legacy", "sharded", "speedup"},
+		Columns: []string{"operation", "shards=1", fmt.Sprintf("shards=%d", sharded.NumShards()), "speedup"},
 	}
 	for _, p := range res.Points {
 		res.Table.Rows = append(res.Table.Rows, []string{
 			p.Name,
-			fmt.Sprintf("%.2fms", float64(p.LegacyNS)/1e6),
+			fmt.Sprintf("%.2fms", float64(p.OneShardNS)/1e6),
 			fmt.Sprintf("%.2fms", float64(p.ShardedNS)/1e6),
 			fmt.Sprintf("%.2fx", p.Speedup()),
 		})
@@ -142,9 +142,10 @@ func safeRatio(a, b float64) float64 {
 	return a / b
 }
 
-// buildScaleIndex fills an index with a session-shaped document mix.
-func buildScaleIndex(n int) *store.Index {
-	ix := store.NewIndex("scale")
+// buildScaleIndex fills an index of the given shard count (0 = default) with
+// a session-shaped document mix.
+func buildScaleIndex(n, shards int) *store.Index {
+	ix := store.NewIndexWithShards("scale", shards)
 	syscalls := []string{"read", "write", "openat", "close", "fsync", "lseek"}
 	batch := make([]store.Document, 0, 4096)
 	for i := 0; i < n; i++ {
@@ -165,15 +166,14 @@ func buildScaleIndex(n int) *store.Index {
 	return ix
 }
 
-// measure times op under the legacy strategy and the sharded strategy,
-// best-of-reps, warming each path once first.
-func measure(ix *store.Index, reps int, name string, op func()) ScalePoint {
-	pt := ScalePoint{Name: name}
-	ix.SetLegacyScan(true)
-	pt.LegacyNS = bestOf(reps, op)
-	ix.SetLegacyScan(false)
-	pt.ShardedNS = bestOf(reps, op)
-	return pt
+// measure times op on the one-shard and the sharded index, best-of-reps,
+// warming each once first.
+func measure(one, sharded *store.Index, reps int, name string, op func(*store.Index)) ScalePoint {
+	return ScalePoint{
+		Name:       name,
+		OneShardNS: bestOf(reps, func() { op(one) }),
+		ShardedNS:  bestOf(reps, func() { op(sharded) }),
+	}
 }
 
 func bestOf(reps int, op func()) int64 {
@@ -204,9 +204,13 @@ func drainThroughput(writes int) (single, multi float64, err error) {
 		if err := k.MkdirAll("/data"); err != nil {
 			return 0, err
 		}
+		backend, err := store.Open()
+		if err != nil {
+			return 0, err
+		}
 		tracer, err := core.NewTracer(core.Config{
 			SessionName:   fmt.Sprintf("scale-w%d", workers),
-			Backend:       store.New(),
+			Backend:       backend,
 			NumCPU:        4,
 			RingBytes:     256 << 20,
 			FlushInterval: time.Hour, // idle the workers; Stop drains

@@ -25,7 +25,7 @@ import (
 
 func TestFullPipelineOverHTTP(t *testing.T) {
 	// The "analysis server": one store behind HTTP, as cmd/diod runs it.
-	st := store.New()
+	st := memStore(t)
 	srv := httptest.NewServer(store.NewServer(st))
 	defer srv.Close()
 
@@ -82,7 +82,7 @@ func TestFullPipelineOverHTTP(t *testing.T) {
 	// cmd/dioviz does.
 	client := store.NewClient(srv.URL)
 
-	names, err := client.Indices()
+	names, err := client.ListIndices(context.Background())
 	if err != nil || len(names) != 1 || names[0] != "dio-events" {
 		t.Fatalf("indices = (%v, %v)", names, err)
 	}
@@ -145,7 +145,7 @@ func TestMultipleTracersSameKernelDifferentBackends(t *testing.T) {
 	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
 	k.MkdirAll("/data")
 
-	backend := store.New()
+	backend := memStore(t)
 	dioTracer, _ := core.NewTracer(core.Config{
 		SessionName:   "both-dio",
 		Index:         "events",
@@ -176,7 +176,7 @@ func TestMultipleTracersSameKernelDifferentBackends(t *testing.T) {
 }
 
 func TestVisualizerViewsOverHTTP(t *testing.T) {
-	st := store.New()
+	st := memStore(t)
 	server := store.NewServer(st)
 	diagnose.Install(server) // as cmd/diod wires it
 	srv := httptest.NewServer(server)
@@ -246,4 +246,14 @@ func TestVisualizerViewsOverHTTP(t *testing.T) {
 	if res.Replayed == 0 || len(res.Mismatches) != 0 {
 		t.Fatalf("remote replay = %+v", res)
 	}
+}
+
+// memStore opens an in-memory store.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }

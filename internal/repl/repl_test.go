@@ -100,7 +100,7 @@ func fingerprint(t *testing.T, st *store.Store) string {
 // controlStore replays rounds [0, rounds) into a fresh in-memory store.
 func controlStore(t *testing.T, rounds int) *store.Store {
 	t.Helper()
-	st := store.New()
+	st := memStore(t)
 	for r := 0; r < rounds; r++ {
 		ingestRound(t, st, r)
 	}
@@ -222,7 +222,7 @@ func newPair(t *testing.T, cfg Config) (*store.Store, *store.Store, *faultTransp
 	t.Helper()
 	primary := openDurable(t, t.TempDir())
 	t.Cleanup(func() { primary.Close() })
-	follower := store.New()
+	follower := memStore(t)
 	follower.SetFollower()
 	tr := &faultTransport{st: follower}
 	r := New(primary, tr, cfg)
@@ -488,7 +488,7 @@ func TestRetryAfterFloorHonored(t *testing.T) {
 func TestChaosReplShipping(t *testing.T) {
 	primary := openDurable(t, t.TempDir())
 	defer primary.Close()
-	follower := store.New()
+	follower := memStore(t)
 	follower.SetFollower()
 	chaos := store.NewChaosHandler(store.NewServer(follower), 42)
 	chaos.SetConfig(store.ChaosConfig{Rate: 0.4, Status: 503, Repl: true})
@@ -519,4 +519,14 @@ func TestChaosReplShipping(t *testing.T) {
 	if r.Stats().Retries == 0 {
 		t.Fatalf("no retries under chaos; injector not hitting the repl path")
 	}
+}
+
+// memStore opens an in-memory store.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }

@@ -19,7 +19,7 @@ func freshKernel() *kernel.Kernel {
 func traceWorkload(t *testing.T, fn func(k *kernel.Kernel)) (*store.Store, string) {
 	t.Helper()
 	k := freshKernel()
-	backend := store.New()
+	backend := memStore(t)
 	tracer, err := core.NewTracer(core.Config{
 		SessionName:   "to-replay",
 		Index:         "events",
@@ -81,7 +81,7 @@ func TestReplayFluentBitScenarioReproducesDataLossSignature(t *testing.T) {
 	// the replay must reproduce the same return values — including the
 	// read that returns 0 at the stale offset — with zero mismatches.
 	k := freshKernel()
-	backend := store.New()
+	backend := memStore(t)
 	tracer, _ := core.NewTracer(core.Config{
 		SessionName:   "flb",
 		Index:         "events",
@@ -120,7 +120,7 @@ func TestReplaySkipsUnknownDescriptors(t *testing.T) {
 	// Events on descriptors whose open was not traced must be skipped, not
 	// misapplied. Craft such a trace by filtering opens out.
 	k := freshKernel()
-	backend := store.New()
+	backend := memStore(t)
 	tracer, _ := core.NewTracer(core.Config{
 		SessionName:   "partial",
 		Index:         "events",
@@ -175,4 +175,14 @@ func TestReplayXattrAndDirectories(t *testing.T) {
 	if res.Skipped != 0 || len(res.Mismatches) != 0 {
 		t.Fatalf("result = %+v", res)
 	}
+}
+
+// memStore opens an in-memory store.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }

@@ -346,7 +346,7 @@ func TestBackoffHonorsRetryAfterHint(t *testing.T) {
 }
 
 func TestFaultyBackendScriptedOutageAndRates(t *testing.T) {
-	inner := store.New()
+	inner := memStore(t)
 	f := NewFaultyBackend(inner, 42)
 	f.ScriptOutage(1, 3)
 	docs := batch(0, 1)
@@ -387,7 +387,7 @@ func TestFaultyBackendScriptedOutageAndRates(t *testing.T) {
 
 func TestShipperConcurrentBulkRace(t *testing.T) {
 	clk := clock.NewVirtual(0)
-	be := NewFaultyBackend(store.New(), 3)
+	be := NewFaultyBackend(memStore(t), 3)
 	be.SetErrorRate(0.3)
 	cfg := testConfig(clk)
 	s := NewShipper(be, cfg)
@@ -412,4 +412,14 @@ func TestShipperConcurrentBulkRace(t *testing.T) {
 		t.Fatalf("accounting leak: shipped=%d dropped=%d of %d (stats %+v)",
 			st.Shipped, st.SpillDropped, total, st)
 	}
+}
+
+// memStore opens an in-memory store.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }

@@ -101,7 +101,7 @@ func TestClientRequestTimeout(t *testing.T) {
 }
 
 func TestChaosHandlerScriptedOutage(t *testing.T) {
-	st := New()
+	st := memStore(t)
 	chaos := NewChaosHandler(NewServer(st), 1)
 	chaos.SetConfig(ChaosConfig{OutageFrom: 1, OutageTo: 3, RetryAfterSec: 2})
 	srv := httptest.NewServer(chaos)
@@ -134,7 +134,7 @@ func TestChaosHandlerScriptedOutage(t *testing.T) {
 }
 
 func TestChaosHandlerControlEndpoint(t *testing.T) {
-	st := New()
+	st := memStore(t)
 	chaos := NewChaosHandler(NewServer(st), 1)
 	srv := httptest.NewServer(chaos)
 	defer srv.Close()

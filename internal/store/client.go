@@ -171,13 +171,6 @@ func NewClient(base string, opts ...ClientOption) *Client {
 // the client-imposed deadline; callers may still pass their own contexts).
 func (c *Client) SetRequestTimeout(d time.Duration) { c.reqTimeout = d }
 
-// BulkContext is a deprecated alias for Bulk.
-//
-// Deprecated: use Bulk, which is context-first.
-func (c *Client) BulkContext(ctx context.Context, index string, docs []Document) error {
-	return c.Bulk(ctx, index, docs)
-}
-
 // Bulk ships docs to the named index using the NDJSON bulk API. The NDJSON
 // body is built in a pooled buffer and streamed from it, so repeated bulks
 // reuse one allocation.
@@ -195,13 +188,6 @@ func (c *Client) Bulk(ctx context.Context, index string, docs []Document) error 
 	var out map[string]int
 	return c.doBody(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_bulk",
 		contentTypeJSON, buf.Bytes(), &out)
-}
-
-// BulkEventsContext is a deprecated alias for BulkEvents.
-//
-// Deprecated: use BulkEvents, which is context-first.
-func (c *Client) BulkEventsContext(ctx context.Context, index string, events []event.Event) error {
-	return c.BulkEvents(ctx, index, events)
 }
 
 // BulkEvents ships typed events using the binary frame, falling back to the
@@ -360,13 +346,6 @@ func (c *Client) ListIndices(ctx context.Context) ([]string, error) {
 	var out []string
 	err := c.do(ctx, http.MethodGet, "/_cat/indices", nil, &out)
 	return out, err
-}
-
-// Indices lists index names.
-//
-// Deprecated: use ListIndices, which is context-first.
-func (c *Client) Indices() ([]string, error) {
-	return c.ListIndices(context.Background())
 }
 
 // Health probes the server's GET /_health endpoint; nil means the backend

@@ -53,12 +53,12 @@ func (s *Store) maintain() error {
 }
 
 // planCompaction picks the first run of compactFanout adjacent same-level
-// segments (skipping v1-era metas whose row counts are unknown), or nil.
+// segments, or nil.
 func planCompaction(segs []durable.SegmentMeta) []durable.SegmentMeta {
 	for i := 0; i+compactFanout <= len(segs); i++ {
 		ok := true
 		for j := 0; j < compactFanout; j++ {
-			if segs[i+j].Level != segs[i].Level || segs[i+j].Rows < 0 {
+			if segs[i+j].Level != segs[i].Level {
 				ok = false
 				break
 			}
@@ -251,8 +251,7 @@ func (ix *Index) retainOnce(now time.Time) error {
 	base := ix.base.Load()
 	var keep, dropped []durable.SegmentMeta
 	for _, sm := range cur {
-		old := sm.EndRow <= base && !sm.TimeUnknown() &&
-			sm.MinTime <= sm.MaxTime && sm.MaxTime < cutoff
+		old := sm.EndRow <= base && sm.MinTime <= sm.MaxTime && sm.MaxTime < cutoff
 		if old {
 			dropped = append(dropped, sm)
 		} else {

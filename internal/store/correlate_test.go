@@ -128,8 +128,11 @@ func TestCorrelateClosedAccounting(t *testing.T) {
 // any mode the final pass must resolve everything index-time races left
 // behind, with closed accounting throughout.
 func TestCorrelateDuringLiveIndexing(t *testing.T) {
-	st := New()
-	st.IndexOrCreate("run-live") // correlation may start before the first bulk
+	st := memStore(t)
+	// Correlation may start before the first bulk: create the index empty.
+	if err := st.Bulk(context.Background(), "run-live", nil); err != nil {
+		t.Fatal(err)
+	}
 	const writers = 4
 	const batches = 25
 	const perBatch = 20

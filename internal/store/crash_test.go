@@ -86,7 +86,7 @@ func ingestRound(t *testing.T, st *Store, round int) {
 // never-crashed reference state.
 func controlStore(t *testing.T, rounds int) *Store {
 	t.Helper()
-	st := New()
+	st := memStore(t)
 	for r := 0; r < rounds; r++ {
 		ingestRound(t, st, r)
 	}
@@ -382,7 +382,7 @@ func TestFrameJournalRoundTrip(t *testing.T) {
 	if got := fingerprint(t, re); got != want {
 		t.Fatalf("frame-journaled state diverged after recovery")
 	}
-	control := New()
+	control := memStore(t)
 	for r := 0; r < 2; r++ {
 		if err := control.BulkEvents(ctx, crashIndex, crashEvents(r)); err != nil {
 			t.Fatalf("control round %d: %v", r, err)
@@ -397,7 +397,7 @@ func TestFrameJournalRoundTrip(t *testing.T) {
 // cancelled context refuses writes and aborts read fan-out with the
 // context's error.
 func TestContextCancellationStopsOps(t *testing.T) {
-	st := New(WithShards(8))
+	st := memStore(t, WithShards(8))
 	if err := st.Bulk(context.Background(), crashIndex, crashDocs(0)); err != nil {
 		t.Fatalf("seed: %v", err)
 	}

@@ -60,26 +60,15 @@ func parseSearchAfter(req SearchRequest) (*searchCursor, error) {
 	}, nil
 }
 
-// afterVals reports whether a row with the given sort-key accessor and gid
-// sorts strictly after the cursor position. val(i) must return the row's
-// value for sort field i.
-func (c *searchCursor) afterVals(val func(i int) any, gid int, sorts []SortField) bool {
+// afterID reports whether shard row id (global id gid) sorts strictly after
+// the cursor position. Caller holds the shard read lock.
+func (c *searchCursor) afterID(sh *shard, id int32, gid int, sorts []SortField) bool {
 	for i, s := range sorts {
-		if r := cmpField(val(i), c.vals[i], s.Desc); r != 0 {
+		if r := cmpField(sh.val(id, s.Field), c.vals[i], s.Desc); r != 0 {
 			return r > 0
 		}
 	}
 	return gid > c.gid
-}
-
-// afterID is afterVals for a shard row. Caller holds the shard read lock.
-func (c *searchCursor) afterID(sh *shard, id int32, gid int, sorts []SortField) bool {
-	return c.afterVals(func(i int) any { return sh.val(id, sorts[i].Field) }, gid, sorts)
-}
-
-// afterDoc is afterVals for a materialized document (the legacy scan path).
-func (c *searchCursor) afterDoc(d Document, gid int, sorts []SortField) bool {
-	return c.afterVals(func(i int) any { return d[sorts[i].Field] }, gid, sorts)
 }
 
 // firstLocalAfter returns the smallest local id of shard shardIdx (of S)
@@ -115,13 +104,4 @@ func nextAfterRef(ref hitRef, sorts []SortField) []any {
 		out = append(out, cursorVal(ref.sh.val(ref.id, s.Field)))
 	}
 	return append(out, float64(ref.gid))
-}
-
-// nextAfterDoc is nextAfterRef for the legacy scan path.
-func nextAfterDoc(d Document, gid int, sorts []SortField) []any {
-	out := make([]any, 0, len(sorts)+1)
-	for _, s := range sorts {
-		out = append(out, cursorVal(d[s.Field]))
-	}
-	return append(out, float64(gid))
 }

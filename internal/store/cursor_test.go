@@ -78,7 +78,7 @@ func pageAll(t *testing.T, st *Store, index string, req SearchRequest, pageSize 
 // TestCursorPagingDifferential is the paging correctness oracle: over a
 // 120k-doc index, walking any query with the search_after cursor must
 // reproduce the monolithic sorted response byte-for-byte — on the sharded
-// typed path, under the legacy serial-scan ablation, and on a store
+// typed path, through the brute-force oracle's own cursor, and on a store
 // recovered from its WAL (where gids are reassigned by replay order, which
 // equals ingest order).
 func TestCursorPagingDifferential(t *testing.T) {
@@ -136,14 +136,22 @@ func TestCursorPagingDifferential(t *testing.T) {
 				t.Fatalf("shape %d matched nothing", si)
 			}
 		}
-		// The legacy ablation re-sorts the full matched set on every page, so
-		// it pages coarsely (still several pages) to keep the oracle fast.
+		// The oracle re-sorts the full matched set on every page, so it pages
+		// coarsely (still several pages) to stay fast.
 		modes := map[string]func() []Document{
 			"typed": func() []Document { return pageAll(t, mem, "cur", shape, pageSize) },
-			"legacy": func() []Document {
-				ix.SetLegacyScan(true)
-				defer ix.SetLegacyScan(false)
-				return pageAll(t, mem, "cur", shape, n/3+7)
+			"oracle": func() []Document {
+				req := shape
+				req.Size = n/3 + 7
+				var out []Document
+				for {
+					resp := oracleSearch(ix, req)
+					out = append(out, resp.Hits...)
+					if resp.NextAfter == nil {
+						return out
+					}
+					req.SearchAfter = resp.NextAfter
+				}
 			},
 			"recovered": func() []Document { return pageAll(t, rec, "cur", shape, pageSize) },
 		}
@@ -170,7 +178,7 @@ func TestCursorPagingDifferential(t *testing.T) {
 // in-process monolithic response, proving NextAfter survives the JSON
 // round-trip (gids ride as float64 and re-parse exactly below 2^53).
 func TestCursorHTTPPaging(t *testing.T) {
-	st := New()
+	st := memStore(t)
 	srv := httptest.NewServer(NewServer(st))
 	t.Cleanup(srv.Close)
 	evs := cursorFixture(6_000)
@@ -229,7 +237,7 @@ func TestCursorHTTPPaging(t *testing.T) {
 // TestCursorBadRequest maps every malformed cursor to HTTP 400 — not a 500,
 // not a silent empty page.
 func TestCursorBadRequest(t *testing.T) {
-	st := New()
+	st := memStore(t)
 	srv := httptest.NewServer(NewServer(st))
 	t.Cleanup(srv.Close)
 	if err := st.BulkEvents(context.Background(), "cur", cursorFixture(16)); err != nil {

@@ -590,25 +590,13 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	segs := append([]durable.SegmentMeta(nil), m.Segments...)
 	coldStyle := s.opts.retention > 0 || m.RetentionFloor > 0 || !m.Contiguous()
 	if coldStyle {
-		// Rows stay on disk. Fix up any v1-era meta (row count unknown) by
-		// reading its file once, seed the generic-row count from the metas,
-		// and start the memtable at the segment end. Every referenced file
+		// Rows stay on disk. Seed the generic-row count from the metas and
+		// start the memtable at the segment end. Every referenced file
 		// must exist NOW: a manifest naming a missing segment is corruption
 		// recovery reports immediately, not on the first cold query.
-		for i := range segs {
-			sm := &segs[i]
+		for _, sm := range segs {
 			if _, serr := os.Stat(filepath.Join(dir, durable.SegmentName(sm.Seq))); serr != nil {
 				return nil, fmt.Errorf("store: recover %q: manifest references segment %d: %w", name, sm.Seq, serr)
-			}
-			if sm.Rows < 0 {
-				info, rerr := durable.ReadSegment(filepath.Join(dir, durable.SegmentName(sm.Seq)),
-					func(int, *event.Event, []byte) error { return nil })
-				if rerr != nil {
-					return nil, fmt.Errorf("store: recover %q: %w", name, rerr)
-				}
-				sm.Rows, sm.EndRow = int64(info.Rows), sm.StartRow+int64(info.Rows)
-				sm.MinTime, sm.MaxTime = info.MinTime, info.MaxTime
-				sm.Bytes, sm.Generic = info.Bytes, int64(info.Generic)
 			}
 			ix.generic.Add(sm.Generic)
 		}
@@ -616,19 +604,13 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 		ix.base.Store(base)
 		ix.rr.Store(uint64(base))
 	} else {
-		for i := range segs {
-			sm := &segs[i]
-			info, rerr := durable.ReadSegment(filepath.Join(dir, durable.SegmentName(sm.Seq)),
+		for _, sm := range segs {
+			_, rerr := durable.ReadSegment(filepath.Join(dir, durable.SegmentName(sm.Seq)),
 				func(gid int, ev *event.Event, doc []byte) error {
 					return ix.placeRecoveredRow(int(sm.StartRow)+gid, ev, doc)
 				})
 			if rerr != nil {
 				return nil, fmt.Errorf("store: recover %q: %w", name, rerr)
-			}
-			if sm.Rows < 0 {
-				sm.Rows, sm.EndRow = int64(info.Rows), sm.StartRow+int64(info.Rows)
-				sm.MinTime, sm.MaxTime = info.MinTime, info.MaxTime
-				sm.Bytes, sm.Generic = info.Bytes, int64(info.Generic)
 			}
 		}
 		ix.rr.Store(uint64(segsEnd(segs)))

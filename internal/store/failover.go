@@ -123,12 +123,12 @@ func (f *FailoverClient) do(ctx context.Context, op func(*Client) error) error {
 
 // Bulk implements Backend.
 func (f *FailoverClient) Bulk(ctx context.Context, index string, docs []Document) error {
-	return f.do(ctx, func(c *Client) error { return c.BulkContext(ctx, index, docs) })
+	return f.do(ctx, func(c *Client) error { return c.Bulk(ctx, index, docs) })
 }
 
 // BulkEvents implements EventBackend.
 func (f *FailoverClient) BulkEvents(ctx context.Context, index string, events []event.Event) error {
-	return f.do(ctx, func(c *Client) error { return c.BulkEventsContext(ctx, index, events) })
+	return f.do(ctx, func(c *Client) error { return c.BulkEvents(ctx, index, events) })
 }
 
 // Search implements Backend.

@@ -28,7 +28,6 @@ type Index struct {
 	name   string
 	shards []*shard
 	rr     atomic.Uint64 // round-robin write cursor
-	legacy atomic.Bool   // ablation: serial single-stripe scan semantics
 	dur    *indexDurable // nil on in-memory stores
 
 	// epoch versions the index contents for the query cache: every mutation
@@ -53,7 +52,6 @@ type Index struct {
 	base     atomic.Int64
 	coldRows atomic.Int64
 	retFloor atomic.Int64
-	pruneOff atomic.Bool // ablation: disable time-range segment pruning
 
 	rollupBase int64         // rollup histogram base interval ns (0 = disabled)
 	cache      *queryCache   // nil = caching disabled
@@ -108,22 +106,11 @@ func (ix *Index) Name() string { return ix.name }
 // NumShards returns the number of lock stripes.
 func (ix *Index) NumShards() int { return len(ix.shards) }
 
-// SetLegacyScan toggles the pre-sharding execution strategy — serial
-// evaluation, no columnar caches, full-sort-then-copy hits — kept as an
-// ablation baseline for the scalability benchmarks (like the ring buffer's
-// blocking mode).
-func (ix *Index) SetLegacyScan(v bool) { ix.legacy.Store(v) }
-
 // gid composes a global doc id from a shard index and local position (hot
 // rows only: shard memory starts at the index base).
 func (ix *Index) gid(shardIdx int, local int32) int {
 	return int(ix.base.Load()) + int(local)*len(ix.shards) + shardIdx
 }
-
-// SetSegmentPruning toggles time-range segment pruning on the cold read
-// path (on by default); the off position is the ablation baseline for
-// BenchmarkSegmentPrunedSearch.
-func (ix *Index) SetSegmentPruning(v bool) { ix.pruneOff.Store(!v) }
 
 // Add indexes one document and returns its global id. On a durable index
 // the document is journaled (as a one-document batch) before it is applied.
@@ -379,9 +366,6 @@ func (ix *Index) Search(req SearchRequest) SearchResponse {
 // searchCtx is Search with cancellation: ctx is checked between shards
 // during fan-out, so a cancelled client stops consuming cores mid-query.
 func (ix *Index) searchCtx(ctx context.Context, req SearchRequest) (SearchResponse, error) {
-	if ix.legacy.Load() {
-		return ix.legacySearch(req)
-	}
 	var resp SearchResponse
 	err := ix.searchRefs(ctx, req, func(refs []hitRef, total int, aggs map[string]AggResult, next []any) {
 		hits := make([]Document, len(refs))
@@ -402,17 +386,6 @@ func (ix *Index) SearchEvents(req SearchRequest) EventsResult {
 
 // searchEventsCtx is SearchEvents with cancellation.
 func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (EventsResult, error) {
-	if ix.legacy.Load() {
-		resp, err := ix.legacySearch(req)
-		if err != nil {
-			return EventsResult{}, err
-		}
-		hits := make([]event.Event, len(resp.Hits))
-		for i, d := range resp.Hits {
-			hits[i] = DocToEvent(d)
-		}
-		return EventsResult{Total: resp.Total, Hits: hits, Aggs: resp.Aggs, NextAfter: resp.NextAfter}, nil
-	}
 	var res EventsResult
 	err := ix.searchRefs(ctx, req, func(refs []hitRef, total int, aggs map[string]AggResult, next []any) {
 		hits := make([]event.Event, len(refs))
@@ -596,7 +569,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 	idsReady := false
 	getIDs := func() []int32 {
 		if !idsReady {
-			ids = sh.matchIDs(req.Query, true)
+			ids = sh.matchIDs(req.Query)
 			idsReady = true
 		}
 		return ids
@@ -853,16 +826,6 @@ func (ix *Index) countCtx(ctx context.Context, q Query) (int, error) {
 	if q.matchesAll() && !cold {
 		return ix.Len(), nil
 	}
-	if ix.legacy.Load() {
-		// The legacy ablation predates the tiered layout and stays hot-only.
-		n := 0
-		for _, sh := range ix.shards {
-			sh.mu.RLock()
-			n += len(sh.matchIDs(q, false))
-			sh.mu.RUnlock()
-		}
-		return n, nil
-	}
 	cols := neededColumns(SearchRequest{Query: q}, nil)
 	for _, sh := range ix.shards {
 		sh.ensureColumns(cols)
@@ -872,7 +835,7 @@ func (ix *Index) countCtx(ctx context.Context, q Query) (int, error) {
 		if err := forEachShardCtx(ctx, len(ix.shards), func(s int) {
 			sh := ix.shards[s]
 			sh.mu.RLock()
-			counts[s] = len(sh.matchIDs(q, true))
+			counts[s] = len(sh.matchIDs(q))
 			sh.mu.RUnlock()
 		}); err != nil {
 			return 0, err
@@ -906,7 +869,7 @@ func (ix *Index) countCtx(ctx context.Context, q Query) (int, error) {
 	}
 	counts := make([]int, len(ix.shards))
 	if err := forEachShardCtx(ctx, len(ix.shards), func(s int) {
-		counts[s] = len(ix.shards[s].matchIDs(q, true))
+		counts[s] = len(ix.shards[s].matchIDs(q))
 	}); err != nil {
 		return 0, err
 	}
@@ -1009,14 +972,7 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document
 		counts[s] = updated
 		sh.mu.Unlock()
 	}
-	var fanErr error
-	if ix.legacy.Load() {
-		for s := 0; s < S; s++ {
-			run(s)
-		}
-	} else {
-		fanErr = forEachShardCtx(ctx, S, run)
-	}
+	fanErr := forEachShardCtx(ctx, S, run)
 	n := 0
 	for _, c := range counts {
 		n += c
@@ -1050,130 +1006,6 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document
 		}
 	}
 	return n, fanErr
-}
-
-// legacySearch reproduces the pre-sharding execution: materialize every
-// matched document, stable-sort the full set, aggregate serially, then copy
-// the requested window. Cursors work here too — the stable sort's tie order
-// is insertion (gid) order, exactly the sharded pipeline's gid tie-break, so
-// paged output is identical across both execution strategies.
-func (ix *Index) legacySearch(req SearchRequest) (SearchResponse, error) {
-	cur, err := parseSearchAfter(req)
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	if cur != nil && len(req.Sort) == 0 {
-		if fl := ix.retFloor.Load(); int64(cur.gid)+1 < fl {
-			return SearchResponse{}, ErrCursorExpired
-		}
-	}
-	matched, gids := ix.legacyMatch(req.Query)
-
-	// Sort an index permutation so the document/gid pairing survives.
-	ord := make([]int, len(matched))
-	for i := range ord {
-		ord[i] = i
-	}
-	if len(req.Sort) > 0 {
-		sort.SliceStable(ord, func(i, j int) bool {
-			return compareDocs(matched[ord[i]], matched[ord[j]], req.Sort)
-		})
-	}
-
-	var aggs map[string]AggResult
-	if len(req.Aggs) > 0 {
-		aggs = make(map[string]AggResult, len(req.Aggs))
-		for name, a := range req.Aggs {
-			aggs[name] = a.apply(matched)
-		}
-	}
-
-	total := len(matched)
-	hits := ord
-	if cur != nil {
-		// The cursor's "after" predicate is monotone along the sorted order
-		// (same comparators, gid tie-break), so the resume point is a prefix
-		// length.
-		start := 0
-		for start < len(hits) && !cur.afterDoc(matched[hits[start]], gids[hits[start]], req.Sort) {
-			start++
-		}
-		hits = hits[start:]
-	}
-	if req.From > 0 {
-		if req.From >= len(hits) {
-			hits = nil
-		} else {
-			hits = hits[req.From:]
-		}
-	}
-	if req.Size > 0 && len(hits) > req.Size {
-		hits = hits[:req.Size]
-	}
-	out := make([]Document, len(hits))
-	for i, oi := range hits {
-		out[i] = matched[oi]
-	}
-	var next []any
-	if req.Size > 0 && len(hits) == req.Size {
-		last := hits[len(hits)-1]
-		next = nextAfterDoc(matched[last], gids[last], req.Sort)
-	}
-	return SearchResponse{Total: total, Hits: out, Aggs: aggs, NextAfter: next}, nil
-}
-
-// legacyMatch evaluates q serially and returns matched documents and their
-// global ids in global insertion order. Like the rest of the legacy
-// ablation it scans shard memory only (cold segment rows are not visited).
-func (ix *Index) legacyMatch(q Query) ([]Document, []int) {
-	S := len(ix.shards)
-	base := int(ix.base.Load())
-	parts := make([][]int32, S)
-	docs := make([][]Document, S)
-	for s, sh := range ix.shards {
-		sh.mu.RLock()
-		ids := sh.matchIDs(q, false)
-		ds := make([]Document, len(ids))
-		for i, id := range ids {
-			ds[i] = sh.docView(id)
-		}
-		sh.mu.RUnlock()
-		parts[s] = ids
-		docs[s] = ds
-	}
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]Document, 0, n)
-	gids := make([]int, 0, n)
-	cursors := make([]int, S)
-	for len(out) < n {
-		best, bestGID := -1, 0
-		for s := range parts {
-			c := cursors[s]
-			if c >= len(parts[s]) {
-				continue
-			}
-			gid := base + int(parts[s][c])*S + s
-			if best == -1 || gid < bestGID {
-				best, bestGID = s, gid
-			}
-		}
-		out = append(out, docs[best][cursors[best]])
-		gids = append(gids, bestGID)
-		cursors[best]++
-	}
-	return out, gids
-}
-
-func compareDocs(a, b Document, sorts []SortField) bool {
-	for _, s := range sorts {
-		if r := cmpField(a[s.Field], b[s.Field], s.Desc); r != 0 {
-			return r < 0
-		}
-	}
-	return false
 }
 
 // cmpField orders two field values under one sort direction: numerically

@@ -119,8 +119,8 @@ func (q Query) matchesAll() bool {
 
 // contains reports whether f satisfies every bound of r. It is the single
 // range-match implementation shared by the per-document evaluator below and
-// the shard's columnar range scan, so the legacy and sharded paths cannot
-// drift on bound semantics (GT/LT strict, GTE/LTE inclusive).
+// the shard's columnar range scan, so the two cannot drift on bound
+// semantics (GT/LT strict, GTE/LTE inclusive).
 func (r *RangeQuery) contains(f float64) bool {
 	if r.GTE != nil && f < *r.GTE {
 		return false

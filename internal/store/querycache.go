@@ -125,11 +125,10 @@ type readTelemetry struct {
 // cachedSearchCtx is searchCtx behind the query cache. The epoch is captured
 // before the search runs and re-checked before insert, so a response computed
 // while a mutation was in flight is never cached; a lookup only answers from
-// an entry whose epoch is still current. The legacy ablation bypasses the
-// cache entirely so its benchmarks measure the scan, not the memo.
+// an entry whose epoch is still current.
 func (ix *Index) cachedSearchCtx(ctx context.Context, req SearchRequest) (SearchResponse, error) {
 	c := ix.cache
-	if c == nil || !cacheable(req) || ix.legacy.Load() {
+	if c == nil || !cacheable(req) {
 		return ix.searchCtx(ctx, req)
 	}
 	key := cacheKey('S', req, ix.generic.Load() == 0)
@@ -151,7 +150,7 @@ func (ix *Index) cachedSearchCtx(ctx context.Context, req SearchRequest) (Search
 // distinct key kind — the two response shapes share a fingerprint otherwise.
 func (ix *Index) cachedSearchEventsCtx(ctx context.Context, req SearchRequest) (EventsResult, error) {
 	c := ix.cache
-	if c == nil || !cacheable(req) || ix.legacy.Load() {
+	if c == nil || !cacheable(req) {
 		return ix.searchEventsCtx(ctx, req)
 	}
 	key := cacheKey('E', req, ix.generic.Load() == 0)

@@ -113,7 +113,7 @@ func TestReplRangeAcrossSnapshot(t *testing.T) {
 		primary := openDurable(t, t.TempDir())
 		defer primary.Close()
 		primary.ArmReplication()
-		follower := New()
+		follower := memStore(t)
 		follower.SetFollower()
 
 		ingestRound(t, primary, 0)
@@ -164,7 +164,7 @@ func TestReplApplySeqReject(t *testing.T) {
 	primary := openDurable(t, t.TempDir())
 	defer primary.Close()
 	primary.ArmReplication()
-	follower := New()
+	follower := memStore(t)
 	follower.SetFollower()
 	ctx := context.Background()
 
@@ -207,7 +207,7 @@ func TestReplApplySeqReject(t *testing.T) {
 // TestFollowerRejectsWrites checks the read-only guard on every mutating
 // entry point, and that promotion lifts it.
 func TestFollowerRejectsWrites(t *testing.T) {
-	st := New()
+	st := memStore(t)
 	st.SetFollower()
 	ctx := context.Background()
 	if err := st.Bulk(ctx, crashIndex, crashDocs(0)); !errors.Is(err, ErrReadOnlyFollower) {
@@ -238,7 +238,7 @@ func TestReplHTTPEndpoints(t *testing.T) {
 	primary := openDurable(t, t.TempDir())
 	defer primary.Close()
 	primary.ArmReplication()
-	follower := New()
+	follower := memStore(t)
 	follower.SetFollower()
 	fsrv := httptest.NewServer(NewServer(follower))
 	defer fsrv.Close()
@@ -281,6 +281,13 @@ func TestReplHTTPEndpoints(t *testing.T) {
 	// Direct writes to the follower → 409 as well.
 	if err := fc.Bulk(ctx, crashIndex, crashDocs(9)); !errors.As(err, &he) || he.Status != 409 {
 		t.Fatalf("bulk to follower over HTTP: %v, want 409", err)
+	}
+	// So is dropping the replica: the follower keeps every row.
+	if err := fc.DeleteIndex(ctx, crashIndex); !errors.As(err, &he) || he.Status != 409 {
+		t.Fatalf("delete index on follower over HTTP: %v, want 409", err)
+	}
+	if got, want := fingerprint(t, follower), fingerprint(t, primary); got != want {
+		t.Fatalf("rejected delete mutated follower state")
 	}
 	// Pushing to a primary → 403.
 	psrv := httptest.NewServer(NewServer(primary))

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
@@ -91,10 +90,6 @@ func (s *Store) Correlate(ctx context.Context, index, session string) (Correlati
 type Server struct {
 	store *Store
 	mux   *http.ServeMux
-	// noBinary disables the binary bulk frame (POST _bulk with
-	// Content-Type application/x-dio-events.v1 answers 415), emulating an
-	// NDJSON-only server for mixed-version tests and rollback drills.
-	noBinary atomic.Bool
 
 	mu    sync.Mutex
 	extra []*telemetry.Registry
@@ -155,11 +150,6 @@ func NewServer(st *Store) *Server {
 	s.mux.Handle("/v1/", http.StripPrefix("/v1", inner))
 	return s
 }
-
-// SetBinaryProtocol enables or disables the binary bulk frame (enabled by
-// default). Disabled, the server rejects binary frames with 415, which
-// clients answer by latching onto the NDJSON fallback.
-func (s *Server) SetBinaryProtocol(v bool) { s.noBinary.Store(!v) }
 
 // Pools for the binary bulk path: request-body read buffers and decoded
 // event batches are recycled across requests, so the steady-state ingest
@@ -318,6 +308,12 @@ func (s *Server) handleIndexOps(w http.ResponseWriter, r *http.Request) {
 	parts := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
 	switch {
 	case len(parts) == 1 && parts[0] != "" && r.Method == http.MethodDelete:
+		if s.store.Role() == RoleFollower {
+			// Same 409 as every other client write: a follower's replica may
+			// only be dropped by its own bootstrap, never over the wire.
+			httpError(w, http.StatusConflict, "delete index: %v", ErrReadOnlyFollower)
+			return
+		}
 		s.store.DeleteIndex(parts[0])
 		writeJSON(w, http.StatusOK, map[string]bool{"acknowledged": true})
 	case len(parts) == 2:
@@ -405,13 +401,6 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request, index string
 // handleBulkBinary decodes a binary event frame into a pooled batch and
 // indexes it through the typed fast path.
 func (s *Server) handleBulkBinary(w http.ResponseWriter, r *http.Request, index string) {
-	if s.noBinary.Load() {
-		// 415 tells the client this server only speaks NDJSON; the client
-		// re-sends the same batch as documents and stops probing.
-		httpError(w, http.StatusUnsupportedMediaType,
-			"binary event frames not supported; use NDJSON")
-		return
-	}
 	buf := serverReadPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	// When replication is armed the frame's buffer is surrendered to the

@@ -12,7 +12,7 @@ import (
 
 func newTestServerClient(t *testing.T) (*Store, *Client) {
 	t.Helper()
-	st := New()
+	st := memStore(t)
 	srv := httptest.NewServer(NewServer(st))
 	t.Cleanup(srv.Close)
 	return st, NewClient(srv.URL)
@@ -89,7 +89,7 @@ func TestHTTPIndicesAndErrors(t *testing.T) {
 	if err := c.Bulk(context.Background(), "b", docFixture()[:1]); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
-	names, err := c.Indices()
+	names, err := c.ListIndices(context.Background())
 	if err != nil || len(names) != 2 {
 		t.Fatalf("indices = (%v, %v)", names, err)
 	}
@@ -151,7 +151,7 @@ func TestHTTPBackendInterchangeable(t *testing.T) {
 }
 
 func TestHTTPServerErrorPaths(t *testing.T) {
-	st := New()
+	st := memStore(t)
 	st.Bulk(context.Background(), "x", docFixture())
 	srv := httptest.NewServer(NewServer(st))
 	defer srv.Close()

@@ -311,9 +311,8 @@ func (sh *shard) cmpIDs(a, b int32, sorts []SortField, cols []*column) int {
 
 // matchIDs evaluates q and returns the local ids of matching docs in
 // ascending order. The returned slice may alias a posting list and must not
-// be mutated. useCols false forces the per-document scan paths (the legacy
-// ablation mode). Caller holds at least the read lock.
-func (sh *shard) matchIDs(q Query, useCols bool) []int32 {
+// be mutated. Caller holds at least the read lock.
+func (sh *shard) matchIDs(q Query) []int32 {
 	// Match-all: enumerate without consulting documents.
 	if q.matchesAll() {
 		out := make([]int32, len(sh.docs))
@@ -331,7 +330,7 @@ func (sh *shard) matchIDs(q Query, useCols bool) []int32 {
 		}
 	}
 	// Top-level range with a built column: scan the column, not the docs.
-	if useCols && q.Range != nil {
+	if q.Range != nil {
 		if c := sh.cols[q.Range.Field]; c != nil {
 			return sh.rangeScan(q.Range, c)
 		}
@@ -339,7 +338,7 @@ func (sh *shard) matchIDs(q Query, useCols bool) []int32 {
 	// Bool/must: intersect every indexed keyword term's posting list, then
 	// evaluate the residual query over the candidates only.
 	if q.Bool != nil && len(q.Bool.Must) > 0 {
-		if ids, ok := sh.boolCandidates(q, useCols); ok {
+		if ids, ok := sh.boolCandidates(q); ok {
 			return ids
 		}
 	}
@@ -385,10 +384,10 @@ func (q Query) isPureRange() bool {
 }
 
 // boolCandidates resolves a bool query whose must clauses include indexed
-// keyword terms (or, with columns, a leading range) by posting-list
+// keyword terms (or a leading range with a built column) by posting-list
 // intersection followed by residual evaluation. ok is false when no clause
 // can seed a candidate list, meaning the caller should scan.
-func (sh *shard) boolCandidates(q Query, useCols bool) ([]int32, bool) {
+func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 	var lists [][]int32
 	residualMust := make([]Query, 0, len(q.Bool.Must))
 	for _, sub := range q.Bool.Must {
@@ -414,7 +413,7 @@ func (sh *shard) boolCandidates(q Query, useCols bool) ([]int32, bool) {
 				return nil, true
 			}
 		}
-	case useCols && len(residualMust) > 0 && residualMust[0].isPureRange():
+	case len(residualMust) > 0 && residualMust[0].isPureRange():
 		r := residualMust[0].Range
 		c := sh.cols[r.Field]
 		if c == nil {
@@ -429,20 +428,18 @@ func (sh *shard) boolCandidates(q Query, useCols bool) ([]int32, bool) {
 	// the row storage; everything else falls through to the generic evaluator.
 	var colRanges []*RangeQuery
 	var colCols []*column
-	if useCols {
-		kept := residualMust[:0]
-		for _, sub := range residualMust {
-			if sub.isPureRange() {
-				if c := sh.cols[sub.Range.Field]; c != nil {
-					colRanges = append(colRanges, sub.Range)
-					colCols = append(colCols, c)
-					continue
-				}
+	kept := residualMust[:0]
+	for _, sub := range residualMust {
+		if sub.isPureRange() {
+			if c := sh.cols[sub.Range.Field]; c != nil {
+				colRanges = append(colRanges, sub.Range)
+				colCols = append(colCols, c)
+				continue
 			}
-			kept = append(kept, sub)
 		}
-		residualMust = kept
+		kept = append(kept, sub)
 	}
+	residualMust = kept
 	rest := Query{Bool: &BoolQuery{
 		Must:    residualMust,
 		Should:  q.Bool.Should,

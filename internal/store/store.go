@@ -153,20 +153,6 @@ func Open(opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// New is the legacy constructor, kept so pre-options call sites compile
-// unchanged.
-//
-// Deprecated: use Open, which reports durability errors instead of
-// panicking on them. New without options (an in-memory store) never
-// panics.
-func New(opts ...Option) *Store {
-	s, err := Open(opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Telemetry returns the store's self-accounting registry, which the HTTP
 // server exposes on GET /metrics.
 func (s *Store) Telemetry() *telemetry.Registry { return s.tm.reg }
@@ -267,19 +253,6 @@ func (s *Store) indexOrCreate(name string) (*Index, error) {
 	s.indices[name] = ix
 	s.registerIndexGauge(name, ix)
 	return ix, nil
-}
-
-// IndexOrCreate is the legacy form of indexOrCreate.
-//
-// Deprecated: route writes through Bulk/BulkEvents, which surface durable
-// index-creation errors; this wrapper panics on them (it cannot fail on an
-// in-memory store).
-func (s *Store) IndexOrCreate(name string) *Index {
-	ix, err := s.indexOrCreate(name)
-	if err != nil {
-		panic(err)
-	}
-	return ix
 }
 
 // GetIndex returns the named index if it exists.

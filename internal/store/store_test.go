@@ -251,7 +251,7 @@ func TestUpdateByQuery(t *testing.T) {
 }
 
 func TestStoreIndexLifecycle(t *testing.T) {
-	s := New()
+	s := memStore(t)
 	if err := s.Bulk(context.Background(), "run1", docFixture()); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
@@ -349,4 +349,14 @@ func TestCorrelateAllSessions(t *testing.T) {
 	if res.TagsResolved != 1 || res.EventsUpdated != 4 {
 		t.Fatalf("res = %+v", res)
 	}
+}
+
+// memStore opens an in-memory store.
+func memStore(tb testing.TB, opts ...Option) *Store {
+	tb.Helper()
+	st, err := Open(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }

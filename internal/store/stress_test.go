@@ -177,16 +177,22 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesLegacy cross-checks the sharded parallel execution
-// against the legacy serial scan on randomized documents and a spread of
-// query shapes: both strategies must produce byte-identical responses
+// TestShardedMatchesOracle cross-checks the sharded parallel execution
+// against the brute-force oracle (oracle_test.go) on randomized documents
+// and a spread of query shapes: both must produce byte-identical responses
 // (totals, hit order, aggregation results).
-func TestShardedMatchesLegacy(t *testing.T) {
+func TestShardedMatchesOracle(t *testing.T) {
+	for _, shards := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { shardedMatchesOracle(t, shards) })
+	}
+}
+
+func shardedMatchesOracle(t *testing.T, shards int) {
 	rng := rand.New(rand.NewSource(7))
 	syscalls := []string{"read", "write", "openat", "close", "fsync", "stat"}
 	procs := []string{"fluent-bit", "rocksdb", "dbbench"}
 
-	ix := NewIndexWithShards("diff", 8)
+	ix := NewIndexWithShards("diff", shards)
 	const n = 4000
 	docs := make([]Document, 0, n)
 	for i := 0; i < n; i++ {
@@ -257,18 +263,16 @@ func TestShardedMatchesLegacy(t *testing.T) {
 	}
 
 	for i, req := range reqs {
-		ix.SetLegacyScan(true)
-		want := ix.Search(req)
-		wantCount := ix.Count(req.Query)
-		ix.SetLegacyScan(false)
+		want := oracleSearch(ix, req)
+		wantCount := oracleCount(ix, req.Query)
 		got := ix.Search(req)
 		gotCount := ix.Count(req.Query)
 
 		if got.Total != want.Total {
-			t.Errorf("req %d: total = %d, legacy %d", i, got.Total, want.Total)
+			t.Errorf("req %d: total = %d, oracle %d", i, got.Total, want.Total)
 		}
 		if gotCount != wantCount {
-			t.Errorf("req %d: count = %d, legacy %d", i, gotCount, wantCount)
+			t.Errorf("req %d: count = %d, oracle %d", i, gotCount, wantCount)
 		}
 		if !reflect.DeepEqual(got.Hits, want.Hits) {
 			t.Errorf("req %d: hits diverge (%d vs %d docs)", i, len(got.Hits), len(want.Hits))
@@ -276,41 +280,24 @@ func TestShardedMatchesLegacy(t *testing.T) {
 		if !reflect.DeepEqual(got.Aggs, want.Aggs) {
 			t.Errorf("req %d: aggs diverge\n got %+v\nwant %+v", i, got.Aggs, want.Aggs)
 		}
-	}
-
-	// UpdateByQuery must agree too: run the same rewrite through both paths
-	// on twin indices and compare the resulting documents.
-	twin := NewIndexWithShards("twin", 8)
-	twin.AddBulk(docs2(docs))
-	twin.SetLegacyScan(true)
-	legacyN := twin.UpdateByQuery(Exists("file_tag"), func(d Document) bool {
-		d["resolved"] = true
-		return true
-	})
-	shardedN := ix.UpdateByQuery(Exists("file_tag"), func(d Document) bool {
-		d["resolved"] = true
-		return true
-	})
-	if legacyN != shardedN {
-		t.Fatalf("update count: sharded %d, legacy %d", shardedN, legacyN)
-	}
-	twin.SetLegacyScan(false)
-	a := ix.Search(SearchRequest{Query: Exists("resolved"), Size: -1})
-	b := twin.Search(SearchRequest{Query: Exists("resolved"), Size: -1})
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("post-update responses diverge: %d vs %d hits", len(a.Hits), len(b.Hits))
-	}
-}
-
-// docs2 deep-copies a document slice so twin indices don't alias maps.
-func docs2(in []Document) []Document {
-	out := make([]Document, len(in))
-	for i, d := range in {
-		c := make(Document, len(d))
-		for k, v := range d {
-			c[k] = v
+		if !reflect.DeepEqual(got.NextAfter, want.NextAfter) {
+			t.Errorf("req %d: next_after = %v, oracle %v", i, got.NextAfter, want.NextAfter)
 		}
-		out[i] = c
 	}
-	return out
+
+	// UpdateByQuery must agree too: it rewrites exactly the rows the oracle
+	// matched beforehand, and the rewritten state searches identically.
+	wantN := oracleCount(ix, Exists("file_tag"))
+	gotN := ix.UpdateByQuery(Exists("file_tag"), func(d Document) bool {
+		d["resolved"] = true
+		return true
+	})
+	if gotN != wantN {
+		t.Fatalf("update count: sharded %d, oracle %d", gotN, wantN)
+	}
+	resolved := SearchRequest{Query: Exists("resolved"), Size: -1}
+	a, b := ix.Search(resolved), oracleSearch(ix, resolved)
+	if a.Total != wantN || !reflect.DeepEqual(a, b) {
+		t.Fatalf("post-update responses diverge: %d vs %d hits, want %d", len(a.Hits), len(b.Hits), wantN)
+	}
 }

@@ -109,17 +109,13 @@ func timeBounds(q Query) (int64, int64) {
 }
 
 // segMayMatch reports whether a segment can hold a row inside [minT, maxT].
-// An unknown range (v1-era segment) may always match. An empty range
-// (MinTime > MaxTime) means no row carries a numeric time — and a derived
-// bound implies a required numeric clause on time_enter_ns, which an untimed
-// row can never satisfy, so the segment is safely pruned. The stamped range
-// is widened by ±1 before the overlap test: generic document times are
-// stamped truncated, so a row's actual (possibly fractional) time lies
-// strictly within one unit of its stamp.
+// An empty range (MinTime > MaxTime) means no row carries a numeric time —
+// and a derived bound implies a required numeric clause on time_enter_ns,
+// which an untimed row can never satisfy, so the segment is safely pruned.
+// The stamped range is widened by ±1 before the overlap test: generic
+// document times are stamped truncated, so a row's actual (possibly
+// fractional) time lies strictly within one unit of its stamp.
 func segMayMatch(sm durable.SegmentMeta, minT, maxT int64) bool {
-	if sm.TimeUnknown() {
-		return true
-	}
 	if sm.MinTime > sm.MaxTime {
 		return false
 	}
@@ -202,14 +198,13 @@ func (ix *Index) coldSearch(ctx context.Context, exec *searchExec) ([]shardResul
 	overlay := ix.dur.pendingOverlay()
 	minT, maxT := timeBounds(exec.req.Query)
 	hasBound := minT > math.MinInt64 || maxT < math.MaxInt64
-	prune := hasBound && !ix.pruneOff.Load()
 	cols := neededColumns(exec.req, nil)
 	var out []shardResult
 	for _, sm := range segs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if prune && !segMayMatch(sm, minT, maxT) {
+		if hasBound && !segMayMatch(sm, minT, maxT) {
 			ix.rtm.segPruned.Inc()
 			continue
 		}
@@ -241,14 +236,13 @@ func (ix *Index) coldCount(ctx context.Context, q Query) (int, error) {
 	overlay := ix.dur.pendingOverlay()
 	minT, maxT := timeBounds(q)
 	hasBound := minT > math.MinInt64 || maxT < math.MaxInt64
-	prune := hasBound && !ix.pruneOff.Load()
 	cols := neededColumns(SearchRequest{Query: q}, nil)
 	n := 0
 	for _, sm := range segs {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		if prune && !segMayMatch(sm, minT, maxT) {
+		if hasBound && !segMayMatch(sm, minT, maxT) {
 			ix.rtm.segPruned.Inc()
 			continue
 		}
@@ -264,7 +258,7 @@ func (ix *Index) coldCount(ctx context.Context, q Query) (int, error) {
 		if q.matchesAll() {
 			n += len(cs.sh.docs)
 		} else {
-			n += len(cs.sh.matchIDs(q, true))
+			n += len(cs.sh.matchIDs(q))
 		}
 		cs.sh.mu.RUnlock()
 	}

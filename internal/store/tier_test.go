@@ -50,7 +50,7 @@ func ingestRoundNoUBQ(t *testing.T, st *Store, round int) {
 func controlReplay(t *testing.T, rounds, ubqAfter []int) *Store {
 	t.Helper()
 	ctx := context.Background()
-	st := New()
+	st := memStore(t)
 	for _, r := range rounds {
 		ingestRoundNoUBQ(t, st, r)
 		for _, u := range ubqAfter {
@@ -187,20 +187,21 @@ func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 		t.Fatalf("pruning counters: pruned=%d opened=%d, want %d/1", p, o, rounds-1)
 	}
 
-	// The differential: the same query with pruning disabled opens every
-	// segment and must return the identical result set.
-	ix, _ := st.GetIndex(crashIndex)
-	ix.SetSegmentPruning(false)
-	full, err := st.Search(ctx, crashIndex, req)
+	// The differential: the same predicate under a single Should, where the
+	// planner extracts no bounds (timeBounds only descends into Must), scans
+	// every segment and must return the identical result set. With no bounds
+	// there is no pruning decision, so neither counter moves.
+	fullReq := req
+	fullReq.Query = Query{Bool: &BoolQuery{Should: []Query{req.Query}}}
+	full, err := st.Search(ctx, crashIndex, fullReq)
 	if err != nil {
 		t.Fatalf("full-scan search: %v", err)
 	}
-	ix.SetSegmentPruning(true)
 	if !reflect.DeepEqual(resp.Hits, full.Hits) || resp.Total != full.Total {
 		t.Fatalf("pruned and full-scan results diverged")
 	}
-	if o := opened.Value(); o != 1+rounds {
-		t.Fatalf("full scan opened %d segments total, want %d", o-1, rounds)
+	if p, o := pruned.Value(), opened.Value(); p != rounds-1 || o != 1 {
+		t.Fatalf("unbounded scan moved the pruning counters: pruned=%d opened=%d, want %d/1", p, o, rounds-1)
 	}
 
 	// Counts take the same pruned path.
@@ -567,7 +568,7 @@ func TestCrashFollowerBootstrapMultiSegment(t *testing.T) {
 
 	// An in-memory follower has nowhere to put cold segments: a tiered
 	// snapshot must be refused, not silently mangled.
-	mem := New()
+	mem := memStore(t)
 	mem.SetFollower()
 	if err := mem.ReplBootstrap(ctx, crashIndex, snap); err == nil {
 		t.Fatalf("in-memory follower accepted a tiered (base>0) snapshot")
@@ -801,7 +802,7 @@ func TestQueryCacheRetentionDifferential(t *testing.T) {
 		t.Fatalf("post-drop total = %d, want 12 (stale cached response served?)", r3.Total)
 	}
 	// The differential oracle: a fresh store holding only the surviving rows.
-	ctrl := New()
+	ctrl := memStore(t)
 	if err := ctrl.Bulk(ctx, crashIndex, retentionDocs(now, 12, "new")); err != nil {
 		t.Fatalf("control bulk: %v", err)
 	}

@@ -126,15 +126,20 @@ func TestUpdateByQueryOverTypedRows(t *testing.T) {
 	}
 }
 
-// TestMixedVersionFallback drives a binary-speaking client against a server
-// with the binary protocol disabled (an "old" server): the first BulkEvents
+// TestMixedVersionFallback drives a binary-speaking client against an
+// NDJSON-only server (an "old" server, emulated by answering 415 to the
+// binary media type in front of the real handler): the first BulkEvents
 // call must transparently degrade to NDJSON within the call, latch the
 // downgrade, and still land every event.
 func TestMixedVersionFallback(t *testing.T) {
-	old := New()
-	srv := NewServer(old)
-	srv.SetBinaryProtocol(false)
-	hs := httptest.NewServer(srv)
+	srv := NewServer(memStore(t))
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Content-Type") == event.ContentTypeBinaryV1 {
+			httpError(w, http.StatusUnsupportedMediaType, "binary event frames not supported; use NDJSON")
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	t.Cleanup(hs.Close)
 	oc := NewClient(hs.URL)
 
@@ -167,7 +172,7 @@ func TestMixedVersionFallback(t *testing.T) {
 // "does not speak binary", resend the batch as NDJSON in the same call,
 // and latch the downgrade — otherwise the batch is silently lost.
 func TestLegacyServerSilentDrop(t *testing.T) {
-	st := New()
+	st := memStore(t)
 	real := NewServer(st)
 	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/_bulk") && !strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
@@ -203,7 +208,7 @@ func TestLegacyServerSilentDrop(t *testing.T) {
 // binary", resend as NDJSON within the same call, and latch the downgrade —
 // otherwise the shipper classifies the 400 permanent and drops the batch.
 func TestLegacyNDJSONScannerFallback(t *testing.T) {
-	st := New()
+	st := memStore(t)
 	real := NewServer(st)
 	var rejected atomic.Int32
 	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -315,7 +320,7 @@ func TestBulkEventsEarlyResponseNoRace(t *testing.T) {
 // class, proc_name, and thread_name even when empty, so a Term query for ""
 // (and Exists) must answer identically whether the same rows were ingested
 // typed or as documents — across the postings fast path, the typed scan,
-// and the legacy full scan.
+// and the brute-force oracle over either representation.
 func TestEmptyStringPresenceParity(t *testing.T) {
 	events := eventFixture() // Class is empty on every fixture event
 	events[2].ThreadName = ""
@@ -327,9 +332,6 @@ func TestEmptyStringPresenceParity(t *testing.T) {
 	typed.AddEvents(events)
 	docIx := NewIndex("docs")
 	docIx.AddBulk(docs)
-	legacyIx := NewIndex("legacy")
-	legacyIx.AddBulk(docs)
-	legacyIx.SetLegacyScan(true)
 
 	queries := map[string]Query{
 		"empty class term":  Term("class", ""),
@@ -344,8 +346,11 @@ func TestEmptyStringPresenceParity(t *testing.T) {
 		if got := typed.Count(q); got != want {
 			t.Errorf("%s: typed %d, document %d", name, got, want)
 		}
-		if got := legacyIx.Count(q); got != want {
-			t.Errorf("%s: legacy scan %d, document %d", name, got, want)
+		if got := oracleCount(typed, q); got != want {
+			t.Errorf("%s: oracle over typed rows %d, document %d", name, got, want)
+		}
+		if got := oracleCount(docIx, q); got != want {
+			t.Errorf("%s: oracle over generic rows %d, document %d", name, got, want)
 		}
 	}
 
@@ -420,8 +425,9 @@ func TestBulkBufferReuse(t *testing.T) {
 
 // TestRangeEdgeDifferential cross-checks every range evaluation path on
 // GT/LT/GTE/LTE edge equality: the shared contains helper (document
-// matching), the columnar rangeScan path, and the legacy full-scan path
-// must agree for every combination of bounds anchored on stored values.
+// matching), the columnar rangeScan path, and the brute-force oracle over
+// typed rows must agree for every combination of bounds anchored on stored
+// values.
 func TestRangeEdgeDifferential(t *testing.T) {
 	vals := []int64{-5, 0, 10, 20, 20, 30, 40}
 	var docs []Document
@@ -440,9 +446,6 @@ func TestRangeEdgeDifferential(t *testing.T) {
 	docIx.AddBulk(docs)
 	typedIx := NewIndex("typed")
 	typedIx.AddEvents(events)
-	legacyIx := NewIndex("legacy")
-	legacyIx.AddBulk(docs)
-	legacyIx.SetLegacyScan(true)
 
 	bounds := []float64{-6, -5, 0, 9, 10, 20, 21, 30, 40, 41}
 	mk := func(gt, gte, lt, lte *float64) Query {
@@ -463,8 +466,8 @@ func TestRangeEdgeDifferential(t *testing.T) {
 		if got := typedIx.Count(q); got != want {
 			t.Errorf("%s: typed path %d, brute force %d", name, got, want)
 		}
-		if got := legacyIx.Count(q); got != want {
-			t.Errorf("%s: legacy path %d, brute force %d", name, got, want)
+		if got := oracleCount(typedIx, q); got != want {
+			t.Errorf("%s: oracle over typed rows %d, brute force %d", name, got, want)
 		}
 	}
 	for _, b := range bounds {

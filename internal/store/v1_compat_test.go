@@ -12,7 +12,7 @@ import (
 // store — writes through either prefix are readable through the other, for
 // every operation the server exposes.
 func TestV1AndLegacyRoutesServeSameStore(t *testing.T) {
-	st := New()
+	st := memStore(t)
 	srv := httptest.NewServer(NewServer(st))
 	t.Cleanup(srv.Close)
 	v1 := NewClient(srv.URL, WithAPIPrefix("/v1"))
@@ -44,7 +44,7 @@ func TestV1AndLegacyRoutesServeSameStore(t *testing.T) {
 		if _, err := c.Correlate(ctx, "compat", "s1"); err != nil {
 			t.Fatalf("%s correlate: %v", name, err)
 		}
-		names, err := c.Indices()
+		names, err := c.ListIndices(context.Background())
 		if err != nil || len(names) != 1 || names[0] != "compat" {
 			t.Fatalf("%s indices = (%v, %v)", name, names, err)
 		}

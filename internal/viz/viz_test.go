@@ -109,7 +109,7 @@ func TestGroupDigits(t *testing.T) {
 
 func fixtureBackend(t *testing.T) store.Backend {
 	t.Helper()
-	st := store.New()
+	st := memStore(t)
 	docs := []store.Document{
 		{"session": "s", "syscall": "openat", "proc_name": "app", "thread_name": "app",
 			"ret_val": int64(3), "time_enter_ns": int64(1000), "file_tag": "7340032 12 99",
@@ -191,7 +191,7 @@ func TestLatencySeries(t *testing.T) {
 }
 
 func TestDashboardsErrorOnMissingIndex(t *testing.T) {
-	st := store.New()
+	st := memStore(t)
 	if _, err := AccessPatternTable(st, "missing", "s"); err == nil {
 		t.Fatal("AccessPatternTable on missing index succeeded")
 	}
@@ -201,4 +201,14 @@ func TestDashboardsErrorOnMissingIndex(t *testing.T) {
 	if _, err := SyscallHistogram(st, "missing", "s"); err == nil {
 		t.Fatal("SyscallHistogram on missing index succeeded")
 	}
+}
+
+// memStore opens an in-memory store.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }

@@ -126,7 +126,7 @@ func BenchmarkReplicationOverhead(b *testing.B) {
 	})
 	b.Run("InProcessFollower", func(b *testing.B) {
 		run(b, func(b *testing.B) repl.Transport {
-			follower := store.New()
+			follower := memStore(b)
 			follower.SetFollower()
 			fsrv := httptest.NewServer(store.NewServer(follower))
 			b.Cleanup(fsrv.Close)
