@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race vet bench bench-smoke bench-read scale chaos chaos-repl chaos-cluster crash lint examples diagnose
+.PHONY: tier1 build test race vet bench bench-smoke bench-read scale chaos chaos-repl chaos-cluster crash lint loc examples diagnose
 
 ## tier1: the PR gate — vet, build (examples included), the dead-symbol
 ## lint, tests, the race detector over the concurrency-heavy packages (store
@@ -25,6 +25,16 @@ examples:
 lint:
 	$(GO) run ./internal/tools/deadsym -exported internal/store,internal/durable,internal/repl,internal/cluster,internal/diagnose,internal/core,internal/resilience,internal/telemetry,internal/event,internal/ebpf,internal/viz,internal/metrics,internal/clock,internal/replay .
 
+## loc: Go lines per package, non-test and test, excluding benchmark/ — the
+## size table a simplicity PR reports before and after.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -exec wc -l {} + | awk '$$2 != "total" { \
+		f = $$2; sub(/^\.\//, "", f); d = f; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
+		if (f ~ /_test\.go$$/) t[d] += $$1; else n[d] += $$1; p[d] = 1 } \
+		END { for (d in p) printf "%-28s %8d %8d\n", d, n[d], t[d] }' | sort | \
+		awk 'BEGIN { printf "%-28s %8s %8s\n", "package", "non-test", "test" } \
+		{ print; n += $$2; t += $$3 } END { printf "%-28s %8d %8d\n", "all", n, t }'
+
 test:
 	$(GO) test ./...
 
@@ -39,7 +49,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
 ## bench-smoke: a fast (100-iteration) run of the ingest benchmarks so the
-## typed-vs-document data plane numbers cannot silently rot.
+## data-plane and WAL-overhead numbers cannot silently rot.
 bench-smoke:
 	$(GO) test -run xxx -bench Ingest -benchtime=100x -benchmem .
 
@@ -86,10 +96,11 @@ chaos-cluster:
 	$(GO) test -race -count=2 ./internal/cluster/
 
 ## crash: the durability crash matrix — torn WAL tails, mid-snapshot kills,
-## superseded-log resurrection, frame-journal round-trips, and the tiered
-## segment matrix (torn segment writes, compaction killed before the
-## manifest commit, manifests referencing missing segments, multi-segment
-## follower bootstrap) — each recovery compared field-for-field against a
-## never-crashed control, under -race.
+## superseded-log resurrection, frame-journal round-trips, rewrites recovered
+## from the manifest, and the tiered segment matrix (torn segment writes,
+## compaction killed before the manifest commit, manifests referencing
+## missing segments, multi-segment follower bootstrap) — each recovery
+## compared field-for-field against a never-crashed control — plus the typed
+## rejection of every retired on-disk form, under -race.
 crash:
-	$(GO) test -race -run 'TestCrash|TestDurable|TestFrameJournal|TestRecovery|TestWAL|TestSegment|TestManifest' ./internal/store/ ./internal/durable/
+	$(GO) test -race -run 'TestCrash|TestDurable|TestFrameJournal|TestRecovery|TestRetired|TestWAL|TestSegment|TestManifest' ./internal/store/ ./internal/durable/

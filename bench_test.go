@@ -17,6 +17,7 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/comparators"
 	"github.com/dsrhaslab/dio-go/internal/core"
 	"github.com/dsrhaslab/dio-go/internal/ebpf"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/experiments"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/resilience"
@@ -441,22 +442,23 @@ func BenchmarkSyscallTraced(b *testing.B) {
 	}
 }
 
+// benchWriteBatch is the 512-event write batch the ingest micro-benchmarks
+// index.
+func benchWriteBatch() []event.Event {
+	evs := make([]event.Event, 512)
+	for i := range evs {
+		evs[i] = event.Event{Session: "s", Syscall: "write", ProcName: "app", TimeEnterNS: int64(i), RetVal: 4096}
+	}
+	return evs
+}
+
 // BenchmarkStoreBulkIndex measures backend ingestion throughput.
 func BenchmarkStoreBulkIndex(b *testing.B) {
-	docs := make([]store.Document, 512)
-	for i := range docs {
-		docs[i] = store.Document{
-			store.FieldSession:   "s",
-			store.FieldSyscall:   "write",
-			store.FieldProcName:  "app",
-			store.FieldTimeEnter: int64(i),
-			store.FieldRetVal:    int64(4096),
-		}
-	}
+	docs := benchWriteBatch()
 	b.ResetTimer()
 	st := memStore(b)
 	for i := 0; i < b.N; i++ {
-		if err := st.Bulk(context.Background(), "bench", docs); err != nil {
+		if err := st.BulkEvents(context.Background(), "bench", docs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -468,35 +470,22 @@ func BenchmarkStoreBulkIndex(b *testing.B) {
 // retrying shipper (breaker check, spill probe, attempt bookkeeping) with no
 // faults injected. The wrapper must stay within a few percent of direct.
 func BenchmarkShipperOverhead(b *testing.B) {
-	mkDocs := func() []store.Document {
-		docs := make([]store.Document, 512)
-		for i := range docs {
-			docs[i] = store.Document{
-				store.FieldSession:   "s",
-				store.FieldSyscall:   "write",
-				store.FieldProcName:  "app",
-				store.FieldTimeEnter: int64(i),
-				store.FieldRetVal:    int64(4096),
-			}
-		}
-		return docs
-	}
 	b.Run("direct", func(b *testing.B) {
 		st := memStore(b)
-		docs := mkDocs()
+		docs := benchWriteBatch()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := st.Bulk(context.Background(), "bench", docs); err != nil {
+			if err := st.BulkEvents(context.Background(), "bench", docs); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("shipper", func(b *testing.B) {
 		sh := resilience.NewShipper(memStore(b), resilience.Config{})
-		docs := mkDocs()
+		docs := benchWriteBatch()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sh.Bulk(context.Background(), "bench", docs); err != nil {
+			if err := sh.BulkEvents(context.Background(), "bench", docs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -510,17 +499,18 @@ func BenchmarkShipperOverhead(b *testing.B) {
 // BenchmarkStoreQuery measures a filtered, aggregated search over 50k docs.
 func BenchmarkStoreQuery(b *testing.B) {
 	st := memStore(b)
-	docs := make([]store.Document, 50_000)
+	docs := make([]event.Event, 50_000)
 	for i := range docs {
-		docs[i] = store.Document{
-			store.FieldSession:    "s",
-			store.FieldSyscall:    []string{"read", "write", "close"}[i%3],
-			store.FieldThreadName: fmt.Sprintf("t%d", i%8),
-			store.FieldTimeEnter:  int64(i) * 1000,
-			store.FieldDuration:   int64(i % 997),
+		enter := int64(i) * 1000
+		docs[i] = event.Event{
+			Session:     "s",
+			Syscall:     []string{"read", "write", "close"}[i%3],
+			ThreadName:  fmt.Sprintf("t%d", i%8),
+			TimeEnterNS: enter,
+			TimeExitNS:  enter + int64(i%997),
 		}
 	}
-	if err := st.Bulk(context.Background(), "bench", docs); err != nil {
+	if err := st.BulkEvents(context.Background(), "bench", docs); err != nil {
 		b.Fatal(err)
 	}
 	req := store.SearchRequest{
@@ -542,26 +532,27 @@ func BenchmarkStoreQuery(b *testing.B) {
 }
 
 // buildBenchIndex fills an index of the given shard count (0 = default) with
-// n session-shaped documents.
+// n session-shaped events.
 func buildBenchIndex(n, shards int) *store.Index {
 	ix := store.NewIndexWithShards("bench", shards)
 	syscalls := []string{"read", "write", "openat", "close", "fsync", "lseek"}
-	batch := make([]store.Document, 0, 4096)
+	batch := make([]event.Event, 0, 4096)
 	for i := 0; i < n; i++ {
-		batch = append(batch, store.Document{
-			store.FieldSession:    "s",
-			store.FieldSyscall:    syscalls[i%len(syscalls)],
-			store.FieldProcName:   "app",
-			store.FieldThreadName: fmt.Sprintf("t%d", i%16),
-			store.FieldTimeEnter:  int64(i) * 1000,
-			store.FieldDuration:   int64(i % 997),
+		enter := int64(i) * 1000
+		batch = append(batch, event.Event{
+			Session:     "s",
+			Syscall:     syscalls[i%len(syscalls)],
+			ProcName:    "app",
+			ThreadName:  fmt.Sprintf("t%d", i%16),
+			TimeEnterNS: enter,
+			TimeExitNS:  enter + int64(i%997),
 		})
 		if len(batch) == cap(batch) {
-			ix.AddBulk(batch)
+			ix.AddEvents(batch)
 			batch = batch[:0]
 		}
 	}
-	ix.AddBulk(batch)
+	ix.AddEvents(batch)
 	return ix
 }
 
@@ -731,17 +722,13 @@ func BenchmarkCorrelation(b *testing.B) {
 		b.StopTimer()
 		ix := store.NewIndex("bench")
 		for f := 0; f < 100; f++ {
-			tag := fmt.Sprintf("1 %d 5", f)
-			ix.Add(store.Document{
-				store.FieldSession: "s", store.FieldSyscall: "openat",
-				store.FieldFileTag: tag, store.FieldKernelPath: fmt.Sprintf("/f/%d", f),
-			})
+			tag := event.FileTag{Dev: 1, Ino: uint64(f), BirthNS: 5}
+			file := make([]event.Event, 1, 101)
+			file[0] = event.Event{Session: "s", Syscall: "openat", FileTag: tag, KernelPath: fmt.Sprintf("/f/%d", f)}
 			for e := 0; e < 100; e++ {
-				ix.Add(store.Document{
-					store.FieldSession: "s", store.FieldSyscall: "write",
-					store.FieldFileTag: tag,
-				})
+				file = append(file, event.Event{Session: "s", Syscall: "write", FileTag: tag})
 			}
+			ix.AddEvents(file)
 		}
 		b.StartTimer()
 		res := store.CorrelateFilePaths(ix, "s")

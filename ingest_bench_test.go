@@ -1,9 +1,7 @@
-// Ingest data-plane benchmark: the typed event pipeline (ring record →
-// event.Event batch → binary frame → Index.AddEvents) against the document
-// pipeline it replaced (ring record → map[string]any → NDJSON →
-// Index.AddBulk). Both sides run the full path through a real HTTP
-// server, so the numbers capture encode, transport, decode, and indexing.
-// See BENCH_store.json for the committed comparison.
+// Ingest data-plane benchmark: the event pipeline (ring record →
+// event.Event batch → binary frame → Index.AddEvents) through a real HTTP
+// server, so the numbers capture parse, encode, transport, decode, journal,
+// and indexing. See BENCH_store.json for the committed numbers.
 package dio_test
 
 import (
@@ -89,57 +87,6 @@ func ingestParse(raws [][]byte, dst []event.Event) []event.Event {
 		dst = append(dst, e)
 	}
 	return dst
-}
-
-// BenchmarkIngestTypedVsDocument is the headline number for the typed data
-// plane: events/sec and allocs/event for parse → ship → index through a
-// real HTTP server, typed versus the retired document pipeline.
-func BenchmarkIngestTypedVsDocument(b *testing.B) {
-	raws := ingestRecords()
-
-	b.Run("Typed", func(b *testing.B) {
-		st := memStore(b)
-		srv := httptest.NewServer(store.NewServer(st))
-		defer srv.Close()
-		c := store.NewClient(srv.URL)
-		batch := make([]event.Event, 0, ingestBatchSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			batch = ingestParse(raws, batch[:0])
-			if err := c.BulkEvents(context.Background(), "bench", batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(ingestBatchSize), "events/op")
-		if c.BinaryDisabled() {
-			b.Fatal("typed path fell back to NDJSON")
-		}
-	})
-
-	b.Run("Document", func(b *testing.B) {
-		st := memStore(b)
-		srv := httptest.NewServer(store.NewServer(st))
-		defer srv.Close()
-		c := store.NewClient(srv.URL)
-		batch := make([]event.Event, 0, ingestBatchSize)
-		docs := make([]store.Document, 0, ingestBatchSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			batch = ingestParse(raws, batch[:0])
-			docs = docs[:0]
-			for j := range batch {
-				docs = append(docs, store.EventToDoc(&batch[j]))
-			}
-			if err := c.Bulk(context.Background(), "bench", docs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(ingestBatchSize), "events/op")
-	})
 }
 
 // BenchmarkIngestWALOverhead prices the durability layer on the deployed

@@ -45,7 +45,6 @@ import (
 type Node interface {
 	// Target names the node for health reports and error messages.
 	Target() string
-	Bulk(ctx context.Context, index string, docs []store.Document) error
 	BulkEvents(ctx context.Context, index string, events []event.Event) error
 	// BulkFrame forwards an already-encoded binary event frame verbatim.
 	BulkFrame(ctx context.Context, index string, frame []byte) error
@@ -364,34 +363,9 @@ func (co *Coordinator) stripedBulk(ctx context.Context, index string, nrows int,
 	return nil
 }
 
-// Bulk stripes documents across partitions: document i of a bulk starting at
-// global row base goes to partition (base+i) mod P.
-func (co *Coordinator) Bulk(ctx context.Context, index string, docs []store.Document) error {
-	if len(docs) == 0 {
-		return nil
-	}
-	return co.stripedBulk(ctx, index, len(docs), func(base int64) []func(Node) error {
-		P := len(co.nodes)
-		if P == 1 {
-			return []func(Node) error{func(n Node) error { return n.Bulk(ctx, index, docs) }}
-		}
-		per := make([][]store.Document, P)
-		for i := range docs {
-			p := int((base + int64(i)) % int64(P))
-			per[p] = append(per[p], docs[i])
-		}
-		ops := make([]func(Node) error, P)
-		for p := range per {
-			if batch := per[p]; len(batch) > 0 {
-				ops[p] = func(n Node) error { return n.Bulk(ctx, index, batch) }
-			}
-		}
-		return ops
-	})
-}
-
-// BulkEvents stripes typed events the same way; each partition's share still
-// travels the binary typed path on the wire.
+// BulkEvents stripes events across partitions: event i of a bulk starting at
+// global row base goes to partition (base+i) mod P. Each partition's share
+// travels the binary frame on the wire.
 func (co *Coordinator) BulkEvents(ctx context.Context, index string, events []event.Event) error {
 	if len(events) == 0 {
 		return nil

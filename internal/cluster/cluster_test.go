@@ -75,13 +75,6 @@ func (m *memNode) found(index string) error {
 	return nil
 }
 
-func (m *memNode) Bulk(ctx context.Context, index string, docs []store.Document) error {
-	if err := m.injected(); err != nil {
-		return err
-	}
-	return m.st.Bulk(ctx, index, docs)
-}
-
 func (m *memNode) BulkEvents(ctx context.Context, index string, events []event.Event) error {
 	if err := m.injected(); err != nil {
 		return err
@@ -184,32 +177,29 @@ func clusterEvents(round, n int) []event.Event {
 	return out
 }
 
-// clusterDocs builds legacy document rows with a mix of field types.
-func clusterDocs(round, n int) []store.Document {
-	out := make([]store.Document, n)
+// clusterDocs builds a second, sparser batch shape (a loader process whose
+// rows leave most optional fields unset), later in time than clusterEvents.
+func clusterDocs(round, n int) []event.Event {
+	out := make([]event.Event, n)
 	for i := 0; i < n; i++ {
 		g := round*10_000 + i
-		out[i] = store.Document{
-			store.FieldSession:   fmt.Sprintf("run-%d", round%2),
-			store.FieldSyscall:   []string{"lseek", "stat", "pread64"}[g%3],
-			store.FieldProcName:  "loader",
-			store.FieldTimeEnter: int64(1_700_000_500_000)*1000 + int64(g)*1_000,
-			store.FieldRetVal:    int64(g % 257),
-			"batch":              fmt.Sprintf("b%d", round),
+		out[i] = event.Event{
+			Session:     fmt.Sprintf("run-%d", round%2),
+			Syscall:     []string{"lseek", "stat", "pread64"}[g%3],
+			ProcName:    "loader",
+			ThreadName:  fmt.Sprintf("b%d", round),
+			TimeEnterNS: int64(1_700_000_500_000)*1000 + int64(g)*1_000,
+			RetVal:      int64(g % 257),
 		}
 	}
 	return out
 }
 
-// ingestBoth drives one identical ingest sequence — interleaved event and
-// document bulks with sizes that are not multiples of the partition count,
+// ingestBoth drives one identical ingest sequence — interleaved bulks of the
+// two batch shapes with sizes that are not multiples of the partition count,
 // so stripes wrap mid-batch — into every backend in targets.
-type eventSink interface {
-	Bulk(ctx context.Context, index string, docs []store.Document) error
-	BulkEvents(ctx context.Context, index string, events []event.Event) error
-}
 
-func ingestBoth(t *testing.T, targets ...eventSink) {
+func ingestBoth(t *testing.T, targets ...store.EventBackend) {
 	t.Helper()
 	ctx := context.Background()
 	for round := 0; round < 4; round++ {
@@ -219,7 +209,7 @@ func ingestBoth(t *testing.T, targets ...eventSink) {
 			if err := tg.BulkEvents(ctx, testIndex, ev); err != nil {
 				t.Fatalf("round %d: bulk events: %v", round, err)
 			}
-			if err := tg.Bulk(ctx, testIndex, docs); err != nil {
+			if err := tg.BulkEvents(ctx, testIndex, docs); err != nil {
 				t.Fatalf("round %d: bulk docs: %v", round, err)
 			}
 		}
@@ -724,7 +714,7 @@ func TestClusterListAndDelete(t *testing.T) {
 	ingestBoth(t, co)
 	// A second index that happens to live on one node only (written behind
 	// the coordinator's back — the union must still report it).
-	if err := mems[2].st.Bulk(ctx, "side", clusterDocs(0, 3)); err != nil {
+	if err := mems[2].st.BulkEvents(ctx, "side", clusterDocs(0, 3)); err != nil {
 		t.Fatalf("side bulk: %v", err)
 	}
 	names, err := co.ListIndices(ctx)

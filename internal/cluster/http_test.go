@@ -64,6 +64,54 @@ func postRaw(t *testing.T, url, contentType string, body []byte) (int, []byte) {
 	return resp.StatusCode, b
 }
 
+// TestClusterNDJSONEdge pins the coordinator's NDJSON front door to the
+// node's: both run the store's strict edge decoder, so a nanosecond
+// timestamp float64 cannot hold lands exactly on its owner partition, and
+// every malformed body is refused with the node's own status and message —
+// naming the offending field — before anything is striped.
+func TestClusterNDJSONEdge(t *testing.T) {
+	ssrv := httptest.NewServer(store.NewServer(memStore(t)))
+	defer ssrv.Close()
+	_, csrv, stores := newHTTPCluster(t, 3)
+
+	const exact = int64(1687859999123456789) // float64 would store ...456768
+	ok := `{"index":{}}` + "\n" + `{"session":"ns","syscall":"write","time_enter_ns":1687859999123456789,"time_exit_ns":1687859999123456799}` + "\n"
+	if code, body := postRaw(t, csrv.URL+"/v1/"+testIndex+"/_bulk", "application/x-ndjson", []byte(ok)); code != http.StatusOK {
+		t.Fatalf("ndjson bulk via coordinator: %d %s", code, body)
+	}
+	var got []int64
+	for _, st := range stores {
+		res, err := st.SearchEvents(context.Background(), testIndex, store.SearchRequest{Query: store.MatchAll()})
+		if err != nil {
+			continue // this partition owns no row of the index
+		}
+		for _, e := range res.Hits {
+			got = append(got, e.TimeEnterNS, e.TimeExitNS)
+		}
+	}
+	if len(got) != 2 || got[0] != exact || got[1] != exact+10 {
+		t.Fatalf("stored times = %v, want [%d %d]", got, exact, exact+10)
+	}
+
+	for _, tc := range []struct{ name, doc, names string }{
+		{"unknown key", `{"custom_note":"x"}`, "custom_note"},
+		{"string where integer expected", `{"time_enter_ns":"12"}`, "time_enter_ns"},
+		{"non-integral number in an integer field", `{"ret_val":1.5}`, "ret_val"},
+		{"unparseable file_tag", `{"file_tag":"dev1:ino7"}`, "file_tag"},
+		{"dangling action line", `{"session":"s"}` + "\n" + `{"index":{}}`, "line 3"},
+	} {
+		body := []byte(`{"index":{}}` + "\n" + tc.doc + "\n")
+		scode, sbody := postRaw(t, ssrv.URL+"/v1/rej/_bulk", "application/x-ndjson", body)
+		ccode, cbody := postRaw(t, csrv.URL+"/v1/rej/_bulk", "application/x-ndjson", body)
+		if ccode != http.StatusBadRequest || !bytes.Contains(cbody, []byte(tc.names)) {
+			t.Errorf("%s: coordinator answered %d %s; want 400 naming %q", tc.name, ccode, cbody, tc.names)
+		}
+		if scode != ccode || !bytes.Equal(sbody, cbody) {
+			t.Errorf("%s: node %d %s, coordinator %d %s", tc.name, scode, sbody, ccode, cbody)
+		}
+	}
+}
+
 // TestClusterHTTPTransparency is the end-to-end byte-identity check: the
 // same ingest through a 4-partition coordinator's HTTP API and through a
 // bare node, then every query compared as raw response bodies — including
@@ -81,9 +129,9 @@ func TestClusterHTTPTransparency(t *testing.T) {
 	ingestBoth(t, singleC, clusterC)
 
 	var ndjson bytes.Buffer
-	for _, d := range clusterDocs(7, 9) {
+	for _, e := range clusterDocs(7, 9) {
 		ndjson.WriteString(`{"index":{}}` + "\n")
-		b, _ := json.Marshal(d)
+		b, _ := json.Marshal(store.EventToDoc(&e))
 		ndjson.Write(b)
 		ndjson.WriteByte('\n')
 	}

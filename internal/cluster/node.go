@@ -40,10 +40,6 @@ func notFound(err error) error {
 
 func (n *httpNode) Target() string { return n.target }
 
-func (n *httpNode) Bulk(ctx context.Context, index string, docs []store.Document) error {
-	return n.fc.Bulk(ctx, index, docs)
-}
-
 func (n *httpNode) BulkEvents(ctx context.Context, index string, events []event.Event) error {
 	return n.fc.BulkEvents(ctx, index, events)
 }

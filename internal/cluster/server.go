@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -18,7 +17,7 @@ import (
 // single diod node, so clients point at a coordinator with nothing but a
 // base-URL change:
 //
-//	POST   /v1/{index}/_bulk       NDJSON pairs or a binary event frame, striped to owners
+//	POST   /v1/{index}/_bulk       events (binary frame or NDJSON pairs), striped to owners
 //	POST   /v1/{index}/_search     scattered to all partitions, merged once
 //	POST   /v1/{index}/_count      scattered, summed
 //	POST   /v1/{index}/_correlate  501: not routable across partitions
@@ -118,8 +117,8 @@ func (s *Server) handleIndexOps(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBulk accepts the same two encodings a node does — the binary event
-// frame or Elasticsearch-style NDJSON — and stripes the rows to their owner
-// partitions.
+// frame, or Elasticsearch-style NDJSON through the store's strict edge
+// decoder — and stripes the events to their owner partitions.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request, index string) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -139,36 +138,16 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request, index string
 		writeJSON(w, http.StatusOK, map[string]int{"items": items})
 		return
 	}
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64*1024), 8*1024*1024)
-	var docs []store.Document
-	expectDoc := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if !expectDoc {
-			expectDoc = true // action line, e.g. {"index":{}}
-			continue
-		}
-		var d store.Document
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			httpError(w, http.StatusBadRequest, "bad document: %v", err)
-			return
-		}
-		docs = append(docs, d)
-		expectDoc = false
-	}
-	if err := sc.Err(); err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	events, err := store.DecodeBulkNDJSON(r.Body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bulk: %v", err)
 		return
 	}
-	if err := s.co.Bulk(r.Context(), index, docs); err != nil {
+	if err := s.co.BulkEvents(r.Context(), index, events); err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"items": len(docs)})
+	writeJSON(w, http.StatusOK, map[string]int{"items": len(events)})
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index string) {

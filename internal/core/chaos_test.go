@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/resilience"
 	"github.com/dsrhaslab/dio-go/internal/store"
@@ -217,7 +218,7 @@ func TestTracerChaosPermanentOutageCountsDrops(t *testing.T) {
 	}
 }
 
-// countingFailBackend fails every Bulk with a distinct error message.
+// countingFailBackend fails every BulkEvents with a distinct error message.
 type countingFailBackend struct {
 	store.Backend
 	calls atomic64
@@ -235,7 +236,7 @@ func (a *atomic64) next() int {
 	return a.n
 }
 
-func (c *countingFailBackend) Bulk(context.Context, string, []store.Document) error {
+func (c *countingFailBackend) BulkEvents(context.Context, string, []event.Event) error {
 	return fmt.Errorf("backend unavailable (failure %d)", c.calls.next())
 }
 

@@ -509,8 +509,7 @@ func (t *Tracer) statsLocked() Stats {
 // scales with the number of rings when cores are available. Batch buffers
 // come from a pool, the raw-record slice and the scratch Record are reused
 // across reads, and no Document is materialized anywhere on this path —
-// typed batches flow straight into the backend's typed bulk interface
-// (degrading to documents only for doc-only backends).
+// event batches flow straight into the backend's BulkEvents.
 func (t *Tracer) drain(w *drainWorker) {
 	defer t.wg.Done()
 	ticker := time.NewTicker(t.cfg.FlushInterval)
@@ -533,7 +532,7 @@ func (t *Tracer) drain(w *drainWorker) {
 		if tmOn {
 			start = time.Now()
 		}
-		err := store.ShipEvents(context.Background(), t.backend, t.cfg.Index, batch)
+		err := t.backend.BulkEvents(context.Background(), t.cfg.Index, batch)
 		if tmOn {
 			d := float64(time.Since(start))
 			t.tm.flushNS.Observe(d)

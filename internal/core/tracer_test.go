@@ -8,6 +8,7 @@ import (
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/ebpf"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
@@ -222,7 +223,7 @@ func TestTracerDropAccounting(t *testing.T) {
 // failingBackend fails every bulk request.
 type failingBackend struct{ store.Backend }
 
-func (f failingBackend) Bulk(context.Context, string, []store.Document) error {
+func (f failingBackend) BulkEvents(context.Context, string, []event.Event) error {
 	return errors.New("backend unavailable")
 }
 

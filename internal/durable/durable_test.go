@@ -45,7 +45,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}, []byte("gamma")}
-	types := []RecordType{RecordEvents, RecordDocs, RecordRewrite, RecordEvents}
+	types := []RecordType{RecordEvents, RecordRewrite, RecordRewrite, RecordEvents}
 	total := 0
 	for i, p := range payloads {
 		n, err := w.Append(types[i], p)
@@ -127,7 +127,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.Append(RecordDocs, []byte("tear me apart")); err != nil {
+			if _, err := w.Append(RecordRewrite, []byte("tear me apart")); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Close(); err != nil {

@@ -41,10 +41,10 @@ type SegmentMeta struct {
 	MinTime int64 `json:"min_time"`
 	MaxTime int64 `json:"max_time"`
 	Bytes   int64 `json:"bytes"`
-	// Generic counts the segment's generic (schemaless) rows. Recovery that
-	// leaves segments cold on disk still needs the index's generic-row count
-	// (it gates integer range-bound folding in query-cache keys), and this
-	// field supplies it without reading the file.
+	// Generic counts the segment's rows in the opaque generic block — a
+	// retired row form the store no longer writes. The store refuses to open
+	// a data dir whose manifest lists a segment with any, and this field
+	// tells it so without reading the file.
 	Generic int64 `json:"generic,omitempty"`
 }
 
@@ -84,7 +84,8 @@ type Manifest struct {
 	// below the floor fail loudly (expired) instead of silently skipping.
 	RetentionFloor int64 `json:"retention_floor,omitempty"`
 	// Rewrites is the store's pending post-flush row-rewrite overlay,
-	// serialized by the store (opaque bytes here) and re-applied during
+	// serialized by the store in its rewrite-record encoding (opaque bytes
+	// here) and re-applied during
 	// recovery after segments load and before WAL replay. It rides in the
 	// manifest rather than the WAL so persisting it never advances the
 	// replication sequence.

@@ -32,8 +32,9 @@ import (
 //	  aux         T × u8 (bit 0: has_offset)
 //	  11 string columns (wire order of the event codec), each:
 //	    offsets (T+1) × u32 into the column's blob, then the blob bytes
-//	generic block (row-major — generic documents are opaque):
-//	  per row: u64 gid, u32 len, gob([]byte) payload
+//	generic block (row-major, opaque payloads — a retired row form kept
+//	readable until segment v3; the store writes G = 0 and refuses G > 0):
+//	  per row: u64 gid, u32 len, payload
 //	[4]  u32 CRC-32C of everything before it
 //
 // The columnar typed block is what makes snapshots cheap to load: each
@@ -51,13 +52,11 @@ var segMagic = [segMagicLen]byte{'D', 'I', 'O', 'S'}
 // block stores one string column per field in the same wire order.
 const segStringCount = 11
 
-// SegmentRow is one row handed to WriteSegment: exactly one of Event (a
-// typed row) or Doc (an opaque encoded generic document) is set. Generic
-// documents are opaque to this package, so the caller extracts their
-// time_enter_ns (DocTimed false when the document carries no numeric time;
-// such rows are excluded from the segment's pruning range, which is sound
-// because they can never match a numeric time-range filter). Typed rows are
-// always timed via Event.TimeEnterNS.
+// SegmentRow is one row handed to WriteSegment. The store sets Event only —
+// an event is timed via Event.TimeEnterNS. Doc is the retired generic row
+// form (an opaque encoded document, with DocTime/DocTimed carrying the
+// time_enter_ns the caller extracted from it, if any), which the format
+// still carries until segment v3.
 type SegmentRow struct {
 	Event    *event.Event
 	Doc      []byte

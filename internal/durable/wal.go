@@ -1,5 +1,5 @@
 // Package durable is the store's persistence layer: a per-index append-only
-// write-ahead log for typed event batches and generic document batches, plus
+// write-ahead log for event batches and their update-by-query rewrites, plus
 // columnar segment snapshots and the manifest that makes snapshot→WAL
 // handoff crash-atomic. The store (internal/store) owns placement and
 // locking; this package owns bytes on disk and their integrity.
@@ -28,17 +28,19 @@ import (
 type RecordType uint8
 
 const (
-	// RecordEvents is a typed event batch in the event binary codec
+	// RecordEvents is an event batch in the event binary codec
 	// (event.EncodeBatch frame).
 	RecordEvents RecordType = 1
-	// RecordDocs is a generic document batch, gob-encoded ([]Document). Gob
-	// round-trips int64 values exactly — JSON would coerce nanosecond
-	// timestamps through float64 and corrupt them.
-	RecordDocs RecordType = 2
-	// RecordRewrite is an update-by-query effect batch: gob-encoded
-	// (gid, document) pairs applied to rows that already exist in the log's
-	// prefix.
-	RecordRewrite RecordType = 3
+	// RecordRetiredDocs and RecordRetiredRewrite are the gob-encoded document
+	// batch and rewrite batch written before the store held one row form.
+	// Nothing writes them any more; the numbers stay reserved so an old
+	// payload is rejected by type and never parsed as a newer record.
+	RecordRetiredDocs    RecordType = 2
+	RecordRetiredRewrite RecordType = 3
+	// RecordRewrite is an update-by-query effect batch: (gid, event) pairs —
+	// the row ids, then the rows' final states as one event frame — applied
+	// to rows that already exist in the log's prefix.
+	RecordRewrite RecordType = 4
 )
 
 // walHeaderLen is the per-record frame overhead: type byte, payload length,

@@ -8,8 +8,8 @@ import (
 
 // ContentTypeBinaryV1 is the HTTP media type of the version-1 binary event
 // frame produced by EncodeBatch. The store client sends bulk requests under
-// this content type and falls back to the NDJSON document path when the
-// server does not speak it (see DESIGN.md §10).
+// this content type and falls back to the NDJSON encoding when the server
+// does not speak it (see DESIGN.md §10).
 const ContentTypeBinaryV1 = "application/x-dio-events.v1"
 
 // CodecVersion is the wire-format version EncodeBatch emits.

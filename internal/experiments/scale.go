@@ -6,6 +6,7 @@ import (
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/core"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/store"
 	"github.com/dsrhaslab/dio-go/internal/viz"
@@ -143,26 +144,27 @@ func safeRatio(a, b float64) float64 {
 }
 
 // buildScaleIndex fills an index of the given shard count (0 = default) with
-// a session-shaped document mix.
+// a session-shaped event mix.
 func buildScaleIndex(n, shards int) *store.Index {
 	ix := store.NewIndexWithShards("scale", shards)
 	syscalls := []string{"read", "write", "openat", "close", "fsync", "lseek"}
-	batch := make([]store.Document, 0, 4096)
+	batch := make([]event.Event, 0, 4096)
 	for i := 0; i < n; i++ {
-		batch = append(batch, store.Document{
-			store.FieldSession:    "scale",
-			store.FieldSyscall:    syscalls[i%len(syscalls)],
-			store.FieldProcName:   "app",
-			store.FieldThreadName: fmt.Sprintf("t%d", i%16),
-			store.FieldTimeEnter:  int64(i) * 1000,
-			store.FieldDuration:   int64(i % 997),
+		enter := int64(i) * 1000
+		batch = append(batch, event.Event{
+			Session:     "scale",
+			Syscall:     syscalls[i%len(syscalls)],
+			ProcName:    "app",
+			ThreadName:  fmt.Sprintf("t%d", i%16),
+			TimeEnterNS: enter,
+			TimeExitNS:  enter + int64(i%997),
 		})
 		if len(batch) == cap(batch) {
-			ix.AddBulk(batch)
+			_ = ix.AddEvents(batch) // in-memory index: no journal, no error
 			batch = batch[:0]
 		}
 	}
-	ix.AddBulk(batch)
+	_ = ix.AddEvents(batch)
 	return ix
 }
 

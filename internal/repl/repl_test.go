@@ -19,9 +19,9 @@ import (
 
 const testIndex = "events"
 
-// ingestRound applies one deterministic round of mixed writes — a typed
-// batch, a generic batch, and (odd rounds) an update-by-query rewrite — the
-// three journal record types the replication stream carries.
+// ingestRound applies one deterministic round of mixed writes — a dense
+// event batch, a sparse one, and (odd rounds) an update-by-query rewrite —
+// both journal record types the replication stream carries.
 func ingestRound(t *testing.T, st *store.Store, round int) {
 	t.Helper()
 	ctx := context.Background()
@@ -40,17 +40,16 @@ func ingestRound(t *testing.T, st *store.Store, round int) {
 	if err := st.BulkEvents(ctx, testIndex, evs); err != nil {
 		t.Fatalf("round %d: bulk events: %v", round, err)
 	}
-	docs := make([]store.Document, 0, 4)
+	sparse := make([]event.Event, 0, 4)
 	for i := 0; i < 4; i++ {
-		docs = append(docs, store.Document{
-			store.FieldSession: "repl", store.FieldSyscall: "ioctl",
-			store.FieldRetVal: int64(round*10 + i), store.FieldPID: int64(100 + round),
-			store.FieldTimeEnter: base + int64(900+i),
-			"custom_seq":         int64(i),
+		sparse = append(sparse, event.Event{
+			Session: "repl", Syscall: "ioctl",
+			RetVal: int64(round*10 + i), PID: 100 + round,
+			TimeEnterNS: base + int64(900+i),
 		})
 	}
-	if err := st.Bulk(ctx, testIndex, docs); err != nil {
-		t.Fatalf("round %d: bulk docs: %v", round, err)
+	if err := st.BulkEvents(ctx, testIndex, sparse); err != nil {
+		t.Fatalf("round %d: bulk sparse events: %v", round, err)
 	}
 	if round%2 == 1 {
 		_, err := st.UpdateByQuery(ctx, testIndex, store.Term(store.FieldSyscall, "openat"), func(d store.Document) bool {
@@ -63,7 +62,7 @@ func ingestRound(t *testing.T, st *store.Store, round int) {
 	}
 }
 
-// rowsPerRound is how many rows one ingestRound adds (8 events + 4 docs).
+// rowsPerRound is how many rows one ingestRound adds (8 dense + 4 sparse events).
 const rowsPerRound = 12
 
 // fingerprint serializes everything a reader can observe from the index.

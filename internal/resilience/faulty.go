@@ -13,7 +13,7 @@ import (
 )
 
 // FaultyBackend wraps a store.Backend and injects faults on the ship path
-// (Bulk): a configurable transient-error rate, an error class toggle
+// (BulkEvents): a configurable transient-error rate, an error class toggle
 // (retryable vs permanent), added latency, and scripted full-outage windows
 // expressed in bulk-call counts, which keeps chaos tests deterministic under
 // any scheduling. The read path passes through untouched.
@@ -47,7 +47,7 @@ func NewFaultyBackend(inner store.Backend, seed int64) *FaultyBackend {
 // injection free in tests).
 func (f *FaultyBackend) SetClock(clk clock.Clock) { f.clk = clk }
 
-// SetErrorRate makes each Bulk call outside an outage window fail with
+// SetErrorRate makes each BulkEvents call outside an outage window fail with
 // probability p.
 func (f *FaultyBackend) SetErrorRate(p float64) {
 	f.mu.Lock()
@@ -63,14 +63,14 @@ func (f *FaultyBackend) SetPermanent(v bool) {
 	f.mu.Unlock()
 }
 
-// SetLatency adds d of delay to every Bulk call.
+// SetLatency adds d of delay to every BulkEvents call.
 func (f *FaultyBackend) SetLatency(d time.Duration) {
 	f.mu.Lock()
 	f.latency = d
 	f.mu.Unlock()
 }
 
-// ScriptOutage makes every Bulk call in the half-open call-count window
+// ScriptOutage makes every BulkEvents call in the half-open call-count window
 // [from, to) fail with a retryable error — a scripted full outage that ends
 // only after to-from failing calls have been absorbed.
 func (f *FaultyBackend) ScriptOutage(from, to uint64) {
@@ -79,14 +79,14 @@ func (f *FaultyBackend) ScriptOutage(from, to uint64) {
 	f.mu.Unlock()
 }
 
-// Calls returns how many Bulk calls were observed.
+// Calls returns how many BulkEvents calls were observed.
 func (f *FaultyBackend) Calls() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.calls
 }
 
-// Injected returns how many Bulk calls failed by injection.
+// Injected returns how many BulkEvents calls failed by injection.
 func (f *FaultyBackend) Injected() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -94,8 +94,7 @@ func (f *FaultyBackend) Injected() uint64 {
 }
 
 // inject rolls the configured fault dice for one ship call and returns the
-// injected error, or nil to let the call through. Shared by Bulk and
-// BulkEvents so both ship representations see identical fault sequences.
+// injected error, or nil to let the call through.
 func (f *FaultyBackend) inject() error {
 	f.mu.Lock()
 	call := f.calls
@@ -123,21 +122,12 @@ func (f *FaultyBackend) inject() error {
 	return nil
 }
 
-// Bulk injects the configured faults, then delegates.
-func (f *FaultyBackend) Bulk(ctx context.Context, index string, docs []store.Document) error {
-	if err := f.inject(); err != nil {
-		return err
-	}
-	return f.inner.Bulk(ctx, index, docs)
-}
-
-// BulkEvents injects the configured faults on the typed ship path, then
-// delegates through the inner backend's typed path when it has one.
+// BulkEvents injects the configured faults, then delegates.
 func (f *FaultyBackend) BulkEvents(ctx context.Context, index string, events []event.Event) error {
 	if err := f.inject(); err != nil {
 		return err
 	}
-	return store.ShipEvents(ctx, f.inner, index, events)
+	return f.inner.BulkEvents(ctx, index, events)
 }
 
 // Search delegates to the wrapped backend.

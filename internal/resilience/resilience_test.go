@@ -9,20 +9,21 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
-// recordingBackend is a scriptable backend: the first failFirst Bulk calls
-// fail with retryable errors, later ones record the batch.
+// recordingBackend is a scriptable backend: the first failFirst BulkEvents
+// calls fail with retryable errors, later ones record the batch.
 type recordingBackend struct {
 	mu        sync.Mutex
 	failFirst int
 	permanent bool
 	calls     int
-	batches   [][]store.Document
+	batches   [][]event.Event
 }
 
-func (r *recordingBackend) Bulk(_ context.Context, index string, docs []store.Document) error {
+func (r *recordingBackend) BulkEvents(_ context.Context, index string, events []event.Event) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.calls++
@@ -33,9 +34,7 @@ func (r *recordingBackend) Bulk(_ context.Context, index string, docs []store.Do
 		}
 		return Retryable(err)
 	}
-	cp := make([]store.Document, len(docs))
-	copy(cp, docs)
-	r.batches = append(r.batches, cp)
+	r.batches = append(r.batches, append([]event.Event(nil), events...))
 	return nil
 }
 
@@ -50,8 +49,8 @@ func (r *recordingBackend) seqs() []int {
 	defer r.mu.Unlock()
 	var out []int
 	for _, b := range r.batches {
-		for _, d := range b {
-			out = append(out, d["seq"].(int))
+		for i := range b {
+			out = append(out, b[i].TID)
 		}
 	}
 	return out
@@ -65,12 +64,13 @@ func (r *recordingBackend) Correlate(context.Context, string, string) (store.Cor
 	return store.CorrelationResult{}, nil
 }
 
-func batch(start, n int) []store.Document {
-	docs := make([]store.Document, n)
-	for i := range docs {
-		docs[i] = store.Document{"seq": start + i}
+// batch builds n events numbered start.. in their TID.
+func batch(start, n int) []event.Event {
+	evs := make([]event.Event, n)
+	for i := range evs {
+		evs[i] = event.Event{TID: start + i}
 	}
-	return docs
+	return evs
 }
 
 func testConfig(clk clock.Clock) Config {
@@ -154,7 +154,7 @@ func TestShipperRetriesTransientFailures(t *testing.T) {
 	clk := clock.NewVirtual(0)
 	be := &recordingBackend{failFirst: 2}
 	s := NewShipper(be, testConfig(clk))
-	if err := s.Bulk(context.Background(), "ix", batch(0, 4)); err != nil {
+	if err := s.BulkEvents(context.Background(), "ix", batch(0, 4)); err != nil {
 		t.Fatalf("Bulk: %v", err)
 	}
 	st := s.Stats()
@@ -169,7 +169,7 @@ func TestShipperRetriesTransientFailures(t *testing.T) {
 func TestShipperPermanentFailureDropsWithoutRetry(t *testing.T) {
 	be := &recordingBackend{failFirst: 100, permanent: true}
 	s := NewShipper(be, testConfig(clock.NewVirtual(0)))
-	err := s.Bulk(context.Background(), "ix", batch(0, 4))
+	err := s.BulkEvents(context.Background(), "ix", batch(0, 4))
 	if err == nil || errors.Is(err, ErrSpilled) {
 		t.Fatalf("permanent failure should surface directly, got %v", err)
 	}
@@ -189,10 +189,10 @@ func TestShipperSpillsAndReplaysInOrder(t *testing.T) {
 	cfg.BreakerThreshold = 100 // isolate spill behavior from the breaker
 	s := NewShipper(be, cfg)
 
-	if err := s.Bulk(context.Background(), "ix", batch(0, 3)); !errors.Is(err, ErrSpilled) {
+	if err := s.BulkEvents(context.Background(), "ix", batch(0, 3)); !errors.Is(err, ErrSpilled) {
 		t.Fatalf("outage Bulk = %v, want ErrSpilled", err)
 	}
-	if err := s.Bulk(context.Background(), "ix", batch(3, 3)); !errors.Is(err, ErrSpilled) {
+	if err := s.BulkEvents(context.Background(), "ix", batch(3, 3)); !errors.Is(err, ErrSpilled) {
 		t.Fatalf("outage Bulk = %v, want ErrSpilled", err)
 	}
 	st := s.Stats()
@@ -204,7 +204,7 @@ func TestShipperSpillsAndReplaysInOrder(t *testing.T) {
 	be.mu.Lock()
 	be.failFirst = 0
 	be.mu.Unlock()
-	if err := s.Bulk(context.Background(), "ix", batch(6, 3)); err != nil {
+	if err := s.BulkEvents(context.Background(), "ix", batch(6, 3)); err != nil {
 		t.Fatalf("post-recovery Bulk: %v", err)
 	}
 	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
@@ -232,7 +232,7 @@ func TestShipperSpillOverflowDropsOldestCounted(t *testing.T) {
 	s := NewShipper(be, cfg)
 
 	for i := 0; i < 4; i++ {
-		s.Bulk(context.Background(), "ix", batch(i*4, 4)) // each exhausts retries and spills
+		s.BulkEvents(context.Background(), "ix", batch(i*4, 4)) // each exhausts retries and spills
 	}
 	st := s.Stats()
 	if st.Requeued != 16 || st.SpillDropped != 8 || st.SpillPending != 8 {
@@ -269,7 +269,7 @@ func TestShipperBreakerStopsHammeringAndFlushRecovers(t *testing.T) {
 	s := NewShipper(be, cfg)
 
 	// b1 exhausts its attempts (calls 1-3) and trips the breaker.
-	if err := s.Bulk(context.Background(), "ix", batch(0, 2)); !errors.Is(err, ErrSpilled) {
+	if err := s.BulkEvents(context.Background(), "ix", batch(0, 2)); !errors.Is(err, ErrSpilled) {
 		t.Fatalf("b1 = %v, want ErrSpilled", err)
 	}
 	if s.Breaker().State() != BreakerOpen {
@@ -277,10 +277,10 @@ func TestShipperBreakerStopsHammeringAndFlushRecovers(t *testing.T) {
 	}
 	calls := be.Calls()
 	// b2 and b3 must spill without touching the dead backend.
-	if err := s.Bulk(context.Background(), "ix", batch(2, 2)); !errors.Is(err, ErrSpilled) {
+	if err := s.BulkEvents(context.Background(), "ix", batch(2, 2)); !errors.Is(err, ErrSpilled) {
 		t.Fatalf("b2 = %v, want ErrSpilled", err)
 	}
-	if err := s.Bulk(context.Background(), "ix", batch(4, 2)); !errors.Is(err, ErrSpilled) {
+	if err := s.BulkEvents(context.Background(), "ix", batch(4, 2)); !errors.Is(err, ErrSpilled) {
 		t.Fatalf("b3 = %v, want ErrSpilled", err)
 	}
 	if got := be.Calls(); got != calls {
@@ -312,7 +312,7 @@ func TestShipperFlushCountsUndeliverableBatches(t *testing.T) {
 	cfg := testConfig(clock.NewVirtual(0))
 	cfg.BreakerThreshold = 1000
 	s := NewShipper(be, cfg)
-	s.Bulk(context.Background(), "ix", batch(0, 5))
+	s.BulkEvents(context.Background(), "ix", batch(0, 5))
 	if err := s.Flush(); err == nil {
 		t.Fatal("Flush against a dead backend should report an error")
 	}
@@ -350,16 +350,16 @@ func TestFaultyBackendScriptedOutageAndRates(t *testing.T) {
 	f := NewFaultyBackend(inner, 42)
 	f.ScriptOutage(1, 3)
 	docs := batch(0, 1)
-	if err := f.Bulk(context.Background(), "ix", docs); err != nil {
+	if err := f.BulkEvents(context.Background(), "ix", docs); err != nil {
 		t.Fatalf("call 0 before outage: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		err := f.Bulk(context.Background(), "ix", docs)
+		err := f.BulkEvents(context.Background(), "ix", docs)
 		if !errors.Is(err, ErrInjected) || !IsRetryable(err) {
 			t.Fatalf("outage call %d = %v, want retryable injected", i, err)
 		}
 	}
-	if err := f.Bulk(context.Background(), "ix", docs); err != nil {
+	if err := f.BulkEvents(context.Background(), "ix", docs); err != nil {
 		t.Fatalf("call after outage: %v", err)
 	}
 	if f.Calls() != 4 || f.Injected() != 2 {
@@ -373,7 +373,7 @@ func TestFaultyBackendScriptedOutageAndRates(t *testing.T) {
 	f2.SetPermanent(true)
 	var injected int
 	for i := 0; i < 200; i++ {
-		if err := f2.Bulk(context.Background(), "ix", docs); err != nil {
+		if err := f2.BulkEvents(context.Background(), "ix", docs); err != nil {
 			if IsRetryable(err) {
 				t.Fatalf("injected error should be permanent: %v", err)
 			}
@@ -398,7 +398,7 @@ func TestShipperConcurrentBulkRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				s.Bulk(context.Background(), "ix", batch((w*perWorker+i)*n, n))
+				s.BulkEvents(context.Background(), "ix", batch((w*perWorker+i)*n, n))
 			}
 		}(w)
 	}

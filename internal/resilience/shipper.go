@@ -80,7 +80,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats is a snapshot of the shipper's event accounting. Every event handed
-// to Bulk ends up in exactly one of: Shipped (acked, possibly via replay) or
+// to BulkEvents ends up in exactly one of: Shipped (acked, possibly via replay) or
 // SpillDropped (dropped with accounting).
 type Stats struct {
 	// Shipped is the number of events acknowledged by the backend, replays
@@ -106,7 +106,7 @@ type Stats struct {
 }
 
 var (
-	// ErrSpilled reports that Bulk parked the batch in the spill queue for
+	// ErrSpilled reports that BulkEvents parked the batch in the spill queue for
 	// later replay instead of delivering it; the shipper owns its accounting
 	// from here on.
 	ErrSpilled = errors.New("resilience: batch spilled for later replay")
@@ -126,7 +126,7 @@ type Shipper struct {
 	spill   *spillQueue
 
 	// replayMu serializes spill replay so recovered batches leave in FIFO
-	// order; Bulk callers use TryLock and skip replay when another worker
+	// order; BulkEvents callers use TryLock and skip replay when another worker
 	// already holds it.
 	replayMu sync.Mutex
 
@@ -147,10 +147,7 @@ type Shipper struct {
 	tmSpillDropped *telemetry.Counter
 }
 
-var (
-	_ store.Backend      = (*Shipper)(nil)
-	_ store.EventBackend = (*Shipper)(nil)
-)
+var _ store.Backend = (*Shipper)(nil)
 
 // NewShipper wraps backend with cfg's resilience ladder.
 func NewShipper(backend store.Backend, cfg Config) *Shipper {
@@ -181,20 +178,10 @@ func NewShipper(backend store.Backend, cfg Config) *Shipper {
 	return s
 }
 
-// Bulk ships docs with retries; on exhaustion the batch spills (ErrSpilled)
-// and on permanent failure it is dropped and counted. Every event is
-// accounted for exactly once. ctx bounds the whole delivery (per-attempt
-// deadlines layer AttemptTimeout on top of it).
-func (s *Shipper) Bulk(ctx context.Context, index string, docs []store.Document) error {
-	if len(docs) == 0 {
-		return nil
-	}
-	return s.deliver(ctx, spillBatch{index: index, docs: docs})
-}
-
-// BulkEvents ships typed events down the same ladder: retries, breaker,
-// spill, and counted drop all operate on the typed batch, which is only
-// degraded to documents if the backend itself has no typed path.
+// BulkEvents ships events with retries; on exhaustion the batch spills
+// (ErrSpilled) and on permanent failure it is dropped and counted. Every
+// event is accounted for exactly once. ctx bounds the whole delivery
+// (per-attempt deadlines layer AttemptTimeout on top of it).
 func (s *Shipper) BulkEvents(ctx context.Context, index string, events []event.Event) error {
 	if len(events) == 0 {
 		return nil
@@ -202,14 +189,14 @@ func (s *Shipper) BulkEvents(ctx context.Context, index string, events []event.E
 	return s.deliver(ctx, spillBatch{index: index, events: events})
 }
 
-// deliver runs one batch (either representation) through the ladder.
+// deliver runs one batch through the ladder.
 func (s *Shipper) deliver(ctx context.Context, b spillBatch) error {
 	// Replay parked batches first so a recovered backend receives events in
 	// the order they were drained.
 	if s.spill.size() > 0 {
 		s.tryReplay(ctx)
 	}
-	n := uint64(b.n())
+	n := uint64(len(b.events))
 	err := s.ship(ctx, &b, false)
 	if err == nil {
 		s.shipped.Add(n)
@@ -282,16 +269,12 @@ func (s *Shipper) ship(ctx context.Context, b *spillBatch, bypassBreaker bool) e
 }
 
 // attempt makes one delivery attempt under a per-attempt deadline layered
-// onto the caller's context. Typed batches prefer the typed bulk interfaces
-// and degrade to EventToDoc + Bulk only for doc-only backends.
+// onto the caller's context.
 func (s *Shipper) attempt(ctx context.Context, b *spillBatch) error {
 	s.tmAttempts.Inc()
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.AttemptTimeout)
 	defer cancel()
-	if b.events != nil {
-		return store.ShipEvents(ctx, s.backend, b.index, b.events)
-	}
-	return s.backend.Bulk(ctx, b.index, b.docs)
+	return s.backend.BulkEvents(ctx, b.index, b.events)
 }
 
 // tryReplay drains the spill queue opportunistically: it backs off
@@ -309,7 +292,7 @@ func (s *Shipper) tryReplay(ctx context.Context) {
 		}
 		err := s.ship(ctx, &b, false)
 		if err == nil {
-			s.countReplayed(uint64(b.n()))
+			s.countReplayed(uint64(len(b.events)))
 			continue
 		}
 		if IsRetryable(err) {
@@ -319,7 +302,7 @@ func (s *Shipper) tryReplay(ctx context.Context) {
 		}
 		// The backend permanently rejected this batch: count the drop and
 		// keep replaying the rest.
-		s.countSpillDropped(uint64(b.n()))
+		s.countSpillDropped(uint64(len(b.events)))
 	}
 }
 
@@ -339,12 +322,12 @@ func (s *Shipper) Flush() error {
 		}
 		err := s.ship(context.Background(), &b, true)
 		if err == nil {
-			s.countReplayed(uint64(b.n()))
+			s.countReplayed(uint64(len(b.events)))
 			continue
 		}
-		s.countSpillDropped(uint64(b.n()))
+		s.countSpillDropped(uint64(len(b.events)))
 		if len(errs) < 4 {
-			errs = append(errs, fmt.Errorf("flush %d spilled events: %w", b.n(), err))
+			errs = append(errs, fmt.Errorf("flush %d spilled events: %w", len(b.events), err))
 		}
 	}
 	return errors.Join(errs...)
@@ -374,7 +357,7 @@ func (s *Shipper) Search(ctx context.Context, index string, req store.SearchRequ
 }
 
 // SearchEvents delegates typed search to the wrapped backend (converting
-// through the schema when the backend is doc-only).
+// document hits through the schema when it has no typed search).
 func (s *Shipper) SearchEvents(ctx context.Context, index string, req store.SearchRequest) (store.EventsResult, error) {
 	return store.SearchEvents(ctx, s.backend, index, req)
 }

@@ -4,24 +4,12 @@ import (
 	"sync"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
-	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
-// spillBatch is one parked bulk request, in either representation: typed
-// events (the tracer's fast path) or generic documents. Exactly one of the
-// two slices is non-nil.
+// spillBatch is one parked bulk request.
 type spillBatch struct {
 	index  string
-	docs   []store.Document
 	events []event.Event
-}
-
-// n returns the batch's event count, whichever representation it holds.
-func (b *spillBatch) n() int {
-	if b.events != nil {
-		return len(b.events)
-	}
-	return len(b.docs)
 }
 
 // spillQueue is a bounded FIFO of batches that could not be shipped, bounded
@@ -46,24 +34,16 @@ func newSpillQueue(capEvents int) *spillQueue {
 // evicted to make room; a batch larger than the whole queue capacity is
 // rejected outright (queued=false, evicted=0) and the caller accounts it.
 func (q *spillQueue) push(b spillBatch) (queued bool, evicted int) {
-	n := b.n()
+	n := len(b.events)
 	if n > q.capEvents {
 		return false, 0
 	}
-	if b.events != nil {
-		cp := make([]event.Event, len(b.events))
-		copy(cp, b.events)
-		b.events, b.docs = cp, nil
-	} else {
-		cp := make([]store.Document, len(b.docs))
-		copy(cp, b.docs)
-		b.docs = cp
-	}
+	b.events = append([]event.Event(nil), b.events...)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.events+n > q.capEvents {
 		old := q.popLocked()
-		evicted += old.n()
+		evicted += len(old.events)
 	}
 	q.batches = append(q.batches, b)
 	q.events += n
@@ -84,7 +64,7 @@ func (q *spillQueue) popLocked() spillBatch {
 	b := q.batches[q.head]
 	q.batches[q.head] = spillBatch{}
 	q.head++
-	q.events -= b.n()
+	q.events -= len(b.events)
 	if q.head == len(q.batches) {
 		q.batches = q.batches[:0]
 		q.head = 0
@@ -107,7 +87,7 @@ func (q *spillQueue) unshift(b spillBatch) {
 	} else {
 		q.batches = append([]spillBatch{b}, q.batches...)
 	}
-	q.events += b.n()
+	q.events += len(b.events)
 }
 
 // size returns the queued event count.

@@ -291,22 +291,15 @@ type partialAgg struct {
 }
 
 // termCounts tallies ids by term. When the matched set is the whole shard
-// and the posting lists fully cover it (every doc holds the field as a
-// string), the counts are just the posting-list lengths — no per-document
-// work at all.
+// and the field is indexed, the counts are just the posting-list lengths
+// (every row posts a term in every indexed field) — no per-row work at all.
 func (sh *shard) termCounts(t *TermsAgg, ids []int32) map[string]int {
-	if pl, ok := sh.postings[t.Field]; ok && len(ids) == len(sh.docs) {
-		total := 0
-		for _, l := range pl {
-			total += len(l)
+	if pl, ok := sh.postings[t.Field]; ok && len(ids) == len(sh.events) {
+		counts := make(map[string]int, len(pl))
+		for term, l := range pl {
+			counts[term] = len(l)
 		}
-		if total == len(sh.docs) {
-			counts := make(map[string]int, len(pl))
-			for term, l := range pl {
-				counts[term] = len(l)
-			}
-			return counts
-		}
+		return counts
 	}
 	counts := make(map[string]int)
 	for _, id := range ids {
@@ -325,7 +318,7 @@ func (sh *shard) partial(a Agg, ids []int32) *partialAgg {
 		}
 		groups := make(map[string][]Document)
 		for _, id := range ids {
-			// Sub-aggregations run over merged Document groups, so typed rows
+			// Sub-aggregations run over merged Document groups, so rows
 			// materialize here — the one aggregation path that still needs maps.
 			d := sh.docView(id)
 			k := keyString(d[a.Terms.Field])

@@ -16,7 +16,7 @@ func TestHealthEndpoint(t *testing.T) {
 	if err := c.Health(); err != nil {
 		t.Fatalf("Health: %v", err)
 	}
-	st.Bulk(context.Background(), "run1", docFixture())
+	st.BulkEvents(context.Background(), "run1", docFixture())
 	if err := c.Health(); err != nil {
 		t.Fatalf("Health after writes: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestClientSurfacesRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
-	err := c.Bulk(context.Background(), "ix", docFixture())
+	err := c.BulkEvents(context.Background(), "ix", docFixture())
 	var he *HTTPError
 	if !errors.As(err, &he) {
 		t.Fatalf("err = %v (%T), want *HTTPError", err, err)
@@ -68,7 +68,7 @@ func TestClientCapsErrorBody(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
-	err := c.Bulk(context.Background(), "ix", docFixture())
+	err := c.BulkEvents(context.Background(), "ix", docFixture())
 	var he *HTTPError
 	if !errors.As(err, &he) {
 		t.Fatalf("err = %v, want *HTTPError", err)
@@ -108,11 +108,11 @@ func TestChaosHandlerScriptedOutage(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.URL)
 
-	if err := c.Bulk(context.Background(), "ix", docFixture()); err != nil {
+	if err := c.BulkEvents(context.Background(), "ix", docFixture()); err != nil {
 		t.Fatalf("bulk call 0 (before outage): %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		err := c.Bulk(context.Background(), "ix", docFixture())
+		err := c.BulkEvents(context.Background(), "ix", docFixture())
 		var he *HTTPError
 		if !errors.As(err, &he) || he.Status != http.StatusServiceUnavailable {
 			t.Fatalf("outage bulk %d = %v, want 503", i, err)
@@ -121,7 +121,7 @@ func TestChaosHandlerScriptedOutage(t *testing.T) {
 			t.Fatalf("outage bulk %d retry-after = %v", i, he.RetryAfterHint())
 		}
 	}
-	if err := c.Bulk(context.Background(), "ix", docFixture()); err != nil {
+	if err := c.BulkEvents(context.Background(), "ix", docFixture()); err != nil {
 		t.Fatalf("bulk after outage: %v", err)
 	}
 	if chaos.Injected() != 2 {
@@ -147,7 +147,7 @@ func TestChaosHandlerControlEndpoint(t *testing.T) {
 	resp.Body.Close()
 
 	c := NewClient(srv.URL)
-	err = c.Bulk(context.Background(), "ix", docFixture())
+	err = c.BulkEvents(context.Background(), "ix", docFixture())
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != http.StatusTooManyRequests {
 		t.Fatalf("bulk under rate-1 chaos = %v, want 429", err)
@@ -158,7 +158,7 @@ func TestChaosHandlerControlEndpoint(t *testing.T) {
 
 	// Disarm and verify the report endpoint.
 	http.Post(srv.URL+"/_chaos", "application/json", bytes.NewReader([]byte("{}")))
-	if err := c.Bulk(context.Background(), "ix", docFixture()); err != nil {
+	if err := c.BulkEvents(context.Background(), "ix", docFixture()); err != nil {
 		t.Fatalf("bulk after disarm: %v", err)
 	}
 	get, err := http.Get(srv.URL + "/_chaos")

@@ -88,9 +88,9 @@ type Client struct {
 	binaryDisabled atomic.Bool
 }
 
-// bulkBufPool recycles request-body buffers across Bulk and BulkEvents
-// calls: once a buffer has grown to the working batch size, encoding a batch
-// allocates nothing. bulkBufNews counts pool misses so tests can assert
+// bulkBufPool recycles NDJSON request-body buffers across BulkEvents calls:
+// once a buffer has grown to the working batch size, encoding a batch
+// allocates no new body. bulkBufNews counts pool misses so tests can assert
 // steady-state reuse.
 var (
 	bulkBufPool = sync.Pool{New: func() any {
@@ -171,27 +171,8 @@ func NewClient(base string, opts ...ClientOption) *Client {
 // the client-imposed deadline; callers may still pass their own contexts).
 func (c *Client) SetRequestTimeout(d time.Duration) { c.reqTimeout = d }
 
-// Bulk ships docs to the named index using the NDJSON bulk API. The NDJSON
-// body is built in a pooled buffer and streamed from it, so repeated bulks
-// reuse one allocation.
-func (c *Client) Bulk(ctx context.Context, index string, docs []Document) error {
-	buf := bulkBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bulkBufPool.Put(buf)
-	enc := json.NewEncoder(buf)
-	for _, d := range docs {
-		buf.WriteString("{\"index\":{}}\n")
-		if err := enc.Encode(d); err != nil {
-			return fmt.Errorf("encode bulk doc: %w", err)
-		}
-	}
-	var out map[string]int
-	return c.doBody(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_bulk",
-		contentTypeJSON, buf.Bytes(), &out)
-}
-
-// BulkEvents ships typed events using the binary frame, falling back to the
-// NDJSON document path when the server does not speak it.
+// BulkEvents ships events using the binary frame, falling back to the NDJSON
+// encoding when the server does not speak it.
 //
 // A server that rejects the binary frame is retried as NDJSON in the same
 // call, and a successful downgrade latches, so callers (and the resilience
@@ -242,14 +223,20 @@ func (c *Client) BulkEvents(ctx context.Context, index string, events []event.Ev
 	return err
 }
 
-// bulkEventsNDJSON is the compatibility path: events degrade to documents
-// and ship through the NDJSON bulk API.
+// bulkEventsNDJSON is the compatibility path: each event ships as its
+// Document view through the NDJSON bulk API, which the server's edge decoder
+// parses back into the same event. The body is built in a pooled buffer and
+// streamed from it, so repeated bulks reuse one allocation.
 func (c *Client) bulkEventsNDJSON(ctx context.Context, index string, events []event.Event) error {
-	docs := make([]Document, len(events))
-	for i := range events {
-		docs[i] = EventToDoc(&events[i])
+	buf := bulkBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer bulkBufPool.Put(buf)
+	if err := encodeBulkNDJSON(buf, events); err != nil {
+		return err
 	}
-	return c.Bulk(ctx, index, docs)
+	var out map[string]int
+	return c.doBody(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_bulk",
+		contentTypeJSON, buf.Bytes(), &out)
 }
 
 // BinaryDisabled reports whether the client has latched onto the NDJSON

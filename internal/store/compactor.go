@@ -90,19 +90,6 @@ func findRun(cur, run []durable.SegmentMeta) int {
 	return -1
 }
 
-// docTimeExtract recovers a stored generic document's time_enter_ns for the
-// merge writer's pruning range.
-func docTimeExtract(b []byte) (int64, bool) {
-	var d Document
-	if err := decodeGob(b, &d); err != nil {
-		return 0, false
-	}
-	if f, ok := numeric(d[FieldTimeEnter]); ok {
-		return int64(f), true
-	}
-	return 0, false
-}
-
 // compactOnce merges one planned run and commits the replacement, returning
 // whether a merge happened. The expensive read+write runs outside all locks
 // against immutable committed files; only the output-sequence claim and the
@@ -129,39 +116,18 @@ func (ix *Index) compactOnce() (bool, error) {
 	// re-applying a rewrite is idempotent).
 	d.pendMu.Lock()
 	ver := d.pendVer
-	var overlayMap map[int]Document
-	if len(d.pending) > 0 {
-		overlayMap = make(map[int]Document, len(d.pending))
-		for g, doc := range d.pending {
-			overlayMap[g] = doc
-		}
-	}
 	d.pendMu.Unlock()
 	var overlay durable.RewriteOverlay
-	if overlayMap != nil {
-		overlay = func(gid int64, ev *event.Event, doc []byte) (durable.SegmentRow, bool, error) {
-			d2, ok := overlayMap[int(gid)]
-			if !ok {
-				return durable.SegmentRow{}, false, nil
+	if overlayMap := d.pendingOverlay(); overlayMap != nil {
+		overlay = func(gid int64, _ *event.Event, _ []byte) (durable.SegmentRow, bool, error) {
+			if e, ok := overlayMap[int(gid)]; ok {
+				hit := e // escapes per rewritten row, not per merged row
+				return durable.SegmentRow{Event: &hit}, true, nil
 			}
-			if ev != nil {
-				// Typed rows stay typed: the rewrite goes back through the
-				// schema, exactly like the live UpdateByQuery write-back.
-				e := DocToEvent(d2)
-				return durable.SegmentRow{Event: &e}, true, nil
-			}
-			b, err := encodeGob(d2)
-			if err != nil {
-				return durable.SegmentRow{}, false, err
-			}
-			r := durable.SegmentRow{Doc: b}
-			if f, ok := numeric(d2[FieldTimeEnter]); ok {
-				r.DocTime, r.DocTimed = int64(f), true
-			}
-			return r, true, nil
+			return durable.SegmentRow{}, false, nil
 		}
 	}
-	merged, err := durable.MergeSegments(d.dir, run, outSeq, len(ix.shards), overlay, docTimeExtract)
+	merged, err := durable.MergeSegments(d.dir, run, outSeq, len(ix.shards), overlay, nil)
 	if err != nil {
 		durable.RemoveSegment(d.dir, outSeq)
 		return false, err
@@ -180,12 +146,7 @@ func (ix *Index) compactOnce() (bool, error) {
 	inMerged := func(gid int) bool {
 		return int64(gid) >= merged.StartRow && int64(gid) < merged.EndRow
 	}
-	blob, err := d.pendingBlob(func(gid int) bool { return fold && inMerged(gid) })
-	if err != nil {
-		d.gate.Unlock()
-		durable.RemoveSegment(d.dir, outSeq)
-		return false, err
-	}
+	blob := d.pendingBlob(func(gid int) bool { return fold && inMerged(gid) })
 	newSegs := make([]durable.SegmentMeta, 0, len(cur)-len(run)+1)
 	newSegs = append(newSegs, cur[:lo]...)
 	newSegs = append(newSegs, merged)
@@ -279,11 +240,6 @@ func (ix *Index) retainOnce(now time.Time) error {
 		}
 		return false
 	}
-	blob, err := d.pendingBlob(func(gid int) bool { return !covered(gid) })
-	if err != nil {
-		d.gate.Unlock()
-		return err
-	}
 	m := durable.Manifest{
 		Shards:         len(ix.shards),
 		WALSeq:         d.walSeq,
@@ -292,7 +248,7 @@ func (ix *Index) retainOnce(now time.Time) error {
 		BaseSeq:        d.baseSeq,
 		ReplOffset:     d.replOff.Load(),
 		RetentionFloor: floor,
-		Rewrites:       blob,
+		Rewrites:       d.pendingBlob(func(gid int) bool { return !covered(gid) }),
 	}
 	if err := durable.CommitManifest(d.dir, m); err != nil {
 		d.gate.Unlock()

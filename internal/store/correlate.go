@@ -48,23 +48,17 @@ var openSyscalls = []any{"open", "openat", "creat"}
 // deterministic winner.
 type anchor struct {
 	path    string
-	enterNS float64
-	ok      bool // enterNS was present and numeric
+	enterNS int64
 }
 
 // better reports whether candidate c should replace cur: the earliest
 // FieldTimeEnter anchor wins, with the lexicographically smaller path as the
 // tie-break, so the dictionary is independent of shard-merge order.
-// Anchors without a usable timestamp lose to any timestamped anchor.
 func (c anchor) better(cur anchor) bool {
-	switch {
-	case c.ok != cur.ok:
-		return c.ok
-	case c.ok && c.enterNS != cur.enterNS:
+	if c.enterNS != cur.enterNS {
 		return c.enterNS < cur.enterNS
-	default:
-		return c.path < cur.path
 	}
+	return c.path < cur.path
 }
 
 // harvestAnchors folds one anchor search's hits into the dictionary,
@@ -76,8 +70,7 @@ func harvestAnchors(dict map[string]anchor, hits []Document) {
 		if tag == "" || path == "" {
 			continue
 		}
-		enterNS, ok := numeric(d[FieldTimeEnter])
-		c := anchor{path: path, enterNS: enterNS, ok: ok}
+		c := anchor{path: path, enterNS: i64(d[FieldTimeEnter])}
 		if cur, seen := dict[tag]; !seen || c.better(cur) {
 			dict[tag] = c
 		}

@@ -32,7 +32,7 @@ func TestCorrelateDeterministicAnchor(t *testing.T) {
 			// A tagged event with no path, to be resolved from the dictionary.
 			docs = append(docs, Document{"session": "s", "syscall": "read", "file_tag": "1 42 7"})
 			rng.Shuffle(len(docs), func(i, j int) { docs[i], docs[j] = docs[j], docs[i] })
-			ix.AddBulk(docs)
+			ix.AddEvents(docEvents(docs...))
 
 			res := CorrelateFilePaths(ix, "s")
 			if res.TagsResolved != 1 {
@@ -48,16 +48,14 @@ func TestCorrelateDeterministicAnchor(t *testing.T) {
 }
 
 // TestCorrelateAnchorTieBreak checks the secondary ordering: equal enter
-// timestamps fall back to the lexicographically smaller path, and anchors
-// without a timestamp lose to any timestamped anchor.
+// timestamps fall back to the lexicographically smaller path.
 func TestCorrelateAnchorTieBreak(t *testing.T) {
 	ix := NewIndex("tie")
-	ix.AddBulk([]Document{
-		{"session": "s", "syscall": "open", "file_tag": "t", "kernel_path": "/b", "time_enter_ns": int64(100)},
-		{"session": "s", "syscall": "open", "file_tag": "t", "kernel_path": "/a", "time_enter_ns": int64(100)},
-		{"session": "s", "syscall": "open", "file_tag": "t", "kernel_path": "/z"}, // no timestamp
-		{"session": "s", "syscall": "write", "file_tag": "t"},
-	})
+	ix.AddEvents(docEvents(
+		Document{"session": "s", "syscall": "open", "file_tag": "1 1 1", "kernel_path": "/b", "time_enter_ns": int64(100)},
+		Document{"session": "s", "syscall": "open", "file_tag": "1 1 1", "kernel_path": "/a", "time_enter_ns": int64(100)},
+		Document{"session": "s", "syscall": "write", "file_tag": "1 1 1"},
+	))
 	CorrelateFilePaths(ix, "s")
 	resp := ix.Search(SearchRequest{Query: Term(FieldSyscall, "write")})
 	if got := resp.Hits[0][FieldFilePath]; got != "/a" {
@@ -70,15 +68,15 @@ func TestCorrelateAnchorTieBreak(t *testing.T) {
 // (stat, unlink) names it — but such an event never overrides an open anchor.
 func TestCorrelateFallbackAnchors(t *testing.T) {
 	ix := NewIndex("fb")
-	ix.AddBulk([]Document{
-		// Tag "lost-open": only a stat carries the path.
-		{"session": "s", "syscall": "stat", "file_tag": "lost-open", "kernel_path": "/via/stat", "time_enter_ns": int64(50)},
-		{"session": "s", "syscall": "read", "file_tag": "lost-open"},
-		// Tag "both": the stat is earlier, but the open anchor must win.
-		{"session": "s", "syscall": "stat", "file_tag": "both", "kernel_path": "/wrong", "time_enter_ns": int64(10)},
-		{"session": "s", "syscall": "openat", "file_tag": "both", "kernel_path": "/right", "time_enter_ns": int64(200)},
-		{"session": "s", "syscall": "write", "file_tag": "both"},
-	})
+	ix.AddEvents(docEvents(
+		// Tag "1 2 1", the lost open: only a stat carries the path.
+		Document{"session": "s", "syscall": "stat", "file_tag": "1 2 1", "kernel_path": "/via/stat", "time_enter_ns": int64(50)},
+		Document{"session": "s", "syscall": "read", "file_tag": "1 2 1"},
+		// Tag "1 3 1" has both: the stat is earlier, but the open anchor must win.
+		Document{"session": "s", "syscall": "stat", "file_tag": "1 3 1", "kernel_path": "/wrong", "time_enter_ns": int64(10)},
+		Document{"session": "s", "syscall": "openat", "file_tag": "1 3 1", "kernel_path": "/right", "time_enter_ns": int64(200)},
+		Document{"session": "s", "syscall": "write", "file_tag": "1 3 1"},
+	))
 	res := CorrelateFilePaths(ix, "s")
 	if res.TagsResolved != 2 {
 		t.Fatalf("tags = %d, want 2", res.TagsResolved)
@@ -105,7 +103,7 @@ func assertClosedAccounting(t *testing.T, res CorrelationResult) {
 
 func TestCorrelateClosedAccounting(t *testing.T) {
 	ix := newFixtureIndex()
-	ix.Add(Document{"session": "s1", "syscall": "read", "file_tag": "1 99 1", "ret_val": int64(5)})
+	ix.AddEvents(docEvents(Document{"session": "s1", "syscall": "read", "file_tag": "1 99 1", "ret_val": int64(5)}))
 
 	res := CorrelateFilePaths(ix, "s1")
 	assertClosedAccounting(t, res)
@@ -130,7 +128,7 @@ func TestCorrelateClosedAccounting(t *testing.T) {
 func TestCorrelateDuringLiveIndexing(t *testing.T) {
 	st := memStore(t)
 	// Correlation may start before the first bulk: create the index empty.
-	if err := st.Bulk(context.Background(), "run-live", nil); err != nil {
+	if err := st.BulkEvents(context.Background(), "run-live", nil); err != nil {
 		t.Fatal(err)
 	}
 	const writers = 4
@@ -154,7 +152,7 @@ func TestCorrelateDuringLiveIndexing(t *testing.T) {
 				for i := 1; i < perBatch; i++ {
 					docs = append(docs, Document{"session": "live", "syscall": "write", "file_tag": tag})
 				}
-				if err := st.Bulk(context.Background(), "run-live", docs); err != nil {
+				if err := st.BulkEvents(context.Background(), "run-live", docEvents(docs...)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -3,9 +3,11 @@ package store
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,32 +45,30 @@ func crashEvents(round int) []event.Event {
 	return evs
 }
 
-// crashDocs builds one deterministic generic-document batch (the NDJSON
-// ingest shape: schema fields plus free-form extras).
-func crashDocs(round int) []Document {
+// crashDocs builds a second deterministic batch, sparse where crashEvents is
+// dense: written as Document literals (the NDJSON ingest shape) and turned
+// into events by docEvents.
+func crashDocs(round int) []event.Event {
 	docs := make([]Document, 0, 4)
 	for i := 0; i < 4; i++ {
 		docs = append(docs, Document{
 			FieldSession: "crash", FieldSyscall: "ioctl",
 			FieldRetVal: int64(round*10 + i), FieldPID: int64(100 + round),
 			FieldTimeEnter: int64(1<<60) + int64(round)*1_000_000 + int64(900+i),
-			"custom_note":  "round",
-			"custom_seq":   int64(i),
 		})
 	}
-	return docs
+	return docEvents(docs...)
 }
 
-// ingestRound applies one round of mixed writes: a typed batch, a generic
-// batch, and (on odd rounds) an update-by-query rewrite — the three journal
-// record types.
+// ingestRound applies one round of mixed writes: two event batches and (on
+// odd rounds) an update-by-query rewrite — both journal record types.
 func ingestRound(t *testing.T, st *Store, round int) {
 	t.Helper()
 	ctx := context.Background()
 	if err := st.BulkEvents(ctx, crashIndex, crashEvents(round)); err != nil {
 		t.Fatalf("round %d: bulk events: %v", round, err)
 	}
-	if err := st.Bulk(ctx, crashIndex, crashDocs(round)); err != nil {
+	if err := st.BulkEvents(ctx, crashIndex, crashDocs(round)); err != nil {
 		t.Fatalf("round %d: bulk docs: %v", round, err)
 	}
 	if round%2 == 1 {
@@ -393,17 +393,137 @@ func TestFrameJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCrashRewriteRecoveredFromManifest covers the rewrite record's second
+// home. An update-by-query over rows already folded into a segment journals
+// a rewrite record and parks the new row states in the pending overlay; the
+// next snapshot supersedes that WAL, so the manifest's Rewrites blob — the
+// same (gid, event) frame — is then the only copy. Recovery must re-apply it,
+// whether segments load back into memory (flat) or stay on disk (tiered).
+func TestCrashRewriteRecoveredFromManifest(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir)
+	ingestRound(t, st, 0)
+	if err := st.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	ingestRound(t, st, 1) // rewrites round 0's flushed openat rows
+	if err := st.Snapshot(); err != nil {
+		t.Fatalf("second snapshot: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	rws, err := decodeRewrites(manifestOf(t, dir).Rewrites)
+	if err != nil || len(rws.gids) != 2 {
+		t.Fatalf("manifest rewrites = %d pairs, err %v; want round 0's 2 openat rows", len(rws.gids), err)
+	}
+	if st, err := os.Stat(walFile(dir, 2)); err != nil || st.Size() != 0 {
+		t.Fatalf("live WAL not empty after the snapshot (err %v): the blob is not the only copy", err)
+	}
+	want := fingerprint(t, controlStore(t, 2))
+	for name, opts := range map[string][]Option{"flat": nil, "tiered": {WithRetention(longRetention)}} {
+		re := openDurable(t, dir, opts...)
+		if got := fingerprint(t, re); got != want {
+			t.Errorf("%s recovery lost the manifest-committed rewrite", name)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatalf("%s close: %v", name, err)
+		}
+	}
+}
+
+// TestRetiredFormatsRejected plants each on-disk form this build no longer
+// reads — the gob document-batch and rewrite WAL records, a manifest whose
+// Rewrites blob is not a rewrite frame, a segment holding generic rows — in
+// an otherwise healthy data dir: Open must fail with ErrRetiredFormat and
+// name the offender, never skip it or parse it as something else.
+func TestRetiredFormatsRejected(t *testing.T) {
+	appendWAL := func(rt durable.RecordType) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			w, err := durable.OpenWAL(walFile(dir, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Append(rt, []byte("gob bytes of an older build")); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	recommit := func(edit func(*durable.Manifest)) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			m := manifestOf(t, dir)
+			edit(&m)
+			if err := durable.CommitManifest(indexDir(dir), m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// genericSegment rewrites segment 0 as the same 12 rows in generic form.
+	genericSegment := func(counted bool) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			rows := make(sliceRows, 12)
+			for i := range rows {
+				rows[i] = durable.SegmentRow{Doc: []byte("gob bytes of an older build")}
+			}
+			info, err := durable.WriteSegment(filepath.Join(indexDir(dir), durable.SegmentName(0)), 4, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counted {
+				recommit(func(m *durable.Manifest) { m.Segments[0].Generic = int64(info.Generic) })(t, dir)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name, names string
+		plant       func(*testing.T, string)
+	}{
+		{"wal document batch", "wal record type 2", appendWAL(durable.RecordRetiredDocs)},
+		{"wal gob rewrite", "wal record type 3", appendWAL(durable.RecordRetiredRewrite)},
+		{"manifest rewrites blob", "manifest pending rewrites", recommit(func(m *durable.Manifest) {
+			m.Rewrites = []byte("gob bytes of an older build")
+		})},
+		{"generic segment rows", durable.SegmentName(0), genericSegment(true)},
+		{"generic segment rows, uncounted by an older manifest", "generic row 0 of " + durable.SegmentName(0), genericSegment(false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openDurable(t, dir)
+			ingestRound(t, st, 0)
+			if err := st.Snapshot(); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			ingestRound(t, st, 1)
+			if err := st.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			tc.plant(t, dir)
+			re, err := Open(WithDataDir(dir))
+			if err == nil {
+				re.Close()
+				t.Fatal("Open accepted a retired on-disk form")
+			}
+			if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), tc.names) {
+				t.Fatalf("Open error = %v; want ErrRetiredFormat naming %q", err, tc.names)
+			}
+		})
+	}
+}
+
 // TestContextCancellationStopsOps checks the context-first surface: a
 // cancelled context refuses writes and aborts read fan-out with the
 // context's error.
 func TestContextCancellationStopsOps(t *testing.T) {
 	st := memStore(t, WithShards(8))
-	if err := st.Bulk(context.Background(), crashIndex, crashDocs(0)); err != nil {
+	if err := st.BulkEvents(context.Background(), crashIndex, crashDocs(0)); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := st.Bulk(ctx, crashIndex, crashDocs(1)); err != context.Canceled {
+	if err := st.BulkEvents(ctx, crashIndex, crashDocs(1)); err != context.Canceled {
 		t.Fatalf("bulk on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if _, err := st.Search(ctx, crashIndex, SearchRequest{Query: MatchAll()}); err != context.Canceled {

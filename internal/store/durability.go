@@ -2,7 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
@@ -18,28 +19,62 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
-// Durable indices journal through gob for generic documents and rewrites
-// (typed batches use the event binary codec). Gob round-trips int64 exactly;
-// a JSON journal would coerce nanosecond timestamps through float64 and
-// corrupt values above 2^53. These registrations cover every value type the
-// schema and the NDJSON ingest path can place in a Document.
-func init() {
-	gob.Register(Document{})
-	gob.Register(map[string]any{})
-	gob.Register([]any{})
-	gob.Register("")
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register(float64(0))
-	gob.Register(false)
+// ErrRetiredFormat reports on-disk state written before the store held one
+// row form: a gob document-batch or rewrite WAL record, a manifest whose
+// pending-rewrite blob is not a rewrite frame, or a segment holding generic
+// rows. Open fails with it — naming the record or segment — rather than guess
+// at a layout this build no longer reads.
+var ErrRetiredFormat = errors.New("store: data dir predates the single-row format")
+
+// rewriteSet is a batch of update-by-query effects: events[i] is the final
+// state of the row at gids[i]. Replay applies it onto rows the WAL prefix
+// already rebuilt. The slices are parallel so the rows encode as one event
+// frame.
+type rewriteSet struct {
+	gids   []int
+	events []event.Event
 }
 
-// walRewrite is one update-by-query effect: the final document state of the
-// row at Gid. Replay applies it onto the row the WAL prefix already rebuilt.
-type walRewrite struct {
-	Gid int
-	Doc Document
+func (rs *rewriteSet) add(gid int, e *event.Event) {
+	rs.gids = append(rs.gids, gid)
+	rs.events = append(rs.events, *e)
+}
+
+// encode renders the set as a RecordRewrite payload (also the manifest's
+// Rewrites blob): u32 pair count, the gids as u64 each, then the events as
+// one event.EncodeBatch frame.
+func (rs rewriteSet) encode() []byte {
+	b := make([]byte, 0, 4+8*len(rs.gids)+event.EncodedSize(rs.events))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rs.gids)))
+	for _, g := range rs.gids {
+		b = binary.LittleEndian.AppendUint64(b, uint64(g))
+	}
+	return event.EncodeBatch(b, rs.events)
+}
+
+// decodeRewrites parses an encode payload, validating every length before
+// trusting it.
+func decodeRewrites(payload []byte) (rewriteSet, error) {
+	var rs rewriteSet
+	if len(payload) < 4 {
+		return rs, fmt.Errorf("store: rewrite record: short header (%d bytes)", len(payload))
+	}
+	n := int(binary.LittleEndian.Uint32(payload))
+	if n > (len(payload)-4)/8 {
+		return rs, fmt.Errorf("store: rewrite record: %d gids overrun %d bytes", n, len(payload))
+	}
+	rs.gids = make([]int, n)
+	for i := range rs.gids {
+		rs.gids[i] = int(binary.LittleEndian.Uint64(payload[4+8*i:]))
+	}
+	var err error
+	if rs.events, err = event.DecodeBatch(payload[4+8*n:], nil); err != nil {
+		return rs, fmt.Errorf("store: rewrite record: %w", err)
+	}
+	if len(rs.events) != n {
+		return rs, fmt.Errorf("store: rewrite record: %d gids for %d events", n, len(rs.events))
+	}
+	return rs, nil
 }
 
 // durTelemetry groups the durability instruments. All fields are nil-safe
@@ -119,12 +154,12 @@ type indexDurable struct {
 
 	// pending is the post-flush rewrite overlay: update-by-query effects on
 	// rows already folded into segments. Cold reads, compaction merges, and
-	// replication bootstraps substitute these documents for the stored rows;
+	// replication bootstraps substitute these events for the stored rows;
 	// the map persists in the manifest (Manifest.Rewrites) and is rebuilt by
 	// recovery. pendVer detects concurrent growth so compaction only clears
 	// entries it actually folded into its output.
 	pendMu  sync.Mutex
-	pending map[int]Document
+	pending map[int]event.Event
 	pendVer uint64
 
 	// Replication sequence accounting. Every journaled record gets the next
@@ -191,52 +226,58 @@ func (d *indexDurable) publishSegsLocked(ix *Index, segs []durable.SegmentMeta) 
 
 // pendingOverlay copies the pending rewrite map for a lock-free read pass
 // (nil when empty).
-func (d *indexDurable) pendingOverlay() map[int]Document {
+func (d *indexDurable) pendingOverlay() map[int]event.Event {
 	d.pendMu.Lock()
 	defer d.pendMu.Unlock()
 	if len(d.pending) == 0 {
 		return nil
 	}
-	out := make(map[int]Document, len(d.pending))
-	for g, doc := range d.pending {
-		out[g] = doc
+	out := make(map[int]event.Event, len(d.pending))
+	for g, e := range d.pending {
+		out[g] = e
 	}
 	return out
 }
 
-// addPending records post-flush rewrites into the overlay. Caller holds
-// gate.RLock (the pendVer bump must be ordered against compaction's
-// clear-if-unchanged check, which runs under the exclusive gate).
-func (d *indexDurable) addPending(rws []walRewrite) {
+// addPending records the rewrites of rows below gid `below` — the ones
+// already folded into segments — into the overlay. Caller holds gate.RLock
+// (the pendVer bump must be ordered against compaction's clear-if-unchanged
+// check, which runs under the exclusive gate).
+func (d *indexDurable) addPending(rs rewriteSet, below int) {
 	d.pendMu.Lock()
-	if d.pending == nil {
-		d.pending = make(map[int]Document, len(rws))
+	defer d.pendMu.Unlock()
+	for i, g := range rs.gids {
+		if g >= below {
+			continue
+		}
+		if d.pending == nil {
+			d.pending = make(map[int]event.Event)
+		}
+		d.pending[g] = rs.events[i]
+		d.pendVer++
 	}
-	for _, r := range rws {
-		d.pending[r.Gid] = r.Doc
-	}
-	d.pendVer++
-	d.pendMu.Unlock()
 }
 
 // pendingBlob serializes the pending overlay (minus entries drop selects)
 // for a manifest commit, sorted by gid so identical states encode
 // identically. Returns nil bytes for an empty overlay.
-func (d *indexDurable) pendingBlob(drop func(gid int) bool) ([]byte, error) {
+func (d *indexDurable) pendingBlob(drop func(gid int) bool) []byte {
 	d.pendMu.Lock()
-	rws := make([]walRewrite, 0, len(d.pending))
-	for g, doc := range d.pending {
-		if drop != nil && drop(g) {
-			continue
+	var rs rewriteSet
+	for g := range d.pending {
+		if drop == nil || !drop(g) {
+			rs.gids = append(rs.gids, g)
 		}
-		rws = append(rws, walRewrite{Gid: g, Doc: doc})
+	}
+	sort.Ints(rs.gids)
+	for _, g := range rs.gids {
+		rs.events = append(rs.events, d.pending[g])
 	}
 	d.pendMu.Unlock()
-	if len(rws) == 0 {
-		return nil, nil
+	if len(rs.gids) == 0 {
+		return nil
 	}
-	sort.Slice(rws, func(i, j int) bool { return rws[i].Gid < rws[j].Gid })
-	return encodeGob(rws)
+	return rs.encode()
 }
 
 // encodePool recycles WAL payload scratch buffers across appends.
@@ -244,21 +285,6 @@ var encodePool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 16*1024)
 	return &b
 }}
-
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("store: gob journal encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeGob(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("store: gob journal decode: %w", err)
-	}
-	return nil
-}
 
 // journalApply journals one record and — when apply is non-nil — reserves
 // `reserve` global ids and applies the batch to shard storage, all inside
@@ -335,34 +361,18 @@ func (r sliceRows) NumRows() int                 { return len(r) }
 func (r sliceRows) Row(i int) durable.SegmentRow { return r[i] }
 
 // flushRows snapshots rows [start, head) in global-id order for the segment
-// writer. Typed rows are referenced in place; generic documents are
-// gob-encoded now and stamped with their time_enter_ns so the segment's
-// pruning range covers them. No shard locks are taken: the caller holds the
-// exclusive snapshot gate, which excludes every row mutator (adds, replays,
-// update-by-query), and concurrent searches only read.
-func (ix *Index) flushRows(start, head int) (durable.RowSource, error) {
+// writer, referencing the events in place. No shard locks are taken: the
+// caller holds the exclusive snapshot gate, which excludes every row mutator
+// (adds, replays, update-by-query), and concurrent searches only read.
+func (ix *Index) flushRows(start, head int) durable.RowSource {
 	S := len(ix.shards)
 	base := int(ix.base.Load())
 	rows := make([]durable.SegmentRow, head-start)
 	for g := start; g < head; g++ {
 		mg := g - base
-		sh := ix.shards[mg%S]
-		local := mg / S
-		if d := sh.docs[local]; d != nil {
-			b, err := encodeGob(d)
-			if err != nil {
-				return nil, err
-			}
-			r := durable.SegmentRow{Doc: b}
-			if f, ok := numeric(d[FieldTimeEnter]); ok {
-				r.DocTime, r.DocTimed = int64(f), true
-			}
-			rows[g-start] = r
-		} else {
-			rows[g-start] = durable.SegmentRow{Event: &sh.events[local]}
-		}
+		rows[g-start] = durable.SegmentRow{Event: &ix.shards[mg%S].events[mg/S]}
 	}
-	return sliceRows(rows), nil
+	return sliceRows(rows)
 }
 
 // snapshot folds the live WAL into the leveled segment layout: it writes a
@@ -408,13 +418,9 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 	head := int64(ix.rr.Load())
 	newSegs := segs
 	if head > fs {
-		src, err := ix.flushRows(int(fs), int(head))
-		if err != nil {
-			newWAL.Close()
-			return err
-		}
 		seq := d.segSeq
-		info, err := durable.WriteSegment(filepath.Join(d.dir, durable.SegmentName(seq)), len(ix.shards), src)
+		info, err := durable.WriteSegment(filepath.Join(d.dir, durable.SegmentName(seq)), len(ix.shards),
+			ix.flushRows(int(fs), int(head)))
 		if err != nil {
 			newWAL.Close()
 			return err
@@ -426,7 +432,7 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 			Seq: seq, Level: 0,
 			Rows: head - fs, StartRow: fs, EndRow: head,
 			MinTime: info.MinTime, MaxTime: info.MaxTime,
-			Bytes: info.Bytes, Generic: int64(info.Generic),
+			Bytes: info.Bytes,
 		}
 		newSegs = append(append([]durable.SegmentMeta(nil), segs...), meta)
 	}
@@ -435,11 +441,6 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 	// records will carry sequences from there, which BaseSeq records for
 	// recovery and the replication tail reader.
 	headSeq := d.recSeq.Load()
-	blob, err := d.pendingBlob(nil)
-	if err != nil {
-		newWAL.Close()
-		return err
-	}
 	m := durable.Manifest{
 		Shards:         len(ix.shards),
 		WALSeq:         newWALSeq,
@@ -448,7 +449,7 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 		BaseSeq:        headSeq,
 		ReplOffset:     d.replOff.Load(),
 		RetentionFloor: ix.retFloor.Load(),
-		Rewrites:       blob,
+		Rewrites:       d.pendingBlob(nil),
 	}
 	if err := durable.CommitManifest(d.dir, m); err != nil {
 		newWAL.Close()
@@ -468,7 +469,6 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 		// Evict: the rows just flushed (and any older hot rows) are now
 		// segment-backed; clear shard storage in place and advance the base.
 		for _, sh := range ix.shards {
-			sh.docs = nil
 			sh.events = nil
 			sh.cols = nil
 			p := make(map[string]map[string][]int32, len(indexedFields))
@@ -588,26 +588,31 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 		ix.retFloor.Store(m.RetentionFloor)
 	}
 	segs := append([]durable.SegmentMeta(nil), m.Segments...)
+	for _, sm := range segs {
+		if sm.Generic != 0 {
+			return nil, fmt.Errorf("store: recover %q: segment %s holds %d generic rows: %w",
+				name, durable.SegmentName(sm.Seq), sm.Generic, ErrRetiredFormat)
+		}
+	}
 	coldStyle := s.opts.retention > 0 || m.RetentionFloor > 0 || !m.Contiguous()
 	if coldStyle {
-		// Rows stay on disk. Seed the generic-row count from the metas and
-		// start the memtable at the segment end. Every referenced file
-		// must exist NOW: a manifest naming a missing segment is corruption
-		// recovery reports immediately, not on the first cold query.
+		// Rows stay on disk; the memtable starts at the segment end. Every
+		// referenced file must exist NOW: a manifest naming a missing segment
+		// is corruption recovery reports immediately, not on the first cold
+		// query.
 		for _, sm := range segs {
 			if _, serr := os.Stat(filepath.Join(dir, durable.SegmentName(sm.Seq))); serr != nil {
 				return nil, fmt.Errorf("store: recover %q: manifest references segment %d: %w", name, sm.Seq, serr)
 			}
-			ix.generic.Add(sm.Generic)
 		}
 		base := segsEnd(segs)
 		ix.base.Store(base)
 		ix.rr.Store(uint64(base))
 	} else {
 		for _, sm := range segs {
-			_, rerr := durable.ReadSegment(filepath.Join(dir, durable.SegmentName(sm.Seq)),
-				func(gid int, ev *event.Event, doc []byte) error {
-					return ix.placeRecoveredRow(int(sm.StartRow)+gid, ev, doc)
+			rerr := readSegmentEvents(filepath.Join(dir, durable.SegmentName(sm.Seq)),
+				func(gid int, ev *event.Event) error {
+					return ix.placeRecoveredRow(int(sm.StartRow)+gid, ev)
 				})
 			if rerr != nil {
 				return nil, fmt.Errorf("store: recover %q: %w", name, rerr)
@@ -618,9 +623,9 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	d.segs.Store(&segs)
 	ix.coldRows.Store(coldRowCount(segs, ix.base.Load()))
 	if len(m.Rewrites) > 0 {
-		var rws []walRewrite
-		if err := decodeGob(m.Rewrites, &rws); err != nil {
-			return nil, fmt.Errorf("store: recover %q: pending rewrites: %w", name, err)
+		rws, err := decodeRewrites(m.Rewrites)
+		if err != nil {
+			return nil, fmt.Errorf("store: recover %q: manifest pending rewrites (%v): %w", name, err, ErrRetiredFormat)
 		}
 		if err := ix.applyRewrites(rws); err != nil {
 			return nil, fmt.Errorf("store: recover %q: %w", name, err)
@@ -668,29 +673,32 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	return ix, nil
 }
 
+// readSegmentEvents streams the rows of the committed segment at path to fn
+// in global-id order (gid is segment-local). Every row the store ever wrote
+// is an event; a row in the format's retired generic block fails the read
+// with ErrRetiredFormat.
+func readSegmentEvents(path string, fn func(gid int, ev *event.Event) error) error {
+	_, err := durable.ReadSegment(path, func(gid int, ev *event.Event, _ []byte) error {
+		if ev == nil {
+			return fmt.Errorf("generic row %d of %s: %w", gid, filepath.Base(path), ErrRetiredFormat)
+		}
+		return fn(gid, ev)
+	})
+	return err
+}
+
 // placeRecoveredRow inserts one segment row during hot-style recovery.
 // Segment rows arrive in ascending contiguous gid order, so each lands
 // exactly at its shard's append position — verified, since placement
 // integrity is what keeps gid arithmetic (gid = local*S + shard, base 0)
 // valid for the WAL replay that follows.
-func (ix *Index) placeRecoveredRow(gid int, ev *event.Event, docBytes []byte) error {
+func (ix *Index) placeRecoveredRow(gid int, ev *event.Event) error {
 	S := len(ix.shards)
 	sh := ix.shards[gid%S]
-	if gid/S != len(sh.docs) {
+	if gid/S != len(sh.events) {
 		return fmt.Errorf("%w: row gid %d out of order", durable.ErrCorruptSegment, gid)
 	}
-	if ev != nil {
-		sh.addEventLocked(ev)
-		return nil
-	}
-	var doc Document
-	if err := decodeGob(docBytes, &doc); err != nil {
-		return fmt.Errorf("%w: generic row gid %d: %v", durable.ErrCorruptSegment, gid, err)
-	}
-	// Generic rows void the typed-schema guarantee the cache fingerprint's
-	// integer range folding relies on, exactly as a live addBulkAt would.
-	ix.generic.Add(1)
-	sh.addLocked(doc)
+	sh.addEventLocked(ev)
 	return nil
 }
 
@@ -706,34 +714,25 @@ func (ix *Index) applyWALRecord(t durable.RecordType, payload []byte) (int, erro
 		start := int(ix.rr.Add(uint64(len(events))) - uint64(len(events)))
 		ix.addEventsAt(start, events)
 		return len(events), nil
-	case durable.RecordDocs:
-		var docs []Document
-		if err := decodeGob(payload, &docs); err != nil {
-			return 0, err
-		}
-		start := int(ix.rr.Add(uint64(len(docs))) - uint64(len(docs)))
-		ix.addBulkAt(start, docs)
-		return len(docs), nil
 	case durable.RecordRewrite:
-		var rws []walRewrite
-		if err := decodeGob(payload, &rws); err != nil {
+		rws, err := decodeRewrites(payload)
+		if err != nil {
 			return 0, err
 		}
 		return 0, ix.applyRewrites(rws)
+	case durable.RecordRetiredDocs, durable.RecordRetiredRewrite:
+		return 0, fmt.Errorf("store: gob wal record type %d: %w", t, ErrRetiredFormat)
 	default:
 		return 0, fmt.Errorf("store: unknown wal record type %d", t)
 	}
 }
 
 // applyRewrites replays a batch of update-by-query effects onto existing
-// rows. Each row's representation is preserved: a typed slot takes the
-// document back through the schema (exactly what the live UpdateByQuery
-// write-back does), a generic slot is replaced wholesale. Shard locks are
-// held per shard, so the same path serves single-threaded recovery and a
-// live follower applying replicated rewrites while searches run; the
-// invalidations mirror the live UpdateByQuery (in-place rewrites mutate rows
-// the rollups already counted and don't route through an epoch-bumping
-// mutator).
+// rows. Shard locks are held per shard, so the same path serves
+// single-threaded recovery and a live follower applying replicated rewrites
+// while searches run; the invalidations mirror the live UpdateByQuery
+// (in-place rewrites mutate rows the rollups already counted and don't route
+// through an epoch-bumping mutator).
 //
 // Tiered layout: a rewrite of a row already folded into a segment (gid below
 // the flush start) lands in the pending overlay, so cold reads, compaction,
@@ -742,51 +741,36 @@ func (ix *Index) applyWALRecord(t durable.RecordType, payload []byte) (int, erro
 // The two ranges overlap on a non-evicting index — flushed rows stay in
 // memory there — and such rows get both, keeping memory and overlay
 // consistent.
-func (ix *Index) applyRewrites(rws []walRewrite) error {
+func (ix *Index) applyRewrites(rws rewriteSet) error {
 	ix.epoch.Add(1)
 	defer ix.epoch.Add(1)
 	S := len(ix.shards)
 	head := int(ix.rr.Load())
 	base := int(ix.base.Load())
-	fs := 0
-	if ix.dur != nil {
-		fs = int(ix.dur.flushStart(ix))
-	}
-	byShard := make(map[int][]walRewrite)
-	var cold []walRewrite
-	for _, r := range rws {
-		if r.Gid < 0 || r.Gid >= head {
-			return fmt.Errorf("store: rewrite of unknown gid %d", r.Gid)
+	byShard := make(map[int][]int) // shard -> indices into rws
+	for i, g := range rws.gids {
+		if g < 0 || g >= head {
+			return fmt.Errorf("store: rewrite of unknown gid %d", g)
 		}
-		if r.Gid < fs {
-			cold = append(cold, r)
-		}
-		if r.Gid >= base {
-			mg := r.Gid - base
-			byShard[mg%S] = append(byShard[mg%S], walRewrite{Gid: mg, Doc: r.Doc})
+		if g >= base {
+			byShard[(g-base)%S] = append(byShard[(g-base)%S], i)
 		}
 	}
 	for s, list := range byShard {
 		sh := ix.shards[s]
 		sh.mu.Lock()
-		for _, r := range list {
-			local := r.Gid / S
-			if sh.docs[local] != nil {
-				before := docTerms(sh.docs[local])
-				sh.docs[local] = r.Doc
-				sh.repostLocked(int32(local), before, docTerms(r.Doc))
-			} else {
-				before := eventTerms(&sh.events[local])
-				sh.events[local] = DocToEvent(r.Doc)
-				sh.repostLocked(int32(local), before, eventTerms(&sh.events[local]))
-			}
+		for _, i := range list {
+			local := (rws.gids[i] - base) / S
+			before := eventTerms(&sh.events[local])
+			sh.events[local] = rws.events[i]
+			sh.repostLocked(int32(local), before, eventTerms(&sh.events[local]))
 		}
 		sh.invalidateColumnsLocked()
 		sh.invalidateRollupLocked()
 		sh.mu.Unlock()
 	}
-	if len(cold) > 0 {
-		ix.dur.addPending(cold)
+	if ix.dur != nil {
+		ix.dur.addPending(rws, int(ix.dur.flushStart(ix)))
 	}
 	return nil
 }

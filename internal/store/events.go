@@ -42,9 +42,10 @@ const (
 	FieldFilePath   = event.FieldFilePath
 )
 
-// EventBackend is the optional typed-ingest extension of Backend: both the
-// in-process *Store and the binary-protocol *Client implement it. Like Bulk,
-// implementations must not retain the events slice.
+// EventBackend is the ingest half of Backend: both the in-process *Store and
+// the *Client (binary frame, NDJSON downgrade) implement it. Implementations
+// must not retain the events slice after returning: the tracer's drain
+// workers recycle batch buffers through a pool.
 type EventBackend interface {
 	BulkEvents(ctx context.Context, index string, events []event.Event) error
 }
@@ -55,25 +56,9 @@ type EventSearcher interface {
 }
 
 var (
-	_ EventBackend  = (*Store)(nil)
-	_ EventBackend  = (*Client)(nil)
 	_ EventSearcher = (*Store)(nil)
 	_ EventSearcher = (*Client)(nil)
 )
-
-// ShipEvents ships typed events through b's fast path when it has one and
-// degrades to EventToDoc + Bulk otherwise, so the tracer can hand every
-// backend the same typed batches. The events slice is not retained.
-func ShipEvents(ctx context.Context, b Backend, index string, events []event.Event) error {
-	if eb, ok := b.(EventBackend); ok {
-		return eb.BulkEvents(ctx, index, events)
-	}
-	docs := make([]Document, len(events))
-	for i := range events {
-		docs[i] = EventToDoc(&events[i])
-	}
-	return b.Bulk(ctx, index, docs)
-}
 
 // SearchEvents runs req through b's typed search when it has one; otherwise
 // the document hits convert best-effort through the schema. Consumers
@@ -118,7 +103,9 @@ func EachEventPage(ctx context.Context, b Backend, index string, req SearchReque
 	}
 }
 
-// EventToDoc flattens a trace event into an indexable document.
+// EventToDoc renders an event's Document view: what SearchResponse.Hits
+// carries, what an UpdateByQuery script edits, and — as NDJSON — what
+// DecodeBulkNDJSON parses back into the same event.
 func EventToDoc(e *event.Event) Document {
 	d := Document{
 		FieldSession:    e.Session,

@@ -32,7 +32,6 @@ type FailoverClient struct {
 
 var (
 	_ Backend       = (*FailoverClient)(nil)
-	_ EventBackend  = (*FailoverClient)(nil)
 	_ EventSearcher = (*FailoverClient)(nil)
 )
 
@@ -121,12 +120,7 @@ func (f *FailoverClient) do(ctx context.Context, op func(*Client) error) error {
 	return op(f.Active())
 }
 
-// Bulk implements Backend.
-func (f *FailoverClient) Bulk(ctx context.Context, index string, docs []Document) error {
-	return f.do(ctx, func(c *Client) error { return c.Bulk(ctx, index, docs) })
-}
-
-// BulkEvents implements EventBackend.
+// BulkEvents implements Backend.
 func (f *FailoverClient) BulkEvents(ctx context.Context, index string, events []event.Event) error {
 	return f.do(ctx, func(c *Client) error { return c.BulkEvents(ctx, index, events) })
 }

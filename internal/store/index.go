@@ -34,11 +34,6 @@ type Index struct {
 	// bumps it at both its start and its end, so any cached response that
 	// could observe the mutation's partial state carries a dead epoch.
 	epoch atomic.Uint64
-	// generic counts generic (map-backed) rows ever placed. While zero, every
-	// row obeys the typed schema's integral fields, which licenses the cache
-	// fingerprint's integer range-bound folding.
-	generic atomic.Int64
-
 	// Tiered layout state. base is the first global id held in shard memory:
 	// rows below it are cold (readable only through committed segment files,
 	// populated when retention evicts flushed rows), rows at or above it live
@@ -112,57 +107,12 @@ func (ix *Index) gid(shardIdx int, local int32) int {
 	return int(ix.base.Load()) + int(local)*len(ix.shards) + shardIdx
 }
 
-// Add indexes one document and returns its global id. On a durable index
-// the document is journaled (as a one-document batch) before it is applied.
-func (ix *Index) Add(doc Document) (int, error) {
-	if ix.dur == nil {
-		start := int(ix.rr.Add(1) - 1)
-		ix.addBulkAt(start, []Document{doc})
-		return start, nil
-	}
-	ix.dur.gate.RLock()
-	defer ix.dur.gate.RUnlock()
-	payload, err := encodeGob([]Document{doc})
-	if err != nil {
-		return 0, err
-	}
-	gid := -1
-	err = ix.journalApply(durable.RecordDocs, payload, true, 1, func(start int) {
-		gid = start
-		ix.addBulkAt(start, []Document{doc})
-	})
-	return gid, err
-}
-
-// AddBulk indexes a batch of documents, locking each shard once. On a
-// durable index the batch is journaled before it is applied; a journaling
-// error leaves the index unchanged.
-func (ix *Index) AddBulk(docs []Document) error {
-	if len(docs) == 0 {
-		return nil
-	}
-	if ix.dur == nil {
-		start := int(ix.rr.Add(uint64(len(docs))) - uint64(len(docs)))
-		ix.addBulkAt(start, docs)
-		return nil
-	}
-	ix.dur.gate.RLock()
-	defer ix.dur.gate.RUnlock()
-	payload, err := encodeGob(docs)
-	if err != nil {
-		return err
-	}
-	return ix.journalApply(durable.RecordDocs, payload, true, len(docs), func(start int) {
-		ix.addBulkAt(start, docs)
-	})
-}
-
-// AddEvents is the typed ingest fast path: each event is copied straight
-// into its shard's typed storage and keyword postings, preserving the same
-// round-robin placement as AddBulk but never materializing a Document. On a
-// durable index the batch journals first, reusing the wire codec's binary
-// frame from a pooled scratch buffer. The events slice is not retained;
-// callers recycle their batch buffers.
+// AddEvents indexes a batch of events, locking each shard once: each event
+// is copied straight into its shard's row storage and keyword postings,
+// placed round-robin by global id. On a durable index the batch journals
+// first (a journaling error leaves the index unchanged), reusing the wire
+// codec's binary frame from a pooled scratch buffer. The events slice is not
+// retained; callers recycle their batch buffers.
 func (ix *Index) AddEvents(events []event.Event) error {
 	if len(events) == 0 {
 		return nil
@@ -225,35 +175,14 @@ func (ix *Index) addEventsFrame(frame []byte, owned bool, events []event.Event) 
 	})
 }
 
-// addBulkAt places docs at global ids start..start+len-1. Placement is pure
+// addEventsAt places events at global ids start..start+len-1, walking each
+// shard's arithmetic slice of the batch directly instead of building
+// per-shard groups: one lock per shard, zero allocations. Placement is pure
 // arithmetic on the global id, so WAL replay (which reserves the same id
 // ranges in record order) reproduces it exactly. Shard memory starts at the
 // index base, so placement works in memory ids (gid - base); base is stable
 // here — every durable caller holds the snapshot gate shared, and eviction
 // only moves base under the exclusive gate.
-func (ix *Index) addBulkAt(start int, docs []Document) {
-	ix.epoch.Add(1)
-	defer ix.epoch.Add(1)
-	ix.generic.Add(int64(len(docs)))
-	S := len(ix.shards)
-	ms := start - int(ix.base.Load())
-	for s := 0; s < S; s++ {
-		first := ((s-ms)%S + S) % S
-		if first >= len(docs) {
-			continue
-		}
-		sh := ix.shards[s]
-		sh.mu.Lock()
-		for i := first; i < len(docs); i += S {
-			sh.addLocked(docs[i])
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// addEventsAt places events at global ids start..start+len-1, walking each
-// shard's arithmetic slice of the batch directly instead of building
-// per-shard groups: one lock per shard, zero allocations.
 func (ix *Index) addEventsAt(start int, events []event.Event) {
 	ix.epoch.Add(1)
 	defer ix.epoch.Add(1)
@@ -377,8 +306,8 @@ func (ix *Index) searchCtx(ctx context.Context, req SearchRequest) (SearchRespon
 	return resp, err
 }
 
-// SearchEvents runs req and returns typed hits. Typed rows never round-trip
-// through a Document; generic rows convert best-effort through the schema.
+// SearchEvents runs req and returns the hits as events, copied straight out
+// of row storage.
 func (ix *Index) SearchEvents(req SearchRequest) EventsResult {
 	res, _ := ix.searchEventsCtx(context.Background(), req)
 	return res
@@ -390,7 +319,7 @@ func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (Events
 	err := ix.searchRefs(ctx, req, func(refs []hitRef, total int, aggs map[string]AggResult, next []any) {
 		hits := make([]event.Event, len(refs))
 		for i, ref := range refs {
-			hits[i] = ref.sh.eventView(ref.id)
+			hits[i] = ref.sh.events[ref.id]
 		}
 		res = EventsResult{Total: total, Hits: hits, Aggs: aggs, NextAfter: next}
 	})
@@ -576,7 +505,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 	}
 	var res shardResult
 	if matchAll {
-		res.total = len(sh.docs)
+		res.total = len(sh.events)
 	} else {
 		res.total = len(getIDs())
 	}
@@ -591,7 +520,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 				}
 			}
 			// Everything else — unplannable requests, unservable agg shapes,
-			// per-shard overflow or stray-session fallbacks — is a scan, and
+			// per-shard overflow fallbacks — is a scan, and
 			// counts as a miss so the hit ratio on /metrics means something.
 			exec.rtm.rollupMisses.Inc()
 			res.partials[name] = sh.partial(a, getIDs())
@@ -642,7 +571,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 		if exec.cur != nil {
 			first = firstAfter(exec.cur.gid)
 		}
-		n := len(sh.docs) - int(first)
+		n := len(sh.events) - int(first)
 		if n < 0 {
 			n = 0
 		}
@@ -883,13 +812,11 @@ func (ix *Index) countCtx(ctx context.Context, q Query) (int, error) {
 	return n + cn, nil
 }
 
-// UpdateByQuery applies fn to every matching document, in place, and
-// returns the number of updated documents. fn must return true if it
-// changed the document.
-//
-// Typed rows are materialized as a Document view for fn and, when fn reports
-// a change, written back through the event schema: schema fields persist,
-// non-schema keys are dropped (the typed row is the storage of record).
+// UpdateByQuery applies fn to every matching row and returns the number of
+// updated rows. fn receives the row's Document view and must return true if
+// it changed it; the view is then written back through the event schema:
+// schema fields persist, non-schema keys are dropped (the event is the
+// storage of record).
 //
 // Shards update in parallel, so fn may be invoked from multiple goroutines
 // concurrently (never for the same document); closures that accumulate
@@ -912,7 +839,7 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document
 	ix.epoch.Add(1)
 	defer ix.epoch.Add(1)
 	d := ix.dur
-	var rewrites [][]walRewrite
+	var rewrites []rewriteSet
 	if d != nil {
 		// One update-by-query at a time per durable index: concurrent passes
 		// could journal their rewrite records in the opposite order of their
@@ -921,7 +848,7 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document
 		defer d.ubqMu.Unlock()
 		d.gate.RLock()
 		defer d.gate.RUnlock()
-		rewrites = make([][]walRewrite, len(ix.shards))
+		rewrites = make([]rewriteSet, len(ix.shards))
 	}
 	S := len(ix.shards)
 	// The gate (shared) freezes base; rewrite records name rows by global id.
@@ -935,21 +862,7 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document
 		sh.mu.Lock()
 		updated := 0
 		r := row{sh: sh}
-		for i := range sh.docs {
-			if d2 := sh.docs[i]; d2 != nil {
-				if !q.matches(d2) {
-					continue
-				}
-				before := docTerms(d2)
-				if fn(d2) {
-					sh.repostLocked(int32(i), before, docTerms(d2))
-					updated++
-					if d != nil {
-						rewrites[s] = append(rewrites[s], walRewrite{Gid: base + i*S + s, Doc: d2})
-					}
-				}
-				continue
-			}
+		for i := range sh.events {
 			r.id = int32(i)
 			if !q.matches(&r) {
 				continue
@@ -961,7 +874,7 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document
 				sh.repostLocked(int32(i), before, eventTerms(&sh.events[i]))
 				updated++
 				if d != nil {
-					rewrites[s] = append(rewrites[s], walRewrite{Gid: base + i*S + s, Doc: d2})
+					rewrites[s].add(base+i*S+s, &sh.events[i])
 				}
 			}
 		}
@@ -978,32 +891,19 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document
 		n += c
 	}
 	if d != nil && n > 0 {
-		flat := make([]walRewrite, 0, n)
+		var flat rewriteSet
 		for _, rs := range rewrites {
-			flat = append(flat, rs...)
+			flat.gids = append(flat.gids, rs.gids...)
+			flat.events = append(flat.events, rs.events...)
 		}
-		payload, err := encodeGob(flat)
-		if err != nil {
-			return n, err
-		}
-		if err := ix.journalApply(durable.RecordRewrite, payload, true, 0, nil); err != nil {
+		if err := ix.journalApply(durable.RecordRewrite, flat.encode(), true, 0, nil); err != nil {
 			return n, err
 		}
 		// Rewrites of rows already folded into segments must also reach the
 		// pending overlay so cold reads, compaction, and the next manifest
 		// commit carry them. (The scan above applied the in-memory effect
 		// inline; applyRewrites does this split for the replay paths.)
-		if fs := int(d.flushStart(ix)); fs > 0 {
-			var coldRws []walRewrite
-			for _, r := range flat {
-				if r.Gid < fs {
-					coldRws = append(coldRws, r)
-				}
-			}
-			if len(coldRws) > 0 {
-				d.addPending(coldRws)
-			}
-		}
+		d.addPending(flat, int(d.flushStart(ix)))
 	}
 	return n, fanErr
 }

@@ -20,7 +20,7 @@ func oracleRows(ix *Index) (rows []Document, base int) {
 	}
 	n, S := 0, len(ix.shards)
 	for _, sh := range ix.shards {
-		n += len(sh.docs)
+		n += len(sh.events)
 	}
 	rows = make([]Document, n)
 	for m := range rows {

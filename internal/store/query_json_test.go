@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 	"testing/quick"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // TestQueryJSONRoundTrip ensures the query DSL survives the HTTP boundary:
@@ -112,7 +114,7 @@ func TestConcurrentIndexAndSearch(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 2000; i++ {
-			ix.Add(Document{"syscall": "write", "time_enter_ns": int64(i)})
+			ix.AddEvents([]event.Event{{Syscall: "write", TimeEnterNS: int64(i)}})
 		}
 	}()
 	for ix.Len() < 2000 {
@@ -139,11 +141,11 @@ func TestPercentileAggMatchesNearestRank(t *testing.T) {
 		}
 		ix := NewIndex("p")
 		for _, v := range raw {
-			ix.Add(Document{"v": int64(v)})
+			ix.AddEvents([]event.Event{{RetVal: int64(v)}})
 		}
 		resp := ix.Search(SearchRequest{
 			Query: MatchAll(),
-			Aggs:  map[string]Agg{"p": {Percentiles: &PercentilesAgg{Field: "v", Percents: []float64{0, 50, 100}}}},
+			Aggs:  map[string]Agg{"p": {Percentiles: &PercentilesAgg{Field: FieldRetVal, Percents: []float64{0, 50, 100}}}},
 		})
 		p := resp.Aggs["p"].Percentiles
 		min, max := raw[0], raw[0]

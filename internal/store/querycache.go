@@ -29,8 +29,7 @@ import (
 // independently), and the mutation's end-of-apply bump retires the entry.
 //
 // Cached responses are shared between callers and must be treated as
-// read-only — the same de-facto rule the store already has, since generic
-// Document hits alias shard storage.
+// read-only.
 
 // queryCache is one index's bounded LRU of search responses.
 type queryCache struct {
@@ -131,7 +130,7 @@ func (ix *Index) cachedSearchCtx(ctx context.Context, req SearchRequest) (Search
 	if c == nil || !cacheable(req) {
 		return ix.searchCtx(ctx, req)
 	}
-	key := cacheKey('S', req, ix.generic.Load() == 0)
+	key := cacheKey('S', req)
 	e := ix.epoch.Load()
 	if v, ok := c.get(key, e); ok {
 		return v.(SearchResponse), nil
@@ -153,7 +152,7 @@ func (ix *Index) cachedSearchEventsCtx(ctx context.Context, req SearchRequest) (
 	if c == nil || !cacheable(req) {
 		return ix.searchEventsCtx(ctx, req)
 	}
-	key := cacheKey('E', req, ix.generic.Load() == 0)
+	key := cacheKey('E', req)
 	e := ix.epoch.Load()
 	if v, ok := c.get(key, e); ok {
 		return v.(EventsResult), nil
@@ -176,10 +175,8 @@ func (ix *Index) cachedSearchEventsCtx(ctx context.Context, req SearchRequest) (
 // GT n or GTE n+1. The fingerprint is the full canonical string (no
 // hashing, so distinct requests can never collide into a stale answer).
 
-// intRangeFields are the schema fields that hold integral values on typed
-// rows, where GT b ≡ GTE b+1 (and LT b ≡ LTE b-1) for integral b. The
-// folding applies only while the index holds no generic rows — an arbitrary
-// JSON document can store 5.5 in ret_val, and GT 5 ≢ GTE 6 there.
+// intRangeFields are the schema fields that hold integral values, where
+// GT b ≡ GTE b+1 (and LT b ≡ LTE b-1) for integral b.
 var intRangeFields = map[string]bool{
 	FieldTimeEnter: true, FieldTimeExit: true, FieldDuration: true,
 	FieldRetVal: true, FieldFD: true, FieldCount: true, FieldArgOffset: true,
@@ -194,13 +191,13 @@ const maxExactInt = float64(1 << 53)
 
 // cacheKey renders a request as its canonical fingerprint. kind separates
 // the two response shapes ('S' document search, 'E' typed search) that one
-// request can produce. intSafe enables integer range-bound folding.
-func cacheKey(kind byte, req SearchRequest, intSafe bool) string {
+// request can produce.
+func cacheKey(kind byte, req SearchRequest) string {
 	var b strings.Builder
 	b.Grow(128)
 	b.WriteByte(kind)
 	b.WriteString("|q:")
-	b.WriteString(canonQuery(req.Query, intSafe))
+	b.WriteString(canonQuery(req.Query))
 	b.WriteString("|s:")
 	for _, s := range req.Sort {
 		b.WriteString(s.Field)
@@ -223,7 +220,7 @@ func cacheKey(kind byte, req SearchRequest, intSafe bool) string {
 	}
 	if len(req.Aggs) > 0 {
 		b.WriteString("|a:")
-		b.WriteString(canonAggs(req.Aggs, intSafe))
+		b.WriteString(canonAggs(req.Aggs))
 	}
 	return b.String()
 }
@@ -231,7 +228,7 @@ func cacheKey(kind byte, req SearchRequest, intSafe bool) string {
 // canonQuery mirrors Query.matches' evaluation order exactly: the first set
 // clause wins, extra clauses are ignored, and an empty bool behaves like
 // match-all.
-func canonQuery(q Query, intSafe bool) string {
+func canonQuery(q Query) string {
 	switch {
 	case q.Term != nil:
 		return "t(" + q.Term.Field + "=" + scalarKey(q.Term.Value) + ")"
@@ -244,13 +241,13 @@ func canonQuery(q Query, intSafe bool) string {
 		keys = dedupSorted(keys)
 		return "ts(" + q.Terms.Field + "=" + strings.Join(keys, ",") + ")"
 	case q.Range != nil:
-		return canonRange(q.Range, intSafe)
+		return canonRange(q.Range)
 	case q.Prefix != nil:
 		return "p(" + q.Prefix.Field + "=" + strconv.Quote(q.Prefix.Value) + ")"
 	case q.Exists != nil:
 		return "e(" + q.Exists.Field + ")"
 	case q.Bool != nil:
-		return canonBool(q.Bool, intSafe)
+		return canonBool(q.Bool)
 	default:
 		return "*"
 	}
@@ -258,9 +255,9 @@ func canonQuery(q Query, intSafe bool) string {
 
 // canonRange folds each strict integral bound on an integer field into its
 // inclusive equivalent and collapses redundant bounds (GTE 6 ∧ GT 5 ≡ GTE 6).
-func canonRange(r *RangeQuery, intSafe bool) string {
+func canonRange(r *RangeQuery) string {
 	gte, lte, gt, lt := r.GTE, r.LTE, r.GT, r.LT
-	if intSafe && intRangeFields[r.Field] {
+	if intRangeFields[r.Field] {
 		if gt != nil && isExactInt(*gt) {
 			v := *gt + 1
 			gte, gt = maxBound(gte, &v), nil
@@ -310,11 +307,11 @@ func minBound(a, b *float64) *float64 {
 // canonBool sorts each clause list (must/should/must-not are
 // order-insensitive), dedupes, and unwraps the degenerate single-clause
 // wrappers Must(q) and Should(q), which evaluate identically to q.
-func canonBool(q *BoolQuery, intSafe bool) string {
+func canonBool(q *BoolQuery) string {
 	enc := func(qs []Query) []string {
 		out := make([]string, 0, len(qs))
 		for _, sub := range qs {
-			out = append(out, canonQuery(sub, intSafe))
+			out = append(out, canonQuery(sub))
 		}
 		sort.Strings(out)
 		return dedupSorted(out)
@@ -348,7 +345,7 @@ func dedupSorted(in []string) []string {
 
 // canonAggs renders an agg map with names sorted, fixing JSON map-order
 // nondeterminism.
-func canonAggs(aggs map[string]Agg, intSafe bool) string {
+func canonAggs(aggs map[string]Agg) string {
 	names := make([]string, 0, len(aggs))
 	for n := range aggs {
 		names = append(names, n)
@@ -358,13 +355,13 @@ func canonAggs(aggs map[string]Agg, intSafe bool) string {
 	for _, n := range names {
 		b.WriteString(strconv.Quote(n))
 		b.WriteByte('=')
-		b.WriteString(canonAgg(aggs[n], intSafe))
+		b.WriteString(canonAgg(aggs[n]))
 		b.WriteByte(';')
 	}
 	return b.String()
 }
 
-func canonAgg(a Agg, intSafe bool) string {
+func canonAgg(a Agg) string {
 	var b strings.Builder
 	switch {
 	case a.Terms != nil:
@@ -409,7 +406,7 @@ func canonAgg(a Agg, intSafe bool) string {
 	}
 	if len(a.Aggs) > 0 {
 		b.WriteString("{")
-		b.WriteString(canonAggs(a.Aggs, intSafe))
+		b.WriteString(canonAggs(a.Aggs))
 		b.WriteString("}")
 	}
 	return b.String()

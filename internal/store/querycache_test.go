@@ -46,7 +46,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		},
 	}
 	for _, tc := range same {
-		ka, kb := cacheKey('S', tc.a, true), cacheKey('S', tc.b, true)
+		ka, kb := cacheKey('S', tc.a), cacheKey('S', tc.b)
 		if ka != kb {
 			t.Errorf("%s: keys differ\n a %q\n b %q", tc.name, ka, kb)
 		}
@@ -78,24 +78,15 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		},
 	}
 	for _, tc := range diff {
-		ka, kb := cacheKey('S', tc.a, true), cacheKey('S', tc.b, true)
+		ka, kb := cacheKey('S', tc.a), cacheKey('S', tc.b)
 		if ka == kb {
 			t.Errorf("%s: keys collide: %q", tc.name, ka)
 		}
 	}
 
-	// The int-range fold is only sound while the index holds typed events
-	// exclusively; with generic documents present (intSafe=false) the two
-	// spellings must stay distinct.
-	gt := SearchRequest{Query: rangeGT(FieldDuration, 499), Size: 10}
-	gte := SearchRequest{Query: RangeGTE(FieldDuration, 500), Size: 10}
-	if cacheKey('S', gt, false) == cacheKey('S', gte, false) {
-		t.Error("gt/gte folded despite generic documents in the index")
-	}
-
 	// Typed and document searches of the same request are distinct lines.
 	q := SearchRequest{Query: MatchAll(), Size: 10}
-	if cacheKey('S', q, true) == cacheKey('E', q, true) {
+	if cacheKey('S', q) == cacheKey('E', q) {
 		t.Error("document and typed search share a cache line")
 	}
 }
@@ -113,7 +104,7 @@ func TestCacheKeyWireOrderInvariance(t *testing.T) {
 	if err := json.Unmarshal([]byte(b), &rb); err != nil {
 		t.Fatal(err)
 	}
-	ka, kb := cacheKey('S', ra, true), cacheKey('S', rb, true)
+	ka, kb := cacheKey('S', ra), cacheKey('S', rb)
 	if ka != kb {
 		t.Errorf("wire key order changed the fingerprint:\n a %q\n b %q", ka, kb)
 	}
@@ -167,7 +158,6 @@ func TestQueryCacheServesAndInvalidates(t *testing.T) {
 		do   func() error
 	}{
 		{"BulkEvents", func() error { return st.BulkEvents(ctx, "run", cursorFixture(8)) }},
-		{"Bulk", func() error { return st.Bulk(ctx, "run", docFixture()) }},
 		{"UpdateByQuery", func() error {
 			_, err := st.UpdateByQuery(ctx, "run", Term(FieldSyscall, "read"), func(d Document) bool {
 				d["seen"] = true

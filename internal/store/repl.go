@@ -342,13 +342,13 @@ func (s *Store) ReplRange(index string, from int64, cur *ReplCursor, maxFrames, 
 // ReplBootstrapFrames packages the named index's entire current state for a
 // follower bootstrap: cold segment rows first (streamed from the committed
 // files, pending rewrites substituted), then the memtable, all in global-id
-// order, batched batchRows at a time — typed runs as RecordEvents and
-// generic runs as RecordDocs, the exact representations ReplApply journals.
-// Every frame is stamped with its first row's global id and frames are
-// gid-contiguous internally (batches cut at retention gaps and at the
-// cold/hot boundary), so a tiered follower can place cold rows at their
-// original ids. Taken under the exclusive gate, so the state is a consistent
-// cut and no concurrent commit can delete a segment file mid-stream.
+// order, batched batchRows at a time as RecordEvents frames — the exact
+// representation ReplApply journals. Every frame is stamped with its first
+// row's global id and frames are gid-contiguous internally (batches cut at
+// retention gaps and at the cold/hot boundary), so a tiered follower can
+// place cold rows at their original ids. Taken under the exclusive gate, so
+// the state is a consistent cut and no concurrent commit can delete a
+// segment file mid-stream.
 func (s *Store) ReplBootstrapFrames(index string, batchRows int) (ReplSnapshot, error) {
 	ix, ok := s.GetIndex(index)
 	if !ok {
@@ -370,105 +370,56 @@ func (s *Store) ReplBootstrapFrames(index string, batchRows int) (ReplSnapshot, 
 	}
 	overlay := d.pendingOverlay()
 	var (
-		evBatch    []event.Event
-		docBatch   []Document
+		batch      []event.Event
 		batchStart int64
-		expect     int64 = -1
 	)
-	flushAll := func() error {
-		if len(evBatch) > 0 {
+	flush := func() {
+		if len(batch) > 0 {
 			snap.Frames = append(snap.Frames, ReplFrame{
 				Type: durable.RecordEvents, StartRow: batchStart,
-				Payload: event.EncodeBatch(nil, evBatch),
+				Payload: event.EncodeBatch(nil, batch),
 			})
-			evBatch = evBatch[:0]
+			batch = batch[:0]
 		}
-		if len(docBatch) > 0 {
-			payload, err := encodeGob(docBatch)
-			if err != nil {
-				return err
-			}
-			snap.Frames = append(snap.Frames, ReplFrame{
-				Type: durable.RecordDocs, StartRow: batchStart,
-				Payload: payload,
-			})
-			docBatch = docBatch[:0]
-		}
-		return nil
 	}
-	add := func(gid int64, ev *event.Event, doc Document) error {
-		typeSwitch := (doc != nil && len(evBatch) > 0) || (doc == nil && len(docBatch) > 0)
-		if typeSwitch || (expect >= 0 && gid != expect) || len(evBatch)+len(docBatch) >= batchRows {
-			if err := flushAll(); err != nil {
-				return err
-			}
+	add := func(gid int64, ev *event.Event) {
+		if gid != batchStart+int64(len(batch)) || len(batch) >= batchRows {
+			flush()
 		}
-		if len(evBatch) == 0 && len(docBatch) == 0 {
+		if len(batch) == 0 {
 			batchStart = gid
 		}
-		if doc != nil {
-			docBatch = append(docBatch, doc)
-		} else {
-			evBatch = append(evBatch, *ev)
-		}
-		expect = gid + 1
-		return nil
+		batch = append(batch, *ev)
 	}
 	for _, sm := range *d.segs.Load() {
 		if sm.EndRow > snap.Base {
 			continue
 		}
-		err := func() error {
-			_, rerr := durable.ReadSegment(filepath.Join(d.dir, durable.SegmentName(sm.Seq)),
-				func(lg int, ev *event.Event, docB []byte) error {
-					gid := sm.StartRow + int64(lg)
-					if d2, ok := overlay[int(gid)]; ok {
-						if ev != nil {
-							e := DocToEvent(d2)
-							return add(gid, &e, nil)
-						}
-						return add(gid, nil, d2)
-					}
-					if ev != nil {
-						return add(gid, ev, nil)
-					}
-					var d2 Document
-					if derr := decodeGob(docB, &d2); derr != nil {
-						return derr
-					}
-					return add(gid, nil, d2)
-				})
-			return rerr
-		}()
+		err := readSegmentEvents(filepath.Join(d.dir, durable.SegmentName(sm.Seq)),
+			func(lg int, ev *event.Event) error {
+				gid := sm.StartRow + int64(lg)
+				if e, ok := overlay[int(gid)]; ok {
+					ev = &e
+				}
+				add(gid, ev)
+				return nil
+			})
 		if err != nil {
 			return ReplSnapshot{}, fmt.Errorf("store: repl bootstrap: %w", err)
 		}
 	}
 	// The cold/hot boundary must also be a frame boundary, so the follower
 	// can route each frame whole.
-	if err := flushAll(); err != nil {
-		return ReplSnapshot{}, err
-	}
-	expect = -1
+	flush()
 	S := len(ix.shards)
 	head := int64(ix.rr.Load())
 	// Memtable reads take no shard locks: the exclusive gate excludes every
 	// row mutator, and concurrent searches only read.
 	for g := snap.Base; g < head; g++ {
 		mg := int(g - snap.Base)
-		sh := ix.shards[mg%S]
-		local := mg / S
-		if doc := sh.docs[local]; doc != nil {
-			if err := add(g, nil, doc); err != nil {
-				return ReplSnapshot{}, err
-			}
-		} else if err := add(g, &sh.events[local], nil); err != nil {
-			return ReplSnapshot{}, err
-		}
+		add(g, &ix.shards[mg%S].events[mg/S])
 	}
-	if err := flushAll(); err != nil {
-		return ReplSnapshot{}, err
-	}
+	flush()
 	return snap, nil
 }
 
@@ -536,17 +487,9 @@ func (ix *Index) applyReplFrame(f *ReplFrame) error {
 		return ix.journalApply(durable.RecordEvents, f.Payload, true, len(events), func(start int) {
 			ix.addEventsAt(start, events)
 		})
-	case durable.RecordDocs:
-		var docs []Document
-		if err := decodeGob(f.Payload, &docs); err != nil {
-			return err
-		}
-		return ix.journalApply(durable.RecordDocs, f.Payload, true, len(docs), func(start int) {
-			ix.addBulkAt(start, docs)
-		})
 	case durable.RecordRewrite:
-		var rws []walRewrite
-		if err := decodeGob(f.Payload, &rws); err != nil {
+		rws, err := decodeRewrites(f.Payload)
+		if err != nil {
 			return err
 		}
 		// Mirror the live UpdateByQuery shape: effects apply under shard
@@ -643,35 +586,16 @@ func (ix *Index) bootstrapColdSegment(ctx context.Context, snap ReplSnapshot, co
 			return err
 		}
 		f := &cold[i]
-		switch f.Type {
-		case durable.RecordEvents:
-			events, err := event.DecodeBatch(f.Payload, nil)
-			if err != nil {
-				return fmt.Errorf("store: repl bootstrap cold events: %w", err)
-			}
-			for j := range events {
-				src.rows = append(src.rows, durable.SegmentRow{Event: &events[j]})
-				src.gids = append(src.gids, int(f.StartRow)+j)
-			}
-		case durable.RecordDocs:
-			var docs []Document
-			if err := decodeGob(f.Payload, &docs); err != nil {
-				return fmt.Errorf("store: repl bootstrap cold docs: %w", err)
-			}
-			for j, doc := range docs {
-				blob, err := encodeGob(doc)
-				if err != nil {
-					return err
-				}
-				row := durable.SegmentRow{Doc: blob}
-				if t, ok := numeric(doc[FieldTimeEnter]); ok {
-					row.DocTime, row.DocTimed = int64(t), true
-				}
-				src.rows = append(src.rows, row)
-				src.gids = append(src.gids, int(f.StartRow)+j)
-			}
-		default:
+		if f.Type != durable.RecordEvents {
 			return fmt.Errorf("store: repl bootstrap: cold frame type %d", f.Type)
+		}
+		events, err := event.DecodeBatch(f.Payload, nil)
+		if err != nil {
+			return fmt.Errorf("store: repl bootstrap cold events: %w", err)
+		}
+		for j := range events {
+			src.rows = append(src.rows, durable.SegmentRow{Event: &events[j]})
+			src.gids = append(src.gids, int(f.StartRow)+j)
 		}
 	}
 	if int64(len(src.rows)) != snap.Base {
@@ -687,7 +611,7 @@ func (ix *Index) bootstrapColdSegment(ctx context.Context, snap ReplSnapshot, co
 		Seq: 0, Level: 0,
 		Rows: int64(len(src.rows)), StartRow: 0, EndRow: snap.Base,
 		MinTime: info.MinTime, MaxTime: info.MaxTime,
-		Bytes: info.Bytes, Generic: int64(info.Generic),
+		Bytes: info.Bytes,
 	}}
 	d.segSeq = 1
 	if err := durable.CommitManifest(d.dir, durable.Manifest{
@@ -703,7 +627,6 @@ func (ix *Index) bootstrapColdSegment(ctx context.Context, snap ReplSnapshot, co
 	ix.base.Store(snap.Base)
 	ix.rr.Store(uint64(snap.Base))
 	ix.retFloor.Store(snap.Floor)
-	ix.generic.Add(int64(info.Generic))
 	d.publishSegsLocked(ix, segs)
 	for _, sh := range ix.shards {
 		sh.mu.Unlock()

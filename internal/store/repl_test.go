@@ -185,7 +185,7 @@ func TestReplApplySeqReject(t *testing.T) {
 		t.Fatalf("duplicate push: err=%v, want ReplSeqError{Want:%d, Got:0}", err, head)
 	}
 	// Future push (reordered ahead of a lost batch): rejected too.
-	future := []ReplFrame{{Seq: head + 5, Type: durable.RecordDocs}}
+	future := []ReplFrame{{Seq: head + 5, Type: durable.RecordEvents}}
 	if _, err := follower.ReplApply(ctx, crashIndex, head+5, future); !errors.As(err, &se) {
 		t.Fatalf("future push: err=%v, want ReplSeqError", err)
 	}
@@ -210,9 +210,6 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	st := memStore(t)
 	st.SetFollower()
 	ctx := context.Background()
-	if err := st.Bulk(ctx, crashIndex, crashDocs(0)); !errors.Is(err, ErrReadOnlyFollower) {
-		t.Fatalf("Bulk on follower: %v", err)
-	}
 	if err := st.BulkEvents(ctx, crashIndex, crashEvents(0)); !errors.Is(err, ErrReadOnlyFollower) {
 		t.Fatalf("BulkEvents on follower: %v", err)
 	}
@@ -226,8 +223,8 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	if st.Role() != RolePrimary {
 		t.Fatalf("role after promote = %v", st.Role())
 	}
-	if err := st.Bulk(ctx, crashIndex, crashDocs(0)); err != nil {
-		t.Fatalf("Bulk after promote: %v", err)
+	if err := st.BulkEvents(ctx, crashIndex, crashDocs(0)); err != nil {
+		t.Fatalf("BulkEvents after promote: %v", err)
 	}
 }
 
@@ -279,7 +276,7 @@ func TestReplHTTPEndpoints(t *testing.T) {
 		t.Fatalf("409 mismatch reported as temporary; the ladder would retry it")
 	}
 	// Direct writes to the follower → 409 as well.
-	if err := fc.Bulk(ctx, crashIndex, crashDocs(9)); !errors.As(err, &he) || he.Status != 409 {
+	if err := fc.BulkEvents(ctx, crashIndex, crashDocs(9)); !errors.As(err, &he) || he.Status != 409 {
 		t.Fatalf("bulk to follower over HTTP: %v, want 409", err)
 	}
 	// So is dropping the replica: the follower keeps every row.
@@ -314,7 +311,7 @@ func TestReplHTTPEndpoints(t *testing.T) {
 	if follower.Role() != RolePrimary {
 		t.Fatalf("role after HTTP promote = %v", follower.Role())
 	}
-	if err := fc.Bulk(ctx, crashIndex, crashDocs(3)); err != nil {
+	if err := fc.BulkEvents(ctx, crashIndex, crashDocs(3)); err != nil {
 		t.Fatalf("bulk after promote: %v", err)
 	}
 }
@@ -430,7 +427,7 @@ func TestFailoverClientRedirects(t *testing.T) {
 	}
 
 	// Writes now land on the promoted node without further probing.
-	if err := fo.Bulk(ctx, crashIndex, crashDocs(7)); err != nil {
+	if err := fo.BulkEvents(ctx, crashIndex, crashDocs(7)); err != nil {
 		t.Fatalf("bulk after failover: %v", err)
 	}
 	n, err := follower.Count(ctx, crashIndex, MatchAll())

@@ -18,12 +18,10 @@ import "github.com/dsrhaslab/dio-go/internal/event"
 //   - The histogram keys at base-aligned truncated buckets; an aggregation
 //     interval I is servable iff I % base == 0, and re-bucketing a
 //     base-aligned key to I is exact (trunc division composes for I = k·base).
-//   - bySession groups only rows whose session value is a string. Rows with
-//     any other representation bump sessionStray, and while sessionStray > 0
-//     term-on-session queries fall back to the scan (valueEquals has Sprintf
+//   - bySession groups rows by their session string, and only a Term filter
+//     whose value is a string is served from it (valueEquals has Sprintf
 //     coercion edges — numeric 5 matches "5" — that string-keyed maps cannot
-//     reproduce). Typed events always have a string session, so the tracer's
-//     own workload never strays.
+//     reproduce).
 //   - UpdateByQuery may rewrite any field in place, so it invalidates the
 //     rollup (dirty flag, maps freed) alongside the column caches; the next
 //     rollup-eligible search rebuilds it under the shard write lock before
@@ -96,8 +94,7 @@ type shardRollup struct {
 	dirty    bool // an in-place rewrite happened; rebuild before serving
 	overflow bool // key cap exceeded; serve nothing until the next rebuild
 
-	sessionStray int // rows whose session value is not a string
-	keys         int // total map keys across all partials, for the cap
+	keys int // total map keys across all partials, for the cap
 
 	all       *rollupPartial
 	bySession map[string]*rollupPartial
@@ -122,7 +119,7 @@ func (r *shardRollup) invalidate() {
 	}
 	r.dirty = true
 	r.all, r.bySession = nil, nil
-	r.keys, r.sessionStray = 0, 0
+	r.keys = 0
 }
 
 // drop frees the maps after a cap overflow; the dirty flag stays clear so
@@ -130,7 +127,7 @@ func (r *shardRollup) invalidate() {
 func (r *shardRollup) drop() {
 	r.overflow = true
 	r.all, r.bySession = nil, nil
-	r.keys, r.sessionStray = 0, 0
+	r.keys = 0
 }
 
 // incTerm / incHist count one row into a map, tracking total key cardinality
@@ -163,10 +160,10 @@ func (r *shardRollup) sessionPartial(s string) *rollupPartial {
 	return p
 }
 
-// addEvent folds one typed row into the rollup. Caller holds the shard write
-// lock. Steady state (known session, known terms, in-range bucket) performs
-// only map increments — no allocation — which is what keeps the typed ingest
-// path inside its AllocsPerRun budget.
+// addEvent folds one row into the rollup. Caller holds the shard write lock.
+// Steady state (known session, known terms, in-range bucket) performs only
+// map increments — no allocation — which is what keeps the ingest path inside
+// its AllocsPerRun budget.
 func (r *shardRollup) addEvent(e *event.Event) {
 	if r == nil || r.dirty || r.overflow {
 		return
@@ -188,38 +185,6 @@ func (r *shardRollup) bumpEvent(p *rollupPartial, e *event.Event, bucket int64) 
 	r.incHist(p.hist, bucket)
 }
 
-// addDoc folds one generic row into the rollup. Caller holds the shard write
-// lock. Term keys follow keyString (missing fields count under ""), the
-// histogram skips rows whose time_enter_ns is not numeric — both exactly the
-// scan semantics.
-func (r *shardRollup) addDoc(d Document) {
-	if r == nil || r.dirty || r.overflow {
-		return
-	}
-	bucket, haveBucket := int64(0), false
-	if f, ok := numeric(d[FieldTimeEnter]); ok {
-		bucket, haveBucket = int64(f)/r.base*r.base, true
-	}
-	r.bumpDoc(r.all, d, bucket, haveBucket)
-	if s, ok := d[FieldSession].(string); ok {
-		r.bumpDoc(r.sessionPartial(s), d, bucket, haveBucket)
-	} else {
-		r.sessionStray++
-	}
-	if r.keys > maxRollupKeys {
-		r.drop()
-	}
-}
-
-func (r *shardRollup) bumpDoc(p *rollupPartial, d Document, bucket int64, haveBucket bool) {
-	for i, f := range indexedFieldList {
-		r.incTerm(p.terms[i], keyString(d[f]))
-	}
-	if haveBucket {
-		r.incHist(p.hist, bucket)
-	}
-}
-
 // invalidateRollupLocked drops the shard's rollup state after an in-place
 // update, alongside the column caches. Caller holds the write lock.
 func (sh *shard) invalidateRollupLocked() { sh.rollup.invalidate() }
@@ -234,12 +199,8 @@ func (sh *shard) rebuildRollupLocked() {
 	}
 	base := r.base
 	*r = *newShardRollup(base)
-	for i := range sh.docs {
-		if d := sh.docs[i]; d != nil {
-			r.addDoc(d)
-		} else {
-			r.addEvent(&sh.events[i])
-		}
+	for i := range sh.events {
+		r.addEvent(&sh.events[i])
 		if r.overflow {
 			return
 		}
@@ -340,9 +301,8 @@ func rollupServable(a Agg, base int64) bool {
 }
 
 // rollupServe answers one planned aggregation from the shard's rollup, or
-// nil to fall back to the scan (rollup dropped, re-dirtied concurrently, or
-// the session filter is unsound because stray session representations
-// exist). Caller holds the shard read lock; the returned partial aliases the
+// nil to fall back to the scan (rollup dropped or re-dirtied concurrently).
+// Caller holds the shard read lock; the returned partial aliases the
 // live rollup maps, which is safe because combinePartials only reads and the
 // read lock is held through the merge.
 func (sh *shard) rollupServe(p *rollupPlan, a Agg) *partialAgg {
@@ -353,15 +313,9 @@ func (sh *shard) rollupServe(p *rollupPlan, a Agg) *partialAgg {
 	var g *rollupPartial
 	if p.matchAll {
 		g = r.all
-	} else {
-		if r.sessionStray > 0 {
-			return nil
-		}
-		g = r.bySession[p.session]
-		if g == nil {
-			// No rows for this session in this shard: an empty partial.
-			return &partialAgg{}
-		}
+	} else if g = r.bySession[p.session]; g == nil {
+		// No rows for this session in this shard: an empty partial.
+		return &partialAgg{}
 	}
 	if a.Terms != nil {
 		return &partialAgg{termCounts: g.terms[rollupSlot(a.Terms.Field)]}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -21,12 +20,8 @@ import (
 // dedicated analysis servers (§II-F). All methods are context-first: the
 // context carries cancellation from the caller (an HTTP request, a per-
 // attempt delivery deadline) into shard fan-out or the wire request.
-//
-// Bulk implementations must not retain the docs slice after returning: the
-// tracer's drain workers recycle batch buffers through a pool. (Retaining
-// the Document maps themselves is fine; the in-process store does.)
 type Backend interface {
-	Bulk(ctx context.Context, index string, docs []Document) error
+	EventBackend
 	Search(ctx context.Context, index string, req SearchRequest) (SearchResponse, error)
 	Count(ctx context.Context, index string, q Query) (int, error)
 	Correlate(ctx context.Context, index, session string) (CorrelationResult, error)
@@ -73,7 +68,7 @@ func (s *Store) Correlate(ctx context.Context, index, session string) (Correlati
 // canonical surface) and unprefixed (the legacy alias older clients still
 // speak):
 //
-//	POST   /v1/{index}/_bulk       NDJSON action/document pairs, or a binary event frame
+//	POST   /v1/{index}/_bulk       events, as a binary frame or NDJSON action/document pairs
 //	POST   /v1/{index}/_search     SearchRequest JSON body
 //	POST   /v1/{index}/_count      optional Query JSON body
 //	POST   /v1/{index}/_correlate  ?session=NAME
@@ -346,10 +341,9 @@ func (s *Server) handleIndexOps(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleBulk consumes either the version-1 binary event frame (typed fast
-// path: ring → wire → shard storage with no Document anywhere) or
-// Elasticsearch-style NDJSON — an action line (ignored beyond validation)
-// followed by a document line, repeated — selected by Content-Type.
+// handleBulk ingests a batch of events in one of two encodings selected by
+// Content-Type: the version-1 binary event frame, or Elasticsearch-style
+// NDJSON through the strict edge decoder. Either way the store sees events.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request, index string) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -359,47 +353,31 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request, index string
 		s.handleBulkBinary(w, r, index)
 		return
 	}
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64*1024), 8*1024*1024)
-	var docs []Document
-	expectDoc := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if !expectDoc {
-			// action line, e.g. {"index":{}}
-			expectDoc = true
-			continue
-		}
-		var d Document
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			httpError(w, http.StatusBadRequest, "bad document: %v", err)
-			return
-		}
-		docs = append(docs, d)
-		expectDoc = false
-	}
-	if err := sc.Err(); err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	events, err := DecodeBulkNDJSON(r.Body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bulk: %v", err)
 		return
 	}
-	if err := s.store.Bulk(r.Context(), index, docs); err != nil {
-		if errors.Is(err, ErrReadOnlyFollower) {
-			// 409, not 5xx: retrying against this node cannot succeed, the
-			// client must redirect to the primary.
-			httpError(w, http.StatusConflict, "bulk: %v", err)
-			return
-		}
+	writeBulkResult(w, len(events), s.store.BulkEvents(r.Context(), index, events))
+}
+
+// writeBulkResult answers one ingested batch: the item count, or the ingest
+// error's status.
+func writeBulkResult(w http.ResponseWriter, items int, err error) {
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, map[string]int{"items": items})
+	case errors.Is(err, ErrReadOnlyFollower):
+		// 409, not 5xx: retrying against this node cannot succeed, the
+		// client must redirect to the primary.
+		httpError(w, http.StatusConflict, "bulk: %v", err)
+	default:
 		httpError(w, http.StatusInternalServerError, "bulk: %v", err)
-		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"items": len(docs)})
 }
 
 // handleBulkBinary decodes a binary event frame into a pooled batch and
-// indexes it through the typed fast path.
+// indexes it, journaling the frame bytes verbatim.
 func (s *Server) handleBulkBinary(w http.ResponseWriter, r *http.Request, index string) {
 	buf := serverReadPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -429,17 +407,10 @@ func (s *Server) handleBulkBinary(w http.ResponseWriter, r *http.Request, index 
 	ingestErr := s.store.bulkEventsFrame(r.Context(), index, buf.Bytes(), owned, events)
 	// AddEvents copies the structs into shard storage, so the batch can be
 	// recycled as soon as the call returns.
+	n := len(events)
 	*bp = events[:0]
 	serverEventsPool.Put(bp)
-	if ingestErr != nil {
-		if errors.Is(ingestErr, ErrReadOnlyFollower) {
-			httpError(w, http.StatusConflict, "bulk: %v", ingestErr)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, "bulk: %v", ingestErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"items": len(events)})
+	writeBulkResult(w, n, ingestErr)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index string) {

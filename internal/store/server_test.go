@@ -21,7 +21,7 @@ func newTestServerClient(t *testing.T) (*Store, *Client) {
 func TestHTTPBulkSearchCount(t *testing.T) {
 	_, c := newTestServerClient(t)
 
-	if err := c.Bulk(context.Background(), "run1", docFixture()); err != nil {
+	if err := c.BulkEvents(context.Background(), "run1", docFixture()); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
 	n, err := c.Count(context.Background(), "run1", Term("session", "s1"))
@@ -45,7 +45,7 @@ func TestHTTPBulkSearchCount(t *testing.T) {
 
 func TestHTTPSearchWithAggs(t *testing.T) {
 	_, c := newTestServerClient(t)
-	if err := c.Bulk(context.Background(), "run1", docFixture()); err != nil {
+	if err := c.BulkEvents(context.Background(), "run1", docFixture()); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
 	resp, err := c.Search(context.Background(), "run1", SearchRequest{
@@ -69,7 +69,7 @@ func TestHTTPSearchWithAggs(t *testing.T) {
 
 func TestHTTPCorrelate(t *testing.T) {
 	_, c := newTestServerClient(t)
-	if err := c.Bulk(context.Background(), "run1", docFixture()); err != nil {
+	if err := c.BulkEvents(context.Background(), "run1", docFixture()); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
 	res, err := c.Correlate(context.Background(), "run1", "s1")
@@ -83,10 +83,10 @@ func TestHTTPCorrelate(t *testing.T) {
 
 func TestHTTPIndicesAndErrors(t *testing.T) {
 	_, c := newTestServerClient(t)
-	if err := c.Bulk(context.Background(), "a", docFixture()); err != nil {
+	if err := c.BulkEvents(context.Background(), "a", docFixture()); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
-	if err := c.Bulk(context.Background(), "b", docFixture()[:1]); err != nil {
+	if err := c.BulkEvents(context.Background(), "b", docFixture()[:1]); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
 	names, err := c.ListIndices(context.Background())
@@ -103,7 +103,7 @@ func TestHTTPIndicesAndErrors(t *testing.T) {
 
 func TestHTTPStats(t *testing.T) {
 	st, c := newTestServerClient(t)
-	if err := c.Bulk(context.Background(), "run1", docFixture()); err != nil {
+	if err := c.BulkEvents(context.Background(), "run1", docFixture()); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
 	ix, _ := st.GetIndex("run1")
@@ -140,7 +140,7 @@ func TestHTTPStats(t *testing.T) {
 func TestHTTPBackendInterchangeable(t *testing.T) {
 	st, c := newTestServerClient(t)
 	for _, b := range []Backend{st, c} {
-		if err := b.Bulk(context.Background(), "x", []Document{{"syscall": "read"}}); err != nil {
+		if err := b.BulkEvents(context.Background(), "x", docEvents(Document{"syscall": "read"})); err != nil {
 			t.Fatalf("bulk via %T: %v", b, err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestHTTPBackendInterchangeable(t *testing.T) {
 
 func TestHTTPServerErrorPaths(t *testing.T) {
 	st := memStore(t)
-	st.Bulk(context.Background(), "x", docFixture())
+	st.BulkEvents(context.Background(), "x", docFixture())
 	srv := httptest.NewServer(NewServer(st))
 	defer srv.Close()
 

@@ -7,33 +7,27 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
-// shard is one lock stripe of an Index. Documents are distributed across
-// shards round-robin by insertion order, so shard s of S holds the documents
-// whose global ids are ≡ s (mod S) and the global id of the document at
-// local position i is i*S + s. Per-shard global ids are therefore always
-// sorted in append order, which the merge phase of Search relies on.
+// shard is one lock stripe of an Index. Rows are distributed across shards
+// round-robin by insertion order, so shard s of S holds the rows whose global
+// ids are ≡ s (mod S) and the global id of the row at local position i is
+// i*S + s. Per-shard global ids are therefore always sorted in append order,
+// which the merge phase of Search relies on.
 //
-// Rows come in two representations. Typed rows (the tracer's ingest fast
-// path) live in events as plain structs: docs[i] is nil and every read goes
-// through the typed accessors — postings, columns, query evaluation, and
-// aggregation never build a map. Generic rows (arbitrary JSON documents)
-// live in docs as before. A Document for a typed row is materialized lazily
-// (docView) and only where the generic DSL demands one.
+// A row is an event.Event, stored as a plain struct: postings, columns, query
+// evaluation, and aggregation read it through the typed accessors and never
+// build a map. A Document for a row is a lazily materialized view (docView),
+// built only where the generic DSL demands one.
 type shard struct {
-	mu   sync.RWMutex
-	docs []Document // docs[i] != nil ⇒ generic row; nil ⇒ typed row in events
-	// events backs the typed rows. It stays nil until the first typed add,
-	// so all-generic workloads pay nothing for it; after that it is kept
-	// parallel to docs (zero-valued at generic slots).
+	mu       sync.RWMutex
 	events   []event.Event
-	postings map[string]map[string][]int32 // field -> term -> local doc ids
+	postings map[string]map[string][]int32 // field -> term -> local row ids
 	cols     map[string]*column            // lazy numeric columns, keyed by field
 	rollup   *shardRollup                  // continuous rollup state, nil when disabled
 }
 
 // column is a pre-extracted numeric view of one field: vals[i] holds the
 // float64 coercion of row i's field and ok[i] whether the field was numeric.
-// Columns are built lazily up to the current doc count and extended on the
+// Columns are built lazily up to the current row count and extended on the
 // next use after writes; UpdateByQuery drops them (it may mutate numeric
 // fields in place).
 type column struct {
@@ -64,12 +58,9 @@ type row struct {
 func (r *row) field(name string) any { return r.sh.val(r.id, name) }
 
 // val returns the document-view value of one field of row id (nil when
-// absent). Typed rows box the value on demand; hot paths use strAt/numAt
-// instead. Caller holds at least the read lock.
+// absent), boxing it on demand; hot paths use numAt instead. Caller holds at
+// least the read lock.
 func (sh *shard) val(id int32, field string) any {
-	if d := sh.docs[id]; d != nil {
-		return d[field]
-	}
 	v, _ := sh.events[id].Field(field)
 	return v
 }
@@ -77,63 +68,21 @@ func (sh *shard) val(id int32, field string) any {
 // numAt reads one numeric field without boxing. Caller holds at least the
 // read lock.
 func (sh *shard) numAt(id int32, field string) (float64, bool) {
-	if d := sh.docs[id]; d != nil {
-		return numeric(d[field])
-	}
 	return sh.events[id].NumericField(field)
 }
 
-// docView materializes row id as a Document: generic rows return the stored
-// map, typed rows build the view on demand. Caller holds at least the read
-// lock. Mutations to a typed row's view are NOT persisted — writers must go
-// through UpdateByQuery, which round-trips the view back into the event.
+// docView materializes row id as a Document. Caller holds at least the read
+// lock. Mutations to the view are NOT persisted — writers must go through
+// UpdateByQuery, which round-trips the view back into the event.
 func (sh *shard) docView(id int32) Document {
-	if d := sh.docs[id]; d != nil {
-		return d
-	}
 	return EventToDoc(&sh.events[id])
 }
 
-// eventView materializes row id as a typed event (generic rows convert
-// best-effort through the schema). Caller holds at least the read lock.
-func (sh *shard) eventView(id int32) event.Event {
-	if d := sh.docs[id]; d != nil {
-		return DocToEvent(d)
-	}
-	return sh.events[id]
-}
-
-// addLocked appends a generic document row and returns its local id. Caller
-// holds the write lock.
-func (sh *shard) addLocked(doc Document) int32 {
-	if doc == nil {
-		doc = Document{}
-	}
-	id := int32(len(sh.docs))
-	sh.docs = append(sh.docs, doc)
-	if sh.events != nil {
-		sh.events = append(sh.events, event.Event{})
-	}
-	for _, f := range indexedFields {
-		if s, ok := doc[f].(string); ok {
-			sh.postings[f][s] = append(sh.postings[f][s], id)
-		}
-	}
-	sh.rollup.addDoc(doc)
-	return id
-}
-
-// addEventLocked appends a typed row and returns its local id: the struct is
-// copied into columnar-friendly storage and the keyword postings are fed
-// straight from its fields — no Document is built. Caller holds the write
-// lock.
+// addEventLocked appends a row and returns its local id: the struct is
+// copied into shard storage and the keyword postings are fed straight from
+// its fields — no Document is built. Caller holds the write lock.
 func (sh *shard) addEventLocked(e *event.Event) int32 {
-	id := int32(len(sh.docs))
-	if sh.events == nil && len(sh.docs) > 0 {
-		// First typed row after generic ones: backfill the parallel slice.
-		sh.events = make([]event.Event, len(sh.docs))
-	}
-	sh.docs = append(sh.docs, nil)
+	id := int32(len(sh.events))
 	sh.events = append(sh.events, *e)
 	sh.postTermLocked(FieldSession, e.Session, id)
 	sh.postTermLocked(FieldSyscall, e.Syscall, id)
@@ -145,36 +94,17 @@ func (sh *shard) addEventLocked(e *event.Event) int32 {
 }
 
 func (sh *shard) postTermLocked(field, term string, id int32) {
-	// Empty terms are posted too: EventToDoc stores these five fields
-	// unconditionally, so a generic row ingested through it lands "" in the
-	// postings (addLocked) and a Term query for "" must answer the same over
-	// typed rows.
+	// Empty terms are posted too: the document view stores these five fields
+	// unconditionally, so a Term query for "" must find the rows that hold it.
 	sh.postings[field][term] = append(sh.postings[field][term], id)
 }
 
-// indexedTerms is the posting-relevant view of one row: which of the
-// indexed keyword fields post a term and with which value. Typed rows post
-// all of them (addEventLocked); generic rows post only string values
-// (addLocked), so has distinguishes "posts the empty string" from "does not
-// post".
-type indexedTerms struct {
-	has [5]bool
-	val [5]string
-}
-
-func docTerms(d Document) indexedTerms {
-	var t indexedTerms
-	for k, f := range indexedFields {
-		t.val[k], t.has[k] = d[f].(string)
-	}
-	return t
-}
+// indexedTerms is the posting-relevant view of one row: its term in each of
+// the indexed keyword fields, in indexedFields order.
+type indexedTerms [5]string
 
 func eventTerms(e *event.Event) indexedTerms {
-	return indexedTerms{
-		has: [5]bool{true, true, true, true, true},
-		val: [5]string{e.Session, e.Syscall, e.ProcName, e.ThreadName, e.Class},
-	}
+	return indexedTerms{e.Session, e.Syscall, e.ProcName, e.ThreadName, e.Class}
 }
 
 // repostLocked reconciles the posting lists after a rewrite changed a row's
@@ -184,14 +114,9 @@ func eventTerms(e *event.Event) indexedTerms {
 // lock.
 func (sh *shard) repostLocked(id int32, before, after indexedTerms) {
 	for k, f := range indexedFields {
-		if before.has[k] == after.has[k] && before.val[k] == after.val[k] {
-			continue
-		}
-		if before.has[k] {
-			sh.unpostTermLocked(f, before.val[k], id)
-		}
-		if after.has[k] {
-			sh.insertTermLocked(f, after.val[k], id)
+		if before[k] != after[k] {
+			sh.unpostTermLocked(f, before[k], id)
+			sh.insertTermLocked(f, after[k], id)
 		}
 	}
 }
@@ -224,17 +149,17 @@ func (sh *shard) insertTermLocked(field, term string, id int32) {
 	sh.postings[field][term] = l
 }
 
-// len returns the shard's doc count under its own lock.
+// len returns the shard's row count under its own lock.
 func (sh *shard) len() int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.docs)
+	return len(sh.events)
 }
 
 // ensureColumns builds or extends the numeric columns for fields so they
-// cover every doc currently in the shard. It is called before the read phase
-// of a search; docs appended concurrently afterwards are handled by the
-// per-doc fallback in colVal.
+// cover every row currently in the shard. It is called before the read phase
+// of a search; rows appended concurrently afterwards are handled by the
+// per-row fallback in colVal.
 func (sh *shard) ensureColumns(fields []string) {
 	if len(fields) == 0 {
 		return
@@ -242,7 +167,7 @@ func (sh *shard) ensureColumns(fields []string) {
 	sh.mu.RLock()
 	need := false
 	for _, f := range fields {
-		if c := sh.cols[f]; c == nil || len(c.vals) < len(sh.docs) {
+		if c := sh.cols[f]; c == nil || len(c.vals) < len(sh.events) {
 			need = true
 			break
 		}
@@ -261,7 +186,7 @@ func (sh *shard) ensureColumns(fields []string) {
 			c = &column{}
 			sh.cols[f] = c
 		}
-		for i := len(c.vals); i < len(sh.docs); i++ {
+		for i := len(c.vals); i < len(sh.events); i++ {
 			v, ok := sh.numAt(int32(i), f)
 			c.vals = append(c.vals, v)
 			c.ok = append(c.ok, ok)
@@ -276,8 +201,8 @@ func (sh *shard) invalidateColumnsLocked() {
 	sh.cols = nil
 }
 
-// colVal reads one value through the column cache, falling back to the
-// row's typed or map representation for ids past the built prefix. Caller
+// colVal reads one value through the column cache, falling back to the row
+// itself for ids past the built prefix. Caller
 // holds at least the read lock.
 func (sh *shard) colVal(c *column, field string, id int32) (float64, bool) {
 	if c != nil && int(id) < len(c.vals) {
@@ -313,9 +238,9 @@ func (sh *shard) cmpIDs(a, b int32, sorts []SortField, cols []*column) int {
 // ascending order. The returned slice may alias a posting list and must not
 // be mutated. Caller holds at least the read lock.
 func (sh *shard) matchIDs(q Query) []int32 {
-	// Match-all: enumerate without consulting documents.
+	// Match-all: enumerate without consulting rows.
 	if q.matchesAll() {
-		out := make([]int32, len(sh.docs))
+		out := make([]int32, len(sh.events))
 		for i := range out {
 			out[i] = int32(i)
 		}
@@ -342,11 +267,11 @@ func (sh *shard) matchIDs(q Query) []int32 {
 			return ids
 		}
 	}
-	// Fallback: full scan through the row adapter (typed rows resolve
-	// fields on demand, no map materialization).
+	// Fallback: full scan through the row adapter (fields resolve on demand,
+	// no map materialization).
 	var out []int32
 	r := row{sh: sh}
-	for i := range sh.docs {
+	for i := range sh.events {
 		r.id = int32(i)
 		if q.matches(&r) {
 			out = append(out, int32(i))
@@ -360,15 +285,15 @@ func (sh *shard) matchIDs(q Query) []int32 {
 func (sh *shard) rangeScan(r *RangeQuery, c *column) []int32 {
 	var out []int32
 	n := len(c.vals)
-	if n > len(sh.docs) {
-		n = len(sh.docs)
+	if n > len(sh.events) {
+		n = len(sh.events)
 	}
 	for i := 0; i < n; i++ {
 		if c.ok[i] && r.contains(c.vals[i]) {
 			out = append(out, int32(i))
 		}
 	}
-	for i := n; i < len(sh.docs); i++ {
+	for i := n; i < len(sh.events); i++ {
 		if f, ok := sh.numAt(int32(i), r.Field); ok && r.contains(f) {
 			out = append(out, int32(i))
 		}

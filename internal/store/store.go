@@ -288,35 +288,13 @@ func (s *Store) Indices() []string {
 	return names
 }
 
-// Bulk indexes docs into the named index. A single index lookup resolves
-// the handle (read-locked fast path); the documents then take only the
-// per-shard index locks. On a durable store the batch is journaled before
-// it is applied.
-func (s *Store) Bulk(ctx context.Context, index string, docs []Document) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.Role() == RoleFollower {
-		return ErrReadOnlyFollower
-	}
-	ix, err := s.indexOrCreate(index)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	err = ix.AddBulk(docs)
-	s.tm.bulkNS.Observe(float64(time.Since(start)))
-	if err != nil {
-		return err
-	}
-	s.tm.bulkDocs.Add(uint64(len(docs)))
-	return nil
-}
-
-// BulkEvents indexes typed events into the named index through the typed
-// fast path: no Document is materialized anywhere between the wire and the
-// shard's columnar storage (the durable journal uses the same binary frame
-// the wire does). The events slice is not retained.
+// BulkEvents indexes events into the named index, creating it on first use
+// (an empty batch creates an empty index). A single index lookup resolves
+// the handle (read-locked fast path); the events then take only the
+// per-shard index locks, and no Document is materialized anywhere between
+// the wire and shard storage. On a durable store the batch is journaled, in
+// the wire's own binary frame, before it is applied. The events slice is not
+// retained.
 func (s *Store) BulkEvents(ctx context.Context, index string, events []event.Event) error {
 	if err := ctx.Err(); err != nil {
 		return err

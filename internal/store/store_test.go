@@ -7,19 +7,33 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
-func docFixture() []Document {
-	return []Document{
+// docEvents turns Document-literal fixtures into the events the store
+// ingests: schema fields through DocToEvent, with a duration_ns standing in
+// for the exit time the literal leaves out.
+func docEvents(docs ...Document) []event.Event {
+	out := make([]event.Event, len(docs))
+	for i, d := range docs {
+		out[i] = DocToEvent(d)
+		if dur, ok := d[FieldDuration]; ok {
+			out[i].TimeExitNS = out[i].TimeEnterNS + i64(dur)
+		}
+	}
+	return out
+}
+
+func docFixture() []event.Event {
+	return docEvents([]Document{
 		{"session": "s1", "syscall": "openat", "proc_name": "app", "thread_name": "app", "ret_val": int64(3), "time_enter_ns": int64(100), "duration_ns": int64(10), "kernel_path": "/tmp/a", "file_tag": "1 12 5"},
 		{"session": "s1", "syscall": "write", "proc_name": "app", "thread_name": "app", "ret_val": int64(26), "time_enter_ns": int64(200), "duration_ns": int64(20), "file_tag": "1 12 5", "offset": int64(0), "has_offset": true},
 		{"session": "s1", "syscall": "read", "proc_name": "fluent-bit", "thread_name": "flb-pipeline", "ret_val": int64(26), "time_enter_ns": int64(300), "duration_ns": int64(30), "file_tag": "1 12 5", "offset": int64(0), "has_offset": true},
 		{"session": "s1", "syscall": "read", "proc_name": "fluent-bit", "thread_name": "flb-pipeline", "ret_val": int64(0), "time_enter_ns": int64(400), "duration_ns": int64(40), "file_tag": "1 12 5", "offset": int64(26), "has_offset": true},
 		{"session": "s2", "syscall": "unlink", "proc_name": "app", "thread_name": "app", "ret_val": int64(0), "time_enter_ns": int64(500), "duration_ns": int64(50), "arg_path": "/tmp/a"},
-	}
+	}...)
 }
 
 func newFixtureIndex() *Index {
 	ix := NewIndex("events")
-	ix.AddBulk(docFixture())
+	ix.AddEvents(docFixture())
 	return ix
 }
 
@@ -210,7 +224,7 @@ func TestDateHistogramWithSubAgg(t *testing.T) {
 func TestPercentilesAggregation(t *testing.T) {
 	ix := NewIndex("lat")
 	for i := 1; i <= 100; i++ {
-		ix.Add(Document{"duration_ns": int64(i)})
+		ix.AddEvents(docEvents(Document{"duration_ns": int64(i)}))
 	}
 	resp := ix.Search(SearchRequest{
 		Query: MatchAll(),
@@ -239,20 +253,20 @@ func TestStatsAggregation(t *testing.T) {
 func TestUpdateByQuery(t *testing.T) {
 	ix := newFixtureIndex()
 	n := ix.UpdateByQuery(Term("proc_name", "app"), func(d Document) bool {
-		d["flagged"] = true
+		d[FieldFilePath] = "/flagged"
 		return true
 	})
 	if n != 3 {
 		t.Fatalf("updated = %d, want 3", n)
 	}
-	if got := ix.Count(Term("flagged", true)); got != 3 {
+	if got := ix.Count(Term(FieldFilePath, "/flagged")); got != 3 {
 		t.Fatalf("flagged count = %d", got)
 	}
 }
 
 func TestStoreIndexLifecycle(t *testing.T) {
 	s := memStore(t)
-	if err := s.Bulk(context.Background(), "run1", docFixture()); err != nil {
+	if err := s.BulkEvents(context.Background(), "run1", docFixture()); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
 	if got := s.Indices(); len(got) != 1 || got[0] != "run1" {
@@ -312,7 +326,7 @@ func TestEventDocOmitsZeroFields(t *testing.T) {
 func TestCorrelateFilePaths(t *testing.T) {
 	ix := newFixtureIndex()
 	// Add a tagged event whose open was never captured (unresolvable tag).
-	ix.Add(Document{"session": "s1", "syscall": "read", "file_tag": "1 99 1", "ret_val": int64(5)})
+	ix.AddEvents(docEvents(Document{"session": "s1", "syscall": "read", "file_tag": "1 99 1", "ret_val": int64(5)}))
 
 	res := CorrelateFilePaths(ix, "s1")
 	if res.TagsResolved != 1 {

@@ -14,7 +14,7 @@ import (
 // update-by-query loop — the contention pattern of the real pipeline, where
 // drain workers bulk-index while dashboards query and the correlation
 // algorithm rewrites documents. Run under -race; the invariants are:
-// no lost documents, globally unique doc ids, and consistent totals.
+// no lost documents and consistent totals.
 func TestConcurrentStress(t *testing.T) {
 	const (
 		writers       = 4
@@ -27,7 +27,7 @@ func TestConcurrentStress(t *testing.T) {
 	mkdoc := func(writer, i int) Document {
 		return Document{
 			"session":       "stress",
-			"writer":        fmt.Sprintf("w%d", writer),
+			"thread_name":   fmt.Sprintf("w%d", writer),
 			"syscall":       syscalls[i%len(syscalls)],
 			"time_enter_ns": int64(i) * 1000,
 			"duration_ns":   float64(i%97) + 1,
@@ -37,29 +37,18 @@ func TestConcurrentStress(t *testing.T) {
 	var (
 		writeWG, readWG sync.WaitGroup
 		done            atomic.Bool
-		idMu            sync.Mutex
-		seenIDs         []int
 	)
 
-	// Half the writers index one document at a time and record the returned
-	// global ids; the other half go through AddBulk like the tracer does.
+	// Half the writers index one event at a time; the other half batch like
+	// the tracer does.
 	for w := 0; w < writers; w++ {
 		writeWG.Add(1)
 		go func(w int) {
 			defer writeWG.Done()
 			if w%2 == 0 {
-				var local []int
 				for i := 0; i < docsPerWriter; i++ {
-					id, err := ix.Add(mkdoc(w, i))
-					if err != nil {
-						t.Errorf("add: %v", err)
-						return
-					}
-					local = append(local, id)
+					ix.AddEvents(docEvents(mkdoc(w, i)))
 				}
-				idMu.Lock()
-				seenIDs = append(seenIDs, local...)
-				idMu.Unlock()
 				return
 			}
 			for i := 0; i < docsPerWriter; i += batch {
@@ -71,7 +60,7 @@ func TestConcurrentStress(t *testing.T) {
 				for j := i; j < end; j++ {
 					docs = append(docs, mkdoc(w, j))
 				}
-				ix.AddBulk(docs)
+				ix.AddEvents(docEvents(docs...))
 			}
 		}(w)
 	}
@@ -89,7 +78,7 @@ func TestConcurrentStress(t *testing.T) {
 					Sort:  []SortField{{Field: "time_enter_ns", Desc: true}},
 					Size:  10,
 					Aggs: map[string]Agg{
-						"by_writer": {Terms: &TermsAgg{Field: "writer"}},
+						"by_writer": {Terms: &TermsAgg{Field: "thread_name"}},
 						"lat":       {Stats: &StatsAgg{Field: "duration_ns"}},
 					},
 				})
@@ -119,10 +108,10 @@ func TestConcurrentStress(t *testing.T) {
 		for !done.Load() {
 			var flagged atomic.Int64
 			ix.UpdateByQuery(Term("syscall", "fsync"), func(d Document) bool {
-				if d["flag"] == "y" {
+				if d[FieldFilePath] == "y" {
 					return false
 				}
-				d["flag"] = "y"
+				d[FieldFilePath] = "y"
 				flagged.Add(1)
 				return true
 			})
@@ -142,23 +131,9 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatalf("match_all total=%d hits=%d, want %d", resp.Total, len(resp.Hits), total)
 	}
 
-	// Ids returned by Add are unique and within the dense global range.
-	idMu.Lock()
-	defer idMu.Unlock()
-	unique := make(map[int]struct{}, len(seenIDs))
-	for _, id := range seenIDs {
-		if id < 0 || id >= total {
-			t.Fatalf("id %d out of range [0,%d)", id, total)
-		}
-		if _, dup := unique[id]; dup {
-			t.Fatalf("duplicate doc id %d", id)
-		}
-		unique[id] = struct{}{}
-	}
-
 	// No lost docs: every writer's documents are all present.
 	for w := 0; w < writers; w++ {
-		if n := ix.Count(Term("writer", fmt.Sprintf("w%d", w))); n != docsPerWriter {
+		if n := ix.Count(Term("thread_name", fmt.Sprintf("w%d", w))); n != docsPerWriter {
 			t.Fatalf("writer %d count = %d, want %d", w, n, docsPerWriter)
 		}
 	}
@@ -166,13 +141,13 @@ func TestConcurrentStress(t *testing.T) {
 	// A final quiescent update pass flags every fsync doc exactly once more
 	// or not at all; afterwards flag coverage equals the fsync population.
 	ix.UpdateByQuery(Term("syscall", "fsync"), func(d Document) bool {
-		if d["flag"] == "y" {
+		if d[FieldFilePath] == "y" {
 			return false
 		}
-		d["flag"] = "y"
+		d[FieldFilePath] = "y"
 		return true
 	})
-	if nf, ns := ix.Count(Exists("flag")), ix.Count(Term("syscall", "fsync")); nf != ns {
+	if nf, ns := ix.Count(Exists(FieldFilePath)), ix.Count(Term("syscall", "fsync")); nf != ns {
 		t.Fatalf("flagged %d docs, fsync population %d", nf, ns)
 	}
 }
@@ -202,33 +177,33 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 			"proc_name":     procs[rng.Intn(len(procs))],
 			"time_enter_ns": int64(rng.Intn(5_000_000)),
 		}
-		if rng.Intn(10) > 0 { // ~10% of docs miss the numeric field
-			d["duration_ns"] = float64(rng.Intn(100_000))
+		if rng.Intn(10) > 0 { // ~10% of rows miss the optional numeric field
+			d["count"] = float64(rng.Intn(100_000))
 		}
 		if rng.Intn(4) == 0 {
-			d["file_tag"] = fmt.Sprintf("dev1:ino%d", rng.Intn(50))
+			d["file_tag"] = fmt.Sprintf("1 %d 7", rng.Intn(50))
 		}
 		docs = append(docs, d)
 	}
-	ix.AddBulk(docs)
+	ix.AddEvents(docEvents(docs...))
 
 	reqs := []SearchRequest{
 		{Query: MatchAll(), Size: -1},
 		{Query: Term("syscall", "write"), Size: -1},
 		{Query: Terms("syscall", "read", "write"), Size: 25, From: 10},
-		{Query: RangeBetween("duration_ns", 1000, 60000), Size: -1},
-		{Query: Prefix("file_tag", "dev1:ino1"), Size: -1},
+		{Query: RangeBetween("count", 1000, 60000), Size: -1},
+		{Query: Prefix("file_tag", "1 1"), Size: -1},
 		{Query: Exists("file_tag"), Size: 50},
 		{Query: Must(Term("session", "s1"), Term("syscall", "read"), RangeGTE("time_enter_ns", 1_000_000)), Size: -1},
 		{Query: MustNot(Term("proc_name", "rocksdb")), Size: 40, From: 5},
 		{
 			Query: Term("session", "s2"),
-			Sort:  []SortField{{Field: "duration_ns", Desc: true}, {Field: "time_enter_ns"}},
+			Sort:  []SortField{{Field: "count", Desc: true}, {Field: "time_enter_ns"}},
 			Size:  17,
 		},
 		{
 			Query: Term("session", "s0"),
-			Sort:  []SortField{{Field: "duration_ns"}}, // ties resolve by insertion order
+			Sort:  []SortField{{Field: "count"}}, // ties resolve by insertion order
 			Size:  -1,
 		},
 		{
@@ -244,18 +219,18 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 				"by_proc": {Terms: &TermsAgg{Field: "proc_name", Size: 2}},
 				"hist": {
 					DateHistogram: &DateHistogramAgg{Field: "time_enter_ns", IntervalNS: 500_000},
-					Aggs:          map[string]Agg{"lat": {Stats: &StatsAgg{Field: "duration_ns"}}},
+					Aggs:          map[string]Agg{"lat": {Stats: &StatsAgg{Field: "count"}}},
 				},
-				"pcts":  {Percentiles: &PercentilesAgg{Field: "duration_ns", Percents: []float64{50, 90, 99}}},
-				"stats": {Stats: &StatsAgg{Field: "duration_ns"}},
+				"pcts":  {Percentiles: &PercentilesAgg{Field: "count", Percents: []float64{50, 90, 99}}},
+				"stats": {Stats: &StatsAgg{Field: "count"}},
 			},
 		},
 		{
-			Query: Exists("duration_ns"),
+			Query: Exists("count"),
 			Aggs: map[string]Agg{
 				"by_sys": {
 					Terms: &TermsAgg{Field: "syscall"},
-					Aggs:  map[string]Agg{"p": {Percentiles: &PercentilesAgg{Field: "duration_ns"}}},
+					Aggs:  map[string]Agg{"p": {Percentiles: &PercentilesAgg{Field: "count"}}},
 				},
 			},
 			Size: -1,
@@ -289,13 +264,13 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 	// matched beforehand, and the rewritten state searches identically.
 	wantN := oracleCount(ix, Exists("file_tag"))
 	gotN := ix.UpdateByQuery(Exists("file_tag"), func(d Document) bool {
-		d["resolved"] = true
+		d[FieldFilePath] = "/resolved"
 		return true
 	})
 	if gotN != wantN {
 		t.Fatalf("update count: sharded %d, oracle %d", gotN, wantN)
 	}
-	resolved := SearchRequest{Query: Exists("resolved"), Size: -1}
+	resolved := SearchRequest{Query: Exists(FieldFilePath), Size: -1}
 	a, b := ix.Search(resolved), oracleSearch(ix, resolved)
 	if a.Total != wantN || !reflect.DeepEqual(a, b) {
 		t.Fatalf("post-update responses diverge: %d vs %d hits, want %d", len(a.Hits), len(b.Hits), wantN)

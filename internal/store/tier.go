@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"path/filepath"
 	"sort"
@@ -108,18 +107,12 @@ func timeBounds(q Query) (int64, int64) {
 	}
 }
 
-// segMayMatch reports whether a segment can hold a row inside [minT, maxT].
-// An empty range (MinTime > MaxTime) means no row carries a numeric time —
-// and a derived bound implies a required numeric clause on time_enter_ns,
-// which an untimed row can never satisfy, so the segment is safely pruned.
-// The stamped range is widened by ±1 before the overlap test: generic
-// document times are stamped truncated, so a row's actual (possibly
-// fractional) time lies strictly within one unit of its stamp.
+// segMayMatch reports whether a segment can hold a row inside [minT, maxT]:
+// its stamped time_enter_ns range (exact — every row is an event with an
+// integer time) overlaps the window. An empty range (MinTime > MaxTime, a
+// segment with no rows) never does.
 func segMayMatch(sm durable.SegmentMeta, minT, maxT int64) bool {
-	if sm.MinTime > sm.MaxTime {
-		return false
-	}
-	return satDec(sm.MinTime) <= maxT && satInc(sm.MaxTime) >= minT
+	return sm.MinTime <= sm.MaxTime && sm.Overlaps(minT, maxT)
 }
 
 // coldSegment is one opened segment: its rows loaded into a transient
@@ -134,27 +127,15 @@ type coldSegment struct {
 // substituting pending-overlay rewrites (by absolute gid) at decode time so
 // cold reads observe post-flush update-by-query effects. Rollups are
 // disabled on the transient shard (base 0); columns build on demand.
-func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]Document) (*coldSegment, error) {
+func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.Event) (*coldSegment, error) {
 	cs := &coldSegment{sh: newShard(0), gids: make([]int, 0, sm.Rows)}
 	path := filepath.Join(ix.dur.dir, durable.SegmentName(sm.Seq))
-	_, err := durable.ReadSegment(path, func(gid int, ev *event.Event, doc []byte) error {
+	err := readSegmentEvents(path, func(gid int, ev *event.Event) error {
 		abs := int(sm.StartRow) + gid
-		if d2, ok := overlay[abs]; ok {
-			if ev != nil {
-				e := DocToEvent(d2)
-				cs.sh.addEventLocked(&e)
-			} else {
-				cs.sh.addLocked(d2)
-			}
-		} else if ev != nil {
-			cs.sh.addEventLocked(ev)
-		} else {
-			var d2 Document
-			if derr := decodeGob(doc, &d2); derr != nil {
-				return fmt.Errorf("cold row gid %d: %w", abs, derr)
-			}
-			cs.sh.addLocked(d2)
+		if e, ok := overlay[abs]; ok {
+			ev = &e
 		}
+		cs.sh.addEventLocked(ev)
 		cs.gids = append(cs.gids, abs)
 		return nil
 	})
@@ -256,7 +237,7 @@ func (ix *Index) coldCount(ctx context.Context, q Query) (int, error) {
 		cs.sh.ensureColumns(cols)
 		cs.sh.mu.RLock()
 		if q.matchesAll() {
-			n += len(cs.sh.docs)
+			n += len(cs.sh.events)
 		} else {
 			n += len(cs.sh.matchIDs(q))
 		}

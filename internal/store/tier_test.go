@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
@@ -39,7 +40,7 @@ func ingestRoundNoUBQ(t *testing.T, st *Store, round int) {
 	if err := st.BulkEvents(ctx, crashIndex, crashEvents(round)); err != nil {
 		t.Fatalf("round %d: bulk events: %v", round, err)
 	}
-	if err := st.Bulk(ctx, crashIndex, crashDocs(round)); err != nil {
+	if err := st.BulkEvents(ctx, crashIndex, crashDocs(round)); err != nil {
 		t.Fatalf("round %d: bulk docs: %v", round, err)
 	}
 }
@@ -639,17 +640,17 @@ func TestCursorPagingAcrossCompaction(t *testing.T) {
 	}
 }
 
-// retentionDocs builds batchSize documents stamped at the given time.
-func retentionDocs(at int64, batch int, tag string) []Document {
-	docs := make([]Document, 0, batch)
+// retentionDocs builds batch events stamped at the given time, tagged by
+// thread name.
+func retentionDocs(at int64, batch int, tag string) []event.Event {
+	evs := make([]event.Event, 0, batch)
 	for i := 0; i < batch; i++ {
-		docs = append(docs, Document{
-			FieldSession: "exp", FieldSyscall: "read",
-			FieldRetVal: int64(i), FieldTimeEnter: at + int64(i),
-			"batch_tag": tag,
+		evs = append(evs, event.Event{
+			Session: "exp", Syscall: "read", ThreadName: tag,
+			RetVal: int64(i), TimeEnterNS: at + int64(i),
 		})
 	}
-	return docs
+	return evs
 }
 
 // TestCursorExpiredAfterRetention: an unsorted search_after cursor that
@@ -664,13 +665,13 @@ func TestCursorExpiredAfterRetention(t *testing.T) {
 	ctx := context.Background()
 	now := time.Now().UnixNano()
 	stale := now - 2*int64(time.Hour)
-	if err := st.Bulk(ctx, crashIndex, retentionDocs(stale, 12, "old")); err != nil {
+	if err := st.BulkEvents(ctx, crashIndex, retentionDocs(stale, 12, "old")); err != nil {
 		t.Fatalf("bulk old: %v", err)
 	}
 	if err := st.Snapshot(); err != nil {
 		t.Fatalf("snapshot old: %v", err)
 	}
-	if err := st.Bulk(ctx, crashIndex, retentionDocs(now, 12, "new")); err != nil {
+	if err := st.BulkEvents(ctx, crashIndex, retentionDocs(now, 12, "new")); err != nil {
 		t.Fatalf("bulk new: %v", err)
 	}
 	if err := st.Snapshot(); err != nil {
@@ -755,14 +756,14 @@ func TestQueryCacheRetentionDifferential(t *testing.T) {
 	ctx := context.Background()
 	now := time.Now().UnixNano()
 	stale := now - 2*int64(time.Hour)
-	if err := st.Bulk(ctx, crashIndex, retentionDocs(stale, 12, "old")); err != nil {
+	if err := st.BulkEvents(ctx, crashIndex, retentionDocs(stale, 12, "old")); err != nil {
 		t.Fatalf("bulk old: %v", err)
 	}
 	if err := st.Snapshot(); err != nil {
 		t.Fatalf("snapshot old: %v", err)
 	}
 	fresh := retentionDocs(now, 12, "new")
-	if err := st.Bulk(ctx, crashIndex, fresh); err != nil {
+	if err := st.BulkEvents(ctx, crashIndex, fresh); err != nil {
 		t.Fatalf("bulk new: %v", err)
 	}
 	if err := st.Snapshot(); err != nil {
@@ -803,7 +804,7 @@ func TestQueryCacheRetentionDifferential(t *testing.T) {
 	}
 	// The differential oracle: a fresh store holding only the surviving rows.
 	ctrl := memStore(t)
-	if err := ctrl.Bulk(ctx, crashIndex, retentionDocs(now, 12, "new")); err != nil {
+	if err := ctrl.BulkEvents(ctx, crashIndex, retentionDocs(now, 12, "new")); err != nil {
 		t.Fatalf("control bulk: %v", err)
 	}
 	want, err := ctrl.Search(ctx, crashIndex, req)
@@ -836,7 +837,7 @@ func TestRetentionBoundsMemory(t *testing.T) {
 	stale := now - 2*int64(time.Hour)
 	const cycles, batch = 25, 200
 	for c := 0; c < cycles; c++ {
-		if err := st.Bulk(ctx, crashIndex, retentionDocs(stale+int64(c), batch, fmt.Sprintf("c%d", c))); err != nil {
+		if err := st.BulkEvents(ctx, crashIndex, retentionDocs(stale+int64(c), batch, fmt.Sprintf("c%d", c))); err != nil {
 			t.Fatalf("cycle %d: bulk: %v", c, err)
 		}
 		if err := st.Snapshot(); err != nil {
@@ -865,7 +866,7 @@ func TestRetentionBoundsMemory(t *testing.T) {
 		t.Fatalf("retention floor = %d, want %d", dropped, cycles*batch)
 	}
 	// The store keeps working: a live batch is fully visible.
-	if err := st.Bulk(ctx, crashIndex, retentionDocs(now, batch, "live")); err != nil {
+	if err := st.BulkEvents(ctx, crashIndex, retentionDocs(now, batch, "live")); err != nil {
 		t.Fatalf("live bulk: %v", err)
 	}
 	if n, err := st.Count(ctx, crashIndex, MatchAll()); err != nil || n != batch {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,7 +17,7 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
-// eventFixture mirrors docFixture as typed events (DurationNS is derived
+// eventFixture mirrors docFixture as event literals (DurationNS is derived
 // from the timestamps rather than stored, so exit = enter + duration).
 func eventFixture() []event.Event {
 	return []event.Event{
@@ -34,71 +35,6 @@ func eventFixture() []event.Event {
 			FileTag: event.FileTag{Dev: 1, Ino: 12, BirthNS: 5}, Offset: 26, HasOffset: true},
 		{Session: "s2", Syscall: "unlink", ProcName: "app", ThreadName: "app", RetVal: 0,
 			TimeEnterNS: 500, TimeExitNS: 550, ArgPath: "/tmp/a"},
-	}
-}
-
-// TestTypedDocParity ingests the same data typed and as documents and checks
-// that every query class answers identically over both representations.
-func TestTypedDocParity(t *testing.T) {
-	typed := NewIndex("typed")
-	typed.AddEvents(eventFixture())
-	docs := NewIndex("docs")
-	docs.AddBulk(docFixture())
-
-	queries := map[string]Query{
-		"term string":  Term("syscall", "read"),
-		"term numeric": Term("ret_val", 26),
-		"terms":        Terms("syscall", "openat", "unlink"),
-		"range":        RangeBetween("time_enter_ns", 200, 400),
-		"prefix":       Prefix("kernel_path", "/tmp"),
-		"exists":       Exists("file_tag"),
-		"bool": Must(
-			Term("session", "s1"),
-			Term("proc_name", "fluent-bit"),
-		),
-		"match all": MatchAll(),
-	}
-	for name, q := range queries {
-		if got, want := typed.Count(q), docs.Count(q); got != want {
-			t.Errorf("%s: typed count %d, doc count %d", name, got, want)
-		}
-	}
-
-	// Sorted hits come back in the same order with the same field values.
-	req := SearchRequest{Query: Term("session", "s1"), Sort: []SortField{{Field: "time_enter_ns"}}}
-	tr := typed.SearchEvents(req)
-	dr := docs.Search(req)
-	if tr.Total != dr.Total || len(tr.Hits) != len(dr.Hits) {
-		t.Fatalf("totals: typed %d/%d, docs %d/%d", tr.Total, len(tr.Hits), dr.Total, len(dr.Hits))
-	}
-	for i := range tr.Hits {
-		d := DocToEvent(dr.Hits[i])
-		e := tr.Hits[i]
-		// DurationNS is a stored field on the doc side only; compare the
-		// identifying fields.
-		if e.Syscall != d.Syscall || e.TimeEnterNS != d.TimeEnterNS ||
-			e.ProcName != d.ProcName || e.RetVal != d.RetVal || e.FileTag != d.FileTag {
-			t.Errorf("hit %d: typed %+v vs doc %+v", i, e, d)
-		}
-	}
-
-	// Aggregations see the same values through both storage forms.
-	areq := SearchRequest{Query: MatchAll(), Size: 1, Aggs: map[string]Agg{
-		"by_proc": {Terms: &TermsAgg{Field: "proc_name"}},
-		"hist":    {DateHistogram: &DateHistogramAgg{Field: "time_enter_ns", IntervalNS: 200}},
-	}}
-	ta := typed.Search(areq).Aggs
-	da := docs.Search(areq).Aggs
-	for name := range areq.Aggs {
-		tb, db := ta[name].Buckets, da[name].Buckets
-		if len(tb) != len(db) {
-			t.Fatalf("agg %s: %d vs %d buckets", name, len(tb), len(db))
-		}
-		for i := range tb {
-			if tb[i].Key != db[i].Key || tb[i].KeyNum != db[i].KeyNum || tb[i].Count != db[i].Count {
-				t.Errorf("agg %s bucket %d: typed %+v vs doc %+v", name, i, tb[i], db[i])
-			}
-		}
 	}
 }
 
@@ -208,8 +144,7 @@ func TestLegacyServerSilentDrop(t *testing.T) {
 // binary", resend as NDJSON within the same call, and latch the downgrade —
 // otherwise the shipper classifies the 400 permanent and drops the batch.
 func TestLegacyNDJSONScannerFallback(t *testing.T) {
-	st := memStore(t)
-	real := NewServer(st)
+	real := NewServer(memStore(t))
 	var rejected atomic.Int32
 	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		parts := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
@@ -217,10 +152,14 @@ func TestLegacyNDJSONScannerFallback(t *testing.T) {
 			real.ServeHTTP(w, r)
 			return
 		}
-		// The pre-binary handleBulk, verbatim: every body is NDJSON.
-		sc := bufio.NewScanner(r.Body)
+		// The pre-binary handleBulk's scan, verbatim: every body is NDJSON.
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "read body: %v", err)
+			return
+		}
+		sc := bufio.NewScanner(bytes.NewReader(body))
 		sc.Buffer(make([]byte, 64*1024), 8*1024*1024)
-		var docs []Document
 		expectDoc := false
 		for sc.Scan() {
 			line := strings.TrimSpace(sc.Text())
@@ -237,18 +176,11 @@ func TestLegacyNDJSONScannerFallback(t *testing.T) {
 				httpError(w, http.StatusBadRequest, "bad document: %v", err)
 				return
 			}
-			docs = append(docs, d)
 			expectDoc = false
 		}
-		if err := sc.Err(); err != nil {
-			httpError(w, http.StatusBadRequest, "read body: %v", err)
-			return
-		}
-		if err := st.Bulk(context.Background(), parts[0], docs); err != nil {
-			httpError(w, http.StatusInternalServerError, "bulk: %v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"items": len(docs)})
+		// What the old scanner accepted lands on today's edge decoder.
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		real.ServeHTTP(w, r)
 	})
 	hs := httptest.NewServer(legacy)
 	t.Cleanup(hs.Close)
@@ -318,9 +250,9 @@ func TestBulkEventsEarlyResponseNoRace(t *testing.T) {
 // TestEmptyStringPresenceParity pins the document-view presence contract on
 // the always-stored string fields: EventToDoc writes session, syscall,
 // class, proc_name, and thread_name even when empty, so a Term query for ""
-// (and Exists) must answer identically whether the same rows were ingested
-// typed or as documents — across the postings fast path, the typed scan,
-// and the brute-force oracle over either representation.
+// (and Exists) must answer over the stored events — through the postings
+// fast path, the scan, and the brute-force oracle — exactly as the query
+// evaluates over the document views themselves.
 func TestEmptyStringPresenceParity(t *testing.T) {
 	events := eventFixture() // Class is empty on every fixture event
 	events[2].ThreadName = ""
@@ -330,8 +262,6 @@ func TestEmptyStringPresenceParity(t *testing.T) {
 	}
 	typed := NewIndex("typed")
 	typed.AddEvents(events)
-	docIx := NewIndex("docs")
-	docIx.AddBulk(docs)
 
 	queries := map[string]Query{
 		"empty class term":  Term("class", ""),
@@ -342,15 +272,17 @@ func TestEmptyStringPresenceParity(t *testing.T) {
 		"empty arg_path term": Term("arg_path", ""),
 	}
 	for name, q := range queries {
-		want := docIx.Count(q)
+		want := 0
+		for _, d := range docs {
+			if q.Matches(d) {
+				want++
+			}
+		}
 		if got := typed.Count(q); got != want {
-			t.Errorf("%s: typed %d, document %d", name, got, want)
+			t.Errorf("%s: index %d, document views %d", name, got, want)
 		}
 		if got := oracleCount(typed, q); got != want {
-			t.Errorf("%s: oracle over typed rows %d, document %d", name, got, want)
-		}
-		if got := oracleCount(docIx, q); got != want {
-			t.Errorf("%s: oracle over generic rows %d, document %d", name, got, want)
+			t.Errorf("%s: oracle %d, document views %d", name, got, want)
 		}
 	}
 
@@ -398,18 +330,18 @@ func TestBinaryPathLandsTyped(t *testing.T) {
 }
 
 // TestBulkBufferReuse asserts the client's NDJSON encode buffer comes from
-// the pool after warm-up: repeated sequential Bulk calls must not grow the
+// the pool after warm-up: repeated sequential NDJSON bulks must not grow the
 // pool's miss counter.
 func TestBulkBufferReuse(t *testing.T) {
 	_, c := newTestServerClient(t)
 	docs := docFixture()
-	if err := c.Bulk(context.Background(), "run1", docs); err != nil {
+	if err := c.bulkEventsNDJSON(context.Background(), "run1", docs); err != nil {
 		t.Fatalf("warm-up bulk: %v", err)
 	}
 	const calls = 32
 	misses := bulkBufNews.Load()
 	for i := 0; i < calls; i++ {
-		if err := c.Bulk(context.Background(), "run1", docs); err != nil {
+		if err := c.bulkEventsNDJSON(context.Background(), "run1", docs); err != nil {
 			t.Fatalf("bulk %d: %v", i, err)
 		}
 	}
@@ -425,25 +357,19 @@ func TestBulkBufferReuse(t *testing.T) {
 
 // TestRangeEdgeDifferential cross-checks every range evaluation path on
 // GT/LT/GTE/LTE edge equality: the shared contains helper (document
-// matching), the columnar rangeScan path, and the brute-force oracle over
-// typed rows must agree for every combination of bounds anchored on stored
-// values.
+// matching), the columnar rangeScan path, and the brute-force oracle must
+// agree for every combination of bounds anchored on stored values.
 func TestRangeEdgeDifferential(t *testing.T) {
 	vals := []int64{-5, 0, 10, 20, 20, 30, 40}
 	var docs []Document
 	var events []event.Event
 	for i, v := range vals {
-		docs = append(docs, Document{
-			"session": "s", "syscall": "read", "proc_name": "p", "thread_name": "t",
-			"ret_val": v, "time_enter_ns": int64(i),
-		})
 		events = append(events, event.Event{
 			Session: "s", Syscall: "read", ProcName: "p", ThreadName: "t",
 			RetVal: v, TimeEnterNS: int64(i), TimeExitNS: int64(i) + 1,
 		})
+		docs = append(docs, EventToDoc(&events[i]))
 	}
-	docIx := NewIndex("docs")
-	docIx.AddBulk(docs)
 	typedIx := NewIndex("typed")
 	typedIx.AddEvents(events)
 
@@ -460,14 +386,11 @@ func TestRangeEdgeDifferential(t *testing.T) {
 				want++
 			}
 		}
-		if got := docIx.Count(q); got != want {
+		if got := typedIx.Count(q); got != want {
 			t.Errorf("%s: column path %d, brute force %d", name, got, want)
 		}
-		if got := typedIx.Count(q); got != want {
-			t.Errorf("%s: typed path %d, brute force %d", name, got, want)
-		}
 		if got := oracleCount(typedIx, q); got != want {
-			t.Errorf("%s: oracle over typed rows %d, brute force %d", name, got, want)
+			t.Errorf("%s: oracle %d, brute force %d", name, got, want)
 		}
 	}
 	for _, b := range bounds {

@@ -19,11 +19,11 @@ func TestV1AndLegacyRoutesServeSameStore(t *testing.T) {
 	legacy := NewClient(srv.URL)
 	ctx := context.Background()
 
-	// Write typed events through /v1, generic docs through the legacy paths.
+	// Write binary frames through /v1, NDJSON through the legacy paths.
 	if err := v1.BulkEvents(ctx, "compat", eventFixture()); err != nil {
 		t.Fatalf("v1 bulk events: %v", err)
 	}
-	if err := legacy.Bulk(ctx, "compat", docFixture()); err != nil {
+	if err := legacy.bulkEventsNDJSON(ctx, "compat", docFixture()); err != nil {
 		t.Fatalf("legacy bulk: %v", err)
 	}
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dsrhaslab/dio-go/internal/store"
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 func TestHeatmapFromTimeSeries(t *testing.T) {
@@ -72,10 +72,10 @@ func TestHTMLDashboard(t *testing.T) {
 
 func TestHTMLDashboardEscapesContent(t *testing.T) {
 	st := fixtureBackend(t)
-	// Inject a document with markup in a field.
-	err := st.Bulk(context.Background(), "events", []store.Document{{
-		"session": "s", "syscall": "<script>alert(1)</script>", "proc_name": "evil",
-		"time_enter_ns": int64(5000),
+	// Inject an event with markup in a field.
+	err := st.BulkEvents(context.Background(), "events", []event.Event{{
+		Session: "s", Syscall: "<script>alert(1)</script>", ProcName: "evil",
+		TimeEnterNS: 5000,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/metrics"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
@@ -110,18 +111,16 @@ func TestGroupDigits(t *testing.T) {
 func fixtureBackend(t *testing.T) store.Backend {
 	t.Helper()
 	st := memStore(t)
-	docs := []store.Document{
-		{"session": "s", "syscall": "openat", "proc_name": "app", "thread_name": "app",
-			"ret_val": int64(3), "time_enter_ns": int64(1000), "file_tag": "7340032 12 99",
-			"kernel_path": "/tmp/app.log", "has_offset": false},
-		{"session": "s", "syscall": "write", "proc_name": "app", "thread_name": "app",
-			"ret_val": int64(26), "time_enter_ns": int64(2000), "file_tag": "7340032 12 99",
-			"offset": int64(0), "has_offset": true},
-		{"session": "s", "syscall": "read", "proc_name": "fluent-bit", "thread_name": "flb-pipeline",
-			"ret_val": int64(0), "time_enter_ns": int64(3000), "file_tag": "7340032 12 99",
-			"offset": int64(26), "has_offset": true},
+	tag := event.FileTag{Dev: 7340032, Ino: 12, BirthNS: 99}
+	evs := []event.Event{
+		{Session: "s", Syscall: "openat", ProcName: "app", ThreadName: "app",
+			RetVal: 3, TimeEnterNS: 1000, FileTag: tag, KernelPath: "/tmp/app.log"},
+		{Session: "s", Syscall: "write", ProcName: "app", ThreadName: "app",
+			RetVal: 26, TimeEnterNS: 2000, FileTag: tag, HasOffset: true},
+		{Session: "s", Syscall: "read", ProcName: "fluent-bit", ThreadName: "flb-pipeline",
+			RetVal: 0, TimeEnterNS: 3000, FileTag: tag, Offset: 26, HasOffset: true},
 	}
-	if err := st.Bulk(context.Background(), "events", docs); err != nil {
+	if err := st.BulkEvents(context.Background(), "events", evs); err != nil {
 		t.Fatal(err)
 	}
 	return st
