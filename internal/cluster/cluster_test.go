@@ -264,6 +264,40 @@ func differentialRequests() map[string]store.SearchRequest {
 				},
 			},
 		}},
+		// The Fig. 4 timeline: histogram buckets split by thread name.
+		"aggs_timeline": {Query: store.Term(store.FieldSession, "run-1"), Size: 1, Aggs: map[string]store.Agg{
+			"timeline": {
+				DateHistogram: &store.DateHistogramAgg{Field: store.FieldTimeEnter, IntervalNS: 10_000_000},
+				Aggs: map[string]store.Agg{
+					"by_thread": {Terms: &store.TermsAgg{Field: store.FieldThreadName}},
+				},
+			},
+		}},
+		// Two levels, with Size truncation on the parent: the top processes
+		// are chosen after the cross-partition merge, then split over time.
+		"aggs_two_level": {Query: store.MatchAll(), Size: 1, Aggs: map[string]store.Agg{
+			"top_procs": {
+				Terms: &store.TermsAgg{Field: store.FieldProcName, Size: 3},
+				Aggs: map[string]store.Agg{
+					"over_time": {
+						DateHistogram: &store.DateHistogramAgg{Field: store.FieldTimeEnter, IntervalNS: 10_000_000},
+						Aggs: map[string]store.Agg{
+							"ret":  {Stats: &store.StatsAgg{Field: store.FieldRetVal}},
+							"size": {Percentiles: &store.PercentilesAgg{Field: store.FieldCount}},
+						},
+					},
+				},
+			},
+		}},
+		// Percentiles over zero numeric values (loader rows carry no count),
+		// top-level and nested: no percentiles, and a body JSON can carry.
+		"aggs_empty_percentiles": {Query: store.Term(store.FieldProcName, "loader"), Size: 1, Aggs: map[string]store.Agg{
+			"size": {Percentiles: &store.PercentilesAgg{Field: store.FieldCount}},
+			"by_sys": {
+				Terms: &store.TermsAgg{Field: store.FieldSyscall},
+				Aggs:  map[string]store.Agg{"size": {Percentiles: &store.PercentilesAgg{Field: store.FieldCount}}},
+			},
+		}},
 	}
 }
 

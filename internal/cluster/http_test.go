@@ -155,6 +155,11 @@ func TestClusterHTTPTransparency(t *testing.T) {
 		if !bytes.Equal(sbody, cbody) {
 			t.Fatalf("%s: HTTP bodies diverged\nsingle:  %s\ncluster: %s", name, sbody, cbody)
 		}
+		// Two empty bodies are equal too: a 200 must carry the response.
+		var decoded store.SearchResponse
+		if err := json.Unmarshal(cbody, &decoded); err != nil {
+			t.Fatalf("%s: 200 with an undecodable body %q: %v", name, cbody, err)
+		}
 	}
 
 	// The ordinary client decodes a coordinator response transparently.

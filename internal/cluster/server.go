@@ -239,10 +239,17 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// writeJSON encodes before the status goes out, so a value JSON cannot carry
+// is a typed 500 instead of the promised status over an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

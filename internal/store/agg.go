@@ -67,65 +67,26 @@ type AggResult struct {
 	Stats       *StatsResult       `json:"stats,omitempty"`
 }
 
-// apply runs the aggregation over the matched documents.
-func (a Agg) apply(docs []Document) AggResult {
-	switch {
-	case a.Terms != nil:
-		return a.applyTerms(docs)
-	case a.DateHistogram != nil:
-		return a.applyDateHistogram(docs)
-	case a.Percentiles != nil:
-		return applyPercentiles(docs, a.Percentiles)
-	case a.Stats != nil:
-		return applyStats(docs, a.Stats)
-	default:
-		return AggResult{}
-	}
-}
-
-func (a Agg) applySubs(docs []Document) map[string]AggResult {
+// finalizeSubs finalizes one bucket's sub-aggregation partials. A sub no
+// stripe contributed to finalizes as the empty partial, so every bucket
+// carries every sub-aggregation name.
+func (a Agg) finalizeSubs(subs map[string]*AggPartial) map[string]AggResult {
 	if len(a.Aggs) == 0 {
 		return nil
 	}
 	out := make(map[string]AggResult, len(a.Aggs))
 	for name, sub := range a.Aggs {
-		out[name] = sub.apply(docs)
+		out[name] = finalizePartial(sub, subs[name])
 	}
 	return out
 }
 
-func (a Agg) applyTerms(docs []Document) AggResult {
-	groups := make(map[string][]Document)
-	for _, d := range docs {
-		k := keyString(d[a.Terms.Field])
-		groups[k] = append(groups[k], d)
-	}
-	return a.finalizeTerms(groups)
-}
-
-// finalizeTerms turns (possibly merged) term groups into ordered, truncated
-// buckets with sub-aggregations.
-func (a Agg) finalizeTerms(groups map[string][]Document) AggResult {
-	buckets := make([]Bucket, 0, len(groups))
-	for k, g := range groups {
-		buckets = append(buckets, Bucket{Key: k, Count: len(g), Sub: a.applySubs(g)})
-	}
-	sort.Slice(buckets, func(i, j int) bool {
-		if buckets[i].Count != buckets[j].Count {
-			return buckets[i].Count > buckets[j].Count
-		}
-		return buckets[i].Key < buckets[j].Key
-	})
-	if a.Terms.Size > 0 && len(buckets) > a.Terms.Size {
-		buckets = buckets[:a.Terms.Size]
-	}
-	return AggResult{Buckets: buckets}
-}
-
-// finalizeTermCounts is finalizeTerms for count-only partials (no sub-aggs).
-func (a Agg) finalizeTermCounts(counts map[string]int) AggResult {
-	buckets := make([]Bucket, 0, len(counts))
-	for k, n := range counts {
+// finalizeTermCounts turns fully-combined term counts into buckets ordered by
+// descending count then key and truncated to Size; sub-aggregations finalize
+// for the surviving buckets only.
+func (a Agg) finalizeTermCounts(p *AggPartial) AggResult {
+	buckets := make([]Bucket, 0, len(p.TermCounts))
+	for k, n := range p.TermCounts {
 		buckets = append(buckets, Bucket{Key: k, Count: n})
 	}
 	sort.Slice(buckets, func(i, j int) bool {
@@ -137,79 +98,40 @@ func (a Agg) finalizeTermCounts(counts map[string]int) AggResult {
 	if a.Terms.Size > 0 && len(buckets) > a.Terms.Size {
 		buckets = buckets[:a.Terms.Size]
 	}
+	for i := range buckets {
+		buckets[i].Sub = a.finalizeSubs(p.Subs[buckets[i].Key])
+	}
 	return AggResult{Buckets: buckets}
 }
 
-// finalizeHistCounts is finalizeHistogram for count-only partials.
-func (a Agg) finalizeHistCounts(counts map[int64]int) AggResult {
-	keys := make([]int64, 0, len(counts))
-	for k := range counts {
+// finalizeHistCounts turns fully-combined interval counts into buckets in
+// ascending key order.
+func (a Agg) finalizeHistCounts(p *AggPartial) AggResult {
+	keys := make([]int64, 0, len(p.HistCounts))
+	for k := range p.HistCounts {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	buckets := make([]Bucket, 0, len(keys))
 	for _, k := range keys {
+		key := strconv.FormatInt(k, 10)
 		buckets = append(buckets, Bucket{
-			Key:    strconv.FormatInt(k, 10),
+			Key:    key,
 			KeyNum: float64(k),
-			Count:  counts[k],
+			Count:  p.HistCounts[k],
+			Sub:    a.finalizeSubs(p.Subs[key]),
 		})
 	}
 	return AggResult{Buckets: buckets}
-}
-
-func (a Agg) applyDateHistogram(docs []Document) AggResult {
-	interval := a.DateHistogram.IntervalNS
-	if interval <= 0 {
-		interval = 1
-	}
-	groups := make(map[int64][]Document)
-	for _, d := range docs {
-		f, ok := numeric(d[a.DateHistogram.Field])
-		if !ok {
-			continue
-		}
-		b := int64(f) / interval * interval
-		groups[b] = append(groups[b], d)
-	}
-	return a.finalizeHistogram(groups)
-}
-
-// finalizeHistogram turns (possibly merged) interval groups into ordered
-// buckets with sub-aggregations.
-func (a Agg) finalizeHistogram(groups map[int64][]Document) AggResult {
-	keys := make([]int64, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buckets := make([]Bucket, 0, len(keys))
-	for _, k := range keys {
-		g := groups[k]
-		buckets = append(buckets, Bucket{
-			Key:    strconv.FormatInt(k, 10),
-			KeyNum: float64(k),
-			Count:  len(g),
-			Sub:    a.applySubs(g),
-		})
-	}
-	return AggResult{Buckets: buckets}
-}
-
-func applyPercentiles(docs []Document, p *PercentilesAgg) AggResult {
-	vals := make([]float64, 0, len(docs))
-	for _, d := range docs {
-		if f, ok := numeric(d[p.Field]); ok {
-			vals = append(vals, f)
-		}
-	}
-	sort.Float64s(vals)
-	return percentilesFromSorted(vals, p)
 }
 
 // percentilesFromSorted computes the requested percentiles of pre-sorted
-// values.
+// values. An empty value set has no percentiles (and NaN has no JSON
+// encoding), so it yields none.
 func percentilesFromSorted(sorted []float64, p *PercentilesAgg) AggResult {
+	if len(sorted) == 0 {
+		return AggResult{}
+	}
 	percents := p.Percents
 	if len(percents) == 0 {
 		percents = []float64{50, 90, 95, 99}
@@ -221,12 +143,9 @@ func percentilesFromSorted(sorted []float64, p *PercentilesAgg) AggResult {
 	return AggResult{Percentiles: out}
 }
 
-// percentileOf computes the pct-th percentile of sorted vals using the
-// nearest-rank method.
+// percentileOf computes the pct-th percentile of non-empty sorted vals using
+// the nearest-rank method.
 func percentileOf(sorted []float64, pct float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
 	if pct <= 0 {
 		return sorted[0]
 	}
@@ -240,25 +159,6 @@ func percentileOf(sorted []float64, pct float64) float64 {
 	return sorted[rank-1]
 }
 
-func applyStats(docs []Document, s *StatsAgg) AggResult {
-	res := StatsResult{Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, d := range docs {
-		f, ok := numeric(d[s.Field])
-		if !ok {
-			continue
-		}
-		res.Count++
-		res.Sum += f
-		if f < res.Min {
-			res.Min = f
-		}
-		if f > res.Max {
-			res.Max = f
-		}
-	}
-	return AggResult{Stats: finalizeStats(res)}
-}
-
 // finalizeStats computes the average and normalizes the empty accumulator.
 func finalizeStats(res StatsResult) *StatsResult {
 	if res.Count > 0 {
@@ -269,26 +169,14 @@ func finalizeStats(res StatsResult) *StatsResult {
 	return &res
 }
 
-// --- Per-shard partials and their merges ---
+// --- Per-shard partials ---
 //
-// The sharded Search computes one partialAgg per (shard, aggregation) while
-// holding only that shard's read lock, then merges the partials lock-free:
-// bucketing aggregations merge their group maps (sub-aggregations run on the
-// merged groups, so nesting stays exact), percentiles stream-merge per-shard
-// sorted value slices, and stats combine their accumulators.
-
-// partialAgg is one shard's mergeable contribution to an aggregation.
-// Bucketing aggregations without sub-aggregations carry only bucket counts;
-// document groups are materialized only when nested aggregations need to run
-// over the merged groups.
-type partialAgg struct {
-	terms      map[string][]Document // TermsAgg groups (sub-aggs present)
-	termCounts map[string]int        // TermsAgg counts (no sub-aggs)
-	hist       map[int64][]Document  // DateHistogramAgg groups (sub-aggs present)
-	histCounts map[int64]int         // DateHistogramAgg counts (no sub-aggs)
-	vals       []float64             // PercentilesAgg values, sorted
-	stats      *StatsResult          // StatsAgg raw accumulator (no Avg, ±Inf when empty)
-}
+// The sharded Search computes one AggPartial per (shard, aggregation) while
+// holding only that shard's read lock, then merges the partials lock-free
+// (merge.go). A bucketing aggregation with sub-aggregations groups the
+// matched local row ids per bucket and recurses, so every leaf of the partial
+// tree is a columnar count map, sorted value slice, or stats accumulator — no
+// row is materialized to answer an aggregation at any depth.
 
 // termCounts tallies ids by term. When the matched set is the whole shard
 // and the field is indexed, the counts are just the posting-list lengths
@@ -303,55 +191,88 @@ func (sh *shard) termCounts(t *TermsAgg, ids []int32) map[string]int {
 	}
 	counts := make(map[string]int)
 	for _, id := range ids {
-		counts[keyString(sh.val(id, t.Field))]++
+		counts[sh.termKey(id, t.Field)]++
 	}
 	return counts
 }
 
+// termKey returns row id's terms bucket key for field: keyString of the
+// document-view value, with string fields read unboxed.
+func (sh *shard) termKey(id int32, field string) string {
+	if s, ok := sh.events[id].StringField(field); ok {
+		return s
+	}
+	return keyString(sh.val(id, field))
+}
+
+// histKey returns the interval bucket of row id's field. Integral fields
+// bucket in exact int64 arithmetic, as rollup.addEvent does: float64's ulp at
+// epoch-scale nanoseconds is 256, enough to move a row across a bucket edge.
+func (sh *shard) histKey(id int32, field string, interval int64) (int64, bool) {
+	n, ok := sh.events[id].IntField(field)
+	if !ok {
+		var f float64
+		f, ok = sh.numAt(id, field)
+		n = int64(f)
+	}
+	return n / interval * interval, ok
+}
+
+// subPartials computes every sub-aggregation of a over one bucket's rows.
+func (sh *shard) subPartials(a Agg, ids []int32) map[string]*AggPartial {
+	subs := make(map[string]*AggPartial, len(a.Aggs))
+	for name, sub := range a.Aggs {
+		subs[name] = sh.partial(sub, ids)
+	}
+	return subs
+}
+
 // partial computes a's partial over the matched local ids, reading numeric
 // fields through the shard's columnar caches. Caller holds the read lock.
-func (sh *shard) partial(a Agg, ids []int32) *partialAgg {
+func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 	switch {
 	case a.Terms != nil:
 		if len(a.Aggs) == 0 {
-			return &partialAgg{termCounts: sh.termCounts(a.Terms, ids)}
+			return &AggPartial{TermCounts: sh.termCounts(a.Terms, ids)}
 		}
-		groups := make(map[string][]Document)
+		groups := make(map[string][]int32)
 		for _, id := range ids {
-			// Sub-aggregations run over merged Document groups, so rows
-			// materialize here — the one aggregation path that still needs maps.
-			d := sh.docView(id)
-			k := keyString(d[a.Terms.Field])
-			groups[k] = append(groups[k], d)
+			k := sh.termKey(id, a.Terms.Field)
+			groups[k] = append(groups[k], id)
 		}
-		return &partialAgg{terms: groups}
+		p := &AggPartial{
+			TermCounts: make(map[string]int, len(groups)),
+			Subs:       make(map[string]map[string]*AggPartial, len(groups)),
+		}
+		for k, g := range groups {
+			p.TermCounts[k] = len(g)
+			p.Subs[k] = sh.subPartials(a, g)
+		}
+		return p
 	case a.DateHistogram != nil:
-		interval := a.DateHistogram.IntervalNS
+		field, interval := a.DateHistogram.Field, a.DateHistogram.IntervalNS
 		if interval <= 0 {
 			interval = 1
 		}
-		c := sh.cols[a.DateHistogram.Field]
-		if len(a.Aggs) == 0 {
-			counts := make(map[int64]int)
-			for _, id := range ids {
-				f, ok := sh.colVal(c, a.DateHistogram.Field, id)
-				if !ok {
-					continue
-				}
-				counts[int64(f)/interval*interval]++
-			}
-			return &partialAgg{histCounts: counts}
-		}
-		groups := make(map[int64][]Document)
+		nested := len(a.Aggs) > 0
+		counts := make(map[int64]int)
+		groups := make(map[int64][]int32)
 		for _, id := range ids {
-			f, ok := sh.colVal(c, a.DateHistogram.Field, id)
-			if !ok {
-				continue
+			if b, ok := sh.histKey(id, field, interval); ok {
+				counts[b]++
+				if nested {
+					groups[b] = append(groups[b], id)
+				}
 			}
-			b := int64(f) / interval * interval
-			groups[b] = append(groups[b], sh.docView(id))
 		}
-		return &partialAgg{hist: groups}
+		p := &AggPartial{HistCounts: counts}
+		if nested {
+			p.Subs = make(map[string]map[string]*AggPartial, len(groups))
+			for b, g := range groups {
+				p.Subs[strconv.FormatInt(b, 10)] = sh.subPartials(a, g)
+			}
+		}
+		return p
 	case a.Percentiles != nil:
 		c := sh.cols[a.Percentiles.Field]
 		vals := make([]float64, 0, len(ids))
@@ -361,27 +282,21 @@ func (sh *shard) partial(a Agg, ids []int32) *partialAgg {
 			}
 		}
 		sort.Float64s(vals)
-		return &partialAgg{vals: vals}
+		return &AggPartial{Vals: vals}
 	case a.Stats != nil:
 		c := sh.cols[a.Stats.Field]
-		res := StatsResult{Min: math.Inf(1), Max: math.Inf(-1)}
+		res := newStatsAccum()
 		for _, id := range ids {
-			f, ok := sh.colVal(c, a.Stats.Field, id)
-			if !ok {
-				continue
-			}
-			res.Count++
-			res.Sum += f
-			if f < res.Min {
-				res.Min = f
-			}
-			if f > res.Max {
-				res.Max = f
+			if f, ok := sh.colVal(c, a.Stats.Field, id); ok {
+				combineStats(&res, &StatsResult{Count: 1, Min: f, Max: f, Sum: f})
 			}
 		}
-		return &partialAgg{stats: &res}
+		if res.Count == 0 {
+			return &AggPartial{}
+		}
+		return &AggPartial{Stats: &res}
 	default:
-		return &partialAgg{}
+		return &AggPartial{}
 	}
 }
 

@@ -258,7 +258,7 @@ type SearchResponse struct {
 type shardResult struct {
 	total    int
 	hits     []hitRef
-	partials map[string]*partialAgg
+	partials map[string]*AggPartial
 }
 
 // hitRef locates a matched row for merge ordering without materializing it:
@@ -332,7 +332,7 @@ func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (Events
 // snapshot. A cancelled ctx aborts between shards; finish is then never
 // called.
 func (ix *Index) searchRefs(ctx context.Context, req SearchRequest, finish func(refs []hitRef, total int, aggs map[string]AggResult, next []any)) error {
-	return ix.searchShards(ctx, req, nil, func(refs []hitRef, total int, parts map[string]*partialAgg) {
+	return ix.searchShards(ctx, req, nil, func(refs []hitRef, total int, parts map[string]*AggPartial) {
 		var aggs map[string]AggResult
 		if len(req.Aggs) > 0 {
 			aggs = make(map[string]AggResult, len(req.Aggs))
@@ -366,7 +366,7 @@ type partitionView struct {
 // view translates the request's cursor from cluster-global coordinates into
 // node-local ones after validation, so a scattered request rejects exactly
 // the cursors a single node would.
-func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *partitionView, finish func(refs []hitRef, total int, parts map[string]*partialAgg)) error {
+func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *partitionView, finish func(refs []hitRef, total int, parts map[string]*AggPartial)) error {
 	cur, err := parseSearchAfter(req)
 	if err != nil {
 		return err
@@ -406,9 +406,9 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 		sh.ensureColumns(cols)
 	}
 	// Hold every shard's read lock for the whole search. The merge stage
-	// reads rows (sort comparisons, sub-aggregation finalize, hit
-	// materialization) after the per-shard phase, so releasing locks between
-	// the two would race a concurrent UpdateByQuery; a full read snapshot
+	// reads rows (sort comparisons, hit materialization) and live rollup maps
+	// after the per-shard phase, so releasing locks between the two would
+	// race a concurrent write; a full read snapshot
 	// reproduces the unsharded implementation's single-RLock semantics while
 	// the per-shard work still fans out in parallel.
 	for _, sh := range ix.shards {
@@ -453,11 +453,11 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 	for i := range results {
 		total += results[i].total
 	}
-	var combined map[string]*partialAgg
+	var combined map[string]*AggPartial
 	if len(req.Aggs) > 0 {
-		combined = make(map[string]*partialAgg, len(req.Aggs))
+		combined = make(map[string]*AggPartial, len(req.Aggs))
 		for name, a := range req.Aggs {
-			parts := make([]*partialAgg, 0, S)
+			parts := make([]*AggPartial, 0, S)
 			for i := range results {
 				if p := results[i].partials[name]; p != nil {
 					parts = append(parts, p)
@@ -510,7 +510,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 		res.total = len(getIDs())
 	}
 	if len(req.Aggs) > 0 {
-		res.partials = make(map[string]*partialAgg, len(req.Aggs))
+		res.partials = make(map[string]*AggPartial, len(req.Aggs))
 		for name, a := range req.Aggs {
 			if exec.plan != nil && exec.plan.served[name] {
 				if p := sh.rollupServe(exec.plan, a); p != nil {
@@ -684,11 +684,11 @@ func mergeHits(results []shardResult, req SearchRequest, need int) []hitRef {
 }
 
 // neededColumns lists the numeric fields a request will read through the
-// columnar caches: range-query fields and top-level numeric aggregation
-// fields. Aggregations the rollup plan will serve are excluded — their
-// columns would be built (and, after every ingest batch, re-extended) for
-// nothing; the rare per-shard fallback still works through colVal's
-// row-storage path.
+// columnar caches: range-query fields, sort fields, and the percentiles and
+// stats fields of aggregations at any nesting depth (histograms bucket from
+// the row's exact integer, not a column). Aggregations the rollup plan will
+// serve are excluded — their columns would be built (and, after every ingest
+// batch, re-extended) for nothing.
 func neededColumns(req SearchRequest, plan *rollupPlan) []string {
 	var out []string
 	seen := make(map[string]struct{})
@@ -723,18 +723,21 @@ func neededColumns(req SearchRequest, plan *rollupPlan) []string {
 	for _, s := range req.Sort {
 		add(s.Field)
 	}
-	for name, a := range req.Aggs {
-		if plan != nil && plan.served[name] {
-			continue
-		}
-		if a.DateHistogram != nil {
-			add(a.DateHistogram.Field)
-		}
+	var walkAgg func(a Agg)
+	walkAgg = func(a Agg) {
 		if a.Percentiles != nil {
 			add(a.Percentiles.Field)
 		}
 		if a.Stats != nil {
 			add(a.Stats.Field)
+		}
+		for _, sub := range a.Aggs {
+			walkAgg(sub)
+		}
+	}
+	for name, a := range req.Aggs {
+		if plan == nil || !plan.served[name] {
+			walkAgg(a)
 		}
 	}
 	return out

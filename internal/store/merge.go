@@ -70,150 +70,137 @@ func combineStats(dst *StatsResult, p *StatsResult) {
 	}
 }
 
+// AggPartial is one mergeable aggregation partial: what a shard contributes
+// to the intra-node merge and, unchanged, what a partition node ships back
+// from a scatter instead of a finalized AggResult, so the coordinator can
+// combine partials across nodes and finalize once. A bucketing aggregation
+// carries its bucket counts; with sub-aggregations it also carries, per
+// bucket, one nested partial per sub-aggregation name — the tree is
+// O(buckets) on the wire however many rows matched. Integer-keyed histogram
+// maps survive JSON (Go renders int64 map keys as decimal strings); an empty
+// stats accumulator is a missing Stats field because its ±Inf min/max
+// sentinels have no JSON encoding.
+type AggPartial struct {
+	TermCounts map[string]int `json:"term_counts,omitempty"` // TermsAgg bucket counts
+	HistCounts map[int64]int  `json:"hist_counts,omitempty"` // DateHistogramAgg bucket counts
+	// Subs holds the sub-aggregation partials of a bucketing aggregation:
+	// bucket key (Bucket.Key rendering: the term, or the histogram key in
+	// decimal) -> sub-aggregation name -> partial.
+	Subs  map[string]map[string]*AggPartial `json:"subs,omitempty"`
+	Vals  []float64                         `json:"vals,omitempty"`  // PercentilesAgg values, sorted
+	Stats *StatsResult                      `json:"stats,omitempty"` // StatsAgg raw accumulator (no Avg)
+}
+
 // combinePartials folds per-stripe (or per-node) partials of one aggregation
 // into a single combined partial without finalizing it. The operation is
-// associative and commutative over the count maps, group maps, and stats
-// accumulators, and order-preserving over the sorted percentile values, so
-// partials can combine level by level — shards into a node partial, node
-// partials into a cluster one — and finalize once at the top.
-func combinePartials(a Agg, parts []*partialAgg) *partialAgg {
+// associative and commutative over the count maps, the nested partials, and
+// the stats accumulators, and order-preserving over the sorted percentile
+// values, so partials can combine level by level — shards into a node
+// partial, node partials into a cluster one — and finalize once at the top.
+func combinePartials(a Agg, parts []*AggPartial) *AggPartial {
 	switch {
 	case a.Terms != nil:
-		if len(a.Aggs) == 0 {
-			counts := make(map[string]int)
-			for _, p := range parts {
-				for k, n := range p.termCounts {
-					counts[k] += n
-				}
-			}
-			return &partialAgg{termCounts: counts}
-		}
-		groups := make(map[string][]Document)
+		counts := make(map[string]int)
 		for _, p := range parts {
-			for k, g := range p.terms {
-				groups[k] = append(groups[k], g...)
+			for k, n := range p.TermCounts {
+				counts[k] += n
 			}
 		}
-		return &partialAgg{terms: groups}
+		return &AggPartial{TermCounts: counts, Subs: combineSubs(a, parts)}
 	case a.DateHistogram != nil:
-		if len(a.Aggs) == 0 {
-			counts := make(map[int64]int)
-			for _, p := range parts {
-				for k, n := range p.histCounts {
-					counts[k] += n
-				}
-			}
-			return &partialAgg{histCounts: counts}
-		}
-		groups := make(map[int64][]Document)
+		counts := make(map[int64]int)
 		for _, p := range parts {
-			for k, g := range p.hist {
-				groups[k] = append(groups[k], g...)
+			for k, n := range p.HistCounts {
+				counts[k] += n
 			}
 		}
-		return &partialAgg{hist: groups}
+		return &AggPartial{HistCounts: counts, Subs: combineSubs(a, parts)}
 	case a.Percentiles != nil:
 		var merged []float64
 		for _, p := range parts {
-			merged = mergeSortedFloats(merged, p.vals)
+			merged = mergeSortedFloats(merged, p.Vals)
 		}
-		return &partialAgg{vals: merged}
+		return &AggPartial{Vals: merged}
 	case a.Stats != nil:
 		res := newStatsAccum()
 		for _, p := range parts {
-			combineStats(&res, p.stats)
+			combineStats(&res, p.Stats)
 		}
-		return &partialAgg{stats: &res}
+		if res.Count == 0 {
+			return &AggPartial{}
+		}
+		return &AggPartial{Stats: &res}
 	default:
-		return &partialAgg{}
+		return &AggPartial{}
 	}
 }
 
+// combineSubs combines the parts' nested partials per (bucket, sub-aggregation
+// name). A null partial, which only a foreign wire body can carry, is dropped.
+func combineSubs(a Agg, parts []*AggPartial) map[string]map[string]*AggPartial {
+	if len(a.Aggs) == 0 {
+		return nil
+	}
+	grouped := make(map[string]map[string][]*AggPartial)
+	for _, p := range parts {
+		for key, subs := range p.Subs {
+			g := grouped[key]
+			if g == nil {
+				g = make(map[string][]*AggPartial, len(a.Aggs))
+				grouped[key] = g
+			}
+			for name, sp := range subs {
+				if sp != nil {
+					g[name] = append(g[name], sp)
+				}
+			}
+		}
+	}
+	out := make(map[string]map[string]*AggPartial, len(grouped))
+	for key, g := range grouped {
+		subs := make(map[string]*AggPartial, len(g))
+		for name, sps := range g {
+			subs[name] = combinePartials(a.Aggs[name], sps)
+		}
+		out[key] = subs
+	}
+	return out
+}
+
 // finalizePartial turns a fully-combined partial into the aggregation's final
-// result: bucket ordering and truncation, sub-aggregation application over
-// the merged groups, percentile ranks over the complete sorted values, and
-// the stats average. nil finalizes as the empty partial (an aggregation no
-// stripe contributed to).
-func finalizePartial(a Agg, p *partialAgg) AggResult {
+// result: bucket ordering and truncation, the same for every bucket's nested
+// partials, percentile ranks over the complete sorted values, and the stats
+// average. nil finalizes as the empty partial (an aggregation no stripe
+// contributed to).
+func finalizePartial(a Agg, p *AggPartial) AggResult {
 	if p == nil {
-		p = &partialAgg{}
+		p = &AggPartial{}
 	}
 	switch {
 	case a.Terms != nil:
-		if len(a.Aggs) == 0 {
-			return a.finalizeTermCounts(p.termCounts)
-		}
-		return a.finalizeTerms(p.terms)
+		return a.finalizeTermCounts(p)
 	case a.DateHistogram != nil:
-		if len(a.Aggs) == 0 {
-			return a.finalizeHistCounts(p.histCounts)
-		}
-		return a.finalizeHistogram(p.hist)
+		return a.finalizeHistCounts(p)
 	case a.Percentiles != nil:
-		return percentilesFromSorted(p.vals, a.Percentiles)
+		return percentilesFromSorted(p.Vals, a.Percentiles)
 	case a.Stats != nil:
 		res := newStatsAccum()
-		combineStats(&res, p.stats)
+		combineStats(&res, p.Stats)
 		return AggResult{Stats: finalizeStats(res)}
 	default:
 		return AggResult{}
 	}
 }
 
-// AggPartial is the wire form of one mergeable aggregation partial: what a
-// partition node ships back from a scatter instead of a finalized AggResult,
-// so the coordinator can combine partials across nodes and finalize once.
-// Integer-keyed histogram maps survive JSON (Go renders int64 map keys as
-// decimal strings); an empty stats accumulator ships as a missing Stats field
-// because its ±Inf min/max sentinels have no JSON encoding.
-type AggPartial struct {
-	Terms      map[string][]Document `json:"terms,omitempty"`
-	TermCounts map[string]int        `json:"term_counts,omitempty"`
-	Hist       map[int64][]Document  `json:"hist,omitempty"`
-	HistCounts map[int64]int         `json:"hist_counts,omitempty"`
-	Vals       []float64             `json:"vals,omitempty"`
-	Stats      *StatsResult          `json:"stats,omitempty"`
-}
-
-// wirePartial renders an in-memory partial for the scatter response.
-func wirePartial(p *partialAgg) AggPartial {
-	w := AggPartial{
-		Terms:      p.terms,
-		TermCounts: p.termCounts,
-		Hist:       p.hist,
-		HistCounts: p.histCounts,
-		Vals:       p.vals,
-	}
-	if p.stats != nil && p.stats.Count > 0 {
-		w.Stats = p.stats
-	}
-	return w
-}
-
-// partial converts the wire form back for combining.
-func (w AggPartial) partial() *partialAgg {
-	p := &partialAgg{
-		terms:      w.Terms,
-		termCounts: w.TermCounts,
-		hist:       w.Hist,
-		histCounts: w.HistCounts,
-		vals:       w.Vals,
-	}
-	if w.Stats != nil {
-		p.stats = w.Stats
-	}
-	return p
-}
-
-// MergeAggPartials combines wire partials from any number of partitions and
+// MergeAggPartials combines partials from any number of partitions and
 // finalizes the result — the cluster coordinator's half of the two-level
 // aggregation reduction. It is the same combine+finalize the intra-node shard
 // merge uses, so a 1-node and an N-node execution of one request produce
 // identical AggResults.
 func MergeAggPartials(a Agg, parts []AggPartial) AggResult {
-	ps := make([]*partialAgg, len(parts))
+	ps := make([]*AggPartial, len(parts))
 	for i := range parts {
-		ps[i] = parts[i].partial()
+		ps[i] = &parts[i]
 	}
 	return finalizePartial(a, combinePartials(a, ps))
 }

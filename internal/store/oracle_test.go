@@ -1,6 +1,10 @@
 package store
 
-import "sort"
+import (
+	"math"
+	"sort"
+	"strconv"
+)
 
 // The differential tests' reference engine. It shares nothing with the
 // sharded pipeline beyond the row storage and the leaf comparators: every
@@ -74,7 +78,7 @@ func oracleSearch(ix *Index, req SearchRequest) SearchResponse {
 	if len(req.Aggs) > 0 {
 		resp.Aggs = make(map[string]AggResult, len(req.Aggs))
 		for name, a := range req.Aggs {
-			resp.Aggs[name] = a.apply(matched)
+			resp.Aggs[name] = oracleAgg(a, matched)
 		}
 	}
 
@@ -113,4 +117,119 @@ func oracleSearch(ix *Index, req SearchRequest) SearchResponse {
 		resp.NextAfter = append(resp.NextAfter, float64(gids[last]))
 	}
 	return resp
+}
+
+// oracleAgg aggregates docs one document at a time: every bucket is a slice
+// of documents and sub-aggregations recurse over those slices. It shares no
+// code with the partial/combine/finalize pipeline — only the scalar helpers
+// keyString and numeric.
+func oracleAgg(a Agg, docs []Document) AggResult {
+	subs := func(group []Document) map[string]AggResult {
+		if len(a.Aggs) == 0 {
+			return nil
+		}
+		out := make(map[string]AggResult, len(a.Aggs))
+		for name, sub := range a.Aggs {
+			out[name] = oracleAgg(sub, group)
+		}
+		return out
+	}
+	numbers := func(field string) []float64 {
+		var vals []float64
+		for _, d := range docs {
+			if f, ok := numeric(d[field]); ok {
+				vals = append(vals, f)
+			}
+		}
+		return vals
+	}
+	switch {
+	case a.Terms != nil:
+		groups := make(map[string][]Document)
+		for _, d := range docs {
+			k := keyString(d[a.Terms.Field])
+			groups[k] = append(groups[k], d)
+		}
+		buckets := make([]Bucket, 0, len(groups))
+		for k, g := range groups {
+			buckets = append(buckets, Bucket{Key: k, Count: len(g), Sub: subs(g)})
+		}
+		sort.Slice(buckets, func(i, j int) bool {
+			if buckets[i].Count != buckets[j].Count {
+				return buckets[i].Count > buckets[j].Count
+			}
+			return buckets[i].Key < buckets[j].Key
+		})
+		if a.Terms.Size > 0 && len(buckets) > a.Terms.Size {
+			buckets = buckets[:a.Terms.Size]
+		}
+		return AggResult{Buckets: buckets}
+	case a.DateHistogram != nil:
+		interval := a.DateHistogram.IntervalNS
+		if interval <= 0 {
+			interval = 1
+		}
+		groups := make(map[int64][]Document)
+		for _, d := range docs {
+			// Integer fields bucket exactly; only a non-integer value goes
+			// through float64.
+			n, ok := d[a.DateHistogram.Field].(int64)
+			if !ok {
+				f, fok := numeric(d[a.DateHistogram.Field])
+				if !fok {
+					continue
+				}
+				n = int64(f)
+			}
+			b := n / interval * interval
+			groups[b] = append(groups[b], d)
+		}
+		keys := make([]int64, 0, len(groups))
+		for k := range groups {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		buckets := make([]Bucket, 0, len(keys))
+		for _, k := range keys {
+			g := groups[k]
+			buckets = append(buckets, Bucket{Key: strconv.FormatInt(k, 10), KeyNum: float64(k), Count: len(g), Sub: subs(g)})
+		}
+		return AggResult{Buckets: buckets}
+	case a.Percentiles != nil:
+		vals := numbers(a.Percentiles.Field)
+		if len(vals) == 0 {
+			return AggResult{}
+		}
+		sort.Float64s(vals)
+		percents := a.Percentiles.Percents
+		if len(percents) == 0 {
+			percents = []float64{50, 90, 95, 99}
+		}
+		out := make(map[string]float64, len(percents))
+		for _, pct := range percents {
+			// Nearest rank, clamped to the value range.
+			rank := int(math.Ceil(pct / 100 * float64(len(vals))))
+			rank = max(1, min(rank, len(vals)))
+			out[strconv.FormatFloat(pct, 'g', -1, 64)] = vals[rank-1]
+		}
+		return AggResult{Percentiles: out}
+	case a.Stats != nil:
+		vals := numbers(a.Stats.Field)
+		res := StatsResult{Count: len(vals)}
+		for i, f := range vals {
+			res.Sum += f
+			if i == 0 || f < res.Min {
+				res.Min = f
+			}
+			if i == 0 || f > res.Max {
+				res.Max = f
+			}
+		}
+		if res.Count > 0 {
+			res.Avg = res.Sum / float64(res.Count)
+		}
+		return AggResult{Stats: &res}
+	default:
+		return AggResult{}
+	}
 }

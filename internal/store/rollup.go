@@ -2,7 +2,7 @@ package store
 
 import "github.com/dsrhaslab/dio-go/internal/event"
 
-// Continuous rollups: every shard maintains pre-merged partialAgg shapes for
+// Continuous rollups: every shard maintains pre-merged AggPartial shapes for
 // the dashboard aggregations — terms counts over the indexed keyword fields
 // and a base-interval date histogram of time_enter_ns — incrementally at
 // ingest. A query whose filter the rollup can key exactly (match-all, or a
@@ -37,7 +37,7 @@ var maxRollupKeys = 1 << 16
 
 // rollupPartial is the pre-merged aggregation state for one group of rows:
 // per-indexed-field term counts and the base-aligned time_enter histogram.
-// Both maps are exactly the count-only partialAgg shapes the merge layer
+// Both maps are exactly the count-only AggPartial shapes the merge layer
 // (combinePartials) consumes, so serving is a pointer handoff under the held
 // read lock.
 type rollupPartial struct {
@@ -305,7 +305,7 @@ func rollupServable(a Agg, base int64) bool {
 // Caller holds the shard read lock; the returned partial aliases the
 // live rollup maps, which is safe because combinePartials only reads and the
 // read lock is held through the merge.
-func (sh *shard) rollupServe(p *rollupPlan, a Agg) *partialAgg {
+func (sh *shard) rollupServe(p *rollupPlan, a Agg) *AggPartial {
 	r := sh.rollup
 	if !r.live() {
 		return nil
@@ -315,14 +315,14 @@ func (sh *shard) rollupServe(p *rollupPlan, a Agg) *partialAgg {
 		g = r.all
 	} else if g = r.bySession[p.session]; g == nil {
 		// No rows for this session in this shard: an empty partial.
-		return &partialAgg{}
+		return &AggPartial{}
 	}
 	if a.Terms != nil {
-		return &partialAgg{termCounts: g.terms[rollupSlot(a.Terms.Field)]}
+		return &AggPartial{TermCounts: g.terms[rollupSlot(a.Terms.Field)]}
 	}
 	interval := a.DateHistogram.IntervalNS
 	if interval == r.base {
-		return &partialAgg{histCounts: g.hist}
+		return &AggPartial{HistCounts: g.hist}
 	}
 	// Re-bucket the base-aligned keys to the coarser interval. Exact for
 	// interval = k·base: truncating toward zero in two steps equals one.
@@ -330,5 +330,5 @@ func (sh *shard) rollupServe(p *rollupPlan, a Agg) *partialAgg {
 	for k, n := range g.hist {
 		counts[k/interval*interval] += n
 	}
-	return &partialAgg{histCounts: counts}
+	return &AggPartial{HistCounts: counts}
 }

@@ -339,3 +339,68 @@ func TestRollupSurvivesRecovery(t *testing.T) {
 		t.Error("recovered store served no aggregation from rollups")
 	}
 }
+
+// TestRollupBucketBoundary pins histogram bucketing at epoch-scale
+// timestamps, where float64's ulp is 256 ns: events 1 ns before, exactly at,
+// and 1 ns after a 100ms bucket edge must land in the same buckets whether
+// the request is rollup-served (a bare session term), scanned (the same rows
+// selected through a bool query), scanned on the rollup-less ablation, or
+// answered by the oracle — flat and with a sub-aggregation.
+func TestRollupBucketBoundary(t *testing.T) {
+	const edge = int64(1_687_860_000_100_000_000)
+	evs := make([]event.Event, 3)
+	for i, at := range []int64{edge - 1, edge, edge + 1} {
+		evs[i] = event.Event{Session: "edge", Syscall: "read", ThreadName: "w", TimeEnterNS: at, TimeExitNS: at + 10}
+	}
+	on, off := memStore(t), memStore(t, WithRollupInterval(0))
+	ctx := context.Background()
+	for _, st := range []*Store{on, off} {
+		t.Cleanup(func() { st.Close() })
+		if err := st.BulkEvents(ctx, "run", evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat := Agg{DateHistogram: &DateHistogramAgg{Field: FieldTimeEnter, IntervalNS: 100_000_000}}
+	nested := flat
+	nested.Aggs = map[string]Agg{"by_thread": {Terms: &TermsAgg{Field: FieldThreadName}}}
+	served := Term(FieldSession, "edge")
+	scanned := Must(Term(FieldSession, "edge"), Term(FieldSyscall, "read"))
+
+	wantKeys := []string{"1687860000000000000", "1687860000100000000"}
+	wantCounts := []int{1, 2}
+	hits0 := on.Telemetry().Snapshot().Counters[telemetry.MetricRollupAggHits]
+	for name, a := range map[string]Agg{"flat": flat, "nested": nested} {
+		for qname, q := range map[string]Query{"served": served, "scanned": scanned} {
+			req := SearchRequest{Query: q, Size: 1, Aggs: map[string]Agg{"h": a}}
+			ix, _ := on.GetIndex("run")
+			answers := map[string]AggResult{"oracle": oracleSearch(ix, req).Aggs["h"]}
+			for sname, st := range map[string]*Store{"rollup": on, "ablation": off} {
+				resp, err := st.Search(ctx, "run", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers[sname] = resp.Aggs["h"]
+			}
+			for who, got := range answers {
+				if len(got.Buckets) != len(wantKeys) {
+					t.Errorf("%s/%s/%s: buckets %+v, want keys %v", name, qname, who, got.Buckets, wantKeys)
+					continue
+				}
+				for i, b := range got.Buckets {
+					if b.Key != wantKeys[i] || b.Count != wantCounts[i] {
+						t.Errorf("%s/%s/%s: bucket %d = %s×%d, want %s×%d", name, qname, who, i, b.Key, b.Count, wantKeys[i], wantCounts[i])
+					}
+					if name == "nested" && (len(b.Sub["by_thread"].Buckets) != 1 || b.Sub["by_thread"].Buckets[0].Count != wantCounts[i]) {
+						t.Errorf("%s/%s/%s: bucket %d sub = %+v", name, qname, who, i, b.Sub)
+					}
+				}
+				if !reflect.DeepEqual(got, answers["oracle"]) {
+					t.Errorf("%s/%s/%s diverges from the oracle:\n got    %+v\n oracle %+v", name, qname, who, got, answers["oracle"])
+				}
+			}
+		}
+	}
+	if on.Telemetry().Snapshot().Counters[telemetry.MetricRollupAggHits] == hits0 {
+		t.Error("the session-term request was not rollup-served — the differential proves nothing")
+	}
+}

@@ -61,7 +61,8 @@ type ScatterHit struct {
 // ScatterResponse is one node's mergeable contribution: its full match
 // count, its first need=From+Size candidates in request order (all of them
 // for an unbounded request), and its combined-but-not-finalized aggregation
-// partials.
+// partials — count maps and nested partials per bucket, never rows, so the
+// aggregation half of the body is O(buckets) whatever the match count.
 type ScatterResponse struct {
 	Total    int                   `json:"total"`
 	Hits     []ScatterHit          `json:"hits"`
@@ -122,7 +123,7 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 		resp       ScatterResponse
 		marshalErr error
 	)
-	err := ix.searchShards(ctx, nreq, view, func(refs []hitRef, total int, parts map[string]*partialAgg) {
+	err := ix.searchShards(ctx, nreq, view, func(refs []hitRef, total int, parts map[string]*AggPartial) {
 		resp.Total = total
 		resp.Hits = make([]ScatterHit, len(refs))
 		for i, ref := range refs {
@@ -143,7 +144,7 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 		if len(parts) > 0 {
 			resp.Partials = make(map[string]AggPartial, len(parts))
 			for name, p := range parts {
-				resp.Partials[name] = wirePartial(p)
+				resp.Partials[name] = *p
 			}
 		}
 	})

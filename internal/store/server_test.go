@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,6 +66,57 @@ func TestHTTPSearchWithAggs(t *testing.T) {
 	}
 	if resp.Aggs["lat"].Percentiles["99"] != 50 {
 		t.Fatalf("p99 = %v", resp.Aggs["lat"].Percentiles)
+	}
+}
+
+// TestHTTPEmptyPercentiles: percentiles over zero numeric values (no fixture
+// row carries count), top-level and as a sub-aggregation, answer with no
+// percentiles — in process and over real HTTP alike. NaN has no JSON
+// encoding, so the NaN-valued answer used to reach the client as a 200 with
+// an empty body ("decode response: EOF").
+func TestHTTPEmptyPercentiles(t *testing.T) {
+	st, c := newTestServerClient(t)
+	ctx := context.Background()
+	if err := c.BulkEvents(ctx, "run1", docFixture()); err != nil {
+		t.Fatalf("bulk: %v", err)
+	}
+	pcts := Agg{Percentiles: &PercentilesAgg{Field: FieldCount}}
+	req := SearchRequest{Query: MatchAll(), Size: 1, Aggs: map[string]Agg{
+		"p":      pcts,
+		"by_sys": {Terms: &TermsAgg{Field: FieldSyscall}, Aggs: map[string]Agg{"p": pcts}},
+	}}
+	local, err := st.Search(ctx, "run1", req)
+	if err != nil {
+		t.Fatalf("in-process search: %v", err)
+	}
+	remote, err := c.Search(ctx, "run1", req)
+	if err != nil {
+		t.Fatalf("HTTP search: %v", err)
+	}
+	if !reflect.DeepEqual(local.Aggs, remote.Aggs) {
+		t.Fatalf("in-process and HTTP answers differ:\n local  %+v\n remote %+v", local.Aggs, remote.Aggs)
+	}
+	if p := remote.Aggs["p"].Percentiles; p != nil {
+		t.Fatalf("top-level percentiles over no values = %v, want none", p)
+	}
+	if len(remote.Aggs["by_sys"].Buckets) != 4 {
+		t.Fatalf("by_sys buckets = %+v, want 4", remote.Aggs["by_sys"].Buckets)
+	}
+	for _, b := range remote.Aggs["by_sys"].Buckets {
+		if sub, ok := b.Sub["p"]; !ok || sub.Percentiles != nil {
+			t.Fatalf("bucket %q: sub = %+v, want an empty \"p\" result", b.Key, b.Sub)
+		}
+	}
+}
+
+// TestWriteJSONEncodeFailureIsTyped500: a response value JSON cannot carry
+// must not go out as the promised status over an empty body.
+func TestWriteJSONEncodeFailureIsTyped500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"p50": math.NaN()})
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || !strings.Contains(body["error"], "encode response") {
+		t.Fatalf("status %d body %q (decode err %v), want a 500 naming the encode failure", rec.Code, rec.Body.String(), err)
 	}
 }
 

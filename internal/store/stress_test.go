@@ -185,6 +185,9 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 		}
 		docs = append(docs, d)
 	}
+	// One row whose syscall no other row carries: its terms bucket exists on
+	// exactly one shard, and (no count) its percentiles have no values.
+	docs = append(docs, Document{"session": "s1", "syscall": "rare", "proc_name": "dbbench", "time_enter_ns": int64(42)})
 	ix.AddEvents(docEvents(docs...))
 
 	reqs := []SearchRequest{
@@ -237,7 +240,8 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 		},
 	}
 
-	for i, req := range reqs {
+	check := func(i int, req SearchRequest) {
+		t.Helper()
 		want := oracleSearch(ix, req)
 		wantCount := oracleCount(ix, req.Query)
 		got := ix.Search(req)
@@ -259,6 +263,10 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 			t.Errorf("req %d: next_after = %v, oracle %v", i, got.NextAfter, want.NextAfter)
 		}
 	}
+	reqs = append(reqs, nestedAggShapes()...)
+	for i, req := range reqs {
+		check(i, req)
+	}
 
 	// UpdateByQuery must agree too: it rewrites exactly the rows the oracle
 	// matched beforehand, and the rewritten state searches identically.
@@ -274,5 +282,57 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 	a, b := ix.Search(resolved), oracleSearch(ix, resolved)
 	if a.Total != wantN || !reflect.DeepEqual(a, b) {
 		t.Fatalf("post-update responses diverge: %d vs %d hits, want %d", len(a.Hits), len(b.Hits), wantN)
+	}
+
+	// A rewrite that moves rows between buckets at both nesting levels and
+	// changes the numbers the leaves aggregate: the nested matrix must follow.
+	ix.UpdateByQuery(Term("syscall", "stat"), func(d Document) bool {
+		d["syscall"], d["proc_name"], d["count"] = "statx", "rewritten", int64(7)
+		return true
+	})
+	for i, req := range nestedAggShapes() {
+		check(1000+i, req)
+	}
+}
+
+// nestedAggShapes is the nested half of the differential matrix over the
+// shardedMatchesOracle fixture (count is absent from ~10% of rows, file_tag
+// from ~75%, syscall "rare" lives on one shard).
+func nestedAggShapes() []SearchRequest {
+	terms := func(field string, size int, subs map[string]Agg) Agg {
+		return Agg{Terms: &TermsAgg{Field: field, Size: size}, Aggs: subs}
+	}
+	hist := func(field string, interval int64, subs map[string]Agg) Agg {
+		return Agg{DateHistogram: &DateHistogramAgg{Field: field, IntervalNS: interval}, Aggs: subs}
+	}
+	stats := Agg{Stats: &StatsAgg{Field: "count"}}
+	pcts := Agg{Percentiles: &PercentilesAgg{Field: "count", Percents: []float64{0, 50, 99, 100}}}
+	return []SearchRequest{
+		// The Fig. 4 shape: a session's timeline split by a keyword.
+		{Query: Term("session", "s1"), Size: 1, Aggs: map[string]Agg{
+			"timeline": hist("time_enter_ns", 500_000, map[string]Agg{"by": terms("proc_name", 0, nil)}),
+		}},
+		// Two levels, two sub-aggregations on the inner one.
+		{Query: MatchAll(), Size: 1, Aggs: map[string]Agg{
+			"by_sys": terms("syscall", 0, map[string]Agg{
+				"over_time": hist("time_enter_ns", 1_000_000, map[string]Agg{"lat": stats, "p": pcts}),
+			}),
+		}},
+		// Percentiles under terms, over a field some rows (and every row of
+		// the "rare" bucket) lack.
+		{Query: MatchAll(), Size: 1, Aggs: map[string]Agg{"by_sys": terms("syscall", 0, map[string]Agg{"p": pcts})}},
+		// Size truncation on the parent and on the sub, after the merge.
+		{Query: MustNot(Term("session", "s0")), Size: 1, Aggs: map[string]Agg{
+			"top_sys": terms("syscall", 3, map[string]Agg{"top_proc": terms("proc_name", 2, nil)}),
+		}},
+		// Sub-aggregation fields absent from some rows: a keyword (missing
+		// rows bucket under ""), a histogram and stats over an optional number.
+		{Query: MatchAll(), Size: 1, Aggs: map[string]Agg{
+			"by_session": terms("session", 0, map[string]Agg{
+				"tags":   terms("file_tag", 5, nil),
+				"sizes":  hist("count", 10_000, nil),
+				"counts": stats,
+			}),
+		}},
 	}
 }

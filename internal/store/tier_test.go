@@ -935,3 +935,52 @@ func TestUpdateBeyondRetentionTyped409(t *testing.T) {
 		t.Fatalf("remote correlate: status=%d reason=%q, want 409 %q", he.Status, he.Reason, ReasonUpdateBeyondRetention)
 	}
 }
+
+// TestNestedAggsAcrossTiers: cold segments answer through the same
+// shard.partial as hot rows, so a nested aggregation over a retention store
+// holding both tiers must equal the oracle's answer over one in-memory index
+// of the same rows — including buckets that exist only in the cold tier.
+func TestNestedAggsAcrossTiers(t *testing.T) {
+	st := openDurable(t, t.TempDir(), WithRetention(time.Hour), WithShards(4))
+	defer st.Close()
+	ctrl := memStore(t, WithShards(4))
+	ctx := context.Background()
+	now := time.Now().UnixNano()
+	batches := [][]event.Event{retentionDocs(now, 40, "evicted"), retentionDocs(now+20, 40, "live"), retentionDocs(now+1_000_000, 9, "evicted")}
+	for i, evs := range batches {
+		for _, s := range []*Store{st, ctrl} {
+			if err := s.BulkEvents(ctx, crashIndex, evs); err != nil {
+				t.Fatalf("bulk %d: %v", i, err)
+			}
+		}
+		if i == 0 { // the first batch goes cold; the rest stay in shard memory
+			if err := st.Snapshot(); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+		}
+	}
+	ix, _ := st.GetIndex(crashIndex)
+	ctrlIx, _ := ctrl.GetIndex(crashIndex)
+	if cold, all := int(ix.coldRows.Load()), ix.Len(); cold != 40 || all != 89 {
+		t.Fatalf("tiers hold %d cold of %d rows, want 40 of 89", cold, all)
+	}
+	stats := Agg{Stats: &StatsAgg{Field: FieldRetVal}}
+	pcts := Agg{Percentiles: &PercentilesAgg{Field: FieldRetVal}}
+	for name, a := range map[string]Agg{
+		"timeline": timelineAgg(10),
+		"two_level": {Terms: &TermsAgg{Field: FieldThreadName}, Aggs: map[string]Agg{
+			"over_time": {DateHistogram: &DateHistogramAgg{Field: FieldTimeEnter, IntervalNS: 16}, Aggs: map[string]Agg{"ret": stats, "p": pcts}},
+		}},
+		"truncated": {Terms: &TermsAgg{Field: FieldRetVal, Size: 7}, Aggs: map[string]Agg{"by_thread": {Terms: &TermsAgg{Field: FieldThreadName, Size: 1}}}},
+	} {
+		req := SearchRequest{Query: Term(FieldSession, "exp"), Size: 1, Aggs: map[string]Agg{name: a}}
+		got, err := st.Search(ctx, crashIndex, req)
+		if err != nil {
+			t.Fatalf("%s: tiered search: %v", name, err)
+		}
+		want := oracleSearch(ctrlIx, req)
+		if got.Total != 89 || !reflect.DeepEqual(got.Aggs, want.Aggs) {
+			t.Errorf("%s: tiers diverge from the oracle (total %d):\n tiered %+v\n oracle %+v", name, got.Total, got.Aggs, want.Aggs)
+		}
+	}
+}

@@ -54,10 +54,14 @@ func readBenchEvents(base int64, n int) []event.Event {
 	return evs
 }
 
-// dashboardRequests is the repeated query mix: the Fig. 4 timeline
-// (date-histogram over time_enter_ns) and the per-syscall histogram (terms
-// over syscall), both filtered to the session the dashboard renders.
+// dashboardRequests is the repeated query mix, all filtered to the session
+// the dashboard renders: the per-syscall histogram (terms over syscall), the
+// flat event-rate histogram (date-histogram over time_enter_ns), and the
+// Fig. 4 timeline exactly as viz.SyscallTimeline issues it — the same
+// date-histogram with a terms(thread_name) sub-aggregation, which no rollup
+// serves and which therefore scans.
 func dashboardRequests() []store.SearchRequest {
+	timeline := &store.DateHistogramAgg{Field: store.FieldTimeEnter, IntervalNS: 1_000_000_000}
 	return []store.SearchRequest{
 		{
 			Query: store.Term(store.FieldSession, "dash"),
@@ -69,9 +73,15 @@ func dashboardRequests() []store.SearchRequest {
 		{
 			Query: store.Term(store.FieldSession, "dash"),
 			Size:  1,
-			Aggs: map[string]store.Agg{
-				"timeline": {DateHistogram: &store.DateHistogramAgg{Field: store.FieldTimeEnter, IntervalNS: 1_000_000_000}},
-			},
+			Aggs:  map[string]store.Agg{"timeline": {DateHistogram: timeline}},
+		},
+		{
+			Query: store.Term(store.FieldSession, "dash"),
+			Size:  1,
+			Aggs: map[string]store.Agg{"timeline": {
+				DateHistogram: timeline,
+				Aggs:          map[string]store.Agg{"by_thread": {Terms: &store.TermsAgg{Field: store.FieldThreadName}}},
+			}},
 		},
 	}
 }
