@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: tier1 build test race vet bench bench-smoke bench-read scale chaos chaos-repl chaos-cluster crash lint loc examples diagnose
+.PHONY: tier1 build test race vet bench bench-smoke bench-read bench-diagnose scale chaos chaos-repl chaos-cluster crash lint loc examples diagnose
 
 ## tier1: the PR gate — vet, build (examples included), the dead-symbol
 ## lint, tests, the race detector over the concurrency-heavy packages (store
 ## sharding, tracer drain workers), the chaos suite (fault injection on the
 ## ship path), the replication chaos suite (partitions, duplicated and
 ## reordered frames, failover), the crash-recovery matrix (durability kill
-## points), the diagnosis-engine smoke run, and smoke runs of the ingest and
-## dashboard-read benchmarks.
-tier1: vet build examples lint test race chaos chaos-repl chaos-cluster crash diagnose bench-smoke bench-read
+## points), the diagnosis-engine smoke run, and smoke runs of the ingest,
+## dashboard-read and diagnosis benchmarks.
+tier1: vet build examples lint test race chaos chaos-repl chaos-cluster crash diagnose bench-smoke bench-read bench-diagnose
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,13 @@ bench-smoke:
 ## pruning-speedup numbers cannot silently rot.
 bench-read:
 	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch' -benchtime=50x .
+
+## bench-diagnose: a fast smoke run of the DFG build beside the full engine
+## run over the same 120k-event session. Both are one cursor pass, so the two
+## ns/op figures should sit within a small factor of each other; a wide gap
+## means a detector has started re-reading the session.
+bench-diagnose:
+	$(GO) test -run xxx -bench 'DFGBuild|EngineRun' -benchtime=3x .
 
 ## diagnose: end-to-end smoke of the diagnosis engine through the real CLI —
 ## the buggy Fluent Bit session must produce a critical report, and the

@@ -259,8 +259,12 @@ type (
 	DiagnosisParams = diagnose.Params
 	// DiagnosisEngine runs a detector registry over sessions.
 	DiagnosisEngine = diagnose.Engine
-	// Detector is one registered diagnosis rule.
+	// Detector is one registered diagnosis rule: a name and the
+	// constructor of its per-session DetectorPass.
 	Detector = diagnose.Detector
+	// DetectorPass is what a custom rule implements: Observe sees every
+	// event of the session in time order, Finish reports the findings.
+	DetectorPass = diagnose.Pass
 	// DetectorRegistry holds detectors in registration order.
 	DetectorRegistry = diagnose.Registry
 	// DFG is a session's syscall Directly-Follows-Graph.

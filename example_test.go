@@ -6,6 +6,7 @@ import (
 	"time"
 
 	dio "github.com/dsrhaslab/dio-go"
+	"github.com/dsrhaslab/dio-go/internal/diagnose"
 )
 
 // Example traces a tiny application end-to-end: simulated kernel, tracing
@@ -136,4 +137,62 @@ func ExampleDiagnose() {
 	fmt.Printf("critical finding: %v (%d findings)\n", report.Critical(), len(report.Findings))
 	// Output:
 	// critical finding: true (1 findings)
+}
+
+// fsyncPerWrite is a custom rule written against the public package only:
+// it counts fsyncs and writes as the engine streams the session past it,
+// and reports when more than half the writes are followed by a flush.
+type fsyncPerWrite struct{ fsyncs, writes int }
+
+func (r *fsyncPerWrite) Observe(e *dio.Event) {
+	switch e.Syscall {
+	case "fsync":
+		r.fsyncs++
+	case "write":
+		r.writes++
+	}
+}
+
+func (r *fsyncPerWrite) Finish(*dio.DFG) []dio.DiagnosisFinding {
+	if r.fsyncs*2 <= r.writes {
+		return nil
+	}
+	return []dio.DiagnosisFinding{{
+		Rule: "fsync-per-write", Severity: diagnose.SeverityWarning,
+		Summary: fmt.Sprintf("%d fsyncs for %d writes", r.fsyncs, r.writes),
+	}}
+}
+
+// ExampleNewDetectorRegistry registers a custom rule next to no built-ins
+// and runs it; the engine attributes the finding to the registered name.
+func ExampleNewDetectorRegistry() {
+	k := dio.NewVirtualKernel()
+	k.MkdirAll("/tmp")
+	backend := dio.NewStore()
+	tracer, _ := dio.NewTracer(dio.TracerConfig{
+		SessionName:   "custom",
+		Backend:       backend,
+		FlushInterval: time.Millisecond,
+	})
+	tracer.Start(k)
+	task := k.NewProcess("app").NewTask("app")
+	fd, _ := task.Openat(dio.AtFDCWD, "/tmp/journal", dio.OWronly|dio.OCreat, 0o644)
+	for i := 0; i < 4; i++ {
+		task.Write(fd, []byte("entry\n"))
+		task.Fsync(fd)
+	}
+	task.Close(fd)
+	tracer.Stop()
+
+	reg := dio.NewDetectorRegistry()
+	reg.Register(dio.Detector{
+		Name:  "fsync-rate",
+		Begin: func(dio.DiagnosisParams) dio.DetectorPass { return &fsyncPerWrite{} },
+	})
+	report, _ := diagnose.NewEngine(reg).Run(context.Background(), backend, tracer.Index(), tracer.Session())
+	for _, f := range report.Findings {
+		fmt.Printf("%s (detector %s): %s\n", f.Rule, f.Detector, f.Summary)
+	}
+	// Output:
+	// fsync-per-write (detector fsync-rate): 4 fsyncs for 4 writes
 }

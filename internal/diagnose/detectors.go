@@ -1,250 +1,199 @@
 package diagnose
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
-	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
-// staleOffsetDetector finds the §III-B data-loss signature: on a fresh
-// file generation (a file tag never read before), the first read starts at
-// a non-zero offset and returns 0 bytes — the reader resumed beyond EOF,
-// so freshly written data can never be delivered. The Fluent Bit v1.4.0
-// bug produces exactly this pattern after inode reuse.
-type staleOffsetDetector struct{}
-
-func (staleOffsetDetector) Name() string { return "stale-offset-read" }
-
-func (staleOffsetDetector) Detect(ctx context.Context, t Target) ([]Finding, error) {
-	firstReadSeen := make(map[event.FileTag]bool)
-	var findings []Finding
-	req := store.SearchRequest{
-		Query: store.Must(
-			store.Term(store.FieldSession, t.Session),
-			store.Terms(store.FieldSyscall, "read", "pread64", "readv"),
-			store.Exists(store.FieldFileTag),
-		),
-		Sort: []store.SortField{{Field: store.FieldTimeEnter}},
-	}
-	err := store.EachEventPage(ctx, t.Backend, t.Index, req, t.Params.PageSize, func(page store.EventsResult) error {
-		for i := range page.Hits {
-			e := &page.Hits[i]
-			if firstReadSeen[e.FileTag] {
-				continue
-			}
-			firstReadSeen[e.FileTag] = true
-			if e.HasOffset && e.Offset > 0 && e.RetVal == 0 {
-				path := e.FilePath
-				if path == "" {
-					path = "(unresolved path, tag " + e.FileTag.String() + ")"
-				}
-				findings = append(findings, Finding{
-					Rule:     "stale-offset-read",
-					Severity: SeverityCritical,
-					Summary: fmt.Sprintf(
-						"first read of %s starts at offset %d and returns 0 bytes: the reader resumed past EOF (possible data loss after file recreation)",
-						path, e.Offset),
-					FilePath: path,
-					Evidence: []string{fmt.Sprintf(
-						"%s by %s at t=%d: ret=0 offset=%d tag=%s",
-						e.Syscall, e.ProcName, e.TimeEnterNS, e.Offset, e.FileTag)},
-				})
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return findings, nil
+// staleOffsetPass finds the §III-B data-loss signature: on a fresh file
+// generation (a file tag never read before), the first read starts at a
+// non-zero offset and returns 0 bytes — the reader resumed beyond EOF, so
+// freshly written data can never be delivered. The Fluent Bit v1.4.0 bug
+// produces exactly this pattern after inode reuse.
+type staleOffsetPass struct {
+	firstReadSeen map[event.FileTag]bool
+	findings      []Finding
 }
 
-// costlyPatternDetector flags files dominated by small or random I/O.
-type costlyPatternDetector struct{}
-
-func (costlyPatternDetector) Name() string { return "costly-patterns" }
-
-func (costlyPatternDetector) Detect(ctx context.Context, t Target) ([]Finding, error) {
-	files, err := hotFiles(ctx, t.Backend, t.Index, t.Session, 0, t.Params.PageSize)
-	if err != nil {
-		return nil, err
+func (s *staleOffsetPass) Observe(e *event.Event) {
+	if isRead, _ := dataSyscall(e.Syscall); !isRead || e.FileTag.Zero() || s.firstReadSeen[e.FileTag] {
+		return
 	}
-	var findings []Finding
-	for _, fl := range files {
-		p, err := fileOffsetPattern(ctx, t.Backend, t.Index, t.Session, fl.FilePath, t.Params.PageSize)
-		if err != nil {
-			return nil, err
+	s.firstReadSeen[e.FileTag] = true
+	if e.HasOffset && e.Offset > 0 && e.RetVal == 0 {
+		path := e.FilePath
+		if path == "" {
+			path = "(unresolved path, tag " + e.FileTag.String() + ")"
 		}
+		s.findings = append(s.findings, Finding{
+			Rule:     "stale-offset-read",
+			Severity: SeverityCritical,
+			Summary: fmt.Sprintf(
+				"first read of %s starts at offset %d and returns 0 bytes: the reader resumed past EOF (possible data loss after file recreation)",
+				path, e.Offset),
+			FilePath: path,
+			Evidence: []string{fmt.Sprintf(
+				"%s by %s at t=%d: ret=0 offset=%d tag=%s",
+				e.Syscall, e.ProcName, e.TimeEnterNS, e.Offset, e.FileTag)},
+		})
+	}
+}
+
+func (s *staleOffsetPass) Finish(*DFG) []Finding { return s.findings }
+
+// costlyPatternPass flags files dominated by small or random I/O.
+type costlyPatternPass struct {
+	p     Params
+	files fileAccesses
+}
+
+func (c costlyPatternPass) Observe(e *event.Event) { c.files.observe(e) }
+
+func (c costlyPatternPass) Finish(*DFG) []Finding {
+	var findings []Finding
+	for _, a := range c.files.ranked() {
+		p, path := a.pattern, a.load.FilePath
 		dataOps := p.Reads + p.Writes
-		if dataOps < t.Params.MinDataOps {
+		if dataOps < c.p.MinDataOps {
 			continue
 		}
-		if frac := float64(p.SmallIOs) / float64(dataOps); frac >= t.Params.SmallIOFraction {
+		if frac := float64(p.SmallIOs) / float64(dataOps); frac >= c.p.SmallIOFraction {
 			findings = append(findings, Finding{
 				Rule:     "small-io",
 				Severity: SeverityWarning,
 				Summary: fmt.Sprintf("%.0f%% of %d data syscalls on %s move fewer than %d bytes",
-					frac*100, dataOps, fl.FilePath, SmallIOThreshold),
-				FilePath: fl.FilePath,
+					frac*100, dataOps, path, SmallIOThreshold),
+				FilePath: path,
 			})
 		}
-		if p.SequentialFraction() <= 1-t.Params.RandomFraction {
+		if p.SequentialFraction() <= 1-c.p.RandomFraction {
 			findings = append(findings, Finding{
 				Rule:     "random-io",
 				Severity: SeverityWarning,
 				Summary: fmt.Sprintf("accesses to %s are %.0f%% non-sequential (%d of %d data syscalls)",
-					fl.FilePath, (1-p.SequentialFraction())*100,
+					path, (1-p.SequentialFraction())*100,
 					p.RandomReads+p.RandomWrites, dataOps),
-				FilePath: fl.FilePath,
+				FilePath: path,
 			})
 		}
 	}
-	return findings, nil
+	return findings
 }
 
-// failingSyscallDetector summarizes error-returning syscalls per type, an
+// failingSyscallPass summarizes error-returning syscalls per type, an
 // immediate smell for erroneous I/O usage.
-type failingSyscallDetector struct{}
+type failingSyscallPass struct {
+	bySyscall map[string]int
+	total     int
+}
 
-func (failingSyscallDetector) Name() string { return "failing-syscalls" }
+func (f *failingSyscallPass) Observe(e *event.Event) {
+	if e.RetVal < 0 {
+		f.bySyscall[e.Syscall]++
+		f.total++
+	}
+}
 
-func (failingSyscallDetector) Detect(ctx context.Context, t Target) ([]Finding, error) {
-	lt := 0.0
-	resp, err := t.Backend.Search(ctx, t.Index, store.SearchRequest{
-		Query: store.Must(
-			store.Term(store.FieldSession, t.Session),
-			store.Query{Range: &store.RangeQuery{Field: store.FieldRetVal, LT: &lt}},
-		),
-		Size: 1,
-		Aggs: map[string]store.Agg{
-			"by_syscall": {Terms: &store.TermsAgg{Field: store.FieldSyscall}},
-		},
-	})
-	if err != nil {
-		return nil, err
+func (f *failingSyscallPass) Finish(*DFG) []Finding {
+	if f.total == 0 {
+		return nil
 	}
-	buckets := resp.Aggs["by_syscall"].Buckets
-	if len(buckets) == 0 {
-		return nil, nil
-	}
-	parts := make([]string, 0, len(buckets))
-	for _, bkt := range buckets {
-		parts = append(parts, fmt.Sprintf("%s×%d", bkt.Key, bkt.Count))
+	parts := make([]string, 0, len(f.bySyscall))
+	for name, n := range f.bySyscall {
+		parts = append(parts, fmt.Sprintf("%s×%d", name, n))
 	}
 	sort.Strings(parts)
 	return []Finding{{
 		Rule:     "failing-syscalls",
 		Severity: SeverityInfo,
-		Summary:  fmt.Sprintf("%d syscalls returned errors (%s)", resp.Total, strings.Join(parts, ", ")),
-	}}, nil
+		Summary:  fmt.Sprintf("%d syscalls returned errors (%s)", f.total, strings.Join(parts, ", ")),
+	}}
 }
 
-// ContentionWindow is one detected interval of background-I/O interference.
+// ContentionWindow is one interval of the session timeline: how many
+// distinct background threads issued I/O in it and how many syscalls the
+// client thread completed.
 type ContentionWindow struct {
 	StartNS           int64
 	BackgroundThreads int
 	ClientSyscalls    int
 }
 
-// contentionDetector finds the §III-C signature in a traced session: time
+// contentionPass finds the §III-C signature in a traced session: time
 // windows where many background threads issue I/O while the client
-// thread's syscall rate drops below DropFraction of its median.
-type contentionDetector struct{}
+// thread's syscall rate drops below DropFraction of its median. Events
+// arrive in time order, so a window closes when the next window's key
+// appears; windows with no events never exist.
+type contentionPass struct {
+	p       ContentionParams
+	windows []ContentionWindow
+	// active holds the background threads seen in the open (last) window.
+	active map[string]bool
+}
 
-func (contentionDetector) Name() string { return "background-io-contention" }
+func (c *contentionPass) Observe(e *event.Event) {
+	start := e.TimeEnterNS / c.p.WindowNS * c.p.WindowNS
+	if n := len(c.windows); n == 0 || c.windows[n-1].StartNS != start {
+		c.windows = append(c.windows, ContentionWindow{StartNS: start})
+		clear(c.active)
+	}
+	w := &c.windows[len(c.windows)-1]
+	switch {
+	case e.ThreadName == c.p.ClientThread:
+		w.ClientSyscalls++
+	case strings.HasPrefix(e.ThreadName, c.p.BackgroundPrefix) && !c.active[e.ThreadName]:
+		c.active[e.ThreadName] = true
+		w.BackgroundThreads++
+	}
+}
 
-func (contentionDetector) Detect(ctx context.Context, t Target) ([]Finding, error) {
-	p := t.Params.Contention
-	resp, err := t.Backend.Search(ctx, t.Index, store.SearchRequest{
-		Query: store.Term(store.FieldSession, t.Session),
-		Size:  1,
-		Aggs: map[string]store.Agg{
-			"timeline": {
-				DateHistogram: &store.DateHistogramAgg{Field: store.FieldTimeEnter, IntervalNS: p.WindowNS},
-				Aggs: map[string]store.Agg{
-					"by_thread": {Terms: &store.TermsAgg{Field: store.FieldThreadName}},
-				},
-			},
-		},
-	})
-	if err != nil {
-		return nil, err
+func (c *contentionPass) Finish(*DFG) []Finding {
+	if len(c.windows) < 4 {
+		return nil // not enough signal
 	}
-	type window struct {
-		startNS    int64
-		client     int
-		background int
+	sorted := make([]int, len(c.windows))
+	for i, w := range c.windows {
+		sorted[i] = w.ClientSyscalls
 	}
-	var windows []window
-	var clientCounts []float64
-	for _, bkt := range resp.Aggs["timeline"].Buckets {
-		w := window{startNS: int64(bkt.KeyNum)}
-		for _, sub := range bkt.Sub["by_thread"].Buckets {
-			switch {
-			case sub.Key == p.ClientThread:
-				w.client = sub.Count
-			case strings.HasPrefix(sub.Key, p.BackgroundPrefix):
-				w.background++
-			}
-		}
-		windows = append(windows, w)
-		clientCounts = append(clientCounts, float64(w.client))
-	}
-	if len(windows) < 4 {
-		return nil, nil // not enough signal
-	}
-	sorted := append([]float64(nil), clientCounts...)
-	sort.Float64s(sorted)
-	median := sorted[len(sorted)/2]
+	sort.Ints(sorted)
+	median := float64(sorted[len(sorted)/2])
 
-	var hits []ContentionWindow
-	for _, w := range windows {
-		if w.background >= p.MinBackground && float64(w.client) < median*p.DropFraction {
-			hits = append(hits, ContentionWindow{
-				StartNS:           w.startNS,
-				BackgroundThreads: w.background,
-				ClientSyscalls:    w.client,
-			})
+	var evidence []string
+	for _, w := range c.windows {
+		if w.BackgroundThreads >= c.p.MinBackground && float64(w.ClientSyscalls) < median*c.p.DropFraction {
+			evidence = append(evidence, fmt.Sprintf(
+				"window t=%d: %d %s* threads active, %s syscalls down to %d (median %.0f)",
+				w.StartNS, w.BackgroundThreads, c.p.BackgroundPrefix, c.p.ClientThread, w.ClientSyscalls, median))
 		}
 	}
-	if len(hits) == 0 {
-		return nil, nil
-	}
-	evidence := make([]string, 0, len(hits))
-	for _, h := range hits {
-		evidence = append(evidence, fmt.Sprintf(
-			"window t=%d: %d %s* threads active, %s syscalls down to %d (median %.0f)",
-			h.StartNS, h.BackgroundThreads, p.BackgroundPrefix, p.ClientThread, h.ClientSyscalls, median))
+	if len(evidence) == 0 {
+		return nil
 	}
 	return []Finding{{
 		Rule:     "background-io-contention",
 		Severity: SeverityWarning,
 		Summary: fmt.Sprintf(
 			"%d window(s) where >=%d background threads issue I/O while %s throughput drops below %.0f%% of median",
-			len(hits), p.MinBackground, p.ClientThread, p.DropFraction*100),
+			len(evidence), c.p.MinBackground, c.p.ClientThread, c.p.DropFraction*100),
 		Evidence: evidence,
-	}}, nil
+	}}
 }
 
-// dfgPatternDetector scores the session's Directly-Follows-Graph against
-// known syscall-sequence anti-patterns: read→lseek→read ping-pong (a
-// reader repositioning between consecutive reads instead of using
-// positional I/O) and open/close churn (files reopened for trivial work).
-type dfgPatternDetector struct{}
+// dfgPatternPass scores the session's Directly-Follows-Graph against known
+// syscall-sequence anti-patterns: read→lseek→read ping-pong (a reader
+// repositioning between consecutive reads instead of using positional I/O)
+// and open/close churn (files reopened for trivial work). It reads nothing
+// but the finished graph.
+type dfgPatternPass struct{ p DFGParams }
 
-func (dfgPatternDetector) Name() string { return "dfg-antipatterns" }
+func (dfgPatternPass) Observe(*event.Event) {}
 
-func (dfgPatternDetector) Detect(ctx context.Context, t Target) ([]Finding, error) {
-	p := t.Params.DFG
-	if t.DFG == nil {
-		return nil, nil
-	}
+func (d dfgPatternPass) Finish(g *DFG) []Finding {
 	var findings []Finding
-	for _, proc := range t.DFG.Procs {
+	for _, proc := range g.Procs {
 		edges := make(map[string]int64, len(proc.Edges))
 		for _, e := range proc.Edges {
 			edges[e.From+"→"+e.To] += e.Count
@@ -263,7 +212,7 @@ func (dfgPatternDetector) Detect(ctx context.Context, t Target) ([]Finding, erro
 
 		readSeek := edges["read→lseek"]
 		seekRead := edges["lseek→read"]
-		if readSeek >= p.PingPongMinCount && seekRead >= p.PingPongMinCount {
+		if readSeek >= d.p.PingPongMinCount && seekRead >= d.p.PingPongMinCount {
 			findings = append(findings, Finding{
 				Rule:     "read-lseek-ping-pong",
 				Severity: SeverityWarning,
@@ -274,7 +223,7 @@ func (dfgPatternDetector) Detect(ctx context.Context, t Target) ([]Finding, erro
 					"DFG edges read→lseek=%d lseek→read=%d", readSeek, seekRead)},
 			})
 		}
-		if opens >= p.ChurnMinOpens && float64(dataOps) < p.ChurnMaxOpsPerOpen*float64(opens) {
+		if opens >= d.p.ChurnMinOpens && float64(dataOps) < d.p.ChurnMaxOpsPerOpen*float64(opens) {
 			findings = append(findings, Finding{
 				Rule:     "open-close-churn",
 				Severity: SeverityWarning,
@@ -286,5 +235,5 @@ func (dfgPatternDetector) Detect(ctx context.Context, t Target) ([]Finding, erro
 			})
 		}
 	}
-	return findings, nil
+	return findings
 }

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
@@ -134,84 +135,92 @@ func (h *dfgHist) quantile(q float64) float64 {
 // selects the default). Memory is bounded by the distinct syscall kinds
 // and live threads, not the session length.
 func BuildDFG(ctx context.Context, b store.Backend, index, session string, pageSize int) (*DFG, error) {
-	type prev struct {
-		syscall string
-		exitNS  int64
-	}
-	type nodeAgg struct {
-		count, errors int64
-		dur           dfgHist
-	}
-	type edgeKey struct{ from, to string }
-	type edgeAgg struct {
-		count int64
-		gap   dfgHist
-	}
-	type procAgg struct {
-		name  string
-		nodes map[string]*nodeAgg
-		edges map[edgeKey]*edgeAgg
-		last  map[int]prev
-	}
-	procs := make(map[int]*procAgg)
-	var events int64
-
-	req := store.SearchRequest{
-		Query: store.Term(store.FieldSession, session),
-		Sort:  []store.SortField{{Field: store.FieldTimeEnter}},
-	}
-	err := store.EachEventPage(ctx, b, index, req, pageSize, func(page store.EventsResult) error {
-		for i := range page.Hits {
-			e := &page.Hits[i]
-			events++
-			p := procs[e.PID]
-			if p == nil {
-				p = &procAgg{
-					nodes: make(map[string]*nodeAgg),
-					edges: make(map[edgeKey]*edgeAgg),
-					last:  make(map[int]prev),
-				}
-				procs[e.PID] = p
-			}
-			if p.name == "" {
-				p.name = e.ProcName
-			}
-			n := p.nodes[e.Syscall]
-			if n == nil {
-				n = &nodeAgg{}
-				p.nodes[e.Syscall] = n
-			}
-			n.count++
-			if e.RetVal < 0 {
-				n.errors++
-			}
-			n.dur.observe(e.DurationNS())
-			if pr, ok := p.last[e.TID]; ok {
-				k := edgeKey{pr.syscall, e.Syscall}
-				ed := p.edges[k]
-				if ed == nil {
-					ed = &edgeAgg{}
-					p.edges[k] = ed
-				}
-				ed.count++
-				ed.gap.observe(e.TimeEnterNS - pr.exitNS)
-			}
-			p.last[e.TID] = prev{e.Syscall, e.TimeExitNS}
-		}
-		return nil
-	})
-	if err != nil {
+	builder := newDFGBuilder()
+	if err := eachEvent(ctx, b, index, store.Term(store.FieldSession, session), pageSize, builder.observe); err != nil {
 		return nil, fmt.Errorf("dfg stream: %w", err)
 	}
+	return builder.finish(session, index), nil
+}
 
-	d := &DFG{Session: session, Index: index, Events: events}
-	pids := make([]int, 0, len(procs))
-	for pid := range procs {
+// dfgBuilder folds time-ordered events into per-process node and edge
+// aggregates; Engine.Analyze drives it from the same cursor as the detectors.
+type dfgBuilder struct {
+	procs  map[int]*procAgg
+	events int64
+}
+
+type procAgg struct {
+	name  string
+	nodes map[string]*nodeAgg
+	edges map[edgeKey]*edgeAgg
+	last  map[int]prevCall // by TID
+}
+
+type prevCall struct {
+	syscall string
+	exitNS  int64
+}
+
+type nodeAgg struct {
+	count, errors int64
+	dur           dfgHist
+}
+
+type edgeKey struct{ from, to string }
+
+type edgeAgg struct {
+	count int64
+	gap   dfgHist
+}
+
+func newDFGBuilder() *dfgBuilder { return &dfgBuilder{procs: make(map[int]*procAgg)} }
+
+func (b *dfgBuilder) observe(e *event.Event) {
+	b.events++
+	p := b.procs[e.PID]
+	if p == nil {
+		p = &procAgg{
+			nodes: make(map[string]*nodeAgg),
+			edges: make(map[edgeKey]*edgeAgg),
+			last:  make(map[int]prevCall),
+		}
+		b.procs[e.PID] = p
+	}
+	if p.name == "" {
+		p.name = e.ProcName
+	}
+	n := p.nodes[e.Syscall]
+	if n == nil {
+		n = &nodeAgg{}
+		p.nodes[e.Syscall] = n
+	}
+	n.count++
+	if e.RetVal < 0 {
+		n.errors++
+	}
+	n.dur.observe(e.DurationNS())
+	if pr, ok := p.last[e.TID]; ok {
+		k := edgeKey{pr.syscall, e.Syscall}
+		ed := p.edges[k]
+		if ed == nil {
+			ed = &edgeAgg{}
+			p.edges[k] = ed
+		}
+		ed.count++
+		ed.gap.observe(e.TimeEnterNS - pr.exitNS)
+	}
+	p.last[e.TID] = prevCall{e.Syscall, e.TimeExitNS}
+}
+
+func (b *dfgBuilder) finish(session, index string) *DFG {
+	d := &DFG{Session: session, Index: index, Events: b.events}
+	pids := make([]int, 0, len(b.procs))
+	for pid := range b.procs {
 		pids = append(pids, pid)
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		p := procs[pid]
+		p := b.procs[pid]
 		sub := ProcessDFG{PID: pid, Proc: p.name}
 		names := make([]string, 0, len(p.nodes))
 		for name := range p.nodes {
@@ -248,5 +257,5 @@ func BuildDFG(ctx context.Context, b store.Backend, index, session string, pageS
 		}
 		d.Procs = append(d.Procs, sub)
 	}
-	return d, nil
+	return d
 }

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/dsrhaslab/dio-go/internal/clock"
-	"github.com/dsrhaslab/dio-go/internal/core"
+	"github.com/dsrhaslab/dio-go/internal/apps/fluentbit"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
@@ -37,28 +35,11 @@ func pingPongWorkload(k *kernel.Kernel) {
 // traceWorkload traces fn into a backend with the given shard count.
 func traceWorkload(t *testing.T, shards int, session string, fn func(k *kernel.Kernel)) *store.Store {
 	t.Helper()
-	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-	if err := k.MkdirAll("/d"); err != nil {
-		t.Fatal(err)
-	}
 	backend, err := store.Open(store.WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer, err := core.NewTracer(core.Config{
-		SessionName: session, Index: "events", Backend: backend,
-		AutoCorrelate: true, FlushInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tracer.Start(k); err != nil {
-		t.Fatal(err)
-	}
-	fn(k)
-	if _, err := tracer.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	traced(fn)(t, backend, session)
 	return backend
 }
 
@@ -153,38 +134,79 @@ func TestDFGDetectorFlagsAntiPatterns(t *testing.T) {
 	}
 }
 
-// pagingBackend records the Size of every search to prove the DFG builder
-// and detectors stream pages instead of materializing whole sessions.
+// pagingBackend records every request the engine makes of its backend, to
+// prove the whole diagnosis is one cursor pass and nothing else.
 type pagingBackend struct {
 	*store.Store
-	sizes []int
+	pageSizes []int // Size of each SearchEvents call, in order
+	others    int   // Search and Count calls
+}
+
+func (p *pagingBackend) SearchEvents(ctx context.Context, index string, req store.SearchRequest) (store.EventsResult, error) {
+	p.pageSizes = append(p.pageSizes, req.Size)
+	return p.Store.SearchEvents(ctx, index, req)
 }
 
 func (p *pagingBackend) Search(ctx context.Context, index string, req store.SearchRequest) (store.SearchResponse, error) {
-	p.sizes = append(p.sizes, req.Size)
+	p.others++
 	return p.Store.Search(ctx, index, req)
 }
 
+func (p *pagingBackend) Count(ctx context.Context, index string, q store.Query) (int, error) {
+	p.others++
+	return p.Store.Count(ctx, index, q)
+}
+
+// TestEngineStreamsThroughCursors is ROADMAP item 3's "≤ 1 cursor pass"
+// bar: a run over N events at page size P costs exactly the ⌈(N+1)/P⌉ pages
+// of one pass (the cursor stops at the first short page), each of Size P,
+// and no other backend call; a DFG build costs the same, a diff two passes.
 func TestEngineStreamsThroughCursors(t *testing.T) {
+	const pageSize = 16
+	ctx := context.Background()
 	b := traceWorkload(t, 4, "page", pingPongWorkload)
-	pb := &pagingBackend{Store: b}
-	rep, err := NewEngine(DefaultRegistry()).RunParams(
-		context.Background(), pb, "events", "page", Params{PageSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Events == 0 {
-		t.Fatal("no events diagnosed")
-	}
-	if len(pb.sizes) == 0 {
-		t.Fatal("engine bypassed the backend Search path")
-	}
-	for _, size := range pb.sizes {
-		if size < 0 {
-			t.Fatalf("engine issued an unbounded (Size=-1) search: %v", pb.sizes)
+	traced(fluentBitWorkload(fluentbit.VersionBuggy))(t, b, "other")
+	onePass := func(session string) int {
+		n, err := b.Count(ctx, "events", store.Term(store.FieldSession, session))
+		if err != nil || n == 0 {
+			t.Fatalf("count %s = %d, %v", session, n, err)
 		}
-		if size > 16 {
-			t.Fatalf("engine exceeded its page size: %v", pb.sizes)
+		return (n + pageSize) / pageSize // ⌈(n+1)/pageSize⌉
+	}
+	eng := NewEngine(DefaultRegistry())
+	p := Params{PageSize: pageSize}
+	for _, tc := range []struct {
+		name string
+		want int
+		run  func(pb *pagingBackend) error
+	}{
+		{"Engine.Run", onePass("page"), func(pb *pagingBackend) error {
+			_, err := eng.RunParams(ctx, pb, "events", "page", p)
+			return err
+		}},
+		{"BuildDFG", onePass("page"), func(pb *pagingBackend) error {
+			_, err := BuildDFG(ctx, pb, "events", "page", pageSize)
+			return err
+		}},
+		{"DiffSessions", onePass("page") + onePass("other"), func(pb *pagingBackend) error {
+			_, err := eng.DiffSessions(ctx, pb, "events", "page", "other", p)
+			return err
+		}},
+	} {
+		pb := &pagingBackend{Store: b}
+		if err := tc.run(pb); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(pb.pageSizes) != tc.want {
+			t.Errorf("%s issued %d cursor pages, want %d", tc.name, len(pb.pageSizes), tc.want)
+		}
+		for _, size := range pb.pageSizes {
+			if size != pageSize {
+				t.Errorf("%s requested a page of Size %d, want %d", tc.name, size, pageSize)
+			}
+		}
+		if pb.others != 0 {
+			t.Errorf("%s made %d Search/Count calls, want 0", tc.name, pb.others)
 		}
 	}
 }

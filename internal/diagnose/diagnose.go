@@ -8,13 +8,13 @@
 // by a Directly-Follows-Graph over the session's syscall stream
 // (Sankaran et al., arXiv:2408.07378).
 //
-// Every detector runs ordinary queries against the analysis backend
-// through the streaming cursor, so the rules work identically over an
-// in-process store, a remote server, or a retention-tiered index, and
-// never materialize a whole session in memory. Engine.Run aggregates the
-// findings into a severity-weighted 0-100 health score; Diff compares two
-// sessions' reports and DFGs and classifies each delta as regression,
-// improvement, or neutral.
+// The engine reads a session once: one sorted streaming cursor feeds the
+// DFG builder and every detector's Pass, so the rules hold no backend, work
+// identically over an in-process store, a remote server, or a
+// retention-tiered index, and never materialize a whole session in
+// memory. Engine.Run aggregates the findings into a severity-weighted
+// 0-100 health score; Diff compares two sessions' reports and DFGs and
+// classifies each delta as regression, improvement, or neutral.
 package diagnose
 
 import (

@@ -18,28 +18,7 @@ import (
 // traceFluentBit traces one Fluent Bit scenario and returns the backend.
 func traceFluentBit(t *testing.T, version fluentbit.Version, session string) *store.Store {
 	t.Helper()
-	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-	backend := memStore(t)
-	tracer, err := core.NewTracer(core.Config{
-		SessionName:   session,
-		Index:         "events",
-		Backend:       backend,
-		AutoCorrelate: true,
-		FlushInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tracer.Start(k); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fluentbit.RunScenario(k, "/var/log", version); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tracer.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	return backend
+	return tracedSession(t, session, fluentBitWorkload(version))
 }
 
 // diagnoseSession runs the default engine over one session.
@@ -112,18 +91,10 @@ func TestEngineRunSeparatesVersions(t *testing.T) {
 	}
 }
 
-func TestEngineFlagsCostlyPatterns(t *testing.T) {
-	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-	k.MkdirAll("/d")
-	backend := memStore(t)
-	tracer, _ := core.NewTracer(core.Config{
-		SessionName: "patterns", Index: "events", Backend: backend,
-		AutoCorrelate: true, FlushInterval: time.Millisecond,
-	})
-	tracer.Start(k)
-
+// costlyWorkload does random, small I/O on /d/bad and large sequential I/O
+// on /d/good.
+func costlyWorkload(k *kernel.Kernel) {
 	task := k.NewProcess("app").NewTask("app")
-	// Random, small I/O on one file.
 	fd, _ := task.Openat(kernel.AtFDCWD, "/d/bad", kernel.ORdwr|kernel.OCreat, 0o644)
 	task.Write(fd, make([]byte, 64<<10))
 	buf := make([]byte, 100)
@@ -131,15 +102,16 @@ func TestEngineFlagsCostlyPatterns(t *testing.T) {
 		task.Pread64(fd, buf, int64(i*3000))
 	}
 	task.Close(fd)
-	// Large sequential I/O on another.
 	fd2, _ := task.Openat(kernel.AtFDCWD, "/d/good", kernel.OWronly|kernel.OCreat, 0o644)
 	big := make([]byte, 16<<10)
 	for i := 0; i < 10; i++ {
 		task.Write(fd2, big)
 	}
 	task.Close(fd2)
-	tracer.Stop()
+}
 
+func TestEngineFlagsCostlyPatterns(t *testing.T) {
+	backend := tracedSession(t, "patterns", costlyWorkload)
 	rules := byRule(diagnoseSession(t, backend, "patterns"))
 	if got := rules["small-io"]; len(got) != 1 || got[0].FilePath != "/d/bad" {
 		t.Fatalf("small-io findings = %+v", got)
@@ -149,20 +121,16 @@ func TestEngineFlagsCostlyPatterns(t *testing.T) {
 	}
 }
 
-func TestEngineFlagsFailingSyscalls(t *testing.T) {
-	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-	backend := memStore(t)
-	tracer, _ := core.NewTracer(core.Config{
-		SessionName: "errs", Index: "events", Backend: backend,
-		FlushInterval: time.Millisecond,
-	})
-	tracer.Start(k)
+// failingWorkload issues three syscalls that return errors.
+func failingWorkload(k *kernel.Kernel) {
 	task := k.NewProcess("app").NewTask("app")
 	task.Stat("/missing1")
 	task.Stat("/missing2")
 	task.Unlink("/missing3")
-	tracer.Stop()
+}
 
+func TestEngineFlagsFailingSyscalls(t *testing.T) {
+	backend := tracedSession(t, "errs", failingWorkload)
 	findings := byRule(diagnoseSession(t, backend, "errs"))["failing-syscalls"]
 	if len(findings) != 1 {
 		t.Fatalf("findings = %+v", findings)

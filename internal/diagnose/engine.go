@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
@@ -22,8 +23,8 @@ type Params struct {
 	// MinDataOps is the minimum number of data syscalls before a file's
 	// pattern is judged at all (default 8).
 	MinDataOps int `json:"min_data_ops,omitempty"`
-	// PageSize bounds the streaming-cursor pages every detector and the
-	// DFG builder read events through (default 1000).
+	// PageSize bounds the pages of the one streaming cursor that feeds the
+	// DFG builder and every detector (default 1000).
 	PageSize int `json:"page_size,omitempty"`
 
 	Contention ContentionParams `json:"contention,omitempty"`
@@ -100,48 +101,46 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Target is what a detector examines: one session of one index, reached
-// through a Backend, with the engine's parameters and the session's DFG
-// (built once per run and shared across detectors) already resolved.
-type Target struct {
-	Backend store.Backend
-	Index   string
-	Session string
-	Params  Params
-	// DFG is the session's Directly-Follows-Graph, built by the engine
-	// before any detector runs.
-	DFG *DFG
+// Detector is one registered diagnosis rule: a name and the constructor of
+// its per-session state.
+type Detector struct {
+	Name  string
+	Begin func(Params) Pass
 }
 
-// Detector is one registered diagnosis rule. Detect returns zero or more
-// findings; an error aborts the engine run.
-type Detector interface {
-	Name() string
-	Detect(ctx context.Context, t Target) ([]Finding, error)
+// Pass is one detector's state over one session. The engine calls Observe
+// once per stored event, in the sorted cursor's total order (time_enter_ns,
+// then row id), and then Finish once with the session's finished DFG. A pass
+// holds no backend, so its memory is whatever it chooses to keep — the
+// built-in rules keep per-file, per-thread, per-window and per-syscall-kind
+// state, never anything proportional to the session length.
+type Pass interface {
+	Observe(e *event.Event)
+	Finish(g *DFG) []Finding
 }
 
 // Registry holds detectors in registration order.
 type Registry struct {
 	detectors []Detector
-	byName    map[string]bool
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]bool)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Register adds a detector; duplicate names are rejected so two rules can
 // never shadow each other in a report.
 func (r *Registry) Register(d Detector) error {
-	name := d.Name()
-	if name == "" {
+	if d.Name == "" {
 		return fmt.Errorf("diagnose: detector with empty name")
 	}
-	if r.byName[name] {
-		return fmt.Errorf("diagnose: detector %q already registered", name)
+	if d.Begin == nil {
+		return fmt.Errorf("diagnose: detector %q has no Begin", d.Name)
 	}
-	r.byName[name] = true
+	for _, have := range r.detectors {
+		if have.Name == d.Name {
+			return fmt.Errorf("diagnose: detector %q already registered", d.Name)
+		}
+	}
 	r.detectors = append(r.detectors, d)
 	return nil
 }
@@ -155,19 +154,15 @@ func (r *Registry) Detectors() []Detector {
 // paper's Fluent Bit stale-offset and RocksDB contention signatures, the
 // costly-pattern and failing-syscall rules, and the DFG anti-pattern rule.
 func DefaultRegistry() *Registry {
-	r := NewRegistry()
-	for _, d := range []Detector{
-		staleOffsetDetector{},
-		dfgPatternDetector{},
-		costlyPatternDetector{},
-		failingSyscallDetector{},
-		contentionDetector{},
-	} {
-		if err := r.Register(d); err != nil {
-			panic(err) // built-ins are statically unique
-		}
-	}
-	return r
+	return &Registry{detectors: []Detector{
+		{"stale-offset-read", func(Params) Pass { return &staleOffsetPass{firstReadSeen: make(map[event.FileTag]bool)} }},
+		{"dfg-antipatterns", func(p Params) Pass { return dfgPatternPass{p.DFG} }},
+		{"costly-patterns", func(p Params) Pass { return costlyPatternPass{p, fileAccesses{}} }},
+		{"failing-syscalls", func(Params) Pass { return &failingSyscallPass{bySyscall: make(map[string]int)} }},
+		{"background-io-contention", func(p Params) Pass {
+			return &contentionPass{p: p.Contention, active: make(map[string]bool)}
+		}},
+	}}
 }
 
 // Engine runs a detector registry over sessions and scores the results.
@@ -179,14 +174,14 @@ type Engine struct {
 
 type engineTelemetry struct {
 	runs, findings, dfgBuilds, diffs *telemetry.Counter
-	runNS, dfgNS                     *telemetry.Histogram
+	runNS                            *telemetry.Histogram
 }
 
 // EngineOption customizes an Engine at construction time.
 type EngineOption func(*Engine)
 
 // WithTelemetry counts engine activity (runs, findings, DFG builds, diffs,
-// latencies) in reg, so a diod node's /metrics covers its diagnosis load.
+// run latency) in reg, so a diod node's /metrics covers its diagnosis load.
 func WithTelemetry(reg *telemetry.Registry) EngineOption {
 	return func(e *Engine) {
 		e.tm = engineTelemetry{
@@ -195,7 +190,6 @@ func WithTelemetry(reg *telemetry.Registry) EngineOption {
 			dfgBuilds: reg.Counter("dio_dfg_builds_total", "Syscall DFG builds."),
 			diffs:     reg.Counter("dio_diff_runs_total", "Session diff runs."),
 			runNS:     reg.Histogram("dio_diagnose_run_ns", "Diagnosis run latency (ns).", telemetry.DefaultLatencyBuckets),
-			dfgNS:     reg.Histogram("dio_dfg_build_ns", "DFG build latency (ns).", telemetry.DefaultLatencyBuckets),
 		}
 	}
 }
@@ -227,30 +221,35 @@ func (e *Engine) RunParams(ctx context.Context, b store.Backend, index, session 
 	return rep, err
 }
 
-// Analyze is RunParams returning the session DFG alongside the report, so
-// callers that need both (diff, the /_diagnose+/_dfg handlers) build the
-// graph once.
+// Analyze is RunParams returning the session DFG alongside the report. It
+// reads the session once: a single sorted cursor feeds the DFG builder and
+// one Pass per registered detector, in registration order.
 func (e *Engine) Analyze(ctx context.Context, b store.Backend, index, session string, p Params) (Report, *DFG, error) {
 	p = p.withDefaults()
 	start := time.Now()
-	dfgStart := start
-	dfg, err := BuildDFG(ctx, b, index, session, p.PageSize)
-	if err != nil {
-		return Report{Session: session, Index: index}, nil, fmt.Errorf("dfg build: %w", err)
+	rep := Report{Session: session, Index: index}
+	builder := newDFGBuilder()
+	passes := make([]Pass, len(e.reg.detectors))
+	for i, d := range e.reg.detectors {
+		passes[i] = d.Begin(p)
 	}
-	e.tm.dfgBuilds.Inc()
-	e.tm.dfgNS.Observe(float64(time.Since(dfgStart)))
-
-	t := Target{Backend: b, Index: index, Session: session, Params: p, DFG: dfg}
-	rep := Report{Session: session, Index: index, Events: dfg.Events}
-	for _, d := range e.reg.detectors {
-		rep.Detectors = append(rep.Detectors, d.Name())
-		findings, err := d.Detect(ctx, t)
-		if err != nil {
-			return rep, dfg, fmt.Errorf("detector %s: %w", d.Name(), err)
+	err := eachEvent(ctx, b, index, store.Term(store.FieldSession, session), p.PageSize, func(ev *event.Event) {
+		builder.observe(ev)
+		for _, pass := range passes {
+			pass.Observe(ev)
 		}
-		for i := range findings {
-			findings[i].Detector = d.Name()
+	})
+	if err != nil {
+		return rep, nil, fmt.Errorf("session stream: %w", err)
+	}
+	dfg := builder.finish(session, index)
+	e.tm.dfgBuilds.Inc()
+	rep.Events = dfg.Events
+	for i, d := range e.reg.detectors {
+		rep.Detectors = append(rep.Detectors, d.Name)
+		findings := passes[i].Finish(dfg)
+		for j := range findings {
+			findings[j].Detector = d.Name
 		}
 		rep.Findings = append(rep.Findings, findings...)
 	}
@@ -259,6 +258,19 @@ func (e *Engine) Analyze(ctx context.Context, b store.Backend, index, session st
 	e.tm.findings.Add(uint64(len(rep.Findings)))
 	e.tm.runNS.Observe(float64(time.Since(start)))
 	return rep, dfg, nil
+}
+
+// eachEvent is the package's one read path: it walks the events matching q
+// in the sorted cursor's total order through pageSize-bounded pages
+// (pageSize <= 0 selects the cursor's default).
+func eachEvent(ctx context.Context, b store.Backend, index string, q store.Query, pageSize int, fn func(*event.Event)) error {
+	req := store.SearchRequest{Query: q, Sort: []store.SortField{{Field: store.FieldTimeEnter}}}
+	return store.EachEventPage(ctx, b, index, req, pageSize, func(page store.EventsResult) error {
+		for i := range page.Hits {
+			fn(&page.Hits[i])
+		}
+		return nil
+	})
 }
 
 // DiffSessions runs the engine over two sessions of one index and diffs

@@ -9,31 +9,35 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/apps/fluentbit"
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/core"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/store"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
-type fakeDetector struct {
-	name     string
-	findings []Finding
-}
+// fakePass reports fixed findings whatever it observes.
+type fakePass []Finding
 
-func (d fakeDetector) Name() string { return d.name }
-func (d fakeDetector) Detect(context.Context, Target) ([]Finding, error) {
-	return d.findings, nil
+func (fakePass) Observe(*event.Event)    {}
+func (p fakePass) Finish(*DFG) []Finding { return p }
+
+func fakeDetector(name string, findings ...Finding) Detector {
+	return Detector{Name: name, Begin: func(Params) Pass { return fakePass(findings) }}
 }
 
 func TestRegistryRejectsDuplicatesAndEmptyNames(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Register(fakeDetector{name: "a"}); err != nil {
+	if err := r.Register(fakeDetector("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(fakeDetector{name: "a"}); err == nil {
+	if err := r.Register(fakeDetector("a")); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if err := r.Register(fakeDetector{name: ""}); err == nil {
+	if err := r.Register(fakeDetector("")); err == nil {
 		t.Fatal("empty name accepted")
+	}
+	if err := r.Register(Detector{Name: "b"}); err == nil {
+		t.Fatal("nil Begin accepted")
 	}
 }
 
@@ -49,12 +53,8 @@ func TestEngineRunsDetectorsInRegistrationOrderAndAttributes(t *testing.T) {
 	tracer.Stop()
 
 	r := NewRegistry()
-	r.Register(fakeDetector{name: "first", findings: []Finding{
-		{Rule: "r1", Severity: SeverityWarning, Summary: "w"},
-	}})
-	r.Register(fakeDetector{name: "second", findings: []Finding{
-		{Rule: "r2", Severity: SeverityCritical, Summary: "c"},
-	}})
+	r.Register(fakeDetector("first", Finding{Rule: "r1", Severity: SeverityWarning, Summary: "w"}))
+	r.Register(fakeDetector("second", Finding{Rule: "r2", Severity: SeverityCritical, Summary: "c"}))
 	rep, err := NewEngine(r).Run(context.Background(), backend, "events", "order")
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +93,13 @@ func TestEngineTelemetry(t *testing.T) {
 	if got := reg.Counter("dio_dfg_builds_total", "").Value(); got != 1 {
 		t.Fatalf("dfg builds counter = %d", got)
 	}
+	hists := reg.Snapshot().Histograms
+	if got := hists["dio_diagnose_run_ns"].Count; got != 1 {
+		t.Fatalf("run latency observations = %d", got)
+	}
+	if _, ok := hists["dio_dfg_build_ns"]; ok {
+		t.Fatal("dio_dfg_build_ns still exported: one pass has no separate DFG phase to time")
+	}
 }
 
 // tracedFluentBitPair traces both Fluent Bit versions into one backend as
@@ -100,28 +107,8 @@ func TestEngineTelemetry(t *testing.T) {
 func tracedFluentBitPair(t *testing.T) *store.Store {
 	t.Helper()
 	backend := memStore(t)
-	for _, v := range []struct {
-		session string
-		version fluentbit.Version
-	}{{"buggy", fluentbit.VersionBuggy}, {"fixed", fluentbit.VersionFixed}} {
-		k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-		tracer, err := core.NewTracer(core.Config{
-			SessionName: v.session, Index: "events", Backend: backend,
-			AutoCorrelate: true, FlushInterval: time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tracer.Start(k); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fluentbit.RunScenario(k, "/var/log", v.version); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tracer.Stop(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	traced(fluentBitWorkload(fluentbit.VersionBuggy))(t, backend, "buggy")
+	traced(fluentBitWorkload(fluentbit.VersionFixed))(t, backend, "fixed")
 	return backend
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
@@ -62,66 +63,16 @@ func (p OffsetPattern) Classification() string {
 
 var dataSyscalls = []any{"read", "pread64", "readv", "write", "pwrite64", "writev"}
 
-// FileOffsetPattern analyzes the offset pattern of filePath within a
-// session. Events must have been path-correlated first (file_path set).
-func FileOffsetPattern(ctx context.Context, b store.Backend, index, session, filePath string) (OffsetPattern, error) {
-	return fileOffsetPattern(ctx, b, index, session, filePath, 0)
-}
-
-func fileOffsetPattern(ctx context.Context, b store.Backend, index, session, filePath string, pageSize int) (OffsetPattern, error) {
-	p := OffsetPattern{FilePath: filePath}
-	// Track the expected next offset per thread, as concurrent streams can
-	// interleave while each remains sequential.
-	nextByTID := make(map[int]int64)
-	req := store.SearchRequest{
-		Query: store.Must(
-			store.Term(store.FieldSession, session),
-			store.Term(store.FieldFilePath, filePath),
-			store.Terms(store.FieldSyscall, dataSyscalls...),
-		),
-		Sort: []store.SortField{{Field: store.FieldTimeEnter}},
+// dataSyscall reports whether name is one of dataSyscalls, and whether it
+// is one of the three that read.
+func dataSyscall(name string) (isRead, ok bool) {
+	switch name {
+	case "read", "pread64", "readv":
+		return true, true
+	case "write", "pwrite64", "writev":
+		return false, true
 	}
-	err := store.EachEventPage(ctx, b, index, req, pageSize, func(page store.EventsResult) error {
-		for i := range page.Hits {
-			e := &page.Hits[i]
-			if e.RetVal < 0 || !e.HasOffset {
-				continue
-			}
-			isRead := e.Syscall == "read" || e.Syscall == "pread64" || e.Syscall == "readv"
-			moved := e.RetVal
-			if !isRead {
-				moved = int64(e.Count)
-			}
-			if moved < SmallIOThreshold {
-				p.SmallIOs++
-			}
-			expected, seen := nextByTID[e.TID]
-			sequential := !seen || e.Offset == expected
-			nextByTID[e.TID] = e.Offset + moved
-			switch {
-			case isRead && sequential:
-				p.SequentialReads++
-			case isRead:
-				p.RandomReads++
-			case sequential:
-				p.SequentialWrites++
-			default:
-				p.RandomWrites++
-			}
-			if isRead {
-				p.Reads++
-				p.BytesRead += e.RetVal
-			} else {
-				p.Writes++
-				p.BytesWrite += moved
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return OffsetPattern{}, fmt.Errorf("offset pattern query: %w", err)
-	}
-	return p, nil
+	return false, false
 }
 
 // FileLoad summarizes the I/O volume attracted by one file.
@@ -131,57 +82,122 @@ type FileLoad struct {
 	Bytes    int64
 }
 
+// fileAccess accumulates one file's load and offset pattern from the
+// session's successful data syscalls.
+type fileAccess struct {
+	load    FileLoad
+	pattern OffsetPattern
+	// nextByTID is the expected next offset per thread, as concurrent
+	// streams can interleave while each remains sequential.
+	nextByTID map[int]int64
+}
+
+// fileAccesses is the per-file accumulator HotFiles, FileOffsetPattern and
+// the costly-patterns rule share, keyed by correlated path. Events must
+// have been path-correlated first: rows with no file_path are not counted.
+type fileAccesses map[string]*fileAccess
+
+func (fa fileAccesses) observe(e *event.Event) {
+	isRead, ok := dataSyscall(e.Syscall)
+	if !ok || e.FilePath == "" || e.RetVal < 0 {
+		return
+	}
+	a := fa[e.FilePath]
+	if a == nil {
+		a = &fileAccess{
+			load:      FileLoad{FilePath: e.FilePath},
+			pattern:   OffsetPattern{FilePath: e.FilePath},
+			nextByTID: make(map[int]int64),
+		}
+		fa[e.FilePath] = a
+	}
+	moved := e.RetVal
+	if !isRead {
+		moved = int64(e.Count)
+	}
+	a.load.Events++
+	a.load.Bytes += moved
+	if !e.HasOffset {
+		return
+	}
+	p := &a.pattern
+	if moved < SmallIOThreshold {
+		p.SmallIOs++
+	}
+	expected, seen := a.nextByTID[e.TID]
+	sequential := !seen || e.Offset == expected
+	a.nextByTID[e.TID] = e.Offset + moved
+	switch {
+	case isRead && sequential:
+		p.SequentialReads++
+	case isRead:
+		p.RandomReads++
+	case sequential:
+		p.SequentialWrites++
+	default:
+		p.RandomWrites++
+	}
+	if isRead {
+		p.Reads++
+		p.BytesRead += moved
+	} else {
+		p.Writes++
+		p.BytesWrite += moved
+	}
+}
+
+// ranked orders the files by data volume, ties by path.
+func (fa fileAccesses) ranked() []*fileAccess {
+	out := make([]*fileAccess, 0, len(fa))
+	for _, a := range fa {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].load.Bytes != out[j].load.Bytes {
+			return out[i].load.Bytes > out[j].load.Bytes
+		}
+		return out[i].load.FilePath < out[j].load.FilePath
+	})
+	return out
+}
+
+// FileOffsetPattern analyzes the offset pattern of filePath within a
+// session. Events must have been path-correlated first (file_path set).
+func FileOffsetPattern(ctx context.Context, b store.Backend, index, session, filePath string) (OffsetPattern, error) {
+	files := fileAccesses{}
+	err := eachEvent(ctx, b, index, store.Must(
+		store.Term(store.FieldSession, session),
+		store.Term(store.FieldFilePath, filePath),
+		store.Terms(store.FieldSyscall, dataSyscalls...),
+	), 0, files.observe)
+	if err != nil {
+		return OffsetPattern{}, fmt.Errorf("offset pattern query: %w", err)
+	}
+	if a := files[filePath]; a != nil {
+		return a.pattern, nil
+	}
+	return OffsetPattern{FilePath: filePath}, nil
+}
+
 // HotFiles ranks the session's files by data volume — the skew view that
 // turns "the disk is busy" into "these files are busy".
 func HotFiles(ctx context.Context, b store.Backend, index, session string, topN int) ([]FileLoad, error) {
-	return hotFiles(ctx, b, index, session, topN, 0)
-}
-
-func hotFiles(ctx context.Context, b store.Backend, index, session string, topN, pageSize int) ([]FileLoad, error) {
-	agg := make(map[string]*FileLoad)
-	req := store.SearchRequest{
-		Query: store.Must(
-			store.Term(store.FieldSession, session),
-			store.Exists(store.FieldFilePath),
-			store.Terms(store.FieldSyscall, dataSyscalls...),
-		),
-		Sort: []store.SortField{{Field: store.FieldTimeEnter}},
-	}
-	err := store.EachEventPage(ctx, b, index, req, pageSize, func(page store.EventsResult) error {
-		for i := range page.Hits {
-			e := &page.Hits[i]
-			if e.RetVal < 0 {
-				continue
-			}
-			fl, ok := agg[e.FilePath]
-			if !ok {
-				fl = &FileLoad{FilePath: e.FilePath}
-				agg[e.FilePath] = fl
-			}
-			fl.Events++
-			moved := e.RetVal
-			if e.Syscall == "write" || e.Syscall == "pwrite64" || e.Syscall == "writev" {
-				moved = int64(e.Count)
-			}
-			fl.Bytes += moved
-		}
-		return nil
-	})
+	files := fileAccesses{}
+	err := eachEvent(ctx, b, index, store.Must(
+		store.Term(store.FieldSession, session),
+		store.Exists(store.FieldFilePath),
+		store.Terms(store.FieldSyscall, dataSyscalls...),
+	), 0, files.observe)
 	if err != nil {
 		return nil, fmt.Errorf("hot files query: %w", err)
 	}
-	out := make([]FileLoad, 0, len(agg))
-	for _, fl := range agg {
-		out = append(out, *fl)
+	ranked := files.ranked()
+	if topN > 0 && len(ranked) > topN {
+		ranked = ranked[:topN]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
-		}
-		return out[i].FilePath < out[j].FilePath
-	})
-	if topN > 0 && len(out) > topN {
-		out = out[:topN]
+	out := make([]FileLoad, len(ranked))
+	for i, a := range ranked {
+		out[i] = a.load
 	}
 	return out, nil
 }

@@ -16,28 +16,8 @@ import (
 // correlation applied.
 func tracedSession(t *testing.T, session string, fn func(k *kernel.Kernel)) *store.Store {
 	t.Helper()
-	k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
-	if err := k.MkdirAll("/d"); err != nil {
-		t.Fatal(err)
-	}
 	backend := memStore(t)
-	tracer, err := core.NewTracer(core.Config{
-		SessionName:   session,
-		Index:         "events",
-		Backend:       backend,
-		AutoCorrelate: true,
-		FlushInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tracer.Start(k); err != nil {
-		t.Fatal(err)
-	}
-	fn(k)
-	if _, err := tracer.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	traced(fn)(t, backend, session)
 	return backend
 }
 

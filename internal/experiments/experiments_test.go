@@ -8,6 +8,9 @@ import (
 
 	"github.com/dsrhaslab/dio-go/internal/apps/fluentbit"
 	"github.com/dsrhaslab/dio-go/internal/comparators"
+	"github.com/dsrhaslab/dio-go/internal/event"
+	"github.com/dsrhaslab/dio-go/internal/kernel"
+	"github.com/dsrhaslab/dio-go/internal/metrics"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
@@ -246,5 +249,36 @@ func TestPathsConfigDefaults(t *testing.T) {
 	}
 	if c.SysdigRingBytes != comparators.SysdigDefaultRingBytes {
 		t.Fatalf("sysdig ring default = %d", c.SysdigRingBytes)
+	}
+}
+
+// TestJoinWindowsOneRowPerWindow: the latency series is keyed by exact
+// ts/w*w window starts; with a window that is not a multiple of 256 ns the
+// histogram's float64 bucket key rounds off that grid at epoch scale, and
+// the two halves of a window used to land in separate rows.
+func TestJoinWindowsOneRowPerWindow(t *testing.T) {
+	const window = int64(50 * time.Millisecond)
+	st, err := store.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lat []metrics.WindowPoint
+	var evs []event.Event
+	for i := int64(0); i < 20; i++ {
+		enter := kernel.BaseTimestampNS + i*window + 11
+		lat = append(lat, metrics.WindowPoint{StartNS: enter / window * window, Count: 3, P99: 1000})
+		evs = append(evs, event.Event{Session: "s", Syscall: "pread64", ThreadName: "db_bench", TimeEnterNS: enter, TimeExitNS: enter + 1})
+	}
+	if err := st.BulkEvents(context.Background(), "events", evs); err != nil {
+		t.Fatal(err)
+	}
+	rows := joinWindows(lat, st, "events", "s", window)
+	if len(rows) != len(lat) {
+		t.Fatalf("%d rows for %d windows", len(rows), len(lat))
+	}
+	for i, r := range rows {
+		if r.StartNS != lat[i].StartNS || r.ClientOps != 3 || r.ClientSyscalls != 1 {
+			t.Errorf("row %d = %+v: latency and syscall halves not joined", i, r)
+		}
 	}
 }

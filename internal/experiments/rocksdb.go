@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"fmt"
 	"sort"
 	"time"
@@ -251,35 +249,28 @@ func joinWindows(lat []metrics.WindowPoint, b store.Backend, index, session stri
 		starts = append(starts, p.StartNS)
 	}
 
-	resp, err := b.Search(context.Background(), index, store.SearchRequest{
-		Query: store.Term(store.FieldSession, session),
-		Size:  1,
-		Aggs: map[string]store.Agg{
-			"timeline": {
-				DateHistogram: &store.DateHistogramAgg{Field: store.FieldTimeEnter, IntervalNS: windowNS},
-				Aggs: map[string]store.Agg{
-					"by_thread": {Terms: &store.TermsAgg{Field: store.FieldThreadName}},
-				},
-			},
-		},
-	})
-	if err == nil {
-		for _, bkt := range resp.Aggs["timeline"].Buckets {
-			w, ok := byStart[int64(bkt.KeyNum)]
-			if !ok {
-				w = &WindowActivity{StartNS: int64(bkt.KeyNum)}
-				byStart[w.StartNS] = w
-				starts = append(starts, w.StartNS)
-			}
-			for _, sub := range bkt.Sub["by_thread"].Buckets {
+	// The syscall half comes from the Fig. 4 timeline, whose bucket starts
+	// are the same exact ts/w*w keys the latency half is keyed by.
+	if tl, err := viz.SyscallTimeline(b, index, session, windowNS); err == nil {
+		for thread, counts := range tl.Series {
+			for i, c := range counts {
+				if c == 0 {
+					continue
+				}
+				w, ok := byStart[tl.BucketStartNS[i]]
+				if !ok {
+					w = &WindowActivity{StartNS: tl.BucketStartNS[i]}
+					byStart[w.StartNS] = w
+					starts = append(starts, w.StartNS)
+				}
 				switch {
-				case sub.Key == "db_bench":
-					w.ClientSyscalls += sub.Count
-				case sub.Key == "rocksdb:high0":
-					w.FlushSyscalls += sub.Count
-				case len(sub.Key) > 11 && sub.Key[:11] == "rocksdb:low":
+				case thread == "db_bench":
+					w.ClientSyscalls += int(c)
+				case thread == "rocksdb:high0":
+					w.FlushSyscalls += int(c)
+				case len(thread) > 11 && thread[:11] == "rocksdb:low":
 					w.CompactionThreadsActive++
-					w.CompactionSyscalls += sub.Count
+					w.CompactionSyscalls += int(c)
 				}
 			}
 		}

@@ -75,7 +75,13 @@ func SyscallTimeline(b store.Backend, index, session string, intervalNS int64) (
 		Series:     make(map[string][]float64),
 	}
 	for _, bkt := range buckets {
-		ts.BucketStartNS = append(ts.BucketStartNS, int64(bkt.KeyNum))
+		// Key is the exact decimal bucket start; KeyNum is a float64, whose
+		// ulp at epoch-scale nanoseconds is 256.
+		start, err := strconv.ParseInt(bkt.Key, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("timeline bucket key %q: %w", bkt.Key, err)
+		}
+		ts.BucketStartNS = append(ts.BucketStartNS, start)
 	}
 	for i, bkt := range buckets {
 		for _, sub := range bkt.Sub["by_thread"].Buckets {

@@ -2,10 +2,13 @@ package viz
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
+	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/metrics"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
@@ -164,6 +167,39 @@ func TestSyscallTimeline(t *testing.T) {
 	}
 	if got := ts.Series["flb-pipeline"]; got[2] != 1 {
 		t.Fatalf("flb series = %v", got)
+	}
+}
+
+// TestSyscallTimelineBucketStartsExactAtEpochScale: 50 ms is not a multiple
+// of 256 ns, the ulp of a float64 at 1.6e18, so bucket starts read through
+// Bucket.KeyNum come back off the interval grid — in-process and over the
+// wire alike, since the JSON carries the same float.
+func TestSyscallTimelineBucketStartsExactAtEpochScale(t *testing.T) {
+	const interval = int64(50 * time.Millisecond)
+	st := memStore(t)
+	evs := make([]event.Event, 40)
+	for i := range evs {
+		enter := kernel.BaseTimestampNS + int64(i)*interval + 7
+		evs[i] = event.Event{Session: "s", Syscall: "read", ThreadName: "app", TimeEnterNS: enter, TimeExitNS: enter + 1}
+	}
+	if err := st.BulkEvents(context.Background(), "events", evs); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(store.NewServer(st))
+	defer srv.Close()
+	for name, b := range map[string]store.Backend{"in-process": st, "store.Client": store.NewClient(srv.URL)} {
+		ts, err := SyscallTimeline(b, "events", "s", interval)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(ts.BucketStartNS) != len(evs) {
+			t.Fatalf("%s: %d buckets, want %d", name, len(ts.BucketStartNS), len(evs))
+		}
+		for i, start := range ts.BucketStartNS {
+			if want := evs[i].TimeEnterNS / interval * interval; start != want {
+				t.Errorf("%s: bucket %d starts at %d, want %d", name, i, start, want)
+			}
+		}
 	}
 }
 
