@@ -56,8 +56,9 @@ bench-smoke:
 ## bench-read: a fast smoke run of the dashboard read-path benchmark
 ## (rollups + query cache vs the uncached scan ablation) and the tiered
 ## segment-pruning benchmark (time-range planner vs the same predicate
-## spelled so the planner extracts no bounds) so the p50/p99 and
-## pruning-speedup numbers cannot silently rot.
+## spelled so the planner extracts no bounds, over many narrow segments for
+## the header prune and over one wide segment for the row selection) so the
+## p50/p99 and pruning-speedup numbers cannot silently rot.
 bench-read:
 	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch' -benchtime=50x .
 

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -310,8 +310,28 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 		// recomputed so the version byte alone is what the reader rejects.
 		"unknown-version": func(d []byte) []byte {
 			d[segMagicLen] = segVersion - 1
-			binary.LittleEndian.PutUint32(d[len(d)-4:], crc32.Checksum(d[:len(d)-4], crcTable))
-			return d
+			return restamp(d)
+		},
+		// Likewise re-stamped, so each reaches the structural check it names.
+		// Row counts that add up only by wrapping around:
+		"row-counts-wrap": func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[segMagicLen+1+4+8:], math.MaxUint64) // typed
+			binary.LittleEndian.PutUint64(d[segMagicLen+1+4+16:], 2)             // generic
+			return restamp(d)
+		},
+		// Row counts that add up but that the file's bytes cannot hold:
+		"row-counts-unbacked": func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[segMagicLen+1+4:], 1<<31)
+			binary.LittleEndian.PutUint64(d[segMagicLen+1+4+8:], 1<<31)
+			return restamp(d)
+		},
+		"string-offsets-out-of-order": func(d []byte) []byte {
+			firstTable := segHeaderLen + segTypedRowMin - 4*segStringCount // one typed row
+			binary.LittleEndian.PutUint32(d[firstTable:], 1<<20)
+			return restamp(d)
+		},
+		"trailing-bytes": func(d []byte) []byte {
+			return restamp(append(d[:len(d)-4], 0, 0, 0, 0, 0, 0, 0))
 		},
 	}
 	for name, mut := range mutations {

@@ -48,11 +48,6 @@ type SegmentMeta struct {
 	Generic int64 `json:"generic,omitempty"`
 }
 
-// Overlaps reports whether the segment's time range intersects [min, max].
-func (s SegmentMeta) Overlaps(min, max int64) bool {
-	return s.MinTime <= max && s.MaxTime >= min
-}
-
 // Manifest names the committed recovery sources of one index directory.
 type Manifest struct {
 	Version int `json:"version"`

@@ -37,9 +37,15 @@ import (
 //	  per row: u64 gid, u32 len, payload
 //	[4]  u32 CRC-32C of everything before it
 //
-// The columnar typed block is what makes snapshots cheap to load: each
-// column decodes with one bounds check per row, and the string blobs intern
-// naturally because equal values are loaded once per column read.
+// The column-directory invariant SegmentReader relies on: nothing in the
+// typed block is variable-width except the string blobs, and each blob's
+// length is the last entry of the offset table in front of it. So T and the
+// 11 blob lengths alone place every column, table and blob — the directory
+// is built by walking the file once, front to back, with no stored offsets —
+// and column c's value for row i sits at column start + i × width, a string
+// at blob[offsets[i]:offsets[i+1]]. A writer change that puts anything
+// variable-width ahead of the string columns, or reorders columns, breaks the
+// reader and needs a new version byte.
 const (
 	segMagicLen  = 4
 	segHeaderLen = segMagicLen + 1 + 4 + 8 + 8 + 8 + 8 + 8
@@ -105,6 +111,15 @@ func (w *segWriter) bytes(b []byte) { w.buf = append(w.buf, b...) }
 // time_enter_ns range stamped into the header for query-time pruning. The
 // caller holds whatever locks make src a consistent snapshot.
 func WriteSegment(path string, shards int, src RowSource) (SegmentInfo, error) {
+	image, info := encodeSegment(shards, src)
+	if err := writeFileAtomic(path, image); err != nil {
+		return SegmentInfo{}, fmt.Errorf("durable: write segment: %w", err)
+	}
+	return info, nil
+}
+
+// encodeSegment builds the file image WriteSegment publishes.
+func encodeSegment(shards int, src RowSource) ([]byte, SegmentInfo) {
 	n := src.NumRows()
 	gid := func(i int) int { return i }
 	if gs, ok := src.(GidSource); ok {
@@ -201,10 +216,7 @@ func WriteSegment(path string, shards int, src RowSource) (SegmentInfo, error) {
 		w.bytes(doc)
 	}
 	w.u32(crc32.Checksum(w.buf, crcTable))
-	if err := writeFileAtomic(path, w.buf); err != nil {
-		return SegmentInfo{}, fmt.Errorf("durable: write segment: %w", err)
-	}
-	return SegmentInfo{
+	return w.buf, SegmentInfo{
 		Shards:  shards,
 		Rows:    n,
 		Typed:   len(typed),
@@ -212,46 +224,7 @@ func WriteSegment(path string, shards int, src RowSource) (SegmentInfo, error) {
 		Bytes:   int64(len(w.buf)),
 		MinTime: minT,
 		MaxTime: maxT,
-	}, nil
-}
-
-// segReader walks the segment image with bounds checking.
-type segReader struct {
-	data []byte
-	o    int
-}
-
-func (r *segReader) need(n int) ([]byte, error) {
-	if r.o+n > len(r.data) {
-		return nil, fmt.Errorf("%w: truncated at offset %d (+%d)", ErrCorruptSegment, r.o, n)
 	}
-	b := r.data[r.o : r.o+n]
-	r.o += n
-	return b, nil
-}
-
-func (r *segReader) u8() (byte, error) {
-	b, err := r.need(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *segReader) u32() (uint32, error) {
-	b, err := r.need(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *segReader) u64() (uint64, error) {
-	b, err := r.need(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
 }
 
 // SegmentInfo summarizes a written or loaded segment. MinTime/MaxTime are
@@ -271,197 +244,261 @@ type SegmentInfo struct {
 // huge allocations.
 const segMaxRows = 1 << 32
 
-// ReadSegment loads the segment at path, verifying the whole-file checksum
-// before trusting any field, and hands every row — typed events and encoded
-// generic documents — to fn in global-id order. Short strings intern through
-// a per-load table, matching the wire codec's allocation discipline.
-func ReadSegment(path string, fn func(gid int, ev *event.Event, doc []byte) error) (SegmentInfo, error) {
-	var info SegmentInfo
+// Positions of the typed block's fixed-width columns, in file order.
+const (
+	segI64Cols      = 8
+	segI32Cols      = 6
+	segColTimeEnter = 2 // index of time_enter among the i64 columns
+	// segTypedRowMin is the least a typed row occupies: its gid, the
+	// fixed-width columns, and one offset per string column.
+	segTypedRowMin = 8 + 8*segI64Cols + 4*segI32Cols + 4 + 1 + 4*segStringCount
+	segGenericMin  = 8 + 4 // a generic row's gid and payload length
+)
+
+// SegmentReader is random access over one verified segment image. Opening
+// one checks the whole-file CRC and the header and walks the file once to
+// build the column directory; after that a typed row's gid, its time, or the
+// row itself costs a fixed number of reads at computed offsets, so a caller
+// can look at the time column alone and decode only the rows it wants.
+type SegmentReader struct {
+	info SegmentInfo
+	body []byte // the file image without its trailing CRC
+	// The column directory: byte offsets into body.
+	gids    int
+	i64     [segI64Cols]int
+	i32     [segI32Cols]int
+	mode    int
+	aux     int
+	strTab  [segStringCount]int // (T+1) × u32 offsets into the blob at strBlob
+	strBlob [segStringCount]int
+	generic int // the generic block, running to the end of body
+}
+
+// OpenSegment reads the segment at path and verifies it: the checksum before
+// any field is trusted, then the header, then — while building the column
+// directory — that every column, offset table, blob and generic row lies
+// inside the file with nothing left over, and that every string offset table
+// is non-decreasing. A reader that opened therefore never indexes outside
+// its image, whatever rows are asked of it.
+func OpenSegment(path string) (*SegmentReader, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return info, fmt.Errorf("durable: read segment: %w", err)
+		return nil, fmt.Errorf("durable: read segment: %w", err)
 	}
+	return openSegmentImage(data)
+}
+
+func openSegmentImage(data []byte) (*SegmentReader, error) {
 	if len(data) < segHeaderLen+4 {
-		return info, fmt.Errorf("%w: short file (%d bytes)", ErrCorruptSegment, len(data))
+		return nil, fmt.Errorf("%w: short file (%d bytes)", ErrCorruptSegment, len(data))
 	}
 	body, sumBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(sumBytes) {
-		return info, fmt.Errorf("%w: checksum mismatch", ErrCorruptSegment)
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptSegment)
 	}
-	r := &segReader{data: body}
-	magic, _ := r.need(segMagicLen)
-	if [segMagicLen]byte(magic) != segMagic {
-		return info, fmt.Errorf("%w: bad magic", ErrCorruptSegment)
+	if [segMagicLen]byte(body[:segMagicLen]) != segMagic {
+		return nil, fmt.Errorf("%w: bad magic", ErrCorruptSegment)
 	}
-	ver, _ := r.u8()
-	if ver != segVersion {
-		return info, fmt.Errorf("%w: unsupported version %d", ErrCorruptSegment, ver)
+	if ver := body[segMagicLen]; ver != segVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptSegment, ver)
 	}
-	shards, _ := r.u32()
-	total, _ := r.u64()
-	typedN, _ := r.u64()
-	genericN, _ := r.u64()
-	minT, _ := r.u64()
-	maxT, _ := r.u64()
-	if total > segMaxRows || typedN+genericN != total {
-		return info, fmt.Errorf("%w: implausible row counts %d=%d+%d", ErrCorruptSegment, total, typedN, genericN)
+	hdr := body[segMagicLen+1:]
+	shards := binary.LittleEndian.Uint32(hdr)
+	total := binary.LittleEndian.Uint64(hdr[4:])
+	typedN := binary.LittleEndian.Uint64(hdr[12:])
+	genericN := binary.LittleEndian.Uint64(hdr[20:])
+	// The counts must add up and fit the bytes present, so nothing below
+	// allocates or multiplies on a number the file does not back.
+	if total > segMaxRows || typedN > total || genericN != total-typedN ||
+		typedN > uint64(len(body))/segTypedRowMin || genericN > uint64(len(body))/segGenericMin {
+		return nil, fmt.Errorf("%w: implausible row counts %d=%d+%d in %d bytes",
+			ErrCorruptSegment, total, typedN, genericN, len(data))
 	}
-	info = SegmentInfo{
-		Shards: int(shards), Rows: int(total), Typed: int(typedN), Generic: int(genericN),
-		Bytes: int64(len(data)), MinTime: int64(minT), MaxTime: int64(maxT),
-	}
-
 	T := int(typedN)
-	gids := make([]int, T)
-	for i := 0; i < T; i++ {
-		g, err := r.u64()
-		if err != nil {
-			return info, err
-		}
-		gids[i] = int(g)
-	}
-	events := make([]event.Event, T)
-	i64cols := []func(e *event.Event, v int64){
-		func(e *event.Event, v int64) { e.RetVal = v },
-		func(e *event.Event, v int64) { e.ArgOff = v },
-		func(e *event.Event, v int64) { e.TimeEnterNS = v },
-		func(e *event.Event, v int64) { e.TimeExitNS = v },
-		func(e *event.Event, v int64) { e.Offset = v },
-		func(e *event.Event, v int64) { e.FileTag.Dev = uint64(v) },
-		func(e *event.Event, v int64) { e.FileTag.Ino = uint64(v) },
-		func(e *event.Event, v int64) { e.FileTag.BirthNS = v },
-	}
-	for _, set := range i64cols {
-		for i := 0; i < T; i++ {
-			v, err := r.u64()
-			if err != nil {
-				return info, err
+	r := &SegmentReader{body: body, info: SegmentInfo{
+		Shards: int(shards), Rows: int(total), Typed: T, Generic: int(genericN), Bytes: int64(len(data)),
+		MinTime: int64(binary.LittleEndian.Uint64(hdr[28:])), MaxTime: int64(binary.LittleEndian.Uint64(hdr[36:])),
+	}}
+
+	o := segHeaderLen
+	var terr error
+	take := func(n int) int { // claims the next n bytes, returning their offset
+		at := o
+		if n > len(body)-o {
+			if terr == nil {
+				terr = fmt.Errorf("%w: truncated at offset %d (+%d)", ErrCorruptSegment, o, n)
 			}
-			set(&events[i], int64(v))
+			n = len(body) - o
 		}
+		o += n
+		return at
 	}
-	i32cols := []func(e *event.Event, v int32){
-		func(e *event.Event, v int32) { e.PID = int(v) },
-		func(e *event.Event, v int32) { e.TID = int(v) },
-		func(e *event.Event, v int32) { e.FD = int(v) },
-		func(e *event.Event, v int32) { e.Count = int(v) },
-		func(e *event.Event, v int32) { e.Whence = int(v) },
-		func(e *event.Event, v int32) { e.Flags = int(v) },
+	r.gids = take(8 * T)
+	for c := range r.i64 {
+		r.i64[c] = take(8 * T)
 	}
-	for _, set := range i32cols {
-		for i := 0; i < T; i++ {
-			v, err := r.u32()
-			if err != nil {
-				return info, err
+	for c := range r.i32 {
+		r.i32[c] = take(4 * T)
+	}
+	r.mode = take(4 * T)
+	r.aux = take(T)
+	for s := range r.strTab {
+		r.strTab[s] = take(4 * (T + 1))
+		if terr != nil {
+			return nil, terr
+		}
+		// Non-decreasing offsets put every string inside the blob, whose
+		// length is the last of them.
+		tab := body[r.strTab[s]:o]
+		end := binary.LittleEndian.Uint32(tab)
+		for i := 4; i < len(tab); i += 4 {
+			v := binary.LittleEndian.Uint32(tab[i:])
+			if v < end {
+				return nil, fmt.Errorf("%w: string column %d offsets out of order", ErrCorruptSegment, s)
 			}
-			set(&events[i], int32(v))
+			end = v
 		}
+		r.strBlob[s] = take(int(end))
 	}
-	for i := 0; i < T; i++ {
-		v, err := r.u32()
-		if err != nil {
-			return info, err
+	r.generic = o
+	for g := 0; g < r.info.Generic; g++ {
+		at := take(segGenericMin)
+		if terr != nil {
+			return nil, terr
 		}
-		events[i].Mode = v
+		take(int(binary.LittleEndian.Uint32(body[at+8:])))
 	}
-	for i := 0; i < T; i++ {
-		aux, err := r.u8()
-		if err != nil {
-			return info, err
-		}
-		events[i].HasOffset = aux&1 != 0
-		if !events[i].HasOffset {
-			events[i].Offset = 0
-		}
+	if terr != nil {
+		return nil, terr
 	}
+	if o != len(body) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptSegment, len(body)-o)
+	}
+	return r, nil
+}
+
+// Info returns the segment's header fields and file size.
+func (r *SegmentReader) Info() SegmentInfo { return r.info }
+
+// Gid returns the segment-local row id of typed row i (0 <= i < Info().Typed).
+func (r *SegmentReader) Gid(i int) int {
+	return int(binary.LittleEndian.Uint64(r.body[r.gids+8*i:]))
+}
+
+// Time returns typed row i's time_enter_ns, read from its column alone.
+func (r *SegmentReader) Time(i int) int64 { return r.i64at(segColTimeEnter, i) }
+
+func (r *SegmentReader) i64at(c, i int) int64 {
+	return int64(binary.LittleEndian.Uint64(r.body[r.i64[c]+8*i:]))
+}
+
+func (r *SegmentReader) i32at(c, i int) int {
+	return int(int32(binary.LittleEndian.Uint32(r.body[r.i32[c]+4*i:])))
+}
+
+// Decode assembles the typed rows named by sel, in any order, into a new
+// slice: out[k] is row sel[k]. It is the format's only decoder. Strings are
+// copied out of the image, short ones interned through a per-call table,
+// matching the wire codec's allocation discipline; nothing the result
+// references keeps the image alive.
+func (r *SegmentReader) Decode(sel []int) []event.Event {
+	T := r.info.Typed
+	// A column's value rarely changes from one row to the next, so the last
+	// string decoded for each column is tried before the table.
 	intern := make(map[string]string, 64)
-	internStr := func(b []byte) string {
-		if len(b) == 0 {
-			return ""
+	var last [segStringCount]string
+	internStr := func(s int, b []byte) string {
+		if string(b) == last[s] {
+			return last[s]
 		}
-		if len(b) <= 64 {
-			if s, ok := intern[string(b)]; ok {
-				return s
+		if len(b) > 64 {
+			return string(b)
+		}
+		v, ok := intern[string(b)]
+		if !ok {
+			v = string(b)
+			intern[v] = v
+		}
+		last[s] = v
+		return v
+	}
+	out := make([]event.Event, len(sel))
+	for k, i := range sel {
+		if uint(i) >= uint(T) {
+			panic(fmt.Sprintf("durable: segment row %d selected of %d", i, T))
+		}
+		e := &out[k]
+		e.RetVal = r.i64at(0, i)
+		e.ArgOff = r.i64at(1, i)
+		e.TimeEnterNS = r.i64at(segColTimeEnter, i)
+		e.TimeExitNS = r.i64at(3, i)
+		e.FileTag.Dev = uint64(r.i64at(5, i))
+		e.FileTag.Ino = uint64(r.i64at(6, i))
+		e.FileTag.BirthNS = r.i64at(7, i)
+		e.PID = r.i32at(0, i)
+		e.TID = r.i32at(1, i)
+		e.FD = r.i32at(2, i)
+		e.Count = r.i32at(3, i)
+		e.Whence = r.i32at(4, i)
+		e.Flags = r.i32at(5, i)
+		e.Mode = binary.LittleEndian.Uint32(r.body[r.mode+4*i:])
+		if e.HasOffset = r.body[r.aux+i]&1 != 0; e.HasOffset {
+			e.Offset = r.i64at(4, i)
+		}
+		for s, p := range [segStringCount]*string{
+			&e.Session, &e.Syscall, &e.Class, &e.ProcName, &e.ThreadName,
+			&e.ArgPath, &e.ArgPath2, &e.AttrName, &e.FileType, &e.KernelPath,
+			&e.FilePath,
+		} {
+			tab, blob := r.body[r.strTab[s]+4*i:], r.body[r.strBlob[s]:]
+			*p = internStr(s, blob[binary.LittleEndian.Uint32(tab):binary.LittleEndian.Uint32(tab[4:])])
+		}
+	}
+	return out
+}
+
+// eachGeneric hands the generic block's rows to fn in file (ascending gid)
+// order; doc aliases the image.
+func (r *SegmentReader) eachGeneric(fn func(gid int, doc []byte) error) error {
+	o := r.generic
+	for g := 0; g < r.info.Generic; g++ {
+		gid := int(binary.LittleEndian.Uint64(r.body[o:]))
+		n := int(binary.LittleEndian.Uint32(r.body[o+8:]))
+		o += segGenericMin
+		if err := fn(gid, r.body[o:o+n]); err != nil {
+			return err
+		}
+		o += n
+	}
+	return nil
+}
+
+// ReadSegment loads the segment at path and hands every row — typed events
+// and encoded generic documents — to fn in global-id order: OpenSegment, then
+// Decode with every typed row selected, merged with the generic block.
+func ReadSegment(path string, fn func(gid int, ev *event.Event, doc []byte) error) (SegmentInfo, error) {
+	r, err := OpenSegment(path)
+	if err != nil {
+		return SegmentInfo{}, err
+	}
+	all := make([]int, r.info.Typed)
+	for i := range all {
+		all[i] = i
+	}
+	events := r.Decode(all)
+	// Both streams ascend by gid, so typed rows go out ahead of the first
+	// generic row that does not precede them.
+	ti := 0
+	err = r.eachGeneric(func(gid int, doc []byte) error {
+		for ; ti < len(events) && r.Gid(ti) < gid; ti++ {
+			if err := fn(r.Gid(ti), &events[ti], nil); err != nil {
+				return err
 			}
-			s := string(b)
-			intern[s] = s
-			return s
 		}
-		return string(b)
+		return fn(gid, nil, doc)
+	})
+	for ; err == nil && ti < len(events); ti++ {
+		err = fn(r.Gid(ti), &events[ti], nil)
 	}
-	setters := []func(e *event.Event, s string){
-		func(e *event.Event, s string) { e.Session = s },
-		func(e *event.Event, s string) { e.Syscall = s },
-		func(e *event.Event, s string) { e.Class = s },
-		func(e *event.Event, s string) { e.ProcName = s },
-		func(e *event.Event, s string) { e.ThreadName = s },
-		func(e *event.Event, s string) { e.ArgPath = s },
-		func(e *event.Event, s string) { e.ArgPath2 = s },
-		func(e *event.Event, s string) { e.AttrName = s },
-		func(e *event.Event, s string) { e.FileType = s },
-		func(e *event.Event, s string) { e.KernelPath = s },
-		func(e *event.Event, s string) { e.FilePath = s },
-	}
-	for s := 0; s < segStringCount; s++ {
-		offsets := make([]uint32, T+1)
-		for i := range offsets {
-			v, err := r.u32()
-			if err != nil {
-				return info, err
-			}
-			offsets[i] = v
-		}
-		blobLen := int(offsets[T])
-		blob, err := r.need(blobLen)
-		if err != nil {
-			return info, err
-		}
-		for i := 0; i < T; i++ {
-			lo, hi := offsets[i], offsets[i+1]
-			if lo > hi || int(hi) > blobLen {
-				return info, fmt.Errorf("%w: string column %d offsets out of order", ErrCorruptSegment, s)
-			}
-			setters[s](&events[i], internStr(blob[lo:hi]))
-		}
-	}
-	type genRow struct {
-		gid int
-		doc []byte
-	}
-	gens := make([]genRow, 0, int(genericN))
-	for i := 0; i < int(genericN); i++ {
-		gid, err := r.u64()
-		if err != nil {
-			return info, err
-		}
-		dlen, err := r.u32()
-		if err != nil {
-			return info, err
-		}
-		doc, err := r.need(int(dlen))
-		if err != nil {
-			return info, err
-		}
-		gens = append(gens, genRow{gid: int(gid), doc: doc})
-	}
-	if r.o != len(body) {
-		return info, fmt.Errorf("%w: %d trailing bytes", ErrCorruptSegment, len(body)-r.o)
-	}
-	// Merge the two gid-ascending streams so fn sees rows in insertion order.
-	ti, gi := 0, 0
-	for ti < T || gi < len(gens) {
-		switch {
-		case gi >= len(gens) || (ti < T && gids[ti] < gens[gi].gid):
-			if err := fn(gids[ti], &events[ti], nil); err != nil {
-				return info, err
-			}
-			ti++
-		default:
-			if err := fn(gens[gi].gid, nil, gens[gi].doc); err != nil {
-				return info, err
-			}
-			gi++
-		}
-	}
-	return info, nil
+	return r.info, err
 }

@@ -114,11 +114,12 @@ func (c *queryCache) size() int {
 func cacheable(req SearchRequest) bool { return req.Size > 0 }
 
 // readTelemetry carries the read-path counters wired by the owning Store
-// (rollup serves and cold-segment pruning); the zero value (nil counters) is
-// a valid no-op for bare indices.
+// (rollup serves, cold-segment pruning and row selection); the zero value
+// (nil counters) is a valid no-op for bare indices.
 type readTelemetry struct {
 	rollupHits, rollupMisses, rollupRebuilds *telemetry.Counter
 	segOpened, segPruned                     *telemetry.Counter
+	rowsDecoded, rowsSkipped                 *telemetry.Counter
 }
 
 // cachedSearchCtx is searchCtx behind the query cache. The epoch is captured

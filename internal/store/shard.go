@@ -84,13 +84,20 @@ func (sh *shard) docView(id int32) Document {
 func (sh *shard) addEventLocked(e *event.Event) int32 {
 	id := int32(len(sh.events))
 	sh.events = append(sh.events, *e)
+	sh.postEventLocked(id)
+	sh.rollup.addEvent(e)
+	return id
+}
+
+// postEventLocked feeds the keyword postings of the row stored at id, which
+// must be past every id already posted. Caller holds the write lock.
+func (sh *shard) postEventLocked(id int32) {
+	e := &sh.events[id]
 	sh.postTermLocked(FieldSession, e.Session, id)
 	sh.postTermLocked(FieldSyscall, e.Syscall, id)
 	sh.postTermLocked(FieldClass, e.Class, id)
 	sh.postTermLocked(FieldProcName, e.ProcName, id)
 	sh.postTermLocked(FieldThreadName, e.ThreadName, id)
-	sh.rollup.addEvent(e)
-	return id
 }
 
 func (sh *shard) postTermLocked(field, term string, id int32) {

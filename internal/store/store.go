@@ -118,6 +118,8 @@ func Open(opts ...Option) (*Store, error) {
 			rollupRebuilds: reg.Counter(telemetry.MetricRollupRebuilds, "shard rollups rebuilt after invalidation"),
 			segOpened:      reg.Counter(telemetry.MetricSegmentsOpened, "cold segments opened by time-bounded queries"),
 			segPruned:      reg.Counter(telemetry.MetricSegmentsPruned, "cold segments skipped by time-range pruning"),
+			rowsDecoded:    reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded from cold segments opened by time-bounded queries"),
+			rowsSkipped:    reg.Counter(telemetry.MetricSegRowsSkipped, "rows of those segments left undecoded: stored time outside the window"),
 		},
 	}
 	reg.GaugeFunc(telemetry.MetricQueryCacheEntries, "live query cache entries across indices",

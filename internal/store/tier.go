@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"sort"
@@ -107,42 +108,86 @@ func timeBounds(q Query) (int64, int64) {
 	}
 }
 
-// segMayMatch reports whether a segment can hold a row inside [minT, maxT]:
-// its stamped time_enter_ns range (exact — every row is an event with an
-// integer time) overlaps the window. An empty range (MinTime > MaxTime, a
-// segment with no rows) never does.
-func segMayMatch(sm durable.SegmentMeta, minT, maxT int64) bool {
-	return sm.MinTime <= sm.MaxTime && sm.Overlaps(minT, maxT)
+// mayMatchTime reports whether a row stamped anywhere in [lo, hi] — one row
+// when lo == hi, a segment's stamped range otherwise — can satisfy the window
+// [minT, maxT] that timeBounds extracted. It compares in float64, the
+// evaluator's domain: RangeQuery.contains sees float64(t), whose ulp is
+// 256 ns at epoch scale, so a row a few ns outside the integer window can
+// round onto the bound and match. The conversion is monotone and takes each
+// integer bound back to the float it came from (or, for a strict bound past
+// 2^53, to a float no further in), so this test never rejects a time that
+// contains accepts.
+func mayMatchTime(lo, hi, minT, maxT int64) bool {
+	return float64(hi) >= float64(minT) && float64(lo) <= float64(maxT)
 }
 
-// coldSegment is one opened segment: its rows loaded into a transient
-// (unshared, unlocked) shard, plus the explicit global id of each local row
-// — cold segments can be sparse after compaction folded retention gaps.
+// segMayMatch reports whether a segment can hold a row inside [minT, maxT]:
+// its stamped time_enter_ns range overlaps the window (an empty range,
+// MinTime > MaxTime, a segment with no rows, never does), or the pending
+// overlay names one of its rows — a rewrite may have moved that row's time
+// out of the range the file was stamped with.
+func segMayMatch(sm durable.SegmentMeta, overlay map[int]event.Event, minT, maxT int64) bool {
+	if sm.MinTime <= sm.MaxTime && mayMatchTime(sm.MinTime, sm.MaxTime, minT, maxT) {
+		return true
+	}
+	for gid := range overlay {
+		if int64(gid) >= sm.StartRow && int64(gid) < sm.EndRow {
+			return true
+		}
+	}
+	return false
+}
+
+// coldSegment is the part of one opened segment a query can match, decoded
+// into a transient (unshared, unlocked) shard, plus the explicit global id of
+// each local row — cold segments can be sparse after compaction folded
+// retention gaps, and sparser still once rows outside the window stay
+// undecoded.
 type coldSegment struct {
 	sh   *shard
 	gids []int
 }
 
-// openColdSegment reads a committed segment into a transient shard,
-// substituting pending-overlay rewrites (by absolute gid) at decode time so
-// cold reads observe post-flush update-by-query effects. Rollups are
-// disabled on the transient shard (base 0); columns build on demand.
-func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.Event) (*coldSegment, error) {
-	cs := &coldSegment{sh: newShard(0), gids: make([]int, 0, sm.Rows)}
+// openColdSegment reads a committed segment's time column, selects the rows
+// whose stored time can fall in [minT, maxT] plus every row the pending
+// overlay names (a rewrite may have moved a row's time into the window), and
+// decodes only those into a transient shard allocated once at the selected
+// count, substituting the overlay's rewrites (by absolute gid) so cold reads
+// observe post-flush update-by-query effects. skipped is the rows left
+// undecoded. Rollups are disabled on the transient shard (base 0); columns
+// build on demand.
+func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.Event, minT, maxT int64) (cs *coldSegment, skipped int, err error) {
 	path := filepath.Join(ix.dur.dir, durable.SegmentName(sm.Seq))
-	err := readSegmentEvents(path, func(gid int, ev *event.Event) error {
-		abs := int(sm.StartRow) + gid
-		if e, ok := overlay[abs]; ok {
-			ev = &e
-		}
-		cs.sh.addEventLocked(ev)
-		cs.gids = append(cs.gids, abs)
-		return nil
-	})
+	r, err := durable.OpenSegment(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return cs, nil
+	info := r.Info()
+	if info.Generic > 0 {
+		return nil, 0, fmt.Errorf("%d generic rows in %s: %w", info.Generic, filepath.Base(path), ErrRetiredFormat)
+	}
+	start := int(sm.StartRow)
+	sel := make([]int, 0, info.Typed)
+	for i := 0; i < info.Typed; i++ {
+		t := r.Time(i)
+		keep := mayMatchTime(t, t, minT, maxT)
+		if !keep {
+			_, keep = overlay[start+r.Gid(i)]
+		}
+		if keep {
+			sel = append(sel, i)
+		}
+	}
+	cs = &coldSegment{sh: newShard(0), gids: make([]int, len(sel))}
+	cs.sh.events = r.Decode(sel)
+	for k, i := range sel {
+		cs.gids[k] = start + r.Gid(i)
+		if e, ok := overlay[cs.gids[k]]; ok {
+			cs.sh.events[k] = e
+		}
+		cs.sh.postEventLocked(int32(k))
+	}
+	return cs, info.Typed - len(sel), nil
 }
 
 // coldSegments returns the committed segments below the eviction base — the
@@ -150,98 +195,90 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.E
 // lock, which freezes both the base and the published list (they only change
 // under every shard write lock), and guarantees the files outlive the read
 // (obsolete files are deleted only after those write locks were held).
-func (ix *Index) coldSegments() ([]durable.SegmentMeta, int64) {
-	segs := *ix.dur.segs.Load()
+func (ix *Index) coldSegments() []durable.SegmentMeta {
 	base := ix.base.Load()
-	n := 0
-	for _, sm := range segs {
-		if sm.EndRow <= base {
-			n++
-		}
-	}
-	out := make([]durable.SegmentMeta, 0, n)
-	for _, sm := range segs {
+	var out []durable.SegmentMeta
+	for _, sm := range *ix.dur.segs.Load() {
 		if sm.EndRow <= base {
 			out = append(out, sm)
 		}
 	}
-	return out, base
+	return out
+}
+
+// eachColdSegment is the one pass over the cold tier. It prunes the segments
+// whose stamped range req's time window excludes, opens the rest through the
+// shard worker pool — each decoding only the rows the window and the pending
+// overlay select, with the columns req reads built — and returns fn's answer
+// per opened segment, in row order. The opened/pruned and decoded/skipped
+// counters move only for a time-bounded query: without a bound there is no
+// decision to report. Caller holds every hot shard's read lock.
+func eachColdSegment[T any](ctx context.Context, ix *Index, req SearchRequest, fn func(*coldSegment) T) ([]T, error) {
+	segs := ix.coldSegments()
+	overlay := ix.dur.pendingOverlay()
+	minT, maxT := timeBounds(req.Query)
+	bounded := minT > math.MinInt64 || maxT < math.MaxInt64
+	if bounded {
+		open := segs[:0]
+		for _, sm := range segs {
+			if segMayMatch(sm, overlay, minT, maxT) {
+				open = append(open, sm)
+			} else {
+				ix.rtm.segPruned.Inc()
+			}
+		}
+		segs = open
+	}
+	if len(segs) == 0 {
+		return nil, nil
+	}
+	cols := neededColumns(req, nil)
+	out, errs := make([]T, len(segs)), make([]error, len(segs))
+	if err := forEachShardCtx(ctx, len(segs), func(i int) {
+		cs, skipped, err := ix.openColdSegment(segs[i], overlay, minT, maxT)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if bounded {
+			ix.rtm.segOpened.Inc()
+			ix.rtm.rowsDecoded.Add(uint64(len(cs.gids)))
+			ix.rtm.rowsSkipped.Add(uint64(skipped))
+		}
+		cs.sh.ensureColumns(cols)
+		out[i] = fn(cs)
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // coldSearch runs the per-shard search stage over every cold segment the
 // query's time window cannot exclude, returning one shardResult per opened
 // segment. Caller holds every hot shard's read lock (searchRefs).
 func (ix *Index) coldSearch(ctx context.Context, exec *searchExec) ([]shardResult, error) {
-	segs, _ := ix.coldSegments()
-	if len(segs) == 0 {
-		return nil, nil
-	}
-	overlay := ix.dur.pendingOverlay()
-	minT, maxT := timeBounds(exec.req.Query)
-	hasBound := minT > math.MinInt64 || maxT < math.MaxInt64
-	cols := neededColumns(exec.req, nil)
-	var out []shardResult
-	for _, sm := range segs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if hasBound && !segMayMatch(sm, minT, maxT) {
-			ix.rtm.segPruned.Inc()
-			continue
-		}
-		if hasBound {
-			ix.rtm.segOpened.Inc()
-		}
-		cs, err := ix.openColdSegment(sm, overlay)
-		if err != nil {
-			return nil, err
-		}
-		cs.sh.ensureColumns(cols)
+	return eachColdSegment(ctx, ix, exec.req, func(cs *coldSegment) shardResult {
 		gidOf := func(id int32) int { return cs.gids[id] }
 		firstAfter := func(gid int) int32 { return int32(sort.SearchInts(cs.gids, gid+1)) }
-		cs.sh.mu.RLock()
-		out = append(out, cs.sh.searchLocked(exec, gidOf, firstAfter))
-		cs.sh.mu.RUnlock()
-	}
-	return out, nil
+		return cs.sh.searchLocked(exec, gidOf, firstAfter)
+	})
 }
 
 // coldCount counts query matches across the cold segments, with the same
 // pruning and pending-overlay semantics as coldSearch. Caller holds every
 // hot shard's read lock (countCtx).
 func (ix *Index) coldCount(ctx context.Context, q Query) (int, error) {
-	segs, _ := ix.coldSegments()
-	if len(segs) == 0 {
-		return 0, nil
-	}
-	overlay := ix.dur.pendingOverlay()
-	minT, maxT := timeBounds(q)
-	hasBound := minT > math.MinInt64 || maxT < math.MaxInt64
-	cols := neededColumns(SearchRequest{Query: q}, nil)
+	counts, err := eachColdSegment(ctx, ix, SearchRequest{Query: q}, func(cs *coldSegment) int {
+		return len(cs.sh.matchIDs(q))
+	})
 	n := 0
-	for _, sm := range segs {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if hasBound && !segMayMatch(sm, minT, maxT) {
-			ix.rtm.segPruned.Inc()
-			continue
-		}
-		if hasBound {
-			ix.rtm.segOpened.Inc()
-		}
-		cs, err := ix.openColdSegment(sm, overlay)
-		if err != nil {
-			return 0, err
-		}
-		cs.sh.ensureColumns(cols)
-		cs.sh.mu.RLock()
-		if q.matchesAll() {
-			n += len(cs.sh.events)
-		} else {
-			n += len(cs.sh.matchIDs(q))
-		}
-		cs.sh.mu.RUnlock()
+	for _, c := range counts {
+		n += c
 	}
-	return n, nil
+	return n, err
 }

@@ -214,6 +214,23 @@ func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 		t.Fatalf("pruned count = %d, want %d", n, rowsPerRound)
 	}
 
+	// Inside the one segment opened, only the rows whose time can match are
+	// decoded: the search and the count above took all of round 3, a window
+	// over its first 3.5µs takes 8 of its 12 rows and skips the rest.
+	decoded := reg.Counter(telemetry.MetricSegRowsDecoded, "")
+	skipped := reg.Counter(telemetry.MetricSegRowsSkipped, "")
+	if d, s := decoded.Value(), skipped.Value(); d != uint64(2*rowsPerRound) || s != 0 {
+		t.Fatalf("row counters after two whole-round windows: decoded=%d skipped=%d, want %d/0", d, s, 2*rowsPerRound)
+	}
+	n, err = st.Count(ctx, crashIndex, Must(RangeBetween(FieldTimeEnter, lo, lo+3500)))
+	if err != nil || n != 8 {
+		t.Fatalf("narrow count = %d (%v), want 8", n, err)
+	}
+	if d, s := decoded.Value(), skipped.Value(); d != uint64(2*rowsPerRound+8) || s != uint64(rowsPerRound-8) {
+		t.Fatalf("row counters after the narrow window: decoded=%d skipped=%d, want %d/%d",
+			d, s, 2*rowsPerRound+8, rowsPerRound-8)
+	}
+
 	// The decisions are operationally visible.
 	srv := httptest.NewServer(NewServer(st))
 	defer srv.Close()
@@ -223,7 +240,10 @@ func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 	}
 	body, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	for _, name := range []string{telemetry.MetricSegmentsPruned, telemetry.MetricSegmentsOpened} {
+	for _, name := range []string{
+		telemetry.MetricSegmentsPruned, telemetry.MetricSegmentsOpened,
+		telemetry.MetricSegRowsDecoded, telemetry.MetricSegRowsSkipped,
+	} {
 		if !strings.Contains(string(body), name) {
 			t.Fatalf("/metrics does not expose %s", name)
 		}

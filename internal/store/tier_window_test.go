@@ -1,0 +1,488 @@
+package store
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
+)
+
+// Differential tests for the cold path's row-level time selection: a tiered
+// store whose rows sit in several compacted segments must answer every time
+// window exactly like a flat in-memory store holding the same rows, and like
+// the brute-force oracle over that store — whatever the window's shape, and
+// whatever the pending overlay or a retention gap did to the segments.
+
+const windowIndex = "win"
+
+// windowBase puts stamps where float64 has a 256 ns ulp, so rows a few ns
+// apart collapse onto one float and every bound is an edge case.
+const windowBase = int64(1<<60) + 256000
+
+// windowRound builds one round of events: 1 ms of trace per round, stamps
+// drawn at random inside it (so a segment's time column is not sorted).
+func windowRound(rng *rand.Rand, round, rows int) []event.Event {
+	evs := make([]event.Event, rows)
+	for i := range evs {
+		enter := windowBase + int64(round)*1_000_000 + int64(rng.Intn(900_000))
+		evs[i] = event.Event{
+			Session: "win", Syscall: []string{"read", "write", "openat"}[rng.Intn(3)],
+			Class: "file", ProcName: "app", ThreadName: fmt.Sprintf("w%d", i%3),
+			PID: 7, TID: 10 + i%3, RetVal: int64(round*1000 + i), Count: 512,
+			TimeEnterNS: enter, TimeExitNS: enter + int64(rng.Intn(5000)),
+		}
+	}
+	return evs
+}
+
+// windowStores builds the pair under test: a tiered durable store whose
+// first cold rounds are snapshotted (one level-0 segment each) and then
+// compacted, with the remaining rounds hot, and the flat control.
+func windowStores(t *testing.T, seed int64, rounds, cold, rows int) (tiered, flat *Store, times []int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	tiered = openDurable(t, t.TempDir(), WithRetention(longRetention), WithQueryCache(0))
+	flat = memStore(t)
+	t.Cleanup(func() { tiered.Close(); flat.Close() })
+	ctx := context.Background()
+	for r := 0; r < rounds; r++ {
+		evs := windowRound(rng, r, rows)
+		for _, e := range evs {
+			times = append(times, e.TimeEnterNS)
+		}
+		for _, st := range []*Store{tiered, flat} {
+			if err := st.BulkEvents(ctx, windowIndex, evs); err != nil {
+				t.Fatalf("round %d: bulk: %v", r, err)
+			}
+		}
+		if r < cold {
+			if err := tiered.Snapshot(); err != nil {
+				t.Fatalf("round %d: snapshot: %v", r, err)
+			}
+		}
+	}
+	if err := tiered.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	return tiered, flat, times
+}
+
+// jsonOf renders v the way a response goes out, for byte-for-byte comparison.
+func jsonOf(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
+// randomWindow draws one time window over the fixture's stamps. Bounds sit
+// on, or a few ns either side of, a row's stamp, so most of them round.
+func randomWindow(rng *rand.Rand, times []int64) (string, Query) {
+	pick := func() float64 {
+		return float64(times[rng.Intn(len(times))] + []int64{0, 0, 1, -1, 100, -100, 300, -300}[rng.Intn(8)])
+	}
+	lo, hi := pick(), pick()
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	r := &RangeQuery{Field: FieldTimeEnter}
+	kind := []string{"closed", "open", "from", "until", "unbounded", "empty", "one-ulp", "everything"}[rng.Intn(8)]
+	switch kind {
+	case "closed":
+		r.GTE, r.LTE = &lo, &hi
+	case "open":
+		r.GT, r.LT = &lo, &hi
+	case "from":
+		r.GTE = &lo
+	case "until":
+		r.LT = &hi
+	case "unbounded":
+		return kind, Term(FieldSession, "win")
+	case "empty":
+		hi += 512
+		r.GTE, r.LTE = &hi, &lo
+	case "one-ulp":
+		r.GTE, r.LTE = &lo, &lo
+	case "everything":
+		lo, hi = float64(windowBase-1), float64(windowBase+1_000_000_000)
+		r.GT, r.LTE = &lo, &hi
+	}
+	return kind, Must(Term(FieldSession, "win"), Query{Range: r})
+}
+
+func TestColdWindowMatchesOracle(t *testing.T) {
+	// Nine cold rounds compact to two level-1 segments and leave one level-0;
+	// the tenth round stays hot.
+	tiered, flat, times := windowStores(t, 20230627, 10, 9, 60)
+	if segs := coldSegmentRows(t, tiered, windowIndex); len(segs) != 3 {
+		t.Fatalf("fixture has %d cold segments, want 3", len(segs))
+	}
+	fix, _ := flat.GetIndex(windowIndex)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(7))
+	aggs := map[string]Agg{
+		"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}, Aggs: map[string]Agg{"ret": {Stats: &StatsAgg{Field: FieldRetVal}}}},
+		"per_ms":     {DateHistogram: &DateHistogramAgg{Field: FieldTimeEnter, IntervalNS: 1_000_000}},
+	}
+	for w := 0; w < 80; w++ {
+		kind, q := randomWindow(rng, times)
+		// same asks both stores and the oracle and requires one answer.
+		same := func(what string, req SearchRequest) SearchResponse {
+			t.Helper()
+			want := oracleSearch(fix, req)
+			for name, st := range map[string]*Store{"tiered": tiered, "flat": flat} {
+				got, err := st.Search(ctx, windowIndex, req)
+				if err != nil {
+					t.Fatalf("window %d (%s) %s: %s: %v", w, kind, what, name, err)
+				}
+				if g, o := jsonOf(got), jsonOf(want); g != o {
+					t.Fatalf("window %d (%s) %s: %s store\n got %s\nwant %s", w, kind, what, name, g, o)
+				}
+			}
+			return want
+		}
+		sorted := SearchRequest{Query: q, Sort: []SortField{{Field: FieldTimeEnter, Desc: w%2 == 1}}, Size: 10, Aggs: aggs}
+		same("sorted+aggs", sorted)
+
+		page := SearchRequest{Query: q, Size: 7}
+		for p := 0; p < 6; p++ {
+			resp := same(fmt.Sprintf("unsorted page %d", p), page)
+			if resp.NextAfter == nil {
+				break
+			}
+			page.SearchAfter = resp.NextAfter
+		}
+
+		want := oracleCount(fix, q)
+		for name, st := range map[string]*Store{"tiered": tiered, "flat": flat} {
+			if n, err := st.Count(ctx, windowIndex, q); err != nil || n != want {
+				t.Fatalf("window %d (%s) count: %s store %d (%v), oracle %d", w, kind, name, n, err, want)
+			}
+		}
+
+		all := oracleSearch(fix, SearchRequest{Query: q, Sort: sorted.Sort, Size: -1})
+		for name, st := range map[string]*Store{"tiered": tiered, "flat": flat} {
+			var walked []Document
+			err := EachEventPage(ctx, st, windowIndex, SearchRequest{Query: q, Sort: sorted.Sort}, 16, func(p EventsResult) error {
+				for i := range p.Hits {
+					walked = append(walked, EventToDoc(&p.Hits[i]))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("window %d (%s) paged walk: %s: %v", w, kind, name, err)
+			}
+			if len(walked) != len(all.Hits) || (len(walked) > 0 && !reflect.DeepEqual(walked, all.Hits)) {
+				t.Fatalf("window %d (%s) paged walk: %s store walked %d rows, oracle %d", w, kind, name, len(walked), len(all.Hits))
+			}
+		}
+	}
+}
+
+// coldSegmentRows returns the row count of each committed segment of one
+// index of st.
+func coldSegmentRows(t *testing.T, st *Store, index string) []int64 {
+	t.Helper()
+	ix, ok := st.GetIndex(index)
+	if !ok {
+		t.Fatalf("no index %q", index)
+	}
+	var rows []int64
+	for _, sm := range *ix.dur.segs.Load() {
+		rows = append(rows, sm.Rows)
+	}
+	return rows
+}
+
+// TestSegmentPruneNotStricterThanEvaluator is the window-edge regression:
+// the evaluator compares float64(t), whose ulp is 256 ns at this scale, so a
+// row 100 ns before an exactly representable bound B rounds onto B and
+// matches. A segment whose stamped range ends at that row must not be pruned
+// for a window starting at B, and the row must not be skipped inside it.
+func TestSegmentPruneNotStricterThanEvaluator(t *testing.T) {
+	const B = windowBase
+	at := func(ts ...int64) []event.Event {
+		evs := make([]event.Event, len(ts))
+		for i, ts := range ts {
+			evs[i] = event.Event{Session: "edge", Syscall: "read", TimeEnterNS: ts, TimeExitNS: ts + 1}
+		}
+		return evs
+	}
+	tiered := openDurable(t, t.TempDir(), WithRetention(longRetention), WithQueryCache(0))
+	defer tiered.Close()
+	flat := memStore(t)
+	defer flat.Close()
+	ctx := context.Background()
+	for _, evs := range [][]event.Event{at(B-5000, B-100), at(B, B+1000)} {
+		for _, st := range []*Store{tiered, flat} {
+			if err := st.BulkEvents(ctx, windowIndex, evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tiered.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if float64(B-100) != float64(B) || float64(B-5000) == float64(B) {
+		t.Fatal("fixture: B-100 must round onto B and B-5000 must not")
+	}
+	for _, q := range []Query{
+		Must(Term(FieldSession, "edge"), RangeBetween(FieldTimeEnter, float64(B), float64(B+2000))),
+		Must(Term(FieldSession, "edge"), RangeBetween(FieldTimeEnter, float64(B-6000), float64(B-256))),
+	} {
+		want, err := flat.Count(ctx, windowIndex, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tiered.Count(ctx, windowIndex, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == 0 || got != want {
+			t.Fatalf("count(%s) = %d on the tiered store, %d on the flat one", jsonOf(q), got, want)
+		}
+		resp, err := tiered.Search(ctx, windowIndex, SearchRequest{Query: q, Size: -1})
+		if err != nil || resp.Total != want || len(resp.Hits) != want {
+			t.Fatalf("search(%s): total %d, %d hits (%v), want %d", jsonOf(q), resp.Total, len(resp.Hits), err, want)
+		}
+	}
+}
+
+// TestColdWindowHonoursPendingOverlay: a rewrite journaled after its row was
+// flushed lives in the pending overlay until compaction folds it in. A cold
+// read must see the rewritten time — a row moved into the window is found
+// though its stored time is outside it (even outside the range its segment
+// was stamped with), and a row moved out is not — before and after the fold.
+func TestColdWindowHonoursPendingOverlay(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	flat := memStore(t)
+	defer flat.Close()
+	st := openDurable(t, dir) // flat layout: flushed rows stay in update reach
+	rng := rand.New(rand.NewSource(3))
+	var rounds [][]event.Event
+	for r := 0; r < 4; r++ {
+		rounds = append(rounds, windowRound(rng, r, 40))
+	}
+	for _, evs := range rounds {
+		for _, s := range []*Store{st, flat} {
+			if err := s.BulkEvents(ctx, windowIndex, evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The window is round 1's millisecond. Move round 1's rows 0-4 out of it
+	// (to round 9's time, past every stamp), round 2's rows 0-4 into it, and
+	// round 3's row 0 from inside its own segment's range to far outside it.
+	inWin := windowBase + 1_000_000 + 450_000
+	rewrite := func(d Document) bool {
+		switch rv := i64(d[FieldRetVal]); {
+		case rv >= 1000 && rv < 1005:
+			d[FieldTimeEnter] = windowBase + 9_000_000 + rv
+		case rv >= 2000 && rv < 2005:
+			d[FieldTimeEnter] = inWin + rv
+		case rv == 3000:
+			d[FieldTimeEnter] = windowBase + 20_000_000
+		default:
+			return false
+		}
+		return true
+	}
+	for _, s := range []*Store{st, flat} {
+		if n, err := s.UpdateByQuery(ctx, windowIndex, Term(FieldSession, "win"), rewrite); err != nil || n != 11 {
+			t.Fatalf("update-by-query rewrote %d rows (%v), want 11", n, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openDurable(t, dir, WithRetention(longRetention), WithQueryCache(0)) // the same rows, now cold
+	defer st.Close()
+	ix, _ := st.GetIndex(windowIndex)
+	fix, _ := flat.GetIndex(windowIndex)
+	if ix.coldRows.Load() != 160 || len(ix.dur.pendingOverlay()) != 11 {
+		t.Fatalf("fixture: %d cold rows, %d pending rewrites; want 160 and 11", ix.coldRows.Load(), len(ix.dur.pendingOverlay()))
+	}
+	windows := map[string]Query{
+		"round 1": RangeBetween(FieldTimeEnter, float64(windowBase+1_000_000), float64(windowBase+1_999_999)),
+		"round 9": RangeBetween(FieldTimeEnter, float64(windowBase+9_000_000), float64(windowBase+9_999_999)),
+		"far out": RangeGTE(FieldTimeEnter, float64(windowBase+15_000_000)),
+	}
+	check := func(when string) {
+		t.Helper()
+		for name, rq := range windows {
+			req := SearchRequest{
+				Query: Must(Term(FieldSession, "win"), rq), Size: -1,
+				Sort: []SortField{{Field: FieldTimeEnter}},
+				Aggs: map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}}},
+			}
+			want := oracleSearch(fix, req)
+			got, err := st.Search(ctx, windowIndex, req)
+			if err != nil {
+				t.Fatalf("%s, window %s: %v", when, name, err)
+			}
+			if want.Total == 0 || jsonOf(got) != jsonOf(want) {
+				t.Fatalf("%s, window %s: cold read\n got %s\nwant %s", when, name, jsonOf(got), jsonOf(want))
+			}
+			if n, err := st.Count(ctx, windowIndex, req.Query); err != nil || n != want.Total {
+				t.Fatalf("%s, window %s: count %d (%v), want %d", when, name, n, err, want.Total)
+			}
+		}
+	}
+	check("overlay pending")
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ix.dur.pendingOverlay()); n != 0 {
+		t.Fatalf("%d rewrites still pending after the folding compaction", n)
+	}
+	check("overlay folded")
+}
+
+// TestColdWindowCursorAcrossRetentionGap: retention drops a stale segment
+// from the middle of the history and compaction then merges across the hole,
+// leaving one segment with sparse row ids. Window queries select a subset of
+// those rows, so the unsorted cursor's resume point is found among ids that
+// are sparse twice over; every page must still continue exactly where the
+// last ended.
+func TestColdWindowCursorAcrossRetentionGap(t *testing.T) {
+	ctx := context.Background()
+	st := openDurable(t, t.TempDir(), WithRetention(time.Hour), WithQueryCache(0))
+	defer st.Close()
+	flat := memStore(t)
+	defer flat.Close()
+	now := time.Now().UnixNano()
+	const rows = 30
+	round := func(r int, at int64) []event.Event {
+		evs := make([]event.Event, rows)
+		for i := range evs {
+			ts := at + int64(r)*1_000_000 + int64((i*7919)%rows)*1000 // a permutation: unsorted
+			evs[i] = event.Event{Session: "win", Syscall: "read", RetVal: int64(r*100 + i), TimeEnterNS: ts, TimeExitNS: ts + 1}
+		}
+		return evs
+	}
+	ingest := func(r int, at int64, keep bool) {
+		evs := round(r, at)
+		if err := st.BulkEvents(ctx, windowIndex, evs); err != nil {
+			t.Fatal(err)
+		}
+		if keep {
+			if err := flat.BulkEvents(ctx, windowIndex, evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recent := now - int64(time.Minute)
+	ingest(0, recent, true)
+	ingest(1, recent, true)
+	ingest(2, now-3*int64(time.Hour), false) // stale: the sweep drops it
+	if err := st.Compact(); err != nil {     // three segments: no merge, one drop
+		t.Fatal(err)
+	}
+	ingest(3, recent, true)
+	ingest(4, recent, true)
+	if err := st.Compact(); err != nil { // rounds 0, 1, 3, 4 merge across the hole
+		t.Fatal(err)
+	}
+	if segs := coldSegmentRows(t, st, windowIndex); len(segs) != 1 || segs[0] != 4*rows {
+		t.Fatalf("fixture: segments %v, want one of %d rows", segs, 4*rows)
+	}
+	// Windows over the later part of rounds 3 and 4, beyond the hole. (An
+	// unsorted cursor below the retention floor expires by design, so the
+	// walk starts past it.)
+	for _, q := range []Query{
+		Must(Term(FieldSession, "win"), RangeGTE(FieldTimeEnter, float64(recent+3*1_000_000+10_000))),
+		Must(Term(FieldSession, "win"), RangeBetween(FieldTimeEnter, float64(recent+3*1_000_000+5_000), float64(recent+4*1_000_000+20_000))),
+	} {
+		want, err := flat.Search(ctx, windowIndex, SearchRequest{Query: q, Size: -1})
+		if err != nil || want.Total < 20 {
+			t.Fatalf("control: %d rows (%v)", want.Total, err)
+		}
+		var walked []Document
+		req := SearchRequest{Query: q, Size: 4}
+		for {
+			page, err := st.Search(ctx, windowIndex, req)
+			if err != nil {
+				t.Fatalf("page after %v: %v", req.SearchAfter, err)
+			}
+			if page.Total != want.Total {
+				t.Fatalf("page after %v: total %d, want %d", req.SearchAfter, page.Total, want.Total)
+			}
+			walked = append(walked, page.Hits...)
+			if page.NextAfter == nil {
+				break
+			}
+			// The cursor names the last hit's absolute row id: the hole shifts
+			// rounds 3 and 4 up by one round of ids.
+			last := page.Hits[len(page.Hits)-1]
+			rv := int(i64(last[FieldRetVal]))
+			if gid, _ := numeric(page.NextAfter[0]); int(gid) != (rv/100)*rows+rv%100 {
+				t.Fatalf("cursor %v after row ret_val=%d, want gid %d", page.NextAfter, rv, (rv/100)*rows+rv%100)
+			}
+			req.SearchAfter = page.NextAfter
+		}
+		if !reflect.DeepEqual(walked, want.Hits) {
+			t.Fatalf("paged walk over sparse ids returned %d rows, control %d", len(walked), len(want.Hits))
+		}
+	}
+}
+
+// TestColdWindowConcurrentSearches runs many cold window searches at once:
+// segment opens share the shard worker pool, and every response must still be
+// the oracle's. Run under -race.
+func TestColdWindowConcurrentSearches(t *testing.T) {
+	tiered, flat, times := windowStores(t, 11, 9, 8, 80)
+	fix, _ := flat.GetIndex(windowIndex)
+	rng := rand.New(rand.NewSource(13))
+	type ask struct {
+		req  SearchRequest
+		want string
+	}
+	asks := make([]ask, 24)
+	for i := range asks {
+		_, q := randomWindow(rng, times)
+		req := SearchRequest{
+			Query: q, Size: 5, Sort: []SortField{{Field: FieldTimeEnter}},
+			Aggs: map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}}},
+		}
+		asks[i] = ask{req, jsonOf(oracleSearch(fix, req))}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range asks {
+				a := asks[(i+g*3)%len(asks)]
+				got, err := tiered.Search(context.Background(), windowIndex, a.req)
+				if err == nil && jsonOf(got) != a.want {
+					err = errors.New("response diverged from the oracle")
+				}
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d, ask %d: %w", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

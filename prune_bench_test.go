@@ -39,13 +39,12 @@ func pruneBenchEvents(seg int) []event.Event {
 	return evs
 }
 
-// BenchmarkSegmentPrunedSearch measures the cold read path with and without
-// time-range segment pruning over pruneBenchSegments time-disjoint segments.
-func BenchmarkSegmentPrunedSearch(b *testing.B) {
-	dir := b.TempDir()
-	// Query cache and rollups off: this measures segment opening, not caching.
+// pruneBenchStore opens a tiered store holding segs snapshots of rows events
+// each, one trace-minute apart. Query cache and rollups are off: these
+// benchmarks measure segment opening, not caching.
+func pruneBenchStore(b *testing.B, segs, rows int) *store.Store {
 	st, err := store.Open(
-		store.WithDataDir(dir),
+		store.WithDataDir(b.TempDir()),
 		store.WithFsyncPolicy(store.FsyncOff),
 		store.WithSnapshotInterval(0),
 		store.WithRetention(500_000*time.Hour),
@@ -55,45 +54,71 @@ func BenchmarkSegmentPrunedSearch(b *testing.B) {
 	if err != nil {
 		b.Fatalf("open: %v", err)
 	}
-	defer st.Close()
-	ctx := context.Background()
-	for seg := 0; seg < pruneBenchSegments; seg++ {
-		if err := st.BulkEvents(ctx, pruneBenchIndex, pruneBenchEvents(seg)); err != nil {
+	b.Cleanup(func() { st.Close() })
+	for seg := 0; seg < segs; seg++ {
+		if err := st.BulkEvents(context.Background(), pruneBenchIndex, pruneBenchEvents(seg)[:rows]); err != nil {
 			b.Fatalf("seg %d: bulk: %v", seg, err)
 		}
 		if err := st.Snapshot(); err != nil {
 			b.Fatalf("seg %d: snapshot: %v", seg, err)
 		}
 	}
-	// The window: one segment's worth of time, in the middle of the history.
-	lo := float64(int64(1<<60) + 5*pruneBenchWindowNS)
-	hi := lo + float64(pruneBenchWindowNS)/2
-	req := store.SearchRequest{
-		Query: store.Must(
-			store.Term(store.FieldSession, "prune"),
-			store.RangeBetween(store.FieldTimeEnter, lo, hi),
-		),
-		Size: 10,
-		Aggs: map[string]store.Agg{
-			"by_syscall": {Terms: &store.TermsAgg{Field: store.FieldSyscall}},
-		},
+	return st
+}
+
+// BenchmarkSegmentPrunedSearch measures the cold read path's two levels of
+// time pruning. pruned vs full-scan: pruneBenchSegments time-disjoint
+// segments, with and without the header-stamp prune. narrow-window/
+// wide-segment: one compacted segment of 16 trace-minutes and a window over
+// about a tenth of its rows, which the header cannot prune and the time
+// column can — against the same predicate under a Should, which decodes
+// every row.
+func BenchmarkSegmentPrunedSearch(b *testing.B) {
+	ctx := context.Background()
+	window := func(lo, hi float64) (req, fullReq store.SearchRequest) {
+		req = store.SearchRequest{
+			Query: store.Must(
+				store.Term(store.FieldSession, "prune"),
+				store.RangeBetween(store.FieldTimeEnter, lo, hi),
+			),
+			Size: 10,
+			Aggs: map[string]store.Agg{
+				"by_syscall": {Terms: &store.TermsAgg{Field: store.FieldSyscall}},
+			},
+		}
+		fullReq = req
+		fullReq.Query = store.Query{Bool: &store.BoolQuery{Should: []store.Query{req.Query}}}
+		return req, fullReq
 	}
-	fullReq := req
-	fullReq.Query = store.Query{Bool: &store.BoolQuery{Should: []store.Query{req.Query}}}
-	run := func(b *testing.B, req store.SearchRequest) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := st.Search(ctx, pruneBenchIndex, req)
-			if err != nil {
-				b.Fatalf("search: %v", err)
-			}
-			if resp.Total == 0 {
-				b.Fatal("query matched nothing")
+	run := func(st *store.Store, req store.SearchRequest) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				resp, err := st.Search(ctx, pruneBenchIndex, req)
+				if err != nil {
+					b.Fatalf("search: %v", err)
+				}
+				if resp.Total == 0 {
+					b.Fatal("query matched nothing")
+				}
 			}
 		}
 	}
-	b.Run("pruned", func(b *testing.B) { run(b, req) })
-	b.Run("full-scan", func(b *testing.B) { run(b, fullReq) })
+	// The window: half a segment's worth of time, in the middle of the history.
+	st := pruneBenchStore(b, pruneBenchSegments, pruneBenchRowsPerSeg)
+	lo := float64(int64(1<<60) + 5*pruneBenchWindowNS)
+	req, fullReq := window(lo, lo+float64(pruneBenchWindowNS)/2)
+	b.Run("pruned", run(st, req))
+	b.Run("full-scan", run(st, fullReq))
+
+	// 16 level-0 segments of 1000 rows compact to one of 16000; the window
+	// takes trace-minute 5 whole and 600 rows of minute 6.
+	wide := pruneBenchStore(b, 16, 1000)
+	if err := wide.Compact(); err != nil {
+		b.Fatalf("compact: %v", err)
+	}
+	req, fullReq = window(lo, lo+float64(pruneBenchWindowNS)+600_000)
+	b.Run("narrow-window/wide-segment", run(wide, req))
+	b.Run("narrow-window/wide-segment-all-rows", run(wide, fullReq))
 }
 
 // BenchmarkSegmentCompaction measures the maintenance cost the tier adds:
