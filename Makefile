@@ -57,10 +57,12 @@ bench-smoke:
 ## (rollups + query cache vs the uncached scan ablation) and the tiered
 ## segment-pruning benchmark (time-range planner vs the same predicate
 ## spelled so the planner extracts no bounds, over many narrow segments for
-## the header prune and over one wide segment for the row selection) so the
-## p50/p99 and pruning-speedup numbers cannot silently rot.
+## the header prune and over one wide segment for the row selection), and
+## the two edge encoders of a 2 000-hit page (JSON documents vs the typed hit
+## body, with allocation counts), so the p50/p99, pruning-speedup and
+## per-page cost numbers cannot silently rot.
 bench-read:
-	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch' -benchtime=50x .
+	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch|HitPage' -benchtime=50x -benchmem .
 
 ## bench-diagnose: a fast smoke run of the DFG build beside the full engine
 ## run over the same 120k-event session. Both are one cursor pass, so the two

@@ -94,8 +94,10 @@ func run(backendURL, index, session, session2, view string, interval time.Durati
 		return viz.HTMLDashboard(os.Stdout, client, index, session, interval.Nanoseconds())
 	case "diagnose":
 		// The engine runs client-side over the remote backend (the
-		// store.Client is a store.Backend), so any diod version serves this
-		// view; the page-size default keeps each remote cursor fetch bounded.
+		// store.Client is a store.Backend), reading each cursor page as a
+		// typed hit body — which needs a diod that answers /_search by Accept,
+		// a node or a cluster coordinator alike. The page-size default keeps
+		// each remote fetch bounded.
 		rep, err := diagnose.NewEngine(diagnose.DefaultRegistry(),
 			diagnose.WithParams(diagnose.Params{PageSize: vizDiagnosePageSize})).
 			Run(context.Background(), client, index, session)

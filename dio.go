@@ -99,9 +99,11 @@ type (
 
 // Backend types (the analysis pipeline).
 type (
-	// Store is the in-process document store.
+	// Store is the in-process event store. Its UpdateByQuery hands a script
+	// each matched row as an *Event to edit (returning true commits it).
 	Store = store.Store
-	// Backend abstracts in-process and remote stores.
+	// Backend abstracts in-process stores, remote stores and cluster
+	// coordinators; its SearchEvents returns hits as Events.
 	Backend = store.Backend
 	// Client talks to a remote backend server.
 	Client = store.Client
@@ -111,7 +113,7 @@ type (
 	Query = store.Query
 	// SearchRequest describes a search.
 	SearchRequest = store.SearchRequest
-	// Document is one indexed event.
+	// Document is the JSON view of one event, as a Search hit renders it.
 	Document = store.Document
 	// CorrelationResult summarizes a file-path correlation pass.
 	CorrelationResult = store.CorrelationResult

@@ -85,7 +85,7 @@ func benchCluster(b *testing.B, nodes, rows int) (*Coordinator, []*memNode) {
 // the candidate budget removed (Size=0 makes each node ship its entire match
 // set), the window applied only at the top. Identical results, no per-node
 // pruning.
-func centralGather(ctx context.Context, mems []*memNode, index string, req store.SearchRequest) (store.GatherResponse, error) {
+func centralGather(ctx context.Context, mems []*memNode, index string, req store.SearchRequest) (store.EventsResult, error) {
 	naive := req
 	naive.From, naive.Size = 0, 0
 	P := len(mems)
@@ -104,7 +104,7 @@ func centralGather(ctx context.Context, mems []*memNode, index string, req store
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return store.GatherResponse{}, err
+			return store.EventsResult{}, err
 		}
 	}
 	return store.MergeScatters(req, resps), nil

@@ -156,7 +156,9 @@ type clusterIndex struct {
 }
 
 // Coordinator routes the v1 surface across partition nodes. nodes[p] owns
-// partition p of len(nodes).
+// partition p of len(nodes). It is a store.Backend: whatever reads a store
+// through that interface (dashboards, replay, the diagnosis engine) reads a
+// cluster unchanged.
 type Coordinator struct {
 	nodes    []Node
 	breakers []*resilience.Breaker
@@ -172,6 +174,8 @@ type Coordinator struct {
 	nodeCalls []*telemetry.Counter
 	nodeErrs  []*telemetry.Counter
 }
+
+var _ store.Backend = (*Coordinator)(nil)
 
 // New builds a coordinator over the given partition nodes (nodes[p] owns
 // partition p). At least one node is required; a 1-node coordinator is a
@@ -414,11 +418,21 @@ func (co *Coordinator) BulkFrame(ctx context.Context, index string, frame []byte
 	return len(events), co.BulkEvents(ctx, index, events)
 }
 
-// Search scatters the request to every partition and gathers the responses
-// through the shared merge layer. A partition that has never seen the index
-// contributes an empty response; any other per-node failure fails the search
-// — the coordinator never returns partial data for a partial scatter.
-func (co *Coordinator) Search(ctx context.Context, index string, req store.SearchRequest) (store.GatherResponse, error) {
+// Search is SearchEvents rendered as documents.
+func (co *Coordinator) Search(ctx context.Context, index string, req store.SearchRequest) (store.SearchResponse, error) {
+	res, err := co.SearchEvents(ctx, index, req)
+	if err != nil {
+		return store.SearchResponse{}, err
+	}
+	return res.Documents(), nil
+}
+
+// SearchEvents scatters the request to every partition and gathers the
+// responses through the shared merge layer. A partition that has never seen
+// the index contributes an empty response; any other per-node failure fails
+// the search — the coordinator never returns partial data for a partial
+// scatter.
+func (co *Coordinator) SearchEvents(ctx context.Context, index string, req store.SearchRequest) (store.EventsResult, error) {
 	P := len(co.nodes)
 	co.fanouts.Inc()
 	resps := make([]store.ScatterResponse, P)
@@ -450,10 +464,10 @@ func (co *Coordinator) Search(ctx context.Context, index string, req store.Searc
 			missing++
 			continue
 		}
-		return store.GatherResponse{}, err
+		return store.EventsResult{}, err
 	}
 	if missing == P {
-		return store.GatherResponse{}, fmt.Errorf("cluster: index %q: %w", index, ErrIndexNotFound)
+		return store.EventsResult{}, fmt.Errorf("cluster: index %q: %w", index, ErrIndexNotFound)
 	}
 	return store.MergeScatters(req, resps), nil
 }

@@ -301,21 +301,13 @@ func differentialRequests() map[string]store.SearchRequest {
 	}
 }
 
-// fingerprintSingle / fingerprintCluster render a response to canonical JSON.
-func fingerprintSingle(t *testing.T, resp store.SearchResponse) string {
+// fingerprint renders a response, a node's or the coordinator's, to canonical
+// JSON.
+func fingerprint(t *testing.T, resp store.SearchResponse) string {
 	t.Helper()
 	b, err := json.Marshal(resp)
 	if err != nil {
-		t.Fatalf("marshal single response: %v", err)
-	}
-	return string(b)
-}
-
-func fingerprintCluster(t *testing.T, resp store.GatherResponse) string {
-	t.Helper()
-	b, err := json.Marshal(resp)
-	if err != nil {
-		t.Fatalf("marshal cluster response: %v", err)
+		t.Fatalf("marshal response: %v", err)
 	}
 	return string(b)
 }
@@ -339,7 +331,7 @@ func TestClusterDifferentialFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cluster search: %v", name, err)
 		}
-		if got, want := fingerprintCluster(t, cresp), fingerprintSingle(t, sresp); got != want {
+		if got, want := fingerprint(t, cresp), fingerprint(t, sresp); got != want {
 			t.Fatalf("%s: cluster response diverged\nsingle:  %s\ncluster: %s", name, want, got)
 		}
 	}
@@ -384,7 +376,7 @@ func TestClusterDifferentialFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s page %d: cluster: %v", name, page, err)
 			}
-			if got, want := fingerprintCluster(t, cresp), fingerprintSingle(t, sresp); got != want {
+			if got, want := fingerprint(t, cresp), fingerprint(t, sresp); got != want {
 				t.Fatalf("%s page %d diverged\nsingle:  %s\ncluster: %s", name, page, want, got)
 			}
 			if sresp.NextAfter == nil {
@@ -414,7 +406,7 @@ func TestClusterSingleNodeTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cluster: %v", name, err)
 		}
-		if fingerprintCluster(t, cresp) != fingerprintSingle(t, sresp) {
+		if fingerprint(t, cresp) != fingerprint(t, sresp) {
 			t.Fatalf("%s: 1-node coordinator diverged from bare store", name)
 		}
 	}
@@ -561,7 +553,7 @@ func TestClusterCursorResumeAcrossCoordinators(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster page 1: %v", err)
 	}
-	if fingerprintCluster(t, cresp) != fingerprintSingle(t, sresp) {
+	if fingerprint(t, cresp) != fingerprint(t, sresp) {
 		t.Fatal("page 1 diverged")
 	}
 
@@ -597,7 +589,7 @@ func TestClusterCursorResumeAcrossCoordinators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cluster page %d: %v", page, err)
 		}
-		if fingerprintCluster(t, cresp) != fingerprintSingle(t, sresp) {
+		if fingerprint(t, cresp) != fingerprint(t, sresp) {
 			t.Fatalf("page %d diverged after coordinator handover", page)
 		}
 		if sresp.NextAfter == nil {

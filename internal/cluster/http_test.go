@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/repl"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
@@ -52,7 +53,23 @@ func newHTTPCluster(t *testing.T, n int) (*Coordinator, *httptest.Server, []*sto
 // postRaw POSTs a body and returns status plus the exact response bytes.
 func postRaw(t *testing.T, url, contentType string, body []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, contentType, bytes.NewReader(body))
+	code, _, b := postAccepting(t, url, contentType, "", body)
+	return code, b
+}
+
+// postAccepting is postRaw with an Accept header (none when empty), also
+// returning the response's content type.
+func postAccepting(t *testing.T, url, contentType, accept string, body []byte) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
@@ -61,7 +78,7 @@ func postRaw(t *testing.T, url, contentType string, body []byte) (int, []byte) {
 	if err != nil {
 		t.Fatalf("read body: %v", err)
 	}
-	return resp.StatusCode, b
+	return resp.StatusCode, resp.Header.Get("Content-Type"), b
 }
 
 // TestClusterNDJSONEdge pins the coordinator's NDJSON front door to the
@@ -114,8 +131,9 @@ func TestClusterNDJSONEdge(t *testing.T) {
 
 // TestClusterHTTPTransparency is the end-to-end byte-identity check: the
 // same ingest through a 4-partition coordinator's HTTP API and through a
-// bare node, then every query compared as raw response bodies — including
-// the aggregation partials' JSON round-trip across the real wire.
+// bare node, then every query compared as raw response bodies, JSON and
+// typed — including the aggregation partials' JSON round-trip across the
+// real wire.
 func TestClusterHTTPTransparency(t *testing.T) {
 	singleStore := memStore(t)
 	ssrv := httptest.NewServer(store.NewServer(singleStore))
@@ -159,6 +177,15 @@ func TestClusterHTTPTransparency(t *testing.T) {
 		var decoded store.SearchResponse
 		if err := json.Unmarshal(cbody, &decoded); err != nil {
 			t.Fatalf("%s: 200 with an undecodable body %q: %v", name, cbody, err)
+		}
+		// The typed body a client's SearchEvents reads is the same bytes too.
+		scode, sct, sbody := postAccepting(t, ssrv.URL+"/v1/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV1, rb)
+		ccode, cct, cbody := postAccepting(t, csrv.URL+"/v1/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV1, rb)
+		if scode != http.StatusOK || ccode != http.StatusOK || sct != event.ContentTypeBinaryV1 || cct != sct {
+			t.Fatalf("%s: typed answers: single %d %q, cluster %d %q", name, scode, sct, ccode, cct)
+		}
+		if !bytes.Equal(sbody, cbody) {
+			t.Fatalf("%s: typed bodies diverged\nsingle:  %q\ncluster: %q", name, sbody, cbody)
 		}
 	}
 
@@ -372,7 +399,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster page 1: %v", err)
 	}
-	if fingerprintCluster(t, got) != fingerprintSingle(t, want) {
+	if fingerprint(t, got) != fingerprint(t, want) {
 		t.Fatal("page 1 diverged before the failover")
 	}
 
@@ -392,7 +419,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cluster page %d (after failover): %v", page, err)
 		}
-		if fingerprintCluster(t, got) != fingerprintSingle(t, want) {
+		if fingerprint(t, got) != fingerprint(t, want) {
 			t.Fatalf("page %d diverged after partition failover", page)
 		}
 		if want.NextAfter == nil {

@@ -18,7 +18,7 @@ import (
 // base-URL change:
 //
 //	POST   /v1/{index}/_bulk       events (binary frame or NDJSON pairs), striped to owners
-//	POST   /v1/{index}/_search     scattered to all partitions, merged once
+//	POST   /v1/{index}/_search     scattered to all partitions, merged once; JSON or typed hits by Accept
 //	POST   /v1/{index}/_count      scattered, summed
 //	POST   /v1/{index}/_correlate  501: not routable across partitions
 //	POST   /v1/{index}/_diagnose   501: not routable across partitions
@@ -160,12 +160,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index stri
 		httpError(w, http.StatusBadRequest, "bad search request: %v", err)
 		return
 	}
-	resp, err := s.co.Search(r.Context(), index, req)
+	res, err := s.co.SearchEvents(r.Context(), index, req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	store.WriteSearchResult(w, r, res)
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, index string) {

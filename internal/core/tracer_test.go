@@ -84,7 +84,7 @@ func TestTracerEndToEnd(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	resp, err := backend.Search(context.Background(), "events", store.SearchRequest{
+	resp, err := backend.SearchEvents(context.Background(), "events", store.SearchRequest{
 		Query: store.Term(store.FieldSession, "e2e"),
 		Sort:  []store.SortField{{Field: store.FieldTimeEnter}},
 	})
@@ -95,18 +95,14 @@ func TestTracerEndToEnd(t *testing.T) {
 		t.Fatalf("indexed events = %d, want 4", resp.Total)
 	}
 
-	evs := make([]map[string]any, len(resp.Hits))
-	for i, h := range resp.Hits {
-		evs[i] = h
-	}
-	if evs[0][store.FieldSyscall] != "openat" || evs[1][store.FieldSyscall] != "write" ||
-		evs[2][store.FieldSyscall] != "close" || evs[3][store.FieldSyscall] != "unlink" {
+	evs := resp.Hits
+	if evs[0].Syscall != "openat" || evs[1].Syscall != "write" ||
+		evs[2].Syscall != "close" || evs[3].Syscall != "unlink" {
 		t.Fatalf("event order: %v %v %v %v",
-			evs[0][store.FieldSyscall], evs[1][store.FieldSyscall],
-			evs[2][store.FieldSyscall], evs[3][store.FieldSyscall])
+			evs[0].Syscall, evs[1].Syscall, evs[2].Syscall, evs[3].Syscall)
 	}
 	// The write has offset enrichment and a correlated file path.
-	w := store.DocToEvent(evs[1])
+	w := evs[1]
 	if !w.HasOffset || w.Offset != 0 {
 		t.Fatalf("write offset enrichment: %+v", w)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"github.com/dsrhaslab/dio-go/internal/apps/fluentbit"
 	"github.com/dsrhaslab/dio-go/internal/clock"
+	"github.com/dsrhaslab/dio-go/internal/cluster"
 	"github.com/dsrhaslab/dio-go/internal/core"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
@@ -199,7 +200,8 @@ func goldenJSON(t *testing.T, rep Report) []byte {
 // TestGoldenReports pins every built-in rule's output byte for byte: the
 // files under testdata/reports were recorded from the per-detector-query
 // engine this package replaced, and the single-pass engine must reproduce
-// them at every shard count and page size, in-process and over HTTP.
+// them at every shard count and page size, in-process, over HTTP, and with a
+// 4-partition cluster coordinator as the backend.
 func TestGoldenReports(t *testing.T) {
 	ctx := context.Background()
 	for _, gs := range goldenSessions {
@@ -258,9 +260,44 @@ func TestGoldenReports(t *testing.T) {
 				}
 				check(fmt.Sprintf("http shards=%d page=7", shards), rep, err)
 				srv.Close()
+
+				if shards == 4 {
+					rep, err = NewEngine(DefaultRegistry()).Run(ctx, stripeAcross(t, b, 4), "events", gs.name)
+					check("4-partition coordinator", rep, err)
+				}
 			}
 		})
 	}
+}
+
+// stripeAcross copies b's rows, in row order, into a coordinator over n
+// partition nodes served over HTTP: the same rows as b, striped.
+func stripeAcross(t *testing.T, b *store.Store, n int) *cluster.Coordinator {
+	t.Helper()
+	nodes := make([]cluster.Node, n)
+	for p := range nodes {
+		srv := httptest.NewServer(store.NewServer(memStore(t)))
+		t.Cleanup(srv.Close)
+		fc, err := store.NewFailoverClient(store.NewClient(srv.URL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[p] = cluster.NewHTTPNode(srv.URL, fc)
+	}
+	co, err := cluster.New(cluster.Config{}, nodes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := b.SearchEvents(context.Background(), "events", store.SearchRequest{Query: store.MatchAll(), Size: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := 0; at < len(rows.Hits); at += 512 {
+		if err := co.BulkEvents(context.Background(), "events", rows.Hits[at:min(at+512, len(rows.Hits))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return co
 }
 
 // TestGoldenReportsCoverEveryRule keeps the recorded set honest: between

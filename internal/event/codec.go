@@ -185,6 +185,11 @@ func DecodeBatch(data []byte, dst []Event) ([]Event, error) {
 	}
 	o := codecHeaderLen
 	base := len(dst)
+	// Size dst for the whole batch up front, believing count only as far as
+	// the bytes in hand could back it.
+	if n := min(count, (len(data)-o)/(4+codecMinEventLen)); cap(dst)-base < n {
+		dst = append(make([]Event, 0, base+n), dst...)
+	}
 	var d decoder
 	for i := 0; i < count; i++ {
 		if o+4 > len(data) {

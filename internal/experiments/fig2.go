@@ -98,7 +98,7 @@ func RunFig2(version fluentbit.Version) (Fig2Result, error) {
 // restricted to the open/read/write/lseek/close/unlink rows of the two
 // traced applications, hiding the forwarder's stat polling.
 func fig2Table(b store.Backend, index, session string, version fluentbit.Version) (*viz.Table, error) {
-	resp, err := store.SearchEvents(context.Background(), b, index, store.SearchRequest{
+	resp, err := b.SearchEvents(context.Background(), index, store.SearchRequest{
 		Query: store.Must(
 			store.Term(store.FieldSession, session),
 			store.Terms(store.FieldSyscall, "openat", "open", "creat", "read", "write", "lseek", "close", "unlink"),

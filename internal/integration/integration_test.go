@@ -6,17 +6,23 @@
 package integration
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/apps/fluentbit"
 	"github.com/dsrhaslab/dio-go/internal/clock"
+	"github.com/dsrhaslab/dio-go/internal/cluster"
 	"github.com/dsrhaslab/dio-go/internal/comparators"
 	"github.com/dsrhaslab/dio-go/internal/core"
 	"github.com/dsrhaslab/dio-go/internal/diagnose"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/replay"
 	"github.com/dsrhaslab/dio-go/internal/store"
@@ -245,6 +251,169 @@ func TestVisualizerViewsOverHTTP(t *testing.T) {
 	}
 	if res.Replayed == 0 || len(res.Mismatches) != 0 {
 		t.Fatalf("remote replay = %+v", res)
+	}
+}
+
+// newCluster boots a coordinator over n partitions, each a store server behind
+// a one-member failover client, as cmd/diod -cluster wires them.
+func newCluster(t *testing.T, n int) *cluster.Coordinator {
+	t.Helper()
+	nodes := make([]cluster.Node, n)
+	for p := range nodes {
+		srv := httptest.NewServer(store.NewServer(memStore(t)))
+		t.Cleanup(srv.Close)
+		fc, err := store.NewFailoverClient(store.NewClient(srv.URL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[p] = cluster.NewHTTPNode(srv.URL, fc)
+	}
+	co, err := cluster.New(cluster.Config{}, nodes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return co
+}
+
+// TestRemoteReadsAreExact: a hit read over the wire is the event the store
+// holds, field for field — nanosecond timestamps, offsets and return values
+// that no float64 can carry included — whichever remote reader fetched it.
+func TestRemoteReadsAreExact(t *testing.T) {
+	ctx := context.Background()
+	const ns = int64(1687859999123456789) // float64 reads ...456768
+	evs := []event.Event{
+		{Session: "ns", Syscall: "pread64", TimeEnterNS: ns, TimeExitNS: ns + 210, Offset: 1<<53 + 1, HasOffset: true, RetVal: 4097},
+		{Session: "ns", Syscall: "pwrite64", TimeEnterNS: ns + 1, TimeExitNS: ns + 3, Offset: math.MaxInt64, HasOffset: true, RetVal: -9007199254740993},
+		{Session: "ns", Syscall: "read", TimeEnterNS: math.MaxInt64 - 1, TimeExitNS: math.MaxInt64, RetVal: math.MaxInt64},
+		{Session: "ns", Syscall: "lseek", TimeEnterNS: -ns, TimeExitNS: -ns + 255, ArgOff: -1234567890123456789, RetVal: math.MinInt64},
+		{Session: "ns", Syscall: "write", TimeEnterNS: ns + 257, TimeExitNS: ns + 513, FileTag: event.FileTag{Dev: 1<<63 + 1, Ino: 1<<53 + 1, BirthNS: ns}},
+		{Session: "ns", Syscall: "fsync", TimeEnterNS: 1, TimeExitNS: 2, RetVal: -1},
+		{Session: "ns", Syscall: "close", TimeEnterNS: ns + 2, TimeExitNS: ns + 2, Offset: -255, HasOffset: true},
+	}
+	st := memStore(t)
+	srv := httptest.NewServer(store.NewServer(st))
+	defer srv.Close()
+	client := store.NewClient(srv.URL)
+	failover, err := store.NewFailoverClient(store.NewClient(srv.URL, store.WithAPIPrefix("/v1")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := newCluster(t, 2)
+	csrv := httptest.NewServer(cluster.NewServer(co))
+	defer csrv.Close()
+	for _, b := range []store.Backend{st, co} {
+		if err := b.BulkEvents(ctx, "exact", append([]event.Event(nil), evs...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	req := store.SearchRequest{
+		Query: store.Term(store.FieldSession, "ns"), Size: -1,
+		Sort: []store.SortField{{Field: store.FieldTimeEnter}},
+	}
+	want, err := st.SearchEvents(ctx, "exact", req)
+	if err != nil || len(want.Hits) != len(evs) {
+		t.Fatalf("in-process read: %d hits, %v", len(want.Hits), err)
+	}
+	hitsOf := func(b store.Backend) func() ([]event.Event, error) {
+		return func() ([]event.Event, error) {
+			res, err := b.SearchEvents(ctx, "exact", req)
+			return res.Hits, err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		read func() ([]event.Event, error)
+	}{
+		{"Client.SearchEvents", hitsOf(client)},
+		{"FailoverClient.SearchEvents", hitsOf(failover)},
+		{"EachEventPage over three pages", func() ([]event.Event, error) {
+			var all []event.Event
+			pages := 0
+			err := store.EachEventPage(ctx, client, "exact", req, 3, func(p store.EventsResult) error {
+				pages++
+				all = append(all, p.Hits...)
+				return nil
+			})
+			if pages != 3 {
+				t.Errorf("walked %d pages, want 3", pages)
+			}
+			return all, err
+		}},
+		{"Client to a 2-partition cluster.Server", hitsOf(store.NewClient(csrv.URL))},
+	} {
+		got, err := tc.read()
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(got) != len(want.Hits) {
+			t.Errorf("%s: %d hits, want %d", tc.name, len(got), len(want.Hits))
+			continue
+		}
+		for i := range got {
+			if got[i] != want.Hits[i] {
+				t.Errorf("%s: hit %d\n got  %+v\n want %+v", tc.name, i, got[i], want.Hits[i])
+			}
+		}
+	}
+}
+
+// TestDiagnoseThroughCoordinator: the coordinator is a store.Backend, so the
+// engine runs over a partitioned cluster exactly as over one store — the
+// Fluent Bit pair's reports equal the goldens the diagnose package pins.
+func TestDiagnoseThroughCoordinator(t *testing.T) {
+	ctx := context.Background()
+	for session, version := range map[string]fluentbit.Version{
+		"fluentbit-buggy": fluentbit.VersionBuggy,
+		"fluentbit-fixed": fluentbit.VersionFixed,
+	} {
+		// Trace into one store (correlation needs a node's whole view), then
+		// stripe its rows, in row order, across four partitions.
+		single := memStore(t)
+		k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
+		if err := k.MkdirAll("/d"); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := core.NewTracer(core.Config{
+			SessionName: session, Index: "events", Backend: single,
+			AutoCorrelate: true, FlushInterval: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Start(k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fluentbit.RunScenario(k, "/var/log", version); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := single.SearchEvents(ctx, "events", store.SearchRequest{Query: store.MatchAll(), Size: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		co := newCluster(t, 4)
+		if err := co.BulkEvents(ctx, "events", rows.Hits); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := diagnose.NewEngine(diagnose.DefaultRegistry()).Run(ctx, co, "events", session)
+		if err != nil {
+			t.Fatalf("%s: %v", session, err)
+		}
+		got, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("../diagnose/testdata/reports/" + session + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(got, '\n'), want) {
+			t.Errorf("%s: report through the coordinator differs from the golden:\n%s", session, got)
+		}
 	}
 }
 

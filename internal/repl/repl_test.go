@@ -52,8 +52,8 @@ func ingestRound(t *testing.T, st *store.Store, round int) {
 		t.Fatalf("round %d: bulk sparse events: %v", round, err)
 	}
 	if round%2 == 1 {
-		_, err := st.UpdateByQuery(ctx, testIndex, store.Term(store.FieldSyscall, "openat"), func(d store.Document) bool {
-			d[store.FieldFilePath] = "/resolved/by/round"
+		_, err := st.UpdateByQuery(ctx, testIndex, store.Term(store.FieldSyscall, "openat"), func(e *event.Event) bool {
+			e.FilePath = "/resolved/by/round"
 			return true
 		})
 		if err != nil {

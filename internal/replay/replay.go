@@ -49,7 +49,7 @@ type replayer struct {
 // Session replays every event of the session (ordered by entry timestamp)
 // against k. The backend may be in-process or remote.
 func Session(b store.Backend, index, session string, k *kernel.Kernel) (Result, error) {
-	resp, err := store.SearchEvents(context.Background(), b, index, store.SearchRequest{
+	resp, err := b.SearchEvents(context.Background(), index, store.SearchRequest{
 		Query: store.Term(store.FieldSession, session),
 		Sort:  []store.SortField{{Field: store.FieldTimeEnter}},
 	})

@@ -7,6 +7,7 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/apps/fluentbit"
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/core"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
@@ -137,8 +138,8 @@ func TestReplaySkipsUnknownDescriptors(t *testing.T) {
 
 	// Remove the open event from the store to simulate a partial trace.
 	ix, _ := backend.GetIndex("events")
-	ix.UpdateByQuery(store.Term(store.FieldSyscall, "openat"), func(d store.Document) bool {
-		d[store.FieldSyscall] = "unsupported_syscall"
+	ix.UpdateByQuery(store.Term(store.FieldSyscall, "openat"), func(e *event.Event) bool {
+		e.Syscall = "unsupported_syscall"
 		return true
 	})
 

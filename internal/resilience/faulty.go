@@ -135,6 +135,11 @@ func (f *FaultyBackend) Search(ctx context.Context, index string, req store.Sear
 	return f.inner.Search(ctx, index, req)
 }
 
+// SearchEvents delegates to the wrapped backend.
+func (f *FaultyBackend) SearchEvents(ctx context.Context, index string, req store.SearchRequest) (store.EventsResult, error) {
+	return f.inner.SearchEvents(ctx, index, req)
+}
+
 // Count delegates to the wrapped backend.
 func (f *FaultyBackend) Count(ctx context.Context, index string, q store.Query) (int, error) {
 	return f.inner.Count(ctx, index, q)

@@ -59,6 +59,9 @@ func (r *recordingBackend) seqs() []int {
 func (r *recordingBackend) Search(context.Context, string, store.SearchRequest) (store.SearchResponse, error) {
 	return store.SearchResponse{}, nil
 }
+func (r *recordingBackend) SearchEvents(context.Context, string, store.SearchRequest) (store.EventsResult, error) {
+	return store.EventsResult{}, nil
+}
 func (r *recordingBackend) Count(context.Context, string, store.Query) (int, error) { return 0, nil }
 func (r *recordingBackend) Correlate(context.Context, string, string) (store.CorrelationResult, error) {
 	return store.CorrelationResult{}, nil

@@ -356,10 +356,9 @@ func (s *Shipper) Search(ctx context.Context, index string, req store.SearchRequ
 	return s.backend.Search(ctx, index, req)
 }
 
-// SearchEvents delegates typed search to the wrapped backend (converting
-// document hits through the schema when it has no typed search).
+// SearchEvents delegates to the wrapped backend.
 func (s *Shipper) SearchEvents(ctx context.Context, index string, req store.SearchRequest) (store.EventsResult, error) {
-	return store.SearchEvents(ctx, s.backend, index, req)
+	return s.backend.SearchEvents(ctx, index, req)
 }
 
 // Count delegates to the wrapped backend.

@@ -254,18 +254,16 @@ func (c *Client) Search(ctx context.Context, index string, req SearchRequest) (S
 	return resp, err
 }
 
-// SearchEvents runs req against the named index and decodes the hits into
-// typed events client-side, so consumers share the Store's typed surface.
+// SearchEvents runs req against the named index, asking for the typed hit
+// body: the hits arrive as the events the server holds, bit for bit.
 func (c *Client) SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error) {
-	resp, err := c.Search(ctx, index, req)
+	body, err := json.Marshal(req)
 	if err != nil {
-		return EventsResult{}, err
+		return EventsResult{}, fmt.Errorf("encode search: %w", err)
 	}
-	hits := make([]event.Event, len(resp.Hits))
-	for i, d := range resp.Hits {
-		hits[i] = DocToEvent(d)
-	}
-	return EventsResult{Total: resp.Total, Hits: hits, Aggs: resp.Aggs, NextAfter: resp.NextAfter}, nil
+	var b hitsBody
+	err = c.do(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_search", body, &b)
+	return EventsResult{Total: b.Total, Hits: b.Hits, Aggs: b.Aggs, NextAfter: b.NextAfter}, err
 }
 
 // Count counts documents matching q.
@@ -301,9 +299,12 @@ func (c *Client) Scatter(ctx context.Context, index string, sreq ScatterRequest)
 	if err != nil {
 		return ScatterResponse{}, fmt.Errorf("encode scatter: %w", err)
 	}
-	var resp ScatterResponse
-	err = c.do(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_scatter", body, &resp)
-	return resp, err
+	var b hitsBody
+	err = c.do(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_scatter", body, &b)
+	if err == nil && len(b.Gids) != len(b.Hits) {
+		err = fmt.Errorf("%w: %d gids for %d hits", ErrBadHitsBody, len(b.Gids), len(b.Hits))
+	}
+	return ScatterResponse{Total: b.Total, Gids: b.Gids, Hits: b.Hits, Partials: b.Partials}, err
 }
 
 // BulkFrame posts an already-encoded binary event frame verbatim — the
@@ -428,7 +429,8 @@ func (c *Client) doBody(ctx context.Context, method, path, contentType string, b
 	return c.doReader(ctx, method, path, contentType, rdr, int64(len(body)), out)
 }
 
-// doReader is doBody over an arbitrary reader of known size. A body that
+// doReader is doBody over an arbitrary reader of known size. An out that is a
+// *hitsBody asks for, and decodes, the typed hit body instead of JSON. A body that
 // implements io.Closer is adopted as the request body and closed by the
 // transport when it has finished reading it (the hook pooledFrameBody uses
 // to recycle its buffer safely); such bodies are not replayable, so the
@@ -454,6 +456,10 @@ func (c *Client) doReader(ctx context.Context, method, path, contentType string,
 			// types; custom bodies would fall back to chunked encoding.
 			req.ContentLength = size
 		}
+	}
+	typed, _ := out.(*hitsBody)
+	if typed != nil {
+		req.Header.Set("Accept", event.ContentTypeBinaryV1)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -482,6 +488,9 @@ func (c *Client) doReader(ctx context.Context, method, path, contentType string,
 	}
 	if out == nil {
 		return nil
+	}
+	if typed != nil {
+		return typed.readResponse(resp)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("decode response: %w", err)

@@ -3,6 +3,8 @@ package store
 import (
 	"context"
 	"sync/atomic"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // CorrelationResult summarizes one run of the file-path correlation
@@ -63,16 +65,15 @@ func (c anchor) better(cur anchor) bool {
 
 // harvestAnchors folds one anchor search's hits into the dictionary,
 // keeping the winning anchor per tag under the deterministic order above.
-func harvestAnchors(dict map[string]anchor, hits []Document) {
-	for _, d := range hits {
-		tag := str(d[FieldFileTag])
-		path := str(d[FieldKernelPath])
-		if tag == "" || path == "" {
+func harvestAnchors(dict map[event.FileTag]anchor, hits []event.Event) {
+	for i := range hits {
+		e := &hits[i]
+		if e.FileTag.Zero() || e.KernelPath == "" {
 			continue
 		}
-		c := anchor{path: path, enterNS: i64(d[FieldTimeEnter])}
-		if cur, seen := dict[tag]; !seen || c.better(cur) {
-			dict[tag] = c
+		c := anchor{path: e.KernelPath, enterNS: e.TimeEnterNS}
+		if cur, seen := dict[e.FileTag]; !seen || c.better(cur) {
+			dict[e.FileTag] = c
 		}
 	}
 }
@@ -111,8 +112,8 @@ func correlateFilePaths(ctx context.Context, ix *Index, session string, tm *stor
 
 	// Step 1: harvest tag→path anchors from open-like events only — the
 	// syscalls whose path argument names the file the tag identifies.
-	dict := make(map[string]anchor)
-	openAnchors, err := ix.searchCtx(ctx, SearchRequest{
+	dict := make(map[event.FileTag]anchor)
+	openAnchors, err := ix.searchEventsCtx(ctx, SearchRequest{
 		Query: Query{Bool: &BoolQuery{
 			Must: append(sessionFilter(),
 				Terms(FieldSyscall, openSyscalls...),
@@ -130,7 +131,7 @@ func correlateFilePaths(ctx context.Context, ix *Index, session string, tm *stor
 	// Step 2 (fallback): for tags without an open anchor, any path-carrying
 	// tagged event still names the file; weaker evidence, so it never
 	// overrides an open anchor.
-	fallback, err := ix.searchCtx(ctx, SearchRequest{
+	fallback, err := ix.searchEventsCtx(ctx, SearchRequest{
 		Query: Query{Bool: &BoolQuery{
 			Must: append(sessionFilter(),
 				Exists(FieldFileTag),
@@ -143,7 +144,7 @@ func correlateFilePaths(ctx context.Context, ix *Index, session string, tm *stor
 	if err != nil {
 		return res, err
 	}
-	fallbackDict := make(map[string]anchor)
+	fallbackDict := make(map[event.FileTag]anchor)
 	harvestAnchors(fallbackDict, fallback.Hits)
 	for tag, c := range fallbackDict {
 		if _, seen := dict[tag]; !seen {
@@ -151,38 +152,34 @@ func correlateFilePaths(ctx context.Context, ix *Index, session string, tm *stor
 		}
 	}
 
-	tagToPath := make(map[string]string, len(dict))
-	for tag, c := range dict {
-		tagToPath[tag] = c.path
-	}
-	res.TagsResolved = len(tagToPath)
+	res.TagsResolved = len(dict)
 
 	// Step 3: rewrite tagged events without a path. UpdateByQuery fans out
 	// across index shards, so the closure runs concurrently; the counters
-	// are shared and must be updated atomically. tagToPath is read-only here.
+	// are shared and must be updated atomically. dict is read-only here.
 	q := Query{Bool: &BoolQuery{
 		Must: append(sessionFilter(), Exists(FieldFileTag)),
 	}}
 	var withTag, updated, unresolved, already atomic.Int64
 	var ubqErr error
 	updateByQuery := func() {
-		_, ubqErr = ix.updateByQueryCtx(ctx, q, func(d Document) bool {
+		_, ubqErr = ix.updateByQueryCtx(ctx, q, func(e *event.Event) bool {
 			withTag.Add(1)
-			if str(d[FieldFilePath]) != "" {
+			if e.FilePath != "" {
 				already.Add(1)
 				return false
 			}
-			if kp := str(d[FieldKernelPath]); kp != "" {
-				d[FieldFilePath] = kp
+			if e.KernelPath != "" {
+				e.FilePath = e.KernelPath
 				updated.Add(1)
 				return true
 			}
-			path, ok := tagToPath[str(d[FieldFileTag])]
+			c, ok := dict[e.FileTag]
 			if !ok {
 				unresolved.Add(1)
 				return false
 			}
-			d[FieldFilePath] = path
+			e.FilePath = c.path
 			updated.Add(1)
 			return true
 		})

@@ -72,8 +72,8 @@ func ingestRound(t *testing.T, st *Store, round int) {
 		t.Fatalf("round %d: bulk docs: %v", round, err)
 	}
 	if round%2 == 1 {
-		_, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "openat"), func(d Document) bool {
-			d[FieldFilePath] = "/resolved/by/round"
+		_, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "openat"), func(e *event.Event) bool {
+			e.FilePath = "/resolved/by/round"
 			return true
 		})
 		if err != nil {
@@ -532,11 +532,45 @@ func TestContextCancellationStopsOps(t *testing.T) {
 	if _, err := st.Count(ctx, crashIndex, MatchAll()); err != context.Canceled {
 		t.Fatalf("count on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := st.UpdateByQuery(ctx, crashIndex, MatchAll(), func(Document) bool { return false }); err != context.Canceled {
+	if _, err := st.UpdateByQuery(ctx, crashIndex, MatchAll(), func(*event.Event) bool { return false }); err != context.Canceled {
 		t.Fatalf("update-by-query on cancelled ctx = %v, want context.Canceled", err)
 	}
 	// The store must still be fully usable with a live context.
 	if n, err := st.Count(context.Background(), crashIndex, MatchAll()); err != nil || n != len(crashDocs(0)) {
 		t.Fatalf("count after cancelled ops = %d, %v", n, err)
+	}
+}
+
+// TestCrashUpdateByQueryCannotOutgrowJournal: the journal's frame carries
+// strings up to 65 535 bytes, so a script that commits a longer one must be
+// refused — error naming the field, row unchanged, earlier rows of the pass
+// rewritten and journaled — or memory would hold what recovery cannot.
+func TestCrashUpdateByQueryCannotOutgrowJournal(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir, WithShards(1))
+	ctx := context.Background()
+	ingestRound(t, st, 0)
+	long := strings.Repeat("p", 70_000)
+	n, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "read"), func(e *event.Event) bool {
+		if e.FilePath = "/short"; e.TID == 204 { // the second of round 0's two reads
+			e.FilePath = long
+		}
+		return true
+	})
+	if err == nil || !strings.Contains(err.Error(), FieldFilePath) || n != 1 {
+		t.Fatalf("update-by-query = %d, %v; want 1 row and an error naming %s", n, err, FieldFilePath)
+	}
+	res, err := st.SearchEvents(ctx, crashIndex, SearchRequest{Query: Term(FieldSyscall, "read")})
+	if err != nil || len(res.Hits) != 2 || res.Hits[0].FilePath != "/short" || res.Hits[1].FilePath != "" {
+		t.Fatalf("rows after the refused pass: %+v, %v", res.Hits, err)
+	}
+	want := fingerprint(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openDurable(t, dir)
+	defer re.Close()
+	if got := fingerprint(t, re); got != want {
+		t.Fatalf("recovered state diverged from the live one\n got: %.300s...\nwant: %.300s...", got, want)
 	}
 }

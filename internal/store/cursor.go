@@ -97,11 +97,11 @@ func cursorVal(v any) any {
 }
 
 // nextAfterRef encodes the continuation token for the page ending at ref.
-// Caller holds the shard read lock.
 func nextAfterRef(ref hitRef, sorts []SortField) []any {
 	out := make([]any, 0, len(sorts)+1)
 	for _, s := range sorts {
-		out = append(out, cursorVal(ref.sh.val(ref.id, s.Field)))
+		v, _ := ref.ev.Field(s.Field)
+		out = append(out, cursorVal(v))
 	}
 	return append(out, float64(ref.gid))
 }

@@ -50,33 +50,10 @@ type EventBackend interface {
 	BulkEvents(ctx context.Context, index string, events []event.Event) error
 }
 
-// EventSearcher is the optional typed-search extension of Backend.
-type EventSearcher interface {
-	SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error)
-}
-
-var (
-	_ EventSearcher = (*Store)(nil)
-	_ EventSearcher = (*Client)(nil)
-)
-
-// SearchEvents runs req through b's typed search when it has one; otherwise
-// the document hits convert best-effort through the schema. Consumers
-// (analysis, visualizations, replay) use this instead of hand-rolling
-// DocToEvent loops over SearchResponse hits.
+// SearchEvents is b.SearchEvents: the free-function spelling from when typed
+// search was an optional extension of Backend.
 func SearchEvents(ctx context.Context, b Backend, index string, req SearchRequest) (EventsResult, error) {
-	if es, ok := b.(EventSearcher); ok {
-		return es.SearchEvents(ctx, index, req)
-	}
-	resp, err := b.Search(ctx, index, req)
-	if err != nil {
-		return EventsResult{}, err
-	}
-	hits := make([]event.Event, len(resp.Hits))
-	for i, d := range resp.Hits {
-		hits[i] = DocToEvent(d)
-	}
-	return EventsResult{Total: resp.Total, Hits: hits, Aggs: resp.Aggs, NextAfter: resp.NextAfter}, nil
+	return b.SearchEvents(ctx, index, req)
 }
 
 // EachEventPage walks every hit of req in pageSize-bounded pages using the
@@ -89,7 +66,7 @@ func EachEventPage(ctx context.Context, b Backend, index string, req SearchReque
 	}
 	req.From, req.Size, req.SearchAfter = 0, pageSize, nil
 	for {
-		page, err := SearchEvents(ctx, b, index, req)
+		page, err := b.SearchEvents(ctx, index, req)
 		if err != nil {
 			return err
 		}
@@ -103,9 +80,20 @@ func EachEventPage(ctx context.Context, b Backend, index string, req SearchReque
 	}
 }
 
-// EventToDoc renders an event's Document view: what SearchResponse.Hits
-// carries, what an UpdateByQuery script edits, and — as NDJSON — what
-// DecodeBulkNDJSON parses back into the same event.
+// Documents renders the result for JSON — the /_search body of a node and of
+// a coordinator alike. Each call builds fresh documents, so a result shared
+// through the query cache cannot be edited through them.
+func (r EventsResult) Documents() SearchResponse {
+	hits := make([]Document, len(r.Hits))
+	for i := range r.Hits {
+		hits[i] = EventToDoc(&r.Hits[i])
+	}
+	return SearchResponse{Total: r.Total, Hits: hits, Aggs: r.Aggs, NextAfter: r.NextAfter}
+}
+
+// EventToDoc renders an event's Document view: what a JSON search response
+// carries per hit and — as NDJSON — what DecodeBulkNDJSON parses back into
+// the same event.
 func EventToDoc(e *event.Event) Document {
 	d := Document{
 		FieldSession:    e.Session,
@@ -167,67 +155,4 @@ func EventToDoc(e *event.Event) Document {
 		d[FieldFilePath] = e.FilePath
 	}
 	return d
-}
-
-// DocToEvent reconstructs a trace event from a document (best-effort: the
-// schema above is lossless for all fields the tracer emits).
-func DocToEvent(d Document) event.Event {
-	e := event.Event{
-		Session:    str(d[FieldSession]),
-		Syscall:    str(d[FieldSyscall]),
-		Class:      str(d[FieldClass]),
-		RetVal:     i64(d[FieldRetVal]),
-		FD:         int(i64(d[FieldFD])),
-		ArgPath:    str(d[FieldArgPath]),
-		ArgPath2:   str(d[FieldArgPath2]),
-		Count:      int(i64(d[FieldCount])),
-		ArgOff:     i64(d[FieldArgOffset]),
-		Whence:     int(i64(d[FieldWhence])),
-		Flags:      int(i64(d[FieldFlags])),
-		Mode:       uint32(i64(d[FieldMode])),
-		AttrName:   str(d[FieldAttrName]),
-		PID:        int(i64(d[FieldPID])),
-		TID:        int(i64(d[FieldTID])),
-		ProcName:   str(d[FieldProcName]),
-		ThreadName: str(d[FieldThreadName]),
-
-		TimeEnterNS: i64(d[FieldTimeEnter]),
-		TimeExitNS:  i64(d[FieldTimeExit]),
-		FileType:    str(d[FieldFileType]),
-		KernelPath:  str(d[FieldKernelPath]),
-		FilePath:    str(d[FieldFilePath]),
-	}
-	if tag := str(d[FieldFileTag]); tag != "" {
-		if ft, err := event.ParseFileTag(tag); err == nil {
-			e.FileTag = ft
-		}
-	}
-	if b, ok := d[FieldHasOffset].(bool); ok && b {
-		e.HasOffset = true
-		e.Offset = i64(d[FieldOffset])
-	}
-	return e
-}
-
-func str(v any) string {
-	s, _ := v.(string)
-	return s
-}
-
-func i64(v any) int64 {
-	// Integer-typed values convert exactly: nanosecond timestamps exceed
-	// 2^53, so a float64 round-trip would corrupt them.
-	switch x := v.(type) {
-	case int64:
-		return x
-	case int:
-		return int64(x)
-	case uint64:
-		return int64(x)
-	}
-	f, ok := numeric(v)
-	if !ok {
-		return 0
-	}
-	return int64(f)
 }

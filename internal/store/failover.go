@@ -30,10 +30,7 @@ type FailoverClient struct {
 	switches atomic.Uint64
 }
 
-var (
-	_ Backend       = (*FailoverClient)(nil)
-	_ EventSearcher = (*FailoverClient)(nil)
-)
+var _ Backend = (*FailoverClient)(nil)
 
 // NewFailoverClient wraps the given nodes; the first is the presumed primary
 // until a failure forces a re-probe. At least one node is required.
@@ -136,7 +133,7 @@ func (f *FailoverClient) Search(ctx context.Context, index string, req SearchReq
 	return res, err
 }
 
-// SearchEvents implements EventSearcher.
+// SearchEvents implements Backend.
 func (f *FailoverClient) SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error) {
 	var res EventsResult
 	err := f.do(ctx, func(c *Client) error {

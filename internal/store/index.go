@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -242,7 +243,8 @@ type SortField struct {
 	Desc  bool   `json:"desc,omitempty"`
 }
 
-// SearchResponse is the result of a search.
+// SearchResponse is an EventsResult rendered for JSON: the /_search body, with
+// each hit as its Document view.
 type SearchResponse struct {
 	Total int                  `json:"total"`
 	Hits  []Document           `json:"hits"`
@@ -261,78 +263,51 @@ type shardResult struct {
 	partials map[string]*AggPartial
 }
 
-// hitRef locates a matched row for merge ordering without materializing it:
-// the shard, the local id (resolved lazily through the shard's accessors),
-// and the global id used as the stable tie-break.
+// hitRef names a matched row for merge ordering without copying it: a pointer
+// into row storage (a shard's, a transient cold segment's, or — at the
+// cluster coordinator — a partition's decoded hits) and the global id used as
+// the stable tie-break.
 type hitRef struct {
-	sh  *shard
-	id  int32
+	ev  *event.Event
 	gid int
 }
 
-// EventsResult is the typed counterpart of SearchResponse: the same query,
-// sorting, pagination, and aggregations, with hits returned as events
-// instead of documents. Typed rows are copied out directly — no Document is
-// built anywhere on this path.
+// EventsResult is the answer to a search: the matched count, the requested
+// window of hits as events copied straight out of row storage, the finalized
+// aggregations, and the continuation token. It is the only form a hit takes
+// between the shard and whoever asked; a Document exists only where JSON is
+// written (Documents).
 type EventsResult struct {
 	Total int                  `json:"total"`
 	Hits  []event.Event        `json:"hits"`
 	Aggs  map[string]AggResult `json:"aggs,omitempty"`
-	// NextAfter mirrors SearchResponse.NextAfter (cursor.go).
+	// NextAfter is the continuation token for the next page (cursor.go):
+	// present exactly when the request was bounded and this page filled it.
 	NextAfter []any `json:"next_after,omitempty"`
 }
 
-// Search runs req against the index: every shard matches, pre-sorts, and
+// Search is SearchEvents rendered as documents.
+func (ix *Index) Search(req SearchRequest) SearchResponse {
+	return ix.SearchEvents(req).Documents()
+}
+
+// SearchEvents runs req against the index: every shard matches, pre-sorts, and
 // pre-aggregates its stripe (in parallel when cores are available), then the
 // per-shard results are merged — top-k merge for sorted hits, map merges for
-// bucketing aggregations, a streaming merge for percentiles. Only the
-// winning rows of the requested window are materialized as Documents.
-func (ix *Index) Search(req SearchRequest) SearchResponse {
-	resp, _ := ix.searchCtx(context.Background(), req)
-	return resp
-}
-
-// searchCtx is Search with cancellation: ctx is checked between shards
-// during fan-out, so a cancelled client stops consuming cores mid-query.
-func (ix *Index) searchCtx(ctx context.Context, req SearchRequest) (SearchResponse, error) {
-	var resp SearchResponse
-	err := ix.searchRefs(ctx, req, func(refs []hitRef, total int, aggs map[string]AggResult, next []any) {
-		hits := make([]Document, len(refs))
-		for i, ref := range refs {
-			hits[i] = ref.sh.docView(ref.id)
-		}
-		resp = SearchResponse{Total: total, Hits: hits, Aggs: aggs, NextAfter: next}
-	})
-	return resp, err
-}
-
-// SearchEvents runs req and returns the hits as events, copied straight out
-// of row storage.
+// bucketing aggregations, a streaming merge for percentiles. Only the winning
+// rows of the requested window are copied out.
 func (ix *Index) SearchEvents(req SearchRequest) EventsResult {
 	res, _ := ix.searchEventsCtx(context.Background(), req)
 	return res
 }
 
-// searchEventsCtx is SearchEvents with cancellation.
+// searchEventsCtx is SearchEvents with cancellation: ctx is checked between
+// shards during fan-out, so a cancelled client stops consuming cores
+// mid-query. The hits are copied out while every shard's read lock is still
+// held — the copy reads row storage, so it must happen inside the snapshot.
 func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (EventsResult, error) {
 	var res EventsResult
-	err := ix.searchRefs(ctx, req, func(refs []hitRef, total int, aggs map[string]AggResult, next []any) {
-		hits := make([]event.Event, len(refs))
-		for i, ref := range refs {
-			hits[i] = ref.sh.events[ref.id]
-		}
-		res = EventsResult{Total: total, Hits: hits, Aggs: aggs, NextAfter: next}
-	})
-	return res, err
-}
-
-// searchRefs runs the sharded search pipeline and hands the merged,
-// windowed hit refs to finish while every shard's read lock is still held —
-// the materialization step reads row storage, so it must happen inside the
-// snapshot. A cancelled ctx aborts between shards; finish is then never
-// called.
-func (ix *Index) searchRefs(ctx context.Context, req SearchRequest, finish func(refs []hitRef, total int, aggs map[string]AggResult, next []any)) error {
-	return ix.searchShards(ctx, req, nil, func(refs []hitRef, total int, parts map[string]*AggPartial) {
+	err := ix.searchShards(ctx, req, nil, func(refs []hitRef, total int, parts map[string]*AggPartial) {
 		var aggs map[string]AggResult
 		if len(req.Aggs) > 0 {
 			aggs = make(map[string]AggResult, len(req.Aggs))
@@ -340,12 +315,25 @@ func (ix *Index) searchRefs(ctx context.Context, req SearchRequest, finish func(
 				aggs[name] = finalizePartial(a, parts[name])
 			}
 		}
-		var next []any
-		if req.Size > 0 && len(refs) == req.Size {
-			next = nextAfterRef(refs[len(refs)-1], req.Sort)
-		}
-		finish(refs, total, aggs, next)
+		res = eventsResult(req, refs, total, aggs)
 	})
+	return res, err
+}
+
+// eventsResult copies the merged, windowed refs out as the typed answer and
+// mints the continuation token: present exactly when the request was bounded
+// and this page filled it. The node's shard merge and the coordinator's
+// partition merge both finish here, so the two levels cannot disagree on a
+// hit or a token.
+func eventsResult(req SearchRequest, refs []hitRef, total int, aggs map[string]AggResult) EventsResult {
+	res := EventsResult{Total: total, Hits: make([]event.Event, len(refs)), Aggs: aggs}
+	for i, ref := range refs {
+		res.Hits[i] = *ref.ev
+	}
+	if req.Size > 0 && len(refs) == req.Size {
+		res.NextAfter = nextAfterRef(refs[len(refs)-1], req.Sort)
+	}
+	return res
 }
 
 // partitionView places this index inside a partitioned cluster for one
@@ -466,7 +454,11 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 			combined[name] = combinePartials(a, parts)
 		}
 	}
-	finish(mergeHits(results, req, need), total, combined)
+	lists := make([][]hitRef, len(results))
+	for i := range results {
+		lists[i] = results[i].hits
+	}
+	finish(mergeHits(lists, req), total, combined)
 	return nil
 }
 
@@ -598,7 +590,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 	}
 	res.hits = make([]hitRef, len(hitIDs))
 	for i, id := range hitIDs {
-		res.hits[i] = hitRef{sh: sh, id: id, gid: gidOf(id)}
+		res.hits[i] = hitRef{ev: &sh.events[id], gid: gidOf(id)}
 	}
 	return res
 }
@@ -648,27 +640,26 @@ func topK(ids []int32, k int, less func(a, b int32) bool) []int32 {
 
 // hitLess orders merged hits by the request's sort fields, breaking ties by
 // global id so that unsorted (and tied) results keep insertion order, as the
-// unsharded implementation's stable sort did. Field values are resolved
-// through the owning shard's accessors, so typed rows compare without ever
-// materializing a Document.
+// unsharded implementation's stable sort did. Field values are read through
+// the event's typed accessors.
 func hitLess(a, b hitRef, sorts []SortField) bool {
 	for _, s := range sorts {
-		if r := cmpField(a.sh.val(a.id, s.Field), b.sh.val(b.id, s.Field), s.Desc); r != 0 {
+		av, _ := a.ev.Field(s.Field)
+		bv, _ := b.ev.Field(s.Field)
+		if r := cmpField(av, bv, s.Desc); r != 0 {
 			return r < 0
 		}
 	}
 	return a.gid < b.gid
 }
 
-// mergeHits k-way merges the per-shard candidate lists and applies the
-// From/Size window, returning refs — materialization is the caller's choice
-// (documents for Search, events for SearchEvents). The merge itself is the
-// shared kwayMerge from the merge layer; the cluster coordinator runs the
-// identical merge over per-node candidates with the wire-rendered sort keys.
-func mergeHits(results []shardResult, req SearchRequest, need int) []hitRef {
-	lists := make([][]hitRef, len(results))
-	for i := range results {
-		lists[i] = results[i].hits
+// mergeHits k-way merges pre-sorted candidate lists — one per shard on a
+// node, one per partition at the cluster coordinator — under the request's
+// order and applies the From/Size window.
+func mergeHits(lists [][]hitRef, req SearchRequest) []hitRef {
+	need := 0
+	if req.Size > 0 {
+		need = req.From + req.Size
 	}
 	out := kwayMerge(lists, func(a, b hitRef) bool { return hitLess(a, b, req.Sort) }, need)
 	if req.From > 0 {
@@ -816,29 +807,30 @@ func (ix *Index) countCtx(ctx context.Context, q Query) (int, error) {
 }
 
 // UpdateByQuery applies fn to every matching row and returns the number of
-// updated rows. fn receives the row's Document view and must return true if
-// it changed it; the view is then written back through the event schema:
-// schema fields persist, non-schema keys are dropped (the event is the
-// storage of record).
+// updated rows. fn edits the event it is handed and returns true to commit the
+// edit; a false return leaves the row untouched. Being typed, a script can
+// set nothing the schema lacks, and a committed row must also fit the journal
+// (checkEventStrings).
 //
 // Shards update in parallel, so fn may be invoked from multiple goroutines
-// concurrently (never for the same document); closures that accumulate
-// state must synchronize. Cached numeric columns of updated shards are
-// invalidated.
+// concurrently (never for the same row); closures that accumulate state must
+// synchronize. Cached numeric columns of updated shards are invalidated.
 //
 // On a durable index the effects — the final state of every changed row —
-// are journaled as a rewrite record; a journaling error is reported through
-// the ctx-aware form (this legacy wrapper drops it, like the pre-durability
-// in-memory semantics it preserves).
-func (ix *Index) UpdateByQuery(q Query, fn func(Document) bool) int {
+// are journaled as a rewrite record; errors are reported through the
+// ctx-aware form (this wrapper drops them, like the pre-durability in-memory
+// semantics it preserves).
+func (ix *Index) UpdateByQuery(q Query, fn func(*event.Event) bool) int {
 	n, _ := ix.updateByQueryCtx(context.Background(), q, fn)
 	return n
 }
 
-// updateByQueryCtx is UpdateByQuery with cancellation and journaling
-// errors. A cancelled ctx stops the fan-out between shards; effects already
-// applied are still journaled, so the durable log never lags memory.
-func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document) bool) (int, error) {
+// updateByQueryCtx is UpdateByQuery with cancellation, validation and
+// journaling errors. A cancelled ctx stops the fan-out between shards, and a
+// row the journal's encoding cannot hold stops it at that row, which keeps
+// its old value; either way effects already applied are still journaled, so
+// the durable log never lags memory.
+func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(*event.Event) bool) (int, error) {
 	ix.epoch.Add(1)
 	defer ix.epoch.Add(1)
 	d := ix.dur
@@ -860,25 +852,42 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document
 	// bounded memory.
 	base := int(ix.base.Load())
 	counts := make([]int, S)
+	errs := make([]error, S)
+	var failed atomic.Bool
 	run := func(s int) {
 		sh := ix.shards[s]
 		sh.mu.Lock()
 		updated := 0
 		r := row{sh: sh}
+		// fn edits a copy, so only a committed, valid edit reaches the row (one
+		// copy per shard: handing fn its address moves it to the heap).
+		var next event.Event
 		for i := range sh.events {
 			r.id = int32(i)
+			if failed.Load() {
+				break
+			}
 			if !q.matches(&r) {
 				continue
 			}
+			next = sh.events[i]
+			if !fn(&next) {
+				continue
+			}
+			if err := checkEventStrings(&next); err != nil {
+				errs[s] = fmt.Errorf("store: update-by-query: %w", err)
+				failed.Store(true)
+				break
+			}
+			if !next.HasOffset {
+				next.Offset = 0 // canonical form, as AddEvents stores it
+			}
 			before := eventTerms(&sh.events[i])
-			d2 := EventToDoc(&sh.events[i])
-			if fn(d2) {
-				sh.events[i] = DocToEvent(d2)
-				sh.repostLocked(int32(i), before, eventTerms(&sh.events[i]))
-				updated++
-				if d != nil {
-					rewrites[s].add(base+i*S+s, &sh.events[i])
-				}
+			sh.events[i] = next
+			sh.repostLocked(int32(i), before, eventTerms(&next))
+			updated++
+			if d != nil {
+				rewrites[s].add(base+i*S+s, &next)
 			}
 		}
 		if updated > 0 {
@@ -907,6 +916,11 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(Document
 		// commit carry them. (The scan above applied the in-memory effect
 		// inline; applyRewrites does this split for the replay paths.)
 		d.addPending(flat, int(d.flushStart(ix)))
+	}
+	for _, err := range errs {
+		if err != nil {
+			return n, err
+		}
 	}
 	return n, fanErr
 }

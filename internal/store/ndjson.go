@@ -52,9 +52,20 @@ type bulkDoc struct {
 	TagTS    int64  `json:"tag_timestamp"`
 }
 
+// checkEventStrings rejects an event holding a string the binary frame — the
+// journal's encoding — cannot carry whole, naming the field. Both doors a
+// caller-made string comes in by run it: the NDJSON edge and update-by-query.
+func checkEventStrings(e *event.Event) error {
+	for _, f := range event.Fields() {
+		if s, _ := e.StringField(f); len(s) > math.MaxUint16 {
+			return fmt.Errorf("field %s: %d bytes exceed the %d-byte string limit", f, len(s), math.MaxUint16)
+		}
+	}
+	return nil
+}
+
 // toEvent converts the decoded line, finishing the checks the field types
-// cannot express: a parseable file tag, and strings the binary frame (the
-// journal's encoding) can carry whole.
+// cannot express: a parseable file tag, and strings the journal can hold.
 func (d *bulkDoc) toEvent() (event.Event, error) {
 	e := event.Event{
 		Session: d.Session, Syscall: d.Syscall, Class: d.Class, RetVal: d.RetVal,
@@ -81,12 +92,7 @@ func (d *bulkDoc) toEvent() (event.Event, error) {
 		}
 		e.FileTag = ft
 	}
-	for _, f := range event.Fields() {
-		if s, _ := e.StringField(f); len(s) > math.MaxUint16 {
-			return e, fmt.Errorf("field %s: %d bytes exceed the %d-byte string limit", f, len(s), math.MaxUint16)
-		}
-	}
-	return e, nil
+	return e, checkEventStrings(&e)
 }
 
 // encodeBulkNDJSON appends the body DecodeBulkNDJSON parses back into events:

@@ -28,7 +28,7 @@ func oracleRows(ix *Index) (rows []Document, base int) {
 	}
 	rows = make([]Document, n)
 	for m := range rows {
-		rows[m] = ix.shards[m%S].docView(int32(m / S))
+		rows[m] = EventToDoc(&ix.shards[m%S].events[m/S])
 	}
 	return rows, int(ix.base.Load())
 }

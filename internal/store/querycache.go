@@ -28,8 +28,8 @@ import (
 // exactly the visibility a concurrent uncached search has (shards lock
 // independently), and the mutation's end-of-apply bump retires the entry.
 //
-// Cached responses are shared between callers and must be treated as
-// read-only.
+// Cached results are shared between callers and must be treated as
+// read-only; the Document rendering is built per call, outside the cache.
 
 // queryCache is one index's bounded LRU of search responses.
 type queryCache struct {
@@ -44,7 +44,7 @@ type queryCache struct {
 type cacheEntry struct {
 	key   string
 	epoch uint64
-	val   any // SearchResponse or EventsResult
+	val   EventsResult
 }
 
 func newQueryCache(capacity int, hits, misses, evicts *telemetry.Counter) *queryCache {
@@ -60,13 +60,13 @@ func newQueryCache(capacity int, hits, misses, evicts *telemetry.Counter) *query
 
 // get returns the cached response for key if it was computed at the current
 // epoch; an entry from an older epoch is evicted on sight.
-func (c *queryCache) get(key string, epoch uint64) (any, bool) {
+func (c *queryCache) get(key string, epoch uint64) (EventsResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses.Inc()
-		return nil, false
+		return EventsResult{}, false
 	}
 	e := el.Value.(*cacheEntry)
 	if e.epoch != epoch {
@@ -74,7 +74,7 @@ func (c *queryCache) get(key string, epoch uint64) (any, bool) {
 		delete(c.items, key)
 		c.evicts.Inc()
 		c.misses.Inc()
-		return nil, false
+		return EventsResult{}, false
 	}
 	c.ll.MoveToFront(el)
 	c.hits.Inc()
@@ -83,7 +83,7 @@ func (c *queryCache) get(key string, epoch uint64) (any, bool) {
 
 // put inserts (or refreshes) a response computed at epoch, evicting the
 // least-recently-used entry past capacity.
-func (c *queryCache) put(key string, epoch uint64, val any) {
+func (c *queryCache) put(key string, epoch uint64, val EventsResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -122,41 +122,20 @@ type readTelemetry struct {
 	rowsDecoded, rowsSkipped                 *telemetry.Counter
 }
 
-// cachedSearchCtx is searchCtx behind the query cache. The epoch is captured
-// before the search runs and re-checked before insert, so a response computed
-// while a mutation was in flight is never cached; a lookup only answers from
-// an entry whose epoch is still current.
-func (ix *Index) cachedSearchCtx(ctx context.Context, req SearchRequest) (SearchResponse, error) {
-	c := ix.cache
-	if c == nil || !cacheable(req) {
-		return ix.searchCtx(ctx, req)
-	}
-	key := cacheKey('S', req)
-	e := ix.epoch.Load()
-	if v, ok := c.get(key, e); ok {
-		return v.(SearchResponse), nil
-	}
-	resp, err := ix.searchCtx(ctx, req)
-	if err != nil {
-		return resp, err
-	}
-	if ix.epoch.Load() == e {
-		c.put(key, e, resp)
-	}
-	return resp, nil
-}
-
-// cachedSearchEventsCtx is searchEventsCtx behind the query cache, under a
-// distinct key kind — the two response shapes share a fingerprint otherwise.
+// cachedSearchEventsCtx is searchEventsCtx behind the query cache. The epoch
+// is captured before the search runs and re-checked before insert, so a
+// response computed while a mutation was in flight is never cached; a lookup
+// only answers from an entry whose epoch is still current. There is one entry
+// per request whichever way the caller wants its hits rendered.
 func (ix *Index) cachedSearchEventsCtx(ctx context.Context, req SearchRequest) (EventsResult, error) {
 	c := ix.cache
 	if c == nil || !cacheable(req) {
 		return ix.searchEventsCtx(ctx, req)
 	}
-	key := cacheKey('E', req)
+	key := cacheKey(req)
 	e := ix.epoch.Load()
-	if v, ok := c.get(key, e); ok {
-		return v.(EventsResult), nil
+	if res, ok := c.get(key, e); ok {
+		return res, nil
 	}
 	res, err := ix.searchEventsCtx(ctx, req)
 	if err != nil {
@@ -190,14 +169,11 @@ var intRangeFields = map[string]bool{
 // every integer below it; bound folding past it could change results.
 const maxExactInt = float64(1 << 53)
 
-// cacheKey renders a request as its canonical fingerprint. kind separates
-// the two response shapes ('S' document search, 'E' typed search) that one
-// request can produce.
-func cacheKey(kind byte, req SearchRequest) string {
+// cacheKey renders a request as its canonical fingerprint.
+func cacheKey(req SearchRequest) string {
 	var b strings.Builder
 	b.Grow(128)
-	b.WriteByte(kind)
-	b.WriteString("|q:")
+	b.WriteString("q:")
 	b.WriteString(canonQuery(req.Query))
 	b.WriteString("|s:")
 	for _, s := range req.Sort {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
@@ -46,7 +47,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		},
 	}
 	for _, tc := range same {
-		ka, kb := cacheKey('S', tc.a), cacheKey('S', tc.b)
+		ka, kb := cacheKey(tc.a), cacheKey(tc.b)
 		if ka != kb {
 			t.Errorf("%s: keys differ\n a %q\n b %q", tc.name, ka, kb)
 		}
@@ -78,16 +79,10 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		},
 	}
 	for _, tc := range diff {
-		ka, kb := cacheKey('S', tc.a), cacheKey('S', tc.b)
+		ka, kb := cacheKey(tc.a), cacheKey(tc.b)
 		if ka == kb {
 			t.Errorf("%s: keys collide: %q", tc.name, ka)
 		}
-	}
-
-	// Typed and document searches of the same request are distinct lines.
-	q := SearchRequest{Query: MatchAll(), Size: 10}
-	if cacheKey('S', q) == cacheKey('E', q) {
-		t.Error("document and typed search share a cache line")
 	}
 }
 
@@ -104,7 +99,7 @@ func TestCacheKeyWireOrderInvariance(t *testing.T) {
 	if err := json.Unmarshal([]byte(b), &rb); err != nil {
 		t.Fatal(err)
 	}
-	ka, kb := cacheKey('S', ra), cacheKey('S', rb)
+	ka, kb := cacheKey(ra), cacheKey(rb)
 	if ka != kb {
 		t.Errorf("wire key order changed the fingerprint:\n a %q\n b %q", ka, kb)
 	}
@@ -113,6 +108,50 @@ func TestCacheKeyWireOrderInvariance(t *testing.T) {
 func counterDelta(t *testing.T, reg *telemetry.Registry, name string, base uint64) uint64 {
 	t.Helper()
 	return reg.Snapshot().Counters[name] - base
+}
+
+// TestQueryCacheHoldsOneEntryPerRequest pins the single entry kind: a
+// document search and a typed search of one bounded request share a cache
+// line, and since documents are rendered per call, editing a handed-out
+// document reaches neither the cache nor the next caller.
+func TestQueryCacheHoldsOneEntryPerRequest(t *testing.T) {
+	st, err := Open(WithQueryCache(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx := context.Background()
+	reg := st.Telemetry()
+	if err := st.BulkEvents(ctx, "run", cursorFixture(64)); err != nil {
+		t.Fatal(err)
+	}
+	req := SearchRequest{Query: Term(FieldSession, "s1"), Size: 3, Sort: []SortField{{Field: FieldTimeEnter}}}
+	c0 := reg.Snapshot().Counters
+	docs, err := st.Search(ctx, "run", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typed, err := st.SearchEvents(ctx, "run", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := counterDelta(t, reg, telemetry.MetricQueryCacheHits, c0[telemetry.MetricQueryCacheHits])
+	misses := counterDelta(t, reg, telemetry.MetricQueryCacheMisses, c0[telemetry.MetricQueryCacheMisses])
+	if hits != 1 || misses != 1 {
+		t.Fatalf("Search then SearchEvents: %d hits, %d misses; want 1 and 1", hits, misses)
+	}
+	if !reflect.DeepEqual(docs, typed.Documents()) {
+		t.Fatalf("the two renderings disagree:\n docs  %+v\n typed %+v", docs, typed)
+	}
+	docs.Hits[0][FieldSyscall] = "scribbled"
+	delete(docs.Hits[1], FieldSession)
+	again, err := st.Search(ctx, "run", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, typed.Documents()) {
+		t.Fatalf("a handed-out document was edited into the cache: %+v", again.Hits)
+	}
 }
 
 // TestQueryCacheServesAndInvalidates walks the cache through its life
@@ -159,8 +198,8 @@ func TestQueryCacheServesAndInvalidates(t *testing.T) {
 	}{
 		{"BulkEvents", func() error { return st.BulkEvents(ctx, "run", cursorFixture(8)) }},
 		{"UpdateByQuery", func() error {
-			_, err := st.UpdateByQuery(ctx, "run", Term(FieldSyscall, "read"), func(d Document) bool {
-				d["seen"] = true
+			_, err := st.UpdateByQuery(ctx, "run", Term(FieldSyscall, "read"), func(e *event.Event) bool {
+				e.FilePath = "/seen"
 				return true
 			})
 			return err
@@ -247,8 +286,8 @@ func TestCacheInvalidationStress(t *testing.T) {
 			}
 			written.Add(perBatch)
 			if i%8 == 7 {
-				if _, err := st.UpdateByQuery(ctx, "run", Term(FieldSyscall, "fsync"), func(d Document) bool {
-					d["touched"] = true
+				if _, err := st.UpdateByQuery(ctx, "run", Term(FieldSyscall, "fsync"), func(e *event.Event) bool {
+					e.FilePath = "/touched"
 					return true
 				}); err != nil {
 					t.Error(err)

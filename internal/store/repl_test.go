@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // pump drains primary's WAL into follower through the in-process replication
@@ -213,7 +214,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	if err := st.BulkEvents(ctx, crashIndex, crashEvents(0)); !errors.Is(err, ErrReadOnlyFollower) {
 		t.Fatalf("BulkEvents on follower: %v", err)
 	}
-	if _, err := st.UpdateByQuery(ctx, crashIndex, MatchAll(), func(Document) bool { return false }); !errors.Is(err, ErrReadOnlyFollower) {
+	if _, err := st.UpdateByQuery(ctx, crashIndex, MatchAll(), func(*event.Event) bool { return false }); !errors.Is(err, ErrReadOnlyFollower) {
 		t.Fatalf("UpdateByQuery on follower: %v", err)
 	}
 	if _, err := st.Correlate(ctx, crashIndex, "s"); !errors.Is(err, ErrReadOnlyFollower) {

@@ -184,9 +184,9 @@ func TestRollupInvalidateAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rewrite := func(d Document) bool {
-		if d[FieldSyscall] == "fsync" {
-			d[FieldSyscall] = "fdatasync"
+	rewrite := func(e *event.Event) bool {
+		if e.Syscall == "fsync" {
+			e.Syscall = "fdatasync"
 			return true
 		}
 		return false
@@ -258,8 +258,8 @@ func TestRewriteRepostsAfterRecovery(t *testing.T) {
 	if err := dur.BulkEvents(ctx, "run", rollupFixture(600)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dur.UpdateByQuery(ctx, "run", Term(FieldSyscall, "fsync"), func(d Document) bool {
-		d[FieldSyscall] = "fdatasync"
+	if _, err := dur.UpdateByQuery(ctx, "run", Term(FieldSyscall, "fsync"), func(e *event.Event) bool {
+		e.Syscall = "fdatasync"
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -2,16 +2,17 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // The scatter API: the per-partition half of cluster search (DESIGN.md §16).
 // A coordinator that stripes an index's rows across N nodes cannot use the
 // plain _search response — it needs each node's top candidates BEFORE the
-// pagination window is applied, the aggregation partials BEFORE they are
-// finalized, and sort keys it can compare without re-materializing rows.
+// pagination window is applied, with the row ids that break ties, and the
+// aggregation partials BEFORE they are finalized.
 // POST /{index}/_scatter returns exactly that: the node runs the ordinary
 // shard fan-out pipeline but stops one step earlier, shipping mergeable
 // intermediates instead of a finished response. The coordinator then reduces
@@ -44,29 +45,20 @@ type ScatterRequest struct {
 	Partitions int `json:"partitions"`
 }
 
-// ScatterHit is one merge candidate: the node-local row id (the coordinator
-// maps it back to the cluster-global id gid*Partitions+Partition), the
-// cursor-rendered sort-key values (one per requested sort field, comparable
-// with cmpField and embeddable verbatim in a next_after token), and the hit
-// document pre-marshaled by the owning node. Shipping marshaled bytes is
-// what keeps a cluster response byte-identical to a single node's: the
-// coordinator never decodes and re-encodes a document, so no float64
-// round-trip can corrupt int64-magnitude values.
-type ScatterHit struct {
-	Gid  int             `json:"gid"`
-	Sort []any           `json:"sort,omitempty"`
-	Doc  json.RawMessage `json:"doc"`
-}
-
 // ScatterResponse is one node's mergeable contribution: its full match
 // count, its first need=From+Size candidates in request order (all of them
-// for an unbounded request), and its combined-but-not-finalized aggregation
-// partials — count maps and nested partials per bucket, never rows, so the
-// aggregation half of the body is O(buckets) whatever the match count.
+// for an unbounded request) as events beside their node-local row ids, and
+// its combined-but-not-finalized aggregation partials — count maps and nested
+// partials per bucket, never rows, so the aggregation half of the body is
+// O(buckets) whatever the match count. No sort keys travel: the coordinator
+// reads them off the events with the accessors the node sorted by.
 type ScatterResponse struct {
-	Total    int                   `json:"total"`
-	Hits     []ScatterHit          `json:"hits"`
-	Partials map[string]AggPartial `json:"partials,omitempty"`
+	Total int
+	// Gids[i] is the node-local row id of Hits[i]; the coordinator maps it
+	// back to the cluster-global id Gids[i]*Partitions+Partition.
+	Gids     []int
+	Hits     []event.Event
+	Partials map[string]AggPartial
 }
 
 // Scatter runs one partition's share of a cluster search against the named
@@ -95,8 +87,8 @@ func (s *Store) Scatter(ctx context.Context, index string, sreq ScatterRequest) 
 // scatterCtx executes the node-local plan: validate the original request,
 // widen the window to the per-node candidate budget, run the shard fan-out
 // with the partition view (cluster-global cursor translated after
-// validation), and render refs and combined partials for the wire while the
-// shard locks are still held.
+// validation), and copy out hits and combined partials while the shard locks
+// are still held.
 func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterResponse, error) {
 	if sreq.Partitions < 1 || sreq.Partition < 0 || sreq.Partition >= sreq.Partitions {
 		return ScatterResponse{}, errBadScatter
@@ -111,35 +103,16 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 	}
 	// The coordinator applies the From/Size window after merging across
 	// nodes; this node must contribute its first From+Size candidates.
-	need := 0
 	if req.Size > 0 {
-		need = req.From + req.Size
+		req.Size += req.From
 	}
-	nreq := req
-	nreq.From = 0
-	nreq.Size = need
+	req.From = 0
 	view := &partitionView{partition: sreq.Partition, partitions: sreq.Partitions}
-	var (
-		resp       ScatterResponse
-		marshalErr error
-	)
-	err := ix.searchShards(ctx, nreq, view, func(refs []hitRef, total int, parts map[string]*AggPartial) {
-		resp.Total = total
-		resp.Hits = make([]ScatterHit, len(refs))
+	var resp ScatterResponse
+	err := ix.searchShards(ctx, req, view, func(refs []hitRef, total int, parts map[string]*AggPartial) {
+		resp = ScatterResponse{Total: total, Gids: make([]int, len(refs)), Hits: make([]event.Event, len(refs))}
 		for i, ref := range refs {
-			b, err := json.Marshal(ref.sh.docView(ref.id))
-			if err != nil {
-				marshalErr = err
-				return
-			}
-			hit := ScatterHit{Gid: ref.gid, Doc: b}
-			if len(req.Sort) > 0 {
-				hit.Sort = make([]any, len(req.Sort))
-				for j, sf := range req.Sort {
-					hit.Sort[j] = cursorVal(ref.sh.val(ref.id, sf.Field))
-				}
-			}
-			resp.Hits[i] = hit
+			resp.Gids[i], resp.Hits[i] = ref.gid, *ref.ev
 		}
 		if len(parts) > 0 {
 			resp.Partials = make(map[string]AggPartial, len(parts))
@@ -148,89 +121,35 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 			}
 		}
 	})
-	if err != nil {
-		return ScatterResponse{}, err
-	}
-	if marshalErr != nil {
-		return ScatterResponse{}, fmt.Errorf("scatter: marshal hit: %w", marshalErr)
-	}
-	return resp, nil
-}
-
-// GatherResponse is the coordinator's merged search result. It is the wire
-// twin of SearchResponse — same fields, same order, same omission rules — with
-// hits carried as the raw bytes the owning nodes marshaled, so encoding it
-// yields output byte-identical to a single node answering the same request
-// over the same rows.
-type GatherResponse struct {
-	Total     int                  `json:"total"`
-	Hits      []json.RawMessage    `json:"hits"`
-	Aggs      map[string]AggResult `json:"aggs,omitempty"`
-	NextAfter []any                `json:"next_after,omitempty"`
-}
-
-// gatherHit is one node's candidate lifted back into cluster-global
-// coordinates for the top-level merge.
-type gatherHit struct {
-	sort []any
-	g    int
-	doc  json.RawMessage
+	return resp, err
 }
 
 // MergeScatters reduces per-partition scatter responses into a finished
-// search response: the cluster-level half of the two-level fan-out, running
-// the SAME merge-layer reductions (kwayMerge under the request's sort order
-// with the gid tie-break, combine-then-finalize aggregation partials) the
-// intra-node shard merge runs one level down. resps must be indexed by
-// partition — resps[p] is the response from the node owning partition p of
-// len(resps) — because the back-map from node-local row l on partition p to
-// the cluster-global id is l*P + p. Each node's hit list arrives sorted in
+// search result: the cluster-level half of the two-level fan-out, running
+// the SAME merge-layer reductions (mergeHits under the request's sort order
+// with the gid tie-break, combine-then-finalize aggregation partials,
+// eventsResult for the window's copy-out and continuation token) the
+// intra-node shard merge runs one level down — which is why a cluster answer
+// equals a single node's by construction. resps must be indexed by partition
+// — resps[p] is the response from the node owning partition p of len(resps)
+// — because the back-map from node-local row l on partition p to the
+// cluster-global id is l*P + p. Each node's hit list arrives sorted in
 // request order and windowed to the candidate budget, so the merge is
 // streaming and the From/Size window is applied once, here.
-func MergeScatters(req SearchRequest, resps []ScatterResponse) GatherResponse {
+func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
 	P := len(resps)
-	lists := make([][]gatherHit, P)
+	lists := make([][]hitRef, P)
 	total := 0
 	for p := range resps {
 		total += resps[p].Total
-		hs := make([]gatherHit, len(resps[p].Hits))
-		for i, h := range resps[p].Hits {
-			hs[i] = gatherHit{sort: h.Sort, g: h.Gid*P + p, doc: h.Doc}
-		}
-		lists[p] = hs
-	}
-	// The node rendered sort keys through cursorVal, the same rendering
-	// search_after tokens use, so cmpField over them reproduces the node-side
-	// hitLess order exactly (the compatibility cursors already rely on).
-	less := func(a, b gatherHit) bool {
-		for i, s := range req.Sort {
-			if r := cmpField(a.sort[i], b.sort[i], s.Desc); r != 0 {
-				return r < 0
-			}
-		}
-		return a.g < b.g
-	}
-	need := 0
-	if req.Size > 0 {
-		need = req.From + req.Size
-	}
-	merged := kwayMerge(lists, less, need)
-	if req.From > 0 {
-		if req.From >= len(merged) {
-			merged = nil
-		} else {
-			merged = merged[req.From:]
+		lists[p] = make([]hitRef, len(resps[p].Hits))
+		for i := range lists[p] {
+			lists[p][i] = hitRef{ev: &resps[p].Hits[i], gid: resps[p].Gids[i]*P + p}
 		}
 	}
-	if req.Size > 0 && len(merged) > req.Size {
-		merged = merged[:req.Size]
-	}
-	out := GatherResponse{Total: total, Hits: make([]json.RawMessage, len(merged))}
-	for i := range merged {
-		out.Hits[i] = merged[i].doc
-	}
+	var aggs map[string]AggResult
 	if len(req.Aggs) > 0 {
-		out.Aggs = make(map[string]AggResult, len(req.Aggs))
+		aggs = make(map[string]AggResult, len(req.Aggs))
 		for name, a := range req.Aggs {
 			parts := make([]AggPartial, 0, P)
 			for p := range resps {
@@ -238,17 +157,8 @@ func MergeScatters(req SearchRequest, resps []ScatterResponse) GatherResponse {
 					parts = append(parts, ap)
 				}
 			}
-			out.Aggs[name] = MergeAggPartials(a, parts)
+			aggs[name] = MergeAggPartials(a, parts)
 		}
 	}
-	// Same continuation rule as the single-node response: a token exactly when
-	// the request was bounded and this page filled it, rendered as the last
-	// hit's sort keys plus its (cluster-global) id.
-	if req.Size > 0 && len(merged) == req.Size {
-		last := merged[len(merged)-1]
-		na := make([]any, 0, len(req.Sort)+1)
-		na = append(na, last.sort...)
-		out.NextAfter = append(na, float64(last.g))
-	}
-	return out
+	return eventsResult(req, mergeHits(lists, req), total, aggs)
 }

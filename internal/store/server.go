@@ -22,6 +22,9 @@ import (
 // attempt delivery deadline) into shard fan-out or the wire request.
 type Backend interface {
 	EventBackend
+	// SearchEvents is the search; Search is the same answer with each hit
+	// rendered as a Document, for callers that write JSON.
+	SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error)
 	Search(ctx context.Context, index string, req SearchRequest) (SearchResponse, error)
 	Count(ctx context.Context, index string, q Query) (int, error)
 	Correlate(ctx context.Context, index, session string) (CorrelationResult, error)
@@ -69,7 +72,7 @@ func (s *Store) Correlate(ctx context.Context, index, session string) (Correlati
 // speak):
 //
 //	POST   /v1/{index}/_bulk       events, as a binary frame or NDJSON action/document pairs
-//	POST   /v1/{index}/_search     SearchRequest JSON body
+//	POST   /v1/{index}/_search     SearchRequest JSON body; JSON answer, or typed hits by Accept
 //	POST   /v1/{index}/_count      optional Query JSON body
 //	POST   /v1/{index}/_correlate  ?session=NAME
 //	GET    /v1/{index}/_stats      doc and shard counts
@@ -423,28 +426,32 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index stri
 		httpError(w, http.StatusBadRequest, "bad search request: %v", err)
 		return
 	}
-	resp, err := s.store.Search(r.Context(), index, req)
+	res, err := s.store.SearchEvents(r.Context(), index, req)
 	if err != nil {
-		if errors.Is(err, errBadSearchAfter) {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if errors.Is(err, ErrCursorExpired) {
-			// 410 Gone: the cursor named rows the retention horizon already
-			// dropped — a permanent condition, not worth a client retry.
-			httpError(w, http.StatusGone, "%v", err)
-			return
-		}
-		httpError(w, http.StatusNotFound, "%v", err)
+		writeSearchError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteSearchResult(w, r, res)
+}
+
+// writeSearchError maps a failed search, direct or scattered, to its status.
+func writeSearchError(w http.ResponseWriter, err error) {
+	switch {
+	case IsBadRequest(err):
+		httpError(w, http.StatusBadRequest, "%v", err)
+	case errors.Is(err, ErrCursorExpired):
+		// 410 Gone: the cursor named rows the retention horizon already
+		// dropped — a permanent condition, not worth a client retry.
+		httpError(w, http.StatusGone, "%v", err)
+	default:
+		httpError(w, http.StatusNotFound, "%v", err)
+	}
 }
 
 // handleScatter serves one partition's share of a cluster search: mergeable
 // candidates and combined aggregation partials instead of a finished
-// response (DESIGN.md §16). Error mapping matches _search — a scattered
-// request must fail exactly like a direct one.
+// response, always as a typed hit body (DESIGN.md §16). Error mapping matches
+// _search — a scattered request must fail exactly like a direct one.
 func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request, index string) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -457,17 +464,10 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request, index str
 	}
 	resp, err := s.store.Scatter(r.Context(), index, sreq)
 	if err != nil {
-		switch {
-		case errors.Is(err, errBadSearchAfter), errors.Is(err, errBadScatter):
-			httpError(w, http.StatusBadRequest, "%v", err)
-		case errors.Is(err, ErrCursorExpired):
-			httpError(w, http.StatusGone, "%v", err)
-		default:
-			httpError(w, http.StatusNotFound, "%v", err)
-		}
+		writeSearchError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	(&hitsBody{Total: resp.Total, Gids: resp.Gids, Partials: resp.Partials, Hits: resp.Hits}).write(w)
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, index string) {

@@ -15,8 +15,7 @@ import (
 //
 // A row is an event.Event, stored as a plain struct: postings, columns, query
 // evaluation, and aggregation read it through the typed accessors and never
-// build a map. A Document for a row is a lazily materialized view (docView),
-// built only where the generic DSL demands one.
+// build a map; a search hit is a copy of the struct.
 type shard struct {
 	mu       sync.RWMutex
 	events   []event.Event
@@ -69,13 +68,6 @@ func (sh *shard) val(id int32, field string) any {
 // read lock.
 func (sh *shard) numAt(id int32, field string) (float64, bool) {
 	return sh.events[id].NumericField(field)
-}
-
-// docView materializes row id as a Document. Caller holds at least the read
-// lock. Mutations to the view are NOT persisted — writers must go through
-// UpdateByQuery, which round-trips the view back into the event.
-func (sh *shard) docView(id int32) Document {
-	return EventToDoc(&sh.events[id])
 }
 
 // addEventLocked appends a row and returns its local id: the struct is

@@ -372,24 +372,17 @@ func (s *Store) Stats(index string) (IndexStats, error) {
 	}, nil
 }
 
-// Search runs req against the named index. Cancelling ctx stops the shard
-// fan-out between shards.
+// Search is SearchEvents rendered as documents.
 func (s *Store) Search(ctx context.Context, index string, req SearchRequest) (SearchResponse, error) {
-	ix, ok := s.GetIndex(index)
-	if !ok {
-		return SearchResponse{}, fmt.Errorf("index %q not found", index)
-	}
-	start := time.Now()
-	resp, err := ix.cachedSearchCtx(ctx, req)
-	s.tm.searchNS.Observe(float64(time.Since(start)))
+	res, err := s.SearchEvents(ctx, index, req)
 	if err != nil {
 		return SearchResponse{}, err
 	}
-	s.tm.searches.Inc()
-	return resp, nil
+	return res.Documents(), nil
 }
 
-// SearchEvents runs req against the named index and returns typed hits.
+// SearchEvents runs req against the named index. Cancelling ctx stops the
+// shard fan-out between shards.
 func (s *Store) SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error) {
 	ix, ok := s.GetIndex(index)
 	if !ok {
@@ -432,13 +425,15 @@ const ReasonUpdateBeyondRetention = "update_beyond_retention"
 var ErrUpdateBeyondRetention = fmt.Errorf(
 	"store: update-by-query cannot reach rows beyond the retention horizon (cold rows are immutable)")
 
-// UpdateByQuery applies fn to every document matching q in the named index
-// and returns the number of updated documents; on a durable store the
-// effects are journaled. fn runs concurrently across shards (never for the
-// same document). On an index with retention-evicted cold rows the update is
-// refused with ErrUpdateBeyondRetention rather than silently rewriting only
-// the hot subset.
-func (s *Store) UpdateByQuery(ctx context.Context, index string, q Query, fn func(Document) bool) (int, error) {
+// UpdateByQuery applies fn to every row matching q in the named index and
+// returns the number of updated rows; on a durable store the effects are
+// journaled. fn edits the event it is handed and returns true to commit; it
+// runs concurrently across shards (never for the same row). A committed row
+// the journal could not hold stops the pass with an error naming the field.
+// On an index with retention-evicted cold rows the update is refused with
+// ErrUpdateBeyondRetention rather than silently rewriting only the hot
+// subset.
+func (s *Store) UpdateByQuery(ctx context.Context, index string, q Query, fn func(*event.Event) bool) (int, error) {
 	if s.Role() == RoleFollower {
 		return 0, ErrReadOnlyFollower
 	}

@@ -1,24 +1,33 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // docEvents turns Document-literal fixtures into the events the store
-// ingests: schema fields through DocToEvent, with a duration_ns standing in
-// for the exit time the literal leaves out.
+// ingests, through the door a JSON document really comes in by: the NDJSON
+// edge decoder (a duration_ns stands in for the exit time a literal leaves
+// out).
 func docEvents(docs ...Document) []event.Event {
-	out := make([]event.Event, len(docs))
-	for i, d := range docs {
-		out[i] = DocToEvent(d)
-		if dur, ok := d[FieldDuration]; ok {
-			out[i].TimeExitNS = out[i].TimeEnterNS + i64(dur)
+	var body bytes.Buffer
+	for _, d := range docs {
+		line, err := json.Marshal(d)
+		if err != nil {
+			panic(err)
 		}
+		body.WriteString("{\"index\":{}}\n")
+		body.Write(append(line, '\n'))
 	}
-	return out
+	events, err := DecodeBulkNDJSON(&body)
+	if err != nil {
+		panic(err)
+	}
+	return events
 }
 
 func docFixture() []event.Event {
@@ -134,7 +143,7 @@ func TestSortAndPagination(t *testing.T) {
 	if len(resp.Hits) != 2 || resp.Total != 5 {
 		t.Fatalf("hits=%d total=%d", len(resp.Hits), resp.Total)
 	}
-	if i64(resp.Hits[0]["time_enter_ns"]) != 500 {
+	if resp.Hits[0]["time_enter_ns"] != int64(500) {
 		t.Fatalf("first hit ts = %v", resp.Hits[0]["time_enter_ns"])
 	}
 	resp = ix.Search(SearchRequest{
@@ -142,7 +151,7 @@ func TestSortAndPagination(t *testing.T) {
 		Sort:  []SortField{{Field: "time_enter_ns"}},
 		From:  3,
 	})
-	if len(resp.Hits) != 2 || i64(resp.Hits[0]["time_enter_ns"]) != 400 {
+	if len(resp.Hits) != 2 || resp.Hits[0]["time_enter_ns"] != int64(400) {
 		t.Fatalf("from=3 hits=%v", resp.Hits)
 	}
 	resp = ix.Search(SearchRequest{Query: MatchAll(), From: 99})
@@ -252,8 +261,8 @@ func TestStatsAggregation(t *testing.T) {
 
 func TestUpdateByQuery(t *testing.T) {
 	ix := newFixtureIndex()
-	n := ix.UpdateByQuery(Term("proc_name", "app"), func(d Document) bool {
-		d[FieldFilePath] = "/flagged"
+	n := ix.UpdateByQuery(Term("proc_name", "app"), func(e *event.Event) bool {
+		e.FilePath = "/flagged"
 		return true
 	})
 	if n != 3 {
@@ -307,7 +316,7 @@ func TestEventDocRoundTrip(t *testing.T) {
 		HasOffset:   true,
 		Offset:      26,
 	}
-	out := DocToEvent(EventToDoc(&in))
+	out := docEvents(EventToDoc(&in))[0]
 	if out != in {
 		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, out)
 	}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // TestConcurrentStress hammers one sharded index with concurrent bulk
@@ -107,11 +109,11 @@ func TestConcurrentStress(t *testing.T) {
 		defer readWG.Done()
 		for !done.Load() {
 			var flagged atomic.Int64
-			ix.UpdateByQuery(Term("syscall", "fsync"), func(d Document) bool {
-				if d[FieldFilePath] == "y" {
+			ix.UpdateByQuery(Term("syscall", "fsync"), func(e *event.Event) bool {
+				if e.FilePath == "y" {
 					return false
 				}
-				d[FieldFilePath] = "y"
+				e.FilePath = "y"
 				flagged.Add(1)
 				return true
 			})
@@ -140,11 +142,11 @@ func TestConcurrentStress(t *testing.T) {
 
 	// A final quiescent update pass flags every fsync doc exactly once more
 	// or not at all; afterwards flag coverage equals the fsync population.
-	ix.UpdateByQuery(Term("syscall", "fsync"), func(d Document) bool {
-		if d[FieldFilePath] == "y" {
+	ix.UpdateByQuery(Term("syscall", "fsync"), func(e *event.Event) bool {
+		if e.FilePath == "y" {
 			return false
 		}
-		d[FieldFilePath] = "y"
+		e.FilePath = "y"
 		return true
 	})
 	if nf, ns := ix.Count(Exists(FieldFilePath)), ix.Count(Term("syscall", "fsync")); nf != ns {
@@ -271,8 +273,8 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 	// UpdateByQuery must agree too: it rewrites exactly the rows the oracle
 	// matched beforehand, and the rewritten state searches identically.
 	wantN := oracleCount(ix, Exists("file_tag"))
-	gotN := ix.UpdateByQuery(Exists("file_tag"), func(d Document) bool {
-		d[FieldFilePath] = "/resolved"
+	gotN := ix.UpdateByQuery(Exists("file_tag"), func(e *event.Event) bool {
+		e.FilePath = "/resolved"
 		return true
 	})
 	if gotN != wantN {
@@ -286,8 +288,8 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 
 	// A rewrite that moves rows between buckets at both nesting levels and
 	// changes the numbers the leaves aggregate: the nested matrix must follow.
-	ix.UpdateByQuery(Term("syscall", "stat"), func(d Document) bool {
-		d["syscall"], d["proc_name"], d["count"] = "statx", "rewritten", int64(7)
+	ix.UpdateByQuery(Term("syscall", "stat"), func(e *event.Event) bool {
+		e.Syscall, e.ProcName, e.Count = "statx", "rewritten", 7
 		return true
 	})
 	for i, req := range nestedAggShapes() {

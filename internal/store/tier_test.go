@@ -58,8 +58,8 @@ func controlReplay(t *testing.T, rounds, ubqAfter []int) *Store {
 			if u != r {
 				continue
 			}
-			_, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "openat"), func(d Document) bool {
-				d[FieldFilePath] = "/resolved/by/round"
+			_, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "openat"), func(e *event.Event) bool {
+				e.FilePath = "/resolved/by/round"
 				return true
 			})
 			if err != nil {
@@ -909,8 +909,8 @@ func TestUpdateBeyondRetentionTyped409(t *testing.T) {
 
 	// Before eviction the update path works as on any durable store.
 	ingestRoundNoUBQ(t, st, 0)
-	if _, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "openat"), func(d Document) bool {
-		d[FieldFilePath] = "/still/hot"
+	if _, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "openat"), func(e *event.Event) bool {
+		e.FilePath = "/still/hot"
 		return true
 	}); err != nil {
 		t.Fatalf("update-by-query before eviction: %v", err)
@@ -926,7 +926,7 @@ func TestUpdateBeyondRetentionTyped409(t *testing.T) {
 		t.Fatal("expected cold rows after snapshot under retention")
 	}
 
-	if _, err := st.UpdateByQuery(ctx, crashIndex, MatchAll(), func(Document) bool { return true }); !errors.Is(err, ErrUpdateBeyondRetention) {
+	if _, err := st.UpdateByQuery(ctx, crashIndex, MatchAll(), func(*event.Event) bool { return true }); !errors.Is(err, ErrUpdateBeyondRetention) {
 		t.Fatalf("update-by-query over cold rows: %v, want ErrUpdateBeyondRetention", err)
 	}
 	if _, err := st.Correlate(ctx, crashIndex, ""); !errors.Is(err, ErrUpdateBeyondRetention) {

@@ -286,14 +286,14 @@ func TestColdWindowHonoursPendingOverlay(t *testing.T) {
 	// (to round 9's time, past every stamp), round 2's rows 0-4 into it, and
 	// round 3's row 0 from inside its own segment's range to far outside it.
 	inWin := windowBase + 1_000_000 + 450_000
-	rewrite := func(d Document) bool {
-		switch rv := i64(d[FieldRetVal]); {
+	rewrite := func(e *event.Event) bool {
+		switch rv := e.RetVal; {
 		case rv >= 1000 && rv < 1005:
-			d[FieldTimeEnter] = windowBase + 9_000_000 + rv
+			e.TimeEnterNS = windowBase + 9_000_000 + rv
 		case rv >= 2000 && rv < 2005:
-			d[FieldTimeEnter] = inWin + rv
+			e.TimeEnterNS = inWin + rv
 		case rv == 3000:
-			d[FieldTimeEnter] = windowBase + 20_000_000
+			e.TimeEnterNS = windowBase + 20_000_000
 		default:
 			return false
 		}
@@ -429,7 +429,7 @@ func TestColdWindowCursorAcrossRetentionGap(t *testing.T) {
 			// The cursor names the last hit's absolute row id: the hole shifts
 			// rounds 3 and 4 up by one round of ids.
 			last := page.Hits[len(page.Hits)-1]
-			rv := int(i64(last[FieldRetVal]))
+			rv := int(last[FieldRetVal].(int64))
 			if gid, _ := numeric(page.NextAfter[0]); int(gid) != (rv/100)*rows+rv%100 {
 				t.Fatalf("cursor %v after row ret_val=%d, want gid %d", page.NextAfter, rv, (rv/100)*rows+rv%100)
 			}

@@ -39,13 +39,12 @@ func eventFixture() []event.Event {
 }
 
 // TestUpdateByQueryOverTypedRows checks the write path the correlation
-// algorithm uses still works when rows were ingested typed: the callback
-// sees a materialized document and schema-field mutations persist.
+// algorithm uses: the callback edits the event and committed edits persist.
 func TestUpdateByQueryOverTypedRows(t *testing.T) {
 	ix := NewIndex("typed")
 	ix.AddEvents(eventFixture())
-	n := ix.UpdateByQuery(Term("syscall", "read"), func(d Document) bool {
-		d["file_path"] = "/tmp/a"
+	n := ix.UpdateByQuery(Term("syscall", "read"), func(e *event.Event) bool {
+		e.FilePath = "/tmp/a"
 		return true
 	})
 	if n != 2 {

@@ -11,6 +11,7 @@ package dio_test
 
 import (
 	"context"
+	"net/http/httptest"
 	"sort"
 	"sync"
 	"testing"
@@ -167,5 +168,46 @@ func BenchmarkDashboardReadPath(b *testing.B) {
 	b.Run("Accelerated", func(b *testing.B) { run(b) })
 	b.Run("Uncached", func(b *testing.B) {
 		run(b, store.WithQueryCache(0), store.WithRollupInterval(0))
+	})
+}
+
+// BenchmarkHitPage prices the two encoders a hit can leave a server through:
+// one 2 000-hit sorted page (the diagnosis cursor's page) fetched over HTTP as
+// JSON documents (Client.Search) and as the typed hit body
+// (Client.SearchEvents). The query cache is off so each fetch pays the whole
+// path; -benchmem shows the per-hit map the JSON edge builds on both sides
+// and the typed path does not.
+func BenchmarkHitPage(b *testing.B) {
+	st, err := store.Open(store.WithQueryCache(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	ctx := context.Background()
+	if err := st.BulkEvents(ctx, "events", readBenchEvents(1_700_000_000_000_000_000, 8_000)); err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(store.NewServer(st))
+	defer srv.Close()
+	c := store.NewClient(srv.URL)
+	req := store.SearchRequest{
+		Query: store.Term(store.FieldSession, "dash"), Size: 2_000,
+		Sort: []store.SortField{{Field: store.FieldTimeEnter}},
+	}
+	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if resp, err := c.Search(ctx, "events", req); err != nil || len(resp.Hits) != req.Size {
+				b.Fatalf("%d hits, %v", len(resp.Hits), err)
+			}
+		}
+	})
+	b.Run("typed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if res, err := c.SearchEvents(ctx, "events", req); err != nil || len(res.Hits) != req.Size {
+				b.Fatalf("%d hits, %v", len(res.Hits), err)
+			}
+		}
 	})
 }
