@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race vet bench bench-smoke bench-read bench-diagnose scale chaos chaos-repl chaos-cluster crash lint loc examples diagnose
+.PHONY: tier1 build test race vet bench bench-smoke bench-read bench-diagnose bench-pair scale chaos chaos-repl chaos-cluster crash lint loc examples diagnose
 
 ## tier1: the PR gate — vet, build (examples included), the dead-symbol
 ## lint, tests, the race detector over the concurrency-heavy packages (store
@@ -28,7 +28,7 @@ lint:
 ## loc: Go lines per package, non-test and test, excluding benchmark/ — the
 ## size table a simplicity PR reports before and after.
 loc:
-	@find . -name '*.go' -not -path './benchmark/*' -exec wc -l {} + | awk '$$2 != "total" { \
+	@find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' -exec wc -l {} + | awk '$$2 != "total" { \
 		f = $$2; sub(/^\.\//, "", f); d = f; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
 		if (f ~ /_test\.go$$/) t[d] += $$1; else n[d] += $$1; p[d] = 1 } \
 		END { for (d in p) printf "%-28s %8d %8d\n", d, n[d], t[d] }' | sort | \
@@ -49,9 +49,12 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
 ## bench-smoke: a fast (100-iteration) run of the ingest benchmarks so the
-## data-plane and WAL-overhead numbers cannot silently rot.
+## data-plane and WAL-overhead numbers cannot silently rot, then one pass of
+## the million-event ingest + recovery benchmark: 100 batches end near 50 k
+## rows, too few for the cost of growing row storage to show.
 bench-smoke:
-	$(GO) test -run xxx -bench Ingest -benchtime=100x -benchmem .
+	$(GO) test -run xxx -bench IngestWALOverhead -benchtime=100x -benchmem .
+	$(GO) test -run xxx -bench IngestAtScale -benchtime=1x .
 
 ## bench-read: a fast smoke run of the dashboard read-path benchmark
 ## (rollups + query cache vs the uncached scan ablation) and the tiered
@@ -70,6 +73,17 @@ bench-read:
 ## means a detector has started re-reading the session.
 bench-diagnose:
 	$(GO) test -run xxx -bench 'DFGBuild|EngineRun' -benchtime=3x .
+
+## bench-pair: the protocol behind every performance sentence in CHANGES.md —
+## the end-to-end benchmark on BASE and on the working tree in PAIRS
+## alternating pairs, printing per metric both medians, the base's IQR,
+## "change-better k/n" and the verdict against the BENCHMARK.json bound
+## (non-zero exit past a bound). WORKLOAD=all runs the four workloads.
+WORKLOAD ?= all
+BASE ?= HEAD~1
+PAIRS ?= 10
+bench-pair:
+	$(GO) run ./scripts/benchpair -workload $(WORKLOAD) -base $(BASE) -pairs $(PAIRS)
 
 ## diagnose: end-to-end smoke of the diagnosis engine through the real CLI —
 ## the buggy Fluent Bit session must produce a critical report, and the

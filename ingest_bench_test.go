@@ -7,7 +7,9 @@ package dio_test
 import (
 	"context"
 	"net/http/httptest"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/ebpf"
 	"github.com/dsrhaslab/dio-go/internal/event"
@@ -131,4 +133,55 @@ func BenchmarkIngestWALOverhead(b *testing.B) {
 	b.Run("WALOff", func(b *testing.B) {
 		run(b, store.WithDataDir(b.TempDir()), store.WithFsyncPolicy(store.FsyncOff), store.WithSnapshotInterval(0))
 	})
+}
+
+// BenchmarkIngestAtScale ingests a million events into one durable index
+// (interval fsync, as diod runs), closes the store and reopens it. The
+// 100-iteration benchmarks above stop near 50 k rows, where the cost of
+// growing row storage — paid on ingest and again on WAL replay — has not
+// started to show; this one reports it as ns/event and B/event of ingest and
+// events/s of recovery. Run with -benchtime=1x.
+func BenchmarkIngestAtScale(b *testing.B) {
+	const total = 1_000_000
+	batch := ingestParse(ingestRecords(), nil)
+	ctx := context.Background()
+	var ingest, replay time.Duration
+	var allocated uint64
+	for i := 0; i < b.N; i++ {
+		opts := []store.Option{
+			store.WithDataDir(b.TempDir()), store.WithFsyncPolicy(store.FsyncInterval), store.WithSnapshotInterval(0),
+		}
+		st, err := store.Open(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for n := 0; n < total; n += len(batch) {
+			if err := st.BulkEvents(ctx, "bench", batch[:min(len(batch), total-n)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ingest += time.Since(start)
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		start = time.Now()
+		re, err := store.Open(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replay += time.Since(start)
+		if n, err := re.Count(ctx, "bench", store.MatchAll()); err != nil || n != total {
+			b.Fatalf("recovered %d of %d events: %v", n, total, err)
+		}
+		re.Close()
+	}
+	events := float64(total) * float64(b.N)
+	b.ReportMetric(float64(ingest.Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(allocated)/events, "B/event")
+	b.ReportMetric(events/replay.Seconds(), "replay-events/s")
 }

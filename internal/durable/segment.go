@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
+	"sync"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
@@ -261,8 +263,9 @@ const (
 // row itself costs a fixed number of reads at computed offsets, so a caller
 // can look at the time column alone and decode only the rows it wants.
 type SegmentReader struct {
-	info SegmentInfo
-	body []byte // the file image without its trailing CRC
+	info  SegmentInfo
+	body  []byte  // the file image without its trailing CRC
+	image *[]byte // the pooled buffer holding the image, nil once closed
 	// The column directory: byte offsets into body.
 	gids    int
 	i64     [segI64Cols]int
@@ -280,12 +283,62 @@ type SegmentReader struct {
 // inside the file with nothing left over, and that every string offset table
 // is non-decreasing. A reader that opened therefore never indexes outside
 // its image, whatever rows are asked of it.
+//
+// The image is read into a pooled buffer sized from the file's length, which
+// Close hands back; a reader that is never closed leaves it to the collector.
 func OpenSegment(path string) (*SegmentReader, error) {
-	data, err := os.ReadFile(path)
+	bp, err := readImage(path)
 	if err != nil {
 		return nil, fmt.Errorf("durable: read segment: %w", err)
 	}
-	return openSegmentImage(data)
+	r, err := openSegmentImage(*bp)
+	if err != nil {
+		imagePool.Put(bp)
+		return nil, err
+	}
+	r.image = bp
+	return r, nil
+}
+
+// imagePool recycles segment images across opens: a cold query opens every
+// segment its window cannot exclude, and a fresh multi-megabyte buffer per
+// open is garbage the collector then has to chase.
+var imagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readImage reads the whole file at path into a pooled buffer.
+func readImage(path string) (*[]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	bp := imagePool.Get().(*[]byte)
+	if n := int(st.Size()); cap(*bp) < n {
+		*bp = make([]byte, n)
+	} else {
+		*bp = (*bp)[:n]
+	}
+	// A committed segment is immutable, so its length is what Stat said; a file
+	// that is not fails this read or the checksum.
+	if _, err := io.ReadFull(f, *bp); err != nil {
+		imagePool.Put(bp)
+		return nil, err
+	}
+	return bp, nil
+}
+
+// Close returns the image to the pool. The reader must not be used
+// afterwards; rows already decoded stay valid, since Decode copies every
+// string out of the image.
+func (r *SegmentReader) Close() {
+	if r.image != nil {
+		imagePool.Put(r.image)
+		r.image, r.body = nil, nil
+	}
 }
 
 func openSegmentImage(data []byte) (*SegmentReader, error) {
@@ -475,7 +528,9 @@ func (r *SegmentReader) eachGeneric(fn func(gid int, doc []byte) error) error {
 
 // ReadSegment loads the segment at path and hands every row — typed events
 // and encoded generic documents — to fn in global-id order: OpenSegment, then
-// Decode with every typed row selected, merged with the generic block.
+// Decode with every typed row selected, merged with the generic block. doc
+// aliases the image and fn may keep it (MergeSegments does), so the reader is
+// never closed: its image is the collector's.
 func ReadSegment(path string, fn func(gid int, ev *event.Event, doc []byte) error) (SegmentInfo, error) {
 	r, err := OpenSegment(path)
 	if err != nil {

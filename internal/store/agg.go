@@ -182,7 +182,7 @@ func finalizeStats(res StatsResult) *StatsResult {
 // and the field is indexed, the counts are just the posting-list lengths
 // (every row posts a term in every indexed field) — no per-row work at all.
 func (sh *shard) termCounts(t *TermsAgg, ids []int32) map[string]int {
-	if pl, ok := sh.postings[t.Field]; ok && len(ids) == len(sh.events) {
+	if pl, ok := sh.postings[t.Field]; ok && len(ids) == sh.rows.len() {
 		counts := make(map[string]int, len(pl))
 		for term, l := range pl {
 			counts[term] = len(l)
@@ -199,7 +199,7 @@ func (sh *shard) termCounts(t *TermsAgg, ids []int32) map[string]int {
 // termKey returns row id's terms bucket key for field: keyString of the
 // document-view value, with string fields read unboxed.
 func (sh *shard) termKey(id int32, field string) string {
-	if s, ok := sh.events[id].StringField(field); ok {
+	if s, ok := sh.rows.at(int(id)).StringField(field); ok {
 		return s
 	}
 	return keyString(sh.val(id, field))
@@ -209,7 +209,7 @@ func (sh *shard) termKey(id int32, field string) string {
 // bucket in exact int64 arithmetic, as rollup.addEvent does: float64's ulp at
 // epoch-scale nanoseconds is 256, enough to move a row across a bucket edge.
 func (sh *shard) histKey(id int32, field string, interval int64) (int64, bool) {
-	n, ok := sh.events[id].IntField(field)
+	n, ok := sh.rows.at(int(id)).IntField(field)
 	if !ok {
 		var f float64
 		f, ok = sh.numAt(id, field)

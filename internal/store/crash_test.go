@@ -223,6 +223,50 @@ func TestCrashTornWALTail(t *testing.T) {
 	}
 }
 
+// TestCrashTornWALTailAcrossBlocks is the torn-tail kill point at a size
+// where storage blocks matter: one shard, a flushed segment whose rows end
+// inside the second block, and a WAL tail that runs on into the third, so
+// recovery places segment rows and replays records across block boundaries
+// and the rewrites of every odd round reach rows in all three blocks.
+func TestCrashTornWALTailAcrossBlocks(t *testing.T) {
+	dir := t.TempDir()
+	opts := []Option{WithShards(1), WithFsyncPolicy(FsyncOff)}
+	st := openDurable(t, dir, opts...)
+	rowsPerRound := len(crashEvents(0)) + len(crashDocs(0))
+	flushed := blockRows/rowsPerRound + 5 // rounds in the segment
+	kept := 2*blockRows/rowsPerRound + 5  // rounds that survive the crash
+	for r := 0; r < flushed; r++ {
+		ingestRound(t, st, r)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	for r := flushed; r < kept; r++ {
+		ingestRound(t, st, r)
+	}
+	ix, _ := st.GetIndex(crashIndex)
+	if seg, n := flushed*rowsPerRound, ix.Len(); seg <= blockRows || seg >= 2*blockRows || n <= 2*blockRows {
+		t.Fatalf("fixture does not straddle blocks: %d rows flushed, %d in all", seg, n)
+	}
+	cut, err := os.Stat(walFile(dir, 1))
+	if err != nil {
+		t.Fatalf("stat wal: %v", err)
+	}
+	ingestRound(t, st, kept) // this round will be torn away
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := os.Truncate(walFile(dir, 1), cut.Size()+5); err != nil {
+		t.Fatalf("truncate wal: %v", err)
+	}
+
+	re := openDurable(t, dir, opts...)
+	defer re.Close()
+	if got, want := fingerprint(t, re), fingerprint(t, controlStore(t, kept)); got != want {
+		t.Fatalf("recovered state != never-crashed control (rounds 0-%d)", kept-1)
+	}
+}
+
 // TestCrashMidSnapshot kills the store between snapshot steps: the next WAL
 // file exists, the segment is half-written as a temporary, and the manifest
 // was never committed. Recovery must ignore every orphan and rebuild purely

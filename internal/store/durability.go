@@ -361,18 +361,25 @@ func (r sliceRows) NumRows() int                 { return len(r) }
 func (r sliceRows) Row(i int) durable.SegmentRow { return r[i] }
 
 // flushRows snapshots rows [start, head) in global-id order for the segment
-// writer, referencing the events in place. No shard locks are taken: the
-// caller holds the exclusive snapshot gate, which excludes every row mutator
-// (adds, replays, update-by-query), and concurrent searches only read.
+// writer, referencing the events in place: each shard's blocks are walked
+// from its first row at or past start, and every row lands at its global id's
+// position. No shard locks are taken: the caller holds the exclusive snapshot
+// gate, which excludes every row mutator (adds, replays, update-by-query) —
+// so head is the end of every shard — and concurrent searches only read.
 func (ix *Index) flushRows(start, head int) durable.RowSource {
 	S := len(ix.shards)
 	base := int(ix.base.Load())
-	rows := make([]durable.SegmentRow, head-start)
-	for g := start; g < head; g++ {
-		mg := g - base
-		rows[g-start] = durable.SegmentRow{Event: &ix.shards[mg%S].events[mg/S]}
+	out := make([]durable.SegmentRow, head-start)
+	for s, sh := range ix.shards {
+		first := int(firstLocalAfter(start-base-1, s, S))
+		for b := first >> blockShift; b < len(sh.rows.blocks); b++ {
+			blk := sh.rows.blocks[b]
+			for j := max(first-b<<blockShift, 0); j < len(blk); j++ {
+				out[base+(b<<blockShift+j)*S+s-start] = durable.SegmentRow{Event: &blk[j]}
+			}
+		}
 	}
-	return sliceRows(rows)
+	return sliceRows(out)
 }
 
 // snapshot folds the live WAL into the leveled segment layout: it writes a
@@ -469,7 +476,7 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 		// Evict: the rows just flushed (and any older hot rows) are now
 		// segment-backed; clear shard storage in place and advance the base.
 		for _, sh := range ix.shards {
-			sh.events = nil
+			sh.rows.reset()
 			sh.cols = nil
 			p := make(map[string]map[string][]int32, len(indexedFields))
 			for _, f := range indexedFields {
@@ -695,7 +702,7 @@ func readSegmentEvents(path string, fn func(gid int, ev *event.Event) error) err
 func (ix *Index) placeRecoveredRow(gid int, ev *event.Event) error {
 	S := len(ix.shards)
 	sh := ix.shards[gid%S]
-	if gid/S != len(sh.events) {
+	if gid/S != sh.rows.len() {
 		return fmt.Errorf("%w: row gid %d out of order", durable.ErrCorruptSegment, gid)
 	}
 	sh.addEventLocked(ev)
@@ -707,12 +714,15 @@ func (ix *Index) placeRecoveredRow(gid int, ev *event.Event) error {
 func (ix *Index) applyWALRecord(t durable.RecordType, payload []byte) (int, error) {
 	switch t {
 	case durable.RecordEvents:
-		events, err := event.DecodeBatch(payload, nil)
+		// A recycled batch, as on the live bulk path: a fresh one per record
+		// would allocate the log's rows a second time over.
+		bp, events, err := decodeEventBatch(payload)
 		if err != nil {
 			return 0, fmt.Errorf("store: replay events record: %w", err)
 		}
 		start := int(ix.rr.Add(uint64(len(events))) - uint64(len(events)))
 		ix.addEventsAt(start, events)
+		putEventBatch(bp, events)
 		return len(events), nil
 	case durable.RecordRewrite:
 		rws, err := decodeRewrites(payload)
@@ -761,9 +771,10 @@ func (ix *Index) applyRewrites(rws rewriteSet) error {
 		sh.mu.Lock()
 		for _, i := range list {
 			local := (rws.gids[i] - base) / S
-			before := eventTerms(&sh.events[local])
-			sh.events[local] = rws.events[i]
-			sh.repostLocked(int32(local), before, eventTerms(&sh.events[local]))
+			e := sh.rows.at(local)
+			before := eventTerms(e)
+			*e = rws.events[i]
+			sh.repostLocked(int32(local), before, eventTerms(e))
 		}
 		sh.invalidateColumnsLocked()
 		sh.invalidateRollupLocked()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -497,7 +498,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 	}
 	var res shardResult
 	if matchAll {
-		res.total = len(sh.events)
+		res.total = sh.rows.len()
 	} else {
 		res.total = len(getIDs())
 	}
@@ -563,7 +564,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 		if exec.cur != nil {
 			first = firstAfter(exec.cur.gid)
 		}
-		n := len(sh.events) - int(first)
+		n := sh.rows.len() - int(first)
 		if n < 0 {
 			n = 0
 		}
@@ -590,7 +591,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 	}
 	res.hits = make([]hitRef, len(hitIDs))
 	for i, id := range hitIDs {
-		res.hits[i] = hitRef{ev: &sh.events[id], gid: gidOf(id)}
+		res.hits[i] = hitRef{ev: sh.rows.at(int(id)), gid: gidOf(id)}
 	}
 	return res
 }
@@ -640,13 +641,23 @@ func topK(ids []int32, k int, less func(a, b int32) bool) []int32 {
 
 // hitLess orders merged hits by the request's sort fields, breaking ties by
 // global id so that unsorted (and tied) results keep insertion order, as the
-// unsharded implementation's stable sort did. Field values are read through
-// the event's typed accessors.
+// unsharded implementation's stable sort did. Numeric keys — every sort the
+// dashboards and the diagnosis cursor issue — are read unboxed and compared as
+// the float64s cmpField would coerce them to; only a key that is not numeric
+// on both sides goes through the boxed document value.
 func hitLess(a, b hitRef, sorts []SortField) bool {
 	for _, s := range sorts {
-		av, _ := a.ev.Field(s.Field)
-		bv, _ := b.ev.Field(s.Field)
-		if r := cmpField(av, bv, s.Desc); r != 0 {
+		af, aok := a.ev.NumericField(s.Field)
+		bf, bok := b.ev.NumericField(s.Field)
+		var r int
+		if aok && bok {
+			r = cmpOrdered(af, bf, s.Desc)
+		} else {
+			av, _ := a.ev.Field(s.Field)
+			bv, _ := b.ev.Field(s.Field)
+			r = cmpField(av, bv, s.Desc)
+		}
+		if r != 0 {
 			return r < 0
 		}
 	}
@@ -858,36 +869,40 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(*event.E
 		sh := ix.shards[s]
 		sh.mu.Lock()
 		updated := 0
-		r := row{sh: sh}
+		var r row
 		// fn edits a copy, so only a committed, valid edit reaches the row (one
 		// copy per shard: handing fn its address moves it to the heap).
 		var next event.Event
-		for i := range sh.events {
-			r.id = int32(i)
-			if failed.Load() {
-				break
-			}
-			if !q.matches(&r) {
-				continue
-			}
-			next = sh.events[i]
-			if !fn(&next) {
-				continue
-			}
-			if err := checkEventStrings(&next); err != nil {
-				errs[s] = fmt.Errorf("store: update-by-query: %w", err)
-				failed.Store(true)
-				break
-			}
-			if !next.HasOffset {
-				next.Offset = 0 // canonical form, as AddEvents stores it
-			}
-			before := eventTerms(&sh.events[i])
-			sh.events[i] = next
-			sh.repostLocked(int32(i), before, eventTerms(&next))
-			updated++
-			if d != nil {
-				rewrites[s].add(base+i*S+s, &next)
+	scan:
+		for b, blk := range sh.rows.blocks {
+			for j := range blk {
+				if failed.Load() {
+					break scan
+				}
+				r.ev = &blk[j]
+				if !q.matches(&r) {
+					continue
+				}
+				next = blk[j]
+				if !fn(&next) {
+					continue
+				}
+				if err := checkEventStrings(&next); err != nil {
+					errs[s] = fmt.Errorf("store: update-by-query: %w", err)
+					failed.Store(true)
+					break scan
+				}
+				if !next.HasOffset {
+					next.Offset = 0 // canonical form, as AddEvents stores it
+				}
+				i := b<<blockShift + j
+				before := eventTerms(&blk[j])
+				blk[j] = next
+				sh.repostLocked(int32(i), before, eventTerms(&next))
+				updated++
+				if d != nil {
+					rewrites[s].add(base+i*S+s, &next)
+				}
 			}
 		}
 		if updated > 0 {
@@ -930,25 +945,16 @@ func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(*event.E
 func cmpField(av, bv any, desc bool) int {
 	af, aok := numeric(av)
 	bf, bok := numeric(bv)
-	var less, greater bool
 	if aok && bok {
-		less, greater = af < bf, af > bf
-	} else {
-		as, bs := keyString(av), keyString(bv)
-		less, greater = as < bs, as > bs
+		return cmpOrdered(af, bf, desc)
 	}
-	switch {
-	case less:
-		if desc {
-			return 1
-		}
-		return -1
-	case greater:
-		if desc {
-			return -1
-		}
-		return 1
-	default:
-		return 0
+	return cmpOrdered(keyString(av), keyString(bv), desc)
+}
+
+// cmpOrdered is cmp.Compare under one sort direction.
+func cmpOrdered[T cmp.Ordered](a, b T, desc bool) int {
+	if desc {
+		a, b = b, a
 	}
+	return cmp.Compare(a, b)
 }

@@ -24,11 +24,11 @@ func oracleRows(ix *Index) (rows []Document, base int) {
 	}
 	n, S := 0, len(ix.shards)
 	for _, sh := range ix.shards {
-		n += len(sh.events)
+		n += sh.rows.len()
 	}
 	rows = make([]Document, n)
 	for m := range rows {
-		rows[m] = EventToDoc(&ix.shards[m%S].events[m/S])
+		rows[m] = EventToDoc(ix.shards[m%S].rows.at(m / S))
 	}
 	return rows, int(ix.base.Load())
 }

@@ -417,7 +417,7 @@ func (s *Store) ReplBootstrapFrames(index string, batchRows int) (ReplSnapshot, 
 	// row mutator, and concurrent searches only read.
 	for g := snap.Base; g < head; g++ {
 		mg := int(g - snap.Base)
-		add(g, &ix.shards[mg%S].events[mg/S])
+		add(g, ix.shards[mg%S].rows.at(mg/S))
 	}
 	flush()
 	return snap, nil

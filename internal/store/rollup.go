@@ -199,10 +199,12 @@ func (sh *shard) rebuildRollupLocked() {
 	}
 	base := r.base
 	*r = *newShardRollup(base)
-	for i := range sh.events {
-		r.addEvent(&sh.events[i])
-		if r.overflow {
-			return
+	for _, blk := range sh.rows.blocks {
+		for j := range blk {
+			r.addEvent(&blk[j])
+			if r.overflow {
+				return
+			}
 		}
 	}
 }

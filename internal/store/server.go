@@ -149,18 +149,52 @@ func NewServer(st *Store) *Server {
 	return s
 }
 
-// Pools for the binary bulk path: request-body read buffers and decoded
-// event batches are recycled across requests, so the steady-state ingest
-// path's allocations are the interned strings alone.
+// Pools for the binary bulk path (and WAL replay, which decodes the same
+// frames): request-body read buffers and decoded event batches are recycled,
+// so the steady-state ingest path's allocations are the interned strings
+// alone. Both start at the size of the tracer's default flush; one that a
+// larger bulk grew past poolKeepFlushes of those is left to the collector, so
+// a single oversized request cannot pin its capacity for the process's life.
+const (
+	flushEvents     = 512       // the tracer's default batch
+	flushBodyBytes  = 64 * 1024 // generous for that batch on the wire
+	poolKeepFlushes = 8
+)
+
 var (
 	serverReadPool = sync.Pool{New: func() any {
-		return bytes.NewBuffer(make([]byte, 0, 64*1024))
+		return bytes.NewBuffer(make([]byte, 0, flushBodyBytes))
 	}}
 	serverEventsPool = sync.Pool{New: func() any {
-		b := make([]event.Event, 0, 512)
+		b := make([]event.Event, 0, flushEvents)
 		return &b
 	}}
 )
+
+// decodeEventBatch decodes a frame into a recycled batch. Placement copies the
+// rows out, so the caller hands both back through putEventBatch as soon as
+// the batch is placed.
+func decodeEventBatch(frame []byte) (*[]event.Event, []event.Event, error) {
+	bp := serverEventsPool.Get().(*[]event.Event)
+	events, err := event.DecodeBatch(frame, (*bp)[:0])
+	if err != nil {
+		// The decoder wrote an unknown prefix of the capacity before it failed.
+		putEventBatch(bp, events[:cap(events)])
+		return nil, nil, err
+	}
+	return bp, events, nil
+}
+
+// putEventBatch recycles a batch, zeroing the events it holds first so the
+// pool keeps no string of rows the store has since evicted.
+func putEventBatch(bp *[]event.Event, events []event.Event) {
+	if cap(events) > poolKeepFlushes*flushEvents {
+		return
+	}
+	clear(events)
+	*bp = events[:0]
+	serverEventsPool.Put(bp)
+}
 
 // ExposeTelemetry attaches an additional registry to GET /metrics. A
 // co-located tracer hands over its pipeline registry (ebpf, core,
@@ -390,30 +424,28 @@ func (s *Server) handleBulkBinary(w http.ResponseWriter, r *http.Request, index 
 	// next request reads its body without any doubling-growth reallocs —
 	// the armed path costs one flat allocation per batch, not a copy.
 	owned := s.store.replWantsFrames()
-	if !owned {
-		defer serverReadPool.Put(buf)
-	} else {
-		defer func() { serverReadPool.Put(bytes.NewBuffer(make([]byte, 0, buf.Cap()))) }()
-	}
+	defer func() {
+		switch {
+		case buf.Cap() > poolKeepFlushes*flushBodyBytes:
+			// Dropped: the pool's New sizes the next one.
+		case owned:
+			serverReadPool.Put(bytes.NewBuffer(make([]byte, 0, buf.Cap())))
+		default:
+			serverReadPool.Put(buf)
+		}
+	}()
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	bp := serverEventsPool.Get().(*[]event.Event)
-	events, err := event.DecodeBatch(buf.Bytes(), (*bp)[:0])
+	bp, events, err := decodeEventBatch(buf.Bytes())
 	if err != nil {
-		*bp = events[:0]
-		serverEventsPool.Put(bp)
 		httpError(w, http.StatusBadRequest, "decode frame: %v", err)
 		return
 	}
 	ingestErr := s.store.bulkEventsFrame(r.Context(), index, buf.Bytes(), owned, events)
-	// AddEvents copies the structs into shard storage, so the batch can be
-	// recycled as soon as the call returns.
-	n := len(events)
-	*bp = events[:0]
-	serverEventsPool.Put(bp)
-	writeBulkResult(w, n, ingestErr)
+	putEventBatch(bp, events)
+	writeBulkResult(w, len(events), ingestErr)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index string) {

@@ -18,7 +18,7 @@ import (
 // build a map; a search hit is a copy of the struct.
 type shard struct {
 	mu       sync.RWMutex
-	events   []event.Event
+	rows     rows
 	postings map[string]map[string][]int32 // field -> term -> local row ids
 	cols     map[string]*column            // lazy numeric columns, keyed by field
 	rollup   *shardRollup                  // continuous rollup state, nil when disabled
@@ -34,6 +34,59 @@ type column struct {
 	ok   []bool
 }
 
+// blockRows is the row count of one storage block: a power of two, so a row
+// id splits into block and slot by shift and mask. 512 rows of 304 bytes are
+// 19 allocator pages exactly (256 rows would round 9.5 pages up to 10, 5 %
+// lost on every block). The tail block is allocated whole, so an index's
+// heap is a staircase in its row count with a step of shards × one block:
+// at 1 024 rows a 20 000-row session index moved by 18 % as it crossed a
+// step; the block list of a million-row shard is still only 2 000 headers.
+const (
+	blockShift = 9
+	blockRows  = 1 << blockShift
+)
+
+// rows is a shard's row storage: append-only blocks of blockRows rows, every
+// block full but the last. A row is written once into its slot and never
+// moves, so growing the shard allocates (and zeroes) exactly the block being
+// opened, and a pointer from at stays valid for as long as the block is
+// referenced — it does not pin a superseded copy of the whole array.
+type rows struct {
+	blocks [][]event.Event
+	n      int
+}
+
+func (r *rows) len() int { return r.n }
+
+// at returns row i in place.
+func (r *rows) at(i int) *event.Event { return &r.blocks[i>>blockShift][i&(blockRows-1)] }
+
+// append copies e into the next slot, opening a block when the tail is full.
+func (r *rows) append(e *event.Event) {
+	if r.n&(blockRows-1) == 0 {
+		r.blocks = append(r.blocks, make([]event.Event, 0, blockRows))
+	}
+	tail := &r.blocks[len(r.blocks)-1]
+	*tail = append(*tail, *e)
+	r.n++
+}
+
+// adopt makes flat the storage of an empty rows by slicing it into
+// block-sized views; no row is copied. The views' capacity is clipped, so an
+// append after adopt reallocates the partial tail view (moving those rows
+// once) rather than writing into flat.
+func (r *rows) adopt(flat []event.Event) {
+	r.blocks = make([][]event.Event, 0, (len(flat)+blockRows-1)>>blockShift)
+	for lo := 0; lo < len(flat); lo += blockRows {
+		hi := min(lo+blockRows, len(flat))
+		r.blocks = append(r.blocks, flat[lo:hi:hi])
+	}
+	r.n = len(flat)
+}
+
+// reset drops every block.
+func (r *rows) reset() { *r = rows{} }
+
 func newShard(rollupBase int64) *shard {
 	p := make(map[string]map[string][]int32, len(indexedFields))
 	for _, f := range indexedFields {
@@ -46,36 +99,36 @@ func newShard(rollupBase int64) *shard {
 	return sh
 }
 
-// row adapts one shard slot to the query evaluator's fieldSource without
+// row adapts one stored event to the query evaluator's fieldSource without
 // materializing a Document. Callers reuse one row value across a scan and
-// only bump id, so evaluation allocates nothing per slot.
-type row struct {
-	sh *shard
-	id int32
-}
+// only repoint ev, so evaluation allocates nothing per slot.
+type row struct{ ev *event.Event }
 
-func (r *row) field(name string) any { return r.sh.val(r.id, name) }
+func (r *row) field(name string) any {
+	v, _ := r.ev.Field(name)
+	return v
+}
 
 // val returns the document-view value of one field of row id (nil when
 // absent), boxing it on demand; hot paths use numAt instead. Caller holds at
 // least the read lock.
 func (sh *shard) val(id int32, field string) any {
-	v, _ := sh.events[id].Field(field)
+	v, _ := sh.rows.at(int(id)).Field(field)
 	return v
 }
 
 // numAt reads one numeric field without boxing. Caller holds at least the
 // read lock.
 func (sh *shard) numAt(id int32, field string) (float64, bool) {
-	return sh.events[id].NumericField(field)
+	return sh.rows.at(int(id)).NumericField(field)
 }
 
 // addEventLocked appends a row and returns its local id: the struct is
 // copied into shard storage and the keyword postings are fed straight from
 // its fields — no Document is built. Caller holds the write lock.
 func (sh *shard) addEventLocked(e *event.Event) int32 {
-	id := int32(len(sh.events))
-	sh.events = append(sh.events, *e)
+	id := int32(sh.rows.len())
+	sh.rows.append(e)
 	sh.postEventLocked(id)
 	sh.rollup.addEvent(e)
 	return id
@@ -84,7 +137,7 @@ func (sh *shard) addEventLocked(e *event.Event) int32 {
 // postEventLocked feeds the keyword postings of the row stored at id, which
 // must be past every id already posted. Caller holds the write lock.
 func (sh *shard) postEventLocked(id int32) {
-	e := &sh.events[id]
+	e := sh.rows.at(int(id))
 	sh.postTermLocked(FieldSession, e.Session, id)
 	sh.postTermLocked(FieldSyscall, e.Syscall, id)
 	sh.postTermLocked(FieldClass, e.Class, id)
@@ -152,7 +205,7 @@ func (sh *shard) insertTermLocked(field, term string, id int32) {
 func (sh *shard) len() int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.events)
+	return sh.rows.len()
 }
 
 // ensureColumns builds or extends the numeric columns for fields so they
@@ -166,7 +219,7 @@ func (sh *shard) ensureColumns(fields []string) {
 	sh.mu.RLock()
 	need := false
 	for _, f := range fields {
-		if c := sh.cols[f]; c == nil || len(c.vals) < len(sh.events) {
+		if c := sh.cols[f]; c == nil || len(c.vals) < sh.rows.len() {
 			need = true
 			break
 		}
@@ -185,7 +238,7 @@ func (sh *shard) ensureColumns(fields []string) {
 			c = &column{}
 			sh.cols[f] = c
 		}
-		for i := len(c.vals); i < len(sh.events); i++ {
+		for i := len(c.vals); i < sh.rows.len(); i++ {
 			v, ok := sh.numAt(int32(i), f)
 			c.vals = append(c.vals, v)
 			c.ok = append(c.ok, ok)
@@ -239,7 +292,7 @@ func (sh *shard) cmpIDs(a, b int32, sorts []SortField, cols []*column) int {
 func (sh *shard) matchIDs(q Query) []int32 {
 	// Match-all: enumerate without consulting rows.
 	if q.matchesAll() {
-		out := make([]int32, len(sh.events))
+		out := make([]int32, sh.rows.len())
 		for i := range out {
 			out[i] = int32(i)
 		}
@@ -269,11 +322,13 @@ func (sh *shard) matchIDs(q Query) []int32 {
 	// Fallback: full scan through the row adapter (fields resolve on demand,
 	// no map materialization).
 	var out []int32
-	r := row{sh: sh}
-	for i := range sh.events {
-		r.id = int32(i)
-		if q.matches(&r) {
-			out = append(out, int32(i))
+	var r row
+	for b, blk := range sh.rows.blocks {
+		for j := range blk {
+			r.ev = &blk[j]
+			if q.matches(&r) {
+				out = append(out, int32(b<<blockShift+j))
+			}
 		}
 	}
 	return out
@@ -283,16 +338,13 @@ func (sh *shard) matchIDs(q Query) []int32 {
 // sharing RangeQuery.contains with the per-document evaluator.
 func (sh *shard) rangeScan(r *RangeQuery, c *column) []int32 {
 	var out []int32
-	n := len(c.vals)
-	if n > len(sh.events) {
-		n = len(sh.events)
-	}
+	n := min(len(c.vals), sh.rows.len())
 	for i := 0; i < n; i++ {
 		if c.ok[i] && r.contains(c.vals[i]) {
 			out = append(out, int32(i))
 		}
 	}
-	for i := n; i < len(sh.events); i++ {
+	for i := n; i < sh.rows.len(); i++ {
 		if f, ok := sh.numAt(int32(i), r.Field); ok && r.contains(f) {
 			out = append(out, int32(i))
 		}
@@ -374,7 +426,7 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 		return candidates, true
 	}
 	var out []int32
-	rrow := row{sh: sh}
+	var rrow row
 next:
 	for _, id := range candidates {
 		for i, r := range colRanges {
@@ -384,7 +436,7 @@ next:
 			}
 		}
 		if needRest {
-			rrow.id = id
+			rrow.ev = sh.rows.at(int(id))
 			if !rest.matches(&rrow) {
 				continue
 			}

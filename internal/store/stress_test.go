@@ -160,17 +160,23 @@ func TestConcurrentStress(t *testing.T) {
 // (totals, hit order, aggregation results).
 func TestShardedMatchesOracle(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { shardedMatchesOracle(t, shards) })
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { shardedMatchesOracle(t, shards, 4000) })
+	}
+	// The same matrix with at least three storage blocks in every shard, so
+	// scans, rewrites and cursors all cross block boundaries.
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d,blocks=3", shards), func(t *testing.T) {
+			shardedMatchesOracle(t, shards, shards*(2*blockRows+37))
+		})
 	}
 }
 
-func shardedMatchesOracle(t *testing.T, shards int) {
+func shardedMatchesOracle(t *testing.T, shards, n int) {
 	rng := rand.New(rand.NewSource(7))
 	syscalls := []string{"read", "write", "openat", "close", "fsync", "stat"}
 	procs := []string{"fluent-bit", "rocksdb", "dbbench"}
 
 	ix := NewIndexWithShards("diff", shards)
-	const n = 4000
 	docs := make([]Document, 0, n)
 	for i := 0; i < n; i++ {
 		d := Document{
@@ -294,6 +300,23 @@ func shardedMatchesOracle(t *testing.T, shards int) {
 	})
 	for i, req := range nestedAggShapes() {
 		check(1000+i, req)
+	}
+
+	// A sorted cursor paged to exhaustion over the rewritten rows: every page,
+	// and the token it hands on, is the oracle's. count ties heavily, so the
+	// resume point falls inside runs of equal keys.
+	page := SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: "count", Desc: true}}, Size: 701}
+	for p, seen := 0, 0; ; p++ {
+		check(2000+p, page)
+		got := ix.Search(page)
+		seen += len(got.Hits)
+		if got.NextAfter == nil {
+			if seen != n+1 {
+				t.Fatalf("cursor saw %d rows of %d", seen, n+1)
+			}
+			break
+		}
+		page.SearchAfter = got.NextAfter
 	}
 }
 

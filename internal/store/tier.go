@@ -151,9 +151,10 @@ type coldSegment struct {
 // openColdSegment reads a committed segment's time column, selects the rows
 // whose stored time can fall in [minT, maxT] plus every row the pending
 // overlay names (a rewrite may have moved a row's time into the window), and
-// decodes only those into a transient shard allocated once at the selected
-// count, substituting the overlay's rewrites (by absolute gid) so cold reads
-// observe post-flush update-by-query effects. skipped is the rows left
+// decodes only those into one page, which a transient shard adopts as its
+// blocks, substituting the overlay's rewrites (by absolute gid) so cold reads
+// observe post-flush update-by-query effects. The file image goes back to its
+// pool on return: decoded rows do not alias it. skipped is the rows left
 // undecoded. Rollups are disabled on the transient shard (base 0); columns
 // build on demand.
 func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.Event, minT, maxT int64) (cs *coldSegment, skipped int, err error) {
@@ -162,6 +163,7 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.E
 	if err != nil {
 		return nil, 0, err
 	}
+	defer r.Close()
 	info := r.Info()
 	if info.Generic > 0 {
 		return nil, 0, fmt.Errorf("%d generic rows in %s: %w", info.Generic, filepath.Base(path), ErrRetiredFormat)
@@ -179,11 +181,11 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.E
 		}
 	}
 	cs = &coldSegment{sh: newShard(0), gids: make([]int, len(sel))}
-	cs.sh.events = r.Decode(sel)
+	cs.sh.rows.adopt(r.Decode(sel))
 	for k, i := range sel {
 		cs.gids[k] = start + r.Gid(i)
 		if e, ok := overlay[cs.gids[k]]; ok {
-			cs.sh.events[k] = e
+			*cs.sh.rows.at(k) = e
 		}
 		cs.sh.postEventLocked(int32(k))
 	}

@@ -148,6 +148,45 @@ func TestSegmentTieredFingerprint(t *testing.T) {
 	}
 }
 
+// TestSegmentTieredAcrossBlocks is the tiered base case at a size where
+// storage blocks matter: one shard flushes and evicts more than a block of
+// rows (the cold read adopts the decoded page as two block views), then
+// ingests past a block boundary again into storage the eviction emptied. Hot
+// plus cold must equal the in-memory control, before and after a reopen.
+func TestSegmentTieredAcrossBlocks(t *testing.T) {
+	dir := t.TempDir()
+	opts := []Option{WithRetention(longRetention), WithShards(1), WithFsyncPolicy(FsyncOff)}
+	st := openDurable(t, dir, opts...)
+	rowsPerRound := len(crashEvents(0)) + len(crashDocs(0))
+	cold := blockRows/rowsPerRound + 5
+	var all []int
+	for r := 0; r < 2*cold; r++ {
+		ingestRoundNoUBQ(t, st, r)
+		all = append(all, r)
+		if r == cold-1 {
+			if err := st.Snapshot(); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+		}
+	}
+	ix, _ := st.GetIndex(crashIndex)
+	if c, h := int(ix.coldRows.Load()), ix.shards[0].len(); c <= blockRows || h <= blockRows {
+		t.Fatalf("fixture does not cross a block on both tiers: %d cold rows, %d hot", c, h)
+	}
+	want := fingerprint(t, controlReplay(t, all, nil))
+	if got := fingerprint(t, st); got != want {
+		t.Fatalf("hot + cold state diverged from in-memory control")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	re := openDurable(t, dir, opts...)
+	defer re.Close()
+	if got := fingerprint(t, re); got != want {
+		t.Fatalf("reopened hot + cold state diverged from in-memory control")
+	}
+}
+
 // TestSegmentPrunedSearchOpensOnlyOverlapping checks the query planner's
 // time-range pruning: with rows spread over many time-disjoint segments, a
 // narrow time_enter_ns range must open only the overlapping segment — with
