@@ -70,9 +70,12 @@ bench-read:
 ## bench-diagnose: a fast smoke run of the DFG build beside the full engine
 ## run over the same 120k-event session. Both are one cursor pass, so the two
 ## ns/op figures should sit within a small factor of each other; a wide gap
-## means a detector has started re-reading the session.
+## means a detector has started re-reading the session. Then one correlation
+## pass over that session on a durable store: wal-B/row is what the pass
+## journaled per row it named, a fraction of a byte while it journals its
+## tag→path pairs and not the rows.
 bench-diagnose:
-	$(GO) test -run xxx -bench 'DFGBuild|EngineRun' -benchtime=3x .
+	$(GO) test -run xxx -bench 'DFGBuild|EngineRun|CorrelateJournal' -benchtime=3x .
 
 ## bench-pair: the protocol behind every performance sentence in CHANGES.md —
 ## the end-to-end benchmark on BASE and on the working tree in PAIRS
@@ -120,8 +123,10 @@ chaos-cluster:
 	$(GO) test -race -count=2 ./internal/cluster/
 
 ## crash: the durability crash matrix — torn WAL tails, mid-snapshot kills,
-## superseded-log resurrection, frame-journal round-trips, rewrites recovered
-## from the manifest, and the tiered segment matrix (torn segment writes,
+## superseded-log resurrection, frame-journal round-trips, correlation killed
+## before its paths record reached the log and after it but before a manifest
+## carried it, paths recovered from the manifest's book, and the tiered
+## segment matrix (torn segment writes,
 ## compaction killed before the manifest commit, manifests referencing
 ## missing segments, multi-segment follower bootstrap) — each recovery
 ## compared field-for-field against a never-crashed control — plus the typed

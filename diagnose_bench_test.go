@@ -10,6 +10,8 @@ package dio_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/dsrhaslab/dio-go/internal/diagnose"
@@ -104,4 +106,66 @@ func BenchmarkEngineRun(b *testing.B) {
 			b.Fatalf("report session = %q", rep.Session)
 		}
 	}
+}
+
+// BenchmarkCorrelateJournal times one correlation pass over the 120k-event
+// session on a durable store — every row tagged with one of 32 files, opens
+// carrying the kernel path — and reports what the pass cost the journal per
+// row it named (wal-B/row, from the WAL's size before and after). The pass
+// journals its parameters, one record holding the tag→path pairs, not its
+// effects, so the figure is a fraction of a byte; a pass that journaled rows
+// again would read in the hundreds.
+func BenchmarkCorrelateJournal(b *testing.B) {
+	dir := b.TempDir()
+	st, err := store.Open(store.WithDataDir(dir), store.WithFsyncPolicy(store.FsyncOff), store.WithSnapshotInterval(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	ctx := context.Background()
+	walBytes := func(index string) int64 {
+		logs, err := filepath.Glob(filepath.Join(dir, "*"+index, "wal-*.log"))
+		if err != nil || len(logs) != 1 {
+			b.Fatalf("wal files of %s: %v, %v", index, logs, err)
+		}
+		fi, err := os.Stat(logs[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		return fi.Size()
+	}
+	var journaled, named int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		index := fmt.Sprintf("bench%d", i)
+		var clock int64 = 1_000_000_000
+		for n := 0; n < diagBenchEvents; n += diagBenchBatch {
+			evs := diagBenchBatchEvents(clock, n, diagBenchBatch)
+			for j := range evs {
+				e := &evs[j]
+				e.FileTag = event.FileTag{Dev: 8, Ino: uint64(1 + (n+j)%32), BirthNS: 7}
+				if e.Syscall == "openat" {
+					e.KernelPath = e.FilePath
+				}
+				e.FilePath = ""
+			}
+			if err := st.BulkEvents(ctx, index, evs); err != nil {
+				b.Fatal(err)
+			}
+			clock += diagBenchBatch * 25_000
+		}
+		before := walBytes(index)
+		b.StartTimer()
+		res, err := st.Correlate(ctx, index, "diagbench")
+		b.StopTimer()
+		if err != nil || res.EventsUpdated != diagBenchEvents {
+			b.Fatalf("correlate: %+v, %v", res, err)
+		}
+		journaled += walBytes(index) - before
+		named += int64(res.EventsUpdated)
+		st.DeleteIndex(index)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(journaled)/float64(named), "wal-B/row")
 }

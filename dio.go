@@ -99,8 +99,8 @@ type (
 
 // Backend types (the analysis pipeline).
 type (
-	// Store is the in-process event store. Its UpdateByQuery hands a script
-	// each matched row as an *Event to edit (returning true commits it).
+	// Store is the in-process event store. Rows are written once; its one
+	// update is Correlate, which names the files tagged rows accessed.
 	Store = store.Store
 	// Backend abstracts in-process stores, remote stores and cluster
 	// coordinators; its SearchEvents returns hits as Events.

@@ -56,11 +56,11 @@ type Node interface {
 	Health(ctx context.Context) (store.HealthStatus, error)
 }
 
-// ErrIndexNotFound marks a per-node "index not found": node adapters
-// translate their transport's encoding (HTTP 404, a nil GetIndex) into it so
-// the coordinator can tell "this partition owns no rows of the index yet"
-// (treated as empty) from a real failure (never treated as empty).
-var ErrIndexNotFound = errors.New("cluster: index not found on node")
+// ErrIndexNotFound is the store's typed "index not found", which a node
+// answers with 404 and the HTTP client maps back: it lets the coordinator tell
+// "this partition owns no rows of the index yet" (treated as empty) from a
+// real failure (never treated as empty).
+var ErrIndexNotFound = store.ErrIndexNotFound
 
 // ErrNodeUnavailable is returned without touching the wire when a
 // partition's circuit breaker is open: the node failed repeatedly and the

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -24,21 +25,30 @@ import (
 // transparency claim — a client cannot tell a coordinator from a node — down
 // to the raw response bytes.
 
-// newHTTPCluster boots n single-node partitions, each a store server behind
-// a one-member FailoverClient, under a coordinator HTTP server.
+// newHTTPCluster boots n single-node in-memory partitions under a coordinator
+// HTTP server.
 func newHTTPCluster(t *testing.T, n int) (*Coordinator, *httptest.Server, []*store.Store) {
 	t.Helper()
 	stores := make([]*store.Store, n)
-	nodes := make([]Node, n)
-	for i := range nodes {
-		st := memStore(t)
+	for i := range stores {
+		stores[i] = memStore(t)
+	}
+	co, csrv := newHTTPClusterOver(t, stores)
+	return co, csrv, stores
+}
+
+// newHTTPClusterOver makes each store a partition — a store server behind a
+// one-member FailoverClient — under a coordinator HTTP server.
+func newHTTPClusterOver(t *testing.T, stores []*store.Store) (*Coordinator, *httptest.Server) {
+	t.Helper()
+	nodes := make([]Node, len(stores))
+	for i, st := range stores {
 		srv := httptest.NewServer(store.NewServer(st))
 		t.Cleanup(srv.Close)
 		fc, err := store.NewFailoverClient(store.NewClient(srv.URL, store.WithAPIPrefix("/v1")))
 		if err != nil {
 			t.Fatalf("failover client: %v", err)
 		}
-		stores[i] = st
 		nodes[i] = NewHTTPNode(srv.URL, fc)
 	}
 	co, err := New(Config{Clock: clock.NewVirtual(0)}, nodes...)
@@ -47,7 +57,7 @@ func newHTTPCluster(t *testing.T, n int) (*Coordinator, *httptest.Server, []*sto
 	}
 	csrv := httptest.NewServer(NewServer(co))
 	t.Cleanup(csrv.Close)
-	return co, csrv, stores
+	return co, csrv
 }
 
 // postRaw POSTs a body and returns status plus the exact response bytes.
@@ -471,5 +481,62 @@ func TestClusterHTTPNode404Sentinel(t *testing.T) {
 	}
 	if _, err := n.Stats(ctx, "missing"); !errors.Is(err, ErrIndexNotFound) {
 		t.Fatalf("stats on missing index: %v, want ErrIndexNotFound", err)
+	}
+}
+
+// TestClusterUnreadableSegmentFailsLoudly: two partitions of durable tiered
+// nodes, every row evicted into a cold segment, then one node's segment file
+// disappears. That node can no longer answer a query that must read it, and
+// the coordinator must say so — a node's failure is not "this partition owns
+// no rows", so neither _search nor _count may come back 200 with the other
+// partition's share alone.
+func TestClusterUnreadableSegmentFailsLoudly(t *testing.T) {
+	ctx := context.Background()
+	dirs := []string{t.TempDir(), t.TempDir()}
+	stores := make([]*store.Store, len(dirs))
+	for i, dir := range dirs {
+		st, err := store.Open(store.WithDataDir(dir), store.WithRetention(200_000*time.Hour),
+			store.WithSnapshotInterval(0), store.WithFsyncPolicy(store.FsyncOff))
+		if err != nil {
+			t.Fatalf("open node %d: %v", i, err)
+		}
+		t.Cleanup(func() { st.Close() })
+		stores[i] = st
+	}
+	co, csrv := newHTTPClusterOver(t, stores)
+	ingestBoth(t, co)
+	for i, st := range stores {
+		if err := st.Snapshot(); err != nil { // flush + evict: the rows are cold now
+			t.Fatalf("flush node %d: %v", i, err)
+		}
+	}
+	reads := store.Term(store.FieldSyscall, "read")
+	whole, err := co.Count(ctx, testIndex, reads)
+	if err != nil || whole == 0 {
+		t.Fatalf("count before the loss: %d, %v", whole, err)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dirs[1], "*", "seg-*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("node 1 segment files: %v, %v", segs, err)
+	}
+	for _, f := range segs {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := co.Count(ctx, testIndex, reads); err == nil {
+		t.Fatalf("count answered %d of %d rows though node 1 cannot read its segment", n, whole)
+	}
+	if res, err := co.SearchEvents(ctx, testIndex, store.SearchRequest{Query: reads, Size: 5}); err == nil {
+		t.Fatalf("search answered total %d of %d though node 1 cannot read its segment", res.Total, whole)
+	}
+	body, _ := json.Marshal(reads)
+	if code, b := postRaw(t, csrv.URL+"/"+testIndex+"/_count", "application/json", body); code < 500 {
+		t.Fatalf("coordinator _count = %d %s; want a 5xx", code, b)
+	}
+	body, _ = json.Marshal(store.SearchRequest{Query: reads, Size: 5})
+	if code, b := postRaw(t, csrv.URL+"/"+testIndex+"/_search", "application/json", body); code < 500 {
+		t.Fatalf("coordinator _search = %d %s; want a 5xx", code, b)
 	}
 }

@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"net/http"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
@@ -27,17 +24,6 @@ func NewHTTPNode(target string, fc *store.FailoverClient) Node {
 
 var _ Node = (*httpNode)(nil)
 
-// notFound translates the HTTP encoding of "index not found" into the
-// coordinator's sentinel, leaving every other error (including other 404s'
-// message text) intact inside the wrap.
-func notFound(err error) error {
-	var he *store.HTTPError
-	if errors.As(err, &he) && he.Status == http.StatusNotFound {
-		return fmt.Errorf("%v: %w", err, ErrIndexNotFound)
-	}
-	return err
-}
-
 func (n *httpNode) Target() string { return n.target }
 
 func (n *httpNode) BulkEvents(ctx context.Context, index string, events []event.Event) error {
@@ -49,18 +35,15 @@ func (n *httpNode) BulkFrame(ctx context.Context, index string, frame []byte) er
 }
 
 func (n *httpNode) Scatter(ctx context.Context, index string, sreq store.ScatterRequest) (store.ScatterResponse, error) {
-	resp, err := n.fc.Scatter(ctx, index, sreq)
-	return resp, notFound(err)
+	return n.fc.Scatter(ctx, index, sreq)
 }
 
 func (n *httpNode) Count(ctx context.Context, index string, q store.Query) (int, error) {
-	c, err := n.fc.Count(ctx, index, q)
-	return c, notFound(err)
+	return n.fc.Count(ctx, index, q)
 }
 
 func (n *httpNode) Stats(ctx context.Context, index string) (store.IndexStats, error) {
-	st, err := n.fc.Stats(ctx, index)
-	return st, notFound(err)
+	return n.fc.Stats(ctx, index)
 }
 
 func (n *httpNode) ListIndices(ctx context.Context) ([]string, error) {

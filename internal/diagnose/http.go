@@ -31,7 +31,7 @@ func Install(srv *store.Server) *Engine {
 		}
 		rep, err := e.RunParams(r.Context(), st, index, session, p)
 		if err != nil {
-			writeEngineError(w, err)
+			store.WriteError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, rep)
@@ -43,7 +43,7 @@ func Install(srv *store.Server) *Engine {
 		}
 		dfg, err := BuildDFG(r.Context(), st, index, session, p.withDefaults().PageSize)
 		if err != nil {
-			writeEngineError(w, err)
+			store.WriteError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, dfg)
@@ -60,7 +60,7 @@ func Install(srv *store.Server) *Engine {
 		}
 		res, err := e.DiffSessions(r.Context(), st, index, a, b, p)
 		if err != nil {
-			writeEngineError(w, err)
+			store.WriteError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, res)
@@ -88,13 +88,6 @@ func decodeSessionParams(w http.ResponseWriter, r *http.Request, key string) (st
 		}
 	}
 	return session, p, true
-}
-
-// writeEngineError maps engine failures onto the store API's conventions:
-// the only engine-side failure mode over a local store is a bad target
-// (missing index), which _search answers with 404.
-func writeEngineError(w http.ResponseWriter, err error) {
-	httpError(w, http.StatusNotFound, "%v", err)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -28,26 +28,18 @@ func (m *mergedSource) NumRows() int         { return len(m.rows) }
 func (m *mergedSource) Row(i int) SegmentRow { return m.rows[i].row }
 func (m *mergedSource) Gid(i int) int        { return int(m.rows[i].gid - m.base) }
 
-// RewriteOverlay carries the store's pending row rewrites into a merge: for
-// each input row it may return a replacement payload (folding post-flush
-// update-by-query rewrites into the immutable output so recovery no longer
-// depends on re-applying them). It is a callback rather than a map because
-// only the caller knows how to re-encode a rewritten document in the row's
-// original representation (typed event vs generic document) — it receives
-// the row as stored and answers (replacement, replaced, error).
-type RewriteOverlay func(gid int64, ev *event.Event, doc []byte) (SegmentRow, bool, error)
-
 // MergeSegments reads the committed segments described by metas (ascending
 // StartRow order, files resolved in dir) and writes their union as one
-// segment with sequence outSeq, applying overlay rewrites (nil = none)
-// along the way.
+// segment with sequence outSeq. finish (nil = none) may complete each event
+// row in place on its way through — the store names file paths there — so the
+// immutable output carries what the inputs were written too early to hold.
 // Generic documents are opaque here, so docTime (nil = no generic row is
 // timed) extracts their time_enter_ns to keep the merged pruning range
 // sound. It returns the merged segment's metadata at level = max input
 // level + 1. The inputs are immutable committed files, so no locks are
 // needed; the caller commits the returned meta (replacing the inputs) under
 // its manifest lock, or deletes the output file if the commit is abandoned.
-func MergeSegments(dir string, metas []SegmentMeta, outSeq, shards int, overlay RewriteOverlay, docTime func([]byte) (int64, bool)) (SegmentMeta, error) {
+func MergeSegments(dir string, metas []SegmentMeta, outSeq, shards int, finish func(gid int64, e *event.Event), docTime func([]byte) (int64, bool)) (SegmentMeta, error) {
 	if len(metas) == 0 {
 		return SegmentMeta{}, fmt.Errorf("durable: merge of zero segments")
 	}
@@ -61,18 +53,11 @@ func MergeSegments(dir string, metas []SegmentMeta, outSeq, shards int, overlay 
 		_, err := ReadSegment(filepath.Join(dir, SegmentName(sm.Seq)), func(gid int, ev *event.Event, doc []byte) error {
 			abs := start + int64(gid)
 			var row SegmentRow
-			if overlay != nil {
-				ov, replaced, oerr := overlay(abs, ev, doc)
-				if oerr != nil {
-					return oerr
-				}
-				if replaced {
-					rows = append(rows, mergedRow{gid: abs, row: ov})
-					return nil
-				}
-			}
 			if ev != nil {
 				e := *ev
+				if finish != nil {
+					finish(abs, &e)
+				}
 				row = SegmentRow{Event: &e}
 			} else {
 				row = SegmentRow{Doc: doc}

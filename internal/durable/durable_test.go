@@ -46,7 +46,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}, []byte("gamma")}
-	types := []RecordType{RecordEvents, RecordRewrite, RecordRewrite, RecordEvents}
+	types := []RecordType{RecordEvents, RecordPaths, RecordPaths, RecordEvents}
 	total := 0
 	for i, p := range payloads {
 		n, err := w.Append(types[i], p)
@@ -128,7 +128,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.Append(RecordRewrite, []byte("tear me apart")); err != nil {
+			if _, err := w.Append(RecordPaths, []byte("tear me apart")); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Close(); err != nil {

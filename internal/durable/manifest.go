@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // ManifestName is the per-index manifest file, the single commit point for
@@ -78,13 +80,11 @@ type Manifest struct {
 	// a paging cursor, which is what lets an unsorted search_after cursor
 	// below the floor fail loudly (expired) instead of silently skipping.
 	RetentionFloor int64 `json:"retention_floor,omitempty"`
-	// Rewrites is the store's pending post-flush row-rewrite overlay,
-	// serialized by the store in its rewrite-record encoding (opaque bytes
-	// here) and re-applied during
-	// recovery after segments load and before WAL replay. It rides in the
-	// manifest rather than the WAL so persisting it never advances the
-	// replication sequence.
-	Rewrites []byte `json:"rewrites,omitempty"`
+	// Paths is the index's path book: the correlation records journaled so
+	// far, oldest first, from which rows materialised out of a segment
+	// written before a record's pass take their paths. It rides in the
+	// manifest because a snapshot supersedes the WAL that held the records.
+	Paths []event.PathsRecord `json:"paths,omitempty"`
 }
 
 // SegmentRows sums the row counts of every listed segment (the Σsegments
@@ -129,23 +129,31 @@ func SegmentName(seq int) string { return fmt.Sprintf("seg-%06d.snap", seq) }
 // LoadManifest reads the manifest in dir. A missing manifest returns
 // (zero manifest, false, nil): the directory is fresh (or a crash happened
 // before the first commit) and recovery starts empty with WAL seq 0.
-// A manifest of any other schema version fails with ErrManifestVersion.
+// A manifest of any other schema version fails with ErrManifestVersion, one
+// still carrying the pending-rewrite blob of a build that updated rows by
+// query with ErrRetiredFormat.
 func LoadManifest(dir string) (Manifest, bool, error) {
-	var m Manifest
+	var m struct {
+		Manifest
+		Rewrites []byte `json:"rewrites"`
+	}
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return m, false, nil
+			return m.Manifest, false, nil
 		}
-		return m, false, fmt.Errorf("durable: read manifest: %w", err)
+		return m.Manifest, false, fmt.Errorf("durable: read manifest: %w", err)
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, false, fmt.Errorf("durable: parse manifest: %w", err)
+		return m.Manifest, false, fmt.Errorf("durable: parse manifest: %w", err)
 	}
 	if m.Version != manifestVersion {
-		return m, false, fmt.Errorf("%w: %d (want %d)", ErrManifestVersion, m.Version, manifestVersion)
+		return m.Manifest, false, fmt.Errorf("%w: %d (want %d)", ErrManifestVersion, m.Version, manifestVersion)
 	}
-	return m, true, nil
+	if len(m.Rewrites) > 0 {
+		return m.Manifest, false, fmt.Errorf("durable: manifest pending rewrites (%d bytes): %w", len(m.Rewrites), ErrRetiredFormat)
+	}
+	return m.Manifest, true, nil
 }
 
 // CommitManifest atomically publishes m as dir's manifest. After it returns,

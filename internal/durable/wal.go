@@ -1,5 +1,5 @@
 // Package durable is the store's persistence layer: a per-index append-only
-// write-ahead log for event batches and their update-by-query rewrites, plus
+// write-ahead log for event batches and correlation's path dictionaries, plus
 // columnar segment snapshots and the manifest that makes snapshot→WAL
 // handoff crash-atomic. The store (internal/store) owns placement and
 // locking; this package owns bytes on disk and their integrity.
@@ -32,16 +32,23 @@ const (
 	// (event.EncodeBatch frame).
 	RecordEvents RecordType = 1
 	// RecordRetiredDocs and RecordRetiredRewrite are the gob-encoded document
-	// batch and rewrite batch written before the store held one row form.
-	// Nothing writes them any more; the numbers stay reserved so an old
-	// payload is rejected by type and never parsed as a newer record.
+	// batch and rewrite batch written before the store held one row form, and
+	// RecordRetiredRows the (gid, final event) rewrite batch written while rows
+	// could be updated by query. Nothing writes them any more; the numbers stay
+	// reserved so an old payload is rejected by type and never parsed as a
+	// newer record.
 	RecordRetiredDocs    RecordType = 2
 	RecordRetiredRewrite RecordType = 3
-	// RecordRewrite is an update-by-query effect batch: (gid, event) pairs —
-	// the row ids, then the rows' final states as one event frame — applied
-	// to rows that already exist in the log's prefix.
-	RecordRewrite RecordType = 4
+	RecordRetiredRows    RecordType = 4
+	// RecordPaths is one correlation pass's tag→path dictionary with its row
+	// horizon (event.PathsRecord), applied to rows in the log's prefix.
+	RecordPaths RecordType = 5
 )
+
+// ErrRetiredFormat reports on-disk state in a form nothing writes any more: a
+// gob or row-rewrite WAL record, a manifest carrying pending rewrites, a
+// segment holding generic rows. Open fails with it, naming the offender.
+var ErrRetiredFormat = errors.New("durable: data dir predates the single-row, write-once format")
 
 // walHeaderLen is the per-record frame overhead: type byte, payload length,
 // payload CRC.

@@ -14,7 +14,7 @@ func TestReadWALTailCursorWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}, []byte("gamma"), []byte("delta")}
-	types := []RecordType{RecordEvents, RecordRewrite, RecordRewrite, RecordEvents, RecordRewrite}
+	types := []RecordType{RecordEvents, RecordPaths, RecordPaths, RecordEvents, RecordPaths}
 	for i, p := range payloads {
 		if _, err := w.Append(types[i], p); err != nil {
 			t.Fatal(err)
@@ -66,7 +66,7 @@ func TestReadWALTailStopsAtTornTailWithoutTruncating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(RecordRewrite, []byte("in flight")); err != nil {
+	if _, err := w.Append(RecordPaths, []byte("in flight")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -103,7 +103,7 @@ func TestReadWALTailStopsAtTornTailWithoutTruncating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w2.Append(RecordRewrite, []byte("in flight")); err != nil {
+	if _, err := w2.Append(RecordPaths, []byte("in flight")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {

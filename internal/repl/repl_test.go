@@ -20,22 +20,29 @@ import (
 const testIndex = "events"
 
 // ingestRound applies one deterministic round of mixed writes — a dense
-// event batch, a sparse one, and (odd rounds) an update-by-query rewrite —
-// both journal record types the replication stream carries.
+// event batch, a sparse one, and (odd rounds) a correlation pass — both
+// journal record types the replication stream carries. The round's three file
+// tags are per-round; its two openat rows carry their kernel path, so the pass
+// names two tags' rows and leaves the third unresolved.
 func ingestRound(t *testing.T, st *store.Store, round int) {
 	t.Helper()
 	ctx := context.Background()
 	base := int64(1<<60) + int64(round)*1_000_000
 	evs := make([]event.Event, 0, 8)
 	for i := 0; i < 8; i++ {
-		evs = append(evs, event.Event{
+		e := event.Event{
 			Session: "repl", Syscall: []string{"read", "write", "openat", "fsync"}[i%4],
 			Class: "file", ProcName: "app", ThreadName: "app-worker",
 			PID: 100 + round, TID: 200 + i,
 			RetVal: int64(i * 13), FD: 3 + i, Count: 4096,
 			TimeEnterNS: base + int64(i)*1000, TimeExitNS: base + int64(i)*1000 + 500,
+			FileTag: event.FileTag{Dev: 8, Ino: uint64(40 + i%3), BirthNS: base},
 			ArgPath: "/data/f" + string(rune('a'+i%3)),
-		})
+		}
+		if e.Syscall == "openat" {
+			e.KernelPath = "/mnt" + e.ArgPath
+		}
+		evs = append(evs, e)
 	}
 	if err := st.BulkEvents(ctx, testIndex, evs); err != nil {
 		t.Fatalf("round %d: bulk events: %v", round, err)
@@ -52,12 +59,8 @@ func ingestRound(t *testing.T, st *store.Store, round int) {
 		t.Fatalf("round %d: bulk sparse events: %v", round, err)
 	}
 	if round%2 == 1 {
-		_, err := st.UpdateByQuery(ctx, testIndex, store.Term(store.FieldSyscall, "openat"), func(e *event.Event) bool {
-			e.FilePath = "/resolved/by/round"
-			return true
-		})
-		if err != nil {
-			t.Fatalf("round %d: update-by-query: %v", round, err)
+		if res, err := st.Correlate(ctx, testIndex, "repl"); err != nil || res.EventsUpdated == 0 {
+			t.Fatalf("round %d: correlate: %+v, %v", round, res, err)
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package replay
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/apps/fluentbit"
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/core"
-	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
@@ -136,15 +136,25 @@ func TestReplaySkipsUnknownDescriptors(t *testing.T) {
 	task.Close(fd)
 	tracer.Stop()
 
-	// Remove the open event from the store to simulate a partial trace.
-	ix, _ := backend.GetIndex("events")
-	ix.UpdateByQuery(store.Term(store.FieldSyscall, "openat"), func(e *event.Event) bool {
-		e.Syscall = "unsupported_syscall"
-		return true
-	})
+	// Stored rows are written once, so the partial trace is a copy of the
+	// session with the open event turned into something replay cannot apply.
+	ctx := context.Background()
+	all, err := backend.SearchEvents(ctx, "events", store.SearchRequest{Query: store.MatchAll(), Size: -1})
+	if err != nil {
+		t.Fatalf("read session: %v", err)
+	}
+	for i := range all.Hits {
+		if all.Hits[i].Syscall == "openat" {
+			all.Hits[i].Syscall = "unsupported_syscall"
+		}
+	}
+	partial := memStore(t)
+	if err := partial.BulkEvents(ctx, "events", all.Hits); err != nil {
+		t.Fatalf("write partial trace: %v", err)
+	}
 
 	k2 := freshKernel()
-	res, err := Session(backend, "events", "partial", k2)
+	res, err := Session(partial, "events", "partial", k2)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

@@ -51,11 +51,15 @@ func (e *HTTPError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
 // Unwrap maps well-known statuses and reason codes back to their sentinel
 // errors so remote callers can errors.Is against the same values local
-// callers see: 410 Gone is the server-side mapping of ErrCursorExpired, and
-// reason "update_beyond_retention" is the 409 a retention-evicting index
-// returns for update-by-query and correlation.
+// callers see: 404 is the server-side mapping of ErrIndexNotFound (and of
+// nothing else an index operation can fail with), 410 Gone that of
+// ErrCursorExpired, and reason "update_beyond_retention" is the 409 a
+// retention-evicting index returns for correlation.
 func (e *HTTPError) Unwrap() error {
-	if e.Status == http.StatusGone {
+	switch e.Status {
+	case http.StatusNotFound:
+		return ErrIndexNotFound
+	case http.StatusGone:
 		return ErrCursorExpired
 	}
 	if e.Reason == ReasonUpdateBeyondRetention {

@@ -110,24 +110,14 @@ func (ix *Index) compactOnce() (bool, error) {
 	outSeq := d.segSeq
 	d.segSeq++
 	d.gate.Unlock()
-	// Snapshot the pending overlay: merged-in rewrites stop needing their
-	// overlay entries, but only if the map didn't grow mid-merge (pendVer
-	// detects that; the entries then survive to the next pass — harmless,
-	// re-applying a rewrite is idempotent).
-	d.pendMu.Lock()
-	ver := d.pendVer
-	d.pendMu.Unlock()
-	var overlay durable.RewriteOverlay
-	if overlayMap := d.pendingOverlay(); overlayMap != nil {
-		overlay = func(gid int64, _ *event.Event, _ []byte) (durable.SegmentRow, bool, error) {
-			if e, ok := overlayMap[int(gid)]; ok {
-				hit := e // escapes per rewritten row, not per merged row
-				return durable.SegmentRow{Event: &hit}, true, nil
-			}
-			return durable.SegmentRow{}, false, nil
-		}
+	// Rows of an input written before a correlation pass leave the merge
+	// named. The book is not trimmed for it: a record that lands mid-merge is
+	// missing from this output, and applying one twice changes nothing.
+	var finish func(gid int64, e *event.Event)
+	if book := d.paths(); len(book) > 0 {
+		finish = func(gid int64, e *event.Event) { resolveFromBook(book, int(gid), e) }
 	}
-	merged, err := durable.MergeSegments(d.dir, run, outSeq, len(ix.shards), overlay, nil)
+	merged, err := durable.MergeSegments(d.dir, run, outSeq, len(ix.shards), finish, nil)
 	if err != nil {
 		durable.RemoveSegment(d.dir, outSeq)
 		return false, err
@@ -140,13 +130,6 @@ func (ix *Index) compactOnce() (bool, error) {
 		durable.RemoveSegment(d.dir, outSeq)
 		return false, nil
 	}
-	d.pendMu.Lock()
-	fold := d.pendVer == ver
-	d.pendMu.Unlock()
-	inMerged := func(gid int) bool {
-		return int64(gid) >= merged.StartRow && int64(gid) < merged.EndRow
-	}
-	blob := d.pendingBlob(func(gid int) bool { return fold && inMerged(gid) })
 	newSegs := make([]durable.SegmentMeta, 0, len(cur)-len(run)+1)
 	newSegs = append(newSegs, cur[:lo]...)
 	newSegs = append(newSegs, merged)
@@ -159,7 +142,7 @@ func (ix *Index) compactOnce() (bool, error) {
 		BaseSeq:        d.baseSeq,
 		ReplOffset:     d.replOff.Load(),
 		RetentionFloor: ix.retFloor.Load(),
-		Rewrites:       blob,
+		Paths:          d.paths(),
 	}
 	if err := durable.CommitManifest(d.dir, m); err != nil {
 		d.gate.Unlock()
@@ -172,17 +155,6 @@ func (ix *Index) compactOnce() (bool, error) {
 	d.publishSegsLocked(ix, newSegs)
 	for i := len(ix.shards) - 1; i >= 0; i-- {
 		ix.shards[i].mu.Unlock()
-	}
-	if fold {
-		// Still under the exclusive gate, so no writer can add a fresh entry
-		// between the committed blob and this deletion.
-		d.pendMu.Lock()
-		for g := range d.pending {
-			if inMerged(g) {
-				delete(d.pending, g)
-			}
-		}
-		d.pendMu.Unlock()
 	}
 	d.gate.Unlock()
 	// Input files are unreferenced by the committed manifest and every reader
@@ -197,8 +169,8 @@ func (ix *Index) compactOnce() (bool, error) {
 
 // retainOnce drops every cold segment whose entire stamped time range is
 // older than the retention horizon, advancing the retention floor (which
-// expires unsorted paging cursors below it) and garbage-collecting pending
-// rewrites no kept segment covers. Compaction never changes visible data;
+// expires unsorted paging cursors below it) and dropping the path-book
+// records whose every row is now gone. Compaction never changes visible data;
 // this does — so the commit brackets an epoch bump, invalidating every
 // cached query response that predates the drop.
 func (ix *Index) retainOnce(now time.Time) error {
@@ -229,16 +201,13 @@ func (ix *Index) retainOnce(now time.Time) error {
 			floor = sm.EndRow
 		}
 	}
-	// A pending rewrite survives only if a kept segment still holds its row;
-	// coverage (not membership in this pass's drops) also collects strays
-	// from rows dropped in earlier passes.
-	covered := func(gid int) bool {
-		for _, sm := range keep {
-			if int64(gid) >= sm.StartRow && int64(gid) < sm.EndRow {
-				return true
-			}
+	// A paths record stays while a kept segment holds a row below its horizon
+	// (keep is in row order, so its first segment starts lowest).
+	var book []event.PathsRecord
+	for _, rec := range d.paths() {
+		if len(keep) > 0 && keep[0].StartRow < rec.H {
+			book = append(book, rec)
 		}
-		return false
 	}
 	m := durable.Manifest{
 		Shards:         len(ix.shards),
@@ -248,7 +217,7 @@ func (ix *Index) retainOnce(now time.Time) error {
 		BaseSeq:        d.baseSeq,
 		ReplOffset:     d.replOff.Load(),
 		RetentionFloor: floor,
-		Rewrites:       d.pendingBlob(func(gid int) bool { return !covered(gid) }),
+		Paths:          book,
 	}
 	if err := durable.CommitManifest(d.dir, m); err != nil {
 		d.gate.Unlock()
@@ -263,13 +232,7 @@ func (ix *Index) retainOnce(now time.Time) error {
 	for i := len(ix.shards) - 1; i >= 0; i-- {
 		ix.shards[i].mu.Unlock()
 	}
-	d.pendMu.Lock()
-	for g := range d.pending {
-		if !covered(g) {
-			delete(d.pending, g)
-		}
-	}
-	d.pendMu.Unlock()
+	d.book.Store(&book)
 	d.gate.Unlock()
 	ix.epoch.Add(1)
 	for _, sm := range dropped {

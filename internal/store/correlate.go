@@ -2,8 +2,10 @@ package store
 
 import (
 	"context"
-	"sync/atomic"
+	"fmt"
+	"slices"
 
+	"github.com/dsrhaslab/dio-go/internal/durable"
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
@@ -79,7 +81,7 @@ func harvestAnchors(dict map[event.FileTag]anchor, hits []event.Event) {
 }
 
 // CorrelateFilePaths implements DIO's custom correlation algorithm using
-// the store's query and update features:
+// the store's query feature and its one update, "name the tags":
 //
 //  1. Search open-variant events (open/openat/creat) that carry both a file
 //     tag and a kernel-resolved path; build the tag→path dictionary. Per
@@ -90,8 +92,8 @@ func harvestAnchors(dict map[event.FileTag]anchor, hits []event.Event) {
 //  2. Fallback: tags no open variant anchored (the open was dropped or
 //     pre-dates the session) are resolved from any other path-carrying
 //     tagged event (stat, unlink, ...), under the same earliest-wins rule.
-//  3. Update-by-query every event that carries a file tag but no file_path,
-//     setting file_path from the dictionary.
+//  3. Every event that carries a file tag but no file_path takes its own
+//     kernel path, else its tag's path from the dictionary (namePaths).
 //
 // It can run while the tracer is still indexing (near-real-time pipeline)
 // or on demand after the session completes (§II-E).
@@ -154,44 +156,169 @@ func correlateFilePaths(ctx context.Context, ix *Index, session string, tm *stor
 
 	res.TagsResolved = len(dict)
 
-	// Step 3: rewrite tagged events without a path. UpdateByQuery fans out
-	// across index shards, so the closure runs concurrently; the counters
-	// are shared and must be updated atomically. dict is read-only here.
-	q := Query{Bool: &BoolQuery{
-		Must: append(sessionFilter(), Exists(FieldFileTag)),
-	}}
-	var withTag, updated, unresolved, already atomic.Int64
-	var ubqErr error
-	updateByQuery := func() {
-		_, ubqErr = ix.updateByQueryCtx(ctx, q, func(e *event.Event) bool {
-			withTag.Add(1)
-			if e.FilePath != "" {
-				already.Add(1)
-				return false
-			}
-			if e.KernelPath != "" {
-				e.FilePath = e.KernelPath
-				updated.Add(1)
-				return true
-			}
-			c, ok := dict[e.FileTag]
-			if !ok {
-				unresolved.Add(1)
-				return false
-			}
-			e.FilePath = c.path
-			updated.Add(1)
-			return true
-		})
+	// Step 3: name the tags on every row below the horizon.
+	rec := event.PathsRecord{Session: session, Pairs: make([]event.PathPair, 0, len(dict))}
+	for tag, c := range dict {
+		rec.Pairs = append(rec.Pairs, event.PathPair{Tag: tag, Path: c.path})
 	}
+	rec.SortPairs()
+	var n [pathOutcomes]int
+	name := func() { n, err = ix.namePaths(&rec, false) }
 	if tm != nil {
-		observeNS(tm.updateNS, updateByQuery)
+		observeNS(tm.updateNS, name)
 	} else {
-		updateByQuery()
+		name()
 	}
-	res.EventsWithTag = int(withTag.Load())
-	res.EventsUpdated = int(updated.Load())
-	res.EventsUnresolved = int(unresolved.Load())
-	res.EventsAlreadyResolved = int(already.Load())
-	return res, ubqErr
+	res.EventsUpdated = n[pathUpdated]
+	res.EventsUnresolved = n[pathUnresolved]
+	res.EventsAlreadyResolved = n[pathAlready]
+	res.EventsWithTag = n[pathUpdated] + n[pathUnresolved] + n[pathAlready]
+	return res, err
+}
+
+// pathOutcome is what resolvePaths did with one row. The outcomes past
+// pathSkip are CorrelationResult's three event counters.
+type pathOutcome int
+
+const (
+	pathSkip       pathOutcome = iota // untagged, out of scope, or at or past the horizon
+	pathAlready                       // entered with a file_path
+	pathUpdated                       // file_path filled in
+	pathUnresolved                    // tagged, but neither a kernel path nor a pair names it
+	pathOutcomes
+)
+
+// resolvePaths is the rule by which a stored row changes, and the only code
+// that changes one: a tagged row below rec's horizon, in rec's session scope,
+// with no file_path takes its own kernel path, else the path rec pairs with
+// its tag. The live pass runs it over shard memory; everything that
+// materialises a row from a segment written before the pass runs it again.
+func resolvePaths(rec *event.PathsRecord, gid int, e *event.Event) pathOutcome {
+	switch {
+	case int64(gid) >= rec.H || e.FileTag.Zero() || (rec.Session != "" && e.Session != rec.Session):
+		return pathSkip
+	case e.FilePath != "":
+		return pathAlready
+	case e.KernelPath != "":
+		e.FilePath = e.KernelPath
+		return pathUpdated
+	}
+	p, ok := rec.Lookup(e.FileTag)
+	if !ok {
+		return pathUnresolved
+	}
+	e.FilePath = p
+	return pathUpdated
+}
+
+// resolveFromBook finishes a row materialised from a segment: the book's
+// records in journal order, stopping at the first that names the row (after
+// which it has a file_path and no later record applies).
+func resolveFromBook(book []event.PathsRecord, gid int, e *event.Event) bool {
+	for i := range book {
+		if resolvePaths(&book[i], gid, e) == pathUpdated {
+			return true
+		}
+	}
+	return false
+}
+
+// applyPaths runs rec over every row in shard memory, one shard write lock at
+// a time, and counts the outcomes. file_path is neither indexed nor numeric,
+// so postings, columns and rollups stand; the epoch brackets the pass for the
+// query cache. On a durable index the caller holds the gate shared (base is
+// frozen) or is single-threaded recovery.
+func (ix *Index) applyPaths(rec *event.PathsRecord) (n [pathOutcomes]int) {
+	ix.epoch.Add(1)
+	defer ix.epoch.Add(1)
+	S := len(ix.shards)
+	base := int(ix.base.Load())
+	for s, sh := range ix.shards {
+		sh.mu.Lock()
+		for b, blk := range sh.rows.blocks {
+			for j := range blk {
+				n[resolvePaths(rec, base+(b<<blockShift+j)*S+s, &blk[j])]++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// namePaths is the store's one update. Under the index's correlation mutex
+// and the shared gate it fixes the horizon — rr read inside appendMu, where
+// placement happens, so every row below it is in memory — applies rec to the
+// rows below it, and, if any row changed, journals rec itself: one record of
+// parameters, not a row per effect. The horizon is what lets ingest run
+// beside the pass: a row placed meanwhile sits at or past it, stays
+// unresolved until the next pass, and stays so on every replay. One pass at a
+// time per index, or two could journal in the opposite order of their
+// application and replay would let the wrong one name a row first.
+//
+// replicated marks a record arriving at a durable follower from its primary:
+// the horizon is already fixed, and the record journals whether or not a
+// local row changed, since the follower's sequence counts records. (An
+// in-memory follower applies records through applyWALRecord.)
+func (ix *Index) namePaths(rec *event.PathsRecord, replicated bool) (n [pathOutcomes]int, err error) {
+	d := ix.dur
+	if d == nil {
+		rec.H = int64(ix.rr.Load())
+		return ix.applyPaths(rec), nil
+	}
+	d.corrMu.Lock()
+	defer d.corrMu.Unlock()
+	d.gate.RLock()
+	defer d.gate.RUnlock()
+	if !replicated {
+		d.appendMu.Lock()
+		rec.H = int64(ix.rr.Load())
+		d.appendMu.Unlock()
+	}
+	n = ix.applyPaths(rec)
+	if !replicated && n[pathUpdated] == 0 {
+		return n, nil
+	}
+	if err := ix.journalApply(durable.RecordPaths, rec.Encode(), true, 0, nil); err != nil {
+		return n, err
+	}
+	d.addToBook(*rec)
+	return n, nil
+}
+
+// decodePaths parses a journaled or replicated paths record and checks its
+// horizon against the rows this index has placed: the record follows every
+// row it names in the log, so a higher horizon is corruption.
+func (ix *Index) decodePaths(payload []byte) (event.PathsRecord, error) {
+	rec, err := event.DecodePaths(payload)
+	if err != nil {
+		return rec, fmt.Errorf("store: paths record: %w", err)
+	}
+	if head := int64(ix.rr.Load()); rec.H > head {
+		return rec, fmt.Errorf("store: paths record: horizon %d past the %d rows placed", rec.H, head)
+	}
+	return rec, nil
+}
+
+// paths returns the index's path book: every paths record journaled so far
+// (minus those retention outran), oldest first. The slice is immutable.
+func (d *indexDurable) paths() []event.PathsRecord {
+	if p := d.book.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// addToBook appends rec unless the book already holds it — a record still in
+// the live WAL is also in any manifest compaction or retention committed
+// since, and recovery meets it twice. Writers are serialized by corrMu, the
+// exclusive gate, or single-threaded recovery.
+func (d *indexDurable) addToBook(rec event.PathsRecord) {
+	cur := d.paths()
+	for i := range cur {
+		if cur[i].H == rec.H && cur[i].Session == rec.Session && slices.Equal(cur[i].Pairs, rec.Pairs) {
+			return
+		}
+	}
+	next := append(cur[:len(cur):len(cur)], rec)
+	d.book.Store(&next)
 }

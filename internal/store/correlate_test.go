@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // conflictingAnchors builds open events for one tag with distinct paths and
@@ -185,5 +187,100 @@ func TestCorrelateDuringLiveIndexing(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+// TestCorrelateWhileIngestingReplaysExactly runs correlation passes on a
+// durable index while another goroutine bulks tagged rows into it. A row
+// placed while a pass is walking the shards sits before that pass's paths
+// record in the log but at or past its horizon: live it stays unresolved
+// until the next pass, and replay — which meets the record after the row —
+// must leave it to that pass too. Every batch re-opens the three files
+// earlier than any batch before it and under a new name, so each pass pairs
+// the tags with different paths and which pass named a row shows in the row:
+// the recovered index equals the live one only if the horizon is journaled.
+// Run under -race.
+func TestCorrelateWhileIngestingReplaysExactly(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir, WithShards(4), WithFsyncPolicy(FsyncOff))
+	ctx := context.Background()
+	const batches, perBatch = 120, 96
+	batch := func(b int) []event.Event {
+		evs := withTags(cursorFixture(perBatch))
+		for i := range evs {
+			evs[i].Session = "live"
+			evs[i].TimeEnterNS -= int64(b) * 1_000_000
+			evs[i].TimeExitNS -= int64(b) * 1_000_000
+			if evs[i].KernelPath != "" {
+				evs[i].KernelPath = fmt.Sprintf("/gen%d%s", b, evs[i].KernelPath)
+			}
+		}
+		return evs
+	}
+	if err := st.BulkEvents(ctx, crashIndex, batch(0)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 1; b < batches; b++ {
+			if err := st.BulkEvents(ctx, crashIndex, batch(b)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	passes := 0
+	for ingesting := true; ingesting; passes++ {
+		select {
+		case <-done:
+			ingesting = false // one pass may still have raced the last batches
+		default:
+		}
+		res, err := st.Correlate(ctx, crashIndex, "live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertClosedAccounting(t, res)
+	}
+	<-done
+	ix, _ := st.GetIndex(crashIndex)
+	if n := ix.Len(); n != batches*perBatch {
+		t.Fatalf("ingested %d rows, want %d", n, batches*perBatch)
+	}
+	want := fingerprint(t, st)
+	named, err := st.Count(ctx, crashIndex, Exists(FieldFilePath))
+	if err != nil || named == 0 {
+		t.Fatalf("%d rows named after %d passes (%v)", named, passes, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openDurable(t, dir)
+	defer re.Close()
+	if got := fingerprint(t, re); got != want {
+		n, _ := re.Count(ctx, crashIndex, Exists(FieldFilePath))
+		t.Fatalf("recovered index diverged from the live one: %d rows named live, %d after replay (%d passes)", named, n, passes)
+	}
+}
+
+// TestPathBookHoldsEachRecordOnce: recovery meets a record twice when a
+// manifest committed since (by compaction or retention) carries it and the
+// live WAL still holds it, and the book must keep one. Horizon and session
+// alone do not identify a record: a pass whose harvest raced ingest can be
+// followed, with no row placed in between, by one that pairs more tags.
+func TestPathBookHoldsEachRecordOnce(t *testing.T) {
+	pair := func(ino uint64, path string) event.PathPair {
+		return event.PathPair{Tag: event.FileTag{Dev: 1, Ino: ino, BirthNS: 1}, Path: path}
+	}
+	first := event.PathsRecord{H: 100, Session: "s", Pairs: []event.PathPair{pair(1, "/a")}}
+	again := event.PathsRecord{H: 100, Session: "s", Pairs: []event.PathPair{pair(1, "/a")}}
+	wider := event.PathsRecord{H: 100, Session: "s", Pairs: []event.PathPair{pair(1, "/a"), pair(2, "/b")}}
+	var d indexDurable
+	for _, rec := range []event.PathsRecord{first, again, wider, first} {
+		d.addToBook(rec)
+	}
+	if book := d.paths(); len(book) != 2 || len(book[0].Pairs) != 1 || len(book[1].Pairs) != 2 {
+		t.Fatalf("book = %+v; want the first record once, then the wider one", book)
 	}
 }

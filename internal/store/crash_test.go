@@ -26,12 +26,15 @@ import (
 const crashIndex = "events"
 
 // crashEvents builds one deterministic typed batch. Timestamps exceed 2^53
-// so any float64 coercion on the journal path would corrupt them.
+// so any float64 coercion on the journal path would corrupt them. The round's
+// three file tags are per-round (BirthNS); its two openat rows carry the
+// kernel path of inodes 42 and 40, so a correlation pass resolves those from
+// the row itself and through the dictionary and leaves inode 41 unresolved.
 func crashEvents(round int) []event.Event {
 	base := int64(1<<60) + int64(round)*1_000_000
 	evs := make([]event.Event, 0, 8)
 	for i := 0; i < 8; i++ {
-		evs = append(evs, event.Event{
+		e := event.Event{
 			Session: "crash", Syscall: []string{"read", "write", "openat", "fsync"}[i%4],
 			Class: "file", ProcName: "app", ThreadName: "app-worker",
 			PID: 100 + round, TID: 200 + i,
@@ -40,7 +43,11 @@ func crashEvents(round int) []event.Event {
 			FileTag: event.FileTag{Dev: 8, Ino: uint64(40 + i%3), BirthNS: base},
 			Offset:  int64(i) * 4096, HasOffset: i%2 == 0,
 			ArgPath: "/data/f" + string(rune('a'+i%3)),
-		})
+		}
+		if e.Syscall == "openat" {
+			e.KernelPath = "/mnt" + e.ArgPath
+		}
+		evs = append(evs, e)
 	}
 	return evs
 }
@@ -61,7 +68,8 @@ func crashDocs(round int) []event.Event {
 }
 
 // ingestRound applies one round of mixed writes: two event batches and (on
-// odd rounds) an update-by-query rewrite — both journal record types.
+// odd rounds) a correlation pass over both rounds since the last — both
+// journal record types.
 func ingestRound(t *testing.T, st *Store, round int) {
 	t.Helper()
 	ctx := context.Background()
@@ -72,12 +80,10 @@ func ingestRound(t *testing.T, st *Store, round int) {
 		t.Fatalf("round %d: bulk docs: %v", round, err)
 	}
 	if round%2 == 1 {
-		_, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "openat"), func(e *event.Event) bool {
-			e.FilePath = "/resolved/by/round"
-			return true
-		})
-		if err != nil {
-			t.Fatalf("round %d: update-by-query: %v", round, err)
+		// 16 tagged rows and 4 tags since the last pass; inode 41 has no anchor.
+		res, err := st.Correlate(ctx, crashIndex, "crash")
+		if err != nil || res.EventsUpdated != 10 || res.EventsUnresolved != 3*(round+1) {
+			t.Fatalf("round %d: correlate: %+v, %v", round, res, err)
 		}
 	}
 }
@@ -437,12 +443,12 @@ func TestFrameJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrashRewriteRecoveredFromManifest covers the rewrite record's second
-// home. An update-by-query over rows already folded into a segment journals
-// a rewrite record and parks the new row states in the pending overlay; the
-// next snapshot supersedes that WAL, so the manifest's Rewrites blob — the
-// same (gid, event) frame — is then the only copy. Recovery must re-apply it,
-// whether segments load back into memory (flat) or stay on disk (tiered).
+// TestCrashRewriteRecoveredFromManifest covers the paths record's second
+// home. A correlation pass over rows already folded into a segment journals a
+// paths record; the next snapshot supersedes that WAL, so the manifest's path
+// book — the same record — is then the only copy, and round 0's segment still
+// holds its rows unresolved. Recovery must name them from the book, whether
+// segments load back into memory (flat) or stay on disk (tiered).
 func TestCrashRewriteRecoveredFromManifest(t *testing.T) {
 	dir := t.TempDir()
 	st := openDurable(t, dir)
@@ -450,25 +456,88 @@ func TestCrashRewriteRecoveredFromManifest(t *testing.T) {
 	if err := st.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	ingestRound(t, st, 1) // rewrites round 0's flushed openat rows
+	ingestRound(t, st, 1) // names round 0's flushed rows
 	if err := st.Snapshot(); err != nil {
 		t.Fatalf("second snapshot: %v", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	rws, err := decodeRewrites(manifestOf(t, dir).Rewrites)
-	if err != nil || len(rws.gids) != 2 {
-		t.Fatalf("manifest rewrites = %d pairs, err %v; want round 0's 2 openat rows", len(rws.gids), err)
+	book := manifestOf(t, dir).Paths
+	if len(book) != 1 || book[0].H != 24 || book[0].Session != "crash" || len(book[0].Pairs) != 4 {
+		t.Fatalf("manifest path book = %+v; want the one pass over 24 rows with 4 pairs", book)
 	}
 	if st, err := os.Stat(walFile(dir, 2)); err != nil || st.Size() != 0 {
-		t.Fatalf("live WAL not empty after the snapshot (err %v): the blob is not the only copy", err)
+		t.Fatalf("live WAL not empty after the snapshot (err %v): the book is not the only copy", err)
 	}
 	want := fingerprint(t, controlStore(t, 2))
 	for name, opts := range map[string][]Option{"flat": nil, "tiered": {WithRetention(longRetention)}} {
 		re := openDurable(t, dir, opts...)
 		if got := fingerprint(t, re); got != want {
-			t.Errorf("%s recovery lost the manifest-committed rewrite", name)
+			t.Errorf("%s recovery lost the manifest-committed paths", name)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatalf("%s close: %v", name, err)
+		}
+	}
+}
+
+// TestCrashCorrelateKilledBeforePathsRecord kills the store after a pass named
+// rows in memory but before (or while) its paths record reached the log: the
+// pass was never acknowledged, so recovery must equal a control that never
+// ran it — no half of it.
+func TestCrashCorrelateKilledBeforePathsRecord(t *testing.T) {
+	for name, torn := range map[string]int64{"never appended": 0, "torn": 5} {
+		dir := t.TempDir()
+		st := openDurable(t, dir)
+		for r := 0; r < 3; r++ {
+			ingestRound(t, st, r)
+		}
+		cut, err := os.Stat(walFile(dir, 0))
+		if err != nil {
+			t.Fatalf("stat wal: %v", err)
+		}
+		if res, err := st.Correlate(context.Background(), crashIndex, "crash"); err != nil || res.EventsUpdated != 5 {
+			t.Fatalf("%s: the doomed pass: %+v, %v", name, res, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if err := os.Truncate(walFile(dir, 0), cut.Size()+torn); err != nil {
+			t.Fatalf("truncate wal: %v", err)
+		}
+		re := openDurable(t, dir)
+		if got, want := fingerprint(t, re), fingerprint(t, controlStore(t, 3)); got != want {
+			t.Errorf("%s: recovered state != control without the unjournaled pass", name)
+		}
+		re.Close()
+	}
+}
+
+// TestCrashCorrelateKilledBeforeManifestCommit kills the store after a paths
+// record was journaled over already-flushed rows but before any manifest
+// carried it: the record in the live WAL is the only copy, and recovery must
+// apply it to segment rows it loads (flat) and to those it leaves on disk
+// (tiered).
+func TestCrashCorrelateKilledBeforeManifestCommit(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir)
+	ingestRound(t, st, 0)
+	if err := st.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	ingestRound(t, st, 1)
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if book := manifestOf(t, dir).Paths; len(book) != 0 {
+		t.Fatalf("manifest already carries %d paths records: the WAL is not the only copy", len(book))
+	}
+	want := fingerprint(t, controlStore(t, 2))
+	for name, opts := range map[string][]Option{"flat": nil, "tiered": {WithRetention(longRetention)}} {
+		re := openDurable(t, dir, opts...)
+		if got := fingerprint(t, re); got != want {
+			t.Errorf("%s recovery lost the journaled paths", name)
 		}
 		if err := re.Close(); err != nil {
 			t.Fatalf("%s close: %v", name, err)
@@ -477,10 +546,11 @@ func TestCrashRewriteRecoveredFromManifest(t *testing.T) {
 }
 
 // TestRetiredFormatsRejected plants each on-disk form this build no longer
-// reads — the gob document-batch and rewrite WAL records, a manifest whose
-// Rewrites blob is not a rewrite frame, a segment holding generic rows — in
-// an otherwise healthy data dir: Open must fail with ErrRetiredFormat and
-// name the offender, never skip it or parse it as something else.
+// reads — the gob document-batch and rewrite WAL records, the row-rewrite
+// record and the manifest's pending-rewrite blob of builds that updated rows
+// by query, a segment holding generic rows — in an otherwise healthy data dir:
+// Open must fail with ErrRetiredFormat and name the offender, never skip it,
+// parse it as something else, or hand back a half-loaded store.
 func TestRetiredFormatsRejected(t *testing.T) {
 	appendWAL := func(rt durable.RecordType) func(*testing.T, string) {
 		return func(t *testing.T, dir string) {
@@ -527,9 +597,25 @@ func TestRetiredFormatsRejected(t *testing.T) {
 	}{
 		{"wal document batch", "wal record type 2", appendWAL(durable.RecordRetiredDocs)},
 		{"wal gob rewrite", "wal record type 3", appendWAL(durable.RecordRetiredRewrite)},
-		{"manifest rewrites blob", "manifest pending rewrites", recommit(func(m *durable.Manifest) {
-			m.Rewrites = []byte("gob bytes of an older build")
-		})},
+		{"wal row rewrite", "wal record type 4", appendWAL(durable.RecordRetiredRows)},
+		{"manifest rewrites blob", "manifest pending rewrites", func(t *testing.T, dir string) {
+			path := filepath.Join(indexDir(dir), durable.ManifestName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m map[string]any
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			m["rewrites"] = []byte("bytes of an older build")
+			if data, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"generic segment rows", durable.SegmentName(0), genericSegment(true)},
 		{"generic segment rows, uncounted by an older manifest", "generic row 0 of " + durable.SegmentName(0), genericSegment(false)},
 	} {
@@ -576,45 +662,11 @@ func TestContextCancellationStopsOps(t *testing.T) {
 	if _, err := st.Count(ctx, crashIndex, MatchAll()); err != context.Canceled {
 		t.Fatalf("count on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := st.UpdateByQuery(ctx, crashIndex, MatchAll(), func(*event.Event) bool { return false }); err != context.Canceled {
-		t.Fatalf("update-by-query on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := st.Correlate(ctx, crashIndex, ""); err != context.Canceled {
+		t.Fatalf("correlate on cancelled ctx = %v, want context.Canceled", err)
 	}
 	// The store must still be fully usable with a live context.
 	if n, err := st.Count(context.Background(), crashIndex, MatchAll()); err != nil || n != len(crashDocs(0)) {
 		t.Fatalf("count after cancelled ops = %d, %v", n, err)
-	}
-}
-
-// TestCrashUpdateByQueryCannotOutgrowJournal: the journal's frame carries
-// strings up to 65 535 bytes, so a script that commits a longer one must be
-// refused — error naming the field, row unchanged, earlier rows of the pass
-// rewritten and journaled — or memory would hold what recovery cannot.
-func TestCrashUpdateByQueryCannotOutgrowJournal(t *testing.T) {
-	dir := t.TempDir()
-	st := openDurable(t, dir, WithShards(1))
-	ctx := context.Background()
-	ingestRound(t, st, 0)
-	long := strings.Repeat("p", 70_000)
-	n, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "read"), func(e *event.Event) bool {
-		if e.FilePath = "/short"; e.TID == 204 { // the second of round 0's two reads
-			e.FilePath = long
-		}
-		return true
-	})
-	if err == nil || !strings.Contains(err.Error(), FieldFilePath) || n != 1 {
-		t.Fatalf("update-by-query = %d, %v; want 1 row and an error naming %s", n, err, FieldFilePath)
-	}
-	res, err := st.SearchEvents(ctx, crashIndex, SearchRequest{Query: Term(FieldSyscall, "read")})
-	if err != nil || len(res.Hits) != 2 || res.Hits[0].FilePath != "/short" || res.Hits[1].FilePath != "" {
-		t.Fatalf("rows after the refused pass: %+v, %v", res.Hits, err)
-	}
-	want := fingerprint(t, st)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := openDurable(t, dir)
-	defer re.Close()
-	if got := fingerprint(t, re); got != want {
-		t.Fatalf("recovered state diverged from the live one\n got: %.300s...\nwant: %.300s...", got, want)
 	}
 }

@@ -38,6 +38,19 @@ func cursorFixture(n int) []event.Event {
 	return evs
 }
 
+// withTags gives every event one of three file tags and the openat rows the
+// kernel path of theirs, so a correlation pass over the batch names rows both
+// from the row itself and through the dictionary.
+func withTags(evs []event.Event) []event.Event {
+	for i := range evs {
+		evs[i].FileTag = event.FileTag{Dev: 9, Ino: uint64(1 + i%3), BirthNS: 77}
+		if evs[i].Syscall == "openat" {
+			evs[i].KernelPath = fmt.Sprintf("/data/f%d", i%3)
+		}
+	}
+	return evs
+}
+
 func ingestCursorFixture(t *testing.T, st *Store, index string, evs []event.Event) {
 	t.Helper()
 	ctx := context.Background()

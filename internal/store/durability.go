@@ -2,13 +2,10 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,63 +16,10 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
-// ErrRetiredFormat reports on-disk state written before the store held one
-// row form: a gob document-batch or rewrite WAL record, a manifest whose
-// pending-rewrite blob is not a rewrite frame, or a segment holding generic
-// rows. Open fails with it — naming the record or segment — rather than guess
-// at a layout this build no longer reads.
-var ErrRetiredFormat = errors.New("store: data dir predates the single-row format")
-
-// rewriteSet is a batch of update-by-query effects: events[i] is the final
-// state of the row at gids[i]. Replay applies it onto rows the WAL prefix
-// already rebuilt. The slices are parallel so the rows encode as one event
-// frame.
-type rewriteSet struct {
-	gids   []int
-	events []event.Event
-}
-
-func (rs *rewriteSet) add(gid int, e *event.Event) {
-	rs.gids = append(rs.gids, gid)
-	rs.events = append(rs.events, *e)
-}
-
-// encode renders the set as a RecordRewrite payload (also the manifest's
-// Rewrites blob): u32 pair count, the gids as u64 each, then the events as
-// one event.EncodeBatch frame.
-func (rs rewriteSet) encode() []byte {
-	b := make([]byte, 0, 4+8*len(rs.gids)+event.EncodedSize(rs.events))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(rs.gids)))
-	for _, g := range rs.gids {
-		b = binary.LittleEndian.AppendUint64(b, uint64(g))
-	}
-	return event.EncodeBatch(b, rs.events)
-}
-
-// decodeRewrites parses an encode payload, validating every length before
-// trusting it.
-func decodeRewrites(payload []byte) (rewriteSet, error) {
-	var rs rewriteSet
-	if len(payload) < 4 {
-		return rs, fmt.Errorf("store: rewrite record: short header (%d bytes)", len(payload))
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	if n > (len(payload)-4)/8 {
-		return rs, fmt.Errorf("store: rewrite record: %d gids overrun %d bytes", n, len(payload))
-	}
-	rs.gids = make([]int, n)
-	for i := range rs.gids {
-		rs.gids[i] = int(binary.LittleEndian.Uint64(payload[4+8*i:]))
-	}
-	var err error
-	if rs.events, err = event.DecodeBatch(payload[4+8*n:], nil); err != nil {
-		return rs, fmt.Errorf("store: rewrite record: %w", err)
-	}
-	if len(rs.events) != n {
-		return rs, fmt.Errorf("store: rewrite record: %d gids for %d events", n, len(rs.events))
-	}
-	return rs, nil
-}
+// ErrRetiredFormat reports on-disk state in a form this build no longer
+// reads (durable.ErrRetiredFormat lists them). Open fails with it rather than
+// guess at a layout nothing writes any more.
+var ErrRetiredFormat = durable.ErrRetiredFormat
 
 // durTelemetry groups the durability instruments. All fields are nil-safe
 // (the telemetry package's zero instruments discard observations), so the
@@ -114,14 +58,12 @@ func newDurTelemetry(reg *telemetry.Registry) *durTelemetry {
 	}
 }
 
-// indexDurable is one index's durability state. Lock order: ubqMu → gate →
-// shard locks → appendMu; the WAL's own mutex nests innermost. pendMu is a
-// leaf taken under gate.RLock by writers, so holding the exclusive gate
-// alone already excludes every pending-map mutator.
+// indexDurable is one index's durability state. Lock order: corrMu → gate →
+// shard locks → appendMu; the WAL's own mutex nests innermost.
 //
 // The gate makes snapshots consistent: every mutating operation (bulk adds,
-// update-by-query) holds gate.RLock across both its WAL append and its
-// in-memory application, so when snapshot takes gate.Lock, memory state
+// correlation's path naming) holds gate.RLock across both its WAL append and
+// its in-memory application, so when snapshot takes gate.Lock, memory state
 // equals exactly the state the WAL prefix reproduces — the invariant that
 // lets the snapshot atomically supersede the log.
 //
@@ -130,7 +72,7 @@ func newDurTelemetry(reg *telemetry.Registry) *durTelemetry {
 // shard memory when retention is on), rows at or above it are hot (shard
 // memory at memgid = gid - base). Every segment-list publication happens
 // under the exclusive gate plus every shard write lock; searches capture
-// (base, segs, pending) after taking all shard read locks, so a consistent
+// (base, segs) after taking all shard read locks, so a consistent
 // cut needs no segment refcounts — obsolete files are deleted only after
 // those locks release.
 type indexDurable struct {
@@ -141,7 +83,7 @@ type indexDurable struct {
 
 	gate     sync.RWMutex // writers share; snapshot/compaction/retention exclude
 	appendMu sync.Mutex   // serializes WAL append + gid reservation
-	ubqMu    sync.Mutex   // serializes update-by-query journaling
+	corrMu   sync.Mutex   // one correlation pass (or replicated paths record) at a time
 
 	wal    *durable.WAL
 	walSeq int
@@ -152,15 +94,9 @@ type indexDurable struct {
 	// is immutable; every change installs a fresh slice.
 	segs atomic.Pointer[[]durable.SegmentMeta]
 
-	// pending is the post-flush rewrite overlay: update-by-query effects on
-	// rows already folded into segments. Cold reads, compaction merges, and
-	// replication bootstraps substitute these events for the stored rows;
-	// the map persists in the manifest (Manifest.Rewrites) and is rebuilt by
-	// recovery. pendVer detects concurrent growth so compaction only clears
-	// entries it actually folded into its output.
-	pendMu  sync.Mutex
-	pending map[int]event.Event
-	pendVer uint64
+	// book is the path book (see paths): copy-on-write, so cold reads and
+	// merges load it lock-free.
+	book atomic.Pointer[[]event.PathsRecord]
 
 	// Replication sequence accounting. Every journaled record gets the next
 	// sequence number; the segments hold [0, baseSeq), the live WAL holds
@@ -224,62 +160,6 @@ func (d *indexDurable) publishSegsLocked(ix *Index, segs []durable.SegmentMeta) 
 	ix.coldRows.Store(coldRowCount(segs, ix.base.Load()))
 }
 
-// pendingOverlay copies the pending rewrite map for a lock-free read pass
-// (nil when empty).
-func (d *indexDurable) pendingOverlay() map[int]event.Event {
-	d.pendMu.Lock()
-	defer d.pendMu.Unlock()
-	if len(d.pending) == 0 {
-		return nil
-	}
-	out := make(map[int]event.Event, len(d.pending))
-	for g, e := range d.pending {
-		out[g] = e
-	}
-	return out
-}
-
-// addPending records the rewrites of rows below gid `below` — the ones
-// already folded into segments — into the overlay. Caller holds gate.RLock
-// (the pendVer bump must be ordered against compaction's clear-if-unchanged
-// check, which runs under the exclusive gate).
-func (d *indexDurable) addPending(rs rewriteSet, below int) {
-	d.pendMu.Lock()
-	defer d.pendMu.Unlock()
-	for i, g := range rs.gids {
-		if g >= below {
-			continue
-		}
-		if d.pending == nil {
-			d.pending = make(map[int]event.Event)
-		}
-		d.pending[g] = rs.events[i]
-		d.pendVer++
-	}
-}
-
-// pendingBlob serializes the pending overlay (minus entries drop selects)
-// for a manifest commit, sorted by gid so identical states encode
-// identically. Returns nil bytes for an empty overlay.
-func (d *indexDurable) pendingBlob(drop func(gid int) bool) []byte {
-	d.pendMu.Lock()
-	var rs rewriteSet
-	for g := range d.pending {
-		if drop == nil || !drop(g) {
-			rs.gids = append(rs.gids, g)
-		}
-	}
-	sort.Ints(rs.gids)
-	for _, g := range rs.gids {
-		rs.events = append(rs.events, d.pending[g])
-	}
-	d.pendMu.Unlock()
-	if len(rs.gids) == 0 {
-		return nil
-	}
-	return rs.encode()
-}
-
 // encodePool recycles WAL payload scratch buffers across appends.
 var encodePool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 16*1024)
@@ -291,7 +171,8 @@ var encodePool = sync.Pool{New: func() any {
 // the append mutex. Holding the mutex across both steps makes in-memory
 // placement order identical to WAL record order even under concurrent
 // writers, which is what lets replay reproduce the original placement and
-// lets rewrite records name rows by global id. The caller holds gate.RLock.
+// lets a paths record name rows by a global-id horizon. The caller holds
+// gate.RLock.
 //
 // owned declares that payload's buffer belongs to this call: when the
 // replication tail is armed, an owned payload is handed to the buffer
@@ -364,7 +245,7 @@ func (r sliceRows) Row(i int) durable.SegmentRow { return r[i] }
 // writer, referencing the events in place: each shard's blocks are walked
 // from its first row at or past start, and every row lands at its global id's
 // position. No shard locks are taken: the caller holds the exclusive snapshot
-// gate, which excludes every row mutator (adds, replays, update-by-query) —
+// gate, which excludes every row mutator (adds, replays, path naming) —
 // so head is the end of every shard — and concurrent searches only read.
 func (ix *Index) flushRows(start, head int) durable.RowSource {
 	S := len(ix.shards)
@@ -390,9 +271,9 @@ func (ix *Index) flushRows(start, head int) durable.RowSource {
 //  1. create the next WAL file (empty; an orphan from a previous crash is
 //     truncated away),
 //  2. write the new segment to a temporary file, fsync, rename into place,
-//  3. commit the manifest naming (segment list, new WAL, pending-rewrite
-//     overlay) — the atomic commit point: before this rename recovery uses
-//     the old state, after it the new,
+//  3. commit the manifest naming (segment list, new WAL, path book) — the
+//     atomic commit point: before this rename recovery uses the old state,
+//     after it the new,
 //  4. swap the live WAL handle, publish the new segment list, and delete the
 //     superseded files.
 //
@@ -456,7 +337,7 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 		BaseSeq:        headSeq,
 		ReplOffset:     d.replOff.Load(),
 		RetentionFloor: ix.retFloor.Load(),
-		Rewrites:       d.pendingBlob(nil),
+		Paths:          d.paths(),
 	}
 	if err := durable.CommitManifest(d.dir, m); err != nil {
 		newWAL.Close()
@@ -555,8 +436,8 @@ func (s *Store) newDurableIndex(name string) (*Index, error) {
 }
 
 // recoverIndex rebuilds one index from its directory: manifest, then the
-// leveled segments, then the pending-rewrite overlay, then WAL replay on
-// top, with torn tails truncated. The row count afterwards satisfies the
+// leveled segments, then the path book over them, then WAL replay on top,
+// with torn tails truncated. The row count afterwards satisfies the
 // generalized conservation invariant: rows == Σ segment rows + replayed WAL
 // rows.
 //
@@ -570,7 +451,7 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	startT := time.Now()
 	m, committed, err := durable.LoadManifest(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: recover %q: %w", name, err)
 	}
 	shards := s.opts.shards
 	if committed {
@@ -582,9 +463,8 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 		retention: s.opts.retention,
 		tail:      newReplTail(s.opts.replTailBytes, &s.replArmed),
 	}
-	// Attached before any row loads: the rewrite-overlay apply below reads
-	// segment state and the pending map through ix.dur. Single-threaded here,
-	// no WAL open yet.
+	// Attached before the WAL replays: a replayed paths record joins the book
+	// through ix.dur. Single-threaded here, no WAL open yet.
 	ix.dur = d
 	empty := []durable.SegmentMeta{}
 	d.segs.Store(&empty)
@@ -617,9 +497,13 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 		ix.rr.Store(uint64(base))
 	} else {
 		for _, sm := range segs {
+			// The rows of a segment written before a correlation pass come
+			// back unresolved; the book names them as the pass did.
 			rerr := readSegmentEvents(filepath.Join(dir, durable.SegmentName(sm.Seq)),
 				func(gid int, ev *event.Event) error {
-					return ix.placeRecoveredRow(int(sm.StartRow)+gid, ev)
+					gid += int(sm.StartRow)
+					resolveFromBook(m.Paths, gid, ev)
+					return ix.placeRecoveredRow(gid, ev)
 				})
 			if rerr != nil {
 				return nil, fmt.Errorf("store: recover %q: %w", name, rerr)
@@ -629,14 +513,8 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	}
 	d.segs.Store(&segs)
 	ix.coldRows.Store(coldRowCount(segs, ix.base.Load()))
-	if len(m.Rewrites) > 0 {
-		rws, err := decodeRewrites(m.Rewrites)
-		if err != nil {
-			return nil, fmt.Errorf("store: recover %q: manifest pending rewrites (%v): %w", name, err, ErrRetiredFormat)
-		}
-		if err := ix.applyRewrites(rws); err != nil {
-			return nil, fmt.Errorf("store: recover %q: %w", name, err)
-		}
+	if len(m.Paths) > 0 {
+		d.book.Store(&m.Paths)
 	}
 	walPath := filepath.Join(dir, durable.WALName(d.walSeq))
 	replayedRows := 0
@@ -710,7 +588,7 @@ func (ix *Index) placeRecoveredRow(gid int, ev *event.Event) error {
 }
 
 // applyWALRecord replays one journal record, returning how many rows it
-// added (zero for rewrites).
+// added (zero for a paths record).
 func (ix *Index) applyWALRecord(t durable.RecordType, payload []byte) (int, error) {
 	switch t {
 	case durable.RecordEvents:
@@ -724,66 +602,21 @@ func (ix *Index) applyWALRecord(t durable.RecordType, payload []byte) (int, erro
 		ix.addEventsAt(start, events)
 		putEventBatch(bp, events)
 		return len(events), nil
-	case durable.RecordRewrite:
-		rws, err := decodeRewrites(payload)
+	case durable.RecordPaths:
+		rec, err := ix.decodePaths(payload)
 		if err != nil {
 			return 0, err
 		}
-		return 0, ix.applyRewrites(rws)
-	case durable.RecordRetiredDocs, durable.RecordRetiredRewrite:
-		return 0, fmt.Errorf("store: gob wal record type %d: %w", t, ErrRetiredFormat)
+		ix.applyPaths(&rec)
+		if ix.dur != nil {
+			ix.dur.addToBook(rec)
+		}
+		return 0, nil
+	case durable.RecordRetiredDocs, durable.RecordRetiredRewrite, durable.RecordRetiredRows:
+		return 0, fmt.Errorf("store: wal record type %d: %w", t, ErrRetiredFormat)
 	default:
 		return 0, fmt.Errorf("store: unknown wal record type %d", t)
 	}
-}
-
-// applyRewrites replays a batch of update-by-query effects onto existing
-// rows. Shard locks are held per shard, so the same path serves
-// single-threaded recovery and a live follower applying replicated rewrites
-// while searches run; the invalidations mirror the live UpdateByQuery
-// (in-place rewrites mutate rows the rollups already counted and don't route
-// through an epoch-bumping mutator).
-//
-// Tiered layout: a rewrite of a row already folded into a segment (gid below
-// the flush start) lands in the pending overlay, so cold reads, compaction,
-// and the next manifest commit carry it; a rewrite of a row still in shard
-// memory (gid at or above the base) applies in place at memgid = gid - base.
-// The two ranges overlap on a non-evicting index — flushed rows stay in
-// memory there — and such rows get both, keeping memory and overlay
-// consistent.
-func (ix *Index) applyRewrites(rws rewriteSet) error {
-	ix.epoch.Add(1)
-	defer ix.epoch.Add(1)
-	S := len(ix.shards)
-	head := int(ix.rr.Load())
-	base := int(ix.base.Load())
-	byShard := make(map[int][]int) // shard -> indices into rws
-	for i, g := range rws.gids {
-		if g < 0 || g >= head {
-			return fmt.Errorf("store: rewrite of unknown gid %d", g)
-		}
-		if g >= base {
-			byShard[(g-base)%S] = append(byShard[(g-base)%S], i)
-		}
-	}
-	for s, list := range byShard {
-		sh := ix.shards[s]
-		sh.mu.Lock()
-		for _, i := range list {
-			local := (rws.gids[i] - base) / S
-			e := sh.rows.at(local)
-			before := eventTerms(e)
-			*e = rws.events[i]
-			sh.repostLocked(int32(local), before, eventTerms(e))
-		}
-		sh.invalidateColumnsLocked()
-		sh.invalidateRollupLocked()
-		sh.mu.Unlock()
-	}
-	if ix.dur != nil {
-		ix.dur.addPending(rws, int(ix.dur.flushStart(ix)))
-	}
-	return nil
 }
 
 // loadDataDir recovers every index directory under the store's data dir.

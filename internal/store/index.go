@@ -3,7 +3,6 @@ package store
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -387,9 +386,6 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 	}
 	S := len(ix.shards)
 	plan := ix.planRollup(req)
-	if plan != nil {
-		ix.ensureRollups()
-	}
 	cols := neededColumns(req, plan)
 	for _, sh := range ix.shards {
 		sh.ensureColumns(cols)
@@ -815,129 +811,6 @@ func (ix *Index) countCtx(ctx context.Context, q Query) (int, error) {
 		return 0, err
 	}
 	return n + cn, nil
-}
-
-// UpdateByQuery applies fn to every matching row and returns the number of
-// updated rows. fn edits the event it is handed and returns true to commit the
-// edit; a false return leaves the row untouched. Being typed, a script can
-// set nothing the schema lacks, and a committed row must also fit the journal
-// (checkEventStrings).
-//
-// Shards update in parallel, so fn may be invoked from multiple goroutines
-// concurrently (never for the same row); closures that accumulate state must
-// synchronize. Cached numeric columns of updated shards are invalidated.
-//
-// On a durable index the effects — the final state of every changed row —
-// are journaled as a rewrite record; errors are reported through the
-// ctx-aware form (this wrapper drops them, like the pre-durability in-memory
-// semantics it preserves).
-func (ix *Index) UpdateByQuery(q Query, fn func(*event.Event) bool) int {
-	n, _ := ix.updateByQueryCtx(context.Background(), q, fn)
-	return n
-}
-
-// updateByQueryCtx is UpdateByQuery with cancellation, validation and
-// journaling errors. A cancelled ctx stops the fan-out between shards, and a
-// row the journal's encoding cannot hold stops it at that row, which keeps
-// its old value; either way effects already applied are still journaled, so
-// the durable log never lags memory.
-func (ix *Index) updateByQueryCtx(ctx context.Context, q Query, fn func(*event.Event) bool) (int, error) {
-	ix.epoch.Add(1)
-	defer ix.epoch.Add(1)
-	d := ix.dur
-	var rewrites []rewriteSet
-	if d != nil {
-		// One update-by-query at a time per durable index: concurrent passes
-		// could journal their rewrite records in the opposite order of their
-		// in-memory application, and replay would then resurrect the loser.
-		d.ubqMu.Lock()
-		defer d.ubqMu.Unlock()
-		d.gate.RLock()
-		defer d.gate.RUnlock()
-		rewrites = make([]rewriteSet, len(ix.shards))
-	}
-	S := len(ix.shards)
-	// The gate (shared) freezes base; rewrite records name rows by global id.
-	// Note the scan walks shard memory only: on an evicting (retention) index
-	// cold rows are never visited, a documented trade of update reach for
-	// bounded memory.
-	base := int(ix.base.Load())
-	counts := make([]int, S)
-	errs := make([]error, S)
-	var failed atomic.Bool
-	run := func(s int) {
-		sh := ix.shards[s]
-		sh.mu.Lock()
-		updated := 0
-		var r row
-		// fn edits a copy, so only a committed, valid edit reaches the row (one
-		// copy per shard: handing fn its address moves it to the heap).
-		var next event.Event
-	scan:
-		for b, blk := range sh.rows.blocks {
-			for j := range blk {
-				if failed.Load() {
-					break scan
-				}
-				r.ev = &blk[j]
-				if !q.matches(&r) {
-					continue
-				}
-				next = blk[j]
-				if !fn(&next) {
-					continue
-				}
-				if err := checkEventStrings(&next); err != nil {
-					errs[s] = fmt.Errorf("store: update-by-query: %w", err)
-					failed.Store(true)
-					break scan
-				}
-				if !next.HasOffset {
-					next.Offset = 0 // canonical form, as AddEvents stores it
-				}
-				i := b<<blockShift + j
-				before := eventTerms(&blk[j])
-				blk[j] = next
-				sh.repostLocked(int32(i), before, eventTerms(&next))
-				updated++
-				if d != nil {
-					rewrites[s].add(base+i*S+s, &next)
-				}
-			}
-		}
-		if updated > 0 {
-			sh.invalidateColumnsLocked()
-			sh.invalidateRollupLocked()
-		}
-		counts[s] = updated
-		sh.mu.Unlock()
-	}
-	fanErr := forEachShardCtx(ctx, S, run)
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	if d != nil && n > 0 {
-		var flat rewriteSet
-		for _, rs := range rewrites {
-			flat.gids = append(flat.gids, rs.gids...)
-			flat.events = append(flat.events, rs.events...)
-		}
-		if err := ix.journalApply(durable.RecordRewrite, flat.encode(), true, 0, nil); err != nil {
-			return n, err
-		}
-		// Rewrites of rows already folded into segments must also reach the
-		// pending overlay so cold reads, compaction, and the next manifest
-		// commit carry them. (The scan above applied the in-memory effect
-		// inline; applyRewrites does this split for the replay paths.)
-		d.addPending(flat, int(d.flushStart(ix)))
-	}
-	for _, err := range errs {
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, fanErr
 }
 
 // cmpField orders two field values under one sort direction: numerically

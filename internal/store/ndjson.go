@@ -53,8 +53,9 @@ type bulkDoc struct {
 }
 
 // checkEventStrings rejects an event holding a string the binary frame — the
-// journal's encoding — cannot carry whole, naming the field. Both doors a
-// caller-made string comes in by run it: the NDJSON edge and update-by-query.
+// journal's encoding — cannot carry whole, naming the field. The NDJSON edge
+// runs it: the one door a caller-made string comes in by (correlation only
+// copies a stored kernel path into file_path).
 func checkEventStrings(e *event.Event) error {
 	for _, f := range event.Fields() {
 		if s, _ := e.StringField(f); len(s) > math.MaxUint16 {

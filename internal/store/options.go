@@ -163,9 +163,9 @@ func WithReplicationBuffer(bytes int) Option {
 // and the maintenance pass drops whole segments once every row in them is
 // older than d — queries, counts, and aggregations then stop seeing those
 // rows, and unsorted paging cursors positioned before a drop fail with
-// ErrCursorExpired instead of silently skipping. Note update-by-query only
-// reaches rows still in shard memory under retention: bounded memory is
-// traded for update reach over evicted history.
+// ErrCursorExpired instead of silently skipping. Note a correlation pass is
+// refused once rows have been evicted (ErrUpdateBeyondRetention): it counts
+// and names the rows in shard memory.
 func WithRetention(d time.Duration) Option {
 	return func(o *storeOptions) {
 		if d < 0 {

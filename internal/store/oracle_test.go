@@ -33,6 +33,58 @@ func oracleRows(ix *Index) (rows []Document, base int) {
 	return rows, int(ix.base.Load())
 }
 
+// oracleCorrelate applies file-path correlation (§II-C) to rows by brute
+// force, in place, and returns the pass's accounting: per tag of the session
+// (every session when empty) the earliest open-variant row that carries a
+// kernel path names it (path as the tie-break), any other path-carrying row
+// only where no open did; then every tagged row of the scope without a
+// file_path takes its own kernel path, else its tag's.
+func oracleCorrelate(rows []Document, session string) CorrelationResult {
+	type anchor struct {
+		path string
+		t    int64
+		open bool
+	}
+	str := func(d Document, f string) string { s, _ := d[f].(string); return s }
+	inScope := func(d Document) bool {
+		return str(d, FieldFileTag) != "" && (session == "" || str(d, FieldSession) == session)
+	}
+	dict := map[string]anchor{}
+	for _, d := range rows {
+		if !inScope(d) || str(d, FieldKernelPath) == "" {
+			continue
+		}
+		sys := str(d, FieldSyscall)
+		c := anchor{str(d, FieldKernelPath), d[FieldTimeEnter].(int64), sys == "open" || sys == "openat" || sys == "creat"}
+		cur, seen := dict[str(d, FieldFileTag)]
+		if !seen || (c.open && !cur.open) ||
+			(c.open == cur.open && (c.t < cur.t || (c.t == cur.t && c.path < cur.path))) {
+			dict[str(d, FieldFileTag)] = c
+		}
+	}
+	res := CorrelationResult{TagsResolved: len(dict)}
+	for _, d := range rows {
+		if !inScope(d) {
+			continue
+		}
+		res.EventsWithTag++
+		c, named := dict[str(d, FieldFileTag)]
+		switch {
+		case str(d, FieldFilePath) != "":
+			res.EventsAlreadyResolved++
+		case str(d, FieldKernelPath) != "":
+			d[FieldFilePath] = d[FieldKernelPath]
+			res.EventsUpdated++
+		case named:
+			d[FieldFilePath] = c.path
+			res.EventsUpdated++
+		default:
+			res.EventsUnresolved++
+		}
+	}
+	return res
+}
+
 // oracleCount counts the hot rows matching q.
 func oracleCount(ix *Index, q Query) int {
 	rows, _ := oracleRows(ix)

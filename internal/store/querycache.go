@@ -117,9 +117,9 @@ func cacheable(req SearchRequest) bool { return req.Size > 0 }
 // (rollup serves, cold-segment pruning and row selection); the zero value
 // (nil counters) is a valid no-op for bare indices.
 type readTelemetry struct {
-	rollupHits, rollupMisses, rollupRebuilds *telemetry.Counter
-	segOpened, segPruned                     *telemetry.Counter
-	rowsDecoded, rowsSkipped                 *telemetry.Counter
+	rollupHits, rollupMisses *telemetry.Counter
+	segOpened, segPruned     *telemetry.Counter
+	rowsDecoded, rowsSkipped *telemetry.Counter
 }
 
 // cachedSearchEventsCtx is searchEventsCtx behind the query cache. The epoch

@@ -3,12 +3,12 @@ package store
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
@@ -196,12 +196,12 @@ func TestQueryCacheServesAndInvalidates(t *testing.T) {
 		name string
 		do   func() error
 	}{
-		{"BulkEvents", func() error { return st.BulkEvents(ctx, "run", cursorFixture(8)) }},
-		{"UpdateByQuery", func() error {
-			_, err := st.UpdateByQuery(ctx, "run", Term(FieldSyscall, "read"), func(e *event.Event) bool {
-				e.FilePath = "/seen"
-				return true
-			})
+		{"BulkEvents", func() error { return st.BulkEvents(ctx, "run", withTags(cursorFixture(8))) }},
+		{"Correlate", func() error {
+			res, err := st.Correlate(ctx, "run", "")
+			if err == nil && res.EventsUpdated == 0 {
+				err = fmt.Errorf("the pass named no row: %+v", res)
+			}
 			return err
 		}},
 	}
@@ -280,16 +280,13 @@ func TestCacheInvalidationStress(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for i := 0; i < batches; i++ {
-			if err := st.BulkEvents(ctx, "run", cursorFixture(perBatch)); err != nil {
+			if err := st.BulkEvents(ctx, "run", withTags(cursorFixture(perBatch))); err != nil {
 				t.Error(err)
 				return
 			}
 			written.Add(perBatch)
 			if i%8 == 7 {
-				if _, err := st.UpdateByQuery(ctx, "run", Term(FieldSyscall, "fsync"), func(e *event.Event) bool {
-					e.FilePath = "/touched"
-					return true
-				}); err != nil {
+				if _, err := st.Correlate(ctx, "run", ""); err != nil {
 					t.Error(err)
 					return
 				}

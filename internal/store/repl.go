@@ -265,9 +265,9 @@ const (
 // Only durable indices replicate: the WAL is the replication log, so an
 // in-memory primary has nothing to ship.
 func (s *Store) ReplRange(index string, from int64, cur *ReplCursor, maxFrames, maxBytes int) (frames []ReplFrame, head int64, bootstrap bool, err error) {
-	ix, ok := s.GetIndex(index)
-	if !ok {
-		return nil, 0, false, fmt.Errorf("store: repl range: index %q not found", index)
+	ix, err := s.lookup(index)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("store: repl range: %w", err)
 	}
 	d := ix.dur
 	if d == nil {
@@ -341,18 +341,18 @@ func (s *Store) ReplRange(index string, from int64, cur *ReplCursor, maxFrames, 
 
 // ReplBootstrapFrames packages the named index's entire current state for a
 // follower bootstrap: cold segment rows first (streamed from the committed
-// files, pending rewrites substituted), then the memtable, all in global-id
-// order, batched batchRows at a time as RecordEvents frames — the exact
-// representation ReplApply journals. Every frame is stamped with its first
+// files and named from the path book, so the follower needs no book), then
+// the memtable, all in global-id order, batched batchRows at a time as
+// RecordEvents frames — the exact representation ReplApply journals. Every frame is stamped with its first
 // row's global id and frames are gid-contiguous internally (batches cut at
 // retention gaps and at the cold/hot boundary), so a tiered follower can
 // place cold rows at their original ids. Taken under the exclusive gate, so
 // the state is a consistent cut and no concurrent commit can delete a
 // segment file mid-stream.
 func (s *Store) ReplBootstrapFrames(index string, batchRows int) (ReplSnapshot, error) {
-	ix, ok := s.GetIndex(index)
-	if !ok {
-		return ReplSnapshot{}, fmt.Errorf("store: repl bootstrap: index %q not found", index)
+	ix, err := s.lookup(index)
+	if err != nil {
+		return ReplSnapshot{}, fmt.Errorf("store: repl bootstrap: %w", err)
 	}
 	d := ix.dur
 	if d == nil {
@@ -368,7 +368,7 @@ func (s *Store) ReplBootstrapFrames(index string, batchRows int) (ReplSnapshot, 
 		Base:  ix.base.Load(),
 		Floor: ix.retFloor.Load(),
 	}
-	overlay := d.pendingOverlay()
+	book := d.paths()
 	var (
 		batch      []event.Event
 		batchStart int64
@@ -398,10 +398,8 @@ func (s *Store) ReplBootstrapFrames(index string, batchRows int) (ReplSnapshot, 
 		err := readSegmentEvents(filepath.Join(d.dir, durable.SegmentName(sm.Seq)),
 			func(lg int, ev *event.Event) error {
 				gid := sm.StartRow + int64(lg)
-				if e, ok := overlay[int(gid)]; ok {
-					ev = &e
-				}
 				add(gid, ev)
+				resolveFromBook(book, int(gid), &batch[len(batch)-1])
 				return nil
 			})
 		if err != nil {
@@ -476,28 +474,26 @@ func (ix *Index) applyReplFrame(f *ReplFrame) error {
 		_, err := ix.applyWALRecord(f.Type, f.Payload)
 		return err
 	}
-	ix.dur.gate.RLock()
-	defer ix.dur.gate.RUnlock()
 	switch f.Type {
 	case durable.RecordEvents:
 		events, err := event.DecodeBatch(f.Payload, nil)
 		if err != nil {
 			return fmt.Errorf("store: repl apply events: %w", err)
 		}
+		ix.dur.gate.RLock()
+		defer ix.dur.gate.RUnlock()
 		return ix.journalApply(durable.RecordEvents, f.Payload, true, len(events), func(start int) {
 			ix.addEventsAt(start, events)
 		})
-	case durable.RecordRewrite:
-		rws, err := decodeRewrites(f.Payload)
+	case durable.RecordPaths:
+		// The record re-encodes to the payload it was decoded from, so the
+		// follower's WAL stays the primary's suffix.
+		rec, err := ix.decodePaths(f.Payload)
 		if err != nil {
 			return err
 		}
-		// Mirror the live UpdateByQuery shape: effects apply under shard
-		// locks, then the record journals (gate → shard locks → appendMu).
-		if err := ix.applyRewrites(rws); err != nil {
-			return err
-		}
-		return ix.journalApply(durable.RecordRewrite, f.Payload, true, 0, nil)
+		_, err = ix.namePaths(&rec, true)
+		return err
 	default:
 		return fmt.Errorf("store: repl apply: unknown record type %d", f.Type)
 	}

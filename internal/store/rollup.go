@@ -22,13 +22,11 @@ import "github.com/dsrhaslab/dio-go/internal/event"
 //     whose value is a string is served from it (valueEquals has Sprintf
 //     coercion edges — numeric 5 matches "5" — that string-keyed maps cannot
 //     reproduce).
-//   - UpdateByQuery may rewrite any field in place, so it invalidates the
-//     rollup (dirty flag, maps freed) alongside the column caches; the next
-//     rollup-eligible search rebuilds it under the shard write lock before
-//     taking read locks.
+//   - A stored row's indexed fields and time never change (the store's one
+//     update names file paths), so a rollup is never stale.
 //   - Total map-key cardinality is capped; past the cap the rollup frees its
-//     maps and serves nothing until the next rebuild, so adversarial key
-//     cardinality degrades to the scan path instead of growing RSS.
+//     maps and serves nothing until eviction starts it afresh, so adversarial
+//     key cardinality degrades to the scan path instead of growing RSS.
 const defaultRollupIntervalNS = int64(100_000_000) // 100ms histogram base
 
 // maxRollupKeys caps the total map keys one shard's rollup may hold across
@@ -86,13 +84,12 @@ func newRollupPartial() *rollupPartial {
 }
 
 // shardRollup is one shard's continuous rollup state. All access is under the
-// shard's mutex: writes (ingest maintenance, invalidation, rebuild) under the
-// write lock, serving under the read lock.
+// shard's mutex: ingest maintenance under the write lock, serving under the
+// read lock.
 type shardRollup struct {
 	base int64 // histogram bucket width in ns (> 0; 0 never constructs one)
 
-	dirty    bool // an in-place rewrite happened; rebuild before serving
-	overflow bool // key cap exceeded; serve nothing until the next rebuild
+	overflow bool // key cap exceeded; serve nothing
 
 	keys int // total map keys across all partials, for the cap
 
@@ -109,21 +106,10 @@ func newShardRollup(base int64) *shardRollup {
 }
 
 // live reports whether the rollup can serve right now.
-func (r *shardRollup) live() bool { return r != nil && !r.dirty && !r.overflow }
+func (r *shardRollup) live() bool { return r != nil && !r.overflow }
 
-// invalidate marks the rollup stale and frees its state. Caller holds the
-// shard write lock.
-func (r *shardRollup) invalidate() {
-	if r == nil || r.dirty {
-		return
-	}
-	r.dirty = true
-	r.all, r.bySession = nil, nil
-	r.keys = 0
-}
-
-// drop frees the maps after a cap overflow; the dirty flag stays clear so
-// ingest keeps skipping maintenance until a rebuild is forced.
+// drop frees the maps after a cap overflow; ingest skips maintenance from
+// then on.
 func (r *shardRollup) drop() {
 	r.overflow = true
 	r.all, r.bySession = nil, nil
@@ -165,7 +151,7 @@ func (r *shardRollup) sessionPartial(s string) *rollupPartial {
 // map increments — no allocation — which is what keeps the ingest path inside
 // its AllocsPerRun budget.
 func (r *shardRollup) addEvent(e *event.Event) {
-	if r == nil || r.dirty || r.overflow {
+	if !r.live() {
 		return
 	}
 	bucket := e.TimeEnterNS / r.base * r.base
@@ -183,51 +169,6 @@ func (r *shardRollup) bumpEvent(p *rollupPartial, e *event.Event, bucket int64) 
 	r.incTerm(p.terms[3], e.ThreadName)
 	r.incTerm(p.terms[4], e.Class)
 	r.incHist(p.hist, bucket)
-}
-
-// invalidateRollupLocked drops the shard's rollup state after an in-place
-// update, alongside the column caches. Caller holds the write lock.
-func (sh *shard) invalidateRollupLocked() { sh.rollup.invalidate() }
-
-// rebuildRollupLocked recomputes the rollup from row storage. Caller holds
-// the write lock. A rebuild that overflows the key cap leaves the rollup
-// dropped (scan fallback) but clean, so it is not re-attempted per query.
-func (sh *shard) rebuildRollupLocked() {
-	r := sh.rollup
-	if r == nil {
-		return
-	}
-	base := r.base
-	*r = *newShardRollup(base)
-	for _, blk := range sh.rows.blocks {
-		for j := range blk {
-			r.addEvent(&blk[j])
-			if r.overflow {
-				return
-			}
-		}
-	}
-}
-
-// ensureRollups rebuilds any dirty shard rollup before a rollup-eligible
-// search takes its read locks, mirroring ensureColumns' check-then-upgrade
-// pattern. A concurrent UpdateByQuery can re-dirty a shard afterwards; the
-// per-shard serve check under the read lock falls back to the scan then.
-func (ix *Index) ensureRollups() {
-	for _, sh := range ix.shards {
-		sh.mu.RLock()
-		need := sh.rollup != nil && sh.rollup.dirty
-		sh.mu.RUnlock()
-		if !need {
-			continue
-		}
-		sh.mu.Lock()
-		if sh.rollup != nil && sh.rollup.dirty {
-			sh.rebuildRollupLocked()
-			ix.rtm.rollupRebuilds.Inc()
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // rollupPlan is the per-request decision of which aggregations the rollups
@@ -303,7 +244,7 @@ func rollupServable(a Agg, base int64) bool {
 }
 
 // rollupServe answers one planned aggregation from the shard's rollup, or
-// nil to fall back to the scan (rollup dropped or re-dirtied concurrently).
+// nil to fall back to the scan (rollup dropped past the key cap).
 // Caller holds the shard read lock; the returned partial aliases the
 // live rollup maps, which is safe because combinePartials only reads and the
 // read lock is held through the merge.

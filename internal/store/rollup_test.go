@@ -172,52 +172,6 @@ func TestRollupNumericSessionTermFallsBack(t *testing.T) {
 	}
 }
 
-// TestRollupInvalidateAndRebuild mutates indexed fields in place through
-// UpdateByQuery — the one write that can change history — and checks the
-// rollup rebuilds (counted) and re-serves the corrected numbers.
-func TestRollupInvalidateAndRebuild(t *testing.T) {
-	on, off := rollupTwin(t)
-	ctx := context.Background()
-	reg := on.Telemetry()
-	req := SearchRequest{Query: MatchAll(), Size: 1, Aggs: map[string]Agg{"t": {Terms: &TermsAgg{Field: FieldSyscall}}}}
-	if _, err := on.Search(ctx, "run", req); err != nil {
-		t.Fatal(err)
-	}
-
-	rewrite := func(e *event.Event) bool {
-		if e.Syscall == "fsync" {
-			e.Syscall = "fdatasync"
-			return true
-		}
-		return false
-	}
-	r0 := reg.Snapshot().Counters[telemetry.MetricRollupRebuilds]
-	for name, st := range map[string]*Store{"rollup": on, "ablation": off} {
-		if _, err := st.UpdateByQuery(ctx, "run", Term(FieldSyscall, "fsync"), rewrite); err != nil {
-			t.Fatalf("%s update: %v", name, err)
-		}
-	}
-	a, err := on.Search(ctx, "run", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := off.Search(ctx, "run", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("post-update aggs diverge:\n rollup   %+v\n ablation %+v", a.Aggs, b.Aggs)
-	}
-	for _, bkt := range a.Aggs["t"].Buckets {
-		if bkt.Key == "fsync" {
-			t.Error("rollup still serves the pre-update syscall name")
-		}
-	}
-	if d := reg.Snapshot().Counters[telemetry.MetricRollupRebuilds] - r0; d == 0 {
-		t.Error("update-by-query triggered no rollup rebuild")
-	}
-}
-
 // TestRollupOverflowFallsBack caps the key budget low enough that the
 // fixture blows through it: overflowing shards must drop their rollups and
 // every aggregation still answers correctly via the scan path.
@@ -241,60 +195,6 @@ func TestRollupOverflowFallsBack(t *testing.T) {
 			t.Errorf("overflow shape %d diverges:\n rollup   %+v\n ablation %+v", i, a.Aggs, b.Aggs)
 		}
 	}
-}
-
-// TestRewriteRepostsAfterRecovery covers the posting maintenance on both
-// the live and the replayed rewrite path: renaming an indexed term through
-// UpdateByQuery must move the row between posting lists (Term queries and
-// the postings-backed terms fast path see the new name, never the old), and
-// a WAL replay of the same rewrite must reproduce that exactly.
-func TestRewriteRepostsAfterRecovery(t *testing.T) {
-	dir := t.TempDir()
-	dur, err := Open(WithDataDir(dir), WithFsyncPolicy(FsyncOff), WithSnapshotInterval(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := dur.BulkEvents(ctx, "run", rollupFixture(600)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dur.UpdateByQuery(ctx, "run", Term(FieldSyscall, "fsync"), func(e *event.Event) bool {
-		e.Syscall = "fdatasync"
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, st *Store) {
-		t.Helper()
-		if n, err := st.Count(ctx, "run", Term(FieldSyscall, "fsync")); err != nil || n != 0 {
-			t.Errorf("%s: %d rows still under the old term (err %v)", name, n, err)
-		}
-		want := 600 / 6 // every sixth fixture event
-		if n, err := st.Count(ctx, "run", Term(FieldSyscall, "fdatasync")); err != nil || n != want {
-			t.Errorf("%s: %d rows under the new term, want %d (err %v)", name, n, want, err)
-		}
-		resp, err := st.Search(ctx, "run", SearchRequest{Query: MatchAll(), Size: 1,
-			Aggs: map[string]Agg{"t": {Terms: &TermsAgg{Field: FieldSyscall, Size: 20}}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bkt := range resp.Aggs["t"].Buckets {
-			if bkt.Key == "fsync" {
-				t.Errorf("%s: terms agg still buckets the old name", name)
-			}
-		}
-	}
-	check("live", dur)
-	if err := dur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Open(WithDataDir(dir), WithFsyncPolicy(FsyncOff), WithSnapshotInterval(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	check("recovered", rec)
 }
 
 // TestRollupSurvivesRecovery rebuilds a durable store from disk and checks

@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
@@ -66,14 +65,11 @@ type ScatterResponse struct {
 // bypasses the node's query cache: the coordinator caches at the level where
 // responses are complete.
 func (s *Store) Scatter(ctx context.Context, index string, sreq ScatterRequest) (ScatterResponse, error) {
-	ix, ok := s.GetIndex(index)
-	if !ok {
-		return ScatterResponse{}, fmt.Errorf("index %q not found", index)
+	ix, err := s.lookup(index)
+	if err != nil {
+		return ScatterResponse{}, err
 	}
-	var (
-		resp ScatterResponse
-		err  error
-	)
+	var resp ScatterResponse
 	observeNS(s.tm.searchNS, func() {
 		resp, err = ix.scatterCtx(ctx, sreq)
 	})

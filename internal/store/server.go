@@ -36,26 +36,27 @@ var (
 )
 
 // Correlate runs the file-path correlation algorithm on the named index,
-// recording the run in the store's telemetry registry. On a durable store
-// the resulting file_path rewrites are journaled like any update-by-query.
+// recording the run in the store's telemetry registry. It is the store's one
+// update: on a durable store the pass journals its tag→path dictionary as a
+// single paths record.
 func (s *Store) Correlate(ctx context.Context, index, session string) (CorrelationResult, error) {
-	// Correlation rewrites file_path on matched rows — a mutation, so a
+	// Correlation fills in file_path on stored rows — a mutation, so a
 	// follower rejects it like any direct write.
 	if s.Role() == RoleFollower {
 		return CorrelationResult{}, ErrReadOnlyFollower
 	}
-	ix, ok := s.GetIndex(index)
-	if !ok {
-		return CorrelationResult{}, fmt.Errorf("index %q not found", index)
+	ix, err := s.lookup(index)
+	if err != nil {
+		return CorrelationResult{}, err
 	}
-	// The rewrite step scans hot shard memory only; with retention-evicted
-	// cold rows present it would tag a subset and silently skip the rest, so
-	// the pass is refused up front (the typed 409 path, DESIGN.md §15).
+	// The pass counts and names the rows in shard memory; with
+	// retention-evicted cold rows present its accounting would cover a subset
+	// and silently skip the rest, so it is refused up front (the typed 409
+	// path, DESIGN.md §15).
 	if ix.coldRows.Load() > 0 {
 		return CorrelationResult{}, ErrUpdateBeyondRetention
 	}
 	var res CorrelationResult
-	var err error
 	s.tm.corrRuns.Inc()
 	observeNS(s.tm.corrNS, func() {
 		res, err = correlateFilePaths(ctx, ix, session, &s.tm)
@@ -460,23 +461,40 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index stri
 	}
 	res, err := s.store.SearchEvents(r.Context(), index, req)
 	if err != nil {
-		writeSearchError(w, err)
+		WriteError(w, err)
 		return
 	}
 	WriteSearchResult(w, r, res)
 }
 
-// writeSearchError maps a failed search, direct or scattered, to its status.
-func writeSearchError(w http.ResponseWriter, err error) {
+// WriteError answers a failed store operation — search, scatter, count,
+// stats, correlation, and the engine routes layered above — with the status
+// its error calls for. 404 means exactly "no such index", because a cluster
+// coordinator reads a node's 404 as an empty partition: a node that cannot
+// read a segment must fail the scattered request (500), never shrink its
+// totals.
+func WriteError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, ErrIndexNotFound):
+		httpError(w, http.StatusNotFound, "%v", err)
 	case IsBadRequest(err):
 		httpError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, ErrCursorExpired):
 		// 410 Gone: the cursor named rows the retention horizon already
 		// dropped — a permanent condition, not worth a client retry.
 		httpError(w, http.StatusGone, "%v", err)
+	case errors.Is(err, ErrUpdateBeyondRetention):
+		// 409 with a machine-readable reason: the correlation pass would
+		// account for hot rows only, silently skipping the retention-evicted
+		// ones, so the API refuses instead.
+		writeJSON(w, http.StatusConflict, map[string]string{
+			"error":  err.Error(),
+			"reason": ReasonUpdateBeyondRetention,
+		})
+	case errors.Is(err, ErrReadOnlyFollower):
+		httpError(w, http.StatusConflict, "%v", err)
 	default:
-		httpError(w, http.StatusNotFound, "%v", err)
+		httpError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -496,7 +514,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request, index str
 	}
 	resp, err := s.store.Scatter(r.Context(), index, sreq)
 	if err != nil {
-		writeSearchError(w, err)
+		WriteError(w, err)
 		return
 	}
 	(&hitsBody{Total: resp.Total, Gids: resp.Gids, Partials: resp.Partials, Hits: resp.Hits}).write(w)
@@ -512,7 +530,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, index strin
 	}
 	n, err := s.store.Count(r.Context(), index, q)
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"count": n})
@@ -525,21 +543,7 @@ func (s *Server) handleCorrelate(w http.ResponseWriter, r *http.Request, index s
 	}
 	res, err := s.store.Correlate(r.Context(), index, r.URL.Query().Get("session"))
 	if err != nil {
-		if errors.Is(err, ErrUpdateBeyondRetention) {
-			// 409 with a machine-readable reason: the correlation pass would
-			// rewrite file paths on hot rows only, silently skipping the
-			// retention-evicted ones, so the API refuses instead.
-			writeJSON(w, http.StatusConflict, map[string]string{
-				"error":  err.Error(),
-				"reason": ReasonUpdateBeyondRetention,
-			})
-			return
-		}
-		if errors.Is(err, ErrReadOnlyFollower) {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		httpError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -552,7 +556,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, index strin
 	}
 	st, err := s.store.Stats(index)
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)

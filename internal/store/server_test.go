@@ -3,10 +3,13 @@ package store
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -254,5 +257,64 @@ func TestHTTPServerErrorPaths(t *testing.T) {
 	}
 	if _, ok := st.GetIndex("x"); ok {
 		t.Fatal("index survived HTTP delete")
+	}
+}
+
+// TestHTTPStatusTellsMissingIndexFromFailure: 404 means exactly "no such
+// index" — a cluster coordinator reads it as an empty partition — so a node
+// that cannot read a cold segment must answer 500 on every route a scatter or
+// a dashboard uses, and a missing index 404 on the same routes.
+func TestHTTPStatusTellsMissingIndexFromFailure(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir, WithRetention(longRetention))
+	defer st.Close()
+	ingestRoundNoUBQ(t, st, 0)
+	if err := st.Snapshot(); err != nil { // flush + evict: the rows are cold now
+		t.Fatal(err)
+	}
+	for _, f := range segmentFiles(t, dir) {
+		if err := os.Remove(filepath.Join(indexDir(dir), f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(NewServer(st))
+	defer srv.Close()
+	status := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, _ := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	reads := `{"term":{"field":"syscall","value":"read"}}`
+	routes := []struct{ method, op, body string }{
+		{http.MethodPost, "_count", reads},
+		{http.MethodPost, "_search", `{"query":` + reads + `}`},
+		{http.MethodPost, "_scatter", `{"req":{"query":` + reads + `},"partition":0,"partitions":1}`},
+	}
+	for _, r := range routes {
+		if code, body := status(r.method, "/"+crashIndex+"/"+r.op, r.body); code != http.StatusInternalServerError {
+			t.Errorf("%s over an unreadable segment = %d %s; want 500", r.op, code, body)
+		}
+	}
+	routes = append(routes,
+		struct{ method, op, body string }{http.MethodGet, "_stats", ""},
+		struct{ method, op, body string }{http.MethodPost, "_correlate", ""})
+	for _, r := range routes {
+		if code, body := status(r.method, "/missing/"+r.op, r.body); code != http.StatusNotFound {
+			t.Errorf("%s on a missing index = %d %s; want 404", r.op, code, body)
+		}
+	}
+	// The client maps the two back apart.
+	c := NewClient(srv.URL)
+	if _, err := c.Count(context.Background(), "missing", MatchAll()); !errors.Is(err, ErrIndexNotFound) {
+		t.Errorf("client count on a missing index: %v, want ErrIndexNotFound", err)
+	}
+	if _, err := c.Count(context.Background(), crashIndex, Term(FieldSyscall, "read")); err == nil || errors.Is(err, ErrIndexNotFound) {
+		t.Errorf("client count over an unreadable segment: %v, want a failure that is not ErrIndexNotFound", err)
 	}
 }

@@ -27,8 +27,7 @@ type shard struct {
 // column is a pre-extracted numeric view of one field: vals[i] holds the
 // float64 coercion of row i's field and ok[i] whether the field was numeric.
 // Columns are built lazily up to the current row count and extended on the
-// next use after writes; UpdateByQuery drops them (it may mutate numeric
-// fields in place).
+// next use after writes; a stored row's numeric fields never change.
 type column struct {
 	vals []float64
 	ok   []bool
@@ -151,56 +150,6 @@ func (sh *shard) postTermLocked(field, term string, id int32) {
 	sh.postings[field][term] = append(sh.postings[field][term], id)
 }
 
-// indexedTerms is the posting-relevant view of one row: its term in each of
-// the indexed keyword fields, in indexedFields order.
-type indexedTerms [5]string
-
-func eventTerms(e *event.Event) indexedTerms {
-	return indexedTerms{e.Session, e.Syscall, e.ProcName, e.ThreadName, e.Class}
-}
-
-// repostLocked reconciles the posting lists after a rewrite changed a row's
-// indexed terms. Posting lists stay in ascending-id order — the searches,
-// intersections, and the cursor's resume arithmetic all rely on it — so
-// removal and insertion are positional, not appends. Caller holds the write
-// lock.
-func (sh *shard) repostLocked(id int32, before, after indexedTerms) {
-	for k, f := range indexedFields {
-		if before[k] != after[k] {
-			sh.unpostTermLocked(f, before[k], id)
-			sh.insertTermLocked(f, after[k], id)
-		}
-	}
-}
-
-func (sh *shard) unpostTermLocked(field, term string, id int32) {
-	l := sh.postings[field][term]
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= id })
-	if i == len(l) || l[i] != id {
-		return
-	}
-	l = append(l[:i], l[i+1:]...)
-	if len(l) == 0 {
-		// A lingering empty list would surface as a zero-count bucket through
-		// the postings fast path of termCounts.
-		delete(sh.postings[field], term)
-		return
-	}
-	sh.postings[field][term] = l
-}
-
-func (sh *shard) insertTermLocked(field, term string, id int32) {
-	l := sh.postings[field][term]
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= id })
-	if i < len(l) && l[i] == id {
-		return
-	}
-	l = append(l, 0)
-	copy(l[i+1:], l[i:])
-	l[i] = id
-	sh.postings[field][term] = l
-}
-
 // len returns the shard's row count under its own lock.
 func (sh *shard) len() int {
 	sh.mu.RLock()
@@ -245,12 +194,6 @@ func (sh *shard) ensureColumns(fields []string) {
 		}
 	}
 	sh.mu.Unlock()
-}
-
-// invalidateColumnsLocked drops all cached columns. Caller holds the write
-// lock (used after in-place updates, which may change numeric fields).
-func (sh *shard) invalidateColumnsLocked() {
-	sh.cols = nil
 }
 
 // colVal reads one value through the column cache, falling back to the row

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -96,7 +97,7 @@ func Open(opts ...Option) (*Store, error) {
 		bulkNS:    reg.Histogram(telemetry.MetricBulkNS, "one bulk indexing call", nil),
 		searchNS:  reg.Histogram(telemetry.MetricSearchNS, "one search", nil),
 		countNS:   reg.Histogram(telemetry.MetricCountNS, "one count", nil),
-		updateNS:  reg.Histogram(telemetry.MetricUpdateNS, "one update-by-query pass", nil),
+		updateNS:  reg.Histogram(telemetry.MetricUpdateNS, "one path-naming pass (correlation step 3)", nil),
 		bulkDocs:  reg.Counter(telemetry.MetricBulkDocs, "documents indexed through Bulk"),
 		searches:  reg.Counter(telemetry.MetricSearches, "searches served"),
 		corrRuns:  reg.Counter(telemetry.MetricCorrelateRuns, "correlation passes run"),
@@ -113,13 +114,12 @@ func Open(opts ...Option) (*Store, error) {
 		replApplyNS: reg.Histogram(telemetry.MetricReplApplyNS, "one replication frame apply", nil),
 		replRejects: reg.Counter(telemetry.MetricReplSeqRejects, "out-of-sequence replication pushes rejected"),
 		rtm: readTelemetry{
-			rollupHits:     reg.Counter(telemetry.MetricRollupAggHits, "agg partials served from rollups"),
-			rollupMisses:   reg.Counter(telemetry.MetricRollupAggMisses, "planned rollup serves that fell back to scans"),
-			rollupRebuilds: reg.Counter(telemetry.MetricRollupRebuilds, "shard rollups rebuilt after invalidation"),
-			segOpened:      reg.Counter(telemetry.MetricSegmentsOpened, "cold segments opened by time-bounded queries"),
-			segPruned:      reg.Counter(telemetry.MetricSegmentsPruned, "cold segments skipped by time-range pruning"),
-			rowsDecoded:    reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded from cold segments opened by time-bounded queries"),
-			rowsSkipped:    reg.Counter(telemetry.MetricSegRowsSkipped, "rows of those segments left undecoded: stored time outside the window"),
+			rollupHits:   reg.Counter(telemetry.MetricRollupAggHits, "agg partials served from rollups"),
+			rollupMisses: reg.Counter(telemetry.MetricRollupAggMisses, "planned rollup serves that fell back to scans"),
+			segOpened:    reg.Counter(telemetry.MetricSegmentsOpened, "cold segments opened by time-bounded queries"),
+			segPruned:    reg.Counter(telemetry.MetricSegmentsPruned, "cold segments skipped by time-range pruning"),
+			rowsDecoded:  reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded from cold segments opened by time-bounded queries"),
+			rowsSkipped:  reg.Counter(telemetry.MetricSegRowsSkipped, "rows of those segments left undecoded: stored time outside the window"),
 		},
 	}
 	reg.GaugeFunc(telemetry.MetricQueryCacheEntries, "live query cache entries across indices",
@@ -265,6 +265,20 @@ func (s *Store) GetIndex(name string) (*Index, bool) {
 	return ix, ok
 }
 
+// ErrIndexNotFound is the one failure the API answers with 404: the named
+// index does not exist. A cluster coordinator reads it as "this partition
+// owns no rows of the index yet"; every other failure must stay a failure.
+var ErrIndexNotFound = errors.New("store: index not found")
+
+// lookup is GetIndex with the typed error.
+func (s *Store) lookup(name string) (*Index, error) {
+	ix, ok := s.GetIndex(name)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrIndexNotFound, name)
+	}
+	return ix, nil
+}
+
 // DeleteIndex removes the named index, including its on-disk state on a
 // durable store.
 func (s *Store) DeleteIndex(name string) {
@@ -360,9 +374,9 @@ type IndexStats struct {
 
 // Stats reports the named index's document and shard counts.
 func (s *Store) Stats(index string) (IndexStats, error) {
-	ix, ok := s.GetIndex(index)
-	if !ok {
-		return IndexStats{}, fmt.Errorf("index %q not found", index)
+	ix, err := s.lookup(index)
+	if err != nil {
+		return IndexStats{}, err
 	}
 	return IndexStats{
 		Index:  ix.Name(),
@@ -384,9 +398,9 @@ func (s *Store) Search(ctx context.Context, index string, req SearchRequest) (Se
 // SearchEvents runs req against the named index. Cancelling ctx stops the
 // shard fan-out between shards.
 func (s *Store) SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error) {
-	ix, ok := s.GetIndex(index)
-	if !ok {
-		return EventsResult{}, fmt.Errorf("index %q not found", index)
+	ix, err := s.lookup(index)
+	if err != nil {
+		return EventsResult{}, err
 	}
 	start := time.Now()
 	res, err := ix.cachedSearchEventsCtx(ctx, req)
@@ -400,9 +414,9 @@ func (s *Store) SearchEvents(ctx context.Context, index string, req SearchReques
 
 // Count counts documents matching q in the named index.
 func (s *Store) Count(ctx context.Context, index string, q Query) (int, error) {
-	ix, ok := s.GetIndex(index)
-	if !ok {
-		return 0, fmt.Errorf("index %q not found", index)
+	ix, err := s.lookup(index)
+	if err != nil {
+		return 0, err
 	}
 	start := time.Now()
 	n, err := ix.countCtx(ctx, q)
@@ -411,45 +425,16 @@ func (s *Store) Count(ctx context.Context, index string, q Query) (int, error) {
 }
 
 // ReasonUpdateBeyondRetention is the machine-readable reason string the API
-// returns alongside a 409 when an update cannot reach retention-evicted
-// rows; remote clients round-trip it back to ErrUpdateBeyondRetention.
+// returns alongside a 409 when a correlation pass cannot reach
+// retention-evicted rows; remote clients round-trip it back to
+// ErrUpdateBeyondRetention.
 const ReasonUpdateBeyondRetention = "update_beyond_retention"
 
-// ErrUpdateBeyondRetention rejects an update-by-query (or a correlation
-// pass, which rewrites file paths through the same machinery) on an index
-// whose retention policy has already evicted rows into cold segments: the
-// update scan walks hot shard memory only (DESIGN.md §15), so running it
-// would silently rewrite a subset of the matched rows. The HTTP layer maps
-// it to 409 Conflict with reason "update_beyond_retention" — a permanent
-// condition for this index state, not worth a retry.
-var ErrUpdateBeyondRetention = fmt.Errorf(
-	"store: update-by-query cannot reach rows beyond the retention horizon (cold rows are immutable)")
-
-// UpdateByQuery applies fn to every row matching q in the named index and
-// returns the number of updated rows; on a durable store the effects are
-// journaled. fn edits the event it is handed and returns true to commit; it
-// runs concurrently across shards (never for the same row). A committed row
-// the journal could not hold stops the pass with an error naming the field.
-// On an index with retention-evicted cold rows the update is refused with
-// ErrUpdateBeyondRetention rather than silently rewriting only the hot
-// subset.
-func (s *Store) UpdateByQuery(ctx context.Context, index string, q Query, fn func(*event.Event) bool) (int, error) {
-	if s.Role() == RoleFollower {
-		return 0, ErrReadOnlyFollower
-	}
-	ix, ok := s.GetIndex(index)
-	if !ok {
-		return 0, fmt.Errorf("index %q not found", index)
-	}
-	if ix.coldRows.Load() > 0 {
-		return 0, ErrUpdateBeyondRetention
-	}
-	var (
-		n   int
-		err error
-	)
-	observeNS(s.tm.updateNS, func() {
-		n, err = ix.updateByQueryCtx(ctx, q, fn)
-	})
-	return n, err
-}
+// ErrUpdateBeyondRetention rejects a correlation pass on an index whose
+// retention policy has already evicted rows into cold segments: the pass
+// counts and names the rows in shard memory (DESIGN.md §15), so its result
+// would account for a subset of the tagged rows. The HTTP layer maps it to
+// 409 Conflict with reason "update_beyond_retention" — a permanent condition
+// for this index state, not worth a retry.
+var ErrUpdateBeyondRetention = errors.New(
+	"store: correlation cannot count rows beyond the retention horizon (cold rows)")

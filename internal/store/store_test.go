@@ -259,20 +259,6 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
-func TestUpdateByQuery(t *testing.T) {
-	ix := newFixtureIndex()
-	n := ix.UpdateByQuery(Term("proc_name", "app"), func(e *event.Event) bool {
-		e.FilePath = "/flagged"
-		return true
-	})
-	if n != 3 {
-		t.Fatalf("updated = %d, want 3", n)
-	}
-	if got := ix.Count(Term(FieldFilePath, "/flagged")); got != 3 {
-		t.Fatalf("flagged count = %d", got)
-	}
-}
-
 func TestStoreIndexLifecycle(t *testing.T) {
 	s := memStore(t)
 	if err := s.BulkEvents(context.Background(), "run1", docFixture()); err != nil {

@@ -7,15 +7,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // TestConcurrentStress hammers one sharded index with concurrent bulk
-// writers, single-doc writers, searchers, aggregators, counters, and an
-// update-by-query loop — the contention pattern of the real pipeline, where
+// writers, single-doc writers, searchers, aggregators, counters, and a
+// correlation loop — the contention pattern of the real pipeline, where
 // drain workers bulk-index while dashboards query and the correlation
-// algorithm rewrites documents. Run under -race; the invariants are:
+// algorithm names files. Run under -race; the invariants are:
 // no lost documents and consistent totals.
 func TestConcurrentStress(t *testing.T) {
 	const (
@@ -26,14 +24,23 @@ func TestConcurrentStress(t *testing.T) {
 	ix := NewIndexWithShards("stress", 8)
 
 	syscalls := []string{"read", "write", "openat", "close", "fsync"}
+	// Each writer's opens and fsyncs share one file tag, which its opens name.
 	mkdoc := func(writer, i int) Document {
-		return Document{
+		d := Document{
 			"session":       "stress",
 			"thread_name":   fmt.Sprintf("w%d", writer),
 			"syscall":       syscalls[i%len(syscalls)],
 			"time_enter_ns": int64(i) * 1000,
 			"duration_ns":   float64(i%97) + 1,
 		}
+		switch d["syscall"] {
+		case "openat":
+			d["kernel_path"] = fmt.Sprintf("/data/w%d", writer)
+			fallthrough
+		case "fsync":
+			d["file_tag"] = fmt.Sprintf("1 %d 7", writer+1)
+		}
+		return d
 	}
 
 	var (
@@ -101,22 +108,16 @@ func TestConcurrentStress(t *testing.T) {
 		}()
 	}
 
-	// Correlation-style rewriter: flags matched docs in place while writes
-	// and reads are in flight; the closure must be safe for concurrent
-	// invocation across shards.
+	// Correlation names tagged rows in place while writes and reads are in
+	// flight, and its accounting closes on whatever rows each pass saw.
 	readWG.Add(1)
 	go func() {
 		defer readWG.Done()
 		for !done.Load() {
-			var flagged atomic.Int64
-			ix.UpdateByQuery(Term("syscall", "fsync"), func(e *event.Event) bool {
-				if e.FilePath == "y" {
-					return false
-				}
-				e.FilePath = "y"
-				flagged.Add(1)
-				return true
-			})
+			r := CorrelateFilePaths(ix, "stress")
+			if r.EventsUpdated+r.EventsUnresolved+r.EventsAlreadyResolved != r.EventsWithTag {
+				panic(fmt.Sprintf("correlation accounting does not close: %+v", r))
+			}
 		}
 	}()
 
@@ -140,17 +141,18 @@ func TestConcurrentStress(t *testing.T) {
 		}
 	}
 
-	// A final quiescent update pass flags every fsync doc exactly once more
-	// or not at all; afterwards flag coverage equals the fsync population.
-	ix.UpdateByQuery(Term("syscall", "fsync"), func(e *event.Event) bool {
-		if e.FilePath == "y" {
-			return false
+	// A final quiescent pass names whatever the racing ones left; afterwards
+	// every tagged row — each writer's opens and fsyncs — has its path.
+	CorrelateFilePaths(ix, "stress")
+	nf, ns := ix.Count(Exists(FieldFilePath)), ix.Count(Terms("syscall", "fsync", "openat"))
+	if nf != ns || ns != ix.Count(Exists(FieldFileTag)) {
+		t.Fatalf("named %d docs, tagged population %d", nf, ns)
+	}
+	for w := 0; w < writers; w++ {
+		named := Must(Term("thread_name", fmt.Sprintf("w%d", w)), Exists(FieldFilePath))
+		if n, m := ix.Count(named), ix.Count(Must(named, Term(FieldFilePath, fmt.Sprintf("/data/w%d", w)))); n == 0 || n != m {
+			t.Fatalf("writer %d: %d rows named, %d with its own path", w, n, m)
 		}
-		e.FilePath = "y"
-		return true
-	})
-	if nf, ns := ix.Count(Exists(FieldFilePath)), ix.Count(Term("syscall", "fsync")); nf != ns {
-		t.Fatalf("flagged %d docs, fsync population %d", nf, ns)
 	}
 }
 
@@ -163,7 +165,7 @@ func TestShardedMatchesOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { shardedMatchesOracle(t, shards, 4000) })
 	}
 	// The same matrix with at least three storage blocks in every shard, so
-	// scans, rewrites and cursors all cross block boundaries.
+	// scans, correlation passes and cursors all cross block boundaries.
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d,blocks=3", shards), func(t *testing.T) {
 			shardedMatchesOracle(t, shards, shards*(2*blockRows+37))
@@ -189,7 +191,18 @@ func shardedMatchesOracle(t *testing.T, shards, n int) {
 			d["count"] = float64(rng.Intn(100_000))
 		}
 		if rng.Intn(4) == 0 {
-			d["file_tag"] = fmt.Sprintf("1 %d 7", rng.Intn(50))
+			ino := rng.Intn(50)
+			d["file_tag"] = fmt.Sprintf("1 %d 7", ino)
+			// Anchors for the correlation step: opens name their file, and so
+			// — weaker evidence, and not always agreeing — does every other stat.
+			switch d["syscall"] {
+			case "openat":
+				d["kernel_path"] = fmt.Sprintf("/data/f%d", ino)
+			case "stat":
+				if ino%2 == 0 {
+					d["kernel_path"] = fmt.Sprintf("/stat/f%d.%d", ino, i%2)
+				}
+			}
 		}
 		docs = append(docs, d)
 	}
@@ -276,33 +289,30 @@ func shardedMatchesOracle(t *testing.T, shards, n int) {
 		check(i, req)
 	}
 
-	// UpdateByQuery must agree too: it rewrites exactly the rows the oracle
-	// matched beforehand, and the rewritten state searches identically.
-	wantN := oracleCount(ix, Exists("file_tag"))
-	gotN := ix.UpdateByQuery(Exists("file_tag"), func(e *event.Event) bool {
-		e.FilePath = "/resolved"
-		return true
-	})
-	if gotN != wantN {
-		t.Fatalf("update count: sharded %d, oracle %d", gotN, wantN)
+	// Correlation — the store's one update — must agree too: one session, then
+	// all of them, each pass naming exactly the rows the oracle's brute-force
+	// rule names, with the same accounting, and the named state searching
+	// identically (the nested matrix included: no bucket may move).
+	for _, session := range []string{"s1", ""} {
+		want, _ := oracleRows(ix)
+		wantRes := oracleCorrelate(want, session)
+		// (Within one session some tags have no anchor; across all, none.)
+		if gotRes := CorrelateFilePaths(ix, session); gotRes != wantRes || gotRes.EventsUpdated == 0 || (session != "" && gotRes.EventsUnresolved == 0) {
+			t.Fatalf("correlate %q: sharded %+v, oracle %+v", session, gotRes, wantRes)
+		}
+		if got, _ := oracleRows(ix); !reflect.DeepEqual(got, want) {
+			t.Fatalf("correlate %q: rows diverge from the oracle's", session)
+		}
+		resolved := SearchRequest{Query: Exists(FieldFilePath), Size: -1}
+		if a, b := ix.Search(resolved), oracleSearch(ix, resolved); a.Total == 0 || !reflect.DeepEqual(a, b) {
+			t.Fatalf("correlate %q: post-pass responses diverge: %d vs %d hits", session, len(a.Hits), len(b.Hits))
+		}
 	}
-	resolved := SearchRequest{Query: Exists(FieldFilePath), Size: -1}
-	a, b := ix.Search(resolved), oracleSearch(ix, resolved)
-	if a.Total != wantN || !reflect.DeepEqual(a, b) {
-		t.Fatalf("post-update responses diverge: %d vs %d hits, want %d", len(a.Hits), len(b.Hits), wantN)
-	}
-
-	// A rewrite that moves rows between buckets at both nesting levels and
-	// changes the numbers the leaves aggregate: the nested matrix must follow.
-	ix.UpdateByQuery(Term("syscall", "stat"), func(e *event.Event) bool {
-		e.Syscall, e.ProcName, e.Count = "statx", "rewritten", 7
-		return true
-	})
 	for i, req := range nestedAggShapes() {
 		check(1000+i, req)
 	}
 
-	// A sorted cursor paged to exhaustion over the rewritten rows: every page,
+	// A sorted cursor paged to exhaustion over the named rows: every page,
 	// and the token it hands on, is the oracle's. count ties heavily, so the
 	// resume point falls inside runs of equal keys.
 	page := SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: "count", Desc: true}}, Size: 701}

@@ -123,19 +123,10 @@ func mayMatchTime(lo, hi, minT, maxT int64) bool {
 
 // segMayMatch reports whether a segment can hold a row inside [minT, maxT]:
 // its stamped time_enter_ns range overlaps the window (an empty range,
-// MinTime > MaxTime, a segment with no rows, never does), or the pending
-// overlay names one of its rows — a rewrite may have moved that row's time
-// out of the range the file was stamped with.
-func segMayMatch(sm durable.SegmentMeta, overlay map[int]event.Event, minT, maxT int64) bool {
-	if sm.MinTime <= sm.MaxTime && mayMatchTime(sm.MinTime, sm.MaxTime, minT, maxT) {
-		return true
-	}
-	for gid := range overlay {
-		if int64(gid) >= sm.StartRow && int64(gid) < sm.EndRow {
-			return true
-		}
-	}
-	return false
+// MinTime > MaxTime, a segment with no rows, never does). A stored row's time
+// never changes, so the stamp stays true for the file's life.
+func segMayMatch(sm durable.SegmentMeta, minT, maxT int64) bool {
+	return sm.MinTime <= sm.MaxTime && mayMatchTime(sm.MinTime, sm.MaxTime, minT, maxT)
 }
 
 // coldSegment is the part of one opened segment a query can match, decoded
@@ -149,15 +140,13 @@ type coldSegment struct {
 }
 
 // openColdSegment reads a committed segment's time column, selects the rows
-// whose stored time can fall in [minT, maxT] plus every row the pending
-// overlay names (a rewrite may have moved a row's time into the window), and
-// decodes only those into one page, which a transient shard adopts as its
-// blocks, substituting the overlay's rewrites (by absolute gid) so cold reads
-// observe post-flush update-by-query effects. The file image goes back to its
-// pool on return: decoded rows do not alias it. skipped is the rows left
-// undecoded. Rollups are disabled on the transient shard (base 0); columns
-// build on demand.
-func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.Event, minT, maxT int64) (cs *coldSegment, skipped int, err error) {
+// whose stored time can fall in [minT, maxT], and decodes only those into one
+// page, which a transient shard adopts as its blocks; book (the index's path
+// book, usually empty) then names the rows of a segment written before a
+// correlation pass. The file image goes back to its pool on return: decoded
+// rows do not alias it. skipped is the rows left undecoded. Rollups are
+// disabled on the transient shard (base 0); columns build on demand.
+func (ix *Index) openColdSegment(sm durable.SegmentMeta, book []event.PathsRecord, minT, maxT int64) (cs *coldSegment, skipped int, err error) {
 	path := filepath.Join(ix.dur.dir, durable.SegmentName(sm.Seq))
 	r, err := durable.OpenSegment(path)
 	if err != nil {
@@ -171,12 +160,7 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.E
 	start := int(sm.StartRow)
 	sel := make([]int, 0, info.Typed)
 	for i := 0; i < info.Typed; i++ {
-		t := r.Time(i)
-		keep := mayMatchTime(t, t, minT, maxT)
-		if !keep {
-			_, keep = overlay[start+r.Gid(i)]
-		}
-		if keep {
+		if t := r.Time(i); mayMatchTime(t, t, minT, maxT) {
 			sel = append(sel, i)
 		}
 	}
@@ -184,8 +168,8 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, overlay map[int]event.E
 	cs.sh.rows.adopt(r.Decode(sel))
 	for k, i := range sel {
 		cs.gids[k] = start + r.Gid(i)
-		if e, ok := overlay[cs.gids[k]]; ok {
-			*cs.sh.rows.at(k) = e
+		if len(book) > 0 {
+			resolveFromBook(book, cs.gids[k], cs.sh.rows.at(k))
 		}
 		cs.sh.postEventLocked(int32(k))
 	}
@@ -210,20 +194,20 @@ func (ix *Index) coldSegments() []durable.SegmentMeta {
 
 // eachColdSegment is the one pass over the cold tier. It prunes the segments
 // whose stamped range req's time window excludes, opens the rest through the
-// shard worker pool — each decoding only the rows the window and the pending
-// overlay select, with the columns req reads built — and returns fn's answer
+// shard worker pool — each decoding only the rows the window selects, with the
+// columns req reads built — and returns fn's answer
 // per opened segment, in row order. The opened/pruned and decoded/skipped
 // counters move only for a time-bounded query: without a bound there is no
 // decision to report. Caller holds every hot shard's read lock.
 func eachColdSegment[T any](ctx context.Context, ix *Index, req SearchRequest, fn func(*coldSegment) T) ([]T, error) {
 	segs := ix.coldSegments()
-	overlay := ix.dur.pendingOverlay()
+	book := ix.dur.paths()
 	minT, maxT := timeBounds(req.Query)
 	bounded := minT > math.MinInt64 || maxT < math.MaxInt64
 	if bounded {
 		open := segs[:0]
 		for _, sm := range segs {
-			if segMayMatch(sm, overlay, minT, maxT) {
+			if segMayMatch(sm, minT, maxT) {
 				open = append(open, sm)
 			} else {
 				ix.rtm.segPruned.Inc()
@@ -237,7 +221,7 @@ func eachColdSegment[T any](ctx context.Context, ix *Index, req SearchRequest, f
 	cols := neededColumns(req, nil)
 	out, errs := make([]T, len(segs)), make([]error, len(segs))
 	if err := forEachShardCtx(ctx, len(segs), func(i int) {
-		cs, skipped, err := ix.openColdSegment(segs[i], overlay, minT, maxT)
+		cs, skipped, err := ix.openColdSegment(segs[i], book, minT, maxT)
 		if err != nil {
 			errs[i] = err
 			return
@@ -272,7 +256,7 @@ func (ix *Index) coldSearch(ctx context.Context, exec *searchExec) ([]shardResul
 }
 
 // coldCount counts query matches across the cold segments, with the same
-// pruning and pending-overlay semantics as coldSearch. Caller holds every
+// pruning and path naming as coldSearch. Caller holds every
 // hot shard's read lock (countCtx).
 func (ix *Index) coldCount(ctx context.Context, q Query) (int, error) {
 	counts, err := eachColdSegment(ctx, ix, SearchRequest{Query: q}, func(cs *coldSegment) int {

@@ -30,10 +30,10 @@ import (
 // retention sweep dropping them.
 const longRetention = 200_000 * time.Hour
 
-// ingestRoundNoUBQ is ingestRound without the update-by-query step: under a
-// retention policy, cold rows are out of update reach (DESIGN.md §15), so
-// tests that compare against an in-memory control — where everything stays
-// hot — must not rewrite rows the tiered store has already evicted.
+// ingestRoundNoUBQ is ingestRound without the correlation step: under a
+// retention policy a pass over cold rows is refused (DESIGN.md §15), so tests
+// that compare against an in-memory control — where everything stays hot —
+// must not correlate once the tiered store has evicted rows.
 func ingestRoundNoUBQ(t *testing.T, st *Store, round int) {
 	t.Helper()
 	ctx := context.Background()
@@ -46,8 +46,8 @@ func ingestRoundNoUBQ(t *testing.T, st *Store, round int) {
 }
 
 // controlReplay rebuilds the reference state in memory: the listed rounds in
-// order, with ingestRound's update-by-query applied after the rounds named
-// in ubqAfter.
+// order, with ingestRound's correlation pass run after the rounds named in
+// ubqAfter.
 func controlReplay(t *testing.T, rounds, ubqAfter []int) *Store {
 	t.Helper()
 	ctx := context.Background()
@@ -58,12 +58,8 @@ func controlReplay(t *testing.T, rounds, ubqAfter []int) *Store {
 			if u != r {
 				continue
 			}
-			_, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "openat"), func(e *event.Event) bool {
-				e.FilePath = "/resolved/by/round"
-				return true
-			})
-			if err != nil {
-				t.Fatalf("control round %d: update-by-query: %v", r, err)
+			if _, err := st.Correlate(ctx, crashIndex, "crash"); err != nil {
+				t.Fatalf("control round %d: correlate: %v", r, err)
 			}
 		}
 	}
@@ -344,10 +340,10 @@ func TestSegmentCompactionPreservesState(t *testing.T) {
 }
 
 // TestDurableRetentionUpgrade covers enabling -retention on an existing data
-// directory — the path where pending rewrites matter most: rows rewritten by
-// update-by-query before the upgrade live only in segments afterwards, and
-// the manifest's rewrite overlay must keep serving their post-rewrite values
-// through cold search, compaction folding, and reopen.
+// directory — the path where the path book matters most: rows flushed before
+// a correlation pass named them live only in segments afterwards, and the
+// book must keep serving their paths through cold search, into compaction's
+// output, and across reopen.
 func TestDurableRetentionUpgrade(t *testing.T) {
 	dir := t.TempDir()
 	st := openDurable(t, dir, WithShards(4)) // flat layout, no retention
@@ -355,7 +351,7 @@ func TestDurableRetentionUpgrade(t *testing.T) {
 	if err := st.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	ingestRound(t, st, 1) // odd round: update-by-query rewrites flushed rows 0-11 too
+	ingestRound(t, st, 1) // odd round: the pass names flushed rows 0-11 too
 	if err := st.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -363,18 +359,15 @@ func TestDurableRetentionUpgrade(t *testing.T) {
 
 	re := openDurable(t, dir, WithRetention(longRetention))
 	if got := fingerprint(t, re); got != want {
-		t.Fatalf("retention-upgraded recovery diverged (pre-upgrade rewrites lost?)")
+		t.Fatalf("retention-upgraded recovery diverged (pre-upgrade paths lost?)")
 	}
 	ix, _ := re.GetIndex(crashIndex)
-	ix.dur.pendMu.Lock()
-	np := len(ix.dur.pending)
-	ix.dur.pendMu.Unlock()
-	if np != 2 {
-		t.Fatalf("recovered pending rewrites = %d, want 2 (round 0's openat rows)", np)
+	if book := ix.dur.paths(); len(book) != 1 || book[0].H != 24 {
+		t.Fatalf("recovered path book = %+v, want round 1's pass over 24 rows", book)
 	}
 
-	// Grow more segments, then compact: the merge folds the overlay into the
-	// rewritten rows and retires the pending entries.
+	// Grow more segments, then compact: the merge names segment 0's rows on
+	// their way through, and the book stays (it is never folded).
 	rounds, ubq := []int{0, 1}, []int{1}
 	for r := 2; r <= 5; r++ {
 		ingestRoundNoUBQ(t, re, r)
@@ -390,22 +383,26 @@ func TestDurableRetentionUpgrade(t *testing.T) {
 	if err := re.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	ix.dur.pendMu.Lock()
-	np = len(ix.dur.pending)
-	ix.dur.pendMu.Unlock()
-	if np != 0 {
-		t.Fatalf("pending rewrites after folding compaction = %d, want 0", np)
+	if book := manifestOf(t, dir).Paths; len(book) != 1 || len(ix.dur.paths()) != 1 {
+		t.Fatalf("path book after compaction: %d committed, %d live; want 1 and 1", len(book), len(ix.dur.paths()))
 	}
 	if got := fingerprint(t, re); got != want {
-		t.Fatalf("folding compaction changed observable state")
+		t.Fatalf("compaction changed observable state")
 	}
+	// The merged segment carries the paths itself: it answers the same with
+	// the book out of the way.
+	saved := ix.dur.book.Swap(nil)
+	if got := fingerprint(t, re); got != want {
+		t.Fatalf("compaction output does not carry the paths of the rows it merged")
+	}
+	ix.dur.book.Store(saved)
 	if err := re.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	re2 := openDurable(t, dir, WithRetention(longRetention))
 	defer re2.Close()
 	if got := fingerprint(t, re2); got != want {
-		t.Fatalf("post-folding recovery diverged")
+		t.Fatalf("post-compaction recovery diverged")
 	}
 }
 
@@ -934,9 +931,9 @@ func TestRetentionBoundsMemory(t *testing.T) {
 }
 
 // TestUpdateBeyondRetentionTyped409 pins the hot-only-under-retention
-// contract for mutation-by-query: once a retention policy has evicted rows
-// into cold segments, UpdateByQuery and Correlate are refused with
-// ErrUpdateBeyondRetention instead of silently rewriting only the hot subset
+// contract for the store's one update: once a retention policy has evicted
+// rows into cold segments, Correlate is refused with
+// ErrUpdateBeyondRetention instead of silently accounting for the hot subset
 // (DESIGN.md §15), and the v1 API surfaces the refusal as a 409 whose body
 // carries the machine-readable reason — which the remote client unwraps back
 // to the same sentinel local callers see.
@@ -946,17 +943,14 @@ func TestUpdateBeyondRetentionTyped409(t *testing.T) {
 	defer st.Close()
 	ctx := context.Background()
 
-	// Before eviction the update path works as on any durable store.
+	// Before eviction the pass works as on any durable store.
 	ingestRoundNoUBQ(t, st, 0)
-	if _, err := st.UpdateByQuery(ctx, crashIndex, Term(FieldSyscall, "openat"), func(e *event.Event) bool {
-		e.FilePath = "/still/hot"
-		return true
-	}); err != nil {
-		t.Fatalf("update-by-query before eviction: %v", err)
+	if res, err := st.Correlate(ctx, crashIndex, "crash"); err != nil || res.EventsUpdated != 5 {
+		t.Fatalf("correlate before eviction: %+v, %v", res, err)
 	}
 
 	// Snapshot evicts the memtable into a cold segment; from here on the
-	// update scan could no longer reach every matched row.
+	// pass could no longer count every tagged row.
 	if err := st.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -965,9 +959,6 @@ func TestUpdateBeyondRetentionTyped409(t *testing.T) {
 		t.Fatal("expected cold rows after snapshot under retention")
 	}
 
-	if _, err := st.UpdateByQuery(ctx, crashIndex, MatchAll(), func(*event.Event) bool { return true }); !errors.Is(err, ErrUpdateBeyondRetention) {
-		t.Fatalf("update-by-query over cold rows: %v, want ErrUpdateBeyondRetention", err)
-	}
 	if _, err := st.Correlate(ctx, crashIndex, ""); !errors.Is(err, ErrUpdateBeyondRetention) {
 		t.Fatalf("correlate over cold rows: %v, want ErrUpdateBeyondRetention", err)
 	}

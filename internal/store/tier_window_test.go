@@ -256,100 +256,6 @@ func TestSegmentPruneNotStricterThanEvaluator(t *testing.T) {
 	}
 }
 
-// TestColdWindowHonoursPendingOverlay: a rewrite journaled after its row was
-// flushed lives in the pending overlay until compaction folds it in. A cold
-// read must see the rewritten time — a row moved into the window is found
-// though its stored time is outside it (even outside the range its segment
-// was stamped with), and a row moved out is not — before and after the fold.
-func TestColdWindowHonoursPendingOverlay(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	flat := memStore(t)
-	defer flat.Close()
-	st := openDurable(t, dir) // flat layout: flushed rows stay in update reach
-	rng := rand.New(rand.NewSource(3))
-	var rounds [][]event.Event
-	for r := 0; r < 4; r++ {
-		rounds = append(rounds, windowRound(rng, r, 40))
-	}
-	for _, evs := range rounds {
-		for _, s := range []*Store{st, flat} {
-			if err := s.BulkEvents(ctx, windowIndex, evs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The window is round 1's millisecond. Move round 1's rows 0-4 out of it
-	// (to round 9's time, past every stamp), round 2's rows 0-4 into it, and
-	// round 3's row 0 from inside its own segment's range to far outside it.
-	inWin := windowBase + 1_000_000 + 450_000
-	rewrite := func(e *event.Event) bool {
-		switch rv := e.RetVal; {
-		case rv >= 1000 && rv < 1005:
-			e.TimeEnterNS = windowBase + 9_000_000 + rv
-		case rv >= 2000 && rv < 2005:
-			e.TimeEnterNS = inWin + rv
-		case rv == 3000:
-			e.TimeEnterNS = windowBase + 20_000_000
-		default:
-			return false
-		}
-		return true
-	}
-	for _, s := range []*Store{st, flat} {
-		if n, err := s.UpdateByQuery(ctx, windowIndex, Term(FieldSession, "win"), rewrite); err != nil || n != 11 {
-			t.Fatalf("update-by-query rewrote %d rows (%v), want 11", n, err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st = openDurable(t, dir, WithRetention(longRetention), WithQueryCache(0)) // the same rows, now cold
-	defer st.Close()
-	ix, _ := st.GetIndex(windowIndex)
-	fix, _ := flat.GetIndex(windowIndex)
-	if ix.coldRows.Load() != 160 || len(ix.dur.pendingOverlay()) != 11 {
-		t.Fatalf("fixture: %d cold rows, %d pending rewrites; want 160 and 11", ix.coldRows.Load(), len(ix.dur.pendingOverlay()))
-	}
-	windows := map[string]Query{
-		"round 1": RangeBetween(FieldTimeEnter, float64(windowBase+1_000_000), float64(windowBase+1_999_999)),
-		"round 9": RangeBetween(FieldTimeEnter, float64(windowBase+9_000_000), float64(windowBase+9_999_999)),
-		"far out": RangeGTE(FieldTimeEnter, float64(windowBase+15_000_000)),
-	}
-	check := func(when string) {
-		t.Helper()
-		for name, rq := range windows {
-			req := SearchRequest{
-				Query: Must(Term(FieldSession, "win"), rq), Size: -1,
-				Sort: []SortField{{Field: FieldTimeEnter}},
-				Aggs: map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}}},
-			}
-			want := oracleSearch(fix, req)
-			got, err := st.Search(ctx, windowIndex, req)
-			if err != nil {
-				t.Fatalf("%s, window %s: %v", when, name, err)
-			}
-			if want.Total == 0 || jsonOf(got) != jsonOf(want) {
-				t.Fatalf("%s, window %s: cold read\n got %s\nwant %s", when, name, jsonOf(got), jsonOf(want))
-			}
-			if n, err := st.Count(ctx, windowIndex, req.Query); err != nil || n != want.Total {
-				t.Fatalf("%s, window %s: count %d (%v), want %d", when, name, n, err, want.Total)
-			}
-		}
-	}
-	check("overlay pending")
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(ix.dur.pendingOverlay()); n != 0 {
-		t.Fatalf("%d rewrites still pending after the folding compaction", n)
-	}
-	check("overlay folded")
-}
-
 // TestColdWindowCursorAcrossRetentionGap: retention drops a stale segment
 // from the middle of the history and compaction then merges across the hole,
 // leaving one segment with sparse row ids. Window queries select a subset of

@@ -38,29 +38,6 @@ func eventFixture() []event.Event {
 	}
 }
 
-// TestUpdateByQueryOverTypedRows checks the write path the correlation
-// algorithm uses: the callback edits the event and committed edits persist.
-func TestUpdateByQueryOverTypedRows(t *testing.T) {
-	ix := NewIndex("typed")
-	ix.AddEvents(eventFixture())
-	n := ix.UpdateByQuery(Term("syscall", "read"), func(e *event.Event) bool {
-		e.FilePath = "/tmp/a"
-		return true
-	})
-	if n != 2 {
-		t.Fatalf("updated %d rows, want 2", n)
-	}
-	res := ix.SearchEvents(SearchRequest{Query: Term("file_path", "/tmp/a")})
-	if res.Total != 2 {
-		t.Fatalf("file_path query total = %d, want 2", res.Total)
-	}
-	for i := range res.Hits {
-		if res.Hits[i].FilePath != "/tmp/a" || res.Hits[i].Syscall != "read" {
-			t.Fatalf("hit %d after update: %+v", i, res.Hits[i])
-		}
-	}
-}
-
 // TestMixedVersionFallback drives a binary-speaking client against an
 // NDJSON-only server (an "old" server, emulated by answering 415 to the
 // binary media type in front of the real handler): the first BulkEvents

@@ -17,8 +17,7 @@ import (
 // accepts event.ContentTypeBinaryV1, /_scatter always does, and the node and
 // the coordinator write it — and Client reads it — through this one codec.
 // Layout: u32 little-endian envelope length, the JSON envelope (everything
-// but the hits), then the hits as one event.EncodeBatch frame — the shape the
-// rewrite record already has: ids, then one frame.
+// but the hits), then the hits as one event.EncodeBatch frame.
 
 // ErrBadHitsBody reports a typed hit body that could not be parsed, or a
 // response that was not one.

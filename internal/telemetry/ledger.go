@@ -53,13 +53,13 @@ const (
 	MetricQueryCacheEntries   = "dio_store_query_cache_entries"         // live cache entries (gauge)
 	MetricRollupAggHits       = "dio_store_rollup_agg_hits_total"       // aggs served from rollup partials
 	MetricRollupAggMisses     = "dio_store_rollup_agg_misses_total"     // aggs that fell back to shard scans
-	MetricRollupRebuilds      = "dio_store_rollup_rebuilds_total"       // rollups rebuilt after invalidation
+	MetricRollupRebuilds      = "dio_store_rollup_rebuilds_total"       // retired: nothing can stale a rollup; the name stays for scrapers
 
 	// internal/store + internal/durable — the durability layer. The
 	// recovery counters close their own conservation invariant: after
 	// recovery, an index's live doc count equals the committed segment's
-	// rows plus the rows of every replayed WAL batch (rewrite records
-	// change rows in place and add none).
+	// rows plus the rows of every replayed WAL batch (paths records name
+	// rows in place and add none).
 	MetricWALAppendNS     = "dio_wal_append_ns"                    // one WAL record append
 	MetricWALFsyncNS      = "dio_wal_fsync_ns"                     // one WAL fsync
 	MetricWALAppends      = "dio_wal_appends_total"                // WAL records appended
