@@ -72,7 +72,11 @@ bench-read:
 ## bench-diagnose: a fast smoke run of the DFG build beside the full engine
 ## run over the same 120k-event session. Both are one cursor pass, so the two
 ## ns/op figures should sit within a small factor of each other; a wide gap
-## means a detector has started re-reading the session. Then one correlation
+## means a detector has started re-reading the session. The engine run also
+## has 30k and 480k arms, and its ns/event must stay flat across the three:
+## a pass is linear in the session, and a page that pays for the rows before
+## it (a sorted cursor re-testing the whole session) grows it with the
+## session length. Then one correlation
 ## pass over that session on a durable store, with the rows resident and
 ## with them flushed to a cold segment first (the flushed arm prices the
 ## pass's cold count): wal-B/row is what the pass journaled per row it named,

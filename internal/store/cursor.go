@@ -29,46 +29,75 @@ var errBadSearchAfter = errors.New("store: invalid search_after cursor")
 // only shrinks the remaining result set.
 var ErrCursorExpired = errors.New("store: search_after cursor expired: rows beyond it were dropped by retention")
 
-// searchCursor is a parsed SearchAfter: the boundary row's sort-key values
-// and its global id.
+// searchCursor is a parsed SearchAfter: the boundary row's sort keys and its
+// global id. It is parsed in place, into the search's own state, and the keys
+// of a sort on up to two fields — every sort the dashboards and the diagnosis
+// cursor issue — live in inline, so a resumed page allocates nothing a first
+// page does not. It must not be copied once parsed.
 type searchCursor struct {
-	vals []any
-	gid  int
+	keys   []cursorKey
+	gid    int
+	inline [2]cursorKey
 }
 
-// parseSearchAfter validates and decodes req.SearchAfter (nil cursor when the
-// request has none). A cursor replaces From — the caller resumes a walk, not
+// cursorKey is one sort-key value of a cursor as the token carried it, with
+// its numeric coercion parsed once per request: a row compares against it
+// through the sort column, unboxed, as cmpIDs compares two rows.
+type cursorKey struct {
+	val any
+	num float64
+	ok  bool
+}
+
+// parse validates and decodes req.SearchAfter into c; ok is false when the
+// request has none. A cursor replaces From — the caller resumes a walk, not
 // an offset — so a nonzero From alongside one is an error.
-func parseSearchAfter(req SearchRequest) (*searchCursor, error) {
+func (c *searchCursor) parse(req SearchRequest) (ok bool, err error) {
 	if len(req.SearchAfter) == 0 {
-		return nil, nil
+		return false, nil
 	}
 	if req.From != 0 {
-		return nil, errBadSearchAfter
+		return false, errBadSearchAfter
 	}
 	if len(req.SearchAfter) != len(req.Sort)+1 {
-		return nil, errBadSearchAfter
+		return false, errBadSearchAfter
 	}
 	last := req.SearchAfter[len(req.SearchAfter)-1]
-	f, ok := numeric(last)
-	if !ok || f != math.Trunc(f) || f < 0 || f >= maxExactInt {
-		return nil, errBadSearchAfter
+	f, isNum := numeric(last)
+	if !isNum || f != math.Trunc(f) || f < 0 || f >= maxExactInt {
+		return false, errBadSearchAfter
 	}
-	return &searchCursor{
-		vals: req.SearchAfter[:len(req.SearchAfter)-1],
-		gid:  int(f),
-	}, nil
+	c.gid = int(f)
+	if c.keys = c.inline[:0]; len(req.Sort) > len(c.inline) {
+		c.keys = make([]cursorKey, 0, len(req.Sort))
+	}
+	for _, v := range req.SearchAfter[:len(req.Sort)] {
+		k := cursorKey{val: v}
+		k.num, k.ok = numeric(v)
+		c.keys = append(c.keys, k)
+	}
+	return true, nil
 }
 
-// afterID reports whether shard row id (global id gid) sorts strictly after
-// the cursor position. Caller holds the shard read lock.
-func (c *searchCursor) afterID(sh *shard, id int32, gid int, sorts []SortField) bool {
+// afterID reports whether shard row id sorts strictly after the cursor
+// position. Each key reads the row through its sort column (cols, aligned
+// with sorts) and compares unboxed when both sides are numeric; only a value
+// that is not goes through cmpField. gidOf is called on a full key tie only.
+// Caller holds the shard read lock.
+func (c *searchCursor) afterID(sh *shard, id int32, sorts []SortField, cols []*column, gidOf func(int32) int) bool {
 	for i, s := range sorts {
-		if r := cmpField(sh.val(id, s.Field), c.vals[i], s.Desc); r != 0 {
+		k := &c.keys[i]
+		var r int
+		if f, ok := sh.colVal(cols[i], s.Field, id); ok && k.ok {
+			r = cmpOrdered(f, k.num, s.Desc)
+		} else {
+			r = cmpField(sh.val(id, s.Field), k.val, s.Desc)
+		}
+		if r != 0 {
 			return r > 0
 		}
 	}
-	return gid > c.gid
+	return gidOf(id) > c.gid
 }
 
 // firstLocalAfter returns the smallest local id of shard shardIdx (of S)

@@ -3,7 +3,9 @@ package store
 import (
 	"cmp"
 	"context"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -356,9 +358,14 @@ type partitionView struct {
 // node-local ones after validation, so a scattered request rejects exactly
 // the cursors a single node would.
 func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *partitionView, finish func(refs []hitRef, total int, parts map[string]*AggPartial)) error {
-	cur, err := parseSearchAfter(req)
+	exec := &searchExec{req: req, rtm: &ix.rtm}
+	resume, err := exec.cursor.parse(req)
 	if err != nil {
 		return err
+	}
+	var cur *searchCursor
+	if resume {
+		cur = &exec.cursor
 	}
 	P, pt := 1, 0
 	if view != nil {
@@ -383,13 +390,19 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 		// partition's local coordinates. The translated bound may be negative
 		// — "before every local row" — which the resume arithmetic handles but
 		// the wire format deliberately rejects.
-		cur = &searchCursor{vals: cur.vals, gid: partitionGidAfter(cur.gid, pt, P)}
+		cur.gid = partitionGidAfter(cur.gid, pt, P)
 	}
 	S := len(ix.shards)
 	plan := ix.planRollup(req)
 	cols := neededColumns(req, plan)
+	// A single-key sorted page builds its column's order (shard.go) on the
+	// hot shards, so this and every later page can walk it (orderedPage).
+	ordered := ""
+	if len(req.Sort) == 1 && req.Size > 0 {
+		ordered = req.Sort[0].Field
+	}
 	for _, sh := range ix.shards {
-		sh.ensureColumns(cols)
+		sh.ensureColumns(cols, ordered)
 	}
 	// Hold every shard's read lock for the whole search. The merge stage
 	// reads rows (sort comparisons, hit materialization) and live rollup maps
@@ -407,11 +420,10 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 	}()
 	// need is how many leading hit candidates each shard must contribute for
 	// a correct global window; 0 means all.
-	need := 0
 	if req.Size > 0 {
-		need = req.From + req.Size
+		exec.need = req.From + req.Size
 	}
-	exec := &searchExec{req: req, need: need, plan: plan, cur: cur, rtm: &ix.rtm}
+	exec.plan, exec.cur = plan, cur
 	// base is frozen for the duration: it only moves under every shard write
 	// lock, all of which we now hold shared.
 	base := int(ix.base.Load())
@@ -462,13 +474,14 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 
 // searchExec bundles one search's per-request execution state for the shard
 // fan-out: the request, the global candidate budget, the rollup plan, and
-// the parsed cursor.
+// the parsed cursor (cur points at cursor, or is nil without one).
 type searchExec struct {
-	req  SearchRequest
-	need int
-	plan *rollupPlan
-	cur  *searchCursor
-	rtm  *readTelemetry
+	req    SearchRequest
+	need   int
+	plan   *rollupPlan
+	cur    *searchCursor
+	cursor searchCursor
+	rtm    *readTelemetry
 }
 
 // searchLocked produces one row store's result; the caller holds sh.mu.RLock
@@ -521,11 +534,19 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 	var hitIDs []int32
 	switch {
 	case len(req.Sort) > 0:
+		var walked bool
+		if hitIDs, walked = sh.orderedPage(exec, matchAll, getIDs, firstAfter); walked {
+			break
+		}
+		sortCols := make([]*column, len(req.Sort))
+		for i, s := range req.Sort {
+			sortCols[i] = sh.cols[s.Field]
+		}
 		cand := getIDs()
 		if exec.cur != nil {
 			after := make([]int32, 0, len(cand))
 			for _, id := range cand {
-				if exec.cur.afterID(sh, id, gidOf(id), req.Sort) {
+				if exec.cur.afterID(sh, id, req.Sort, sortCols, gidOf) {
 					after = append(after, id)
 				}
 			}
@@ -536,10 +557,6 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 		// order total, which is exactly the stable insertion order (local id
 		// order == per-shard global id order), so heap selection below
 		// returns the same winners a stable full sort would.
-		sortCols := make([]*column, len(req.Sort))
-		for i, s := range req.Sort {
-			sortCols[i] = sh.cols[s.Field]
-		}
 		less := func(a, b int32) bool {
 			if r := sh.cmpIDs(a, b, req.Sort, sortCols); r != 0 {
 				return r < 0
@@ -591,6 +608,132 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 		res.hits[i] = hitRef{ev: sh.rows.at(int(id)), gid: gidOf(id)}
 	}
 	return res
+}
+
+// orderedPage selects a single-key sorted page by walking the sort column's
+// order (shard.go) from the cursor's position: a binary search finds the
+// first row past the cursor, and the walk keeps each row the query matched
+// (a binary search in the ascending match list) until need are kept. A page
+// then costs O(log n + rows walked), whatever its depth in the walk, where
+// the candidate path re-tests every match against the cursor and heaps the
+// rest. Desc walks the runs of equal values backward but each run forward,
+// so ties keep ascending ids, as hitLess orders them.
+//
+// A sort on time_enter_ns walks only the positions whose stamps the query's
+// time window admits (timeBounds, the bounds the cold tier prunes segments
+// by): a dashboard's window over the middle of a session neither walks the
+// rows before it nor runs on past it.
+//
+// walked is false, and the caller takes the candidate path, for a multi-key
+// or unbounded sort, a column with no order covering every row (a field
+// some row lacks, rows appended since ensureColumns, a transient cold
+// shard), a cursor value that is not numeric, and matches too sparse for the
+// walk to pay: it visits about need·n/m rows for m matches of the n it may
+// walk, so it is taken when that is at most m.
+func (sh *shard) orderedPage(exec *searchExec, matchAll bool, getIDs func() []int32, firstAfter func(gid int) int32) (hits []int32, walked bool) {
+	req, need := exec.req, exec.need
+	if len(req.Sort) != 1 || need <= 0 {
+		return nil, false
+	}
+	s := req.Sort[0]
+	c, n := sh.cols[s.Field], sh.rows.len()
+	if c == nil || c.order == nil || len(c.order) != n {
+		return nil, false
+	}
+	cur := exec.cur
+	if cur != nil && !cur.keys[0].ok {
+		return nil, false
+	}
+	order, vals := c.order, c.vals
+	// first returns the first position at or past lo whose value is above, a
+	// predicate false then true along order.
+	first := func(lo int, above func(v float64) bool) int {
+		return lo + sort.Search(len(order)-lo, func(i int) bool { return above(vals[order[lo+i]]) })
+	}
+	if s.Field == FieldTimeEnter {
+		if minT, maxT := timeBounds(req.Query); minT > math.MinInt64 || maxT < math.MaxInt64 {
+			// float64 of each integer bound is no further in than the bound
+			// (mayMatchTime), so no position cut off can match.
+			lf, hf := float64(minT), float64(maxT)
+			lo := first(0, func(v float64) bool { return v >= lf })
+			order = order[lo:first(lo, func(v float64) bool { return v > hf })]
+		}
+	}
+	var ids []int32
+	m := n
+	if !matchAll {
+		ids = getIDs()
+		m = len(ids)
+	}
+	if need > m || need*len(order) > m*m {
+		return nil, false
+	}
+	hits = make([]int32, 0, need)
+	// walk keeps the matched ids of run, in run order, and reports whether
+	// the page is full. m distinct ids below n, when m == n, are every id: a
+	// session term over a one-session index needs no lookup either.
+	every := m == n
+	walk := func(run []int32) bool {
+		for _, id := range run {
+			if !every {
+				if _, ok := slices.BinarySearch(ids, id); !ok {
+					continue
+				}
+			}
+			if hits = append(hits, id); len(hits) == need {
+				return true
+			}
+		}
+		return false
+	}
+	// [lo, hi) is the run of the cursor's value, and from the first position
+	// past the cursor in ascending order: a greater value, or the cursor's
+	// value at a local id whose gid is past the cursor's (ids and gids rise
+	// together within a shard).
+	from, lo, hi := 0, 0, len(order)
+	if cur != nil {
+		cv, fa := cur.keys[0].num, firstAfter(cur.gid)
+		lo = first(0, func(v float64) bool { return v >= cv })
+		hi = first(lo, func(v float64) bool { return v > cv })
+		from = lo + sort.Search(hi-lo, func(i int) bool { return order[lo+i] >= fa })
+	}
+	if !s.Desc {
+		walk(order[from:])
+		return hits, true
+	}
+	// Descending: first the rest of the cursor's own run, then every run
+	// below it, last run first.
+	if cur != nil {
+		if walk(order[from:hi]) {
+			return hits, true
+		}
+		hi = lo
+	}
+	for hi > 0 {
+		lo = runStart(order, vals, hi)
+		if walk(order[lo:hi]) {
+			break
+		}
+		hi = lo
+	}
+	return hits, true
+}
+
+// runStart returns the first position of the run of equal values that ends
+// at order[hi-1], galloping backward so that a run costs the log of its
+// length, not the length.
+func runStart(order []int32, vals []float64, hi int) int {
+	v := vals[order[hi-1]]
+	lo, step := hi-1, 1
+	for lo > 0 {
+		probe := max(lo-step, 0)
+		if vals[order[probe]] != v {
+			// The run starts in (probe, lo].
+			return probe + 1 + sort.Search(lo-probe-1, func(i int) bool { return vals[order[probe+1+i]] == v })
+		}
+		lo, step = probe, step*2
+	}
+	return lo
 }
 
 // topK selects the k smallest ids under less (a total order) in ascending
@@ -759,7 +902,7 @@ func (ix *Index) countCtx(ctx context.Context, q Query) (int, error) {
 	}
 	cols := neededColumns(SearchRequest{Query: q}, nil)
 	for _, sh := range ix.shards {
-		sh.ensureColumns(cols)
+		sh.ensureColumns(cols, "")
 	}
 	if !cold {
 		counts := make([]int, len(ix.shards))

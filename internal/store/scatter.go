@@ -94,7 +94,8 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 	// cursor, arity, gid bounds) so a scattered request fails exactly like a
 	// single-node one; the rewritten request below always has From == 0 and
 	// would mask the From/cursor conflict.
-	if _, err := parseSearchAfter(req); err != nil {
+	var cur searchCursor
+	if _, err := cur.parse(req); err != nil {
 		return ScatterResponse{}, err
 	}
 	// The coordinator applies the From/Size window after merging across

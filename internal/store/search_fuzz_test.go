@@ -50,8 +50,14 @@ func fuzzStores(f *testing.F) (mem, dur http.Handler) {
 // fuzzSearch posts body to a server's /v1 _search and returns the status and
 // the response body.
 func fuzzSearch(h http.Handler, body []byte) (int, string) {
+	return fuzzPost(h, "_search", body)
+}
+
+// fuzzPost posts body to one of a server's /v1 index routes and returns the
+// status and the response body.
+func fuzzPost(h http.Handler, route string, body []byte) (int, string) {
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/"+fuzzIndex+"/_search", bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/"+fuzzIndex+"/"+route, bytes.NewReader(body)))
 	return rec.Code, rec.Body.String()
 }
 
@@ -91,6 +97,61 @@ func FuzzSearchRequest(f *testing.F) {
 		dc, db := fuzzSearch(dur, body)
 		if mc != dc || (mc == http.StatusOK && mb != db) {
 			t.Fatalf("request %q:\n memory  %d %.600s\n durable %d %.600s", body, mc, mb, dc, db)
+		}
+	})
+}
+
+// FuzzScatterRequest posts arbitrary bytes to /_scatter, the per-partition
+// half of a cluster search, on the FuzzSearchRequest pair. Nothing may panic;
+// a body that does not decode as a ScatterRequest is a 400 on both stores;
+// and both stores must fail with the same status or answer the same typed
+// hits body, byte for byte, that decodeHitsBody accepts. The seeds wrap the
+// oracle matrix's requests at P = 1 and P = 3, and a search_after
+// continuation of each sorted one.
+func FuzzScatterRequest(f *testing.F) {
+	mem, dur := fuzzStores(f)
+	add := func(sreq ScatterRequest) {
+		body, err := json.Marshal(sreq)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, req := range oracleRequests() {
+		for _, P := range []int{1, 3} {
+			add(ScatterRequest{Req: req, Partition: P - 1, Partitions: P})
+		}
+		if len(req.Sort) == 0 || req.Size <= 0 {
+			continue
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var page SearchResponse
+		if code, resp := fuzzSearch(mem, body); code != http.StatusOK || json.Unmarshal([]byte(resp), &page) != nil {
+			f.Fatalf("seed %s: %d %s", body, code, resp)
+		}
+		if page.NextAfter != nil {
+			req.From, req.SearchAfter = 0, page.NextAfter
+			add(ScatterRequest{Req: req, Partition: 1, Partitions: 3})
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		mc, mb := fuzzPost(mem, "_scatter", body)
+		dc, db := fuzzPost(dur, "_scatter", body)
+		if mc != dc || (mc == http.StatusOK && mb != db) {
+			t.Fatalf("request %q:\n memory  %d %.600q\n durable %d %.600q", body, mc, mb, dc, db)
+		}
+		var sreq ScatterRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&sreq) != nil && mc != http.StatusBadRequest {
+			t.Fatalf("malformed request %q: status %d, want 400", body, mc)
+		}
+		if mc != http.StatusOK {
+			return
+		}
+		if _, err := decodeHitsBody([]byte(mb)); err != nil {
+			t.Fatalf("request %q: %v", body, err)
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,9 +30,63 @@ type shard struct {
 // float64 coercion of row i's field and ok[i] whether the field was numeric.
 // Columns are built lazily up to the current row count and extended on the
 // next use after writes; a stored row's numeric fields never change.
+//
+// order is the column's sort order, built for a field that a single-key
+// sorted page asked for: the shard's local ids ascending by (vals[id], id),
+// the total order cmpIDs and the id tie-break define. It covers exactly the
+// rows vals covers, is extended with them, and exists only while every row
+// holds the field (missing == 0), so a sorted page can resume by binary
+// search instead of re-testing every match. It costs 4 B per row and goes
+// with the column: eviction drops both.
 type column struct {
-	vals []float64
-	ok   []bool
+	vals    []float64
+	ok      []bool
+	missing int
+	order   []int32
+}
+
+// cmpOrder is the order's comparator: by value, then by local id.
+func (c *column) cmpOrder(a, b int32) int {
+	if r := cmp.Compare(c.vals[a], c.vals[b]); r != 0 {
+		return r
+	}
+	return cmp.Compare(a, b)
+}
+
+// extendOrder brings order up to len(vals). The new ids are sorted among
+// themselves; every one exceeds every ordered id, so one that sorts after the
+// last entry is appended as is, and otherwise only the suffix of order whose
+// values the new ones overlap is merged with them, in place from the back.
+// order's own append growth is the only allocation on the appending path.
+// Caller holds the write lock.
+func (c *column) extendOrder() {
+	k, n := len(c.order), len(c.vals)
+	if c.order == nil {
+		c.order = make([]int32, 0, n)
+	}
+	for id := k; id < n; id++ {
+		c.order = append(c.order, int32(id))
+	}
+	fresh := c.order[k:]
+	if !slices.IsSortedFunc(fresh, c.cmpOrder) {
+		slices.SortFunc(fresh, c.cmpOrder)
+	}
+	if k == 0 || k == n || c.vals[fresh[0]] >= c.vals[c.order[k-1]] {
+		return
+	}
+	v := c.vals[fresh[0]]
+	p := sort.Search(k, func(i int) bool { return c.vals[c.order[i]] > v })
+	fresh = slices.Clone(fresh)
+	i, j := k-1, len(fresh)-1
+	for w := n - 1; j >= 0; w-- {
+		if i >= p && c.vals[c.order[i]] > c.vals[fresh[j]] {
+			c.order[w] = c.order[i]
+			i--
+		} else {
+			c.order[w] = fresh[j]
+			j--
+		}
+	}
 }
 
 // blockRows is the row count of one storage block: a power of two, so a row
@@ -158,17 +214,21 @@ func (sh *shard) len() int {
 }
 
 // ensureColumns builds or extends the numeric columns for fields so they
-// cover every row currently in the shard. It is called before the read phase
-// of a search; rows appended concurrently afterwards are handled by the
-// per-row fallback in colVal.
-func (sh *shard) ensureColumns(fields []string) {
+// cover every row currently in the shard, and builds the order of the column
+// named ordered (one of fields, or "" for none) if it has none yet. A column
+// that has an order keeps it extended whatever asked for the column. It is
+// called before the read phase of a search; rows appended concurrently
+// afterwards are handled by the per-row fallback in colVal, and by the
+// candidate path for a sorted page.
+func (sh *shard) ensureColumns(fields []string, ordered string) {
 	if len(fields) == 0 {
 		return
 	}
 	sh.mu.RLock()
 	need := false
 	for _, f := range fields {
-		if c := sh.cols[f]; c == nil || len(c.vals) < sh.rows.len() {
+		c := sh.cols[f]
+		if c == nil || len(c.vals) < sh.rows.len() || (f == ordered && c.order == nil && c.missing == 0) {
 			need = true
 			break
 		}
@@ -191,6 +251,15 @@ func (sh *shard) ensureColumns(fields []string) {
 			v, ok := sh.numAt(int32(i), f)
 			c.vals = append(c.vals, v)
 			c.ok = append(c.ok, ok)
+			if !ok {
+				c.missing++
+			}
+		}
+		switch {
+		case c.missing > 0:
+			c.order = nil
+		case c.order != nil || f == ordered:
+			c.extendOrder()
 		}
 	}
 	sh.mu.Unlock()

@@ -145,7 +145,9 @@ type coldSegment struct {
 // book, usually empty) then names the rows of a segment written before a
 // correlation pass. The file image goes back to its pool on return: decoded
 // rows do not alias it. skipped is the rows left undecoded. Rollups are
-// disabled on the transient shard (base 0); columns build on demand.
+// disabled on the transient shard (base 0); columns build on demand, but no
+// sort order: the shard answers one request, and a sorted page over it takes
+// the candidate path.
 func (ix *Index) openColdSegment(sm durable.SegmentMeta, book []event.PathsRecord, minT, maxT int64) (cs *coldSegment, skipped int, err error) {
 	path := filepath.Join(ix.dur.dir, durable.SegmentName(sm.Seq))
 	r, err := durable.OpenSegment(path)
@@ -233,7 +235,7 @@ func eachColdSegment[T any](ctx context.Context, ix *Index, req SearchRequest, f
 			ix.rtm.rowsDecoded.Add(uint64(len(cs.gids)))
 			ix.rtm.rowsSkipped.Add(uint64(skipped))
 		}
-		cs.sh.ensureColumns(cols)
+		cs.sh.ensureColumns(cols, "")
 		out[i] = fn(cs)
 	}); err != nil {
 		return nil, err
