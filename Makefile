@@ -139,6 +139,9 @@ chaos-cluster:
 ## compaction killed before the manifest commit, manifests referencing
 ## missing segments, multi-segment follower bootstrap) — each recovery
 ## compared field-for-field against a never-crashed control — plus the typed
-## rejection of every retired on-disk form, under -race.
+## rejection of every retired on-disk form, and counts read while an index's
+## first snapshot evicts its rows (TestDurableCountDuringFirstEviction: every
+## count must see one cut, never the moved rows twice or not at all), under
+## -race.
 crash:
 	$(GO) test -race -run 'TestCrash|TestDurable|TestFrameJournal|TestRecovery|TestRetired|TestWAL|TestSegment|TestManifest' ./internal/store/ ./internal/durable/

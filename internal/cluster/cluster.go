@@ -284,6 +284,45 @@ func (co *Coordinator) call(ctx context.Context, p int, op func(Node) error) err
 	return err
 }
 
+// fanOut runs op on every partition in parallel, each call through call (the
+// partition's breaker), and returns the per-partition errors, indexed by
+// partition. It is the coordinator's one partition fan-out: every read and
+// admin operation goes through it, and only a striped bulk, which skips the
+// partitions it sends no rows to, keeps its own loop.
+func (co *Coordinator) fanOut(ctx context.Context, op func(p int, n Node) error) []error {
+	errs := make([]error, len(co.nodes))
+	var wg sync.WaitGroup
+	for p := range co.nodes {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			errs[p] = co.call(ctx, p, func(n Node) error { return op(p, n) })
+		}(p)
+	}
+	wg.Wait()
+	return errs
+}
+
+// missingRule applies the missing-partition rule to a fan-out's errors: a
+// partition that answered ErrIndexNotFound owns no rows of the index yet and
+// counts as empty; any other failure fails the operation, the lowest
+// partition's first; and the index does not exist only when every partition
+// is missing it.
+func missingRule(index string, errs []error) error {
+	missing := 0
+	for _, err := range errs {
+		if errors.Is(err, ErrIndexNotFound) {
+			missing++
+		} else if err != nil {
+			return err
+		}
+	}
+	if missing == len(errs) {
+		return fmt.Errorf("cluster: index %q: %w", index, ErrIndexNotFound)
+	}
+	return nil
+}
+
 // index returns (creating if needed) the per-index routing state.
 func (co *Coordinator) index(name string) *clusterIndex {
 	co.mu.Lock()
@@ -299,29 +338,18 @@ func (co *Coordinator) index(name string) *clusterIndex {
 // seedLocked derives the next cluster-global row id from the partitions'
 // Rows counters (rows ever placed, unshrunk by retention — restored by WAL
 // replay and follower bootstrap, so the figure survives node restarts and
-// failovers). Caller holds ci.mu. A partition without the index contributes
-// zero; any other per-node failure aborts the write that needed the seed.
+// failovers), which Stats sums. Caller holds ci.mu. A partition without the
+// index contributes zero; any other per-node failure aborts the write that
+// needed the seed.
 func (co *Coordinator) seedLocked(ctx context.Context, name string, ci *clusterIndex) error {
 	if ci.seeded {
 		return nil
 	}
-	var total int64
-	for p := range co.nodes {
-		var st store.IndexStats
-		err := co.call(ctx, p, func(n Node) error {
-			var e error
-			st, e = n.Stats(ctx, name)
-			return e
-		})
-		if err != nil {
-			if errors.Is(err, ErrIndexNotFound) {
-				continue
-			}
-			return fmt.Errorf("cluster: seed row counter for %q: %w", name, err)
-		}
-		total += st.Rows
+	st, err := co.Stats(ctx, name)
+	if err != nil && !errors.Is(err, ErrIndexNotFound) {
+		return fmt.Errorf("cluster: seed row counter for %q: %w", name, err)
 	}
-	ci.next = total
+	ci.next = st.Rows
 	ci.seeded = true
 	co.seeds.Inc()
 	return nil
@@ -436,74 +464,32 @@ func (co *Coordinator) SearchEvents(ctx context.Context, index string, req store
 	P := len(co.nodes)
 	co.fanouts.Inc()
 	resps := make([]store.ScatterResponse, P)
-	errs := make([]error, P)
-	var wg sync.WaitGroup
-	for p := 0; p < P; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			errs[p] = co.call(ctx, p, func(n Node) error {
-				r, e := n.Scatter(ctx, index, store.ScatterRequest{
-					Req: req, Partition: p, Partitions: P,
-				})
-				if e != nil {
-					return e
-				}
-				resps[p] = r
-				return nil
-			})
-		}(p)
-	}
-	wg.Wait()
-	missing := 0
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, ErrIndexNotFound) {
-			missing++
-			continue
-		}
+	errs := co.fanOut(ctx, func(p int, n Node) (err error) {
+		resps[p], err = n.Scatter(ctx, index, store.ScatterRequest{Req: req, Partition: p, Partitions: P})
+		return err
+	})
+	if err := missingRule(index, errs); err != nil {
 		return store.EventsResult{}, err
-	}
-	if missing == P {
-		return store.EventsResult{}, fmt.Errorf("cluster: index %q: %w", index, ErrIndexNotFound)
 	}
 	return store.MergeScatters(req, resps), nil
 }
 
-// Count scatters a count and sums the partition totals.
+// Count sends the count to every partition and sums the partition totals. It
+// stays a count on each node, not a scatter: a node counts a match-all from
+// its segment list without decoding a segment.
 func (co *Coordinator) Count(ctx context.Context, index string, q store.Query) (int, error) {
-	P := len(co.nodes)
 	co.fanouts.Inc()
-	counts := make([]int, P)
-	errs := make([]error, P)
-	var wg sync.WaitGroup
-	for p := 0; p < P; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			errs[p] = co.call(ctx, p, func(n Node) error {
-				var e error
-				counts[p], e = n.Count(ctx, index, q)
-				return e
-			})
-		}(p)
+	counts := make([]int, len(co.nodes))
+	errs := co.fanOut(ctx, func(p int, n Node) (err error) {
+		counts[p], err = n.Count(ctx, index, q)
+		return err
+	})
+	if err := missingRule(index, errs); err != nil {
+		return 0, err
 	}
-	wg.Wait()
-	total, missing := 0, 0
-	for p := 0; p < P; p++ {
-		if errs[p] != nil {
-			if errors.Is(errs[p], ErrIndexNotFound) {
-				missing++
-				continue
-			}
-			return 0, errs[p]
-		}
-		total += counts[p]
-	}
-	if missing == P {
-		return 0, fmt.Errorf("cluster: index %q: %w", index, ErrIndexNotFound)
+	total := 0
+	for _, c := range counts {
+		total += c
 	}
 	return total, nil
 }
@@ -537,57 +523,35 @@ type ClusterStats struct {
 // entry stays, showing the layout). All partitions missing means the index
 // does not exist.
 func (co *Coordinator) Stats(ctx context.Context, index string) (ClusterStats, error) {
-	P := len(co.nodes)
-	out := ClusterStats{Index: index, Partitions: make([]PartitionStats, P)}
-	stats := make([]store.IndexStats, P)
-	errs := make([]error, P)
-	var wg sync.WaitGroup
-	for p := 0; p < P; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			errs[p] = co.call(ctx, p, func(n Node) error {
-				var e error
-				stats[p], e = n.Stats(ctx, index)
-				return e
-			})
-		}(p)
+	stats := make([]store.IndexStats, len(co.nodes))
+	errs := co.fanOut(ctx, func(p int, n Node) (err error) {
+		stats[p], err = n.Stats(ctx, index)
+		return err
+	})
+	if err := missingRule(index, errs); err != nil {
+		return ClusterStats{}, err
 	}
-	wg.Wait()
-	missing := 0
-	for p := 0; p < P; p++ {
-		out.Partitions[p] = PartitionStats{Partition: p, Target: co.nodes[p].Target()}
-		if errs[p] != nil {
-			if errors.Is(errs[p], ErrIndexNotFound) {
-				missing++
-				continue
-			}
-			return ClusterStats{}, errs[p]
-		}
-		out.Partitions[p].Docs = stats[p].Docs
-		out.Partitions[p].Rows = stats[p].Rows
-		out.Partitions[p].Shards = stats[p].Shards
-		out.Docs += stats[p].Docs
-		out.Rows += stats[p].Rows
-	}
-	if missing == P {
-		return ClusterStats{}, fmt.Errorf("cluster: index %q: %w", index, ErrIndexNotFound)
+	out := ClusterStats{Index: index, Partitions: make([]PartitionStats, len(co.nodes))}
+	for p, st := range stats {
+		out.Partitions[p] = PartitionStats{Partition: p, Target: co.nodes[p].Target(),
+			Docs: st.Docs, Rows: st.Rows, Shards: st.Shards}
+		out.Docs += st.Docs
+		out.Rows += st.Rows
 	}
 	return out, nil
 }
 
 // ListIndices returns the sorted union of every partition's index names.
 func (co *Coordinator) ListIndices(ctx context.Context) ([]string, error) {
+	lists := make([][]string, len(co.nodes))
+	errs := co.fanOut(ctx, func(p int, n Node) (err error) {
+		lists[p], err = n.ListIndices(ctx)
+		return err
+	})
 	seen := make(map[string]bool)
-	for p := range co.nodes {
-		var names []string
-		err := co.call(ctx, p, func(n Node) error {
-			var e error
-			names, e = n.ListIndices(ctx)
-			return e
-		})
-		if err != nil {
-			return nil, err
+	for p, names := range lists {
+		if errs[p] != nil {
+			return nil, errs[p]
 		}
 		for _, name := range names {
 			seen[name] = true
@@ -602,13 +566,12 @@ func (co *Coordinator) ListIndices(ctx context.Context) ([]string, error) {
 }
 
 // DeleteIndex drops the index on every partition and forgets the row
-// counter, so a re-created index seeds from zero.
+// counter, so a re-created index seeds from zero. Deleting an index no
+// partition holds succeeds.
 func (co *Coordinator) DeleteIndex(ctx context.Context, index string) error {
-	for p := range co.nodes {
-		err := co.call(ctx, p, func(n Node) error { return n.DeleteIndex(ctx, index) })
-		if err != nil && !errors.Is(err, ErrIndexNotFound) {
-			return err
-		}
+	errs := co.fanOut(ctx, func(_ int, n Node) error { return n.DeleteIndex(ctx, index) })
+	if err := missingRule(index, errs); err != nil && !errors.Is(err, ErrIndexNotFound) {
+		return err
 	}
 	co.mu.Lock()
 	delete(co.indices, index)
@@ -645,39 +608,26 @@ type ClusterHealth struct {
 // position, and replication lag.
 func (co *Coordinator) Health(ctx context.Context) ClusterHealth {
 	P := len(co.nodes)
+	hs := make([]store.HealthStatus, P)
+	errs := co.fanOut(ctx, func(p int, n Node) (err error) {
+		hs[p], err = n.Health(ctx)
+		return err
+	})
 	out := ClusterHealth{Status: "ok", Partitions: P, Nodes: make([]NodeHealth, P)}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for p := 0; p < P; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			nh := NodeHealth{Partition: p, Target: co.nodes[p].Target()}
-			var h store.HealthStatus
-			err := co.call(ctx, p, func(n Node) error {
-				var e error
-				h, e = n.Health(ctx)
-				return e
-			})
-			if err != nil {
-				nh.Status = "unreachable"
-				nh.Error = err.Error()
-			} else {
-				nh.Status = h.Status
-				nh.Role = h.Role
-				for _, r := range h.Replication {
-					nh.ReplLag += r.Lag
-				}
+	for p, h := range hs {
+		nh := NodeHealth{Partition: p, Target: co.nodes[p].Target(), Breaker: co.breakers[p].State().String()}
+		if err := errs[p]; err != nil {
+			nh.Status, nh.Error = "unreachable", err.Error()
+		} else {
+			nh.Status, nh.Role = h.Status, h.Role
+			for _, r := range h.Replication {
+				nh.ReplLag += r.Lag
 			}
-			nh.Breaker = co.breakers[p].State().String()
-			mu.Lock()
-			out.Nodes[p] = nh
-			if nh.Status != "ok" {
-				out.Status = "degraded"
-			}
-			mu.Unlock()
-		}(p)
+		}
+		if nh.Status != "ok" {
+			out.Status = "degraded"
+		}
+		out.Nodes[p] = nh
 	}
-	wg.Wait()
 	return out
 }

@@ -1,9 +1,10 @@
 package store
 
 import (
-	"math"
 	"sort"
 	"strconv"
+
+	"github.com/dsrhaslab/dio-go/internal/metrics"
 )
 
 // Agg is a JSON-serializable aggregation: exactly one kind should be set.
@@ -138,25 +139,9 @@ func percentilesFromSorted(sorted []float64, p *PercentilesAgg) AggResult {
 	}
 	out := make(map[string]float64, len(percents))
 	for _, pct := range percents {
-		out[strconv.FormatFloat(pct, 'g', -1, 64)] = percentileOf(sorted, pct)
+		out[strconv.FormatFloat(pct, 'g', -1, 64)] = metrics.Percentile(sorted, pct)
 	}
 	return AggResult{Percentiles: out}
-}
-
-// percentileOf computes the pct-th percentile of non-empty sorted vals using
-// the nearest-rank method.
-func percentileOf(sorted []float64, pct float64) float64 {
-	if pct <= 0 {
-		return sorted[0]
-	}
-	if pct >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(pct / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }
 
 // finalizeStats computes the average and normalizes the empty accumulator.

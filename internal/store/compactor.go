@@ -134,29 +134,14 @@ func (ix *Index) compactOnce() (bool, error) {
 	newSegs = append(newSegs, cur[:lo]...)
 	newSegs = append(newSegs, merged)
 	newSegs = append(newSegs, cur[lo+len(run):]...)
-	m := durable.Manifest{
-		Shards:         len(ix.shards),
-		WALSeq:         d.walSeq,
-		SegmentSeq:     d.segSeq,
-		Segments:       newSegs,
-		BaseSeq:        d.baseSeq,
-		ReplOffset:     d.replOff.Load(),
-		RetentionFloor: ix.retFloor.Load(),
-		Paths:          d.paths(),
-	}
-	if err := durable.CommitManifest(d.dir, m); err != nil {
-		d.gate.Unlock()
+	m := d.manifest(ix)
+	m.Segments = newSegs
+	err = d.commit(ix, m, nil)
+	d.gate.Unlock()
+	if err != nil {
 		durable.RemoveSegment(d.dir, outSeq)
 		return false, err
 	}
-	for _, sh := range ix.shards {
-		sh.mu.Lock()
-	}
-	d.publishSegsLocked(ix, newSegs)
-	for i := len(ix.shards) - 1; i >= 0; i-- {
-		ix.shards[i].mu.Unlock()
-	}
-	d.gate.Unlock()
 	// Input files are unreferenced by the committed manifest and every reader
 	// that could hold the old list has finished (the publication held all
 	// shard write locks).
@@ -209,31 +194,17 @@ func (ix *Index) retainOnce(now time.Time) error {
 			book = append(book, rec)
 		}
 	}
-	m := durable.Manifest{
-		Shards:         len(ix.shards),
-		WALSeq:         d.walSeq,
-		SegmentSeq:     d.segSeq,
-		Segments:       keep,
-		BaseSeq:        d.baseSeq,
-		ReplOffset:     d.replOff.Load(),
-		RetentionFloor: floor,
-		Paths:          book,
-	}
-	if err := durable.CommitManifest(d.dir, m); err != nil {
-		d.gate.Unlock()
+	m := d.manifest(ix)
+	m.Segments, m.RetentionFloor, m.Paths = keep, floor, book
+	err := d.commit(ix, m, func() {
+		ix.epoch.Add(1)
+		ix.retFloor.Store(floor)
+		d.book.Store(&book)
+	})
+	d.gate.Unlock()
+	if err != nil {
 		return err
 	}
-	ix.epoch.Add(1)
-	for _, sh := range ix.shards {
-		sh.mu.Lock()
-	}
-	ix.retFloor.Store(floor)
-	d.publishSegsLocked(ix, keep)
-	for i := len(ix.shards) - 1; i >= 0; i-- {
-		ix.shards[i].mu.Unlock()
-	}
-	d.book.Store(&book)
-	d.gate.Unlock()
 	ix.epoch.Add(1)
 	for _, sm := range dropped {
 		durable.RemoveSegment(d.dir, sm.Seq)

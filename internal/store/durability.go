@@ -128,8 +128,8 @@ func segsEnd(segs []durable.SegmentMeta) int64 {
 }
 
 // coldRowCount sums the rows of segments wholly below base — the rows only
-// reachable through segment files, which Len must count on top of shard
-// memory.
+// reachable through segment files, which a match-all count adds to shard
+// memory without opening a file.
 func coldRowCount(segs []durable.SegmentMeta, base int64) int64 {
 	var n int64
 	for _, sm := range segs {
@@ -152,12 +152,44 @@ func (d *indexDurable) flushStart(ix *Index) int64 {
 	return fs
 }
 
-// publishSegsLocked installs a new segment list and recomputes the cold-row
-// count. Caller holds the exclusive gate and every shard write lock (the
-// publication point of the no-refcount reader protocol).
-func (d *indexDurable) publishSegsLocked(ix *Index, segs []durable.SegmentMeta) {
-	d.segs.Store(&segs)
-	ix.coldRows.Store(coldRowCount(segs, ix.base.Load()))
+// manifest is the index's committed state as it stands. Every commit starts
+// from it and overrides only what it changes. Caller holds the exclusive gate.
+func (d *indexDurable) manifest(ix *Index) durable.Manifest {
+	return durable.Manifest{
+		Shards:         len(ix.shards),
+		WALSeq:         d.walSeq,
+		SegmentSeq:     d.segSeq,
+		Segments:       *d.segs.Load(),
+		BaseSeq:        d.baseSeq,
+		ReplOffset:     d.replOff.Load(),
+		RetentionFloor: ix.retFloor.Load(),
+		Paths:          d.paths(),
+	}
+}
+
+// commit is the writer half of the no-refcount reader protocol. It commits m
+// (the crash-atomic point), then, under every shard write lock, runs step
+// (the in-memory change m records: an eviction, a new base or floor; nil for
+// none), installs m's segment list and recomputes the cold-row count. A
+// reader holding every shard read lock (searchShards) therefore sees the
+// state before the commit or after it, never part of each. Caller holds the
+// exclusive gate.
+func (d *indexDurable) commit(ix *Index, m durable.Manifest, step func()) error {
+	if err := durable.CommitManifest(d.dir, m); err != nil {
+		return err
+	}
+	for _, sh := range ix.shards {
+		sh.mu.Lock()
+	}
+	if step != nil {
+		step()
+	}
+	d.segs.Store(&m.Segments)
+	ix.coldRows.Store(coldRowCount(m.Segments, ix.base.Load()))
+	for i := len(ix.shards) - 1; i >= 0; i-- {
+		ix.shards[i].mu.Unlock()
+	}
+	return nil
 }
 
 // encodePool recycles WAL payload scratch buffers across appends.
@@ -284,8 +316,9 @@ func (ix *Index) flushRows(start, head int) durable.RowSource {
 // cold path), so the index epoch does not move.
 //
 // Searches proceed concurrently until the final publication (the writer
-// takes shard write locks only for the list/base swap); writers wait on the
-// gate, which also guarantees memory state == WAL state.
+// takes shard write locks only for the eviction and the list swap, in
+// commit); writers wait on the gate, which also guarantees memory state ==
+// WAL state.
 func (d *indexDurable) snapshot(ix *Index, force bool) error {
 	if d.dirty.Load() == 0 && !force {
 		return nil
@@ -329,17 +362,25 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 	// records will carry sequences from there, which BaseSeq records for
 	// recovery and the replication tail reader.
 	headSeq := d.recSeq.Load()
-	m := durable.Manifest{
-		Shards:         len(ix.shards),
-		WALSeq:         newWALSeq,
-		SegmentSeq:     d.segSeq,
-		Segments:       newSegs,
-		BaseSeq:        headSeq,
-		ReplOffset:     d.replOff.Load(),
-		RetentionFloor: ix.retFloor.Load(),
-		Paths:          d.paths(),
-	}
-	if err := durable.CommitManifest(d.dir, m); err != nil {
+	m := d.manifest(ix)
+	m.WALSeq, m.Segments, m.BaseSeq = newWALSeq, newSegs, headSeq
+	err = d.commit(ix, m, func() {
+		if head <= base {
+			return
+		}
+		// Evict: the rows just flushed (and any older hot rows) are now
+		// segment-backed; clear shard storage in place and advance the base.
+		for _, sh := range ix.shards {
+			sh.rows.reset()
+			sh.cols = nil
+			sh.postings = newPostings()
+			if sh.rollup != nil {
+				*sh.rollup = *newShardRollup(sh.rollup.base)
+			}
+		}
+		ix.base.Store(head)
+	})
+	if err != nil {
 		newWAL.Close()
 		return err
 	}
@@ -350,30 +391,6 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 	d.walSeq = newWALSeq
 	d.baseSeq = headSeq
 	d.dirty.Store(0)
-	for _, sh := range ix.shards {
-		sh.mu.Lock()
-	}
-	if head > base {
-		// Evict: the rows just flushed (and any older hot rows) are now
-		// segment-backed; clear shard storage in place and advance the base.
-		for _, sh := range ix.shards {
-			sh.rows.reset()
-			sh.cols = nil
-			p := make(map[string]map[string][]int32, len(indexedFields))
-			for _, f := range indexedFields {
-				p[f] = make(map[string][]int32)
-			}
-			sh.postings = p
-			if sh.rollup != nil {
-				*sh.rollup = *newShardRollup(sh.rollup.base)
-			}
-		}
-		ix.base.Store(head)
-	}
-	d.publishSegsLocked(ix, newSegs)
-	for i := len(ix.shards) - 1; i >= 0; i-- {
-		ix.shards[i].mu.Unlock()
-	}
 	d.lastSnap.Store(time.Now().UnixNano())
 	if err := old.Close(); err != nil {
 		return err

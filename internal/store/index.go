@@ -16,8 +16,9 @@ import (
 
 // indexedFields are the keyword fields for which the index maintains posting
 // lists, accelerating the term queries issued by the paper's dashboards
-// (session, syscall, process/thread names).
-var indexedFields = []string{"session", "syscall", "proc_name", "thread_name", "class"}
+// (session, syscall, process/thread names). The order fixes each field's
+// slot in a rollup's terms (rollupPartial).
+var indexedFields = [...]string{FieldSession, FieldSyscall, FieldProcName, FieldThreadName, FieldClass}
 
 // Index stores the documents of one index, striped across shards so that
 // writes contend on 1/N of the index and reads fan out across cores.
@@ -104,12 +105,6 @@ func (ix *Index) Name() string { return ix.name }
 
 // NumShards returns the number of lock stripes.
 func (ix *Index) NumShards() int { return len(ix.shards) }
-
-// gid composes a global doc id from a shard index and local position (hot
-// rows only: shard memory starts at the index base).
-func (ix *Index) gid(shardIdx int, local int32) int {
-	return int(ix.base.Load()) + int(local)*len(ix.shards) + shardIdx
-}
 
 // AddEvents indexes a batch of events, locking each shard once: each event
 // is copied straight into its shard's row storage and keyword postings,
@@ -207,14 +202,9 @@ func (ix *Index) addEventsAt(start int, events []event.Event) {
 }
 
 // Len returns the number of documents: cold rows (segment-resident, below
-// the base) plus everything in shard memory. Retention drops shrink it.
-func (ix *Index) Len() int {
-	n := int(ix.coldRows.Load())
-	for _, sh := range ix.shards {
-		n += sh.len()
-	}
-	return n
-}
+// the base) plus everything in shard memory, counted in one cut. Retention
+// drops shrink it.
+func (ix *Index) Len() int { return ix.Count(MatchAll()) }
 
 // ShardDocCounts returns the per-shard document counts, for the telemetry
 // shard-imbalance gauge and the _stats API.
@@ -310,7 +300,7 @@ func (ix *Index) SearchEvents(req SearchRequest) EventsResult {
 // held — the copy reads row storage, so it must happen inside the snapshot.
 func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (EventsResult, error) {
 	var res EventsResult
-	err := ix.searchShards(ctx, req, nil, func(refs []hitRef, total int, parts map[string]*AggPartial) {
+	err := ix.searchShards(ctx, &searchExec{req: req}, nil, func(refs []hitRef, total int, parts map[string]*AggPartial) {
 		var aggs map[string]AggResult
 		if len(req.Aggs) > 0 {
 			aggs = make(map[string]AggResult, len(req.Aggs))
@@ -348,17 +338,19 @@ type partitionView struct {
 	partitions int
 }
 
-// searchShards is the shard fan-out half of the search pipeline: it matches,
-// pre-sorts, and pre-aggregates every stripe (cold segments included), k-way
-// merges the hit candidates, and hands finish the windowed refs plus the
-// per-aggregation COMBINED partials — not yet finalized, so a cluster
-// coordinator can combine them once more across partitions before
-// finalizing. finish runs while every shard read lock is held. A non-nil
-// view translates the request's cursor from cluster-global coordinates into
-// node-local ones after validation, so a scattered request rejects exactly
-// the cursors a single node would.
-func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *partitionView, finish func(refs []hitRef, total int, parts map[string]*AggPartial)) error {
-	exec := &searchExec{req: req, rtm: &ix.rtm}
+// searchShards is the shard fan-out half of the search pipeline, and the
+// node's only one: it matches, pre-sorts, and pre-aggregates every stripe
+// (cold segments included), k-way merges the hit candidates, and hands
+// finish the windowed refs plus the per-aggregation COMBINED partials — not
+// yet finalized, so a cluster coordinator can combine them once more across
+// partitions before finalizing. finish runs while every shard read lock is
+// held. A non-nil view translates the request's cursor from cluster-global
+// coordinates into node-local ones after validation, so a scattered request
+// rejects exactly the cursors a single node would. exec names the request,
+// and whether this is a counting execution (searchExec.count).
+func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *partitionView, finish func(refs []hitRef, total int, parts map[string]*AggPartial)) error {
+	req := exec.req
+	exec.rtm = &ix.rtm
 	resume, err := exec.cursor.parse(req)
 	if err != nil {
 		return err
@@ -409,7 +401,11 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 	// after the per-shard phase, so releasing locks between the two would
 	// race a concurrent write; a full read snapshot
 	// reproduces the unsharded implementation's single-RLock semantics while
-	// the per-shard work still fans out in parallel.
+	// the per-shard work still fans out in parallel. It is also the reader
+	// half of the eviction protocol: a flush-evict moves rows from shard
+	// memory to the cold tier under every shard write lock, so the hot rows,
+	// the base and the segment list read below are one cut, and no row is
+	// seen in both tiers or in neither.
 	for _, sh := range ix.shards {
 		sh.mu.RLock()
 	}
@@ -436,7 +432,11 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 	}); err != nil {
 		return err
 	}
-	if ix.coldRows.Load() > 0 {
+	if cold := ix.coldRows.Load(); cold > 0 && exec.count && req.Query.matchesAll() {
+		// A match-all count reads the cold total the segment list published
+		// under the locks now held, and decodes no segment.
+		results = append(results, shardResult{total: int(cold)})
+	} else if cold > 0 {
 		coldResults, err := ix.coldSearch(ctx, exec)
 		if err != nil {
 			return err
@@ -474,9 +474,12 @@ func (ix *Index) searchShards(ctx context.Context, req SearchRequest, view *part
 
 // searchExec bundles one search's per-request execution state for the shard
 // fan-out: the request, the global candidate budget, the rollup plan, and
-// the parsed cursor (cur points at cursor, or is nil without one).
+// the parsed cursor (cur points at cursor, or is nil without one). count
+// marks a counting execution: every stripe reports its match count and no
+// hit candidates, over the same cut a search reads.
 type searchExec struct {
 	req    SearchRequest
+	count  bool
 	need   int
 	plan   *rollupPlan
 	cur    *searchCursor
@@ -511,6 +514,9 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 		res.total = sh.rows.len()
 	} else {
 		res.total = len(getIDs())
+	}
+	if exec.count {
+		return res
 	}
 	if len(req.Aggs) > 0 {
 		res.partials = make(map[string]*AggPartial, len(req.Aggs))
@@ -891,70 +897,12 @@ func (ix *Index) Count(q Query) int {
 	return n
 }
 
-// countCtx is Count with cancellation between shards.
-func (ix *Index) countCtx(ctx context.Context, q Query) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	cold := ix.coldRows.Load() > 0
-	if q.matchesAll() && !cold {
-		return ix.Len(), nil
-	}
-	cols := neededColumns(SearchRequest{Query: q}, nil)
-	for _, sh := range ix.shards {
-		sh.ensureColumns(cols, "")
-	}
-	if !cold {
-		counts := make([]int, len(ix.shards))
-		if err := forEachShardCtx(ctx, len(ix.shards), func(s int) {
-			sh := ix.shards[s]
-			sh.mu.RLock()
-			counts[s] = len(sh.matchIDs(q))
-			sh.mu.RUnlock()
-		}); err != nil {
-			return 0, err
-		}
-		n := 0
-		for _, c := range counts {
-			n += c
-		}
-		return n, nil
-	}
-	// With cold rows in play, hold every shard read lock across the whole
-	// count: a concurrent flush-evict moves rows from shard memory into the
-	// cold tier, and counting the two sides at different moments would count
-	// those rows twice or zero times. The locks freeze (base, segs, shard
-	// contents) into one consistent cut, like searchRefs does.
-	for _, sh := range ix.shards {
-		sh.mu.RLock()
-	}
-	defer func() {
-		for _, sh := range ix.shards {
-			sh.mu.RUnlock()
-		}
-	}()
-	n := 0
-	if q.matchesAll() {
-		n = int(ix.coldRows.Load())
-		for _, sh := range ix.shards {
-			n += sh.len()
-		}
-		return n, nil
-	}
-	counts := make([]int, len(ix.shards))
-	if err := forEachShardCtx(ctx, len(ix.shards), func(s int) {
-		counts[s] = len(ix.shards[s].matchIDs(q))
-	}); err != nil {
-		return 0, err
-	}
-	for _, c := range counts {
-		n += c
-	}
-	cn, err := ix.coldCount(ctx, q)
-	if err != nil {
-		return 0, err
-	}
-	return n + cn, nil
+// countCtx is Count with cancellation between shards: the search pipeline's
+// counting execution, so a count reads the one cut a search reads.
+func (ix *Index) countCtx(ctx context.Context, q Query) (n int, err error) {
+	err = ix.searchShards(ctx, &searchExec{req: SearchRequest{Query: q}, count: true}, nil,
+		func(_ []hitRef, total int, _ map[string]*AggPartial) { n = total })
+	return n, err
 }
 
 // cmpField orders two field values under one sort direction: numerically

@@ -610,22 +610,11 @@ func (ix *Index) bootstrapColdSegment(ctx context.Context, snap ReplSnapshot, co
 		Bytes: info.Bytes,
 	}}
 	d.segSeq = 1
-	if err := durable.CommitManifest(d.dir, durable.Manifest{
-		Shards: len(ix.shards),
-		WALSeq: d.walSeq, SegmentSeq: d.segSeq, Segments: segs,
-		BaseSeq: 0, RetentionFloor: snap.Floor,
-	}); err != nil {
-		return err
-	}
-	for _, sh := range ix.shards {
-		sh.mu.Lock()
-	}
-	ix.base.Store(snap.Base)
-	ix.rr.Store(uint64(snap.Base))
-	ix.retFloor.Store(snap.Floor)
-	d.publishSegsLocked(ix, segs)
-	for _, sh := range ix.shards {
-		sh.mu.Unlock()
-	}
-	return nil
+	m := d.manifest(ix)
+	m.Segments, m.RetentionFloor = segs, snap.Floor
+	return d.commit(ix, m, func() {
+		ix.base.Store(snap.Base)
+		ix.rr.Store(uint64(snap.Base))
+		ix.retFloor.Store(snap.Floor)
+	})
 }

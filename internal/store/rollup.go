@@ -39,35 +39,14 @@ var maxRollupKeys = 1 << 16
 // (combinePartials) consumes, so serving is a pointer handoff under the held
 // read lock.
 type rollupPartial struct {
-	terms [len(indexedFieldList)]map[string]int
+	terms [len(indexedFields)]map[string]int
 	hist  map[int64]int
-}
-
-// indexedFieldList fixes slot order for rollupPartial.terms. It must stay in
-// sync with indexedFields (asserted at init).
-var indexedFieldList = [...]string{FieldSession, FieldSyscall, FieldProcName, FieldThreadName, FieldClass}
-
-func init() {
-	if len(indexedFieldList) != len(indexedFields) {
-		panic("store: indexedFieldList out of sync with indexedFields")
-	}
-	for _, f := range indexedFieldList {
-		found := false
-		for _, g := range indexedFields {
-			if f == g {
-				found = true
-			}
-		}
-		if !found {
-			panic("store: indexedFieldList out of sync with indexedFields")
-		}
-	}
 }
 
 // rollupSlot maps an indexed field name to its terms slot, -1 when the field
 // is not indexed.
 func rollupSlot(field string) int {
-	for i, f := range indexedFieldList {
+	for i, f := range indexedFields {
 		if f == field {
 			return i
 		}

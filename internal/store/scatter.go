@@ -106,7 +106,7 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 	req.From = 0
 	view := &partitionView{partition: sreq.Partition, partitions: sreq.Partitions}
 	var resp ScatterResponse
-	err := ix.searchShards(ctx, req, view, func(refs []hitRef, total int, parts map[string]*AggPartial) {
+	err := ix.searchShards(ctx, &searchExec{req: req}, view, func(refs []hitRef, total int, parts map[string]*AggPartial) {
 		resp = ScatterResponse{Total: total, Gids: make([]int, len(refs)), Hits: make([]event.Event, len(refs))}
 		for i, ref := range refs {
 			resp.Gids[i], resp.Hits[i] = ref.gid, *ref.ev

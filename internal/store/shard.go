@@ -143,15 +143,20 @@ func (r *rows) adopt(flat []event.Event) {
 func (r *rows) reset() { *r = rows{} }
 
 func newShard(rollupBase int64) *shard {
-	p := make(map[string]map[string][]int32, len(indexedFields))
-	for _, f := range indexedFields {
-		p[f] = make(map[string][]int32)
-	}
-	sh := &shard{postings: p}
+	sh := &shard{postings: newPostings()}
 	if rollupBase > 0 {
 		sh.rollup = newShardRollup(rollupBase)
 	}
 	return sh
+}
+
+// newPostings returns empty posting lists for every indexed field.
+func newPostings() map[string]map[string][]int32 {
+	p := make(map[string]map[string][]int32, len(indexedFields))
+	for _, f := range indexedFields {
+		p[f] = make(map[string][]int32)
+	}
+	return p
 }
 
 // row adapts one stored event to the query evaluator's fieldSource without

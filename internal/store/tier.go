@@ -250,25 +250,11 @@ func eachColdSegment[T any](ctx context.Context, ix *Index, req SearchRequest, f
 
 // coldSearch runs the per-shard search stage over every cold segment the
 // query's time window cannot exclude, returning one shardResult per opened
-// segment. Caller holds every hot shard's read lock (searchRefs).
+// segment. Caller holds every hot shard's read lock (searchShards).
 func (ix *Index) coldSearch(ctx context.Context, exec *searchExec) ([]shardResult, error) {
 	return eachColdSegment(ctx, ix, exec.req, func(cs *coldSegment) shardResult {
 		gidOf := func(id int32) int { return cs.gids[id] }
 		firstAfter := func(gid int) int32 { return int32(sort.SearchInts(cs.gids, gid+1)) }
 		return cs.sh.searchLocked(exec, gidOf, firstAfter)
 	})
-}
-
-// coldCount counts query matches across the cold segments, with the same
-// pruning and path naming as coldSearch. Caller holds every
-// hot shard's read lock (countCtx).
-func (ix *Index) coldCount(ctx context.Context, q Query) (int, error) {
-	counts, err := eachColdSegment(ctx, ix, SearchRequest{Query: q}, func(cs *coldSegment) int {
-		return len(cs.sh.matchIDs(q))
-	})
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	return n, err
 }

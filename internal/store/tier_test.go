@@ -10,8 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1045,6 +1047,82 @@ func TestNestedAggsAcrossTiers(t *testing.T) {
 		want := oracleSearch(ctrlIx, req)
 		if got.Total != 89 || !reflect.DeepEqual(got.Aggs, want.Aggs) {
 			t.Errorf("%s: tiers diverge from the oracle (total %d):\n tiered %+v\n oracle %+v", name, got.Total, got.Aggs, want.Aggs)
+		}
+	}
+}
+
+// TestDurableCountDuringFirstEviction reads counts while an index's first
+// snapshot flushes every row and evicts it from shard memory. A count must
+// see one cut of the index: every row hot before the eviction, every row
+// cold after it, never a mix that counts the moved rows twice or not at all.
+func TestDurableCountDuringFirstEviction(t *testing.T) {
+	const rows, trials = 4000, 40
+	ctx := context.Background()
+	evs := cursorFixture(rows)
+	inSession := 0
+	for i := range evs {
+		if evs[i].Session == "s1" {
+			inSession++
+		}
+	}
+	reads := []struct {
+		name string
+		want int
+		read func(st *Store) (int, error)
+	}{
+		{"Count(MatchAll)", rows, func(st *Store) (int, error) { return st.Count(ctx, crashIndex, MatchAll()) }},
+		{"Count(Term(session))", inSession, func(st *Store) (int, error) {
+			return st.Count(ctx, crashIndex, Term(FieldSession, "s1"))
+		}},
+		{"Stats().Docs", rows, func(st *Store) (int, error) {
+			s, err := st.Stats(crashIndex)
+			return s.Docs, err
+		}},
+	}
+	wrong, total := make([]atomic.Int64, len(reads)), make([]atomic.Int64, len(reads))
+	for trial := 0; trial < trials; trial++ {
+		st, err := Open(WithDataDir(t.TempDir()), WithShards(16), WithFsyncPolicy(FsyncOff),
+			WithSnapshotInterval(0), WithQueryCache(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.BulkEvents(ctx, crashIndex, evs); err != nil {
+			t.Fatal(err)
+		}
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		for i, r := range reads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !done.Load() {
+					n, err := r.read(st)
+					if err != nil {
+						t.Errorf("%s: %v", r.name, err)
+						return
+					}
+					total[i].Add(1)
+					if n != r.want {
+						wrong[i].Add(1)
+					}
+					runtime.Gosched() // leave the snapshot a core
+				}
+			}()
+		}
+		err = st.Snapshot()
+		done.Store(true)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix, _ := st.GetIndex(crashIndex); ix.coldRows.Load() != rows {
+			t.Fatalf("trial %d: %d cold rows after the snapshot, want %d", trial, ix.coldRows.Load(), rows)
+		}
+		st.Close()
+	}
+	for i, r := range reads {
+		if n := wrong[i].Load(); n > 0 {
+			t.Errorf("%s: %d of %d reads during the eviction were wrong", r.name, n, total[i].Load())
 		}
 	}
 }
