@@ -64,10 +64,14 @@ bench-smoke:
 ## spelled so the planner extracts no bounds, over many narrow segments for
 ## the header prune and over one wide segment for the row selection), and
 ## the two edge encoders of a 2 000-hit page (JSON documents vs the typed hit
-## body, with allocation counts), so the p50/p99, pruning-speedup and
-## per-page cost numbers cannot silently rot.
+## body, with allocation counts), then the cold window query with and
+## without the resident segment set (BenchmarkColdWindow: FirstOpen reads and
+## verifies a segment file per query, Resident none), so the p50/p99,
+## pruning-speedup, per-page and per-cold-query cost numbers cannot silently
+## rot.
 bench-read:
 	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch|HitPage' -benchtime=50x -benchmem .
+	$(GO) test -run xxx -bench ColdWindow -benchtime=50x -benchmem ./internal/store
 
 ## bench-diagnose: a fast smoke run of the DFG build beside the full engine
 ## run over the same 120k-event session. Both are one cursor pass, so the two

@@ -489,7 +489,9 @@ func TestClusterHTTPNode404Sentinel(t *testing.T) {
 // disappears. That node can no longer answer a query that must read it, and
 // the coordinator must say so — a node's failure is not "this partition owns
 // no rows", so neither _search nor _count may come back 200 with the other
-// partition's share alone.
+// partition's share alone. The file goes before any query reads it: a node
+// reads and verifies a segment once, on its first cold read after Open, and
+// answers from that verified image afterwards.
 func TestClusterUnreadableSegmentFailsLoudly(t *testing.T) {
 	ctx := context.Background()
 	dirs := []string{t.TempDir(), t.TempDir()}
@@ -505,15 +507,15 @@ func TestClusterUnreadableSegmentFailsLoudly(t *testing.T) {
 	}
 	co, csrv := newHTTPClusterOver(t, stores)
 	ingestBoth(t, co)
-	for i, st := range stores {
-		if err := st.Snapshot(); err != nil { // flush + evict: the rows are cold now
-			t.Fatalf("flush node %d: %v", i, err)
-		}
-	}
 	reads := store.Term(store.FieldSyscall, "read")
 	whole, err := co.Count(ctx, testIndex, reads)
 	if err != nil || whole == 0 {
 		t.Fatalf("count before the loss: %d, %v", whole, err)
+	}
+	for i, st := range stores {
+		if err := st.Snapshot(); err != nil { // flush + evict: the rows are cold now
+			t.Fatalf("flush node %d: %v", i, err)
+		}
 	}
 
 	segs, err := filepath.Glob(filepath.Join(dirs[1], "*", "seg-*"))

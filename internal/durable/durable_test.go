@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -274,52 +273,6 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotDocs, []string{"generic-one", "generic-two"}) {
 		t.Fatalf("generic rows %v", gotDocs)
-	}
-}
-
-// TestSegmentReaderCloseRecyclesImage: rows decoded from a reader outlive its
-// Close, whatever the pooled image is reused for next — Decode copies every
-// string out, so a second segment read into the same buffer changes nothing
-// the first handed out.
-func TestSegmentReaderCloseRecyclesImage(t *testing.T) {
-	dir := t.TempDir()
-	write := func(seq, from int) (string, []event.Event) {
-		evs := make([]event.Event, 64)
-		rows := make([]SegmentRow, len(evs))
-		for i := range evs {
-			evs[i] = testEvent(from + i)
-			evs[i].ArgPath = fmt.Sprintf("/seg%d/file-%d", seq, i)
-			rows[i] = SegmentRow{Event: &evs[i]}
-		}
-		path := filepath.Join(dir, SegmentName(seq))
-		if _, err := WriteSegment(path, 4, sliceSource{rows}); err != nil {
-			t.Fatal(err)
-		}
-		return path, evs
-	}
-	pathA, wantA := write(1, 0)
-	pathB, wantB := write(2, 1000)
-	decodeAndClose := func(path string) []event.Event {
-		r, err := OpenSegment(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := r.Decode(selectAll(r))
-		r.Close()
-		r.Close() // harmless twice
-		return got
-	}
-	// The pool may hand back any buffer or none; a few rounds make reuse of
-	// A's image by B's open all but certain, and correctness needs neither.
-	for round := 0; round < 8; round++ {
-		gotA := decodeAndClose(pathA)
-		gotB := decodeAndClose(pathB)
-		if !reflect.DeepEqual(gotA, wantA) {
-			t.Fatalf("round %d: rows of the first segment changed after its image was reused", round)
-		}
-		if !reflect.DeepEqual(gotB, wantB) {
-			t.Fatalf("round %d: second segment did not round-trip through the pool", round)
-		}
 	}
 }
 

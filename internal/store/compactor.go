@@ -144,8 +144,9 @@ func (ix *Index) compactOnce() (bool, error) {
 	}
 	// Input files are unreferenced by the committed manifest and every reader
 	// that could hold the old list has finished (the publication held all
-	// shard write locks).
+	// shard write locks), so none still reads a resident reader of them.
 	for _, sm := range run {
+		d.resident.drop(sm.Seq)
 		durable.RemoveSegment(d.dir, sm.Seq)
 	}
 	d.tm.compactions.Inc()
@@ -207,6 +208,7 @@ func (ix *Index) retainOnce(now time.Time) error {
 	}
 	ix.epoch.Add(1)
 	for _, sm := range dropped {
+		d.resident.drop(sm.Seq)
 		durable.RemoveSegment(d.dir, sm.Seq)
 	}
 	d.tm.retentionDrops.Add(uint64(len(dropped)))

@@ -98,6 +98,10 @@ type indexDurable struct {
 	// merges load it lock-free.
 	book atomic.Pointer[[]event.PathsRecord]
 
+	// resident keeps verified segment readers across cold reads; a segment
+	// leaves it where compaction or retention deletes its file.
+	resident residentSegments
+
 	// Replication sequence accounting. Every journaled record gets the next
 	// sequence number; the segments hold [0, baseSeq), the live WAL holds
 	// [baseSeq, recSeq). baseSeq is gate-guarded (it only moves under the
@@ -401,11 +405,12 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 	return nil
 }
 
-// close syncs and closes the index's WAL. Taken under the gate so no writer
-// is mid-append.
+// close syncs and closes the index's WAL and drops its resident segment
+// readers. Taken under the gate so no writer is mid-append.
 func (d *indexDurable) close() error {
 	d.gate.Lock()
 	defer d.gate.Unlock()
+	d.resident.clear()
 	return d.wal.Close()
 }
 
@@ -446,6 +451,7 @@ func (s *Store) newDurableIndex(name string) (*Index, error) {
 		dir: dir, fsync: s.opts.fsync, tm: s.dtm, wal: w,
 		retention: s.opts.retention,
 		tail:      newReplTail(s.opts.replTailBytes, &s.replArmed),
+		resident:  residentSegments{budget: residentBudget},
 	}
 	empty := []durable.SegmentMeta{}
 	ix.dur.segs.Store(&empty)
@@ -473,6 +479,7 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 		dir: dir, fsync: s.opts.fsync, tm: s.dtm,
 		retention: s.opts.retention,
 		tail:      newReplTail(s.opts.replTailBytes, &s.replArmed),
+		resident:  residentSegments{budget: residentBudget},
 	}
 	// Attached before the WAL replays: a replayed paths record joins the book
 	// through ix.dur. Single-threaded here, no WAL open yet.
@@ -705,6 +712,18 @@ func (s *Store) allIndices() []*Index {
 		out = append(out, ix)
 	}
 	return out
+}
+
+// residentBytes reports the verified segment image bytes kept resident
+// across durable indices (the dio_store_segments_resident_bytes gauge).
+func (s *Store) residentBytes() float64 {
+	var n int64
+	for _, ix := range s.allIndices() {
+		if ix.dur != nil {
+			n += ix.dur.resident.size()
+		}
+	}
+	return float64(n)
 }
 
 // segmentCount reports the total committed segments across durable indices

@@ -118,6 +118,7 @@ func Open(opts ...Option) (*Store, error) {
 			rollupMisses: reg.Counter(telemetry.MetricRollupAggMisses, "planned rollup serves that fell back to scans"),
 			segOpened:    reg.Counter(telemetry.MetricSegmentsOpened, "cold segments opened by time-bounded queries"),
 			segPruned:    reg.Counter(telemetry.MetricSegmentsPruned, "cold segments skipped by time-range pruning"),
+			segVerified:  reg.Counter(telemetry.MetricSegmentsVerified, "cold segment files read and checksummed: opens the resident set could not serve"),
 			rowsDecoded:  reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded from cold segments opened by time-bounded queries"),
 			rowsSkipped:  reg.Counter(telemetry.MetricSegRowsSkipped, "rows of those segments left undecoded: stored time outside the window"),
 		},
@@ -137,6 +138,8 @@ func Open(opts ...Option) (*Store, error) {
 	s.dtm = newDurTelemetry(reg)
 	reg.GaugeFunc(telemetry.MetricSegments, "live committed segments across durable indices",
 		s.segmentCount)
+	reg.GaugeFunc(telemetry.MetricSegmentsResident, "verified segment image bytes kept resident across durable indices",
+		s.residentBytes)
 	if err := os.MkdirAll(o.dataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create data dir: %w", err)
 	}

@@ -6,16 +6,19 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
 	"github.com/dsrhaslab/dio-go/internal/event"
+	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
-// This file is the cold read path of the tiered layout: opening committed
-// segment files as transient row stores and running the regular search
-// pipeline over them, with time-range pruning so a narrow dashboard query
-// over a long retention window only ever touches the segments whose stamped
-// [MinTime, MaxTime] range can contain matches.
+// This file is the cold read path of the tiered layout: decoding committed
+// segments, read and verified once and then kept resident, into transient row
+// stores and running the regular search pipeline over them, with time-range
+// pruning so a narrow dashboard query over a long retention window only ever
+// touches the segments whose stamped [MinTime, MaxTime] range can contain
+// matches.
 
 // satFloor/satCeil convert a float query bound to int64, saturating at the
 // representable range, and satInc/satDec step without overflow.
@@ -139,28 +142,117 @@ type coldSegment struct {
 	gids []int
 }
 
-// openColdSegment reads a committed segment's time column, selects the rows
-// whose stored time can fall in [minT, maxT], and decodes only those into one
-// page, which a transient shard adopts as its blocks; book (the index's path
-// book, usually empty) then names the rows of a segment written before a
-// correlation pass. The file image goes back to its pool on return: decoded
-// rows do not alias it. skipped is the rows left undecoded. Rollups are
-// disabled on the transient shard (base 0); columns build on demand, but no
-// sort order: the shard answers one request, and a sorted page over it takes
-// the candidate path.
+// residentBudget bounds the verified segment images one index keeps resident
+// between queries: cold_history's five segments (~15 MB) four times over.
+const residentBudget = 64 << 20
+
+// residentSegments is an index's set of verified segment readers, keyed by
+// segment sequence (never reused within an index), filled on first read and
+// evicted least recently used, whole segments, to stay within budget bytes.
+// Concurrent queries share a reader; an evicted or dropped one is left to the
+// collector, never recycled, because a query may still be reading it.
+type residentSegments struct {
+	budget int64
+	mu     sync.Mutex
+	bySeq  map[int]*residentSegment
+	bytes  int64
+	tick   uint64
+}
+
+type residentSegment struct {
+	r    *durable.SegmentReader
+	used uint64 // the tick of the last lookup that returned r
+}
+
+// reader returns the verified reader of segment seq in dir, reading and
+// verifying the file (counted in verified) on a miss, outside the lock: two
+// queries that miss together both verify it, and one reader stays.
+func (rs *residentSegments) reader(dir string, seq int, verified *telemetry.Counter) (*durable.SegmentReader, error) {
+	rs.mu.Lock()
+	if e := rs.bySeq[seq]; e != nil {
+		rs.tick++
+		e.used = rs.tick
+		rs.mu.Unlock()
+		return e.r, nil
+	}
+	rs.mu.Unlock()
+	r, err := durable.OpenSegment(filepath.Join(dir, durable.SegmentName(seq)))
+	if err != nil {
+		return nil, err
+	}
+	verified.Inc()
+	size := r.Info().Bytes
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if size > rs.budget || rs.bySeq[seq] != nil {
+		return r, nil
+	}
+	for rs.bytes+size > rs.budget {
+		lru := -1
+		for s, e := range rs.bySeq {
+			if lru < 0 || e.used < rs.bySeq[lru].used {
+				lru = s
+			}
+		}
+		rs.dropLocked(lru)
+	}
+	if rs.bySeq == nil {
+		rs.bySeq = make(map[int]*residentSegment)
+	}
+	rs.tick++
+	rs.bySeq[seq] = &residentSegment{r: r, used: rs.tick}
+	rs.bytes += size
+	return r, nil
+}
+
+// drop forgets the resident reader of segment seq, if any.
+func (rs *residentSegments) drop(seq int) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.dropLocked(seq)
+}
+
+func (rs *residentSegments) dropLocked(seq int) {
+	if e := rs.bySeq[seq]; e != nil {
+		rs.bytes -= e.r.Info().Bytes
+		delete(rs.bySeq, seq)
+	}
+}
+
+// clear drops every resident reader.
+func (rs *residentSegments) clear() {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.bySeq, rs.bytes = nil, 0
+}
+
+// size reports the resident image bytes.
+func (rs *residentSegments) size() int64 {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.bytes
+}
+
+// openColdSegment takes the segment's verified reader from the resident set,
+// reads its time column, selects the rows whose stored time can fall in
+// [minT, maxT], and decodes only those into one page, which a transient shard
+// adopts as its blocks; book (the index's path book, usually empty) then
+// names the rows of a segment written before a correlation pass. Decoded rows
+// do not alias the reader's image. skipped is the rows left undecoded.
+// Rollups are disabled on the transient shard (base 0); columns build on
+// demand, but no sort order: the shard answers one request, and a sorted page
+// over it takes the candidate path.
 func (ix *Index) openColdSegment(sm durable.SegmentMeta, book []event.PathsRecord, minT, maxT int64) (cs *coldSegment, skipped int, err error) {
-	path := filepath.Join(ix.dur.dir, durable.SegmentName(sm.Seq))
-	r, err := durable.OpenSegment(path)
+	r, err := ix.dur.resident.reader(ix.dur.dir, sm.Seq, ix.rtm.segVerified)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer r.Close()
 	info := r.Info()
 	if info.Generic > 0 {
-		return nil, 0, fmt.Errorf("%d generic rows in %s: %w", info.Generic, filepath.Base(path), ErrRetiredFormat)
+		return nil, 0, fmt.Errorf("%d generic rows in %s: %w", info.Generic, durable.SegmentName(sm.Seq), ErrRetiredFormat)
 	}
 	start := int(sm.StartRow)
-	sel := make([]int, 0, info.Typed)
+	var sel []int // grows with the window's share, not sized to the whole column
 	for i := 0; i < info.Typed; i++ {
 		if t := r.Time(i); mayMatchTime(t, t, minT, maxT) {
 			sel = append(sel, i)

@@ -60,24 +60,26 @@ const (
 	// recovery, an index's live doc count equals the committed segment's
 	// rows plus the rows of every replayed WAL batch (paths records name
 	// rows in place and add none).
-	MetricWALAppendNS     = "dio_wal_append_ns"                    // one WAL record append
-	MetricWALFsyncNS      = "dio_wal_fsync_ns"                     // one WAL fsync
-	MetricWALAppends      = "dio_wal_appends_total"                // WAL records appended
-	MetricWALBytes        = "dio_wal_bytes_total"                  // WAL bytes appended
-	MetricWALFsyncs       = "dio_wal_fsyncs_total"                 // WAL fsyncs issued
-	MetricSegments        = "dio_store_segments"                   // live committed segments (gauge)
-	MetricSegmentsOpened  = "dio_store_segments_opened_total"      // cold segments opened by time-bounded queries
-	MetricSegmentsPruned  = "dio_store_segments_pruned_total"      // cold segments skipped by time-range pruning
-	MetricSegRowsDecoded  = "dio_store_segment_rows_decoded_total" // rows decoded from the segments opened
-	MetricSegRowsSkipped  = "dio_store_segment_rows_skipped_total" // rows of those segments the time column ruled out undecoded
-	MetricCompactions     = "dio_store_compactions_total"          // segment merges committed
-	MetricRetentionDrops  = "dio_store_retention_drops_total"      // segments dropped past the retention horizon
-	MetricSnapshots       = "dio_store_snapshots_total"            // segment snapshots committed
-	MetricSnapshotNS      = "dio_store_snapshot_ns"                // one segment snapshot
-	MetricRecoveryNS      = "dio_store_recovery_ns"                // one index recovery
-	MetricReplayedBatches = "dio_store_replayed_batches_total"
-	MetricReplayedEvents  = "dio_store_replayed_events_total"
-	MetricWALTornTails    = "dio_store_wal_torn_tails_total"
+	MetricWALAppendNS      = "dio_wal_append_ns"                    // one WAL record append
+	MetricWALFsyncNS       = "dio_wal_fsync_ns"                     // one WAL fsync
+	MetricWALAppends       = "dio_wal_appends_total"                // WAL records appended
+	MetricWALBytes         = "dio_wal_bytes_total"                  // WAL bytes appended
+	MetricWALFsyncs        = "dio_wal_fsyncs_total"                 // WAL fsyncs issued
+	MetricSegments         = "dio_store_segments"                   // live committed segments (gauge)
+	MetricSegmentsOpened   = "dio_store_segments_opened_total"      // cold segments opened by time-bounded queries
+	MetricSegmentsVerified = "dio_store_segments_verified_total"    // cold segment files read and checksummed (resident-set misses)
+	MetricSegmentsResident = "dio_store_segments_resident_bytes"    // verified segment images held for reuse (gauge)
+	MetricSegmentsPruned   = "dio_store_segments_pruned_total"      // cold segments skipped by time-range pruning
+	MetricSegRowsDecoded   = "dio_store_segment_rows_decoded_total" // rows decoded from the segments opened
+	MetricSegRowsSkipped   = "dio_store_segment_rows_skipped_total" // rows of those segments the time column ruled out undecoded
+	MetricCompactions      = "dio_store_compactions_total"          // segment merges committed
+	MetricRetentionDrops   = "dio_store_retention_drops_total"      // segments dropped past the retention horizon
+	MetricSnapshots        = "dio_store_snapshots_total"            // segment snapshots committed
+	MetricSnapshotNS       = "dio_store_snapshot_ns"                // one segment snapshot
+	MetricRecoveryNS       = "dio_store_recovery_ns"                // one index recovery
+	MetricReplayedBatches  = "dio_store_replayed_batches_total"
+	MetricReplayedEvents   = "dio_store_replayed_events_total"
+	MetricWALTornTails     = "dio_store_wal_torn_tails_total"
 
 	// internal/store + internal/repl — primary/follower replication.
 	MetricReplRole         = "dio_repl_role"                  // 0 primary, 1 follower
