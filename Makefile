@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race vet bench bench-smoke bench-read bench-diagnose bench-pair scale chaos chaos-repl chaos-cluster crash lint loc examples diagnose
+.PHONY: tier1 build test race vet bench bench-smoke bench-read bench-diagnose bench-pair chaos chaos-repl chaos-cluster crash lint loc examples diagnose
 
 ## tier1: the PR gate — vet, build (examples included), the dead-symbol
 ## lint, tests, the race detector over the concurrency-heavy packages (store
@@ -23,7 +23,7 @@ examples:
 ## openSyscalls dictionary in correlate.go), plus an audit of every serving
 ## package under internal/ for exported symbols nothing uses.
 lint:
-	$(GO) run ./internal/tools/deadsym -exported internal/store,internal/durable,internal/repl,internal/cluster,internal/diagnose,internal/core,internal/resilience,internal/telemetry,internal/event,internal/ebpf,internal/viz,internal/metrics,internal/clock,internal/replay .
+	$(GO) run ./internal/tools/deadsym -exported internal/store,internal/durable,internal/repl,internal/cluster,internal/diagnose,internal/core,internal/resilience,internal/telemetry,internal/event,internal/ebpf,internal/viz,internal/metrics,internal/clock,internal/replay,internal/experiments .
 
 ## loc: Go lines per package, non-test and test, excluding benchmark/ — the
 ## size table a simplicity PR reports before and after.
@@ -105,11 +105,6 @@ bench-pair:
 diagnose:
 	$(GO) run ./cmd/dio diagnose -workload fluentbit-buggy | grep critical >/dev/null
 	$(GO) run ./cmd/dio diff buggy fixed | grep improvement >/dev/null
-
-## scale: the backend/tracer scalability experiment (shards=1 vs the default
-## shard count; one drain worker vs one per CPU ring).
-scale:
-	$(GO) run ./cmd/diobench -exp scale
 
 ## chaos: the fault-injection suite — shipper, breaker, spill, and the
 ## tracer-level exact-accounting tests, raced and repeated.

@@ -618,6 +618,17 @@ func BenchmarkAggFanout(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreCountRange contrasts a range count summed over the shards
+// with the same count on a single shard.
+func BenchmarkStoreCountRange(b *testing.B) {
+	q := store.RangeBetween(store.FieldDuration, 100, 900)
+	benchOneShardVsSharded(b, func(ix *store.Index) {
+		if ix.Count(q) == 0 {
+			b.Fatal("no matches")
+		}
+	})
+}
+
 // BenchmarkTracerDrainWorkers contrasts the original single consumer loop
 // (DrainWorkers=1) with one drain worker per CPU ring (the default). The
 // rings are filled while the workers idle on a long flush interval; the
@@ -673,7 +684,8 @@ func BenchmarkTracerDrainWorkers(b *testing.B) {
 // (DESIGN.md §9) costs on the drain+ship hot path: the same pre-filled-ring
 // drain as BenchmarkTracerDrainWorkers, with telemetry disabled (ablation,
 // Config.DisableTelemetry) versus enabled. The acceptance bar is < 5% added
-// cost — recorded in BENCH_store.json next to the shipper-overhead number.
+// cost; BENCH_store.json holds the historical measurement next to the
+// shipper-overhead number.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	run := func(b *testing.B, disabled bool) {
 		for i := 0; i < b.N; i++ {

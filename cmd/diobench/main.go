@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|table2|table3|fig2a|fig2b|fig3|fig4|drops|paths|scale|chaos|failover|diagnose|replay|all")
+		exp      = flag.String("exp", "all", "experiment: table1|table2|table3|fig2a|fig2b|fig3|fig4|drops|paths|diagnose|replay|all")
 		cycles   = flag.Int("cycles", 1000, "table2: workload cycles (~20 syscalls each)")
 		duration = flag.Duration("duration", 2*time.Second, "fig3/fig4: benchmark duration")
 		writes   = flag.Int("writes", 20000, "drops: event-storm writes")
@@ -50,14 +50,11 @@ func run(exp string, cycles int, duration time.Duration, writes int) error {
 		"fig4":     func() error { return rocksdb(duration, false) },
 		"drops":    func() error { return drops(writes) },
 		"paths":    func() error { return paths() },
-		"scale":    func() error { return scale() },
-		"chaos":    func() error { return chaosDemo(writes) },
-		"failover": func() error { return failoverDemo(writes) },
 		"diagnose": func() error { return diagnoseDemo() },
 		"replay":   func() error { return replayDemo() },
 	}
 	if exp == "all" {
-		order := []string{"table1", "fig2a", "fig2b", "fig3", "table2", "drops", "paths", "scale", "chaos", "failover", "table3", "diagnose", "replay"}
+		order := []string{"table1", "fig2a", "fig2b", "fig3", "table2", "drops", "paths", "table3", "diagnose", "replay"}
 		for _, name := range order {
 			fmt.Printf("\n================ %s ================\n", name)
 			if err := runners[name](); err != nil {
@@ -156,36 +153,6 @@ func drops(writes int) error {
 	return nil
 }
 
-// chaosDemo ships an event storm through a backend that fails ~30% of bulk
-// requests plus one scripted full outage, with the resilience ladder enabled,
-// and prints the exact-accounting table.
-func chaosDemo(writes int) error {
-	res, err := experiments.RunChaos(experiments.ChaosConfig{Writes: writes})
-	if err != nil {
-		return err
-	}
-	if err := res.Table.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println("\nInvariant: shipped + ring dropped + spill dropped + parse errors == captured.")
-	return nil
-}
-
-// failoverDemo traces an event storm into a replicated primary/follower
-// pair, kills the primary mid-storm, promotes the follower, and prints the
-// zero-loss accounting table.
-func failoverDemo(writes int) error {
-	res, err := experiments.RunFailover(experiments.FailoverConfig{Writes: writes})
-	if err != nil {
-		return err
-	}
-	if err := res.Table.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println("\nInvariant: promoted node count == shipped, and the drained follower matched the primary's head at the kill.")
-	return nil
-}
-
 // diagnoseDemo runs the automated detectors (§V future work, implemented)
 // over freshly traced buggy and fixed Fluent Bit sessions.
 func diagnoseDemo() error {
@@ -228,20 +195,6 @@ func replayDemo() error {
 		return err
 	}
 	fmt.Printf("replayed filesystem reproduces the data-loss state: app.log holds %d unread bytes\n", len(data))
-	return nil
-}
-
-// scale measures shard fan-out (shards=1 vs the default count) and
-// multi-worker drain against their single-worker arms at session scale.
-func scale() error {
-	res, err := experiments.RunScale(experiments.ScaleConfig{})
-	if err != nil {
-		return err
-	}
-	if err := res.Table.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println("\nShape check: the shards=1 arm differs only by fan-out and merge, so speedups track min(shards, cores): ~1x on one core.")
 	return nil
 }
 

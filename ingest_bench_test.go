@@ -1,7 +1,8 @@
 // Ingest data-plane benchmark: the event pipeline (ring record →
 // event.Event batch → binary frame → Index.AddEvents) through a real HTTP
 // server, so the numbers capture parse, encode, transport, decode, journal,
-// and indexing. See BENCH_store.json for the committed numbers.
+// and indexing. BENCH_store.json is the historical record of these numbers;
+// current ones are this file's `go test -bench` output.
 package dio_test
 
 import (
@@ -96,7 +97,8 @@ func ingestParse(raws [][]byte, dst []event.Event) []event.Event {
 // real HTTP server (the received frame is journaled verbatim, so the WAL
 // pays no re-encode) into an in-memory store versus durable stores under
 // each fsync policy. The acceptance bar for the default interval policy is
-// <=15% events/sec below in-memory; see BENCH_store.json.
+// <=15% events/sec below in-memory (BENCH_store.json holds the historical
+// measurement).
 func BenchmarkIngestWALOverhead(b *testing.B) {
 	raws := ingestRecords()
 	run := func(b *testing.B, opts ...store.Option) {

@@ -5,27 +5,23 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
-	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
 // FaultyBackend wraps a store.Backend and injects faults on the ship path
 // (BulkEvents): a configurable transient-error rate, an error class toggle
-// (retryable vs permanent), added latency, and scripted full-outage windows
-// expressed in bulk-call counts, which keeps chaos tests deterministic under
-// any scheduling. The read path passes through untouched.
+// (retryable vs permanent), and scripted full-outage windows expressed in
+// bulk-call counts, which keeps chaos tests deterministic under any
+// scheduling. The read path is the embedded backend's, untouched.
 type FaultyBackend struct {
-	inner store.Backend
-	clk   clock.Clock
+	store.Backend
 
 	mu         sync.Mutex
 	rng        *rand.Rand
 	errRate    float64
 	permanent  bool
-	latency    time.Duration
 	outageFrom uint64
 	outageTo   uint64
 	calls      uint64
@@ -37,15 +33,10 @@ var _ store.Backend = (*FaultyBackend)(nil)
 // NewFaultyBackend wraps inner with a deterministic (seeded) fault injector.
 func NewFaultyBackend(inner store.Backend, seed int64) *FaultyBackend {
 	return &FaultyBackend{
-		inner: inner,
-		clk:   clock.NewReal(0),
-		rng:   rand.New(rand.NewSource(seed)),
+		Backend: inner,
+		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
-
-// SetClock replaces the latency time source (virtual clocks make latency
-// injection free in tests).
-func (f *FaultyBackend) SetClock(clk clock.Clock) { f.clk = clk }
 
 // SetErrorRate makes each BulkEvents call outside an outage window fail with
 // probability p.
@@ -60,13 +51,6 @@ func (f *FaultyBackend) SetErrorRate(p float64) {
 func (f *FaultyBackend) SetPermanent(v bool) {
 	f.mu.Lock()
 	f.permanent = v
-	f.mu.Unlock()
-}
-
-// SetLatency adds d of delay to every BulkEvents call.
-func (f *FaultyBackend) SetLatency(d time.Duration) {
-	f.mu.Lock()
-	f.latency = d
 	f.mu.Unlock()
 }
 
@@ -102,15 +86,11 @@ func (f *FaultyBackend) inject() error {
 	inOutage := call >= f.outageFrom && call < f.outageTo
 	roll := !inOutage && f.errRate > 0 && f.rng.Float64() < f.errRate
 	perm := f.permanent
-	lat := f.latency
 	if inOutage || roll {
 		f.injected++
 	}
 	f.mu.Unlock()
 
-	if lat > 0 {
-		f.clk.Sleep(lat)
-	}
 	switch {
 	case inOutage:
 		return Retryable(fmt.Errorf("%w: scripted outage (call %d)", ErrInjected, call))
@@ -127,25 +107,5 @@ func (f *FaultyBackend) BulkEvents(ctx context.Context, index string, events []e
 	if err := f.inject(); err != nil {
 		return err
 	}
-	return f.inner.BulkEvents(ctx, index, events)
-}
-
-// Search delegates to the wrapped backend.
-func (f *FaultyBackend) Search(ctx context.Context, index string, req store.SearchRequest) (store.SearchResponse, error) {
-	return f.inner.Search(ctx, index, req)
-}
-
-// SearchEvents delegates to the wrapped backend.
-func (f *FaultyBackend) SearchEvents(ctx context.Context, index string, req store.SearchRequest) (store.EventsResult, error) {
-	return f.inner.SearchEvents(ctx, index, req)
-}
-
-// Count delegates to the wrapped backend.
-func (f *FaultyBackend) Count(ctx context.Context, index string, q store.Query) (int, error) {
-	return f.inner.Count(ctx, index, q)
-}
-
-// Correlate delegates to the wrapped backend.
-func (f *FaultyBackend) Correlate(ctx context.Context, index, session string) (store.CorrelationResult, error) {
-	return f.inner.Correlate(ctx, index, session)
+	return f.Backend.BulkEvents(ctx, index, events)
 }

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
 	"github.com/dsrhaslab/dio-go/internal/event"
@@ -151,7 +150,7 @@ func walFile(dir string, seq int) string {
 // load + WAL replay together.
 func TestDurableRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	st := openDurable(t, dir, WithShards(4), WithFsyncInterval(time.Millisecond))
+	st := openDurable(t, dir, WithShards(4))
 	ingestRound(t, st, 0)
 	ingestRound(t, st, 1)
 	if err := st.Snapshot(); err != nil {

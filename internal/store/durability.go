@@ -626,10 +626,10 @@ func (s *Store) loadDataDir() error {
 	return nil
 }
 
-// fsyncLoop flushes every durable index's WAL on the configured interval.
+// fsyncLoop flushes every durable index's WAL every fsyncPeriod.
 func (s *Store) fsyncLoop() {
 	defer s.loopWG.Done()
-	t := time.NewTicker(s.opts.fsyncEvery)
+	t := time.NewTicker(fsyncPeriod)
 	defer t.Stop()
 	for {
 		select {

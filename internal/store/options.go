@@ -13,9 +13,9 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncInterval (the default) flushes on a background timer: a crash
-	// loses at most the last interval's events, and the fsync cost is
-	// amortized across every batch in the window.
+	// FsyncInterval (the default) flushes on a background timer every
+	// fsyncPeriod: a crash loses at most the last period's events, and the
+	// fsync cost is amortized across every batch in the window.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways flushes after every journaled batch before the write is
 	// acknowledged: no acknowledged event is ever lost, at per-batch fsync
@@ -26,6 +26,9 @@ const (
 	// clean process exit loses nothing.
 	FsyncOff
 )
+
+// fsyncPeriod is FsyncInterval's flush period.
+const fsyncPeriod = 100 * time.Millisecond
 
 // String returns the policy's flag spelling.
 func (p FsyncPolicy) String() string {
@@ -58,7 +61,6 @@ type storeOptions struct {
 	shards        int
 	dataDir       string
 	fsync         FsyncPolicy
-	fsyncEvery    time.Duration
 	snapshotEvery time.Duration
 	reg           *telemetry.Registry
 	cacheEntries  int           // query cache capacity per index (0 disables)
@@ -70,7 +72,6 @@ type storeOptions struct {
 func defaultOptions() storeOptions {
 	return storeOptions{
 		fsync:         FsyncInterval,
-		fsyncEvery:    100 * time.Millisecond,
 		snapshotEvery: time.Minute,
 		cacheEntries:  256,
 		rollupBase:    defaultRollupIntervalNS,
@@ -100,15 +101,6 @@ func WithDataDir(dir string) Option {
 // It has no effect without WithDataDir.
 func WithFsyncPolicy(p FsyncPolicy) Option {
 	return func(o *storeOptions) { o.fsync = p }
-}
-
-// WithFsyncInterval sets the flush period for FsyncInterval (default 100ms).
-func WithFsyncInterval(d time.Duration) Option {
-	return func(o *storeOptions) {
-		if d > 0 {
-			o.fsyncEvery = d
-		}
-	}
 }
 
 // WithSnapshotInterval sets the period of the background segment-snapshot

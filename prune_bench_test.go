@@ -4,8 +4,8 @@
 // segments whose stamped [MinTime, MaxTime] cannot overlap the window; the
 // full-scan side spells the same predicate under a single Should, where the
 // planner extracts no time bounds, so both sides ask for the same rows from
-// the same files through the same binary. See BENCH_store.json for the
-// committed comparison.
+// the same files through the same binary. BENCH_store.json holds the
+// historical comparison; current numbers are `go test -bench` output.
 package dio_test
 
 import (

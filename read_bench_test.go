@@ -5,8 +5,8 @@
 // and the continuous rollups through the ablation options
 // (WithQueryCache(0), WithRollupInterval(0)), so both sides execute the
 // same requests against the same data through the same binary. The
-// headline metrics are per-query p50/p99 latency; see BENCH_store.json
-// for the committed comparison.
+// headline metrics are per-query p50/p99 latency; BENCH_store.json holds
+// the historical comparison, and current numbers are `go test -bench` output.
 package dio_test
 
 import (

@@ -13,7 +13,8 @@
 //     single-core host this double-counts the follower's CPU against the
 //     primary's, so it is reported as the worst-case bound, not the bar.
 //
-// See BENCH_store.json.
+// BENCH_store.json holds the historical numbers; current ones are
+// `go test -bench` output.
 package dio_test
 
 import (
