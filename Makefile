@@ -65,10 +65,11 @@ bench-smoke:
 ## the header prune and over one wide segment for the row selection), and
 ## the two edge encoders of a 2 000-hit page (JSON documents vs the typed hit
 ## body, with allocation counts), then the cold window query with and
-## without the resident segment set (BenchmarkColdWindow: FirstOpen reads and
-## verifies a segment file per query, Resident none), so the p50/p99,
-## pruning-speedup, per-page and per-cold-query cost numbers cannot silently
-## rot.
+## without the resident segment set (BenchmarkColdWindow: FirstOpen reads,
+## verifies and decodes a whole segment per query — the price of each
+## segment's first read — Resident searches decoded shards and decodes
+## nothing), so the p50/p99, pruning-speedup, per-page and per-cold-query
+## cost numbers cannot silently rot.
 bench-read:
 	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch|HitPage' -benchtime=50x -benchmem .
 	$(GO) test -run xxx -bench ColdWindow -benchtime=50x -benchmem ./internal/store

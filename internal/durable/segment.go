@@ -261,7 +261,7 @@ const (
 // row itself costs a fixed number of reads at computed offsets, so a caller
 // can look at the time column alone and decode only the rows it wants. A
 // reader never writes to its image once open, so any number of goroutines may
-// share one: the store keeps its opened readers resident across queries.
+// share one.
 type SegmentReader struct {
 	info SegmentInfo
 	body []byte // the file image without its trailing CRC

@@ -144,7 +144,7 @@ func (ix *Index) compactOnce() (bool, error) {
 	}
 	// Input files are unreferenced by the committed manifest and every reader
 	// that could hold the old list has finished (the publication held all
-	// shard write locks), so none still reads a resident reader of them.
+	// shard write locks), so none still reads their resident rows.
 	for _, sm := range run {
 		d.resident.drop(sm.Seq)
 		durable.RemoveSegment(d.dir, sm.Seq)

@@ -256,12 +256,13 @@ func (ix *Index) applyPaths(rec *event.PathsRecord) (n [pathOutcomes]int) {
 // order of their application and replay would let the wrong one name a row
 // first.
 //
-// Cold rows are never written: the pass only tallies resolvePaths over
-// transient copies (named by the book so far, so an earlier pass's rows count
-// as already resolved), and once rec joins the book every later decode,
-// merge and bootstrap names them from it. The shared gate keeps the segment
-// list and base where the tally found them until the hot rows are named, and
-// the epoch brackets the whole pass, book entry included, for the query cache.
+// Cold rows are never written: the pass tallies resolvePaths over copies
+// (named by the book so far, so an earlier pass's rows count as resolved),
+// and once rec joins the book every later decode, merge and bootstrap names
+// them from it; a resident segment named by an older book is decoded again.
+// The shared gate keeps the segment list and base where the tally found them
+// until the hot rows are named, and the epoch brackets the whole pass, book
+// entry included, for the query cache.
 //
 // replicated marks a record arriving at a durable follower from its primary:
 // the horizon is already fixed, the counts are nobody's, so cold rows are not
@@ -286,7 +287,8 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord, replicat
 		d.appendMu.Unlock()
 		cold, err := eachColdSegment(ctx, ix, SearchRequest{}, func(cs *coldSegment) (c [pathOutcomes]int) {
 			for k, gid := range cs.gids {
-				c[resolvePaths(rec, gid, cs.sh.rows.at(k))]++
+				e := *cs.sh.rows.at(k) // a copy: a resident segment's rows are shared and read-only
+				c[resolvePaths(rec, gid, &e)]++
 			}
 			return c
 		})

@@ -98,7 +98,7 @@ type indexDurable struct {
 	// merges load it lock-free.
 	book atomic.Pointer[[]event.PathsRecord]
 
-	// resident keeps verified segment readers across cold reads; a segment
+	// resident keeps decoded cold segments across cold reads; a segment
 	// leaves it where compaction or retention deletes its file.
 	resident residentSegments
 
@@ -714,8 +714,8 @@ func (s *Store) allIndices() []*Index {
 	return out
 }
 
-// residentBytes reports the verified segment image bytes kept resident
-// across durable indices (the dio_store_segments_resident_bytes gauge).
+// residentBytes reports the decoded cold segment bytes kept resident across
+// durable indices (the dio_store_segments_resident_bytes gauge).
 func (s *Store) residentBytes() float64 {
 	var n int64
 	for _, ix := range s.allIndices() {

@@ -257,7 +257,7 @@ type shardResult struct {
 }
 
 // hitRef names a matched row for merge ordering without copying it: a pointer
-// into row storage (a shard's, a transient cold segment's, or — at the
+// into row storage (a shard's, a cold segment's, or — at the
 // cluster coordinator — a partition's decoded hits) and the global id used as
 // the stable tie-break.
 type hitRef struct {
@@ -386,13 +386,7 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 	}
 	S := len(ix.shards)
 	plan := ix.planRollup(req)
-	cols := neededColumns(req, plan)
-	// A single-key sorted page builds its column's order (shard.go) on the
-	// hot shards, so this and every later page can walk it (orderedPage).
-	ordered := ""
-	if len(req.Sort) == 1 && req.Size > 0 {
-		ordered = req.Sort[0].Field
-	}
+	cols, ordered := neededColumns(req, plan), orderedField(req)
 	for _, sh := range ix.shards {
 		sh.ensureColumns(cols, ordered)
 	}
@@ -488,7 +482,7 @@ type searchExec struct {
 }
 
 // searchLocked produces one row store's result; the caller holds sh.mu.RLock
-// (or owns the shard outright, for transient cold-segment shards). Global id
+// (a hot shard's or a cold segment's). Global id
 // arithmetic is abstracted behind two closures so the same pipeline serves
 // hot shards (dense round-robin ids offset by the index base) and cold
 // segments (explicit, possibly sparse, gid lists): gidOf maps a local row id
@@ -632,10 +626,10 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 //
 // walked is false, and the caller takes the candidate path, for a multi-key
 // or unbounded sort, a column with no order covering every row (a field
-// some row lacks, rows appended since ensureColumns, a transient cold
-// shard), a cursor value that is not numeric, and matches too sparse for the
-// walk to pay: it visits about need·n/m rows for m matches of the n it may
-// walk, so it is taken when that is at most m.
+// some row lacks, rows appended since ensureColumns), a cursor value that is
+// not numeric, and matches too sparse for the walk to pay: it visits about
+// need·n/m rows for m matches of the n it may walk, so it is taken when that
+// is at most m.
 func (sh *shard) orderedPage(exec *searchExec, matchAll bool, getIDs func() []int32, firstAfter func(gid int) int32) (hits []int32, walked bool) {
 	req, need := exec.req, exec.need
 	if len(req.Sort) != 1 || need <= 0 {
@@ -889,6 +883,16 @@ func neededColumns(req SearchRequest, plan *rollupPlan) []string {
 		}
 	}
 	return out
+}
+
+// orderedField names the column whose order (shard.go) a single-key sorted
+// page builds, on hot and resident cold shards alike, so this and every later
+// page can walk it (orderedPage); "" for any other request.
+func orderedField(req SearchRequest) string {
+	if len(req.Sort) == 1 && req.Size > 0 {
+		return req.Sort[0].Field
+	}
+	return ""
 }
 
 // Count returns the number of documents matching q.

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -156,13 +157,36 @@ func orderCovers(ix *Index, field string) bool {
 	return true
 }
 
+// coldOrderCovers reports whether every cold segment of ix is resident with
+// an order over field covering its rows.
+func coldOrderCovers(ix *Index, field string) bool {
+	rs := &ix.dur.resident
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for _, sm := range ix.coldSegments() {
+		e := rs.bySeq[sm.Seq]
+		if e == nil {
+			return false
+		}
+		e.cs.sh.mu.RLock()
+		c := e.cs.sh.cols[field]
+		ok := c != nil && c.order != nil && len(c.order) == len(e.cs.gids)
+		e.cs.sh.mu.RUnlock()
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSortedCursorMatchesOracle pages every request of the sorted matrix —
 // from the start, and from a cursor inside a tie run — and requires every
 // page to equal the oracle's own cursor at 1, 4 and 16 shards: on an
 // in-memory store, and on a durable one that snapshots between pages (which
 // drops every hot column and its order, rebuilt on the next page over the
 // rows ingested since) and takes the next batch, compared with an in-memory
-// mirror of the same rows.
+// mirror of the same rows. There every page is read twice, filling the
+// resident cold segments and then walking their time orders.
 func TestSortedCursorMatchesOracle(t *testing.T) {
 	batches := orderedBatches(1600, 32)
 	for _, shards := range []int{1, 4, 16} {
@@ -207,9 +231,11 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 			}
 
 			// The durable arm: half the batches up front, then a snapshot and
-			// one more batch between every two pages.
+			// one more batch between every two pages. Each page is read twice:
+			// the first read fills the resident set with the segment the last
+			// snapshot wrote, the second is served from it.
 			mirror := memStore(t, WithShards(shards))
-			dur := openDurable(t, t.TempDir(), WithShards(shards), WithFsyncPolicy(FsyncOff))
+			dur := openDurable(t, t.TempDir(), WithShards(shards), WithFsyncPolicy(FsyncOff), WithQueryCache(0))
 			t.Cleanup(func() { mirror.Close(); dur.Close() })
 			next := 0
 			feed := func() {
@@ -234,8 +260,14 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 				}
 				for p := 0; p < 3; p++ {
 					got := checkOracle(t, dur, "ord", mix, req)
+					checkOracle(t, dur, "ord", mix, req)
 					if req.Sort[0].Field == FieldTimeEnter && !orderCovers(dix, FieldTimeEnter) {
 						t.Fatalf("%+v page %d: the hot shards' time order was not rebuilt", req, p)
+					}
+					// An unbounded query opens every cold segment.
+					minT, maxT := timeBounds(req.Query)
+					if req.Sort[0].Field == FieldTimeEnter && minT == math.MinInt64 && maxT == math.MaxInt64 && !coldOrderCovers(dix, FieldTimeEnter) {
+						t.Fatalf("%+v page %d: a cold segment was not resident with its time order", req, p)
 					}
 					if err := dur.Snapshot(); err != nil {
 						t.Fatal(err)

@@ -119,8 +119,8 @@ func Open(opts ...Option) (*Store, error) {
 			segOpened:    reg.Counter(telemetry.MetricSegmentsOpened, "cold segments opened by time-bounded queries"),
 			segPruned:    reg.Counter(telemetry.MetricSegmentsPruned, "cold segments skipped by time-range pruning"),
 			segVerified:  reg.Counter(telemetry.MetricSegmentsVerified, "cold segment files read and checksummed: opens the resident set could not serve"),
-			rowsDecoded:  reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded from cold segments opened by time-bounded queries"),
-			rowsSkipped:  reg.Counter(telemetry.MetricSegRowsSkipped, "rows of those segments left undecoded: stored time outside the window"),
+			rowsDecoded:  reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded from cold segments: whole at a resident fill, the window of one over the budget per query"),
+			rowsSkipped:  reg.Counter(telemetry.MetricSegRowsSkipped, "rows of over-budget segments a query left undecoded: stored time outside the window"),
 		},
 	}
 	reg.GaugeFunc(telemetry.MetricQueryCacheEntries, "live query cache entries across indices",
@@ -138,7 +138,7 @@ func Open(opts ...Option) (*Store, error) {
 	s.dtm = newDurTelemetry(reg)
 	reg.GaugeFunc(telemetry.MetricSegments, "live committed segments across durable indices",
 		s.segmentCount)
-	reg.GaugeFunc(telemetry.MetricSegmentsResident, "verified segment image bytes kept resident across durable indices",
+	reg.GaugeFunc(telemetry.MetricSegmentsResident, "decoded cold segment bytes kept resident across durable indices",
 		s.residentBytes)
 	if err := os.MkdirAll(o.dataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create data dir: %w", err)

@@ -7,15 +7,15 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
 	"github.com/dsrhaslab/dio-go/internal/event"
-	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
-// This file is the cold read path of the tiered layout: decoding committed
-// segments, read and verified once and then kept resident, into transient row
-// stores and running the regular search pipeline over them, with time-range
+// This file is the cold read path of the tiered layout: committed segments,
+// read, verified and decoded once into read-only shards that stay resident,
+// and the regular search pipeline run over those shards, with time-range
 // pruning so a narrow dashboard query over a long retention window only ever
 // touches the segments whose stamped [MinTime, MaxTime] range can contain
 // matches.
@@ -132,24 +132,41 @@ func segMayMatch(sm durable.SegmentMeta, minT, maxT int64) bool {
 	return sm.MinTime <= sm.MaxTime && mayMatchTime(sm.MinTime, sm.MaxTime, minT, maxT)
 }
 
-// coldSegment is the part of one opened segment a query can match, decoded
-// into a transient (unshared, unlocked) shard, plus the explicit global id of
-// each local row — cold segments can be sparse after compaction folded
-// retention gaps, and sparser still once rows outside the window stay
-// undecoded.
+// coldSegment is one opened segment's rows in a shard of their own, plus the
+// explicit global id of each local row — cold segments can be sparse after
+// compaction folded retention gaps. A resident one holds every typed row and
+// is read-only once filled: queries share it under its read lock, and only
+// ensureColumns writes to it, columns and orders. One over the budget holds
+// one query's window.
 type coldSegment struct {
 	sh   *shard
 	gids []int
 }
 
-// residentBudget bounds the verified segment images one index keeps resident
-// between queries: cold_history's five segments (~15 MB) four times over.
+// rowBytes is what one decoded row costs a cold segment: the event, its gid,
+// and its slot in every indexed field's posting list.
+const rowBytes = int64(unsafe.Sizeof(event.Event{})) + int64(unsafe.Sizeof(0)) + 4*int64(len(indexedFields))
+
+// size is cs's decoded bytes: its rows, and the columns and orders built on
+// it at their capacity. Caller holds cs.sh.mu or owns cs.
+func (cs *coldSegment) size() int64 {
+	n := int64(len(cs.gids)) * rowBytes
+	for _, c := range cs.sh.cols {
+		n += int64(cap(c.vals))*8 + int64(cap(c.ok)) + int64(cap(c.order))*4
+	}
+	return n
+}
+
+// residentBudget bounds the decoded bytes of the segments one index keeps
+// resident between queries: cold_history's 84 000 cold rows (~30 MB) twice.
 const residentBudget = 64 << 20
 
-// residentSegments is an index's set of verified segment readers, keyed by
+// residentSegments is an index's set of decoded cold segments, keyed by
 // segment sequence (never reused within an index), filled on first read and
 // evicted least recently used, whole segments, to stay within budget bytes.
-// Concurrent queries share a reader; an evicted or dropped one is left to the
+// Each entry records the path book its rows were named by; a query holding
+// another book decodes the segment again and replaces the entry. Concurrent
+// queries share an entry; an evicted, replaced or dropped one is left to the
 // collector, never recycled, because a query may still be reading it.
 type residentSegments struct {
 	budget int64
@@ -160,52 +177,75 @@ type residentSegments struct {
 }
 
 type residentSegment struct {
-	r    *durable.SegmentReader
-	used uint64 // the tick of the last lookup that returned r
+	cs    *coldSegment
+	book  *[]event.PathsRecord // the path book cs's rows were named by
+	bytes int64                // cs.size() when last accounted
+	used  uint64               // the tick of the last lookup that returned cs
 }
 
-// reader returns the verified reader of segment seq in dir, reading and
-// verifying the file (counted in verified) on a miss, outside the lock: two
-// queries that miss together both verify it, and one reader stays.
-func (rs *residentSegments) reader(dir string, seq int, verified *telemetry.Counter) (*durable.SegmentReader, error) {
-	rs.mu.Lock()
-	if e := rs.bySeq[seq]; e != nil {
-		rs.tick++
-		e.used = rs.tick
-		rs.mu.Unlock()
-		return e.r, nil
-	}
-	rs.mu.Unlock()
-	r, err := durable.OpenSegment(filepath.Join(dir, durable.SegmentName(seq)))
-	if err != nil {
-		return nil, err
-	}
-	verified.Inc()
-	size := r.Info().Bytes
+// get returns the resident rows of segment seq if they were named by book.
+func (rs *residentSegments) get(seq int, book *[]event.PathsRecord) *coldSegment {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if size > rs.budget || rs.bySeq[seq] != nil {
-		return r, nil
+	e := rs.bySeq[seq]
+	if e == nil || e.book != book {
+		return nil
 	}
-	for rs.bytes+size > rs.budget {
-		lru := -1
-		for s, e := range rs.bySeq {
-			if lru < 0 || e.used < rs.bySeq[lru].used {
-				lru = s
-			}
+	rs.tick++
+	e.used = rs.tick
+	return e.cs
+}
+
+// put keeps cs, segment seq just decoded in full and named by book, in place
+// of an entry named by another book. Two queries that miss together both
+// decode, and the first to put stays.
+func (rs *residentSegments) put(seq int, book *[]event.PathsRecord, cs *coldSegment) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if e := rs.bySeq[seq]; e != nil {
+		if e.book == book {
+			return
 		}
-		rs.dropLocked(lru)
+		rs.dropLocked(seq)
 	}
 	if rs.bySeq == nil {
 		rs.bySeq = make(map[int]*residentSegment)
 	}
 	rs.tick++
-	rs.bySeq[seq] = &residentSegment{r: r, used: rs.tick}
-	rs.bytes += size
-	return r, nil
+	e := &residentSegment{cs: cs, book: book, used: rs.tick}
+	rs.bySeq[seq] = e
+	rs.resizeLocked(seq, e, cs.size())
 }
 
-// drop forgets the resident reader of segment seq, if any.
+// account re-accounts segment seq's entry, if it still holds cs, after
+// ensureColumns may have built a column or an order on it. Caller holds
+// cs.sh.mu, so the size it reads is the one it records.
+func (rs *residentSegments) account(seq int, cs *coldSegment) {
+	size := cs.size()
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if e := rs.bySeq[seq]; e != nil && e.cs == cs && e.bytes != size {
+		rs.resizeLocked(seq, e, size)
+	}
+}
+
+// resizeLocked sets the account of e, segment seq's entry, to size, then
+// evicts least recently used entries, e last, until the set fits its budget.
+func (rs *residentSegments) resizeLocked(seq int, e *residentSegment, size int64) {
+	rs.bytes += size - e.bytes
+	e.bytes = size
+	for rs.bytes > rs.budget {
+		lru := seq
+		for s, o := range rs.bySeq {
+			if s != seq && (lru == seq || o.used < rs.bySeq[lru].used) {
+				lru = s
+			}
+		}
+		rs.dropLocked(lru)
+	}
+}
+
+// drop forgets the resident rows of segment seq, if any.
 func (rs *residentSegments) drop(seq int) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -214,60 +254,72 @@ func (rs *residentSegments) drop(seq int) {
 
 func (rs *residentSegments) dropLocked(seq int) {
 	if e := rs.bySeq[seq]; e != nil {
-		rs.bytes -= e.r.Info().Bytes
+		rs.bytes -= e.bytes
 		delete(rs.bySeq, seq)
 	}
 }
 
-// clear drops every resident reader.
+// clear drops every resident segment.
 func (rs *residentSegments) clear() {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.bySeq, rs.bytes = nil, 0
 }
 
-// size reports the resident image bytes.
+// size reports the resident decoded bytes.
 func (rs *residentSegments) size() int64 {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return rs.bytes
 }
 
-// openColdSegment takes the segment's verified reader from the resident set,
-// reads its time column, selects the rows whose stored time can fall in
-// [minT, maxT], and decodes only those into one page, which a transient shard
-// adopts as its blocks; book (the index's path book, usually empty) then
-// names the rows of a segment written before a correlation pass. Decoded rows
-// do not alias the reader's image. skipped is the rows left undecoded.
-// Rollups are disabled on the transient shard (base 0); columns build on
-// demand, but no sort order: the shard answers one request, and a sorted page
-// over it takes the candidate path.
-func (ix *Index) openColdSegment(sm durable.SegmentMeta, book []event.PathsRecord, minT, maxT int64) (cs *coldSegment, skipped int, err error) {
-	r, err := ix.dur.resident.reader(ix.dur.dir, sm.Seq, ix.rtm.segVerified)
-	if err != nil {
-		return nil, 0, err
+// openColdSegment returns segment sm's rows named by book (the index's path
+// book, usually empty, which names the rows of a segment written before a
+// correlation pass): from the resident set when it holds them named by that
+// book, and otherwise read and verified from the file and decoded by one
+// path. When the decoded segment fits the budget, every typed row is decoded,
+// named and posted, and the shard joins the set; the image is then garbage.
+// Otherwise only the rows whose stored time can fall in [minT, maxT] are, for
+// this query alone. Decoded rows do not alias the image. Rollups are disabled
+// on the shard (base 0); columns and orders build on demand.
+func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsRecord, minT, maxT int64) (*coldSegment, error) {
+	rs := &ix.dur.resident
+	if cs := rs.get(sm.Seq, book); cs != nil {
+		return cs, nil
 	}
+	r, err := durable.OpenSegment(filepath.Join(ix.dur.dir, durable.SegmentName(sm.Seq)))
+	if err != nil {
+		return nil, err
+	}
+	ix.rtm.segVerified.Inc()
 	info := r.Info()
 	if info.Generic > 0 {
-		return nil, 0, fmt.Errorf("%d generic rows in %s: %w", info.Generic, durable.SegmentName(sm.Seq), ErrRetiredFormat)
+		return nil, fmt.Errorf("%d generic rows in %s: %w", info.Generic, durable.SegmentName(sm.Seq), ErrRetiredFormat)
 	}
-	start := int(sm.StartRow)
-	var sel []int // grows with the window's share, not sized to the whole column
+	kept := int64(info.Typed)*rowBytes <= rs.budget
+	var sel []int
 	for i := 0; i < info.Typed; i++ {
-		if t := r.Time(i); mayMatchTime(t, t, minT, maxT) {
+		if t := r.Time(i); kept || mayMatchTime(t, t, minT, maxT) {
 			sel = append(sel, i)
 		}
 	}
-	cs = &coldSegment{sh: newShard(0), gids: make([]int, len(sel))}
+	start := int(sm.StartRow)
+	cs := &coldSegment{sh: newShard(0), gids: make([]int, len(sel))}
 	cs.sh.rows.adopt(r.Decode(sel))
 	for k, i := range sel {
 		cs.gids[k] = start + r.Gid(i)
-		if len(book) > 0 {
-			resolveFromBook(book, cs.gids[k], cs.sh.rows.at(k))
+		if book != nil {
+			resolveFromBook(*book, cs.gids[k], cs.sh.rows.at(k))
 		}
 		cs.sh.postEventLocked(int32(k))
 	}
-	return cs, info.Typed - len(sel), nil
+	ix.rtm.rowsDecoded.Add(uint64(len(sel)))
+	if kept {
+		rs.put(sm.Seq, book, cs)
+	} else {
+		ix.rtm.rowsSkipped.Add(uint64(info.Typed - len(sel)))
+	}
+	return cs, nil
 }
 
 // coldSegments returns the committed segments below the eviction base — the
@@ -289,15 +341,15 @@ func (ix *Index) coldSegments() []durable.SegmentMeta {
 
 // eachColdSegment is the one pass over the cold tier. It prunes the segments
 // whose stamped range req's time window excludes, opens the rest through the
-// shard worker pool — each decoding only the rows the window selects, with the
-// columns req reads built — and returns fn's answer
-// per opened segment, in row order. The opened/pruned and decoded/skipped
+// shard worker pool — resident, or decoded as openColdSegment decides, with
+// the columns req reads built — and returns fn's answer per opened segment,
+// in row order, computed under the segment's read lock. The opened/pruned
 // counters move only for a time-bounded query: without a bound there is no
 // decision to report. Caller holds every hot shard's read lock (a search or a
 // count) or the shared gate (a correlation pass's tally).
 func eachColdSegment[T any](ctx context.Context, ix *Index, req SearchRequest, fn func(*coldSegment) T) ([]T, error) {
 	segs := ix.coldSegments()
-	book := ix.dur.paths()
+	book := ix.dur.book.Load()
 	minT, maxT := timeBounds(req.Query)
 	bounded := minT > math.MinInt64 || maxT < math.MaxInt64
 	if bounded {
@@ -314,20 +366,21 @@ func eachColdSegment[T any](ctx context.Context, ix *Index, req SearchRequest, f
 	if len(segs) == 0 {
 		return nil, nil
 	}
-	cols := neededColumns(req, nil)
+	cols, ordered := neededColumns(req, nil), orderedField(req)
 	out, errs := make([]T, len(segs)), make([]error, len(segs))
 	if err := forEachShardCtx(ctx, len(segs), func(i int) {
-		cs, skipped, err := ix.openColdSegment(segs[i], book, minT, maxT)
+		cs, err := ix.openColdSegment(segs[i], book, minT, maxT)
 		if err != nil {
 			errs[i] = err
 			return
 		}
 		if bounded {
 			ix.rtm.segOpened.Inc()
-			ix.rtm.rowsDecoded.Add(uint64(len(cs.gids)))
-			ix.rtm.rowsSkipped.Add(uint64(skipped))
 		}
-		cs.sh.ensureColumns(cols, "")
+		cs.sh.ensureColumns(cols, ordered)
+		cs.sh.mu.RLock()
+		defer cs.sh.mu.RUnlock()
+		ix.dur.resident.account(segs[i].Seq, cs)
 		out[i] = fn(cs)
 	}); err != nil {
 		return nil, err

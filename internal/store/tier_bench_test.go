@@ -14,9 +14,9 @@ import (
 // each and compacted (three level-1 segments and two level-0), the store
 // closed and reopened, then a quarter-minute window inside a cold minute,
 // sorted by time with a terms aggregation. FirstOpen empties the index's
-// resident segment set before every query, so each one reads and verifies
-// its segment file as the cold path did before the set existed; Resident
-// answers from readers verified once. verified/op counts the file reads.
+// resident segment set before every query, so each one reads, verifies and
+// decodes its whole segment, as the first read of a segment does; Resident
+// answers from shards decoded once. verified/op counts the file reads.
 func BenchmarkColdWindow(b *testing.B) {
 	const minutes, flushed, rows = 16, 14, 6000
 	const minute, stride = int64(60e9), int64(60e9/rows) &^ 255

@@ -3,10 +3,12 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -14,15 +16,16 @@ import (
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
 	"github.com/dsrhaslab/dio-go/internal/event"
+	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
-// Tests for the resident segment set: cold queries decode from readers that
-// were read and verified once, and those readers leave the set exactly when
-// their segments leave the manifest.
+// Tests for the resident segment set: cold queries read shards that were
+// read, verified and decoded once, those shards follow the path book, and
+// they leave the set exactly when their segments leave the manifest.
 
 // residentState returns the sequences the index's resident set holds, in
-// order, and checks its byte account against the readers it holds and the
-// budget.
+// order, and checks its byte account against the decoded segments it holds
+// and the budget.
 func residentState(t *testing.T, ix *Index) []int {
 	t.Helper()
 	rs := &ix.dur.resident
@@ -32,11 +35,17 @@ func residentState(t *testing.T, ix *Index) []int {
 	var sum int64
 	for seq, e := range rs.bySeq {
 		seqs = append(seqs, seq)
-		sum += e.r.Info().Bytes
+		e.cs.sh.mu.RLock()
+		size := e.cs.size()
+		e.cs.sh.mu.RUnlock()
+		if e.bytes != size {
+			t.Fatalf("segment %d accounted at %d bytes, holds %d", seq, e.bytes, size)
+		}
+		sum += e.bytes
 	}
 	sort.Ints(seqs)
 	if sum != rs.bytes {
-		t.Fatalf("resident set accounts %d bytes, holds readers of %d", rs.bytes, sum)
+		t.Fatalf("resident set accounts %d bytes, its entries %d", rs.bytes, sum)
 	}
 	if rs.bytes > rs.budget {
 		t.Fatalf("resident set holds %d bytes, budget %d", rs.bytes, rs.budget)
@@ -222,13 +231,14 @@ func TestResidentSegmentsUnderMaintenance(t *testing.T) {
 	}
 }
 
-// TestResidentSegmentsOverBudget shrinks one index's budget below its
-// compacted segment and to two of its three small ones. The large segment
-// still answers but is never retained, and the small ones are evicted least
-// recently used.
+// TestResidentSegmentsOverBudget shrinks one index's budget, in decoded
+// bytes, below its compacted segment and to two of its three small ones. The
+// large segment still answers, decoding only its window's rows per query, but
+// is never retained, and the small ones are evicted least recently used.
 func TestResidentSegmentsOverBudget(t *testing.T) {
 	ctx := context.Background()
-	st := openDurable(t, t.TempDir(), WithQueryCache(0))
+	reg := telemetry.NewRegistry()
+	st := openDurable(t, t.TempDir(), WithQueryCache(0), WithTelemetry(reg))
 	defer st.Close()
 	mem := memStore(t)
 	defer mem.Close()
@@ -256,15 +266,16 @@ func TestResidentSegmentsOverBudget(t *testing.T) {
 	if len(segs) != 4 || segs[0].Level != 1 {
 		t.Fatalf("fixture: segments %+v, want one level-1 and three level-0", segs)
 	}
-	small := segs[1].Bytes
-	for _, sm := range segs[2:] {
-		small = max(small, sm.Bytes)
-	}
+	// A small segment decodes to rows × rowBytes, and its one column and
+	// order add a few percent; the compacted one to four times that.
+	small := rows * rowBytes
 	ix.dur.resident.budget = 2*small + small/2
-	if segs[0].Bytes <= ix.dur.resident.budget {
-		t.Fatalf("fixture: compacted segment of %d bytes fits the budget %d", segs[0].Bytes, ix.dur.resident.budget)
+	if int64(segs[0].EndRow-segs[0].StartRow)*rowBytes <= ix.dur.resident.budget {
+		t.Fatalf("fixture: compacted segment %+v fits the budget %d", segs[0], ix.dur.resident.budget)
 	}
 	fix, _ := mem.GetIndex(windowIndex)
+	decoded := reg.Counter(telemetry.MetricSegRowsDecoded, "")
+	skipped := reg.Counter(telemetry.MetricSegRowsSkipped, "")
 	// Round r's rows lie in [at + r ms, at + r ms + 0.9 ms), well inside the window
 	// queried for it.
 	round := func(r int) {
@@ -280,20 +291,27 @@ func TestResidentSegmentsOverBudget(t *testing.T) {
 			t.Fatalf("round %d:\n got %s\nwant %s", r, g, w)
 		}
 	}
+	// A compacted round decodes its window and skips the other three rounds'
+	// rows, every time; a small one decodes whole at a fill, then nothing.
 	seq := func(i int) int { return segs[i].Seq }
 	for _, step := range []struct {
-		round int
-		want  []int
+		round            int
+		want             []int
+		decoded, skipped int64
 	}{
-		{0, nil},                   // the compacted segment answers, unretained
-		{4, []int{seq(1)}},         // first small segment
-		{5, []int{seq(1), seq(2)}}, // second; the budget is full
-		{4, []int{seq(1), seq(2)}}, // a hit: segment 1 is now the most recent
-		{6, []int{seq(1), seq(3)}}, // the third evicts segment 2, least recently used
-		{2, []int{seq(1), seq(3)}}, // the compacted segment again: still unretained
-		{6, []int{seq(1), seq(3)}},
+		{0, nil, rows, 3 * rows},                   // the compacted segment answers, unretained
+		{4, []int{seq(1)}, rows, 0},                // first small segment
+		{5, []int{seq(1), seq(2)}, rows, 0},        // second; the budget is full
+		{4, []int{seq(1), seq(2)}, 0, 0},           // a hit: segment 1 is now the most recent
+		{6, []int{seq(1), seq(3)}, rows, 0},        // the third evicts segment 2, least recently used
+		{2, []int{seq(1), seq(3)}, rows, 3 * rows}, // the compacted segment again: still unretained
+		{6, []int{seq(1), seq(3)}, 0, 0},
 	} {
+		d0, s0 := decoded.Value(), skipped.Value()
 		round(step.round)
+		if d, s := int64(decoded.Value()-d0), int64(skipped.Value()-s0); d != step.decoded || s != step.skipped {
+			t.Fatalf("a read of round %d decoded %d rows and skipped %d, want %d and %d", step.round, d, s, step.decoded, step.skipped)
+		}
 		if got := residentState(t, ix); !reflect.DeepEqual(got, step.want) {
 			t.Fatalf("after a read of round %d: resident %v, want %v", step.round, got, step.want)
 		}
@@ -304,8 +322,9 @@ func TestResidentSegmentsOverBudget(t *testing.T) {
 // A segment's bytes are verified once, by the first read after Open: the
 // whole-file CRC, the header and the column directory. A segment corrupted on
 // disk before that read fails the query with durable.ErrCorruptSegment rather
-// than answer. From then on the rows served are the verified in-memory image,
-// the same guarantee a hot row has: a later change to the file is not seen.
+// than answer. From then on the rows served are those decoded from the
+// verified image, the same guarantee a hot row has: a later change to the
+// file is not seen.
 func TestCorruptColdSegmentFailsQuery(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -359,4 +378,148 @@ func TestCorruptColdSegmentFailsQuery(t *testing.T) {
 	if got := residentState(t, ix); !reflect.DeepEqual(got, []int{segs[0].Seq}) {
 		t.Fatalf("resident %v, want only the segment verified before the corruption (%d)", got, segs[0].Seq)
 	}
+}
+
+// TestResidentSegmentsFollowTheBook: a correlation pass names cold rows by
+// adding to the path book, never by writing them. A segment made resident
+// before the pass is decoded again, named by the new book, by the next window
+// read, while the rows of the entry it replaces stay unnamed, though the
+// pass tallied them and a concurrent reader shared them throughout. Run
+// under -race.
+func TestResidentSegmentsFollowTheBook(t *testing.T) {
+	ctx := context.Background()
+	st := openDurable(t, t.TempDir(), WithQueryCache(0))
+	defer st.Close()
+	const rows, path = 200, "/var/log/app.log"
+	at := time.Now().UnixNano()
+	tag := event.FileTag{Dev: 8, Ino: 42, BirthNS: 7}
+	evs := make([]event.Event, rows)
+	for i := range evs {
+		evs[i] = event.Event{Session: "s", Syscall: "write", FileTag: tag, TimeEnterNS: at + int64(i)*1000, TimeExitNS: at + int64(i)*1000 + 1}
+	}
+	evs[0].Syscall, evs[0].KernelPath = "openat", path
+	if err := st.BulkEvents(ctx, windowIndex, evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ix, _ := st.GetIndex(windowIndex)
+	if ix.coldRows.Load() != rows {
+		t.Fatalf("fixture: %d cold rows, want %d", ix.coldRows.Load(), rows)
+	}
+	// window reads rows [1, rows) and reports how many of them carry path.
+	window := func() (int, error) {
+		resp, err := st.SearchEvents(ctx, windowIndex, SearchRequest{
+			Query: Must(Term(FieldSyscall, "write"), RangeBetween(FieldTimeEnter, float64(at+1000), float64(at+rows*1000))), Size: -1})
+		if err == nil && resp.Total != rows-1 {
+			err = fmt.Errorf("total %d, want %d", resp.Total, rows-1)
+		}
+		named := 0
+		for i := range resp.Hits {
+			if resp.Hits[i].FilePath == path {
+				named++
+			}
+		}
+		return named, err
+	}
+	if named, err := window(); err != nil || named != 0 {
+		t.Fatalf("before the pass: %d of %d rows named (%v)", named, rows-1, err)
+	}
+	seq := (*ix.dur.segs.Load())[0].Seq
+	ix.dur.resident.mu.Lock()
+	held := ix.dur.resident.bySeq[seq].cs
+	ix.dur.resident.mu.Unlock()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			// Each read is named by one book: none of its rows, or all.
+			if named, err := window(); err != nil || named != 0 && named != rows-1 {
+				t.Errorf("during the pass: %d of %d rows named (%v)", named, rows-1, err)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	res, err := st.Correlate(ctx, windowIndex, "s")
+	close(done)
+	wg.Wait()
+	if err != nil || res.EventsUpdated != rows {
+		t.Fatalf("pass: %+v (%v), want all %d rows updated", res, err, rows)
+	}
+	if named, err := window(); err != nil || named != rows-1 {
+		t.Fatalf("after the pass: %d of %d rows named (%v)", named, rows-1, err)
+	}
+	for k := range held.gids {
+		if p := held.sh.rows.at(k).FilePath; p != "" {
+			t.Fatalf("the entry resident before the pass had its row %d written: file_path %q", k, p)
+		}
+	}
+	ix.dur.resident.mu.Lock()
+	replaced := ix.dur.resident.bySeq[seq].cs != held
+	ix.dur.resident.mu.Unlock()
+	if !replaced {
+		t.Fatal("the entry named by the old book is still resident")
+	}
+}
+
+// TestResidentSegmentsAccountTheirBytes: the resident set's byte account,
+// taken from the types at a fill and again as columns and orders are built,
+// is the heap the decoded segments actually hold, within a quarter.
+func TestResidentSegmentsAccountTheirBytes(t *testing.T) {
+	ctx := context.Background()
+	st := openDurable(t, t.TempDir(), WithQueryCache(0))
+	defer st.Close()
+	const segments, rows = 4, 5000
+	at := int64(1687859999000000000) &^ (1<<20 - 1) // the window bounds below are exact in float64
+	syscalls := []string{"read", "write", "pread64", "openat", "close"}
+	for s := 0; s < segments; s++ {
+		evs := make([]event.Event, rows)
+		for i := range evs {
+			ts := at + int64(s)*1e9 + int64(i)*1000
+			evs[i] = event.Event{Session: "acct", Syscall: syscalls[i%len(syscalls)], ThreadName: fmt.Sprintf("w%d", i%4),
+				PID: 100, TID: 101 + i%4, RetVal: int64(i), TimeEnterNS: ts, TimeExitNS: ts + 700}
+		}
+		if err := st.BulkEvents(ctx, windowIndex, evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, _ := st.GetIndex(windowIndex)
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second empties sync.Pool's victim cache too
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	for s := 0; s < segments; s++ {
+		lo := float64(at + int64(s)*1e9)
+		resp, err := st.Search(ctx, windowIndex, SearchRequest{
+			Query: Must(Term(FieldSession, "acct"), RangeBetween(FieldTimeEnter, lo, lo+1e6)),
+			Sort:  []SortField{{Field: FieldTimeEnter}}, Size: 10})
+		if err != nil || resp.Total != 1001 {
+			t.Fatalf("segment %d: total %d (%v)", s, resp.Total, err)
+		}
+	}
+	grown := heap() - before
+	if got := residentState(t, ix); len(got) != segments {
+		t.Fatalf("resident %v, want all %d segments", got, segments)
+	}
+	acct := ix.dur.resident.size()
+	if acct < grown*3/4 || acct > grown*5/4 {
+		t.Fatalf("resident set accounts %d bytes; the heap grew by %d", acct, grown)
+	}
+	t.Logf("accounted %d bytes, heap grew by %d (%.2f)", acct, grown, float64(acct)/float64(grown))
 }

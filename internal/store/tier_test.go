@@ -182,7 +182,8 @@ func TestSegmentTieredAcrossBlocks(t *testing.T) {
 // time-range pruning: with rows spread over many time-disjoint segments, a
 // narrow time_enter_ns range must open only the overlapping segment — with
 // the skip/open decisions visible on the pruning counters and /metrics — and
-// must return exactly what a full scan returns.
+// must return exactly what a full scan returns. The row counters show where
+// decoding happens: once per segment, or per query over the budget.
 func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
@@ -244,21 +245,26 @@ func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 		t.Fatalf("pruned count = %d, want %d", n, rowsPerRound)
 	}
 
-	// Inside the one segment opened, only the rows whose time can match are
-	// decoded: the search and the count above took all of round 3, a window
-	// over its first 3.5µs takes 8 of its 12 rows and skips the rest.
+	// A segment is decoded whole once, when it joins the resident set: the
+	// windowed search filled round 3's, the unbounded scan the other seven,
+	// and the count decoded nothing. Only a segment over the budget decodes
+	// per query, and then only the rows whose time can match: a window over
+	// round 3's first 3.5µs takes 8 of its 12 rows and skips the rest.
 	decoded := reg.Counter(telemetry.MetricSegRowsDecoded, "")
 	skipped := reg.Counter(telemetry.MetricSegRowsSkipped, "")
-	if d, s := decoded.Value(), skipped.Value(); d != uint64(2*rowsPerRound) || s != 0 {
-		t.Fatalf("row counters after two whole-round windows: decoded=%d skipped=%d, want %d/0", d, s, 2*rowsPerRound)
+	if d, s := decoded.Value(), skipped.Value(); d != uint64(rounds*rowsPerRound) || s != 0 {
+		t.Fatalf("row counters after every segment was read: decoded=%d skipped=%d, want %d/0", d, s, rounds*rowsPerRound)
 	}
+	ix, _ := st.GetIndex(crashIndex)
+	ix.dur.resident.clear()
+	ix.dur.resident.budget = 1
 	n, err = st.Count(ctx, crashIndex, Must(RangeBetween(FieldTimeEnter, lo, lo+3500)))
 	if err != nil || n != 8 {
 		t.Fatalf("narrow count = %d (%v), want 8", n, err)
 	}
-	if d, s := decoded.Value(), skipped.Value(); d != uint64(2*rowsPerRound+8) || s != uint64(rowsPerRound-8) {
-		t.Fatalf("row counters after the narrow window: decoded=%d skipped=%d, want %d/%d",
-			d, s, 2*rowsPerRound+8, rowsPerRound-8)
+	if d, s := decoded.Value(), skipped.Value(); d != uint64(rounds*rowsPerRound+8) || s != uint64(rowsPerRound-8) {
+		t.Fatalf("row counters after the narrow window over budget: decoded=%d skipped=%d, want %d/%d",
+			d, s, rounds*rowsPerRound+8, rowsPerRound-8)
 	}
 
 	// The decisions are operationally visible.

@@ -68,10 +68,10 @@ const (
 	MetricSegments         = "dio_store_segments"                   // live committed segments (gauge)
 	MetricSegmentsOpened   = "dio_store_segments_opened_total"      // cold segments opened by time-bounded queries
 	MetricSegmentsVerified = "dio_store_segments_verified_total"    // cold segment files read and checksummed (resident-set misses)
-	MetricSegmentsResident = "dio_store_segments_resident_bytes"    // verified segment images held for reuse (gauge)
+	MetricSegmentsResident = "dio_store_segments_resident_bytes"    // decoded cold segments held for reuse (gauge)
 	MetricSegmentsPruned   = "dio_store_segments_pruned_total"      // cold segments skipped by time-range pruning
-	MetricSegRowsDecoded   = "dio_store_segment_rows_decoded_total" // rows decoded from the segments opened
-	MetricSegRowsSkipped   = "dio_store_segment_rows_skipped_total" // rows of those segments the time column ruled out undecoded
+	MetricSegRowsDecoded   = "dio_store_segment_rows_decoded_total" // rows decoded: a whole segment at a resident fill, a window per over-budget query
+	MetricSegRowsSkipped   = "dio_store_segment_rows_skipped_total" // rows of over-budget segments the time column ruled out undecoded
 	MetricCompactions      = "dio_store_compactions_total"          // segment merges committed
 	MetricRetentionDrops   = "dio_store_retention_drops_total"      // segments dropped past the retention horizon
 	MetricSnapshots        = "dio_store_snapshots_total"            // segment snapshots committed
