@@ -81,7 +81,9 @@ bench-read:
 ## has 30k and 480k arms, and its ns/event must stay flat across the three:
 ## a pass is linear in the session, and a page that pays for the rows before
 ## it (a sorted cursor re-testing the whole session) grows it with the
-## session length. Then one correlation
+## session length. Its sessions=2 arm interleaves a second session in time,
+## so the walk tests each row it visits for membership in the session. Then
+## one correlation
 ## pass over that session on a durable store, with the rows resident and
 ## with them flushed to a cold segment first (the flushed arm prices the
 ## pass's cold count): wal-B/row is what the pass journaled per row it named,

@@ -57,12 +57,14 @@ func diagBenchBatchEvents(base int64, start, n int) []event.Event {
 	return evs
 }
 
-// diagBenchStore ingests a session of events into an in-memory store with the
-// query cache off: a second pass over an unchanged index would answer every
-// page it can hold (256) from the cache and time the cache, not the pass,
-// and only on the sessions short enough to fit. A live store never sees that
-// — the benchmark's diagnose_session workload ingests between two runs.
-func diagBenchStore(b *testing.B, events int) *store.Store {
+// diagBenchStore ingests sessions sessions of events each into an in-memory
+// store with the query cache off: a second pass over an unchanged index would
+// answer every page it can hold (256) from the cache and time the cache, not
+// the pass, and only on the sessions short enough to fit. A live store never
+// sees that — the benchmark's diagnose_session workload ingests between two
+// runs. The first session is "diagbench"; the others are traced on the same
+// clock, a batch of each in turn, so their rows interleave in time.
+func diagBenchStore(b *testing.B, events, sessions int) *store.Store {
 	b.Helper()
 	st, err := store.Open(store.WithQueryCache(0))
 	if err != nil {
@@ -71,8 +73,16 @@ func diagBenchStore(b *testing.B, events int) *store.Store {
 	ctx := context.Background()
 	var clock int64 = 1_000_000_000
 	for n := 0; n < events; n += diagBenchBatch {
-		if err := st.BulkEvents(ctx, "bench", diagBenchBatchEvents(clock, n, diagBenchBatch)); err != nil {
-			b.Fatal(err)
+		for s := 0; s < sessions; s++ {
+			evs := diagBenchBatchEvents(clock, n, diagBenchBatch)
+			if s > 0 {
+				for j := range evs {
+					evs[j].Session = fmt.Sprintf("diagbench%d", s)
+				}
+			}
+			if err := st.BulkEvents(ctx, "bench", evs); err != nil {
+				b.Fatal(err)
+			}
 		}
 		clock += diagBenchBatch * 25_000
 	}
@@ -83,7 +93,7 @@ func diagBenchStore(b *testing.B, events int) *store.Store {
 // session: a single time-ordered cursor pass accumulating node counts and
 // follows-edges with latency quantile sketches.
 func BenchmarkDFGBuild(b *testing.B) {
-	st := diagBenchStore(b, diagBenchEvents)
+	st := diagBenchStore(b, diagBenchEvents, 1)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -103,11 +113,21 @@ func BenchmarkDFGBuild(b *testing.B) {
 // of 30k, 120k and 480k events. ns/event is the cost model: a pass is linear
 // in the session, so it stays flat across the three arms; a page that paid
 // for the rows before it made the 480k arm an order of magnitude dearer per
-// event than the 30k one.
+// event than the 30k one. The sessions=2 arm traces a second session on the
+// same clock, as the diagnose_session workload does: the pass then reads half
+// of every shard's rows, so each page tests the rows its walk visits for
+// membership in the session, where in the single-session arms every row
+// matches and none is tested.
 func BenchmarkEngineRun(b *testing.B) {
-	for _, events := range []int{30_000, diagBenchEvents, 480_000} {
-		b.Run(fmt.Sprintf("events=%dk", events/1000), func(b *testing.B) {
-			st := diagBenchStore(b, events)
+	arms := []struct{ events, sessions int }{{30_000, 1}, {diagBenchEvents, 1}, {480_000, 1}, {diagBenchEvents, 2}}
+	for _, arm := range arms {
+		events := arm.events
+		name := fmt.Sprintf("events=%dk", events/1000)
+		if arm.sessions > 1 {
+			name += fmt.Sprintf(",sessions=%d", arm.sessions)
+		}
+		b.Run(name, func(b *testing.B) {
+			st := diagBenchStore(b, events, arm.sessions)
 			ctx := context.Background()
 			eng := diagnose.NewEngine(diagnose.DefaultRegistry())
 			b.ResetTimer()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -613,11 +614,11 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 // orderedPage selects a single-key sorted page by walking the sort column's
 // order (shard.go) from the cursor's position: a binary search finds the
 // first row past the cursor, and the walk keeps each row the query matched
-// (a binary search in the ascending match list) until need are kept. A page
-// then costs O(log n + rows walked), whatever its depth in the walk, where
-// the candidate path re-tests every match against the cursor and heaps the
-// rest. Desc walks the runs of equal values backward but each run forward,
-// so ties keep ascending ids, as hitLess orders them.
+// (a bit test, or a binary search in the ascending match list) until need
+// are kept. A page then costs O(log n + rows walked), whatever its depth in
+// the walk, where the candidate path re-tests every match against the cursor
+// and heaps the rest. Desc walks the runs of equal values backward but each
+// run forward, so ties keep ascending ids, as hitLess orders them.
 //
 // A sort on time_enter_ns walks only the positions whose stamps the query's
 // time window admits (timeBounds, the bounds the cold tier prunes segments
@@ -671,11 +672,23 @@ func (sh *shard) orderedPage(exec *searchExec, matchAll bool, getIDs func() []in
 	hits = make([]int32, 0, need)
 	// walk keeps the matched ids of run, in run order, and reports whether
 	// the page is full. m distinct ids below n, when m == n, are every id: a
-	// session term over a one-session index needs no lookup either.
-	every := m == n
+	// session term over a one-session index needs no lookup either. Else the
+	// match list is a bitmap when its m bit sets cost no more than the binary
+	// searches they replace (need·len/m rows walked, log m probes each), so a
+	// pass over a long session stays linear.
+	var in idSet
+	if m < n && m*m <= need*len(order)*bits.Len(uint(m)) {
+		in = newIDSet(n, ids)
+	}
 	walk := func(run []int32) bool {
 		for _, id := range run {
-			if !every {
+			switch {
+			case m == n:
+			case in != nil:
+				if !in.has(id) {
+					continue
+				}
+			default:
 				if _, ok := slices.BinarySearch(ids, id); !ok {
 					continue
 				}

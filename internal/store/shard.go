@@ -2,6 +2,7 @@ package store
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -87,6 +88,52 @@ func (c *column) extendOrder() {
 			j--
 		}
 	}
+}
+
+// orderedRun returns the run of c's order holding exactly the rows r admits,
+// or ok false unless the order covers all n rows: two binary searches making
+// contains' float64 comparisons, whose lower bounds are false then true along
+// the order and upper bounds true then false. Caller holds the read lock.
+func (c *column) orderedRun(r *RangeQuery, n int) (run []int32, ok bool) {
+	if c == nil || c.order == nil || len(c.order) != n {
+		return nil, false
+	}
+	order, vals := c.order, c.vals
+	lo := sort.Search(n, func(i int) bool {
+		v := vals[order[i]]
+		return !(r.GTE != nil && v < *r.GTE) && !(r.GT != nil && v <= *r.GT)
+	})
+	hi := lo + sort.Search(n-lo, func(i int) bool {
+		v := vals[order[lo+i]]
+		return r.LTE != nil && v > *r.LTE || r.LT != nil && v >= *r.LT
+	})
+	return order[lo:hi], true
+}
+
+// idSet is one request's set of a shard's local ids, a bit per row: built in
+// O(members) plus n/64 words and garbage once the request is answered.
+type idSet []uint64
+
+func newIDSet(n int, ids []int32) idSet {
+	s := make(idSet, (n+63)>>6)
+	for _, id := range ids {
+		s[id>>6] |= 1 << (id & 63)
+	}
+	return s
+}
+
+func (s idSet) has(id int32) bool { return s[id>>6]&(1<<(id&63)) != 0 }
+
+// sortedIDs returns run, distinct local ids below n, in ascending order by a
+// bitmap read-out: two drain workers leave a time order far from id order.
+func sortedIDs(run []int32, n int) []int32 {
+	out := make([]int32, 0, len(run))
+	for w, word := range newIDSet(n, run) {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	return out
 }
 
 // blockRows is the row count of one storage block: a power of two, so a row
@@ -352,8 +399,12 @@ func (sh *shard) matchIDs(q Query) []int32 {
 }
 
 // rangeScan evaluates r over the column cache (plus the uncovered tail),
-// sharing RangeQuery.contains with the per-document evaluator.
+// sharing RangeQuery.contains with the per-document evaluator, or reads the
+// run of the column's order when it covers every row.
 func (sh *shard) rangeScan(r *RangeQuery, c *column) []int32 {
+	if run, ok := c.orderedRun(r, sh.rows.len()); ok {
+		return sortedIDs(run, sh.rows.len())
+	}
 	var out []int32
 	n := min(len(c.vals), sh.rows.len())
 	for i := 0; i < n; i++ {
@@ -377,10 +428,13 @@ func (q Query) isPureRange() bool {
 }
 
 // boolCandidates resolves a bool query whose must clauses include indexed
-// keyword terms (or a leading range with a built column) by posting-list
+// keyword terms (or a range with a built column) by posting-list
 // intersection followed by residual evaluation. ok is false when no clause
-// can seed a candidate list, meaning the caller should scan.
+// can seed a candidate list, meaning the caller should scan. A range whose
+// run of its column's order (orderedRun) is shorter than every posting list
+// that filters seeds; a list holding every row filters nothing.
 func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
+	n := sh.rows.len()
 	var lists [][]int32
 	residualMust := make([]Query, 0, len(q.Bool.Must))
 	for _, sub := range q.Bool.Must {
@@ -394,28 +448,38 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 		}
 		residualMust = append(residualMust, sub)
 	}
-	var candidates []int32
-	switch {
-	case len(lists) > 0:
-		// Intersect smallest-first to keep intermediate sets minimal.
-		sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-		candidates = lists[0]
-		for _, l := range lists[1:] {
-			candidates = intersectSorted(candidates, l)
-			if len(candidates) == 0 {
-				return nil, true
+	// Intersect smallest-first; lists[:full] are the ones that filter.
+	slices.SortFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
+	full := len(lists)
+	for full > 0 && len(lists[full-1]) == n {
+		full--
+	}
+	seed, run := -1, []int32(nil)
+	for i, sub := range residualMust {
+		if sub.isPureRange() {
+			if r, ok := sh.cols[sub.Range.Field].orderedRun(sub.Range, n); ok && (seed < 0 || len(r) < len(run)) {
+				seed, run = i, r
 			}
 		}
-	case len(residualMust) > 0 && residualMust[0].isPureRange():
+	}
+	var candidates []int32
+	switch {
+	case seed >= 0 && (full == 0 || len(run) < len(lists[0])):
+		candidates, lists = sortedIDs(run, n), lists[:full]
+		residualMust = slices.Delete(residualMust, seed, seed+1)
+	case len(lists) > 0:
+		candidates, lists = lists[0], lists[1:]
+	case len(residualMust) > 0 && residualMust[0].isPureRange() && sh.cols[residualMust[0].Range.Field] != nil:
+		// A leading range over a column with no order seeds by a column scan.
 		r := residualMust[0].Range
-		c := sh.cols[r.Field]
-		if c == nil {
-			return nil, false
-		}
-		candidates = sh.rangeScan(r, c)
-		residualMust = residualMust[1:]
+		candidates, residualMust = sh.rangeScan(r, sh.cols[r.Field]), residualMust[1:]
 	default:
 		return nil, false
+	}
+	for _, l := range lists {
+		if candidates = intersectSorted(candidates, l); len(candidates) == 0 {
+			return nil, true
+		}
 	}
 	// Pure range residuals read the numeric columns instead of going back to
 	// the row storage; everything else falls through to the generic evaluator.

@@ -338,6 +338,21 @@ func oracleRequests() []SearchRequest {
 			},
 			Size: -1,
 		},
+		// The two dashboard windows, after the time-sorted page above built the
+		// time order, so each range seeds its bool from the order's run:
+		// cold_history's (a session's window, time-sorted, by syscall) and
+		// live_dashboard's (a session's tail, one hit, by thread).
+		{
+			Query: Must(Term("session", "s1"), RangeBetween("time_enter_ns", 1_000_000, 1_400_000)),
+			Sort:  []SortField{{Field: "time_enter_ns"}},
+			Size:  10,
+			Aggs:  map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: "syscall"}}},
+		},
+		{
+			Query: Must(Term("session", "s2"), RangeGTE("time_enter_ns", 4_600_000)),
+			Size:  1,
+			Aggs:  map[string]Agg{"by_thread": {Terms: &TermsAgg{Field: "thread_name"}}},
+		},
 	}
 }
 

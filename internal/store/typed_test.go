@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -333,7 +334,8 @@ func TestBulkBufferReuse(t *testing.T) {
 
 // TestRangeEdgeDifferential cross-checks every range evaluation path on
 // GT/LT/GTE/LTE edge equality: the shared contains helper (document
-// matching), the columnar rangeScan path, and the brute-force oracle must
+// matching), the columnar rangeScan path, the run of a column's order (alone
+// and seeding a bool), the posting-list path, and the brute-force oracle must
 // agree for every combination of bounds anchored on stored values.
 func TestRangeEdgeDifferential(t *testing.T) {
 	vals := []int64{-5, 0, 10, 20, 20, 30, 40}
@@ -349,39 +351,140 @@ func TestRangeEdgeDifferential(t *testing.T) {
 	typedIx := NewIndex("typed")
 	typedIx.AddEvents(events)
 
-	bounds := []float64{-6, -5, 0, 9, 10, 20, 21, 30, 40, 41}
-	mk := func(gt, gte, lt, lte *float64) Query {
-		return Query{Range: &RangeQuery{Field: "ret_val", GT: gt, GTE: gte, LT: lt, LTE: lte}}
+	// eachRange calls fn with every single bound on field and every pair of a
+	// lower and an upper bound, anchored on bounds.
+	eachRange := func(field string, bounds []float64, fn func(name string, q Query)) {
+		mk := func(gt, gte, lt, lte *float64) Query {
+			return Query{Range: &RangeQuery{Field: field, GT: gt, GTE: gte, LT: lt, LTE: lte}}
+		}
+		for _, b := range bounds {
+			b := b
+			fn(fmt.Sprintf("gt %v", b), mk(&b, nil, nil, nil))
+			fn(fmt.Sprintf("gte %v", b), mk(nil, &b, nil, nil))
+			fn(fmt.Sprintf("lt %v", b), mk(nil, nil, &b, nil))
+			fn(fmt.Sprintf("lte %v", b), mk(nil, nil, nil, &b))
+			for _, hi := range bounds {
+				hi := hi
+				fn(fmt.Sprintf("gt %v lt %v", b, hi), mk(&b, nil, &hi, nil))
+				fn(fmt.Sprintf("gte %v lte %v", b, hi), mk(nil, &b, nil, &hi))
+				fn(fmt.Sprintf("gt %v lte %v", b, hi), mk(&b, nil, nil, &hi))
+				fn(fmt.Sprintf("gte %v lt %v", b, hi), mk(nil, &b, &hi, nil))
+			}
+		}
 	}
-	check := func(name string, q Query) {
-		t.Helper()
-		// Ground truth: brute-force evaluation through the shared helper.
+	// bruteForce is the ground truth: the shared helper over every document.
+	bruteForce := func(docs []Document, q Query) int {
 		want := 0
 		for _, d := range docs {
 			if q.Matches(d) {
 				want++
 			}
 		}
-		if got := typedIx.Count(q); got != want {
+		return want
+	}
+	// matched counts q's matches shard by shard through matchIDs alone, over
+	// the columns and orders as they stand, and fails unless every shard's
+	// ids ascend.
+	matched := func(name string, ix *Index, q Query) int {
+		t.Helper()
+		n := 0
+		for _, sh := range ix.shards {
+			sh.mu.RLock()
+			ids := sh.matchIDs(q)
+			sh.mu.RUnlock()
+			if !slices.IsSorted(ids) {
+				t.Fatalf("%s: match ids out of order: %v", name, ids)
+			}
+			n += len(ids)
+		}
+		return n
+	}
+	check := func(name string, ix *Index, docs []Document, q Query) {
+		t.Helper()
+		want := bruteForce(docs, q)
+		if got := ix.Count(q); got != want {
 			t.Errorf("%s: column path %d, brute force %d", name, got, want)
 		}
-		if got := oracleCount(typedIx, q); got != want {
+		if got := matched(name, ix, q); got != want {
+			t.Errorf("%s: match ids %d, brute force %d", name, got, want)
+		}
+		if got := oracleCount(ix, q); got != want {
 			t.Errorf("%s: oracle %d, brute force %d", name, got, want)
 		}
 	}
-	for _, b := range bounds {
-		b := b
-		check(fmt.Sprintf("gt %v", b), mk(&b, nil, nil, nil))
-		check(fmt.Sprintf("gte %v", b), mk(nil, &b, nil, nil))
-		check(fmt.Sprintf("lt %v", b), mk(nil, nil, &b, nil))
-		check(fmt.Sprintf("lte %v", b), mk(nil, nil, nil, &b))
-		for _, hi := range bounds {
-			hi := hi
-			check(fmt.Sprintf("gt %v lt %v", b, hi), mk(&b, nil, &hi, nil))
-			check(fmt.Sprintf("gte %v lte %v", b, hi), mk(nil, &b, nil, &hi))
-			check(fmt.Sprintf("gt %v lte %v", b, hi), mk(&b, nil, nil, &hi))
-			check(fmt.Sprintf("gte %v lt %v", b, hi), mk(nil, &b, &hi, nil))
+	bounds := []float64{-6, -5, 0, 9, 10, 20, 21, 30, 40, 41}
+	eachRange(FieldRetVal, bounds, func(name string, q Query) { check(name, typedIx, docs, q) })
+
+	// A sorted page builds ret_val's order; a range then reads its run of the
+	// order, alone and seeding a bool whose session term holds every row.
+	typedIx.Search(SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: FieldRetVal}}, Size: 1})
+	if !orderCovers(typedIx, FieldRetVal) {
+		t.Fatal("the sorted page built no ret_val order")
+	}
+	eachRange(FieldRetVal, bounds, func(name string, q Query) {
+		check("ordered "+name, typedIx, docs, q)
+		check("ordered session ∧ "+name, typedIx, docs, Must(Term(FieldSession, "s"), q))
+	})
+
+	// Two sessions interleaved in time at epoch scale, where float64's ulp is
+	// 256 ns, so stamps a few ns apart tie through the order: bounds on and
+	// one ns beside every stored stamp, over a session term that is half of
+	// the rows, so some windows seed and the rest intersect the posting list.
+	steps := []int64{0, 60, 60, 130, 255, 256, 257, 400, 512, 513, 900, 1000, 1300, 1300, 1500, 2000}
+	stamped := func(from int, steps []int64) []event.Event {
+		evs := make([]event.Event, len(steps))
+		for i, d := range steps {
+			ts := int64(orderBase) + d
+			evs[i] = event.Event{Session: []string{"a", "b"}[(from+i)%2], Syscall: "read", ProcName: "p", ThreadName: "t", TimeEnterNS: ts, TimeExitNS: ts + 10}
 		}
+		return evs
+	}
+	var stampBounds []float64
+	for _, d := range append([]int64{-1000, 5000}, steps...) {
+		for _, ns := range []int64{d - 1, d, d + 1} {
+			if f := float64(int64(orderBase) + ns); !slices.Contains(stampBounds, f) {
+				stampBounds = append(stampBounds, f)
+			}
+		}
+	}
+	later := []int64{-300, 100, 700, 2500, 2500, 90}
+	for _, shards := range []int{1, 3} {
+		ix := NewIndexWithShards("time", shards)
+		evs := stamped(0, steps)
+		ix.AddEvents(evs)
+		var tdocs []Document
+		for i := range evs {
+			tdocs = append(tdocs, EventToDoc(&evs[i]))
+		}
+		ix.Search(SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 1})
+		if !orderCovers(ix, FieldTimeEnter) {
+			t.Fatal("the sorted page built no time order")
+		}
+		eachRange(FieldTimeEnter, stampBounds, func(name string, q Query) {
+			for _, s := range []string{"a", "b"} {
+				check(fmt.Sprintf("shards=%d session %s ∧ %s", shards, s, name), ix, tdocs, Must(Term(FieldSession, s), q))
+			}
+		})
+
+		// A batch appended after the order was built leaves it shorter than
+		// the rows, so a bool falls back to its posting list and a range to
+		// the column scan with its uncovered tail.
+		more := stamped(len(steps), later)
+		ix.AddEvents(more)
+		for i := range more {
+			tdocs = append(tdocs, EventToDoc(&more[i]))
+		}
+		if orderCovers(ix, FieldTimeEnter) {
+			t.Fatal("the appended batch is covered by the order")
+		}
+		eachRange(FieldTimeEnter, stampBounds, func(name string, q Query) {
+			for i, q := range []Query{q, Must(Term(FieldSession, "a"), q)} {
+				name := fmt.Sprintf("shards=%d appended %s%s", shards, []string{"", "session a ∧ "}[i], name)
+				if got, want := matched(name, ix, q), bruteForce(tdocs, q); got != want {
+					t.Errorf("%s: match ids %d, brute force %d", name, got, want)
+				}
+			}
+		})
 	}
 }
 
