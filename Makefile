@@ -59,7 +59,8 @@ bench-smoke:
 ## bench-read: a fast smoke run of the dashboard read-path benchmark
 ## (rollups + query cache vs the uncached scan ablation, and the Flushed arm:
 ## the accelerated store made durable with its preload snapshotted, so the
-## rows are cold and rollups no longer serve) and the tiered
+## preload is a cold segment that scans while the rows ingested during the
+## run serve from rollups; rollup-hits/op shows that mixed plan) and the tiered
 ## segment-pruning benchmark (time-range planner vs the same predicate
 ## spelled so the planner extracts no bounds, over many narrow segments for
 ## the header prune and over one wide segment for the row selection), and

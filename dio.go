@@ -275,20 +275,30 @@ type (
 	DiffResult = diagnose.DiffResult
 )
 
+// Severity grades a DiagnosisFinding.
+type Severity = diagnose.Severity
+
+// Finding severities, mildest first.
+const (
+	SeverityInfo     = diagnose.SeverityInfo
+	SeverityWarning  = diagnose.SeverityWarning
+	SeverityCritical = diagnose.SeverityCritical
+)
+
 // NewDetectorRegistry creates an empty detector registry for custom rules.
 func NewDetectorRegistry() *DetectorRegistry { return diagnose.NewRegistry() }
 
-// NewDiagnosisEngine creates an engine over the built-in detectors (pass
-// custom registries via diagnose.NewEngine directly).
-func NewDiagnosisEngine() *DiagnosisEngine {
-	return diagnose.NewEngine(diagnose.DefaultRegistry())
+// NewDiagnosisEngine creates an engine that runs the detectors of reg, such
+// as custom rules registered on a NewDetectorRegistry.
+func NewDiagnosisEngine(reg *DetectorRegistry) *DiagnosisEngine {
+	return diagnose.NewEngine(reg)
 }
 
 // Diagnose runs the built-in detectors over one session: stale-offset
 // reads (the §III-B data-loss signature), DFG anti-patterns, costly access
 // patterns, failing syscalls, and background-I/O contention (§III-C).
 func Diagnose(ctx context.Context, b Backend, index, session string) (DiagnosisReport, error) {
-	return NewDiagnosisEngine().Run(ctx, b, index, session)
+	return NewDiagnosisEngine(diagnose.DefaultRegistry()).Run(ctx, b, index, session)
 }
 
 // BuildDFG computes a session's syscall Directly-Follows-Graph.
@@ -299,7 +309,7 @@ func BuildDFG(ctx context.Context, b Backend, index, session string) (*DFG, erro
 // DiffSessions diagnoses two sessions and classifies every delta as a
 // regression, improvement, or neutral change.
 func DiffSessions(ctx context.Context, b Backend, index, sessionA, sessionB string) (DiffResult, error) {
-	return NewDiagnosisEngine().DiffSessions(ctx, b, index, sessionA, sessionB, DiagnosisParams{})
+	return NewDiagnosisEngine(diagnose.DefaultRegistry()).DiffSessions(ctx, b, index, sessionA, sessionB, DiagnosisParams{})
 }
 
 // InstallDiagnosis mounts the /_diagnose, /_dfg, and /_diff endpoints on a

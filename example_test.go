@@ -6,7 +6,6 @@ import (
 	"time"
 
 	dio "github.com/dsrhaslab/dio-go"
-	"github.com/dsrhaslab/dio-go/internal/diagnose"
 )
 
 // Example traces a tiny application end-to-end: simulated kernel, tracing
@@ -158,7 +157,7 @@ func (r *fsyncPerWrite) Finish(*dio.DFG) []dio.DiagnosisFinding {
 		return nil
 	}
 	return []dio.DiagnosisFinding{{
-		Rule: "fsync-per-write", Severity: diagnose.SeverityWarning,
+		Rule: "fsync-per-write", Severity: dio.SeverityWarning,
 		Summary: fmt.Sprintf("%d fsyncs for %d writes", r.fsyncs, r.writes),
 	}}
 }
@@ -189,7 +188,7 @@ func ExampleNewDetectorRegistry() {
 		Name:  "fsync-rate",
 		Begin: func(dio.DiagnosisParams) dio.DetectorPass { return &fsyncPerWrite{} },
 	})
-	report, _ := diagnose.NewEngine(reg).Run(context.Background(), backend, tracer.Index(), tracer.Session())
+	report, _ := dio.NewDiagnosisEngine(reg).Run(context.Background(), backend, tracer.Index(), tracer.Session())
 	for _, f := range report.Findings {
 		fmt.Printf("%s (detector %s): %s\n", f.Rule, f.Detector, f.Summary)
 	}

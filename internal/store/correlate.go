@@ -285,14 +285,15 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord, replicat
 		d.appendMu.Lock()
 		rec.H = int64(ix.rr.Load())
 		d.appendMu.Unlock()
-		cold, err := eachColdSegment(ctx, ix, SearchRequest{}, func(cs *coldSegment) (c [pathOutcomes]int) {
-			for k, gid := range cs.gids {
-				e := *cs.sh.rows.at(k) // a copy: a resident segment's rows are shared and read-only
-				c[resolvePaths(rec, gid, &e)]++
+		v := ix.readView(MatchAll(), nil, "")
+		v.entries = v.entries[len(ix.shards):] // applyPaths names the hot stripes below
+		cold := make([][pathOutcomes]int, len(v.entries))
+		if err := v.each(ctx, true, func(i int, e *readEntry) {
+			for k := range e.sh.rows.len() {
+				row := *e.sh.rows.at(k) // a copy: a resident segment's rows are shared and read-only
+				cold[i][resolvePaths(rec, e.gidOf(int32(k)), &row)]++
 			}
-			return c
-		})
-		if err != nil {
+		}); err != nil {
 			return n, err
 		}
 		for _, c := range cold {

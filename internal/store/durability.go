@@ -131,19 +131,6 @@ func segsEnd(segs []durable.SegmentMeta) int64 {
 	return segs[len(segs)-1].EndRow
 }
 
-// coldRowCount sums the rows of segments wholly below base — the rows only
-// reachable through segment files, which a match-all count adds to shard
-// memory without opening a file.
-func coldRowCount(segs []durable.SegmentMeta, base int64) int64 {
-	var n int64
-	for _, sm := range segs {
-		if sm.EndRow <= base {
-			n += sm.Rows
-		}
-	}
-	return n
-}
-
 // flushStart is the first row id the next flush must write: everything the
 // segments already cover, floored at the eviction base — retention can drop
 // the last cold segment, and flushing from the raw segment end would then
@@ -174,10 +161,9 @@ func (d *indexDurable) manifest(ix *Index) durable.Manifest {
 // commit is the writer half of the no-refcount reader protocol. It commits m
 // (the crash-atomic point), then, under every shard write lock, runs step
 // (the in-memory change m records: an eviction, a new base or floor; nil for
-// none), installs m's segment list and recomputes the cold-row count. A
-// reader holding every shard read lock (searchShards) therefore sees the
-// state before the commit or after it, never part of each. Caller holds the
-// exclusive gate.
+// none) and installs m's segment list. A reader holding every shard read lock
+// (searchShards' read view) therefore sees the state before the commit or
+// after it, never part of each. Caller holds the exclusive gate.
 func (d *indexDurable) commit(ix *Index, m durable.Manifest, step func()) error {
 	if err := durable.CommitManifest(d.dir, m); err != nil {
 		return err
@@ -189,7 +175,6 @@ func (d *indexDurable) commit(ix *Index, m durable.Manifest, step func()) error 
 		step()
 	}
 	d.segs.Store(&m.Segments)
-	ix.coldRows.Store(coldRowCount(m.Segments, ix.base.Load()))
 	for i := len(ix.shards) - 1; i >= 0; i-- {
 		ix.shards[i].mu.Unlock()
 	}
@@ -509,7 +494,6 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	ix.base.Store(base)
 	ix.rr.Store(uint64(base))
 	d.segs.Store(&segs)
-	ix.coldRows.Store(coldRowCount(segs, base))
 	if len(m.Paths) > 0 {
 		d.book.Store(&m.Paths)
 	}

@@ -44,14 +44,11 @@ type Index struct {
 	// populated when a snapshot evicts the rows it flushed), rows at or above
 	// it live in shard g-base%N at local (g-base)/N. base only moves while the
 	// snapshot gate and every shard write lock are held, so any reader that
-	// holds one shard read lock sees a frozen base. coldRows counts the rows
-	// in cold segments (recomputed at every segment-list publication);
-	// retFloor is one past the highest row id retention ever dropped, the
-	// expiry bound for unsorted paging cursors. All zero on in-memory indices
-	// and durable ones that never flushed, making the hot path's arithmetic
-	// unchanged.
+	// holds one shard read lock sees a frozen base. retFloor is one past the
+	// highest row id retention ever dropped, the expiry bound for unsorted
+	// paging cursors. Both zero on in-memory indices and durable ones that
+	// never flushed, making the hot path's arithmetic unchanged.
 	base     atomic.Int64
-	coldRows atomic.Int64
 	retFloor atomic.Int64
 
 	rollupBase int64         // rollup histogram base interval ns (0 = disabled)
@@ -340,8 +337,9 @@ type partitionView struct {
 }
 
 // searchShards is the shard fan-out half of the search pipeline, and the
-// node's only one: it matches, pre-sorts, and pre-aggregates every stripe
-// (cold segments included), k-way merges the hit candidates, and hands
+// node's only one: one pass over the read view (tier.go), hot stripes and
+// cold segments alike, matches, pre-sorts, and pre-aggregates every entry,
+// k-way merges the hit candidates, and hands
 // finish the windowed refs plus the per-aggregation COMBINED partials — not
 // yet finalized, so a cluster coordinator can combine them once more across
 // partitions before finalizing. finish runs while every shard read lock is
@@ -385,9 +383,7 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 		// the wire format deliberately rejects.
 		cur.gid = partitionGidAfter(cur.gid, pt, P)
 	}
-	S := len(ix.shards)
-	plan := ix.planRollup(req)
-	cols, ordered := neededColumns(req, plan), orderedField(req)
+	cols, ordered := neededColumns(req), orderedField(req)
 	for _, sh := range ix.shards {
 		sh.ensureColumns(cols, ordered)
 	}
@@ -398,9 +394,9 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 	// reproduces the unsharded implementation's single-RLock semantics while
 	// the per-shard work still fans out in parallel. It is also the reader
 	// half of the eviction protocol: a flush-evict moves rows from shard
-	// memory to the cold tier under every shard write lock, so the hot rows,
-	// the base and the segment list read below are one cut, and no row is
-	// seen in both tiers or in neither.
+	// memory to the cold tier, and resets the hot rollups, under every shard
+	// write lock, so the view built below is one cut, and no row is seen in
+	// both tiers or in neither.
 	for _, sh := range ix.shards {
 		sh.mu.RLock()
 	}
@@ -414,32 +410,20 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 	if req.Size > 0 {
 		exec.need = req.From + req.Size
 	}
-	exec.plan, exec.cur = plan, cur
-	// base is frozen for the duration: it only moves under every shard write
-	// lock, all of which we now hold shared.
-	base := int(ix.base.Load())
-	results := make([]shardResult, S)
-	if err := forEachShardCtx(ctx, S, func(s int) {
-		sh := ix.shards[s]
-		gidOf := func(id int32) int { return base + int(id)*S + s }
-		firstAfter := func(gid int) int32 { return firstLocalAfter(gid-base, s, S) }
-		results[s] = sh.searchLocked(exec, gidOf, firstAfter)
+	exec.plan, exec.cur = ix.planRollup(req), cur
+	v := ix.readView(req.Query, cols, ordered)
+	// A match-all count opens no cold entry: it takes the rows from the
+	// segment's meta, and decodes nothing.
+	countAll := exec.count && req.Query.matchesAll()
+	results := make([]shardResult, len(v.entries))
+	if err := v.each(ctx, !countAll, func(i int, e *readEntry) {
+		if e.sh == nil {
+			results[i].total = int(e.seg.Rows)
+			return
+		}
+		results[i] = e.searchLocked(exec)
 	}); err != nil {
 		return err
-	}
-	if cold := ix.coldRows.Load(); cold > 0 && exec.count && req.Query.matchesAll() {
-		// A match-all count reads the cold total the segment list published
-		// under the locks now held, and decodes no segment.
-		results = append(results, shardResult{total: int(cold)})
-	} else if cold > 0 {
-		coldResults, err := ix.coldSearch(ctx, exec)
-		if err != nil {
-			return err
-		}
-		// The k-way merge below orders by sort key with a gid tie-break, and
-		// cold gids all precede hot ones, so appending the per-segment results
-		// to the shard results composes correctly.
-		results = append(results, coldResults...)
 	}
 
 	total := 0
@@ -450,7 +434,7 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 	if len(req.Aggs) > 0 {
 		combined = make(map[string]*AggPartial, len(req.Aggs))
 		for name, a := range req.Aggs {
-			parts := make([]*AggPartial, 0, S)
+			parts := make([]*AggPartial, 0, len(results))
 			for i := range results {
 				if p := results[i].partials[name]; p != nil {
 					parts = append(parts, p)
@@ -482,16 +466,12 @@ type searchExec struct {
 	rtm    *readTelemetry
 }
 
-// searchLocked produces one row store's result; the caller holds sh.mu.RLock
-// (a hot shard's or a cold segment's). Global id
-// arithmetic is abstracted behind two closures so the same pipeline serves
-// hot shards (dense round-robin ids offset by the index base) and cold
-// segments (explicit, possibly sparse, gid lists): gidOf maps a local row id
-// to its global id, firstAfter returns the first local id whose global id is
-// strictly greater than gid (len(rows) when none), both monotone.
-func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstAfter func(gid int) int32) shardResult {
-	req := exec.req
-	need := exec.need
+// searchLocked produces one read view entry's result; the caller holds
+// e.sh.mu.RLock (a hot stripe's or a cold segment's). The entry's gidOf and
+// firstAfter, both monotone, place its local ids in the global id space, so
+// one pipeline serves dense round-robin stripes and sparse cold segments.
+func (e *readEntry) searchLocked(exec *searchExec) shardResult {
+	sh, req, need := e.sh, exec.req, exec.need
 	matchAll := req.Query.matchesAll()
 	// ids materializes lazily: a rollup-served match-all request never needs
 	// the O(n) id enumeration at all.
@@ -536,7 +516,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 	switch {
 	case len(req.Sort) > 0:
 		var walked bool
-		if hitIDs, walked = sh.orderedPage(exec, matchAll, getIDs, firstAfter); walked {
+		if hitIDs, walked = sh.orderedPage(exec, matchAll, getIDs, e.firstAfter); walked {
 			break
 		}
 		sortCols := make([]*column, len(req.Sort))
@@ -547,7 +527,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 		if exec.cur != nil {
 			after := make([]int32, 0, len(cand))
 			for _, id := range cand {
-				if exec.cur.afterID(sh, id, req.Sort, sortCols, gidOf) {
+				if exec.cur.afterID(sh, id, req.Sort, sortCols, e.gidOf) {
 					after = append(after, id)
 				}
 			}
@@ -577,7 +557,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 		// id range starting just past the cursor, clipped to the budget.
 		first := int32(0)
 		if exec.cur != nil {
-			first = firstAfter(exec.cur.gid)
+			first = e.firstAfter(exec.cur.gid)
 		}
 		n := sh.rows.len() - int(first)
 		if n < 0 {
@@ -595,7 +575,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 		if exec.cur != nil {
 			// Unsorted order is gid order, so the resume point is a lower
 			// bound on the ascending local ids.
-			first := firstAfter(exec.cur.gid)
+			first := e.firstAfter(exec.cur.gid)
 			lo := sort.Search(len(cand), func(i int) bool { return cand[i] >= first })
 			cand = cand[lo:]
 		}
@@ -606,7 +586,7 @@ func (sh *shard) searchLocked(exec *searchExec, gidOf func(id int32) int, firstA
 	}
 	res.hits = make([]hitRef, len(hitIDs))
 	for i, id := range hitIDs {
-		res.hits[i] = hitRef{ev: sh.rows.at(int(id)), gid: gidOf(id)}
+		res.hits[i] = hitRef{ev: sh.rows.at(int(id)), gid: e.gidOf(id)}
 	}
 	return res
 }
@@ -841,10 +821,10 @@ func mergeHits(lists [][]hitRef, req SearchRequest) []hitRef {
 // neededColumns lists the numeric fields a request will read through the
 // columnar caches: range-query fields, sort fields, and the percentiles and
 // stats fields of aggregations at any nesting depth (histograms bucket from
-// the row's exact integer, not a column). Aggregations the rollup plan will
-// serve are excluded — their columns would be built (and, after every ingest
-// batch, re-extended) for nothing.
-func neededColumns(req SearchRequest, plan *rollupPlan) []string {
+// the row's exact integer, not a column). One list serves every entry of the
+// read view: an aggregation a rollup serves is a terms or a date histogram
+// with no sub-aggregations, which adds no column.
+func neededColumns(req SearchRequest) []string {
 	var out []string
 	seen := make(map[string]struct{})
 	add := func(f string) {
@@ -890,10 +870,8 @@ func neededColumns(req SearchRequest, plan *rollupPlan) []string {
 			walkAgg(sub)
 		}
 	}
-	for name, a := range req.Aggs {
-		if plan == nil || !plan.served[name] {
-			walkAgg(a)
-		}
+	for _, a := range req.Aggs {
+		walkAgg(a)
 	}
 	return out
 }

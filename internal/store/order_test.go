@@ -279,7 +279,7 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 					req.From, req.SearchAfter = 0, got.NextAfter
 				}
 			}
-			if dix.coldRows.Load() == 0 {
+			if coldRows(dix) == 0 {
 				t.Fatal("the durable arm never paged over cold rows")
 			}
 		})

@@ -1,15 +1,11 @@
 package store
 
-import (
-	"context"
-	"runtime"
-	"sync"
-)
+import "runtime"
 
-// shardSem bounds the number of goroutines the store spawns for shard
-// fan-out across all concurrent searches. When the pool is saturated the
-// work runs inline on the caller, so fan-out degrades to serial execution
-// instead of queueing unboundedly.
+// shardSem bounds the number of goroutines the store spawns for the fan-out
+// over read views (readView.each) across all concurrent reads. When the pool
+// is saturated the work runs inline on the caller, so fan-out degrades to
+// serial execution instead of queueing unboundedly.
 var shardSem = make(chan struct{}, maxInt(1, runtime.GOMAXPROCS(0)))
 
 func maxInt(a, b int) int {
@@ -17,44 +13,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// forEachShardCtx runs fn(0..n-1), in parallel when worker slots are free,
-// with cancellation: ctx is consulted
-// before dispatching each shard, so a cancelled request stops claiming
-// cores at shard granularity (shards already running finish — fn holds
-// locks and must not be abandoned mid-flight). Returns ctx.Err() when any
-// shard was skipped; dispatched shards are always awaited first.
-func forEachShardCtx(ctx context.Context, n int, fn func(int)) error {
-	if n <= 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if n == 1 {
-			fn(0)
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	var err error
-	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		select {
-		case shardSem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer func() {
-					<-shardSem
-					wg.Done()
-				}()
-				fn(i)
-			}(i)
-		default:
-			fn(i)
-		}
-	}
-	wg.Wait()
-	return err
 }

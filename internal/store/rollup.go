@@ -163,16 +163,10 @@ type rollupPlan struct {
 // one term on the session field with a string value, and a served
 // aggregation must be a no-sub-agg terms over an indexed field or a
 // no-sub-agg date histogram over time_enter_ns whose interval is a multiple
-// of the rollup base.
+// of the rollup base. The plan covers the whole read view: an entry with no
+// rollup (a cold segment's shard) scans the aggregations it names.
 func (ix *Index) planRollup(req SearchRequest) *rollupPlan {
 	if ix.rollupBase <= 0 || len(req.Aggs) == 0 {
-		return nil
-	}
-	// Shard rollups only cover rows in shard memory; with cold rows in play
-	// (any flush evicts) a rollup-served partial would drop the cold tier's
-	// contribution, so every agg falls back to the scan path (which fans out
-	// over cold segments too).
-	if ix.coldRows.Load() > 0 {
 		return nil
 	}
 	p := &rollupPlan{}
@@ -223,7 +217,8 @@ func rollupServable(a Agg, base int64) bool {
 }
 
 // rollupServe answers one planned aggregation from the shard's rollup, or
-// nil to fall back to the scan (rollup dropped past the key cap).
+// nil to fall back to the scan (no rollup, as on a cold segment's shard, or
+// one dropped past the key cap).
 // Caller holds the shard read lock; the returned partial aliases the
 // live rollup maps, which is safe because combinePartials only reads and the
 // read lock is held through the merge.

@@ -199,44 +199,60 @@ func TestRollupOverflowFallsBack(t *testing.T) {
 
 // TestRollupSurvivesRecovery rebuilds a durable store from disk and checks
 // recovered shards serve the same rollup answers as the never-closed twin.
+// The tiered arm snapshots partway through the ingest, so the recovered index
+// holds cold and hot rows: its hot stripes serve from rollups and its cold
+// segments scan, in one pass whose answers must still be the twin's.
 func TestRollupSurvivesRecovery(t *testing.T) {
 	on, _ := rollupTwin(t)
-	dir := t.TempDir()
-	dur, err := Open(WithDataDir(dir), WithFsyncPolicy(FsyncOff), WithSnapshotInterval(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	evs := rollupFixture(8_000)
-	for i := 0; i < len(evs); i += 1024 {
-		if err := dur.BulkEvents(ctx, "run", evs[i:min(i+1024, len(evs))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Open(WithDataDir(dir), WithFsyncPolicy(FsyncOff), WithSnapshotInterval(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	hits0 := rec.Telemetry().Snapshot().Counters[telemetry.MetricRollupAggHits]
-	for i, req := range rollupShapes() {
-		a, err := rec.Search(ctx, "run", req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := on.Search(ctx, "run", req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Aggs, b.Aggs) {
-			t.Errorf("recovered shape %d diverges:\n recovered %+v\n live      %+v", i, a.Aggs, b.Aggs)
-		}
-	}
-	if d := rec.Telemetry().Snapshot().Counters[telemetry.MetricRollupAggHits] - hits0; d == 0 {
-		t.Error("recovered store served no aggregation from rollups")
+	for _, arm := range []string{"wal", "tiered"} {
+		tiered := arm == "tiered"
+		t.Run(arm, func(t *testing.T) {
+			dir := t.TempDir()
+			dur, err := Open(WithDataDir(dir), WithFsyncPolicy(FsyncOff), WithSnapshotInterval(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs := rollupFixture(8_000)
+			for i := 0; i < len(evs); i += 1024 {
+				if err := dur.BulkEvents(ctx, "run", evs[i:min(i+1024, len(evs))]); err != nil {
+					t.Fatal(err)
+				}
+				if tiered && i == 4*1024 {
+					if err := dur.Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := dur.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Open(WithDataDir(dir), WithFsyncPolicy(FsyncOff), WithSnapshotInterval(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if ix, _ := rec.GetIndex("run"); (coldRows(ix) > 0) != tiered || ix.shards[0].len() == 0 {
+				t.Fatalf("fixture: %d cold rows, %d hot in shard 0", coldRows(ix), ix.shards[0].len())
+			}
+			hits0 := rec.Telemetry().Snapshot().Counters[telemetry.MetricRollupAggHits]
+			for i, req := range rollupShapes() {
+				a, err := rec.Search(ctx, "run", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := on.Search(ctx, "run", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a.Aggs, b.Aggs) {
+					t.Errorf("recovered shape %d diverges:\n recovered %+v\n live      %+v", i, a.Aggs, b.Aggs)
+				}
+			}
+			if d := rec.Telemetry().Snapshot().Counters[telemetry.MetricRollupAggHits] - hits0; d == 0 {
+				t.Error("recovered store served no aggregation from rollups")
+			}
+		})
 	}
 }
 

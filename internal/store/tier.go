@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -15,10 +16,11 @@ import (
 
 // This file is the cold read path of the tiered layout: committed segments,
 // read, verified and decoded once into read-only shards that stay resident,
-// and the regular search pipeline run over those shards, with time-range
-// pruning so a narrow dashboard query over a long retention window only ever
-// touches the segments whose stamped [MinTime, MaxTime] range can contain
-// matches.
+// and the read view, which lists those shards beside the hot stripes so that
+// search, count and the correlation tally each make one pass over one list.
+// Time-range pruning keeps a cold segment off the list unless its stamped
+// [MinTime, MaxTime] range can contain matches, so a narrow dashboard query
+// over a long retention window only ever touches the segments it needs.
 
 // satFloor/satCeil convert a float query bound to int64, saturating at the
 // representable range, and satInc/satDec step without overflow.
@@ -339,67 +341,145 @@ func (ix *Index) coldSegments() []durable.SegmentMeta {
 	return out
 }
 
-// eachColdSegment is the one pass over the cold tier. It prunes the segments
-// whose stamped range req's time window excludes, opens the rest through the
-// shard worker pool — resident, or decoded as openColdSegment decides, with
-// the columns req reads built — and returns fn's answer per opened segment,
-// in row order, computed under the segment's read lock. The opened/pruned
-// counters move only for a time-bounded query: without a bound there is no
-// decision to report. Caller holds every hot shard's read lock (a search or a
-// count) or the shared gate (a correlation pass's tally).
-func eachColdSegment[T any](ctx context.Context, ix *Index, req SearchRequest, fn func(*coldSegment) T) ([]T, error) {
-	segs := ix.coldSegments()
-	book := ix.dur.book.Load()
-	minT, maxT := timeBounds(req.Query)
-	bounded := minT > math.MinInt64 || maxT < math.MaxInt64
-	if bounded {
-		open := segs[:0]
-		for _, sm := range segs {
-			if segMayMatch(sm, minT, maxT) {
-				open = append(open, sm)
-			} else {
-				ix.rtm.segPruned.Inc()
-			}
-		}
-		segs = open
-	}
-	if len(segs) == 0 {
-		return nil, nil
-	}
-	cols, ordered := neededColumns(req, nil), orderedField(req)
-	out, errs := make([]T, len(segs)), make([]error, len(segs))
-	if err := forEachShardCtx(ctx, len(segs), func(i int) {
-		cs, err := ix.openColdSegment(segs[i], book, minT, maxT)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if bounded {
-			ix.rtm.segOpened.Inc()
-		}
-		cs.sh.ensureColumns(cols, ordered)
-		cs.sh.mu.RLock()
-		defer cs.sh.mu.RUnlock()
-		ix.dur.resident.account(segs[i].Seq, cs)
-		out[i] = fn(cs)
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+// readEntry is one row store of a read view: a shard and where its rows sit
+// in the global id space — stripe s of S above the base on a hot stripe, the
+// ascending list gids on a cold one. seg is a cold entry's segment, nil on a
+// hot stripe; each sets a cold entry's shard and gids when it opens it.
+type readEntry struct {
+	sh         *shard
+	seg        *durable.SegmentMeta
+	gids       []int
+	base, s, S int
 }
 
-// coldSearch runs the per-shard search stage over every cold segment the
-// query's time window cannot exclude, returning one shardResult per opened
-// segment. Caller holds every hot shard's read lock (searchShards).
-func (ix *Index) coldSearch(ctx context.Context, exec *searchExec) ([]shardResult, error) {
-	return eachColdSegment(ctx, ix, exec.req, func(cs *coldSegment) shardResult {
-		gidOf := func(id int32) int { return cs.gids[id] }
-		firstAfter := func(gid int) int32 { return int32(sort.SearchInts(cs.gids, gid+1)) }
-		return cs.sh.searchLocked(exec, gidOf, firstAfter)
-	})
+// gidOf maps a local row id to its global id.
+func (e *readEntry) gidOf(id int32) int {
+	if e.seg != nil {
+		return e.gids[id]
+	}
+	return e.base + int(id)*e.S + e.s
+}
+
+// firstAfter returns the first local id whose global id is past gid, the
+// row count when none.
+func (e *readEntry) firstAfter(gid int) int32 {
+	if e.seg != nil {
+		return int32(sort.SearchInts(e.gids, gid+1))
+	}
+	return firstLocalAfter(gid-e.base, e.s, e.S)
+}
+
+// readView is the one list of row stores a read passes over, in gid order:
+// every hot stripe, then every cold segment its time window does not prune.
+// It carries what each needs to open a cold entry: the path book, the window,
+// and the columns and order the caller built on the hot stripes.
+type readView struct {
+	ix         *Index
+	entries    []readEntry
+	book       *[]event.PathsRecord
+	minT, maxT int64
+	bounded    bool
+	cols       []string
+	ordered    string
+}
+
+// readView builds the view of a read of q under the cut its caller holds:
+// every shard read lock (a search or a count) or the shared gate (the
+// correlation tally). Either freezes the base and the segment list, so every
+// row is in exactly one entry. The opened/pruned counters move only for a
+// time-bounded q: without a bound there is no decision to report.
+func (ix *Index) readView(q Query, cols []string, ordered string) *readView {
+	S := len(ix.shards)
+	base := int(ix.base.Load())
+	v := &readView{ix: ix, entries: make([]readEntry, S), cols: cols, ordered: ordered}
+	for s, sh := range ix.shards {
+		v.entries[s] = readEntry{sh: sh, base: base, s: s, S: S}
+	}
+	if ix.dur == nil {
+		return v
+	}
+	v.book = ix.dur.book.Load()
+	v.minT, v.maxT = timeBounds(q)
+	v.bounded = v.minT > math.MinInt64 || v.maxT < math.MaxInt64
+	for _, sm := range ix.coldSegments() {
+		if v.bounded && !segMayMatch(sm, v.minT, v.maxT) {
+			ix.rtm.segPruned.Inc()
+			continue
+		}
+		v.entries = append(v.entries, readEntry{seg: &sm})
+	}
+	return v
+}
+
+// each is the one pass over the view: it runs fn on every entry, under the
+// entry's read lock, in parallel while shardSem has slots and inline on the
+// caller otherwise. A hot stripe's lock is part of the caller's cut; a cold
+// entry is opened first (open). Without openCold, fn gets a cold entry
+// unopened, its shard nil, to answer from the segment's meta. ctx is
+// consulted before each entry is dispatched, so a cancelled read stops
+// claiming cores; entries already running finish, since fn holds locks. each
+// returns ctx.Err() when it skipped an entry, else the errors of the opens,
+// joined, and always after every dispatched entry is done.
+func (v *readView) each(ctx context.Context, openCold bool, fn func(i int, e *readEntry)) error {
+	errs := make([]error, len(v.entries))
+	var wg sync.WaitGroup
+	// A spawned worker starts in visit itself, with fn right below it, and
+	// the cold open lives in its own frame: a new goroutine's stack is small,
+	// and every byte above the shard's work adds to the stack growth each
+	// worker pays.
+	visit := func(i int, spawned bool) {
+		if spawned {
+			defer func() {
+				<-shardSem
+				wg.Done()
+			}()
+		}
+		e := &v.entries[i]
+		if e.seg != nil && openCold {
+			if errs[i] = v.open(e); errs[i] != nil {
+				return
+			}
+			defer e.sh.mu.RUnlock()
+		}
+		fn(i, e)
+	}
+	var err error
+	for i := range v.entries {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		if len(v.entries) > 1 {
+			select {
+			case shardSem <- struct{}{}:
+				wg.Add(1)
+				go visit(i, true)
+				continue
+			default:
+			}
+		}
+		visit(i, false)
+	}
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	return errors.Join(errs...)
+}
+
+// open reads cold entry e through openColdSegment — resident, or decoded as
+// it decides — builds the view's columns on it, read-locks it for the caller
+// to unlock, and re-accounts it to the resident set.
+func (v *readView) open(e *readEntry) error {
+	cs, err := v.ix.openColdSegment(*e.seg, v.book, v.minT, v.maxT)
+	if err != nil {
+		return err
+	}
+	if v.bounded {
+		v.ix.rtm.segOpened.Inc()
+	}
+	cs.sh.ensureColumns(v.cols, v.ordered)
+	cs.sh.mu.RLock()
+	v.ix.dur.resident.account(e.seg.Seq, cs)
+	e.sh, e.gids = cs.sh, cs.gids
+	return nil
 }

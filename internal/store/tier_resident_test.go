@@ -405,8 +405,8 @@ func TestResidentSegmentsFollowTheBook(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, _ := st.GetIndex(windowIndex)
-	if ix.coldRows.Load() != rows {
-		t.Fatalf("fixture: %d cold rows, want %d", ix.coldRows.Load(), rows)
+	if coldRows(ix) != rows {
+		t.Fatalf("fixture: %d cold rows, want %d", coldRows(ix), rows)
 	}
 	// window reads rows [1, rows) and reports how many of them carry path.
 	window := func() (int, error) {

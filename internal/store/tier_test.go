@@ -61,6 +61,15 @@ func controlReplay(t *testing.T, rounds, passAfter []int) *Store {
 	return st
 }
 
+// coldRows sums the rows of ix's cold segments.
+func coldRows(ix *Index) int64 {
+	var n int64
+	for _, sm := range ix.coldSegments() {
+		n += sm.Rows
+	}
+	return n
+}
+
 func manifestOf(t *testing.T, dir string) durable.Manifest {
 	t.Helper()
 	m, ok, err := durable.LoadManifest(indexDir(dir))
@@ -109,7 +118,7 @@ func TestSegmentTieredFingerprint(t *testing.T) {
 
 	ix, _ := st.GetIndex(crashIndex)
 	rowsPerRound := len(crashEvents(0)) + len(crashDocs(0))
-	if cold := ix.coldRows.Load(); cold != int64(rounds*rowsPerRound) {
+	if cold := coldRows(ix); cold != int64(rounds*rowsPerRound) {
 		t.Fatalf("cold rows = %d, want %d (all rows evicted)", cold, rounds*rowsPerRound)
 	}
 	hot := 0
@@ -161,7 +170,7 @@ func TestSegmentTieredAcrossBlocks(t *testing.T) {
 		}
 	}
 	ix, _ := st.GetIndex(crashIndex)
-	if c, h := int(ix.coldRows.Load()), ix.shards[0].len(); c <= blockRows || h <= blockRows {
+	if c, h := int(coldRows(ix)), ix.shards[0].len(); c <= blockRows || h <= blockRows {
 		t.Fatalf("fixture does not cross a block on both tiers: %d cold rows, %d hot", c, h)
 	}
 	want := fingerprint(t, controlReplay(t, all, nil))
@@ -987,8 +996,8 @@ func TestDurableCorrelateCountsColdRows(t *testing.T) {
 			t.Fatalf("round %d (session %q): durable pass %+v, %v; in-memory control %+v", r, step.session, got, err, want)
 		}
 		ix, _ := st.GetIndex(crashIndex)
-		if step.snapshot && ix.coldRows.Load() != int64(ix.Len()) {
-			t.Fatalf("round %d: %d cold rows of %d, want all flushed", r, ix.coldRows.Load(), ix.Len())
+		if step.snapshot && coldRows(ix) != int64(ix.Len()) {
+			t.Fatalf("round %d: %d cold rows of %d, want all flushed", r, coldRows(ix), ix.Len())
 		}
 		if book := ix.dur.paths(); len(book) != r+1 {
 			t.Fatalf("round %d: path book holds %d records after %d passes", r, len(book), r+1)
@@ -1033,7 +1042,7 @@ func TestNestedAggsAcrossTiers(t *testing.T) {
 	}
 	ix, _ := st.GetIndex(crashIndex)
 	ctrlIx, _ := ctrl.GetIndex(crashIndex)
-	if cold, all := int(ix.coldRows.Load()), ix.Len(); cold != 40 || all != 89 {
+	if cold, all := int(coldRows(ix)), ix.Len(); cold != 40 || all != 89 {
 		t.Fatalf("tiers hold %d cold of %d rows, want 40 of 89", cold, all)
 	}
 	stats := Agg{Stats: &StatsAgg{Field: FieldRetVal}}
@@ -1121,8 +1130,8 @@ func TestDurableCountDuringFirstEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix, _ := st.GetIndex(crashIndex); ix.coldRows.Load() != rows {
-			t.Fatalf("trial %d: %d cold rows after the snapshot, want %d", trial, ix.coldRows.Load(), rows)
+		if ix, _ := st.GetIndex(crashIndex); coldRows(ix) != rows {
+			t.Fatalf("trial %d: %d cold rows after the snapshot, want %d", trial, coldRows(ix), rows)
 		}
 		st.Close()
 	}
@@ -1130,5 +1139,45 @@ func TestDurableCountDuringFirstEviction(t *testing.T) {
 		if n := wrong[i].Load(); n > 0 {
 			t.Errorf("%s: %d of %d reads during the eviction were wrong", r.name, n, total[i].Load())
 		}
+	}
+}
+
+// TestDurableMatchAllCountDecodesNothing: a match-all count answers each cold
+// entry of the read view from its segment's meta, so with no segment resident
+// Count(MatchAll()), Len and Stats().Docs are exact and read, verify and
+// decode no segment file.
+func TestDurableMatchAllCountDecodesNothing(t *testing.T) {
+	ctx := context.Background()
+	st := openDurable(t, t.TempDir(), WithShards(4), WithFsyncPolicy(FsyncOff), WithQueryCache(0))
+	defer st.Close()
+	evs := cursorFixture(3000)
+	for i := 0; i < len(evs); i += 1000 {
+		if err := st.BulkEvents(ctx, crashIndex, evs[i:i+1000]); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2000 { // two segments cold, the last thousand rows hot
+			if err := st.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ix, _ := st.GetIndex(crashIndex)
+	if c := coldRows(ix); c != 2000 || len(ix.coldSegments()) != 2 {
+		t.Fatalf("fixture: %d cold rows in %d segments, want 2000 in 2", c, len(ix.coldSegments()))
+	}
+	ix.dur.resident.clear()
+	verified, decoded := ix.rtm.segVerified.Value(), ix.rtm.rowsDecoded.Value()
+	n, err := st.Count(ctx, crashIndex, MatchAll())
+	if err != nil || n != len(evs) {
+		t.Fatalf("Count(MatchAll()) = %d (%v), want %d", n, err, len(evs))
+	}
+	if n := ix.Len(); n != len(evs) {
+		t.Fatalf("Len() = %d, want %d", n, len(evs))
+	}
+	if s, err := st.Stats(crashIndex); err != nil || s.Docs != len(evs) {
+		t.Fatalf("Stats().Docs = %d (%v), want %d", s.Docs, err, len(evs))
+	}
+	if v, d := ix.rtm.segVerified.Value()-verified, ix.rtm.rowsDecoded.Value()-decoded; v != 0 || d != 0 {
+		t.Fatalf("match-all counts verified %d segments and decoded %d rows, want none", v, d)
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
+	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
 const (
@@ -92,9 +93,11 @@ func dashboardRequests() []store.SearchRequest {
 // 120k-event index while typed ingest keeps landing, accelerated (rollups +
 // epoch-keyed query cache, the defaults) versus the uncached full-scan
 // baseline. Flushed is the accelerated store made durable, with the preload
-// snapshotted before the timed loop: the preload is then cold, rollups stop
-// serving and every query the cache misses decodes the segment — what a
-// durable index costs a dashboard after its first snapshot.
+// snapshotted before the timed loop: the rows ingested during the loop are
+// hot and serve from rollups, while the flushed preload, a cold segment with
+// no rollup, is scanned by every query the cache misses — what a durable
+// index costs a dashboard after its first snapshot. rollup-hits/op is the
+// store's count of aggregation partials served from rollups, per query.
 func BenchmarkDashboardReadPath(b *testing.B) {
 	run := func(b *testing.B, flush bool, opts ...store.Option) {
 		st, err := store.Open(opts...)
@@ -140,6 +143,8 @@ func BenchmarkDashboardReadPath(b *testing.B) {
 		reqs := dashboardRequests()
 		var mu sync.Mutex
 		lat := make([]time.Duration, 0, b.N)
+		rollupHits := func() uint64 { return st.Telemetry().Snapshot().Counters[telemetry.MetricRollupAggHits] }
+		hits0 := rollupHits()
 		b.ResetTimer()
 		var qs sync.WaitGroup
 		for w := 0; w < readBenchWorkers; w++ {
@@ -171,6 +176,7 @@ func BenchmarkDashboardReadPath(b *testing.B) {
 			b.ReportMetric(float64(lat[len(lat)/2]), "p50-ns")
 			b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-ns")
 		}
+		b.ReportMetric(float64(rollupHits()-hits0)/float64(b.N), "rollup-hits/op")
 	}
 
 	b.Run("Accelerated", func(b *testing.B) { run(b, false) })
