@@ -60,7 +60,9 @@ bench-smoke:
 ## (rollups + query cache vs the uncached scan ablation, and the Flushed arm:
 ## the accelerated store made durable with its preload snapshotted, so the
 ## preload is a cold segment that scans while the rows ingested during the
-## run serve from rollups; rollup-hits/op shows that mixed plan) and the tiered
+## run serve from rollups; rollup-hits/op shows that mixed plan; its scans
+## count terms through the resident shard's code columns, and its readers
+## that miss together wait for one decode of the segment) and the tiered
 ## segment-pruning benchmark (time-range planner vs the same predicate
 ## spelled so the planner extracts no bounds, over many narrow segments for
 ## the header prune and over one wide segment for the row selection), and
@@ -68,12 +70,17 @@ bench-smoke:
 ## body, with allocation counts), then the cold window query with and
 ## without the resident segment set (BenchmarkColdWindow: FirstOpen reads,
 ## verifies and decodes a whole segment per query — the price of each
-## segment's first read — Resident searches decoded shards and decodes
-## nothing), so the p50/p99, pruning-speedup, per-page and per-cold-query
-## cost numbers cannot silently rot.
+## segment's first read, codes included — Resident searches decoded shards
+## and decodes nothing), and the terms aggregation per matched row
+## (BenchmarkTermsAgg: terms(syscall) over a 1 500-row window of 6 000 rows
+## counts codes into an array; terms(session) over a 10-row window of a
+## 5 000-session shard counts them into a map, so a selective query pays for
+## its rows and not the dictionary), so the p50/p99, pruning-speedup,
+## per-page, per-cold-query and per-matched-row cost numbers cannot silently
+## rot.
 bench-read:
 	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch|HitPage' -benchtime=50x -benchmem .
-	$(GO) test -run xxx -bench ColdWindow -benchtime=50x -benchmem ./internal/store
+	$(GO) test -run xxx -bench 'ColdWindow|TermsAgg' -benchtime=50x -benchmem ./internal/store
 
 ## bench-diagnose: a fast smoke run of the DFG build beside the full engine
 ## run over the same 120k-event session. Both are one cursor pass, so the two

@@ -163,9 +163,12 @@ func finalizeStats(res StatsResult) *StatsResult {
 // tree is a columnar count map, sorted value slice, or stats accumulator — no
 // row is materialized to answer an aggregation at any depth.
 
-// termCounts tallies ids by term. When the matched set is the whole shard
-// and the field is indexed, the counts are just the posting-list lengths
-// (every row posts a term in every indexed field) — no per-row work at all.
+// termCounts tallies ids, ascending, by term. When the matched set is the
+// whole shard and the field is indexed, the counts are just the posting-list
+// lengths (every row posts a term in every indexed field) — no per-row work
+// at all. Otherwise the ids inside the field's code column count their codes
+// and read no row; only ids past it (rows appended since ensureColumns), or
+// every id of a field with no codes, read their rows through termKey.
 func (sh *shard) termCounts(t *TermsAgg, ids []int32) map[string]int {
 	if pl, ok := sh.postings[t.Field]; ok && len(ids) == sh.rows.len() {
 		counts := make(map[string]int, len(pl))
@@ -174,11 +177,72 @@ func (sh *shard) termCounts(t *TermsAgg, ids []int32) map[string]int {
 		}
 		return counts
 	}
-	counts := make(map[string]int)
-	for _, id := range ids {
+	kc := sh.codes[t.Field]
+	n := kc.covered(ids)
+	counts := kc.count(ids[:n])
+	for _, id := range ids[n:] {
 		counts[sh.termKey(id, t.Field)]++
 	}
 	return counts
+}
+
+// covered returns how many leading ids, ascending, kc codes: none for a
+// field with no code column.
+func (kc *codeColumn) covered(ids []int32) int {
+	if kc == nil {
+		return 0
+	}
+	return sort.Search(len(ids), func(i int) bool { return int(ids[i]) >= len(kc.codes) })
+}
+
+// count tallies ids, every one coded, by term: into an array indexed by code
+// when they outnumber the dictionary, and otherwise straight into the term
+// map, so a selective query over a high-cardinality field (a session) does
+// not allocate a counter per term. A map keyed by code would add a second map
+// and its conversion, which cost a 10-row match more than the string hashes
+// it saved.
+func (kc *codeColumn) count(ids []int32) map[string]int {
+	counts := make(map[string]int)
+	if len(ids) == 0 || len(ids) <= len(kc.terms) {
+		for _, id := range ids {
+			counts[kc.terms[kc.codes[id]]]++
+		}
+		return counts
+	}
+	dense := make([]int, len(kc.terms))
+	for _, id := range ids {
+		dense[kc.codes[id]]++
+	}
+	for code, n := range dense {
+		if n > 0 {
+			counts[kc.terms[code]] = n
+		}
+	}
+	return counts
+}
+
+// termGroups groups ids, ascending, by term: by code inside the field's code
+// column, then by term past it, so each group stays ascending (every id past
+// the column exceeds every coded one). It is partial's terms grouping in a
+// function of its own so that its maps are not in partial's frame, which is
+// on the stack of every aggregation a fan-out worker computes: a worker's
+// stack grows, by a copy, when its deepest frame does not fit.
+func (sh *shard) termGroups(field string, ids []int32) map[string][]int32 {
+	kc := sh.codes[field]
+	n := kc.covered(ids)
+	byCode := make(map[uint32][]int32)
+	for _, id := range ids[:n] {
+		byCode[kc.codes[id]] = append(byCode[kc.codes[id]], id)
+	}
+	groups := make(map[string][]int32, len(byCode))
+	for code, g := range byCode {
+		groups[kc.terms[code]] = g
+	}
+	for _, id := range ids[n:] {
+		k := sh.termKey(id, field)
+		groups[k] = append(groups[k], id)
+	}
+	return groups
 }
 
 // termKey returns row id's terms bucket key for field: keyString of the
@@ -220,11 +284,7 @@ func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 		if len(a.Aggs) == 0 {
 			return &AggPartial{TermCounts: sh.termCounts(a.Terms, ids)}
 		}
-		groups := make(map[string][]int32)
-		for _, id := range ids {
-			k := sh.termKey(id, a.Terms.Field)
-			groups[k] = append(groups[k], id)
-		}
+		groups := sh.termGroups(a.Terms.Field, ids)
 		p := &AggPartial{
 			TermCounts: make(map[string]int, len(groups)),
 			Subs:       make(map[string]map[string]*AggPartial, len(groups)),

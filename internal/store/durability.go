@@ -360,12 +360,7 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 		// Evict: the rows just flushed (and any older hot rows) are now
 		// segment-backed; clear shard storage in place and advance the base.
 		for _, sh := range ix.shards {
-			sh.rows.reset()
-			sh.cols = nil
-			sh.postings = newPostings()
-			if sh.rollup != nil {
-				*sh.rollup = *newShardRollup(sh.rollup.base)
-			}
+			sh.evictLocked()
 		}
 		ix.base.Store(head)
 	})

@@ -818,12 +818,14 @@ func mergeHits(lists [][]hitRef, req SearchRequest) []hitRef {
 	return out
 }
 
-// neededColumns lists the numeric fields a request will read through the
-// columnar caches: range-query fields, sort fields, and the percentiles and
-// stats fields of aggregations at any nesting depth (histograms bucket from
-// the row's exact integer, not a column). One list serves every entry of the
-// read view: an aggregation a rollup serves is a terms or a date histogram
-// with no sub-aggregations, which adds no column.
+// neededColumns lists the fields a request will read through the columnar
+// caches (ensureColumns): range-query fields, sort fields, the percentiles
+// and stats fields of aggregations at any nesting depth (histograms bucket
+// from the row's exact integer, not a column), and the field of a terms
+// aggregation over an indexed field at any depth, which is read through its
+// codes. One list serves every entry of the read view, so a hot stripe whose
+// rollup serves a terms aggregation still extends that field's codes, which a
+// cold entry without a rollup reads.
 func neededColumns(req SearchRequest) []string {
 	var out []string
 	seen := make(map[string]struct{})
@@ -865,6 +867,9 @@ func neededColumns(req SearchRequest) []string {
 		}
 		if a.Stats != nil {
 			add(a.Stats.Field)
+		}
+		if a.Terms != nil && rollupSlot(a.Terms.Field) >= 0 {
+			add(a.Terms.Field)
 		}
 		for _, sub := range a.Aggs {
 			walkAgg(sub)

@@ -18,12 +18,15 @@ import (
 //
 // A row is an event.Event, stored as a plain struct: postings, columns, query
 // evaluation, and aggregation read it through the typed accessors and never
-// build a map; a search hit is a copy of the struct.
+// build a map; a search hit is a copy of the struct. Everything else a shard
+// holds is derived from its rows: postings at append, numeric columns and
+// keyword codes on demand (ensureColumns), and the rollup at append.
 type shard struct {
 	mu       sync.RWMutex
 	rows     rows
 	postings map[string]map[string][]int32 // field -> term -> local row ids
 	cols     map[string]*column            // lazy numeric columns, keyed by field
+	codes    map[string]*codeColumn        // lazy keyword codes of indexed fields, keyed by field
 	rollup   *shardRollup                  // continuous rollup state, nil when disabled
 }
 
@@ -108,6 +111,49 @@ func (c *column) orderedRun(r *RangeQuery, n int) (run []int32, ok bool) {
 		return r.LTE != nil && v > *r.LTE || r.LT != nil && v >= *r.LT
 	})
 	return order[lo:hi], true
+}
+
+// codeColumn is the dictionary-encoded view of one indexed keyword field,
+// built for a field that a terms aggregation buckets: codes[i] is the code of
+// row i's term and terms[code] the term, so a terms count over rows inside
+// the column reads no row and hashes no string. Like a numeric column it is
+// built up to the current row count and extended on a later use; a stored
+// row's keyword fields never change (the store's one update names
+// file_path), so a code is never stale. Term → code needs no map of its own:
+// a posting list's first id is its term's first row, which is already coded
+// exactly when the term is. It costs 4 B per row plus a string header per
+// term and goes with the columns: eviction drops both.
+type codeColumn struct {
+	codes []uint32
+	terms []string
+}
+
+// extendCodes brings kc, field's code column, up to every row. An empty one
+// fills from the field's posting lists, one code per list and one write per
+// row; a built one codes each appended row by its posting list's first id.
+// Caller holds the write lock.
+func (sh *shard) extendCodes(kc *codeColumn, field string) {
+	pl, n := sh.postings[field], sh.rows.len()
+	if len(kc.codes) == 0 {
+		kc.codes = make([]uint32, n)
+		kc.terms = make([]string, 0, len(pl))
+		for term, ids := range pl {
+			for _, id := range ids {
+				kc.codes[id] = uint32(len(kc.terms))
+			}
+			kc.terms = append(kc.terms, term)
+		}
+		return
+	}
+	for i := len(kc.codes); i < n; i++ {
+		term, _ := sh.rows.at(i).StringField(field)
+		if first := pl[term][0]; int(first) < i {
+			kc.codes = append(kc.codes, kc.codes[first])
+		} else {
+			kc.codes = append(kc.codes, uint32(len(kc.terms)))
+			kc.terms = append(kc.terms, term)
+		}
+	}
 }
 
 // idSet is one request's set of a shard's local ids, a bit per row: built in
@@ -265,13 +311,26 @@ func (sh *shard) len() int {
 	return sh.rows.len()
 }
 
-// ensureColumns builds or extends the numeric columns for fields so they
-// cover every row currently in the shard, and builds the order of the column
-// named ordered (one of fields, or "" for none) if it has none yet. A column
-// that has an order keeps it extended whatever asked for the column. It is
-// called before the read phase of a search; rows appended concurrently
-// afterwards are handled by the per-row fallback in colVal, and by the
-// candidate path for a sorted page.
+// evictLocked drops every row and everything derived from them: postings,
+// columns with their orders, codes, and the rollup's counts. Caller holds the
+// write lock.
+func (sh *shard) evictLocked() {
+	sh.rows.reset()
+	sh.postings = newPostings()
+	sh.cols, sh.codes = nil, nil
+	if sh.rollup != nil {
+		*sh.rollup = *newShardRollup(sh.rollup.base)
+	}
+}
+
+// ensureColumns builds or extends, for each of fields, the code column of an
+// indexed keyword field and the numeric column of any other, so they cover
+// every row currently in the shard, and builds the order of the numeric
+// column named ordered (one of fields, or "" for none) if it has none yet. A
+// column that has an order keeps it extended whatever asked for the column.
+// It is called before the read phase of a search; rows appended concurrently
+// afterwards are handled by the per-row fallbacks in colVal and termCounts,
+// and by the candidate path for a sorted page.
 func (sh *shard) ensureColumns(fields []string, ordered string) {
 	if len(fields) == 0 {
 		return
@@ -279,9 +338,14 @@ func (sh *shard) ensureColumns(fields []string, ordered string) {
 	sh.mu.RLock()
 	need := false
 	for _, f := range fields {
-		c := sh.cols[f]
-		if c == nil || len(c.vals) < sh.rows.len() || (f == ordered && c.order == nil && c.missing == 0) {
-			need = true
+		if _, keyword := sh.postings[f]; keyword {
+			kc := sh.codes[f]
+			need = kc == nil || len(kc.codes) < sh.rows.len()
+		} else {
+			c := sh.cols[f]
+			need = c == nil || len(c.vals) < sh.rows.len() || (f == ordered && c.order == nil && c.missing == 0)
+		}
+		if need {
 			break
 		}
 	}
@@ -290,12 +354,24 @@ func (sh *shard) ensureColumns(fields []string, ordered string) {
 		return
 	}
 	sh.mu.Lock()
-	if sh.cols == nil {
-		sh.cols = make(map[string]*column)
-	}
 	for _, f := range fields {
+		if _, keyword := sh.postings[f]; keyword {
+			kc := sh.codes[f]
+			if kc == nil {
+				if sh.codes == nil {
+					sh.codes = make(map[string]*codeColumn)
+				}
+				kc = &codeColumn{}
+				sh.codes[f] = kc
+			}
+			sh.extendCodes(kc, f)
+			continue
+		}
 		c := sh.cols[f]
 		if c == nil {
+			if sh.cols == nil {
+				sh.cols = make(map[string]*column)
+			}
 			c = &column{}
 			sh.cols[f] = c
 		}

@@ -138,8 +138,10 @@ func segMayMatch(sm durable.SegmentMeta, minT, maxT int64) bool {
 // explicit global id of each local row — cold segments can be sparse after
 // compaction folded retention gaps. A resident one holds every typed row and
 // is read-only once filled: queries share it under its read lock, and only
-// ensureColumns writes to it, columns and orders. One over the budget holds
-// one query's window.
+// ensureColumns writes to it — numeric columns, their orders, and the code
+// columns of the keyword fields a terms aggregation buckets, which fill from
+// the posting lists the decode built. One over the budget holds one query's
+// window.
 type coldSegment struct {
 	sh   *shard
 	gids []int
@@ -149,12 +151,16 @@ type coldSegment struct {
 // and its slot in every indexed field's posting list.
 const rowBytes = int64(unsafe.Sizeof(event.Event{})) + int64(unsafe.Sizeof(0)) + 4*int64(len(indexedFields))
 
-// size is cs's decoded bytes: its rows, and the columns and orders built on
-// it at their capacity. Caller holds cs.sh.mu or owns cs.
+// size is cs's decoded bytes: its rows, and the columns, orders and code
+// columns built on it at their capacity (a term's bytes are its rows'). Caller
+// holds cs.sh.mu or owns cs.
 func (cs *coldSegment) size() int64 {
 	n := int64(len(cs.gids)) * rowBytes
 	for _, c := range cs.sh.cols {
 		n += int64(cap(c.vals))*8 + int64(cap(c.ok)) + int64(cap(c.order))*4
+	}
+	for _, kc := range cs.sh.codes {
+		n += int64(cap(kc.codes))*4 + int64(cap(kc.terms))*int64(unsafe.Sizeof(""))
 	}
 	return n
 }
@@ -171,11 +177,18 @@ const residentBudget = 64 << 20
 // queries share an entry; an evicted, replaced or dropped one is left to the
 // collector, never recycled, because a query may still be reading it.
 type residentSegments struct {
-	budget int64
-	mu     sync.Mutex
-	bySeq  map[int]*residentSegment
-	bytes  int64
-	tick   uint64
+	budget  int64
+	mu      sync.Mutex
+	bySeq   map[int]*residentSegment
+	filling map[residentKey]chan struct{} // fills under way, each closed when it ends
+	bytes   int64
+	tick    uint64
+}
+
+// residentKey names one fill: a segment's rows named by one path book.
+type residentKey struct {
+	seq  int
+	book *[]event.PathsRecord
 }
 
 type residentSegment struct {
@@ -186,11 +199,37 @@ type residentSegment struct {
 }
 
 // get returns the resident rows of segment seq if they were named by book.
-func (rs *residentSegments) get(seq int, book *[]event.PathsRecord) *coldSegment {
+// On a miss, when the segment's rows fit the budget, the fill is
+// single-flight: the first query to miss leads it (lead true) and must end
+// it with filled, and a query that misses while it is under way waits for it
+// to end and looks once more. It then finds the rows the leader kept, or, if
+// the leader kept none (it failed), decodes on its own. A segment over the
+// budget is never kept, so its queries decode their own windows at once.
+func (rs *residentSegments) get(seq int, book *[]event.PathsRecord, rows int64) (cs *coldSegment, lead bool) {
+	k := residentKey{seq, book}
+	rs.mu.Lock()
+	cs = rs.lookupLocked(k)
+	wait, filling := rs.filling[k]
+	lead = cs == nil && !filling && rows*rowBytes <= rs.budget
+	if lead {
+		if rs.filling == nil {
+			rs.filling = make(map[residentKey]chan struct{})
+		}
+		rs.filling[k] = make(chan struct{})
+	}
+	rs.mu.Unlock()
+	if cs != nil || !filling {
+		return cs, lead
+	}
+	<-wait
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	e := rs.bySeq[seq]
-	if e == nil || e.book != book {
+	return rs.lookupLocked(k), false
+}
+
+func (rs *residentSegments) lookupLocked(k residentKey) *coldSegment {
+	e := rs.bySeq[k.seq]
+	if e == nil || e.book != k.book {
 		return nil
 	}
 	rs.tick++
@@ -198,9 +237,20 @@ func (rs *residentSegments) get(seq int, book *[]event.PathsRecord) *coldSegment
 	return e.cs
 }
 
+// filled ends the fill of segment seq named by book that the caller leads,
+// after it put the rows, and wakes the queries waiting for it.
+func (rs *residentSegments) filled(seq int, book *[]event.PathsRecord) {
+	k := residentKey{seq, book}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	close(rs.filling[k])
+	delete(rs.filling, k)
+}
+
 // put keeps cs, segment seq just decoded in full and named by book, in place
-// of an entry named by another book. Two queries that miss together both
-// decode, and the first to put stays.
+// of an entry named by another book. A query that decodes beside a fill (one
+// named by another book, or after a failed one) may put too; the first to
+// put stays.
 func (rs *residentSegments) put(seq int, book *[]event.PathsRecord, cs *coldSegment) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -283,11 +333,16 @@ func (rs *residentSegments) size() int64 {
 // named and posted, and the shard joins the set; the image is then garbage.
 // Otherwise only the rows whose stored time can fall in [minT, maxT] are, for
 // this query alone. Decoded rows do not alias the image. Rollups are disabled
-// on the shard (base 0); columns and orders build on demand.
+// on the shard (base 0); columns, orders and codes build on demand. Queries
+// that miss one segment together decode it once (residentSegments.get).
 func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsRecord, minT, maxT int64) (*coldSegment, error) {
 	rs := &ix.dur.resident
-	if cs := rs.get(sm.Seq, book); cs != nil {
+	cs, lead := rs.get(sm.Seq, book, sm.Rows)
+	if cs != nil {
 		return cs, nil
+	}
+	if lead {
+		defer rs.filled(sm.Seq, book)
 	}
 	r, err := durable.OpenSegment(filepath.Join(ix.dur.dir, durable.SegmentName(sm.Seq)))
 	if err != nil {
@@ -306,7 +361,7 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsReco
 		}
 	}
 	start := int(sm.StartRow)
-	cs := &coldSegment{sh: newShard(0), gids: make([]int, len(sel))}
+	cs = &coldSegment{sh: newShard(0), gids: make([]int, len(sel))}
 	cs.sh.rows.adopt(r.Decode(sel))
 	for k, i := range sel {
 		cs.gids[k] = start + r.Gid(i)

@@ -472,8 +472,9 @@ func TestResidentSegmentsFollowTheBook(t *testing.T) {
 }
 
 // TestResidentSegmentsAccountTheirBytes: the resident set's byte account,
-// taken from the types at a fill and again as columns and orders are built,
-// is the heap the decoded segments actually hold, within a quarter.
+// taken from the types at a fill and again as columns, orders and code
+// columns are built, is the heap the decoded segments actually hold, within
+// a quarter.
 func TestResidentSegmentsAccountTheirBytes(t *testing.T) {
 	ctx := context.Background()
 	st := openDurable(t, t.TempDir(), WithQueryCache(0))
@@ -508,7 +509,8 @@ func TestResidentSegmentsAccountTheirBytes(t *testing.T) {
 		lo := float64(at + int64(s)*1e9)
 		resp, err := st.Search(ctx, windowIndex, SearchRequest{
 			Query: Must(Term(FieldSession, "acct"), RangeBetween(FieldTimeEnter, lo, lo+1e6)),
-			Sort:  []SortField{{Field: FieldTimeEnter}}, Size: 10})
+			Sort:  []SortField{{Field: FieldTimeEnter}}, Size: 10,
+			Aggs: map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}}}})
 		if err != nil || resp.Total != 1001 {
 			t.Fatalf("segment %d: total %d (%v)", s, resp.Total, err)
 		}
@@ -522,4 +524,65 @@ func TestResidentSegmentsAccountTheirBytes(t *testing.T) {
 		t.Fatalf("resident set accounts %d bytes; the heap grew by %d", acct, grown)
 	}
 	t.Logf("accounted %d bytes, heap grew by %d (%.2f)", acct, grown, float64(acct)/float64(grown))
+}
+
+// TestDurableResidentFillIsSingleFlight: eight queries that read one
+// segment for the first time together decode it once. The file is read and
+// verified once, its rows are decoded once, and the eight answers are equal.
+// Run under -race.
+func TestDurableResidentFillIsSingleFlight(t *testing.T) {
+	ctx := context.Background()
+	st := openDurable(t, t.TempDir(), WithQueryCache(0))
+	defer st.Close()
+	const rows, readers = 20000, 8
+	at := time.Now().UnixNano()
+	evs := make([]event.Event, rows)
+	for i := range evs {
+		ts := at + int64(i)*1000
+		evs[i] = event.Event{Session: "fill", Syscall: []string{"read", "write", "openat"}[i%3],
+			ThreadName: fmt.Sprintf("w%d", i%4), TimeEnterNS: ts, TimeExitNS: ts + 1}
+	}
+	if err := st.BulkEvents(ctx, windowIndex, evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ix, _ := st.GetIndex(windowIndex)
+	if coldRows(ix) != rows {
+		t.Fatalf("fixture: %d cold rows, want %d", coldRows(ix), rows)
+	}
+	v0, d0 := ix.rtm.segVerified.Value(), ix.rtm.rowsDecoded.Value()
+	req := SearchRequest{Query: Must(Term(FieldSession, "fill"), RangeBetween(FieldTimeEnter, float64(at), float64(at+rows/2*1000))),
+		Sort: []SortField{{Field: FieldTimeEnter}}, Size: 10,
+		Aggs: map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}}}}
+	answers := make([]string, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range answers {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			resp, err := st.Search(ctx, windowIndex, req)
+			if err != nil || resp.Total != rows/2+1 {
+				t.Errorf("reader %d: total %d (%v), want %d", g, resp.Total, err, rows/2+1)
+				return
+			}
+			answers[g] = jsonOf(resp)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if v, d := ix.rtm.segVerified.Value()-v0, ix.rtm.rowsDecoded.Value()-d0; v != 1 || d != rows {
+		t.Fatalf("%d first reads verified %d segments and decoded %d rows, want 1 and %d", readers, v, d, rows)
+	}
+	for g, a := range answers {
+		if a != answers[0] {
+			t.Fatalf("reader %d answered\n%s\nreader 0\n%s", g, a, answers[0])
+		}
+	}
 }
