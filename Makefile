@@ -57,12 +57,12 @@ bench-smoke:
 	$(GO) test -run xxx -bench IngestAtScale -benchtime=1x .
 
 ## bench-read: a fast smoke run of the dashboard read-path benchmark
-## (rollups + query cache vs the uncached scan ablation, and the Flushed arm:
-## the accelerated store made durable with its preload snapshotted, so the
-## preload is a cold segment that scans while the rows ingested during the
-## run serve from rollups; rollup-hits/op shows that mixed plan; its scans
-## count terms through the resident shard's code columns, and its readers
-## that miss together wait for one decode of the segment) and the tiered
+## (the query cache vs the uncached ablation, and the Flushed arm: the
+## cached store made durable with its preload snapshotted, so a query the
+## cache misses counts the preload on a resident cold segment beside the
+## rows ingested during the run, through the code columns of both, and its
+## readers that miss together wait for one decode of the segment;
+## cache-hits/op is the share of queries the cache answered) and the tiered
 ## segment-pruning benchmark (time-range planner vs the same predicate
 ## spelled so the planner extracts no bounds, over many narrow segments for
 ## the header prune and over one wide segment for the row selection), and

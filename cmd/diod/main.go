@@ -56,7 +56,6 @@ type config struct {
 	snapshot    time.Duration
 	retention   time.Duration
 	queryCache  int
-	rollup      time.Duration
 	follow      string
 	autoPromote time.Duration
 	replicate   string
@@ -72,7 +71,6 @@ func main() {
 	flag.DurationVar(&cfg.snapshot, "snapshot", time.Minute, "interval between columnar segment snapshots, each of which also moves the rows it flushed out of memory (0 disables)")
 	flag.DurationVar(&cfg.retention, "retention", 0, "drop segments whose events are all older than this (0 never drops); requires -data")
 	flag.IntVar(&cfg.queryCache, "query-cache", 256, "query cache capacity per index in entries (0 disables)")
-	flag.DurationVar(&cfg.rollup, "rollup", 100*time.Millisecond, "continuous rollup base histogram interval (0 disables)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a follower of this primary URL: reject writes, apply /_repl pushes")
 	flag.DurationVar(&cfg.autoPromote, "auto-promote", 0, "with -follow: promote to primary once the primary has been unreachable this long (0 disables)")
 	flag.StringVar(&cfg.replicate, "replicate", "", "comma-separated follower URLs to ship this node's WAL to")
@@ -121,7 +119,6 @@ func run(cfg config) error {
 		store.WithSnapshotInterval(cfg.snapshot),
 		store.WithRetention(cfg.retention),
 		store.WithQueryCache(cfg.queryCache),
-		store.WithRollupInterval(cfg.rollup),
 	)
 	if err != nil {
 		return fmt.Errorf("open store: %w", err)

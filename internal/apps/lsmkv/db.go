@@ -203,17 +203,6 @@ func (db *DB) Stats() Stats {
 	}
 }
 
-// LevelFileCounts returns the current number of tables per level.
-func (db *DB) LevelFileCounts() []int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]int, len(db.levels))
-	for i, lvl := range db.levels {
-		out[i] = len(lvl)
-	}
-	return out
-}
-
 func (db *DB) newWAL(task *kernel.Task) (string, int, error) {
 	num := atomic.AddUint64(&db.nextFile, 1)
 	path := fmt.Sprintf("%s/%06d.wal", db.cfg.Dir, num)

@@ -179,15 +179,3 @@ func (p *Process) removeFD(fd int) (*openFile, bool) {
 	}
 	return of, ok
 }
-
-// OpenFDs returns the descriptors currently open in the process, for
-// diagnostics and tests.
-func (p *Process) OpenFDs() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int, 0, len(p.fds))
-	for fd := range p.fds {
-		out = append(out, fd)
-	}
-	return out
-}

@@ -248,14 +248,3 @@ func (s Syscall) UsesFD() bool {
 	}
 	return false
 }
-
-// MovesData reports whether the syscall transfers file data and therefore
-// has a meaningful file offset (the paper's f_offset enrichment).
-func (s Syscall) MovesData() bool {
-	switch s {
-	case SysRead, SysPread64, SysReadv, SysWrite, SysPwrite64, SysWritev,
-		SysLseek, SysReadahead:
-		return true
-	}
-	return false
-}

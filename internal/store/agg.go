@@ -255,7 +255,7 @@ func (sh *shard) termKey(id int32, field string) string {
 }
 
 // histKey returns the interval bucket of row id's field. Integral fields
-// bucket in exact int64 arithmetic, as rollup.addEvent does: float64's ulp at
+// bucket in exact int64 arithmetic: float64's ulp at
 // epoch-scale nanoseconds is 256, enough to move a row across a bucket edge.
 func (sh *shard) histKey(id int32, field string, interval int64) (int64, bool) {
 	n, ok := sh.rows.at(int(id)).IntField(field)

@@ -1,0 +1,128 @@
+package store
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
+)
+
+// TestHistogramBucketBoundary pins histogram bucketing at epoch-scale
+// timestamps, where float64's ulp is 256 ns: events 1 ns before, exactly at,
+// and 1 ns after a 100ms bucket edge must land in the oracle's buckets, flat
+// and with a sub-aggregation, under a bare session term and a bool query,
+// whether the rows are hot or were flushed to a cold segment.
+func TestHistogramBucketBoundary(t *testing.T) {
+	const edge = int64(1_687_860_000_100_000_000)
+	evs := make([]event.Event, 3)
+	for i, at := range []int64{edge - 1, edge, edge + 1} {
+		evs[i] = event.Event{Session: "edge", Syscall: "read", ThreadName: "w", TimeEnterNS: at, TimeExitNS: at + 10}
+	}
+	ctx := context.Background()
+	hot, cold := memStore(t), openDurable(t, t.TempDir())
+	t.Cleanup(func() { hot.Close(); cold.Close() })
+	for _, st := range []*Store{hot, cold} {
+		if err := st.BulkEvents(ctx, "run", evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cold.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ix, _ := hot.GetIndex("run")
+	if cix, _ := cold.GetIndex("run"); coldRows(cix) != int64(len(evs)) {
+		t.Fatalf("fixture: %d cold rows, want %d", coldRows(cix), len(evs))
+	}
+
+	flat := Agg{DateHistogram: &DateHistogramAgg{Field: FieldTimeEnter, IntervalNS: 100_000_000}}
+	nested := flat
+	nested.Aggs = map[string]Agg{"by_thread": {Terms: &TermsAgg{Field: FieldThreadName}}}
+	wantKeys := []string{"1687860000000000000", "1687860000100000000"}
+	wantCounts := []int{1, 2}
+	for name, a := range map[string]Agg{"flat": flat, "nested": nested} {
+		for qname, q := range map[string]Query{
+			"term": Term(FieldSession, "edge"),
+			"bool": Must(Term(FieldSession, "edge"), Term(FieldSyscall, "read")),
+		} {
+			req := SearchRequest{Query: q, Size: 1, Aggs: map[string]Agg{"h": a}}
+			oracle := oracleSearch(ix, req).Aggs["h"]
+			for sname, st := range map[string]*Store{"hot": hot, "cold": cold} {
+				resp, err := st.Search(ctx, "run", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := resp.Aggs["h"]
+				if len(got.Buckets) != len(wantKeys) {
+					t.Errorf("%s/%s/%s: buckets %+v, want keys %v", name, qname, sname, got.Buckets, wantKeys)
+					continue
+				}
+				for i, b := range got.Buckets {
+					if b.Key != wantKeys[i] || b.Count != wantCounts[i] {
+						t.Errorf("%s/%s/%s: bucket %d = %s×%d, want %s×%d", name, qname, sname, i, b.Key, b.Count, wantKeys[i], wantCounts[i])
+					}
+					if name == "nested" && (len(b.Sub["by_thread"].Buckets) != 1 || b.Sub["by_thread"].Buckets[0].Count != wantCounts[i]) {
+						t.Errorf("%s/%s/%s: bucket %d sub = %+v", name, qname, sname, i, b.Sub)
+					}
+				}
+				if !reflect.DeepEqual(got, oracle) {
+					t.Errorf("%s/%s/%s diverges from the oracle:\n got    %+v\n oracle %+v", name, qname, sname, got, oracle)
+				}
+			}
+		}
+	}
+}
+
+// TestRollupSurvivesRecovery rebuilds a durable store from disk and checks
+// that it answers every shape of the oracle matrix, the dashboard panels the
+// store once served from ingest-time rollups among them, exactly as a
+// never-closed in-memory twin does. The tiered arm snapshots partway through
+// the ingest, so the recovered index answers from a cold segment and hot
+// stripes in one pass.
+func TestRollupSurvivesRecovery(t *testing.T) {
+	ctx := context.Background()
+	evs := docEvents(oracleDocs(4000)...)
+	live := memStore(t, WithShards(4))
+	t.Cleanup(func() { live.Close() })
+	if err := live.BulkEvents(ctx, "run", evs); err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []string{"wal", "tiered"} {
+		tiered := arm == "tiered"
+		t.Run(arm, func(t *testing.T) {
+			dir := t.TempDir()
+			dur := openDurable(t, dir, WithShards(4), WithFsyncPolicy(FsyncOff))
+			for i := 0; i < len(evs); i += 1000 {
+				if err := dur.BulkEvents(ctx, "run", evs[i:min(i+1000, len(evs))]); err != nil {
+					t.Fatal(err)
+				}
+				if tiered && i == 2000 {
+					if err := dur.Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := dur.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec := openDurable(t, dir, WithShards(4), WithFsyncPolicy(FsyncOff))
+			defer rec.Close()
+			if ix, _ := rec.GetIndex("run"); (coldRows(ix) > 0) != tiered || ix.shards[0].len() == 0 {
+				t.Fatalf("fixture: %d cold rows, %d hot in shard 0", coldRows(ix), ix.shards[0].len())
+			}
+			for i, req := range append(oracleRequests(), nestedAggShapes()...) {
+				a, err := rec.Search(ctx, "run", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := live.Search(ctx, "run", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("recovered shape %d diverges:\n recovered total %d, aggs %+v\n live      total %d, aggs %+v", i, a.Total, a.Aggs, b.Total, b.Aggs)
+				}
+			}
+		})
+	}
+}

@@ -225,7 +225,7 @@ func resolveFromBook(book []event.PathsRecord, gid int, e *event.Event) bool {
 
 // applyPaths runs rec over every row in shard memory, one shard write lock at
 // a time, and counts the outcomes. file_path is neither indexed nor numeric,
-// so postings, columns and rollups stand; the epoch brackets the pass for the
+// so postings, columns and codes stand; the epoch brackets the pass for the
 // query cache. On a durable index the caller holds the gate shared (base is
 // frozen) or is single-threaded recovery.
 func (ix *Index) applyPaths(rec *event.PathsRecord) (n [pathOutcomes]int) {

@@ -426,7 +426,7 @@ func (s *Store) newDurableIndex(name string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndexSized(name, s.opts.shards, s.opts.rollupBase)
+	ix := NewIndexWithShards(name, s.opts.shards)
 	ix.dur = &indexDurable{
 		dir: dir, fsync: s.opts.fsync, tm: s.dtm, wal: w,
 		retention: s.opts.retention,
@@ -454,7 +454,7 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	if committed {
 		shards = m.Shards
 	}
-	ix := newIndexSized(name, shards, s.opts.rollupBase)
+	ix := NewIndexWithShards(name, shards)
 	d := &indexDurable{
 		dir: dir, fsync: s.opts.fsync, tm: s.dtm,
 		retention: s.opts.retention,

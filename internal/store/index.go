@@ -17,8 +17,8 @@ import (
 
 // indexedFields are the keyword fields for which the index maintains posting
 // lists, accelerating the term queries issued by the paper's dashboards
-// (session, syscall, process/thread names). The order fixes each field's
-// slot in a rollup's terms (rollupPartial).
+// (session, syscall, process/thread names), and a terms aggregation over one
+// counts its posting lists or its codes (shard.termCounts).
 var indexedFields = [...]string{FieldSession, FieldSyscall, FieldProcName, FieldThreadName, FieldClass}
 
 // Index stores the documents of one index, striped across shards so that
@@ -51,9 +51,8 @@ type Index struct {
 	base     atomic.Int64
 	retFloor atomic.Int64
 
-	rollupBase int64         // rollup histogram base interval ns (0 = disabled)
-	cache      *queryCache   // nil = caching disabled
-	rtm        readTelemetry // rollup counters (zero value = no-op)
+	cache *queryCache   // nil = caching disabled
+	rtm   readTelemetry // cold-tier counters (zero value = no-op)
 
 	// Follower-side replication state: replMu serializes ReplApply so frames
 	// land in primary order; replSeq is the primary sequence applied so far
@@ -80,20 +79,14 @@ func defaultShardCount() int {
 func NewIndex(name string) *Index { return NewIndexWithShards(name, 0) }
 
 // NewIndexWithShards creates an empty index with n shards (n <= 0 selects
-// the default policy) and the default rollup interval.
+// the default policy).
 func NewIndexWithShards(name string, n int) *Index {
-	return newIndexSized(name, n, defaultRollupIntervalNS)
-}
-
-// newIndexSized is the full constructor: shard count plus the continuous
-// rollup base interval (0 disables rollup maintenance).
-func newIndexSized(name string, n int, rollupBase int64) *Index {
 	if n <= 0 {
 		n = defaultShardCount()
 	}
-	ix := &Index{name: name, shards: make([]*shard, n), rollupBase: rollupBase}
+	ix := &Index{name: name, shards: make([]*shard, n)}
 	for i := range ix.shards {
-		ix.shards[i] = newShard(rollupBase)
+		ix.shards[i] = newShard()
 	}
 	return ix
 }
@@ -349,7 +342,6 @@ type partitionView struct {
 // and whether this is a counting execution (searchExec.count).
 func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *partitionView, finish func(refs []hitRef, total int, parts map[string]*AggPartial)) error {
 	req := exec.req
-	exec.rtm = &ix.rtm
 	resume, err := exec.cursor.parse(req)
 	if err != nil {
 		return err
@@ -388,15 +380,14 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 		sh.ensureColumns(cols, ordered)
 	}
 	// Hold every shard's read lock for the whole search. The merge stage
-	// reads rows (sort comparisons, hit materialization) and live rollup maps
-	// after the per-shard phase, so releasing locks between the two would
-	// race a concurrent write; a full read snapshot
+	// reads rows (sort comparisons, hit materialization) after the per-shard
+	// phase, so releasing locks between the two would race a concurrent
+	// write; a full read snapshot
 	// reproduces the unsharded implementation's single-RLock semantics while
 	// the per-shard work still fans out in parallel. It is also the reader
 	// half of the eviction protocol: a flush-evict moves rows from shard
-	// memory to the cold tier, and resets the hot rollups, under every shard
-	// write lock, so the view built below is one cut, and no row is seen in
-	// both tiers or in neither.
+	// memory to the cold tier under every shard write lock, so the view built
+	// below is one cut, and no row is seen in both tiers or in neither.
 	for _, sh := range ix.shards {
 		sh.mu.RLock()
 	}
@@ -410,7 +401,7 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 	if req.Size > 0 {
 		exec.need = req.From + req.Size
 	}
-	exec.plan, exec.cur = ix.planRollup(req), cur
+	exec.cur = cur
 	v := ix.readView(req.Query, cols, ordered)
 	// A match-all count opens no cold entry: it takes the rows from the
 	// segment's meta, and decodes nothing.
@@ -452,18 +443,16 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 }
 
 // searchExec bundles one search's per-request execution state for the shard
-// fan-out: the request, the global candidate budget, the rollup plan, and
-// the parsed cursor (cur points at cursor, or is nil without one). count
-// marks a counting execution: every stripe reports its match count and no
-// hit candidates, over the same cut a search reads.
+// fan-out: the request, the global candidate budget, and the parsed cursor
+// (cur points at cursor, or is nil without one). count marks a counting
+// execution: every stripe reports its match count and no hit candidates,
+// over the same cut a search reads.
 type searchExec struct {
 	req    SearchRequest
 	count  bool
 	need   int
-	plan   *rollupPlan
 	cur    *searchCursor
 	cursor searchCursor
-	rtm    *readTelemetry
 }
 
 // searchLocked produces one read view entry's result; the caller holds
@@ -473,8 +462,8 @@ type searchExec struct {
 func (e *readEntry) searchLocked(exec *searchExec) shardResult {
 	sh, req, need := e.sh, exec.req, exec.need
 	matchAll := req.Query.matchesAll()
-	// ids materializes lazily: a rollup-served match-all request never needs
-	// the O(n) id enumeration at all.
+	// ids materializes lazily: a match-all request with no aggregation may
+	// never need the O(n) id enumeration at all.
 	var ids []int32
 	idsReady := false
 	getIDs := func() []int32 {
@@ -496,17 +485,6 @@ func (e *readEntry) searchLocked(exec *searchExec) shardResult {
 	if len(req.Aggs) > 0 {
 		res.partials = make(map[string]*AggPartial, len(req.Aggs))
 		for name, a := range req.Aggs {
-			if exec.plan != nil && exec.plan.served[name] {
-				if p := sh.rollupServe(exec.plan, a); p != nil {
-					res.partials[name] = p
-					exec.rtm.rollupHits.Inc()
-					continue
-				}
-			}
-			// Everything else — unplannable requests, unservable agg shapes,
-			// per-shard overflow fallbacks — is a scan, and
-			// counts as a miss so the hit ratio on /metrics means something.
-			exec.rtm.rollupMisses.Inc()
 			res.partials[name] = sh.partial(a, getIDs())
 		}
 	}
@@ -823,9 +801,7 @@ func mergeHits(lists [][]hitRef, req SearchRequest) []hitRef {
 // and stats fields of aggregations at any nesting depth (histograms bucket
 // from the row's exact integer, not a column), and the field of a terms
 // aggregation over an indexed field at any depth, which is read through its
-// codes. One list serves every entry of the read view, so a hot stripe whose
-// rollup serves a terms aggregation still extends that field's codes, which a
-// cold entry without a rollup reads.
+// codes. One list serves every entry of the read view, hot and cold alike.
 func neededColumns(req SearchRequest) []string {
 	var out []string
 	seen := make(map[string]struct{})
@@ -868,7 +844,7 @@ func neededColumns(req SearchRequest) []string {
 		if a.Stats != nil {
 			add(a.Stats.Field)
 		}
-		if a.Terms != nil && rollupSlot(a.Terms.Field) >= 0 {
+		if a.Terms != nil && slices.Contains(indexedFields[:], a.Terms.Field) {
 			add(a.Terms.Field)
 		}
 		for _, sub := range a.Aggs {

@@ -64,7 +64,6 @@ type storeOptions struct {
 	snapshotEvery time.Duration
 	reg           *telemetry.Registry
 	cacheEntries  int           // query cache capacity per index (0 disables)
-	rollupBase    int64         // continuous rollup base interval ns (0 disables)
 	replTailBytes int           // per-index replication tail buffer budget
 	retention     time.Duration // drop cold segments older than this (0 keeps all)
 }
@@ -74,7 +73,6 @@ func defaultOptions() storeOptions {
 		fsync:         FsyncInterval,
 		snapshotEvery: time.Minute,
 		cacheEntries:  256,
-		rollupBase:    defaultRollupIntervalNS,
 		replTailBytes: 4 << 20,
 	}
 }
@@ -165,15 +163,11 @@ func WithRetention(d time.Duration) Option {
 	}
 }
 
-// WithRollupInterval sets the continuous rollup's base histogram interval
-// (default 100ms; 0 disables rollup maintenance entirely). Date-histogram
-// aggregations are rollup-served when their interval is a multiple of the
-// base.
-func WithRollupInterval(d time.Duration) Option {
-	return func(o *storeOptions) {
-		if d < 0 {
-			d = 0
-		}
-		o.rollupBase = d.Nanoseconds()
-	}
+// WithRollupInterval does nothing: the store keeps no ingest-time rollup.
+// A terms count reads posting-list lengths or code columns, and a repeated
+// request is answered by the query cache.
+//
+// Deprecated: it is kept only so existing callers compile; drop the option.
+func WithRollupInterval(time.Duration) Option {
+	return func(*storeOptions) {}
 }

@@ -114,10 +114,9 @@ func (c *queryCache) size() int {
 func cacheable(req SearchRequest) bool { return req.Size > 0 }
 
 // readTelemetry carries the read-path counters wired by the owning Store
-// (rollup serves, cold-segment pruning, verification and row selection); the
-// zero value (nil counters) is a valid no-op for bare indices.
+// (cold-segment pruning, verification and row selection); the zero value
+// (nil counters) is a valid no-op for bare indices.
 type readTelemetry struct {
-	rollupHits, rollupMisses *telemetry.Counter
 	segOpened, segPruned     *telemetry.Counter
 	segVerified              *telemetry.Counter
 	rowsDecoded, rowsSkipped *telemetry.Counter

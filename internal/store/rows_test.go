@@ -116,12 +116,12 @@ func TestRowsPointersAreStable(t *testing.T) {
 // TestAddEventsAllocatesEachRowOnce is the regression guard for block
 // storage: ingesting N rows must allocate about N rows of storage, where one
 // flat slice per shard allocated (and zeroed) about five times that growing
-// to N. Rollups are off so the figure is row storage plus the posting lists,
-// whose own growth is allowed for explicitly.
+// to N. The figure is row storage plus the posting lists, whose own growth is
+// allowed for explicitly.
 func TestAddEventsAllocatesEachRowOnce(t *testing.T) {
 	const n, batchLen = 200_000, 512
 	batch := numbered(0, batchLen)
-	ix := newIndexSized("alloc", 4, 0)
+	ix := NewIndexWithShards("alloc", 4)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for added := 0; added < n; added += batchLen {

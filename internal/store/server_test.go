@@ -13,6 +13,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
+	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
 func newTestServerClient(t *testing.T) (*Store, *Client) {
@@ -257,6 +260,48 @@ func TestHTTPServerErrorPaths(t *testing.T) {
 	}
 	if _, ok := st.GetIndex("x"); ok {
 		t.Fatal("index survived HTTP delete")
+	}
+}
+
+// TestDeleteIndexDropsDocsSeries: after DELETE /{index}, /metrics reports no
+// doc count for the index, where its gauge once kept the dropped index (and
+// every hot row of it) reachable and reported its old count.
+func TestDeleteIndexDropsDocsSeries(t *testing.T) {
+	st := memStore(t)
+	defer st.Close()
+	srv := httptest.NewServer(NewServer(st))
+	defer srv.Close()
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	if err := st.BulkEvents(context.Background(), "gone", []event.Event{{Session: "s", Syscall: "read"}}); err != nil {
+		t.Fatal(err)
+	}
+	series := telemetry.MetricDocs + `{index="gone"}`
+	if !strings.Contains(scrape(), series+" 1\n") {
+		t.Fatalf("no %s 1 before the delete", series)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/gone", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete status = %d", resp.StatusCode)
+	}
+	if body := scrape(); strings.Contains(body, series) {
+		t.Fatalf("/metrics still reports the deleted index:\n%s", body)
 	}
 }
 

@@ -20,14 +20,13 @@ import (
 // evaluation, and aggregation read it through the typed accessors and never
 // build a map; a search hit is a copy of the struct. Everything else a shard
 // holds is derived from its rows: postings at append, numeric columns and
-// keyword codes on demand (ensureColumns), and the rollup at append.
+// keyword codes on demand (ensureColumns).
 type shard struct {
 	mu       sync.RWMutex
 	rows     rows
 	postings map[string]map[string][]int32 // field -> term -> local row ids
 	cols     map[string]*column            // lazy numeric columns, keyed by field
 	codes    map[string]*codeColumn        // lazy keyword codes of indexed fields, keyed by field
-	rollup   *shardRollup                  // continuous rollup state, nil when disabled
 }
 
 // column is a pre-extracted numeric view of one field: vals[i] holds the
@@ -235,13 +234,7 @@ func (r *rows) adopt(flat []event.Event) {
 // reset drops every block.
 func (r *rows) reset() { *r = rows{} }
 
-func newShard(rollupBase int64) *shard {
-	sh := &shard{postings: newPostings()}
-	if rollupBase > 0 {
-		sh.rollup = newShardRollup(rollupBase)
-	}
-	return sh
-}
+func newShard() *shard { return &shard{postings: newPostings()} }
 
 // newPostings returns empty posting lists for every indexed field.
 func newPostings() map[string]map[string][]int32 {
@@ -283,7 +276,6 @@ func (sh *shard) addEventLocked(e *event.Event) int32 {
 	id := int32(sh.rows.len())
 	sh.rows.append(e)
 	sh.postEventLocked(id)
-	sh.rollup.addEvent(e)
 	return id
 }
 
@@ -312,15 +304,11 @@ func (sh *shard) len() int {
 }
 
 // evictLocked drops every row and everything derived from them: postings,
-// columns with their orders, codes, and the rollup's counts. Caller holds the
-// write lock.
+// columns with their orders, and codes. Caller holds the write lock.
 func (sh *shard) evictLocked() {
 	sh.rows.reset()
 	sh.postings = newPostings()
 	sh.cols, sh.codes = nil, nil
-	if sh.rollup != nil {
-		*sh.rollup = *newShardRollup(sh.rollup.base)
-	}
 }
 
 // ensureColumns builds or extends, for each of fields, the code column of an

@@ -65,7 +65,7 @@ type storeTelemetry struct {
 	corrUpd   *telemetry.Counter
 	corrUnres *telemetry.Counter
 
-	// Read-path acceleration: query cache and rollup accounting, shared by
+	// Read-path accounting: the query cache and the cold tier, shared by
 	// every index the store owns.
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
@@ -114,13 +114,11 @@ func Open(opts ...Option) (*Store, error) {
 		replApplyNS: reg.Histogram(telemetry.MetricReplApplyNS, "one replication frame apply", nil),
 		replRejects: reg.Counter(telemetry.MetricReplSeqRejects, "out-of-sequence replication pushes rejected"),
 		rtm: readTelemetry{
-			rollupHits:   reg.Counter(telemetry.MetricRollupAggHits, "agg partials served from rollups"),
-			rollupMisses: reg.Counter(telemetry.MetricRollupAggMisses, "planned rollup serves that fell back to scans"),
-			segOpened:    reg.Counter(telemetry.MetricSegmentsOpened, "cold segments opened by time-bounded queries"),
-			segPruned:    reg.Counter(telemetry.MetricSegmentsPruned, "cold segments skipped by time-range pruning"),
-			segVerified:  reg.Counter(telemetry.MetricSegmentsVerified, "cold segment files read and checksummed: opens the resident set could not serve"),
-			rowsDecoded:  reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded from cold segments: whole at a resident fill, the window of one over the budget per query"),
-			rowsSkipped:  reg.Counter(telemetry.MetricSegRowsSkipped, "rows of over-budget segments a query left undecoded: stored time outside the window"),
+			segOpened:   reg.Counter(telemetry.MetricSegmentsOpened, "cold segments opened by time-bounded queries"),
+			segPruned:   reg.Counter(telemetry.MetricSegmentsPruned, "cold segments skipped by time-range pruning"),
+			segVerified: reg.Counter(telemetry.MetricSegmentsVerified, "cold segment files read and checksummed: opens the resident set could not serve"),
+			rowsDecoded: reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded from cold segments: whole at a resident fill, the window of one over the budget per query"),
+			rowsSkipped: reg.Counter(telemetry.MetricSegRowsSkipped, "rows of over-budget segments a query left undecoded: stored time outside the window"),
 		},
 	}
 	reg.GaugeFunc(telemetry.MetricQueryCacheEntries, "live query cache entries across indices",
@@ -219,13 +217,14 @@ func (s *Store) attachReadPath(ix *Index) {
 
 // registerIndexGauge exposes the index's live doc count as a labeled pull
 // gauge; the caller holds the store lock or is still single-threaded setup.
+// DeleteIndex forgets the series, and with it the index the gauge captured.
 func (s *Store) registerIndexGauge(name string, ix *Index) {
-	s.tm.reg.GaugeFunc(
-		telemetry.MetricDocs+`{index="`+name+`"}`,
-		"live documents in the index",
-		func() float64 { return float64(ix.Len()) },
-	)
+	s.tm.reg.GaugeFunc(docsSeries(name), "live documents in the index",
+		func() float64 { return float64(ix.Len()) })
 }
+
+// docsSeries names an index's doc-count gauge.
+func docsSeries(name string) string { return telemetry.MetricDocs + `{index="` + name + `"}` }
 
 // indexOrCreate returns the named index, creating it on first use (like
 // Elasticsearch's dynamic index creation on first write). The common case —
@@ -252,7 +251,7 @@ func (s *Store) indexOrCreate(name string) (*Index, error) {
 			return nil, err
 		}
 	} else {
-		ix = newIndexSized(name, s.opts.shards, s.opts.rollupBase)
+		ix = NewIndexWithShards(name, s.opts.shards)
 	}
 	s.attachReadPath(ix)
 	s.indices[name] = ix
@@ -283,11 +282,14 @@ func (s *Store) lookup(name string) (*Index, error) {
 }
 
 // DeleteIndex removes the named index, including its on-disk state on a
-// durable store.
+// durable store and its doc-count series on /metrics.
 func (s *Store) DeleteIndex(name string) {
 	s.mu.Lock()
 	ix, ok := s.indices[name]
 	delete(s.indices, name)
+	if ok {
+		s.tm.reg.Forget(docsSeries(name))
+	}
 	s.mu.Unlock()
 	if ok && ix.dur != nil {
 		_ = ix.dur.close()

@@ -290,7 +290,7 @@ func oracleDocs(n int) []Document {
 // oracleRequests is the flat half of the differential matrix over the
 // oracleDocs fixture; nestedAggShapes is the nested half.
 func oracleRequests() []SearchRequest {
-	return []SearchRequest{
+	return append([]SearchRequest{
 		{Query: MatchAll(), Size: -1},
 		{Query: Term("syscall", "write"), Size: -1},
 		{Query: Terms("syscall", "read", "write"), Size: 25, From: 10},
@@ -353,6 +353,41 @@ func oracleRequests() []SearchRequest {
 			Size:  1,
 			Aggs:  map[string]Agg{"by_thread": {Terms: &TermsAgg{Field: "thread_name"}}},
 		},
+	}, dashboardAggShapes()...)
+}
+
+// dashboardAggShapes are the single aggregations a dashboard panel asks of a
+// whole index or of one session: terms over every indexed field (counted from
+// posting-list lengths when the match is the whole shard, from codes
+// otherwise) and over a field no row holds, flat date histograms at several
+// intervals, a numeric session term (valueEquals coerces 5 to "5"), an absent
+// session, and a terms aggregation beside a stats one.
+func dashboardAggShapes() []SearchRequest {
+	terms := func(f string) map[string]Agg {
+		return map[string]Agg{"t": {Terms: &TermsAgg{Field: f}}}
+	}
+	hist := func(interval int64) map[string]Agg {
+		return map[string]Agg{"h": {DateHistogram: &DateHistogramAgg{Field: FieldTimeEnter, IntervalNS: interval}}}
+	}
+	return []SearchRequest{
+		{Query: MatchAll(), Size: 1, Aggs: terms(FieldSession)},
+		{Query: MatchAll(), Size: 1, Aggs: terms(FieldSyscall)},
+		{Query: MatchAll(), Size: 1, Aggs: terms(FieldProcName)},
+		{Query: MatchAll(), Size: 1, Aggs: terms(FieldThreadName)},
+		{Query: MatchAll(), Size: 1, Aggs: terms(FieldClass)},
+		{Query: MatchAll(), Size: 1, Aggs: terms(FieldRetVal)},
+		{Query: MatchAll(), Size: 1, Aggs: hist(100_000)},
+		{Query: MatchAll(), Size: 1, Aggs: hist(300_000)},
+		{Query: MatchAll(), Size: 1, Aggs: hist(150_000)},
+		{Query: Term(FieldSession, "s2"), Size: 1, Aggs: terms(FieldSyscall)},
+		{Query: Term(FieldSession, "s2"), Size: 1, Aggs: hist(1_000_000)},
+		{Query: Term(FieldSession, 5), Size: 1, Aggs: terms(FieldSyscall)},
+		{Query: Term(FieldSession, "nope"), Size: 1, Aggs: terms(FieldSyscall)},
+		{Query: Term(FieldSyscall, "read"), Size: 1, Aggs: terms(FieldSession)},
+		{Query: MatchAll(), Size: 1, Aggs: map[string]Agg{
+			"t": {Terms: &TermsAgg{Field: FieldSyscall}},
+			"s": {Stats: &StatsAgg{Field: FieldCount}},
+		}},
 	}
 }
 

@@ -332,9 +332,9 @@ func (rs *residentSegments) size() int64 {
 // path. When the decoded segment fits the budget, every typed row is decoded,
 // named and posted, and the shard joins the set; the image is then garbage.
 // Otherwise only the rows whose stored time can fall in [minT, maxT] are, for
-// this query alone. Decoded rows do not alias the image. Rollups are disabled
-// on the shard (base 0); columns, orders and codes build on demand. Queries
-// that miss one segment together decode it once (residentSegments.get).
+// this query alone. Decoded rows do not alias the image. Columns, orders and
+// codes build on demand, as on a hot stripe. Queries that miss one segment
+// together decode it once (residentSegments.get).
 func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsRecord, minT, maxT int64) (*coldSegment, error) {
 	rs := &ix.dur.resident
 	cs, lead := rs.get(sm.Seq, book, sm.Rows)
@@ -361,7 +361,7 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsReco
 		}
 	}
 	start := int(sm.StartRow)
-	cs = &coldSegment{sh: newShard(0), gids: make([]int, len(sel))}
+	cs = &coldSegment{sh: newShard(), gids: make([]int, len(sel))}
 	cs.sh.rows.adopt(r.Decode(sel))
 	for k, i := range sel {
 		cs.gids[k] = start + r.Gid(i)

@@ -46,14 +46,14 @@ const (
 	MetricDocs           = "dio_store_docs"            // live docs per index (gauge, labeled)
 	MetricShardImbalance = "dio_store_shard_imbalance" // max/mean shard doc count across indices
 
-	// internal/store — read-path acceleration (query cache + rollups).
+	// internal/store — read-path acceleration (the query cache).
 	MetricQueryCacheHits      = "dio_store_query_cache_hits_total"      // searches answered from cache
 	MetricQueryCacheMisses    = "dio_store_query_cache_misses_total"    // searches that ran and were cached
 	MetricQueryCacheEvictions = "dio_store_query_cache_evictions_total" // entries dropped (LRU or stale)
 	MetricQueryCacheEntries   = "dio_store_query_cache_entries"         // live cache entries (gauge)
-	MetricRollupAggHits       = "dio_store_rollup_agg_hits_total"       // aggs served from rollup partials
-	MetricRollupAggMisses     = "dio_store_rollup_agg_misses_total"     // aggs that fell back to shard scans
-	MetricRollupRebuilds      = "dio_store_rollup_rebuilds_total"       // retired: nothing can stale a rollup; the name stays for scrapers
+	MetricRollupAggHits       = "dio_store_rollup_agg_hits_total"       // retired: the store keeps no rollup; the name stays for scrapers
+	MetricRollupAggMisses     = "dio_store_rollup_agg_misses_total"     // retired: the store keeps no rollup; the name stays for scrapers
+	MetricRollupRebuilds      = "dio_store_rollup_rebuilds_total"       // retired: the store keeps no rollup; the name stays for scrapers
 
 	// internal/store + internal/durable — the durability layer. The
 	// recovery counters close their own conservation invariant: after

@@ -15,6 +15,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -275,6 +276,19 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	m := r.lookup(name)
 	m.gaugeFunc = fn
 	m.help = help
+}
+
+// Forget drops the named series, whatever its kind, so a scrape no longer
+// reports it and the registry no longer holds what its gauge function
+// captured. Registering the name again starts a fresh series.
+func (r *Registry) Forget(name string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.metrics, name)
+	r.order = slices.DeleteFunc(r.order, func(n string) bool { return n == name })
 }
 
 // Histogram returns the named histogram, registering it with bounds on

@@ -19,6 +19,11 @@
 // local variable that shares the package's import name makes its selector
 // uses count, so the mode under-reports rather than flagging live API.
 //
+// Every run also audits methods: a method declared under the roots is dead
+// when no selector anywhere under them spells its name. Names a type defines
+// for a standard-library interface (String, Error, ServeHTTP, ...) are not
+// audited, since the standard library makes the call.
+//
 // Usage:
 //
 //	deadsym [-exported <pkgdir>[,<pkgdir>...]] <dir> [<dir>...]   # each dir is walked recursively
@@ -32,6 +37,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -55,6 +61,12 @@ func main() {
 		}
 		dead = append(dead, found...)
 	}
+	found, err := deadMethods(roots)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deadsym:", err)
+		os.Exit(2)
+	}
+	dead = append(dead, found...)
 	if *exportedDirs != "" {
 		for _, dir := range strings.Split(*exportedDirs, ",") {
 			found, err := deadExported(strings.TrimSpace(dir), roots)
@@ -69,9 +81,78 @@ func main() {
 		fmt.Println(d)
 	}
 	if len(dead) > 0 {
-		fmt.Fprintf(os.Stderr, "deadsym: %d dead package-level symbol(s)\n", len(dead))
+		fmt.Fprintf(os.Stderr, "deadsym: %d dead symbol(s)\n", len(dead))
 		os.Exit(1)
 	}
+}
+
+// stdlibMethods are method names a type may define only to satisfy a
+// standard-library interface (fmt.Stringer, error, errors.Is/Unwrap,
+// http.Handler, the JSON codecs, io, sort.Interface): the call sits in the
+// standard library, so no selector under the roots names it.
+var stdlibMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Is": true, "ServeHTTP": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "Read": true, "Write": true,
+	"Close": true, "Len": true, "Less": true, "Swap": true,
+}
+
+// deadMethods reports the methods declared in the non-test files under roots
+// whose name no selector under the roots (tests included) spells: x.M calls
+// it, x.M and T.M take it as a value. The scan is by name alone, so a
+// method shares its name's every use with the methods of other types.
+func deadMethods(roots []string) ([]string, error) {
+	fset := token.NewFileSet()
+	var candidates []*ast.FuncDecl
+	used := make(map[string]bool)
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				name := d.Name()
+				if name != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					used[sel.Sel.Name] = true
+				}
+				return true
+			})
+			if strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && !stdlibMethods[fn.Name.Name] {
+					candidates = append(candidates, fn)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	var dead []string
+	for _, fn := range candidates {
+		if !used[fn.Name.Name] {
+			pos := fset.Position(fn.Name.Pos())
+			dead = append(dead, fmt.Sprintf("%s:%d: method (%s).%s is never used",
+				pos.Filename, pos.Line, types.ExprString(fn.Recv.List[0].Type), fn.Name.Name))
+		}
+	}
+	sort.Strings(dead)
+	return dead, nil
 }
 
 // deadExported reports exported package-level symbols of pkgDir that no file

@@ -110,6 +110,43 @@ var orphan = []any{"open", "openat"}
 	}
 }
 
+// TestDeadMethods: a method no selector names is reported with its receiver;
+// one called, one taken as a value, one named only in a test file, and one
+// that satisfies a standard-library interface are not.
+func TestDeadMethods(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"p.go": `package p
+
+type T struct{}
+
+func (T) called()      {}
+func (*T) valued()     {}
+func (T) tested()      {}
+func (T) String() string { return "" }
+func (*T) Orphan() int { return 0 }
+
+func use(t T) func() { t.called(); return t.valued }
+`,
+		"p_test.go": `package p
+
+func helper(t T) { t.tested() }
+`,
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead, err := deadMethods([]string{dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dead) != 1 || !strings.Contains(dead[0], "p.go:9: method (*T).Orphan is never used") {
+		t.Fatalf("dead = %v", dead)
+	}
+}
+
 // TestRepositoryIsClean runs the lint over the whole repository — the same
 // invocation `make tier1` uses. A regression like the dead openSyscalls
 // dictionary fails this test before it fails CI.
@@ -122,7 +159,11 @@ func TestRepositoryIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dead) > 0 {
+	methods, err := deadMethods([]string{root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dead = append(dead, methods...); len(dead) > 0 {
 		t.Fatalf("dead package-level symbols:\n%s", strings.Join(dead, "\n"))
 	}
 }

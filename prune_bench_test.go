@@ -40,8 +40,8 @@ func pruneBenchEvents(seg int) []event.Event {
 }
 
 // pruneBenchStore opens a tiered store holding segs snapshots of rows events
-// each, one trace-minute apart. Query cache and rollups are off: these
-// benchmarks measure segment opening, not caching.
+// each, one trace-minute apart. The query cache is off: these benchmarks
+// measure segment opening, not caching.
 func pruneBenchStore(b *testing.B, segs, rows int) *store.Store {
 	st, err := store.Open(
 		store.WithDataDir(b.TempDir()),
@@ -49,7 +49,6 @@ func pruneBenchStore(b *testing.B, segs, rows int) *store.Store {
 		store.WithSnapshotInterval(0),
 		store.WithRetention(500_000*time.Hour),
 		store.WithQueryCache(0),
-		store.WithRollupInterval(0),
 	)
 	if err != nil {
 		b.Fatalf("open: %v", err)
@@ -133,7 +132,6 @@ func BenchmarkSegmentCompaction(b *testing.B) {
 		store.WithSnapshotInterval(0),
 		store.WithRetention(500_000*time.Hour),
 		store.WithQueryCache(0),
-		store.WithRollupInterval(0),
 	)
 	if err != nil {
 		b.Fatalf("open: %v", err)

@@ -2,8 +2,7 @@
 // queries a refreshing dashboard issues (terms over syscall, date-histogram
 // over time_enter_ns) against a live store that keeps ingesting typed
 // events while the queries run. The baseline side disables the query cache
-// and the continuous rollups through the ablation options
-// (WithQueryCache(0), WithRollupInterval(0)), so both sides execute the
+// through the ablation option (WithQueryCache(0)), so both sides execute the
 // same requests against the same data through the same binary. The
 // headline metrics are per-query p50/p99 latency; BENCH_store.json holds
 // the historical comparison, and current numbers are `go test -bench` output.
@@ -28,9 +27,9 @@ const (
 	readBenchWorkers = 8
 )
 
-// readBenchEvents builds one batch of typed events spread across many
-// 100ms rollup buckets, offset so successive batches keep advancing the
-// timeline the way a live tracer does.
+// readBenchEvents builds one batch of typed events spread across the
+// timeline, offset so successive batches keep advancing it the way a live
+// tracer does.
 func readBenchEvents(base int64, n int) []event.Event {
 	syscalls := []string{"read", "write", "pread64", "pwrite64", "openat", "close", "lseek"}
 	classes := []string{"read", "write", "read", "write", "metadata", "metadata", "metadata"}
@@ -60,8 +59,7 @@ func readBenchEvents(base int64, n int) []event.Event {
 // the dashboard renders: the per-syscall histogram (terms over syscall), the
 // flat event-rate histogram (date-histogram over time_enter_ns), and the
 // Fig. 4 timeline exactly as viz.SyscallTimeline issues it — the same
-// date-histogram with a terms(thread_name) sub-aggregation, which no rollup
-// serves and which therefore scans.
+// date-histogram with a terms(thread_name) sub-aggregation.
 func dashboardRequests() []store.SearchRequest {
 	timeline := &store.DateHistogramAgg{Field: store.FieldTimeEnter, IntervalNS: 1_000_000_000}
 	return []store.SearchRequest{
@@ -90,14 +88,14 @@ func dashboardRequests() []store.SearchRequest {
 
 // BenchmarkDashboardReadPath is the headline number for the read-path PR:
 // p50/p99 latency of concurrent repeated dashboard aggregations over a
-// 120k-event index while typed ingest keeps landing, accelerated (rollups +
-// epoch-keyed query cache, the defaults) versus the uncached full-scan
-// baseline. Flushed is the accelerated store made durable, with the preload
-// snapshotted before the timed loop: the rows ingested during the loop are
-// hot and serve from rollups, while the flushed preload, a cold segment with
-// no rollup, is scanned by every query the cache misses — what a durable
-// index costs a dashboard after its first snapshot. rollup-hits/op is the
-// store's count of aggregation partials served from rollups, per query.
+// 120k-event index while typed ingest keeps landing, accelerated (the
+// epoch-keyed query cache, the default) versus the uncached baseline, where
+// every query counts its matched rows. Flushed is the accelerated store made
+// durable, with the preload snapshotted before the timed loop: every query the
+// cache misses counts the rows ingested during the loop on hot stripes and the
+// flushed preload on a resident cold segment, by one path — what a durable
+// index costs a dashboard after its first snapshot. cache-hits/op is the
+// share of queries the query cache answered.
 func BenchmarkDashboardReadPath(b *testing.B) {
 	run := func(b *testing.B, flush bool, opts ...store.Option) {
 		st, err := store.Open(opts...)
@@ -143,8 +141,8 @@ func BenchmarkDashboardReadPath(b *testing.B) {
 		reqs := dashboardRequests()
 		var mu sync.Mutex
 		lat := make([]time.Duration, 0, b.N)
-		rollupHits := func() uint64 { return st.Telemetry().Snapshot().Counters[telemetry.MetricRollupAggHits] }
-		hits0 := rollupHits()
+		cacheHits := func() uint64 { return st.Telemetry().Snapshot().Counters[telemetry.MetricQueryCacheHits] }
+		hits0 := cacheHits()
 		b.ResetTimer()
 		var qs sync.WaitGroup
 		for w := 0; w < readBenchWorkers; w++ {
@@ -176,13 +174,11 @@ func BenchmarkDashboardReadPath(b *testing.B) {
 			b.ReportMetric(float64(lat[len(lat)/2]), "p50-ns")
 			b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-ns")
 		}
-		b.ReportMetric(float64(rollupHits()-hits0)/float64(b.N), "rollup-hits/op")
+		b.ReportMetric(float64(cacheHits()-hits0)/float64(b.N), "cache-hits/op")
 	}
 
 	b.Run("Accelerated", func(b *testing.B) { run(b, false) })
-	b.Run("Uncached", func(b *testing.B) {
-		run(b, false, store.WithQueryCache(0), store.WithRollupInterval(0))
-	})
+	b.Run("Uncached", func(b *testing.B) { run(b, false, store.WithQueryCache(0)) })
 	b.Run("Flushed", func(b *testing.B) {
 		run(b, true, store.WithDataDir(b.TempDir()), store.WithSnapshotInterval(0))
 	})
