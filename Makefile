@@ -89,9 +89,12 @@ bench-read:
 ## has 30k and 480k arms, and its ns/event must stay flat across the three:
 ## a pass is linear in the session, and a page that pays for the rows before
 ## it (a sorted cursor re-testing the whole session) grows it with the
-## session length. Its sessions=2 arm interleaves a second session in time,
-## so the walk tests each row it visits for membership in the session. Then
-## one correlation
+## session length. Its sessions=S arms (2 at 120k; 8 and 32 at 30k) trace
+## S-1 more sessions on the same clock, and every one of them must stay
+## within 1.3x the ns/event of events=30k: a page walks its session's term
+## run, which the first pass builds from the session's rows alone, and a page
+## that walked every session's rows, or a first pass that read every row of
+## the index, grows it with S. Then one correlation
 ## pass over that session on a durable store, with the rows resident and
 ## with them flushed to a cold segment first (the flushed arm prices the
 ## pass's cold count): wal-B/row is what the pass journaled per row it named,

@@ -113,13 +113,18 @@ func BenchmarkDFGBuild(b *testing.B) {
 // of 30k, 120k and 480k events. ns/event is the cost model: a pass is linear
 // in the session, so it stays flat across the three arms; a page that paid
 // for the rows before it made the 480k arm an order of magnitude dearer per
-// event than the 30k one. The sessions=2 arm traces a second session on the
-// same clock, as the diagnose_session workload does: the pass then reads half
-// of every shard's rows, so each page tests the rows its walk visits for
-// membership in the session, where in the single-session arms every row
-// matches and none is tested.
+// event than the 30k one. The sessions=S arms trace S-1 more sessions on the
+// same clock, as the diagnose_session workload traces two: the session then
+// holds 1/S of every shard's rows. A page reads the session's term run, its
+// posting list kept in time order, and the first pass builds that run from
+// the session's rows alone, so ns/event stays flat in S too; a page that
+// walked the shard's whole time order and tested each row for membership
+// cost about S times the rows it kept, and a first pass that built the time
+// column read every row of the index.
 func BenchmarkEngineRun(b *testing.B) {
-	arms := []struct{ events, sessions int }{{30_000, 1}, {diagBenchEvents, 1}, {480_000, 1}, {diagBenchEvents, 2}}
+	arms := []struct{ events, sessions int }{
+		{30_000, 1}, {diagBenchEvents, 1}, {480_000, 1}, {diagBenchEvents, 2}, {30_000, 8}, {30_000, 32},
+	}
 	for _, arm := range arms {
 		events := arm.events
 		name := fmt.Sprintf("events=%dk", events/1000)

@@ -134,7 +134,7 @@ func TestTermsCodesMatchRowScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			for s, sh := range ix.shards {
-				sh.ensureColumns(cols, "")
+				sh.ensureColumns(cols, sortWalk{})
 				n := sh.len()
 				for _, f := range indexedFields {
 					if got := codedRows(sh, f); got != n {
@@ -161,7 +161,7 @@ func TestTermsCodesMatchRowScan(t *testing.T) {
 					t.Fatalf("shard %d: codes cover %d of %d rows before the extension", s, got, n)
 				}
 				checkCodes(t, fmt.Sprintf("past the prefix, shard %d", s), sh, from)
-				sh.ensureColumns(cols, "")
+				sh.ensureColumns(cols, sortWalk{})
 				if got, n := codedRows(sh, FieldSyscall), sh.len(); got != n {
 					t.Fatalf("shard %d: extended codes cover %d of %d rows", s, got, n)
 				}
@@ -215,7 +215,7 @@ func checkEvictedCodes(t *testing.T, S int, cols []string) {
 		t.Fatal(err)
 	}
 	for s, sh := range ix.shards {
-		sh.ensureColumns(cols, "")
+		sh.ensureColumns(cols, sortWalk{})
 		checkCodes(t, fmt.Sprintf("after eviction, shard %d", s), sh, 0)
 	}
 
@@ -254,7 +254,7 @@ func checkSparseCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := ix.shards[0]
-	sh.ensureColumns([]string{FieldSession}, "")
+	sh.ensureColumns([]string{FieldSession}, sortWalk{})
 	checkCodes(t, "5 000 sessions", sh, sessions)
 	one, agg := []int32{sessions / 2}, Agg{Terms: &TermsAgg{Field: FieldSession}}
 	sh.mu.RLock()

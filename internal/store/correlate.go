@@ -285,7 +285,7 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord, replicat
 		d.appendMu.Lock()
 		rec.H = int64(ix.rr.Load())
 		d.appendMu.Unlock()
-		v := ix.readView(MatchAll(), nil, "")
+		v := ix.readView(MatchAll(), nil, sortWalk{})
 		v.entries = v.entries[len(ix.shards):] // applyPaths names the hot stripes below
 		cold := make([][pathOutcomes]int, len(v.entries))
 		if err := v.each(ctx, true, func(i int, e *readEntry) {

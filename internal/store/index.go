@@ -3,7 +3,6 @@ package store
 import (
 	"cmp"
 	"context"
-	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -250,10 +249,14 @@ type shardResult struct {
 // hitRef names a matched row for merge ordering without copying it: a pointer
 // into row storage (a shard's, a cold segment's, or — at the
 // cluster coordinator — a partition's decoded hits) and the global id used as
-// the stable tie-break.
+// the stable tie-break. key is the row's first sort key as NumericField reads
+// it, and keyOK whether it is numeric there, so the merge compares two floats
+// where it would look a field up by name; both are zero on an unsorted search.
 type hitRef struct {
-	ev  *event.Event
-	gid int
+	ev    *event.Event
+	gid   int
+	key   float64
+	keyOK bool
 }
 
 // EventsResult is the answer to a search: the matched count, the requested
@@ -375,9 +378,9 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 		// the wire format deliberately rejects.
 		cur.gid = partitionGidAfter(cur.gid, pt, P)
 	}
-	cols, ordered := neededColumns(req), orderedField(req)
+	cols, walk := neededColumns(req), sortWalkOf(req)
 	for _, sh := range ix.shards {
-		sh.ensureColumns(cols, ordered)
+		sh.ensureColumns(cols, walk)
 	}
 	// Hold every shard's read lock for the whole search. The merge stage
 	// reads rows (sort comparisons, hit materialization) after the per-shard
@@ -401,8 +404,8 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 	if req.Size > 0 {
 		exec.need = req.From + req.Size
 	}
-	exec.cur = cur
-	v := ix.readView(req.Query, cols, ordered)
+	exec.cur, exec.walk = cur, walk
+	v := ix.readView(req.Query, cols, walk)
 	// A match-all count opens no cold entry: it takes the rows from the
 	// segment's meta, and decodes nothing.
 	countAll := exec.count && req.Query.matchesAll()
@@ -443,16 +446,17 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 }
 
 // searchExec bundles one search's per-request execution state for the shard
-// fan-out: the request, the global candidate budget, and the parsed cursor
-// (cur points at cursor, or is nil without one). count marks a counting
-// execution: every stripe reports its match count and no hit candidates,
-// over the same cut a search reads.
+// fan-out: the request, the global candidate budget, the parsed cursor (cur
+// points at cursor, or is nil without one), and what a sorted page walks.
+// count marks a counting execution: every stripe reports its match count and
+// no hit candidates, over the same cut a search reads.
 type searchExec struct {
 	req    SearchRequest
 	count  bool
 	need   int
 	cur    *searchCursor
 	cursor searchCursor
+	walk   sortWalk
 }
 
 // searchLocked produces one read view entry's result; the caller holds
@@ -473,10 +477,16 @@ func (e *readEntry) searchLocked(exec *searchExec) shardResult {
 		}
 		return ids
 	}
+	// An exact sorted page's list holds its matches alone, so its length is
+	// the total.
+	l, listed := sh.walkList(exec.walk)
 	var res shardResult
-	if matchAll {
+	switch {
+	case matchAll:
 		res.total = sh.rows.len()
-	} else {
+	case listed && exec.walk.exact:
+		res.total = l.len()
+	default:
 		res.total = len(getIDs())
 	}
 	if exec.count {
@@ -493,9 +503,9 @@ func (e *readEntry) searchLocked(exec *searchExec) shardResult {
 	var hitIDs []int32
 	switch {
 	case len(req.Sort) > 0:
-		var walked bool
-		if hitIDs, walked = sh.orderedPage(exec, matchAll, getIDs, e.firstAfter); walked {
-			break
+		if hits, walked := e.orderedPage(exec, l, listed, getIDs); walked {
+			res.hits = hits
+			return res
 		}
 		sortCols := make([]*column, len(req.Sort))
 		for i, s := range req.Sort {
@@ -566,92 +576,115 @@ func (e *readEntry) searchLocked(exec *searchExec) shardResult {
 	for i, id := range hitIDs {
 		res.hits[i] = hitRef{ev: sh.rows.at(int(id)), gid: e.gidOf(id)}
 	}
+	if len(req.Sort) > 0 {
+		f := req.Sort[0].Field
+		c := sh.cols[f]
+		for i, id := range hitIDs {
+			res.hits[i].key, res.hits[i].keyOK = sh.colVal(c, f, id)
+		}
+	}
 	return res
 }
 
-// orderedPage selects a single-key sorted page by walking the sort column's
-// order (shard.go) from the cursor's position: a binary search finds the
-// first row past the cursor, and the walk keeps each row the query matched
-// (a bit test, or a binary search in the ascending match list) until need
-// are kept. A page then costs O(log n + rows walked), whatever its depth in
-// the walk, where the candidate path re-tests every match against the cursor
-// and heaps the rest. Desc walks the runs of equal values backward but each
-// run forward, so ties keep ascending ids, as hitLess orders them.
+// walkList returns the list a single-key sorted page walks (idList): its
+// term's run when termIDs says so, and otherwise the sort column's whole
+// order, either cut to the query's window by binary search. Every match of
+// the query is in it, and when the walk is exact every entry is one. ok is
+// false for any other request, and when the list is missing or falls short
+// (rows appended since ensureColumns). Caller holds the read lock.
+func (sh *shard) walkList(w sortWalk) (l idList, ok bool) {
+	if w.field == "" {
+		return idList{}, false
+	}
+	switch ids, byRun := sh.termIDs(w); {
+	case !byRun:
+		c := sh.cols[w.field]
+		if c == nil || c.order == nil || len(c.order) != sh.rows.len() {
+			return idList{}, false
+		}
+		l = c.orderList()
+	case len(ids) > 0:
+		r := sh.runs[runKey{w.field, w.term}]
+		if r == nil || len(r.ids) != len(ids) {
+			return idList{}, false
+		}
+		l = idList{ids: r.ids, vals: r.vals}
+	}
+	for _, r := range w.window {
+		l = l.window(r)
+	}
+	return l, true
+}
+
+// orderedPage selects a single-key sorted page by walking l, a list in the
+// sort column's order (walkList), from the cursor's position: a binary
+// search finds the first row past the cursor, and the walk keeps rows until
+// need are kept, each with its sort key as l holds it. A page then costs
+// O(log n + rows walked), whatever its depth in the walk, where the
+// candidate path re-tests every match against the cursor and heaps the
+// rest. Desc walks the runs of equal values backward but each run forward,
+// so ties keep ascending ids, as hitLess orders them.
 //
-// A sort on time_enter_ns walks only the positions whose stamps the query's
-// time window admits (timeBounds, the bounds the cold tier prunes segments
-// by): a dashboard's window over the middle of a session neither walks the
-// rows before it nor runs on past it.
+// l holds every match of the query: the term's run when the query names an
+// indexed term, so a page over one session of many walks that session's
+// rows alone. When the walk is exact every row walked is kept, so a page
+// walks need rows. Otherwise each row walked is tested for membership in
+// the ascending match list: by a bit test, or a binary search.
 //
 // walked is false, and the caller takes the candidate path, for a multi-key
-// or unbounded sort, a column with no order covering every row (a field
-// some row lacks, rows appended since ensureColumns), a cursor value that is
-// not numeric, and matches too sparse for the walk to pay: it visits about
-// need·n/m rows for m matches of the n it may walk, so it is taken when that
-// is at most m.
-func (sh *shard) orderedPage(exec *searchExec, matchAll bool, getIDs func() []int32, firstAfter func(gid int) int32) (hits []int32, walked bool) {
-	req, need := exec.req, exec.need
-	if len(req.Sort) != 1 || need <= 0 {
+// or unbounded sort, a cursor value that is not numeric, a page with no list
+// (listed false: a field some row lacks, rows appended since ensureColumns),
+// and, off the exact path, matches too sparse for the walk to pay: it visits
+// about need·len/m rows for m matches of the len it may walk, so it is taken
+// when that is at most m.
+func (e *readEntry) orderedPage(exec *searchExec, l idList, listed bool, getIDs func() []int32) (hits []hitRef, walked bool) {
+	sh, req, need := e.sh, exec.req, exec.need
+	if len(req.Sort) != 1 || need <= 0 || !listed {
 		return nil, false
 	}
-	s := req.Sort[0]
-	c, n := sh.cols[s.Field], sh.rows.len()
-	if c == nil || c.order == nil || len(c.order) != n {
-		return nil, false
-	}
-	cur := exec.cur
+	s, cur := req.Sort[0], exec.cur
 	if cur != nil && !cur.keys[0].ok {
 		return nil, false
 	}
-	order, vals := c.order, c.vals
-	// first returns the first position at or past lo whose value is above, a
-	// predicate false then true along order.
+	// first returns the first position of l at or past lo whose value is
+	// above, a predicate false then true along l.
 	first := func(lo int, above func(v float64) bool) int {
-		return lo + sort.Search(len(order)-lo, func(i int) bool { return above(vals[order[lo+i]]) })
+		return lo + sort.Search(l.len()-lo, func(i int) bool { return above(l.at(lo + i)) })
 	}
-	if s.Field == FieldTimeEnter {
-		if minT, maxT := timeBounds(req.Query); minT > math.MinInt64 || maxT < math.MaxInt64 {
-			// float64 of each integer bound is no further in than the bound
-			// (mayMatchTime), so no position cut off can match.
-			lf, hf := float64(minT), float64(maxT)
-			lo := first(0, func(v float64) bool { return v >= lf })
-			order = order[lo:first(lo, func(v float64) bool { return v > hf })]
+	// keep tests a walked row for membership; nil keeps every row. m matches,
+	// all of them in l, are every row of it when m == len. Else the match
+	// list is a bitmap when its m bit sets cost no more than the binary
+	// searches they replace (need·len/m rows walked, log m probes each).
+	var keep func(id int32) bool
+	if !exec.walk.exact {
+		ids := getIDs()
+		m := len(ids)
+		if need > m || need*l.len() > m*m {
+			return nil, false
+		}
+		switch {
+		case m == l.len():
+		case m*m <= need*l.len()*bits.Len(uint(m)):
+			in := newIDSet(sh.rows.len(), ids)
+			keep = in.has
+		default:
+			keep = func(id int32) bool {
+				_, ok := slices.BinarySearch(ids, id)
+				return ok
+			}
 		}
 	}
-	var ids []int32
-	m := n
-	if !matchAll {
-		ids = getIDs()
-		m = len(ids)
-	}
-	if need > m || need*len(order) > m*m {
-		return nil, false
-	}
-	hits = make([]int32, 0, need)
-	// walk keeps the matched ids of run, in run order, and reports whether
-	// the page is full. m distinct ids below n, when m == n, are every id: a
-	// session term over a one-session index needs no lookup either. Else the
-	// match list is a bitmap when its m bit sets cost no more than the binary
-	// searches they replace (need·len/m rows walked, log m probes each), so a
-	// pass over a long session stays linear.
-	var in idSet
-	if m < n && m*m <= need*len(order)*bits.Len(uint(m)) {
-		in = newIDSet(n, ids)
-	}
-	walk := func(run []int32) bool {
-		for _, id := range run {
-			switch {
-			case m == n:
-			case in != nil:
-				if !in.has(id) {
-					continue
-				}
-			default:
-				if _, ok := slices.BinarySearch(ids, id); !ok {
-					continue
-				}
+	hits = make([]hitRef, 0, min(need, l.len()))
+	// walk keeps the rows at positions [lo, hi) of l, in order, and reports
+	// whether the page is full.
+	walk := func(lo, hi int) bool {
+		for p := lo; p < hi; p++ {
+			id := l.ids[p]
+			if keep != nil && !keep(id) {
+				continue
 			}
-			if hits = append(hits, id); len(hits) == need {
+			hits = append(hits, hitRef{ev: sh.rows.at(int(id)), gid: e.gidOf(id), key: l.at(p), keyOK: true})
+			if len(hits) == need {
 				return true
 			}
 		}
@@ -661,28 +694,28 @@ func (sh *shard) orderedPage(exec *searchExec, matchAll bool, getIDs func() []in
 	// past the cursor in ascending order: a greater value, or the cursor's
 	// value at a local id whose gid is past the cursor's (ids and gids rise
 	// together within a shard).
-	from, lo, hi := 0, 0, len(order)
+	from, lo, hi := 0, 0, l.len()
 	if cur != nil {
-		cv, fa := cur.keys[0].num, firstAfter(cur.gid)
+		cv, fa := cur.keys[0].num, e.firstAfter(cur.gid)
 		lo = first(0, func(v float64) bool { return v >= cv })
 		hi = first(lo, func(v float64) bool { return v > cv })
-		from = lo + sort.Search(hi-lo, func(i int) bool { return order[lo+i] >= fa })
+		from = lo + sort.Search(hi-lo, func(i int) bool { return l.ids[lo+i] >= fa })
 	}
 	if !s.Desc {
-		walk(order[from:])
+		walk(from, l.len())
 		return hits, true
 	}
 	// Descending: first the rest of the cursor's own run, then every run
 	// below it, last run first.
 	if cur != nil {
-		if walk(order[from:hi]) {
+		if walk(from, hi) {
 			return hits, true
 		}
 		hi = lo
 	}
 	for hi > 0 {
-		lo = runStart(order, vals, hi)
-		if walk(order[lo:hi]) {
+		lo = runStart(l, hi)
+		if walk(lo, hi) {
 			break
 		}
 		hi = lo
@@ -691,16 +724,16 @@ func (sh *shard) orderedPage(exec *searchExec, matchAll bool, getIDs func() []in
 }
 
 // runStart returns the first position of the run of equal values that ends
-// at order[hi-1], galloping backward so that a run costs the log of its
-// length, not the length.
-func runStart(order []int32, vals []float64, hi int) int {
-	v := vals[order[hi-1]]
+// at position hi-1 of l, galloping backward so that a run costs the log of
+// its length, not the length.
+func runStart(l idList, hi int) int {
+	v := l.at(hi - 1)
 	lo, step := hi-1, 1
 	for lo > 0 {
 		probe := max(lo-step, 0)
-		if vals[order[probe]] != v {
+		if l.at(probe) != v {
 			// The run starts in (probe, lo].
-			return probe + 1 + sort.Search(lo-probe-1, func(i int) bool { return vals[order[probe+1+i]] == v })
+			return probe + 1 + sort.Search(lo-probe-1, func(i int) bool { return l.at(probe+1+i) == v })
 		}
 		lo, step = probe, step*2
 	}
@@ -753,13 +786,17 @@ func topK(ids []int32, k int, less func(a, b int32) bool) []int32 {
 // hitLess orders merged hits by the request's sort fields, breaking ties by
 // global id so that unsorted (and tied) results keep insertion order, as the
 // unsharded implementation's stable sort did. Numeric keys — every sort the
-// dashboards and the diagnosis cursor issue — are read unboxed and compared as
-// the float64s cmpField would coerce them to; only a key that is not numeric
-// on both sides goes through the boxed document value.
+// dashboards and the diagnosis cursor issue — are compared as the float64s
+// cmpField would coerce them to, the first as the refs carry it and any other
+// read unboxed; only a key that is not numeric on both sides goes through the
+// boxed document value.
 func hitLess(a, b hitRef, sorts []SortField) bool {
-	for _, s := range sorts {
-		af, aok := a.ev.NumericField(s.Field)
-		bf, bok := b.ev.NumericField(s.Field)
+	for i, s := range sorts {
+		af, aok, bf, bok := a.key, a.keyOK, b.key, b.keyOK
+		if i > 0 {
+			af, aok = a.ev.NumericField(s.Field)
+			bf, bok = b.ev.NumericField(s.Field)
+		}
 		var r int
 		if aok && bok {
 			r = cmpOrdered(af, bf, s.Desc)
@@ -797,7 +834,8 @@ func mergeHits(lists [][]hitRef, req SearchRequest) []hitRef {
 }
 
 // neededColumns lists the fields a request will read through the columnar
-// caches (ensureColumns): range-query fields, sort fields, the percentiles
+// caches (ensureColumns): range-query fields, the sort fields of a request
+// that walks no list, the percentiles
 // and stats fields of aggregations at any nesting depth (histograms bucket
 // from the row's exact integer, not a column), and the field of a terms
 // aggregation over an indexed field at any depth, which is read through its
@@ -833,8 +871,12 @@ func neededColumns(req SearchRequest) []string {
 		}
 	}
 	walk(req.Query)
-	for _, s := range req.Sort {
-		add(s.Field)
+	// A single-key sorted page reads its field through the list ensureColumns
+	// builds for its walk (sortWalkOf), and a term run needs no column.
+	if sortWalkOf(req).field == "" {
+		for _, s := range req.Sort {
+			add(s.Field)
+		}
 	}
 	var walkAgg func(a Agg)
 	walkAgg = func(a Agg) {
@@ -857,14 +899,52 @@ func neededColumns(req SearchRequest) []string {
 	return out
 }
 
-// orderedField names the column whose order (shard.go) a single-key sorted
-// page builds, on hot and resident cold shards alike, so this and every later
-// page can walk it (orderedPage); "" for any other request.
-func orderedField(req SearchRequest) string {
-	if len(req.Sort) == 1 && req.Size > 0 {
-		return req.Sort[0].Field
+// sortWalk is what a single-key sorted page on field walks (orderedPage), on
+// hot and resident cold shards alike, so that this and every later page can
+// walk it. Clauses are read as the evaluator reads
+// them (boolOnly): the query itself, or the must clauses of a bool that is
+// its one clause. term is the first indexed keyword term with a string value
+// among them, and window their ranges on field; every match holds both. A
+// shard builds the term's run (termRun) when the term holds some but not all
+// of its rows, and the column's order otherwise (termIDs). exact holds
+// when nothing else is asked, a match-all included: then the matches are
+// exactly term's rows (every row when term is zero) that window admits, and
+// the page tests none of them. The zero sortWalk is any other request.
+type sortWalk struct {
+	field  string
+	exact  bool
+	term   termKey
+	window []*RangeQuery
+}
+
+func sortWalkOf(req SearchRequest) sortWalk {
+	if len(req.Sort) != 1 || req.Size <= 0 {
+		return sortWalk{}
 	}
-	return ""
+	q := req.Query
+	w := sortWalk{field: req.Sort[0].Field, exact: true}
+	clauses := []Query{q}
+	switch {
+	case q.matchesAll():
+		return w
+	case q.boolOnly():
+		clauses, w.exact = q.Bool.Must, len(q.Bool.Should) == 0 && len(q.Bool.MustNot) == 0
+	}
+	for _, c := range clauses {
+		v, isStr := "", false
+		if c.Term != nil {
+			v, isStr = c.Term.Value.(string)
+		}
+		switch {
+		case isStr && w.term.field == "" && slices.Contains(indexedFields[:], c.Term.Field):
+			w.term = termKey{c.Term.Field, v}
+		case c.isPureRange() && c.Range.Field == w.field:
+			w.window = append(w.window, c.Range)
+		default:
+			w.exact = false
+		}
+	}
+	return w
 }
 
 // Count returns the number of documents matching q.

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -25,7 +27,10 @@ const orderBase = 1_687_800_000_000_000_000
 // (several distinct times per float64 value), sometimes repeat exactly, and
 // sometimes step back a little. Rows carry their global id in RetVal (the
 // batches are ingested in order by one writer), about one in eight lacks
-// count, and fsync is rare, so a Term on it is a sparse match.
+// count, and fsync is rare, so a Term on it is a sparse match. Every row is
+// of class "io", and the rows at gids ≡ 3 (mod 160) run as proc "rare": on 4
+// or 16 shards filled from gid 0 that term is absent from all shards but
+// one.
 func orderedBatches(n, batch int) [][]event.Event {
 	rng := rand.New(rand.NewSource(26))
 	syscalls := []string{"read", "read", "write", "openat", "close", "read", "write", "lseek"}
@@ -69,6 +74,9 @@ func orderedBatches(n, batch int) [][]event.Event {
 			b := append([]event.Event(nil), streams[w][i:min(i+batch, n/2)]...)
 			for j := range b {
 				b[j].RetVal = int64(gid)
+				if gid%160 == 3 {
+					b[j].ProcName = "rare"
+				}
 				gid++
 			}
 			out = append(out, b)
@@ -78,17 +86,29 @@ func orderedBatches(n, batch int) [][]event.Event {
 }
 
 // orderedRequests is the sorted matrix the walk and the candidate path must
-// both answer as the oracle does: asc and desc on time_enter_ns over a
-// match-all, a term and a bool(term, time window) query at page sizes 1, 7
-// and 1000 (with and without from); a sparse term; and count, which some
-// rows lack, so its column never gets an order.
+// both answer as the oracle does: asc and desc on time_enter_ns at page sizes
+// 1, 7 and 1000 (with and without from) over a match-all; session and syscall
+// terms, which a page reads as their runs; a sparse term; a term absent from
+// some shards; a term holding every row, which a page reads as the order
+// itself; two bool(term, time window) queries, inclusive and strict, which
+// cut a run by binary search; a terms list and a bool(term, terms, time
+// window), which walk the order, cut to the window, testing each row for
+// membership; and count, which some rows lack, so its column never gets an
+// order or a run.
 func orderedRequests() []SearchRequest {
 	var out []SearchRequest
+	gt, lt := float64(orderBase+35_000), float64(orderBase+120_000)
 	queries := []Query{
 		MatchAll(),
 		Term(FieldSession, "s1"),
 		Must(Term(FieldSyscall, "read"), RangeBetween(FieldTimeEnter, orderBase+20_000, orderBase+90_000)),
 		Term(FieldSyscall, "fsync"),
+		Term(FieldSyscall, "write"),
+		Term(FieldProcName, "rare"),
+		Term(FieldClass, "io"),
+		Must(Term(FieldSession, "s0"), Query{Range: &RangeQuery{Field: FieldTimeEnter, GT: &gt, LT: &lt}}),
+		Terms(FieldSyscall, "write", "fsync"),
+		Must(Term(FieldSession, "s1"), Terms(FieldSyscall, "read", "write"), RangeBetween(FieldTimeEnter, orderBase+20_000, orderBase+90_000)),
 	}
 	for _, q := range queries {
 		for _, desc := range []bool{false, true} {
@@ -157,9 +177,31 @@ func orderCovers(ix *Index, field string) bool {
 	return true
 }
 
-// coldOrderCovers reports whether every cold segment of ix is resident with
-// an order over field covering its rows.
-func coldOrderCovers(ix *Index, field string) bool {
+// walkCovers reports whether sh, read-locked by the caller, holds what a
+// page of req walks, covering every row it must: its term's run, or the
+// sort column's order.
+func walkCovers(sh *shard, req SearchRequest) bool {
+	_, ok := sh.walkList(sortWalkOf(req))
+	return ok || sh.rows.len() == 0
+}
+
+// hotWalkCovers reports whether every hot shard of ix holds what a page of
+// req walks.
+func hotWalkCovers(ix *Index, req SearchRequest) bool {
+	for _, sh := range ix.shards {
+		sh.mu.RLock()
+		ok := walkCovers(sh, req)
+		sh.mu.RUnlock()
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// coldWalkCovers reports whether every cold segment of ix is resident with
+// what a page of req walks.
+func coldWalkCovers(ix *Index, req SearchRequest) bool {
 	rs := &ix.dur.resident
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -169,8 +211,7 @@ func coldOrderCovers(ix *Index, field string) bool {
 			return false
 		}
 		e.cs.sh.mu.RLock()
-		c := e.cs.sh.cols[field]
-		ok := c != nil && c.order != nil && len(c.order) == len(e.cs.gids)
+		ok := walkCovers(e.cs.sh, req)
 		e.cs.sh.mu.RUnlock()
 		if !ok {
 			return false
@@ -182,11 +223,14 @@ func coldOrderCovers(ix *Index, field string) bool {
 // TestSortedCursorMatchesOracle pages every request of the sorted matrix —
 // from the start, and from a cursor inside a tie run — and requires every
 // page to equal the oracle's own cursor at 1, 4 and 16 shards: on an
-// in-memory store, and on a durable one that snapshots between pages (which
-// drops every hot column and its order, rebuilt on the next page over the
-// rows ingested since) and takes the next batch, compared with an in-memory
-// mirror of the same rows. There every page is read twice, filling the
-// resident cold segments and then walking their time orders.
+// in-memory store, and on a durable one, compared with an in-memory mirror
+// of the same rows, that takes the next batch after every page and
+// snapshots after every other one. A snapshot drops every hot column with
+// its order and runs, rebuilt on the next page over the rows ingested since;
+// a batch taken without one extends them in place, and as the two streams
+// interleave it sorts partly before rows already in them. Every durable page
+// is read twice, filling the resident cold segments and then walking their
+// orders and runs.
 func TestSortedCursorMatchesOracle(t *testing.T) {
 	batches := orderedBatches(1600, 32)
 	for _, shards := range []int{1, 4, 16} {
@@ -237,19 +281,20 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 			mirror := memStore(t, WithShards(shards))
 			dur := openDurable(t, t.TempDir(), WithShards(shards), WithFsyncPolicy(FsyncOff), WithQueryCache(0))
 			t.Cleanup(func() { mirror.Close(); dur.Close() })
-			next := 0
+			durBatches := orderedBatches(1600, 8)
+			next, pages := 0, 0
 			feed := func() {
-				if next == len(batches) {
+				if next == len(durBatches) {
 					return
 				}
 				for _, st := range []*Store{mirror, dur} {
-					if err := st.BulkEvents(ctx, "ord", batches[next]); err != nil {
+					if err := st.BulkEvents(ctx, "ord", durBatches[next]); err != nil {
 						t.Fatal(err)
 					}
 				}
 				next++
 			}
-			for next < len(batches)/2 {
+			for next < len(durBatches)/2 {
 				feed()
 			}
 			mix, _ := mirror.GetIndex("ord")
@@ -261,16 +306,18 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 				for p := 0; p < 3; p++ {
 					got := checkOracle(t, dur, "ord", mix, req)
 					checkOracle(t, dur, "ord", mix, req)
-					if req.Sort[0].Field == FieldTimeEnter && !orderCovers(dix, FieldTimeEnter) {
-						t.Fatalf("%+v page %d: the hot shards' time order was not rebuilt", req, p)
+					if req.Sort[0].Field == FieldTimeEnter && !hotWalkCovers(dix, req) {
+						t.Fatalf("%+v page %d: the hot shards' time order or run was not rebuilt", req, p)
 					}
 					// An unbounded query opens every cold segment.
 					minT, maxT := timeBounds(req.Query)
-					if req.Sort[0].Field == FieldTimeEnter && minT == math.MinInt64 && maxT == math.MaxInt64 && !coldOrderCovers(dix, FieldTimeEnter) {
-						t.Fatalf("%+v page %d: a cold segment was not resident with its time order", req, p)
+					if req.Sort[0].Field == FieldTimeEnter && minT == math.MinInt64 && maxT == math.MaxInt64 && !coldWalkCovers(dix, req) {
+						t.Fatalf("%+v page %d: a cold segment was not resident with its time order or run", req, p)
 					}
-					if err := dur.Snapshot(); err != nil {
-						t.Fatal(err)
+					if pages++; pages%2 == 0 {
+						if err := dur.Snapshot(); err != nil {
+							t.Fatal(err)
+						}
 					}
 					feed()
 					if got.NextAfter == nil {
@@ -422,5 +469,177 @@ func TestSortedPageAllocsFlat(t *testing.T) {
 	}
 	if a, b := testing.AllocsPerRun(20, page(first)), testing.AllocsPerRun(20, page(ninetieth)); a != b {
 		t.Fatalf("allocs per page: 1st %v, 90th %v", a, b)
+	}
+}
+
+// termRunWant returns the posting list of session on sh sorted by (time,
+// id), the order the session's run must hold.
+func termRunWant(sh *shard, session string) []int32 {
+	ids := slices.Clone(sh.postings[FieldSession][session])
+	slices.SortFunc(ids, func(a, b int32) int {
+		if r := cmp.Compare(float64(sh.rows.at(int(a)).TimeEnterNS), float64(sh.rows.at(int(b)).TimeEnterNS)); r != 0 {
+			return r
+		}
+		return cmp.Compare(a, b)
+	})
+	return ids
+}
+
+// TestTermRunLifecycle follows one shard's run of a session term through the
+// ensureColumns of the pages that read it: sorted from the posting list when
+// the session holds some of the rows, with no column or order built; extended in place
+// by rows appended since, some sorting before its last entry, as two drain
+// workers interleave; none while the session holds every row, when the page
+// walks the order itself; and dropped, with its column, by evictLocked. Each
+// time the page's list must be the session's rows in (time, id) order.
+func TestTermRunLifecycle(t *testing.T) {
+	sh := newShard()
+	add := func(session string, times ...int64) {
+		for _, d := range times {
+			sh.addEventLocked(&event.Event{Session: session, Syscall: "read", TimeEnterNS: orderBase + d})
+		}
+	}
+	req := SearchRequest{Query: Term(FieldSession, "a"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 10}
+	walk := sortWalkOf(req)
+	page := func(step string) {
+		t.Helper()
+		sh.ensureColumns(neededColumns(req), walk)
+		l, ok := sh.walkList(walk)
+		if !ok {
+			t.Fatalf("%s: the page has no list", step)
+		}
+		if want := termRunWant(sh, "a"); !slices.Equal(l.ids, want) {
+			t.Fatalf("%s: the page walks %v, want %v", step, l.ids, want)
+		}
+		for i, id := range l.ids {
+			if want := float64(sh.rows.at(int(id)).TimeEnterNS); l.at(i) != want {
+				t.Fatalf("%s: entry %d (row %d) holds %v, want %v", step, i, id, l.at(i), want)
+			}
+		}
+	}
+
+	add("a", 5000, 1000, 3000, 3000, 9000)
+	add("b", 2000, 4000)
+	page("first page")
+	if sh.cols[FieldTimeEnter] != nil || len(sh.runs) != 1 {
+		t.Fatalf("first page: column %v and %d runs, want a run alone", sh.cols[FieldTimeEnter], len(sh.runs))
+	}
+
+	// Appended rows, two of them tied at 3000 with rows already in the run:
+	// the merge must place them after those, in id order.
+	add("b", 100)
+	add("a", 3000, 8000, 200, 9500, 3000)
+	page("after an out-of-order append")
+	if got := len(sh.runs[runKey{FieldTimeEnter, termKey{FieldSession, "a"}}].ids); got != 10 {
+		t.Fatalf("run holds %d entries, want 10", got)
+	}
+
+	// A term whose rows lack the sort field (no row here has a count) has no
+	// run to walk, and is not read again for one.
+	byCount := SearchRequest{Query: Term(FieldSession, "a"), Sort: []SortField{{Field: FieldCount}}, Size: 10}
+	sh.ensureColumns(neededColumns(byCount), sortWalkOf(byCount))
+	if run, built := sh.runs[runKey{FieldCount, termKey{FieldSession, "a"}}]; !built || run != nil {
+		t.Fatalf("a term lacking the field: run %v (built %v), want a nil one", run, built)
+	}
+	if _, ok := sh.walkList(sortWalkOf(byCount)); ok {
+		t.Fatal("a term lacking the field has a list to walk")
+	}
+
+	sh.evictLocked()
+	if sh.cols != nil || sh.runs != nil {
+		t.Fatal("eviction kept the columns or the runs")
+	}
+	add("a", 700, 600)
+	page("one session after eviction")
+	if c := sh.cols[FieldTimeEnter]; c == nil || c.order == nil || sh.runs != nil {
+		t.Fatalf("a session holding every row: column %v, %d runs; want the order alone", c, len(sh.runs))
+	}
+	add("b", 650)
+	page("a second session after eviction")
+}
+
+// TestSessionPageWalksOnlyItsSession: on a shard holding eight sessions
+// interleaved in time, a page of one session's time-sorted pass, asc or desc,
+// from the start or from a cursor, walks that session's run and nothing
+// else. The match list is never consulted, so every row walked is a hit and
+// the page walks at most need rows; the page allocates its hits alone, no
+// bitmap of the session; and each hit's key is its row's time. A page that
+// also asks for some syscalls, as the file-pattern detectors' do, walks the
+// same run and keeps the rows it matches.
+func TestSessionPageWalksOnlyItsSession(t *testing.T) {
+	const sessions, rows, need = 8, 4000, 50
+	syscalls := []string{"read", "write", "openat"}
+	sh := newShard()
+	for i := 0; i < rows; i++ {
+		sh.addEventLocked(&event.Event{Session: fmt.Sprintf("s%d", i%sessions), Syscall: syscalls[i%3], TimeEnterNS: orderBase + int64(i)*1000})
+	}
+	want := termRunWant(sh, "s3")
+	e := &readEntry{sh: sh, S: 1}
+	noIDs := func() []int32 {
+		t.Fatal("the page consulted the match list")
+		return nil
+	}
+	// page walks one page of req and returns the local ids of its hits.
+	page := func(req SearchRequest, getIDs func() []int32, tested bool) []int32 {
+		t.Helper()
+		exec := &searchExec{req: req, need: need, walk: sortWalkOf(req)}
+		if ok, err := exec.cursor.parse(req); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			exec.cur = &exec.cursor
+		}
+		sh.ensureColumns(neededColumns(req), exec.walk)
+		l, listed := sh.walkList(exec.walk)
+		if !listed || exec.walk.exact == tested || l.len() != rows/sessions {
+			t.Fatalf("%+v: listed %v, exact %v, a list of %d rows; want the session's %d", req.Query, listed, exec.walk.exact, l.len(), rows/sessions)
+		}
+		hits, walked := e.orderedPage(exec, l, listed, getIDs)
+		if !walked {
+			t.Fatalf("%+v: not walked", req.Query)
+		}
+		if !tested {
+			if a := testing.AllocsPerRun(20, func() { e.orderedPage(exec, l, listed, getIDs) }); a != 1 {
+				t.Fatalf("%+v: a page makes %v allocations, want 1 (its hits)", req.Query, a)
+			}
+		}
+		ids := make([]int32, len(hits))
+		for i, h := range hits {
+			ids[i] = int32(h.gid)
+			if k := float64(h.ev.TimeEnterNS); !h.keyOK || h.key != k || sh.rows.at(h.gid) != h.ev {
+				t.Fatalf("%+v: hit %d (row %d) has key %v (%v), want %v", req.Query, i, h.gid, h.key, h.keyOK, k)
+			}
+		}
+		return ids
+	}
+	for _, desc := range []bool{false, true} {
+		for _, resume := range []int{-1, 137} {
+			req := SearchRequest{Query: Term(FieldSession, "s3"), Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}, Size: need}
+			exp := slices.Clone(want)
+			if desc {
+				slices.Reverse(exp)
+			}
+			if resume >= 0 {
+				id := exp[resume]
+				req.SearchAfter = []any{float64(sh.rows.at(int(id)).TimeEnterNS), float64(id)}
+				exp = exp[resume+1:]
+			}
+			if got := page(req, noIDs, false); !slices.Equal(got, exp[:need]) {
+				t.Fatalf("desc=%v resume=%d: hits %v; want %v", desc, resume, got, exp[:need])
+			}
+		}
+
+		req := SearchRequest{Query: Must(Term(FieldSession, "s3"), Terms(FieldSyscall, "read", "write")), Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}, Size: need}
+		var exp []int32
+		for _, id := range want {
+			if sh.rows.at(int(id)).Syscall != "openat" {
+				exp = append(exp, id)
+			}
+		}
+		if desc {
+			slices.Reverse(exp)
+		}
+		if got := page(req, func() []int32 { return sh.matchIDs(req.Query) }, true); !slices.Equal(got, exp[:need]) {
+			t.Fatalf("desc=%v, session and syscalls: hits %v; want %v", desc, got, exp[:need])
+		}
 	}
 }

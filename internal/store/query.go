@@ -117,6 +117,14 @@ func (q Query) matchesAll() bool {
 		q.Prefix == nil && q.Exists == nil && q.Bool == nil
 }
 
+// boolOnly reports whether q's bool is the clause it is evaluated by: the
+// evaluator reads the first clause set, in the order Term, Terms, Range,
+// Prefix, Exists, Bool, so a bool beside any other clause is ignored.
+func (q Query) boolOnly() bool {
+	return q.Bool != nil && q.Term == nil && q.Terms == nil &&
+		q.Range == nil && q.Prefix == nil && q.Exists == nil
+}
+
 // contains reports whether f satisfies every bound of r. It is the single
 // range-match implementation shared by the per-document evaluator below and
 // the shard's columnar range scan, so the two cannot drift on bound

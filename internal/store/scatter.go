@@ -141,7 +141,11 @@ func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
 		total += resps[p].Total
 		lists[p] = make([]hitRef, len(resps[p].Hits))
 		for i := range lists[p] {
-			lists[p][i] = hitRef{ev: &resps[p].Hits[i], gid: resps[p].Gids[i]*P + p}
+			ref := hitRef{ev: &resps[p].Hits[i], gid: resps[p].Gids[i]*P + p}
+			if len(req.Sort) > 0 {
+				ref.key, ref.keyOK = ref.ev.NumericField(req.Sort[0].Field)
+			}
+			lists[p][i] = ref
 		}
 	}
 	var aggs map[string]AggResult

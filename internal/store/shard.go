@@ -27,6 +27,7 @@ type shard struct {
 	postings map[string]map[string][]int32 // field -> term -> local row ids
 	cols     map[string]*column            // lazy numeric columns, keyed by field
 	codes    map[string]*codeColumn        // lazy keyword codes of indexed fields, keyed by field
+	runs     map[runKey]*termRun           // lazy term runs, keyed by sort field and term
 }
 
 // column is a pre-extracted numeric view of one field: vals[i] holds the
@@ -48,20 +49,65 @@ type column struct {
 	order   []int32
 }
 
-// cmpOrder is the order's comparator: by value, then by local id.
-func (c *column) cmpOrder(a, b int32) int {
-	if r := cmp.Compare(c.vals[a], c.vals[b]); r != 0 {
-		return r
-	}
-	return cmp.Compare(a, b)
+// termKey names one term of one indexed keyword field.
+type termKey struct{ field, term string }
+
+// runKey names a term run: the numeric field it is in the order of, and the
+// term.
+type runKey struct {
+	field string
+	term  termKey
 }
 
-// extendOrder brings order up to len(vals). The new ids are sorted among
-// themselves; every one exceeds every ordered id, so one that sorts after the
-// last entry is appended as is, and otherwise only the suffix of order whose
-// values the new ones overlap is merged with them, in place from the back.
-// order's own append growth is the only allocation on the appending path.
-// Caller holds the write lock.
+// termRun is, for an indexed keyword term that a single-key sorted page
+// asked for, the term's posting list in the order of the page's sort field:
+// ids ascending by (value, id), as a column's order is, with vals[i] the
+// value of ids[i]. It holds every match of a query that requires the term,
+// so a page over one session of many walks that session's rows alone; a
+// term holding every row of the shard has none, the column's order is its
+// run. A run carries its values and needs no column: its first build reads
+// the term's rows and no other, and a page reads its keys from it. It is
+// extended by the rows posted since when a page asks for it again, costs
+// 12 B per entry, and goes with the rows at eviction. A term some of whose
+// rows lack the field keeps a nil run: it has no order to walk.
+type termRun struct {
+	ids  []int32
+	vals []float64
+}
+
+// idList is what a sorted page walks, an order or a term run: ids ascending
+// by (value, id), where at(i) is the value of ids[i], read from vals, a
+// run's own, or else from col, the column an order sorts.
+type idList struct {
+	ids  []int32
+	vals []float64
+	col  []float64
+}
+
+func (l idList) len() int { return len(l.ids) }
+
+func (l idList) at(i int) float64 {
+	if l.vals != nil {
+		return l.vals[i]
+	}
+	return l.col[l.ids[i]]
+}
+
+// slice is the entries [lo, hi) of l.
+func (l idList) slice(lo, hi int) idList {
+	l.ids = l.ids[lo:hi]
+	if l.vals != nil {
+		l.vals = l.vals[lo:hi]
+	}
+	return l
+}
+
+// orderList is c's order as an idList.
+func (c *column) orderList() idList { return idList{ids: c.order, col: c.vals} }
+
+// extendOrder brings order up to len(vals). order's own append growth is the
+// only allocation on the appending path while rows arrive in order. Caller
+// holds the write lock.
 func (c *column) extendOrder() {
 	k, n := len(c.order), len(c.vals)
 	if c.order == nil {
@@ -70,46 +116,130 @@ func (c *column) extendOrder() {
 	for id := k; id < n; id++ {
 		c.order = append(c.order, int32(id))
 	}
-	fresh := c.order[k:]
-	if !slices.IsSortedFunc(fresh, c.cmpOrder) {
-		slices.SortFunc(fresh, c.cmpOrder)
+	c.orderList().mergeTail(k)
+}
+
+// termIDs returns the posting list of walk's term, and whether a page of
+// walk reads the term's run on this shard rather than the sort column's whole
+// order: walk has a term and it holds fewer than all of the shard's rows
+// (none: the page walks nothing). Caller holds the lock.
+func (sh *shard) termIDs(walk sortWalk) (ids []int32, byRun bool) {
+	if walk.term.field == "" {
+		return nil, false
 	}
-	if k == 0 || k == n || c.vals[fresh[0]] >= c.vals[c.order[k-1]] {
+	ids = sh.postings[walk.term.field][walk.term.term]
+	return ids, len(ids) < sh.rows.len()
+}
+
+// extendRun brings the run of k up to ids, the term's posting list: the ids
+// posted since the run was last extended, all of them the first time, are
+// read through colVal (the column where one covers the row, else the row)
+// and merged in as the order's own are. Caller holds the write lock.
+func (sh *shard) extendRun(k runKey, ids []int32) {
+	r, built := sh.runs[k]
+	if built && r == nil || r != nil && len(r.ids) == len(ids) {
 		return
 	}
-	v := c.vals[fresh[0]]
-	p := sort.Search(k, func(i int) bool { return c.vals[c.order[i]] > v })
-	fresh = slices.Clone(fresh)
-	i, j := k-1, len(fresh)-1
+	if sh.runs == nil {
+		sh.runs = make(map[runKey]*termRun)
+	}
+	if r == nil {
+		r = &termRun{ids: make([]int32, 0, len(ids)), vals: make([]float64, 0, len(ids))}
+	}
+	m, c := len(r.ids), sh.cols[k.field]
+	for _, id := range ids[m:] {
+		v, ok := sh.colVal(c, k.field, id)
+		if !ok {
+			sh.runs[k] = nil
+			return
+		}
+		r.ids, r.vals = append(r.ids, id), append(r.vals, v)
+	}
+	idList{ids: r.ids, vals: r.vals}.mergeTail(m)
+	sh.runs[k] = r
+}
+
+// valID is a row's id with its value, read once for a sort and a merge.
+type valID struct {
+	v  float64
+	id int32
+}
+
+func cmpValID(a, b valID) int {
+	if r := cmp.Compare(a.v, b.v); r != 0 {
+		return r
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// mergeTail puts l, whose first k entries are in order and whose rest are
+// ids past every one of them, in order. When the new entries are in order
+// and sort after the last old one they stay as they are. Otherwise they are
+// sorted among themselves, each value read once, and only the suffix of l
+// whose values they overlap is merged with them, in place from the back.
+func (l idList) mergeTail(k int) {
+	n := l.len()
+	inOrder := true
+	for i := k + 1; i < n && inOrder; i++ {
+		inOrder = cmpValID(valID{l.at(i - 1), l.ids[i-1]}, valID{l.at(i), l.ids[i]}) < 0
+	}
+	if inOrder && (k == 0 || k == n || l.at(k) >= l.at(k-1)) {
+		return
+	}
+	vs := make([]valID, n-k)
+	for i := range vs {
+		vs[i] = valID{l.at(k + i), l.ids[k+i]}
+	}
+	if !inOrder {
+		slices.SortFunc(vs, cmpValID)
+	}
+	put := func(w int, e valID) {
+		l.ids[w] = e.id
+		if l.vals != nil {
+			l.vals[w] = e.v
+		}
+	}
+	if k == 0 || vs[0].v >= l.at(k-1) {
+		for i, e := range vs {
+			put(k+i, e)
+		}
+		return
+	}
+	p := sort.Search(k, func(i int) bool { return l.at(i) > vs[0].v })
+	i, j := k-1, len(vs)-1
 	for w := n - 1; j >= 0; w-- {
-		if i >= p && c.vals[c.order[i]] > c.vals[fresh[j]] {
-			c.order[w] = c.order[i]
+		if i >= p && l.at(i) > vs[j].v {
+			put(w, valID{l.at(i), l.ids[i]})
 			i--
 		} else {
-			c.order[w] = fresh[j]
+			put(w, vs[j])
 			j--
 		}
 	}
 }
 
 // orderedRun returns the run of c's order holding exactly the rows r admits,
-// or ok false unless the order covers all n rows: two binary searches making
-// contains' float64 comparisons, whose lower bounds are false then true along
-// the order and upper bounds true then false. Caller holds the read lock.
+// or ok false unless the order covers all n rows. Caller holds the read lock.
 func (c *column) orderedRun(r *RangeQuery, n int) (run []int32, ok bool) {
 	if c == nil || c.order == nil || len(c.order) != n {
 		return nil, false
 	}
-	order, vals := c.order, c.vals
-	lo := sort.Search(n, func(i int) bool {
-		v := vals[order[i]]
+	return c.orderList().window(r).ids, true
+}
+
+// window returns the entries of l whose values r admits: two binary searches
+// making contains' float64 comparisons, whose lower bounds are false then
+// true along the list and upper bounds true then false.
+func (l idList) window(r *RangeQuery) idList {
+	lo := sort.Search(l.len(), func(i int) bool {
+		v := l.at(i)
 		return !(r.GTE != nil && v < *r.GTE) && !(r.GT != nil && v <= *r.GT)
 	})
-	hi := lo + sort.Search(n-lo, func(i int) bool {
-		v := vals[order[lo+i]]
+	hi := lo + sort.Search(l.len()-lo, func(i int) bool {
+		v := l.at(lo + i)
 		return r.LTE != nil && v > *r.LTE || r.LT != nil && v >= *r.LT
 	})
-	return order[lo:hi], true
+	return l.slice(lo, hi)
 }
 
 // codeColumn is the dictionary-encoded view of one indexed keyword field,
@@ -304,37 +434,47 @@ func (sh *shard) len() int {
 }
 
 // evictLocked drops every row and everything derived from them: postings,
-// columns with their orders, and codes. Caller holds the write lock.
+// columns with their orders, term runs, and codes. Caller holds the write
+// lock.
 func (sh *shard) evictLocked() {
 	sh.rows.reset()
 	sh.postings = newPostings()
-	sh.cols, sh.codes = nil, nil
+	sh.cols, sh.codes, sh.runs = nil, nil, nil
 }
 
 // ensureColumns builds or extends, for each of fields, the code column of an
 // indexed keyword field and the numeric column of any other, so they cover
-// every row currently in the shard, and builds the order of the numeric
-// column named ordered (one of fields, or "" for none) if it has none yet. A
-// column that has an order keeps it extended whatever asked for the column.
-// It is called before the read phase of a search; rows appended concurrently
+// every row currently in the shard; a column that has an order keeps it
+// extended. For walk, a single-key sorted page (zero for any other read), it
+// builds or extends the list the page walks (walkList): the term's run when
+// termIDs says so, and otherwise the sort field's column with its order. It
+// is called before the read phase of a search; rows appended concurrently
 // afterwards are handled by the per-row fallbacks in colVal and termCounts,
 // and by the candidate path for a sorted page.
-func (sh *shard) ensureColumns(fields []string, ordered string) {
-	if len(fields) == 0 {
+func (sh *shard) ensureColumns(fields []string, walk sortWalk) {
+	if len(fields) == 0 && walk.field == "" {
 		return
 	}
 	sh.mu.RLock()
-	need := false
+	var need bool
+	switch ids, byRun := sh.termIDs(walk); {
+	case byRun:
+		r, built := sh.runs[runKey{walk.field, walk.term}]
+		need = !built || r != nil && len(r.ids) < len(ids)
+	case walk.field != "":
+		c := sh.cols[walk.field]
+		need = c == nil || len(c.vals) < sh.rows.len() || c.missing == 0 && c.order == nil
+	}
 	for _, f := range fields {
+		if need {
+			break
+		}
 		if _, keyword := sh.postings[f]; keyword {
 			kc := sh.codes[f]
 			need = kc == nil || len(kc.codes) < sh.rows.len()
 		} else {
 			c := sh.cols[f]
-			need = c == nil || len(c.vals) < sh.rows.len() || (f == ordered && c.order == nil && c.missing == 0)
-		}
-		if need {
-			break
+			need = c == nil || len(c.vals) < sh.rows.len()
 		}
 	}
 	sh.mu.RUnlock()
@@ -343,42 +483,58 @@ func (sh *shard) ensureColumns(fields []string, ordered string) {
 	}
 	sh.mu.Lock()
 	for _, f := range fields {
-		if _, keyword := sh.postings[f]; keyword {
-			kc := sh.codes[f]
-			if kc == nil {
-				if sh.codes == nil {
-					sh.codes = make(map[string]*codeColumn)
-				}
-				kc = &codeColumn{}
-				sh.codes[f] = kc
-			}
-			sh.extendCodes(kc, f)
+		if _, keyword := sh.postings[f]; !keyword {
+			sh.fillColumn(f)
 			continue
 		}
-		c := sh.cols[f]
-		if c == nil {
-			if sh.cols == nil {
-				sh.cols = make(map[string]*column)
+		kc := sh.codes[f]
+		if kc == nil {
+			if sh.codes == nil {
+				sh.codes = make(map[string]*codeColumn)
 			}
-			c = &column{}
-			sh.cols[f] = c
+			kc = &codeColumn{}
+			sh.codes[f] = kc
 		}
-		for i := len(c.vals); i < sh.rows.len(); i++ {
-			v, ok := sh.numAt(int32(i), f)
-			c.vals = append(c.vals, v)
-			c.ok = append(c.ok, ok)
-			if !ok {
-				c.missing++
-			}
-		}
-		switch {
-		case c.missing > 0:
-			c.order = nil
-		case c.order != nil || f == ordered:
+		sh.extendCodes(kc, f)
+	}
+	switch ids, byRun := sh.termIDs(walk); {
+	case byRun:
+		sh.extendRun(runKey{walk.field, walk.term}, ids)
+	case walk.field != "":
+		if c := sh.fillColumn(walk.field); c.missing == 0 && c.order == nil {
 			c.extendOrder()
 		}
 	}
 	sh.mu.Unlock()
+}
+
+// fillColumn brings the numeric column of f, built on first use, up to every
+// row, and its order with it if it has one; a column some row lacks has none.
+// Caller holds the write lock.
+func (sh *shard) fillColumn(f string) *column {
+	c := sh.cols[f]
+	if c == nil {
+		if sh.cols == nil {
+			sh.cols = make(map[string]*column)
+		}
+		c = &column{}
+		sh.cols[f] = c
+	}
+	for i := len(c.vals); i < sh.rows.len(); i++ {
+		v, ok := sh.numAt(int32(i), f)
+		c.vals = append(c.vals, v)
+		c.ok = append(c.ok, ok)
+		if !ok {
+			c.missing++
+		}
+	}
+	switch {
+	case c.missing > 0:
+		c.order = nil
+	case c.order != nil:
+		c.extendOrder()
+	}
+	return c
 }
 
 // colVal reads one value through the column cache, falling back to the row
@@ -435,14 +591,15 @@ func (sh *shard) matchIDs(q Query) []int32 {
 		}
 	}
 	// Top-level range with a built column: scan the column, not the docs.
-	if q.Range != nil {
+	// A term beside it is the clause evaluated.
+	if q.Range != nil && q.Term == nil && q.Terms == nil {
 		if c := sh.cols[q.Range.Field]; c != nil {
 			return sh.rangeScan(q.Range, c)
 		}
 	}
 	// Bool/must: intersect every indexed keyword term's posting list, then
 	// evaluate the residual query over the candidates only.
-	if q.Bool != nil && len(q.Bool.Must) > 0 {
+	if q.boolOnly() && len(q.Bool.Must) > 0 {
 		if ids, ok := sh.boolCandidates(q); ok {
 			return ids
 		}

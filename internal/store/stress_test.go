@@ -315,6 +315,46 @@ func oracleRequests() []SearchRequest {
 			From:  100,
 			Size:  33,
 		},
+		// One of three sessions, newest first: the live dashboard's latest
+		// panel and, ascending, the diagnosis pass, read as the session's term
+		// run. FuzzSearchRequest seeds its search_after continuation too.
+		{
+			Query: Term("session", "s1"),
+			Sort:  []SortField{{Field: "time_enter_ns", Desc: true}},
+			Size:  40,
+		},
+		// The shapes the Fig. 2 table and the file-pattern detectors page a
+		// session by: a term beside clauses the walk of its run tests per row.
+		{
+			Query: Must(Term("session", "s1"), Terms("syscall", "read", "write")),
+			Sort:  []SortField{{Field: "time_enter_ns"}},
+			Size:  25,
+		},
+		{
+			Query: Must(Term("session", "s0"), Exists("file_tag"), Terms("syscall", "read", "write", "openat", "stat")),
+			Sort:  []SortField{{Field: "time_enter_ns", Desc: true}},
+			Size:  20,
+		},
+		// Two clauses set: the evaluator reads the first, in the order Term,
+		// Terms, Range, Prefix, Exists, Bool, and ignores the bool beside it.
+		{
+			Query: Query{Term: Term("session", "s1").Term, Bool: Must(Term("syscall", "read")).Bool},
+			Sort:  []SortField{{Field: "time_enter_ns"}},
+			Size:  30,
+		},
+		{
+			Query: Query{Range: RangeGTE("time_enter_ns", 2_000_000).Range, Bool: Must(Term("session", "s2"), RangeBetween("time_enter_ns", 0, 1_000_000)).Bool},
+			Sort:  []SortField{{Field: "time_enter_ns", Desc: true}},
+			Size:  30,
+		},
+		{
+			Query: Query{Terms: Terms("syscall", "read", "write").Terms, Bool: Must(Term("session", "s0")).Bool},
+			Size:  -1,
+		},
+		{
+			Query: Query{Term: Term("file_tag", "1 3 7").Term, Range: RangeGTE("count", 50_000).Range},
+			Size:  -1,
+		},
 		{
 			Query: Term("syscall", "read"),
 			Size:  1,

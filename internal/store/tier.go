@@ -138,10 +138,10 @@ func segMayMatch(sm durable.SegmentMeta, minT, maxT int64) bool {
 // explicit global id of each local row — cold segments can be sparse after
 // compaction folded retention gaps. A resident one holds every typed row and
 // is read-only once filled: queries share it under its read lock, and only
-// ensureColumns writes to it — numeric columns, their orders, and the code
-// columns of the keyword fields a terms aggregation buckets, which fill from
-// the posting lists the decode built. One over the budget holds one query's
-// window.
+// ensureColumns writes to it — numeric columns, their orders and term runs,
+// and the code columns of the keyword fields a terms aggregation buckets,
+// which fill from the posting lists the decode built. One over the budget
+// holds one query's window.
 type coldSegment struct {
 	sh   *shard
 	gids []int
@@ -151,13 +151,18 @@ type coldSegment struct {
 // and its slot in every indexed field's posting list.
 const rowBytes = int64(unsafe.Sizeof(event.Event{})) + int64(unsafe.Sizeof(0)) + 4*int64(len(indexedFields))
 
-// size is cs's decoded bytes: its rows, and the columns, orders and code
-// columns built on it at their capacity (a term's bytes are its rows'). Caller
-// holds cs.sh.mu or owns cs.
+// size is cs's decoded bytes: its rows, and the columns, orders, term runs
+// and code columns built on it at their capacity (a term's bytes are its
+// rows'). Caller holds cs.sh.mu or owns cs.
 func (cs *coldSegment) size() int64 {
 	n := int64(len(cs.gids)) * rowBytes
 	for _, c := range cs.sh.cols {
 		n += int64(cap(c.vals))*8 + int64(cap(c.ok)) + int64(cap(c.order))*4
+	}
+	for _, r := range cs.sh.runs {
+		if r != nil {
+			n += int64(cap(r.ids))*4 + int64(cap(r.vals))*8
+		}
 	}
 	for _, kc := range cs.sh.codes {
 		n += int64(cap(kc.codes))*4 + int64(cap(kc.terms))*int64(unsafe.Sizeof(""))
@@ -427,7 +432,7 @@ func (e *readEntry) firstAfter(gid int) int32 {
 // readView is the one list of row stores a read passes over, in gid order:
 // every hot stripe, then every cold segment its time window does not prune.
 // It carries what each needs to open a cold entry: the path book, the window,
-// and the columns and order the caller built on the hot stripes.
+// and the columns, order and run the caller built on the hot stripes.
 type readView struct {
 	ix         *Index
 	entries    []readEntry
@@ -435,7 +440,7 @@ type readView struct {
 	minT, maxT int64
 	bounded    bool
 	cols       []string
-	ordered    string
+	walk       sortWalk
 }
 
 // readView builds the view of a read of q under the cut its caller holds:
@@ -443,10 +448,10 @@ type readView struct {
 // correlation tally). Either freezes the base and the segment list, so every
 // row is in exactly one entry. The opened/pruned counters move only for a
 // time-bounded q: without a bound there is no decision to report.
-func (ix *Index) readView(q Query, cols []string, ordered string) *readView {
+func (ix *Index) readView(q Query, cols []string, walk sortWalk) *readView {
 	S := len(ix.shards)
 	base := int(ix.base.Load())
-	v := &readView{ix: ix, entries: make([]readEntry, S), cols: cols, ordered: ordered}
+	v := &readView{ix: ix, entries: make([]readEntry, S), cols: cols, walk: walk}
 	for s, sh := range ix.shards {
 		v.entries[s] = readEntry{sh: sh, base: base, s: s, S: S}
 	}
@@ -532,7 +537,7 @@ func (v *readView) open(e *readEntry) error {
 	if v.bounded {
 		v.ix.rtm.segOpened.Inc()
 	}
-	cs.sh.ensureColumns(v.cols, v.ordered)
+	cs.sh.ensureColumns(v.cols, v.walk)
 	cs.sh.mu.RLock()
 	v.ix.dur.resident.account(e.seg.Seq, cs)
 	e.sh, e.gids = cs.sh, cs.gids

@@ -586,3 +586,58 @@ func TestDurableResidentFillIsSingleFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestColdTermRunIsAccounted: a time-sorted page of one of two sessions over
+// a resident cold segment builds that session's run on the segment, and no
+// time order. The segment's byte account grows by 12 B per run entry (an id
+// and its value), and a later page, resumed and descending, adds nothing.
+func TestColdTermRunIsAccounted(t *testing.T) {
+	ctx := context.Background()
+	st := openDurable(t, t.TempDir(), WithShards(1), WithQueryCache(0))
+	defer st.Close()
+	const rows = 150
+	evs := append(residentRound("a", 0, orderBase, rows), residentRound("b", 0, orderBase, rows)...)
+	if err := st.BulkEvents(ctx, windowIndex, evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ix, _ := st.GetIndex(windowIndex)
+	accounted := func() int64 {
+		t.Helper()
+		if got := residentState(t, ix); len(got) != 1 {
+			t.Fatalf("resident %v, want the one segment", got)
+		}
+		return ix.dur.resident.size()
+	}
+	// A windowed count opens the segment and builds its time column alone.
+	if n := ix.Count(RangeGTE(FieldTimeEnter, orderBase)); n != 2*rows {
+		t.Fatalf("count %d, want %d", n, 2*rows)
+	}
+	before := accounted()
+	req := SearchRequest{Query: Term(FieldSession, "a"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 10}
+	res, err := st.SearchEvents(ctx, windowIndex, req)
+	if err != nil || res.Total != rows || res.NextAfter == nil {
+		t.Fatalf("page: total %d, next %v (%v)", res.Total, res.NextAfter, err)
+	}
+	if grown := accounted() - before; grown != 12*rows {
+		t.Fatalf("the sorted page grew the segment's account by %d bytes, want %d (12 per run entry)", grown, 12*rows)
+	}
+	rs := &ix.dur.resident
+	rs.mu.Lock()
+	for _, e := range rs.bySeq {
+		if c := e.cs.sh.cols[FieldTimeEnter]; c.order != nil || len(e.cs.sh.runs) != 1 {
+			t.Errorf("the segment holds order %v and %d runs, want the session's run alone", c.order != nil, len(e.cs.sh.runs))
+		}
+	}
+	rs.mu.Unlock()
+	after := accounted()
+	req.SearchAfter, req.Sort[0].Desc = res.NextAfter, true
+	if _, err := st.SearchEvents(ctx, windowIndex, req); err != nil {
+		t.Fatal(err)
+	}
+	if got := accounted(); got != after {
+		t.Fatalf("a later page moved the account from %d to %d bytes", after, got)
+	}
+}
