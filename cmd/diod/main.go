@@ -154,7 +154,7 @@ func run(cfg config) error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	fmt.Printf("diod: analysis backend listening on %s\n", cfg.addr)
-	fmt.Println("endpoints (also under /v1): POST /{index}/_bulk | /{index}/_search | /{index}/_count | /{index}/_correlate | /{index}/_diagnose | /{index}/_dfg | /{index}/_diff | GET /_cat/indices | GET /_health | GET /metrics")
+	fmt.Println("endpoints (also under /v1):", strings.Join(server.Routes(), " | "))
 	if cfg.data != "" {
 		fmt.Printf("durability: data dir %s, fsync %s, snapshot every %s\n", cfg.data, policy, cfg.snapshot)
 		if cfg.retention > 0 {
@@ -271,7 +271,8 @@ func runCluster(cfg config) error {
 	if err != nil {
 		return err
 	}
-	var handler http.Handler = cluster.NewServer(co)
+	server := cluster.NewServer(co)
+	var handler http.Handler = server
 	if cfg.chaos {
 		handler = store.NewChaosHandler(handler, time.Now().UnixNano())
 	}
@@ -284,7 +285,8 @@ func runCluster(cfg config) error {
 	for p, t := range targets {
 		fmt.Printf("partition %d: %s\n", p, t)
 	}
-	fmt.Println("endpoints (also under /v1): POST /{index}/_bulk | /{index}/_search | /{index}/_count | GET /{index}/_stats | GET /_cat/indices | GET /_health | GET /metrics (correlate/diagnose/dfg/diff answer typed 501)")
+	fmt.Println("endpoints (also under /v1):", strings.Join(server.Routes(), " | "))
+	fmt.Println("correlate, diagnose, dfg and diff answer a typed 501: they do not route across partitions")
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

@@ -218,7 +218,9 @@ func benchCorrelateJournal(b *testing.B, flush bool) {
 		}
 		journaled += walBytes(index) - before
 		named += int64(res.EventsUpdated)
-		st.DeleteIndex(index)
+		if err := st.DeleteIndex(ctx, index); err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(journaled)/float64(named), "wal-B/row")

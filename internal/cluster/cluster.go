@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -67,6 +68,31 @@ var ErrIndexNotFound = store.ErrIndexNotFound
 // cooldown has not elapsed.
 var ErrNodeUnavailable = errors.New("cluster: partition node unavailable (circuit open)")
 
+// partitionError is one partition's failure, naming the partition and its
+// node. It is a store.StatusError: where the node's own error maps to no
+// status of its own, the front end answers 503 for an open circuit and 502
+// for any other failure — the coordinator's own failure, temporary under
+// the client's retry classification.
+type partitionError struct {
+	p      int
+	target string
+	err    error
+}
+
+func (e *partitionError) Error() string {
+	return fmt.Sprintf("cluster: partition %d (%s): %v", e.p, e.target, e.err)
+}
+
+func (e *partitionError) Unwrap() error { return e.err }
+
+// HTTPStatus implements store.StatusError.
+func (e *partitionError) HTTPStatus() (int, string) {
+	if errors.Is(e.err, ErrNodeUnavailable) {
+		return http.StatusServiceUnavailable, ""
+	}
+	return http.StatusBadGateway, ""
+}
+
 // Machine-readable reasons the coordinator's 501 responses carry, one per
 // operation that does not route across partitions.
 const (
@@ -82,11 +108,11 @@ const (
 
 // ErrNotRoutable is the typed refusal for operations that need one node's
 // totally-ordered view of a session and therefore do not route across
-// partitions. The HTTP layer maps it to 501 with the machine-readable
-// Reason in the body, so clients dispatch on the reason rather than
-// parsing prose. Well-known instances below are stable sentinel values:
-// errors.Is against them keeps working as it did when they were plain
-// errors.
+// partitions. It is a store.StatusError: the front end answers 501 with the
+// machine-readable Reason in the body, so clients dispatch on the reason
+// rather than parsing prose. Well-known instances below are stable sentinel
+// values: errors.Is against them keeps working as it did when they were
+// plain errors.
 type ErrNotRoutable struct {
 	// Op is the API operation refused ("_correlate", "_diagnose", …).
 	Op string
@@ -97,6 +123,9 @@ type ErrNotRoutable struct {
 
 // Error implements error.
 func (e *ErrNotRoutable) Error() string { return e.msg }
+
+// HTTPStatus implements store.StatusError.
+func (e *ErrNotRoutable) HTTPStatus() (int, string) { return http.StatusNotImplemented, e.Reason }
 
 // Typed refusals for the non-routable operations.
 var (
@@ -128,6 +157,20 @@ var (
 		msg: "cluster: session diffs are not supported across partitions: both sessions' streams are striped",
 	}
 )
+
+// NewServer serves the coordinator through the store's one HTTP front end,
+// so a client points at a coordinator with nothing but a base-URL change:
+// writes are striped to their owners, searches scatter and merge once, and
+// _stats and _health report per partition. The node-only routes are not
+// mounted, _correlate answers Correlate's typed 501, and so do the diagnosis
+// routes.
+func NewServer(co *Coordinator) *store.Server {
+	srv := store.NewServer(co)
+	for _, err := range []*ErrNotRoutable{ErrDiagnoseUnsupported, ErrDFGUnsupported, ErrDiffUnsupported} {
+		srv.HandleOp(err.Op, func(*http.Request, string) (any, error) { return nil, err })
+	}
+	return srv
+}
 
 // Config tunes the coordinator's resilience ladder.
 type Config struct {
@@ -175,7 +218,7 @@ type Coordinator struct {
 	nodeErrs  []*telemetry.Counter
 }
 
-var _ store.Backend = (*Coordinator)(nil)
+var _ store.Served[ClusterStats, ClusterHealth] = (*Coordinator)(nil)
 
 // New builds a coordinator over the given partition nodes (nodes[p] owns
 // partition p). At least one node is required; a 1-node coordinator is a
@@ -268,7 +311,7 @@ func (co *Coordinator) call(ctx context.Context, p int, op func(Node) error) err
 	br := co.breakers[p]
 	if !br.Allow() {
 		co.nodeErrs[p].Inc()
-		return fmt.Errorf("cluster: partition %d (%s): %w", p, co.nodes[p].Target(), ErrNodeUnavailable)
+		return &partitionError{p, co.nodes[p].Target(), ErrNodeUnavailable}
 	}
 	co.nodeCalls[p].Inc()
 	err := op(co.nodes[p])
@@ -279,7 +322,7 @@ func (co *Coordinator) call(ctx context.Context, p int, op func(Node) error) err
 		br.RecordSuccess()
 	}
 	if err != nil && !errors.Is(err, ErrIndexNotFound) {
-		return fmt.Errorf("cluster: partition %d (%s): %w", p, co.nodes[p].Target(), err)
+		return &partitionError{p, co.nodes[p].Target(), err}
 	}
 	return err
 }
@@ -307,7 +350,7 @@ func (co *Coordinator) fanOut(ctx context.Context, op func(p int, n Node) error)
 // partition that answered ErrIndexNotFound owns no rows of the index yet and
 // counts as empty; any other failure fails the operation, the lowest
 // partition's first; and the index does not exist only when every partition
-// is missing it.
+// is missing it, which the coordinator says in the node's own words.
 func missingRule(index string, errs []error) error {
 	missing := 0
 	for _, err := range errs {
@@ -318,7 +361,7 @@ func missingRule(index string, errs []error) error {
 		}
 	}
 	if missing == len(errs) {
-		return fmt.Errorf("cluster: index %q: %w", index, ErrIndexNotFound)
+		return fmt.Errorf("%w: %q", ErrIndexNotFound, index)
 	}
 	return nil
 }
@@ -428,11 +471,12 @@ func (co *Coordinator) BulkEvents(ctx context.Context, index string, events []ev
 // must be split at event granularity, so the coordinator decodes once and
 // re-encodes each partition's share (still binary on the wire); that
 // per-hop re-encode is the stated cost of striping below frame granularity
-// (DESIGN.md §16). Returns the number of events ingested.
+// (DESIGN.md §16). Returns the number of events ingested. A frame that does
+// not decode is refused as a node refuses it, before anything is striped.
 func (co *Coordinator) BulkFrame(ctx context.Context, index string, frame []byte) (int, error) {
 	events, err := event.DecodeBatch(frame, nil)
 	if err != nil {
-		return 0, fmt.Errorf("cluster: decode frame: %w", err)
+		return 0, store.BadRequest(fmt.Errorf("decode frame: %w", err))
 	}
 	if len(events) == 0 {
 		return 0, nil

@@ -120,29 +120,28 @@ func (m *memNode) Stats(ctx context.Context, index string) (store.IndexStats, er
 	if err := m.found(index); err != nil {
 		return store.IndexStats{}, err
 	}
-	return m.st.Stats(index)
+	return m.st.Stats(ctx, index)
 }
 
 func (m *memNode) ListIndices(ctx context.Context) ([]string, error) {
 	if err := m.injected(); err != nil {
 		return nil, err
 	}
-	return m.st.Indices(), nil
+	return m.st.ListIndices(ctx)
 }
 
 func (m *memNode) DeleteIndex(ctx context.Context, index string) error {
 	if err := m.injected(); err != nil {
 		return err
 	}
-	m.st.DeleteIndex(index)
-	return nil
+	return m.st.DeleteIndex(ctx, index)
 }
 
 func (m *memNode) Health(ctx context.Context) (store.HealthStatus, error) {
 	if err := m.injected(); err != nil {
 		return store.HealthStatus{}, err
 	}
-	return m.st.Health(), nil
+	return m.st.Health(ctx), nil
 }
 
 // clusterEvents builds a deterministic, varied batch: several processes and

@@ -542,3 +542,115 @@ func TestClusterUnreadableSegmentFailsLoudly(t *testing.T) {
 		t.Fatalf("coordinator _search = %d %s; want a 5xx", code, b)
 	}
 }
+
+// TestClusterMalformedFrameAnswersAsNode: a binary bulk the codec cannot
+// parse is the client's error on a coordinator exactly as on a node — the
+// same 400 and the same bytes, never a retryable gateway failure — and
+// nothing of it is striped.
+func TestClusterMalformedFrameAnswersAsNode(t *testing.T) {
+	ssrv := httptest.NewServer(store.NewServer(memStore(t)))
+	defer ssrv.Close()
+	_, csrv, stores := newHTTPCluster(t, 3)
+
+	good := event.EncodeBatch(nil, clusterEvents(0, 8))
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"bad magic", append([]byte("XIOE"), good[4:]...)},
+		{"truncated", good[:len(good)-3]},
+		{"empty body", nil},
+	} {
+		scode, sbody := postRaw(t, ssrv.URL+"/v1/rej/_bulk", event.ContentTypeBinaryV1, tc.frame)
+		ccode, cbody := postRaw(t, csrv.URL+"/v1/rej/_bulk", event.ContentTypeBinaryV1, tc.frame)
+		if scode != http.StatusBadRequest {
+			t.Fatalf("%s: node answered %d %s, want 400", tc.name, scode, sbody)
+		}
+		if ccode != scode || !bytes.Equal(cbody, sbody) {
+			t.Errorf("%s: node %d %s, coordinator %d %s", tc.name, scode, sbody, ccode, cbody)
+		}
+	}
+	for p, st := range stores {
+		if names, _ := st.ListIndices(context.Background()); len(names) != 0 {
+			t.Fatalf("partition %d holds %v after refused frames", p, names)
+		}
+	}
+}
+
+// TestClusterMissingIndexBodiesMatchNode: an index no partition holds is
+// the node's 404 with the node's own message, body for body.
+func TestClusterMissingIndexBodiesMatchNode(t *testing.T) {
+	ssrv := httptest.NewServer(store.NewServer(memStore(t)))
+	defer ssrv.Close()
+	_, csrv, _ := newHTTPCluster(t, 2)
+
+	for _, tc := range []struct{ method, route, body string }{
+		{http.MethodPost, "/v1/nope/_search", `{}`},
+		{http.MethodPost, "/v1/nope/_count", `{}`},
+		{http.MethodGet, "/v1/nope/_stats", ``},
+	} {
+		var codes [2]int
+		var bodies [2][]byte
+		for i, base := range []string{ssrv.URL, csrv.URL} {
+			codes[i], bodies[i] = doRaw(t, tc.method, base+tc.route, []byte(tc.body))
+		}
+		if codes[0] != http.StatusNotFound || codes[1] != codes[0] || !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("%s %s: node %d %s, coordinator %d %s", tc.method, tc.route, codes[0], bodies[0], codes[1], bodies[1])
+		}
+	}
+}
+
+// TestClusterNodeOnlyRoutesStayOnNodes: one front end serves both, but the
+// partition scatter and the replication routes mount only over a store — a
+// coordinator answers them 404 — and HandleOp still refuses to shadow a
+// built-in operation, mounted or not.
+func TestClusterNodeOnlyRoutesStayOnNodes(t *testing.T) {
+	_, csrv, _ := newHTTPCluster(t, 2)
+	for _, tc := range []struct{ method, route string }{
+		{http.MethodPost, "/v1/" + testIndex + "/_scatter"},
+		{http.MethodPost, "/" + testIndex + "/_scatter"},
+		{http.MethodGet, "/v1/_repl/status"},
+		{http.MethodPost, "/v1/_repl/apply"},
+		{http.MethodPost, "/v1/_repl/bootstrap"},
+		{http.MethodPost, "/v1/_repl/promote"},
+		{http.MethodPost, "/_repl/promote"},
+	} {
+		if code, body := doRaw(t, tc.method, csrv.URL+tc.route, []byte(`{}`)); code != http.StatusNotFound {
+			t.Errorf("coordinator %s %s = %d %s, want 404", tc.method, tc.route, code, body)
+		}
+	}
+
+	co, err := New(Config{Clock: clock.NewVirtual(0)}, newMemNode(t, "n0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"_scatter", "_search"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("HandleOp(%q) on a coordinator server did not panic", op)
+				}
+			}()
+			NewServer(co).HandleOp(op, func(*http.Request, string) (any, error) { return nil, nil })
+		}()
+	}
+}
+
+// doRaw sends one request and returns status plus the exact response bytes.
+func doRaw(t *testing.T, method, url string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read body: %v", err)
+	}
+	return resp.StatusCode, b
+}

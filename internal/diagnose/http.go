@@ -3,6 +3,7 @@ package diagnose
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -18,86 +19,56 @@ import (
 //
 // Each accepts an optional Params JSON body. The routes ride the server's
 // dual mounting, so they serve under /v1/ and the legacy alias alike, and
-// the engine's telemetry lands in the store registry GET /metrics exposes.
-// The engine lives here rather than in the store package so the store
-// stays diagnosis-agnostic; the server only grows a generic op hook.
+// answer through the server's own writers; the engine reads the served
+// backend, and its telemetry lands in that backend's registry, which GET
+// /metrics exposes. The engine lives here rather than in the store package
+// so the store stays diagnosis-agnostic; the server only grows a generic op
+// hook.
 func Install(srv *store.Server) *Engine {
-	e := NewEngine(DefaultRegistry(), WithTelemetry(srv.Store().Telemetry()))
-	st := srv.Store()
-	srv.HandleOp("_diagnose", func(w http.ResponseWriter, r *http.Request, index string) {
-		session, p, ok := decodeSessionParams(w, r, "session")
-		if !ok {
-			return
-		}
-		rep, err := e.RunParams(r.Context(), st, index, session, p)
+	b := srv.Backend()
+	e := NewEngine(DefaultRegistry(), WithTelemetry(b.Telemetry()))
+	srv.HandleOp("_diagnose", func(r *http.Request, index string) (any, error) {
+		session, p, err := sessionParams(r, "session")
 		if err != nil {
-			store.WriteError(w, err)
-			return
+			return nil, err
 		}
-		writeJSON(w, http.StatusOK, rep)
+		return e.RunParams(r.Context(), b, index, session, p)
 	})
-	srv.HandleOp("_dfg", func(w http.ResponseWriter, r *http.Request, index string) {
-		session, p, ok := decodeSessionParams(w, r, "session")
-		if !ok {
-			return
-		}
-		dfg, err := BuildDFG(r.Context(), st, index, session, p.withDefaults().PageSize)
+	srv.HandleOp("_dfg", func(r *http.Request, index string) (any, error) {
+		session, p, err := sessionParams(r, "session")
 		if err != nil {
-			store.WriteError(w, err)
-			return
+			return nil, err
 		}
-		writeJSON(w, http.StatusOK, dfg)
+		return BuildDFG(r.Context(), b, index, session, p.withDefaults().PageSize)
 	})
-	srv.HandleOp("_diff", func(w http.ResponseWriter, r *http.Request, index string) {
-		a, p, ok := decodeSessionParams(w, r, "a")
-		if !ok {
-			return
-		}
-		b := r.URL.Query().Get("b")
-		if b == "" {
-			httpError(w, http.StatusBadRequest, "missing b session parameter")
-			return
-		}
-		res, err := e.DiffSessions(r.Context(), st, index, a, b, p)
+	srv.HandleOp("_diff", func(r *http.Request, index string) (any, error) {
+		a, p, err := sessionParams(r, "a")
 		if err != nil {
-			store.WriteError(w, err)
-			return
+			return nil, err
 		}
-		writeJSON(w, http.StatusOK, res)
+		sessionB := r.URL.Query().Get("b")
+		if sessionB == "" {
+			return nil, store.BadRequest(errors.New("missing b session parameter"))
+		}
+		return e.DiffSessions(r.Context(), b, index, a, sessionB, p)
 	})
 	return e
 }
 
-// decodeSessionParams reads the named query parameter and the optional
-// Params body, writing the error response itself when either is invalid.
-func decodeSessionParams(w http.ResponseWriter, r *http.Request, key string) (string, Params, bool) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return "", Params{}, false
-	}
+// sessionParams reads the named query parameter and the optional Params
+// body; either one invalid is a store.BadRequest.
+func sessionParams(r *http.Request, key string) (string, Params, error) {
 	session := r.URL.Query().Get(key)
 	if session == "" {
-		httpError(w, http.StatusBadRequest, "missing %s session parameter", key)
-		return "", Params{}, false
+		return "", Params{}, store.BadRequest(fmt.Errorf("missing %s session parameter", key))
 	}
 	var p Params
 	if r.Body != nil && r.ContentLength != 0 {
 		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-			httpError(w, http.StatusBadRequest, "bad params body: %v", err)
-			return "", Params{}, false
+			return "", Params{}, store.BadRequest(fmt.Errorf("bad params body: %w", err))
 		}
 	}
-	return session, p, true
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	return session, p, nil
 }
 
 // Client runs the diagnosis endpoints against a remote backend, mirroring

@@ -292,7 +292,8 @@ func (r *Replicator) Sync(ctx context.Context) error {
 	defer r.mu.Unlock()
 	var firstErr error
 	var lag int64
-	for _, name := range r.src.Indices() {
+	names, _ := r.src.ListIndices(ctx) // a store's list cannot fail
+	for _, name := range names {
 		left, err := r.syncIndex(ctx, name)
 		lag += left
 		if err != nil && firstErr == nil {

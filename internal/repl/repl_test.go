@@ -250,7 +250,7 @@ func TestSyncDrainsAndReports(t *testing.T) {
 	if st.Lag != 0 || st.ShippedRecords == 0 || st.Pushes == 0 || st.Retries != 0 {
 		t.Fatalf("stats after clean drain: %+v", st)
 	}
-	h := primary.Health()
+	h := primary.Health(context.Background())
 	if len(h.Replication) != 1 || h.Replication[0].Target != "fake://follower" || h.Replication[0].Lag != 0 {
 		t.Fatalf("primary health replication entry: %+v", h.Replication)
 	}

@@ -385,7 +385,9 @@ func TestDeleteIndexRemovesDurableState(t *testing.T) {
 	dir := t.TempDir()
 	st := openDurable(t, dir)
 	ingestRound(t, st, 0)
-	st.DeleteIndex(crashIndex)
+	if err := st.DeleteIndex(context.Background(), crashIndex); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}

@@ -18,8 +18,8 @@ import (
 // the row lacked), then the gid as a number. Tokens are only meaningful for
 // the same index state and the same sort spec they were issued under.
 
-// errBadSearchAfter rejects malformed cursors; the HTTP layer maps it to 400.
-var errBadSearchAfter = errors.New("store: invalid search_after cursor")
+// errBadSearchAfter rejects malformed cursors: a 400.
+var errBadSearchAfter = BadRequest(errors.New("store: invalid search_after cursor"))
 
 // ErrCursorExpired rejects an unsorted (insertion-order) cursor whose resume
 // position precedes the retention floor: rows past it may have been dropped

@@ -199,7 +199,7 @@ var encodePool = sync.Pool{New: func() any {
 // replication tail is armed, an owned payload is handed to the buffer
 // without copying (the caller must not reuse it afterward), while an
 // unowned one — a pooled scratch the caller will recycle — is cloned.
-// Callers with pooled buffers avoid the clone by checking replOwns first
+// Callers with pooled buffers avoid the clone by checking tail.wants first
 // and withholding the buffer from the pool (see AddEvents).
 func (ix *Index) journalApply(t durable.RecordType, payload []byte, owned bool, reserve int, apply func(start int)) error {
 	d := ix.dur

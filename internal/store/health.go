@@ -1,6 +1,9 @@
 package store
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // HealthStatus is the enriched GET /_health body. The legacy fields —
 // "status" and "indices" — keep their original shape and meaning, so old
@@ -75,7 +78,7 @@ func ageMS(unixNS int64, now time.Time) int64 {
 }
 
 // Health snapshots the store's operational state for GET /_health.
-func (s *Store) Health() HealthStatus {
+func (s *Store) Health(context.Context) HealthStatus {
 	h := HealthStatus{
 		Status:  "ok",
 		Role:    s.Role().String(),

@@ -146,9 +146,8 @@ func (ix *Index) AddEvents(events []event.Event) error {
 // RecordEvents payload format), skipping the re-encode AddEvents would pay.
 // Decoded events are already canonical — the codec clears Offset when the
 // HasOffset aux bit is unset — so no normalization pass is needed either.
-// owned passes through to journalApply: true means the frame's buffer is
-// surrendered to the replication tail and must not be reused by the caller.
-func (ix *Index) addEventsFrame(frame []byte, owned bool, events []event.Event) error {
+// The frame is the caller's: journalApply clones it for the replication tail.
+func (ix *Index) addEventsFrame(frame []byte, events []event.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
@@ -159,32 +158,33 @@ func (ix *Index) addEventsFrame(frame []byte, owned bool, events []event.Event) 
 	}
 	ix.dur.gate.RLock()
 	defer ix.dur.gate.RUnlock()
-	return ix.journalApply(durable.RecordEvents, frame, owned, len(events), func(start int) {
+	return ix.journalApply(durable.RecordEvents, frame, false, len(events), func(start int) {
 		ix.addEventsAt(start, events)
 	})
 }
 
 // addEventsAt places events at global ids start..start+len-1, walking each
 // shard's arithmetic slice of the batch directly instead of building
-// per-shard groups: one lock per shard, zero allocations. Placement is pure
-// arithmetic on the global id, so WAL replay (which reserves the same id
-// ranges in record order) reproduces it exactly. Shard memory starts at the
-// index base, so placement works in memory ids (gid - base); base is stable
-// here — every durable caller holds the snapshot gate shared, and eviction
-// only moves base under the exclusive gate.
+// per-shard groups: zero allocations. Placement is pure arithmetic on the
+// global id, so WAL replay (which reserves the same id ranges in record
+// order) reproduces it exactly. Shard memory starts at the index base, so
+// placement works in memory ids (gid - base); base is stable here — every
+// durable caller holds the snapshot gate shared, and eviction only moves
+// base under the exclusive gate. Every shard stays write-locked, taken in
+// shard order like every multi-shard locker, until the whole batch is
+// placed: a search holds every shard's read lock, so it sees all of a batch
+// or none of it — never a row without the earlier rows of its batch, which a
+// sorted cursor would resume past.
 func (ix *Index) addEventsAt(start int, events []event.Event) {
 	ix.epoch.Add(1)
 	defer ix.epoch.Add(1)
 	S := len(ix.shards)
 	ms := start - int(ix.base.Load())
-	for s := 0; s < S; s++ {
-		first := ((s-ms)%S + S) % S
-		if first >= len(events) {
-			continue
-		}
-		sh := ix.shards[s]
+	for _, sh := range ix.shards {
 		sh.mu.Lock()
-		for i := first; i < len(events); i += S {
+	}
+	for s, sh := range ix.shards {
+		for i := ((s-ms)%S + S) % S; i < len(events); i += S {
 			sh.addEventLocked(&events[i])
 		}
 		sh.mu.Unlock()

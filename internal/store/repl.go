@@ -205,14 +205,6 @@ func (s *Store) Promote() { s.role.Store(int32(RolePrimary)) }
 // the ingest hot path entirely, so replication costs nothing until enabled.
 func (s *Store) ArmReplication() { s.replArmed.Store(true) }
 
-// replWantsFrames reports whether the replication tail would retain ingest
-// frames. Frame-handling callers (the HTTP bulk path) use it to surrender
-// their read buffer to the tail instead of recycling it, turning the armed
-// hot path's clone into a buffer handoff.
-func (s *Store) replWantsFrames() bool {
-	return s.replArmed.Load() && s.opts.replTailBytes > 0
-}
-
 // ReplHeadSeq returns the named index's head sequence: the number of records
 // ever journaled (and therefore the sequence the next record will get).
 func (s *Store) ReplHeadSeq(index string) (int64, bool) {
@@ -523,7 +515,7 @@ func (s *Store) ReplBootstrap(ctx context.Context, index string, snap ReplSnapsh
 	if s.Role() != RoleFollower {
 		return ErrNotFollower
 	}
-	s.DeleteIndex(index)
+	s.dropIndex(index)
 	ix, err := s.indexOrCreate(index)
 	if err != nil {
 		return err

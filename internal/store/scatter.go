@@ -18,17 +18,9 @@ import (
 // the per-node responses with the same merge-layer functions (merge.go) the
 // node itself used one level down.
 
-// errBadScatter rejects malformed scatter envelopes; the HTTP layer maps it
-// to 400 like any other client error.
-var errBadScatter = errors.New("store: invalid scatter request: partition out of range")
-
-// IsBadRequest reports whether err is a malformed-request error (bad
-// search_after cursor, bad scatter envelope) that an HTTP layer should map to
-// 400. The cluster coordinator uses it so a scattered request fails with the
-// same status a direct one would.
-func IsBadRequest(err error) bool {
-	return errors.Is(err, errBadSearchAfter) || errors.Is(err, errBadScatter)
-}
+// errBadScatter rejects malformed scatter envelopes: a 400 like any other
+// client error.
+var errBadScatter = BadRequest(errors.New("store: invalid scatter request: partition out of range"))
 
 // ScatterRequest wraps one search with the node's place in the partition
 // layout. Req is the client's ORIGINAL request — global pagination window,

@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 
@@ -60,87 +62,197 @@ func (s *Store) Correlate(ctx context.Context, index, session string) (Correlati
 	return res, err
 }
 
-// Server exposes the store over HTTP with an Elasticsearch-flavoured API.
-// Every route is mounted twice: under the versioned /v1/ prefix (the
-// canonical surface) and unprefixed (the legacy alias older clients still
-// speak):
+// Frontend is what a Server serves, whatever the backend: the reads of
+// Backend plus the writes and admin reads its routes need. Every method is
+// context-first, so a client that disconnects mid-request stops the work.
+type Frontend interface {
+	Backend
+	// BulkFrame ingests one binary event frame and reports its event count.
+	// It may not keep frame past the call: the server recycles the buffer.
+	BulkFrame(ctx context.Context, index string, frame []byte) (int, error)
+	ListIndices(ctx context.Context) ([]string, error)
+	// DeleteIndex drops index; dropping one that does not exist succeeds.
+	DeleteIndex(ctx context.Context, index string) error
+	Telemetry() *telemetry.Registry
+}
+
+// Served is a Frontend plus the two reads whose bodies are the backend's own
+// types: S answers GET /{index}/_stats and H answers GET /_health. *Store
+// (a node) and a cluster coordinator both implement it.
+type Served[S, H any] interface {
+	Frontend
+	Stats(ctx context.Context, index string) (S, error)
+	Health(ctx context.Context) H
+}
+
+var _ Served[IndexStats, HealthStatus] = (*Store)(nil)
+
+// Server is the one HTTP front end, with an Elasticsearch-flavoured API: it
+// serves a node (*Store) and a cluster coordinator alike, so a client points
+// at either with nothing but a base-URL change. Every route is mounted
+// twice: under the versioned /v1/ prefix (the canonical surface) and
+// unprefixed (the legacy alias older clients still speak):
 //
 //	POST   /v1/{index}/_bulk       events, as a binary frame or NDJSON action/document pairs
 //	POST   /v1/{index}/_search     SearchRequest JSON body; JSON answer, or typed hits by Accept
-//	POST   /v1/{index}/_count      optional Query JSON body
+//	ANY    /v1/{index}/_count      optional Query JSON body
 //	POST   /v1/{index}/_correlate  ?session=NAME
-//	GET    /v1/{index}/_stats      doc and shard counts
-//	GET    /v1/_cat/indices        list index names
-//	GET    /v1/_health             liveness probe for clients and breakers
-//	GET    /v1/metrics             Prometheus-style text exposition
+//	GET    /v1/{index}/_stats      the backend's index stats
 //	DELETE /v1/{index}             drop an index
+//	GET    /v1/_health             liveness probe for clients and breakers
+//	ANY    /v1/_cat/indices        list index names
+//	GET    /v1/metrics             Prometheus-style text exposition
+//	POST   /v1/{index}/{op}        an op registered with HandleOp (_diagnose, _dfg, _diff)
 //
-// Request contexts propagate into the store, so a client that disconnects
-// mid-search stops the shard fan-out. Known alias limitation: an index
+// and on a node only:
+//
+//	POST   /v1/{index}/_scatter    one partition's share of a cluster search
+//	GET    /v1/_repl/status        role and per-index sequence positions
+//	POST   /v1/_repl/apply         a follower applies pushed WAL frames
+//	POST   /v1/_repl/bootstrap     a follower replaces an index with a primary snapshot
+//	POST   /v1/_repl/promote       a follower becomes a primary
+//
+// Failures answer through WriteError. Known alias limitation: an index
 // literally named "v1" is reachable only through the versioned prefix
 // (/v1/v1/_search), since the unprefixed path space cedes /v1/ to it.
 type Server struct {
-	store *Store
-	mux   *http.ServeMux
+	b Frontend
+	// node is the served store, nil on a coordinator: the node-only routes
+	// read it.
+	node *Store
+	mux  *http.ServeMux
+	// global routes are keyed by path, ops by the _op of /{index}/_op. Both
+	// are complete before the server serves its first request.
+	global, ops map[string]route
 
 	mu    sync.Mutex
 	extra []*telemetry.Registry
-	// ops are extension routes for /{index}/_op paths the core server does
-	// not own, registered by packages layered above the store (the
-	// diagnosis engine mounts _diagnose/_dfg/_diff here) so the store
-	// stays free of upward dependencies. Registered ops ride the dual
-	// /v1+legacy mounting like every built-in route.
-	ops map[string]OpHandler
 }
 
-// OpHandler serves one registered /{index}/_op route.
-type OpHandler func(w http.ResponseWriter, r *http.Request, index string)
+// route is one entry of the route table: the method it requires ("" takes
+// any) and its handler, which gets the {index} segment of an index route.
+type route struct {
+	method string
+	serve  func(w http.ResponseWriter, r *http.Request, index string)
+}
 
-// HandleOp registers h for POST/GET /{index}/op (and /v1/{index}/op).
-// Built-in operations cannot be overridden; registration of a duplicate
+// OpHandler serves one registered /{index}/_op route: the server answers
+// its value as JSON, or its error through WriteError.
+type OpHandler func(r *http.Request, index string) (any, error)
+
+// HandleOp registers h for POST /{index}/op (and /v1/{index}/op), for
+// packages layered above the store (the diagnosis engine mounts
+// _diagnose/_dfg/_diff here) so the store stays free of upward dependencies.
+// Call it before the server serves. Built-in operations cannot be
+// overridden, even where they are not mounted; registration of a duplicate
 // or built-in name panics, as route wiring is a programming error.
 func (s *Server) HandleOp(op string, h OpHandler) {
 	switch op {
 	case "_bulk", "_search", "_scatter", "_count", "_correlate", "_stats":
 		panic(fmt.Sprintf("store: HandleOp(%q) would shadow a built-in operation", op))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ops == nil {
-		s.ops = make(map[string]OpHandler)
-	}
 	if _, dup := s.ops[op]; dup {
 		panic(fmt.Sprintf("store: HandleOp(%q) registered twice", op))
 	}
-	s.ops[op] = h
+	s.ops[op] = route{http.MethodPost, func(w http.ResponseWriter, r *http.Request, index string) {
+		v, err := h(r, index)
+		answer(w, v, err)
+	}}
 }
 
-// Store returns the wrapped store, for extension packages that serve
+// Backend returns the served backend, for extension packages that serve
 // additional routes over the same state.
-func (s *Server) Store() *Store { return s.store }
+func (s *Server) Backend() Frontend { return s.b }
+
+// Routes lists what s serves, one "METHOD /path" per route in sorted order;
+// each is served under /v1 as well.
+func (s *Server) Routes() []string {
+	out := []string{"DELETE /{index}"}
+	for path, rt := range s.global {
+		out = append(out, cmp.Or(rt.method, "ANY")+" "+path)
+	}
+	for op, rt := range s.ops {
+		out = append(out, cmp.Or(rt.method, "ANY")+" /{index}/"+op)
+	}
+	sort.Strings(out)
+	return out
+}
 
 var _ http.Handler = (*Server)(nil)
 
-// NewServer wraps st in an HTTP handler.
-func NewServer(st *Store) *Server {
-	s := &Server{store: st, mux: http.NewServeMux()}
-	// One route set, mounted twice: the versioned surface strips its prefix
-	// exactly once and dispatches into the same inner mux as the legacy
+// NewServer wraps b in an HTTP handler.
+func NewServer[S, H any](b Served[S, H]) *Server {
+	s := &Server{b: b, mux: http.NewServeMux()}
+	s.global = map[string]route{
+		"/_cat/indices": {"", func(w http.ResponseWriter, r *http.Request, _ string) {
+			names, err := b.ListIndices(r.Context())
+			answer(w, names, err)
+		}},
+		"/_health": {http.MethodGet, func(w http.ResponseWriter, r *http.Request, _ string) {
+			writeJSON(w, http.StatusOK, b.Health(r.Context()))
+		}},
+		"/metrics": {http.MethodGet, s.handleMetrics},
+	}
+	s.ops = map[string]route{
+		"_bulk":   {http.MethodPost, s.handleBulk},
+		"_search": {http.MethodPost, s.handleSearch},
+		"_count":  {"", s.handleCount},
+		"_correlate": {http.MethodPost, func(w http.ResponseWriter, r *http.Request, index string) {
+			res, err := b.Correlate(r.Context(), index, r.URL.Query().Get("session"))
+			answer(w, res, err)
+		}},
+		"_stats": {http.MethodGet, func(w http.ResponseWriter, r *http.Request, index string) {
+			st, err := b.Stats(r.Context(), index)
+			answer(w, st, err)
+		}},
+	}
+	if st, ok := any(b).(*Store); ok {
+		s.node = st
+		s.ops["_scatter"] = route{http.MethodPost, s.handleScatter}
+		s.global["/_repl/status"] = route{http.MethodGet, s.handleReplStatus}
+		s.global["/_repl/apply"] = route{http.MethodPost, s.handleReplApply}
+		s.global["/_repl/bootstrap"] = route{http.MethodPost, s.handleReplBootstrap}
+		s.global["/_repl/promote"] = route{http.MethodPost, s.handleReplPromote}
+	}
+	// One route table, mounted twice: the versioned surface strips its
+	// prefix exactly once and dispatches into the same table as the legacy
 	// alias, so /v1/<anything> and /<anything> stay one handler set by
 	// construction — and the prefix cannot nest (/v1/v1/_search reaches the
-	// inner mux as /v1/_search, i.e. the index literally named "v1").
-	inner := http.NewServeMux()
-	inner.HandleFunc("/_cat/indices", s.handleCatIndices)
-	inner.HandleFunc("/_health", s.handleHealth)
-	inner.HandleFunc("/metrics", s.handleMetrics)
-	inner.HandleFunc("/_repl/status", s.handleReplStatus)
-	inner.HandleFunc("/_repl/apply", s.handleReplApply)
-	inner.HandleFunc("/_repl/bootstrap", s.handleReplBootstrap)
-	inner.HandleFunc("/_repl/promote", s.handleReplPromote)
-	inner.HandleFunc("/", s.handleIndexOps)
-	s.mux.Handle("/", inner)
-	s.mux.Handle("/v1/", http.StripPrefix("/v1", inner))
+	// table as /v1/_search, i.e. the index literally named "v1").
+	s.mux.HandleFunc("/", s.dispatch)
+	s.mux.Handle("/v1/", http.StripPrefix("/v1", http.HandlerFunc(s.dispatch)))
 	return s
+}
+
+// dispatch serves one request from the route table.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
+	if rt, ok := s.global[r.URL.Path]; ok {
+		serveRoute(w, r, rt, "")
+		return
+	}
+	parts := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
+	switch {
+	case len(parts) == 1 && parts[0] != "" && r.Method == http.MethodDelete:
+		answer(w, map[string]bool{"acknowledged": true}, s.b.DeleteIndex(r.Context(), parts[0]))
+	case len(parts) == 2:
+		rt, ok := s.ops[parts[1]]
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown operation %q", parts[1])
+			return
+		}
+		serveRoute(w, r, rt, parts[0])
+	default:
+		httpError(w, http.StatusNotFound, "not found")
+	}
+}
+
+// serveRoute runs rt once the request's method passes its check.
+func serveRoute(w http.ResponseWriter, r *http.Request, rt route, index string) {
+	if rt.method != "" && r.Method != rt.method {
+		httpError(w, http.StatusMethodNotAllowed, "%s required", rt.method)
+		return
+	}
+	rt.serve(w, r, index)
 }
 
 // Pools for the binary bulk path (and WAL replay, which decodes the same
@@ -193,7 +305,7 @@ func putEventBatch(bp *[]event.Event, events []event.Event) {
 // ExposeTelemetry attaches an additional registry to GET /metrics. A
 // co-located tracer hands over its pipeline registry (ebpf, core,
 // resilience stages) so one scrape covers the whole pipeline alongside the
-// store's own instruments.
+// backend's own instruments.
 func (s *Server) ExposeTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -208,15 +320,11 @@ func (s *Server) ExposeTelemetry(reg *telemetry.Registry) {
 	s.extra = append(s.extra, reg)
 }
 
-// handleMetrics serves the store registry plus every attached registry in
-// the Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
+// handleMetrics serves the backend's registry plus every attached registry
+// in the Prometheus text exposition format.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ string) {
 	s.mu.Lock()
-	regs := append([]*telemetry.Registry{s.store.Telemetry()}, s.extra...)
+	regs := append([]*telemetry.Registry{s.b.Telemetry()}, s.extra...)
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	for _, reg := range regs {
@@ -229,25 +337,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-func (s *Server) handleCatIndices(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.store.Indices())
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.store.Health())
-}
-
 // handleReplStatus reports the node's role and per-index sequence positions.
-func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.store.ReplStatus())
+func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request, _ string) {
+	writeJSON(w, http.StatusOK, s.node.ReplStatus())
 }
 
 // replApplyRequest is the POST /_repl/apply body.
@@ -276,17 +368,13 @@ func writeReplError(w http.ResponseWriter, applied int64, err error) {
 	}
 }
 
-func (s *Server) handleReplApply(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+func (s *Server) handleReplApply(w http.ResponseWriter, r *http.Request, _ string) {
 	var req replApplyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad repl apply request: %v", err)
 		return
 	}
-	applied, err := s.store.ReplApply(r.Context(), req.Index, req.From, req.Frames)
+	applied, err := s.node.ReplApply(r.Context(), req.Index, req.From, req.Frames)
 	if err != nil {
 		writeReplError(w, applied, err)
 		return
@@ -303,17 +391,13 @@ type replBootstrapRequest struct {
 	ReplSnapshot
 }
 
-func (s *Server) handleReplBootstrap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+func (s *Server) handleReplBootstrap(w http.ResponseWriter, r *http.Request, _ string) {
 	var req replBootstrapRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad repl bootstrap request: %v", err)
 		return
 	}
-	if err := s.store.ReplBootstrap(r.Context(), req.Index, req.ReplSnapshot); err != nil {
+	if err := s.node.ReplBootstrap(r.Context(), req.Index, req.ReplSnapshot); err != nil {
 		writeReplError(w, 0, err)
 		return
 	}
@@ -321,65 +405,15 @@ func (s *Server) handleReplBootstrap(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplPromote flips a follower to primary (idempotent on a primary).
-func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	s.store.Promote()
-	writeJSON(w, http.StatusOK, map[string]string{"role": s.store.Role().String()})
-}
-
-func (s *Server) handleIndexOps(w http.ResponseWriter, r *http.Request) {
-	parts := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
-	switch {
-	case len(parts) == 1 && parts[0] != "" && r.Method == http.MethodDelete:
-		if s.store.Role() == RoleFollower {
-			// Same 409 as every other client write: a follower's replica may
-			// only be dropped by its own bootstrap, never over the wire.
-			httpError(w, http.StatusConflict, "delete index: %v", ErrReadOnlyFollower)
-			return
-		}
-		s.store.DeleteIndex(parts[0])
-		writeJSON(w, http.StatusOK, map[string]bool{"acknowledged": true})
-	case len(parts) == 2:
-		index, op := parts[0], parts[1]
-		switch op {
-		case "_bulk":
-			s.handleBulk(w, r, index)
-		case "_search":
-			s.handleSearch(w, r, index)
-		case "_scatter":
-			s.handleScatter(w, r, index)
-		case "_count":
-			s.handleCount(w, r, index)
-		case "_correlate":
-			s.handleCorrelate(w, r, index)
-		case "_stats":
-			s.handleStats(w, r, index)
-		default:
-			s.mu.Lock()
-			h := s.ops[op]
-			s.mu.Unlock()
-			if h != nil {
-				h(w, r, index)
-				return
-			}
-			httpError(w, http.StatusNotFound, "unknown operation %q", op)
-		}
-	default:
-		httpError(w, http.StatusNotFound, "not found")
-	}
+func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request, _ string) {
+	s.node.Promote()
+	writeJSON(w, http.StatusOK, map[string]string{"role": s.node.Role().String()})
 }
 
 // handleBulk ingests a batch of events in one of two encodings selected by
 // Content-Type: the version-1 binary event frame, or Elasticsearch-style
-// NDJSON through the strict edge decoder. Either way the store sees events.
+// NDJSON through the strict edge decoder. Either way the backend sees events.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request, index string) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, event.ContentTypeBinaryV1) {
 		s.handleBulkBinary(w, r, index)
 		return
@@ -389,42 +423,32 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request, index string
 		httpError(w, http.StatusBadRequest, "bulk: %v", err)
 		return
 	}
-	writeBulkResult(w, len(events), s.store.BulkEvents(r.Context(), index, events))
+	writeBulkResult(w, len(events), s.b.BulkEvents(r.Context(), index, events))
 }
 
 // writeBulkResult answers one ingested batch: the item count, or the ingest
-// error's status.
+// error's status. A malformed frame keeps its own message; every other
+// failure names the bulk.
 func writeBulkResult(w http.ResponseWriter, items int, err error) {
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, map[string]int{"items": items})
-	case errors.Is(err, ErrReadOnlyFollower):
-		// 409, not 5xx: retrying against this node cannot succeed, the
-		// client must redirect to the primary.
-		httpError(w, http.StatusConflict, "bulk: %v", err)
+	case IsBadRequest(err):
+		WriteError(w, err)
 	default:
-		httpError(w, http.StatusInternalServerError, "bulk: %v", err)
+		WriteError(w, fmt.Errorf("bulk: %w", err))
 	}
 }
 
-// handleBulkBinary decodes a binary event frame into a pooled batch and
-// indexes it, journaling the frame bytes verbatim.
+// handleBulkBinary reads a binary event frame into a pooled buffer and hands
+// it to the backend, which does not keep it.
 func (s *Server) handleBulkBinary(w http.ResponseWriter, r *http.Request, index string) {
 	buf := serverReadPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	// When replication is armed the frame's buffer is surrendered to the
-	// tail (cheaper than having journalApply clone it). The pool gets a
-	// replacement pre-sized to the surrendered buffer's capacity, so the
-	// next request reads its body without any doubling-growth reallocs —
-	// the armed path costs one flat allocation per batch, not a copy.
-	owned := s.store.replWantsFrames()
 	defer func() {
-		switch {
-		case buf.Cap() > poolKeepFlushes*flushBodyBytes:
-			// Dropped: the pool's New sizes the next one.
-		case owned:
-			serverReadPool.Put(bytes.NewBuffer(make([]byte, 0, buf.Cap())))
-		default:
+		// One a large bulk grew is left to the collector; the pool's New
+		// sizes the next one.
+		if buf.Cap() <= poolKeepFlushes*flushBodyBytes {
 			serverReadPool.Put(buf)
 		}
 	}()
@@ -432,55 +456,79 @@ func (s *Server) handleBulkBinary(w http.ResponseWriter, r *http.Request, index 
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	bp, events, err := decodeEventBatch(buf.Bytes())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decode frame: %v", err)
-		return
-	}
-	ingestErr := s.store.bulkEventsFrame(r.Context(), index, buf.Bytes(), owned, events)
-	putEventBatch(bp, events)
-	writeBulkResult(w, len(events), ingestErr)
+	items, err := s.b.BulkFrame(r.Context(), index, buf.Bytes())
+	writeBulkResult(w, items, err)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index string) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req SearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad search request: %v", err)
 		return
 	}
-	res, err := s.store.SearchEvents(r.Context(), index, req)
+	res, err := s.b.SearchEvents(r.Context(), index, req)
 	if err != nil {
 		WriteError(w, err)
 		return
 	}
-	WriteSearchResult(w, r, res)
+	writeSearchResult(w, r, res)
 }
 
-// WriteError answers a failed store operation — search, scatter, count,
-// stats, correlation, and the engine routes layered above — with the status
-// its error calls for. 404 means exactly "no such index", because a cluster
-// coordinator reads a node's 404 as an empty partition: a node that cannot
-// read a segment must fail the scattered request (500), never shrink its
-// totals.
+// StatusError is an error that names the HTTP status WriteError answers it
+// with, plus an optional machine-readable reason the error body repeats
+// beside the message. A cluster coordinator's failures are of this kind: a
+// partition it cannot reach (503) or that failed (502), and an operation
+// that does not route across partitions (501, with its reason).
+type StatusError interface {
+	error
+	HTTPStatus() (code int, reason string)
+}
+
+// BadRequest marks err as a malformed request: WriteError answers it 400
+// with err's message unchanged.
+func BadRequest(err error) error { return badRequest{err} }
+
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
+
+// IsBadRequest reports whether err is a malformed request (a bad cursor, a
+// bad scatter envelope, a malformed frame or operation parameter) — a
+// client error worth a 400, never a retry.
+func IsBadRequest(err error) bool { return errors.As(err, new(badRequest)) }
+
+// WriteError answers a failed operation — on a node or a coordinator, a
+// built-in route or one registered with HandleOp — with the status its error
+// calls for. The store's own failures map first, then a node's status a
+// coordinator forwards, then a StatusError's own status; anything else is a
+// 500. 404 means exactly "no such index", because a cluster coordinator
+// reads a node's 404 as an empty partition: a node that cannot read a
+// segment must fail the scattered request (500), never shrink its totals.
 func WriteError(w http.ResponseWriter, err error) {
+	code, reason := http.StatusInternalServerError, ""
+	var he *HTTPError
+	var se StatusError
 	switch {
 	case errors.Is(err, ErrIndexNotFound):
-		httpError(w, http.StatusNotFound, "%v", err)
+		code = http.StatusNotFound
 	case IsBadRequest(err):
-		httpError(w, http.StatusBadRequest, "%v", err)
+		code = http.StatusBadRequest
 	case errors.Is(err, ErrCursorExpired):
 		// 410 Gone: the cursor named rows the retention horizon already
 		// dropped — a permanent condition, not worth a client retry.
-		httpError(w, http.StatusGone, "%v", err)
+		code = http.StatusGone
 	case errors.Is(err, ErrReadOnlyFollower):
-		httpError(w, http.StatusConflict, "%v", err)
-	default:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		code = http.StatusConflict
+	case errors.As(err, &he):
+		code = he.Status
+	case errors.As(err, &se):
+		code, reason = se.HTTPStatus()
 	}
+	body := map[string]string{"error": err.Error()}
+	if reason != "" {
+		body["reason"] = reason
+	}
+	writeJSON(w, code, body)
 }
 
 // handleScatter serves one partition's share of a cluster search: mergeable
@@ -488,16 +536,12 @@ func WriteError(w http.ResponseWriter, err error) {
 // response, always as a typed hit body (DESIGN.md §16). Error mapping matches
 // _search — a scattered request must fail exactly like a direct one.
 func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request, index string) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var sreq ScatterRequest
 	if err := json.NewDecoder(r.Body).Decode(&sreq); err != nil {
 		httpError(w, http.StatusBadRequest, "bad scatter request: %v", err)
 		return
 	}
-	resp, err := s.store.Scatter(r.Context(), index, sreq)
+	resp, err := s.node.Scatter(r.Context(), index, sreq)
 	if err != nil {
 		WriteError(w, err)
 		return
@@ -513,38 +557,17 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, index strin
 			return
 		}
 	}
-	n, err := s.store.Count(r.Context(), index, q)
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"count": n})
+	n, err := s.b.Count(r.Context(), index, q)
+	answer(w, map[string]int{"count": n}, err)
 }
 
-func (s *Server) handleCorrelate(w http.ResponseWriter, r *http.Request, index string) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	res, err := s.store.Correlate(r.Context(), index, r.URL.Query().Get("session"))
+// answer writes v as a 200, or err through WriteError.
+func answer(w http.ResponseWriter, v any, err error) {
 	if err != nil {
 		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, index string) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	st, err := s.store.Stats(index)
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, v)
 }
 
 // writeJSON encodes before the status goes out, so a value JSON cannot carry

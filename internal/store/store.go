@@ -282,8 +282,19 @@ func (s *Store) lookup(name string) (*Index, error) {
 }
 
 // DeleteIndex removes the named index, including its on-disk state on a
-// durable store and its doc-count series on /metrics.
-func (s *Store) DeleteIndex(name string) {
+// durable store and its doc-count series on /metrics. A follower refuses it
+// like every other client write: its replica may only be dropped by its own
+// bootstrap.
+func (s *Store) DeleteIndex(_ context.Context, name string) error {
+	if s.Role() == RoleFollower {
+		return fmt.Errorf("delete index: %w", ErrReadOnlyFollower)
+	}
+	s.dropIndex(name)
+	return nil
+}
+
+// dropIndex is DeleteIndex without the role check.
+func (s *Store) dropIndex(name string) {
 	s.mu.Lock()
 	ix, ok := s.indices[name]
 	delete(s.indices, name)
@@ -297,8 +308,8 @@ func (s *Store) DeleteIndex(name string) {
 	}
 }
 
-// Indices lists index names in sorted order.
-func (s *Store) Indices() []string {
+// ListIndices lists index names in sorted order.
+func (s *Store) ListIndices(context.Context) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	names := make([]string, 0, len(s.indices))
@@ -306,7 +317,7 @@ func (s *Store) Indices() []string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	return names
+	return names, nil
 }
 
 // BulkEvents indexes events into the named index, creating it on first use
@@ -317,32 +328,28 @@ func (s *Store) Indices() []string {
 // the wire's own binary frame, before it is applied. The events slice is not
 // retained.
 func (s *Store) BulkEvents(ctx context.Context, index string, events []event.Event) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.Role() == RoleFollower {
-		return ErrReadOnlyFollower
-	}
-	ix, err := s.indexOrCreate(index)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	err = ix.AddEvents(events)
-	s.tm.bulkNS.Observe(float64(time.Since(start)))
-	if err != nil {
-		return err
-	}
-	s.tm.bulkDocs.Add(uint64(len(events)))
-	return nil
+	return s.bulk(ctx, index, len(events), func(ix *Index) error { return ix.AddEvents(events) })
 }
 
-// bulkEventsFrame is BulkEvents for a batch that arrived as a wire frame:
-// the already-encoded payload is journaled verbatim instead of re-encoding
-// the decoded events, so the HTTP ingest path pays for the codec once.
-// owned reports whether the frame's buffer is surrendered (see
-// replWantsFrames and journalApply).
-func (s *Store) bulkEventsFrame(ctx context.Context, index string, frame []byte, owned bool, events []event.Event) error {
+// BulkFrame is BulkEvents for a batch that arrived as a wire frame, decoded
+// into a pooled batch: the frame bytes are journaled verbatim instead of
+// re-encoding the decoded events, so the HTTP ingest path pays for the codec
+// once. frame is not kept; with the replication tail armed the journal
+// clones it. A frame that does not decode is a BadRequest.
+func (s *Store) BulkFrame(ctx context.Context, index string, frame []byte) (int, error) {
+	bp, events, err := decodeEventBatch(frame)
+	if err != nil {
+		return 0, BadRequest(fmt.Errorf("decode frame: %w", err))
+	}
+	n := len(events)
+	err = s.bulk(ctx, index, n, func(ix *Index) error { return ix.addEventsFrame(frame, events) })
+	putEventBatch(bp, events)
+	return n, err
+}
+
+// bulk runs one client write of n events through add: a follower refuses
+// it, the index is created on first use, and the placement is timed.
+func (s *Store) bulk(ctx context.Context, index string, n int, add func(*Index) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -354,12 +361,12 @@ func (s *Store) bulkEventsFrame(ctx context.Context, index string, frame []byte,
 		return err
 	}
 	start := time.Now()
-	err = ix.addEventsFrame(frame, owned, events)
+	err = add(ix)
 	s.tm.bulkNS.Observe(float64(time.Since(start)))
 	if err != nil {
 		return err
 	}
-	s.tm.bulkDocs.Add(uint64(len(events)))
+	s.tm.bulkDocs.Add(uint64(n))
 	return nil
 }
 
@@ -378,7 +385,7 @@ type IndexStats struct {
 }
 
 // Stats reports the named index's document and shard counts.
-func (s *Store) Stats(index string) (IndexStats, error) {
+func (s *Store) Stats(_ context.Context, index string) (IndexStats, error) {
 	ix, err := s.lookup(index)
 	if err != nil {
 		return IndexStats{}, err

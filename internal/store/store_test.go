@@ -264,7 +264,7 @@ func TestStoreIndexLifecycle(t *testing.T) {
 	if err := s.BulkEvents(context.Background(), "run1", docFixture()); err != nil {
 		t.Fatalf("bulk: %v", err)
 	}
-	if got := s.Indices(); len(got) != 1 || got[0] != "run1" {
+	if got, _ := s.ListIndices(context.Background()); len(got) != 1 || got[0] != "run1" {
 		t.Fatalf("indices = %v", got)
 	}
 	n, err := s.Count(context.Background(), "run1", MatchAll())
@@ -277,8 +277,10 @@ func TestStoreIndexLifecycle(t *testing.T) {
 	if _, err := s.Count(context.Background(), "missing", MatchAll()); err == nil {
 		t.Fatal("count on missing index succeeded")
 	}
-	s.DeleteIndex("run1")
-	if got := s.Indices(); len(got) != 0 {
+	if err := s.DeleteIndex(context.Background(), "run1"); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	if got, _ := s.ListIndices(context.Background()); len(got) != 0 {
 		t.Fatalf("indices after delete = %v", got)
 	}
 }

@@ -1090,7 +1090,7 @@ func TestDurableCountDuringFirstEviction(t *testing.T) {
 			return st.Count(ctx, crashIndex, Term(FieldSession, "s1"))
 		}},
 		{"Stats().Docs", rows, func(st *Store) (int, error) {
-			s, err := st.Stats(crashIndex)
+			s, err := st.Stats(context.Background(), crashIndex)
 			return s.Docs, err
 		}},
 	}
@@ -1174,7 +1174,7 @@ func TestDurableMatchAllCountDecodesNothing(t *testing.T) {
 	if n := ix.Len(); n != len(evs) {
 		t.Fatalf("Len() = %d, want %d", n, len(evs))
 	}
-	if s, err := st.Stats(crashIndex); err != nil || s.Docs != len(evs) {
+	if s, err := st.Stats(context.Background(), crashIndex); err != nil || s.Docs != len(evs) {
 		t.Fatalf("Stats().Docs = %d (%v), want %d", s.Docs, err, len(evs))
 	}
 	if v, d := ix.rtm.segVerified.Value()-verified, ix.rtm.rowsDecoded.Value()-decoded; v != 0 || d != 0 {

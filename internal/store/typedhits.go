@@ -96,10 +96,10 @@ func (b *hitsBody) write(w http.ResponseWriter) {
 	_, _ = w.Write(data)
 }
 
-// WriteSearchResult answers one /_search with res: the typed hit body when
+// writeSearchResult answers one /_search with res: the typed hit body when
 // the request accepts it, otherwise JSON with each hit rendered as a
-// Document. The node and the coordinator servers both answer through it.
-func WriteSearchResult(w http.ResponseWriter, r *http.Request, res EventsResult) {
+// Document.
+func writeSearchResult(w http.ResponseWriter, r *http.Request, res EventsResult) {
 	if strings.Contains(r.Header.Get("Accept"), event.ContentTypeBinaryV1) {
 		(&hitsBody{Total: res.Total, Aggs: res.Aggs, NextAfter: res.NextAfter, Hits: res.Hits}).write(w)
 		return
