@@ -94,8 +94,14 @@ bench-read:
 ## within 1.3x the ns/event of events=30k: a page walks its session's term
 ## run, which the first pass builds from the session's rows alone, and a page
 ## that walked every session's rows, or a first pass that read every row of
-## the index, grows it with S. Then one correlation
-## pass over that session on a durable store, with the rows resident and
+## the index, grows it with S. Its shards=N arms (1, 4, 16) hold a 60k-event
+## session on N lock stripes, and the bar is: ns/event at 16 shards within
+## 1.3x of 1 shard, B/op within 5 % across the three, and the 1-shard arm no
+## slower than before the merge pulled pages from the stripes' walks. A page
+## pulls its rows through one merge over the stripes' walks; a page that had
+## every stripe walk and allocate a page of its own grows both with N. Every
+## arm collects the fixture's garbage before its timer starts. Then one
+## correlation pass over that session on a durable store, with the rows resident and
 ## with them flushed to a cold segment first (the flushed arm prices the
 ## pass's cold count): wal-B/row is what the pass journaled per row it named,
 ## a fraction of a byte while it journals its tag→path pairs and not the rows.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/dsrhaslab/dio-go/internal/diagnose"
@@ -64,9 +65,9 @@ func diagBenchBatchEvents(base int64, start, n int) []event.Event {
 // sees that — the benchmark's diagnose_session workload ingests between two
 // runs. The first session is "diagbench"; the others are traced on the same
 // clock, a batch of each in turn, so their rows interleave in time.
-func diagBenchStore(b *testing.B, events, sessions int) *store.Store {
+func diagBenchStore(b *testing.B, events, sessions int, opts ...store.Option) *store.Store {
 	b.Helper()
-	st, err := store.Open(store.WithQueryCache(0))
+	st, err := store.Open(append([]store.Option{store.WithQueryCache(0)}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -120,10 +121,15 @@ func BenchmarkDFGBuild(b *testing.B) {
 // the session's rows alone, so ns/event stays flat in S too; a page that
 // walked the shard's whole time order and tested each row for membership
 // cost about S times the rows it kept, and a first pass that built the time
-// column read every row of the index.
+// column read every row of the index. The shards=N arms hold a 60k-event
+// session on N lock stripes: a page pulls its rows through one merge over
+// the stripes' walks, so ns/event and B/op stay flat in N; a page that had
+// every stripe walk and allocate a page of its own cost N pages per page.
+// Every arm collects the fixture's build garbage before the timer starts.
 func BenchmarkEngineRun(b *testing.B) {
-	arms := []struct{ events, sessions int }{
-		{30_000, 1}, {diagBenchEvents, 1}, {480_000, 1}, {diagBenchEvents, 2}, {30_000, 8}, {30_000, 32},
+	arms := []struct{ events, sessions, shards int }{
+		{30_000, 1, 0}, {diagBenchEvents, 1, 0}, {480_000, 1, 0}, {diagBenchEvents, 2, 0}, {30_000, 8, 0}, {30_000, 32, 0},
+		{60_000, 1, 1}, {60_000, 1, 4}, {60_000, 1, 16},
 	}
 	for _, arm := range arms {
 		events := arm.events
@@ -131,10 +137,17 @@ func BenchmarkEngineRun(b *testing.B) {
 		if arm.sessions > 1 {
 			name += fmt.Sprintf(",sessions=%d", arm.sessions)
 		}
+		var opts []store.Option
+		if arm.shards > 0 {
+			name += fmt.Sprintf(",shards=%d", arm.shards)
+			opts = append(opts, store.WithShards(arm.shards))
+		}
 		b.Run(name, func(b *testing.B) {
-			st := diagBenchStore(b, events, arm.sessions)
+			st := diagBenchStore(b, events, arm.sessions, opts...)
 			ctx := context.Background()
 			eng := diagnose.NewEngine(diagnose.DefaultRegistry())
+			b.ReportAllocs()
+			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep, err := eng.Run(ctx, st, "bench", "diagbench")

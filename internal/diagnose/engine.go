@@ -114,6 +114,12 @@ type Detector struct {
 // holds no backend, so its memory is whatever it chooses to keep — the
 // built-in rules keep per-file, per-thread, per-window and per-syscall-kind
 // state, never anything proportional to the session length.
+//
+// Observe's event is borrowed: it points into a page that the store's
+// query cache may share read-only with other readers, so a pass may neither
+// keep the pointer past the call nor modify the event. The built-in passes
+// copy the fields they keep (strings, integers, the file tag) and keep no
+// pointer.
 type Pass interface {
 	Observe(e *event.Event)
 	Finish(g *DFG) []Finding

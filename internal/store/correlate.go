@@ -288,12 +288,14 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord, replicat
 		v := ix.readView(MatchAll(), nil, sortWalk{})
 		v.entries = v.entries[len(ix.shards):] // applyPaths names the hot stripes below
 		cold := make([][pathOutcomes]int, len(v.entries))
-		if err := v.each(ctx, true, func(i int, e *readEntry) {
+		err := v.each(ctx, true, func(i int, e *readEntry) {
 			for k := range e.sh.rows.len() {
 				row := *e.sh.rows.at(k) // a copy: a resident segment's rows are shared and read-only
 				cold[i][resolvePaths(rec, e.gidOf(int32(k)), &row)]++
 			}
-		}); err != nil {
+		})
+		v.release()
+		if err != nil {
 			return n, err
 		}
 		for _, c := range cold {

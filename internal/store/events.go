@@ -59,7 +59,10 @@ func SearchEvents(ctx context.Context, b Backend, index string, req SearchReques
 // EachEventPage walks every hit of req in pageSize-bounded pages using the
 // streaming cursor, calling fn once per page. The request's From/Size/
 // SearchAfter are overwritten by the pager; Sort and Query are honored. A
-// non-nil error from fn stops the walk and is returned.
+// non-nil error from fn stops the walk and is returned. The page is
+// borrowed: a cached page is shared read-only with every reader the query
+// cache answers, so fn may neither keep its events past the call nor modify
+// them.
 func EachEventPage(ctx context.Context, b Backend, index string, req SearchRequest, pageSize int, fn func(EventsResult) error) error {
 	if pageSize <= 0 {
 		pageSize = 1000

@@ -237,12 +237,11 @@ type SearchResponse struct {
 	NextAfter []any `json:"next_after,omitempty"`
 }
 
-// shardResult is one shard's contribution to a search: its match count,
-// its (sorted, possibly truncated) hit candidates, and its aggregation
-// partials, produced under the shard's read lock and merged lock-free.
+// shardResult is one read view entry's contribution to a search: its match
+// count and its aggregation partials, produced under the entry's read lock.
+// Its hits are a source of the page merge beside it (searchLocked).
 type shardResult struct {
 	total    int
-	hits     []hitRef
 	partials map[string]*AggPartial
 }
 
@@ -334,8 +333,8 @@ type partitionView struct {
 
 // searchShards is the shard fan-out half of the search pipeline, and the
 // node's only one: one pass over the read view (tier.go), hot stripes and
-// cold segments alike, matches, pre-sorts, and pre-aggregates every entry,
-// k-way merges the hit candidates, and hands
+// cold segments alike, matches, positions or pre-sorts, and pre-aggregates
+// every entry, pulls the page through one k-way merge (mergePage), and hands
 // finish the windowed refs plus the per-aggregation COMBINED partials — not
 // yet finalized, so a cluster coordinator can combine them once more across
 // partitions before finalizing. finish runs while every shard read lock is
@@ -399,23 +398,24 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 			sh.mu.RUnlock()
 		}
 	}()
-	// need is how many leading hit candidates each shard must contribute for
-	// a correct global window; 0 means all.
+	// need is how many leading hits an entry may have to contribute for a
+	// correct global window; 0 means all.
 	if req.Size > 0 {
 		exec.need = req.From + req.Size
 	}
 	exec.cur, exec.walk = cur, walk
 	v := ix.readView(req.Query, cols, walk)
+	defer v.release()
 	// A match-all count opens no cold entry: it takes the rows from the
 	// segment's meta, and decodes nothing.
 	countAll := exec.count && req.Query.matchesAll()
-	results := make([]shardResult, len(v.entries))
+	results, srcs := make([]shardResult, len(v.entries)), make([]hitSource, len(v.entries))
 	if err := v.each(ctx, !countAll, func(i int, e *readEntry) {
 		if e.sh == nil {
 			results[i].total = int(e.seg.Rows)
 			return
 		}
-		results[i] = e.searchLocked(exec)
+		results[i], srcs[i] = e.searchLocked(exec)
 	}); err != nil {
 		return err
 	}
@@ -437,11 +437,7 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 			combined[name] = combinePartials(a, parts)
 		}
 	}
-	lists := make([][]hitRef, len(results))
-	for i := range results {
-		lists[i] = results[i].hits
-	}
-	finish(mergeHits(lists, req), total, combined)
+	finish(mergePage(srcs, req.Sort, req.From, req.Size), total, combined)
 	return nil
 }
 
@@ -459,11 +455,14 @@ type searchExec struct {
 	walk   sortWalk
 }
 
-// searchLocked produces one read view entry's result; the caller holds
-// e.sh.mu.RLock (a hot stripe's or a cold segment's). The entry's gidOf and
-// firstAfter, both monotone, place its local ids in the global id space, so
-// one pipeline serves dense round-robin stripes and sparse cold segments.
-func (e *readEntry) searchLocked(exec *searchExec) shardResult {
+// searchLocked produces one read view entry's result, and its hits as one
+// ascending source of the page merge: its positioned walk (pageWalk), or its
+// sorted, possibly truncated candidates, none on a counting execution. The
+// caller holds e.sh.mu.RLock (a hot stripe's or a cold segment's). The
+// entry's gidOf and firstAfter, both monotone, place its local ids in the
+// global id space, so one pipeline serves dense round-robin stripes and
+// sparse cold segments.
+func (e *readEntry) searchLocked(exec *searchExec) (shardResult, hitSource) {
 	sh, req, need := e.sh, exec.req, exec.need
 	matchAll := req.Query.matchesAll()
 	// ids materializes lazily: a match-all request with no aggregation may
@@ -490,7 +489,7 @@ func (e *readEntry) searchLocked(exec *searchExec) shardResult {
 		res.total = len(getIDs())
 	}
 	if exec.count {
-		return res
+		return res, hitSource{}
 	}
 	if len(req.Aggs) > 0 {
 		res.partials = make(map[string]*AggPartial, len(req.Aggs))
@@ -503,9 +502,8 @@ func (e *readEntry) searchLocked(exec *searchExec) shardResult {
 	var hitIDs []int32
 	switch {
 	case len(req.Sort) > 0:
-		if hits, walked := e.orderedPage(exec, l, listed, getIDs); walked {
-			res.hits = hits
-			return res
+		if src, walked := e.pageWalk(exec, l, listed, getIDs); walked {
+			return res, src
 		}
 		sortCols := make([]*column, len(req.Sort))
 		for i, s := range req.Sort {
@@ -572,18 +570,18 @@ func (e *readEntry) searchLocked(exec *searchExec) shardResult {
 	if need > 0 && len(hitIDs) > need {
 		hitIDs = hitIDs[:need]
 	}
-	res.hits = make([]hitRef, len(hitIDs))
+	refs := make([]hitRef, len(hitIDs))
 	for i, id := range hitIDs {
-		res.hits[i] = hitRef{ev: sh.rows.at(int(id)), gid: e.gidOf(id)}
+		refs[i] = hitRef{ev: sh.rows.at(int(id)), gid: e.gidOf(id)}
 	}
 	if len(req.Sort) > 0 {
 		f := req.Sort[0].Field
 		c := sh.cols[f]
 		for i, id := range hitIDs {
-			res.hits[i].key, res.hits[i].keyOK = sh.colVal(c, f, id)
+			refs[i].key, refs[i].keyOK = sh.colVal(c, f, id)
 		}
 	}
-	return res
+	return res, hitSource{refs: refs}
 }
 
 // walkList returns the list a single-key sorted page walks (idList): its
@@ -616,20 +614,20 @@ func (sh *shard) walkList(w sortWalk) (l idList, ok bool) {
 	return l, true
 }
 
-// orderedPage selects a single-key sorted page by walking l, a list in the
-// sort column's order (walkList), from the cursor's position: a binary
-// search finds the first row past the cursor, and the walk keeps rows until
-// need are kept, each with its sort key as l holds it. A page then costs
-// O(log n + rows walked), whatever its depth in the walk, where the
-// candidate path re-tests every match against the cursor and heaps the
-// rest. Desc walks the runs of equal values backward but each run forward,
-// so ties keep ascending ids, as hitLess orders them.
+// pageWalk positions a single-key sorted page's walk of l, a list in the
+// sort column's order (walkList), at the cursor: a binary search finds the
+// first row past it, and the page merge (mergePage) then pulls from the walk
+// only the rows the page keeps, each with its sort key as l holds it. A page
+// costs O(log n) per entry to position and O(log k) per row pulled over k
+// entries, whatever its depth in the walk, where the candidate path
+// re-tests every match against the cursor and heaps a page per entry.
+// Positioning allocates nothing on the exact path.
 //
 // l holds every match of the query: the term's run when the query names an
 // indexed term, so a page over one session of many walks that session's
-// rows alone. When the walk is exact every row walked is kept, so a page
-// walks need rows. Otherwise each row walked is tested for membership in
-// the ascending match list: by a bit test, or a binary search.
+// rows alone. When the walk is exact every row walked is kept. Otherwise
+// each row walked is tested for membership in the ascending match list: by
+// a bit test, or a binary search.
 //
 // walked is false, and the caller takes the candidate path, for a multi-key
 // or unbounded sort, a cursor value that is not numeric, a page with no list
@@ -637,19 +635,14 @@ func (sh *shard) walkList(w sortWalk) (l idList, ok bool) {
 // and, off the exact path, matches too sparse for the walk to pay: it visits
 // about need·len/m rows for m matches of the len it may walk, so it is taken
 // when that is at most m.
-func (e *readEntry) orderedPage(exec *searchExec, l idList, listed bool, getIDs func() []int32) (hits []hitRef, walked bool) {
+func (e *readEntry) pageWalk(exec *searchExec, l idList, listed bool, getIDs func() []int32) (src hitSource, walked bool) {
 	sh, req, need := e.sh, exec.req, exec.need
 	if len(req.Sort) != 1 || need <= 0 || !listed {
-		return nil, false
+		return src, false
 	}
-	s, cur := req.Sort[0], exec.cur
+	cur := exec.cur
 	if cur != nil && !cur.keys[0].ok {
-		return nil, false
-	}
-	// first returns the first position of l at or past lo whose value is
-	// above, a predicate false then true along l.
-	first := func(lo int, above func(v float64) bool) int {
-		return lo + sort.Search(l.len()-lo, func(i int) bool { return above(l.at(lo + i)) })
+		return src, false
 	}
 	// keep tests a walked row for membership; nil keeps every row. m matches,
 	// all of them in l, are every row of it when m == len. Else the match
@@ -660,7 +653,7 @@ func (e *readEntry) orderedPage(exec *searchExec, l idList, listed bool, getIDs 
 		ids := getIDs()
 		m := len(ids)
 		if need > m || need*l.len() > m*m {
-			return nil, false
+			return src, false
 		}
 		switch {
 		case m == l.len():
@@ -674,53 +667,27 @@ func (e *readEntry) orderedPage(exec *searchExec, l idList, listed bool, getIDs 
 			}
 		}
 	}
-	hits = make([]hitRef, 0, min(need, l.len()))
-	// walk keeps the rows at positions [lo, hi) of l, in order, and reports
-	// whether the page is full.
-	walk := func(lo, hi int) bool {
-		for p := lo; p < hi; p++ {
-			id := l.ids[p]
-			if keep != nil && !keep(id) {
-				continue
-			}
-			hits = append(hits, hitRef{ev: sh.rows.at(int(id)), gid: e.gidOf(id), key: l.at(p), keyOK: true})
-			if len(hits) == need {
-				return true
-			}
-		}
-		return false
-	}
-	// [lo, hi) is the run of the cursor's value, and from the first position
-	// past the cursor in ascending order: a greater value, or the cursor's
-	// value at a local id whose gid is past the cursor's (ids and gids rise
-	// together within a shard).
-	from, lo, hi := 0, 0, l.len()
-	if cur != nil {
+	src = hitSource{e: e, l: l, keep: keep, desc: req.Sort[0].Desc, hi: l.len()}
+	switch {
+	case cur != nil:
+		// [lo, hi) is the run of the cursor's value, and p the first position
+		// past the cursor in ascending order: a greater value, or the cursor's
+		// value at a local id whose gid is past the cursor's (ids and gids
+		// rise together within a shard). Ascending, the walk goes on from p to
+		// the end; descending, it takes the rest of the cursor's run, then
+		// every run below it.
 		cv, fa := cur.keys[0].num, e.firstAfter(cur.gid)
-		lo = first(0, func(v float64) bool { return v >= cv })
-		hi = first(lo, func(v float64) bool { return v > cv })
-		from = lo + sort.Search(hi-lo, func(i int) bool { return l.ids[lo+i] >= fa })
-	}
-	if !s.Desc {
-		walk(from, l.len())
-		return hits, true
-	}
-	// Descending: first the rest of the cursor's own run, then every run
-	// below it, last run first.
-	if cur != nil {
-		if walk(from, hi) {
-			return hits, true
+		lo := sort.Search(l.len(), func(i int) bool { return l.at(i) >= cv })
+		hi := lo + sort.Search(l.len()-lo, func(i int) bool { return l.at(lo+i) > cv })
+		src.lo, src.p = lo, lo+sort.Search(hi-lo, func(i int) bool { return l.ids[lo+i] >= fa })
+		if src.desc {
+			src.hi = hi
 		}
-		hi = lo
+	case src.desc:
+		// Every run, last first: the walk starts past the end.
+		src.lo, src.p = src.hi, src.hi
 	}
-	for hi > 0 {
-		lo = runStart(l, hi)
-		if walk(lo, hi) {
-			break
-		}
-		hi = lo
-	}
-	return hits, true
+	return src, true
 }
 
 // runStart returns the first position of the run of equal values that ends
@@ -790,7 +757,7 @@ func topK(ids []int32, k int, less func(a, b int32) bool) []int32 {
 // cmpField would coerce them to, the first as the refs carry it and any other
 // read unboxed; only a key that is not numeric on both sides goes through the
 // boxed document value.
-func hitLess(a, b hitRef, sorts []SortField) bool {
+func hitLess(a, b *hitRef, sorts []SortField) bool {
 	for i, s := range sorts {
 		af, aok, bf, bok := a.key, a.keyOK, b.key, b.keyOK
 		if i > 0 {
@@ -810,27 +777,6 @@ func hitLess(a, b hitRef, sorts []SortField) bool {
 		}
 	}
 	return a.gid < b.gid
-}
-
-// mergeHits k-way merges pre-sorted candidate lists — one per shard on a
-// node, one per partition at the cluster coordinator — under the request's
-// order and applies the From/Size window.
-func mergeHits(lists [][]hitRef, req SearchRequest) []hitRef {
-	need := 0
-	if req.Size > 0 {
-		need = req.From + req.Size
-	}
-	out := kwayMerge(lists, func(a, b hitRef) bool { return hitLess(a, b, req.Sort) }, need)
-	if req.From > 0 {
-		if req.From >= len(out) {
-			return nil
-		}
-		out = out[req.From:]
-	}
-	if req.Size > 0 && len(out) > req.Size {
-		out = out[:req.Size]
-	}
-	return out
 }
 
 // neededColumns lists the fields a request will read through the columnar
@@ -899,7 +845,7 @@ func neededColumns(req SearchRequest) []string {
 	return out
 }
 
-// sortWalk is what a single-key sorted page on field walks (orderedPage), on
+// sortWalk is what a single-key sorted page on field walks (pageWalk), on
 // hot and resident cold shards alike, so that this and every later page can
 // walk it. Clauses are read as the evaluator reads
 // them (boolOnly): the query itself, or the must clauses of a bool that is

@@ -7,7 +7,7 @@ import "math"
 // stripe and merges them (DESIGN.md §5); in cluster mode a coordinator
 // scatters the same request across partition nodes and gathers per-node
 // ScatterResponses (DESIGN.md §16). Both levels reduce through the functions
-// in this file: a k-way ordered merge for hit candidates, combinable (not yet
+// in this file: a k-way ordered merge for hits (mergePage), combinable (not yet
 // finalized) aggregation partials, and plain integer sums for counts. The
 // split between combinePartials and finalizePartial is what makes the
 // two-level composition exact — partials combine associatively at each level
@@ -15,36 +15,132 @@ import "math"
 // truncation, and percentile ranks are computed over the complete data no
 // matter how many times it was partitioned on the way up.
 
-// kwayMerge merges pre-sorted lists into one ascending sequence under less,
-// stopping after limit elements (limit <= 0 merges everything). Each input
-// list must already be sorted by the same order; ties across lists resolve to
-// the lowest list index, which both call sites make deterministic by keying
-// less with a total order (the global id tie-break).
-func kwayMerge[T any](lists [][]T, less func(a, b T) bool, limit int) []T {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
+// hitSource is one ascending input of the page merge (mergePage): a slice of
+// refs, or an entry's positioned walk of its list (e non-nil, pageWalk). A
+// walk yields the entries of l at positions [p, hi), each with its key as l
+// holds it and kept when keep (nil keeps all) says so; a descending walk then
+// yields every run of equal values below lo, last run first and each run
+// forward, so ties keep ascending ids, as hitLess orders them. head is the
+// ref advance last yielded, and done whether advance found none.
+type hitSource struct {
+	head      hitRef
+	done      bool
+	refs      []hitRef
+	e         *readEntry
+	l         idList
+	keep      func(id int32) bool
+	desc      bool
+	p, lo, hi int
+}
+
+// bound is the most refs s can still yield past its head.
+func (s *hitSource) bound() int {
+	if s.e == nil {
+		return len(s.refs)
 	}
-	if limit > 0 && limit < n {
-		n = limit
+	if s.desc {
+		return s.hi - s.p + s.lo
 	}
-	out := make([]T, 0, n)
-	cursors := make([]int, len(lists))
-	for len(out) < n {
-		best := -1
-		for i := range lists {
-			if cursors[i] >= len(lists[i]) {
-				continue
-			}
-			if best == -1 || less(lists[i][cursors[i]], lists[best][cursors[best]]) {
-				best = i
-			}
+	return s.hi - s.p
+}
+
+// advance moves s's head to its next ref, or sets done when it has none.
+func (s *hitSource) advance() {
+	if s.e == nil {
+		if s.done = len(s.refs) == 0; !s.done {
+			s.head, s.refs = s.refs[0], s.refs[1:]
 		}
-		if best == -1 {
+		return
+	}
+	for {
+		if s.p == s.hi {
+			if !s.desc || s.lo == 0 {
+				s.done = true
+				return
+			}
+			s.hi = s.lo
+			s.lo = runStart(s.l, s.hi)
+			s.p = s.lo
+		}
+		p := s.p
+		s.p++
+		if id := s.l.ids[p]; s.keep == nil || s.keep(id) {
+			s.head = hitRef{ev: s.e.sh.rows.at(int(id)), gid: s.e.gidOf(id), key: s.l.at(p), keyOK: true}
+			return
+		}
+	}
+}
+
+// mergePage merges srcs, each ascending under hitLess by sorts, and returns
+// the window [from, from+size) of the merge, everything past from when size
+// <= 0: the one k-way merge of both fan-out levels, over a node's read view
+// entries and over a coordinator's partitions. A loser tree over the
+// sources' heads makes each ref pulled cost ⌈log₂ k⌉ comparisons, and a
+// source is read one ref past what the window takes from it, so a walk
+// reads the rows the page keeps, not a page of its own. The window is the
+// only allocation proportional to the page. hitLess is a total order (the
+// gid breaks ties), so the merge is the same whatever the sources' order.
+func mergePage(srcs []hitSource, sorts []SortField, from, size int) []hitRef {
+	n := -from
+	for i := range srcs {
+		n += srcs[i].bound()
+	}
+	if size > 0 {
+		n = min(n, size)
+	}
+	if n <= 0 {
+		return nil
+	}
+	// Node j of the tree has children 2j and 2j+1, and source i is leaf k+i.
+	// loser[j] is the source that lost the match at internal node j, and
+	// loser[0] the one that won them all; win[j] is the winner at node j,
+	// read only to build the tree. A source with no head loses every match.
+	// Two different first keys decide a single-key match with one float
+	// comparison, as hitLess would: a key is an integer field's coercion,
+	// never NaN.
+	k := len(srcs)
+	tree := make([]int, 3*k)
+	loser, win := tree[:k], tree[k:]
+	one := len(sorts) == 1
+	desc := one && sorts[0].Desc
+	beats := func(a, b int) bool {
+		x, y := &srcs[a], &srcs[b]
+		if x.done || y.done {
+			return !x.done
+		}
+		if one && x.head.keyOK && y.head.keyOK && x.head.key != y.head.key {
+			return (x.head.key < y.head.key) != desc
+		}
+		return hitLess(&x.head, &y.head, sorts)
+	}
+	for i := range srcs {
+		srcs[i].advance()
+		win[k+i] = i
+	}
+	for j := k - 1; j > 0; j-- {
+		a, b := win[2*j], win[2*j+1]
+		if beats(b, a) {
+			a, b = b, a
+		}
+		win[j], loser[j] = a, b
+	}
+	loser[0] = win[1]
+	out := make([]hitRef, 0, n)
+	for w := loser[0]; !srcs[w].done; loser[0] = w {
+		s := &srcs[w]
+		if from > 0 {
+			from--
+		} else if out = append(out, s.head); len(out) == n {
 			break
 		}
-		out = append(out, lists[best][cursors[best]])
-		cursors[best]++
+		s.advance()
+		// Replay w's path to the root: each match it loses parks it and sends
+		// the node's old loser on up.
+		for j := (k + w) / 2; j > 0; j /= 2 {
+			if beats(loser[j], w) {
+				loser[j], w = w, loser[j]
+			}
+		}
 	}
 	return out
 }

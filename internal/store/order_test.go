@@ -7,10 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
@@ -87,14 +90,16 @@ func orderedBatches(n, batch int) [][]event.Event {
 
 // orderedRequests is the sorted matrix the walk and the candidate path must
 // both answer as the oracle does: asc and desc on time_enter_ns at page sizes
-// 1, 7 and 1000 (with and without from) over a match-all; session and syscall
-// terms, which a page reads as their runs; a sparse term; a term absent from
-// some shards; a term holding every row, which a page reads as the order
-// itself; two bool(term, time window) queries, inclusive and strict, which
-// cut a run by binary search; a terms list and a bool(term, terms, time
+// 1, 7 and 1000 (with and without from, which the merge skips past) over a
+// match-all; session and syscall terms, which a page reads as their runs; a
+// sparse term; a term absent from every shard but one, whose whole window
+// comes from one entry; a term holding every row, which a page reads as the
+// order itself; two bool(term, time window) queries, inclusive and strict,
+// which cut a run by binary search; a terms list and a bool(term, terms, time
 // window), which walk the order, cut to the window, testing each row for
-// membership; and count, which some rows lack, so its column never gets an
-// order or a run.
+// membership; a bool(session, syscall), which walks the session's run
+// testing each row; and count, which some rows lack, so its column never gets
+// an order or a run.
 func orderedRequests() []SearchRequest {
 	var out []SearchRequest
 	gt, lt := float64(orderBase+35_000), float64(orderBase+120_000)
@@ -109,6 +114,7 @@ func orderedRequests() []SearchRequest {
 		Must(Term(FieldSession, "s0"), Query{Range: &RangeQuery{Field: FieldTimeEnter, GT: &gt, LT: &lt}}),
 		Terms(FieldSyscall, "write", "fsync"),
 		Must(Term(FieldSession, "s1"), Terms(FieldSyscall, "read", "write"), RangeBetween(FieldTimeEnter, orderBase+20_000, orderBase+90_000)),
+		Must(Term(FieldSession, "s0"), Term(FieldSyscall, "write")),
 	}
 	for _, q := range queries {
 		for _, desc := range []bool{false, true} {
@@ -127,10 +133,12 @@ func orderedRequests() []SearchRequest {
 
 // tieCursor returns a search_after token for the time sort that lies inside
 // a run of at least three equal float64 times: its row has an equal
-// neighbour on both sides in (time, gid) order.
+// neighbour on both sides in (time, gid) order, and on more than one shard
+// one of them sits on another shard, so the tie crosses the merge's entries.
 func tieCursor(t *testing.T, ix *Index) []any {
 	t.Helper()
 	rows, base := oracleRows(ix)
+	S := len(ix.shards)
 	at := func(r int) float64 { f, _ := numeric(rows[r][FieldTimeEnter]); return f }
 	ord := make([]int, len(rows))
 	for i := range ord {
@@ -138,7 +146,8 @@ func tieCursor(t *testing.T, ix *Index) []any {
 	}
 	sort.SliceStable(ord, func(i, j int) bool { return at(ord[i]) < at(ord[j]) })
 	for k := 1; k+1 < len(ord); k++ {
-		if at(ord[k-1]) == at(ord[k]) && at(ord[k]) == at(ord[k+1]) && at(ord[k]) > orderBase {
+		crosses := S == 1 || ord[k-1]%S != ord[k]%S || ord[k+1]%S != ord[k]%S
+		if at(ord[k-1]) == at(ord[k]) && at(ord[k]) == at(ord[k+1]) && at(ord[k]) > orderBase && crosses {
 			return []any{at(ord[k]), float64(base + ord[k])}
 		}
 	}
@@ -223,7 +232,8 @@ func coldWalkCovers(ix *Index, req SearchRequest) bool {
 // TestSortedCursorMatchesOracle pages every request of the sorted matrix —
 // from the start, and from a cursor inside a tie run — and requires every
 // page to equal the oracle's own cursor at 1, 4 and 16 shards: on an
-// in-memory store, and on a durable one, compared with an in-memory mirror
+// in-memory store, on one whose first stripe holds a row its run lacks
+// while the others walk (checkUnlistedStripe), and on a durable one, compared with an in-memory mirror
 // of the same rows, that takes the next batch after every page and
 // snapshots after every other one. A snapshot drops every hot column with
 // its order and runs, rebuilt on the next page over the rows ingested since;
@@ -269,6 +279,13 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 			}
 			if !orderCovers(ix, FieldTimeEnter) {
 				t.Fatal("no shard built the time order")
+			}
+			if shards > 1 {
+				for _, q := range []Query{Term(FieldSession, "s1"), Must(Term(FieldSession, "s1"), Term(FieldSyscall, "write"))} {
+					for _, desc := range []bool{false, true} {
+						checkUnlistedStripe(t, shards, batches, SearchRequest{Query: q, Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}, From: 3, Size: 40})
+					}
+				}
 			}
 			if c := ix.shards[0].cols[FieldCount]; c == nil || c.order != nil {
 				t.Fatal("count, which some rows lack, has an order")
@@ -330,6 +347,60 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 				t.Fatal("the durable arm never paged over cold rows")
 			}
 		})
+	}
+}
+
+// checkUnlistedStripe runs one page of req, which walks the session s1's
+// run, over a fresh in-memory index of batches on shards stripes, with a row
+// of s1 landing on stripe 0 after the page's ensureColumns has passed it and
+// before the page read-locks the stripes: the test holds the last stripe's
+// write lock until the runs of all the others are built. Stripe 0's run is
+// then one row short, so it takes the candidate path while the others walk,
+// and the merge interleaves the two kinds of source. The page must equal the
+// oracle's.
+func checkUnlistedStripe(t *testing.T, shards int, batches [][]event.Event, req SearchRequest) {
+	t.Helper()
+	ix := NewIndexWithShards("unlisted", shards)
+	n := 0
+	for _, b := range batches {
+		ix.AddEvents(slices.Clone(b))
+		n += len(b)
+	}
+	if n%shards != 0 {
+		t.Fatalf("%d rows on %d stripes: the next row would not land on stripe 0", n, shards)
+	}
+	walk := sortWalkOf(req)
+	key := runKey{walk.field, walk.term}
+	last := ix.shards[shards-1]
+	last.mu.Lock()
+	done := make(chan SearchResponse)
+	go func() { done <- ix.Search(req) }()
+	for built := false; !built; runtime.Gosched() {
+		built = true
+		for _, sh := range ix.shards[:shards-1] {
+			sh.mu.RLock()
+			_, ok := sh.runs[key]
+			sh.mu.RUnlock()
+			built = built && ok
+		}
+	}
+	first := ix.shards[0]
+	first.mu.Lock()
+	first.addEventLocked(&event.Event{Session: "s1", Syscall: "write", Class: "io", ProcName: "app", TimeEnterNS: orderBase + 50_000, RetVal: int64(n)})
+	ix.rr.Add(1)
+	first.mu.Unlock()
+	last.mu.Unlock()
+	got := <-done
+	first.mu.RLock()
+	short := len(first.runs[key].ids) < len(first.postings[FieldSession]["s1"])
+	first.mu.RUnlock()
+	if !short {
+		t.Fatalf("%+v: stripe 0's run covers the late row", req)
+	}
+	want := oracleSearch(ix, req)
+	if got.Total != want.Total || !reflect.DeepEqual(got.Hits, want.Hits) || !reflect.DeepEqual(got.NextAfter, want.NextAfter) {
+		t.Fatalf("%+v on %d shards, stripe 0 unlisted:\n got total %d, %d hits, next %v\nwant total %d, %d hits, next %v",
+			req, shards, got.Total, len(got.Hits), got.NextAfter, want.Total, len(want.Hits), want.NextAfter)
 	}
 }
 
@@ -562,10 +633,10 @@ func TestTermRunLifecycle(t *testing.T) {
 // interleaved in time, a page of one session's time-sorted pass, asc or desc,
 // from the start or from a cursor, walks that session's run and nothing
 // else. The match list is never consulted, so every row walked is a hit and
-// the page walks at most need rows; the page allocates its hits alone, no
-// bitmap of the session; and each hit's key is its row's time. A page that
-// also asks for some syscalls, as the file-pattern detectors' do, walks the
-// same run and keeps the rows it matches.
+// the merge reads at most one row past the page; positioning the walk
+// allocates nothing, no bitmap of the session; and each hit's key is its
+// row's time. A page that also asks for some syscalls, as the file-pattern
+// detectors' do, walks the same run and keeps the rows it matches.
 func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 	const sessions, rows, need = 8, 4000, 50
 	syscalls := []string{"read", "write", "openat"}
@@ -593,14 +664,20 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 		if !listed || exec.walk.exact == tested || l.len() != rows/sessions {
 			t.Fatalf("%+v: listed %v, exact %v, a list of %d rows; want the session's %d", req.Query, listed, exec.walk.exact, l.len(), rows/sessions)
 		}
-		hits, walked := e.orderedPage(exec, l, listed, getIDs)
+		src, walked := e.pageWalk(exec, l, listed, getIDs)
 		if !walked {
 			t.Fatalf("%+v: not walked", req.Query)
 		}
 		if !tested {
-			if a := testing.AllocsPerRun(20, func() { e.orderedPage(exec, l, listed, getIDs) }); a != 1 {
-				t.Fatalf("%+v: a page makes %v allocations, want 1 (its hits)", req.Query, a)
+			if a := testing.AllocsPerRun(20, func() { e.pageWalk(exec, l, listed, getIDs) }); a != 0 {
+				t.Fatalf("%+v: positioning a walk makes %v allocations, want 0", req.Query, a)
 			}
+		}
+		srcs := []hitSource{src}
+		before := srcs[0].bound()
+		hits := mergePage(srcs, req.Sort, 0, need)
+		if read := before - srcs[0].bound(); !tested && read > need+1 {
+			t.Fatalf("%+v: the merge read %d rows of the run for a page of %d", req.Query, read, need)
 		}
 		ids := make([]int32, len(hits))
 		for i, h := range hits {
@@ -642,4 +719,118 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 			t.Fatalf("desc=%v, session and syscalls: hits %v; want %v", desc, got, exp[:need])
 		}
 	}
+}
+
+// TestSortedPageAllocatesItsRefsOnce: a whole page of one session's
+// time-sorted pass, through searchShards, allocates its need refs once, and
+// about the same bytes at 1, 4 and 16 shards: the merge pulls the page from
+// the entries' walks and no entry materialises a page of its own, which
+// cost shards × need refs.
+func TestSortedPageAllocatesItsRefsOnce(t *testing.T) {
+	const sessions, rows, need, runs = 8, 32_000, 1000, 20
+	refBytes := need * int(unsafe.Sizeof(hitRef{}))
+	evs := make([]event.Event, rows)
+	for i := range evs {
+		evs[i] = event.Event{Session: fmt.Sprintf("s%d", i%sessions), Syscall: "read", TimeEnterNS: orderBase + int64(i)*1000}
+	}
+	for _, shards := range []int{1, 4, 16} {
+		ix := NewIndexWithShards("alloc", shards)
+		ix.AddEvents(evs)
+		req := SearchRequest{Query: Term(FieldSession, "s3"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: need, SearchAfter: []any{float64(orderBase + 8_003_000), float64(8003)}}
+		page := func() {
+			err := ix.searchShards(context.Background(), &searchExec{req: req}, nil, func(refs []hitRef, _ int, _ map[string]*AggPartial) {
+				if len(refs) != need {
+					t.Fatalf("%d shards: a page of %d refs, want %d", shards, len(refs), need)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		page()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			page()
+		}
+		runtime.ReadMemStats(&after)
+		if b := int(after.TotalAlloc-before.TotalAlloc) / runs; b < refBytes || b > refBytes+refBytes/4 {
+			t.Fatalf("%d shards: a page allocates %d B, want its %d B of refs and at most %d B more", shards, b, refBytes, refBytes/4)
+		}
+	}
+}
+
+// TestColdReadLocksHeldThroughMerge: a search holds every cold entry's read
+// lock until its merge has walked the entries' lists and copied their rows,
+// while a page's first read of a term builds its runs on the segments under
+// their write locks. A search opens, and so builds on, every cold entry
+// before it takes any cold read lock, then takes them in one order, so no
+// two searches wait on each other. Raced, four readers page two sessions and
+// five syscalls by four sort fields over two resident segments and the hot
+// stripes, each rotated so that one reader's first page of a term builds
+// while the others hold the segments through their merges; every page must
+// equal the oracle's over an in-memory mirror.
+func TestColdReadLocksHeldThroughMerge(t *testing.T) {
+	ctx := context.Background()
+	mirror := memStore(t, WithShards(4))
+	dur := openDurable(t, t.TempDir(), WithShards(4), WithFsyncPolicy(FsyncOff), WithQueryCache(0))
+	t.Cleanup(func() { mirror.Close(); dur.Close() })
+	batches := orderedBatches(2400, 40)
+	for i, b := range batches {
+		for _, st := range []*Store{mirror, dur} {
+			if err := st.BulkEvents(ctx, "ord", b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == len(batches)/3 || i == 2*len(batches)/3 {
+			if err := dur.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mix, _ := mirror.GetIndex("ord")
+	dix, _ := dur.GetIndex("ord")
+	if len(dix.coldSegments()) != 2 {
+		t.Fatalf("%d cold segments, want 2", len(dix.coldSegments()))
+	}
+	var reqs []SearchRequest
+	terms := []Query{Term(FieldSession, "s0"), Term(FieldSession, "s1"), Term(FieldSyscall, "read"), Term(FieldSyscall, "write"),
+		Term(FieldSyscall, "openat"), Term(FieldSyscall, "close"), Term(FieldSyscall, "lseek")}
+	for i, q := range terms {
+		for _, f := range []string{FieldTimeEnter, FieldTimeExit, FieldRetVal, FieldTID} {
+			req := SearchRequest{Query: q, Sort: []SortField{{Field: f, Desc: i%2 == 1}}, Size: 97}
+			if f == FieldTimeExit {
+				req.Aggs = map[string]Agg{"by_thread": {Terms: &TermsAgg{Field: FieldThreadName}}}
+			}
+			reqs = append(reqs, req)
+		}
+	}
+	const readers = 4
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for k := range reqs {
+				req := reqs[(k+r*len(reqs)/readers)%len(reqs)]
+				for {
+					got, err := dur.Search(ctx, "ord", req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want := oracleSearch(mix, req)
+					if got.Total != want.Total || !reflect.DeepEqual(got.Hits, want.Hits) || !reflect.DeepEqual(got.NextAfter, want.NextAfter) || !reflect.DeepEqual(got.Aggs, want.Aggs) {
+						t.Errorf("%+v: got total %d, %d hits; want total %d, %d hits", req, got.Total, len(got.Hits), want.Total, len(want.Hits))
+						return
+					}
+					if got.NextAfter == nil {
+						break
+					}
+					req.SearchAfter = got.NextAfter
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }

@@ -115,7 +115,7 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 
 // MergeScatters reduces per-partition scatter responses into a finished
 // search result: the cluster-level half of the two-level fan-out, running
-// the SAME merge-layer reductions (mergeHits under the request's sort order
+// the SAME merge-layer reductions (mergePage under the request's sort order
 // with the gid tie-break, combine-then-finalize aggregation partials,
 // eventsResult for the window's copy-out and continuation token) the
 // intra-node shard merge runs one level down — which is why a cluster answer
@@ -127,18 +127,19 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 // streaming and the From/Size window is applied once, here.
 func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
 	P := len(resps)
-	lists := make([][]hitRef, P)
+	srcs := make([]hitSource, P)
 	total := 0
 	for p := range resps {
 		total += resps[p].Total
-		lists[p] = make([]hitRef, len(resps[p].Hits))
-		for i := range lists[p] {
+		refs := make([]hitRef, len(resps[p].Hits))
+		for i := range refs {
 			ref := hitRef{ev: &resps[p].Hits[i], gid: resps[p].Gids[i]*P + p}
 			if len(req.Sort) > 0 {
 				ref.key, ref.keyOK = ref.ev.NumericField(req.Sort[0].Field)
 			}
-			lists[p][i] = ref
+			refs[i] = ref
 		}
+		srcs[p].refs = refs
 	}
 	var aggs map[string]AggResult
 	if len(req.Aggs) > 0 {
@@ -153,5 +154,5 @@ func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
 			aggs[name] = MergeAggPartials(a, parts)
 		}
 	}
-	return eventsResult(req, mergeHits(lists, req), total, aggs)
+	return eventsResult(req, mergePage(srcs, req.Sort, req.From, req.Size), total, aggs)
 }

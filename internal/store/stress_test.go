@@ -335,6 +335,26 @@ func oracleRequests() []SearchRequest {
 			Sort:  []SortField{{Field: "time_enter_ns", Desc: true}},
 			Size:  20,
 		},
+		// Walked pages the merge must window: from rows skipped in the merge,
+		// a session ∧ syscall page that tests each row of the run, and a page
+		// whose one row sits on one shard, every other entry empty.
+		{
+			Query: Term("session", "s1"),
+			Sort:  []SortField{{Field: "time_enter_ns", Desc: true}},
+			From:  7,
+			Size:  20,
+		},
+		{
+			Query: Must(Term("session", "s2"), Term("syscall", "write")),
+			Sort:  []SortField{{Field: "time_enter_ns"}},
+			From:  3,
+			Size:  15,
+		},
+		{
+			Query: Term("syscall", "rare"),
+			Sort:  []SortField{{Field: "time_enter_ns"}},
+			Size:  5,
+		},
 		// Two clauses set: the evaluator reads the first, in the order Term,
 		// Terms, Range, Prefix, Exists, Bool, and ignores the bool beside it.
 		{

@@ -2,12 +2,13 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
@@ -441,6 +442,7 @@ type readView struct {
 	bounded    bool
 	cols       []string
 	walk       sortWalk
+	locked     bool // each holds every cold entry's read lock
 }
 
 // readView builds the view of a read of q under the cut its caller holds:
@@ -472,63 +474,100 @@ func (ix *Index) readView(q Query, cols []string, walk sortWalk) *readView {
 }
 
 // each is the one pass over the view: it runs fn on every entry, under the
-// entry's read lock, in parallel while shardSem has slots and inline on the
-// caller otherwise. A hot stripe's lock is part of the caller's cut; a cold
-// entry is opened first (open). Without openCold, fn gets a cold entry
-// unopened, its shard nil, to answer from the segment's meta. ctx is
-// consulted before each entry is dispatched, so a cancelled read stops
-// claiming cores; entries already running finish, since fn holds locks. each
-// returns ctx.Err() when it skipped an entry, else the errors of the opens,
-// joined, and always after every dispatched entry is done.
+// entry's read lock, on the caller and on helpers while shardSem has slots
+// (fan). A hot stripe's lock is part of the caller's cut. With openCold,
+// every cold entry is first opened (open), one after another on the
+// caller, then read-locked in the view's order, ascending rows, and stays
+// locked until the caller calls release, as it must whatever each returns:
+// a search's merge walks the entries' lists and reads their rows after fn
+// returns. Opening may take a cold shard's write lock (ensureColumns), so a
+// read opens everything before it holds any cold lock and takes them in one
+// order, which leaves no cycle of waits. A resident segment's open is a
+// lookup, and one over the budget decodes only the query's window. Without
+// openCold, fn gets a cold entry unopened, its shard nil, to answer from
+// the segment's meta. ctx is consulted before each open and each entry, so
+// a cancelled read stops claiming cores; entries already running finish,
+// since fn holds locks. each returns ctx.Err() when it skipped an entry,
+// else the first open's error, and always after every entry taken is done.
 func (v *readView) each(ctx context.Context, openCold bool, fn func(i int, e *readEntry)) error {
-	errs := make([]error, len(v.entries))
-	var wg sync.WaitGroup
-	// A spawned worker starts in visit itself, with fn right below it, and
-	// the cold open lives in its own frame: a new goroutine's stack is small,
-	// and every byte above the shard's work adds to the stack growth each
-	// worker pays.
-	visit := func(i int, spawned bool) {
-		if spawned {
-			defer func() {
-				<-shardSem
-				wg.Done()
-			}()
+	// The cold entries follow the hot ones.
+	if c := slices.IndexFunc(v.entries, func(e readEntry) bool { return e.seg != nil }); openCold && c >= 0 {
+		cold := v.entries[c:]
+		for i := range cold {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := v.open(&cold[i]); err != nil {
+				return err
+			}
 		}
-		e := &v.entries[i]
-		if e.seg != nil && openCold {
-			if errs[i] = v.open(e); errs[i] != nil {
+		for i := range cold {
+			cold[i].sh.mu.RLock()
+		}
+		v.locked = true
+	}
+	return fan(ctx, v.entries, fn)
+}
+
+// release unlocks the cold entries each locked.
+func (v *readView) release() {
+	if !v.locked {
+		return
+	}
+	for i := range v.entries {
+		if e := &v.entries[i]; e.seg != nil {
+			e.sh.mu.RUnlock()
+		}
+	}
+	v.locked = false
+}
+
+// fan runs fn on every entry, on the caller and on as many helpers as
+// shardSem has slots for, each taking the next entry not yet taken, and
+// returns ctx.Err() when it skipped an entry, always after every entry
+// taken is done. A helper is spawned per free slot, not per entry: a
+// sorted page's entry only positions a walk, and a goroutine per entry cost
+// more than the entries' work.
+func fan(ctx context.Context, entries []readEntry, fn func(i int, e *readEntry)) error {
+	var next atomic.Int64
+	var skipped atomic.Bool
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(entries); i = int(next.Add(1) - 1) {
+			if ctx.Err() != nil {
+				skipped.Store(true)
 				return
 			}
-			defer e.sh.mu.RUnlock()
+			fn(i, &entries[i])
 		}
-		fn(i, e)
 	}
-	var err error
-	for i := range v.entries {
-		if err = ctx.Err(); err != nil {
-			break
+	var wg sync.WaitGroup
+spawn:
+	for h := 1; h < len(entries); h++ {
+		select {
+		case shardSem <- struct{}{}:
+			wg.Add(1)
+			go func() {
+				defer func() {
+					<-shardSem
+					wg.Done()
+				}()
+				work()
+			}()
+		default:
+			break spawn
 		}
-		if len(v.entries) > 1 {
-			select {
-			case shardSem <- struct{}{}:
-				wg.Add(1)
-				go visit(i, true)
-				continue
-			default:
-			}
-		}
-		visit(i, false)
 	}
+	work()
 	wg.Wait()
-	if err != nil {
-		return err
+	if skipped.Load() {
+		return ctx.Err()
 	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // open reads cold entry e through openColdSegment — resident, or decoded as
-// it decides — builds the view's columns on it, read-locks it for the caller
-// to unlock, and re-accounts it to the resident set.
+// it decides — builds the view's columns on it, and re-accounts it to the
+// resident set. It leaves e unlocked.
 func (v *readView) open(e *readEntry) error {
 	cs, err := v.ix.openColdSegment(*e.seg, v.book, v.minT, v.maxT)
 	if err != nil {
@@ -540,6 +579,7 @@ func (v *readView) open(e *readEntry) error {
 	cs.sh.ensureColumns(v.cols, v.walk)
 	cs.sh.mu.RLock()
 	v.ix.dur.resident.account(e.seg.Seq, cs)
+	cs.sh.mu.RUnlock()
 	e.sh, e.gids = cs.sh, cs.gids
 	return nil
 }
