@@ -18,11 +18,13 @@ build:
 examples:
 	$(GO) build ./examples/...
 
-## lint: dead-symbol analysis — unexported package-level declarations that
+## lint: gofmt must list no file (outside the benchmark's .bench_build/);
+## then dead-symbol analysis — unexported package-level declarations that
 ## nothing in their package references (the class of bug behind the dead
 ## openSyscalls dictionary in correlate.go), plus an audit of every serving
 ## package under internal/ for exported symbols nothing uses.
 lint:
+	@unformatted=$$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./internal/tools/deadsym -exported internal/store,internal/durable,internal/repl,internal/cluster,internal/diagnose,internal/core,internal/resilience,internal/telemetry,internal/event,internal/ebpf,internal/viz,internal/metrics,internal/clock,internal/replay,internal/experiments .
 
 ## loc: Go lines per package, non-test and test, excluding benchmark/ — the

@@ -250,8 +250,7 @@ func parseTopology(spec string) ([]cluster.Node, []string, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster topology: partition %d: %w", len(nodes), err)
 		}
-		target := members[0].Base()
-		nodes = append(nodes, cluster.NewHTTPNode(target, fc))
+		nodes = append(nodes, fc)
 		targets = append(targets, part)
 	}
 	if len(nodes) == 0 {

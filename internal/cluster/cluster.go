@@ -40,9 +40,11 @@ import (
 )
 
 // Node is one partition's backend: the slice of the store surface the
-// coordinator routes through. HTTP deployments satisfy it with NewHTTPNode
-// (a FailoverClient over the partition's primary and followers); the
-// in-process test harness satisfies it with fake nodes over *store.Store.
+// coordinator routes through. HTTP deployments satisfy it with a
+// *store.FailoverClient over the partition's primary and followers, so the
+// client's resilience ladder (probe, switch, retry once) runs per partition
+// underneath the coordinator's per-partition circuit breaker; the in-process
+// test harness satisfies it with fake nodes over *store.Store.
 type Node interface {
 	// Target names the node for health reports and error messages.
 	Target() string
@@ -54,8 +56,10 @@ type Node interface {
 	Stats(ctx context.Context, index string) (store.IndexStats, error)
 	ListIndices(ctx context.Context) ([]string, error)
 	DeleteIndex(ctx context.Context, index string) error
-	Health(ctx context.Context) (store.HealthStatus, error)
+	HealthStatus(ctx context.Context) (store.HealthStatus, error)
 }
+
+var _ Node = (*store.FailoverClient)(nil)
 
 // ErrIndexNotFound is the store's typed "index not found", which a node
 // answers with 404 and the HTTP client maps back: it lets the coordinator tell
@@ -654,7 +658,7 @@ func (co *Coordinator) Health(ctx context.Context) ClusterHealth {
 	P := len(co.nodes)
 	hs := make([]store.HealthStatus, P)
 	errs := co.fanOut(ctx, func(p int, n Node) (err error) {
-		hs[p], err = n.Health(ctx)
+		hs[p], err = n.HealthStatus(ctx)
 		return err
 	})
 	out := ClusterHealth{Status: "ok", Partitions: P, Nodes: make([]NodeHealth, P)}

@@ -137,7 +137,7 @@ func (m *memNode) DeleteIndex(ctx context.Context, index string) error {
 	return m.st.DeleteIndex(ctx, index)
 }
 
-func (m *memNode) Health(ctx context.Context) (store.HealthStatus, error) {
+func (m *memNode) HealthStatus(ctx context.Context) (store.HealthStatus, error) {
 	if err := m.injected(); err != nil {
 		return store.HealthStatus{}, err
 	}

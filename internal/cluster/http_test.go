@@ -49,7 +49,7 @@ func newHTTPClusterOver(t *testing.T, stores []*store.Store) (*Coordinator, *htt
 		if err != nil {
 			t.Fatalf("failover client: %v", err)
 		}
-		nodes[i] = NewHTTPNode(srv.URL, fc)
+		nodes[i] = fc
 	}
 	co, err := New(Config{Clock: clock.NewVirtual(0)}, nodes...)
 	if err != nil {
@@ -379,7 +379,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 		t.Fatalf("failover client: %v", err)
 	}
 
-	co, err := New(Config{Clock: clock.NewVirtual(0)}, NewHTTPNode(psrv.URL, fo0), NewHTTPNode(srv1.URL, fo1))
+	co, err := New(Config{Clock: clock.NewVirtual(0)}, fo0, fo1)
 	if err != nil {
 		t.Fatalf("new coordinator: %v", err)
 	}
@@ -459,7 +459,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	}
 }
 
-// TestClusterHTTPNode404Sentinel pins the adapter detail the empty-partition
+// TestClusterHTTPNode404Sentinel pins the node detail the empty-partition
 // logic rides on: an HTTP 404 from a node surfaces as ErrIndexNotFound.
 func TestClusterHTTPNode404Sentinel(t *testing.T) {
 	ctx := context.Background()
@@ -470,7 +470,7 @@ func TestClusterHTTPNode404Sentinel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("failover client: %v", err)
 	}
-	n := NewHTTPNode(srv.URL, fc)
+	var n Node = fc
 	if _, err := n.Count(ctx, "missing", store.MatchAll()); !errors.Is(err, ErrIndexNotFound) {
 		t.Fatalf("count on missing index: %v, want ErrIndexNotFound", err)
 	}

@@ -282,7 +282,7 @@ func stripeAcross(t *testing.T, b *store.Store, n int) *cluster.Coordinator {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[p] = cluster.NewHTTPNode(srv.URL, fc)
+		nodes[p] = fc
 	}
 	co, err := cluster.New(cluster.Config{}, nodes...)
 	if err != nil {

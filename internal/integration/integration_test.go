@@ -266,7 +266,7 @@ func newCluster(t *testing.T, n int) *cluster.Coordinator {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[p] = cluster.NewHTTPNode(srv.URL, fc)
+		nodes[p] = fc
 	}
 	co, err := cluster.New(cluster.Config{}, nodes...)
 	if err != nil {

@@ -184,7 +184,6 @@ func TestDurableRoundTripAcrossReopen(t *testing.T) {
 // new appends.
 func TestCrashTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
 	st := openDurable(t, dir)
 	ingestRound(t, st, 0)
 	ingestRound(t, st, 1)
@@ -203,8 +202,9 @@ func TestCrashTornWALTail(t *testing.T) {
 		t.Fatalf("truncate wal: %v", err)
 	}
 
-	re := openDurable(t, dir, WithTelemetry(reg))
+	re := openDurable(t, dir)
 	defer re.Close()
+	reg := re.Telemetry()
 	if got, want := fingerprint(t, re), fingerprint(t, controlStore(t, 2)); got != want {
 		t.Fatalf("recovered state != never-crashed control (rounds 0-1)")
 	}
@@ -360,9 +360,9 @@ func TestRecoveryConservationLedger(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	reg := telemetry.NewRegistry()
-	re := openDurable(t, dir, WithTelemetry(reg))
+	re := openDurable(t, dir)
 	defer re.Close()
+	reg := re.Telemetry()
 	n, err := re.Count(context.Background(), crashIndex, MatchAll())
 	if err != nil {
 		t.Fatalf("count: %v", err)

@@ -18,6 +18,10 @@ import (
 // the row lacked), then the gid as a number. Tokens are only meaningful for
 // the same index state and the same sort spec they were issued under.
 
+// maxExactInt bounds a cursor's gid: below it every integer is exact in the
+// float64 a JSON number decodes to.
+const maxExactInt = float64(1 << 53)
+
 // errBadSearchAfter rejects malformed cursors: a 400.
 var errBadSearchAfter = BadRequest(errors.New("store: invalid search_after cursor"))
 

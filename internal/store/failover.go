@@ -41,6 +41,10 @@ func NewFailoverClient(nodes ...*Client) (*FailoverClient, error) {
 	return &FailoverClient{nodes: nodes, probeTimeout: 2 * time.Second}, nil
 }
 
+// Target names the client by its first node's base URL, the partition's
+// presumed primary.
+func (f *FailoverClient) Target() string { return f.nodes[0].Base() }
+
 // Active returns the node currently receiving traffic.
 func (f *FailoverClient) Active() *Client { return f.nodes[f.active.Load()] }
 
@@ -117,6 +121,17 @@ func (f *FailoverClient) do(ctx context.Context, op func(*Client) error) error {
 	return op(f.Active())
 }
 
+// doValue is do for an op that answers with a value.
+func doValue[T any](f *FailoverClient, ctx context.Context, op func(*Client) (T, error)) (T, error) {
+	var out T
+	err := f.do(ctx, func(c *Client) error {
+		var e error
+		out, e = op(c)
+		return e
+	})
+	return out, err
+}
+
 // BulkEvents implements Backend.
 func (f *FailoverClient) BulkEvents(ctx context.Context, index string, events []event.Event) error {
 	return f.do(ctx, func(c *Client) error { return c.BulkEvents(ctx, index, events) })
@@ -124,46 +139,22 @@ func (f *FailoverClient) BulkEvents(ctx context.Context, index string, events []
 
 // Search implements Backend.
 func (f *FailoverClient) Search(ctx context.Context, index string, req SearchRequest) (SearchResponse, error) {
-	var res SearchResponse
-	err := f.do(ctx, func(c *Client) error {
-		var e error
-		res, e = c.Search(ctx, index, req)
-		return e
-	})
-	return res, err
+	return doValue(f, ctx, func(c *Client) (SearchResponse, error) { return c.Search(ctx, index, req) })
 }
 
 // SearchEvents implements Backend.
 func (f *FailoverClient) SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error) {
-	var res EventsResult
-	err := f.do(ctx, func(c *Client) error {
-		var e error
-		res, e = c.SearchEvents(ctx, index, req)
-		return e
-	})
-	return res, err
+	return doValue(f, ctx, func(c *Client) (EventsResult, error) { return c.SearchEvents(ctx, index, req) })
 }
 
 // Count implements Backend.
 func (f *FailoverClient) Count(ctx context.Context, index string, q Query) (int, error) {
-	var n int
-	err := f.do(ctx, func(c *Client) error {
-		var e error
-		n, e = c.Count(ctx, index, q)
-		return e
-	})
-	return n, err
+	return doValue(f, ctx, func(c *Client) (int, error) { return c.Count(ctx, index, q) })
 }
 
 // Correlate implements Backend.
 func (f *FailoverClient) Correlate(ctx context.Context, index, session string) (CorrelationResult, error) {
-	var res CorrelationResult
-	err := f.do(ctx, func(c *Client) error {
-		var e error
-		res, e = c.Correlate(ctx, index, session)
-		return e
-	})
-	return res, err
+	return doValue(f, ctx, func(c *Client) (CorrelationResult, error) { return c.Correlate(ctx, index, session) })
 }
 
 // BulkFrame forwards an already-encoded binary event frame.
@@ -177,35 +168,17 @@ func (f *FailoverClient) BulkFrame(ctx context.Context, index string, frame []by
 // search_after cursors survive the switch because they carry sort values,
 // not node state.
 func (f *FailoverClient) Scatter(ctx context.Context, index string, sreq ScatterRequest) (ScatterResponse, error) {
-	var res ScatterResponse
-	err := f.do(ctx, func(c *Client) error {
-		var e error
-		res, e = c.Scatter(ctx, index, sreq)
-		return e
-	})
-	return res, err
+	return doValue(f, ctx, func(c *Client) (ScatterResponse, error) { return c.Scatter(ctx, index, sreq) })
 }
 
 // Stats fetches index stats from the active node.
 func (f *FailoverClient) Stats(ctx context.Context, index string) (IndexStats, error) {
-	var st IndexStats
-	err := f.do(ctx, func(c *Client) error {
-		var e error
-		st, e = c.Stats(ctx, index)
-		return e
-	})
-	return st, err
+	return doValue(f, ctx, func(c *Client) (IndexStats, error) { return c.Stats(ctx, index) })
 }
 
 // ListIndices lists index names on the active node.
 func (f *FailoverClient) ListIndices(ctx context.Context) ([]string, error) {
-	var names []string
-	err := f.do(ctx, func(c *Client) error {
-		var e error
-		names, e = c.ListIndices(ctx)
-		return e
-	})
-	return names, err
+	return doValue(f, ctx, func(c *Client) ([]string, error) { return c.ListIndices(ctx) })
 }
 
 // DeleteIndex drops the named index on the active node.
@@ -216,14 +189,5 @@ func (f *FailoverClient) DeleteIndex(ctx context.Context, index string) error {
 // HealthStatus fetches the active node's full health report, failing over to
 // a promoted node first if the active one is gone.
 func (f *FailoverClient) HealthStatus(ctx context.Context) (HealthStatus, error) {
-	var h HealthStatus
-	err := f.do(ctx, func(c *Client) error {
-		var e error
-		h, e = c.HealthStatus(ctx)
-		return e
-	})
-	return h, err
+	return doValue(f, ctx, func(c *Client) (HealthStatus, error) { return c.HealthStatus(ctx) })
 }
-
-// Health probes the active node.
-func (f *FailoverClient) Health() error { return f.Active().Health() }

@@ -3,8 +3,6 @@ package store
 import (
 	"fmt"
 	"time"
-
-	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
 // FsyncPolicy selects when the write-ahead log is flushed to stable storage,
@@ -62,7 +60,6 @@ type storeOptions struct {
 	dataDir       string
 	fsync         FsyncPolicy
 	snapshotEvery time.Duration
-	reg           *telemetry.Registry
 	cacheEntries  int           // query cache capacity per index (0 disables)
 	replTailBytes int           // per-index replication tail buffer budget
 	retention     time.Duration // drop cold segments older than this (0 keeps all)
@@ -106,12 +103,6 @@ func WithFsyncPolicy(p FsyncPolicy) Option {
 // explicit Snapshot calls. It has no effect without WithDataDir.
 func WithSnapshotInterval(d time.Duration) Option {
 	return func(o *storeOptions) { o.snapshotEvery = d }
-}
-
-// WithTelemetry registers the store's instruments in reg instead of a fresh
-// private registry, so one scrape endpoint can serve co-located components.
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(o *storeOptions) { o.reg = reg }
 }
 
 // WithQueryCache sets the per-index query cache capacity in entries (default

@@ -3,7 +3,6 @@ package store
 import (
 	"container/list"
 	"context"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,7 +12,7 @@ import (
 )
 
 // The query cache memoizes search responses per index, keyed by
-// (index epoch, canonical request fingerprint). Invalidation is by epoch
+// (index epoch, the request as written). Invalidation is by epoch
 // alone: every mutation bumps the index's epoch counter at both its start
 // and its end, so stale entries die without anyone scanning the cache — a
 // lookup whose entry carries an old epoch misses (and evicts the entry
@@ -147,260 +146,161 @@ func (ix *Index) cachedSearchEventsCtx(ctx context.Context, req SearchRequest) (
 	return res, nil
 }
 
-// --- Canonical fingerprints ---
+// --- Cache keys ---
 //
-// Semantically identical requests must map to one cache key: JSON
-// round-trips randomize agg map order, callers spell the same filter as
-// Must(q) or q, terms lists reorder, and integer range bounds can arrive as
-// GT n or GTE n+1. The fingerprint is the full canonical string (no
-// hashing, so distinct requests can never collide into a stale answer).
+// A key is the request as it is spelled. A dashboard re-issues one fixed
+// request per panel, which is all the cache needs to serve it; equivalent
+// spellings (Must(q) and q, reordered clauses, GT n and GTE n+1) get entries
+// of their own. Every name is quoted, so no field name can spell out another
+// request's clauses, and the key is the full string, never a hash.
 
-// intRangeFields are the schema fields that hold integral values, where
-// GT b ≡ GTE b+1 (and LT b ≡ LTE b-1) for integral b.
-var intRangeFields = map[string]bool{
-	FieldTimeEnter: true, FieldTimeExit: true, FieldDuration: true,
-	FieldRetVal: true, FieldFD: true, FieldCount: true, FieldArgOffset: true,
-	FieldWhence: true, FieldFlags: true, FieldMode: true, FieldPID: true,
-	FieldTID: true, FieldDevNo: true, FieldInodeNo: true, FieldTagTS: true,
-	FieldOffset: true,
+// keyWriter builds one cache key. Each clause is a tag, its quoted field and
+// its operands; scalars are type-tagged, numbers end in ',', and a list ends
+// in ')'. tmp formats numbers and names without an allocation of their own.
+type keyWriter struct {
+	strings.Builder
+	tmp [64]byte
 }
 
-// maxExactInt is the largest magnitude a float64 represents exactly for
-// every integer below it; bound folding past it could change results.
-const maxExactInt = float64(1 << 53)
-
-// cacheKey renders a request as its canonical fingerprint.
+// cacheKey renders a request as its cache key: every part it sets, in
+// declaration order. MatchAll writes nothing, since it never changes an
+// answer.
 func cacheKey(req SearchRequest) string {
-	var b strings.Builder
-	b.Grow(128)
-	b.WriteString("q:")
-	b.WriteString(canonQuery(req.Query))
-	b.WriteString("|s:")
+	var w keyWriter
+	w.Grow(128)
+	w.query(req.Query)
+	w.WriteString("|s")
 	for _, s := range req.Sort {
-		b.WriteString(s.Field)
 		if s.Desc {
-			b.WriteString("-,")
-		} else {
-			b.WriteString("+,")
+			w.WriteByte('-')
 		}
+		w.quote(s.Field)
 	}
-	b.WriteString("|w:")
-	b.WriteString(strconv.Itoa(req.From))
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(req.Size))
-	if len(req.SearchAfter) > 0 {
-		b.WriteString("|c:")
-		for _, v := range req.SearchAfter {
-			b.WriteString(scalarKey(v))
-			b.WriteByte(',')
-		}
+	w.WriteString("|w")
+	w.int(int64(req.From))
+	w.int(int64(req.Size))
+	w.WriteString("|c")
+	for _, v := range req.SearchAfter {
+		w.scalar(v)
 	}
-	if len(req.Aggs) > 0 {
-		b.WriteString("|a:")
-		b.WriteString(canonAggs(req.Aggs))
-	}
-	return b.String()
+	w.WriteString("|a")
+	w.aggs(req.Aggs)
+	return w.String()
 }
 
-// canonQuery mirrors Query.matches' evaluation order exactly: the first set
-// clause wins, extra clauses are ignored, and an empty bool behaves like
-// match-all.
-func canonQuery(q Query) string {
-	switch {
-	case q.Term != nil:
-		return "t(" + q.Term.Field + "=" + scalarKey(q.Term.Value) + ")"
-	case q.Terms != nil:
-		keys := make([]string, 0, len(q.Terms.Values))
-		for _, v := range q.Terms.Values {
-			keys = append(keys, scalarKey(v))
+func (w *keyWriter) query(q Query) {
+	if t := q.Term; t != nil {
+		w.clause('t', t.Field)
+		w.scalar(t.Value)
+	}
+	if t := q.Terms; t != nil {
+		w.clause('T', t.Field)
+		for _, v := range t.Values {
+			w.scalar(v)
 		}
-		sort.Strings(keys)
-		keys = dedupSorted(keys)
-		return "ts(" + q.Terms.Field + "=" + strings.Join(keys, ",") + ")"
-	case q.Range != nil:
-		return canonRange(q.Range)
-	case q.Prefix != nil:
-		return "p(" + q.Prefix.Field + "=" + strconv.Quote(q.Prefix.Value) + ")"
-	case q.Exists != nil:
-		return "e(" + q.Exists.Field + ")"
-	case q.Bool != nil:
-		return canonBool(q.Bool)
-	default:
-		return "*"
+		w.WriteByte(')')
+	}
+	if r := q.Range; r != nil {
+		w.clause('r', r.Field)
+		w.bound("ge", r.GTE)
+		w.bound("le", r.LTE)
+		w.bound("gt", r.GT)
+		w.bound("lt", r.LT)
+		w.WriteByte(')')
+	}
+	if p := q.Prefix; p != nil {
+		w.clause('p', p.Field)
+		w.quote(p.Value)
+	}
+	if e := q.Exists; e != nil {
+		w.clause('e', e.Field)
+	}
+	if b := q.Bool; b != nil {
+		w.queries('b', b.Must)
+		w.queries('s', b.Should)
+		w.queries('n', b.MustNot)
 	}
 }
 
-// canonRange folds each strict integral bound on an integer field into its
-// inclusive equivalent and collapses redundant bounds (GTE 6 ∧ GT 5 ≡ GTE 6).
-func canonRange(r *RangeQuery) string {
-	gte, lte, gt, lt := r.GTE, r.LTE, r.GT, r.LT
-	if intRangeFields[r.Field] {
-		if gt != nil && isExactInt(*gt) {
-			v := *gt + 1
-			gte, gt = maxBound(gte, &v), nil
-		}
-		if lt != nil && isExactInt(*lt) {
-			v := *lt - 1
-			lte, lt = minBound(lte, &v), nil
-		}
+// queries writes one bool clause list, each query closed by ';' so that an
+// empty one still counts.
+func (w *keyWriter) queries(tag byte, qs []Query) {
+	w.WriteByte(tag)
+	for _, q := range qs {
+		w.query(q)
+		w.WriteByte(';')
 	}
-	var b strings.Builder
-	b.WriteString("r(")
-	b.WriteString(r.Field)
-	writeBound := func(tag string, v *float64) {
-		if v == nil {
-			return
-		}
-		b.WriteByte(',')
-		b.WriteString(tag)
-		b.WriteString(strconv.FormatFloat(*v, 'g', -1, 64))
-	}
-	writeBound("gte:", gte)
-	writeBound("lte:", lte)
-	writeBound("gt:", gt)
-	writeBound("lt:", lt)
-	b.WriteByte(')')
-	return b.String()
+	w.WriteByte(')')
 }
 
-func isExactInt(f float64) bool {
-	return f == math.Trunc(f) && math.Abs(f) < maxExactInt
+func (w *keyWriter) bound(tag string, v *float64) {
+	if v != nil {
+		w.WriteString(tag)
+		w.float(*v)
+	}
 }
 
-func maxBound(a, b *float64) *float64 {
-	if a == nil || *b > *a {
-		return b
-	}
-	return a
-}
-
-func minBound(a, b *float64) *float64 {
-	if a == nil || *b < *a {
-		return b
-	}
-	return a
-}
-
-// canonBool sorts each clause list (must/should/must-not are
-// order-insensitive), dedupes, and unwraps the degenerate single-clause
-// wrappers Must(q) and Should(q), which evaluate identically to q.
-func canonBool(q *BoolQuery) string {
-	enc := func(qs []Query) []string {
-		out := make([]string, 0, len(qs))
-		for _, sub := range qs {
-			out = append(out, canonQuery(sub))
-		}
-		sort.Strings(out)
-		return dedupSorted(out)
-	}
-	must, should, not := enc(q.Must), enc(q.Should), enc(q.MustNot)
-	if len(should) == 0 && len(not) == 0 {
-		switch len(must) {
-		case 0:
-			return "*"
-		case 1:
-			return must[0]
-		}
-	}
-	if len(must) == 0 && len(not) == 0 && len(should) == 1 {
-		return should[0]
-	}
-	return "b(m:" + strings.Join(must, ";") +
-		"|s:" + strings.Join(should, ";") +
-		"|n:" + strings.Join(not, ";") + ")"
-}
-
-func dedupSorted(in []string) []string {
-	out := in[:0]
-	for i, s := range in {
-		if i == 0 || s != in[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// canonAggs renders an agg map with names sorted, fixing JSON map-order
-// nondeterminism.
-func canonAggs(aggs map[string]Agg) string {
+// aggs writes an aggregation map with its names sorted, since a map has no
+// order.
+func (w *keyWriter) aggs(aggs map[string]Agg) {
 	names := make([]string, 0, len(aggs))
 	for n := range aggs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var b strings.Builder
 	for _, n := range names {
-		b.WriteString(strconv.Quote(n))
-		b.WriteByte('=')
-		b.WriteString(canonAgg(aggs[n]))
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-func canonAgg(a Agg) string {
-	var b strings.Builder
-	switch {
-	case a.Terms != nil:
-		b.WriteString("terms(")
-		b.WriteString(a.Terms.Field)
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(a.Terms.Size))
-		b.WriteByte(')')
-	case a.DateHistogram != nil:
-		b.WriteString("dh(")
-		b.WriteString(a.DateHistogram.Field)
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(a.DateHistogram.IntervalNS, 10))
-		b.WriteByte(')')
-	case a.Percentiles != nil:
-		// Percent order and duplicates don't affect the result map; the
-		// empty list means the documented default set.
-		pcts := a.Percentiles.Percents
-		if len(pcts) == 0 {
-			pcts = []float64{50, 90, 95, 99}
+		a := aggs[n]
+		w.quote(n)
+		if a.Terms != nil {
+			w.clause('t', a.Terms.Field)
+			w.int(int64(a.Terms.Size))
 		}
-		sorted := append([]float64(nil), pcts...)
-		sort.Float64s(sorted)
-		b.WriteString("pct(")
-		b.WriteString(a.Percentiles.Field)
-		prev := math.NaN()
-		for _, p := range sorted {
-			if p == prev {
-				continue
+		if h := a.DateHistogram; h != nil {
+			w.clause('h', h.Field)
+			w.int(h.IntervalNS)
+		}
+		if p := a.Percentiles; p != nil {
+			w.clause('p', p.Field)
+			for _, f := range p.Percents {
+				w.float(f)
 			}
-			prev = p
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatFloat(p, 'g', -1, 64))
+			w.WriteByte(')')
 		}
-		b.WriteByte(')')
-	case a.Stats != nil:
-		b.WriteString("stats(")
-		b.WriteString(a.Stats.Field)
-		b.WriteByte(')')
-	default:
-		b.WriteString("none")
+		if a.Stats != nil {
+			w.clause('s', a.Stats.Field)
+		}
+		w.WriteByte('{')
+		w.aggs(a.Aggs)
+		w.WriteByte('}')
 	}
-	if len(a.Aggs) > 0 {
-		b.WriteString("{")
-		b.WriteString(canonAggs(a.Aggs))
-		b.WriteString("}")
-	}
-	return b.String()
 }
 
-// scalarKey renders one query scalar canonically: strings quoted, numerics
-// (bools included, matching valueEquals' coercion) in shortest-round-trip
-// float form, nil and everything else distinct.
-func scalarKey(v any) string {
+func (w *keyWriter) clause(tag byte, field string) {
+	w.WriteByte(tag)
+	w.quote(field)
+}
+
+func (w *keyWriter) quote(s string) { w.Write(strconv.AppendQuote(w.tmp[:0], s)) }
+
+func (w *keyWriter) int(n int64) { w.Write(append(strconv.AppendInt(w.tmp[:0], n, 10), ',')) }
+
+func (w *keyWriter) float(f float64) {
+	w.Write(append(strconv.AppendFloat(w.tmp[:0], f, 'g', -1, 64), ','))
+}
+
+// scalar writes one query value type-tagged: a string quoted, a number
+// (bools included, as valueEquals coerces them) as 'n' and its float, nil as
+// '_', and anything else as 'v' and its quoted bucket key.
+func (w *keyWriter) scalar(v any) {
 	if s, ok := v.(string); ok {
-		return strconv.Quote(s)
+		w.quote(s)
+	} else if f, ok := numeric(v); ok {
+		w.WriteByte('n')
+		w.float(f)
+	} else if v == nil {
+		w.WriteByte('_')
+	} else {
+		w.WriteByte('v')
+		w.quote(keyString(v))
 	}
-	if f, ok := numeric(v); ok {
-		return "n" + strconv.FormatFloat(f, 'g', -1, 64)
-	}
-	if v == nil {
-		return "_"
-	}
-	return "v" + keyString(v)
 }

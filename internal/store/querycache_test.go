@@ -12,51 +12,53 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
-// TestCacheKeyCanonicalization pins the fingerprint's equivalence classes:
-// requests that must hit the same cache line produce identical keys, and
-// requests that can answer differently never collide.
-func TestCacheKeyCanonicalization(t *testing.T) {
-	same := []struct {
-		name string
-		a, b SearchRequest
-	}{
-		{
-			"terms value order",
-			SearchRequest{Query: Terms(FieldSyscall, "write", "read", "read"), Size: 10},
-			SearchRequest{Query: Terms(FieldSyscall, "read", "write"), Size: 10},
-		},
-		{
-			"single-must bool unwraps to its clause",
-			SearchRequest{Query: Must(Term(FieldSyscall, "read")), Size: 10},
-			SearchRequest{Query: Term(FieldSyscall, "read"), Size: 10},
-		},
-		{
-			"bool clause order and duplicates",
-			SearchRequest{Query: Must(Term(FieldSyscall, "read"), Term(FieldSession, "s1"), Term(FieldSession, "s1")), Size: 10},
-			SearchRequest{Query: Must(Term(FieldSession, "s1"), Term(FieldSyscall, "read")), Size: 10},
-		},
-		{
-			"gt n folds to gte n+1 on an integer field",
-			SearchRequest{Query: rangeGT(FieldDuration, 499), Size: 10},
-			SearchRequest{Query: RangeGTE(FieldDuration, 500), Size: 10},
-		},
-		{
-			"percentile order, duplicates, and the default set",
-			SearchRequest{Size: 1, Aggs: map[string]Agg{"p": {Percentiles: &PercentilesAgg{Field: FieldDuration, Percents: []float64{99, 50, 95, 90, 99}}}}},
-			SearchRequest{Size: 1, Aggs: map[string]Agg{"p": {Percentiles: &PercentilesAgg{Field: FieldDuration}}}},
-		},
+// TestCacheKeyKeepsNamesApart pins the key's one duty: requests that can
+// answer differently never share an entry, even when a client chooses a field
+// name that spells out another request's clauses.
+func TestCacheKeyKeepsNamesApart(t *testing.T) {
+	st, err := Open(WithQueryCache(8))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range same {
-		ka, kb := cacheKey(tc.a), cacheKey(tc.b)
-		if ka != kb {
-			t.Errorf("%s: keys differ\n a %q\n b %q", tc.name, ka, kb)
-		}
+	defer st.Close()
+	ctx := context.Background()
+	evs := cursorFixture(192)
+	for i := range evs {
+		evs[i].ProcName = "p"
+	}
+	if err := st.BulkEvents(ctx, "run", evs); err != nil {
+		t.Fatal(err)
+	}
+	// The crafted name closes its clause and opens another, so joined
+	// without quoting it reads as the plain request's first two terms.
+	crafted := SearchRequest{Query: Must(Term(FieldProcName+`="p");t(`+FieldSession, "s0"), Term(FieldSyscall, "read")), Size: 1}
+	plain := SearchRequest{Query: Must(Term(FieldSession, "s0"), Term(FieldSyscall, "read"), Term(FieldProcName, "p")), Size: 1}
+	if _, err := st.Search(ctx, "run", crafted); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Search(ctx, "run", plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached := plain
+	uncached.Size = -1
+	want, err := st.Search(ctx, "run", uncached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Total == 0 || got.Total != want.Total {
+		t.Errorf("after the crafted request, the plain one answered %d hits; uncached %d", got.Total, want.Total)
 	}
 
 	diff := []struct {
 		name string
 		a, b SearchRequest
 	}{
+		{
+			"a sort name that spells two sort fields",
+			SearchRequest{Sort: []SortField{{Field: FieldTimeEnter + "+," + FieldPID}}, Size: 10},
+			SearchRequest{Sort: []SortField{{Field: FieldTimeEnter}, {Field: FieldPID}}, Size: 10},
+		},
 		{
 			"gt vs gte at the same bound",
 			SearchRequest{Query: rangeGT(FieldDuration, 500), Size: 10},
@@ -87,11 +89,11 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 }
 
 // TestCacheKeyWireOrderInvariance decodes the same query JSON with its
-// object keys in two different orders: the fingerprints must match, so a
+// object keys in two different orders: the cache keys must match, so a
 // dashboard re-render that serializes its request differently still hits.
 func TestCacheKeyWireOrderInvariance(t *testing.T) {
 	a := `{"size":5,"query":{"bool":{"must":[{"term":{"field":"syscall","value":"read"}},{"range":{"field":"duration_ns","gte":100,"lte":900}}]}},"aggs":{"h":{"date_histogram":{"field":"time_enter_ns","interval_ns":1000}},"t":{"terms":{"field":"syscall"}}}}`
-	b := `{"aggs":{"t":{"terms":{"field":"syscall"}},"h":{"date_histogram":{"interval_ns":1000,"field":"time_enter_ns"}}},"query":{"bool":{"must":[{"range":{"lte":900,"gte":100,"field":"duration_ns"}},{"term":{"value":"read","field":"syscall"}}]}},"size":5}`
+	b := `{"aggs":{"t":{"terms":{"field":"syscall"}},"h":{"date_histogram":{"interval_ns":1000,"field":"time_enter_ns"}}},"query":{"bool":{"must":[{"term":{"value":"read","field":"syscall"}},{"range":{"lte":900,"gte":100,"field":"duration_ns"}}]}},"size":5}`
 	var ra, rb SearchRequest
 	if err := json.Unmarshal([]byte(a), &ra); err != nil {
 		t.Fatal(err)
@@ -101,7 +103,7 @@ func TestCacheKeyWireOrderInvariance(t *testing.T) {
 	}
 	ka, kb := cacheKey(ra), cacheKey(rb)
 	if ka != kb {
-		t.Errorf("wire key order changed the fingerprint:\n a %q\n b %q", ka, kb)
+		t.Errorf("wire key order changed the cache key:\n a %q\n b %q", ka, kb)
 	}
 }
 

@@ -88,10 +88,7 @@ func Open(opts ...Option) (*Store, error) {
 		opt(&o)
 	}
 	s := &Store{indices: make(map[string]*Index), opts: o}
-	reg := o.reg
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	s.tm = storeTelemetry{
 		reg:       reg,
 		bulkNS:    reg.Histogram(telemetry.MetricBulkNS, "one bulk indexing call", nil),

@@ -237,9 +237,9 @@ func TestResidentSegmentsUnderMaintenance(t *testing.T) {
 // is never retained, and the small ones are evicted least recently used.
 func TestResidentSegmentsOverBudget(t *testing.T) {
 	ctx := context.Background()
-	reg := telemetry.NewRegistry()
-	st := openDurable(t, t.TempDir(), WithQueryCache(0), WithTelemetry(reg))
+	st := openDurable(t, t.TempDir(), WithQueryCache(0))
 	defer st.Close()
+	reg := st.Telemetry()
 	mem := memStore(t)
 	defer mem.Close()
 	const rows = 180

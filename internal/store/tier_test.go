@@ -195,9 +195,9 @@ func TestSegmentTieredAcrossBlocks(t *testing.T) {
 // decoding happens: once per segment, or per query over the budget.
 func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
-	st := openDurable(t, dir, WithTelemetry(reg), WithQueryCache(0))
+	st := openDurable(t, dir, WithQueryCache(0))
 	defer st.Close()
+	reg := st.Telemetry()
 	const rounds = 8
 	for r := 0; r < rounds; r++ {
 		bulkRound(t, st, r)
@@ -301,8 +301,8 @@ func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 // from.
 func TestSegmentCompactionPreservesState(t *testing.T) {
 	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
-	st := openDurable(t, dir, WithTelemetry(reg), WithShards(4))
+	st := openDurable(t, dir, WithShards(4))
+	reg := st.Telemetry()
 	const rounds = 8
 	var all []int
 	for r := 0; r < rounds; r++ {
@@ -549,9 +549,9 @@ func TestRecoveryTieredConservation(t *testing.T) {
 	// simpler: recompute expectations from the manifest itself.
 	m := manifestOf(t, dir)
 
-	reg := telemetry.NewRegistry()
-	re := openDurable(t, dir, WithTelemetry(reg))
+	re := openDurable(t, dir)
 	defer re.Close()
+	reg := re.Telemetry()
 	n, err := re.Count(context.Background(), crashIndex, MatchAll())
 	if err != nil {
 		t.Fatalf("count: %v", err)
@@ -818,9 +818,9 @@ func TestCursorExpiredAfterRetention(t *testing.T) {
 // the mutation-vs-cache differential for the new mutation source.
 func TestQueryCacheRetentionDifferential(t *testing.T) {
 	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
-	st := openDurable(t, dir, WithRetention(time.Hour), WithQueryCache(64), WithTelemetry(reg))
+	st := openDurable(t, dir, WithRetention(time.Hour), WithQueryCache(64))
 	defer st.Close()
+	reg := st.Telemetry()
 	ctx := context.Background()
 	now := time.Now().UnixNano()
 	stale := now - 2*int64(time.Hour)
