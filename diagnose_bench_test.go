@@ -1,10 +1,10 @@
 // Diagnosis-engine benchmarks: building a per-process syscall
 // Directly-Follows-Graph and running the full detector registry over a
-// 120k-event session. Both are one pass of the same paged typed cursor
-// (store.EachEventPage) — the engine run feeds every registered detector
-// from the pass that builds the graph — so memory stays flat regardless of
-// session size and the engine/DFG ratio stays near 1; `make bench-diagnose`
-// keeps the pair under the PR gate.
+// 120k-event session. Both are one pass of the same sorted cursor
+// (store.EachEvent), reading each page in place in the store — the engine
+// run feeds every registered detector from the pass that builds the graph —
+// so memory stays flat regardless of session size and the engine/DFG ratio
+// stays near 1; `make bench-diagnose` keeps the pair under the PR gate.
 package dio_test
 
 import (
@@ -59,15 +59,14 @@ func diagBenchBatchEvents(base int64, start, n int) []event.Event {
 }
 
 // diagBenchStore ingests sessions sessions of events each into an in-memory
-// store with the query cache off: a second pass over an unchanged index would
-// answer every page it can hold (256) from the cache and time the cache, not
-// the pass, and only on the sessions short enough to fit. A live store never
-// sees that — the benchmark's diagnose_session workload ingests between two
-// runs. The first session is "diagbench"; the others are traced on the same
-// clock, a batch of each in turn, so their rows interleave in time.
+// store, query cache included: a pass over the *store.Store reads its pages
+// in place and bypasses the cache, so a second pass over an unchanged index
+// times the pass, as the first does, and not the cache. The first session is
+// "diagbench"; the others are traced on the same clock, a batch of each in
+// turn, so their rows interleave in time.
 func diagBenchStore(b *testing.B, events, sessions int, opts ...store.Option) *store.Store {
 	b.Helper()
-	st, err := store.Open(append([]store.Option{store.WithQueryCache(0)}, opts...)...)
+	st, err := store.Open(opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -123,8 +122,11 @@ func BenchmarkDFGBuild(b *testing.B) {
 // cost about S times the rows it kept, and a first pass that built the time
 // column read every row of the index. The shards=N arms hold a 60k-event
 // session on N lock stripes: a page pulls its rows through one merge over
-// the stripes' walks, so ns/event and B/op stay flat in N; a page that had
-// every stripe walk and allocate a page of its own cost N pages per page.
+// the stripes' walks, so ns/event stays flat in N; a page that had every
+// stripe walk and allocate a page of its own cost N pages per page. No page
+// is copied out of the store, so a page allocates its 32 KB window of refs
+// and a read view and merge tree of N entries, where the copy of its events
+// cost 304 KB more whatever N.
 // Every arm collects the fixture's build garbage before the timer starts.
 func BenchmarkEngineRun(b *testing.B) {
 	arms := []struct{ events, sessions, shards int }{

@@ -266,6 +266,9 @@ type (
 	Detector = diagnose.Detector
 	// DetectorPass is what a custom rule implements: Observe sees every
 	// event of the session in time order, Finish reports the findings.
+	// Observe's event is borrowed for the call, read in place under the
+	// store's read locks: keep no pointer, modify nothing, and do not call
+	// back into the store.
 	DetectorPass = diagnose.Pass
 	// DetectorRegistry holds detectors in registration order.
 	DetectorRegistry = diagnose.Registry

@@ -144,6 +144,9 @@ func BuildDFG(ctx context.Context, b store.Backend, index, session string, pageS
 
 // dfgBuilder folds time-ordered events into per-process node and edge
 // aggregates; Engine.Analyze drives it from the same cursor as the detectors.
+// Each process interns its syscall names to dense ids on first sight, so an
+// event costs one string lookup: its node is a slice index and its edge a
+// uint64 key, from<<32|to.
 type dfgBuilder struct {
 	procs  map[int]*procAgg
 	events int64
@@ -151,22 +154,22 @@ type dfgBuilder struct {
 
 type procAgg struct {
 	name  string
-	nodes map[string]*nodeAgg
-	edges map[edgeKey]*edgeAgg
-	last  map[int]prevCall // by TID
+	ids   map[string]int32 // syscall name → index into nodes
+	nodes []nodeAgg
+	edges map[uint64]*edgeAgg // from<<32 | to, both node ids
+	last  map[int]prevCall    // by TID
 }
 
 type prevCall struct {
-	syscall string
-	exitNS  int64
+	id     int32
+	exitNS int64
 }
 
 type nodeAgg struct {
+	syscall       string
 	count, errors int64
 	dur           dfgHist
 }
-
-type edgeKey struct{ from, to string }
 
 type edgeAgg struct {
 	count int64
@@ -180,8 +183,8 @@ func (b *dfgBuilder) observe(e *event.Event) {
 	p := b.procs[e.PID]
 	if p == nil {
 		p = &procAgg{
-			nodes: make(map[string]*nodeAgg),
-			edges: make(map[edgeKey]*edgeAgg),
+			ids:   make(map[string]int32),
+			edges: make(map[uint64]*edgeAgg),
 			last:  make(map[int]prevCall),
 		}
 		b.procs[e.PID] = p
@@ -189,18 +192,20 @@ func (b *dfgBuilder) observe(e *event.Event) {
 	if p.name == "" {
 		p.name = e.ProcName
 	}
-	n := p.nodes[e.Syscall]
-	if n == nil {
-		n = &nodeAgg{}
-		p.nodes[e.Syscall] = n
+	id, ok := p.ids[e.Syscall]
+	if !ok {
+		id = int32(len(p.nodes))
+		p.ids[e.Syscall] = id
+		p.nodes = append(p.nodes, nodeAgg{syscall: e.Syscall})
 	}
+	n := &p.nodes[id]
 	n.count++
 	if e.RetVal < 0 {
 		n.errors++
 	}
 	n.dur.observe(e.DurationNS())
 	if pr, ok := p.last[e.TID]; ok {
-		k := edgeKey{pr.syscall, e.Syscall}
+		k := uint64(pr.id)<<32 | uint64(id)
 		ed := p.edges[k]
 		if ed == nil {
 			ed = &edgeAgg{}
@@ -209,9 +214,12 @@ func (b *dfgBuilder) observe(e *event.Event) {
 		ed.count++
 		ed.gap.observe(e.TimeEnterNS - pr.exitNS)
 	}
-	p.last[e.TID] = prevCall{e.Syscall, e.TimeExitNS}
+	p.last[e.TID] = prevCall{id, e.TimeExitNS}
 }
 
+// finish renders the aggregates as the DFG: processes by PID, nodes by
+// syscall name and edges by (from, to) name, whatever order ids were
+// assigned in.
 func (b *dfgBuilder) finish(session, index string) *DFG {
 	d := &DFG{Session: session, Index: index, Events: b.events}
 	pids := make([]int, 0, len(b.procs))
@@ -222,34 +230,34 @@ func (b *dfgBuilder) finish(session, index string) *DFG {
 	for _, pid := range pids {
 		p := b.procs[pid]
 		sub := ProcessDFG{PID: pid, Proc: p.name}
-		names := make([]string, 0, len(p.nodes))
-		for name := range p.nodes {
-			names = append(names, name)
+		byName := make([]int, len(p.nodes))
+		for i := range byName {
+			byName[i] = i
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			n := p.nodes[name]
+		sort.Slice(byName, func(i, j int) bool { return p.nodes[byName[i]].syscall < p.nodes[byName[j]].syscall })
+		// rank[id] is the node's place in name order, so an edge's place in
+		// (from, to) name order is its key with both ids ranked.
+		rank := make([]uint64, len(p.nodes))
+		for r, i := range byName {
+			n := &p.nodes[i]
+			rank[i] = uint64(r)
 			sub.Nodes = append(sub.Nodes, Node{
-				Syscall: name, Count: n.count, Errors: n.errors,
+				Syscall: n.syscall, Count: n.count, Errors: n.errors,
 				P50NS: n.dur.quantile(0.50),
 				P95NS: n.dur.quantile(0.95),
 				P99NS: n.dur.quantile(0.99),
 			})
 		}
-		keys := make([]edgeKey, 0, len(p.edges))
+		ranked := func(k uint64) uint64 { return rank[k>>32]<<32 | rank[uint32(k)] }
+		keys := make([]uint64, 0, len(p.edges))
 		for k := range p.edges {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].from != keys[j].from {
-				return keys[i].from < keys[j].from
-			}
-			return keys[i].to < keys[j].to
-		})
+		sort.Slice(keys, func(i, j int) bool { return ranked(keys[i]) < ranked(keys[j]) })
 		for _, k := range keys {
 			ed := p.edges[k]
 			sub.Edges = append(sub.Edges, Edge{
-				From: k.from, To: k.to, Count: ed.count,
+				From: p.nodes[k>>32].syscall, To: p.nodes[uint32(k)].syscall, Count: ed.count,
 				P50NS: ed.gap.quantile(0.50),
 				P95NS: ed.gap.quantile(0.95),
 				P99NS: ed.gap.quantile(0.99),

@@ -3,12 +3,16 @@ package diagnose
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/dsrhaslab/dio-go/internal/apps/fluentbit"
+	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/store"
+	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
 // pingPongWorkload issues alternating read/lseek calls — the positional-IO
@@ -159,8 +163,11 @@ func (p *pagingBackend) Count(ctx context.Context, index string, q store.Query) 
 
 // TestEngineStreamsThroughCursors is ROADMAP item 3's "≤ 1 cursor pass"
 // bar: a run over N events at page size P costs exactly the ⌈(N+1)/P⌉ pages
-// of one pass (the cursor stops at the first short page), each of Size P,
-// and no other backend call; a DFG build costs the same, a diff two passes.
+// of one pass (the cursor stops at the first short page), and no other
+// backend call; a DFG build costs the same, a diff two passes. Over a
+// wrapper of the store (pagingBackend) each page is a SearchEvents call of
+// Size P. Over the *store.Store itself each page is read in place: it counts
+// one search in the store's telemetry and puts nothing in the query cache.
 func TestEngineStreamsThroughCursors(t *testing.T) {
 	const pageSize = 16
 	ctx := context.Background()
@@ -175,21 +182,24 @@ func TestEngineStreamsThroughCursors(t *testing.T) {
 	}
 	eng := NewEngine(DefaultRegistry())
 	p := Params{PageSize: pageSize}
+	reg := b.Telemetry()
+	searches := reg.Counter(telemetry.MetricSearches, "")
+	cachePuts := reg.Counter(telemetry.MetricQueryCacheMisses, "")
 	for _, tc := range []struct {
 		name string
 		want int
-		run  func(pb *pagingBackend) error
+		run  func(b store.Backend) error
 	}{
-		{"Engine.Run", onePass("page"), func(pb *pagingBackend) error {
-			_, err := eng.RunParams(ctx, pb, "events", "page", p)
+		{"Engine.Run", onePass("page"), func(b store.Backend) error {
+			_, err := eng.RunParams(ctx, b, "events", "page", p)
 			return err
 		}},
-		{"BuildDFG", onePass("page"), func(pb *pagingBackend) error {
-			_, err := BuildDFG(ctx, pb, "events", "page", pageSize)
+		{"BuildDFG", onePass("page"), func(b store.Backend) error {
+			_, err := BuildDFG(ctx, b, "events", "page", pageSize)
 			return err
 		}},
-		{"DiffSessions", onePass("page") + onePass("other"), func(pb *pagingBackend) error {
-			_, err := eng.DiffSessions(ctx, pb, "events", "page", "other", p)
+		{"DiffSessions", onePass("page") + onePass("other"), func(b store.Backend) error {
+			_, err := eng.DiffSessions(ctx, b, "events", "page", "other", p)
 			return err
 		}},
 	} {
@@ -208,5 +218,65 @@ func TestEngineStreamsThroughCursors(t *testing.T) {
 		if pb.others != 0 {
 			t.Errorf("%s made %d Search/Count calls, want 0", tc.name, pb.others)
 		}
+
+		s0, p0 := searches.Value(), cachePuts.Value()
+		if err := tc.run(b); err != nil {
+			t.Fatalf("%s on the store: %v", tc.name, err)
+		}
+		if n := int(searches.Value() - s0); n != tc.want {
+			t.Errorf("%s on the store walked %d pages, want %d", tc.name, n, tc.want)
+		}
+		if n := cachePuts.Value() - p0; n != 0 {
+			t.Errorf("%s on the store put %d pages in the query cache, want 0", tc.name, n)
+		}
 	}
+}
+
+// TestAnalyzeCopiesNoPage: over an in-process store, a diagnosis pass reads
+// every row where it is stored, so a run over a 60k-event session allocates
+// at most 64 B per event, where one that copied each page out of the store
+// allocated a whole event (about 300 B) per event more. The store has its
+// query cache; a row in another session lands between the two runs, as a
+// live store's ingest does, so the measured run cannot be answered from it.
+func TestAnalyzeCopiesNoPage(t *testing.T) {
+	const events, batch = 60_000, 1000
+	ctx := context.Background()
+	b := memStore(t)
+	syscalls := []string{"openat", "read", "lseek", "read", "write", "close"}
+	evs := make([]event.Event, batch)
+	for n := 0; n < events; n += batch {
+		for i := range evs {
+			seq := n + i
+			enter := int64(1_000_000_000 + seq*25_000)
+			evs[i] = event.Event{
+				Session: "alloc", Syscall: syscalls[seq%len(syscalls)], Class: "read",
+				RetVal: 4096, FD: 5, Count: 4096, Offset: int64(seq%64) * 4096, HasOffset: true,
+				PID: 100, TID: 101 + seq%4, ProcName: "app", ThreadName: "worker",
+				FilePath: fmt.Sprintf("/data/f%02d", seq%16), TimeEnterNS: enter, TimeExitNS: enter + 1200,
+			}
+		}
+		if err := b.BulkEvents(ctx, "events", evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := NewEngine(DefaultRegistry())
+	run := func() {
+		rep, _, err := eng.Analyze(ctx, b, "events", "alloc", Params{})
+		if err != nil || rep.Events != events {
+			t.Fatalf("analyze: %d events, %v", rep.Events, err)
+		}
+	}
+	run()
+	if err := b.BulkEvents(ctx, "events", []event.Event{{Session: "tick", Syscall: "read", TimeEnterNS: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / events
+	if per > 64 {
+		t.Fatalf("a run allocated %.0f B per event, want at most 64", per)
+	}
+	t.Logf("a run allocated %.1f B per event", per)
 }

@@ -24,7 +24,8 @@ type Params struct {
 	// pattern is judged at all (default 8).
 	MinDataOps int `json:"min_data_ops,omitempty"`
 	// PageSize bounds the pages of the one streaming cursor that feeds the
-	// DFG builder and every detector (default 1000).
+	// DFG builder and every detector (default 1000, at most 10 000
+	// through the HTTP routes).
 	PageSize int `json:"page_size,omitempty"`
 
 	Contention ContentionParams `json:"contention,omitempty"`
@@ -115,11 +116,13 @@ type Detector struct {
 // built-in rules keep per-file, per-thread, per-window and per-syscall-kind
 // state, never anything proportional to the session length.
 //
-// Observe's event is borrowed: it points into a page that the store's
-// query cache may share read-only with other readers, so a pass may neither
-// keep the pointer past the call nor modify the event. The built-in passes
-// copy the fields they keep (strings, integers, the file tag) and keep no
-// pointer.
+// Observe's event is borrowed for the one call (store.EachEvent). On an
+// in-process store it points into row storage itself, and Observe runs under
+// the store's read locks for the page it belongs to; over any other backend
+// it points into a page the query cache may share with other readers. So a
+// pass may neither keep the pointer past the call nor modify the event, and
+// must not call back into the store. The built-in passes copy the fields
+// they keep (strings, integers, the file tag) and keep no pointer.
 type Pass interface {
 	Observe(e *event.Event)
 	Finish(g *DFG) []Finding
@@ -268,15 +271,11 @@ func (e *Engine) Analyze(ctx context.Context, b store.Backend, index, session st
 
 // eachEvent is the package's one read path: it walks the events matching q
 // in the sorted cursor's total order through pageSize-bounded pages
-// (pageSize <= 0 selects the cursor's default).
+// (pageSize <= 0 selects the cursor's default), in place on an in-process
+// store (store.EachEvent).
 func eachEvent(ctx context.Context, b store.Backend, index string, q store.Query, pageSize int, fn func(*event.Event)) error {
 	req := store.SearchRequest{Query: q, Sort: []store.SortField{{Field: store.FieldTimeEnter}}}
-	return store.EachEventPage(ctx, b, index, req, pageSize, func(page store.EventsResult) error {
-		for i := range page.Hits {
-			fn(&page.Hits[i])
-		}
-		return nil
-	})
+	return store.EachEvent(ctx, b, index, req, pageSize, fn)
 }
 
 // DiffSessions runs the engine over two sessions of one index and diffs

@@ -55,8 +55,15 @@ func Install(srv *store.Server) *Engine {
 	return e
 }
 
+// maxPageSize bounds Params.PageSize on the HTTP routes. A page is one
+// search, and on an in-process store the pass reads it under the store's
+// read locks, so a page of the whole session would hold every writer off
+// for the whole pass.
+const maxPageSize = 10_000
+
 // sessionParams reads the named query parameter and the optional Params
-// body; either one invalid is a store.BadRequest.
+// body; either one invalid, or a page_size past maxPageSize, is a
+// store.BadRequest.
 func sessionParams(r *http.Request, key string) (string, Params, error) {
 	session := r.URL.Query().Get(key)
 	if session == "" {
@@ -67,6 +74,9 @@ func sessionParams(r *http.Request, key string) (string, Params, error) {
 		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
 			return "", Params{}, store.BadRequest(fmt.Errorf("bad params body: %w", err))
 		}
+	}
+	if p.PageSize > maxPageSize {
+		return "", Params{}, store.BadRequest(fmt.Errorf("page_size %d exceeds %d", p.PageSize, maxPageSize))
 	}
 	return session, p, nil
 }

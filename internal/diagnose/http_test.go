@@ -166,3 +166,23 @@ func TestDiagnoseParamsBodyIsHonored(t *testing.T) {
 		t.Fatalf("params body ignored, churn still reported:\n%s", body)
 	}
 }
+
+// TestDiagnosisRoutesBoundPageSize: a page is one search, read under the
+// store's read locks, so each route serves page_size 10 000 and answers
+// 10 001 with a 400 naming the bound, before it reads anything.
+func TestDiagnosisRoutesBoundPageSize(t *testing.T) {
+	srv := newDiagnosisServer(t)
+	for _, route := range []string{
+		"/events/_diagnose?session=buggy",
+		"/events/_dfg?session=buggy",
+		"/events/_diff?a=buggy&b=fixed",
+	} {
+		if code, body := postRaw(t, srv.URL+route, []byte(`{"page_size":10000}`)); code != http.StatusOK {
+			t.Fatalf("%s page_size 10000 -> %d (%s)", route, code, body)
+		}
+		code, body := postRaw(t, srv.URL+route, []byte(`{"page_size":10001}`))
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "10000") {
+			t.Fatalf("%s page_size 10001 -> %d (%s), want 400 naming the bound", route, code, body)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
@@ -62,12 +63,9 @@ func SearchEvents(ctx context.Context, b Backend, index string, req SearchReques
 // non-nil error from fn stops the walk and is returned. The page is
 // borrowed: a cached page is shared read-only with every reader the query
 // cache answers, so fn may neither keep its events past the call nor modify
-// them.
+// them. EachEvent reads a *Store's pages in place, with no copy.
 func EachEventPage(ctx context.Context, b Backend, index string, req SearchRequest, pageSize int, fn func(EventsResult) error) error {
-	if pageSize <= 0 {
-		pageSize = 1000
-	}
-	req.From, req.Size, req.SearchAfter = 0, pageSize, nil
+	req.From, req.Size, req.SearchAfter = 0, walkPage(pageSize), nil
 	for {
 		page, err := b.SearchEvents(ctx, index, req)
 		if err != nil {
@@ -76,10 +74,72 @@ func EachEventPage(ctx context.Context, b Backend, index string, req SearchReque
 		if err := fn(page); err != nil {
 			return err
 		}
-		if len(page.Hits) < pageSize || page.NextAfter == nil {
+		if len(page.Hits) < req.Size || page.NextAfter == nil {
 			return nil
 		}
 		req.SearchAfter = page.NextAfter
+	}
+}
+
+// walkPage is a walk's page size: pageSize, or 1000 when it is not positive.
+func walkPage(pageSize int) int {
+	if pageSize <= 0 {
+		return 1000
+	}
+	return pageSize
+}
+
+// EachEvent walks every hit of req as EachEventPage does, calling fn once
+// per event. On the in-process *Store itself each page is one search whose
+// merged rows fn reads in place, under the page's read locks, before the
+// page's last row mints the next cursor: no page is copied or cached, req's
+// aggregations are not computed, each page counts as one search, and ctx is
+// checked between pages. Any other backend, a type embedding a *Store
+// included, pages through EachEventPage. The event is borrowed for the
+// call: fn may neither keep the pointer nor modify the event, nor call back
+// into the store, whose writers may be queued on the locks the page holds.
+func EachEvent(ctx context.Context, b Backend, index string, req SearchRequest, pageSize int, fn func(*event.Event)) error {
+	if s, ok := b.(*Store); ok {
+		return s.eachEvent(ctx, index, req, pageSize, fn)
+	}
+	return EachEventPage(ctx, b, index, req, pageSize, func(page EventsResult) error {
+		for i := range page.Hits {
+			fn(&page.Hits[i])
+		}
+		return nil
+	})
+}
+
+// eachEvent is EachEvent on the store itself: one searchShards pass a page.
+func (s *Store) eachEvent(ctx context.Context, index string, req SearchRequest, pageSize int, fn func(*event.Event)) error {
+	ix, err := s.lookup(index)
+	if err != nil {
+		return err
+	}
+	req.From, req.Size, req.SearchAfter, req.Aggs = 0, walkPage(pageSize), nil, nil
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var next []any
+		start := time.Now()
+		err := ix.searchShards(ctx, &searchExec{req: req}, nil, func(refs []hitRef, _ int, _ map[string]*AggPartial) {
+			for _, ref := range refs {
+				fn(ref.ev)
+			}
+			if len(refs) == req.Size {
+				next = nextAfterRef(refs[len(refs)-1], req.Sort)
+			}
+		})
+		s.tm.searchNS.Observe(float64(time.Since(start)))
+		if err != nil {
+			return err
+		}
+		s.tm.searches.Inc()
+		if next == nil {
+			return nil
+		}
+		req.SearchAfter = next
 	}
 }
 

@@ -1,0 +1,204 @@
+package store
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http/httptest"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
+)
+
+// walkShapes is every sorted shape of the two differential matrices, by
+// query and sort alone (a walk sets its own From, Size and SearchAfter):
+// exact walks (match-all, a term, a term in a time window), non-exact ones
+// (a terms list, term ∧ terms ∧ window, session ∧ syscall) and the candidate
+// path (a sort on a field some rows lack, multi-key sorts), asc and desc.
+func walkShapes() []SearchRequest {
+	var out []SearchRequest
+	seen := map[string]bool{}
+	for _, req := range append(orderedRequests(), oracleRequests()...) {
+		if len(req.Sort) == 0 {
+			continue
+		}
+		shape := SearchRequest{Query: req.Query, Sort: req.Sort}
+		if k := cacheKey(shape); !seen[k] {
+			seen[k] = true
+			out = append(out, shape)
+		}
+	}
+	return out
+}
+
+// collect walks req through walk and returns a copy of every event it yields.
+func collect(t *testing.T, walk func(fn func(*event.Event)) error) []event.Event {
+	t.Helper()
+	var out []event.Event
+	if err := walk(func(e *event.Event) { out = append(out, *e) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEachEventMatchesPagedWalk: on a *Store, EachEvent reads each page in
+// place, and must yield exactly the events EachEventPage yields through the
+// same store's SearchEvents and through a Client over HTTP, for every sorted
+// shape, asc and desc, at page sizes 1, 7 and 1000, on 1, 4 and 16 shards:
+// over hot rows alone, and over a durable store whose first half is a
+// resident cold segment. It must count one search per page and put no page
+// in the query cache.
+func TestEachEventMatchesPagedWalk(t *testing.T) {
+	ctx := context.Background()
+	batches := orderedBatches(240, 16)
+	shapes := walkShapes()
+	for _, shards := range []int{1, 4, 16} {
+		mem := memStore(t, WithShards(shards))
+		dur := openDurable(t, t.TempDir(), WithShards(shards), WithFsyncPolicy(FsyncOff))
+		t.Cleanup(func() { mem.Close(); dur.Close() })
+		for i, b := range batches {
+			for _, st := range []*Store{mem, dur} {
+				if err := st.BulkEvents(ctx, "walk", b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i == len(batches)/2 {
+				if err := dur.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if ix, _ := dur.GetIndex("walk"); coldRows(ix) == 0 {
+			t.Fatal("the durable store holds no cold rows")
+		}
+		for name, st := range map[string]*Store{"hot": mem, "cold+hot": dur} {
+			srv := httptest.NewServer(NewServer(st))
+			client := NewClient(srv.URL)
+			for _, req := range shapes {
+				for _, size := range []int{1, 7, 1000} {
+					paged := func(b Backend) func(fn func(*event.Event)) error {
+						return func(fn func(*event.Event)) error {
+							return EachEventPage(ctx, b, "walk", req, size, func(p EventsResult) error {
+								for i := range p.Hits {
+									fn(&p.Hits[i])
+								}
+								return nil
+							})
+						}
+					}
+					want := collect(t, paged(st))
+					overHTTP := collect(t, paged(client))
+					searches, puts := st.tm.searches.Value(), st.tm.cacheMisses.Value()
+					got := collect(t, func(fn func(*event.Event)) error { return EachEvent(ctx, st, "walk", req, size, fn) })
+					at := fmt.Sprintf("shards=%d %s %+v size %d", shards, name, req, size)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: EachEvent yielded %d events, EachEventPage %d, or in another order", at, len(got), len(want))
+					}
+					if !reflect.DeepEqual(overHTTP, want) {
+						t.Fatalf("%s: EachEventPage over HTTP yielded %d events, in process %d, or in another order", at, len(overHTTP), len(want))
+					}
+					if pages := uint64(len(want)/size + 1); st.tm.searches.Value()-searches != pages {
+						t.Fatalf("%s: EachEvent counted %d searches, want %d pages", at, st.tm.searches.Value()-searches, pages)
+					}
+					if n := st.tm.cacheMisses.Value() - puts; n != 0 {
+						t.Fatalf("%s: EachEvent put %d pages in the query cache", at, n)
+					}
+				}
+			}
+			srv.Close()
+		}
+	}
+}
+
+// TestEachEventPageIsOneCut: a page of EachEvent is read under the page's
+// read locks. While fn blocks mid-page, a concurrent BulkEvents waits; it
+// completes once the page ends, before the next page takes its locks. So the
+// page fn was in sees none of the batch, and every later page sees all of
+// it that sorts past the cursor. A ctx cancelled during a page ends the walk
+// with ctx.Err() once that page is read, before the next one.
+func TestEachEventPageIsOneCut(t *testing.T) {
+	const rows, page = 64, 16
+	ctx := context.Background()
+	st := memStore(t, WithShards(4))
+	t.Cleanup(func() { st.Close() })
+	mk := func(times ...int64) []event.Event {
+		evs := make([]event.Event, len(times))
+		for i, ts := range times {
+			evs[i] = event.Event{Session: "s", Syscall: "read", TimeEnterNS: ts, TimeExitNS: ts + 1}
+		}
+		return evs
+	}
+	// The stored rows at even times, the batch at every other odd time, so
+	// the batch has rows on both sides of every page boundary.
+	var stored, batch []int64
+	for i := int64(0); i < rows; i++ {
+		stored = append(stored, 2*i)
+		if i%2 == 0 {
+			batch = append(batch, 2*i+1)
+		}
+	}
+	if err := st.BulkEvents(ctx, "cut", mk(stored...)); err != nil {
+		t.Fatal(err)
+	}
+	req := SearchRequest{Query: Term(FieldSession, "s"), Sort: []SortField{{Field: FieldTimeEnter}}}
+
+	done := make(chan error, 1)
+	var got []int64
+	var bulkEarly, bulkLate bool
+	err := EachEvent(ctx, st, "cut", req, page, func(e *event.Event) {
+		switch len(got) {
+		case page / 2:
+			go func() { done <- st.BulkEvents(ctx, "cut", mk(batch...)) }()
+			select {
+			case <-done:
+				bulkEarly = true
+			case <-time.After(50 * time.Millisecond):
+			}
+		case page:
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Error(err)
+				}
+			case <-time.After(10 * time.Second):
+				bulkLate = true
+			}
+		}
+		got = append(got, e.TimeEnterNS)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bulkEarly {
+		t.Fatal("the bulk completed while fn held a page")
+	}
+	if bulkLate {
+		t.Fatal("the bulk had not completed when the next page began")
+	}
+	// The first page: stored rows only. Then every row past its last.
+	want := append([]int64(nil), stored[:page]...)
+	for _, ts := range append(stored[page:], batch...) {
+		if ts > want[page-1] {
+			want = append(want, ts)
+		}
+	}
+	slices.Sort(want[page:])
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("walk saw times\n%v\nwant\n%v", got, want)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	n := 0
+	err = EachEvent(cctx, st, "cut", req, page, func(*event.Event) {
+		if n++; n == page+1 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) || n != 2*page {
+		t.Fatalf("cancelled on page 2: err %v after %d events, want %v after %d", err, n, context.Canceled, 2*page)
+	}
+}
