@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race vet bench bench-smoke bench-read bench-diagnose bench-pair chaos chaos-repl chaos-cluster crash lint loc examples diagnose
+.PHONY: tier1 build test race vet bench bench-smoke bench-read bench-diagnose bench-pair chaos chaos-repl chaos-cluster crash lint loc examples diagnose fuzz
 
 ## tier1: the PR gate — vet, build (examples included), the dead-symbol
 ## lint, tests, the race detector over the concurrency-heavy packages (store
@@ -127,6 +127,19 @@ bench-pair:
 diagnose:
 	$(GO) run ./cmd/dio diagnose -workload fluentbit-buggy | grep critical >/dev/null
 	$(GO) run ./cmd/dio diff buggy fixed | grep improvement >/dev/null
+
+## fuzz: run every Fuzz* target under internal/ for FUZZTIME (10s) each. Go
+## fuzzes one target per invocation, so each runs alone as
+## go test -run=^$ -fuzz=^Name$; the first failure stops the run. Not part
+## of tier1: it is a time budget, not a gate.
+FUZZTIME ?= 10s
+fuzz:
+	@for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal | sort); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "== $$t ./$$(dirname $$f)"; \
+			$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./$$(dirname $$f) || exit 1; \
+		done; \
+	done
 
 ## chaos: the fault-injection suite — shipper, breaker, spill, and the
 ## tracer-level exact-accounting tests, raced and repeated.

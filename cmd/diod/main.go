@@ -270,7 +270,8 @@ func runCluster(cfg config) error {
 	if err != nil {
 		return err
 	}
-	server := cluster.NewServer(co)
+	server := store.NewServer(co)
+	diagnose.Install(server)
 	var handler http.Handler = server
 	if cfg.chaos {
 		handler = store.NewChaosHandler(handler, time.Now().UnixNano())
@@ -285,7 +286,7 @@ func runCluster(cfg config) error {
 		fmt.Printf("partition %d: %s\n", p, t)
 	}
 	fmt.Println("endpoints (also under /v1):", strings.Join(server.Routes(), " | "))
-	fmt.Println("correlate, diagnose, dfg and diff answer a typed 501: they do not route across partitions")
+	fmt.Println("correlate answers a typed 501: it does not route across partitions")
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

@@ -97,28 +97,16 @@ func (e *partitionError) HTTPStatus() (int, string) {
 	return http.StatusBadGateway, ""
 }
 
-// Machine-readable reasons the coordinator's 501 responses carry, one per
-// operation that does not route across partitions.
-const (
-	// ReasonClusterCorrelate is the reason for correlation requests.
-	ReasonClusterCorrelate = "cluster_correlation_unsupported"
-	// ReasonClusterDiagnose is the reason for diagnosis-engine requests.
-	ReasonClusterDiagnose = "cluster_diagnose_unsupported"
-	// ReasonClusterDFG is the reason for DFG-build requests.
-	ReasonClusterDFG = "cluster_dfg_unsupported"
-	// ReasonClusterDiff is the reason for session-diff requests.
-	ReasonClusterDiff = "cluster_diff_unsupported"
-)
+// ReasonClusterCorrelate is the machine-readable reason a coordinator's 501
+// for correlation carries.
+const ReasonClusterCorrelate = "cluster_correlation_unsupported"
 
-// ErrNotRoutable is the typed refusal for operations that need one node's
-// totally-ordered view of a session and therefore do not route across
-// partitions. It is a store.StatusError: the front end answers 501 with the
-// machine-readable Reason in the body, so clients dispatch on the reason
-// rather than parsing prose. Well-known instances below are stable sentinel
-// values: errors.Is against them keeps working as it did when they were
-// plain errors.
+// ErrNotRoutable is the typed refusal for an operation that does not route
+// across partitions. It is a store.StatusError: the front end answers 501
+// with the machine-readable Reason in the body, so clients dispatch on the
+// reason rather than parsing prose.
 type ErrNotRoutable struct {
-	// Op is the API operation refused ("_correlate", "_diagnose", …).
+	// Op is the API operation refused ("_correlate").
 	Op string
 	// Reason is the machine-readable reason code of the 501 body.
 	Reason string
@@ -131,49 +119,15 @@ func (e *ErrNotRoutable) Error() string { return e.msg }
 // HTTPStatus implements store.StatusError.
 func (e *ErrNotRoutable) HTTPStatus() (int, string) { return http.StatusNotImplemented, e.Reason }
 
-// Typed refusals for the non-routable operations.
-var (
-	// ErrCorrelateUnsupported rejects correlation through the coordinator:
-	// the pass anchors open/openat events to later tagged events by
-	// scanning rows in order, and with rows striped across partitions an
-	// anchor and its dependents may live on different nodes — a per-node
-	// pass would resolve paths wrongly rather than partially. Run
-	// correlation before ingest (dio trace does) or against a single node.
-	ErrCorrelateUnsupported = &ErrNotRoutable{
-		Op: "_correlate", Reason: ReasonClusterCorrelate,
-		msg: "cluster: correlation is not supported across partitions: open/tag anchor pairs may span nodes",
-	}
-	// ErrDiagnoseUnsupported, ErrDFGUnsupported, and ErrDiffUnsupported
-	// reject the diagnosis endpoints for the same structural reason: the
-	// engine streams a session in total time order with per-thread state,
-	// and striped rows would hand every partition a gapped stream. Run
-	// them against the node (or single store) holding the session.
-	ErrDiagnoseUnsupported = &ErrNotRoutable{
-		Op: "_diagnose", Reason: ReasonClusterDiagnose,
-		msg: "cluster: diagnosis is not supported across partitions: the engine needs one node's ordered session stream",
-	}
-	ErrDFGUnsupported = &ErrNotRoutable{
-		Op: "_dfg", Reason: ReasonClusterDFG,
-		msg: "cluster: DFG builds are not supported across partitions: directly-follows edges would span nodes",
-	}
-	ErrDiffUnsupported = &ErrNotRoutable{
-		Op: "_diff", Reason: ReasonClusterDiff,
-		msg: "cluster: session diffs are not supported across partitions: both sessions' streams are striped",
-	}
-)
-
-// NewServer serves the coordinator through the store's one HTTP front end,
-// so a client points at a coordinator with nothing but a base-URL change:
-// writes are striped to their owners, searches scatter and merge once, and
-// _stats and _health report per partition. The node-only routes are not
-// mounted, _correlate answers Correlate's typed 501, and so do the diagnosis
-// routes.
-func NewServer(co *Coordinator) *store.Server {
-	srv := store.NewServer(co)
-	for _, err := range []*ErrNotRoutable{ErrDiagnoseUnsupported, ErrDFGUnsupported, ErrDiffUnsupported} {
-		srv.HandleOp(err.Op, func(*http.Request, string) (any, error) { return nil, err })
-	}
-	return srv
+// ErrCorrelateUnsupported rejects correlation through the coordinator: the
+// pass anchors open/openat events to later tagged events by scanning rows in
+// order, and with rows striped across partitions an anchor and its
+// dependents may live on different nodes — a per-node pass would resolve
+// paths wrongly rather than partially. Run correlation before ingest (dio
+// trace does) or against a single node.
+var ErrCorrelateUnsupported = &ErrNotRoutable{
+	Op: "_correlate", Reason: ReasonClusterCorrelate,
+	msg: "cluster: correlation is not supported across partitions: open/tag anchor pairs may span nodes",
 }
 
 // Config tunes the coordinator's resilience ladder.

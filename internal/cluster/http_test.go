@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -55,7 +57,7 @@ func newHTTPClusterOver(t *testing.T, stores []*store.Store) (*Coordinator, *htt
 	if err != nil {
 		t.Fatalf("new coordinator: %v", err)
 	}
-	csrv := httptest.NewServer(NewServer(co))
+	csrv := httptest.NewServer(store.NewServer(co))
 	t.Cleanup(csrv.Close)
 	return co, csrv
 }
@@ -238,31 +240,6 @@ func TestClusterHTTPTransparency(t *testing.T) {
 	}
 	if _, err := clusterC.Correlate(ctx, testIndex, "run-0"); err == nil {
 		t.Fatal("client correlate via coordinator succeeded, want typed refusal")
-	}
-
-	// The diagnosis endpoints share the same typed-501 contract, each with
-	// its own machine-readable reason.
-	for _, tc := range []struct {
-		route  string
-		reason string
-	}{
-		{"/_diagnose?session=run-0", ReasonClusterDiagnose},
-		{"/_dfg?session=run-0", ReasonClusterDFG},
-		{"/_diff?a=run-0&b=run-1", ReasonClusterDiff},
-	} {
-		code, body := postRaw(t, csrv.URL+"/v1/"+testIndex+tc.route, "application/json", nil)
-		if code != http.StatusNotImplemented {
-			t.Fatalf("cluster %s: %d %s, want 501", tc.route, code, body)
-		}
-		var de struct{ Error, Reason string }
-		if err := json.Unmarshal(body, &de); err != nil || de.Reason != tc.reason {
-			t.Fatalf("cluster %s body %s: reason %q, want %q", tc.route, body, de.Reason, tc.reason)
-		}
-		// The legacy alias answers identically.
-		lcode, lbody := postRaw(t, csrv.URL+"/"+testIndex+tc.route, "application/json", nil)
-		if lcode != code || !bytes.Equal(lbody, body) {
-			t.Fatalf("cluster %s: legacy alias diverged (%d %s)", tc.route, lcode, lbody)
-		}
 	}
 
 	// Stats through the coordinator aggregates with a partition breakdown.
@@ -631,7 +608,7 @@ func TestClusterNodeOnlyRoutesStayOnNodes(t *testing.T) {
 					t.Errorf("HandleOp(%q) on a coordinator server did not panic", op)
 				}
 			}()
-			NewServer(co).HandleOp(op, func(*http.Request, string) (any, error) { return nil, nil })
+			store.NewServer(co).HandleOp(op, func(*http.Request, string) (any, error) { return nil, nil })
 		}()
 	}
 }
@@ -653,4 +630,94 @@ func doRaw(t *testing.T, method, url string, body []byte) (int, []byte) {
 		t.Fatalf("read body: %v", err)
 	}
 	return resp.StatusCode, b
+}
+
+// TestClusterPagesSubUlpRowsInExactTimeOrder: 240 rows 3 ns apart at epoch
+// scale, shuffled, so that about 85 share each float64, striped across 2 and
+// 4 durable partitions whose first half is a cold segment. Paged by time,
+// asc and desc, at page sizes 1, 7 and 1000, the coordinator, in process and
+// through a Client over its HTTP server, answers every page byte-identically
+// to one node holding the same rows, and the walk visits every row once in
+// strictly monotone time. A range from 50 ns past the base counts exactly
+// the rows at or past it.
+func TestClusterPagesSubUlpRowsInExactTimeOrder(t *testing.T) {
+	const n, base = 240, int64(1_697_000_000_000_000_000)
+	rows := make([]event.Event, n)
+	for i, r := range rand.New(rand.NewSource(41)).Perm(n) {
+		ts := base + int64(r)*3
+		rows[i] = event.Event{Session: "ulp", Syscall: "read", Class: "io", PID: 1, TID: 2, ProcName: "app",
+			TimeEnterNS: ts, TimeExitNS: ts + 700, RetVal: int64(r)}
+	}
+	durableStore := func() *store.Store {
+		st, err := store.Open(store.WithDataDir(t.TempDir()), store.WithFsyncPolicy(store.FsyncOff), store.WithSnapshotInterval(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	ctx := context.Background()
+	from := base + 50
+	count := store.Query{Range: &store.RangeQuery{Field: store.FieldTimeEnter, GTE: &from}}
+	for _, P := range []int{2, 4} {
+		single, parts := durableStore(), make([]*store.Store, P)
+		for p := range parts {
+			parts[p] = durableStore()
+		}
+		co, csrv := newHTTPClusterOver(t, parts)
+		for at := 0; at < n; at += 40 {
+			for _, b := range []store.Backend{single, co} {
+				if err := b.BulkEvents(ctx, testIndex, rows[at:at+40]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if at+40 == n/2 {
+				for _, st := range append([]*store.Store{single}, parts...) {
+					if err := st.Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for name, b := range map[string]store.Backend{"coordinator": co, "http": store.NewClient(csrv.URL)} {
+			at := fmt.Sprintf("P=%d %s", P, name)
+			if c, err := b.Count(ctx, testIndex, count); err != nil || c != n-17 {
+				t.Fatalf("%s: count from base+50 = %d (%v), want %d", at, c, err, n-17)
+			}
+			for _, desc := range []bool{false, true} {
+				for _, size := range []int{1, 7, 1000} {
+					req := store.SearchRequest{Query: store.Term(store.FieldSession, "ulp"), Size: size,
+						Sort: []store.SortField{{Field: store.FieldTimeEnter, Desc: desc}}}
+					walked := 0
+					for {
+						want, err := single.Search(ctx, testIndex, req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := b.Search(ctx, testIndex, req)
+						if err != nil || fingerprint(t, got) != fingerprint(t, want) {
+							t.Fatalf("%s desc=%v size %d after %v: page differs from the node's (%v)", at, desc, size, req.SearchAfter, err)
+						}
+						for _, h := range got.Hits {
+							rank := walked
+							if desc {
+								rank = n - 1 - walked
+							}
+							if fmt.Sprint(h[store.FieldRetVal]) != fmt.Sprint(rank) {
+								t.Fatalf("%s desc=%v size %d: hit %d is rank %v, want %d", at, desc, size, walked, h[store.FieldRetVal], rank)
+							}
+							walked++
+						}
+						if got.NextAfter == nil {
+							break
+						}
+						req.SearchAfter = got.NextAfter
+					}
+					if walked != n {
+						t.Fatalf("%s desc=%v size %d: walked %d rows, want %d", at, desc, size, walked, n)
+					}
+				}
+			}
+		}
+	}
 }

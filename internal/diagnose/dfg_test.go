@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -115,6 +116,60 @@ func TestDFGStructure(t *testing.T) {
 	}
 	if nodes["read"].Count != 12 {
 		t.Fatalf("read node = %+v", nodes["read"])
+	}
+}
+
+// TestDFGOrdersAMigratedThreadInsideOneUlp: a thread that migrates between
+// CPUs has its syscalls drained from two per-CPU rings, so its read at
+// base+100 can be stored before its openat at base+10. At epoch scale the two
+// stamps share one float64 (its ulp is 256 ns), so a float compare ties them
+// and falls back to row order: read → openat, an edge the thread never took.
+// The graph must draw openat → read, in process at 1, 4 and 16 shards and
+// through _dfg on a 2- and a 4-partition coordinator's server.
+func TestDFGOrdersAMigratedThreadInsideOneUlp(t *testing.T) {
+	const base = int64(1_697_000_000_000_000_000)
+	ctx := context.Background()
+	migrated := []event.Event{
+		{Session: "mig", Syscall: "read", Class: "io", PID: 7, TID: 8, ProcName: "app", ThreadName: "worker",
+			FD: 3, Count: 4096, RetVal: 4096, TimeEnterNS: base + 100, TimeExitNS: base + 180},
+		{Session: "mig", Syscall: "openat", Class: "io", PID: 7, TID: 8, ProcName: "app", ThreadName: "worker",
+			RetVal: 3, TimeEnterNS: base + 10, TimeExitNS: base + 60},
+	}
+	edges := func(g *DFG) string {
+		var out []string
+		for _, p := range g.Procs {
+			for _, e := range p.Edges {
+				out = append(out, fmt.Sprintf("%s->%s x%d", e.From, e.To, e.Count))
+			}
+		}
+		return strings.Join(out, ", ")
+	}
+	const want = "openat->read x1"
+	for _, shards := range []int{1, 4, 16} {
+		b, err := store.Open(store.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.BulkEvents(ctx, "events", append([]event.Event(nil), migrated...)); err != nil {
+			t.Fatal(err)
+		}
+		g, err := BuildDFG(ctx, b, "events", "mig", 0)
+		if err != nil || edges(g) != want {
+			t.Fatalf("shards=%d: edges %q (%v), want %q", shards, edges(g), err, want)
+		}
+		if shards != 1 {
+			continue
+		}
+		for _, P := range []int{2, 4} {
+			server := store.NewServer(stripeAcross(t, b, P))
+			Install(server)
+			srv := httptest.NewServer(server)
+			g, err := NewClient(store.NewClient(srv.URL)).DFG(ctx, "events", "mig")
+			srv.Close()
+			if err != nil || edges(g) != want {
+				t.Fatalf("_dfg on a %d-partition coordinator: edges %q (%v), want %q", P, edges(g), err, want)
+			}
+		}
 	}
 }
 

@@ -110,8 +110,9 @@ type Detector struct {
 }
 
 // Pass is one detector's state over one session. The engine calls Observe
-// once per stored event, in the sorted cursor's total order (time_enter_ns,
-// then row id), and then Finish once with the session's finished DFG. A pass
+// once per stored event, in the sorted cursor's total order: time_enter_ns
+// exactly, to the nanosecond, then row id for equal stamps. It then calls
+// Finish once with the session's finished DFG. A pass
 // holds no backend, so its memory is whatever it chooses to keep — the
 // built-in rules keep per-file, per-thread, per-window and per-syscall-kind
 // state, never anything proportional to the session length.

@@ -200,8 +200,9 @@ func goldenJSON(t *testing.T, rep Report) []byte {
 // TestGoldenReports pins every built-in rule's output byte for byte: the
 // files under testdata/reports were recorded from the per-detector-query
 // engine this package replaced, and the single-pass engine must reproduce
-// them at every shard count and page size, in-process, over HTTP, and with a
-// 4-partition cluster coordinator as the backend.
+// them at every shard count and page size, in-process, over HTTP, with a
+// 4-partition cluster coordinator as the backend, and over HTTP from a 2- and
+// a 4-partition coordinator's own server, whose _dfg answers the node's DFG.
 func TestGoldenReports(t *testing.T) {
 	ctx := context.Background()
 	for _, gs := range goldenSessions {
@@ -264,6 +265,23 @@ func TestGoldenReports(t *testing.T) {
 				if shards == 4 {
 					rep, err = NewEngine(DefaultRegistry()).Run(ctx, stripeAcross(t, b, 4), "events", gs.name)
 					check("4-partition coordinator", rep, err)
+					nodeDFG, err := BuildDFG(ctx, b, "events", gs.name, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, P := range []int{2, 4} {
+						server := store.NewServer(stripeAcross(t, b, P))
+						Install(server)
+						srv := httptest.NewServer(server)
+						c := NewClient(store.NewClient(srv.URL))
+						rep, err := c.Diagnose(ctx, "events", gs.name)
+						check(fmt.Sprintf("http %d-partition coordinator", P), rep, err)
+						g, err := c.DFG(ctx, "events", gs.name)
+						if err != nil || g.Fingerprint() != nodeDFG.Fingerprint() {
+							t.Fatalf("http %d-partition coordinator: _dfg fingerprint differs from the node's (%v)", P, err)
+						}
+						srv.Close()
+					}
 				}
 			}
 		})

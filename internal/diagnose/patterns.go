@@ -215,7 +215,7 @@ type SessionDelta struct {
 // backend — the post-mortem analysis workflow of §II (the paper compares
 // Fluent Bit v1.4.0 against v2.0.5 this way).
 func CompareSessions(ctx context.Context, b store.Backend, index, sessionA, sessionB string) ([]SessionDelta, error) {
-	lt := 0.0
+	lt := int64(0)
 	counts := func(session string) (map[string]int, map[string]int, error) {
 		resp, err := b.Search(ctx, index, store.SearchRequest{
 			Query: store.Term(store.FieldSession, session),

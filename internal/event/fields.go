@@ -90,29 +90,20 @@ func (e *Event) StringField(name string) (string, bool) {
 	return s, s != ""
 }
 
-// NumericField returns the named field coerced to float64, without boxing.
-// Presence (ok) mirrors the document view exactly: optional numeric fields
-// that the document omits when zero (fd, count, arg_offset, whence, flags,
-// mode, offset without has_offset, and the tag components without a tag)
-// report ok=false, so range queries and aggregations evaluate identically
-// through either representation.
-func (e *Event) NumericField(name string) (float64, bool) {
-	if name == FieldHasOffset {
-		// The document view stores a bool; numeric coercion maps it to 0/1.
+// IntField returns the named field as an exact int64 (no float64 round-trip,
+// which would corrupt nanosecond timestamps past 2^53), without boxing; a
+// bool field reads as 0/1. Presence (ok) mirrors the document view exactly:
+// optional fields that the document omits when zero (fd, count, arg_offset,
+// whence, flags, mode, offset without has_offset, and the tag components
+// without a tag) report ok=false, so range queries and aggregations evaluate
+// identically through either representation.
+func (e *Event) IntField(name string) (int64, bool) {
+	switch name {
+	case FieldHasOffset:
 		if e.HasOffset {
 			return 1, true
 		}
 		return 0, true
-	}
-	n, ok := e.IntField(name)
-	return float64(n), ok
-}
-
-// IntField returns the named field as an exact int64 (no float64 round-trip,
-// which would corrupt nanosecond timestamps past 2^53). Presence follows the
-// document view's omission rules, as in NumericField.
-func (e *Event) IntField(name string) (int64, bool) {
-	switch name {
 	case FieldRetVal:
 		return e.RetVal, true
 	case FieldPID:
@@ -153,7 +144,7 @@ func (e *Event) IntField(name string) (int64, bool) {
 // Field returns the named field as the document view represents it (string,
 // int64, or bool), and whether the field is present under the document
 // view's omission rules. Callers that know the field's kind should prefer
-// StringField/NumericField/IntField, which avoid boxing.
+// StringField/IntField, which avoid boxing.
 func (e *Event) Field(name string) (any, bool) {
 	switch name {
 	case FieldSession, FieldSyscall, FieldClass, FieldArgPath, FieldArgPath2,

@@ -299,7 +299,9 @@ func TestRemoteReadsAreExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	co := newCluster(t, 2)
-	csrv := httptest.NewServer(cluster.NewServer(co))
+	cserver := store.NewServer(co)
+	diagnose.Install(cserver)
+	csrv := httptest.NewServer(cserver)
 	defer csrv.Close()
 	for _, b := range []store.Backend{st, co} {
 		if err := b.BulkEvents(ctx, "exact", append([]event.Event(nil), evs...)); err != nil {
@@ -340,7 +342,7 @@ func TestRemoteReadsAreExact(t *testing.T) {
 			}
 			return all, err
 		}},
-		{"Client to a 2-partition cluster.Server", hitsOf(store.NewClient(csrv.URL))},
+		{"Client to a 2-partition coordinator", hitsOf(store.NewClient(csrv.URL))},
 	} {
 		got, err := tc.read()
 		if err != nil {

@@ -254,16 +254,10 @@ func (sh *shard) termKey(id int32, field string) string {
 	return keyString(sh.val(id, field))
 }
 
-// histKey returns the interval bucket of row id's field. Integral fields
-// bucket in exact int64 arithmetic: float64's ulp at
-// epoch-scale nanoseconds is 256, enough to move a row across a bucket edge.
+// histKey returns the interval bucket of row id's field, in exact int64
+// arithmetic.
 func (sh *shard) histKey(id int32, field string, interval int64) (int64, bool) {
-	n, ok := sh.rows.at(int(id)).IntField(field)
-	if !ok {
-		var f float64
-		f, ok = sh.numAt(id, field)
-		n = int64(f)
-	}
+	n, ok := sh.numAt(id, field)
 	return n / interval * interval, ok
 }
 
@@ -322,8 +316,8 @@ func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 		c := sh.cols[a.Percentiles.Field]
 		vals := make([]float64, 0, len(ids))
 		for _, id := range ids {
-			if f, ok := sh.colVal(c, a.Percentiles.Field, id); ok {
-				vals = append(vals, f)
+			if n, ok := sh.colVal(c, a.Percentiles.Field, id); ok {
+				vals = append(vals, float64(n))
 			}
 		}
 		sort.Float64s(vals)
@@ -332,7 +326,8 @@ func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 		c := sh.cols[a.Stats.Field]
 		res := newStatsAccum()
 		for _, id := range ids {
-			if f, ok := sh.colVal(c, a.Stats.Field, id); ok {
+			if n, ok := sh.colVal(c, a.Stats.Field, id); ok {
+				f := float64(n)
 				combineStats(&res, &StatsResult{Count: 1, Min: f, Max: f, Sum: f})
 			}
 		}

@@ -485,7 +485,7 @@ func (c *Client) doReader(ctx context.Context, method, path, contentType string,
 	if typed != nil {
 		return typed.readResponse(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decodeJSON(resp.Body, out); err != nil {
 		return fmt.Errorf("decode response: %w", err)
 	}
 	return nil

@@ -220,7 +220,7 @@ func checkEvictedCodes(t *testing.T, S int, cols []string) {
 	}
 
 	// A window over the flushed rows opens their segment and codes it.
-	window := SearchRequest{Query: RangeBetween(FieldTimeEnter, float64(at), float64(at+int64(len(flushed))*1000)),
+	window := SearchRequest{Query: timeRange(at, at+int64(len(flushed))*1000),
 		Size: 1, Aggs: codesAggs()}
 	if _, err := st.Search(ctx, windowIndex, window); err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func BenchmarkTermsAgg(b *testing.B) {
 			// Sorted by time, so the window is a run of the time order and
 			// matching it costs its rows, as on a resident segment.
 			lo := int64(arm.rows/3) * 1000
-			req := SearchRequest{Query: RangeBetween(FieldTimeEnter, float64(lo), float64(lo+int64(arm.match-1)*1000)),
+			req := SearchRequest{Query: timeRange(lo, lo+int64(arm.match-1)*1000),
 				Sort: []SortField{{Field: FieldTimeEnter}}, Size: 1,
 				Aggs: map[string]Agg{"by": {Terms: &TermsAgg{Field: arm.field}}}}
 			b.ResetTimer()

@@ -14,13 +14,11 @@ import (
 // which is what lets paged output replay a monolithic sorted search exactly.
 //
 // Wire format: "search_after" is a JSON array of len(sort)+1 scalars — one
-// value per sort field in request order (string or number, null for a field
-// the row lacked), then the gid as a number. Tokens are only meaningful for
-// the same index state and the same sort spec they were issued under.
-
-// maxExactInt bounds a cursor's gid: below it every integer is exact in the
-// float64 a JSON number decodes to.
-const maxExactInt = float64(1 << 53)
+// value per sort field in request order (a string, an integer, or null for a
+// field the row lacked), then the gid as a non-negative integer. Integers
+// travel as JSON integers and are decoded exactly (decodeJSON), so a 19-digit
+// timestamp resumes where it left off. Tokens are only meaningful for the
+// same index state and the same sort spec they were issued under.
 
 // errBadSearchAfter rejects malformed cursors: a 400.
 var errBadSearchAfter = BadRequest(errors.New("store: invalid search_after cursor"))
@@ -45,11 +43,11 @@ type searchCursor struct {
 }
 
 // cursorKey is one sort-key value of a cursor as the token carried it, with
-// its numeric coercion parsed once per request: a row compares against it
+// its integer coercion parsed once per request: a row compares against it
 // through the sort column, unboxed, as cmpIDs compares two rows.
 type cursorKey struct {
 	val any
-	num float64
+	num int64
 	ok  bool
 }
 
@@ -66,18 +64,17 @@ func (c *searchCursor) parse(req SearchRequest) (ok bool, err error) {
 	if len(req.SearchAfter) != len(req.Sort)+1 {
 		return false, errBadSearchAfter
 	}
-	last := req.SearchAfter[len(req.SearchAfter)-1]
-	f, isNum := numeric(last)
-	if !isNum || f != math.Trunc(f) || f < 0 || f >= maxExactInt {
+	gid, isInt := intOf(req.SearchAfter[len(req.SearchAfter)-1])
+	if !isInt || gid < 0 || gid > math.MaxInt {
 		return false, errBadSearchAfter
 	}
-	c.gid = int(f)
+	c.gid = int(gid)
 	if c.keys = c.inline[:0]; len(req.Sort) > len(c.inline) {
 		c.keys = make([]cursorKey, 0, len(req.Sort))
 	}
 	for _, v := range req.SearchAfter[:len(req.Sort)] {
 		k := cursorKey{val: v}
-		k.num, k.ok = numeric(v)
+		k.num, k.ok = intOf(v)
 		c.keys = append(c.keys, k)
 	}
 	return true, nil
@@ -85,7 +82,7 @@ func (c *searchCursor) parse(req SearchRequest) (ok bool, err error) {
 
 // afterID reports whether shard row id sorts strictly after the cursor
 // position. Each key reads the row through its sort column (cols, aligned
-// with sorts) and compares unboxed when both sides are numeric; only a value
+// with sorts) and compares unboxed when both sides are integers; only a value
 // that is not goes through cmpField. gidOf is called on a full key tie only.
 // Caller holds the shard read lock.
 func (c *searchCursor) afterID(sh *shard, id int32, sorts []SortField, cols []*column, gidOf func(int32) int) bool {
@@ -106,25 +103,25 @@ func (c *searchCursor) afterID(sh *shard, id int32, sorts []SortField, cols []*c
 
 // firstLocalAfter returns the smallest local id of shard shardIdx (of S)
 // whose global id (id*S + shardIdx) exceeds gid — the O(1) resume point for
-// unsorted (insertion-order) paging.
+// unsorted (insertion-order) paging. A gid past every id a shard can hold
+// saturates at MaxInt32, past every row.
 func firstLocalAfter(gid, shardIdx, S int) int32 {
-	num := gid + 1 - shardIdx
-	if num <= 0 {
+	if gid < shardIdx {
 		return 0
 	}
-	return int32((num + S - 1) / S)
+	return int32(min((gid-shardIdx)/S+1, math.MaxInt32))
 }
 
 // cursorVal renders one row value as a cursor scalar that survives a JSON
 // round-trip and compares back equal under cmpField: strings stay strings,
-// numerics (bool included — sorting already coerces through numeric) become
-// float64, anything else degrades to null.
+// integers (bool included — sorting already coerces through intOf) become
+// int64, anything else degrades to null.
 func cursorVal(v any) any {
 	if s, ok := v.(string); ok {
 		return s
 	}
-	if f, ok := numeric(v); ok {
-		return f
+	if n, ok := intOf(v); ok {
+		return n
 	}
 	return nil
 }
@@ -136,5 +133,5 @@ func nextAfterRef(ref hitRef, sorts []SortField) []any {
 		v, _ := ref.ev.Field(s.Field)
 		out = append(out, cursorVal(v))
 	}
-	return append(out, float64(ref.gid))
+	return append(out, ref.gid)
 }

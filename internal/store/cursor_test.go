@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -189,7 +190,7 @@ func TestCursorPagingDifferential(t *testing.T) {
 // TestCursorHTTPPaging drives the cursor over the wire: paging through the
 // /v1 client and the legacy unprefixed alias must both reproduce the
 // in-process monolithic response, proving NextAfter survives the JSON
-// round-trip (gids ride as float64 and re-parse exactly below 2^53).
+// round-trip (keys and gids ride as JSON integers and re-parse exactly).
 func TestCursorHTTPPaging(t *testing.T) {
 	st := memStore(t)
 	srv := httptest.NewServer(NewServer(st))
@@ -265,7 +266,8 @@ func TestCursorBadRequest(t *testing.T) {
 		`{"size":5,"search_after":[-1]}`,                                              // gid negative
 		`{"size":5,"search_after":[1.5]}`,                                             // gid not integral
 		`{"size":5,"sort":[{"field":"time_enter_ns"}],"search_after":[12345,"7"]}`,    // gid as string
-		`{"size":5,"sort":[{"field":"time_enter_ns"}],"search_after":[12345,9.1e17]}`, // gid above 2^53
+		`{"size":5,"sort":[{"field":"time_enter_ns"}],"search_after":[12345,9.1e17]}`, // gid not an integer literal
+		`{"size":5,"search_after":[9223372036854775808]}`,                             // gid past int64
 	}
 	for _, body := range bad {
 		for _, path := range []string{"/cur/_search", "/v1/cur/_search"} {
@@ -289,5 +291,85 @@ func TestCursorBadRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("valid cursor: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestCursor19DigitTime: a search_after on time_enter_ns carries a 19-digit
+// integer, past float64's exact range, and resumes exactly there. Five rows
+// 1 ns apart, stored newest first, share one float64; paged one hit at a
+// time, each JSON response's next_after is its row's time to the nanosecond
+// and its gid, and resuming from it returns the row 1 ns later, through a raw
+// body and through a Client.
+func TestCursor19DigitTime(t *testing.T) {
+	const ns = int64(1687859999123456789)
+	st := memStore(t, WithShards(4))
+	srv := httptest.NewServer(NewServer(st))
+	t.Cleanup(srv.Close)
+	evs := make([]event.Event, 5)
+	for i := range evs {
+		ts := ns + int64(len(evs)-1-i)
+		evs[i] = event.Event{Session: "big", Syscall: "read", TimeEnterNS: ts, TimeExitNS: ts + 1}
+	}
+	if err := st.BulkEvents(context.Background(), "big", evs); err != nil {
+		t.Fatal(err)
+	}
+	after := ""
+	for k := int64(0); k < int64(len(evs)); k++ {
+		body := `{"query":{"term":{"field":"session","value":"big"}},"sort":[{"field":"time_enter_ns"}],"size":1` + after + `}`
+		resp, err := http.Post(srv.URL+"/big/_search", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page struct {
+			Hits      []map[string]json.RawMessage `json:"hits"`
+			NextAfter json.RawMessage              `json:"next_after"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		next := fmt.Sprintf("[%d,%d]", ns+k, len(evs)-1-int(k))
+		if err != nil || len(page.Hits) != 1 || string(page.Hits[0][FieldTimeEnter]) != fmt.Sprint(ns+k) || string(page.NextAfter) != next {
+			t.Fatalf("page %d after %q: %d hits, time %s, next_after %s (%v); want time %d, next_after %s",
+				k, after, len(page.Hits), page.Hits[0][FieldTimeEnter], page.NextAfter, err, ns+k, next)
+		}
+		after = `,"search_after":` + next
+	}
+
+	req := SearchRequest{Query: Term(FieldSession, "big"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 1}
+	for k := int64(0); k < int64(len(evs)); k++ {
+		res, err := NewClient(srv.URL).SearchEvents(context.Background(), "big", req)
+		if err != nil || len(res.Hits) != 1 || res.Hits[0].TimeEnterNS != ns+k {
+			t.Fatalf("client page %d after %v: %+v (%v), want time %d", k, req.SearchAfter, res.Hits, err, ns+k)
+		}
+		req.SearchAfter = res.NextAfter
+	}
+}
+
+// TestCursorPastEveryRow: an unsorted cursor whose gid lies past every row
+// resumes nowhere, however wide the gid: a page past 2^31, 2^40 or
+// 2^63-1 is empty, on hot stripes and on a cold segment, where a gid that
+// wrapped the shard's int32 ids (or the +1 of a search) would restart the
+// walk from the first row.
+func TestCursorPastEveryRow(t *testing.T) {
+	ctx := context.Background()
+	mem := memStore(t, WithShards(4))
+	dur := openDurable(t, t.TempDir(), WithShards(4), WithFsyncPolicy(FsyncOff))
+	t.Cleanup(func() { mem.Close(); dur.Close() })
+	for _, st := range []*Store{mem, dur} {
+		if err := st.BulkEvents(ctx, "cur", cursorFixture(64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dur.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Store{"hot": mem, "cold": dur} {
+		for _, gid := range []int64{1 << 31, 1 << 40, math.MaxInt64} {
+			for _, q := range []Query{MatchAll(), Term(FieldSession, "s1")} {
+				res, err := st.SearchEvents(ctx, "cur", SearchRequest{Query: q, Size: 5, SearchAfter: []any{gid}})
+				if err != nil || len(res.Hits) != 0 {
+					t.Fatalf("%s %s after gid %d: %d hits (%v), want none", name, jsonOf(q), gid, len(res.Hits), err)
+				}
+			}
+		}
 	}
 }

@@ -248,13 +248,13 @@ type shardResult struct {
 // hitRef names a matched row for merge ordering without copying it: a pointer
 // into row storage (a shard's, a cold segment's, or — at the
 // cluster coordinator — a partition's decoded hits) and the global id used as
-// the stable tie-break. key is the row's first sort key as NumericField reads
-// it, and keyOK whether it is numeric there, so the merge compares two floats
+// the stable tie-break. key is the row's first sort key as IntField reads
+// it, and keyOK whether the row holds it, so the merge compares two integers
 // where it would look a field up by name; both are zero on an unsorted search.
 type hitRef struct {
 	ev    *event.Event
 	gid   int
-	key   float64
+	key   int64
 	keyOK bool
 }
 
@@ -630,7 +630,7 @@ func (sh *shard) walkList(w sortWalk) (l idList, ok bool) {
 // a bit test, or a binary search.
 //
 // walked is false, and the caller takes the candidate path, for a multi-key
-// or unbounded sort, a cursor value that is not numeric, a page with no list
+// or unbounded sort, a cursor value that is not an integer, a page with no list
 // (listed false: a field some row lacks, rows appended since ensureColumns),
 // and, off the exact path, matches too sparse for the walk to pay: it visits
 // about need·len/m rows for m matches of the len it may walk, so it is taken
@@ -752,17 +752,16 @@ func topK(ids []int32, k int, less func(a, b int32) bool) []int32 {
 
 // hitLess orders merged hits by the request's sort fields, breaking ties by
 // global id so that unsorted (and tied) results keep insertion order, as the
-// unsharded implementation's stable sort did. Numeric keys — every sort the
-// dashboards and the diagnosis cursor issue — are compared as the float64s
-// cmpField would coerce them to, the first as the refs carry it and any other
-// read unboxed; only a key that is not numeric on both sides goes through the
-// boxed document value.
+// unsharded implementation's stable sort did. Integer keys — every sort the
+// dashboards and the diagnosis cursor issue — are compared exactly, the first
+// as the refs carry it and any other read unboxed; only a key that is not an
+// integer on both sides goes through the boxed document value.
 func hitLess(a, b *hitRef, sorts []SortField) bool {
 	for i, s := range sorts {
 		af, aok, bf, bok := a.key, a.keyOK, b.key, b.keyOK
 		if i > 0 {
-			af, aok = a.ev.NumericField(s.Field)
-			bf, bok = b.ev.NumericField(s.Field)
+			af, aok = a.ev.IntField(s.Field)
+			bf, bok = b.ev.IntField(s.Field)
 		}
 		var r int
 		if aok && bok {
@@ -907,11 +906,11 @@ func (ix *Index) countCtx(ctx context.Context, q Query) (n int, err error) {
 	return n, err
 }
 
-// cmpField orders two field values under one sort direction: numerically
+// cmpField orders two field values under one sort direction: as integers
 // when both coerce, by key string otherwise. Returns -1, 0, or +1.
 func cmpField(av, bv any, desc bool) int {
-	af, aok := numeric(av)
-	bf, bok := numeric(bv)
+	af, aok := intOf(av)
+	bf, bok := intOf(bv)
 	if aok && bok {
 		return cmpOrdered(af, bf, desc)
 	}

@@ -95,9 +95,8 @@ func mergePage(srcs []hitSource, sorts []SortField, from, size int) []hitRef {
 	// loser[j] is the source that lost the match at internal node j, and
 	// loser[0] the one that won them all; win[j] is the winner at node j,
 	// read only to build the tree. A source with no head loses every match.
-	// Two different first keys decide a single-key match with one float
-	// comparison, as hitLess would: a key is an integer field's coercion,
-	// never NaN.
+	// Two different first keys decide a single-key match with one integer
+	// comparison, as hitLess would.
 	k := len(srcs)
 	tree := make([]int, 3*k)
 	loser, win := tree[:k], tree[k:]

@@ -136,7 +136,7 @@ func oracleSearch(ix *Index, req SearchRequest) SearchResponse {
 
 	if len(req.SearchAfter) > 0 {
 		vals := req.SearchAfter[:len(req.Sort)]
-		after, _ := numeric(req.SearchAfter[len(req.Sort)])
+		after, _ := intOf(req.SearchAfter[len(req.Sort)])
 		past := func(i int) bool {
 			for k, s := range req.Sort {
 				if r := cmpField(matched[i][s.Field], vals[k], s.Desc); r != 0 {
@@ -166,7 +166,7 @@ func oracleSearch(ix *Index, req SearchRequest) SearchResponse {
 		for _, s := range req.Sort {
 			resp.NextAfter = append(resp.NextAfter, cursorVal(matched[last][s.Field]))
 		}
-		resp.NextAfter = append(resp.NextAfter, float64(gids[last]))
+		resp.NextAfter = append(resp.NextAfter, gids[last])
 	}
 	return resp
 }
@@ -174,7 +174,7 @@ func oracleSearch(ix *Index, req SearchRequest) SearchResponse {
 // oracleAgg aggregates docs one document at a time: every bucket is a slice
 // of documents and sub-aggregations recurse over those slices. It shares no
 // code with the partial/combine/finalize pipeline — only the scalar helpers
-// keyString and numeric.
+// keyString and intOf.
 func oracleAgg(a Agg, docs []Document) AggResult {
 	subs := func(group []Document) map[string]AggResult {
 		if len(a.Aggs) == 0 {
@@ -189,8 +189,8 @@ func oracleAgg(a Agg, docs []Document) AggResult {
 	numbers := func(field string) []float64 {
 		var vals []float64
 		for _, d := range docs {
-			if f, ok := numeric(d[field]); ok {
-				vals = append(vals, f)
+			if n, ok := intOf(d[field]); ok {
+				vals = append(vals, float64(n))
 			}
 		}
 		return vals
@@ -223,15 +223,9 @@ func oracleAgg(a Agg, docs []Document) AggResult {
 		}
 		groups := make(map[int64][]Document)
 		for _, d := range docs {
-			// Integer fields bucket exactly; only a non-integer value goes
-			// through float64.
-			n, ok := d[a.DateHistogram.Field].(int64)
+			n, ok := intOf(d[a.DateHistogram.Field])
 			if !ok {
-				f, fok := numeric(d[a.DateHistogram.Field])
-				if !fok {
-					continue
-				}
-				n = int64(f)
+				continue
 			}
 			b := n / interval * interval
 			groups[b] = append(groups[b], d)

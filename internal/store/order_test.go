@@ -3,13 +3,17 @@ package store
 import (
 	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,16 +23,16 @@ import (
 )
 
 // orderBase is an epoch-scale stamp (2023-06-26): float64's ulp there is
-// 256 ns, so distinct int64 times a few ns apart compare equal through the
-// columns, the cursor and the oracle alike.
+// 256 ns, so distinct times a few ns apart would compare equal as floats. The
+// columns, the cursor and the oracle compare them as the integers they are.
 const orderBase = 1_687_800_000_000_000_000
 
 // orderedBatches is the ordered walk's adversary: n rows in batches of
 // batch, from two streams whose times overlap, their batches alternating as
 // two drain workers ship them, so most batches sort partly before rows
-// already stored. Each stream's times mostly advance by less than the ulp
-// (several distinct times per float64 value), sometimes repeat exactly, and
-// sometimes step back a little. Rows carry their global id in RetVal (the
+// already stored. Each stream's times mostly advance by less than a float64
+// ulp (several distinct times per float64 value, each ordered exactly),
+// sometimes repeat exactly, and sometimes step back a little. Rows carry their global id in RetVal (the
 // batches are ingested in order by one writer), about one in eight lacks
 // count, and fsync is rare, so a Term on it is a sparse match. Every row is
 // of class "io", and the rows at gids ≡ 3 (mod 160) run as proc "rare": on 4
@@ -88,6 +92,26 @@ func orderedBatches(n, batch int) [][]event.Event {
 	return out
 }
 
+// subUlpBase is an epoch-scale stamp in 2023, where float64's ulp is 256 ns.
+const subUlpBase = int64(1_697_000_000_000_000_000)
+
+// subUlpRows returns n rows 3 ns apart from at, in a seeded shuffle: about
+// 85 distinct times share each float64, and nearly every row is ingested out
+// of time order beside rows that share its float. Sessions alternate s0 and
+// s1, and syscalls read and write.
+func subUlpRows(at int64, n int, seed int64) []event.Event {
+	evs := make([]event.Event, n)
+	for i, r := range rand.New(rand.NewSource(seed)).Perm(n) {
+		ts := at + int64(r)*3
+		evs[i] = event.Event{
+			Session: fmt.Sprintf("s%d", i%2), Syscall: []string{"read", "write"}[i/2%2], Class: "io",
+			PID: 100, TID: 200, ProcName: "app", ThreadName: "drain0", Count: 512,
+			TimeEnterNS: ts, TimeExitNS: ts + 700,
+		}
+	}
+	return evs
+}
+
 // orderedRequests is the sorted matrix the walk and the candidate path must
 // both answer as the oracle does: asc and desc on time_enter_ns at page sizes
 // 1, 7 and 1000 (with and without from, which the merge skips past) over a
@@ -102,7 +126,7 @@ func orderedBatches(n, batch int) [][]event.Event {
 // an order or a run.
 func orderedRequests() []SearchRequest {
 	var out []SearchRequest
-	gt, lt := float64(orderBase+35_000), float64(orderBase+120_000)
+	gt, lt := int64(orderBase+35_000), int64(orderBase+120_000)
 	queries := []Query{
 		MatchAll(),
 		Term(FieldSession, "s1"),
@@ -132,14 +156,14 @@ func orderedRequests() []SearchRequest {
 }
 
 // tieCursor returns a search_after token for the time sort that lies inside
-// a run of at least three equal float64 times: its row has an equal
+// a run of at least three equal times: its row has an equal
 // neighbour on both sides in (time, gid) order, and on more than one shard
 // one of them sits on another shard, so the tie crosses the merge's entries.
 func tieCursor(t *testing.T, ix *Index) []any {
 	t.Helper()
 	rows, base := oracleRows(ix)
 	S := len(ix.shards)
-	at := func(r int) float64 { f, _ := numeric(rows[r][FieldTimeEnter]); return f }
+	at := func(r int) int64 { return rows[r][FieldTimeEnter].(int64) }
 	ord := make([]int, len(rows))
 	for i := range ord {
 		ord[i] = i
@@ -148,7 +172,7 @@ func tieCursor(t *testing.T, ix *Index) []any {
 	for k := 1; k+1 < len(ord); k++ {
 		crosses := S == 1 || ord[k-1]%S != ord[k]%S || ord[k+1]%S != ord[k]%S
 		if at(ord[k-1]) == at(ord[k]) && at(ord[k]) == at(ord[k+1]) && at(ord[k]) > orderBase && crosses {
-			return []any{at(ord[k]), float64(base + ord[k])}
+			return []any{at(ord[k]), base + ord[k]}
 		}
 	}
 	t.Fatal("fixture has no tie run of three")
@@ -265,7 +289,7 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 						// count ties in runs of whole multiples of 512.
 						req.SearchAfter = tie
 						if req.Sort[0].Field == FieldCount {
-							req.SearchAfter = []any{float64(1024), tie[1]}
+							req.SearchAfter = []any{int64(1024), tie[1]}
 						}
 					}
 					for p := 0; p < maxPages[req.Size]; p++ {
@@ -451,13 +475,13 @@ func TestSortedCursorUnderIngestAndEviction(t *testing.T) {
 	walk := func(desc bool) {
 		before := int(fed.Load())
 		seen := make([]bool, 3000)
-		var lastT float64
+		var lastT int64
 		lastG := int64(-1)
 		req := SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}}
 		err := EachEventPage(ctx, dur, "ord", req, 53, func(page EventsResult) error {
 			for i := range page.Hits {
 				e := &page.Hits[i]
-				tf, g := float64(e.TimeEnterNS), e.RetVal
+				tf, g := e.TimeEnterNS, e.RetVal
 				if seen[g] {
 					return fmt.Errorf("gid %d seen twice", g)
 				}
@@ -496,6 +520,104 @@ func TestSortedCursorUnderIngestAndEviction(t *testing.T) {
 				break
 			}
 			req.SearchAfter = got.NextAfter
+		}
+	}
+}
+
+// TestSubUlpRowsPageInExactTimeOrder is the oracle case of the store's
+// integer domain: 240 rows 3 ns apart, shuffled, so that about 85 share each
+// float64 and nearly every one is ingested out of time order. Paged by time,
+// asc and desc, at page sizes 1, 7 and 1000, every page of the node equals
+// the oracle's, and a walk visits every row once in strictly monotone time,
+// on the node and through a *Client over HTTP; at 1, 4 and 16 shards, over
+// hot rows and over a durable store whose first half is a cold segment. A
+// range from 50 ns past the base counts exactly the rows at or past it, in
+// process, through the Client, and as a JSON body.
+func TestSubUlpRowsPageInExactTimeOrder(t *testing.T) {
+	const n = 240
+	ctx := context.Background()
+	rows := subUlpRows(subUlpBase, n, 41)
+	for i := range rows {
+		rows[i].RetVal = (rows[i].TimeEnterNS - subUlpBase) / 3 // the row's rank in time
+	}
+	from := subUlpBase + 50
+	const fromRows = n - 17 // ranks 17 and up, at base+51 and later
+	byTime := func(desc bool) SearchRequest {
+		return SearchRequest{Query: Term(FieldClass, "io"), Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}}
+	}
+	for _, shards := range []int{1, 4, 16} {
+		mem := memStore(t, WithShards(shards))
+		dur := openDurable(t, t.TempDir(), WithShards(shards), WithFsyncPolicy(FsyncOff))
+		t.Cleanup(func() { mem.Close(); dur.Close() })
+		for at := 0; at < n; at += 40 {
+			for _, st := range []*Store{mem, dur} {
+				if err := st.BulkEvents(ctx, "ulp", rows[at:at+40]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if at+40 == n/2 {
+				if err := dur.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ix, _ := mem.GetIndex("ulp")
+		if dix, _ := dur.GetIndex("ulp"); coldRows(dix) != n/2 {
+			t.Fatalf("shards=%d: %d cold rows, want %d", shards, coldRows(dix), n/2)
+		}
+		for name, st := range map[string]*Store{"hot": mem, "cold+hot": dur} {
+			srv := httptest.NewServer(NewServer(st))
+			client := NewClient(srv.URL)
+			for _, desc := range []bool{false, true} {
+				for _, size := range []int{1, 7, 1000} {
+					req := byTime(desc)
+					req.Size = size
+					for {
+						got := checkOracle(t, st, "ulp", ix, req)
+						if got.NextAfter == nil {
+							break
+						}
+						req.SearchAfter = got.NextAfter
+					}
+					for arm, b := range map[string]Backend{"node": st, "client": client} {
+						next := 0
+						err := EachEventPage(ctx, b, "ulp", byTime(desc), size, func(p EventsResult) error {
+							for _, e := range p.Hits {
+								want := int64(next)
+								if desc {
+									want = n - 1 - want
+								}
+								if e.RetVal != want {
+									return fmt.Errorf("hit %d is rank %d (t=%d), want rank %d", next, e.RetVal, e.TimeEnterNS, want)
+								}
+								next++
+							}
+							return nil
+						})
+						if err != nil || next != n {
+							t.Fatalf("shards=%d %s %s desc=%v size %d: %d rows walked (%v), want %d", shards, name, arm, desc, size, next, err, n)
+						}
+					}
+				}
+			}
+			q := Query{Range: &RangeQuery{Field: FieldTimeEnter, GTE: &from}}
+			for arm, b := range map[string]Backend{"node": st, "client": client} {
+				if c, err := b.Count(ctx, "ulp", q); err != nil || c != fromRows {
+					t.Fatalf("shards=%d %s %s: count from base+50 = %d (%v), want %d", shards, name, arm, c, err, fromRows)
+				}
+			}
+			resp, err := http.Post(srv.URL+"/ulp/_count", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"range":{"field":"time_enter_ns","gte":%d}}`, from)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c struct{ Count int }
+			err = json.NewDecoder(resp.Body).Decode(&c)
+			resp.Body.Close()
+			if err != nil || c.Count != fromRows {
+				t.Fatalf("shards=%d %s: JSON count from base+50 = %d (%v), want %d", shards, name, c.Count, err, fromRows)
+			}
+			srv.Close()
 		}
 	}
 }
@@ -548,7 +670,7 @@ func TestSortedPageAllocsFlat(t *testing.T) {
 func termRunWant(sh *shard, session string) []int32 {
 	ids := slices.Clone(sh.postings[FieldSession][session])
 	slices.SortFunc(ids, func(a, b int32) int {
-		if r := cmp.Compare(float64(sh.rows.at(int(a)).TimeEnterNS), float64(sh.rows.at(int(b)).TimeEnterNS)); r != 0 {
+		if r := cmp.Compare(sh.rows.at(int(a)).TimeEnterNS, sh.rows.at(int(b)).TimeEnterNS); r != 0 {
 			return r
 		}
 		return cmp.Compare(a, b)
@@ -583,7 +705,7 @@ func TestTermRunLifecycle(t *testing.T) {
 			t.Fatalf("%s: the page walks %v, want %v", step, l.ids, want)
 		}
 		for i, id := range l.ids {
-			if want := float64(sh.rows.at(int(id)).TimeEnterNS); l.at(i) != want {
+			if want := sh.rows.at(int(id)).TimeEnterNS; l.at(i) != want {
 				t.Fatalf("%s: entry %d (row %d) holds %v, want %v", step, i, id, l.at(i), want)
 			}
 		}
@@ -682,7 +804,7 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 		ids := make([]int32, len(hits))
 		for i, h := range hits {
 			ids[i] = int32(h.gid)
-			if k := float64(h.ev.TimeEnterNS); !h.keyOK || h.key != k || sh.rows.at(h.gid) != h.ev {
+			if k := h.ev.TimeEnterNS; !h.keyOK || h.key != k || sh.rows.at(h.gid) != h.ev {
 				t.Fatalf("%+v: hit %d (row %d) has key %v (%v), want %v", req.Query, i, h.gid, h.key, h.keyOK, k)
 			}
 		}
@@ -697,7 +819,7 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 			}
 			if resume >= 0 {
 				id := exp[resume]
-				req.SearchAfter = []any{float64(sh.rows.at(int(id)).TimeEnterNS), float64(id)}
+				req.SearchAfter = []any{sh.rows.at(int(id)).TimeEnterNS, int(id)}
 				exp = exp[resume+1:]
 			}
 			if got := page(req, noIDs, false); !slices.Equal(got, exp[:need]) {
@@ -736,7 +858,7 @@ func TestSortedPageAllocatesItsRefsOnce(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		ix := NewIndexWithShards("alloc", shards)
 		ix.AddEvents(evs)
-		req := SearchRequest{Query: Term(FieldSession, "s3"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: need, SearchAfter: []any{float64(orderBase + 8_003_000), float64(8003)}}
+		req := SearchRequest{Query: Term(FieldSession, "s3"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: need, SearchAfter: []any{int64(orderBase + 8_003_000), 8003}}
 		page := func() {
 			err := ix.searchShards(context.Background(), &searchExec{req: req}, nil, func(refs []hitRef, _ int, _ map[string]*AggPartial) {
 				if len(refs) != need {

@@ -6,7 +6,10 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -37,14 +40,16 @@ type TermsQuery struct {
 	Values []any  `json:"values"`
 }
 
-// RangeQuery matches numeric fields within [GTE, LTE] (either bound may be
-// nil).
+// RangeQuery matches integer fields within its bounds (any may be nil):
+// GTE/LTE inclusive, GT/LT strict. Every event field is an integer, so the
+// bounds are too: a JSON bound that is not an integer literal (1.5, 1e18)
+// fails to decode.
 type RangeQuery struct {
-	Field string   `json:"field"`
-	GTE   *float64 `json:"gte,omitempty"`
-	LTE   *float64 `json:"lte,omitempty"`
-	GT    *float64 `json:"gt,omitempty"`
-	LT    *float64 `json:"lt,omitempty"`
+	Field string `json:"field"`
+	GTE   *int64 `json:"gte,omitempty"`
+	LTE   *int64 `json:"lte,omitempty"`
+	GT    *int64 `json:"gt,omitempty"`
+	LT    *int64 `json:"lt,omitempty"`
 }
 
 // PrefixQuery matches string fields starting with Value.
@@ -77,14 +82,40 @@ func Terms(field string, values ...any) Query {
 	return Query{Terms: &TermsQuery{Field: field, Values: values}}
 }
 
-// RangeGTE builds a range query with only a lower bound.
+// RangeGTE builds a range query with only a lower bound: it admits exactly
+// the integers at or above gte.
 func RangeGTE(field string, gte float64) Query {
-	return Query{Range: &RangeQuery{Field: field, GTE: &gte}}
+	lo := satCeil(gte)
+	return Query{Range: &RangeQuery{Field: field, GTE: &lo}}
 }
 
-// RangeBetween builds a range query with both bounds inclusive.
+// RangeBetween builds a range query with both bounds inclusive: it admits
+// exactly the integers in [gte, lte].
 func RangeBetween(field string, gte, lte float64) Query {
-	return Query{Range: &RangeQuery{Field: field, GTE: &gte, LTE: &lte}}
+	lo, hi := satCeil(gte), satFloor(lte)
+	return Query{Range: &RangeQuery{Field: field, GTE: &lo, LTE: &hi}}
+}
+
+// satFloor/satCeil convert a float bound to int64, saturating at the
+// representable range.
+func satFloor(f float64) int64 {
+	if f <= math.MinInt64 {
+		return math.MinInt64
+	}
+	if f >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(math.Floor(f))
+}
+
+func satCeil(f float64) int64 {
+	if f <= math.MinInt64 {
+		return math.MinInt64
+	}
+	if f >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(math.Ceil(f))
 }
 
 // Prefix builds a prefix query.
@@ -125,21 +156,21 @@ func (q Query) boolOnly() bool {
 		q.Range == nil && q.Prefix == nil && q.Exists == nil
 }
 
-// contains reports whether f satisfies every bound of r. It is the single
+// contains reports whether v satisfies every bound of r. It is the single
 // range-match implementation shared by the per-document evaluator below and
 // the shard's columnar range scan, so the two cannot drift on bound
 // semantics (GT/LT strict, GTE/LTE inclusive).
-func (r *RangeQuery) contains(f float64) bool {
-	if r.GTE != nil && f < *r.GTE {
+func (r *RangeQuery) contains(v int64) bool {
+	if r.GTE != nil && v < *r.GTE {
 		return false
 	}
-	if r.LTE != nil && f > *r.LTE {
+	if r.LTE != nil && v > *r.LTE {
 		return false
 	}
-	if r.GT != nil && f <= *r.GT {
+	if r.GT != nil && v <= *r.GT {
 		return false
 	}
-	if r.LT != nil && f >= *r.LT {
+	if r.LT != nil && v >= *r.LT {
 		return false
 	}
 	return true
@@ -173,11 +204,8 @@ func (q Query) matches(src fieldSource) bool {
 		}
 		return false
 	case q.Range != nil:
-		f, ok := numeric(src.field(q.Range.Field))
-		if !ok {
-			return false
-		}
-		return q.Range.contains(f)
+		n, ok := intOf(src.field(q.Range.Field))
+		return ok && q.Range.contains(n)
 	case q.Prefix != nil:
 		s, ok := src.field(q.Prefix.Field).(string)
 		return ok && strings.HasPrefix(s, q.Prefix.Value)
@@ -219,45 +247,51 @@ func (q Query) matches(src fieldSource) bool {
 	}
 }
 
-// numeric coerces JSON-ish scalar values to float64.
-func numeric(v any) (float64, bool) {
+// intOf coerces a scalar to the store's one numeric domain, int64: the int
+// kinds, a bool as 0/1, a json.Number written as an integer, and a float
+// only when it is integral and in range. Anything else is not a number.
+func intOf(v any) (int64, bool) {
 	switch x := v.(type) {
-	case float64:
-		return x, true
-	case float32:
-		return float64(x), true
-	case int:
-		return float64(x), true
-	case int32:
-		return float64(x), true
 	case int64:
-		return float64(x), true
-	case uint64:
-		return float64(x), true
+		return x, true
+	case int:
+		return int64(x), true
+	case int32:
+		return int64(x), true
 	case uint32:
-		return float64(x), true
+		return int64(x), true
+	case uint64:
+		return int64(x), x <= math.MaxInt64
 	case bool:
 		if x {
 			return 1, true
 		}
 		return 0, true
+	case json.Number:
+		n, err := strconv.ParseInt(string(x), 10, 64)
+		return n, err == nil
+	case float64:
+		if x != math.Trunc(x) || x < math.MinInt64 || x >= math.MaxInt64 {
+			return 0, false
+		}
+		return int64(x), true
 	default:
 		return 0, false
 	}
 }
 
-// valueEquals compares document and query values with numeric coercion, so
-// that a query built in Go (int) matches a document decoded from JSON
-// (float64).
+// valueEquals compares document and query values with integer coercion, so
+// that a query built in Go (int) matches a document field (int64) and a
+// value decoded from JSON (json.Number).
 func valueEquals(have, want any) bool {
 	if hs, ok := have.(string); ok {
 		ws, ok := want.(string)
 		return ok && hs == ws
 	}
-	hf, hok := numeric(have)
-	wf, wok := numeric(want)
+	hn, hok := intOf(have)
+	wn, wok := intOf(want)
 	if hok && wok {
-		return hf == wf
+		return hn == wn
 	}
 	return fmt.Sprintf("%v", have) == fmt.Sprintf("%v", want)
 }
@@ -270,11 +304,8 @@ func keyString(v any) string {
 	case nil:
 		return ""
 	default:
-		if f, ok := numeric(v); ok {
-			if f == float64(int64(f)) {
-				return fmt.Sprintf("%d", int64(f))
-			}
-			return fmt.Sprintf("%g", f)
+		if n, ok := intOf(v); ok {
+			return strconv.FormatInt(n, 10)
 		}
 		return fmt.Sprintf("%v", x)
 	}

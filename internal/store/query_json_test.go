@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -83,13 +84,16 @@ func TestSearchRequestJSONRoundTrip(t *testing.T) {
 }
 
 // TestValueEqualsCoercionProperty: numeric equality must be symmetric and
-// type-insensitive the way Elasticsearch coerces JSON numbers.
+// type-insensitive the way Elasticsearch coerces JSON numbers, and a JSON
+// integer decoded as a json.Number equals its int64 over all 64 bits.
 func TestValueEqualsCoercionProperty(t *testing.T) {
-	f := func(n int32) bool {
+	f := func(n int32, w int64) bool {
 		v := int64(n)
 		return valueEquals(v, float64(n)) &&
 			valueEquals(float64(n), v) &&
-			valueEquals(int(n), v)
+			valueEquals(int(n), v) &&
+			valueEquals(json.Number(strconv.FormatInt(w, 10)), w) &&
+			!valueEquals(json.Number(strconv.FormatInt(w, 10)), w^1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -233,10 +233,10 @@ func (w *keyWriter) queries(tag byte, qs []Query) {
 	w.WriteByte(')')
 }
 
-func (w *keyWriter) bound(tag string, v *float64) {
+func (w *keyWriter) bound(tag string, v *int64) {
 	if v != nil {
 		w.WriteString(tag)
-		w.float(*v)
+		w.int(*v)
 	}
 }
 
@@ -288,15 +288,15 @@ func (w *keyWriter) float(f float64) {
 	w.Write(append(strconv.AppendFloat(w.tmp[:0], f, 'g', -1, 64), ','))
 }
 
-// scalar writes one query value type-tagged: a string quoted, a number
-// (bools included, as valueEquals coerces them) as 'n' and its float, nil as
+// scalar writes one query value type-tagged: a string quoted, an integer
+// (bools included, as valueEquals coerces them) as 'n' and its digits, nil as
 // '_', and anything else as 'v' and its quoted bucket key.
 func (w *keyWriter) scalar(v any) {
 	if s, ok := v.(string); ok {
 		w.quote(s)
-	} else if f, ok := numeric(v); ok {
+	} else if n, ok := intOf(v); ok {
 		w.WriteByte('n')
-		w.float(f)
+		w.int(n)
 	} else if v == nil {
 		w.WriteByte('_')
 	} else {

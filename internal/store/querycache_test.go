@@ -361,6 +361,6 @@ func TestCacheInvalidationStress(t *testing.T) {
 
 // rangeGT builds a strict lower-bound range query (no public helper
 // exists; strict bounds normally arrive over the wire).
-func rangeGT(field string, gt float64) Query {
+func rangeGT(field string, gt int64) Query {
 	return Query{Range: &RangeQuery{Field: field, GT: &gt}}
 }

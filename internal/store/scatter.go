@@ -135,7 +135,7 @@ func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
 		for i := range refs {
 			ref := hitRef{ev: &resps[p].Hits[i], gid: resps[p].Gids[i]*P + p}
 			if len(req.Sort) > 0 {
-				ref.key, ref.keyOK = ref.ev.NumericField(req.Sort[0].Field)
+				ref.key, ref.keyOK = ref.ev.IntField(req.Sort[0].Field)
 			}
 			refs[i] = ref
 		}

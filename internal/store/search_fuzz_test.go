@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -47,6 +48,45 @@ func fuzzStores(f *testing.F) (mem, dur http.Handler) {
 	return NewServer(ms), NewServer(ds)
 }
 
+// wideIntBodies are search bodies whose integers need all 64 bits: 19-digit
+// range bounds and search_after keys, and ±(2^63−1), which a float64 would
+// round. Each decodes exactly and answers 200.
+var wideIntBodies = []string{
+	`{"query":{"range":{"field":"time_enter_ns","gte":1687859999123456789,"lte":9223372036854775807}},"size":5,"sort":[{"field":"time_enter_ns"}]}`,
+	`{"query":{"range":{"field":"time_enter_ns","gt":-9223372036854775807,"lt":1687859999123456790}},"size":5,"sort":[{"field":"time_enter_ns","desc":true}]}`,
+	`{"size":5,"sort":[{"field":"time_enter_ns"}],"search_after":[1687859999123456789,3]}`,
+	`{"size":5,"sort":[{"field":"time_enter_ns","desc":true}],"search_after":[9223372036854775807,9223372036854775807]}`,
+	`{"size":5,"sort":[{"field":"ret_val"}],"search_after":[-9223372036854775807,0]}`,
+	`{"query":{"term":{"field":"time_enter_ns","value":1687859999123456789}},"size":5}`,
+}
+
+// nonIntBounds are search bodies whose range bound is not an integer
+// literal: a fraction or an exponent. Each is a 400.
+var nonIntBounds = []string{
+	`{"query":{"range":{"field":"duration_ns","gte":1.5}},"size":5}`,
+	`{"query":{"range":{"field":"time_enter_ns","lte":1e18}},"size":5}`,
+	`{"query":{"bool":{"must":[{"range":{"field":"time_enter_ns","gt":1687859999123456789.5}}]}},"size":5}`,
+}
+
+// seedWide adds wideIntBodies and nonIntBounds, each wrapped by wrap, to f,
+// and checks the status each one must get on both stores.
+func seedWide(f *testing.F, mem, dur http.Handler, route string, wrap func(string) string) {
+	for _, c := range []struct {
+		bodies []string
+		code   int
+	}{{wideIntBodies, http.StatusOK}, {nonIntBounds, http.StatusBadRequest}} {
+		for _, b := range c.bodies {
+			body := []byte(wrap(b))
+			f.Add(body)
+			for _, h := range []http.Handler{mem, dur} {
+				if code, resp := fuzzPost(h, route, body); code != c.code {
+					f.Fatalf("seed %s: %d %s, want %d", body, code, resp, c.code)
+				}
+			}
+		}
+	}
+}
+
 // fuzzSearch posts body to a server's /v1 _search and returns the status and
 // the response body.
 func fuzzSearch(h http.Handler, body []byte) (int, string) {
@@ -67,10 +107,12 @@ func fuzzPost(h http.Handler, route string, body []byte) (int, string) {
 // client's body is — on an in-memory store and on a durable one with the same
 // rows in cold segments, a hot tail and a path book. Both must fail with the
 // same status, or answer byte-equal JSON (total, hits, aggs, next_after). The
-// seeds are the oracle matrix's request shapes, flat and nested, and a
-// search_after continuation of each sorted one.
+// seeds are the oracle matrix's request shapes, flat and nested, a
+// search_after continuation of each sorted one, 64-bit integers in bounds,
+// terms and cursors, and non-integer bounds.
 func FuzzSearchRequest(f *testing.F) {
 	mem, dur := fuzzStores(f)
+	seedWide(f, mem, dur, "_search", func(b string) string { return b })
 	for _, req := range append(oracleRequests(), nestedAggShapes()...) {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -81,7 +123,7 @@ func FuzzSearchRequest(f *testing.F) {
 			continue
 		}
 		var page SearchResponse
-		if code, resp := fuzzSearch(mem, body); code != http.StatusOK || json.Unmarshal([]byte(resp), &page) != nil {
+		if code, resp := fuzzSearch(mem, body); code != http.StatusOK || decodeJSON(strings.NewReader(resp), &page) != nil {
 			f.Fatalf("seed %s: %d %s", body, code, resp)
 		}
 		if page.NextAfter != nil {
@@ -106,10 +148,11 @@ func FuzzSearchRequest(f *testing.F) {
 // a body that does not decode as a ScatterRequest is a 400 on both stores;
 // and both stores must fail with the same status or answer the same typed
 // hits body, byte for byte, that decodeHitsBody accepts. The seeds wrap the
-// oracle matrix's requests at P = 1 and P = 3, and a search_after
-// continuation of each sorted one.
+// oracle matrix's requests at P = 1 and P = 3, a search_after continuation of
+// each sorted one, and FuzzSearchRequest's 64-bit and non-integer bodies.
 func FuzzScatterRequest(f *testing.F) {
 	mem, dur := fuzzStores(f)
+	seedWide(f, mem, dur, "_scatter", func(b string) string { return `{"req":` + b + `,"partition":1,"partitions":3}` })
 	add := func(sreq ScatterRequest) {
 		body, err := json.Marshal(sreq)
 		if err != nil {
@@ -129,7 +172,7 @@ func FuzzScatterRequest(f *testing.F) {
 			f.Fatal(err)
 		}
 		var page SearchResponse
-		if code, resp := fuzzSearch(mem, body); code != http.StatusOK || json.Unmarshal([]byte(resp), &page) != nil {
+		if code, resp := fuzzSearch(mem, body); code != http.StatusOK || decodeJSON(strings.NewReader(resp), &page) != nil {
 			f.Fatalf("seed %s: %d %s", body, code, resp)
 		}
 		if page.NextAfter != nil {
@@ -144,7 +187,7 @@ func FuzzScatterRequest(f *testing.F) {
 			t.Fatalf("request %q:\n memory  %d %.600q\n durable %d %.600q", body, mc, mb, dc, db)
 		}
 		var sreq ScatterRequest
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&sreq) != nil && mc != http.StatusBadRequest {
+		if decodeJSON(bytes.NewReader(body), &sreq) != nil && mc != http.StatusBadRequest {
 			t.Fatalf("malformed request %q: status %d, want 400", body, mc)
 		}
 		if mc != http.StatusOK {

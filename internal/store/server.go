@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -462,7 +463,7 @@ func (s *Server) handleBulkBinary(w http.ResponseWriter, r *http.Request, index 
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index string) {
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad search request: %v", err)
 		return
 	}
@@ -537,7 +538,7 @@ func WriteError(w http.ResponseWriter, err error) {
 // _search — a scattered request must fail exactly like a direct one.
 func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request, index string) {
 	var sreq ScatterRequest
-	if err := json.NewDecoder(r.Body).Decode(&sreq); err != nil {
+	if err := decodeJSON(r.Body, &sreq); err != nil {
 		httpError(w, http.StatusBadRequest, "bad scatter request: %v", err)
 		return
 	}
@@ -552,7 +553,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request, index str
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, index string) {
 	var q Query
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
+		if err := decodeJSON(r.Body, &q); err != nil {
 			httpError(w, http.StatusBadRequest, "bad query: %v", err)
 			return
 		}
@@ -568,6 +569,17 @@ func answer(w http.ResponseWriter, v any, err error) {
 		return
 	}
 	writeJSON(w, http.StatusOK, v)
+}
+
+// decodeJSON decodes one JSON value from r into v with every number that
+// lands in an interface kept as a json.Number: a term value, search_after and
+// next_after then reach intOf exactly, and a 19-digit timestamp is not
+// rounded to a float64 on the way. Every decode of a body that can carry one
+// goes through it.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.UseNumber()
+	return dec.Decode(v)
 }
 
 // writeJSON encodes before the status goes out, so a value JSON cannot carry

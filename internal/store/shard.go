@@ -30,8 +30,8 @@ type shard struct {
 	runs     map[runKey]*termRun           // lazy term runs, keyed by sort field and term
 }
 
-// column is a pre-extracted numeric view of one field: vals[i] holds the
-// float64 coercion of row i's field and ok[i] whether the field was numeric.
+// column is a pre-extracted numeric view of one field: vals[i] holds row i's
+// field as IntField reads it and ok[i] whether the row holds the field.
 // Columns are built lazily up to the current row count and extended on the
 // next use after writes; a stored row's numeric fields never change.
 //
@@ -43,7 +43,7 @@ type shard struct {
 // search instead of re-testing every match. It costs 4 B per row and goes
 // with the column: eviction drops both.
 type column struct {
-	vals    []float64
+	vals    []int64
 	ok      []bool
 	missing int
 	order   []int32
@@ -72,7 +72,7 @@ type runKey struct {
 // rows lack the field keeps a nil run: it has no order to walk.
 type termRun struct {
 	ids  []int32
-	vals []float64
+	vals []int64
 }
 
 // idList is what a sorted page walks, an order or a term run: ids ascending
@@ -80,13 +80,13 @@ type termRun struct {
 // run's own, or else from col, the column an order sorts.
 type idList struct {
 	ids  []int32
-	vals []float64
-	col  []float64
+	vals []int64
+	col  []int64
 }
 
 func (l idList) len() int { return len(l.ids) }
 
-func (l idList) at(i int) float64 {
+func (l idList) at(i int) int64 {
 	if l.vals != nil {
 		return l.vals[i]
 	}
@@ -144,7 +144,7 @@ func (sh *shard) extendRun(k runKey, ids []int32) {
 		sh.runs = make(map[runKey]*termRun)
 	}
 	if r == nil {
-		r = &termRun{ids: make([]int32, 0, len(ids)), vals: make([]float64, 0, len(ids))}
+		r = &termRun{ids: make([]int32, 0, len(ids)), vals: make([]int64, 0, len(ids))}
 	}
 	m, c := len(r.ids), sh.cols[k.field]
 	for _, id := range ids[m:] {
@@ -161,7 +161,7 @@ func (sh *shard) extendRun(k runKey, ids []int32) {
 
 // valID is a row's id with its value, read once for a sort and a merge.
 type valID struct {
-	v  float64
+	v  int64
 	id int32
 }
 
@@ -228,8 +228,8 @@ func (c *column) orderedRun(r *RangeQuery, n int) (run []int32, ok bool) {
 }
 
 // window returns the entries of l whose values r admits: two binary searches
-// making contains' float64 comparisons, whose lower bounds are false then
-// true along the list and upper bounds true then false.
+// making contains' comparisons, whose lower bounds are false then true along
+// the list and upper bounds true then false.
 func (l idList) window(r *RangeQuery) idList {
 	lo := sort.Search(l.len(), func(i int) bool {
 		v := l.at(i)
@@ -395,8 +395,8 @@ func (sh *shard) val(id int32, field string) any {
 
 // numAt reads one numeric field without boxing. Caller holds at least the
 // read lock.
-func (sh *shard) numAt(id int32, field string) (float64, bool) {
-	return sh.rows.at(int(id)).NumericField(field)
+func (sh *shard) numAt(id int32, field string) (int64, bool) {
+	return sh.rows.at(int(id)).IntField(field)
 }
 
 // addEventLocked appends a row and returns its local id: the struct is
@@ -540,7 +540,7 @@ func (sh *shard) fillColumn(f string) *column {
 // colVal reads one value through the column cache, falling back to the row
 // itself for ids past the built prefix. Caller
 // holds at least the read lock.
-func (sh *shard) colVal(c *column, field string, id int32) (float64, bool) {
+func (sh *shard) colVal(c *column, field string, id int32) (int64, bool) {
 	if c != nil && int(id) < len(c.vals) {
 		return c.vals[id], c.ok[id]
 	}
@@ -554,14 +554,10 @@ func (sh *shard) colVal(c *column, field string, id int32) (float64, bool) {
 func (sh *shard) cmpIDs(a, b int32, sorts []SortField, cols []*column) int {
 	for i, s := range sorts {
 		if c := cols[i]; c != nil && int(a) < len(c.vals) && int(b) < len(c.vals) && c.ok[a] && c.ok[b] {
-			af, bf := c.vals[a], c.vals[b]
-			if af == bf {
-				continue
+			if r := cmpOrdered(c.vals[a], c.vals[b], s.Desc); r != 0 {
+				return r
 			}
-			if (af < bf) != s.Desc {
-				return -1
-			}
-			return 1
+			continue
 		}
 		if r := cmpField(sh.val(a, s.Field), sh.val(b, s.Field), s.Desc); r != 0 {
 			return r

@@ -81,8 +81,8 @@ func TestRangeQuery(t *testing.T) {
 	if resp.Total != 3 {
 		t.Fatalf("total = %d, want 3", resp.Total)
 	}
-	gt := 200.0
-	lt := 400.0
+	gt := int64(200)
+	lt := int64(400)
 	resp = ix.Search(SearchRequest{Query: Query{Range: &RangeQuery{Field: "time_enter_ns", GT: &gt, LT: &lt}}})
 	if resp.Total != 1 {
 		t.Fatalf("exclusive total = %d, want 1", resp.Total)

@@ -23,28 +23,7 @@ import (
 // [MinTime, MaxTime] range can contain matches, so a narrow dashboard query
 // over a long retention window only ever touches the segments it needs.
 
-// satFloor/satCeil convert a float query bound to int64, saturating at the
-// representable range, and satInc/satDec step without overflow.
-func satFloor(f float64) int64 {
-	if f <= math.MinInt64 {
-		return math.MinInt64
-	}
-	if f >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(math.Floor(f))
-}
-
-func satCeil(f float64) int64 {
-	if f <= math.MinInt64 {
-		return math.MinInt64
-	}
-	if f >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(math.Ceil(f))
-}
-
+// satInc/satDec step an int64 without overflow.
 func satInc(v int64) int64 {
 	if v == math.MaxInt64 {
 		return v
@@ -65,66 +44,41 @@ func satDec(v int64) int64 {
 // (Term → Terms → Range → Prefix → Exists → Bool, first set clause wins) and
 // only descends into Bool.Must — a required conjunct constrains every match,
 // while Should/MustNot clauses never tighten the window.
-func timeBounds(q Query) (int64, int64) {
-	minT, maxT := int64(math.MinInt64), int64(math.MaxInt64)
-	switch {
-	case q.Term != nil, q.Terms != nil:
-		return minT, maxT
-	case q.Range != nil:
-		r := q.Range
+func timeBounds(q Query) (minT, maxT int64) {
+	minT, maxT = math.MinInt64, math.MaxInt64
+	switch r := q.Range; {
+	case q.Term != nil, q.Terms != nil: // evaluated instead: no bound
+	case r != nil:
 		if r.Field != FieldTimeEnter {
-			return minT, maxT
+			break
 		}
 		if r.GTE != nil {
-			if v := satCeil(*r.GTE); v > minT {
-				minT = v
-			}
+			minT = max(minT, *r.GTE)
 		}
 		if r.GT != nil {
-			if v := satInc(satFloor(*r.GT)); v > minT {
-				minT = v
-			}
+			minT = max(minT, satInc(*r.GT))
 		}
 		if r.LTE != nil {
-			if v := satFloor(*r.LTE); v < maxT {
-				maxT = v
-			}
+			maxT = min(maxT, *r.LTE)
 		}
 		if r.LT != nil {
-			if v := satDec(satCeil(*r.LT)); v < maxT {
-				maxT = v
-			}
+			maxT = min(maxT, satDec(*r.LT))
 		}
-		return minT, maxT
-	case q.Prefix != nil, q.Exists != nil:
-		return minT, maxT
+	case q.Prefix != nil, q.Exists != nil: // no bound
 	case q.Bool != nil:
 		for _, sub := range q.Bool.Must {
 			lo, hi := timeBounds(sub)
-			if lo > minT {
-				minT = lo
-			}
-			if hi < maxT {
-				maxT = hi
-			}
+			minT, maxT = max(minT, lo), min(maxT, hi)
 		}
-		return minT, maxT
-	default:
-		return minT, maxT
 	}
+	return minT, maxT
 }
 
 // mayMatchTime reports whether a row stamped anywhere in [lo, hi] — one row
 // when lo == hi, a segment's stamped range otherwise — can satisfy the window
-// [minT, maxT] that timeBounds extracted. It compares in float64, the
-// evaluator's domain: RangeQuery.contains sees float64(t), whose ulp is
-// 256 ns at epoch scale, so a row a few ns outside the integer window can
-// round onto the bound and match. The conversion is monotone and takes each
-// integer bound back to the float it came from (or, for a strict bound past
-// 2^53, to a float no further in), so this test never rejects a time that
-// contains accepts.
+// [minT, maxT] that timeBounds extracted.
 func mayMatchTime(lo, hi, minT, maxT int64) bool {
-	return float64(hi) >= float64(minT) && float64(lo) <= float64(maxT)
+	return hi >= minT && lo <= maxT
 }
 
 // segMayMatch reports whether a segment can hold a row inside [minT, maxT]:
@@ -425,7 +379,7 @@ func (e *readEntry) gidOf(id int32) int {
 // row count when none.
 func (e *readEntry) firstAfter(gid int) int32 {
 	if e.seg != nil {
-		return int32(sort.SearchInts(e.gids, gid+1))
+		return int32(sort.Search(len(e.gids), func(i int) bool { return e.gids[i] > gid }))
 	}
 	return firstLocalAfter(gid-e.base, e.s, e.S)
 }

@@ -62,7 +62,7 @@ func BenchmarkColdWindow(b *testing.B) {
 		lo := base + int64(c)*minute + int64(i)*stride
 		return SearchRequest{
 			Query: Must(Term(FieldSession, "cold"),
-				RangeBetween(FieldTimeEnter, float64(lo), float64(lo+int64(rows/4-1)*stride))),
+				timeRange(lo, lo+int64(rows/4-1)*stride)),
 			Sort: []SortField{{Field: FieldTimeEnter}},
 			Size: 10,
 			Aggs: map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}}},

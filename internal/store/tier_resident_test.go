@@ -127,7 +127,7 @@ func TestResidentSegmentsUnderMaintenance(t *testing.T) {
 	for i := range asks {
 		lo := rng.Intn(len(times))
 		hi := min(lo+rng.Intn(3*rows), len(times)-1)
-		q := Must(Term(FieldSession, "win"), RangeBetween(FieldTimeEnter, float64(times[lo]), float64(times[hi])))
+		q := Must(Term(FieldSession, "win"), timeRange(times[lo], times[hi]))
 		sorted := []SortField{{Field: FieldTimeEnter, Desc: i%2 == 1}}
 		req := SearchRequest{Query: q, Sort: sorted, Size: 10,
 			Aggs: map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}}}}
@@ -280,8 +280,8 @@ func TestResidentSegmentsOverBudget(t *testing.T) {
 	// queried for it.
 	round := func(r int) {
 		t.Helper()
-		lo := float64(at + int64(r)*1_000_000)
-		req := SearchRequest{Query: Must(Term(FieldSession, "win"), RangeBetween(FieldTimeEnter, lo, lo+950_000)),
+		lo := at + int64(r)*1_000_000
+		req := SearchRequest{Query: Must(Term(FieldSession, "win"), timeRange(lo, lo+950_000)),
 			Sort: []SortField{{Field: FieldTimeEnter}}, Size: 10}
 		got, err := st.Search(ctx, windowIndex, req)
 		if err != nil {
@@ -349,9 +349,9 @@ func TestCorruptColdSegmentFailsQuery(t *testing.T) {
 		t.Fatalf("fixture: %d segments, want 2", len(segs))
 	}
 	query := func(r int) (SearchResponse, error) {
-		lo := float64(at + int64(r)*1_000_000)
+		lo := at + int64(r)*1_000_000
 		return st.Search(ctx, windowIndex, SearchRequest{
-			Query: Must(Term(FieldSession, "win"), RangeBetween(FieldTimeEnter, lo, lo+950_000)), Size: -1})
+			Query: Must(Term(FieldSession, "win"), timeRange(lo, lo+950_000)), Size: -1})
 	}
 	before, err := query(0)
 	if err != nil || before.Total != 100 {
@@ -411,7 +411,7 @@ func TestResidentSegmentsFollowTheBook(t *testing.T) {
 	// window reads rows [1, rows) and reports how many of them carry path.
 	window := func() (int, error) {
 		resp, err := st.SearchEvents(ctx, windowIndex, SearchRequest{
-			Query: Must(Term(FieldSyscall, "write"), RangeBetween(FieldTimeEnter, float64(at+1000), float64(at+rows*1000))), Size: -1})
+			Query: Must(Term(FieldSyscall, "write"), timeRange(at+1000, at+rows*1000)), Size: -1})
 		if err == nil && resp.Total != rows-1 {
 			err = fmt.Errorf("total %d, want %d", resp.Total, rows-1)
 		}
@@ -480,7 +480,7 @@ func TestResidentSegmentsAccountTheirBytes(t *testing.T) {
 	st := openDurable(t, t.TempDir(), WithQueryCache(0))
 	defer st.Close()
 	const segments, rows = 4, 5000
-	at := int64(1687859999000000000) &^ (1<<20 - 1) // the window bounds below are exact in float64
+	at := int64(1687859999000000000) &^ (1<<20 - 1) // a round epoch-scale stamp
 	syscalls := []string{"read", "write", "pread64", "openat", "close"}
 	for s := 0; s < segments; s++ {
 		evs := make([]event.Event, rows)
@@ -506,9 +506,9 @@ func TestResidentSegmentsAccountTheirBytes(t *testing.T) {
 	}
 	before := heap()
 	for s := 0; s < segments; s++ {
-		lo := float64(at + int64(s)*1e9)
+		lo := at + int64(s)*1e9
 		resp, err := st.Search(ctx, windowIndex, SearchRequest{
-			Query: Must(Term(FieldSession, "acct"), RangeBetween(FieldTimeEnter, lo, lo+1e6)),
+			Query: Must(Term(FieldSession, "acct"), timeRange(lo, lo+1e6)),
 			Sort:  []SortField{{Field: FieldTimeEnter}}, Size: 10,
 			Aggs: map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}}}})
 		if err != nil || resp.Total != 1001 {
@@ -553,7 +553,7 @@ func TestDurableResidentFillIsSingleFlight(t *testing.T) {
 		t.Fatalf("fixture: %d cold rows, want %d", coldRows(ix), rows)
 	}
 	v0, d0 := ix.rtm.segVerified.Value(), ix.rtm.rowsDecoded.Value()
-	req := SearchRequest{Query: Must(Term(FieldSession, "fill"), RangeBetween(FieldTimeEnter, float64(at), float64(at+rows/2*1000))),
+	req := SearchRequest{Query: Must(Term(FieldSession, "fill"), timeRange(at, at+rows/2*1000)),
 		Sort: []SortField{{Field: FieldTimeEnter}}, Size: 10,
 		Aggs: map[string]Agg{"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}}}}
 	answers := make([]string, readers)

@@ -207,10 +207,10 @@ func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 	}
 	ctx := context.Background()
 	// Round 3's window: rounds are 1ms apart, this range spans 20µs.
-	lo := float64(int64(1<<60) + 3*1_000_000)
+	lo := int64(1<<60) + 3*1_000_000
 	hi := lo + 20_000
 	req := SearchRequest{
-		Query: Must(Term(FieldSession, "crash"), RangeBetween(FieldTimeEnter, lo, hi)),
+		Query: Must(Term(FieldSession, "crash"), timeRange(lo, hi)),
 		Size:  -1,
 	}
 	pruned := reg.Counter(telemetry.MetricSegmentsPruned, "")
@@ -246,7 +246,7 @@ func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 	}
 
 	// Counts take the same pruned path.
-	n, err := st.Count(ctx, crashIndex, Must(RangeBetween(FieldTimeEnter, lo, hi)))
+	n, err := st.Count(ctx, crashIndex, Must(timeRange(lo, hi)))
 	if err != nil {
 		t.Fatalf("pruned count: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestSegmentPrunedSearchOpensOnlyOverlapping(t *testing.T) {
 	ix, _ := st.GetIndex(crashIndex)
 	ix.dur.resident.clear()
 	ix.dur.resident.budget = 1
-	n, err = st.Count(ctx, crashIndex, Must(RangeBetween(FieldTimeEnter, lo, lo+3500)))
+	n, err = st.Count(ctx, crashIndex, Must(timeRange(lo, lo+3500)))
 	if err != nil || n != 8 {
 		t.Fatalf("narrow count = %d (%v), want 8", n, err)
 	}

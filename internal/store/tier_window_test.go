@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
+	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
 // Differential tests for the cold path's row-level time selection: a durable
@@ -23,7 +25,8 @@ import (
 const windowIndex = "win"
 
 // windowBase puts stamps where float64 has a 256 ns ulp, so rows a few ns
-// apart collapse onto one float and every bound is an edge case.
+// apart would collapse onto one float; the store compares them as integers,
+// and every bound a few ns off a stamp is an edge case.
 const windowBase = int64(1<<60) + 256000
 
 // windowRound builds one round of events: 1 ms of trace per round, stamps
@@ -74,6 +77,12 @@ func windowStores(t *testing.T, seed int64, rounds, cold, rows int) (tiered, mem
 	return tiered, mem, times
 }
 
+// timeRange is the inclusive time_enter_ns window [lo, hi] with exact
+// bounds: RangeBetween takes floats, which round at epoch scale.
+func timeRange(lo, hi int64) Query {
+	return Query{Range: &RangeQuery{Field: FieldTimeEnter, GTE: &lo, LTE: &hi}}
+}
+
 // jsonOf renders v the way a response goes out, for byte-for-byte comparison.
 func jsonOf(v any) string {
 	b, err := json.Marshal(v)
@@ -84,17 +93,17 @@ func jsonOf(v any) string {
 }
 
 // randomWindow draws one time window over the fixture's stamps. Bounds sit
-// on, or a few ns either side of, a row's stamp, so most of them round.
+// on, or a few ns either side of, a row's stamp, so most of them are edges.
 func randomWindow(rng *rand.Rand, times []int64) (string, Query) {
-	pick := func() float64 {
-		return float64(times[rng.Intn(len(times))] + []int64{0, 0, 1, -1, 100, -100, 300, -300}[rng.Intn(8)])
+	pick := func() int64 {
+		return times[rng.Intn(len(times))] + []int64{0, 0, 1, -1, 100, -100, 300, -300}[rng.Intn(8)]
 	}
 	lo, hi := pick(), pick()
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	r := &RangeQuery{Field: FieldTimeEnter}
-	kind := []string{"closed", "open", "from", "until", "unbounded", "empty", "one-ulp", "everything"}[rng.Intn(8)]
+	kind := []string{"closed", "open", "from", "until", "unbounded", "empty", "point", "everything"}[rng.Intn(8)]
 	switch kind {
 	case "closed":
 		r.GTE, r.LTE = &lo, &hi
@@ -109,10 +118,10 @@ func randomWindow(rng *rand.Rand, times []int64) (string, Query) {
 	case "empty":
 		hi += 512
 		r.GTE, r.LTE = &hi, &lo
-	case "one-ulp":
+	case "point":
 		r.GTE, r.LTE = &lo, &lo
 	case "everything":
-		lo, hi = float64(windowBase-1), float64(windowBase+1_000_000_000)
+		lo, hi = windowBase-1, windowBase+1_000_000_000
 		r.GT, r.LTE = &lo, &hi
 	}
 	return kind, Must(Term(FieldSession, "win"), Query{Range: r})
@@ -202,11 +211,12 @@ func coldSegmentRows(t *testing.T, st *Store, index string) []int64 {
 	return rows
 }
 
-// TestSegmentPruneNotStricterThanEvaluator is the window-edge regression:
-// the evaluator compares float64(t), whose ulp is 256 ns at this scale, so a
-// row 100 ns before an exactly representable bound B rounds onto B and
-// matches. A segment whose stamped range ends at that row must not be pruned
-// for a window starting at B, and the row must not be skipped inside it.
+// TestSegmentPruneNotStricterThanEvaluator is the window-edge regression: a
+// row 100 ns before a bound B, less than float64's 256 ns ulp at this scale,
+// is before B, for the evaluator and the segment prune alike. A window
+// starting at B counts exactly the rows at B and past it and prunes the
+// segment that ends at B-100; a window ending at B-100 counts exactly that
+// segment's rows and prunes the other.
 func TestSegmentPruneNotStricterThanEvaluator(t *testing.T) {
 	const B = windowBase
 	at := func(ts ...int64) []event.Event {
@@ -231,27 +241,34 @@ func TestSegmentPruneNotStricterThanEvaluator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if float64(B-100) != float64(B) || float64(B-5000) == float64(B) {
-		t.Fatal("fixture: B-100 must round onto B and B-5000 must not")
+	if float64(B-100) != float64(B) {
+		t.Fatal("fixture: B-100 must share B's float64")
 	}
-	for _, q := range []Query{
-		Must(Term(FieldSession, "edge"), RangeBetween(FieldTimeEnter, float64(B), float64(B+2000))),
-		Must(Term(FieldSession, "edge"), RangeBetween(FieldTimeEnter, float64(B-6000), float64(B-256))),
+	pruned := tiered.Telemetry().Counter(telemetry.MetricSegmentsPruned, "")
+	for _, c := range []struct {
+		q     Query
+		times []int64
+	}{
+		{Must(Term(FieldSession, "edge"), timeRange(B, B+2000)), []int64{B, B + 1000}},
+		{Must(Term(FieldSession, "edge"), timeRange(B-6000, B-100)), []int64{B - 5000, B - 100}},
 	} {
-		want, err := mem.Count(ctx, windowIndex, q)
-		if err != nil {
-			t.Fatal(err)
+		for name, st := range map[string]*Store{"durable": tiered, "memory": mem} {
+			if n, err := st.Count(ctx, windowIndex, c.q); err != nil || n != len(c.times) {
+				t.Fatalf("count(%s) = %d (%v) on the %s store, want %d", jsonOf(c.q), n, err, name, len(c.times))
+			}
 		}
-		got, err := tiered.Count(ctx, windowIndex, q)
-		if err != nil {
-			t.Fatal(err)
+		p0 := pruned.Value()
+		resp, err := tiered.SearchEvents(ctx, windowIndex, SearchRequest{Query: c.q, Sort: []SortField{{Field: FieldTimeEnter}}, Size: -1})
+		if err != nil || resp.Total != len(c.times) || len(resp.Hits) != len(c.times) {
+			t.Fatalf("search(%s): total %d, %d hits (%v), want %d", jsonOf(c.q), resp.Total, len(resp.Hits), err, len(c.times))
 		}
-		if want == 0 || got != want {
-			t.Fatalf("count(%s) = %d on the durable store, %d in memory", jsonOf(q), got, want)
+		for i, e := range resp.Hits {
+			if e.TimeEnterNS != c.times[i] {
+				t.Fatalf("search(%s): hit %d at %d, want %d", jsonOf(c.q), i, e.TimeEnterNS, c.times[i])
+			}
 		}
-		resp, err := tiered.Search(ctx, windowIndex, SearchRequest{Query: q, Size: -1})
-		if err != nil || resp.Total != want || len(resp.Hits) != want {
-			t.Fatalf("search(%s): total %d, %d hits (%v), want %d", jsonOf(q), resp.Total, len(resp.Hits), err, want)
+		if d := pruned.Value() - p0; d != 1 {
+			t.Fatalf("search(%s) pruned %d segments, want 1", jsonOf(c.q), d)
 		}
 	}
 }
@@ -311,8 +328,8 @@ func TestColdWindowCursorAcrossRetentionGap(t *testing.T) {
 	// unsorted cursor below the retention floor expires by design, so the
 	// walk starts past it.)
 	for _, q := range []Query{
-		Must(Term(FieldSession, "win"), RangeGTE(FieldTimeEnter, float64(recent+3*1_000_000+10_000))),
-		Must(Term(FieldSession, "win"), RangeBetween(FieldTimeEnter, float64(recent+3*1_000_000+5_000), float64(recent+4*1_000_000+20_000))),
+		Must(Term(FieldSession, "win"), timeRange(recent+3*1_000_000+10_000, math.MaxInt64)),
+		Must(Term(FieldSession, "win"), timeRange(recent+3*1_000_000+5_000, recent+4*1_000_000+20_000)),
 	} {
 		want, err := mem.Search(ctx, windowIndex, SearchRequest{Query: q, Size: -1})
 		if err != nil || want.Total < 20 {
@@ -336,7 +353,7 @@ func TestColdWindowCursorAcrossRetentionGap(t *testing.T) {
 			// rounds 3 and 4 up by one round of ids.
 			last := page.Hits[len(page.Hits)-1]
 			rv := int(last[FieldRetVal].(int64))
-			if gid, _ := numeric(page.NextAfter[0]); int(gid) != (rv/100)*rows+rv%100 {
+			if gid, _ := intOf(page.NextAfter[0]); int(gid) != (rv/100)*rows+rv%100 {
 				t.Fatalf("cursor %v after row ret_val=%d, want gid %d", page.NextAfter, rv, (rv/100)*rows+rv%100)
 			}
 			req.SearchAfter = page.NextAfter

@@ -353,8 +353,8 @@ func TestRangeEdgeDifferential(t *testing.T) {
 
 	// eachRange calls fn with every single bound on field and every pair of a
 	// lower and an upper bound, anchored on bounds.
-	eachRange := func(field string, bounds []float64, fn func(name string, q Query)) {
-		mk := func(gt, gte, lt, lte *float64) Query {
+	eachRange := func(field string, bounds []int64, fn func(name string, q Query)) {
+		mk := func(gt, gte, lt, lte *int64) Query {
 			return Query{Range: &RangeQuery{Field: field, GT: gt, GTE: gte, LT: lt, LTE: lte}}
 		}
 		for _, b := range bounds {
@@ -412,7 +412,7 @@ func TestRangeEdgeDifferential(t *testing.T) {
 			t.Errorf("%s: oracle %d, brute force %d", name, got, want)
 		}
 	}
-	bounds := []float64{-6, -5, 0, 9, 10, 20, 21, 30, 40, 41}
+	bounds := []int64{-6, -5, 0, 9, 10, 20, 21, 30, 40, 41}
 	eachRange(FieldRetVal, bounds, func(name string, q Query) { check(name, typedIx, docs, q) })
 
 	// A sorted page builds ret_val's order; a range then reads its run of the
@@ -427,8 +427,8 @@ func TestRangeEdgeDifferential(t *testing.T) {
 	})
 
 	// Two sessions interleaved in time at epoch scale, where float64's ulp is
-	// 256 ns, so stamps a few ns apart tie through the order: bounds on and
-	// one ns beside every stored stamp, over a session term that is half of
+	// 256 ns, so stamps a few ns apart would tie as floats; through the order
+	// they compare exactly: bounds on and one ns beside every stored stamp, over a session term that is half of
 	// the rows, so some windows seed and the rest intersect the posting list.
 	steps := []int64{0, 60, 60, 130, 255, 256, 257, 400, 512, 513, 900, 1000, 1300, 1300, 1500, 2000}
 	stamped := func(from int, steps []int64) []event.Event {
@@ -439,11 +439,11 @@ func TestRangeEdgeDifferential(t *testing.T) {
 		}
 		return evs
 	}
-	var stampBounds []float64
+	var stampBounds []int64
 	for _, d := range append([]int64{-1000, 5000}, steps...) {
 		for _, ns := range []int64{d - 1, d, d + 1} {
-			if f := float64(int64(orderBase) + ns); !slices.Contains(stampBounds, f) {
-				stampBounds = append(stampBounds, f)
+			if b := int64(orderBase) + ns; !slices.Contains(stampBounds, b) {
+				stampBounds = append(stampBounds, b)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -58,7 +59,7 @@ func decodeHitsBody(data []byte) (hitsBody, error) {
 	if n < 0 || n > len(data)-4 {
 		return b, fmt.Errorf("%w: %d-byte envelope overruns %d bytes", ErrBadHitsBody, n, len(data))
 	}
-	if err := json.Unmarshal(data[4:4+n], &b); err != nil {
+	if err := decodeJSON(bytes.NewReader(data[4:4+n]), &b); err != nil {
 		return hitsBody{}, fmt.Errorf("%w: envelope: %v", ErrBadHitsBody, err)
 	}
 	hits, err := event.DecodeBatch(data[4+n:], nil)

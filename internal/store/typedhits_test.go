@@ -145,16 +145,17 @@ func TestTypedHitsBodyRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestMergeScattersTiesInsideOneUlp: nanosecond sort keys that differ but
-// share one float64 compare equal on a node, which then orders them by row
-// id. The coordinator derives its keys from the events the same way, so its
-// merge must land on the node's order and the node's tokens, page after page.
-func TestMergeScattersTiesInsideOneUlp(t *testing.T) {
+// TestMergeScattersOrdersInsideOneUlp: nanosecond sort keys that differ but
+// share one float64 are still different keys. A node orders them exactly, and
+// so must the coordinator, which reads its keys off the events: its merge
+// must land on the node's exact time order and the node's tokens, page after
+// page.
+func TestMergeScattersOrdersInsideOneUlp(t *testing.T) {
 	const P, n = 3, 41
 	evs := make([]event.Event, n)
 	for i := range evs {
-		// Descending by nanosecond, ascending by row: an exact int64 compare
-		// would reverse what the float64 compare leaves to the row id.
+		// Descending by nanosecond, ascending by row: time order is the
+		// reverse of row order, which a float64 compare would fall back to.
 		evs[i] = event.Event{Session: "ulp", Syscall: "read", TimeEnterNS: 1687859999123456789 + int64(n-i), RetVal: int64(i)}
 	}
 	if float64(evs[0].TimeEnterNS) != float64(evs[n-1].TimeEnterNS) {
@@ -171,6 +172,7 @@ func TestMergeScattersTiesInsideOneUlp(t *testing.T) {
 	}
 	for _, desc := range []bool{false, true} {
 		req := SearchRequest{Query: MatchAll(), Size: 7, Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}}
+		rows := 0
 		for page := 0; ; page++ {
 			want, err := single.searchEventsCtx(context.Background(), req)
 			if err != nil {
@@ -187,14 +189,23 @@ func TestMergeScattersTiesInsideOneUlp(t *testing.T) {
 				t.Fatalf("desc=%v page %d: coordinator diverged from the node\n node  %+v\n merge %+v", desc, page, want, got)
 			}
 			for i, e := range got.Hits {
-				if e.RetVal != int64(page*req.Size+i) {
-					t.Fatalf("desc=%v page %d: hit %d is row %d, want row order", desc, page, i, e.RetVal)
+				// Ascending time is descending row, and descending time
+				// ascending row.
+				want := int64(page*req.Size + i)
+				if !desc {
+					want = n - 1 - want
+				}
+				if e.RetVal != want {
+					t.Fatalf("desc=%v page %d: hit %d is row %d, want row %d", desc, page, i, e.RetVal, want)
 				}
 			}
-			if got.NextAfter == nil {
+			if rows += len(got.Hits); got.NextAfter == nil {
 				break
 			}
 			req.SearchAfter = got.NextAfter
+		}
+		if rows != n {
+			t.Fatalf("desc=%v: the pages held %d rows, want %d", desc, rows, n)
 		}
 	}
 }

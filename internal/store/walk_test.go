@@ -50,10 +50,20 @@ func collect(t *testing.T, walk func(fn func(*event.Event)) error) []event.Event
 // shape, asc and desc, at page sizes 1, 7 and 1000, on 1, 4 and 16 shards:
 // over hot rows alone, and over a durable store whose first half is a
 // resident cold segment. It must count one search per page and put no page
-// in the query cache.
+// in the query cache. Beside the ordered batches the fixture holds sub-ulp
+// rows, 3 ns apart and shuffled, one half cold and the other hot, and a time
+// sorted walk over HTTP must come out in exact (time, gid) order.
 func TestEachEventMatchesPagedWalk(t *testing.T) {
 	ctx := context.Background()
 	batches := orderedBatches(240, 16)
+	ulp := subUlpRows(orderBase+150_000, 64, 7)
+	batches = append(slices.Insert(batches, len(batches)/2, ulp[:32]), ulp[32:])
+	gid := int64(0)
+	for _, b := range batches {
+		for i := range b {
+			b[i].RetVal, gid = gid, gid+1
+		}
+	}
 	shapes := walkShapes()
 	for _, shards := range []int{1, 4, 16} {
 		mem := memStore(t, WithShards(shards))
@@ -99,6 +109,12 @@ func TestEachEventMatchesPagedWalk(t *testing.T) {
 					}
 					if !reflect.DeepEqual(overHTTP, want) {
 						t.Fatalf("%s: EachEventPage over HTTP yielded %d events, in process %d, or in another order", at, len(overHTTP), len(want))
+					}
+					for i := 1; i < len(overHTTP) && len(req.Sort) == 1 && req.Sort[0].Field == FieldTimeEnter; i++ {
+						a, b := &overHTTP[i-1], &overHTTP[i]
+						if a.TimeEnterNS == b.TimeEnterNS && a.RetVal > b.RetVal || a.TimeEnterNS != b.TimeEnterNS && (a.TimeEnterNS > b.TimeEnterNS) != req.Sort[0].Desc {
+							t.Fatalf("%s: over HTTP, (t=%d, gid %d) came after (t=%d, gid %d)", at, b.TimeEnterNS, b.RetVal, a.TimeEnterNS, a.RetVal)
+						}
 					}
 					if pages := uint64(len(want)/size + 1); st.tm.searches.Value()-searches != pages {
 						t.Fatalf("%s: EachEvent counted %d searches, want %d pages", at, st.tm.searches.Value()-searches, pages)
