@@ -158,8 +158,11 @@ chaos-repl:
 ## responses), node loss mid-scatter with breaker trip and half-open
 ## recovery, striped-bulk partial failure and counter reseed, cursor resume
 ## across coordinator restarts and across a partition's primary failover,
-## and the HTTP transparency suite (raw response-body comparison against a
-## bare node) — raced and repeated.
+## the correlation differential (harvest over the merged view, one paths
+## record broadcast: result, rows and _diagnose equal one node's at P = 1, 2
+## and 4, and a partial broadcast fails naming its partition), and the HTTP
+## transparency suite (raw response-body comparison against a bare node) —
+## raced and repeated.
 chaos-cluster:
 	$(GO) test -race -count=2 ./internal/cluster/
 

@@ -732,7 +732,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 func BenchmarkCorrelation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ix := store.NewIndex("bench")
+		st, err := store.Open()
+		if err != nil {
+			b.Fatal(err)
+		}
 		for f := 0; f < 100; f++ {
 			tag := event.FileTag{Dev: 1, Ino: uint64(f), BirthNS: 5}
 			file := make([]event.Event, 1, 101)
@@ -740,12 +743,14 @@ func BenchmarkCorrelation(b *testing.B) {
 			for e := 0; e < 100; e++ {
 				file = append(file, event.Event{Session: "s", Syscall: "write", FileTag: tag})
 			}
-			ix.AddEvents(file)
+			if err := st.BulkEvents(context.Background(), "bench", file); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StartTimer()
-		res := store.CorrelateFilePaths(ix, "s")
-		if res.EventsUpdated == 0 {
-			b.Fatal("correlation updated nothing")
+		res, err := st.Correlate(context.Background(), "bench", "s")
+		if err != nil || res.EventsUpdated == 0 {
+			b.Fatalf("correlation updated nothing (%v)", err)
 		}
 	}
 }

@@ -286,7 +286,6 @@ func runCluster(cfg config) error {
 		fmt.Printf("partition %d: %s\n", p, t)
 	}
 	fmt.Println("endpoints (also under /v1):", strings.Join(server.Routes(), " | "))
-	fmt.Println("correlate answers a typed 501: it does not route across partitions")
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

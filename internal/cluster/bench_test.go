@@ -34,7 +34,7 @@ func BenchmarkCoordinatorFanout(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				resp, err := co.Search(ctx, testIndex, req)
+				resp, err := documents(ctx, co, testIndex, req)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -53,6 +53,8 @@ type Node interface {
 	BulkFrame(ctx context.Context, index string, frame []byte) error
 	Scatter(ctx context.Context, index string, sreq store.ScatterRequest) (store.ScatterResponse, error)
 	Count(ctx context.Context, index string, q store.Query) (int, error)
+	// NamePaths names the partition's rows with a correlation pass's record.
+	NamePaths(ctx context.Context, index string, rec event.PathsRecord) (store.CorrelationResult, error)
 	Stats(ctx context.Context, index string) (store.IndexStats, error)
 	ListIndices(ctx context.Context) ([]string, error)
 	DeleteIndex(ctx context.Context, index string) error
@@ -90,44 +92,11 @@ func (e *partitionError) Error() string {
 func (e *partitionError) Unwrap() error { return e.err }
 
 // HTTPStatus implements store.StatusError.
-func (e *partitionError) HTTPStatus() (int, string) {
+func (e *partitionError) HTTPStatus() int {
 	if errors.Is(e.err, ErrNodeUnavailable) {
-		return http.StatusServiceUnavailable, ""
+		return http.StatusServiceUnavailable
 	}
-	return http.StatusBadGateway, ""
-}
-
-// ReasonClusterCorrelate is the machine-readable reason a coordinator's 501
-// for correlation carries.
-const ReasonClusterCorrelate = "cluster_correlation_unsupported"
-
-// ErrNotRoutable is the typed refusal for an operation that does not route
-// across partitions. It is a store.StatusError: the front end answers 501
-// with the machine-readable Reason in the body, so clients dispatch on the
-// reason rather than parsing prose.
-type ErrNotRoutable struct {
-	// Op is the API operation refused ("_correlate").
-	Op string
-	// Reason is the machine-readable reason code of the 501 body.
-	Reason string
-	msg    string
-}
-
-// Error implements error.
-func (e *ErrNotRoutable) Error() string { return e.msg }
-
-// HTTPStatus implements store.StatusError.
-func (e *ErrNotRoutable) HTTPStatus() (int, string) { return http.StatusNotImplemented, e.Reason }
-
-// ErrCorrelateUnsupported rejects correlation through the coordinator: the
-// pass anchors open/openat events to later tagged events by scanning rows in
-// order, and with rows striped across partitions an anchor and its
-// dependents may live on different nodes — a per-node pass would resolve
-// paths wrongly rather than partially. Run correlation before ingest (dio
-// trace does) or against a single node.
-var ErrCorrelateUnsupported = &ErrNotRoutable{
-	Op: "_correlate", Reason: ReasonClusterCorrelate,
-	msg: "cluster: correlation is not supported across partitions: open/tag anchor pairs may span nodes",
+	return http.StatusBadGateway
 }
 
 // Config tunes the coordinator's resilience ladder.
@@ -448,15 +417,6 @@ func (co *Coordinator) BulkFrame(ctx context.Context, index string, frame []byte
 	return len(events), co.BulkEvents(ctx, index, events)
 }
 
-// Search is SearchEvents rendered as documents.
-func (co *Coordinator) Search(ctx context.Context, index string, req store.SearchRequest) (store.SearchResponse, error) {
-	res, err := co.SearchEvents(ctx, index, req)
-	if err != nil {
-		return store.SearchResponse{}, err
-	}
-	return res.Documents(), nil
-}
-
 // SearchEvents scatters the request to every partition and gathers the
 // responses through the shared merge layer. A partition that has never seen
 // the index contributes an empty response; any other per-node failure fails
@@ -496,9 +456,35 @@ func (co *Coordinator) Count(ctx context.Context, index string, q store.Query) (
 	return total, nil
 }
 
-// Correlate is not routable across partitions; see ErrCorrelateUnsupported.
+// Correlate runs the correlation pass across the cluster in the node's two
+// steps: HarvestPaths over the coordinator's own merged search builds the one
+// record, which sees every anchor whatever partition holds it; then every
+// partition names its rows with that record (Node.NamePaths), fixing its own
+// horizon and journaling the record if a row changed. A partition without
+// the index counts as empty. Any other failure fails the pass and names the
+// partition, while the partitions that answered keep their naming; the pass
+// is idempotent, so a rerun completes it.
 func (co *Coordinator) Correlate(ctx context.Context, index, session string) (store.CorrelationResult, error) {
-	return store.CorrelationResult{}, ErrCorrelateUnsupported
+	rec, err := store.HarvestPaths(ctx, co, index, session)
+	if err != nil {
+		return store.CorrelationResult{}, err
+	}
+	named := make([]store.CorrelationResult, len(co.nodes))
+	errs := co.fanOut(ctx, func(p int, n Node) (err error) {
+		named[p], err = n.NamePaths(ctx, index, rec)
+		return err
+	})
+	if err := missingRule(index, errs); err != nil {
+		return store.CorrelationResult{}, err
+	}
+	res := store.CorrelationResult{TagsResolved: len(rec.Pairs)}
+	for _, r := range named {
+		res.EventsUpdated += r.EventsUpdated
+		res.EventsUnresolved += r.EventsUnresolved
+		res.EventsAlreadyResolved += r.EventsAlreadyResolved
+	}
+	res.EventsWithTag = res.EventsUpdated + res.EventsUnresolved + res.EventsAlreadyResolved
+	return res, nil
 }
 
 // PartitionStats is one partition's slice of an index in the cluster _stats

@@ -113,6 +113,13 @@ func (m *memNode) Count(ctx context.Context, index string, q store.Query) (int, 
 	return m.st.Count(ctx, index, q)
 }
 
+func (m *memNode) NamePaths(ctx context.Context, index string, rec event.PathsRecord) (store.CorrelationResult, error) {
+	if err := m.injected(); err != nil {
+		return store.CorrelationResult{}, err
+	}
+	return m.st.NamePaths(ctx, index, rec)
+}
+
 func (m *memNode) Stats(ctx context.Context, index string) (store.IndexStats, error) {
 	if err := m.injected(); err != nil {
 		return store.IndexStats{}, err
@@ -311,6 +318,12 @@ func fingerprint(t *testing.T, resp store.SearchResponse) string {
 	return string(b)
 }
 
+// documents is b's SearchEvents rendered as a node's Search renders it.
+func documents(ctx context.Context, b store.Backend, index string, req store.SearchRequest) (store.SearchResponse, error) {
+	res, err := b.SearchEvents(ctx, index, req)
+	return res.Documents(), err
+}
+
 // TestClusterDifferentialFingerprint is the acceptance differential: every
 // search, count, aggregation, and cursor walk must return byte-identical
 // results on a 1-node store and a 4-node partitioned cluster over the same
@@ -326,7 +339,7 @@ func TestClusterDifferentialFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: single search: %v", name, err)
 		}
-		cresp, err := co.Search(ctx, testIndex, req)
+		cresp, err := documents(ctx, co, testIndex, req)
 		if err != nil {
 			t.Fatalf("%s: cluster search: %v", name, err)
 		}
@@ -371,7 +384,7 @@ func TestClusterDifferentialFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s page %d: single: %v", name, page, err)
 			}
-			cresp, err := co.Search(ctx, testIndex, creq)
+			cresp, err := documents(ctx, co, testIndex, creq)
 			if err != nil {
 				t.Fatalf("%s page %d: cluster: %v", name, page, err)
 			}
@@ -401,7 +414,7 @@ func TestClusterSingleNodeTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: single: %v", name, err)
 		}
-		cresp, err := co.Search(ctx, testIndex, req)
+		cresp, err := documents(ctx, co, testIndex, req)
 		if err != nil {
 			t.Fatalf("%s: cluster: %v", name, err)
 		}
@@ -440,14 +453,14 @@ func TestClusterNodeLossMidScatter(t *testing.T) {
 	ingestBoth(t, co)
 
 	req := store.SearchRequest{Query: store.MatchAll(), Size: 10}
-	if _, err := co.Search(ctx, testIndex, req); err != nil {
+	if _, err := co.SearchEvents(ctx, testIndex, req); err != nil {
 		t.Fatalf("healthy search: %v", err)
 	}
 
 	boom := errors.New("connection reset by peer")
 	mems[2].setFault(boom)
 	for i := 0; i < 3; i++ {
-		_, err := co.Search(ctx, testIndex, req)
+		_, err := co.SearchEvents(ctx, testIndex, req)
 		if err == nil {
 			t.Fatalf("search %d with dead partition returned data", i)
 		}
@@ -459,7 +472,7 @@ func TestClusterNodeLossMidScatter(t *testing.T) {
 		t.Fatalf("breaker after 3 failures = %v, want open", st)
 	}
 	// Open circuit: the scatter fails fast without touching the dead node.
-	if _, err := co.Search(ctx, testIndex, req); !errors.Is(err, ErrNodeUnavailable) {
+	if _, err := co.SearchEvents(ctx, testIndex, req); !errors.Is(err, ErrNodeUnavailable) {
 		t.Fatalf("search with open breaker: %v, want ErrNodeUnavailable", err)
 	}
 
@@ -467,7 +480,7 @@ func TestClusterNodeLossMidScatter(t *testing.T) {
 	// circuit and scatters flow again.
 	mems[2].setFault(nil)
 	clk.Advance(2 * time.Second)
-	if _, err := co.Search(ctx, testIndex, req); err != nil {
+	if _, err := co.SearchEvents(ctx, testIndex, req); err != nil {
 		t.Fatalf("search after recovery: %v", err)
 	}
 	if st := co.BreakerState(2); st != resilience.BreakerClosed {
@@ -521,7 +534,7 @@ func TestClusterWriteFailureReseeds(t *testing.T) {
 	}
 	// Searches still work over the seam (tie order at the seam is synthetic
 	// but total; the response must simply be well-formed and complete).
-	resp, err := co.Search(ctx, testIndex, store.SearchRequest{Query: store.MatchAll()})
+	resp, err := documents(ctx, co, testIndex, store.SearchRequest{Query: store.MatchAll()})
 	if err != nil {
 		t.Fatalf("search over seam: %v", err)
 	}
@@ -548,7 +561,7 @@ func TestClusterCursorResumeAcrossCoordinators(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single page 1: %v", err)
 	}
-	cresp, err := co1.Search(ctx, testIndex, req)
+	cresp, err := documents(ctx, co1, testIndex, req)
 	if err != nil {
 		t.Fatalf("cluster page 1: %v", err)
 	}
@@ -584,7 +597,7 @@ func TestClusterCursorResumeAcrossCoordinators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("single page %d: %v", page, err)
 		}
-		cresp, err = co2.Search(ctx, testIndex, creq)
+		cresp, err = documents(ctx, co2, testIndex, creq)
 		if err != nil {
 			t.Fatalf("cluster page %d: %v", page, err)
 		}
@@ -637,15 +650,6 @@ func TestClusterStatsAggregation(t *testing.T) {
 	// Missing index: 404-equivalent, not an empty report.
 	if _, err := co.Stats(ctx, "nope"); !errors.Is(err, ErrIndexNotFound) {
 		t.Fatalf("stats on missing index: %v, want ErrIndexNotFound", err)
-	}
-}
-
-// TestClusterCorrelateTyped501: correlation does not route across
-// partitions; the coordinator refuses with the typed sentinel.
-func TestClusterCorrelateTyped501(t *testing.T) {
-	co, _ := newTestCluster(t, 2)
-	if _, err := co.Correlate(context.Background(), testIndex, "s"); !errors.Is(err, ErrCorrelateUnsupported) {
-		t.Fatalf("cluster correlate: %v, want ErrCorrelateUnsupported", err)
 	}
 }
 
@@ -714,7 +718,7 @@ func TestClusterScatterErrorMapping(t *testing.T) {
 		Query: store.MatchAll(), Size: 5, From: 3,
 		SearchAfter: []any{float64(10)},
 	}
-	if _, err := co.Search(ctx, testIndex, bad); err == nil || !store.IsBadRequest(err) {
+	if _, err := co.SearchEvents(ctx, testIndex, bad); err == nil || !store.IsBadRequest(err) {
 		t.Fatalf("From+cursor through cluster: %v, want a bad-request error", err)
 	}
 	// Arity mismatch likewise.
@@ -723,11 +727,11 @@ func TestClusterScatterErrorMapping(t *testing.T) {
 		Sort:        []store.SortField{{Field: store.FieldTimeEnter}},
 		SearchAfter: []any{float64(10)}, // missing the sort value
 	}
-	if _, err := co.Search(ctx, testIndex, bad2); err == nil || !store.IsBadRequest(err) {
+	if _, err := co.SearchEvents(ctx, testIndex, bad2); err == nil || !store.IsBadRequest(err) {
 		t.Fatalf("bad arity through cluster: %v, want a bad-request error", err)
 	}
 	// Missing index surfaces as not-found when no partition has it.
-	if _, err := co.Search(ctx, "nope", store.SearchRequest{Query: store.MatchAll()}); !errors.Is(err, ErrIndexNotFound) {
+	if _, err := co.SearchEvents(ctx, "nope", store.SearchRequest{Query: store.MatchAll()}); !errors.Is(err, ErrIndexNotFound) {
 		t.Fatalf("missing index through cluster: %v, want ErrIndexNotFound", err)
 	}
 }

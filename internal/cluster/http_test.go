@@ -229,19 +229,6 @@ func TestClusterHTTPTransparency(t *testing.T) {
 		t.Fatalf("missing index: single=%d cluster=%d, want 404/404", scode, ccode)
 	}
 
-	// Correlate over HTTP: typed 501 with a machine-readable reason.
-	code, body := postRaw(t, csrv.URL+"/v1/"+testIndex+"/_correlate", "application/json", []byte(`{"session":"run-0"}`))
-	if code != http.StatusNotImplemented {
-		t.Fatalf("cluster correlate: %d %s, want 501", code, body)
-	}
-	var ce struct{ Error, Reason string }
-	if err := json.Unmarshal(body, &ce); err != nil || ce.Reason != ReasonClusterCorrelate {
-		t.Fatalf("cluster correlate body %s: reason %q, want %q", body, ce.Reason, ReasonClusterCorrelate)
-	}
-	if _, err := clusterC.Correlate(ctx, testIndex, "run-0"); err == nil {
-		t.Fatal("client correlate via coordinator succeeded, want typed refusal")
-	}
-
 	// Stats through the coordinator aggregates with a partition breakdown.
 	hresp, err := http.Get(csrv.URL + "/v1/" + testIndex + "/_stats")
 	if err != nil {
@@ -382,7 +369,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("control page 1: %v", err)
 	}
-	got, err := co.Search(ctx, testIndex, req)
+	got, err := documents(ctx, co, testIndex, req)
 	if err != nil {
 		t.Fatalf("cluster page 1: %v", err)
 	}
@@ -402,7 +389,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("control page %d: %v", page, err)
 		}
-		got, err = co.Search(ctx, testIndex, creq)
+		got, err = documents(ctx, co, testIndex, creq)
 		if err != nil {
 			t.Fatalf("cluster page %d (after failover): %v", page, err)
 		}
@@ -578,14 +565,16 @@ func TestClusterMissingIndexBodiesMatchNode(t *testing.T) {
 }
 
 // TestClusterNodeOnlyRoutesStayOnNodes: one front end serves both, but the
-// partition scatter and the replication routes mount only over a store — a
-// coordinator answers them 404 — and HandleOp still refuses to shadow a
-// built-in operation, mounted or not.
+// partition scatter, the correlation broadcast and the replication routes
+// mount only over a store — a coordinator answers them 404 — and HandleOp
+// still refuses to shadow a built-in operation, mounted or not.
 func TestClusterNodeOnlyRoutesStayOnNodes(t *testing.T) {
 	_, csrv, _ := newHTTPCluster(t, 2)
 	for _, tc := range []struct{ method, route string }{
 		{http.MethodPost, "/v1/" + testIndex + "/_scatter"},
 		{http.MethodPost, "/" + testIndex + "/_scatter"},
+		{http.MethodPost, "/v1/" + testIndex + "/_paths"},
+		{http.MethodPost, "/" + testIndex + "/_paths"},
 		{http.MethodGet, "/v1/_repl/status"},
 		{http.MethodPost, "/v1/_repl/apply"},
 		{http.MethodPost, "/v1/_repl/bootstrap"},
@@ -601,7 +590,7 @@ func TestClusterNodeOnlyRoutesStayOnNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []string{"_scatter", "_search"} {
+	for _, op := range []string{"_scatter", "_paths", "_search"} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -694,7 +683,7 @@ func TestClusterPagesSubUlpRowsInExactTimeOrder(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := b.Search(ctx, testIndex, req)
+						got, err := documents(ctx, b, testIndex, req)
 						if err != nil || fingerprint(t, got) != fingerprint(t, want) {
 							t.Fatalf("%s desc=%v size %d after %v: page differs from the node's (%v)", at, desc, size, req.SearchAfter, err)
 						}

@@ -198,17 +198,12 @@ func TestDFGDetectorFlagsAntiPatterns(t *testing.T) {
 type pagingBackend struct {
 	*store.Store
 	pageSizes []int // Size of each SearchEvents call, in order
-	others    int   // Search and Count calls
+	others    int   // Count calls
 }
 
 func (p *pagingBackend) SearchEvents(ctx context.Context, index string, req store.SearchRequest) (store.EventsResult, error) {
 	p.pageSizes = append(p.pageSizes, req.Size)
 	return p.Store.SearchEvents(ctx, index, req)
-}
-
-func (p *pagingBackend) Search(ctx context.Context, index string, req store.SearchRequest) (store.SearchResponse, error) {
-	p.others++
-	return p.Store.Search(ctx, index, req)
 }
 
 func (p *pagingBackend) Count(ctx context.Context, index string, q store.Query) (int, error) {
@@ -271,7 +266,7 @@ func TestEngineStreamsThroughCursors(t *testing.T) {
 			}
 		}
 		if pb.others != 0 {
-			t.Errorf("%s made %d Search/Count calls, want 0", tc.name, pb.others)
+			t.Errorf("%s made %d Count calls, want 0", tc.name, pb.others)
 		}
 
 		s0, p0 := searches.Value(), cachePuts.Value()

@@ -30,13 +30,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/reports/*.json f
 // of a fresh backend under the session's own name.
 type goldenSession struct {
 	name string
-	fill func(t *testing.T, b *store.Store, session string)
+	fill func(t *testing.T, b store.Backend, session string)
 }
 
 // traced adapts a kernel workload into a goldenSession fill: the workload
 // runs on a virtual-clock kernel under an auto-correlating tracer.
-func traced(fn func(k *kernel.Kernel)) func(*testing.T, *store.Store, string) {
-	return func(t *testing.T, b *store.Store, session string) {
+func traced(fn func(k *kernel.Kernel)) func(*testing.T, store.Backend, string) {
+	return func(t *testing.T, b store.Backend, session string) {
 		t.Helper()
 		k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
 		if err := k.MkdirAll("/d"); err != nil {
@@ -74,7 +74,7 @@ func fluentBitWorkload(v fluentbit.Version) func(k *kernel.Kernel) {
 // time_enter_ns, rows with and without file_path, file_tag and offset,
 // and negative, zero and positive returns. Rows are ingested in a seeded
 // permutation so the cursor's sort, not ingest order, sequences them.
-func syntheticSession(t *testing.T, b *store.Store, session string) {
+func syntheticSession(t *testing.T, b store.Backend, session string) {
 	t.Helper()
 	const window = int64(100 * time.Millisecond)
 	rng := rand.New(rand.NewSource(20230627))
@@ -202,7 +202,9 @@ func goldenJSON(t *testing.T, rep Report) []byte {
 // engine this package replaced, and the single-pass engine must reproduce
 // them at every shard count and page size, in-process, over HTTP, with a
 // 4-partition cluster coordinator as the backend, and over HTTP from a 2- and
-// a 4-partition coordinator's own server, whose _dfg answers the node's DFG.
+// a 4-partition coordinator's own server, whose _dfg answers the node's DFG —
+// and from 2- and 4-partition coordinators that correlated the traced rows
+// themselves.
 func TestGoldenReports(t *testing.T) {
 	ctx := context.Background()
 	for _, gs := range goldenSessions {
@@ -284,8 +286,34 @@ func TestGoldenReports(t *testing.T) {
 					}
 				}
 			}
+
+			// The rows as traced, before any correlation, striped across 2
+			// and 4 partitions: the coordinator's own pass names them as
+			// the node's did.
+			raw := memStore(t)
+			gs.fill(t, uncorrelated{raw}, gs.name)
+			for _, P := range []int{2, 4} {
+				co := stripeAcross(t, raw, P)
+				if _, err := co.Correlate(ctx, "events", gs.name); err != nil {
+					t.Fatalf("%d-partition correlate: %v", P, err)
+				}
+				server := store.NewServer(co)
+				Install(server)
+				srv := httptest.NewServer(server)
+				rep, err := NewClient(store.NewClient(srv.URL)).Diagnose(ctx, "events", gs.name)
+				check(fmt.Sprintf("http %d-partition coordinator, correlated there", P), rep, err)
+				srv.Close()
+			}
 		})
 	}
+}
+
+// uncorrelated is a backend whose Correlate does nothing, so a traced fill
+// through it leaves the rows as the tracer shipped them.
+type uncorrelated struct{ store.Backend }
+
+func (uncorrelated) Correlate(context.Context, string, string) (store.CorrelationResult, error) {
+	return store.CorrelationResult{}, nil
 }
 
 // stripeAcross copies b's rows, in row order, into a coordinator over n

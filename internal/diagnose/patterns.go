@@ -217,7 +217,7 @@ type SessionDelta struct {
 func CompareSessions(ctx context.Context, b store.Backend, index, sessionA, sessionB string) ([]SessionDelta, error) {
 	lt := int64(0)
 	counts := func(session string) (map[string]int, map[string]int, error) {
-		resp, err := b.Search(ctx, index, store.SearchRequest{
+		resp, err := b.SearchEvents(ctx, index, store.SearchRequest{
 			Query: store.Term(store.FieldSession, session),
 			Size:  1,
 			Aggs: map[string]store.Agg{
@@ -231,7 +231,7 @@ func CompareSessions(ctx context.Context, b store.Backend, index, sessionA, sess
 		for _, bkt := range resp.Aggs["all"].Buckets {
 			all[bkt.Key] = bkt.Count
 		}
-		respErr, err := b.Search(ctx, index, store.SearchRequest{
+		respErr, err := b.SearchEvents(ctx, index, store.SearchRequest{
 			Query: store.Must(
 				store.Term(store.FieldSession, session),
 				store.Query{Range: &store.RangeQuery{Field: store.FieldRetVal, LT: &lt}},

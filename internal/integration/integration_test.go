@@ -361,24 +361,26 @@ func TestRemoteReadsAreExact(t *testing.T) {
 	}
 }
 
-// TestDiagnoseThroughCoordinator: the coordinator is a store.Backend, so the
-// engine runs over a partitioned cluster exactly as over one store — the
-// Fluent Bit pair's reports equal the goldens the diagnose package pins.
+// TestDiagnoseThroughCoordinator: the coordinator is a store.Backend that
+// correlates, so a tracer ships straight into a 4-partition coordinator
+// behind HTTP, the end-of-session correlation runs across the partitions,
+// and the engine reads the cluster exactly as one store — the Fluent Bit
+// pair's reports equal the goldens the diagnose package pins.
 func TestDiagnoseThroughCoordinator(t *testing.T) {
 	ctx := context.Background()
 	for session, version := range map[string]fluentbit.Version{
 		"fluentbit-buggy": fluentbit.VersionBuggy,
 		"fluentbit-fixed": fluentbit.VersionFixed,
 	} {
-		// Trace into one store (correlation needs a node's whole view), then
-		// stripe its rows, in row order, across four partitions.
-		single := memStore(t)
+		csrv := httptest.NewServer(store.NewServer(newCluster(t, 4)))
+		defer csrv.Close()
+		c := store.NewClient(csrv.URL)
 		k := kernel.New(kernel.Config{Clock: clock.NewVirtualTicking(0, time.Microsecond)})
 		if err := k.MkdirAll("/d"); err != nil {
 			t.Fatal(err)
 		}
 		tr, err := core.NewTracer(core.Config{
-			SessionName: session, Index: "events", Backend: single,
+			SessionName: session, Index: "events", Backend: c,
 			AutoCorrelate: true, FlushInterval: time.Millisecond,
 		})
 		if err != nil {
@@ -393,15 +395,7 @@ func TestDiagnoseThroughCoordinator(t *testing.T) {
 		if _, err := tr.Stop(); err != nil {
 			t.Fatal(err)
 		}
-		rows, err := single.SearchEvents(ctx, "events", store.SearchRequest{Query: store.MatchAll(), Size: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		co := newCluster(t, 4)
-		if err := co.BulkEvents(ctx, "events", rows.Hits); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := diagnose.NewEngine(diagnose.DefaultRegistry()).Run(ctx, co, "events", session)
+		rep, err := diagnose.NewEngine(diagnose.DefaultRegistry()).Run(ctx, c, "events", session)
 		if err != nil {
 			t.Fatalf("%s: %v", session, err)
 		}

@@ -56,9 +56,6 @@ func (r *recordingBackend) seqs() []int {
 	return out
 }
 
-func (r *recordingBackend) Search(context.Context, string, store.SearchRequest) (store.SearchResponse, error) {
-	return store.SearchResponse{}, nil
-}
 func (r *recordingBackend) SearchEvents(context.Context, string, store.SearchRequest) (store.EventsResult, error) {
 	return store.EventsResult{}, nil
 }

@@ -351,11 +351,6 @@ func (s *Shipper) Stats() Stats {
 // Breaker exposes the underlying breaker (tests and health reporting).
 func (s *Shipper) Breaker() *Breaker { return s.breaker }
 
-// Search delegates to the wrapped backend.
-func (s *Shipper) Search(ctx context.Context, index string, req store.SearchRequest) (store.SearchResponse, error) {
-	return s.backend.Search(ctx, index, req)
-}
-
 // SearchEvents delegates to the wrapped backend.
 func (s *Shipper) SearchEvents(ctx context.Context, index string, req store.SearchRequest) (store.EventsResult, error) {
 	return s.backend.SearchEvents(ctx, index, req)

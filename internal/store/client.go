@@ -285,6 +285,14 @@ func (c *Client) Correlate(ctx context.Context, index, session string) (Correlat
 	return res, err
 }
 
+// NamePaths asks the node to name its rows of index with rec (POST _paths):
+// a coordinator's correlation broadcast.
+func (c *Client) NamePaths(ctx context.Context, index string, rec event.PathsRecord) (CorrelationResult, error) {
+	var res CorrelationResult
+	err := c.DoJSON(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_paths", rec, &res)
+	return res, err
+}
+
 // Scatter runs one partition's share of a cluster search (POST _scatter):
 // mergeable candidates and combined aggregation partials, which the
 // coordinator reduces with the same merge functions the node used across its

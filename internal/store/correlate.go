@@ -42,138 +42,86 @@ func (r CorrelationResult) UnresolvedFraction() float64 {
 	return float64(r.EventsUnresolved) / float64(r.EventsWithTag)
 }
 
-// openSyscalls are the syscalls that carry both a path argument and a file
-// tag, anchoring the tag→path mapping. They are the primary anchor source;
-// path-carrying non-open syscalls (stat, unlink, ...) are consulted only as
-// a second-pass fallback for tags no open variant resolved.
-var openSyscalls = []any{"open", "openat", "creat"}
-
-// anchor is one tag→path candidate with the evidence needed to pick a
-// deterministic winner.
+// anchor is one tag→path candidate with the evidence that ranks it.
 type anchor struct {
-	path    string
-	enterNS int64
+	// fallback marks a path-carrying syscall other than open, openat and
+	// creat (stat, unlink, ...): weaker evidence, which names a tag only
+	// when no open variant does.
+	fallback bool
+	enterNS  int64
+	path     string
 }
 
-// better reports whether candidate c should replace cur: the earliest
-// FieldTimeEnter anchor wins, with the lexicographically smaller path as the
-// tie-break, so the dictionary is independent of shard-merge order.
+// better reports whether candidate c should replace cur: an open variant
+// first, then the earliest FieldTimeEnter, then the lexicographically
+// smaller path. The order is total on what the dictionary keeps, so the
+// dictionary is independent of shard count, partition count and merge
+// order — and the inode-reuse shape of the Fluent Bit case study (§III-B)
+// depends on the first open of a tag naming it.
 func (c anchor) better(cur anchor) bool {
+	if c.fallback != cur.fallback {
+		return !c.fallback
+	}
 	if c.enterNS != cur.enterNS {
 		return c.enterNS < cur.enterNS
 	}
 	return c.path < cur.path
 }
 
-// harvestAnchors folds one anchor search's hits into the dictionary,
-// keeping the winning anchor per tag under the deterministic order above.
-func harvestAnchors(dict map[event.FileTag]anchor, hits []event.Event) {
-	for i := range hits {
-		e := &hits[i]
-		if e.FileTag.Zero() || e.KernelPath == "" {
-			continue
-		}
-		c := anchor{path: e.KernelPath, enterNS: e.TimeEnterNS}
+// HarvestPaths is the first step of DIO's correlation algorithm (§II-C): one
+// search of b for every row of session (of every session, when empty) that
+// carries both a file tag and a kernel-resolved path, folded into the record
+// that pairs each tag with its best anchor. b may be a node or a cluster
+// coordinator: both search the same rows, and the anchor order makes the
+// record the same. NamePaths, on each node, is the second step.
+func HarvestPaths(ctx context.Context, b Backend, index, session string) (event.PathsRecord, error) {
+	must := []Query{Exists(FieldFileTag), Exists(FieldKernelPath)}
+	if session != "" {
+		must = append(must, Term(FieldSession, session))
+	}
+	res, err := b.SearchEvents(ctx, index, SearchRequest{Query: Query{Bool: &BoolQuery{Must: must}}, Size: -1})
+	if err != nil {
+		return event.PathsRecord{}, err
+	}
+	dict := make(map[event.FileTag]anchor)
+	for i := range res.Hits {
+		e := &res.Hits[i]
+		c := anchor{fallback: e.Syscall != "open" && e.Syscall != "openat" && e.Syscall != "creat",
+			enterNS: e.TimeEnterNS, path: e.KernelPath}
 		if cur, seen := dict[e.FileTag]; !seen || c.better(cur) {
 			dict[e.FileTag] = c
 		}
 	}
-}
-
-// CorrelateFilePaths implements DIO's custom correlation algorithm using
-// the store's query feature and its one update, "name the tags":
-//
-//  1. Search open-variant events (open/openat/creat) that carry both a file
-//     tag and a kernel-resolved path; build the tag→path dictionary. Per
-//     tag the anchor with the earliest FieldTimeEnter wins (path string as
-//     tie-break), so the dictionary is deterministic under any shard count
-//     and merge order — the inode-reuse shape of the Fluent Bit case study
-//     (§III-B) depends on the first open of a tag naming it.
-//  2. Fallback: tags no open variant anchored (the open was dropped or
-//     pre-dates the session) are resolved from any other path-carrying
-//     tagged event (stat, unlink, ...), under the same earliest-wins rule.
-//  3. Every event that carries a file tag but no file_path takes its own
-//     kernel path, else its tag's path from the dictionary (namePaths).
-//
-// It can run while the tracer is still indexing (near-real-time pipeline)
-// or on demand after the session completes (§II-E).
-func CorrelateFilePaths(ix *Index, session string) CorrelationResult {
-	res, _ := correlateFilePaths(context.Background(), ix, session, nil)
-	return res
-}
-
-func correlateFilePaths(ctx context.Context, ix *Index, session string, tm *storeTelemetry) (CorrelationResult, error) {
-	var res CorrelationResult
-
-	sessionFilter := func() []Query {
-		if session == "" {
-			return nil
-		}
-		return []Query{Term(FieldSession, session)}
-	}
-
-	// Step 1: harvest tag→path anchors from open-like events only — the
-	// syscalls whose path argument names the file the tag identifies.
-	dict := make(map[event.FileTag]anchor)
-	openAnchors, err := ix.searchEventsCtx(ctx, SearchRequest{
-		Query: Query{Bool: &BoolQuery{
-			Must: append(sessionFilter(),
-				Terms(FieldSyscall, openSyscalls...),
-				Exists(FieldFileTag),
-				Exists(FieldKernelPath),
-			),
-		}},
-		Size: -1,
-	})
-	if err != nil {
-		return res, err
-	}
-	harvestAnchors(dict, openAnchors.Hits)
-
-	// Step 2 (fallback): for tags without an open anchor, any path-carrying
-	// tagged event still names the file; weaker evidence, so it never
-	// overrides an open anchor.
-	fallback, err := ix.searchEventsCtx(ctx, SearchRequest{
-		Query: Query{Bool: &BoolQuery{
-			Must: append(sessionFilter(),
-				Exists(FieldFileTag),
-				Exists(FieldKernelPath),
-			),
-			MustNot: []Query{Terms(FieldSyscall, openSyscalls...)},
-		}},
-		Size: -1,
-	})
-	if err != nil {
-		return res, err
-	}
-	fallbackDict := make(map[event.FileTag]anchor)
-	harvestAnchors(fallbackDict, fallback.Hits)
-	for tag, c := range fallbackDict {
-		if _, seen := dict[tag]; !seen {
-			dict[tag] = c
-		}
-	}
-
-	res.TagsResolved = len(dict)
-
-	// Step 3: name the tags on every row below the horizon.
 	rec := event.PathsRecord{Session: session, Pairs: make([]event.PathPair, 0, len(dict))}
 	for tag, c := range dict {
 		rec.Pairs = append(rec.Pairs, event.PathPair{Tag: tag, Path: c.path})
 	}
 	rec.SortPairs()
-	var n [pathOutcomes]int
-	name := func() { n, err = ix.namePaths(ctx, &rec, false) }
-	if tm != nil {
-		observeNS(tm.updateNS, name)
-	} else {
-		name()
+	return rec, nil
+}
+
+// NamePaths is the second step, on this node: every tagged row of index with
+// no file_path takes its own kernel path, else the path rec pairs with its
+// tag (namePaths). The node fixes the horizon itself, whatever rec.H says,
+// and journals rec once if a row changed. A follower refuses it like any
+// write. TagsResolved is the number of pairs.
+func (s *Store) NamePaths(ctx context.Context, index string, rec event.PathsRecord) (CorrelationResult, error) {
+	if s.Role() == RoleFollower {
+		return CorrelationResult{}, ErrReadOnlyFollower
 	}
-	res.EventsUpdated = n[pathUpdated]
-	res.EventsUnresolved = n[pathUnresolved]
-	res.EventsAlreadyResolved = n[pathAlready]
-	res.EventsWithTag = n[pathUpdated] + n[pathUnresolved] + n[pathAlready]
-	return res, err
+	ix, err := s.lookup(index)
+	if err != nil {
+		return CorrelationResult{}, err
+	}
+	var n [pathOutcomes]int
+	observeNS(s.tm.updateNS, func() { n, err = ix.namePaths(ctx, &rec, false) })
+	return CorrelationResult{
+		TagsResolved:          len(rec.Pairs),
+		EventsUpdated:         n[pathUpdated],
+		EventsUnresolved:      n[pathUnresolved],
+		EventsAlreadyResolved: n[pathAlready],
+		EventsWithTag:         n[pathUpdated] + n[pathUnresolved] + n[pathAlready],
+	}, err
 }
 
 // pathOutcome is what resolvePaths did with one row. The outcomes past

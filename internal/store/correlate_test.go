@@ -29,14 +29,14 @@ func TestCorrelateDeterministicAnchor(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, shards := range []int{1, 2, 4, 8} {
 		for trial := 0; trial < 8; trial++ {
-			ix := NewIndexWithShards("det", shards)
+			st, ix := storeIndex(t, "det", WithShards(shards))
 			docs := conflictingAnchors("1 42 7")
 			// A tagged event with no path, to be resolved from the dictionary.
 			docs = append(docs, Document{"session": "s", "syscall": "read", "file_tag": "1 42 7"})
 			rng.Shuffle(len(docs), func(i, j int) { docs[i], docs[j] = docs[j], docs[i] })
 			ix.AddEvents(docEvents(docs...))
 
-			res := CorrelateFilePaths(ix, "s")
+			res := correlate(t, st, "det", "s")
 			if res.TagsResolved != 1 {
 				t.Fatalf("shards=%d trial=%d: tags = %d", shards, trial, res.TagsResolved)
 			}
@@ -52,13 +52,13 @@ func TestCorrelateDeterministicAnchor(t *testing.T) {
 // TestCorrelateAnchorTieBreak checks the secondary ordering: equal enter
 // timestamps fall back to the lexicographically smaller path.
 func TestCorrelateAnchorTieBreak(t *testing.T) {
-	ix := NewIndex("tie")
+	st, ix := storeIndex(t, "tie")
 	ix.AddEvents(docEvents(
 		Document{"session": "s", "syscall": "open", "file_tag": "1 1 1", "kernel_path": "/b", "time_enter_ns": int64(100)},
 		Document{"session": "s", "syscall": "open", "file_tag": "1 1 1", "kernel_path": "/a", "time_enter_ns": int64(100)},
 		Document{"session": "s", "syscall": "write", "file_tag": "1 1 1"},
 	))
-	CorrelateFilePaths(ix, "s")
+	correlate(t, st, "tie", "s")
 	resp := ix.Search(SearchRequest{Query: Term(FieldSyscall, "write")})
 	if got := resp.Hits[0][FieldFilePath]; got != "/a" {
 		t.Fatalf("tie broke to %v, want /a", got)
@@ -69,7 +69,7 @@ func TestCorrelateAnchorTieBreak(t *testing.T) {
 // open was never captured still resolves when a non-open path-carrying event
 // (stat, unlink) names it — but such an event never overrides an open anchor.
 func TestCorrelateFallbackAnchors(t *testing.T) {
-	ix := NewIndex("fb")
+	st, ix := storeIndex(t, "fb")
 	ix.AddEvents(docEvents(
 		// Tag "1 2 1", the lost open: only a stat carries the path.
 		Document{"session": "s", "syscall": "stat", "file_tag": "1 2 1", "kernel_path": "/via/stat", "time_enter_ns": int64(50)},
@@ -79,7 +79,7 @@ func TestCorrelateFallbackAnchors(t *testing.T) {
 		Document{"session": "s", "syscall": "openat", "file_tag": "1 3 1", "kernel_path": "/right", "time_enter_ns": int64(200)},
 		Document{"session": "s", "syscall": "write", "file_tag": "1 3 1"},
 	))
-	res := CorrelateFilePaths(ix, "s")
+	res := correlate(t, st, "fb", "s")
 	if res.TagsResolved != 2 {
 		t.Fatalf("tags = %d, want 2", res.TagsResolved)
 	}
@@ -104,10 +104,11 @@ func assertClosedAccounting(t *testing.T, res CorrelationResult) {
 }
 
 func TestCorrelateClosedAccounting(t *testing.T) {
-	ix := newFixtureIndex()
+	st, ix := storeIndex(t, "events")
+	ix.AddEvents(docFixture())
 	ix.AddEvents(docEvents(Document{"session": "s1", "syscall": "read", "file_tag": "1 99 1", "ret_val": int64(5)}))
 
-	res := CorrelateFilePaths(ix, "s1")
+	res := correlate(t, st, "events", "s1")
 	assertClosedAccounting(t, res)
 	if res.EventsAlreadyResolved != 0 {
 		t.Fatalf("first run already-resolved = %d, want 0", res.EventsAlreadyResolved)
@@ -115,7 +116,7 @@ func TestCorrelateClosedAccounting(t *testing.T) {
 
 	// Second run: the 4 previously updated docs show up as already-resolved,
 	// the orphan stays unresolved, and the books still close.
-	res2 := CorrelateFilePaths(ix, "s1")
+	res2 := correlate(t, st, "events", "s1")
 	assertClosedAccounting(t, res2)
 	if res2.EventsUpdated != 0 || res2.EventsAlreadyResolved != 4 || res2.EventsUnresolved != 1 {
 		t.Fatalf("second run = %+v", res2)

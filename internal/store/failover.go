@@ -137,11 +137,6 @@ func (f *FailoverClient) BulkEvents(ctx context.Context, index string, events []
 	return f.do(ctx, func(c *Client) error { return c.BulkEvents(ctx, index, events) })
 }
 
-// Search implements Backend.
-func (f *FailoverClient) Search(ctx context.Context, index string, req SearchRequest) (SearchResponse, error) {
-	return doValue(f, ctx, func(c *Client) (SearchResponse, error) { return c.Search(ctx, index, req) })
-}
-
 // SearchEvents implements Backend.
 func (f *FailoverClient) SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error) {
 	return doValue(f, ctx, func(c *Client) (EventsResult, error) { return c.SearchEvents(ctx, index, req) })
@@ -155,6 +150,11 @@ func (f *FailoverClient) Count(ctx context.Context, index string, q Query) (int,
 // Correlate implements Backend.
 func (f *FailoverClient) Correlate(ctx context.Context, index, session string) (CorrelationResult, error) {
 	return doValue(f, ctx, func(c *Client) (CorrelationResult, error) { return c.Correlate(ctx, index, session) })
+}
+
+// NamePaths names the active node's rows with rec.
+func (f *FailoverClient) NamePaths(ctx context.Context, index string, rec event.PathsRecord) (CorrelationResult, error) {
+	return doValue(f, ctx, func(c *Client) (CorrelationResult, error) { return c.NamePaths(ctx, index, rec) })
 }
 
 // BulkFrame forwards an already-encoded binary event frame.

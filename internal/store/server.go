@@ -25,10 +25,7 @@ import (
 // attempt delivery deadline) into shard fan-out or the wire request.
 type Backend interface {
 	EventBackend
-	// SearchEvents is the search; Search is the same answer with each hit
-	// rendered as a Document, for callers that write JSON.
 	SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error)
-	Search(ctx context.Context, index string, req SearchRequest) (SearchResponse, error)
 	Count(ctx context.Context, index string, q Query) (int, error)
 	Correlate(ctx context.Context, index, session string) (CorrelationResult, error)
 }
@@ -38,24 +35,25 @@ var (
 	_ Backend = (*Client)(nil)
 )
 
-// Correlate runs the file-path correlation algorithm on the named index,
-// recording the run in the store's telemetry registry. It is the store's one
-// update: on a durable store the pass journals its tag→path dictionary as a
-// single paths record.
+// Correlate runs the file-path correlation algorithm on the named index —
+// HarvestPaths over the store itself, then NamePaths — recording the run in
+// the store's telemetry registry. It is the store's one update: on a durable
+// store the pass journals its tag→path dictionary as a single paths record.
+// It can run while the tracer is still indexing (the near-real-time
+// pipeline) or on demand after the session completes (§II-E).
 func (s *Store) Correlate(ctx context.Context, index, session string) (CorrelationResult, error) {
-	// Correlation fills in file_path on stored rows — a mutation, so a
-	// follower rejects it like any direct write.
+	// A follower refuses the pass before it searches.
 	if s.Role() == RoleFollower {
 		return CorrelationResult{}, ErrReadOnlyFollower
 	}
-	ix, err := s.lookup(index)
-	if err != nil {
-		return CorrelationResult{}, err
-	}
 	var res CorrelationResult
+	var err error
 	s.tm.corrRuns.Inc()
 	observeNS(s.tm.corrNS, func() {
-		res, err = correlateFilePaths(ctx, ix, session, &s.tm)
+		var rec event.PathsRecord
+		if rec, err = HarvestPaths(ctx, s, index, session); err == nil {
+			res, err = s.NamePaths(ctx, index, rec)
+		}
 	})
 	s.tm.corrTags.Add(uint64(res.TagsResolved))
 	s.tm.corrUpd.Add(uint64(res.EventsUpdated))
@@ -108,6 +106,7 @@ var _ Served[IndexStats, HealthStatus] = (*Store)(nil)
 // and on a node only:
 //
 //	POST   /v1/{index}/_scatter    one partition's share of a cluster search
+//	POST   /v1/{index}/_paths      name the rows with a harvested paths record
 //	GET    /v1/_repl/status        role and per-index sequence positions
 //	POST   /v1/_repl/apply         a follower applies pushed WAL frames
 //	POST   /v1/_repl/bootstrap     a follower replaces an index with a primary snapshot
@@ -149,7 +148,7 @@ type OpHandler func(r *http.Request, index string) (any, error)
 // or built-in name panics, as route wiring is a programming error.
 func (s *Server) HandleOp(op string, h OpHandler) {
 	switch op {
-	case "_bulk", "_search", "_scatter", "_count", "_correlate", "_stats":
+	case "_bulk", "_search", "_scatter", "_count", "_correlate", "_paths", "_stats":
 		panic(fmt.Sprintf("store: HandleOp(%q) would shadow a built-in operation", op))
 	}
 	if _, dup := s.ops[op]; dup {
@@ -210,6 +209,7 @@ func NewServer[S, H any](b Served[S, H]) *Server {
 	if st, ok := any(b).(*Store); ok {
 		s.node = st
 		s.ops["_scatter"] = route{http.MethodPost, s.handleScatter}
+		s.ops["_paths"] = route{http.MethodPost, s.handlePaths}
 		s.global["/_repl/status"] = route{http.MethodGet, s.handleReplStatus}
 		s.global["/_repl/apply"] = route{http.MethodPost, s.handleReplApply}
 		s.global["/_repl/bootstrap"] = route{http.MethodPost, s.handleReplBootstrap}
@@ -476,13 +476,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index stri
 }
 
 // StatusError is an error that names the HTTP status WriteError answers it
-// with, plus an optional machine-readable reason the error body repeats
-// beside the message. A cluster coordinator's failures are of this kind: a
-// partition it cannot reach (503) or that failed (502), and an operation
-// that does not route across partitions (501, with its reason).
+// with. A cluster coordinator's partition failures are of this kind: a
+// partition it cannot reach (503) or that failed (502).
 type StatusError interface {
 	error
-	HTTPStatus() (code int, reason string)
+	HTTPStatus() int
 }
 
 // BadRequest marks err as a malformed request: WriteError answers it 400
@@ -506,7 +504,7 @@ func IsBadRequest(err error) bool { return errors.As(err, new(badRequest)) }
 // reads a node's 404 as an empty partition: a node that cannot read a
 // segment must fail the scattered request (500), never shrink its totals.
 func WriteError(w http.ResponseWriter, err error) {
-	code, reason := http.StatusInternalServerError, ""
+	code := http.StatusInternalServerError
 	var he *HTTPError
 	var se StatusError
 	switch {
@@ -523,13 +521,9 @@ func WriteError(w http.ResponseWriter, err error) {
 	case errors.As(err, &he):
 		code = he.Status
 	case errors.As(err, &se):
-		code, reason = se.HTTPStatus()
+		code = se.HTTPStatus()
 	}
-	body := map[string]string{"error": err.Error()}
-	if reason != "" {
-		body["reason"] = reason
-	}
-	writeJSON(w, code, body)
+	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // handleScatter serves one partition's share of a cluster search: mergeable
@@ -548,6 +542,19 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request, index str
 		return
 	}
 	(&hitsBody{Total: resp.Total, Gids: resp.Gids, Partials: resp.Partials, Hits: resp.Hits}).write(w)
+}
+
+// handlePaths serves a coordinator's correlation broadcast: the body is a
+// paths record in its JSON form (the base64 of its journal payload), checked
+// by event.DecodePaths, and the node names its own rows with it.
+func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request, index string) {
+	var rec event.PathsRecord
+	if err := decodeJSON(r.Body, &rec); err != nil {
+		httpError(w, http.StatusBadRequest, "bad paths record: %v", err)
+		return
+	}
+	res, err := s.node.NamePaths(r.Context(), index, rec)
+	answer(w, res, err)
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, index string) {

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -137,6 +139,56 @@ func TestHTTPCorrelate(t *testing.T) {
 	}
 	if res.TagsResolved != 1 || res.EventsUpdated != 4 {
 		t.Fatalf("res = %+v", res)
+	}
+}
+
+// TestHTTPPathsChecksTheRecord: POST _paths names a node's rows with a
+// harvested record sent in its JSON form, and answers 400 to every record
+// event.DecodePaths refuses, naming nothing.
+func TestHTTPPathsChecksTheRecord(t *testing.T) {
+	st, c := newTestServerClient(t)
+	ctx := context.Background()
+	if err := c.BulkEvents(ctx, "run1", docFixture()); err != nil {
+		t.Fatalf("bulk: %v", err)
+	}
+	rec, err := HarvestPaths(ctx, st, "run1", "s1")
+	if err != nil || len(rec.Pairs) != 1 {
+		t.Fatalf("harvest = %+v (%v)", rec, err)
+	}
+	named := func() int {
+		n, err := st.Count(ctx, "run1", Exists(FieldFilePath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before := named()
+	unsorted := event.PathsRecord{Pairs: []event.PathPair{
+		{Tag: event.FileTag{Dev: 1, Ino: 2, BirthNS: 1}, Path: "/b"},
+		{Tag: event.FileTag{Dev: 1, Ino: 1, BirthNS: 1}, Path: "/a"},
+	}}
+	overrun := binary.LittleEndian.AppendUint32(event.PathsRecord{}.Encode()[:10], 1000)
+	for name, payload := range map[string][]byte{
+		"unsorted pairs":          unsorted.Encode(),
+		"pair count past the end": overrun,
+		"trailing bytes":          append(rec.Encode(), 0),
+	} {
+		body, _ := json.Marshal(payload)
+		resp, err := http.Post(c.Base()+"/v1/run1/_paths", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if n := named(); n != before {
+		t.Fatalf("refused records named %d rows", n-before)
+	}
+	res, err := c.NamePaths(ctx, "run1", rec)
+	if err != nil || res.TagsResolved != 1 || res.EventsUpdated != 4 || named() != before+4 {
+		t.Fatalf("_paths = %+v (%v)", res, err)
 	}
 }
 

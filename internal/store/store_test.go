@@ -321,11 +321,16 @@ func TestEventDocOmitsZeroFields(t *testing.T) {
 }
 
 func TestCorrelateFilePaths(t *testing.T) {
-	ix := newFixtureIndex()
+	st, ix := storeIndex(t, "events")
+	ix.AddEvents(docFixture())
 	// Add a tagged event whose open was never captured (unresolvable tag).
 	ix.AddEvents(docEvents(Document{"session": "s1", "syscall": "read", "file_tag": "1 99 1", "ret_val": int64(5)}))
 
-	res := CorrelateFilePaths(ix, "s1")
+	searches := st.tm.searches.Value()
+	res := correlate(t, st, "events", "s1")
+	if n := st.tm.searches.Value() - searches; n != 1 {
+		t.Fatalf("one pass ran %d searches, want the one harvest", n)
+	}
 	if res.TagsResolved != 1 {
 		t.Fatalf("tags resolved = %d, want 1", res.TagsResolved)
 	}
@@ -348,18 +353,41 @@ func TestCorrelateFilePaths(t *testing.T) {
 		t.Fatalf("write file_path = %v", resp.Hits[0][FieldFilePath])
 	}
 	// Idempotent: re-running updates nothing more.
-	res2 := CorrelateFilePaths(ix, "s1")
+	res2 := correlate(t, st, "events", "s1")
 	if res2.EventsUpdated != 0 || res2.EventsUnresolved != 1 {
 		t.Fatalf("second run = %+v", res2)
 	}
 }
 
 func TestCorrelateAllSessions(t *testing.T) {
-	ix := newFixtureIndex()
-	res := CorrelateFilePaths(ix, "")
+	st, ix := storeIndex(t, "events")
+	ix.AddEvents(docFixture())
+	res := correlate(t, st, "events", "")
 	if res.TagsResolved != 1 || res.EventsUpdated != 4 {
 		t.Fatalf("res = %+v", res)
 	}
+}
+
+// storeIndex opens an in-memory store holding one empty index and returns
+// both: the test drives the index directly and correlates through the store.
+func storeIndex(tb testing.TB, name string, opts ...Option) (*Store, *Index) {
+	tb.Helper()
+	st := memStore(tb, opts...)
+	if err := st.BulkEvents(context.Background(), name, nil); err != nil {
+		tb.Fatal(err)
+	}
+	ix, _ := st.GetIndex(name)
+	return st, ix
+}
+
+// correlate runs one correlation pass through st, failing the test on error.
+func correlate(tb testing.TB, st *Store, index, session string) CorrelationResult {
+	tb.Helper()
+	res, err := st.Correlate(context.Background(), index, session)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 // memStore opens an in-memory store.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -21,7 +22,7 @@ func TestConcurrentStress(t *testing.T) {
 		docsPerWriter = 1500
 		batch         = 64
 	)
-	ix := NewIndexWithShards("stress", 8)
+	st, ix := storeIndex(t, "stress", WithShards(8))
 
 	syscalls := []string{"read", "write", "openat", "close", "fsync"}
 	// Each writer's opens and fsyncs share one file tag, which its opens name.
@@ -114,7 +115,10 @@ func TestConcurrentStress(t *testing.T) {
 	go func() {
 		defer readWG.Done()
 		for !done.Load() {
-			r := CorrelateFilePaths(ix, "stress")
+			r, err := st.Correlate(context.Background(), "stress", "stress")
+			if err != nil {
+				panic(err)
+			}
 			if r.EventsUpdated+r.EventsUnresolved+r.EventsAlreadyResolved != r.EventsWithTag {
 				panic(fmt.Sprintf("correlation accounting does not close: %+v", r))
 			}
@@ -143,7 +147,7 @@ func TestConcurrentStress(t *testing.T) {
 
 	// A final quiescent pass names whatever the racing ones left; afterwards
 	// every tagged row — each writer's opens and fsyncs — has its path.
-	CorrelateFilePaths(ix, "stress")
+	correlate(t, st, "stress", "stress")
 	nf, ns := ix.Count(Exists(FieldFilePath)), ix.Count(Terms("syscall", "fsync", "openat"))
 	if nf != ns || ns != ix.Count(Exists(FieldFileTag)) {
 		t.Fatalf("named %d docs, tagged population %d", nf, ns)
@@ -174,7 +178,7 @@ func TestShardedMatchesOracle(t *testing.T) {
 }
 
 func shardedMatchesOracle(t *testing.T, shards, n int) {
-	ix := NewIndexWithShards("diff", shards)
+	st, ix := storeIndex(t, "diff", WithShards(shards))
 	ix.AddEvents(docEvents(oracleDocs(n)...))
 	reqs := oracleRequests()
 
@@ -214,7 +218,7 @@ func shardedMatchesOracle(t *testing.T, shards, n int) {
 		want, _ := oracleRows(ix)
 		wantRes := oracleCorrelate(want, session)
 		// (Within one session some tags have no anchor; across all, none.)
-		if gotRes := CorrelateFilePaths(ix, session); gotRes != wantRes || gotRes.EventsUpdated == 0 || (session != "" && gotRes.EventsUnresolved == 0) {
+		if gotRes := correlate(t, st, "diff", session); gotRes != wantRes || gotRes.EventsUpdated == 0 || (session != "" && gotRes.EventsUnresolved == 0) {
 			t.Fatalf("correlate %q: sharded %+v, oracle %+v", session, gotRes, wantRes)
 		}
 		if got, _ := oracleRows(ix); !reflect.DeepEqual(got, want) {

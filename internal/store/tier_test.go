@@ -797,7 +797,7 @@ func TestCursorExpiredAfterRetention(t *testing.T) {
 	if err != nil {
 		t.Fatalf("failover client: %v", err)
 	}
-	_, err = fc.Search(ctx, crashIndex, SearchRequest{Query: MatchAll(), Size: 5, SearchAfter: page1.NextAfter})
+	_, err = fc.SearchEvents(ctx, crashIndex, SearchRequest{Query: MatchAll(), Size: 5, SearchAfter: page1.NextAfter})
 	if !errors.Is(err, ErrCursorExpired) {
 		t.Fatalf("HTTP stale cursor error = %v, want ErrCursorExpired via 410", err)
 	}

@@ -53,7 +53,7 @@ var accessPatternPageSize = 2000
 // one series per thread name, via a date-histogram aggregation with a terms
 // sub-aggregation.
 func SyscallTimeline(b store.Backend, index, session string, intervalNS int64) (*TimeSeries, error) {
-	resp, err := b.Search(context.Background(), index, store.SearchRequest{
+	resp, err := b.SearchEvents(context.Background(), index, store.SearchRequest{
 		Query: store.Term(store.FieldSession, session),
 		Size:  1, // aggregation-driven; hits are irrelevant
 		Aggs: map[string]store.Agg{
@@ -98,7 +98,7 @@ func SyscallTimeline(b store.Backend, index, session string, intervalNS int64) (
 
 // SyscallHistogram renders the per-syscall counts of a session.
 func SyscallHistogram(b store.Backend, index, session string) (*Histogram, error) {
-	resp, err := b.Search(context.Background(), index, store.SearchRequest{
+	resp, err := b.SearchEvents(context.Background(), index, store.SearchRequest{
 		Query: store.Term(store.FieldSession, session),
 		Size:  1,
 		Aggs: map[string]store.Agg{
