@@ -141,15 +141,19 @@ fuzz:
 		done; \
 	done
 
-## chaos: the fault-injection suite — shipper, breaker, spill, and the
-## tracer-level exact-accounting tests, raced and repeated.
+## chaos: the fault-injection suite — the ladder and its one rule for what
+## counts against a target (TargetFault), shipper, breaker, spill, the fault
+## model in process and on the wire, and the tracer-level exact-accounting
+## tests, raced and repeated.
 chaos:
-	$(GO) test -race -count=2 -run 'Chaos|Shipper|Breaker|Faulty|Spill' ./internal/resilience/ ./internal/store/ ./internal/core/
+	$(GO) test -race -count=2 -run 'Chaos|Shipper|Breaker|Faulty|Spill|Ladder|TargetFault' ./internal/resilience/ ./internal/core/
 
 ## chaos-repl: the replication fault harness — partitioned, delayed,
 ## duplicated, and reordered frames, follower crash mid-replay, primary
-## kill mid-ingest with follower promotion, graceful-stop resume, and the
-## HTTP chaos injector on the /_repl endpoints — raced and repeated.
+## kill mid-ingest with follower promotion, graceful-stop resume, a caller's
+## cancellation ending the push ladder, a hung primary failing over, and the
+## fault handler (resilience.FaultHandler) failing the /_repl pushes — raced
+## and repeated.
 chaos-repl:
 	$(GO) test -race -count=2 -run 'TestRepl|TestFollower|TestFailover|TestPartition|TestDelayed|TestPrimaryKill|TestGraceful|TestRetryAfter|TestSync|TestChaosRepl|TestHealth|FuzzWALReplay' ./internal/repl/ ./internal/store/ ./internal/durable/
 

@@ -69,13 +69,15 @@ func (rc *ResilienceFileConfig) toConfig() *resilience.Config {
 		return nil
 	}
 	return &resilience.Config{
-		MaxAttempts:      rc.MaxAttempts,
-		BaseBackoff:      time.Duration(rc.BaseBackoffMillis) * time.Millisecond,
-		MaxBackoff:       time.Duration(rc.MaxBackoffMillis) * time.Millisecond,
-		AttemptTimeout:   time.Duration(rc.AttemptTimeoutMillis) * time.Millisecond,
-		BreakerThreshold: rc.BreakerThreshold,
-		BreakerCooldown:  time.Duration(rc.BreakerCooldownMillis) * time.Millisecond,
-		SpillEvents:      rc.SpillEvents,
+		Policy: resilience.Policy{
+			MaxAttempts:      rc.MaxAttempts,
+			BaseBackoff:      time.Duration(rc.BaseBackoffMillis) * time.Millisecond,
+			MaxBackoff:       time.Duration(rc.MaxBackoffMillis) * time.Millisecond,
+			AttemptTimeout:   time.Duration(rc.AttemptTimeoutMillis) * time.Millisecond,
+			BreakerThreshold: rc.BreakerThreshold,
+			BreakerCooldown:  time.Duration(rc.BreakerCooldownMillis) * time.Millisecond,
+		},
+		SpillEvents: rc.SpillEvents,
 	}
 }
 

@@ -100,7 +100,7 @@ func cmdTrace(args []string) error {
 		spillEvents      = fs.Int("spill-events", 0, "spill-queue capacity in events (0 = default 65536; implies -resilience)")
 		breakerThreshold = fs.Int("breaker-threshold", 0, "consecutive failures before the circuit breaker opens (0 = default 5; implies -resilience)")
 		breakerCooldown  = fs.Duration("breaker-cooldown", 0, "how long the breaker stays open before a probe (0 = default 500ms; implies -resilience)")
-		chaosRate        = fs.Float64("chaos-rate", 0, "inject transient bulk failures at this rate on the in-process backend (demo; implies -resilience)")
+		chaosRate        = fs.Float64("chaos-rate", 0, "inject transient bulk failures at this rate in front of the backend, in-process or -backend URL (demo; implies -resilience)")
 	)
 	fs.Parse(args)
 

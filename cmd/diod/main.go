@@ -7,7 +7,6 @@
 //
 //	diod -addr :9200
 //	diod -addr :9200 -data /var/lib/diod
-//	diod -addr :9200 -chaos
 //
 // Replicated pair (DESIGN.md §14):
 //
@@ -50,7 +49,6 @@ import (
 
 type config struct {
 	addr        string
-	chaos       bool
 	data        string
 	fsyncMode   string
 	snapshot    time.Duration
@@ -65,7 +63,6 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":9200", "listen address")
-	flag.BoolVar(&cfg.chaos, "chaos", false, "enable the fault injector (arm it over POST /_chaos)")
 	flag.StringVar(&cfg.data, "data", "", "data directory for WAL + snapshots (empty: in-memory only)")
 	flag.StringVar(&cfg.fsyncMode, "fsync", "interval", "WAL fsync policy: interval, always, or off")
 	flag.DurationVar(&cfg.snapshot, "snapshot", time.Minute, "interval between columnar segment snapshots, each of which also moves the rows it flushed out of memory (0 disables)")
@@ -142,15 +139,9 @@ func run(cfg config) error {
 
 	server := store.NewServer(st)
 	diagnose.Install(server)
-	var handler http.Handler = server
-	if cfg.chaos {
-		// Starts disarmed; POST a store.ChaosConfig to /_chaos to inject
-		// failures into the ship path.
-		handler = store.NewChaosHandler(handler, time.Now().UnixNano())
-	}
 	srv := &http.Server{
 		Addr:              cfg.addr,
-		Handler:           handler,
+		Handler:           server,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	fmt.Printf("diod: analysis backend listening on %s\n", cfg.addr)
@@ -160,9 +151,6 @@ func run(cfg config) error {
 		if cfg.retention > 0 {
 			fmt.Printf("retention: segments older than %s are compacted away\n", cfg.retention)
 		}
-	}
-	if cfg.chaos {
-		fmt.Println("chaos: fault injector enabled (disarmed); control via GET/POST /_chaos")
 	}
 	if cfg.follow != "" {
 		fmt.Printf("role: follower of %s (writes rejected; promote via POST /_repl/promote", cfg.follow)
@@ -272,13 +260,9 @@ func runCluster(cfg config) error {
 	}
 	server := store.NewServer(co)
 	diagnose.Install(server)
-	var handler http.Handler = server
-	if cfg.chaos {
-		handler = store.NewChaosHandler(handler, time.Now().UnixNano())
-	}
 	srv := &http.Server{
 		Addr:              cfg.addr,
-		Handler:           handler,
+		Handler:           server,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	fmt.Printf("diod: cluster coordinator listening on %s, %d partitions\n", cfg.addr, co.Partitions())

@@ -212,28 +212,9 @@ func (co *Coordinator) BreakerState(p int) resilience.BreakerState {
 	return co.breakers[p].State()
 }
 
-// breakerWorthy reports whether err should count against a node's circuit:
-// transport failures and 5xx do; client errors (bad cursor, missing index)
-// and caller-side cancellation say nothing about the node's liveness.
-func breakerWorthy(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrIndexNotFound) {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var he *store.HTTPError
-	if errors.As(err, &he) {
-		return he.Status >= 500
-	}
-	return true
-}
-
-// call runs op against partition p under its circuit breaker, tagging errors
-// with the partition and target so a scatter failure names its node.
+// call runs op against partition p under its circuit breaker, which reads
+// resilience.TargetFault, tagging errors with the partition and target so a
+// scatter failure names its node.
 func (co *Coordinator) call(ctx context.Context, p int, op func(Node) error) error {
 	br := co.breakers[p]
 	if !br.Allow() {
@@ -242,7 +223,7 @@ func (co *Coordinator) call(ctx context.Context, p int, op func(Node) error) err
 	}
 	co.nodeCalls[p].Inc()
 	err := op(co.nodes[p])
-	if breakerWorthy(err) {
+	if resilience.TargetFault(ctx, err) {
 		br.RecordFailure()
 		co.nodeErrs[p].Inc()
 	} else {

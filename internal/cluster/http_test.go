@@ -12,12 +12,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/repl"
+	"github.com/dsrhaslab/dio-go/internal/resilience"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
@@ -708,5 +710,50 @@ func TestClusterPagesSubUlpRowsInExactTimeOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// clientNode is a partition served by one bare client, with no failover
+// client in front of it.
+type clientNode struct{ *store.Client }
+
+func (n clientNode) Target() string { return n.Base() }
+
+// TestClusterHungNodeTripsBreaker: a node that never answers fails each call
+// on the client's own request deadline while the caller's context is live,
+// which counts against its circuit — so the breaker opens at its threshold
+// and the next call fails fast without touching the wire.
+func TestClusterHungNodeTripsBreaker(t *testing.T) {
+	var arrived atomic.Int64
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived.Add(1)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
+	c := store.NewClient(hung.URL, store.WithAPIPrefix("/v1"))
+	c.SetRequestTimeout(50 * time.Millisecond)
+	co, err := New(Config{Clock: clock.NewVirtual(0), BreakerThreshold: 2}, clientNode{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 1; i <= 2; i++ {
+		if _, err := co.Count(ctx, testIndex, store.MatchAll()); err == nil || errors.Is(err, ErrNodeUnavailable) {
+			t.Fatalf("call %d against the hung node = %v, want its timeout", i, err)
+		}
+	}
+	if st := co.BreakerState(0); st != resilience.BreakerOpen {
+		t.Fatalf("breaker after 2 timeouts = %v, want open", st)
+	}
+	if _, err := co.Count(ctx, testIndex, store.MatchAll()); !errors.Is(err, ErrNodeUnavailable) {
+		t.Fatalf("call 3 = %v, want ErrNodeUnavailable", err)
+	}
+	if n := arrived.Load(); n != 2 {
+		t.Fatalf("the hung node saw %d requests, want 2 (the open breaker must not touch the wire)", n)
 	}
 }

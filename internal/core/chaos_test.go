@@ -20,12 +20,14 @@ import (
 // spill → replay cycle fits in a unit test.
 func chaosResilience() *resilience.Config {
 	return &resilience.Config{
-		MaxAttempts:      3,
-		BaseBackoff:      200 * time.Microsecond,
-		MaxBackoff:       time.Millisecond,
-		BreakerThreshold: 4,
-		BreakerCooldown:  5 * time.Millisecond,
-		SpillEvents:      1 << 16,
+		Policy: resilience.Policy{
+			MaxAttempts:      3,
+			BaseBackoff:      200 * time.Microsecond,
+			MaxBackoff:       time.Millisecond,
+			BreakerThreshold: 4,
+			BreakerCooldown:  5 * time.Millisecond,
+		},
+		SpillEvents: 1 << 16,
 	}
 }
 
@@ -141,8 +143,8 @@ func TestTracerChaosExactAccounting(t *testing.T) {
 func TestTracerChaosOverHTTP(t *testing.T) {
 	k := newTracedKernel(t)
 	st := memStore(t)
-	chaos := store.NewChaosHandler(store.NewServer(st), 1)
-	chaos.SetConfig(store.ChaosConfig{Rate: 0.3, RetryAfterSec: 0})
+	chaos := resilience.NewFaultHandler(store.NewServer(st), 1)
+	chaos.SetErrorRate(0.3)
 	srv := httptest.NewServer(chaos)
 	t.Cleanup(srv.Close)
 	client := store.NewClient(srv.URL)
@@ -161,15 +163,15 @@ func TestTracerChaosOverHTTP(t *testing.T) {
 	if err := tr.Start(k); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	// Keep generating load until the chaos handler has demonstrably injected
+	// Keep generating load until the fault handler has demonstrably injected
 	// failures into the live ship path (the seeded dice decide exactly when).
 	for round := 0; round < 20 && chaos.Injected() == 0; round++ {
 		runChaosWorkload(t, k, 300)
 	}
 	if chaos.Injected() == 0 {
-		t.Fatal("chaos handler injected nothing")
+		t.Fatal("fault handler injected nothing")
 	}
-	chaos.SetConfig(store.ChaosConfig{}) // recover before shutdown
+	chaos.SetErrorRate(0) // recover before shutdown
 	stats, _ := tr.Stop()
 
 	assertExactAccounting(t, stats)

@@ -200,10 +200,43 @@ func TestRunRocksDBContention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second contention run")
 	}
-	res, err := RunRocksDB(RocksDBConfig{Duration: 1500 * time.Millisecond, Trace: true})
-	if err != nil {
-		t.Fatalf("rocksdb: %v", err)
+	// Once compaction starts, three or more compaction threads stay active
+	// in every 100 ms window, so a run's quiet windows come from its first,
+	// partial window, before the first compaction. Whether that window
+	// exists depends on where the run starts on the window grid, which
+	// varies from run to run. A run without a quiet window says nothing
+	// about the contention shape, so it is run again.
+	const attempts = 8
+	var busy, quiet float64
+	var busyN, quietN int
+	for attempt := 1; attempt <= attempts; attempt++ {
+		res, err := RunRocksDB(RocksDBConfig{Duration: 1500 * time.Millisecond, Trace: true})
+		if err != nil {
+			t.Fatalf("rocksdb: %v", err)
+		}
+		checkRocksDBFigures(t, res)
+		busy, quiet, busyN, quietN = res.ContentionCorrelation(5, 2)
+		if busyN > 0 && quietN > 0 {
+			break
+		}
+		t.Logf("attempt %d: contention windows unbalanced (busy=%d quiet=%d)", attempt, busyN, quietN)
 	}
+	// The paper's diagnosis: windows with heavy compaction activity show
+	// higher client tail latency than quiet windows.
+	if busyN == 0 || quietN == 0 {
+		t.Skipf("contention windows unbalanced in %d runs (busy=%d quiet=%d)", attempts, busyN, quietN)
+	}
+	if busy <= quiet {
+		t.Errorf("contention shape violated: busy p99 %.0fns <= quiet p99 %.0fns (busy=%d quiet=%d)",
+			busy, quiet, busyN, quietN)
+	}
+}
+
+// checkRocksDBFigures asserts that a traced RocksDB run produced both
+// figures: client latency windows (Fig. 3) and a syscall timeline with the
+// client and at least one compaction thread series (Fig. 4).
+func checkRocksDBFigures(t *testing.T, res RocksDBResult) {
+	t.Helper()
 	if res.Bench.Ops == 0 {
 		t.Fatal("no client operations")
 	}
@@ -213,8 +246,6 @@ func TestRunRocksDBContention(t *testing.T) {
 	if res.Timeline == nil || len(res.Timeline.BucketStartNS) == 0 {
 		t.Fatal("no syscall timeline (Fig. 4 empty)")
 	}
-	// Fig. 4 must contain the client series and at least one compaction
-	// thread series.
 	if _, ok := res.Timeline.Series["db_bench"]; !ok {
 		t.Fatalf("timeline series = %v", res.Timeline.SeriesNames())
 	}
@@ -229,16 +260,6 @@ func TestRunRocksDBContention(t *testing.T) {
 	}
 	if res.Bench.DBStats.Compactions == 0 {
 		t.Fatal("run produced no compactions; contention mechanism unexercised")
-	}
-	// The paper's diagnosis: windows with heavy compaction activity show
-	// higher client tail latency than quiet windows.
-	busy, quiet, busyN, quietN := res.ContentionCorrelation(5, 2)
-	if busyN == 0 || quietN == 0 {
-		t.Skipf("contention windows unbalanced (busy=%d quiet=%d)", busyN, quietN)
-	}
-	if busy <= quiet {
-		t.Errorf("contention shape violated: busy p99 %.0fns <= quiet p99 %.0fns (busy=%d quiet=%d)",
-			busy, quiet, busyN, quietN)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestFailoverTracedStormLosesNothing(t *testing.T) {
 	fsrv := httptest.NewServer(store.NewServer(follower))
 	defer fsrv.Close()
 
-	r := New(primary, ClientTransport{C: store.NewClient(fsrv.URL)}, Config{Clock: clock.NewVirtual(0)})
+	r := New(primary, ClientTransport{C: store.NewClient(fsrv.URL)}, Config{Policy: resilience.Policy{Clock: clock.NewVirtual(0)}})
 	fo, err := store.NewFailoverClient(store.NewClient(psrv.URL), store.NewClient(fsrv.URL))
 	if err != nil {
 		t.Fatalf("failover client: %v", err)
@@ -49,13 +49,13 @@ func TestFailoverTracedStormLosesNothing(t *testing.T) {
 		Backend:       fo,
 		BatchSize:     256,
 		FlushInterval: time.Millisecond,
-		Resilience: &resilience.Config{
+		Resilience: &resilience.Config{Policy: resilience.Policy{
 			MaxAttempts:      5,
 			BaseBackoff:      500 * time.Microsecond,
 			MaxBackoff:       10 * time.Millisecond,
 			BreakerThreshold: 8,
 			BreakerCooldown:  5 * time.Millisecond,
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatalf("NewTracer: %v", err)

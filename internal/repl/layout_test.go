@@ -9,6 +9,7 @@ import (
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/event"
+	"github.com/dsrhaslab/dio-go/internal/resilience"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
@@ -128,7 +129,7 @@ func TestCorrelationSurvivesEveryLayout(t *testing.T) {
 		t.Helper()
 		follower.SetFollower()
 		tr := &faultTransport{st: follower}
-		r := New(primary, tr, Config{Clock: clock.NewVirtual(0)})
+		r := New(primary, tr, Config{Policy: resilience.Policy{Clock: clock.NewVirtual(0)}})
 		if err := r.Sync(context.Background()); err != nil {
 			t.Fatalf("sync: %v", err)
 		}

@@ -2,9 +2,9 @@
 // the replication data plane (sequenced WAL ranges, full-state bootstraps,
 // follower apply — internal/store/repl.go); this package is the control
 // plane: a Replicator per follower that tails the primary's records and
-// pushes them over a Transport, reusing the resilience ladder (full-jitter
-// backoff honoring Retry-After hints, circuit breaker) that already guards
-// the tracer's ship path. A sequence mismatch from the follower is never
+// pushes them over a Transport, up the same resilience.Ladder (full-jitter
+// backoff honoring Retry-After hints, circuit breaker) that guards the
+// tracer's ship path. A sequence mismatch from the follower is never
 // retried blindly — the replicator resyncs from the follower's reported
 // position, bootstrapping wholesale when the follower is too far behind for
 // the primary to serve the gap as WAL records.
@@ -14,11 +14,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/resilience"
 	"github.com/dsrhaslab/dio-go/internal/store"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
@@ -52,23 +52,9 @@ type Config struct {
 	// BootstrapRows batches rows per frame in a full-state transfer
 	// (default 1024).
 	BootstrapRows int
-	// MaxAttempts is the per-push attempt budget, first try included
-	// (default 4).
-	MaxAttempts int
-	// BaseBackoff / MaxBackoff shape the retry delays (defaults 10ms / 1s);
-	// Retry-After hints from the follower floor them.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// AttemptTimeout is the per-attempt deadline (default 5s).
-	AttemptTimeout time.Duration
-	// BreakerThreshold / BreakerCooldown tune the circuit breaker guarding
-	// the follower (defaults 5 / 500ms).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Clock drives sleeps and cooldowns; virtual in tests (default wall).
-	Clock clock.Clock
-	// Seed seeds backoff jitter (0 selects a fixed default).
-	Seed int64
+	// Policy is the retry → breaker policy of each push; Retry-After hints
+	// from the follower floor its backoff.
+	resilience.Policy
 	// Telemetry, when non-nil, receives shipping counters and the lag gauge.
 	Telemetry *telemetry.Registry
 }
@@ -86,30 +72,7 @@ func (c Config) withDefaults() Config {
 	if c.BootstrapRows <= 0 {
 		c.BootstrapRows = 1024
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 5 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 500 * time.Millisecond
-	}
-	if c.Clock == nil {
-		c.Clock = clock.NewReal(0)
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Policy = c.Policy.WithDefaults()
 	return c
 }
 
@@ -144,12 +107,11 @@ var ErrFollowerDown = errors.New("repl: follower unreachable")
 // follower. Run one per follower; each keeps its own cursor, breaker, and
 // accounting.
 type Replicator struct {
+	// Ladder runs each push's attempts against the follower.
+	*resilience.Ladder
 	src *store.Store
 	tr  Transport
 	cfg Config
-
-	backoff *resilience.Backoff
-	breaker *resilience.Breaker
 
 	// mu serializes sync passes: the background loop, explicit Sync calls,
 	// and the final Stop drain never interleave.
@@ -160,7 +122,6 @@ type Replicator struct {
 	shippedRecs  atomic.Uint64
 	shippedBytes atomic.Uint64
 	pushes       atomic.Uint64
-	retries      atomic.Uint64
 	bootstraps   atomic.Uint64
 	seqRejects   atomic.Uint64
 	lag          atomic.Int64
@@ -174,7 +135,6 @@ type Replicator struct {
 	tmShippedRecs  *telemetry.Counter
 	tmShippedBytes *telemetry.Counter
 	tmPushes       *telemetry.Counter
-	tmRetries      *telemetry.Counter
 	tmPushNS       *telemetry.Histogram
 	tmBootstraps   *telemetry.Counter
 }
@@ -187,11 +147,10 @@ type Replicator struct {
 func New(src *store.Store, tr Transport, cfg Config) *Replicator {
 	cfg = cfg.withDefaults()
 	r := &Replicator{
+		Ladder:  resilience.NewLadder(cfg.Policy),
 		src:     src,
 		tr:      tr,
 		cfg:     cfg,
-		backoff: resilience.NewBackoff(cfg.BaseBackoff, cfg.MaxBackoff, cfg.Seed),
-		breaker: resilience.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
 		acked:   map[string]int64{},
 		cursors: map[string]*store.ReplCursor{},
 		stopCh:  make(chan struct{}),
@@ -202,7 +161,7 @@ func New(src *store.Store, tr Transport, cfg Config) *Replicator {
 		r.tmShippedRecs = tm.Counter(telemetry.MetricReplShippedRecs, "replication records acked by followers")
 		r.tmShippedBytes = tm.Counter(telemetry.MetricReplShippedBytes, "replication payload bytes acked by followers")
 		r.tmPushes = tm.Counter(telemetry.MetricReplPushes, "successful replication pushes")
-		r.tmRetries = tm.Counter(telemetry.MetricReplPushRetries, "replication push attempts beyond the first")
+		r.Instrument(nil, tm.Counter(telemetry.MetricReplPushRetries, "replication push attempts beyond the first"), nil)
 		r.tmPushNS = tm.Histogram(telemetry.MetricReplPushNS, "one replication push round-trip", nil)
 		r.tmBootstraps = tm.Counter(telemetry.MetricReplBootstraps, "full-state transfers shipped")
 		tm.GaugeFunc(telemetry.MetricReplLag, "primary head minus follower acked, summed across indices",
@@ -236,16 +195,13 @@ func (r *Replicator) Stats() Stats {
 		ShippedRecords: r.shippedRecs.Load(),
 		ShippedBytes:   r.shippedBytes.Load(),
 		Pushes:         r.pushes.Load(),
-		Retries:        r.retries.Load(),
+		Retries:        r.Retries(),
 		Bootstraps:     r.bootstraps.Load(),
 		SeqRejects:     r.seqRejects.Load(),
 		Lag:            r.lag.Load(),
 		LastSyncNS:     r.lastSyncNS.Load(),
 	}
 }
-
-// Breaker exposes the breaker guarding this follower (tests, health).
-func (r *Replicator) Breaker() *resilience.Breaker { return r.breaker }
 
 // Target names the follower this replicator ships to.
 func (r *Replicator) Target() string { return r.tr.Target() }
@@ -356,11 +312,12 @@ func (r *Replicator) syncIndex(ctx context.Context, name string) (lag int64, err
 			return r.tr.Apply(c, name, acked, frames)
 		})
 		if err != nil {
-			if !isSeqMismatch(err) {
+			if store.StatusOf(err) != http.StatusConflict {
 				return head - acked, err
 			}
-			// The follower is elsewhere (restart, duplicate, divergence):
-			// resync from its reported position instead of repushing.
+			// A sequence mismatch (409): the follower is elsewhere (restart,
+			// duplicate, divergence). Resync from its reported position
+			// instead of repushing.
 			r.seqRejects.Add(1)
 			if resyncs++; resyncs > 3 {
 				return head - acked, fmt.Errorf("repl: index %q: resync loop: %w", name, err)
@@ -428,59 +385,27 @@ func (r *Replicator) bootstrap(ctx context.Context, name string) error {
 	return nil
 }
 
-// push runs one transport call through the retry → breaker ladder. Retryable
-// failures (timeouts, 5xx, connection errors) burn attempts with jittered
-// backoff floored by Retry-After hints; non-retryable ones — sequence
-// mismatches above all — fail fast for the caller to handle.
+// push runs one transport call up the ladder. A call the ladder gave up on —
+// its attempts spent or the breaker open — is ErrFollowerDown; any other
+// failure, a sequence mismatch above all, returns as it is for the caller to
+// handle.
 func (r *Replicator) push(ctx context.Context, fn func(context.Context) (int64, error)) (int64, error) {
-	var lastErr error
 	start := r.cfg.Clock.NowNS()
-	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.retries.Add(1)
-			r.tmRetries.Inc()
-			r.cfg.Clock.Sleep(r.backoff.Delay(attempt, lastErr))
-		}
-		if !r.breaker.Allow() {
-			if lastErr != nil {
-				return 0, fmt.Errorf("%w: breaker open (last attempt: %v)", ErrFollowerDown, lastErr)
-			}
-			return 0, fmt.Errorf("%w: breaker open", ErrFollowerDown)
-		}
-		c, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-		v, err := fn(c)
-		cancel()
-		if err == nil {
-			r.breaker.RecordSuccess()
-			r.pushes.Add(1)
-			r.tmPushes.Inc()
-			r.tmPushNS.Observe(float64(r.cfg.Clock.NowNS() - start))
-			return v, nil
-		}
-		// A sequence mismatch is a healthy follower answering correctly, not
-		// a failure of the target: it must not open the breaker.
-		if isSeqMismatch(err) {
-			r.breaker.RecordSuccess()
-			return 0, err
-		}
-		r.breaker.RecordFailure()
-		lastErr = err
-		if !resilience.IsRetryable(err) {
-			return 0, err
-		}
+	var v int64
+	err := r.Run(ctx, false, func(c context.Context) (err error) {
+		v, err = fn(c)
+		return err
+	})
+	switch {
+	case err == nil:
+		r.pushes.Add(1)
+		r.tmPushes.Inc()
+		r.tmPushNS.Observe(float64(r.cfg.Clock.NowNS() - start))
+		return v, nil
+	case ctx.Err() != nil || !resilience.IsRetryable(err):
+		return 0, err
 	}
-	return 0, fmt.Errorf("%w: %v", ErrFollowerDown, lastErr)
-}
-
-// isSeqMismatch recognizes the follower's out-of-sequence rejection across
-// transports: the typed error in-process, HTTP 409 over the wire.
-func isSeqMismatch(err error) bool {
-	var se *store.ReplSeqError
-	if errors.As(err, &se) {
-		return true
-	}
-	var he *store.HTTPError
-	return errors.As(err, &he) && he.Status == 409
+	return 0, fmt.Errorf("%w: %v", ErrFollowerDown, err)
 }
 
 // ClientTransport adapts a store.Client into a Transport: the HTTP path a

@@ -14,6 +14,7 @@ import (
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/event"
+	"github.com/dsrhaslab/dio-go/internal/resilience"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
@@ -236,7 +237,7 @@ func newPair(t *testing.T, cfg Config) (*store.Store, *store.Store, *faultTransp
 // stats/health surfaces report a caught-up target.
 func TestSyncDrainsAndReports(t *testing.T) {
 	vclk := clock.NewVirtual(0)
-	primary, follower, _, r := newPair(t, Config{Clock: vclk})
+	primary, follower, _, r := newPair(t, Config{Policy: resilience.Policy{Clock: vclk}})
 	for round := 0; round < 3; round++ {
 		ingestRound(t, primary, round)
 	}
@@ -269,9 +270,9 @@ func TestSyncDrainsAndReports(t *testing.T) {
 // lost or duplicated records.
 func TestPartitionHeals(t *testing.T) {
 	vclk := clock.NewVirtual(0)
-	primary, follower, tr, r := newPair(t, Config{
+	primary, follower, tr, r := newPair(t, Config{Policy: resilience.Policy{
 		Clock: vclk, MaxAttempts: 2, BreakerThreshold: 2, BreakerCooldown: 100 * time.Millisecond,
-	})
+	}})
 	ingestRound(t, primary, 0)
 	tr.mu.Lock()
 	tr.failN = 50 // partition: every call fails for a while
@@ -308,7 +309,7 @@ func TestPartitionHeals(t *testing.T) {
 // the control state anyway.
 func TestDelayedDuplicatedReordered(t *testing.T) {
 	vclk := clock.NewVirtual(0)
-	primary, follower, tr, r := newPair(t, Config{Clock: vclk})
+	primary, follower, tr, r := newPair(t, Config{Policy: resilience.Policy{Clock: vclk}})
 	tr.clk, tr.delay = vclk, 5*time.Millisecond
 	tr.dupApply = true
 	tr.reorderOnce = true
@@ -343,7 +344,7 @@ func TestFollowerCrashMidReplay(t *testing.T) {
 	follower := openDurable(t, fdir)
 	follower.SetFollower()
 	tr := &faultTransport{st: follower}
-	r := New(primary, tr, Config{Clock: vclk})
+	r := New(primary, tr, Config{Policy: resilience.Policy{Clock: vclk}})
 
 	ingestRound(t, primary, 0)
 	ingestRound(t, primary, 1)
@@ -396,7 +397,7 @@ func TestFollowerCrashMidReplay(t *testing.T) {
 // writes as primary.
 func TestPrimaryKillMidIngestFailover(t *testing.T) {
 	vclk := clock.NewVirtual(0)
-	primary, follower, _, r := newPair(t, Config{Clock: vclk})
+	primary, follower, _, r := newPair(t, Config{Policy: resilience.Policy{Clock: vclk}})
 	for round := 0; round < 3; round++ {
 		ingestRound(t, primary, round)
 	}
@@ -441,7 +442,7 @@ func TestGracefulStopDrainsAndResumes(t *testing.T) {
 
 	// A successor replicator (the restarted process) resumes exactly where
 	// the handoff left the follower.
-	r2 := New(primary, tr, Config{Clock: clock.NewVirtual(0)})
+	r2 := New(primary, tr, Config{Policy: resilience.Policy{Clock: clock.NewVirtual(0)}})
 	ingestRound(t, primary, 2)
 	if err := r2.Sync(context.Background()); err != nil {
 		t.Fatalf("successor sync: %v", err)
@@ -463,7 +464,7 @@ func TestGracefulStopDrainsAndResumes(t *testing.T) {
 // hint — measured exactly on the virtual clock.
 func TestRetryAfterFloorHonored(t *testing.T) {
 	vclk := clock.NewVirtual(0)
-	primary, _, tr, r := newPair(t, Config{Clock: vclk, MaxAttempts: 4})
+	primary, _, tr, r := newPair(t, Config{Policy: resilience.Policy{Clock: vclk, MaxAttempts: 4}})
 	ingestRound(t, primary, 0)
 	const hint = 2 * time.Second
 	tr.mu.Lock()
@@ -484,21 +485,21 @@ func TestRetryAfterFloorHonored(t *testing.T) {
 }
 
 // TestChaosReplShipping is the HTTP end-to-end: a real follower server
-// behind the chaos injector faulting the replication path, a ClientTransport
-// shipper, and random 503s with Retry-After — the stream must converge to
-// the control fingerprint anyway.
+// behind the fault handler faulting the replication pushes, a
+// ClientTransport shipper, and random 503s — the stream must converge to the
+// control fingerprint anyway.
 func TestChaosReplShipping(t *testing.T) {
 	primary := openDurable(t, t.TempDir())
 	defer primary.Close()
 	follower := memStore(t)
 	follower.SetFollower()
-	chaos := store.NewChaosHandler(store.NewServer(follower), 42)
-	chaos.SetConfig(store.ChaosConfig{Rate: 0.4, Status: 503, Repl: true})
+	chaos := resilience.NewFaultHandler(store.NewServer(follower), 42)
+	chaos.SetErrorRate(0.4)
 	srv := httptest.NewServer(chaos)
 	defer srv.Close()
 
 	r := New(primary, ClientTransport{C: store.NewClient(srv.URL, store.WithAPIPrefix("/v1"))}, Config{
-		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+		Policy:    resilience.Policy{BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
 		MaxFrames: 4, // many small pushes → many chances to be faulted
 	})
 	for round := 0; round < 4; round++ {
@@ -531,4 +532,50 @@ func memStore(tb testing.TB) *store.Store {
 		tb.Fatal(err)
 	}
 	return st
+}
+
+// cancelTransport is a follower link whose caller gives up mid-call: each
+// status read cancels the caller's context and answers its error.
+type cancelTransport struct {
+	*faultTransport
+	cancel context.CancelFunc
+	calls  int
+}
+
+func (c *cancelTransport) Status(ctx context.Context) (store.ReplState, error) {
+	c.calls++
+	c.cancel()
+	return store.ReplState{}, ctx.Err()
+}
+
+// TestReplCallerCancelEndsLadder: a caller's cancellation ends the push
+// ladder at once — one transport call per pass, no backoff slept, and no
+// breaker failure, so the breaker is still closed after more passes than its
+// threshold.
+func TestReplCallerCancelEndsLadder(t *testing.T) {
+	vclk := clock.NewVirtual(0)
+	primary := openDurable(t, t.TempDir())
+	t.Cleanup(func() { primary.Close() })
+	follower := memStore(t)
+	follower.SetFollower()
+	tr := &cancelTransport{faultTransport: &faultTransport{st: follower}}
+	r := New(primary, tr, Config{Policy: resilience.Policy{Clock: vclk}})
+	ingestRound(t, primary, 0)
+	threshold := resilience.Policy{}.WithDefaults().BreakerThreshold
+	for i := 1; i <= threshold+1; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		tr.cancel = cancel
+		if err := r.Sync(ctx); !errors.Is(err, context.Canceled) || errors.Is(err, ErrFollowerDown) {
+			t.Fatalf("pass %d = %v, want the caller's cancellation", i, err)
+		}
+		if tr.calls != i {
+			t.Fatalf("after pass %d the follower saw %d calls, want one per pass", i, tr.calls)
+		}
+	}
+	if slept := vclk.NowNS(); slept != 0 {
+		t.Fatalf("slept %v after the caller gave up", time.Duration(slept))
+	}
+	if st := r.Breaker().State(); st != resilience.BreakerClosed || r.Stats().Retries != 0 {
+		t.Fatalf("a caller's cancellation fed the ladder: breaker %v, stats %+v", st, r.Stats())
+	}
 }

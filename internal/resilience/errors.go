@@ -16,6 +16,7 @@ package resilience
 
 import (
 	"errors"
+	"net/http"
 	"time"
 )
 
@@ -34,32 +35,38 @@ type retryHinted interface {
 	RetryAfterHint() time.Duration
 }
 
-// classifiedError wraps an error with an explicit retryability class.
+// classifiedError wraps an error with the status its class answers: 503 for
+// a transient failure, 400 for a permanent one. The class decides retries
+// (Temporary) and, through store.StatusOf, whether the failure counts
+// against the target — alike in process and over HTTP.
 type classifiedError struct {
-	err       error
-	retryable bool
+	err    error
+	status int
 }
 
 func (e *classifiedError) Error() string   { return e.err.Error() }
 func (e *classifiedError) Unwrap() error   { return e.err }
-func (e *classifiedError) Temporary() bool { return e.retryable }
+func (e *classifiedError) Temporary() bool { return e.status != http.StatusBadRequest }
 
-// Permanent marks err as non-retryable: the shipper fails the batch
+// HTTPStatus implements store.StatusError.
+func (e *classifiedError) HTTPStatus() int { return e.status }
+
+// Permanent marks err as non-retryable (a 400): the shipper fails the batch
 // immediately (counting its events as dropped) instead of retrying.
 func Permanent(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &classifiedError{err: err, retryable: false}
+	return &classifiedError{err, http.StatusBadRequest}
 }
 
-// Retryable marks err as transient: the shipper retries with backoff and
-// spills the batch if the attempts are exhausted.
+// Retryable marks err as transient (a 503): the shipper retries with backoff
+// and spills the batch if the attempts are exhausted.
 func Retryable(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &classifiedError{err: err, retryable: true}
+	return &classifiedError{err, http.StatusServiceUnavailable}
 }
 
 // IsRetryable classifies err. Errors exposing Temporary() bool (explicit

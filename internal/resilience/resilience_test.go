@@ -75,13 +75,15 @@ func batch(start, n int) []event.Event {
 
 func testConfig(clk clock.Clock) Config {
 	return Config{
-		MaxAttempts:      3,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       8 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Second,
-		SpillEvents:      1 << 20,
-		Clock:            clk,
+		Policy: Policy{
+			MaxAttempts:      3,
+			BaseBackoff:      time.Millisecond,
+			MaxBackoff:       8 * time.Millisecond,
+			BreakerThreshold: 3,
+			BreakerCooldown:  time.Second,
+			Clock:            clk,
+		},
+		SpillEvents: 1 << 20,
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
@@ -16,67 +14,15 @@ import (
 
 // Config tunes the fault-tolerant ship path.
 type Config struct {
-	// MaxAttempts is the per-batch ship attempt budget, first try included
-	// (default 4).
-	MaxAttempts int
-	// BaseBackoff caps the first retry delay; subsequent delays double up to
-	// MaxBackoff, with full jitter (default 10ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 1s).
-	MaxBackoff time.Duration
-	// AttemptTimeout is the per-attempt deadline, layered onto the caller's
-	// context for each delivery attempt (default 5s).
-	AttemptTimeout time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens the
-	// circuit breaker (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before admitting a
-	// recovery probe (default 500ms).
-	BreakerCooldown time.Duration
+	// Policy is the retry → breaker policy of each batch's delivery.
+	Policy
 	// SpillEvents bounds the spill queue in events; overflowing events are
 	// dropped oldest-first and counted (default 65536).
 	SpillEvents int
-	// Clock drives backoff sleeps and breaker cooldowns; a virtual clock
-	// makes retry tests deterministic and instant (default wall clock).
-	Clock clock.Clock
-	// Seed seeds the jitter source (0 selects a fixed default; jitter only
-	// needs to decorrelate concurrent workers, not be unpredictable).
-	Seed int64
 	// Telemetry, when non-nil, receives the ship-path self-accounting
 	// (attempts, retries, backoff delays, spill depth, breaker state). The
 	// tracer wires its own registry through here automatically.
 	Telemetry *telemetry.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 5 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 500 * time.Millisecond
-	}
-	if c.SpillEvents <= 0 {
-		c.SpillEvents = 65536
-	}
-	if c.Clock == nil {
-		c.Clock = clock.NewReal(0)
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // Stats is a snapshot of the shipper's event accounting. Every event handed
@@ -105,43 +51,33 @@ type Stats struct {
 	BreakerState string `json:"breaker_state"`
 }
 
-var (
-	// ErrSpilled reports that BulkEvents parked the batch in the spill queue for
-	// later replay instead of delivering it; the shipper owns its accounting
-	// from here on.
-	ErrSpilled = errors.New("resilience: batch spilled for later replay")
-	// ErrBreakerOpen reports a call rejected by the open circuit breaker.
-	ErrBreakerOpen = errors.New("resilience: circuit breaker open")
-)
+// ErrSpilled reports that BulkEvents parked the batch in the spill queue for
+// later replay instead of delivering it; the shipper owns its accounting from
+// here on.
+var ErrSpilled = errors.New("resilience: batch spilled for later replay")
 
 // Shipper wraps a store.Backend with the retry → breaker → spill → counted
 // drop ladder. It implements store.Backend, so the tracer's drain workers
-// use it transparently; the read path (Search/Count/Correlate) passes
-// through untouched — queries are interactive and their callers handle
-// errors directly.
+// use it transparently; the read path (Search/Count/Correlate) is the
+// embedded backend's, untouched — queries are interactive and their callers
+// handle errors directly.
 type Shipper struct {
-	backend store.Backend
-	cfg     Config
-	breaker *Breaker
-	spill   *spillQueue
+	store.Backend
+	// Ladder runs each batch's delivery attempts.
+	*Ladder
+	spill *spillQueue
 
 	// replayMu serializes spill replay so recovered batches leave in FIFO
 	// order; BulkEvents callers use TryLock and skip replay when another worker
 	// already holds it.
 	replayMu sync.Mutex
 
-	backoff *Backoff
-
 	shipped      atomic.Uint64
-	retries      atomic.Uint64
 	requeued     atomic.Uint64
 	replayed     atomic.Uint64
 	spillDropped atomic.Uint64
 
-	// Telemetry counters/histograms (nil-safe no-ops when unset).
-	tmAttempts     *telemetry.Counter
-	tmRetries      *telemetry.Counter
-	tmBackoffNS    *telemetry.Histogram
+	// Telemetry counters (nil-safe no-ops when unset).
 	tmRequeued     *telemetry.Counter
 	tmReplayed     *telemetry.Counter
 	tmSpillDropped *telemetry.Counter
@@ -151,18 +87,19 @@ var _ store.Backend = (*Shipper)(nil)
 
 // NewShipper wraps backend with cfg's resilience ladder.
 func NewShipper(backend store.Backend, cfg Config) *Shipper {
-	cfg = cfg.withDefaults()
+	if cfg.SpillEvents <= 0 {
+		cfg.SpillEvents = 65536
+	}
 	s := &Shipper{
-		backend: backend,
-		cfg:     cfg,
-		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
+		Backend: backend,
+		Ladder:  NewLadder(cfg.Policy),
 		spill:   newSpillQueue(cfg.SpillEvents),
-		backoff: NewBackoff(cfg.BaseBackoff, cfg.MaxBackoff, cfg.Seed),
 	}
 	if tm := cfg.Telemetry; tm != nil {
-		s.tmAttempts = tm.Counter(telemetry.MetricShipAttempts, "delivery attempts, first tries included")
-		s.tmRetries = tm.Counter(telemetry.MetricRetries, "ship attempts beyond each batch's first")
-		s.tmBackoffNS = tm.Histogram(telemetry.MetricBackoffNS, "backoff delays slept before retries", nil)
+		s.Instrument(
+			tm.Counter(telemetry.MetricShipAttempts, "delivery attempts, first tries included"),
+			tm.Counter(telemetry.MetricRetries, "ship attempts beyond each batch's first"),
+			tm.Histogram(telemetry.MetricBackoffNS, "backoff delays slept before retries", nil))
 		s.tmRequeued = tm.Counter(telemetry.MetricRequeued, "events parked in the spill queue")
 		s.tmReplayed = tm.Counter(telemetry.MetricReplayed, "spilled events later delivered")
 		s.tmSpillDropped = tm.Counter(telemetry.MetricSpillDropped, "events dropped with accounting")
@@ -235,74 +172,20 @@ func (s *Shipper) countReplayed(n uint64) {
 	s.tmReplayed.Add(n)
 }
 
-// ship runs the retry loop for one batch. bypassBreaker is the final flush's
-// last-chance mode: attempts proceed even while the breaker is open, and
-// their outcome still feeds the breaker so recovery is observed.
+// ship runs one batch up the ladder; bypassBreaker is the final flush's
+// last-chance mode.
 func (s *Shipper) ship(ctx context.Context, b *spillBatch, bypassBreaker bool) error {
-	var lastErr error
-	for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.retries.Add(1)
-			s.tmRetries.Inc()
-			d := s.backoff.Delay(attempt, lastErr)
-			s.tmBackoffNS.Observe(float64(d))
-			s.cfg.Clock.Sleep(d)
-		}
-		if !bypassBreaker && !s.breaker.Allow() {
-			if lastErr != nil {
-				return fmt.Errorf("%w (last attempt: %v)", ErrBreakerOpen, lastErr)
-			}
-			return ErrBreakerOpen
-		}
-		err := s.attempt(ctx, b)
-		if err == nil {
-			s.breaker.RecordSuccess()
-			return nil
-		}
-		s.breaker.RecordFailure()
-		lastErr = err
-		if !IsRetryable(err) {
-			return err
-		}
-	}
-	return lastErr
+	return s.Run(ctx, bypassBreaker, func(ctx context.Context) error {
+		return s.Backend.BulkEvents(ctx, b.index, b.events)
+	})
 }
 
-// attempt makes one delivery attempt under a per-attempt deadline layered
-// onto the caller's context.
-func (s *Shipper) attempt(ctx context.Context, b *spillBatch) error {
-	s.tmAttempts.Inc()
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.AttemptTimeout)
-	defer cancel()
-	return s.backend.BulkEvents(ctx, b.index, b.events)
-}
-
-// tryReplay drains the spill queue opportunistically: it backs off
-// immediately if another goroutine is already replaying or the backend is
-// still failing.
+// tryReplay replays parked batches opportunistically, unless another
+// goroutine already is.
 func (s *Shipper) tryReplay(ctx context.Context) {
-	if !s.replayMu.TryLock() {
-		return
-	}
-	defer s.replayMu.Unlock()
-	for {
-		b, ok := s.spill.pop()
-		if !ok {
-			return
-		}
-		err := s.ship(ctx, &b, false)
-		if err == nil {
-			s.countReplayed(uint64(len(b.events)))
-			continue
-		}
-		if IsRetryable(err) {
-			// Still down: park the batch back at the front and stop probing.
-			s.spill.unshift(b)
-			return
-		}
-		// The backend permanently rejected this batch: count the drop and
-		// keep replaying the rest.
-		s.countSpillDropped(uint64(len(b.events)))
+	if s.replayMu.TryLock() {
+		defer s.replayMu.Unlock()
+		_ = s.replay(ctx, false)
 	}
 }
 
@@ -314,30 +197,41 @@ func (s *Shipper) tryReplay(ctx context.Context) {
 func (s *Shipper) Flush() error {
 	s.replayMu.Lock()
 	defer s.replayMu.Unlock()
+	return s.replay(context.Background(), true)
+}
+
+// replay drains the spill queue in FIFO order; the caller holds replayMu. A
+// batch the backend permanently rejects is dropped and counted, and the rest
+// replay. Opportunistic replay stops at a batch that still fails retryably,
+// parking it back at the front; the final flush drops and counts it too.
+func (s *Shipper) replay(ctx context.Context, final bool) error {
 	var errs []error
 	for {
 		b, ok := s.spill.pop()
 		if !ok {
-			break
+			return errors.Join(errs...)
 		}
-		err := s.ship(context.Background(), &b, true)
-		if err == nil {
-			s.countReplayed(uint64(len(b.events)))
-			continue
-		}
-		s.countSpillDropped(uint64(len(b.events)))
-		if len(errs) < 4 {
-			errs = append(errs, fmt.Errorf("flush %d spilled events: %w", len(b.events), err))
+		n := uint64(len(b.events))
+		switch err := s.ship(ctx, &b, final); {
+		case err == nil:
+			s.countReplayed(n)
+		case !final && IsRetryable(err):
+			s.spill.unshift(b)
+			return nil
+		default:
+			s.countSpillDropped(n)
+			if final && len(errs) < 4 {
+				errs = append(errs, fmt.Errorf("flush %d spilled events: %w", n, err))
+			}
 		}
 	}
-	return errors.Join(errs...)
 }
 
 // Stats snapshots the shipper's accounting.
 func (s *Shipper) Stats() Stats {
 	return Stats{
 		Shipped:       s.shipped.Load(),
-		Retries:       s.retries.Load(),
+		Retries:       s.Retries(),
 		Requeued:      s.requeued.Load(),
 		Replayed:      s.replayed.Load(),
 		SpillDropped:  s.spillDropped.Load(),
@@ -346,22 +240,4 @@ func (s *Shipper) Stats() Stats {
 		BreakerCloses: s.breaker.Closes(),
 		BreakerState:  s.breaker.State().String(),
 	}
-}
-
-// Breaker exposes the underlying breaker (tests and health reporting).
-func (s *Shipper) Breaker() *Breaker { return s.breaker }
-
-// SearchEvents delegates to the wrapped backend.
-func (s *Shipper) SearchEvents(ctx context.Context, index string, req store.SearchRequest) (store.EventsResult, error) {
-	return s.backend.SearchEvents(ctx, index, req)
-}
-
-// Count delegates to the wrapped backend.
-func (s *Shipper) Count(ctx context.Context, index string, q store.Query) (int, error) {
-	return s.backend.Count(ctx, index, q)
-}
-
-// Correlate delegates to the wrapped backend.
-func (s *Shipper) Correlate(ctx context.Context, index, session string) (store.CorrelationResult, error) {
-	return s.backend.Correlate(ctx, index, session)
 }

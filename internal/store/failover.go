@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -52,28 +53,18 @@ func (f *FailoverClient) Active() *Client { return f.nodes[f.active.Load()] }
 func (f *FailoverClient) Switches() uint64 { return f.switches.Load() }
 
 // failoverWorthy reports whether err suggests the active node is dead or no
-// longer primary, rather than the request itself being bad. Transport-level
-// failures (no *HTTPError) and 5xx qualify; so do 403/409, which the server
-// uses for role mismatches (writes to a read-only follower). Plain client
-// errors — bad query, missing index — are returned to the caller untouched.
-func failoverWorthy(err error) bool {
-	if err == nil {
+// longer primary, rather than the request itself being bad. It reads the
+// status table: a 5xx qualifies — a transport failure and a deadline the
+// client set itself map to 500, so a hung primary does — and so do 403/409,
+// which the server uses for role mismatches (writes to a read-only
+// follower). Plain client errors — bad query, missing index — and any error
+// once the caller's context is done are returned to the caller untouched.
+func failoverWorthy(ctx context.Context, err error) bool {
+	if err == nil || ctx.Err() != nil {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var he *HTTPError
-	if !errors.As(err, &he) {
-		return true // transport failure: connection refused, reset, ...
-	}
-	switch {
-	case he.Status >= 500:
-		return true
-	case he.Status == 403 || he.Status == 409:
-		return true
-	}
-	return false
+	code := StatusOf(err)
+	return code >= 500 || code == http.StatusForbidden || code == http.StatusConflict
 }
 
 // repick probes every node's health — the non-active ones first, since the
@@ -109,10 +100,7 @@ func (f *FailoverClient) repick() bool {
 // re-probes the set and retries once against the new primary.
 func (f *FailoverClient) do(ctx context.Context, op func(*Client) error) error {
 	err := op(f.Active())
-	if !failoverWorthy(err) {
-		return err
-	}
-	if ctx.Err() != nil {
+	if !failoverWorthy(ctx, err) {
 		return err
 	}
 	if !f.repick() {

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
 )
@@ -433,5 +436,65 @@ func TestFailoverClientRedirects(t *testing.T) {
 	}
 	if fo.Switches() != 1 {
 		t.Fatalf("extra probe after failover: switches = %d", fo.Switches())
+	}
+}
+
+// TestFailoverHungPrimary: a primary that never answers fails the request on
+// the client's own deadline while the caller's context is live — a 500 in the
+// status table — so the client fails over to the live primary beside it.
+func TestFailoverHungPrimary(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
+	live := memStore(t)
+	if err := live.BulkEvents(context.Background(), "ix", docFixture()); err != nil {
+		t.Fatal(err)
+	}
+	lsrv := httptest.NewServer(NewServer(live))
+	defer lsrv.Close()
+
+	hc := NewClient(hung.URL, WithAPIPrefix("/v1"))
+	hc.SetRequestTimeout(50 * time.Millisecond)
+	fo, err := NewFailoverClient(hc, NewClient(lsrv.URL, WithAPIPrefix("/v1")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := fo.Count(context.Background(), "ix", MatchAll())
+	if err != nil || n != len(docFixture()) {
+		t.Fatalf("count through a hung primary = %d, %v; want %d from the live one", n, err, len(docFixture()))
+	}
+	if fo.Switches() != 1 {
+		t.Fatalf("switches = %d, want 1", fo.Switches())
+	}
+}
+
+// TestReplApplyErrorsThroughStatusTable: the replication routes answer
+// through the one status table — an out-of-sequence push is a 409 whose body
+// still carries the follower's applied sequence, and a push to a node that
+// is not a follower is a 403.
+func TestReplApplyErrorsThroughStatusTable(t *testing.T) {
+	follower := memStore(t)
+	follower.SetFollower()
+	push := func(st *Store) (int, map[string]any) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/_repl/apply", strings.NewReader(`{"index":"ix","from":5,"frames":[]}`))
+		NewServer(st).ServeHTTP(rec, req)
+		var body map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("decode %q: %v", rec.Body.String(), err)
+		}
+		return rec.Code, body
+	}
+	if code, body := push(follower); code != http.StatusConflict || body["applied"] != float64(0) || body["error"] == nil {
+		t.Fatalf("out-of-sequence push = %d %v, want 409 carrying applied 0", code, body)
+	}
+	if code, body := push(memStore(t)); code != http.StatusForbidden {
+		t.Fatalf("push to a primary = %d %v, want 403", code, body)
 	}
 }

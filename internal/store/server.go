@@ -350,25 +350,9 @@ type replApplyRequest struct {
 	Frames []ReplFrame `json:"frames"`
 }
 
-// writeReplError maps replication errors onto statuses the shipper
-// dispatches on: 403 for role mismatches (this node is not a follower), 409
-// with the applied sequence for out-of-order pushes (the shipper resyncs
-// instead of retrying), 500 otherwise. Both 4xx shapes are non-temporary
-// under HTTPError's classification, so the resilience ladder fails fast.
-func writeReplError(w http.ResponseWriter, applied int64, err error) {
-	var seqErr *ReplSeqError
-	switch {
-	case errors.As(err, &seqErr):
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error": err.Error(), "applied": applied,
-		})
-	case errors.Is(err, ErrNotFollower):
-		httpError(w, http.StatusForbidden, "%v", err)
-	default:
-		httpError(w, http.StatusInternalServerError, "%v", err)
-	}
-}
-
+// handleReplApply applies pushed frames on a follower. A failure answers
+// through WriteError: 409 with the applied sequence on a mismatch, 403 on a
+// node that is not a follower.
 func (s *Server) handleReplApply(w http.ResponseWriter, r *http.Request, _ string) {
 	var req replApplyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -376,11 +360,7 @@ func (s *Server) handleReplApply(w http.ResponseWriter, r *http.Request, _ strin
 		return
 	}
 	applied, err := s.node.ReplApply(r.Context(), req.Index, req.From, req.Frames)
-	if err != nil {
-		writeReplError(w, applied, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int64{"applied": applied})
+	answer(w, map[string]int64{"applied": applied}, err)
 }
 
 // replBootstrapRequest is the POST /_repl/bootstrap body: a full-state
@@ -398,11 +378,8 @@ func (s *Server) handleReplBootstrap(w http.ResponseWriter, r *http.Request, _ s
 		httpError(w, http.StatusBadRequest, "bad repl bootstrap request: %v", err)
 		return
 	}
-	if err := s.node.ReplBootstrap(r.Context(), req.Index, req.ReplSnapshot); err != nil {
-		writeReplError(w, 0, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int64{"applied": req.Seq})
+	err := s.node.ReplBootstrap(r.Context(), req.Index, req.ReplSnapshot)
+	answer(w, map[string]int64{"applied": req.Seq}, err)
 }
 
 // handleReplPromote flips a follower to primary (idempotent on a primary).
@@ -475,9 +452,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index stri
 	writeSearchResult(w, r, res)
 }
 
-// StatusError is an error that names the HTTP status WriteError answers it
-// with. A cluster coordinator's partition failures are of this kind: a
-// partition it cannot reach (503) or that failed (502).
+// StatusError is an error that names its own HTTP status in StatusOf. A
+// cluster coordinator's partition failures are of this kind — a partition it
+// cannot reach (503) or that failed (502) — and so are resilience's
+// Retryable (503) and Permanent (400) marks.
 type StatusError interface {
 	error
 	HTTPStatus() int
@@ -496,34 +474,49 @@ func (e badRequest) Unwrap() error { return e.error }
 // client error worth a 400, never a retry.
 func IsBadRequest(err error) bool { return errors.As(err, new(badRequest)) }
 
-// WriteError answers a failed operation — on a node or a coordinator, a
-// built-in route or one registered with HandleOp — with the status its error
-// calls for. The store's own failures map first, then a node's status a
-// coordinator forwards, then a StatusError's own status; anything else is a
-// 500. 404 means exactly "no such index", because a cluster coordinator
-// reads a node's 404 as an empty partition: a node that cannot read a
-// segment must fail the scattered request (500), never shrink its totals.
-func WriteError(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
+// StatusOf is the one status table: the HTTP status an error means, in
+// process and on the wire alike. The store's own failures map first, then a
+// node's status a client surfaced (HTTPError), then a StatusError's own
+// status; anything else — a transport failure, a deadline — is a 500. 404
+// means exactly "no such index", because a cluster coordinator reads a
+// node's 404 as an empty partition: a node that cannot read a segment must
+// fail the scattered request (500), never shrink its totals. A replication
+// push out of sequence is a 409 (the shipper resyncs instead of retrying),
+// and one sent to a node that is not a follower a 403.
+func StatusOf(err error) int {
 	var he *HTTPError
 	var se StatusError
 	switch {
 	case errors.Is(err, ErrIndexNotFound):
-		code = http.StatusNotFound
+		return http.StatusNotFound
 	case IsBadRequest(err):
-		code = http.StatusBadRequest
+		return http.StatusBadRequest
 	case errors.Is(err, ErrCursorExpired):
 		// 410 Gone: the cursor named rows the retention horizon already
 		// dropped — a permanent condition, not worth a client retry.
-		code = http.StatusGone
-	case errors.Is(err, ErrReadOnlyFollower):
-		code = http.StatusConflict
+		return http.StatusGone
+	case errors.Is(err, ErrReadOnlyFollower), errors.As(err, new(*ReplSeqError)):
+		return http.StatusConflict
+	case errors.Is(err, ErrNotFollower):
+		return http.StatusForbidden
 	case errors.As(err, &he):
-		code = he.Status
+		return he.Status
 	case errors.As(err, &se):
-		code = se.HTTPStatus()
+		return se.HTTPStatus()
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	return http.StatusInternalServerError
+}
+
+// WriteError answers a failed operation — on a node or a coordinator, a
+// built-in route or one registered with HandleOp — with StatusOf(err). A
+// sequence mismatch's body also carries the follower's applied sequence.
+func WriteError(w http.ResponseWriter, err error) {
+	body := map[string]any{"error": err.Error()}
+	var seq *ReplSeqError
+	if errors.As(err, &seq) {
+		body["applied"] = seq.Want
+	}
+	writeJSON(w, StatusOf(err), body)
 }
 
 // handleScatter serves one partition's share of a cluster search: mergeable
