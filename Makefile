@@ -174,15 +174,15 @@ chaos-cluster:
 ## superseded-log resurrection, frame-journal round-trips, correlation killed
 ## before its paths record reached the log and after it but before a manifest
 ## carried it, paths recovered from the manifest's book, a pass that counts
-## flushed rows cold (equal to an in-memory control, in process and over /v1),
-## a data dir written by the earlier flat layout opening as it is, and the
-## segment matrix (torn segment writes,
+## flushed rows cold (equal to an in-memory control, in process and over
+## HTTP), and the segment matrix (torn segment writes,
 ## compaction killed before the manifest commit, manifests referencing
 ## missing segments, multi-segment follower bootstrap) — each recovery
 ## compared field-for-field against a never-crashed control — plus the typed
-## rejection of every retired on-disk form, and counts read while an index's
-## first snapshot evicts its rows (TestDurableCountDuringFirstEviction: every
-## count must see one cut, never the moved rows twice or not at all), under
-## -race.
+## rejection of every retired on-disk form (a segment's generic rows refused
+## by LoadManifest when counted and by OpenSegment when not), and counts
+## read while an index's first snapshot evicts its rows
+## (TestDurableCountDuringFirstEviction: every count must see one cut, never
+## the moved rows twice or not at all), under -race.
 crash:
 	$(GO) test -race -run 'TestCrash|TestDurable|TestFrameJournal|TestRecovery|TestRetired|TestWAL|TestSegment|TestManifest' ./internal/store/ ./internal/durable/

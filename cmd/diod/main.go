@@ -24,7 +24,7 @@
 //
 //	diod -addr :9200 -cluster 'http://n0:9200|http://n0b:9201,http://n1:9200,http://n2:9200,http://n3:9200'
 //
-// The coordinator serves the same /v1 API as a node — writes are striped
+// The coordinator serves the same API as a node — writes are striped
 // row-by-row across the partitions, searches scatter to every partition and
 // merge once — so tracers and visualizers point at it unchanged.
 package main
@@ -145,7 +145,7 @@ func run(cfg config) error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	fmt.Printf("diod: analysis backend listening on %s\n", cfg.addr)
-	fmt.Println("endpoints (also under /v1):", strings.Join(server.Routes(), " | "))
+	fmt.Println("endpoints:", strings.Join(server.Routes(), " | "))
 	if cfg.data != "" {
 		fmt.Printf("durability: data dir %s, fsync %s, snapshot every %s\n", cfg.data, policy, cfg.snapshot)
 		if cfg.retention > 0 {
@@ -229,7 +229,7 @@ func parseTopology(spec string) ([]cluster.Node, []string, error) {
 			if u == "" {
 				continue
 			}
-			members = append(members, store.NewClient(u, store.WithAPIPrefix("/v1")))
+			members = append(members, store.NewClient(u))
 		}
 		if len(members) == 0 {
 			return nil, nil, fmt.Errorf("cluster topology: empty partition in %q", spec)
@@ -269,7 +269,7 @@ func runCluster(cfg config) error {
 	for p, t := range targets {
 		fmt.Printf("partition %d: %s\n", p, t)
 	}
-	fmt.Println("endpoints (also under /v1):", strings.Join(server.Routes(), " | "))
+	fmt.Println("endpoints:", strings.Join(server.Routes(), " | "))
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

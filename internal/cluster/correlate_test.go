@@ -132,7 +132,7 @@ func corrBackend(t *testing.T, stores []*store.Store, overHTTP bool) (store.Back
 		}
 		srv := httptest.NewServer(store.NewServer(st))
 		t.Cleanup(srv.Close)
-		fc, err := store.NewFailoverClient(store.NewClient(srv.URL, store.WithAPIPrefix("/v1")))
+		fc, err := store.NewFailoverClient(store.NewClient(srv.URL))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestClusterCorrelationPartialBroadcast(t *testing.T) {
 	// Over HTTP the failure is the coordinator's 502.
 	csrv := httptest.NewServer(store.NewServer(co))
 	defer csrv.Close()
-	if code, body := doRaw(t, http.MethodPost, csrv.URL+"/v1/"+testIndex+"/_correlate?session="+corrSession, nil); code != http.StatusBadGateway ||
+	if code, body := doRaw(t, http.MethodPost, csrv.URL+"/"+testIndex+"/_correlate?session="+corrSession, nil); code != http.StatusBadGateway ||
 		!strings.Contains(string(body), "partition 2") {
 		t.Fatalf("HTTP correlate with a failing partition = %d %s, want 502 naming partition 2", code, body)
 	}

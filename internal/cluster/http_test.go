@@ -49,7 +49,7 @@ func newHTTPClusterOver(t *testing.T, stores []*store.Store) (*Coordinator, *htt
 	for i, st := range stores {
 		srv := httptest.NewServer(store.NewServer(st))
 		t.Cleanup(srv.Close)
-		fc, err := store.NewFailoverClient(store.NewClient(srv.URL, store.WithAPIPrefix("/v1")))
+		fc, err := store.NewFailoverClient(store.NewClient(srv.URL))
 		if err != nil {
 			t.Fatalf("failover client: %v", err)
 		}
@@ -107,7 +107,7 @@ func TestClusterNDJSONEdge(t *testing.T) {
 
 	const exact = int64(1687859999123456789) // float64 would store ...456768
 	ok := `{"index":{}}` + "\n" + `{"session":"ns","syscall":"write","time_enter_ns":1687859999123456789,"time_exit_ns":1687859999123456799}` + "\n"
-	if code, body := postRaw(t, csrv.URL+"/v1/"+testIndex+"/_bulk", "application/x-ndjson", []byte(ok)); code != http.StatusOK {
+	if code, body := postRaw(t, csrv.URL+"/"+testIndex+"/_bulk", "application/x-ndjson", []byte(ok)); code != http.StatusOK {
 		t.Fatalf("ndjson bulk via coordinator: %d %s", code, body)
 	}
 	var got []int64
@@ -132,8 +132,8 @@ func TestClusterNDJSONEdge(t *testing.T) {
 		{"dangling action line", `{"session":"s"}` + "\n" + `{"index":{}}`, "line 3"},
 	} {
 		body := []byte(`{"index":{}}` + "\n" + tc.doc + "\n")
-		scode, sbody := postRaw(t, ssrv.URL+"/v1/rej/_bulk", "application/x-ndjson", body)
-		ccode, cbody := postRaw(t, csrv.URL+"/v1/rej/_bulk", "application/x-ndjson", body)
+		scode, sbody := postRaw(t, ssrv.URL+"/rej/_bulk", "application/x-ndjson", body)
+		ccode, cbody := postRaw(t, csrv.URL+"/rej/_bulk", "application/x-ndjson", body)
 		if ccode != http.StatusBadRequest || !bytes.Contains(cbody, []byte(tc.names)) {
 			t.Errorf("%s: coordinator answered %d %s; want 400 naming %q", tc.name, ccode, cbody, tc.names)
 		}
@@ -156,8 +156,8 @@ func TestClusterHTTPTransparency(t *testing.T) {
 	_, csrv, _ := newHTTPCluster(t, 4)
 
 	// Ingest through both HTTP front doors: binary frames and NDJSON bulks.
-	singleC := store.NewClient(ssrv.URL, store.WithAPIPrefix("/v1"))
-	clusterC := store.NewClient(csrv.URL, store.WithAPIPrefix("/v1"))
+	singleC := store.NewClient(ssrv.URL)
+	clusterC := store.NewClient(csrv.URL)
 	ingestBoth(t, singleC, clusterC)
 
 	var ndjson bytes.Buffer
@@ -168,7 +168,7 @@ func TestClusterHTTPTransparency(t *testing.T) {
 		ndjson.WriteByte('\n')
 	}
 	for _, base := range []string{ssrv.URL, csrv.URL} {
-		code, body := postRaw(t, base+"/v1/"+testIndex+"/_bulk", "application/x-ndjson", ndjson.Bytes())
+		code, body := postRaw(t, base+"/"+testIndex+"/_bulk", "application/x-ndjson", ndjson.Bytes())
 		if code != http.StatusOK {
 			t.Fatalf("ndjson bulk via %s: %d %s", base, code, body)
 		}
@@ -179,8 +179,8 @@ func TestClusterHTTPTransparency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("marshal request: %v", err)
 		}
-		scode, sbody := postRaw(t, ssrv.URL+"/v1/"+testIndex+"/_search", "application/json", rb)
-		ccode, cbody := postRaw(t, csrv.URL+"/v1/"+testIndex+"/_search", "application/json", rb)
+		scode, sbody := postRaw(t, ssrv.URL+"/"+testIndex+"/_search", "application/json", rb)
+		ccode, cbody := postRaw(t, csrv.URL+"/"+testIndex+"/_search", "application/json", rb)
 		if scode != http.StatusOK || ccode != http.StatusOK {
 			t.Fatalf("%s: statuses single=%d cluster=%d", name, scode, ccode)
 		}
@@ -193,8 +193,8 @@ func TestClusterHTTPTransparency(t *testing.T) {
 			t.Fatalf("%s: 200 with an undecodable body %q: %v", name, cbody, err)
 		}
 		// The typed body a client's SearchEvents reads is the same bytes too.
-		scode, sct, sbody := postAccepting(t, ssrv.URL+"/v1/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV1, rb)
-		ccode, cct, cbody := postAccepting(t, csrv.URL+"/v1/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV1, rb)
+		scode, sct, sbody := postAccepting(t, ssrv.URL+"/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV1, rb)
+		ccode, cct, cbody := postAccepting(t, csrv.URL+"/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV1, rb)
 		if scode != http.StatusOK || ccode != http.StatusOK || sct != event.ContentTypeBinaryV1 || cct != sct {
 			t.Fatalf("%s: typed answers: single %d %q, cluster %d %q", name, scode, sct, ccode, cct)
 		}
@@ -220,19 +220,19 @@ func TestClusterHTTPTransparency(t *testing.T) {
 	badReq, _ := json.Marshal(store.SearchRequest{
 		Query: store.MatchAll(), Size: 3, From: 1, SearchAfter: []any{float64(4)},
 	})
-	scode, _ := postRaw(t, ssrv.URL+"/v1/"+testIndex+"/_search", "application/json", badReq)
-	ccode, _ := postRaw(t, csrv.URL+"/v1/"+testIndex+"/_search", "application/json", badReq)
+	scode, _ := postRaw(t, ssrv.URL+"/"+testIndex+"/_search", "application/json", badReq)
+	ccode, _ := postRaw(t, csrv.URL+"/"+testIndex+"/_search", "application/json", badReq)
 	if scode != http.StatusBadRequest || ccode != http.StatusBadRequest {
 		t.Fatalf("From+cursor: single=%d cluster=%d, want 400/400", scode, ccode)
 	}
-	scode, _ = postRaw(t, ssrv.URL+"/v1/nope/_search", "application/json", []byte(`{}`))
-	ccode, _ = postRaw(t, csrv.URL+"/v1/nope/_search", "application/json", []byte(`{}`))
+	scode, _ = postRaw(t, ssrv.URL+"/nope/_search", "application/json", []byte(`{}`))
+	ccode, _ = postRaw(t, csrv.URL+"/nope/_search", "application/json", []byte(`{}`))
 	if scode != http.StatusNotFound || ccode != http.StatusNotFound {
 		t.Fatalf("missing index: single=%d cluster=%d, want 404/404", scode, ccode)
 	}
 
 	// Stats through the coordinator aggregates with a partition breakdown.
-	hresp, err := http.Get(csrv.URL + "/v1/" + testIndex + "/_stats")
+	hresp, err := http.Get(csrv.URL + "/" + testIndex + "/_stats")
 	if err != nil {
 		t.Fatalf("GET _stats: %v", err)
 	}
@@ -254,13 +254,13 @@ func TestClusterHTTPTransparency(t *testing.T) {
 // report per-node routing state and fan-out counters.
 func TestClusterHealthAndMetricsHTTP(t *testing.T) {
 	_, csrv, _ := newHTTPCluster(t, 2)
-	clusterC := store.NewClient(csrv.URL, store.WithAPIPrefix("/v1"))
+	clusterC := store.NewClient(csrv.URL)
 	ingestBoth(t, clusterC)
 	if _, err := clusterC.Search(context.Background(), testIndex, store.SearchRequest{Query: store.MatchAll(), Size: 1}); err != nil {
 		t.Fatalf("search: %v", err)
 	}
 
-	hresp, err := http.Get(csrv.URL + "/v1/_health")
+	hresp, err := http.Get(csrv.URL + "/_health")
 	if err != nil {
 		t.Fatalf("GET _health: %v", err)
 	}
@@ -330,8 +330,8 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	})
 	shipper.Start()
 	fo0, err := store.NewFailoverClient(
-		store.NewClient(psrv.URL, store.WithAPIPrefix("/v1")),
-		store.NewClient(fsrv.URL, store.WithAPIPrefix("/v1")))
+		store.NewClient(psrv.URL),
+		store.NewClient(fsrv.URL))
 	if err != nil {
 		t.Fatalf("failover client: %v", err)
 	}
@@ -340,7 +340,7 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	st1 := memStore(t)
 	srv1 := httptest.NewServer(store.NewServer(st1))
 	defer srv1.Close()
-	fo1, err := store.NewFailoverClient(store.NewClient(srv1.URL, store.WithAPIPrefix("/v1")))
+	fo1, err := store.NewFailoverClient(store.NewClient(srv1.URL))
 	if err != nil {
 		t.Fatalf("failover client: %v", err)
 	}
@@ -432,7 +432,7 @@ func TestClusterHTTPNode404Sentinel(t *testing.T) {
 	st := memStore(t)
 	srv := httptest.NewServer(store.NewServer(st))
 	defer srv.Close()
-	fc, err := store.NewFailoverClient(store.NewClient(srv.URL, store.WithAPIPrefix("/v1")))
+	fc, err := store.NewFailoverClient(store.NewClient(srv.URL))
 	if err != nil {
 		t.Fatalf("failover client: %v", err)
 	}
@@ -527,8 +527,8 @@ func TestClusterMalformedFrameAnswersAsNode(t *testing.T) {
 		{"truncated", good[:len(good)-3]},
 		{"empty body", nil},
 	} {
-		scode, sbody := postRaw(t, ssrv.URL+"/v1/rej/_bulk", event.ContentTypeBinaryV1, tc.frame)
-		ccode, cbody := postRaw(t, csrv.URL+"/v1/rej/_bulk", event.ContentTypeBinaryV1, tc.frame)
+		scode, sbody := postRaw(t, ssrv.URL+"/rej/_bulk", event.ContentTypeBinaryV1, tc.frame)
+		ccode, cbody := postRaw(t, csrv.URL+"/rej/_bulk", event.ContentTypeBinaryV1, tc.frame)
 		if scode != http.StatusBadRequest {
 			t.Fatalf("%s: node answered %d %s, want 400", tc.name, scode, sbody)
 		}
@@ -551,9 +551,9 @@ func TestClusterMissingIndexBodiesMatchNode(t *testing.T) {
 	_, csrv, _ := newHTTPCluster(t, 2)
 
 	for _, tc := range []struct{ method, route, body string }{
-		{http.MethodPost, "/v1/nope/_search", `{}`},
-		{http.MethodPost, "/v1/nope/_count", `{}`},
-		{http.MethodGet, "/v1/nope/_stats", ``},
+		{http.MethodPost, "/nope/_search", `{}`},
+		{http.MethodPost, "/nope/_count", `{}`},
+		{http.MethodGet, "/nope/_stats", ``},
 	} {
 		var codes [2]int
 		var bodies [2][]byte
@@ -573,14 +573,14 @@ func TestClusterMissingIndexBodiesMatchNode(t *testing.T) {
 func TestClusterNodeOnlyRoutesStayOnNodes(t *testing.T) {
 	_, csrv, _ := newHTTPCluster(t, 2)
 	for _, tc := range []struct{ method, route string }{
-		{http.MethodPost, "/v1/" + testIndex + "/_scatter"},
 		{http.MethodPost, "/" + testIndex + "/_scatter"},
-		{http.MethodPost, "/v1/" + testIndex + "/_paths"},
+		{http.MethodPost, "/" + testIndex + "/_scatter"},
 		{http.MethodPost, "/" + testIndex + "/_paths"},
-		{http.MethodGet, "/v1/_repl/status"},
-		{http.MethodPost, "/v1/_repl/apply"},
-		{http.MethodPost, "/v1/_repl/bootstrap"},
-		{http.MethodPost, "/v1/_repl/promote"},
+		{http.MethodPost, "/" + testIndex + "/_paths"},
+		{http.MethodGet, "/_repl/status"},
+		{http.MethodPost, "/_repl/apply"},
+		{http.MethodPost, "/_repl/bootstrap"},
+		{http.MethodPost, "/_repl/promote"},
 		{http.MethodPost, "/_repl/promote"},
 	} {
 		if code, body := doRaw(t, tc.method, csrv.URL+tc.route, []byte(`{}`)); code != http.StatusNotFound {
@@ -735,7 +735,7 @@ func TestClusterHungNodeTripsBreaker(t *testing.T) {
 	}))
 	defer hung.Close()
 	defer close(release)
-	c := store.NewClient(hung.URL, store.WithAPIPrefix("/v1"))
+	c := store.NewClient(hung.URL)
 	c.SetRequestTimeout(50 * time.Millisecond)
 	co, err := New(Config{Clock: clock.NewVirtual(0), BreakerThreshold: 2}, clientNode{c})
 	if err != nil {

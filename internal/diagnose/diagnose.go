@@ -53,27 +53,23 @@ func (s Severity) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
 
-// UnmarshalJSON accepts both the label form and the legacy numeric form.
+// UnmarshalJSON accepts the label form MarshalJSON writes; a number or an
+// unknown label is an error.
 func (s *Severity) UnmarshalJSON(b []byte) error {
 	var label string
-	if err := json.Unmarshal(b, &label); err == nil {
-		switch label {
-		case "info":
-			*s = SeverityInfo
-		case "warning":
-			*s = SeverityWarning
-		case "critical":
-			*s = SeverityCritical
-		default:
-			return fmt.Errorf("unknown severity %q", label)
-		}
-		return nil
+	if err := json.Unmarshal(b, &label); err != nil {
+		return fmt.Errorf("severity must be a label: %s", b)
 	}
-	var n int
-	if err := json.Unmarshal(b, &n); err != nil {
-		return fmt.Errorf("severity must be a label or number: %s", b)
+	switch label {
+	case "info":
+		*s = SeverityInfo
+	case "warning":
+		*s = SeverityWarning
+	case "critical":
+		*s = SeverityCritical
+	default:
+		return fmt.Errorf("unknown severity %q", label)
 	}
-	*s = Severity(n)
 	return nil
 }
 

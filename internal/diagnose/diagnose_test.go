@@ -2,6 +2,7 @@ package diagnose
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -207,4 +208,25 @@ func memStore(tb testing.TB) *store.Store {
 		tb.Fatal(err)
 	}
 	return st
+}
+
+// TestSeverityJSON: the three labels round-trip; a number or an unknown
+// label is an error, never a finding of weight 0.
+func TestSeverityJSON(t *testing.T) {
+	for _, s := range []Severity{SeverityInfo, SeverityWarning, SeverityCritical} {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Severity
+		if err := json.Unmarshal(b, &back); err != nil || back != s {
+			t.Errorf("%s: %s decoded to %v, %v", s, b, back, err)
+		}
+	}
+	for _, in := range []string{`7`, `-1`, `"fatal"`} {
+		var f Finding
+		if err := json.Unmarshal([]byte(`{"severity":`+in+`}`), &f); err == nil {
+			t.Errorf("severity %s decoded to %v (weight %d), want an error", in, f.Severity, f.Severity.Weight())
+		}
+	}
 }

@@ -254,7 +254,7 @@ func TestGoldenReports(t *testing.T) {
 				rep, err := NewClient(store.NewClient(srv.URL)).Diagnose(ctx, "events", gs.name)
 				check(fmt.Sprintf("http shards=%d page=default", shards), rep, err)
 				// Client.Diagnose sends no Params; the small page rides a raw body.
-				resp, err := http.Post(srv.URL+"/v1/events/_diagnose?session="+gs.name,
+				resp, err := http.Post(srv.URL+"/events/_diagnose?session="+gs.name,
 					"application/json", strings.NewReader(`{"page_size":7}`))
 				if err == nil {
 					rep = Report{}

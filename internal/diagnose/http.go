@@ -17,13 +17,12 @@ import (
 //	POST /{index}/_dfg?session=NAME        build and return the session DFG
 //	POST /{index}/_diff?a=NAME&b=NAME      diff two sessions' reports + DFGs
 //
-// Each accepts an optional Params JSON body. The routes ride the server's
-// dual mounting, so they serve under /v1/ and the legacy alias alike, and
-// answer through the server's own writers; the engine reads the served
-// backend, and its telemetry lands in that backend's registry, which GET
-// /metrics exposes. The engine lives here rather than in the store package
-// so the store stays diagnosis-agnostic; the server only grows a generic op
-// hook.
+// Each accepts an optional Params JSON body. The routes join the server's
+// one route table and answer through the server's own writers; the engine
+// reads the served backend, and its telemetry lands in that backend's
+// registry, which GET /metrics exposes. The engine lives here rather than in
+// the store package so the store stays diagnosis-agnostic; the server only
+// grows a generic op hook.
 func Install(srv *store.Server) *Engine {
 	b := srv.Backend()
 	e := NewEngine(DefaultRegistry(), WithTelemetry(b.Telemetry()))

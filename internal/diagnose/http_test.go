@@ -108,24 +108,6 @@ func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
-func TestDiagnosisRoutesServeV1AndLegacyIdentically(t *testing.T) {
-	srv := newDiagnosisServer(t)
-	for _, route := range []string{
-		"/events/_diagnose?session=buggy",
-		"/events/_dfg?session=buggy",
-		"/events/_diff?a=buggy&b=fixed",
-	} {
-		legacyCode, legacyBody := postRaw(t, srv.URL+route, nil)
-		v1Code, v1Body := postRaw(t, srv.URL+"/v1"+route, nil)
-		if legacyCode != http.StatusOK || v1Code != http.StatusOK {
-			t.Fatalf("%s: status legacy=%d v1=%d", route, legacyCode, v1Code)
-		}
-		if !bytes.Equal(legacyBody, v1Body) {
-			t.Fatalf("%s: v1 and legacy bodies differ:\n%s\nvs\n%s", route, legacyBody, v1Body)
-		}
-	}
-}
-
 func TestDiagnosisRouteErrors(t *testing.T) {
 	srv := newDiagnosisServer(t)
 	if code, _ := postRaw(t, srv.URL+"/events/_diagnose", nil); code != http.StatusBadRequest {
@@ -157,7 +139,7 @@ func TestDiagnosisRouteErrors(t *testing.T) {
 func TestDiagnoseParamsBodyIsHonored(t *testing.T) {
 	srv := newDiagnosisServer(t)
 	// An absurdly high churn threshold must suppress churn findings.
-	code, body := postRaw(t, srv.URL+"/v1/events/_diagnose?session=buggy",
+	code, body := postRaw(t, srv.URL+"/events/_diagnose?session=buggy",
 		[]byte(`{"dfg":{"churn_min_opens":1000000}}`))
 	if code != http.StatusOK {
 		t.Fatalf("status = %d (%s)", code, body)

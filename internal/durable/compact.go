@@ -9,11 +9,10 @@ import (
 )
 
 // mergedRow is one surviving row of a compaction: its absolute global row id
-// plus the row payload (and, for generic documents, the extracted time so
-// the merged segment's pruning range stays tight).
+// plus the event.
 type mergedRow struct {
 	gid int64
-	row SegmentRow
+	ev  event.Event
 }
 
 // mergedSource adapts the merged row list to WriteSegment, emitting explicit
@@ -25,7 +24,7 @@ type mergedSource struct {
 }
 
 func (m *mergedSource) NumRows() int         { return len(m.rows) }
-func (m *mergedSource) Row(i int) SegmentRow { return m.rows[i].row }
+func (m *mergedSource) Row(i int) SegmentRow { return SegmentRow{Event: &m.rows[i].ev} }
 func (m *mergedSource) Gid(i int) int        { return int(m.rows[i].gid - m.base) }
 
 // MergeSegments reads the committed segments described by metas (ascending
@@ -33,9 +32,8 @@ func (m *mergedSource) Gid(i int) int        { return int(m.rows[i].gid - m.base
 // segment with sequence outSeq. finish (nil = none) may complete each event
 // row in place on its way through — the store names file paths there — so the
 // immutable output carries what the inputs were written too early to hold.
-// Generic documents are opaque here, so docTime (nil = no generic row is
-// timed) extracts their time_enter_ns to keep the merged pruning range
-// sound. It returns the merged segment's metadata at level = max input
+// docTime is ignored; the parameter is kept because benchmark/ still passes
+// it. It returns the merged segment's metadata at level = max input
 // level + 1. The inputs are immutable committed files, so no locks are
 // needed; the caller commits the returned meta (replacing the inputs) under
 // its manifest lock, or deletes the output file if the commit is abandoned.
@@ -50,22 +48,12 @@ func MergeSegments(dir string, metas []SegmentMeta, outSeq, shards int, finish f
 			level = sm.Level
 		}
 		start := sm.StartRow
-		_, err := ReadSegment(filepath.Join(dir, SegmentName(sm.Seq)), func(gid int, ev *event.Event, doc []byte) error {
-			abs := start + int64(gid)
-			var row SegmentRow
-			if ev != nil {
-				e := *ev
-				if finish != nil {
-					finish(abs, &e)
-				}
-				row = SegmentRow{Event: &e}
-			} else {
-				row = SegmentRow{Doc: doc}
-				if docTime != nil {
-					row.DocTime, row.DocTimed = docTime(doc)
-				}
+		_, err := ReadSegment(filepath.Join(dir, SegmentName(sm.Seq)), func(gid int, ev *event.Event, _ []byte) error {
+			rows = append(rows, mergedRow{gid: start + int64(gid), ev: *ev})
+			if finish != nil {
+				last := &rows[len(rows)-1]
+				finish(last.gid, &last.ev)
 			}
-			rows = append(rows, mergedRow{gid: abs, row: row})
 			return nil
 		})
 		if err != nil {
@@ -88,7 +76,6 @@ func MergeSegments(dir string, metas []SegmentMeta, outSeq, shards int, finish f
 		MinTime:  info.MinTime,
 		MaxTime:  info.MaxTime,
 		Bytes:    info.Bytes,
-		Generic:  int64(info.Generic),
 	}, nil
 }
 

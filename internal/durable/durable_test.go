@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/dsrhaslab/dio-go/internal/durable/durabletest"
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
@@ -206,7 +208,7 @@ func TestWALReplayCallbackErrorAborts(t *testing.T) {
 	}
 }
 
-// sliceSource adapts a mixed typed/generic row slice to RowSource.
+// sliceSource adapts a row slice to RowSource.
 type sliceSource struct {
 	rows []SegmentRow
 }
@@ -224,14 +226,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 	evs[2].HasOffset = false
 	evs[2].Offset = 0
 	evs[3].ArgPath2 = "/tmp/renamed"
-	rows := []SegmentRow{
-		{Event: &evs[0]},
-		{Doc: []byte("generic-one")},
-		{Event: &evs[1]},
-		{Event: &evs[2]},
-		{Doc: []byte("generic-two")},
-		{Event: &evs[3]},
-		{Event: &evs[4]},
+	rows := make([]SegmentRow, len(evs))
+	for i := range evs {
+		rows[i] = SegmentRow{Event: &evs[i]}
 	}
 	winfo, err := WriteSegment(path, 8, sliceSource{rows})
 	if err != nil {
@@ -246,33 +243,51 @@ func TestSegmentRoundTrip(t *testing.T) {
 			winfo.MinTime, winfo.MaxTime, evs[0].TimeEnterNS, evs[4].TimeEnterNS)
 	}
 
-	wantGid := 0
-	var gotEvents []event.Event
-	var gotDocs []string
+	var got []event.Event
 	info, err := ReadSegment(path, func(gid int, ev *event.Event, doc []byte) error {
-		if gid != wantGid {
-			t.Fatalf("gid %d out of order, want %d", gid, wantGid)
+		if gid != len(got) || doc != nil {
+			t.Fatalf("row %d: gid %d, doc %q", len(got), gid, doc)
 		}
-		wantGid++
-		if ev != nil {
-			gotEvents = append(gotEvents, *ev)
-		} else {
-			gotDocs = append(gotDocs, string(doc))
-		}
+		got = append(got, *ev)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Shards != 8 || info.Rows != 7 || info.Typed != 5 || info.Generic != 2 {
+	if info.Shards != 8 || info.Rows != 5 {
 		t.Fatalf("info = %+v", info)
 	}
-	want := []event.Event{evs[0], evs[1], evs[2], evs[3], evs[4]}
-	if !reflect.DeepEqual(gotEvents, want) {
-		t.Fatalf("typed rows did not round-trip:\n got %+v\nwant %+v", gotEvents, want)
+	if !reflect.DeepEqual(got, evs) {
+		t.Fatalf("rows did not round-trip:\n got %+v\nwant %+v", got, evs)
 	}
-	if !reflect.DeepEqual(gotDocs, []string{"generic-one", "generic-two"}) {
-		t.Fatalf("generic rows %v", gotDocs)
+}
+
+// TestSegmentGenericFormRetired: a segment image carrying rows of the retired
+// generic block is refused with ErrRetiredFormat — not as corruption — by
+// OpenSegment and ReadSegment, and a manifest whose segment entry counts
+// generic rows is refused by LoadManifest without opening the file.
+func TestSegmentGenericFormRetired(t *testing.T) {
+	dir := t.TempDir()
+	ev := testEvent(0)
+	img, _ := encodeSegment(4, sliceSource{[]SegmentRow{{Event: &ev}}})
+	path := filepath.Join(dir, SegmentName(1))
+	if err := os.WriteFile(path, durabletest.WithGenericRows(img, []byte("generic-one")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSegment(path); !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrCorruptSegment) {
+		t.Fatalf("OpenSegment: %v, want ErrRetiredFormat alone", err)
+	}
+	if _, err := ReadSegment(path, func(int, *event.Event, []byte) error { return nil }); !errors.Is(err, ErrRetiredFormat) {
+		t.Fatalf("ReadSegment: %v, want ErrRetiredFormat", err)
+	}
+
+	counted := `{"version":2,"shards":4,"wal_seq":2,"segment_seq":2,"segments":[` +
+		`{"seq":1,"level":0,"rows":2,"start_row":0,"end_row":2,"min_time":0,"max_time":0,"bytes":900,"generic":1}]}`
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(counted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := LoadManifest(dir); ok || !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), SegmentName(1)) {
+		t.Fatalf("LoadManifest: ok=%v err=%v, want ErrRetiredFormat naming %s", ok, err, SegmentName(1))
 	}
 }
 
@@ -326,7 +341,7 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 			return restamp(d)
 		},
 		"string-offsets-out-of-order": func(d []byte) []byte {
-			firstTable := segHeaderLen + segTypedRowMin - 4*segStringCount // one typed row
+			firstTable := segHeaderLen + segRowMin - 4*segStringCount // one typed row
 			binary.LittleEndian.PutUint32(d[firstTable:], 1<<20)
 			return restamp(d)
 		},

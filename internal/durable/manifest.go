@@ -43,11 +43,6 @@ type SegmentMeta struct {
 	MinTime int64 `json:"min_time"`
 	MaxTime int64 `json:"max_time"`
 	Bytes   int64 `json:"bytes"`
-	// Generic counts the segment's rows in the opaque generic block — a
-	// retired row form the store no longer writes. The store refuses to open
-	// a data dir whose manifest lists a segment with any, and this field
-	// tells it so without reading the file.
-	Generic int64 `json:"generic,omitempty"`
 }
 
 // Manifest names the committed recovery sources of one index directory.
@@ -106,31 +101,45 @@ func SegmentName(seq int) string { return fmt.Sprintf("seg-%06d.snap", seq) }
 // LoadManifest reads the manifest in dir. A missing manifest returns
 // (zero manifest, false, nil): the directory is fresh (or a crash happened
 // before the first commit) and recovery starts empty with WAL seq 0.
-// A manifest of any other schema version fails with ErrManifestVersion, one
+// A manifest of any other schema version fails with ErrManifestVersion. One
 // still carrying the pending-rewrite blob of a build that updated rows by
-// query with ErrRetiredFormat.
+// query, or listing a segment that counts rows of the retired generic block,
+// fails with ErrRetiredFormat.
 func LoadManifest(dir string) (Manifest, bool, error) {
-	var m struct {
-		Manifest
+	var m Manifest
+	// retired reads the keys of the forms nothing writes any more.
+	var retired struct {
 		Rewrites []byte `json:"rewrites"`
+		Segments []struct {
+			Seq     int   `json:"seq"`
+			Generic int64 `json:"generic"`
+		} `json:"segments"`
 	}
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return m.Manifest, false, nil
+			return m, false, nil
 		}
-		return m.Manifest, false, fmt.Errorf("durable: read manifest: %w", err)
+		return m, false, fmt.Errorf("durable: read manifest: %w", err)
 	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m.Manifest, false, fmt.Errorf("durable: parse manifest: %w", err)
+	for _, v := range []any{&m, &retired} {
+		if err := json.Unmarshal(data, v); err != nil {
+			return m, false, fmt.Errorf("durable: parse manifest: %w", err)
+		}
 	}
 	if m.Version != manifestVersion {
-		return m.Manifest, false, fmt.Errorf("%w: %d (want %d)", ErrManifestVersion, m.Version, manifestVersion)
+		return m, false, fmt.Errorf("%w: %d (want %d)", ErrManifestVersion, m.Version, manifestVersion)
 	}
-	if len(m.Rewrites) > 0 {
-		return m.Manifest, false, fmt.Errorf("durable: manifest pending rewrites (%d bytes): %w", len(m.Rewrites), ErrRetiredFormat)
+	if len(retired.Rewrites) > 0 {
+		return m, false, fmt.Errorf("durable: manifest pending rewrites (%d bytes): %w", len(retired.Rewrites), ErrRetiredFormat)
 	}
-	return m.Manifest, true, nil
+	for _, sm := range retired.Segments {
+		if sm.Generic != 0 {
+			return m, false, fmt.Errorf("durable: manifest segment %s holds %d generic rows: %w",
+				SegmentName(sm.Seq), sm.Generic, ErrRetiredFormat)
+		}
+	}
+	return m, true, nil
 }
 
 // CommitManifest atomically publishes m as dir's manifest. After it returns,

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"path/filepath"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
@@ -19,8 +20,10 @@ import (
 //	[1]  version (2; any other value is rejected as ErrCorruptSegment)
 //	[4]  u32 shard count (advisory: recovery recreates the index with it)
 //	[8]  u64 total rows
-//	[8]  u64 typed rows T
-//	[8]  u64 generic rows G
+//	[8]  u64 typed rows T (equal to the total)
+//	[8]  u64 generic rows G (0; a reader refuses any other value as
+//	     ErrRetiredFormat — the generic block, a row-major run of opaque
+//	     payloads, is a retired form nothing writes)
 //	[8]  i64 min time_enter_ns over timed rows   } empty range (min > max)
 //	[8]  i64 max time_enter_ns over timed rows   } when none timed
 //	typed block (columnar — one array per field over the T typed rows):
@@ -32,9 +35,6 @@ import (
 //	  aux         T × u8 (bit 0: has_offset)
 //	  11 string columns (wire order of the event codec), each:
 //	    offsets (T+1) × u32 into the column's blob, then the blob bytes
-//	generic block (row-major, opaque payloads — a retired row form kept
-//	readable until segment v3; the store writes G = 0 and refuses G > 0):
-//	  per row: u64 gid, u32 len, payload
 //	[4]  u32 CRC-32C of everything before it
 //
 // The column-directory invariant SegmentReader relies on: nothing in the
@@ -58,16 +58,10 @@ var segMagic = [segMagicLen]byte{'D', 'I', 'O', 'S'}
 // block stores one string column per field in the same wire order.
 const segStringCount = 11
 
-// SegmentRow is one row handed to WriteSegment. The store sets Event only —
-// an event is timed via Event.TimeEnterNS. Doc is the retired generic row
-// form (an opaque encoded document, with DocTime/DocTimed carrying the
-// time_enter_ns the caller extracted from it, if any), which the format
-// still carries until segment v3.
+// SegmentRow is one row handed to WriteSegment: an event, timed by its
+// TimeEnterNS.
 type SegmentRow struct {
-	Event    *event.Event
-	Doc      []byte
-	DocTime  int64
-	DocTimed bool
+	Event *event.Event
 }
 
 // RowSource enumerates an index's rows in global-id order. Row may be called
@@ -125,39 +119,22 @@ func encodeSegment(shards int, src RowSource) ([]byte, SegmentInfo) {
 	if gs, ok := src.(GidSource); ok {
 		gid = gs.Gid
 	}
-	var typed, generic []int
 	minT, maxT := int64(math.MaxInt64), int64(math.MinInt64)
-	stamp := func(t int64) {
-		if t < minT {
-			minT = t
-		}
-		if t > maxT {
-			maxT = t
-		}
-	}
 	for i := 0; i < n; i++ {
-		row := src.Row(i)
-		if row.Event != nil {
-			typed = append(typed, i)
-			stamp(row.Event.TimeEnterNS)
-		} else {
-			generic = append(generic, i)
-			if row.DocTimed {
-				stamp(row.DocTime)
-			}
-		}
+		t := src.Row(i).Event.TimeEnterNS
+		minT, maxT = min(minT, t), max(maxT, t)
 	}
 	w := &segWriter{buf: make([]byte, 0, segHeaderLen+64*n)}
 	w.bytes(segMagic[:])
 	w.u8(segVersion)
 	w.u32(uint32(shards))
 	w.u64(uint64(n))
-	w.u64(uint64(len(typed)))
-	w.u64(uint64(len(generic)))
+	w.u64(uint64(n))
+	w.u64(0)
 	w.u64(uint64(minT))
 	w.u64(uint64(maxT))
 
-	for _, i := range typed {
+	for i := 0; i < n; i++ {
 		w.u64(uint64(gid(i)))
 	}
 	i64cols := []func(e *event.Event) int64{
@@ -171,7 +148,7 @@ func encodeSegment(shards int, src RowSource) ([]byte, SegmentInfo) {
 		func(e *event.Event) int64 { return e.FileTag.BirthNS },
 	}
 	for _, col := range i64cols {
-		for _, i := range typed {
+		for i := 0; i < n; i++ {
 			w.u64(uint64(col(src.Row(i).Event)))
 		}
 	}
@@ -184,14 +161,14 @@ func encodeSegment(shards int, src RowSource) ([]byte, SegmentInfo) {
 		func(e *event.Event) int32 { return int32(e.Flags) },
 	}
 	for _, col := range i32cols {
-		for _, i := range typed {
+		for i := 0; i < n; i++ {
 			w.u32(uint32(col(src.Row(i).Event)))
 		}
 	}
-	for _, i := range typed {
+	for i := 0; i < n; i++ {
 		w.u32(src.Row(i).Event.Mode)
 	}
-	for _, i := range typed {
+	for i := 0; i < n; i++ {
 		var aux byte
 		if src.Row(i).Event.HasOffset {
 			aux |= 1
@@ -201,26 +178,18 @@ func encodeSegment(shards int, src RowSource) ([]byte, SegmentInfo) {
 	for s := 0; s < segStringCount; s++ {
 		off := uint32(0)
 		w.u32(off)
-		for _, i := range typed {
+		for i := 0; i < n; i++ {
 			off += uint32(len(segStrings(src.Row(i).Event)[s]))
 			w.u32(off)
 		}
-		for _, i := range typed {
+		for i := 0; i < n; i++ {
 			w.bytes([]byte(segStrings(src.Row(i).Event)[s]))
 		}
-	}
-	for _, i := range generic {
-		doc := src.Row(i).Doc
-		w.u64(uint64(gid(i)))
-		w.u32(uint32(len(doc)))
-		w.bytes(doc)
 	}
 	w.u32(crc32.Checksum(w.buf, crcTable))
 	return w.buf, SegmentInfo{
 		Shards:  shards,
 		Rows:    n,
-		Typed:   len(typed),
-		Generic: len(generic),
 		Bytes:   int64(len(w.buf)),
 		MinTime: minT,
 		MaxTime: maxT,
@@ -233,8 +202,6 @@ func encodeSegment(shards int, src RowSource) ([]byte, SegmentInfo) {
 type SegmentInfo struct {
 	Shards  int
 	Rows    int
-	Typed   int
-	Generic int
 	Bytes   int64
 	MinTime int64
 	MaxTime int64
@@ -249,15 +216,14 @@ const (
 	segI64Cols      = 8
 	segI32Cols      = 6
 	segColTimeEnter = 2 // index of time_enter among the i64 columns
-	// segTypedRowMin is the least a typed row occupies: its gid, the
-	// fixed-width columns, and one offset per string column.
-	segTypedRowMin = 8 + 8*segI64Cols + 4*segI32Cols + 4 + 1 + 4*segStringCount
-	segGenericMin  = 8 + 4 // a generic row's gid and payload length
+	// segRowMin is the least a row occupies: its gid, the fixed-width
+	// columns, and one offset per string column.
+	segRowMin = 8 + 8*segI64Cols + 4*segI32Cols + 4 + 1 + 4*segStringCount
 )
 
 // SegmentReader is random access over one verified segment image. Opening
 // one checks the whole-file CRC and the header and walks the file once to
-// build the column directory; after that a typed row's gid, its time, or the
+// build the column directory; after that a row's gid, its time, or the
 // row itself costs a fixed number of reads at computed offsets, so a caller
 // can look at the time column alone and decode only the rows it wants. A
 // reader never writes to its image once open, so any number of goroutines may
@@ -273,22 +239,27 @@ type SegmentReader struct {
 	aux     int
 	strTab  [segStringCount]int // (T+1) × u32 offsets into the blob at strBlob
 	strBlob [segStringCount]int
-	generic int // the generic block, running to the end of body
 }
 
 // OpenSegment reads the segment at path and verifies it: the checksum before
 // any field is trusted, then the header, then — while building the column
-// directory — that every column, offset table, blob and generic row lies
-// inside the file with nothing left over, and that every string offset table
-// is non-decreasing. A reader that opened therefore never indexes outside
-// its image, whatever rows are asked of it. The image is the reader's own:
-// it is read once, here, and later changes to the file are never seen.
+// directory — that every column, offset table and blob lies inside the file
+// with nothing left over, and that every string offset table is
+// non-decreasing. A reader that opened therefore never indexes outside its
+// image, whatever rows are asked of it. A header that counts rows of the
+// retired generic block fails with ErrRetiredFormat. The image is the
+// reader's own: it is read once, here, and later changes to the file are
+// never seen.
 func OpenSegment(path string) (*SegmentReader, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("durable: read segment: %w", err)
 	}
-	return openSegmentImage(data)
+	r, err := openSegmentImage(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+	}
+	return r, nil
 }
 
 func openSegmentImage(data []byte) (*SegmentReader, error) {
@@ -313,13 +284,16 @@ func openSegmentImage(data []byte) (*SegmentReader, error) {
 	// The counts must add up and fit the bytes present, so nothing below
 	// allocates or multiplies on a number the file does not back.
 	if total > segMaxRows || typedN > total || genericN != total-typedN ||
-		typedN > uint64(len(body))/segTypedRowMin || genericN > uint64(len(body))/segGenericMin {
+		typedN > uint64(len(body))/segRowMin {
 		return nil, fmt.Errorf("%w: implausible row counts %d=%d+%d in %d bytes",
 			ErrCorruptSegment, total, typedN, genericN, len(data))
 	}
+	if genericN != 0 {
+		return nil, fmt.Errorf("%w: segment holds %d generic rows", ErrRetiredFormat, genericN)
+	}
 	T := int(typedN)
 	r := &SegmentReader{body: body, info: SegmentInfo{
-		Shards: int(shards), Rows: int(total), Typed: T, Generic: int(genericN), Bytes: int64(len(data)),
+		Shards: int(shards), Rows: T, Bytes: int64(len(data)),
 		MinTime: int64(binary.LittleEndian.Uint64(hdr[28:])), MaxTime: int64(binary.LittleEndian.Uint64(hdr[36:])),
 	}}
 
@@ -363,14 +337,6 @@ func openSegmentImage(data []byte) (*SegmentReader, error) {
 		}
 		r.strBlob[s] = take(int(end))
 	}
-	r.generic = o
-	for g := 0; g < r.info.Generic; g++ {
-		at := take(segGenericMin)
-		if terr != nil {
-			return nil, terr
-		}
-		take(int(binary.LittleEndian.Uint32(body[at+8:])))
-	}
 	if terr != nil {
 		return nil, terr
 	}
@@ -383,12 +349,12 @@ func openSegmentImage(data []byte) (*SegmentReader, error) {
 // Info returns the segment's header fields and file size.
 func (r *SegmentReader) Info() SegmentInfo { return r.info }
 
-// Gid returns the segment-local row id of typed row i (0 <= i < Info().Typed).
+// Gid returns the segment-local row id of row i (0 <= i < Info().Rows).
 func (r *SegmentReader) Gid(i int) int {
 	return int(binary.LittleEndian.Uint64(r.body[r.gids+8*i:]))
 }
 
-// Time returns typed row i's time_enter_ns, read from its column alone.
+// Time returns row i's time_enter_ns, read from its column alone.
 func (r *SegmentReader) Time(i int) int64 { return r.i64at(segColTimeEnter, i) }
 
 func (r *SegmentReader) i64at(c, i int) int64 {
@@ -399,13 +365,13 @@ func (r *SegmentReader) i32at(c, i int) int {
 	return int(int32(binary.LittleEndian.Uint32(r.body[r.i32[c]+4*i:])))
 }
 
-// Decode assembles the typed rows named by sel, in any order, into a new
+// Decode assembles the rows named by sel, in any order, into a new
 // slice: out[k] is row sel[k]. It is the format's only decoder. Strings are
 // copied out of the image, short ones interned through a per-call table,
 // matching the wire codec's allocation discipline; nothing the result
 // references keeps the image alive.
 func (r *SegmentReader) Decode(sel []int) []event.Event {
-	T := r.info.Typed
+	T := r.info.Rows
 	// A column's value rarely changes from one row to the next, so the last
 	// string decoded for each column is tried before the table.
 	intern := make(map[string]string, 64)
@@ -460,49 +426,24 @@ func (r *SegmentReader) Decode(sel []int) []event.Event {
 	return out
 }
 
-// eachGeneric hands the generic block's rows to fn in file (ascending gid)
-// order; doc aliases the image.
-func (r *SegmentReader) eachGeneric(fn func(gid int, doc []byte) error) error {
-	o := r.generic
-	for g := 0; g < r.info.Generic; g++ {
-		gid := int(binary.LittleEndian.Uint64(r.body[o:]))
-		n := int(binary.LittleEndian.Uint32(r.body[o+8:]))
-		o += segGenericMin
-		if err := fn(gid, r.body[o:o+n]); err != nil {
-			return err
-		}
-		o += n
-	}
-	return nil
-}
-
-// ReadSegment loads the segment at path and hands every row — typed events
-// and encoded generic documents — to fn in global-id order: OpenSegment, then
-// Decode with every typed row selected, merged with the generic block. doc
-// aliases the image, and fn may keep it (MergeSegments does).
+// ReadSegment loads the segment at path and hands every row to fn in
+// global-id order: OpenSegment, then Decode with every row selected. doc is
+// always nil; the parameter is kept because benchmark/ still passes a
+// callback of this shape.
 func ReadSegment(path string, fn func(gid int, ev *event.Event, doc []byte) error) (SegmentInfo, error) {
 	r, err := OpenSegment(path)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
-	all := make([]int, r.info.Typed)
+	all := make([]int, r.info.Rows)
 	for i := range all {
 		all[i] = i
 	}
 	events := r.Decode(all)
-	// Both streams ascend by gid, so typed rows go out ahead of the first
-	// generic row that does not precede them.
-	ti := 0
-	err = r.eachGeneric(func(gid int, doc []byte) error {
-		for ; ti < len(events) && r.Gid(ti) < gid; ti++ {
-			if err := fn(r.Gid(ti), &events[ti], nil); err != nil {
-				return err
-			}
+	for i := range events {
+		if err := fn(r.Gid(i), &events[i], nil); err != nil {
+			return r.info, err
 		}
-		return fn(gid, nil, doc)
-	})
-	for ; err == nil && ti < len(events); ti++ {
-		err = fn(r.Gid(ti), &events[ti], nil)
 	}
-	return r.info, err
+	return r.info, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dsrhaslab/dio-go/internal/durable/durabletest"
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
@@ -35,9 +36,6 @@ func segmentSeeds() map[string]RowSource {
 	long.KernelPath = long.ArgPath
 	noOffset := testEvent(2)
 	noOffset.HasOffset, noOffset.Offset = false, 0
-	mixed := events(3)
-	mixed = append(mixed[:1], append([]SegmentRow{{Doc: []byte("generic-one")}}, mixed[1:]...)...)
-	mixed = append(mixed, SegmentRow{Doc: nil})
 	return map[string]RowSource{
 		"dense":         sliceSource{events(40)},
 		"sparse-gid":    sparseSource{sliceSource{events(4)}, []int{0, 3, 4, 900}},
@@ -45,8 +43,14 @@ func segmentSeeds() map[string]RowSource {
 		"one-row":       sliceSource{events(1)},
 		"empty-strings": sliceSource{[]SegmentRow{{Event: &event.Event{}}, {Event: &event.Event{TimeEnterNS: -1}}}},
 		"long-strings":  sliceSource{[]SegmentRow{{Event: &long}, {Event: &noOffset}, {Event: &long}}},
-		"with-generic":  sliceSource{mixed},
 	}
+}
+
+// genericImage is a three-row image carrying two rows of the retired generic
+// block, one of them empty.
+func genericImage() []byte {
+	img, _ := encodeSegment(4, sliceSource{segmentSeeds()["dense"].(sliceSource).rows[:3]})
+	return durabletest.WithGenericRows(img, []byte("generic-one"), nil)
 }
 
 // restamp returns img with its trailing CRC recomputed, so a mutated body
@@ -61,7 +65,7 @@ func restamp(img []byte) []byte {
 }
 
 func selectAll(r *SegmentReader) []int {
-	sel := make([]int, r.Info().Typed)
+	sel := make([]int, r.Info().Rows)
 	for i := range sel {
 		sel[i] = i
 	}
@@ -69,10 +73,15 @@ func selectAll(r *SegmentReader) []int {
 }
 
 // TestSegmentReaderSelectsRows: for every seed shape, selecting every row
-// returns exactly the typed rows written, with their ids and times readable
+// returns exactly the rows written, with their ids and times readable
 // without a decode, and any subset, in any order, decodes to the matching
-// rows of that.
+// rows of that. An image with generic rows opens to no rows at all.
 func TestSegmentReaderSelectsRows(t *testing.T) {
+	t.Run("with-generic", func(t *testing.T) {
+		if r, err := openSegmentImage(genericImage()); !errors.Is(err, ErrRetiredFormat) {
+			t.Fatalf("opened %v, err %v; want ErrRetiredFormat", r, err)
+		}
+	})
 	for name, src := range segmentSeeds() {
 		t.Run(name, func(t *testing.T) {
 			img, winfo := encodeSegment(4, src)
@@ -86,14 +95,12 @@ func TestSegmentReaderSelectsRows(t *testing.T) {
 			var want []event.Event
 			var wantGids []int
 			for i := 0; i < src.NumRows(); i++ {
-				if ev := src.Row(i).Event; ev != nil {
-					want = append(want, *ev)
-					gid := i
-					if gs, ok := src.(GidSource); ok {
-						gid = gs.Gid(i)
-					}
-					wantGids = append(wantGids, gid)
+				want = append(want, *src.Row(i).Event)
+				gid := i
+				if gs, ok := src.(GidSource); ok {
+					gid = gs.Gid(i)
 				}
+				wantGids = append(wantGids, gid)
 			}
 			all := r.Decode(selectAll(r))
 			if len(all) != len(want) || (len(want) > 0 && !reflect.DeepEqual(all, want)) {
@@ -118,9 +125,10 @@ func TestSegmentReaderSelectsRows(t *testing.T) {
 }
 
 // FuzzSegmentReader feeds arbitrary bytes — seeded with WriteSegment's images
-// of every seed shape, tried both as given and with the checksum re-stamped
-// so mutations reach the structural checks — to the segment reader. The
-// invariants: an image either fails with ErrCorruptSegment or opens; an opened
+// of every seed shape and with an image of the retired generic form, tried
+// both as given and with the checksum re-stamped so mutations reach the
+// structural checks — to the segment reader. The invariants: an image either
+// fails with ErrCorruptSegment or ErrRetiredFormat, or opens; an opened
 // image's row counts are backed by its bytes (nothing allocates on a number
 // the file made up); every accessor and any row selection runs without a
 // panic; a subset decodes to exactly the matching rows of select-all; and
@@ -131,19 +139,24 @@ func FuzzSegmentReader(f *testing.F) {
 		f.Add(img, uint64(0x5555_5555_5555_5555))
 		f.Add(img[:len(img)/2], uint64(1))
 	}
+	generic := genericImage()
+	if _, err := openSegmentImage(generic); !errors.Is(err, ErrRetiredFormat) {
+		f.Fatalf("generic seed: %v, want ErrRetiredFormat", err)
+	}
+	f.Add(generic, uint64(0x5555_5555_5555_5555))
+	f.Add(generic[:len(generic)/2], uint64(1))
 	f.Add([]byte{}, uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, pick uint64) {
 		for _, img := range [][]byte{data, restamp(data)} {
 			r, err := openSegmentImage(img)
 			if err != nil {
-				if !errors.Is(err, ErrCorruptSegment) {
-					t.Fatalf("error %v is not ErrCorruptSegment", err)
+				if !errors.Is(err, ErrCorruptSegment) && !errors.Is(err, ErrRetiredFormat) {
+					t.Fatalf("error %v is neither ErrCorruptSegment nor ErrRetiredFormat", err)
 				}
 				continue
 			}
 			info := r.Info()
-			if info.Typed < 0 || info.Generic < 0 || info.Rows != info.Typed+info.Generic ||
-				info.Typed*segTypedRowMin+info.Generic*segGenericMin > len(img) {
+			if info.Rows < 0 || info.Rows*segRowMin > len(img) {
 				t.Fatalf("row counts %+v not backed by %d bytes", info, len(img))
 			}
 			all := r.Decode(selectAll(r))
@@ -166,19 +179,12 @@ func FuzzSegmentReader(f *testing.F) {
 					t.Fatalf("subset row %d (segment row %d) = %+v, select-all has %+v", k, sel[k], ev, all[sel[k]])
 				}
 			}
-			// Write back what was read — typed rows, then generic ones, under
-			// the ids the image gave them — and read that.
+			// Write back what was read, under the ids the image gave the
+			// rows, and read that.
 			back := sparseSource{}
 			for i := range all {
 				back.rows = append(back.rows, SegmentRow{Event: &all[i]})
 				back.gids = append(back.gids, r.Gid(i))
-			}
-			if err := r.eachGeneric(func(gid int, doc []byte) error {
-				back.rows = append(back.rows, SegmentRow{Doc: doc})
-				back.gids = append(back.gids, gid)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
 			}
 			img2, _ := encodeSegment(info.Shards, back)
 			r2, err := openSegmentImage(img2)

@@ -7,9 +7,9 @@ import (
 )
 
 // ContentTypeBinaryV1 is the HTTP media type of the version-1 binary event
-// frame produced by EncodeBatch. The store client sends bulk requests under
-// this content type and falls back to the NDJSON encoding when the server
-// does not speak it (see DESIGN.md §10).
+// frame produced by EncodeBatch. The store client sends every bulk request
+// under this content type; a server that refuses it answers an error, which
+// the client returns as given (see DESIGN.md §10).
 const ContentTypeBinaryV1 = "application/x-dio-events.v1"
 
 // CodecVersion is the wire-format version EncodeBatch emits.

@@ -224,7 +224,7 @@ func TestVisualizerViewsOverHTTP(t *testing.T) {
 	}
 
 	// Automated diagnosis through HTTP: the engine runs server-side behind
-	// the /v1/{index}/_diagnose op, as cmd/dioviz's remote mode uses it.
+	// the /{index}/_diagnose op, as cmd/dioviz's remote mode uses it.
 	diag := diagnose.NewClient(client)
 	rep, err := diag.Diagnose(context.Background(), "dio-events", "views")
 	if err != nil {
@@ -294,7 +294,7 @@ func TestRemoteReadsAreExact(t *testing.T) {
 	srv := httptest.NewServer(store.NewServer(st))
 	defer srv.Close()
 	client := store.NewClient(srv.URL)
-	failover, err := store.NewFailoverClient(store.NewClient(srv.URL, store.WithAPIPrefix("/v1")))
+	failover, err := store.NewFailoverClient(store.NewClient(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}

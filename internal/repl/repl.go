@@ -409,7 +409,7 @@ func (r *Replicator) push(ctx context.Context, fn func(context.Context) (int64, 
 }
 
 // ClientTransport adapts a store.Client into a Transport: the HTTP path a
-// real deployment ships over (POST /v1/_repl/apply etc. on the follower).
+// real deployment ships over (POST /_repl/apply etc. on the follower).
 type ClientTransport struct {
 	C *store.Client
 }

@@ -498,7 +498,7 @@ func TestChaosReplShipping(t *testing.T) {
 	srv := httptest.NewServer(chaos)
 	defer srv.Close()
 
-	r := New(primary, ClientTransport{C: store.NewClient(srv.URL, store.WithAPIPrefix("/v1"))}, Config{
+	r := New(primary, ClientTransport{C: store.NewClient(srv.URL)}, Config{
 		Policy:    resilience.Policy{BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
 		MaxFrames: 4, // many small pushes → many chances to be faulted
 	})

@@ -175,7 +175,7 @@ func TestFaultyBackendHandler(t *testing.T) {
 	h := NewFaultHandler(store.NewServer(st), 1)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	c := store.NewClient(srv.URL, store.WithAPIPrefix("/v1"))
+	c := store.NewClient(srv.URL)
 	ctx := context.Background()
 	docs := batch(0, 1)
 
@@ -199,13 +199,13 @@ func TestFaultyBackendHandler(t *testing.T) {
 		t.Fatalf("calls=%d injected=%d, want 4 and 2", h.Calls(), h.Injected())
 	}
 
-	// A permanent fault answers 400 on the wire as in process; the client
-	// resends a refused binary frame as NDJSON, which rolls again.
+	// A permanent fault answers 400 on the wire as in process, and the
+	// client returns it after the one request.
 	h.SetErrorRate(1)
 	h.SetPermanent(true)
 	err := c.BulkEvents(ctx, "ix", docs)
-	if store.StatusOf(err) != http.StatusBadRequest || IsRetryable(err) || TargetFault(ctx, err) {
-		t.Fatalf("permanent fault over HTTP = %v, want a permanent 400", err)
+	if store.StatusOf(err) != http.StatusBadRequest || IsRetryable(err) || TargetFault(ctx, err) || h.Calls() != 5 {
+		t.Fatalf("permanent fault over HTTP = %v after %d calls, want a permanent 400 after 5", err, h.Calls())
 	}
 	f := NewFaultyBackend(st, 1)
 	f.SetErrorRate(1)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
@@ -71,34 +69,16 @@ const maxErrorBody = 8 * 1024
 type Client struct {
 	base string
 	hc   *http.Client
-	// prefix is prepended to every API path ("" for the legacy unversioned
-	// routes, "/v1" when the client opts into the versioned surface).
-	prefix string
 	// reqTimeout bounds each request via context when the caller supplies
 	// none; distinct from the transport-level safety-net timeout.
 	reqTimeout time.Duration
-	// binaryDisabled latches after the server rejects the binary event frame
-	// with 415, so every later BulkEvents goes straight to the NDJSON
-	// fallback without re-probing (see DESIGN.md §10).
-	binaryDisabled atomic.Bool
 }
 
-// bulkBufPool recycles NDJSON request-body buffers across BulkEvents calls:
-// once a buffer has grown to the working batch size, encoding a batch
-// allocates no new body. bulkBufNews counts pool misses so tests can assert
-// steady-state reuse.
-var (
-	bulkBufPool = sync.Pool{New: func() any {
-		bulkBufNews.Add(1)
-		return bytes.NewBuffer(make([]byte, 0, 16*1024))
-	}}
-	bulkBufNews atomic.Uint64
-	// frameBufPool recycles binary frame buffers for BulkEvents.
-	frameBufPool = sync.Pool{New: func() any {
-		b := make([]byte, 0, 16*1024)
-		return &b
-	}}
-)
+// frameBufPool recycles binary frame buffers for BulkEvents.
+var frameBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 16*1024)
+	return &b
+}}
 
 // pooledFrameBody is the request body of a binary bulk: it owns the pooled
 // frame buffer and recycles it in Close. http.Client.Do can return while the
@@ -124,29 +104,17 @@ func (b *pooledFrameBody) Close() error {
 	return nil
 }
 
-// ClientOption customizes a Client at construction time.
-type ClientOption func(*Client)
-
-// WithAPIPrefix routes every request under the given path prefix.
-// WithAPIPrefix("/v1") selects the versioned REST surface; the default is
-// the legacy unversioned routes, which every server version understands.
-func WithAPIPrefix(prefix string) ClientOption {
-	return func(c *Client) {
-		c.prefix = strings.TrimRight(prefix, "/")
-	}
-}
-
 // NewClient creates a client for the server at base (e.g.
 // "http://127.0.0.1:9200") with connection-reuse-friendly transport limits
 // and a 10s default per-request timeout.
-func NewClient(base string, opts ...ClientOption) *Client {
+func NewClient(base string) *Client {
 	tr := &http.Transport{
 		MaxIdleConns:        32,
 		MaxIdleConnsPerHost: 32,
 		MaxConnsPerHost:     64,
 		IdleConnTimeout:     90 * time.Second,
 	}
-	c := &Client{
+	return &Client{
 		base: strings.TrimRight(base, "/"),
 		hc: &http.Client{
 			Transport: tr,
@@ -156,89 +124,34 @@ func NewClient(base string, opts ...ClientOption) *Client {
 		},
 		reqTimeout: 10 * time.Second,
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
 }
 
 // SetRequestTimeout overrides the default per-request deadline (0 disables
 // the client-imposed deadline; callers may still pass their own contexts).
 func (c *Client) SetRequestTimeout(d time.Duration) { c.reqTimeout = d }
 
-// BulkEvents ships events using the binary frame, falling back to the NDJSON
-// encoding when the server does not speak it.
-//
-// A server that rejects the binary frame is retried as NDJSON in the same
-// call, and a successful downgrade latches, so callers (and the resilience
-// ladder above them) never observe a spurious permanent failure from version
-// skew. Three rejection shapes exist in the wild: 415 from a server new
-// enough to negotiate, an arbitrary 4xx (typically 400 "bad document") from
-// a pre-negotiation server whose NDJSON scanner split the frame at whatever
-// 0x0A bytes the binary happened to contain, and a 200 {"items":0} ack from
-// the same scanner when the frame happened to contain none.
+// BulkEvents ships events as one binary event frame and returns the
+// server's answer as given: a rejection is an *HTTPError carrying its status,
+// for the resilience ladder to classify, and never a second request in
+// another encoding.
 func (c *Client) BulkEvents(ctx context.Context, index string, events []event.Event) error {
 	if len(events) == 0 {
 		return nil
-	}
-	if c.binaryDisabled.Load() {
-		return c.bulkEventsNDJSON(ctx, index, events)
 	}
 	bp := frameBufPool.Get().(*[]byte)
 	frame := event.EncodeBatch((*bp)[:0], events)
 	*bp = frame[:0] // keep the (possibly grown) backing array with the pool entry
 	body := &pooledFrameBody{r: bytes.NewReader(frame), bp: bp}
-	var out map[string]int
-	err := c.doReader(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_bulk",
-		event.ContentTypeBinaryV1, body, int64(len(frame)), &out)
-	var he *HTTPError
-	if errors.As(err, &he) && he.Status/100 == 4 && he.Status != http.StatusTooManyRequests {
-		// Any non-retryable 4xx on a binary frame is indistinguishable from
-		// "server does not speak binary": resend as NDJSON before letting
-		// the shipper classify the failure permanent and drop the batch.
-		ndErr := c.bulkEventsNDJSON(ctx, index, events)
-		if ndErr == nil || he.Status == http.StatusUnsupportedMediaType {
-			// The NDJSON path delivered (or the server explicitly refused
-			// the media type): latch so later batches skip the binary probe.
-			c.binaryDisabled.Store(true)
-		}
-		// When NDJSON also failed, surface its error: the problem is not
-		// the frame format, and the NDJSON error carries the right retry
-		// classification for the resilience layer.
-		return ndErr
-	}
-	if err == nil && out["items"] == 0 {
-		// A server predating the binary protocol does not answer 415: its
-		// NDJSON scanner sees the frame as one action line with no
-		// documents and acks zero items. Treat the empty ack as "does not
-		// speak binary" and resend, or the batch would be silently lost.
-		c.binaryDisabled.Store(true)
-		return c.bulkEventsNDJSON(ctx, index, events)
-	}
-	return err
+	return c.doReader(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_bulk",
+		event.ContentTypeBinaryV1, body, int64(len(frame)), nil)
 }
 
-// bulkEventsNDJSON is the compatibility path: each event ships as its
-// Document view through the NDJSON bulk API, which the server's edge decoder
-// parses back into the same event. The body is built in a pooled buffer and
-// streamed from it, so repeated bulks reuse one allocation.
-func (c *Client) bulkEventsNDJSON(ctx context.Context, index string, events []event.Event) error {
-	buf := bulkBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bulkBufPool.Put(buf)
-	if err := encodeBulkNDJSON(buf, events); err != nil {
-		return err
-	}
-	var out map[string]int
-	return c.doBody(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_bulk",
-		contentTypeJSON, buf.Bytes(), &out)
-}
+// BinaryDisabled always reports false: the client speaks the binary frame
+// only. It is kept because benchmark/ still calls it.
+func (c *Client) BinaryDisabled() bool { return false }
 
-// BinaryDisabled reports whether the client has latched onto the NDJSON
-// fallback after a 415 (exposed for tests and operational introspection).
-func (c *Client) BinaryDisabled() bool { return c.binaryDisabled.Load() }
-
-// Search runs req against the named index.
+// Search runs req against the named index as a JSON answer. It is kept
+// because benchmark/ still calls it; SearchEvents is the typed read.
 func (c *Client) Search(ctx context.Context, index string, req SearchRequest) (SearchResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -312,12 +225,9 @@ func (c *Client) Scatter(ctx context.Context, index string, sreq ScatterRequest)
 
 // BulkFrame posts an already-encoded binary event frame verbatim — the
 // coordinator's no-re-encode forward path for a single-partition topology.
-// The caller owns protocol negotiation: a server that does not speak the
-// binary frame surfaces as the usual 4xx, with no NDJSON fallback here.
 func (c *Client) BulkFrame(ctx context.Context, index string, frame []byte) error {
-	var out map[string]int
 	return c.doBody(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_bulk",
-		event.ContentTypeBinaryV1, frame, &out)
+		event.ContentTypeBinaryV1, frame, nil)
 }
 
 // Stats fetches the named index's doc/shard/row counts (GET _stats).
@@ -398,7 +308,7 @@ func (c *Client) Promote(ctx context.Context) error {
 func (c *Client) Base() string { return c.base }
 
 // DoJSON issues one JSON-in/JSON-out request through the client's wire
-// plumbing (API prefix, per-request deadline, HTTPError mapping) against
+// plumbing (per-request deadline, HTTPError mapping) against
 // an arbitrary path — the hook extension packages use to speak routes the
 // core client does not know (the diagnosis endpoints, for one) without
 // re-implementing transport concerns. A nil body sends no payload; a nil
@@ -445,7 +355,7 @@ func (c *Client) doReader(ctx context.Context, method, path, contentType string,
 		ctx, cancel = context.WithTimeout(ctx, c.reqTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+c.prefix+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		if cl, ok := body.(io.Closer); ok {
 			cl.Close()

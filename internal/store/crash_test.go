@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
+	"github.com/dsrhaslab/dio-go/internal/durable/durabletest"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
@@ -406,15 +407,12 @@ func TestFrameJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := openDurable(t, dir)
 	srv := httptest.NewServer(NewServer(st))
-	c := NewClient(srv.URL, WithAPIPrefix("/v1"))
+	c := NewClient(srv.URL)
 	ctx := context.Background()
 	for r := 0; r < 2; r++ {
 		if err := c.BulkEvents(ctx, crashIndex, crashEvents(r)); err != nil {
 			t.Fatalf("round %d: ship frame: %v", r, err)
 		}
-	}
-	if c.BinaryDisabled() {
-		t.Fatal("client fell back to NDJSON; frame path not exercised")
 	}
 	want := fingerprint(t, st)
 	srv.Close()
@@ -537,7 +535,8 @@ func TestCrashCorrelateKilledBeforeManifestCommit(t *testing.T) {
 // parse it as something else, or hand back a half-loaded store. The one form
 // Open cannot see without reading segment files — generic rows that a
 // manifest older than its Generic count does not mention — fails the same
-// way at the first read of that segment.
+// way at the first read of that segment. The writer cannot produce generic
+// rows, so durabletest patches them into the committed segment's image.
 func TestRetiredFormatsRejected(t *testing.T) {
 	appendWAL := func(rt durable.RecordType) func(*testing.T, string) {
 		return func(t *testing.T, dir string) {
@@ -553,28 +552,43 @@ func TestRetiredFormatsRejected(t *testing.T) {
 			}
 		}
 	}
-	recommit := func(edit func(*durable.Manifest)) func(*testing.T, string) {
-		return func(t *testing.T, dir string) {
-			m := manifestOf(t, dir)
-			edit(&m)
-			if err := durable.CommitManifest(indexDir(dir), m); err != nil {
-				t.Fatal(err)
-			}
+	// editManifest rewrites the committed manifest's JSON through edit, so
+	// it can carry keys the Manifest type no longer has.
+	editManifest := func(t *testing.T, dir string, edit func(m map[string]any)) {
+		path := filepath.Join(indexDir(dir), durable.ManifestName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		edit(m)
+		if data, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// genericSegment rewrites segment 0 as the same 12 rows in generic form.
+	// genericSegment adds two generic rows to segment 0, and when counted
+	// says so in its manifest entry.
 	genericSegment := func(counted bool) func(*testing.T, string) {
 		return func(t *testing.T, dir string) {
-			rows := make(sliceRows, 12)
-			for i := range rows {
-				rows[i] = durable.SegmentRow{Doc: []byte("gob bytes of an older build")}
-			}
-			info, err := durable.WriteSegment(filepath.Join(indexDir(dir), durable.SegmentName(0)), 4, rows)
+			path := filepath.Join(indexDir(dir), durable.SegmentName(0))
+			img, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			doc := []byte("gob bytes of an older build")
+			if err := os.WriteFile(path, durabletest.WithGenericRows(img, doc, doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
 			if counted {
-				recommit(func(m *durable.Manifest) { m.Segments[0].Generic = int64(info.Generic) })(t, dir)
+				editManifest(t, dir, func(m map[string]any) {
+					m["segments"].([]any)[0].(map[string]any)["generic"] = 2
+				})
 			}
 		}
 	}
@@ -587,25 +601,10 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		{"wal gob rewrite", "wal record type 3", appendWAL(durable.RecordRetiredRewrite), false},
 		{"wal row rewrite", "wal record type 4", appendWAL(durable.RecordRetiredRows), false},
 		{"manifest rewrites blob", "manifest pending rewrites", func(t *testing.T, dir string) {
-			path := filepath.Join(indexDir(dir), durable.ManifestName)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var m map[string]any
-			if err := json.Unmarshal(data, &m); err != nil {
-				t.Fatal(err)
-			}
-			m["rewrites"] = []byte("bytes of an older build")
-			if data, err = json.Marshal(m); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			editManifest(t, dir, func(m map[string]any) { m["rewrites"] = []byte("bytes of an older build") })
 		}, false},
-		{"generic segment rows", durable.SegmentName(0), genericSegment(true), false},
-		{"generic segment rows, uncounted by an older manifest", "generic rows in " + durable.SegmentName(0), genericSegment(false), true},
+		{"generic segment rows", "segment " + durable.SegmentName(0) + " holds 2 generic rows", genericSegment(true), false},
+		{"generic segment rows, uncounted by an older manifest", durable.SegmentName(0), genericSegment(false), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

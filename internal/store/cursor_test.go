@@ -187,9 +187,8 @@ func TestCursorPagingDifferential(t *testing.T) {
 	}
 }
 
-// TestCursorHTTPPaging drives the cursor over the wire: paging through the
-// /v1 client and the legacy unprefixed alias must both reproduce the
-// in-process monolithic response, proving NextAfter survives the JSON
+// TestCursorHTTPPaging drives the cursor over the wire: paging through a
+// client must reproduce the in-process monolithic response, proving NextAfter survives the JSON
 // round-trip (keys and gids ride as JSON integers and re-parse exactly).
 func TestCursorHTTPPaging(t *testing.T) {
 	st := memStore(t)
@@ -210,41 +209,37 @@ func TestCursorHTTPPaging(t *testing.T) {
 	}
 	wantJSON, _ := json.Marshal(want.Hits)
 
-	for name, c := range map[string]*Client{
-		"v1":     NewClient(srv.URL, WithAPIPrefix("/v1")),
-		"legacy": NewClient(srv.URL),
-	} {
-		req := shape
-		req.Size = 700
-		var got []Document
-		for {
-			resp, err := c.Search(context.Background(), "cur", req)
-			if err != nil {
-				t.Fatalf("%s paged search: %v", name, err)
-			}
-			got = append(got, resp.Hits...)
-			if len(resp.Hits) < req.Size || resp.NextAfter == nil {
-				break
-			}
-			req.SearchAfter = resp.NextAfter
-		}
-		gotJSON, _ := json.Marshal(got)
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("%s: paged hits diverge from monolithic (%d vs %d)", name, len(got), len(want.Hits))
-		}
-
-		// Typed paging through the same client must agree on count and order.
-		var typed int
-		err := EachEventPage(context.Background(), c, "cur", shape, 700, func(page EventsResult) error {
-			typed += len(page.Hits)
-			return nil
-		})
+	c := NewClient(srv.URL)
+	req := shape
+	req.Size = 700
+	var got []Document
+	for {
+		resp, err := c.Search(context.Background(), "cur", req)
 		if err != nil {
-			t.Fatalf("%s EachEventPage: %v", name, err)
+			t.Fatalf("paged search: %v", err)
 		}
-		if typed != len(want.Hits) {
-			t.Errorf("%s: typed pager saw %d events, want %d", name, typed, len(want.Hits))
+		got = append(got, resp.Hits...)
+		if len(resp.Hits) < req.Size || resp.NextAfter == nil {
+			break
 		}
+		req.SearchAfter = resp.NextAfter
+	}
+	gotJSON, _ := json.Marshal(got)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("paged hits diverge from monolithic (%d vs %d)", len(got), len(want.Hits))
+	}
+
+	// Typed paging through the same client must agree on count and order.
+	var typed int
+	err = EachEventPage(context.Background(), c, "cur", shape, 700, func(page EventsResult) error {
+		typed += len(page.Hits)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("EachEventPage: %v", err)
+	}
+	if typed != len(want.Hits) {
+		t.Errorf("typed pager saw %d events, want %d", typed, len(want.Hits))
 	}
 }
 
@@ -270,19 +265,17 @@ func TestCursorBadRequest(t *testing.T) {
 		`{"size":5,"search_after":[9223372036854775808]}`,                             // gid past int64
 	}
 	for _, body := range bad {
-		for _, path := range []string{"/cur/_search", "/v1/cur/_search"} {
-			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("POST %s %s: status %d, want 400", path, body, resp.StatusCode)
-			}
+		resp, err := http.Post(srv.URL+"/cur/_search", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", body, resp.StatusCode)
 		}
 	}
 
-	// A well-formed cursor on the same routes still answers 200.
+	// A well-formed cursor on the same route still answers 200.
 	ok := `{"size":5,"sort":[{"field":"time_enter_ns"}],"search_after":[1000000000,3]}`
 	resp, err := http.Post(srv.URL+"/cur/_search", "application/json", strings.NewReader(ok))
 	if err != nil {

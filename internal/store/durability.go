@@ -474,10 +474,6 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	}
 	segs := append([]durable.SegmentMeta(nil), m.Segments...)
 	for _, sm := range segs {
-		if sm.Generic != 0 {
-			return nil, fmt.Errorf("store: recover %q: segment %s holds %d generic rows: %w",
-				name, durable.SegmentName(sm.Seq), sm.Generic, ErrRetiredFormat)
-		}
 		// Every referenced file must exist NOW: a manifest naming a missing
 		// segment is corruption recovery reports immediately, not on the first
 		// cold query.
@@ -532,20 +528,6 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	d.wal = w
 	s.dtm.recoveryNS.Observe(float64(time.Since(startT)))
 	return ix, nil
-}
-
-// readSegmentEvents streams the rows of the committed segment at path to fn
-// in global-id order (gid is segment-local). Every row the store ever wrote
-// is an event; a row in the format's retired generic block fails the read
-// with ErrRetiredFormat.
-func readSegmentEvents(path string, fn func(gid int, ev *event.Event) error) error {
-	_, err := durable.ReadSegment(path, func(gid int, ev *event.Event, _ []byte) error {
-		if ev == nil {
-			return fmt.Errorf("generic row %d of %s: %w", gid, filepath.Base(path), ErrRetiredFormat)
-		}
-		return fn(gid, ev)
-	})
-	return err
 }
 
 // applyWALRecord replays one journal record, returning how many rows it

@@ -44,7 +44,7 @@ const (
 )
 
 // EventBackend is the ingest half of Backend: both the in-process *Store and
-// the *Client (binary frame, NDJSON downgrade) implement it. Implementations
+// the *Client (binary frame) implement it. Implementations
 // must not retain the events slice after returning: the tracer's drain
 // workers recycle batch buffers through a pool.
 type EventBackend interface {

@@ -96,19 +96,6 @@ func (d *bulkDoc) toEvent() (event.Event, error) {
 	return e, checkEventStrings(&e)
 }
 
-// encodeBulkNDJSON appends the body DecodeBulkNDJSON parses back into events:
-// per event an action line, then its Document view.
-func encodeBulkNDJSON(buf *bytes.Buffer, events []event.Event) error {
-	enc := json.NewEncoder(buf)
-	for i := range events {
-		buf.WriteString("{\"index\":{}}\n")
-		if err := enc.Encode(EventToDoc(&events[i])); err != nil {
-			return fmt.Errorf("encode bulk doc: %w", err)
-		}
-	}
-	return nil
-}
-
 // DecodeBulkNDJSON parses the NDJSON encoding of POST /{index}/_bulk — the
 // Elasticsearch bulk shape: an action line, then a document line, repeated —
 // into events. It is the one place a JSON document becomes a row, shared by

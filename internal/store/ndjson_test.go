@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,12 +14,17 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
-// ndjsonBody renders events the way the client's downgrade does.
+// ndjsonBody renders events as the body DecodeBulkNDJSON parses back into
+// them: per event an action line, then its Document view.
 func ndjsonBody(tb testing.TB, events []event.Event) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := encodeBulkNDJSON(&buf, events); err != nil {
-		tb.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for i := range events {
+		buf.WriteString("{\"index\":{}}\n")
+		if err := enc.Encode(EventToDoc(&events[i])); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }

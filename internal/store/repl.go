@@ -387,8 +387,8 @@ func (s *Store) ReplBootstrapFrames(index string, batchRows int) (ReplSnapshot, 
 		if sm.EndRow > snap.Base {
 			continue
 		}
-		err := readSegmentEvents(filepath.Join(d.dir, durable.SegmentName(sm.Seq)),
-			func(lg int, ev *event.Event) error {
+		_, err := durable.ReadSegment(filepath.Join(d.dir, durable.SegmentName(sm.Seq)),
+			func(lg int, ev *event.Event, _ []byte) error {
 				gid := sm.StartRow + int64(lg)
 				add(gid, ev)
 				resolveFromBook(book, int(gid), &batch[len(batch)-1])

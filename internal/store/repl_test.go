@@ -239,7 +239,7 @@ func TestReplHTTPEndpoints(t *testing.T) {
 	follower.SetFollower()
 	fsrv := httptest.NewServer(NewServer(follower))
 	defer fsrv.Close()
-	fc := NewClient(fsrv.URL, WithAPIPrefix("/v1"))
+	fc := NewClient(fsrv.URL)
 	ctx := context.Background()
 
 	st, err := fc.ReplStatus(ctx)
@@ -289,7 +289,7 @@ func TestReplHTTPEndpoints(t *testing.T) {
 	// Pushing to a primary → 403.
 	psrv := httptest.NewServer(NewServer(primary))
 	defer psrv.Close()
-	pc := NewClient(psrv.URL, WithAPIPrefix("/v1"))
+	pc := NewClient(psrv.URL)
 	if _, err := pc.ReplApply(ctx, crashIndex, 0, frames); !errors.As(err, &he) || he.Status != 403 {
 		t.Fatalf("apply to primary over HTTP: %v, want 403", err)
 	}
@@ -329,7 +329,7 @@ func TestHealthEndpointShape(t *testing.T) {
 	srv := httptest.NewServer(NewServer(st))
 	defer srv.Close()
 
-	h, err := NewClient(srv.URL, WithAPIPrefix("/v1")).HealthStatus(context.Background())
+	h, err := NewClient(srv.URL).HealthStatus(context.Background())
 	if err != nil {
 		t.Fatalf("health status: %v", err)
 	}
@@ -382,8 +382,8 @@ func TestFailoverClientRedirects(t *testing.T) {
 	pump(t, primary, follower, crashIndex, false)
 
 	fo, err := NewFailoverClient(
-		NewClient(psrv.URL, WithAPIPrefix("/v1")),
-		NewClient(fsrv.URL, WithAPIPrefix("/v1")))
+		NewClient(psrv.URL),
+		NewClient(fsrv.URL))
 	if err != nil {
 		t.Fatalf("failover client: %v", err)
 	}
@@ -459,9 +459,9 @@ func TestFailoverHungPrimary(t *testing.T) {
 	lsrv := httptest.NewServer(NewServer(live))
 	defer lsrv.Close()
 
-	hc := NewClient(hung.URL, WithAPIPrefix("/v1"))
+	hc := NewClient(hung.URL)
 	hc.SetRequestTimeout(50 * time.Millisecond)
-	fo, err := NewFailoverClient(hc, NewClient(lsrv.URL, WithAPIPrefix("/v1")))
+	fo, err := NewFailoverClient(hc, NewClient(lsrv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestReplApplyErrorsThroughStatusTable(t *testing.T) {
 	follower.SetFollower()
 	push := func(st *Store) (int, map[string]any) {
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/v1/_repl/apply", strings.NewReader(`{"index":"ix","from":5,"frames":[]}`))
+		req := httptest.NewRequest(http.MethodPost, "/_repl/apply", strings.NewReader(`{"index":"ix","from":5,"frames":[]}`))
 		NewServer(st).ServeHTTP(rec, req)
 		var body map[string]any
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {

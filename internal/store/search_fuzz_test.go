@@ -87,17 +87,17 @@ func seedWide(f *testing.F, mem, dur http.Handler, route string, wrap func(strin
 	}
 }
 
-// fuzzSearch posts body to a server's /v1 _search and returns the status and
+// fuzzSearch posts body to a server.s _search and returns the status and
 // the response body.
 func fuzzSearch(h http.Handler, body []byte) (int, string) {
 	return fuzzPost(h, "_search", body)
 }
 
-// fuzzPost posts body to one of a server's /v1 index routes and returns the
+// fuzzPost posts body to one of a server's index routes and returns the
 // status and the response body.
 func fuzzPost(h http.Handler, route string, body []byte) (int, string) {
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/"+fuzzIndex+"/"+route, bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/"+fuzzIndex+"/"+route, bytes.NewReader(body)))
 	return rec.Code, rec.Body.String()
 }
 

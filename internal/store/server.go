@@ -88,33 +88,29 @@ var _ Served[IndexStats, HealthStatus] = (*Store)(nil)
 
 // Server is the one HTTP front end, with an Elasticsearch-flavoured API: it
 // serves a node (*Store) and a cluster coordinator alike, so a client points
-// at either with nothing but a base-URL change. Every route is mounted
-// twice: under the versioned /v1/ prefix (the canonical surface) and
-// unprefixed (the legacy alias older clients still speak):
+// at either with nothing but a base-URL change. Its one route table:
 //
-//	POST   /v1/{index}/_bulk       events, as a binary frame or NDJSON action/document pairs
-//	POST   /v1/{index}/_search     SearchRequest JSON body; JSON answer, or typed hits by Accept
-//	ANY    /v1/{index}/_count      optional Query JSON body
-//	POST   /v1/{index}/_correlate  ?session=NAME
-//	GET    /v1/{index}/_stats      the backend's index stats
-//	DELETE /v1/{index}             drop an index
-//	GET    /v1/_health             liveness probe for clients and breakers
-//	ANY    /v1/_cat/indices        list index names
-//	GET    /v1/metrics             Prometheus-style text exposition
-//	POST   /v1/{index}/{op}        an op registered with HandleOp (_diagnose, _dfg, _diff)
+//	POST   /{index}/_bulk       events, as a binary frame or NDJSON action/document pairs
+//	POST   /{index}/_search     SearchRequest JSON body; JSON answer, or typed hits by Accept
+//	ANY    /{index}/_count      optional Query JSON body
+//	POST   /{index}/_correlate  ?session=NAME
+//	GET    /{index}/_stats      the backend's index stats
+//	DELETE /{index}             drop an index
+//	GET    /_health             liveness probe for clients and breakers
+//	ANY    /_cat/indices        list index names
+//	GET    /metrics             Prometheus-style text exposition
+//	POST   /{index}/{op}        an op registered with HandleOp (_diagnose, _dfg, _diff)
 //
 // and on a node only:
 //
-//	POST   /v1/{index}/_scatter    one partition's share of a cluster search
-//	POST   /v1/{index}/_paths      name the rows with a harvested paths record
-//	GET    /v1/_repl/status        role and per-index sequence positions
-//	POST   /v1/_repl/apply         a follower applies pushed WAL frames
-//	POST   /v1/_repl/bootstrap     a follower replaces an index with a primary snapshot
-//	POST   /v1/_repl/promote       a follower becomes a primary
+//	POST   /{index}/_scatter    one partition's share of a cluster search
+//	POST   /{index}/_paths      name the rows with a harvested paths record
+//	GET    /_repl/status        role and per-index sequence positions
+//	POST   /_repl/apply         a follower applies pushed WAL frames
+//	POST   /_repl/bootstrap     a follower replaces an index with a primary snapshot
+//	POST   /_repl/promote       a follower becomes a primary
 //
-// Failures answer through WriteError. Known alias limitation: an index
-// literally named "v1" is reachable only through the versioned prefix
-// (/v1/v1/_search), since the unprefixed path space cedes /v1/ to it.
+// Failures answer through WriteError.
 type Server struct {
 	b Frontend
 	// node is the served store, nil on a coordinator: the node-only routes
@@ -140,7 +136,7 @@ type route struct {
 // its value as JSON, or its error through WriteError.
 type OpHandler func(r *http.Request, index string) (any, error)
 
-// HandleOp registers h for POST /{index}/op (and /v1/{index}/op), for
+// HandleOp registers h for POST /{index}/op, for
 // packages layered above the store (the diagnosis engine mounts
 // _diagnose/_dfg/_diff here) so the store stays free of upward dependencies.
 // Call it before the server serves. Built-in operations cannot be
@@ -164,8 +160,7 @@ func (s *Server) HandleOp(op string, h OpHandler) {
 // additional routes over the same state.
 func (s *Server) Backend() Frontend { return s.b }
 
-// Routes lists what s serves, one "METHOD /path" per route in sorted order;
-// each is served under /v1 as well.
+// Routes lists what s serves, one "METHOD /path" per route in sorted order.
 func (s *Server) Routes() []string {
 	out := []string{"DELETE /{index}"}
 	for path, rt := range s.global {
@@ -215,13 +210,7 @@ func NewServer[S, H any](b Served[S, H]) *Server {
 		s.global["/_repl/bootstrap"] = route{http.MethodPost, s.handleReplBootstrap}
 		s.global["/_repl/promote"] = route{http.MethodPost, s.handleReplPromote}
 	}
-	// One route table, mounted twice: the versioned surface strips its
-	// prefix exactly once and dispatches into the same table as the legacy
-	// alias, so /v1/<anything> and /<anything> stay one handler set by
-	// construction — and the prefix cannot nest (/v1/v1/_search reaches the
-	// table as /v1/_search, i.e. the index literally named "v1").
 	s.mux.HandleFunc("/", s.dispatch)
-	s.mux.Handle("/v1/", http.StripPrefix("/v1", http.HandlerFunc(s.dispatch)))
 	return s
 }
 
@@ -365,8 +354,8 @@ func (s *Server) handleReplApply(w http.ResponseWriter, r *http.Request, _ strin
 
 // replBootstrapRequest is the POST /_repl/bootstrap body: a full-state
 // snapshot of one index, aligned to primary sequence seq. The embedded
-// ReplSnapshot flattens into the JSON object, so pre-tiered senders (no
-// base/floor keys) decode as a Base==0 snapshot and take the legacy path.
+// ReplSnapshot flattens into the JSON object; a Base of 0 comes from a
+// primary that never flushed, so every row rides in the frames.
 type replBootstrapRequest struct {
 	Index string `json:"index"`
 	ReplSnapshot

@@ -174,7 +174,7 @@ func TestHTTPPathsChecksTheRecord(t *testing.T) {
 		"trailing bytes":          append(rec.Encode(), 0),
 	} {
 		body, _ := json.Marshal(payload)
-		resp, err := http.Post(c.Base()+"/v1/run1/_paths", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(c.Base()+"/run1/_paths", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -395,7 +395,8 @@ func (s *Store) Stats(_ context.Context, index string) (IndexStats, error) {
 	}, nil
 }
 
-// Search is SearchEvents rendered as documents.
+// Search is SearchEvents rendered as documents. It is kept because
+// benchmark/ still calls it.
 func (s *Store) Search(ctx context.Context, index string, req SearchRequest) (SearchResponse, error) {
 	res, err := s.SearchEvents(ctx, index, req)
 	if err != nil {

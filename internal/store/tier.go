@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"path/filepath"
 	"slices"
@@ -310,12 +309,9 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsReco
 	}
 	ix.rtm.segVerified.Inc()
 	info := r.Info()
-	if info.Generic > 0 {
-		return nil, fmt.Errorf("%d generic rows in %s: %w", info.Generic, durable.SegmentName(sm.Seq), ErrRetiredFormat)
-	}
-	kept := int64(info.Typed)*rowBytes <= rs.budget
+	kept := int64(info.Rows)*rowBytes <= rs.budget
 	var sel []int
-	for i := 0; i < info.Typed; i++ {
+	for i := 0; i < info.Rows; i++ {
 		if t := r.Time(i); kept || mayMatchTime(t, t, minT, maxT) {
 			sel = append(sel, i)
 		}
@@ -334,7 +330,7 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsReco
 	if kept {
 		rs.put(sm.Seq, book, cs)
 	} else {
-		ix.rtm.rowsSkipped.Add(uint64(info.Typed - len(sel)))
+		ix.rtm.rowsSkipped.Add(uint64(info.Rows - len(sel)))
 	}
 	return cs, nil
 }

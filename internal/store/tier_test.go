@@ -793,7 +793,7 @@ func TestCursorExpiredAfterRetention(t *testing.T) {
 	// client returns it untouched instead of probing for a new primary.
 	srv := httptest.NewServer(NewServer(st))
 	defer srv.Close()
-	fc, err := NewFailoverClient(NewClient(srv.URL, WithAPIPrefix("/v1")))
+	fc, err := NewFailoverClient(NewClient(srv.URL))
 	if err != nil {
 		t.Fatalf("failover client: %v", err)
 	}
@@ -945,8 +945,8 @@ func TestRetentionBoundsMemory(t *testing.T) {
 // TestDurableCorrelateCountsColdRows: a correlation pass over a durable index
 // counts the rows earlier snapshots flushed to cold segments as well as the
 // hot ones, so its CorrelationResult equals, field for field, what an
-// in-memory store holding the same rows answers — in process and over /v1
-// (HTTP 200) — whether the pass is scoped to a session or not, and whether
+// in-memory store holding the same rows answers — in process and over HTTP
+// (status 200) — whether the pass is scoped to a session or not, and whether
 // the rows it names are all cold, all hot, or both. Each pass journals one
 // record (the book grows by exactly one), and the named state survives a
 // reopen.
@@ -957,7 +957,7 @@ func TestDurableCorrelateCountsColdRows(t *testing.T) {
 	ctrl := memStore(t, WithShards(4))
 	srv := httptest.NewServer(NewServer(st))
 	defer srv.Close()
-	remote := NewClient(srv.URL, WithAPIPrefix("/v1"))
+	remote := NewClient(srv.URL)
 	for r, step := range []struct {
 		snapshot bool
 		session  string

@@ -1,18 +1,13 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
@@ -39,149 +34,6 @@ func eventFixture() []event.Event {
 	}
 }
 
-// TestMixedVersionFallback drives a binary-speaking client against an
-// NDJSON-only server (an "old" server, emulated by answering 415 to the
-// binary media type in front of the real handler): the first BulkEvents
-// call must transparently degrade to NDJSON within the call, latch the
-// downgrade, and still land every event.
-func TestMixedVersionFallback(t *testing.T) {
-	srv := NewServer(memStore(t))
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == event.ContentTypeBinaryV1 {
-			httpError(w, http.StatusUnsupportedMediaType, "binary event frames not supported; use NDJSON")
-			return
-		}
-		srv.ServeHTTP(w, r)
-	}))
-	t.Cleanup(hs.Close)
-	oc := NewClient(hs.URL)
-
-	if oc.BinaryDisabled() {
-		t.Fatal("client latched before first call")
-	}
-	if err := oc.BulkEvents(context.Background(), "run1", eventFixture()); err != nil {
-		t.Fatalf("BulkEvents against NDJSON-only server: %v", err)
-	}
-	if !oc.BinaryDisabled() {
-		t.Fatal("client did not latch NDJSON fallback after 415")
-	}
-	n, err := oc.Count(context.Background(), "run1", MatchAll())
-	if err != nil || n != len(eventFixture()) {
-		t.Fatalf("count after fallback = (%d, %v), want %d", n, err, len(eventFixture()))
-	}
-	// Subsequent batches go straight to NDJSON and still land.
-	if err := oc.BulkEvents(context.Background(), "run1", eventFixture()); err != nil {
-		t.Fatalf("second BulkEvents: %v", err)
-	}
-	if n, _ := oc.Count(context.Background(), "run1", MatchAll()); n != 2*len(eventFixture()) {
-		t.Fatalf("count after second batch = %d", n)
-	}
-}
-
-// TestLegacyServerSilentDrop covers the server generation that predates
-// both the binary protocol and the 415 answer: its NDJSON scanner reads a
-// binary frame as one action line with no documents and acks
-// {"items": 0} with HTTP 200. The client must treat that empty ack as
-// "does not speak binary", resend the batch as NDJSON in the same call,
-// and latch the downgrade — otherwise the batch is silently lost.
-func TestLegacyServerSilentDrop(t *testing.T) {
-	st := memStore(t)
-	real := NewServer(st)
-	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/_bulk") && !strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-			// Old scanner behaviour: nothing parses, everything is "fine".
-			w.Header().Set("Content-Type", "application/json")
-			w.Write([]byte(`{"items":0}`))
-			return
-		}
-		real.ServeHTTP(w, r)
-	})
-	hs := httptest.NewServer(legacy)
-	t.Cleanup(hs.Close)
-	c := NewClient(hs.URL)
-
-	if err := c.BulkEvents(context.Background(), "run1", eventFixture()); err != nil {
-		t.Fatalf("BulkEvents against legacy server: %v", err)
-	}
-	if !c.BinaryDisabled() {
-		t.Fatal("client did not latch NDJSON after the empty binary ack")
-	}
-	if n, err := c.Count(context.Background(), "run1", MatchAll()); err != nil || n != len(eventFixture()) {
-		t.Fatalf("count after legacy fallback = (%d, %v), want %d", n, err, len(eventFixture()))
-	}
-}
-
-// TestLegacyNDJSONScannerFallback drives BulkEvents against the real
-// pre-binary-protocol bulk handler: a line scanner with no Content-Type
-// dispatch that splits the body at 0x0A bytes and answers 400 "bad document"
-// when a chunk does not parse as JSON. A realistic binary frame almost
-// always contains an 0x0A somewhere in its little-endian integers (here
-// count=10, a ten-byte read), so this server generation answers neither 415
-// nor an empty ack. The client must treat the 400 as "does not speak
-// binary", resend as NDJSON within the same call, and latch the downgrade —
-// otherwise the shipper classifies the 400 permanent and drops the batch.
-func TestLegacyNDJSONScannerFallback(t *testing.T) {
-	real := NewServer(memStore(t))
-	var rejected atomic.Int32
-	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		parts := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
-		if len(parts) != 2 || parts[1] != "_bulk" {
-			real.ServeHTTP(w, r)
-			return
-		}
-		// The pre-binary handleBulk's scan, verbatim: every body is NDJSON.
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "read body: %v", err)
-			return
-		}
-		sc := bufio.NewScanner(bytes.NewReader(body))
-		sc.Buffer(make([]byte, 64*1024), 8*1024*1024)
-		expectDoc := false
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			if !expectDoc {
-				expectDoc = true
-				continue
-			}
-			var d Document
-			if err := json.Unmarshal([]byte(line), &d); err != nil {
-				rejected.Add(1)
-				httpError(w, http.StatusBadRequest, "bad document: %v", err)
-				return
-			}
-			expectDoc = false
-		}
-		// What the old scanner accepted lands on today's edge decoder.
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		real.ServeHTTP(w, r)
-	})
-	hs := httptest.NewServer(legacy)
-	t.Cleanup(hs.Close)
-	c := NewClient(hs.URL)
-
-	events := eventFixture()
-	events[0].Count = 10 // read(fd, buf, 10): guarantees an 0x0A byte in the frame
-	if !bytes.ContainsRune(event.EncodeBatch(nil, events), '\n') {
-		t.Fatal("fixture frame contains no newline; the legacy scanner would not split it")
-	}
-	if err := c.BulkEvents(context.Background(), "run1", events); err != nil {
-		t.Fatalf("BulkEvents against legacy scanner server: %v", err)
-	}
-	if rejected.Load() == 0 {
-		t.Fatal("legacy server never rejected the frame; the 400 path was not exercised")
-	}
-	if !c.BinaryDisabled() {
-		t.Fatal("client did not latch NDJSON after the legacy 400")
-	}
-	if n, err := c.Count(context.Background(), "run1", MatchAll()); err != nil || n != len(events) {
-		t.Fatalf("count after legacy fallback = (%d, %v), want %d", n, err, len(events))
-	}
-}
-
 // TestBulkEventsEarlyResponseNoRace hammers concurrent BulkEvents calls at a
 // server that answers before reading the request body — the path where
 // http.Client.Do returns while the transport's write goroutine may still be
@@ -191,8 +43,7 @@ func TestLegacyNDJSONScannerFallback(t *testing.T) {
 // is in flight when the response lands.
 func TestBulkEventsEarlyResponseNoRace(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// 429 replies without touching r.Body and does not trigger the
-		// NDJSON fallback, keeping the loop on the binary frame path.
+		// 429 replies without touching r.Body.
 		httpError(w, http.StatusTooManyRequests, "rejected without reading the body")
 	}))
 	t.Cleanup(hs.Close)
@@ -289,9 +140,6 @@ func TestBinaryPathLandsTyped(t *testing.T) {
 	if err := c.BulkEvents(context.Background(), "run1", eventFixture()); err != nil {
 		t.Fatalf("BulkEvents: %v", err)
 	}
-	if c.BinaryDisabled() {
-		t.Fatal("client fell back to NDJSON against a binary-capable server")
-	}
 	res, err := st.SearchEvents(context.Background(), "run1", SearchRequest{
 		Query: Term("session", "s1"), Sort: []SortField{{Field: "time_enter_ns"}}})
 	if err != nil {
@@ -303,32 +151,6 @@ func TestBinaryPathLandsTyped(t *testing.T) {
 	resp, err := c.Search(context.Background(), "run1", SearchRequest{Query: Term("syscall", "read")})
 	if err != nil || resp.Total != 2 {
 		t.Fatalf("doc search after binary ingest = (%+v, %v)", resp, err)
-	}
-}
-
-// TestBulkBufferReuse asserts the client's NDJSON encode buffer comes from
-// the pool after warm-up: repeated sequential NDJSON bulks must not grow the
-// pool's miss counter.
-func TestBulkBufferReuse(t *testing.T) {
-	_, c := newTestServerClient(t)
-	docs := docFixture()
-	if err := c.bulkEventsNDJSON(context.Background(), "run1", docs); err != nil {
-		t.Fatalf("warm-up bulk: %v", err)
-	}
-	const calls = 32
-	misses := bulkBufNews.Load()
-	for i := 0; i < calls; i++ {
-		if err := c.bulkEventsNDJSON(context.Background(), "run1", docs); err != nil {
-			t.Fatalf("bulk %d: %v", i, err)
-		}
-	}
-	// Under -race, sync.Pool deliberately drops a fraction of Puts, so an
-	// exact zero-miss assertion cannot hold there. Requiring strictly
-	// fewer misses than calls still proves the buffer is reused (a
-	// non-pooling implementation misses on every call), and an all-miss
-	// run has probability 0.25^32 even in race mode.
-	if got := bulkBufNews.Load() - misses; got >= calls {
-		t.Fatalf("bulk buffer pool missed %d times across %d sequential calls: no reuse", got, calls)
 	}
 }
 

@@ -37,7 +37,7 @@ func typedBodySeeds(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/run/"+op, bytes.NewReader(raw))
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/run/"+op, bytes.NewReader(raw))
 		req.Header.Set("Accept", event.ContentTypeBinaryV1)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
