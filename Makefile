@@ -142,11 +142,13 @@ fuzz:
 	done
 
 ## chaos: the fault-injection suite — the ladder and its one rule for what
-## counts against a target (TargetFault), shipper, breaker, spill, the fault
-## model in process and on the wire, and the tracer-level exact-accounting
-## tests, raced and repeated.
+## counts against a target (TargetFault), shipper (its final flush spending
+## one ladder on a dead target included), breaker, spill, the fault model in
+## process and on the wire, and the tracer-level exact-accounting tests (the
+## ledger closing on a default tracer against every ship failure included),
+## raced and repeated.
 chaos:
-	$(GO) test -race -count=2 -run 'Chaos|Shipper|Breaker|Faulty|Spill|Ladder|TargetFault' ./internal/resilience/ ./internal/core/
+	$(GO) test -race -count=2 -run 'Chaos|Shipper|Breaker|Faulty|Spill|Ladder|TargetFault|LedgerCloses|ShipErrors|ErrorList' ./internal/resilience/ ./internal/core/
 
 ## chaos-repl: the replication fault harness — partitioned, delayed,
 ## duplicated, and reordered frames, follower crash mid-replay, primary

@@ -39,9 +39,10 @@ type FileConfig struct {
 	AutoCorrelate bool `json:"auto_correlate"`
 	// Workload selects the bundled application to trace.
 	Workload string `json:"workload,omitempty"`
-	// Resilience enables the fault-tolerant ship path (retry, circuit
-	// breaker, spill queue); nil ships directly to the backend.
-	Resilience *ResilienceFileConfig `json:"resilience,omitempty"`
+	// Resilience tunes the fault-tolerant ship path (retry, circuit
+	// breaker, spill queue) every tracer ships through; an absent block
+	// takes the library defaults.
+	Resilience ResilienceFileConfig `json:"resilience"`
 }
 
 // ResilienceFileConfig is the JSON form of resilience.Config; zero fields
@@ -64,10 +65,7 @@ type ResilienceFileConfig struct {
 }
 
 // toConfig maps the JSON fields onto resilience.Config.
-func (rc *ResilienceFileConfig) toConfig() *resilience.Config {
-	if rc == nil {
-		return nil
-	}
+func (rc ResilienceFileConfig) toConfig() *resilience.Config {
 	return &resilience.Config{
 		Policy: resilience.Policy{
 			MaxAttempts:      rc.MaxAttempts,

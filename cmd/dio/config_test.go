@@ -130,7 +130,7 @@ func TestRunWithChaosDemo(t *testing.T) {
 	fc := FileConfig{
 		Session:    "t-chaos",
 		Workload:   "synthetic",
-		Resilience: &ResilienceFileConfig{BreakerCooldownMillis: 5},
+		Resilience: ResilienceFileConfig{BreakerCooldownMillis: 5},
 	}
 	if err := run(fc, false, 0.3, time.Millisecond); err != nil {
 		t.Fatalf("run with chaos: %v", err)

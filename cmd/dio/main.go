@@ -9,7 +9,7 @@
 //
 //	dio trace -workload fluentbit-buggy
 //	dio trace -workload synthetic -syscalls openat,write,close -backend http://localhost:9200
-//	dio trace -workload synthetic -resilience -chaos-rate 0.3
+//	dio trace -workload rocksdb -chaos-rate 0.3 -breaker-cooldown 50ms
 //	dio trace -config trace.json
 //	dio diagnose -workload fluentbit-buggy -dfg
 //	dio diagnose -backend http://localhost:9200 -index dio-events -session run-1
@@ -17,7 +17,9 @@
 //	dio diff -backend http://localhost:9200 -index dio-events run-1 run-2
 //
 // A bare invocation (flags without a subcommand) keeps the historical
-// behavior and is an alias for "dio trace".
+// behavior and is an alias for "dio trace". The tracer always ships through
+// the fault-tolerant ladder (retry, circuit breaker, spill queue, counted
+// drop); the -max-retries, -spill-events and -breaker-* flags tune it.
 package main
 
 import (
@@ -95,12 +97,11 @@ func cmdTrace(args []string) error {
 
 		telemetryEvery = fs.Duration("telemetry", 0, "print a pipeline self-telemetry report at this interval, plus a final dashboard (0 = off)")
 
-		resilient        = fs.Bool("resilience", false, "wrap the backend in the fault-tolerant ship path (retry, breaker, spill)")
-		maxRetries       = fs.Int("max-retries", 0, "delivery attempts per batch before spilling (0 = default 4; implies -resilience)")
-		spillEvents      = fs.Int("spill-events", 0, "spill-queue capacity in events (0 = default 65536; implies -resilience)")
-		breakerThreshold = fs.Int("breaker-threshold", 0, "consecutive failures before the circuit breaker opens (0 = default 5; implies -resilience)")
-		breakerCooldown  = fs.Duration("breaker-cooldown", 0, "how long the breaker stays open before a probe (0 = default 500ms; implies -resilience)")
-		chaosRate        = fs.Float64("chaos-rate", 0, "inject transient bulk failures at this rate in front of the backend, in-process or -backend URL (demo; implies -resilience)")
+		maxRetries       = fs.Int("max-retries", 0, "delivery attempts per batch before spilling (0 = default 4)")
+		spillEvents      = fs.Int("spill-events", 0, "spill-queue capacity in events (0 = default 65536)")
+		breakerThreshold = fs.Int("breaker-threshold", 0, "consecutive failures before the circuit breaker opens (0 = default 5)")
+		breakerCooldown  = fs.Duration("breaker-cooldown", 0, "how long the breaker stays open before a probe (0 = default 500ms)")
+		chaosRate        = fs.Float64("chaos-rate", 0, "inject transient bulk failures at this rate in front of the backend, in-process or -backend URL (demo)")
 	)
 	fs.Parse(args)
 
@@ -110,21 +111,18 @@ func cmdTrace(args []string) error {
 		BackendURL:    *backend,
 		AutoCorrelate: *correlate,
 		Workload:      *workload,
+		Resilience: ResilienceFileConfig{
+			MaxAttempts:           *maxRetries,
+			SpillEvents:           *spillEvents,
+			BreakerThreshold:      *breakerThreshold,
+			BreakerCooldownMillis: int(breakerCooldown.Milliseconds()),
+		},
 	}
 	if *syscalls != "" {
 		fc.Syscalls = strings.Split(*syscalls, ",")
 	}
 	if *paths != "" {
 		fc.Paths = strings.Split(*paths, ",")
-	}
-	if *resilient || *maxRetries > 0 || *spillEvents > 0 || *breakerThreshold > 0 ||
-		*breakerCooldown > 0 || *chaosRate > 0 {
-		fc.Resilience = &ResilienceFileConfig{
-			MaxAttempts:           *maxRetries,
-			SpillEvents:           *spillEvents,
-			BreakerThreshold:      *breakerThreshold,
-			BreakerCooldownMillis: int(breakerCooldown.Milliseconds()),
-		}
 	}
 	if *configPath != "" {
 		loaded, err := LoadFileConfig(*configPath)
@@ -214,11 +212,9 @@ func run(fc FileConfig, printTable bool, chaosRate float64, telemetryEvery time.
 	if stats.ParseErrors > 0 {
 		fmt.Printf("parse errors=%d\n", stats.ParseErrors)
 	}
-	if stats.Resilience != nil {
-		fmt.Printf("resilience: retries=%d requeued=%d replayed=%d spill-dropped=%d breaker-opens=%d breaker=%s\n",
-			stats.Retries, stats.Requeued, stats.Replayed, stats.SpillDropped,
-			stats.BreakerOpens, stats.Resilience.BreakerState)
-	}
+	fmt.Printf("resilience: retries=%d requeued=%d replayed=%d spill-dropped=%d breaker-opens=%d breaker=%s\n",
+		stats.Retries, stats.Requeued, stats.Replayed, stats.SpillDropped,
+		stats.BreakerOpens, stats.Resilience.BreakerState)
 	if faulty != nil {
 		fmt.Printf("chaos: injected %d bulk failures\n", faulty.Injected())
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -9,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/resilience"
 	"github.com/dsrhaslab/dio-go/internal/store"
+	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
 // chaosResilience is a fast-converging resilience config for chaos tests:
@@ -29,6 +32,13 @@ func chaosResilience() *resilience.Config {
 		},
 		SpillEvents: 1 << 16,
 	}
+}
+
+// virtualResilience is the default ship path on a virtual clock: backoffs
+// and breaker cooldowns cost no wall time, so a test against a backend that
+// never recovers still runs in milliseconds.
+func virtualResilience() *resilience.Config {
+	return &resilience.Config{Policy: resilience.Policy{Clock: clock.NewVirtual(0)}}
 }
 
 // runChaosWorkload writes events spread over enough flush intervals that the
@@ -81,6 +91,121 @@ func assertLedgerBalanced(t *testing.T, tr *Tracer) {
 	}
 }
 
+// statsSeries names, for each count Stats reports, the telemetry series that
+// must read the same memory.
+func statsSeries(st Stats) map[string]uint64 {
+	var flushes uint64
+	for _, w := range st.Workers {
+		flushes += w.Flushes
+	}
+	return map[string]uint64{
+		telemetry.MetricCaptured:      st.Captured,
+		telemetry.MetricFiltered:      st.Filtered,
+		telemetry.MetricRingDropped:   st.Dropped,
+		telemetry.MetricParsed:        st.Parsed,
+		telemetry.MetricParseErrors:   st.ParseErrors,
+		telemetry.MetricShipped:       st.Shipped - st.Replayed,
+		telemetry.MetricShipErrors:    st.ShipErrors,
+		telemetry.MetricFlushes:       flushes,
+		telemetry.MetricRetries:       st.Retries,
+		telemetry.MetricRequeued:      st.Requeued,
+		telemetry.MetricReplayed:      st.Replayed,
+		telemetry.MetricSpillDropped:  st.SpillDropped,
+		telemetry.MetricBreakerOpens:  st.BreakerOpens,
+		telemetry.MetricBreakerCloses: st.Resilience.BreakerCloses,
+	}
+}
+
+// assertStatsMatchTelemetry: every tracer, shipper and breaker count in Stats
+// equals its series in the snapshot.
+func assertStatsMatchTelemetry(t *testing.T, st Stats, snap telemetry.Snapshot) {
+	t.Helper()
+	for name, want := range statsSeries(st) {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (registered %v), Stats says %d", name, got, ok, want)
+		}
+	}
+}
+
+// assertLedgerMatchesStats: each ledger term equals the Stats field it
+// names, and the ledger closes with nothing pending.
+func assertLedgerMatchesStats(t *testing.T, st Stats, l telemetry.Ledger) {
+	t.Helper()
+	want := telemetry.Ledger{
+		Captured:     st.Captured,
+		Shipped:      st.Shipped,
+		RingDropped:  st.Dropped,
+		SpillDropped: st.SpillDropped,
+		ParseErrors:  st.ParseErrors,
+	}
+	if l != want {
+		t.Fatalf("ledger %+v, Stats terms %+v", l, want)
+	}
+	if !l.Balanced() {
+		t.Fatalf("ledger does not close: %+v (outstanding %d)", l, l.Outstanding())
+	}
+}
+
+// refusingBackend fails every bulk request with an unclassified error, as a
+// backend whose port refuses connections does.
+type refusingBackend struct{ store.Backend }
+
+func (refusingBackend) BulkEvents(context.Context, string, []event.Event) error {
+	return errors.New("dial tcp: connection refused")
+}
+
+// rejectingBackend answers every bulk request with a permanent rejection.
+type rejectingBackend struct{ store.Backend }
+
+func (rejectingBackend) BulkEvents(context.Context, string, []event.Event) error {
+	return resilience.Permanent(errors.New("mapping rejected"))
+}
+
+// TestLedgerClosesOnEveryShipFailure: a tracer built with Resilience left nil
+// ships through the ladder, so a failing backend loses no event uncounted —
+// each ends in SpillDropped, and the ledger and Stats agree term by term.
+// The overflow arm sets only what it needs (a spill queue smaller than one
+// batch) on a virtual clock.
+func TestLedgerClosesOnEveryShipFailure(t *testing.T) {
+	overflow := virtualResilience()
+	overflow.SpillEvents = 8
+	for _, tc := range []struct {
+		name       string
+		backend    func(store.Backend) store.Backend
+		resilience *resilience.Config
+	}{
+		{"refused", func(b store.Backend) store.Backend { return refusingBackend{b} }, nil},
+		{"permanent", func(b store.Backend) store.Backend { return rejectingBackend{b} }, nil},
+		{"spill-overflow", func(b store.Backend) store.Backend { return refusingBackend{b} }, overflow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newTracedKernel(t)
+			tr, err := NewTracer(Config{
+				Backend:       tc.backend(memStore(t)),
+				BatchSize:     16,
+				FlushInterval: time.Millisecond,
+				Resilience:    tc.resilience,
+			})
+			if err != nil {
+				t.Fatalf("NewTracer: %v", err)
+			}
+			if err := tr.Start(k); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			runTelemetryWorkload(t, k, 100)
+			st, err := tr.Stop()
+			if err == nil {
+				t.Fatal("Stop returned nil despite ship failures")
+			}
+			if st.Captured == 0 || st.Shipped != 0 || st.SpillDropped != st.Captured {
+				t.Fatalf("every captured event must end in SpillDropped: %+v", st)
+			}
+			assertLedgerMatchesStats(t, st, tr.Ledger())
+			assertStatsMatchTelemetry(t, st, tr.Telemetry())
+		})
+	}
+}
+
 func TestTracerChaosExactAccounting(t *testing.T) {
 	k := newTracedKernel(t)
 	inner := memStore(t)
@@ -111,6 +236,8 @@ func TestTracerChaosExactAccounting(t *testing.T) {
 
 	assertExactAccounting(t, st)
 	assertLedgerBalanced(t, tr)
+	assertLedgerMatchesStats(t, st, tr.Ledger())
+	assertStatsMatchTelemetry(t, st, tr.Telemetry())
 	if st.SpillDropped != 0 {
 		t.Fatalf("events dropped despite recovery: %+v", st.Resilience)
 	}
@@ -239,7 +366,7 @@ func (a *atomic64) next() int {
 }
 
 func (c *countingFailBackend) BulkEvents(context.Context, string, []event.Event) error {
-	return fmt.Errorf("backend unavailable (failure %d)", c.calls.next())
+	return resilience.Permanent(fmt.Errorf("backend unavailable (failure %d)", c.calls.next()))
 }
 
 func TestTracerErrorListBoundedAndDistinct(t *testing.T) {
@@ -248,6 +375,7 @@ func TestTracerErrorListBoundedAndDistinct(t *testing.T) {
 		Backend:       &countingFailBackend{Backend: memStore(t)},
 		BatchSize:     1, // one failing flush per event
 		FlushInterval: time.Millisecond,
+		Resilience:    virtualResilience(),
 	})
 	tr.Start(k)
 	task := k.NewProcess("app").NewTask("app")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -139,7 +140,8 @@ func TestMetricsEndpointAllStages(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	runTelemetryWorkload(t, k, 100)
-	if _, err := tr.Stop(); err != nil {
+	stats, err := tr.Stop()
+	if err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
 
@@ -180,5 +182,12 @@ func TestMetricsEndpointAllStages(t *testing.T) {
 	}
 	if samples != 1 {
 		t.Fatalf("dio_ebpf_captured_total emitted %d times; duplicate registry attachment?", samples)
+	}
+	// The scrape reads the memory Stats reads: every tracer, shipper and
+	// breaker count appears with the value Stats reports.
+	for name, want := range statsSeries(stats) {
+		if line := fmt.Sprintf("\n%s %d\n", name, want); !strings.Contains(out, line) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(line))
+		}
 	}
 }

@@ -52,11 +52,12 @@ type Config struct {
 	DrainWorkers int
 	// Backend receives the events. Required.
 	Backend store.Backend
-	// Resilience, when non-nil, wraps Backend in the fault-tolerant ship
-	// path (retry → circuit breaker → spill queue → counted drop; see
-	// DESIGN.md §8). Stop's final drain flushes the spill queue before
-	// returning, so every captured event is either shipped or counted in
-	// exactly one drop counter.
+	// Resilience tunes the ship path every tracer runs Backend through
+	// (retry → circuit breaker → spill queue → counted drop; see DESIGN.md
+	// §8); nil takes the library defaults (the field is a pointer only
+	// because benchmark/ sets it). Stop's final drain flushes the spill
+	// queue before returning, so every captured event is either shipped or
+	// counted in exactly one drop counter.
 	Resilience *resilience.Config
 	// AutoCorrelate runs the file-path correlation algorithm on Stop.
 	AutoCorrelate bool
@@ -92,7 +93,8 @@ type WorkerStats struct {
 	// Requeued is the number of events the resilience layer parked in the
 	// spill queue on this worker's behalf.
 	Requeued uint64
-	// ShipErrors counts the worker's failed bulk requests.
+	// ShipErrors counts the worker's batches the ship path dropped at once
+	// (their events are in Stats.SpillDropped).
 	ShipErrors uint64
 	// Flushes counts the worker's bulk requests (including failed ones).
 	Flushes uint64
@@ -114,7 +116,9 @@ type Stats struct {
 	// Shipped is the number of events successfully indexed at the backend,
 	// including spilled events delivered later by replay.
 	Shipped uint64
-	// ShipErrors counts failed bulk requests.
+	// ShipErrors counts batches the ship path dropped at once — a permanent
+	// rejection, or a batch larger than the spill queue. Their events are in
+	// SpillDropped; a batch parked for replay is not a ship error.
 	ShipErrors uint64
 	// Retries counts ship attempts beyond each batch's first (resilience).
 	Retries uint64
@@ -131,7 +135,7 @@ type Stats struct {
 	SpillDropped uint64
 	// BreakerOpens counts circuit-breaker trips (resilience).
 	BreakerOpens uint64
-	// Resilience is the full shipper snapshot when Config.Resilience is set.
+	// Resilience is the full shipper snapshot.
 	Resilience *resilience.Stats
 	// Workers breaks the user-space numbers down per drain worker.
 	Workers []WorkerStats
@@ -152,9 +156,8 @@ func (s Stats) DropFraction() float64 {
 type Tracer struct {
 	cfg  Config
 	prog *ebpf.Program
-	// backend is the ship target: cfg.Backend, or the resilience shipper
-	// wrapped around it when Config.Resilience is set.
-	backend store.Backend
+	// shipper is the one ship path: the resilience ladder around
+	// cfg.Backend.
 	shipper *resilience.Shipper
 
 	mu      sync.Mutex
@@ -166,26 +169,18 @@ type Tracer struct {
 	workers   []*drainWorker
 	batchPool sync.Pool // *[]event.Event, cap BatchSize
 	errs      shipErrorList
-	tm        coreTelemetry
-}
 
-// coreTelemetry holds the user-space stage's shared instruments. All fields
-// are nil-safe no-ops when telemetry is disabled, so the drain loop guards
-// only its time.Now() calls on the enabled flag.
-type coreTelemetry struct {
-	enabled     bool
-	parsed      *telemetry.Counter
-	parseErrors *telemetry.Counter
-	shipped     *telemetry.Counter
-	shipErrors  *telemetry.Counter
-	flushes     *telemetry.Counter
+	// Flush latency instruments (nil-safe no-ops when telemetry is
+	// disabled, so the drain loop guards only its time.Now() calls). The
+	// counters' series read the drain workers' own tallies.
 	flushNS     *telemetry.Histogram
 	flushWindow *metrics.WindowedRecorder
 }
 
 // drainWorker is one user-space consumer goroutine: it owns a subset of the
 // per-CPU rings, a reusable batch buffer, and its own counters, so workers
-// never contend with each other on the drain path.
+// never contend with each other on the drain path. Stats and the telemetry
+// series both sum these counters.
 type drainWorker struct {
 	id    int
 	rings []*ebpf.RingBuffer
@@ -290,32 +285,20 @@ func NewTracer(cfg Config) (*Tracer, error) {
 	if cfg.DisableTelemetry {
 		cfg.Telemetry = nil
 	}
-	t := &Tracer{cfg: cfg, backend: cfg.Backend}
-	if tm := cfg.Telemetry; tm != nil {
-		t.tm = coreTelemetry{
-			enabled:     true,
-			parsed:      tm.Counter(telemetry.MetricParsed, "records decoded by the drain workers"),
-			parseErrors: tm.Counter(telemetry.MetricParseErrors, "corrupt records dropped by the parsers"),
-			shipped:     tm.Counter(telemetry.MetricShipped, "events acked synchronously by the backend"),
-			shipErrors:  tm.Counter(telemetry.MetricShipErrors, "failed bulk requests"),
-			flushes:     tm.Counter(telemetry.MetricFlushes, "bulk requests issued"),
-			flushNS:     tm.Histogram(telemetry.MetricFlushNS, "one bulk ship call", nil),
-			flushWindow: tm.Window(telemetry.MetricFlushWindow, "windowed flush latency", int64(100*time.Millisecond)),
-		}
-	}
+	var rcfg resilience.Config
 	if cfg.Resilience != nil {
-		rcfg := *cfg.Resilience
-		if rcfg.Telemetry == nil {
-			rcfg.Telemetry = cfg.Telemetry
-		}
-		t.shipper = resilience.NewShipper(cfg.Backend, rcfg)
-		t.backend = t.shipper
+		rcfg = *cfg.Resilience
+	}
+	if rcfg.Telemetry == nil {
+		rcfg.Telemetry = cfg.Telemetry
+	}
+	t := &Tracer{cfg: cfg, shipper: resilience.NewShipper(cfg.Backend, rcfg)}
+	if tm := cfg.Telemetry; tm != nil {
+		t.flushNS = tm.Histogram(telemetry.MetricFlushNS, "one bulk ship call", nil)
+		t.flushWindow = tm.Window(telemetry.MetricFlushWindow, "windowed flush latency", int64(100*time.Millisecond))
 	}
 	return t, nil
 }
-
-// Shipper exposes the resilience layer when configured (nil otherwise).
-func (t *Tracer) Shipper() *resilience.Shipper { return t.shipper }
 
 // Session returns the session name labeling this execution.
 func (t *Tracer) Session() string { return t.cfg.SessionName }
@@ -371,6 +354,25 @@ func (t *Tracer) Start(k *kernel.Kernel) error {
 	}
 	if tm := t.cfg.Telemetry; tm != nil {
 		workers := t.workers
+		sum := func(count func(*drainWorker) *atomic.Uint64) func() uint64 {
+			return func() uint64 {
+				var n uint64
+				for _, w := range workers {
+					n += count(w).Load()
+				}
+				return n
+			}
+		}
+		tm.CounterFunc(telemetry.MetricParsed, "records decoded by the drain workers",
+			sum(func(w *drainWorker) *atomic.Uint64 { return &w.parsed }))
+		tm.CounterFunc(telemetry.MetricParseErrors, "corrupt records dropped by the parsers",
+			sum(func(w *drainWorker) *atomic.Uint64 { return &w.parseErrors }))
+		tm.CounterFunc(telemetry.MetricShipped, "events acked synchronously by the backend",
+			sum(func(w *drainWorker) *atomic.Uint64 { return &w.shipped }))
+		tm.CounterFunc(telemetry.MetricShipErrors, "batches the ship path dropped at once",
+			sum(func(w *drainWorker) *atomic.Uint64 { return &w.shipErrors }))
+		tm.CounterFunc(telemetry.MetricFlushes, "bulk requests issued",
+			sum(func(w *drainWorker) *atomic.Uint64 { return &w.flushes }))
 		tm.GaugeFunc(telemetry.MetricBatchPending, "events drained but not yet flushed",
 			func() float64 {
 				var n int64
@@ -410,10 +412,8 @@ func (t *Tracer) Stop() (Stats, error) {
 	// a backend that recovered gets the events and one that did not gets
 	// exact drop accounting. Runs before correlation so the correlation
 	// pass sees the replayed events.
-	if t.shipper != nil {
-		if ferr := t.shipper.Flush(); ferr != nil {
-			t.errs.add(fmt.Errorf("final spill flush: %w", ferr))
-		}
+	if ferr := t.shipper.Flush(); ferr != nil {
+		t.errs.add(fmt.Errorf("final spill flush: %w", ferr))
 	}
 
 	var res store.CorrelationResult
@@ -441,7 +441,8 @@ func (t *Tracer) TelemetryRegistry() *telemetry.Registry { return t.cfg.Telemetr
 
 // Telemetry snapshots the pipeline's self-accounting: counters, gauges,
 // histograms, and windowed latency series from every stage the tracer owns
-// (ebpf rings, drain workers, and the resilience ladder when configured).
+// (ebpf rings, drain workers, and the resilience ladder). Its counters read
+// the same memory Stats does.
 // Safe to call while tracing and after Stop.
 func (t *Tracer) Telemetry() telemetry.Snapshot { return t.cfg.Telemetry.Snapshot() }
 
@@ -488,18 +489,16 @@ func (t *Tracer) statsLocked() Stats {
 		st.Filtered = t.prog.Filtered()
 		st.Dropped = t.prog.Drops()
 	}
-	if t.shipper != nil {
-		rs := t.shipper.Stats()
-		// Workers count only batches acked synchronously; replays are
-		// delivered (and counted once) by the shipper.
-		st.Shipped += rs.Replayed
-		st.Retries = rs.Retries
-		st.Requeued = rs.Requeued
-		st.Replayed = rs.Replayed
-		st.SpillDropped = rs.SpillDropped
-		st.BreakerOpens = rs.BreakerOpens
-		st.Resilience = &rs
-	}
+	rs := t.shipper.Stats()
+	// Workers count only batches acked synchronously; replays are delivered
+	// (and counted once) by the shipper.
+	st.Shipped += rs.Replayed
+	st.Retries = rs.Retries
+	st.Requeued = rs.Requeued
+	st.Replayed = rs.Replayed
+	st.SpillDropped = rs.SpillDropped
+	st.BreakerOpens = rs.BreakerOpens
+	st.Resilience = &rs
 	return st
 }
 
@@ -520,35 +519,34 @@ func (t *Tracer) drain(w *drainWorker) {
 	var raws [][]byte
 	var rec ebpf.Record
 
-	tmOn := t.tm.enabled
+	tmOn := t.cfg.Telemetry != nil
 
 	flush := func() {
 		if len(batch) == 0 {
 			return
 		}
 		w.flushes.Add(1)
-		t.tm.flushes.Inc()
 		var start time.Time
 		if tmOn {
 			start = time.Now()
 		}
-		err := t.backend.BulkEvents(context.Background(), t.cfg.Index, batch)
+		err := t.shipper.BulkEvents(context.Background(), t.cfg.Index, batch)
 		if tmOn {
 			d := float64(time.Since(start))
-			t.tm.flushNS.Observe(d)
-			t.tm.flushWindow.Record(start.UnixNano(), d)
+			t.flushNS.Observe(d)
+			t.flushWindow.Record(start.UnixNano(), d)
 		}
 		switch {
 		case err == nil:
 			w.shipped.Add(uint64(len(batch)))
-			t.tm.shipped.Add(uint64(len(batch)))
 		case errors.Is(err, resilience.ErrSpilled):
 			// The resilience layer parked the batch and owns its accounting
 			// from here (replay or counted drop).
 			w.requeued.Add(uint64(len(batch)))
 		default:
+			// The shipper dropped the batch and counted it in SpillDropped;
+			// the worker keeps the failed request and its error.
 			w.shipErrors.Add(1)
-			t.tm.shipErrors.Inc()
 			t.errs.add(fmt.Errorf("bulk ship: %w", err))
 		}
 		batch = batch[:0]
@@ -570,17 +568,14 @@ func (t *Tracer) drain(w *drainWorker) {
 				if tmOn {
 					parseStart = time.Now()
 				}
-				parsed, parseErrs := 0, 0
 				for _, raw := range raws {
 					if err := ebpf.UnmarshalInto(raw, &rec); err != nil {
 						// Corrupt record: nothing to recover, but the loss
 						// is counted so the accounting stays exact.
 						w.parseErrors.Add(1)
-						parseErrs++
 						continue
 					}
 					w.parsed.Add(1)
-					parsed++
 					batch = append(batch, t.recordToEvent(&rec))
 					if len(batch) >= t.cfg.BatchSize {
 						w.batchLen.Store(int64(len(batch)))
@@ -589,8 +584,6 @@ func (t *Tracer) drain(w *drainWorker) {
 				}
 				if tmOn {
 					w.tmParseNS.Observe(float64(time.Since(parseStart)))
-					t.tm.parsed.Add(uint64(parsed))
-					t.tm.parseErrors.Add(uint64(parseErrs))
 					w.batchLen.Store(int64(len(batch)))
 				}
 			}

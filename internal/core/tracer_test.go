@@ -228,6 +228,7 @@ func TestTracerShipErrorsSurface(t *testing.T) {
 	tr, _ := NewTracer(Config{
 		Backend:       failingBackend{memStore(t)},
 		FlushInterval: time.Millisecond,
+		Resilience:    virtualResilience(),
 	})
 	tr.Start(k)
 	task := k.NewProcess("app").NewTask("app")
@@ -237,9 +238,10 @@ func TestTracerShipErrorsSurface(t *testing.T) {
 	if err == nil {
 		t.Fatal("Stop returned nil despite ship failures")
 	}
-	if st.ShipErrors == 0 || st.Shipped != 0 {
+	if st.Shipped != 0 || st.SpillDropped != st.Captured {
 		t.Fatalf("stats = %+v", st)
 	}
+	assertLedgerBalanced(t, tr)
 }
 
 func TestTracerOverHTTPBackend(t *testing.T) {

@@ -28,9 +28,10 @@ type ProgramConfig struct {
 	// pairing to user space. Exists for the ablation benchmark of the
 	// paper's design choice.
 	EmitUnpaired bool
-	// Telemetry, when non-nil, receives the kernel-stage self-accounting
-	// (capture/filter counters, ring produce/drop, ring occupancy). Nil
-	// disables recording at the cost of one branch per event.
+	// Telemetry, when non-nil, exposes the kernel-stage self-accounting
+	// (capture/filter counters, ring produce/drop, ring occupancy). The
+	// series read the counts the program and its rings keep anyway, so
+	// recording costs the capture path nothing.
 	Telemetry *telemetry.Registry
 }
 
@@ -53,16 +54,8 @@ type Program struct {
 	mu      sync.Mutex
 	pending map[int]int64 // tid -> enter timestamp (args travel on Exit)
 
-	captured atomic.Uint64 // records written to a ring (pre-drop)
+	captured atomic.Uint64 // records offered to a ring (pre-drop)
 	filtered atomic.Uint64 // events rejected by kernel-side filters
-
-	// Telemetry counters (nil-safe no-ops when ProgramConfig.Telemetry is
-	// unset). Produce/drop are recorded at the ring boundary so the ledger's
-	// Captured == Produced + RingDropped holds by construction.
-	tmCaptured     *telemetry.Counter
-	tmFiltered     *telemetry.Counter
-	tmRingProduced *telemetry.Counter
-	tmRingDropped  *telemetry.Counter
 
 	detaches []func()
 }
@@ -83,11 +76,14 @@ func NewProgram(cfg ProgramConfig) *Program {
 		pending: make(map[int]int64),
 	}
 	if tm := cfg.Telemetry; tm != nil {
-		p.tmCaptured = tm.Counter(telemetry.MetricCaptured, "events accepted by kernel-side filters")
-		p.tmFiltered = tm.Counter(telemetry.MetricFiltered, "events rejected in kernel space")
-		p.tmRingProduced = tm.Counter(telemetry.MetricRingProduced, "records written to per-CPU rings")
-		p.tmRingDropped = tm.Counter(telemetry.MetricRingDropped, "records lost to full rings")
+		// The series read the program's and the rings' own counts, so every
+		// captured record lands in exactly one of produced or dropped and
+		// Captured == Produced + RingDropped holds by construction.
 		rings := p.rings
+		tm.CounterFunc(telemetry.MetricCaptured, "events accepted by kernel-side filters", p.captured.Load)
+		tm.CounterFunc(telemetry.MetricFiltered, "events rejected in kernel space", p.filtered.Load)
+		tm.CounterFunc(telemetry.MetricRingProduced, "records written to per-CPU rings", rings.Writes)
+		tm.CounterFunc(telemetry.MetricRingDropped, "records lost to full rings", rings.Drops)
 		tm.GaugeFunc(telemetry.MetricRingPending, "records currently queued in rings",
 			func() float64 { return float64(rings.Pending()) })
 	}
@@ -153,12 +149,7 @@ func (p *Program) handleEnter(e *kernel.Enter) {
 			AttrName: truncate(e.Args.AttrName, MaxPathLen),
 		}
 		p.captured.Add(1)
-		p.tmCaptured.Inc()
-		if p.rings.Write(e.TID, rec.Marshal()) {
-			p.tmRingProduced.Inc()
-		} else {
-			p.tmRingDropped.Inc()
-		}
+		p.rings.Write(e.TID, rec.Marshal())
 	} else {
 		p.mu.Lock()
 		p.pending[e.TID] = e.TimeNS
@@ -193,19 +184,13 @@ func (p *Program) handleExit(e *kernel.Exit) {
 
 	if !p.passPathFilter(e) {
 		p.filtered.Add(1)
-		p.tmFiltered.Inc()
 		return
 	}
 
 	rec := RecordFromExit(e)
 	rec.EnterNS = enterNS
 	p.captured.Add(1)
-	p.tmCaptured.Inc()
-	if p.rings.Write(e.TID, rec.Marshal()) {
-		p.tmRingProduced.Inc()
-	} else {
-		p.tmRingDropped.Inc()
-	}
+	p.rings.Write(e.TID, rec.Marshal()) // a full ring counts the drop
 	if p.cfg.PerEventCost != nil {
 		p.cfg.PerEventCost()
 	}

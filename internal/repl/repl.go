@@ -131,12 +131,9 @@ type Replicator struct {
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 
-	// Telemetry instruments (nil-safe no-ops when Config.Telemetry unset).
-	tmShippedRecs  *telemetry.Counter
-	tmShippedBytes *telemetry.Counter
-	tmPushes       *telemetry.Counter
-	tmPushNS       *telemetry.Histogram
-	tmBootstraps   *telemetry.Counter
+	// tmPushNS times each push (a nil-safe no-op when Config.Telemetry is
+	// unset); the counters' series read the atomics above.
+	tmPushNS *telemetry.Histogram
 }
 
 // New builds a replicator shipping src's WAL to the follower behind tr. It
@@ -158,12 +155,12 @@ func New(src *store.Store, tr Transport, cfg Config) *Replicator {
 	src.ArmReplication()
 	src.RegisterReplicaHealth(r.health)
 	if tm := cfg.Telemetry; tm != nil {
-		r.tmShippedRecs = tm.Counter(telemetry.MetricReplShippedRecs, "replication records acked by followers")
-		r.tmShippedBytes = tm.Counter(telemetry.MetricReplShippedBytes, "replication payload bytes acked by followers")
-		r.tmPushes = tm.Counter(telemetry.MetricReplPushes, "successful replication pushes")
-		r.Instrument(nil, tm.Counter(telemetry.MetricReplPushRetries, "replication push attempts beyond the first"), nil)
+		tm.CounterFunc(telemetry.MetricReplShippedRecs, "replication records acked by followers", r.shippedRecs.Load)
+		tm.CounterFunc(telemetry.MetricReplShippedBytes, "replication payload bytes acked by followers", r.shippedBytes.Load)
+		tm.CounterFunc(telemetry.MetricReplPushes, "successful replication pushes", r.pushes.Load)
+		tm.CounterFunc(telemetry.MetricReplPushRetries, "replication push attempts beyond the first", r.Retries)
+		tm.CounterFunc(telemetry.MetricReplBootstraps, "full-state transfers shipped", r.bootstraps.Load)
 		r.tmPushNS = tm.Histogram(telemetry.MetricReplPushNS, "one replication push round-trip", nil)
-		r.tmBootstraps = tm.Counter(telemetry.MetricReplBootstraps, "full-state transfers shipped")
 		tm.GaugeFunc(telemetry.MetricReplLag, "primary head minus follower acked, summed across indices",
 			func() float64 { return float64(r.lag.Load()) })
 	}
@@ -328,13 +325,10 @@ func (r *Replicator) syncIndex(ctx context.Context, name string) (lag int64, err
 			acked = r.acked[name]
 			continue
 		}
-		var pushed uint64
 		for _, f := range frames {
 			r.shippedBytes.Add(uint64(len(f.Payload)))
-			pushed++
 		}
-		r.shippedRecs.Add(pushed)
-		r.tmShippedRecs.Add(pushed)
+		r.shippedRecs.Add(uint64(len(frames)))
 		r.acked[name] = applied
 		acked = applied
 	}
@@ -374,12 +368,10 @@ func (r *Replicator) bootstrap(ctx context.Context, name string) error {
 		return err
 	}
 	r.bootstraps.Add(1)
-	r.tmBootstraps.Inc()
 	for _, f := range snap.Frames {
 		r.shippedBytes.Add(uint64(len(f.Payload)))
 	}
 	r.shippedRecs.Add(uint64(len(snap.Frames)))
-	r.tmShippedRecs.Add(uint64(len(snap.Frames)))
 	r.acked[name] = snap.Seq
 	delete(r.cursors, name)
 	return nil
@@ -399,7 +391,6 @@ func (r *Replicator) push(ctx context.Context, fn func(context.Context) (int64, 
 	switch {
 	case err == nil:
 		r.pushes.Add(1)
-		r.tmPushes.Inc()
 		r.tmPushNS.Observe(float64(r.cfg.Clock.NowNS() - start))
 		return v, nil
 	case ctx.Err() != nil || !resilience.IsRetryable(err):

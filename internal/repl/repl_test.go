@@ -16,6 +16,7 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/resilience"
 	"github.com/dsrhaslab/dio-go/internal/store"
+	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
 const testIndex = "events"
@@ -237,7 +238,8 @@ func newPair(t *testing.T, cfg Config) (*store.Store, *store.Store, *faultTransp
 // stats/health surfaces report a caught-up target.
 func TestSyncDrainsAndReports(t *testing.T) {
 	vclk := clock.NewVirtual(0)
-	primary, follower, _, r := newPair(t, Config{Policy: resilience.Policy{Clock: vclk}})
+	reg := telemetry.NewRegistry()
+	primary, follower, _, r := newPair(t, Config{Policy: resilience.Policy{Clock: vclk}, Telemetry: reg})
 	for round := 0; round < 3; round++ {
 		ingestRound(t, primary, round)
 	}
@@ -250,6 +252,19 @@ func TestSyncDrainsAndReports(t *testing.T) {
 	st := r.Stats()
 	if st.Lag != 0 || st.ShippedRecords == 0 || st.Pushes == 0 || st.Retries != 0 {
 		t.Fatalf("stats after clean drain: %+v", st)
+	}
+	// /metrics reads the memory Stats reads.
+	counters := reg.Snapshot().Counters
+	for name, want := range map[string]uint64{
+		telemetry.MetricReplShippedRecs:  st.ShippedRecords,
+		telemetry.MetricReplShippedBytes: st.ShippedBytes,
+		telemetry.MetricReplPushes:       st.Pushes,
+		telemetry.MetricReplBootstraps:   st.Bootstraps,
+		telemetry.MetricReplPushRetries:  st.Retries,
+	} {
+		if got, ok := counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (registered %v), Stats says %d", name, got, ok, want)
+		}
 	}
 	h := primary.Health(context.Background())
 	if len(h.Replication) != 1 || h.Replication[0].Target != "fake://follower" || h.Replication[0].Lag != 0 {

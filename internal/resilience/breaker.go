@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
-	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
 // BreakerState is a circuit breaker's position.
@@ -51,18 +50,6 @@ type Breaker struct {
 	probing  bool  // a half-open probe is in flight
 	opens    uint64
 	closes   uint64
-
-	// Telemetry transition counters (nil-safe no-ops when unset).
-	tmOpens  *telemetry.Counter
-	tmCloses *telemetry.Counter
-}
-
-// setTelemetry wires transition counters; the shipper installs them when its
-// config carries a registry.
-func (b *Breaker) setTelemetry(opens, closes *telemetry.Counter) {
-	b.mu.Lock()
-	b.tmOpens, b.tmCloses = opens, closes
-	b.mu.Unlock()
 }
 
 // NewBreaker creates a breaker that opens after threshold consecutive
@@ -107,12 +94,10 @@ func (b *Breaker) RecordSuccess() {
 	case BreakerHalfOpen:
 		b.state = BreakerClosed
 		b.closes++
-		b.tmCloses.Inc()
 	case BreakerOpen:
 		// A bypassing caller (final flush) succeeded: the backend is back.
 		b.state = BreakerClosed
 		b.closes++
-		b.tmCloses.Inc()
 	}
 	b.failures = 0
 	b.probing = false
@@ -143,7 +128,6 @@ func (b *Breaker) openLocked() {
 	b.openedNS = b.clk.NowNS()
 	b.failures = 0
 	b.opens++
-	b.tmOpens.Inc()
 }
 
 // State returns the current position.

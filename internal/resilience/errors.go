@@ -17,6 +17,7 @@ package resilience
 import (
 	"errors"
 	"net/http"
+	"net/url"
 	"time"
 )
 
@@ -73,14 +74,19 @@ func Retryable(err error) error {
 // marks, store.HTTPError) decide for themselves; everything else — transport
 // failures, deadline expiries, unknown errors — defaults to retryable, the
 // safe choice for a delivery pipeline (a wrongly-retried permanent error
-// costs a few attempts; a wrongly-dropped transient error costs data).
+// costs a few attempts; a wrongly-dropped transient error costs data). A
+// *url.Error is a transport failure even though it has a Temporary method:
+// net/url answers false for a refused connection, which is a backend
+// restarting, not a batch it rejected.
 func IsRetryable(err error) bool {
 	if err == nil {
 		return false
 	}
 	var t temporary
 	if errors.As(err, &t) {
-		return t.Temporary()
+		if _, transport := t.(*url.Error); !transport {
+			return t.Temporary()
+		}
 	}
 	return true
 }

@@ -99,9 +99,10 @@ type Ladder struct {
 	breaker *Breaker
 	retries atomic.Uint64
 
-	// Telemetry instruments (nil-safe no-ops when unset).
+	// Telemetry instruments (nil-safe no-ops when unset): the counts only
+	// telemetry keeps. Retries is the ladder's own count; a registry reads
+	// it through CounterFunc.
 	tmAttempts  *telemetry.Counter
-	tmRetries   *telemetry.Counter
 	tmBackoffNS *telemetry.Histogram
 }
 
@@ -113,12 +114,6 @@ func NewLadder(p Policy) *Ladder {
 		backoff: NewBackoff(p.BaseBackoff, p.MaxBackoff, p.Seed),
 		breaker: NewBreaker(p.BreakerThreshold, p.BreakerCooldown, p.Clock),
 	}
-}
-
-// Instrument wires the ladder's telemetry: attempts made, retries, and the
-// backoff delays slept. A nil instrument records nothing.
-func (l *Ladder) Instrument(attempts, retries *telemetry.Counter, backoffNS *telemetry.Histogram) {
-	l.tmAttempts, l.tmRetries, l.tmBackoffNS = attempts, retries, backoffNS
 }
 
 // Run calls attempt until it succeeds or the ladder gives up: the attempt
@@ -137,7 +132,6 @@ func (l *Ladder) Run(ctx context.Context, bypassBreaker bool, attempt func(conte
 				return err
 			}
 			l.retries.Add(1)
-			l.tmRetries.Inc()
 			d := l.backoff.Delay(n, lastErr)
 			l.tmBackoffNS.Observe(float64(d))
 			l.policy.Clock.Sleep(d)

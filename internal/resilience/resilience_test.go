@@ -4,13 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"net/url"
+	"os"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
+	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
 
 // recordingBackend is a scriptable backend: the first failFirst BulkEvents
@@ -100,6 +106,13 @@ func TestClassification(t *testing.T) {
 	}
 	if !IsRetryable(base) {
 		t.Fatal("unmarked error should default to retryable")
+	}
+	// A refused connection is a transport failure: retried and spilled,
+	// never dropped as if the backend had rejected the batch.
+	refused := fmt.Errorf("POST /ix/_bulk: %w", &url.Error{Op: "Post", URL: "http://127.0.0.1:1/ix/_bulk",
+		Err: &net.OpError{Op: "dial", Net: "tcp", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)}})
+	if !IsRetryable(refused) {
+		t.Fatalf("refused connection classified permanent: %v", refused)
 	}
 	if !errors.Is(Permanent(base), base) {
 		t.Fatal("Permanent breaks errors.Is")
@@ -322,6 +335,86 @@ func TestShipperFlushCountsUndeliverableBatches(t *testing.T) {
 	if st.SpillDropped != 5 || st.SpillPending != 0 || st.Shipped != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// deadBackend fails every bulk call and counts them: hung waits out each
+// attempt's deadline, otherwise the call is refused at once.
+type deadBackend struct {
+	store.Backend
+	hung  bool
+	calls atomic.Int64
+}
+
+func (d *deadBackend) BulkEvents(ctx context.Context, _ string, _ []event.Event) error {
+	d.calls.Add(1)
+	if d.hung {
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	return errors.New("dial tcp: connection refused")
+}
+
+// TestShipperFinalFlushSpendsOneLadder: Stop's final flush against a dead
+// target spends one ladder's worth of attempts on the first parked batch,
+// then drops and counts every other parked batch without a call. A permanent
+// rejection still drops only its own batch.
+func TestShipperFinalFlushSpendsOneLadder(t *testing.T) {
+	const batches, size = 20, 4
+	for _, hung := range []bool{true, false} {
+		t.Run(map[bool]string{true: "hung", false: "refusing"}[hung], func(t *testing.T) {
+			be := &deadBackend{hung: hung}
+			reg := telemetry.NewRegistry()
+			cfg := testConfig(clock.NewVirtual(0))
+			cfg.AttemptTimeout = 2 * time.Millisecond
+			cfg.Telemetry = reg
+			s := NewShipper(be, cfg)
+			for i := 0; i < batches; i++ {
+				if err := s.BulkEvents(context.Background(), "ix", batch(i*size, size)); !errors.Is(err, ErrSpilled) {
+					t.Fatalf("batch %d = %v, want it parked", i, err)
+				}
+			}
+			if got := s.Stats().SpillPending; got != batches*size {
+				t.Fatalf("parked %d events, want %d", got, batches*size)
+			}
+			before := be.calls.Load()
+			if err := s.Flush(); err == nil {
+				t.Fatal("Flush against a dead target reported no error")
+			}
+			if calls := be.calls.Load() - before; calls > int64(cfg.MaxAttempts) {
+				t.Fatalf("final flush made %d calls, want at most %d (one ladder)", calls, cfg.MaxAttempts)
+			}
+			st := s.Stats()
+			if st.SpillDropped != batches*size || st.SpillPending != 0 || st.Shipped != 0 {
+				t.Fatalf("stats after flush = %+v", st)
+			}
+			// Every event handed over has one fate, and telemetry reads it.
+			snap := reg.Snapshot()
+			if st.Shipped+st.SpillDropped+st.SpillPending != st.Requeued ||
+				snap.Counters[telemetry.MetricSpillDropped] != st.SpillDropped ||
+				snap.Gauges[telemetry.MetricSpillPending] != 0 {
+				t.Fatalf("ledger does not close: stats %+v, counters %v", st, snap.Counters)
+			}
+		})
+	}
+	t.Run("permanent", func(t *testing.T) {
+		be := &recordingBackend{failFirst: 1 << 30}
+		cfg := testConfig(clock.NewVirtual(0))
+		cfg.BreakerThreshold = 1000
+		s := NewShipper(be, cfg)
+		for i := 0; i < 3; i++ {
+			s.BulkEvents(context.Background(), "ix", batch(i*size, size))
+		}
+		be.mu.Lock()
+		be.failFirst, be.permanent = be.calls+1, true // reject one batch, then recover
+		be.mu.Unlock()
+		if err := s.Flush(); err == nil {
+			t.Fatal("Flush hid the rejected batch")
+		}
+		st := s.Stats()
+		if st.SpillDropped != size || st.Replayed != 2*size || st.SpillPending != 0 {
+			t.Fatalf("a permanent rejection must drop only its batch: %+v", st)
+		}
+	})
 }
 
 // hintedError carries a Retry-After hint like store.HTTPError.

@@ -76,11 +76,6 @@ type Shipper struct {
 	requeued     atomic.Uint64
 	replayed     atomic.Uint64
 	spillDropped atomic.Uint64
-
-	// Telemetry counters (nil-safe no-ops when unset).
-	tmRequeued     *telemetry.Counter
-	tmReplayed     *telemetry.Counter
-	tmSpillDropped *telemetry.Counter
 }
 
 var _ store.Backend = (*Shipper)(nil)
@@ -96,21 +91,21 @@ func NewShipper(backend store.Backend, cfg Config) *Shipper {
 		spill:   newSpillQueue(cfg.SpillEvents),
 	}
 	if tm := cfg.Telemetry; tm != nil {
-		s.Instrument(
-			tm.Counter(telemetry.MetricShipAttempts, "delivery attempts, first tries included"),
-			tm.Counter(telemetry.MetricRetries, "ship attempts beyond each batch's first"),
-			tm.Histogram(telemetry.MetricBackoffNS, "backoff delays slept before retries", nil))
-		s.tmRequeued = tm.Counter(telemetry.MetricRequeued, "events parked in the spill queue")
-		s.tmReplayed = tm.Counter(telemetry.MetricReplayed, "spilled events later delivered")
-		s.tmSpillDropped = tm.Counter(telemetry.MetricSpillDropped, "events dropped with accounting")
+		// Attempts and backoff delays exist only as telemetry; every other
+		// series reads the count the shipper, ladder or breaker keeps.
+		s.tmAttempts = tm.Counter(telemetry.MetricShipAttempts, "delivery attempts, first tries included")
+		s.tmBackoffNS = tm.Histogram(telemetry.MetricBackoffNS, "backoff delays slept before retries", nil)
 		spill, breaker := s.spill, s.breaker
+		tm.CounterFunc(telemetry.MetricRetries, "ship attempts beyond each batch's first", s.Retries)
+		tm.CounterFunc(telemetry.MetricRequeued, "events parked in the spill queue", s.requeued.Load)
+		tm.CounterFunc(telemetry.MetricReplayed, "spilled events later delivered", s.replayed.Load)
+		tm.CounterFunc(telemetry.MetricSpillDropped, "events dropped with accounting", s.spillDropped.Load)
+		tm.CounterFunc(telemetry.MetricBreakerOpens, "circuit breaker trips", breaker.Opens)
+		tm.CounterFunc(telemetry.MetricBreakerCloses, "circuit breaker recoveries", breaker.Closes)
 		tm.GaugeFunc(telemetry.MetricSpillPending, "events currently parked in the spill queue",
 			func() float64 { return float64(spill.size()) })
 		tm.GaugeFunc(telemetry.MetricBreakerState, "circuit breaker position (0 closed, 1 open, 2 half-open)",
 			func() float64 { return float64(breaker.State()) })
-		breaker.setTelemetry(
-			tm.Counter(telemetry.MetricBreakerOpens, "circuit breaker trips"),
-			tm.Counter(telemetry.MetricBreakerCloses, "circuit breaker recoveries"))
 	}
 	return s
 }
@@ -141,35 +136,17 @@ func (s *Shipper) deliver(ctx context.Context, b spillBatch) error {
 	}
 	if IsRetryable(err) {
 		queued, evicted := s.spill.push(b)
-		s.countSpillDropped(uint64(evicted))
+		s.spillDropped.Add(uint64(evicted))
 		if !queued {
-			s.countSpillDropped(n)
+			s.spillDropped.Add(n)
 			return fmt.Errorf("resilience: batch of %d events exceeds spill capacity, dropped: %w", n, err)
 		}
 		s.requeued.Add(n)
-		s.tmRequeued.Add(n)
 		return fmt.Errorf("%w: %v", ErrSpilled, err)
 	}
 	// Permanent failure: the final rung of the ladder is a counted drop.
-	s.countSpillDropped(n)
-	return err
-}
-
-// countSpillDropped records an accounted drop in both the Stats counter and
-// the telemetry registry.
-func (s *Shipper) countSpillDropped(n uint64) {
-	if n == 0 {
-		return
-	}
 	s.spillDropped.Add(n)
-	s.tmSpillDropped.Add(n)
-}
-
-// countReplayed records a successful replay in both accounting surfaces.
-func (s *Shipper) countReplayed(n uint64) {
-	s.replayed.Add(n)
-	s.shipped.Add(n)
-	s.tmReplayed.Add(n)
+	return err
 }
 
 // ship runs one batch up the ladder; bypassBreaker is the final flush's
@@ -192,8 +169,9 @@ func (s *Shipper) tryReplay(ctx context.Context) {
 // Flush replays every parked batch, bypassing the breaker — this is the
 // final drain's last chance before Stop returns. Batches that still fail are
 // dropped and counted, so the accounting invariant holds even through a
-// shutdown during an outage. The returned error joins the first few delivery
-// failures.
+// shutdown during an outage; a dead target costs one ladder's worth of
+// attempts, not one per parked batch. The returned error joins the first few
+// delivery failures.
 func (s *Shipper) Flush() error {
 	s.replayMu.Lock()
 	defer s.replayMu.Unlock()
@@ -203,7 +181,9 @@ func (s *Shipper) Flush() error {
 // replay drains the spill queue in FIFO order; the caller holds replayMu. A
 // batch the backend permanently rejects is dropped and counted, and the rest
 // replay. Opportunistic replay stops at a batch that still fails retryably,
-// parking it back at the front; the final flush drops and counts it too.
+// parking it back at the front. The final flush drops and counts it instead,
+// and once a batch's ladder ends in a target fault (TargetFault) it drops and
+// counts the rest of the queue without calling the target again.
 func (s *Shipper) replay(ctx context.Context, final bool) error {
 	var errs []error
 	for {
@@ -214,14 +194,22 @@ func (s *Shipper) replay(ctx context.Context, final bool) error {
 		n := uint64(len(b.events))
 		switch err := s.ship(ctx, &b, final); {
 		case err == nil:
-			s.countReplayed(n)
+			s.replayed.Add(n)
+			s.shipped.Add(n)
 		case !final && IsRetryable(err):
 			s.spill.unshift(b)
 			return nil
 		default:
-			s.countSpillDropped(n)
-			if final && len(errs) < 4 {
+			s.spillDropped.Add(n)
+			if len(errs) < 4 {
 				errs = append(errs, fmt.Errorf("flush %d spilled events: %w", n, err))
+			}
+			if final && TargetFault(ctx, err) {
+				if rest := s.spill.clear(); rest > 0 {
+					s.spillDropped.Add(uint64(rest))
+					errs = append(errs, fmt.Errorf("flush: target down, dropped %d more spilled events uncalled", rest))
+				}
+				return errors.Join(errs...)
 			}
 		}
 	}

@@ -90,6 +90,15 @@ func (q *spillQueue) unshift(b spillBatch) {
 	q.events += len(b.events)
 }
 
+// clear empties the queue and returns how many events it held.
+func (q *spillQueue) clear() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := q.events
+	q.batches, q.head, q.events = nil, 0, 0
+	return n
+}
+
 // size returns the queued event count.
 func (q *spillQueue) size() int {
 	q.mu.Lock()

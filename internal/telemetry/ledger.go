@@ -16,7 +16,7 @@ const (
 	MetricParsed       = "dio_core_parsed_total"       // records decoded
 	MetricParseErrors  = "dio_core_parse_errors_total" // corrupt records dropped
 	MetricShipped      = "dio_core_shipped_total"      // events acked synchronously by the backend
-	MetricShipErrors   = "dio_core_ship_errors_total"  // failed bulk requests
+	MetricShipErrors   = "dio_core_ship_errors_total"  // batches the ship path dropped at once
 	MetricFlushes      = "dio_core_flushes_total"      // bulk requests issued
 	MetricBatchPending = "dio_core_batch_pending"      // events drained but not yet flushed
 	MetricDrainNS      = "dio_core_drain_ns"           // one drain cycle (rings -> batch)

@@ -201,12 +201,13 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 
 // metric is one registered entry; exactly one field is set.
 type metric struct {
-	counter   *Counter
-	gauge     *Gauge
-	gaugeFunc func() float64
-	histogram *Histogram
-	window    *metrics.WindowedRecorder
-	help      string
+	counter     *Counter
+	counterFunc func() uint64
+	gauge       *Gauge
+	gaugeFunc   func() float64
+	histogram   *Histogram
+	window      *metrics.WindowedRecorder
+	help        string
 }
 
 // Registry is a named collection of metrics. Registration is idempotent per
@@ -264,9 +265,26 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return m.gauge
 }
 
+// CounterFunc registers a pull-style counter read at snapshot and scrape
+// time: the series for a count a component already keeps (events captured,
+// spill drops, breaker trips), so one fact has one counter and the registry
+// reads it rather than keeping a second. fn must be monotonic and must not
+// call back into the registry. Registering the name again replaces fn.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.lookup(name)
+	m.counterFunc = fn
+	m.help = help
+}
+
 // GaugeFunc registers a pull-style gauge evaluated at snapshot time — the
 // shape used for values that already exist as state elsewhere (spill depth,
 // breaker position, shard imbalance) so the hot path pays nothing.
+// Registering the name again replaces fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
@@ -334,8 +352,8 @@ type Snapshot struct {
 	Windows    map[string][]metrics.WindowPoint `json:"windows,omitempty"`
 }
 
-// Snapshot copies every metric's current value. GaugeFuncs are evaluated
-// outside the registry lock is not needed — they are cheap reads — but they
+// Snapshot copies every metric's current value. CounterFuncs and GaugeFuncs
+// are evaluated under the registry lock, so they must be cheap reads and
 // must not call back into the same registry.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
@@ -353,6 +371,8 @@ func (r *Registry) Snapshot() Snapshot {
 		switch {
 		case m.counter != nil:
 			s.Counters[name] = m.counter.Value()
+		case m.counterFunc != nil:
+			s.Counters[name] = m.counterFunc()
 		case m.gauge != nil:
 			s.Gauges[name] = float64(m.gauge.Value())
 		case m.gaugeFunc != nil:
@@ -405,6 +425,8 @@ func writeMetricText(w io.Writer, name string, m *metric) error {
 	switch {
 	case m.counter != nil:
 		p("# TYPE %s counter\n%s %d\n", base, name, m.counter.Value())
+	case m.counterFunc != nil:
+		p("# TYPE %s counter\n%s %d\n", base, name, m.counterFunc())
 	case m.gauge != nil:
 		p("# TYPE %s gauge\n%s %d\n", base, name, m.gauge.Value())
 	case m.gaugeFunc != nil:

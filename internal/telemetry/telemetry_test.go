@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -30,6 +31,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil registry handed out live metrics")
 	}
 	r.GaugeFunc("x", "", func() float64 { return 1 })
+	r.CounterFunc("y", "", func() uint64 { return 1 })
 	if err := r.WriteText(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +91,9 @@ func TestQuantileEmpty(t *testing.T) {
 func TestWriteTextFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dio_x_total", "things").Add(7)
+	var kept atomic.Uint64 // a count its owner keeps; the registry only reads it
+	kept.Store(9)
+	r.CounterFunc("dio_kept_total", "kept elsewhere", kept.Load)
 	r.GaugeFunc("dio_depth", "queue depth", func() float64 { return 3 })
 	r.Histogram("dio_lat_ns", "latency", []float64{100, 200}).Observe(150)
 	r.Histogram(`dio_lab_ns{worker="0"}`, "labeled", []float64{100}).Observe(50)
@@ -101,6 +106,8 @@ func TestWriteTextFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE dio_x_total counter",
 		"dio_x_total 7",
+		"# TYPE dio_kept_total counter",
+		"dio_kept_total 9",
 		"dio_depth 3",
 		`dio_lat_ns_bucket{le="100"} 0`,
 		`dio_lat_ns_bucket{le="200"} 1`,
@@ -121,6 +128,11 @@ func TestWriteTextFormat(t *testing.T) {
 	}
 	if !strings.Contains(sb2.String(), "dio_x_total 7") {
 		t.Fatalf("snapshot exposition missing counter:\n%s", sb2.String())
+	}
+	// A CounterFunc is read when snapshotted, never copied at registration.
+	kept.Add(1)
+	if got := r.Snapshot().Counters["dio_kept_total"]; got != 10 {
+		t.Fatalf("counter func snapshot = %d, want 10", got)
 	}
 }
 
