@@ -193,9 +193,9 @@ func TestClusterHTTPTransparency(t *testing.T) {
 			t.Fatalf("%s: 200 with an undecodable body %q: %v", name, cbody, err)
 		}
 		// The typed body a client's SearchEvents reads is the same bytes too.
-		scode, sct, sbody := postAccepting(t, ssrv.URL+"/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV1, rb)
-		ccode, cct, cbody := postAccepting(t, csrv.URL+"/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV1, rb)
-		if scode != http.StatusOK || ccode != http.StatusOK || sct != event.ContentTypeBinaryV1 || cct != sct {
+		scode, sct, sbody := postAccepting(t, ssrv.URL+"/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV2, rb)
+		ccode, cct, cbody := postAccepting(t, csrv.URL+"/"+testIndex+"/_search", "application/json", event.ContentTypeBinaryV2, rb)
+		if scode != http.StatusOK || ccode != http.StatusOK || sct != event.ContentTypeBinaryV2 || cct != sct {
 			t.Fatalf("%s: typed answers: single %d %q, cluster %d %q", name, scode, sct, ccode, cct)
 		}
 		if !bytes.Equal(sbody, cbody) {
@@ -527,8 +527,8 @@ func TestClusterMalformedFrameAnswersAsNode(t *testing.T) {
 		{"truncated", good[:len(good)-3]},
 		{"empty body", nil},
 	} {
-		scode, sbody := postRaw(t, ssrv.URL+"/rej/_bulk", event.ContentTypeBinaryV1, tc.frame)
-		ccode, cbody := postRaw(t, csrv.URL+"/rej/_bulk", event.ContentTypeBinaryV1, tc.frame)
+		scode, sbody := postRaw(t, ssrv.URL+"/rej/_bulk", event.ContentTypeBinaryV2, tc.frame)
+		ccode, cbody := postRaw(t, csrv.URL+"/rej/_bulk", event.ContentTypeBinaryV2, tc.frame)
 		if scode != http.StatusBadRequest {
 			t.Fatalf("%s: node answered %d %s, want 400", tc.name, scode, sbody)
 		}

@@ -28,27 +28,35 @@ import (
 type RecordType uint8
 
 const (
-	// RecordEvents is an event batch in the event binary codec
-	// (event.EncodeBatch frame).
-	RecordEvents RecordType = 1
-	// RecordRetiredDocs and RecordRetiredRewrite are the gob-encoded document
-	// batch and rewrite batch written before the store held one row form, and
-	// RecordRetiredRows the (gid, final event) rewrite batch written while rows
-	// could be updated by query. Nothing writes them any more; the numbers stay
-	// reserved so an old payload is rejected by type and never parsed as a
-	// newer record.
-	RecordRetiredDocs    RecordType = 2
-	RecordRetiredRewrite RecordType = 3
-	RecordRetiredRows    RecordType = 4
+	// RecordRetiredEventsV1 is an event batch in the fixed-layout version-1
+	// frame, and RecordRetiredDocs and RecordRetiredRewrite the gob-encoded
+	// document batch and rewrite batch written before the store held one row
+	// form. RecordRetiredRows is the (gid, final event) rewrite batch written
+	// while rows could be updated by query. Nothing writes them any more; the
+	// numbers stay reserved so an old payload is rejected by type and never
+	// parsed as a newer record.
+	RecordRetiredEventsV1 RecordType = 1
+	RecordRetiredDocs     RecordType = 2
+	RecordRetiredRewrite  RecordType = 3
+	RecordRetiredRows     RecordType = 4
 	// RecordPaths is one correlation pass's tag→path dictionary with its row
 	// horizon (event.PathsRecord), applied to rows in the log's prefix.
 	RecordPaths RecordType = 5
+	// RecordEvents is an event batch as one event.EncodeBatch frame: the
+	// frame a client posted, journaled as received.
+	RecordEvents RecordType = 6
 )
 
+// Retired reports whether t is a reserved number nothing writes any more.
+func (t RecordType) Retired() bool {
+	return t >= RecordRetiredEventsV1 && t <= RecordRetiredRows
+}
+
 // ErrRetiredFormat reports on-disk state in a form nothing writes any more: a
-// gob or row-rewrite WAL record, a manifest carrying pending rewrites, a
-// segment holding generic rows. Open fails with it, naming the offender.
-var ErrRetiredFormat = errors.New("durable: data dir predates the single-row, write-once format")
+// version-1 event frame, a gob or row-rewrite WAL record, a manifest carrying
+// pending rewrites, a segment holding generic rows. Open fails with it,
+// naming the offender.
+var ErrRetiredFormat = errors.New("durable: data dir holds a retired on-disk format")
 
 // walHeaderLen is the per-record frame overhead: type byte, payload length,
 // payload CRC.

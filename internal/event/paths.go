@@ -79,7 +79,7 @@ const pathsPairMin = 24 + 2
 // Encode renders the record as its journal payload: u64 H, the session
 // (u16 length + bytes), u32 pair count, then per pair the tag's three u64s
 // and the path (u16 length + bytes). Strings are the ones rows already hold,
-// so they fit the u16 the event codec gives every string.
+// so they fit the event codec's 65 535-byte string cap.
 func (p PathsRecord) Encode() []byte {
 	le := binary.LittleEndian
 	b := make([]byte, 0, 8+2+len(p.Session)+4+len(p.Pairs)*(pathsPairMin+32))

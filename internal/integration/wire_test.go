@@ -1,8 +1,10 @@
 package integration
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -157,7 +159,7 @@ func TestClientSpeaksOneWire(t *testing.T) {
 		}
 		if strings.HasSuffix(r.path, "/_bulk") {
 			bulks++
-			if r.contentType != event.ContentTypeBinaryV1 {
+			if r.contentType != event.ContentTypeBinaryV2 {
 				t.Errorf("%s %s: content type %q, want the binary frame", r.method, r.path, r.contentType)
 			}
 		}
@@ -183,7 +185,7 @@ func TestClientSpeaksOneWire(t *testing.T) {
 		for name, b := range map[string]store.EventBackend{"client": store.NewClient(srv.URL), "failover": failover} {
 			before := len(rec.requests())
 			err := b.BulkEvents(ctx, "wire", wireEvents())
-			if seen := rec.requests()[before:]; len(seen) != 1 || seen[0].contentType != event.ContentTypeBinaryV1 {
+			if seen := rec.requests()[before:]; len(seen) != 1 || seen[0].contentType != event.ContentTypeBinaryV2 {
 				t.Errorf("%s, answer %d %s: sent %v, want one binary frame", name, tc.code, tc.body, seen)
 			}
 			var he *store.HTTPError
@@ -192,6 +194,42 @@ func TestClientSpeaksOneWire(t *testing.T) {
 			} else if tc.code != http.StatusOK && (!errors.As(err, &he) || he.Status != tc.code) {
 				t.Errorf("%s, answer %d %s: %v, want an *HTTPError with status %d", name, tc.code, tc.body, err, tc.code)
 			}
+		}
+	}
+}
+
+// TestBulkRefusesRetiredFrame: a bulk under the retired version-1 media type
+// is answered 415 naming that type, on a node and on a coordinator — never
+// read as NDJSON (which would be a 400 "bad ndjson") — and ingests nothing.
+func TestBulkRefusesRetiredFrame(t *testing.T) {
+	ctx := context.Background()
+	nsrv := httptest.NewServer(store.NewServer(memStore(t)))
+	defer nsrv.Close()
+	member, err := store.NewFailoverClient(store.NewClient(nsrv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := cluster.New(cluster.Config{Clock: clock.NewVirtual(0)}, member)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csrv := httptest.NewServer(store.NewServer(co))
+	defer csrv.Close()
+	// The header of a version-1 frame holding one event; the status must not
+	// depend on the rest.
+	v1 := []byte("DIOE\x01\x01\x00\x00\x00")
+	for name, base := range map[string]string{"node": nsrv.URL, "coordinator": csrv.URL} {
+		resp, err := http.Post(base+"/old/_bulk", event.ContentTypeRetiredV1, bytes.NewReader(v1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType || !strings.Contains(string(body), event.ContentTypeRetiredV1) {
+			t.Fatalf("%s: %d %s, want 415 naming %s", name, resp.StatusCode, body, event.ContentTypeRetiredV1)
+		}
+		if _, err := store.NewClient(base).Count(ctx, "old", store.MatchAll()); !errors.Is(err, store.ErrIndexNotFound) {
+			t.Fatalf("%s: count after a refused bulk: %v, want ErrIndexNotFound", name, err)
 		}
 	}
 }

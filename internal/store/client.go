@@ -143,7 +143,7 @@ func (c *Client) BulkEvents(ctx context.Context, index string, events []event.Ev
 	*bp = frame[:0] // keep the (possibly grown) backing array with the pool entry
 	body := &pooledFrameBody{r: bytes.NewReader(frame), bp: bp}
 	return c.doReader(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_bulk",
-		event.ContentTypeBinaryV1, body, int64(len(frame)), nil)
+		event.ContentTypeBinaryV2, body, int64(len(frame)), nil)
 }
 
 // BinaryDisabled always reports false: the client speaks the binary frame
@@ -227,7 +227,7 @@ func (c *Client) Scatter(ctx context.Context, index string, sreq ScatterRequest)
 // coordinator's no-re-encode forward path for a single-partition topology.
 func (c *Client) BulkFrame(ctx context.Context, index string, frame []byte) error {
 	return c.doBody(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_bulk",
-		event.ContentTypeBinaryV1, frame, nil)
+		event.ContentTypeBinaryV2, frame, nil)
 }
 
 // Stats fetches the named index's doc/shard/row counts (GET _stats).
@@ -372,7 +372,7 @@ func (c *Client) doReader(ctx context.Context, method, path, contentType string,
 	}
 	typed, _ := out.(*hitsBody)
 	if typed != nil {
-		req.Header.Set("Accept", event.ContentTypeBinaryV1)
+		req.Header.Set("Accept", event.ContentTypeBinaryV2)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
@@ -630,6 +632,75 @@ func TestRetiredFormatsRejected(t *testing.T) {
 				t.Fatalf("Open error = %v; want ErrRetiredFormat naming %q", err, tc.names)
 			}
 		})
+	}
+}
+
+// v1EventsFrame is one event in the retired fixed-layout version-1 frame,
+// byte for byte as the last build that wrote it encoded it: session s1, a
+// 4-byte write to fd 3 by pid 7 ("app"), entered at 1000 ns and exited at
+// 1500 ns.
+const v1EventsFrame = "44494f4501010000008400000004000000000000000000000000000000e803000000000000" +
+	"dc0500000000000000000000000000000000000000000000000000000000000000000000000000000700" +
+	"000007000000030000000400000000000000000000000000000000020073310500777269746504006461" +
+	"746103006170700300617070000000000000000000000000"
+
+// TestRetiredV1EventsRecord: a WAL written before the compact frame journals
+// its event batches as type-1 records of the version-1 frame. Open refuses
+// one by number with ErrRetiredFormat — before the payload is parsed as
+// anything — and leaves the log byte for byte as it was: a retired record is
+// not a torn tail, so nothing is truncated. A follower refuses the same
+// record when it arrives as a replicated frame.
+func TestRetiredV1EventsRecord(t *testing.T) {
+	v1, err := hex.DecodeString(v1EventsFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := event.DecodeBatch(v1, nil); !errors.Is(err, event.ErrBadFrame) {
+		t.Fatalf("DecodeBatch(v1 frame) = %v, want ErrBadFrame by version", err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(indexDir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, err := durable.OpenWAL(walFile(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(durable.RecordRetiredEventsV1, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(walFile(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Open(WithDataDir(dir)); err == nil {
+		st.Close()
+		t.Fatal("Open accepted a version-1 events record")
+	} else if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "wal record type 1") {
+		t.Fatalf("Open error = %v; want ErrRetiredFormat naming wal record type 1", err)
+	}
+	after, err := os.ReadFile(walFile(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("Open changed the WAL: %d bytes before, %d after", len(before), len(after))
+	}
+
+	for _, durableFollower := range []bool{false, true} {
+		follower := memStore(t)
+		if durableFollower {
+			follower = openDurable(t, t.TempDir())
+		}
+		follower.SetFollower()
+		frames := []ReplFrame{{Seq: 0, Type: durable.RecordRetiredEventsV1, Payload: v1}}
+		if _, err := follower.ReplApply(context.Background(), crashIndex, 0, frames); !errors.Is(err, ErrRetiredFormat) {
+			t.Errorf("durable=%v follower applied a version-1 frame: %v, want ErrRetiredFormat", durableFollower, err)
+		}
+		follower.Close()
 	}
 }
 

@@ -533,6 +533,9 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 // applyWALRecord replays one journal record, returning how many rows it
 // added (zero for a paths record).
 func (ix *Index) applyWALRecord(t durable.RecordType, payload []byte) (int, error) {
+	if t.Retired() {
+		return 0, retiredRecord(t)
+	}
 	switch t {
 	case durable.RecordEvents:
 		// A recycled batch, as on the live bulk path: a fresh one per record
@@ -555,11 +558,15 @@ func (ix *Index) applyWALRecord(t durable.RecordType, payload []byte) (int, erro
 			ix.dur.addToBook(rec)
 		}
 		return 0, nil
-	case durable.RecordRetiredDocs, durable.RecordRetiredRewrite, durable.RecordRetiredRows:
-		return 0, fmt.Errorf("store: wal record type %d: %w", t, ErrRetiredFormat)
 	default:
 		return 0, fmt.Errorf("store: unknown wal record type %d", t)
 	}
+}
+
+// retiredRecord refuses a record of a type nothing writes any more, by
+// number, before its payload is parsed as anything.
+func retiredRecord(t durable.RecordType) error {
+	return fmt.Errorf("store: wal record type %d: %w", t, ErrRetiredFormat)
 }
 
 // loadDataDir recovers every index directory under the store's data dir.

@@ -466,6 +466,9 @@ func (ix *Index) applyReplFrame(f *ReplFrame) error {
 		_, err := ix.applyWALRecord(f.Type, f.Payload)
 		return err
 	}
+	if f.Type.Retired() {
+		return retiredRecord(f.Type)
+	}
 	switch f.Type {
 	case durable.RecordEvents:
 		events, err := event.DecodeBatch(f.Payload, nil)

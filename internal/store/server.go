@@ -247,13 +247,14 @@ func serveRoute(w http.ResponseWriter, r *http.Request, rt route, index string) 
 
 // Pools for the binary bulk path (and WAL replay, which decodes the same
 // frames): request-body read buffers and decoded event batches are recycled,
-// so the steady-state ingest path's allocations are the interned strings
-// alone. Both start at the size of the tracer's default flush; one that a
-// larger bulk grew past poolKeepFlushes of those is left to the collector, so
-// a single oversized request cannot pin its capacity for the process's life.
+// so the steady-state ingest path's allocations are each frame's distinct
+// strings alone. Both start at the size of the tracer's default flush; one
+// that a larger bulk grew past poolKeepFlushes of those is left to the
+// collector, so a single oversized request cannot pin its capacity for the
+// process's life.
 const (
 	flushEvents     = 512       // the tracer's default batch
-	flushBodyBytes  = 64 * 1024 // generous for that batch on the wire
+	flushBodyBytes  = 64 * 1024 // that batch's frame is ~17 KB: room for long paths
 	poolKeepFlushes = 8
 )
 
@@ -378,11 +379,19 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request, _ str
 }
 
 // handleBulk ingests a batch of events in one of two encodings selected by
-// Content-Type: the version-1 binary event frame, or Elasticsearch-style
-// NDJSON through the strict edge decoder. Either way the backend sees events.
+// Content-Type: the binary event frame, or Elasticsearch-style NDJSON
+// through the strict edge decoder. Either way the backend sees events. A
+// body under the retired version-1 media type is refused by that name, not
+// parsed as NDJSON.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request, index string) {
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, event.ContentTypeBinaryV1) {
+	ct := r.Header.Get("Content-Type")
+	if strings.HasPrefix(ct, event.ContentTypeBinaryV2) {
 		s.handleBulkBinary(w, r, index)
+		return
+	}
+	if strings.HasPrefix(ct, event.ContentTypeRetiredV1) {
+		httpError(w, http.StatusUnsupportedMediaType, "bulk: %s is a retired frame format; send %s",
+			event.ContentTypeRetiredV1, event.ContentTypeBinaryV2)
 		return
 	}
 	events, err := DecodeBulkNDJSON(r.Body)

@@ -15,7 +15,7 @@ import (
 
 // The typed hit body (DESIGN.md §12): how a search answer crosses HTTP
 // without a hit ever becoming a map. /_search sends it to a request that
-// accepts event.ContentTypeBinaryV1, /_scatter always does, and the node and
+// accepts event.ContentTypeBinaryV2, /_scatter always does, and the node and
 // the coordinator write it — and Client reads it — through this one codec.
 // Layout: u32 little-endian envelope length, the JSON envelope (everything
 // but the hits), then the hits as one event.EncodeBatch frame.
@@ -36,15 +36,15 @@ type hitsBody struct {
 	Hits      []event.Event         `json:"-"`
 }
 
-func (b *hitsBody) encode() ([]byte, error) {
+// encode appends the body's image to dst.
+func (b *hitsBody) encode(dst []byte) ([]byte, error) {
 	env, err := json.Marshal(b)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]byte, 0, 4+len(env)+event.EncodedSize(b.Hits))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(env)))
-	out = append(out, env...)
-	return event.EncodeBatch(out, b.Hits), nil
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(env)))
+	dst = append(dst, env...)
+	return event.EncodeBatch(dst, b.Hits), nil
 }
 
 // decodeHitsBody parses an encode image, validating every length before
@@ -76,8 +76,8 @@ func decodeHitsBody(data []byte) (hitsBody, error) {
 // readResponse is Client.doReader's decode hook for a typed answer. A JSON
 // answer is an error naming it, not a second decode path.
 func (b *hitsBody) readResponse(resp *http.Response) error {
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, event.ContentTypeBinaryV1) {
-		return fmt.Errorf("%w: server answered %q, not %s", ErrBadHitsBody, ct, event.ContentTypeBinaryV1)
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, event.ContentTypeBinaryV2) {
+		return fmt.Errorf("%w: server answered %q, not %s", ErrBadHitsBody, ct, event.ContentTypeBinaryV2)
 	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -87,21 +87,29 @@ func (b *hitsBody) readResponse(resp *http.Response) error {
 	return err
 }
 
+// write answers with the body, encoded into a recycled buffer: a frame's
+// exact size takes an encode of its own, so the buffer is not pre-sized but
+// kept at the working page size across answers.
 func (b *hitsBody) write(w http.ResponseWriter) {
-	data, err := b.encode()
+	bp := encodePool.Get().(*[]byte)
+	data, err := b.encode((*bp)[:0])
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encode response: %v", err)
-		return
+	} else {
+		w.Header().Set("Content-Type", event.ContentTypeBinaryV2)
+		_, _ = w.Write(data)
 	}
-	w.Header().Set("Content-Type", event.ContentTypeBinaryV1)
-	_, _ = w.Write(data)
+	if cap(data) <= poolKeepFlushes*flushBodyBytes {
+		*bp = data[:0]
+		encodePool.Put(bp)
+	}
 }
 
 // writeSearchResult answers one /_search with res: the typed hit body when
 // the request accepts it, otherwise JSON with each hit rendered as a
 // Document.
 func writeSearchResult(w http.ResponseWriter, r *http.Request, res EventsResult) {
-	if strings.Contains(r.Header.Get("Accept"), event.ContentTypeBinaryV1) {
+	if strings.Contains(r.Header.Get("Accept"), event.ContentTypeBinaryV2) {
 		(&hitsBody{Total: res.Total, Aggs: res.Aggs, NextAfter: res.NextAfter, Hits: res.Hits}).write(w)
 		return
 	}

@@ -38,14 +38,14 @@ func typedBodySeeds(tb testing.TB) [][]byte {
 			tb.Fatal(err)
 		}
 		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/run/"+op, bytes.NewReader(raw))
-		req.Header.Set("Accept", event.ContentTypeBinaryV1)
+		req.Header.Set("Accept", event.ContentTypeBinaryV2)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		defer resp.Body.Close()
 		img, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != event.ContentTypeBinaryV1 {
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != event.ContentTypeBinaryV2 {
 			tb.Fatalf("%s: status %d, content type %q, %v", op, resp.StatusCode, resp.Header.Get("Content-Type"), err)
 		}
 		return img
@@ -82,7 +82,7 @@ func FuzzTypedHitsBody(f *testing.F) {
 			}
 			return
 		}
-		img, err := b.encode()
+		img, err := b.encode(nil)
 		if err != nil {
 			t.Fatalf("re-encode a decoded body: %v", err)
 		}
@@ -90,7 +90,7 @@ func FuzzTypedHitsBody(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode own encoding: %v", err)
 		}
-		img2, err := b2.encode()
+		img2, err := b2.encode(nil)
 		if err != nil || !bytes.Equal(img, img2) || !reflect.DeepEqual(b.Hits, b2.Hits) {
 			t.Fatalf("round trip changed the body (%v):\n first  %q\n second %q", err, img, img2)
 		}
