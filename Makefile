@@ -67,7 +67,8 @@ bench-smoke:
 ## cache-hits/op is the share of queries the cache answered) and the tiered
 ## segment-pruning benchmark (time-range planner vs the same predicate
 ## spelled so the planner extracts no bounds, over many narrow segments for
-## the header prune and over one wide segment for the row selection), and
+## the header prune and over one wide segment for the block selection: only
+## the 512-row blocks whose zone map meets the window decode), and
 ## the two edge encoders of a 2 000-hit page (JSON documents vs the typed hit
 ## body, with allocation counts), then the cold window query with and
 ## without the resident segment set (BenchmarkColdWindow: FirstOpen reads,
@@ -181,8 +182,10 @@ chaos-cluster:
 ## compaction killed before the manifest commit, manifests referencing
 ## missing segments, multi-segment follower bootstrap) — each recovery
 ## compared field-for-field against a never-crashed control — plus the typed
-## rejection of every retired on-disk form (a segment's generic rows refused
-## by LoadManifest when counted and by OpenSegment when not), and counts
+## rejection of every retired on-disk form (a manifest entry counting a
+## segment's generic rows refused by LoadManifest, a columnar version-2
+## segment refused by number at the first read of it, the file left as it
+## was), and counts
 ## read while an index's first snapshot evicts its rows
 ## (TestDurableCountDuringFirstEviction: every count must see one cut, never
 ## the moved rows twice or not at all), under -race.

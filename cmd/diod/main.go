@@ -65,7 +65,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":9200", "listen address")
 	flag.StringVar(&cfg.data, "data", "", "data directory for WAL + snapshots (empty: in-memory only)")
 	flag.StringVar(&cfg.fsyncMode, "fsync", "interval", "WAL fsync policy: interval, always, or off")
-	flag.DurationVar(&cfg.snapshot, "snapshot", time.Minute, "interval between columnar segment snapshots, each of which also moves the rows it flushed out of memory (0 disables)")
+	flag.DurationVar(&cfg.snapshot, "snapshot", time.Minute, "interval between segment snapshots, each of which also moves the rows it flushed out of memory (0 disables)")
 	flag.DurationVar(&cfg.retention, "retention", 0, "drop segments whose events are all older than this (0 never drops); requires -data")
 	flag.IntVar(&cfg.queryCache, "query-cache", 256, "query cache capacity per index in entries (0 disables)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a follower of this primary URL: reject writes, apply /_repl pushes")

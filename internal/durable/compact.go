@@ -8,24 +8,16 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
-// mergedRow is one surviving row of a compaction: its absolute global row id
-// plus the event.
-type mergedRow struct {
-	gid int64
-	ev  event.Event
-}
-
-// mergedSource adapts the merged row list to WriteSegment, emitting explicit
-// segment-local ids relative to base (sparse when the inputs had interior
-// retention gaps).
+// mergedSource adapts the merged rows to WriteSegment, with explicit
+// segment-local ids (sparse when the inputs had interior retention gaps).
 type mergedSource struct {
-	rows []mergedRow
-	base int64
+	events []event.Event
+	gids   []int
 }
 
-func (m *mergedSource) NumRows() int         { return len(m.rows) }
-func (m *mergedSource) Row(i int) SegmentRow { return SegmentRow{Event: &m.rows[i].ev} }
-func (m *mergedSource) Gid(i int) int        { return int(m.rows[i].gid - m.base) }
+func (m *mergedSource) NumRows() int         { return len(m.events) }
+func (m *mergedSource) Row(i int) SegmentRow { return SegmentRow{Event: &m.events[i]} }
+func (m *mergedSource) Gid(i int) int        { return m.gids[i] }
 
 // MergeSegments reads the committed segments described by metas (ascending
 // StartRow order, files resolved in dir) and writes their union as one
@@ -41,18 +33,15 @@ func MergeSegments(dir string, metas []SegmentMeta, outSeq, shards int, finish f
 	if len(metas) == 0 {
 		return SegmentMeta{}, fmt.Errorf("durable: merge of zero segments")
 	}
-	var rows []mergedRow
-	level := 0
+	var src mergedSource
+	base, level := metas[0].StartRow, 0
 	for _, sm := range metas {
-		if sm.Level > level {
-			level = sm.Level
-		}
-		start := sm.StartRow
+		level = max(level, sm.Level)
+		start := int(sm.StartRow - base)
 		_, err := ReadSegment(filepath.Join(dir, SegmentName(sm.Seq)), func(gid int, ev *event.Event, _ []byte) error {
-			rows = append(rows, mergedRow{gid: start + int64(gid), ev: *ev})
+			src.events, src.gids = append(src.events, *ev), append(src.gids, start+gid)
 			if finish != nil {
-				last := &rows[len(rows)-1]
-				finish(last.gid, &last.ev)
+				finish(base+int64(start+gid), &src.events[len(src.events)-1])
 			}
 			return nil
 		})
@@ -60,19 +49,16 @@ func MergeSegments(dir string, metas []SegmentMeta, outSeq, shards int, finish f
 			return SegmentMeta{}, fmt.Errorf("durable: merge read %s: %w", SegmentName(sm.Seq), err)
 		}
 	}
-	base := metas[0].StartRow
-	src := &mergedSource{rows: rows, base: base}
-	info, err := WriteSegment(filepath.Join(dir, SegmentName(outSeq)), shards, src)
+	info, err := WriteSegment(filepath.Join(dir, SegmentName(outSeq)), shards, &src)
 	if err != nil {
 		return SegmentMeta{}, err
 	}
-	end := metas[len(metas)-1].EndRow
 	return SegmentMeta{
 		Seq:      outSeq,
 		Level:    level + 1,
-		Rows:     int64(len(rows)),
+		Rows:     int64(len(src.events)),
 		StartRow: base,
-		EndRow:   end,
+		EndRow:   metas[len(metas)-1].EndRow,
 		MinTime:  info.MinTime,
 		MaxTime:  info.MaxTime,
 		Bytes:    info.Bytes,

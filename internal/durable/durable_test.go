@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
-	"github.com/dsrhaslab/dio-go/internal/durable/durabletest"
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
@@ -262,16 +263,15 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentGenericFormRetired: a segment image carrying rows of the retired
-// generic block is refused with ErrRetiredFormat — not as corruption — by
-// OpenSegment and ReadSegment, and a manifest whose segment entry counts
-// generic rows is refused by LoadManifest without opening the file.
+// TestSegmentGenericFormRetired: the columnar segment layout, the one that
+// could carry rows of the retired generic block, is refused with
+// ErrRetiredFormat — not as corruption — by OpenSegment and ReadSegment, and a
+// manifest whose segment entry counts generic rows is refused by LoadManifest
+// without opening the file.
 func TestSegmentGenericFormRetired(t *testing.T) {
 	dir := t.TempDir()
-	ev := testEvent(0)
-	img, _ := encodeSegment(4, sliceSource{[]SegmentRow{{Event: &ev}}})
 	path := filepath.Join(dir, SegmentName(1))
-	if err := os.WriteFile(path, durabletest.WithGenericRows(img, []byte("generic-one")), 0o644); err != nil {
+	if err := os.WriteFile(path, v2Image(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenSegment(path); !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrCorruptSegment) {
@@ -306,6 +306,38 @@ func TestSegmentEmptyAndAllTyped(t *testing.T) {
 	}
 }
 
+// segImage assembles a version-3 image from its parts and stamps its CRC:
+// the header, the gid runs as (gap, length) pairs, and the blocks' raw bytes.
+// It states the layout apart from the writer, so a test can build exactly
+// the image whose fault it names.
+func segImage(rows uint64, minT, maxT int64, runs []uint64, blocks ...[]byte) []byte {
+	b := append(bytes.Clone(segMagic[:]), segVersion)
+	b = binary.LittleEndian.AppendUint32(b, 4)
+	b = binary.LittleEndian.AppendUint64(b, rows)
+	b = binary.LittleEndian.AppendUint64(b, uint64(minT))
+	b = binary.LittleEndian.AppendUint64(b, uint64(maxT))
+	b = binary.AppendUvarint(b, uint64(len(runs)/2))
+	for _, v := range runs {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, blk := range blocks {
+		b = append(b, blk...)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
+
+// segBlockBytes is one block's bytes: the zone map [minT, minT+span], the frame
+// length n, and the frame.
+func segBlockBytes(minT int64, span uint64, n int, frame []byte) []byte {
+	b := binary.AppendVarint(nil, minT)
+	b = binary.AppendUvarint(b, span)
+	b = binary.AppendUvarint(b, uint64(n))
+	return append(b, frame...)
+}
+
+// TestSegmentCorruptionDetected: a damaged or hostile image fails ReadSegment
+// with ErrCorruptSegment. Every mutation behind the checksum re-stamps it,
+// so each reaches the check it names.
 func TestSegmentCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, SegmentName(1))
@@ -317,33 +349,57 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t0 := ev.TimeEnterNS
+	frame := func(n int) []byte {
+		evs := make([]event.Event, n)
+		for i := range evs {
+			evs[i] = ev
+		}
+		return event.EncodeBatch(nil, evs)
+	}
+	block := func(minT int64, f []byte) []byte { return segBlockBytes(minT, 0, len(f), f) }
+	if img := segImage(1, t0, t0, []uint64{0, 1}, block(t0, frame(1))); !bytes.Equal(img, data) {
+		t.Fatalf("segImage does not rebuild the written image:\n%x\n%x", img, data)
+	}
+	unbacked := func(d []byte) []byte {
+		binary.LittleEndian.PutUint64(d[segMagicLen+5:], 1<<40)
+		return restamp(append(d[:100], 0, 0, 0, 0))
+	}
 	mutations := map[string]func([]byte) []byte{
 		"flip-body-byte": func(d []byte) []byte { d[segHeaderLen+2] ^= 0x55; return d },
 		"truncate":       func(d []byte) []byte { return d[:len(d)/2] },
 		"too-short":      func(d []byte) []byte { return d[:6] },
-		// A well-formed file of another format version: the checksum is
-		// recomputed so the version byte alone is what the reader rejects.
+		// A well-formed file of another format version: the version byte
+		// alone is what the reader rejects.
 		"unknown-version": func(d []byte) []byte {
-			d[segMagicLen] = segVersion - 1
+			d[segMagicLen] = segVersion + 1
 			return restamp(d)
 		},
-		// Likewise re-stamped, so each reaches the structural check it names.
-		// Row counts that add up only by wrapping around:
+		// A row count that is negative as an int, and one the body's bytes
+		// cannot hold.
 		"row-counts-wrap": func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[segMagicLen+1+4+8:], math.MaxUint64) // typed
-			binary.LittleEndian.PutUint64(d[segMagicLen+1+4+16:], 2)             // generic
+			binary.LittleEndian.PutUint64(d[segMagicLen+5:], math.MaxUint64)
 			return restamp(d)
 		},
-		// Row counts that add up but that the file's bytes cannot hold:
-		"row-counts-unbacked": func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[segMagicLen+1+4:], 1<<31)
-			binary.LittleEndian.PutUint64(d[segMagicLen+1+4+8:], 1<<31)
-			return restamp(d)
+		"row-counts-unbacked": unbacked,
+		"gid-run-past-rows": func([]byte) []byte {
+			return segImage(1, t0, t0, []uint64{0, 2}, block(t0, frame(1)))
 		},
-		"string-offsets-out-of-order": func(d []byte) []byte {
-			firstTable := segHeaderLen + segRowMin - 4*segStringCount // one typed row
-			binary.LittleEndian.PutUint32(d[firstTable:], 1<<20)
-			return restamp(d)
+		"gid-runs-short": func([]byte) []byte {
+			return segImage(2, t0, t0, []uint64{0, 1}, block(t0, frame(2)))
+		},
+		"block-length-past-file": func([]byte) []byte {
+			f := frame(1)
+			return segImage(1, t0, t0, []uint64{0, 1}, segBlockBytes(t0, 0, len(f)+1, f))
+		},
+		"block-count-mismatch": func([]byte) []byte {
+			return segImage(1, t0, t0, []uint64{0, 1}, block(t0, frame(1)), block(t0, frame(1)))
+		},
+		"frame-short-of-block": func([]byte) []byte {
+			return segImage(2, t0, t0, []uint64{0, 2}, block(t0, frame(1)))
+		},
+		"row-outside-block": func([]byte) []byte {
+			return segImage(1, t0-10, t0+10, []uint64{0, 1}, block(t0+1, frame(1)))
 		},
 		"trailing-bytes": func(d []byte) []byte {
 			return restamp(append(d[:len(d)-4], 0, 0, 0, 0, 0, 0, 0))
@@ -360,6 +416,21 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 				t.Fatalf("err = %v, want ErrCorruptSegment", err)
 			}
 		})
+	}
+	// The row-count bound is the frame's least row: a zero event after a
+	// zero event repeats every string and moves no integer.
+	zero := make([]event.Event, 2)
+	if d := len(event.EncodeBatch(nil, zero)) - len(event.EncodeBatch(nil, zero[:1])); d != segMinRowLen {
+		t.Fatalf("a frame's least row is %d bytes, segMinRowLen is %d", d, segMinRowLen)
+	}
+	// 2^40 rows in a 100-byte body are refused before anything is sized.
+	img := unbacked(bytes.Clone(data))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = openSegmentImage(img)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptSegment) || after.TotalAlloc-before.TotalAlloc >= 64<<10 {
+		t.Fatalf("unbacked row count: err %v after allocating %d bytes", err, after.TotalAlloc-before.TotalAlloc)
 	}
 }
 

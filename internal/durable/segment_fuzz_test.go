@@ -2,13 +2,15 @@ package durable
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"github.com/dsrhaslab/dio-go/internal/durable/durabletest"
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
@@ -32,13 +34,14 @@ func segmentSeeds() map[string]RowSource {
 		return rows
 	}
 	long := testEvent(1)
-	long.ArgPath = strings.Repeat("/deep", 40) // past the 64-byte intern limit
+	long.ArgPath = strings.Repeat("/deep", 40) // a literal length past one varint byte
 	long.KernelPath = long.ArgPath
 	noOffset := testEvent(2)
 	noOffset.HasOffset, noOffset.Offset = false, 0
 	return map[string]RowSource{
 		"dense":         sliceSource{events(40)},
-		"sparse-gid":    sparseSource{sliceSource{events(4)}, []int{0, 3, 4, 900}},
+		"two-blocks":    sliceSource{events(segBlockRows + 1)},
+		"sparse-gid":    sparseSource{sliceSource{events(4)}, []int{0, 3, 4, 900}}, // three runs
 		"empty":         sliceSource{},
 		"one-row":       sliceSource{events(1)},
 		"empty-strings": sliceSource{[]SegmentRow{{Event: &event.Event{}}, {Event: &event.Event{TimeEnterNS: -1}}}},
@@ -46,11 +49,33 @@ func segmentSeeds() map[string]RowSource {
 	}
 }
 
-// genericImage is a three-row image carrying two rows of the retired generic
-// block, one of them empty.
-func genericImage() []byte {
-	img, _ := encodeSegment(4, sliceSource{segmentSeeds()["dense"].(sliceSource).rows[:3]})
-	return durabletest.WithGenericRows(img, []byte("generic-one"), nil)
+// v2Segment is a three-row segment in the retired columnar version-2 layout,
+// byte for byte as the last build that wrote it encoded it: an openat, a
+// 4-byte write and a close of /d by pid 7 ("app") in session s1. The same
+// image is frozen in internal/store, for TestRetiredV2Segment and
+// TestRetiredFormatsRejected.
+const v2Segment = "44494f530201000000030000000000000003000000000000000000000000000000e8030000000000" +
+	"00b80b00000000000000000000000000000100000000000000020000000000000003000000000000" +
+	"00040000000000000000000000000000000000000000000000000000000000000000000000000000" +
+	"00e803000000000000d007000000000000b80b000000000000b004000000000000c4090000000000" +
+	"001c0c00000000000000000000000000000000000000000000000000000000000000000000000000" +
+	"00000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+	"00000000000000000000000000000000000000000000000000070000000700000007000000070000" +
+	"0007000000070000009cffffff030000000300000000000000040000000000000000000000000000" +
+	"00000000000000000000000000000000000000000000000000000000000001000000000002000000" +
+	"040000000600000073317331733100000000060000000b000000100000006f70656e617477726974" +
+	"65636c6f73650000000004000000080000000c0000006d657461646174616d657461000000000300" +
+	"00000600000009000000617070617070617070000000000000000000000000000000000000000002" +
+	"00000002000000020000002f64000000000000000000000000000000000000000000000000000000" +
+	"00000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+	"000000000002000000040000002f642f642bccedd4"
+
+func v2Image() []byte {
+	img, err := hex.DecodeString(v2Segment)
+	if err != nil {
+		panic(err)
+	}
+	return img
 }
 
 // restamp returns img with its trailing CRC recomputed, so a mutated body
@@ -64,22 +89,34 @@ func restamp(img []byte) []byte {
 	return out
 }
 
-func selectAll(r *SegmentReader) []int {
-	sel := make([]int, r.Info().Rows)
-	for i := range sel {
-		sel[i] = i
+// checkWindow fails t unless r.Rows(lo, hi) is exactly the rows of all, with
+// their ids gids, whose time lies in [lo, hi].
+func checkWindow(t *testing.T, r *SegmentReader, all []event.Event, gids []int, lo, hi int64) {
+	t.Helper()
+	got, gotGids, err := r.Rows(lo, hi)
+	if err != nil {
+		t.Fatalf("window [%d, %d]: %v", lo, hi, err)
 	}
-	return sel
+	var want []event.Event
+	var wantGids []int
+	for i := range all {
+		if ts := all[i].TimeEnterNS; ts >= lo && ts <= hi {
+			want, wantGids = append(want, all[i]), append(wantGids, gids[i])
+		}
+	}
+	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) || !slices.Equal(gotGids, wantGids) {
+		t.Fatalf("window [%d, %d]: %d rows with ids %v, want %d with %v", lo, hi, len(got), gotGids, len(want), wantGids)
+	}
 }
 
-// TestSegmentReaderSelectsRows: for every seed shape, selecting every row
-// returns exactly the rows written, with their ids and times readable
-// without a decode, and any subset, in any order, decodes to the matching
-// rows of that. An image with generic rows opens to no rows at all.
+// TestSegmentReaderSelectsRows: for every seed shape, Rows over every block
+// returns exactly the rows written, with their ids, and Rows over a window
+// returns exactly those of them whose time lies in it. The frozen columnar
+// image is refused as retired, not as corrupt.
 func TestSegmentReaderSelectsRows(t *testing.T) {
-	t.Run("with-generic", func(t *testing.T) {
-		if r, err := openSegmentImage(genericImage()); !errors.Is(err, ErrRetiredFormat) {
-			t.Fatalf("opened %v, err %v; want ErrRetiredFormat", r, err)
+	t.Run("retired-v2", func(t *testing.T) {
+		if r, err := openSegmentImage(v2Image()); !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrCorruptSegment) {
+			t.Fatalf("opened %v, err %v; want ErrRetiredFormat alone", r, err)
 		}
 	})
 	for name, src := range segmentSeeds() {
@@ -102,49 +139,43 @@ func TestSegmentReaderSelectsRows(t *testing.T) {
 				}
 				wantGids = append(wantGids, gid)
 			}
-			all := r.Decode(selectAll(r))
-			if len(all) != len(want) || (len(want) > 0 && !reflect.DeepEqual(all, want)) {
-				t.Fatalf("select-all decoded\n %+v\nwritten\n %+v", all, want)
+			all, gids, err := r.Rows(math.MinInt64, math.MaxInt64)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var sel []int
+			if len(all) != len(want) || (len(want) > 0 && !reflect.DeepEqual(all, want)) || !slices.Equal(gids, wantGids) {
+				t.Fatalf("all rows decoded\n %+v %v\nwritten\n %+v %v", all, gids, want, wantGids)
+			}
 			for i := range all {
-				if r.Gid(i) != wantGids[i] || r.Time(i) != want[i].TimeEnterNS {
-					t.Fatalf("row %d: gid %d time %d, want %d %d", i, r.Gid(i), r.Time(i), wantGids[i], want[i].TimeEnterNS)
-				}
-				if i%3 != 1 {
-					sel = append([]int{i}, sel...) // descending
-				}
-			}
-			for k, ev := range r.Decode(sel) {
-				if !reflect.DeepEqual(ev, want[sel[k]]) {
-					t.Fatalf("subset row %d (segment row %d) = %+v, want %+v", k, sel[k], ev, want[sel[k]])
-				}
+				lo, hi := all[i].TimeEnterNS, all[(7*i+3)%len(all)].TimeEnterNS
+				checkWindow(t, r, all, gids, min(lo, hi), max(lo, hi))
 			}
 		})
 	}
 }
 
 // FuzzSegmentReader feeds arbitrary bytes — seeded with WriteSegment's images
-// of every seed shape and with an image of the retired generic form, tried
-// both as given and with the checksum re-stamped so mutations reach the
-// structural checks — to the segment reader. The invariants: an image either
-// fails with ErrCorruptSegment or ErrRetiredFormat, or opens; an opened
-// image's row counts are backed by its bytes (nothing allocates on a number
-// the file made up); every accessor and any row selection runs without a
-// panic; a subset decodes to exactly the matching rows of select-all; and
-// re-encoding what was decoded yields an image that decodes to the same rows.
+// of every seed shape and with the frozen columnar image, tried both as given
+// and with the checksum re-stamped so mutations reach the structural checks —
+// to the segment reader. The invariants: an image either fails with
+// ErrCorruptSegment or ErrRetiredFormat, or opens; an opened image's row
+// count is backed by its bytes (nothing allocates on a number the file made
+// up); Rows over every block either fails with ErrCorruptSegment or returns
+// exactly that many rows, inside the header's time range, under strictly
+// ascending ids; Rows over a window returns exactly the rows of that inside
+// it; and re-encoding what was read yields an image that reads the same.
 func FuzzSegmentReader(f *testing.F) {
 	for _, src := range segmentSeeds() {
 		img, _ := encodeSegment(4, src)
 		f.Add(img, uint64(0x5555_5555_5555_5555))
 		f.Add(img[:len(img)/2], uint64(1))
 	}
-	generic := genericImage()
-	if _, err := openSegmentImage(generic); !errors.Is(err, ErrRetiredFormat) {
-		f.Fatalf("generic seed: %v, want ErrRetiredFormat", err)
+	v2 := v2Image()
+	if _, err := openSegmentImage(v2); !errors.Is(err, ErrRetiredFormat) {
+		f.Fatalf("frozen v2 image: %v, want ErrRetiredFormat", err)
 	}
-	f.Add(generic, uint64(0x5555_5555_5555_5555))
-	f.Add(generic[:len(generic)/2], uint64(1))
+	f.Add(v2, uint64(0x5555_5555_5555_5555))
+	f.Add(v2[:len(v2)/2], uint64(1))
 	f.Add([]byte{}, uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, pick uint64) {
 		for _, img := range [][]byte{data, restamp(data)} {
@@ -156,49 +187,45 @@ func FuzzSegmentReader(f *testing.F) {
 				continue
 			}
 			info := r.Info()
-			if info.Rows < 0 || info.Rows*segRowMin > len(img) {
-				t.Fatalf("row counts %+v not backed by %d bytes", info, len(img))
+			if info.Rows < 0 || info.Rows*segMinRowLen > len(img) {
+				t.Fatalf("row count %+v not backed by %d bytes", info, len(img))
 			}
-			all := r.Decode(selectAll(r))
-			var sel []int
+			all, gids, err := r.Rows(math.MinInt64, math.MaxInt64)
+			if err != nil {
+				if !errors.Is(err, ErrCorruptSegment) {
+					t.Fatalf("Rows error %v is not ErrCorruptSegment", err)
+				}
+				continue
+			}
+			if len(all) != info.Rows || len(gids) != len(all) {
+				t.Fatalf("read %d rows and %d ids of %d", len(all), len(gids), info.Rows)
+			}
 			for i := range all {
-				if r.Time(i) != all[i].TimeEnterNS {
-					t.Fatalf("row %d: time column %d, decoded %d", i, r.Time(i), all[i].TimeEnterNS)
+				if ts := all[i].TimeEnterNS; ts < info.MinTime || ts > info.MaxTime {
+					t.Fatalf("row %d at %d, outside the header's [%d, %d]", i, ts, info.MinTime, info.MaxTime)
 				}
-				if pick>>(uint(i)%64)&1 == 1 {
-					sel = append(sel, i)
-				}
-			}
-			if pick&2 != 0 { // and in descending order
-				for a, b := 0, len(sel)-1; a < b; a, b = a+1, b-1 {
-					sel[a], sel[b] = sel[b], sel[a]
+				if i > 0 && gids[i] <= gids[i-1] {
+					t.Fatalf("row %d has id %d after %d", i, gids[i], gids[i-1])
 				}
 			}
-			for k, ev := range r.Decode(sel) {
-				if !reflect.DeepEqual(ev, all[sel[k]]) {
-					t.Fatalf("subset row %d (segment row %d) = %+v, select-all has %+v", k, sel[k], ev, all[sel[k]])
-				}
+			if n := uint64(len(all)); n > 0 {
+				lo, hi := all[pick%n].TimeEnterNS, all[(pick>>32)%n].TimeEnterNS
+				checkWindow(t, r, all, gids, min(lo, hi), max(lo, hi))
 			}
 			// Write back what was read, under the ids the image gave the
 			// rows, and read that.
-			back := sparseSource{}
+			back := sparseSource{gids: gids}
 			for i := range all {
 				back.rows = append(back.rows, SegmentRow{Event: &all[i]})
-				back.gids = append(back.gids, r.Gid(i))
 			}
 			img2, _ := encodeSegment(info.Shards, back)
 			r2, err := openSegmentImage(img2)
 			if err != nil {
 				t.Fatalf("re-encoded image does not open: %v", err)
 			}
-			all2 := r2.Decode(selectAll(r2))
-			if len(all2) != len(all) || (len(all) > 0 && !reflect.DeepEqual(all2, all)) {
-				t.Fatalf("re-encoded image decodes to different rows")
-			}
-			for i := range all2 {
-				if r2.Gid(i) != r.Gid(i) {
-					t.Fatalf("re-encoded row %d has gid %d, was %d", i, r2.Gid(i), r.Gid(i))
-				}
+			all2, gids2, err := r2.Rows(math.MinInt64, math.MaxInt64)
+			if err != nil || len(all2) != len(all) || (len(all) > 0 && !reflect.DeepEqual(all2, all)) || !slices.Equal(gids2, gids) {
+				t.Fatalf("re-encoded image reads differently (%v)", err)
 			}
 		}
 	})

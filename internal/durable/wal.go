@@ -1,6 +1,6 @@
 // Package durable is the store's persistence layer: a per-index append-only
 // write-ahead log for event batches and correlation's path dictionaries, plus
-// columnar segment snapshots and the manifest that makes snapshot→WAL
+// segment snapshots and the manifest that makes snapshot→WAL
 // handoff crash-atomic. The store (internal/store) owns placement and
 // locking; this package owns bytes on disk and their integrity.
 //
@@ -54,7 +54,8 @@ func (t RecordType) Retired() bool {
 
 // ErrRetiredFormat reports on-disk state in a form nothing writes any more: a
 // version-1 event frame, a gob or row-rewrite WAL record, a manifest carrying
-// pending rewrites, a segment holding generic rows. Open fails with it,
+// pending rewrites or counting a segment's generic rows, a columnar
+// (version 2) segment. Open, or the first read of a segment, fails with it,
 // naming the offender.
 var ErrRetiredFormat = errors.New("durable: data dir holds a retired on-disk format")
 

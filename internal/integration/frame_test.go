@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/clock"
 	"github.com/dsrhaslab/dio-go/internal/core"
+	"github.com/dsrhaslab/dio-go/internal/durable"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/kernel"
 	"github.com/dsrhaslab/dio-go/internal/store"
@@ -17,9 +20,10 @@ import (
 // TestFrameBytesPerEvent: a traced op mix over 64 files — per visit one
 // openat, 16 data ops drawn by a seeded RNG from {write 512 B, pread64 of a
 // random 4 KiB block, lseek, read}, one close — costs at most 45 frame
-// bytes per event in the tracer's 512-event batches. The rows are read back
-// in capture order and cut at 512, so the figure depends on the workload
-// alone, not on when the tracer happened to flush.
+// bytes per event in the tracer's 512-event batches, and at most 45 bytes
+// per row in a segment file holding the same rows. The rows are read back in
+// capture order and cut at 512, so the figure depends on the workload alone,
+// not on when the tracer happened to flush.
 func TestFrameBytesPerEvent(t *testing.T) {
 	const (
 		files, opsPerVisit, syscalls = 64, 16, 20_000
@@ -98,4 +102,24 @@ func TestFrameBytesPerEvent(t *testing.T) {
 	if perEvent > maxBytesPerEvent {
 		t.Fatalf("frames cost %.1f bytes/event, budget is %d", perEvent, maxBytesPerEvent)
 	}
+
+	path := filepath.Join(t.TempDir(), durable.SegmentName(0))
+	if _, err := durable.WriteSegment(path, 1, hitRows(res.Hits)); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(fi.Size()) / float64(len(res.Hits))
+	t.Logf("%.1f segment bytes/row", perRow)
+	if perRow > maxBytesPerEvent {
+		t.Fatalf("the segment costs %.1f bytes/row, budget is %d", perRow, maxBytesPerEvent)
+	}
 }
+
+// hitRows adapts read-back events to durable.RowSource.
+type hitRows []event.Event
+
+func (h hitRows) NumRows() int                 { return len(h) }
+func (h hitRows) Row(i int) durable.SegmentRow { return durable.SegmentRow{Event: &h[i]} }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
-	"github.com/dsrhaslab/dio-go/internal/durable/durabletest"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
@@ -532,13 +531,13 @@ func TestCrashCorrelateKilledBeforeManifestCommit(t *testing.T) {
 // TestRetiredFormatsRejected plants each on-disk form this build no longer
 // reads — the gob document-batch and rewrite WAL records, the row-rewrite
 // record and the manifest's pending-rewrite blob of builds that updated rows
-// by query, a segment holding generic rows — in an otherwise healthy data dir:
-// Open must fail with ErrRetiredFormat and name the offender, never skip it,
-// parse it as something else, or hand back a half-loaded store. The one form
-// Open cannot see without reading segment files — generic rows that a
-// manifest older than its Generic count does not mention — fails the same
-// way at the first read of that segment. The writer cannot produce generic
-// rows, so durabletest patches them into the committed segment's image.
+// by query, a manifest entry counting a segment's generic rows — in an
+// otherwise healthy data dir: Open must fail with ErrRetiredFormat and name
+// the offender, never skip it, parse it as something else, or hand back a
+// half-loaded store. The one form Open cannot see without reading segment
+// files — a columnar segment, whose generic rows a manifest older than its
+// Generic count does not mention — fails the same way at the first read of
+// that segment; TestRetiredV2Segment checks that read in more detail.
 func TestRetiredFormatsRejected(t *testing.T) {
 	appendWAL := func(rt durable.RecordType) func(*testing.T, string) {
 		return func(t *testing.T, dir string) {
@@ -574,24 +573,22 @@ func TestRetiredFormatsRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// genericSegment adds two generic rows to segment 0, and when counted
-	// says so in its manifest entry.
-	genericSegment := func(counted bool) func(*testing.T, string) {
-		return func(t *testing.T, dir string) {
-			path := filepath.Join(indexDir(dir), durable.SegmentName(0))
-			img, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			doc := []byte("gob bytes of an older build")
-			if err := os.WriteFile(path, durabletest.WithGenericRows(img, doc, doc), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if counted {
-				editManifest(t, dir, func(m map[string]any) {
-					m["segments"].([]any)[0].(map[string]any)["generic"] = 2
-				})
-			}
+	// genericSegment says in segment 0's manifest entry that it holds two
+	// rows of the retired generic block.
+	genericSegment := func(t *testing.T, dir string) {
+		editManifest(t, dir, func(m map[string]any) {
+			m["segments"].([]any)[0].(map[string]any)["generic"] = 2
+		})
+	}
+	// columnarSegment overwrites segment 0 with the frozen columnar image,
+	// leaving its manifest entry as an older build wrote it.
+	columnarSegment := func(t *testing.T, dir string) {
+		v2, err := hex.DecodeString(v2Segment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(indexDir(dir), durable.SegmentName(0)), v2, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, tc := range []struct {
@@ -605,8 +602,8 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		{"manifest rewrites blob", "manifest pending rewrites", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m map[string]any) { m["rewrites"] = []byte("bytes of an older build") })
 		}, false},
-		{"generic segment rows", "segment " + durable.SegmentName(0) + " holds 2 generic rows", genericSegment(true), false},
-		{"generic segment rows, uncounted by an older manifest", durable.SegmentName(0), genericSegment(false), true},
+		{"generic segment rows", "segment " + durable.SegmentName(0) + " holds 2 generic rows", genericSegment, false},
+		{"generic segment rows, uncounted by an older manifest", durable.SegmentName(0), columnarSegment, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -632,6 +629,67 @@ func TestRetiredFormatsRejected(t *testing.T) {
 				t.Fatalf("Open error = %v; want ErrRetiredFormat naming %q", err, tc.names)
 			}
 		})
+	}
+}
+
+// v2Segment is a three-row segment in the retired columnar version-2 layout,
+// byte for byte as the last build that wrote it encoded it: an openat, a
+// 4-byte write and a close of /d by pid 7 ("app") in session s1. The same
+// image is frozen in internal/durable, for its segment reader tests.
+const v2Segment = "44494f530201000000030000000000000003000000000000000000000000000000e8030000000000" +
+	"00b80b00000000000000000000000000000100000000000000020000000000000003000000000000" +
+	"00040000000000000000000000000000000000000000000000000000000000000000000000000000" +
+	"00e803000000000000d007000000000000b80b000000000000b004000000000000c4090000000000" +
+	"001c0c00000000000000000000000000000000000000000000000000000000000000000000000000" +
+	"00000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+	"00000000000000000000000000000000000000000000000000070000000700000007000000070000" +
+	"0007000000070000009cffffff030000000300000000000000040000000000000000000000000000" +
+	"00000000000000000000000000000000000000000000000000000000000001000000000002000000" +
+	"040000000600000073317331733100000000060000000b000000100000006f70656e617477726974" +
+	"65636c6f73650000000004000000080000000c0000006d657461646174616d657461000000000300" +
+	"00000600000009000000617070617070617070000000000000000000000000000000000000000002" +
+	"00000002000000020000002f64000000000000000000000000000000000000000000000000000000" +
+	"00000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+	"000000000002000000040000002f642f642bccedd4"
+
+// TestRetiredV2Segment: a committed segment in the retired columnar layout,
+// which no manifest field tells apart, lets Open succeed. The first read of
+// it fails with ErrRetiredFormat naming the file, not as corruption, as
+// OpenSegment and ReadSegment do, and the file stays byte for byte as it was.
+func TestRetiredV2Segment(t *testing.T) {
+	v2, err := hex.DecodeString(v2Segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st := openDurable(t, dir)
+	ingestRound(t, st, 0)
+	if err := st.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	ingestRound(t, st, 1)
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	path := filepath.Join(indexDir(dir), durable.SegmentName(0))
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(WithDataDir(dir))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer re.Close()
+	_, err = re.Search(context.Background(), crashIndex, SearchRequest{Query: MatchAll(), Size: -1})
+	_, openErr := durable.OpenSegment(path)
+	_, readErr := durable.ReadSegment(path, func(int, *event.Event, []byte) error { return nil })
+	for what, err := range map[string]error{"first read": err, "OpenSegment": openErr, "ReadSegment": readErr} {
+		if !errors.Is(err, ErrRetiredFormat) || errors.Is(err, durable.ErrCorruptSegment) || !strings.Contains(err.Error(), durable.SegmentName(0)) {
+			t.Errorf("%s: %v; want ErrRetiredFormat alone, naming %s", what, err, durable.SegmentName(0))
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, v2) {
+		t.Fatalf("the segment changed: %d bytes before, %d after (%v)", len(v2), len(after), err)
 	}
 }
 

@@ -85,7 +85,7 @@ func WithShards(n int) Option {
 }
 
 // WithDataDir enables durability: every index journals writes to a
-// write-ahead log and periodically snapshots to a columnar segment under
+// write-ahead log and periodically snapshots to a segment under
 // dir, and Open recovers existing indices from it. The empty string (the
 // default) keeps the store purely in-memory.
 func WithDataDir(dir string) Option {

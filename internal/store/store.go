@@ -18,7 +18,7 @@ import (
 // tracing session by convention (the tracer labels each execution with a
 // unique session name, §II-F). Constructed with WithDataDir it is durable:
 // writes journal to per-index write-ahead logs, background snapshots fold
-// the log into columnar segments, and Open recovers the whole state after a
+// the log into segments, and Open recovers the whole state after a
 // crash.
 type Store struct {
 	mu      sync.RWMutex
@@ -114,8 +114,8 @@ func Open(opts ...Option) (*Store, error) {
 			segOpened:   reg.Counter(telemetry.MetricSegmentsOpened, "cold segments opened by time-bounded queries"),
 			segPruned:   reg.Counter(telemetry.MetricSegmentsPruned, "cold segments skipped by time-range pruning"),
 			segVerified: reg.Counter(telemetry.MetricSegmentsVerified, "cold segment files read and checksummed: opens the resident set could not serve"),
-			rowsDecoded: reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded from cold segments: whole at a resident fill, the window of one over the budget per query"),
-			rowsSkipped: reg.Counter(telemetry.MetricSegRowsSkipped, "rows of over-budget segments a query left undecoded: stored time outside the window"),
+			rowsDecoded: reg.Counter(telemetry.MetricSegRowsDecoded, "rows decoded and kept from cold segments: whole at a resident fill, the window of one over the budget per query"),
+			rowsSkipped: reg.Counter(telemetry.MetricSegRowsSkipped, "rows of over-budget segments a query ruled out: in a block whose zone map misses the window, or decoded and outside it"),
 		},
 	}
 	reg.GaugeFunc(telemetry.MetricQueryCacheEntries, "live query cache entries across indices",

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"slices"
@@ -288,12 +289,13 @@ func (rs *residentSegments) size() int64 {
 // book, usually empty, which names the rows of a segment written before a
 // correlation pass): from the resident set when it holds them named by that
 // book, and otherwise read and verified from the file and decoded by one
-// path. When the decoded segment fits the budget, every typed row is decoded,
-// named and posted, and the shard joins the set; the image is then garbage.
-// Otherwise only the rows whose stored time can fall in [minT, maxT] are, for
-// this query alone. Decoded rows do not alias the image. Columns, orders and
-// codes build on demand, as on a hot stripe. Queries that miss one segment
-// together decode it once (residentSegments.get).
+// path. When the decoded segment fits the budget, every row is decoded, named
+// and posted, and the shard joins the set; the image is then garbage.
+// Otherwise only the blocks whose zone map meets [minT, maxT] are decoded,
+// and their rows inside it kept, for this query alone. Decoded rows do not
+// alias the image. Columns, orders and codes build on demand, as on a hot
+// stripe. Queries that miss one segment together decode it once
+// (residentSegments.get).
 func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsRecord, minT, maxT int64) (*coldSegment, error) {
 	rs := &ix.dur.resident
 	cs, lead := rs.get(sm.Seq, book, sm.Rows)
@@ -310,27 +312,27 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsReco
 	ix.rtm.segVerified.Inc()
 	info := r.Info()
 	kept := int64(info.Rows)*rowBytes <= rs.budget
-	var sel []int
-	for i := 0; i < info.Rows; i++ {
-		if t := r.Time(i); kept || mayMatchTime(t, t, minT, maxT) {
-			sel = append(sel, i)
-		}
+	if kept {
+		minT, maxT = math.MinInt64, math.MaxInt64
 	}
-	start := int(sm.StartRow)
-	cs = &coldSegment{sh: newShard(), gids: make([]int, len(sel))}
-	cs.sh.rows.adopt(r.Decode(sel))
-	for k, i := range sel {
-		cs.gids[k] = start + r.Gid(i)
+	events, gids, err := r.Rows(minT, maxT)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", durable.SegmentName(sm.Seq), err)
+	}
+	cs = &coldSegment{sh: newShard(), gids: gids}
+	cs.sh.rows.adopt(events)
+	for k := range gids {
+		gids[k] += int(sm.StartRow)
 		if book != nil {
-			resolveFromBook(*book, cs.gids[k], cs.sh.rows.at(k))
+			resolveFromBook(*book, gids[k], cs.sh.rows.at(k))
 		}
 		cs.sh.postEventLocked(int32(k))
 	}
-	ix.rtm.rowsDecoded.Add(uint64(len(sel)))
+	ix.rtm.rowsDecoded.Add(uint64(len(gids)))
 	if kept {
 		rs.put(sm.Seq, book, cs)
 	} else {
-		ix.rtm.rowsSkipped.Add(uint64(info.Rows - len(sel)))
+		ix.rtm.rowsSkipped.Add(uint64(info.Rows - len(gids)))
 	}
 	return cs, nil
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ const windowIndex = "win"
 const windowBase = int64(1<<60) + 256000
 
 // windowRound builds one round of events: 1 ms of trace per round, stamps
-// drawn at random inside it (so a segment's time column is not sorted).
+// drawn at random inside it (so a segment's rows are not in time order).
 func windowRound(rng *rand.Rand, round, rows int) []event.Event {
 	evs := make([]event.Event, rows)
 	for i := range evs {
@@ -127,72 +128,99 @@ func randomWindow(rng *rand.Rand, times []int64) (string, Query) {
 	return kind, Must(Term(FieldSession, "win"), Query{Range: r})
 }
 
+// TestColdWindowMatchesOracle asks random windows of a tiered store, an
+// in-memory control and the oracle — sorted with aggregations, paged, counted
+// and walked — and requires one answer. Nine cold rounds compact to two
+// level-1 segments and leave one level-0; the tenth round stays hot. In the
+// resident arm each segment is decoded whole once. In the over-budget arm
+// (a budget of one byte) every query decodes only the 512-row blocks whose
+// zone map meets its window, over segments of up to three blocks.
 func TestColdWindowMatchesOracle(t *testing.T) {
-	// Nine cold rounds compact to two level-1 segments and leave one level-0;
-	// the tenth round stays hot.
-	tiered, mem, times := windowStores(t, 20230627, 10, 9, 60)
-	if segs := coldSegmentRows(t, tiered, windowIndex); len(segs) != 3 {
-		t.Fatalf("fixture has %d cold segments, want 3", len(segs))
-	}
-	fix, _ := mem.GetIndex(windowIndex)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7))
-	aggs := map[string]Agg{
-		"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}, Aggs: map[string]Agg{"ret": {Stats: &StatsAgg{Field: FieldRetVal}}}},
-		"per_ms":     {DateHistogram: &DateHistogramAgg{Field: FieldTimeEnter, IntervalNS: 1_000_000}},
-	}
-	for w := 0; w < 80; w++ {
-		kind, q := randomWindow(rng, times)
-		// same asks both stores and the oracle and requires one answer.
-		same := func(what string, req SearchRequest) SearchResponse {
-			t.Helper()
-			want := oracleSearch(fix, req)
-			for name, st := range map[string]*Store{"durable": tiered, "memory": mem} {
-				got, err := st.Search(ctx, windowIndex, req)
-				if err != nil {
-					t.Fatalf("window %d (%s) %s: %s: %v", w, kind, what, name, err)
+	for _, arm := range []struct {
+		name              string
+		rows              int   // per round
+		budget            int64 // resident bytes; 0 keeps the default
+		windows, walkPage int
+	}{
+		{"resident", 60, 0, 80, 16},
+		// Every query and every page of a walk decodes again, so fewer
+		// windows and longer pages.
+		{"over-budget", 320, 1, 24, 64},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			tiered, mem, times := windowStores(t, 20230627, 10, 9, arm.rows)
+			segs := coldSegmentRows(t, tiered, windowIndex)
+			if len(segs) != 3 {
+				t.Fatalf("fixture has %d cold segments, want 3", len(segs))
+			}
+			if arm.budget != 0 {
+				if slices.Max(segs) <= 2*512 {
+					t.Fatalf("fixture's largest cold segment holds %d rows, fewer than three blocks", slices.Max(segs))
 				}
-				if g, o := jsonOf(got), jsonOf(want); g != o {
-					t.Fatalf("window %d (%s) %s: %s store\n got %s\nwant %s", w, kind, what, name, g, o)
+				ix, _ := tiered.GetIndex(windowIndex)
+				ix.dur.resident.budget = arm.budget
+			}
+			fix, _ := mem.GetIndex(windowIndex)
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(7))
+			aggs := map[string]Agg{
+				"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}, Aggs: map[string]Agg{"ret": {Stats: &StatsAgg{Field: FieldRetVal}}}},
+				"per_ms":     {DateHistogram: &DateHistogramAgg{Field: FieldTimeEnter, IntervalNS: 1_000_000}},
+			}
+			for w := 0; w < arm.windows; w++ {
+				kind, q := randomWindow(rng, times)
+				// same asks both stores and the oracle and requires one answer.
+				same := func(what string, req SearchRequest) SearchResponse {
+					t.Helper()
+					want := oracleSearch(fix, req)
+					for name, st := range map[string]*Store{"durable": tiered, "memory": mem} {
+						got, err := st.Search(ctx, windowIndex, req)
+						if err != nil {
+							t.Fatalf("window %d (%s) %s: %s: %v", w, kind, what, name, err)
+						}
+						if g, o := jsonOf(got), jsonOf(want); g != o {
+							t.Fatalf("window %d (%s) %s: %s store\n got %s\nwant %s", w, kind, what, name, g, o)
+						}
+					}
+					return want
+				}
+				sorted := SearchRequest{Query: q, Sort: []SortField{{Field: FieldTimeEnter, Desc: w%2 == 1}}, Size: 10, Aggs: aggs}
+				same("sorted+aggs", sorted)
+
+				page := SearchRequest{Query: q, Size: 7}
+				for p := 0; p < 6; p++ {
+					resp := same(fmt.Sprintf("unsorted page %d", p), page)
+					if resp.NextAfter == nil {
+						break
+					}
+					page.SearchAfter = resp.NextAfter
+				}
+
+				want := oracleCount(fix, q)
+				for name, st := range map[string]*Store{"durable": tiered, "memory": mem} {
+					if n, err := st.Count(ctx, windowIndex, q); err != nil || n != want {
+						t.Fatalf("window %d (%s) count: %s store %d (%v), oracle %d", w, kind, name, n, err, want)
+					}
+				}
+
+				all := oracleSearch(fix, SearchRequest{Query: q, Sort: sorted.Sort, Size: -1})
+				for name, st := range map[string]*Store{"durable": tiered, "memory": mem} {
+					var walked []Document
+					err := EachEventPage(ctx, st, windowIndex, SearchRequest{Query: q, Sort: sorted.Sort}, arm.walkPage, func(p EventsResult) error {
+						for i := range p.Hits {
+							walked = append(walked, EventToDoc(&p.Hits[i]))
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("window %d (%s) paged walk: %s: %v", w, kind, name, err)
+					}
+					if len(walked) != len(all.Hits) || (len(walked) > 0 && !reflect.DeepEqual(walked, all.Hits)) {
+						t.Fatalf("window %d (%s) paged walk: %s store walked %d rows, oracle %d", w, kind, name, len(walked), len(all.Hits))
+					}
 				}
 			}
-			return want
-		}
-		sorted := SearchRequest{Query: q, Sort: []SortField{{Field: FieldTimeEnter, Desc: w%2 == 1}}, Size: 10, Aggs: aggs}
-		same("sorted+aggs", sorted)
-
-		page := SearchRequest{Query: q, Size: 7}
-		for p := 0; p < 6; p++ {
-			resp := same(fmt.Sprintf("unsorted page %d", p), page)
-			if resp.NextAfter == nil {
-				break
-			}
-			page.SearchAfter = resp.NextAfter
-		}
-
-		want := oracleCount(fix, q)
-		for name, st := range map[string]*Store{"durable": tiered, "memory": mem} {
-			if n, err := st.Count(ctx, windowIndex, q); err != nil || n != want {
-				t.Fatalf("window %d (%s) count: %s store %d (%v), oracle %d", w, kind, name, n, err, want)
-			}
-		}
-
-		all := oracleSearch(fix, SearchRequest{Query: q, Sort: sorted.Sort, Size: -1})
-		for name, st := range map[string]*Store{"durable": tiered, "memory": mem} {
-			var walked []Document
-			err := EachEventPage(ctx, st, windowIndex, SearchRequest{Query: q, Sort: sorted.Sort}, 16, func(p EventsResult) error {
-				for i := range p.Hits {
-					walked = append(walked, EventToDoc(&p.Hits[i]))
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("window %d (%s) paged walk: %s: %v", w, kind, name, err)
-			}
-			if len(walked) != len(all.Hits) || (len(walked) > 0 && !reflect.DeepEqual(walked, all.Hits)) {
-				t.Fatalf("window %d (%s) paged walk: %s store walked %d rows, oracle %d", w, kind, name, len(walked), len(all.Hits))
-			}
-		}
+		})
 	}
 }
 

@@ -70,8 +70,8 @@ const (
 	MetricSegmentsVerified = "dio_store_segments_verified_total"    // cold segment files read and checksummed (resident-set misses)
 	MetricSegmentsResident = "dio_store_segments_resident_bytes"    // decoded cold segments held for reuse (gauge)
 	MetricSegmentsPruned   = "dio_store_segments_pruned_total"      // cold segments skipped by time-range pruning
-	MetricSegRowsDecoded   = "dio_store_segment_rows_decoded_total" // rows decoded: a whole segment at a resident fill, a window per over-budget query
-	MetricSegRowsSkipped   = "dio_store_segment_rows_skipped_total" // rows of over-budget segments the time column ruled out undecoded
+	MetricSegRowsDecoded   = "dio_store_segment_rows_decoded_total" // rows decoded and kept: a whole segment at a resident fill, a window per over-budget query
+	MetricSegRowsSkipped   = "dio_store_segment_rows_skipped_total" // rows of over-budget segments a window ruled out: by a block's zone map, or decoded and outside it
 	MetricCompactions      = "dio_store_compactions_total"          // segment merges committed
 	MetricRetentionDrops   = "dio_store_retention_drops_total"      // segments dropped past the retention horizon
 	MetricSnapshots        = "dio_store_snapshots_total"            // segment snapshots committed
