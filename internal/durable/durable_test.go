@@ -501,3 +501,73 @@ func TestManifestCorruptIsError(t *testing.T) {
 		t.Fatal("corrupt manifest should be an error, not a fresh start")
 	}
 }
+
+// TestManifestFoldsReplOffset: a follower manifest an older build wrote
+// numbers its records from zero and keeps the distance to its primary's
+// numbering in repl_offset. LoadManifest adds it to BaseSeq, and
+// CommitManifest never writes the key back.
+func TestManifestFoldsReplOffset(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"version":2,"shards":4,"wal_seq":3,"segment_seq":1,"base_seq":5,"repl_offset":7}`
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, ok, err := LoadManifest(dir)
+	if err != nil || !ok || m.BaseSeq != 12 {
+		t.Fatalf("loaded base_seq %d (ok=%v err=%v), want 5 + 7", m.BaseSeq, ok, err)
+	}
+	if err := CommitManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil || bytes.Contains(data, []byte("repl_offset")) {
+		t.Fatalf("committed manifest %s (err=%v) still names repl_offset", data, err)
+	}
+	if again, _, err := LoadManifest(dir); err != nil || again.BaseSeq != 12 {
+		t.Fatalf("reloaded base_seq %d (err=%v), want 12", again.BaseSeq, err)
+	}
+}
+
+// TestSegmentImageWrite: WriteSegmentImage publishes an image byte for byte
+// when it verifies and agrees with its manifest entry, and writes nothing
+// when either check fails.
+func TestSegmentImageWrite(t *testing.T) {
+	evs := make([]event.Event, 3)
+	rows := make([]SegmentRow, len(evs))
+	for i := range evs {
+		evs[i] = testEvent(i)
+		rows[i] = SegmentRow{Event: &evs[i]}
+	}
+	data, info := encodeSegment(4, sliceSource{rows})
+	meta := SegmentMeta{Seq: 7, Rows: 3, StartRow: 10, EndRow: 13, MinTime: info.MinTime, MaxTime: info.MaxTime, Bytes: info.Bytes}
+	dir := t.TempDir()
+	path := filepath.Join(dir, SegmentName(meta.Seq))
+	if err := WriteSegmentImage(path, data, meta); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("published image differs (err=%v)", err)
+	}
+	flipped := bytes.Clone(data)
+	flipped[segHeaderLen] ^= 1
+	for name, tc := range map[string]struct {
+		data []byte
+		edit func(*SegmentMeta)
+	}{
+		"flipped byte":   {flipped, func(*SegmentMeta) {}},
+		"row count":      {data, func(m *SegmentMeta) { m.Rows++ }},
+		"min time":       {data, func(m *SegmentMeta) { m.MinTime-- }},
+		"max time":       {data, func(m *SegmentMeta) { m.MaxTime++ }},
+		"row span short": {data, func(m *SegmentMeta) { m.EndRow-- }},
+	} {
+		m := meta
+		tc.edit(&m)
+		out := filepath.Join(dir, name)
+		if err := WriteSegmentImage(out, tc.data, m); !errors.Is(err, ErrCorruptSegment) {
+			t.Errorf("%s: %v, want ErrCorruptSegment", name, err)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s: a refused image was written (%v)", name, err)
+		}
+	}
+}

@@ -64,12 +64,9 @@ type Manifest struct {
 	// below it. The index head sequence is BaseSeq plus the live WAL's record
 	// count, which is how recovery re-derives it without a full history.
 	// Manifests written before replication existed carry 0, which is exactly
-	// right — their WAL has held every record since sequence zero.
+	// right — their WAL has held every record since sequence zero. A
+	// follower numbers its records as its primary does.
 	BaseSeq int64 `json:"base_seq,omitempty"`
-	// ReplOffset is a follower's alignment to its primary: primary sequence ==
-	// local sequence + ReplOffset. Non-zero only after a bootstrap (the
-	// follower's local journal starts mid-stream); primaries keep 0.
-	ReplOffset int64 `json:"repl_offset,omitempty"`
 	// RetentionFloor is one past the highest row id ever dropped by the
 	// retention horizon. Rows at or above it are never dropped out from under
 	// a paging cursor, which is what lets an unsorted search_after cursor
@@ -104,13 +101,16 @@ func SegmentName(seq int) string { return fmt.Sprintf("seg-%06d.snap", seq) }
 // A manifest of any other schema version fails with ErrManifestVersion. One
 // still carrying the pending-rewrite blob of a build that updated rows by
 // query, or listing a segment that counts rows of the retired generic block,
-// fails with ErrRetiredFormat.
+// fails with ErrRetiredFormat. The repl_offset of a follower that numbered
+// its records from zero is added to BaseSeq: the primary sequence it last
+// reported. CommitManifest never writes the key.
 func LoadManifest(dir string) (Manifest, bool, error) {
 	var m Manifest
 	// retired reads the keys of the forms nothing writes any more.
 	var retired struct {
-		Rewrites []byte `json:"rewrites"`
-		Segments []struct {
+		Rewrites   []byte `json:"rewrites"`
+		ReplOffset int64  `json:"repl_offset"`
+		Segments   []struct {
 			Seq     int   `json:"seq"`
 			Generic int64 `json:"generic"`
 		} `json:"segments"`
@@ -139,6 +139,7 @@ func LoadManifest(dir string) (Manifest, bool, error) {
 				SegmentName(sm.Seq), sm.Generic, ErrRetiredFormat)
 		}
 	}
+	m.BaseSeq += retired.ReplOffset
 	return m, true, nil
 }
 
@@ -166,7 +167,7 @@ func CommitManifest(dir string, m Manifest) error {
 // sufficient: segment-list changes commit while holding the index's snapshot
 // gate plus every shard write lock, obsolete files are deleted only after
 // those locks are released (so in-flight readers of the old list have
-// finished), and replication bootstrap streams segment files while holding
+// finished), and replication bootstrap reads segment files while holding
 // the gate exclusively, which excludes any concurrent commit or cleanup.
 func CleanOrphans(dir string, m Manifest) {
 	entries, err := os.ReadDir(dir)

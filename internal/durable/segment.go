@@ -84,6 +84,35 @@ func WriteSegment(path string, shards int, src RowSource) (SegmentInfo, error) {
 	return info, nil
 }
 
+// CheckSegmentImage runs OpenSegment's checks on a segment image another
+// node wrote, then requires it to match meta, the manifest entry that lists
+// it: the same row count and time range, and no row id past its span.
+func CheckSegmentImage(data []byte, meta SegmentMeta) error {
+	r, err := openSegmentImage(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", SegmentName(meta.Seq), err)
+	}
+	end := 0
+	for _, run := range r.runs {
+		end = run.gid + run.n
+	}
+	if in := r.info; int64(in.Rows) != meta.Rows || in.MinTime != meta.MinTime || in.MaxTime != meta.MaxTime || int64(end) > meta.EndRow-meta.StartRow {
+		return fmt.Errorf("%w: %s holds %d rows in [%d, %d] over %d ids, not its manifest entry's %+v",
+			ErrCorruptSegment, SegmentName(meta.Seq), in.Rows, in.MinTime, in.MaxTime, end, meta)
+	}
+	return nil
+}
+
+// WriteSegmentImage publishes at path a segment image that CheckSegmentImage
+// passes against meta.
+func WriteSegmentImage(path string, data []byte, meta SegmentMeta) error {
+	err := CheckSegmentImage(data, meta)
+	if err == nil {
+		err = writeFileAtomic(path, data)
+	}
+	return err
+}
+
 // encodeSegment builds the file image WriteSegment publishes.
 func encodeSegment(shards int, src RowSource) ([]byte, SegmentInfo) {
 	n := src.NumRows()

@@ -49,9 +49,6 @@ type Config struct {
 	// MaxFrames / MaxBytes bound one push (defaults 256 frames / 4 MiB).
 	MaxFrames int
 	MaxBytes  int
-	// BootstrapRows batches rows per frame in a full-state transfer
-	// (default 1024).
-	BootstrapRows int
 	// Policy is the retry → breaker policy of each push; Retry-After hints
 	// from the follower floor its backoff.
 	resilience.Policy
@@ -69,9 +66,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 4 << 20
 	}
-	if c.BootstrapRows <= 0 {
-		c.BootstrapRows = 1024
-	}
 	c.Policy = c.Policy.WithDefaults()
 	return c
 }
@@ -79,7 +73,7 @@ func (c Config) withDefaults() Config {
 // Stats is a snapshot of one replicator's shipping accounting.
 type Stats struct {
 	// ShippedRecords / ShippedBytes count acked frames and their payload
-	// bytes (bootstrap frames included).
+	// bytes, plus the segment image bytes of a bootstrap.
 	ShippedRecords uint64 `json:"shipped_records"`
 	ShippedBytes   uint64 `json:"shipped_bytes"`
 	// Pushes counts Apply/Bootstrap calls that succeeded; Retries counts
@@ -156,7 +150,7 @@ func New(src *store.Store, tr Transport, cfg Config) *Replicator {
 	src.RegisterReplicaHealth(r.health)
 	if tm := cfg.Telemetry; tm != nil {
 		tm.CounterFunc(telemetry.MetricReplShippedRecs, "replication records acked by followers", r.shippedRecs.Load)
-		tm.CounterFunc(telemetry.MetricReplShippedBytes, "replication payload bytes acked by followers", r.shippedBytes.Load)
+		tm.CounterFunc(telemetry.MetricReplShippedBytes, "replication payload and bootstrap segment image bytes acked by followers", r.shippedBytes.Load)
 		tm.CounterFunc(telemetry.MetricReplPushes, "successful replication pushes", r.pushes.Load)
 		tm.CounterFunc(telemetry.MetricReplPushRetries, "replication push attempts beyond the first", r.Retries)
 		tm.CounterFunc(telemetry.MetricReplBootstraps, "full-state transfers shipped", r.bootstraps.Load)
@@ -354,10 +348,10 @@ func (r *Replicator) resync(ctx context.Context, name string) error {
 	return nil
 }
 
-// bootstrap ships the index's full state and aligns the follower to the
-// snapshot's head sequence.
+// bootstrap ships the index's files — manifest, segment images and live
+// WAL records — and aligns the follower to the snapshot's head sequence.
 func (r *Replicator) bootstrap(ctx context.Context, name string) error {
-	snap, err := r.src.ReplBootstrapFrames(name, r.cfg.BootstrapRows)
+	snap, err := r.src.ReplBootstrapFrames(name)
 	if err != nil {
 		return err
 	}
@@ -368,6 +362,9 @@ func (r *Replicator) bootstrap(ctx context.Context, name string) error {
 		return err
 	}
 	r.bootstraps.Add(1)
+	for _, img := range snap.Images {
+		r.shippedBytes.Add(uint64(len(img)))
+	}
 	for _, f := range snap.Frames {
 		r.shippedBytes.Add(uint64(len(f.Payload)))
 	}

@@ -206,8 +206,8 @@ func (ix *Index) applyPaths(rec *event.PathsRecord) (n [pathOutcomes]int) {
 //
 // Cold rows are never written: the pass tallies resolvePaths over copies
 // (named by the book so far, so an earlier pass's rows count as resolved),
-// and once rec joins the book every later decode, merge and bootstrap names
-// them from it; a resident segment named by an older book is decoded again.
+// and once rec joins the book every later decode and merge names them from
+// it; a resident segment named by an older book is decoded again.
 // The shared gate keeps the segment list and base where the tally found them
 // until the hot rows are named, and the epoch brackets the whole pass, book
 // entry included, for the query cache.
@@ -291,7 +291,8 @@ func (d *indexDurable) paths() []event.PathsRecord {
 
 // addToBook appends rec unless the book already holds it — a record still in
 // the live WAL is also in any manifest compaction or retention committed
-// since, and recovery meets it twice. Writers are serialized by corrMu, the
+// since, and recovery meets it twice; a bootstrap ships it in the manifest
+// and among the frames. Writers are serialized by corrMu, the
 // exclusive gate, or single-threaded recovery.
 func (d *indexDurable) addToBook(rec event.PathsRecord) {
 	cur := d.paths()

@@ -106,12 +106,11 @@ type indexDurable struct {
 	// sequence number; the segments hold [0, baseSeq), the live WAL holds
 	// [baseSeq, recSeq). baseSeq is gate-guarded (it only moves under the
 	// snapshot's exclusive gate); recSeq is bumped inside appendMu so sequence
-	// order equals WAL record order.
+	// order equals WAL record order. A follower's sequences are its
+	// primary's: a bootstrap restores the primary's manifest and journals its
+	// live WAL's records.
 	baseSeq int64
 	recSeq  atomic.Int64
-	// replOff aligns a follower to its primary: primary seq == local recSeq +
-	// replOff. Zero on primaries and on followers that never bootstrapped.
-	replOff atomic.Int64
 	// tail buffers recent WAL records in memory for the replication shipper,
 	// so lagging followers survive a snapshot without a full bootstrap.
 	tail *replTail
@@ -152,7 +151,6 @@ func (d *indexDurable) manifest(ix *Index) durable.Manifest {
 		SegmentSeq:     d.segSeq,
 		Segments:       *d.segs.Load(),
 		BaseSeq:        d.baseSeq,
-		ReplOffset:     d.replOff.Load(),
 		RetentionFloor: ix.retFloor.Load(),
 		Paths:          d.paths(),
 	}
@@ -438,6 +436,30 @@ func (s *Store) newDurableIndex(name string) (*Index, error) {
 	return ix, nil
 }
 
+// restoreIndex builds the index a bootstrap snapshot's frames journal into:
+// on a durable store, the primary's segment images, then its manifest (the
+// commit point), in a fresh index directory, recovered as Open would; on an
+// in-memory store, which takes no segments, an empty index.
+func (s *Store) restoreIndex(name string, snap ReplSnapshot) (*Index, error) {
+	if s.opts.dataDir == "" {
+		return NewIndexWithShards(name, s.opts.shards), nil
+	}
+	dir := filepath.Join(s.opts.dataDir, indexDirName(name))
+	_ = removeIndexDir(dir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: create index dir: %w", err)
+	}
+	for i, sm := range snap.Manifest.Segments {
+		if err := durable.WriteSegmentImage(filepath.Join(dir, durable.SegmentName(sm.Seq)), snap.Images[i], sm); err != nil {
+			return nil, err
+		}
+	}
+	if err := durable.CommitManifest(dir, snap.Manifest); err != nil {
+		return nil, err
+	}
+	return s.recoverIndex(name, dir)
+}
+
 // recoverIndex rebuilds one index from its directory: manifest, then the
 // segment list (every file stat-checked, none read), then the path book,
 // then WAL replay on top, with torn tails truncated. Segment rows stay on
@@ -469,7 +491,6 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	if committed {
 		d.walSeq, d.segSeq = m.WALSeq, m.SegmentSeq
 		d.baseSeq = m.BaseSeq
-		d.replOff.Store(m.ReplOffset)
 		ix.retFloor.Store(m.RetentionFloor)
 	}
 	segs := append([]durable.SegmentMeta(nil), m.Segments...)
@@ -481,7 +502,9 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 			return nil, fmt.Errorf("store: recover %q: manifest references segment %d: %w", name, sm.Seq, serr)
 		}
 	}
-	base := segsEnd(segs)
+	// The retention floor when it is higher: retention may have dropped every
+	// segment, and the WAL's rows sat above the rows it dropped.
+	base := max(segsEnd(segs), m.RetentionFloor)
 	ix.base.Store(base)
 	ix.rr.Store(uint64(base))
 	d.segs.Store(&segs)
@@ -508,12 +531,11 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	d.dirty.Store(int64(stats.Records))
 	// The head sequence is re-derived, not stored: the segments end at
 	// BaseSeq and the live WAL carries exactly stats.Records records past it.
-	// On a follower, the applied primary sequence is the head plus the
-	// bootstrap offset — which is exactly the replication resume point, so a
-	// cleanly restarted follower asks for frames from where it left off
-	// instead of re-requesting the whole stream.
+	// On a follower it is the applied primary sequence — the replication
+	// resume point, so a cleanly restarted follower asks for frames from
+	// where it left off instead of re-requesting the whole stream.
 	d.recSeq.Store(d.baseSeq + int64(stats.Records))
-	ix.replSeq.Store(d.replOff.Load() + d.recSeq.Load())
+	ix.replSeq.Store(d.recSeq.Load())
 	s.dtm.replayedB.Add(uint64(stats.Records))
 	s.dtm.replayedE.Add(uint64(replayedRows))
 	// Orphan cleanup runs against the loaded manifest — the committed segment
@@ -587,9 +609,7 @@ func (s *Store) loadDataDir() error {
 		if err != nil {
 			return err
 		}
-		s.attachReadPath(ix)
-		s.indices[name] = ix
-		s.registerIndexGauge(name, ix)
+		s.register(name, ix)
 	}
 	return nil
 }

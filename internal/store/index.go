@@ -55,7 +55,7 @@ type Index struct {
 
 	// Follower-side replication state: replMu serializes ReplApply so frames
 	// land in primary order; replSeq is the primary sequence applied so far
-	// (== dur.replOff + dur.recSeq on a durable follower).
+	// (== dur.recSeq on a durable follower).
 	replMu  sync.Mutex
 	replSeq atomic.Int64
 }

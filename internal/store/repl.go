@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -78,24 +80,17 @@ type ReplFrame struct {
 	Seq     int64              `json:"seq"`
 	Type    durable.RecordType `json:"type"`
 	Payload []byte             `json:"payload"`
-	// StartRow is the global row id of the frame's first row, stamped on
-	// bootstrap frames (whose rows are gid-contiguous within a frame). A
-	// follower rebuilding a tiered primary needs it to place cold rows at
-	// their original ids; live replication frames carry 0 and ignore it.
-	StartRow int64 `json:"start_row,omitempty"`
 }
 
-// ReplSnapshot is a full-state bootstrap package: the primary sequence the
-// snapshot corresponds to, the tiered-layout split point (Base: rows below it
-// ship from cold segments and must land in a follower segment, rows at or
-// above it are the primary's memtable), the retention floor (so cursor-expiry
-// semantics survive failover), and the row frames themselves. A snapshot of
-// a primary that never flushed has Base 0: every frame is a memtable frame.
+// ReplSnapshot is a full-state bootstrap package, the primary's files: the
+// head sequence it corresponds to, the index's manifest, each listed
+// segment's file image (in the manifest's order), and the live WAL's
+// records as frames, Manifest.BaseSeq through Seq-1.
 type ReplSnapshot struct {
-	Seq    int64       `json:"seq"`
-	Base   int64       `json:"base,omitempty"`
-	Floor  int64       `json:"floor,omitempty"`
-	Frames []ReplFrame `json:"frames"`
+	Seq      int64            `json:"seq"`
+	Manifest durable.Manifest `json:"manifest"`
+	Images   [][]byte         `json:"images,omitempty"`
+	Frames   []ReplFrame      `json:"frames"`
 }
 
 // ReplCursor remembers where in the primary's live WAL file the previous
@@ -331,17 +326,13 @@ func (s *Store) ReplRange(index string, from int64, cur *ReplCursor, maxFrames, 
 	return frames, head, false, nil
 }
 
-// ReplBootstrapFrames packages the named index's entire current state for a
-// follower bootstrap: cold segment rows first (streamed from the committed
-// files and named from the path book, so the follower needs no book), then
-// the memtable, all in global-id order, batched batchRows at a time as
-// RecordEvents frames — the exact representation ReplApply journals. Every frame is stamped with its first
-// row's global id and frames are gid-contiguous internally (batches cut at
-// retention gaps and at the cold/hot boundary), so a durable follower can
-// place cold rows at their original ids. Taken under the exclusive gate, so
-// the state is a consistent cut and no concurrent commit can delete a
-// segment file mid-stream.
-func (s *Store) ReplBootstrapFrames(index string, batchRows int) (ReplSnapshot, error) {
+// ReplBootstrapFrames packages the named index's current state for a
+// follower bootstrap: its manifest, the bytes of every segment file it
+// lists, and the live WAL's records with their sequences. Taken under the
+// exclusive gate, so the state is a consistent cut, no append is in flight
+// (the live WAL holds exactly the records from baseSeq to the head), and no
+// concurrent commit can delete a segment file mid-read.
+func (s *Store) ReplBootstrapFrames(index string) (ReplSnapshot, error) {
 	ix, err := s.lookup(index)
 	if err != nil {
 		return ReplSnapshot{}, fmt.Errorf("store: repl bootstrap: %w", err)
@@ -350,66 +341,23 @@ func (s *Store) ReplBootstrapFrames(index string, batchRows int) (ReplSnapshot, 
 	if d == nil {
 		return ReplSnapshot{}, fmt.Errorf("store: repl bootstrap: index %q is not durable", index)
 	}
-	if batchRows <= 0 {
-		batchRows = 1024
-	}
 	d.gate.Lock()
 	defer d.gate.Unlock()
-	snap := ReplSnapshot{
-		Seq:   d.recSeq.Load(),
-		Base:  ix.base.Load(),
-		Floor: ix.retFloor.Load(),
-	}
-	book := d.paths()
-	var (
-		batch      []event.Event
-		batchStart int64
-	)
-	flush := func() {
-		if len(batch) > 0 {
-			snap.Frames = append(snap.Frames, ReplFrame{
-				Type: durable.RecordEvents, StartRow: batchStart,
-				Payload: event.EncodeBatch(nil, batch),
-			})
-			batch = batch[:0]
-		}
-	}
-	add := func(gid int64, ev *event.Event) {
-		if gid != batchStart+int64(len(batch)) || len(batch) >= batchRows {
-			flush()
-		}
-		if len(batch) == 0 {
-			batchStart = gid
-		}
-		batch = append(batch, *ev)
-	}
-	for _, sm := range *d.segs.Load() {
-		if sm.EndRow > snap.Base {
-			continue
-		}
-		_, err := durable.ReadSegment(filepath.Join(d.dir, durable.SegmentName(sm.Seq)),
-			func(lg int, ev *event.Event, _ []byte) error {
-				gid := sm.StartRow + int64(lg)
-				add(gid, ev)
-				resolveFromBook(book, int(gid), &batch[len(batch)-1])
-				return nil
-			})
+	snap := ReplSnapshot{Seq: d.recSeq.Load(), Manifest: d.manifest(ix)}
+	for _, sm := range snap.Manifest.Segments {
+		img, err := os.ReadFile(filepath.Join(d.dir, durable.SegmentName(sm.Seq)))
 		if err != nil {
 			return ReplSnapshot{}, fmt.Errorf("store: repl bootstrap: %w", err)
 		}
+		snap.Images = append(snap.Images, img)
 	}
-	// The cold/hot boundary must also be a frame boundary, so the follower
-	// can route each frame whole.
-	flush()
-	S := len(ix.shards)
-	head := int64(ix.rr.Load())
-	// Memtable reads take no shard locks: the exclusive gate excludes every
-	// row mutator, and concurrent searches only read.
-	for g := snap.Base; g < head; g++ {
-		mg := int(g - snap.Base)
-		add(g, ix.shards[mg%S].rows.at(mg/S))
+	recs, _, err := durable.ReadWALTail(filepath.Join(d.dir, durable.WALName(d.walSeq)), 0, int(snap.Seq-d.baseSeq), math.MaxInt)
+	if err != nil {
+		return ReplSnapshot{}, fmt.Errorf("store: repl bootstrap: %w", err)
 	}
-	flush()
+	for i, r := range recs {
+		snap.Frames = append(snap.Frames, ReplFrame{Seq: d.baseSeq + int64(i), Type: r.Type, Payload: r.Payload})
+	}
 	return snap, nil
 }
 
@@ -494,122 +442,75 @@ func (ix *Index) applyReplFrame(f *ReplFrame) error {
 	}
 }
 
-// bootSource adapts decoded bootstrap rows to durable.WriteSegment, keeping
-// each row's original (absolute) global id so a tiered follower's cold
-// segment maps gids identically to the primary's.
-type bootSource struct {
-	rows []durable.SegmentRow
-	gids []int
-}
+// maxSnapshotShards bounds the shard count a bootstrap adopts from its
+// primary's manifest: far past the 32 the store picks by default, and small
+// enough that a hostile manifest cannot make recovery allocate without end.
+const maxSnapshotShards = 1 << 10
 
-func (b *bootSource) NumRows() int                 { return len(b.rows) }
-func (b *bootSource) Row(i int) durable.SegmentRow { return b.rows[i] }
-func (b *bootSource) Gid(i int) int                { return b.gids[i] }
-
-// ReplBootstrap replaces the named index's state wholesale with a primary
-// state snapshot: the existing index (if any) is dropped, cold frames (rows
-// below snap.Base, present once the primary has flushed) rebuild
-// as a single level-0 segment committed before any journaling, hot frames
-// apply as fresh journal records, and the follower's sequence aligns to
-// snap.Seq — the primary head the snapshot corresponds to. On a durable
-// follower the alignment offset persists via a forced segment snapshot, so
-// a restart resumes from snap.Seq rather than re-bootstrapping.
+// ReplBootstrap replaces the named index with a primary's snapshot, checked
+// whole before the old index is dropped (one that can never apply is a bad
+// request): restoreIndex, then the frames through applyReplFrame, so the
+// follower numbers records as its primary does. A crash after the manifest
+// commit leaves a prefix of the primary's log to stream on from; one before
+// it, orphans recovery removes, and the follower bootstraps again from 0.
 func (s *Store) ReplBootstrap(ctx context.Context, index string, snap ReplSnapshot) error {
 	if s.Role() != RoleFollower {
 		return ErrNotFollower
 	}
+	if err := s.checkSnapshot(snap); err != nil {
+		return BadRequest(fmt.Errorf("store: repl bootstrap: %w", err))
+	}
 	s.dropIndex(index)
-	ix, err := s.indexOrCreate(index)
+	ix, err := s.restoreIndex(index, snap)
 	if err != nil {
 		return err
 	}
 	ix.replMu.Lock()
 	defer ix.replMu.Unlock()
-	cold := snap.Frames
-	var hot []ReplFrame
-	if snap.Base > 0 {
-		for i := range snap.Frames {
-			if snap.Frames[i].StartRow >= snap.Base {
-				cold, hot = snap.Frames[:i], snap.Frames[i:]
-				break
-			}
-		}
-		if len(cold) == len(snap.Frames) {
-			hot = nil
-		}
-		if err := ix.bootstrapColdSegment(ctx, snap, cold); err != nil {
-			return err
-		}
-	} else {
-		hot = snap.Frames
-	}
-	for i := range hot {
+	ix.replSeq.Store(snap.Manifest.BaseSeq)
+	s.mu.Lock()
+	s.register(index, ix)
+	s.mu.Unlock()
+	for i := range snap.Frames {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := ix.applyReplFrame(&hot[i]); err != nil {
+		if err := ix.applyReplFrame(&snap.Frames[i]); err != nil {
 			return err
 		}
+		ix.replSeq.Add(1)
 	}
-	if d := ix.dur; d != nil {
-		d.replOff.Store(snap.Seq - d.recSeq.Load())
-		if err := d.snapshot(ix, true); err != nil {
-			return err
-		}
-	}
-	ix.replSeq.Store(snap.Seq)
 	return nil
 }
 
-// bootstrapColdSegment materializes a bootstrap's cold frames as one
-// committed level-0 segment spanning rows [0, snap.Base) and publishes the
-// tiered view (base, retention floor) before hot frames journal. Only a
-// durable follower can hold cold rows; an in-memory follower has nowhere to
-// put segment files.
-func (ix *Index) bootstrapColdSegment(ctx context.Context, snap ReplSnapshot, cold []ReplFrame) error {
-	d := ix.dur
-	if d == nil {
-		return fmt.Errorf("store: repl bootstrap: tiered snapshot (base=%d) requires a durable follower", snap.Base)
+// checkSnapshot refuses a snapshot this node cannot restore: segments (or a
+// retention floor, whose rows a memtable cannot place) for an in-memory
+// follower, a shard count recovery would not build (below 1, or past
+// maxSnapshotShards), an image count other than the manifest's segment
+// count, frames that do not run consecutively from the manifest's base
+// sequence to Seq, or an image that fails its checks against its manifest
+// entry.
+func (s *Store) checkSnapshot(snap ReplSnapshot) error {
+	m := snap.Manifest
+	switch {
+	case m.Shards < 1 || m.Shards > maxSnapshotShards:
+		return fmt.Errorf("%d shards", m.Shards)
+	case s.opts.dataDir == "" && (len(m.Segments) > 0 || m.RetentionFloor > 0):
+		return fmt.Errorf("a tiered snapshot (%d segments, floor %d) needs a durable follower", len(m.Segments), m.RetentionFloor)
+	case len(snap.Images) != len(m.Segments):
+		return fmt.Errorf("%d segment images for %d manifest segments", len(snap.Images), len(m.Segments))
+	case m.BaseSeq+int64(len(snap.Frames)) != snap.Seq:
+		return fmt.Errorf("%d frames from sequence %d do not end at the snapshot's %d", len(snap.Frames), m.BaseSeq, snap.Seq)
 	}
-	src := &bootSource{}
-	for i := range cold {
-		if err := ctx.Err(); err != nil {
+	for i, f := range snap.Frames {
+		if f.Seq != m.BaseSeq+int64(i) {
+			return fmt.Errorf("frame %d has sequence %d, want %d", i, f.Seq, m.BaseSeq+int64(i))
+		}
+	}
+	for i, sm := range m.Segments {
+		if err := durable.CheckSegmentImage(snap.Images[i], sm); err != nil {
 			return err
 		}
-		f := &cold[i]
-		if f.Type != durable.RecordEvents {
-			return fmt.Errorf("store: repl bootstrap: cold frame type %d", f.Type)
-		}
-		events, err := event.DecodeBatch(f.Payload, nil)
-		if err != nil {
-			return fmt.Errorf("store: repl bootstrap cold events: %w", err)
-		}
-		for j := range events {
-			src.rows = append(src.rows, durable.SegmentRow{Event: &events[j]})
-			src.gids = append(src.gids, int(f.StartRow)+j)
-		}
 	}
-	if int64(len(src.rows)) != snap.Base {
-		return fmt.Errorf("store: repl bootstrap: cold rows %d != base %d", len(src.rows), snap.Base)
-	}
-	d.gate.Lock()
-	defer d.gate.Unlock()
-	info, err := durable.WriteSegment(filepath.Join(d.dir, durable.SegmentName(0)), len(ix.shards), src)
-	if err != nil {
-		return err
-	}
-	segs := []durable.SegmentMeta{{
-		Seq: 0, Level: 0,
-		Rows: int64(len(src.rows)), StartRow: 0, EndRow: snap.Base,
-		MinTime: info.MinTime, MaxTime: info.MaxTime,
-		Bytes: info.Bytes,
-	}}
-	d.segSeq = 1
-	m := d.manifest(ix)
-	m.Segments, m.RetentionFloor = segs, snap.Floor
-	return d.commit(ix, m, func() {
-		ix.base.Store(snap.Base)
-		ix.rr.Store(uint64(snap.Base))
-		ix.retFloor.Store(snap.Floor)
-	})
+	return nil
 }

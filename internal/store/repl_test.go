@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +34,7 @@ func pump(t *testing.T, primary, follower *Store, index string, allowBootstrap b
 			if !allowBootstrap {
 				t.Fatalf("unexpected bootstrap demand at applied=%d head=%d", applied, head)
 			}
-			snap, err := primary.ReplBootstrapFrames(index, 0)
+			snap, err := primary.ReplBootstrapFrames(index)
 			if err != nil {
 				t.Fatalf("bootstrap frames: %v", err)
 			}
@@ -295,7 +297,7 @@ func TestReplHTTPEndpoints(t *testing.T) {
 	}
 
 	// Bootstrap over HTTP, then promote over HTTP.
-	snap, err := primary.ReplBootstrapFrames(crashIndex, 0)
+	snap, err := primary.ReplBootstrapFrames(crashIndex)
 	if err != nil {
 		t.Fatalf("bootstrap frames: %v", err)
 	}
@@ -497,4 +499,210 @@ func TestReplApplyErrorsThroughStatusTable(t *testing.T) {
 	if code, body := push(memStore(t)); code != http.StatusForbidden {
 		t.Fatalf("push to a primary = %d %v, want 403", code, body)
 	}
+}
+
+// TestFollowerPromotedAfterBootstrapServesPeers checks that a bootstrapped
+// follower numbers records as its primary does: once promoted, the peer
+// that had streamed from the old primary resumes from the new one at its
+// own applied sequence and ends with every row the new primary holds.
+func TestFollowerPromotedAfterBootstrapServesPeers(t *testing.T) {
+	ctx := context.Background()
+	p := openDurable(t, t.TempDir())
+	defer p.Close()
+	p.ArmReplication()
+	g := openDurable(t, t.TempDir())
+	defer g.Close()
+	g.SetFollower()
+	f := openDurable(t, t.TempDir())
+	defer f.Close()
+	f.SetFollower()
+
+	ingestRound(t, p, 0)
+	if err := p.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	ingestRound(t, p, 1)
+	pump(t, p, g, crashIndex, false) // G streams to the head, 5
+	snap, err := p.ReplBootstrapFrames(crashIndex)
+	if err != nil {
+		t.Fatalf("bootstrap frames: %v", err)
+	}
+	if err := f.ReplBootstrap(ctx, crashIndex, snap); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	if got, want := f.ReplStatus().Indices[crashIndex], g.ReplStatus().Indices[crashIndex]; got != want {
+		t.Fatalf("bootstrapped follower at %d, the streamed one at %d", got, want)
+	}
+
+	f.Promote()
+	f.ArmReplication()
+	for r := 2; r < 6; r++ {
+		bulkRound(t, f, r)
+	}
+	pump(t, f, g, crashIndex, false)
+	gn, err := g.Count(ctx, crashIndex, MatchAll())
+	if err != nil {
+		t.Fatalf("peer count: %v", err)
+	}
+	fn, err := f.Count(ctx, crashIndex, MatchAll())
+	if err != nil {
+		t.Fatalf("promoted count: %v", err)
+	}
+	if gn != fn {
+		t.Fatalf("peer holds %d rows, the promoted node %d", gn, fn)
+	}
+	if fingerprint(t, g) != fingerprint(t, f) {
+		t.Fatalf("peer diverged from the promoted node")
+	}
+}
+
+// TestReplBootstrapRefusesBadSnapshot checks that a snapshot a follower
+// cannot restore is refused whole, before the existing index is dropped,
+// as a bad request (400 over HTTP, never retried).
+func TestReplBootstrapRefusesBadSnapshot(t *testing.T) {
+	ctx := context.Background()
+	p := openDurable(t, t.TempDir(), WithShards(2))
+	defer p.Close()
+	p.ArmReplication()
+	bulkRound(t, p, 0)
+	if err := p.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	bulkRound(t, p, 1)
+	f := openDurable(t, t.TempDir())
+	defer f.Close()
+	f.SetFollower()
+	mem := memStore(t)
+	mem.SetFollower()
+	pump(t, p, f, crashIndex, false)
+	pump(t, p, mem, crashIndex, false)
+	bulkRound(t, p, 2) // the followers lag the snapshot below
+
+	good, err := p.ReplBootstrapFrames(crashIndex)
+	if err != nil {
+		t.Fatalf("bootstrap frames: %v", err)
+	}
+	if len(good.Images) == 0 || len(good.Frames) < 2 {
+		t.Fatalf("fixture: %d images, %d frames", len(good.Images), len(good.Frames))
+	}
+	// edit copies the snapshot's segment list and images, so a case never
+	// writes through to the primary's own.
+	edit := func(fn func(*ReplSnapshot)) ReplSnapshot {
+		s := good
+		s.Manifest.Segments = append([]durable.SegmentMeta(nil), good.Manifest.Segments...)
+		s.Images = make([][]byte, len(good.Images))
+		for i, img := range good.Images {
+			s.Images[i] = bytes.Clone(img)
+		}
+		s.Frames = append([]ReplFrame(nil), good.Frames...)
+		fn(&s)
+		return s
+	}
+	cases := []struct {
+		name string
+		st   *Store
+		snap ReplSnapshot
+	}{
+		{"an image missing", f, edit(func(s *ReplSnapshot) { s.Images = s.Images[:len(s.Images)-1] })},
+		{"frames out of sequence", f, edit(func(s *ReplSnapshot) { s.Frames[0], s.Frames[1] = s.Frames[1], s.Frames[0] })},
+		{"frames short of Seq", f, edit(func(s *ReplSnapshot) { s.Seq++ })},
+		{"frames past Seq", f, edit(func(s *ReplSnapshot) { s.Seq-- })},
+		{"segments for an in-memory follower", mem, good},
+		{"a flipped image byte", f, edit(func(s *ReplSnapshot) { s.Images[0][len(s.Images[0])/2] ^= 0x40 })},
+		{"an entry's row count lies", f, edit(func(s *ReplSnapshot) { s.Manifest.Segments[0].Rows++ })},
+		{"an entry's time range lies", f, edit(func(s *ReplSnapshot) { s.Manifest.Segments[0].MaxTime++ })},
+		{"an entry's row span too short", f, edit(func(s *ReplSnapshot) { s.Manifest.Segments[0].EndRow-- })},
+		{"no shards", f, edit(func(s *ReplSnapshot) { s.Manifest.Shards = 0 })},
+		{"a shard count past the bound", f, edit(func(s *ReplSnapshot) { s.Manifest.Shards = maxSnapshotShards + 1 })},
+	}
+	for _, tc := range cases {
+		before, applied := fingerprint(t, tc.st), tc.st.ReplStatus().Indices[crashIndex]
+		err := tc.st.ReplBootstrap(ctx, crashIndex, tc.snap)
+		if err == nil || !IsBadRequest(err) || StatusOf(err) != http.StatusBadRequest {
+			t.Fatalf("%s: bootstrap = %v, want a bad request", tc.name, err)
+		}
+		if fingerprint(t, tc.st) != before || tc.st.ReplStatus().Indices[crashIndex] != applied {
+			t.Fatalf("%s: a refused snapshot changed the follower's index", tc.name)
+		}
+	}
+
+	// Over HTTP the refusal is a 400 the ladder does not retry.
+	srv := httptest.NewServer(NewServer(f))
+	defer srv.Close()
+	var he *HTTPError
+	err = NewClient(srv.URL).ReplBootstrap(ctx, crashIndex, cases[0].snap)
+	if !errors.As(err, &he) || he.Status != http.StatusBadRequest || he.Temporary() {
+		t.Fatalf("HTTP bootstrap of a bad snapshot = %v, want a permanent 400", err)
+	}
+
+	// The snapshot itself applies, and the follower streams on from it.
+	if err := f.ReplBootstrap(ctx, crashIndex, good); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	pump(t, p, f, crashIndex, false)
+	if fingerprint(t, f) != fingerprint(t, p) {
+		t.Fatalf("follower diverged after a good bootstrap")
+	}
+}
+
+// TestCrashFollowerReplOffsetFolded reopens a follower whose manifest an
+// older build wrote: its records numbered from zero, base_seq local and
+// repl_offset the distance to its primary's numbering. It must come back
+// at the primary sequence it last reported, with the same state.
+func TestCrashFollowerReplOffsetFolded(t *testing.T) {
+	ctx := context.Background()
+	p := openDurable(t, t.TempDir())
+	defer p.Close()
+	ingestRound(t, p, 0)
+	if err := p.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	ingestRound(t, p, 1)
+	fdir := t.TempDir()
+	f := openDurable(t, fdir)
+	f.SetFollower()
+	snap, err := p.ReplBootstrapFrames(crashIndex)
+	if err != nil {
+		t.Fatalf("bootstrap frames: %v", err)
+	}
+	if err := f.ReplBootstrap(ctx, crashIndex, snap); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	applied, want := f.ReplStatus().Indices[crashIndex], fingerprint(t, f)
+	if err := f.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	path := filepath.Join(indexDir(fdir), durable.ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read manifest: %v", err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("parse manifest: %v", err)
+	}
+	base, _ := m["base_seq"].(float64)
+	const k = 2
+	if base < k {
+		t.Fatalf("fixture: base_seq %v, want at least %d", m["base_seq"], k)
+	}
+	m["base_seq"], m["repl_offset"] = base-k, k
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatalf("encode manifest: %v", err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("write manifest: %v", err)
+	}
+
+	re := openDurable(t, fdir)
+	defer re.Close()
+	re.SetFollower()
+	if got := re.ReplStatus().Indices[crashIndex]; got != applied {
+		t.Fatalf("reopened at sequence %d, want %d", got, applied)
+	}
+	if fingerprint(t, re) != want {
+		t.Fatalf("reopened follower diverged")
+	}
+	pump(t, p, re, crashIndex, false)
 }

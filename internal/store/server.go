@@ -355,8 +355,8 @@ func (s *Server) handleReplApply(w http.ResponseWriter, r *http.Request, _ strin
 
 // replBootstrapRequest is the POST /_repl/bootstrap body: a full-state
 // snapshot of one index, aligned to primary sequence seq. The embedded
-// ReplSnapshot flattens into the JSON object; a Base of 0 comes from a
-// primary that never flushed, so every row rides in the frames.
+// ReplSnapshot flattens into the JSON object: the primary's manifest, its
+// segment images (base64) and its live WAL's records as frames.
 type replBootstrapRequest struct {
 	Index string `json:"index"`
 	ReplSnapshot
@@ -466,6 +466,10 @@ func BadRequest(err error) error { return badRequest{err} }
 type badRequest struct{ error }
 
 func (e badRequest) Unwrap() error { return e.error }
+
+// Temporary marks a bad request non-retryable in process as on the wire (a
+// 400): the same request fails the same way.
+func (e badRequest) Temporary() bool { return false }
 
 // IsBadRequest reports whether err is a malformed request (a bad cursor, a
 // bad scatter envelope, a malformed frame or operation parameter) — a

@@ -201,25 +201,6 @@ func (s *Store) queryCacheEntries() float64 {
 	return float64(n)
 }
 
-// attachReadPath wires a new or recovered index into the store's read-path
-// acceleration: the shared telemetry counters and, when enabled, a private
-// query cache.
-func (s *Store) attachReadPath(ix *Index) {
-	ix.rtm = s.tm.rtm
-	if s.opts.cacheEntries > 0 {
-		ix.cache = newQueryCache(s.opts.cacheEntries,
-			s.tm.cacheHits, s.tm.cacheMisses, s.tm.cacheEvicts)
-	}
-}
-
-// registerIndexGauge exposes the index's live doc count as a labeled pull
-// gauge; the caller holds the store lock or is still single-threaded setup.
-// DeleteIndex forgets the series, and with it the index the gauge captured.
-func (s *Store) registerIndexGauge(name string, ix *Index) {
-	s.tm.reg.GaugeFunc(docsSeries(name), "live documents in the index",
-		func() float64 { return float64(ix.Len()) })
-}
-
 // docsSeries names an index's doc-count gauge.
 func docsSeries(name string) string { return telemetry.MetricDocs + `{index="` + name + `"}` }
 
@@ -250,10 +231,25 @@ func (s *Store) indexOrCreate(name string) (*Index, error) {
 	} else {
 		ix = NewIndexWithShards(name, s.opts.shards)
 	}
-	s.attachReadPath(ix)
-	s.indices[name] = ix
-	s.registerIndexGauge(name, ix)
+	s.register(name, ix)
 	return ix, nil
+}
+
+// register makes a new, recovered or bootstrapped index the store's index
+// name: it gets the shared read-path counters and, when enabled, a private
+// query cache, joins the index set, and exposes its live doc count as a
+// labeled pull gauge (DeleteIndex forgets the series, and with it the index
+// the gauge captured). The caller holds the store lock or is still
+// single-threaded setup.
+func (s *Store) register(name string, ix *Index) {
+	ix.rtm = s.tm.rtm
+	if s.opts.cacheEntries > 0 {
+		ix.cache = newQueryCache(s.opts.cacheEntries,
+			s.tm.cacheHits, s.tm.cacheMisses, s.tm.cacheEvicts)
+	}
+	s.indices[name] = ix
+	s.tm.reg.GaugeFunc(docsSeries(name), "live documents in the index",
+		func() float64 { return float64(ix.Len()) })
 }
 
 // GetIndex returns the named index if it exists.

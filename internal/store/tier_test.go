@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -568,10 +569,12 @@ func TestRecoveryTieredConservation(t *testing.T) {
 }
 
 // TestCrashFollowerBootstrapMultiSegment checks full-state replication from
-// a tiered primary: the bootstrap streams cold segments (named from the path
-// book) plus the memtable, the follower rebuilds them as its own cold
-// segment + journal, and the result is fingerprint-identical — including
-// after the follower restarts from its own disk.
+// a tiered primary: the bootstrap ships the primary's files — manifest,
+// segment images, live WAL records — and the follower's segment files and
+// live WAL come out byte-identical, its shard count the primary's, and its
+// state fingerprint-identical, including after it restarts from its own
+// disk. A snapshot cut to a prefix of its frames is a valid older snapshot
+// the follower streams on from.
 func TestCrashFollowerBootstrapMultiSegment(t *testing.T) {
 	ctx := context.Background()
 	pdir, fdir := t.TempDir(), t.TempDir()
@@ -595,27 +598,23 @@ func TestCrashFollowerBootstrapMultiSegment(t *testing.T) {
 	}
 	bulkRound(t, p, 3) // hot rows
 
-	snap, err := p.ReplBootstrapFrames(crashIndex, 5)
+	snap, err := p.ReplBootstrapFrames(crashIndex)
 	if err != nil {
 		t.Fatalf("bootstrap frames: %v", err)
 	}
 	rowsPerRound := int64(len(crashEvents(0)) + len(crashDocs(0)))
-	if snap.Base != 3*rowsPerRound {
-		t.Fatalf("snapshot base = %d, want %d (three cold rounds)", snap.Base, 3*rowsPerRound)
-	}
-	// Frames must split cleanly at the cold/hot boundary for the follower to
-	// route them whole.
-	for i := 1; i < len(snap.Frames); i++ {
-		prev, curf := snap.Frames[i-1], snap.Frames[i]
-		if prev.StartRow < snap.Base && curf.StartRow >= snap.Base && curf.StartRow != snap.Base {
-			t.Fatalf("frame %d starts at %d, want exactly base %d", i, curf.StartRow, snap.Base)
-		}
+	if got := snap.Manifest.SegmentRows(); got != 3*rowsPerRound || len(snap.Images) != len(snap.Manifest.Segments) {
+		t.Fatalf("snapshot carries %d segment rows in %d images for %d segments, want %d rows (three cold rounds)",
+			got, len(snap.Images), len(snap.Manifest.Segments), 3*rowsPerRound)
 	}
 
-	f := openDurable(t, fdir, WithShards(4))
+	f := openDurable(t, fdir, WithShards(2))
 	f.SetFollower()
 	if err := f.ReplBootstrap(ctx, crashIndex, snap); err != nil {
 		t.Fatalf("follower bootstrap: %v", err)
+	}
+	if fix, _ := f.GetIndex(crashIndex); fix.NumShards() != 4 {
+		t.Fatalf("follower holds %d shards, want the primary's 4", fix.NumShards())
 	}
 	want := fingerprint(t, p)
 	if got := fingerprint(t, f); got != want {
@@ -623,6 +622,17 @@ func TestCrashFollowerBootstrapMultiSegment(t *testing.T) {
 	}
 	if got, ctrl := want, fingerprint(t, controlReplay(t, []int{0, 1, 2, 3}, []int{1})); got != ctrl {
 		t.Fatalf("primary itself diverged from in-memory control")
+	}
+	live := []string{durable.WALName(snap.Manifest.WALSeq)}
+	for _, name := range append(segmentFiles(t, pdir), live...) {
+		pb, perr := os.ReadFile(filepath.Join(indexDir(pdir), name))
+		fb, ferr := os.ReadFile(filepath.Join(indexDir(fdir), name))
+		if perr != nil || ferr != nil || !bytes.Equal(pb, fb) {
+			t.Fatalf("%s: follower's %d bytes (%v) != primary's %d (%v)", name, len(fb), ferr, len(pb), perr)
+		}
+	}
+	if got, wantSegs := segmentFiles(t, fdir), segmentFiles(t, pdir); !reflect.DeepEqual(got, wantSegs) {
+		t.Fatalf("follower segment files %v, primary's %v", got, wantSegs)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatalf("follower close: %v", err)
@@ -640,7 +650,26 @@ func TestCrashFollowerBootstrapMultiSegment(t *testing.T) {
 	mem := memStore(t)
 	mem.SetFollower()
 	if err := mem.ReplBootstrap(ctx, crashIndex, snap); err == nil {
-		t.Fatalf("in-memory follower accepted a tiered (base>0) snapshot")
+		t.Fatalf("in-memory follower accepted a snapshot listing segments")
+	}
+
+	// A prefix of the frames is an older snapshot of the same log: the
+	// follower takes it and streams the rest without another bootstrap.
+	const k = 1
+	if len(snap.Frames) <= k {
+		t.Fatalf("snapshot has %d frames, the prefix arm needs more than %d", len(snap.Frames), k)
+	}
+	older := snap
+	older.Frames, older.Seq = snap.Frames[:k], snap.Manifest.BaseSeq+k
+	f3 := openDurable(t, t.TempDir())
+	defer f3.Close()
+	f3.SetFollower()
+	if err := f3.ReplBootstrap(ctx, crashIndex, older); err != nil {
+		t.Fatalf("prefix bootstrap: %v", err)
+	}
+	pump(t, p, f3, crashIndex, false)
+	if got := fingerprint(t, f3); got != want {
+		t.Fatalf("follower streamed on from a prefix snapshot diverged")
 	}
 }
 
@@ -810,6 +839,41 @@ func TestCursorExpiredAfterRetention(t *testing.T) {
 	}
 	if fc.Switches() != 0 {
 		t.Fatalf("cursor expiry triggered %d failovers, want 0", fc.Switches())
+	}
+}
+
+// TestRecoveryAfterRetentionDropsEverySegment: once retention has dropped
+// every segment, the manifest lists none, and recovery must still place the
+// WAL's rows at or above the retention floor, where they were before the
+// restart. Below it, every unsorted page past the first would fail as
+// expired.
+func TestRecoveryAfterRetentionDropsEverySegment(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir, WithRetention(time.Hour), WithQueryCache(0))
+	bulkRound(t, st, 0)
+	if err := st.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if err := st.Compact(); err != nil { // retention drops the only segment
+		t.Fatalf("compact: %v", err)
+	}
+	bulkRound(t, st, 1)
+	want := pageAll(t, st, crashIndex, SearchRequest{Query: MatchAll()}, 5)
+	if len(want) != 12 {
+		t.Fatalf("before restart %d rows page, want 12", len(want))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	re := openDurable(t, dir, WithRetention(time.Hour), WithQueryCache(0))
+	defer re.Close()
+	if got := pageAll(t, re, crashIndex, SearchRequest{Query: MatchAll()}, 5); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after restart %d rows page, before it %d", len(got), len(want))
+	}
+	ix, _ := re.GetIndex(crashIndex)
+	if base, floor := ix.base.Load(), ix.retFloor.Load(); base < floor {
+		t.Fatalf("recovered base %d below the retention floor %d", base, floor)
 	}
 }
 

@@ -84,7 +84,7 @@ const (
 	// internal/store + internal/repl — primary/follower replication.
 	MetricReplRole         = "dio_repl_role"                  // 0 primary, 1 follower
 	MetricReplShippedRecs  = "dio_repl_shipped_records_total" // WAL records pushed to followers
-	MetricReplShippedBytes = "dio_repl_shipped_bytes_total"   // payload bytes pushed to followers
+	MetricReplShippedBytes = "dio_repl_shipped_bytes_total"   // payload and bootstrap segment image bytes pushed to followers
 	MetricReplPushes       = "dio_repl_pushes_total"          // push calls issued (bootstraps included)
 	MetricReplPushRetries  = "dio_repl_push_retries_total"    // push attempts beyond each call's first
 	MetricReplPushNS       = "dio_repl_push_ns"               // one push call (ship + follower apply)
