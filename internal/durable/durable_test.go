@@ -461,18 +461,25 @@ func TestManifestLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	CleanOrphans(dir, m)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	names := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
 	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
+	// A replicating snapshot keeps the WAL it retired; the rest goes.
+	CleanOrphans(dir, m, 2)
+	if got, want := names(), []string{ManifestName, SegmentName(2), WALName(2), WALName(3)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after clean keeping wal 2: %v, want %v", got, want)
 	}
-	want := []string{ManifestName, SegmentName(2), WALName(3)}
-	if !reflect.DeepEqual(names, want) {
-		t.Fatalf("after clean: %v, want %v", names, want)
+	CleanOrphans(dir, m, -1)
+	if got, want := names(), []string{ManifestName, SegmentName(2), WALName(3)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after clean: %v, want %v", got, want)
 	}
 }
 

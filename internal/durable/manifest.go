@@ -158,8 +158,9 @@ func CommitManifest(dir string, m Manifest) error {
 }
 
 // CleanOrphans removes files in dir left behind by an interrupted snapshot
-// or compaction: segment temporaries, any wal-* whose sequence number is not
-// the committed one, and any seg-* the manifest's leveled list does not
+// or compaction: segment temporaries, any wal-* whose sequence number is
+// neither the committed one nor keepWALSeq (the retired WAL a replicating
+// snapshot keeps; -1 keeps none), and any seg-* the manifest's leveled list does not
 // reference (e.g. a compaction output written but never committed). Removal
 // is best-effort — recovery correctness never depends on it, only disk
 // hygiene does. CleanOrphans only ever runs against the committed manifest,
@@ -169,12 +170,12 @@ func CommitManifest(dir string, m Manifest) error {
 // those locks are released (so in-flight readers of the old list have
 // finished), and replication bootstrap reads segment files while holding
 // the gate exclusively, which excludes any concurrent commit or cleanup.
-func CleanOrphans(dir string, m Manifest) {
+func CleanOrphans(dir string, m Manifest, keepWALSeq int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
-	keepWAL := WALName(m.WALSeq)
+	keepWAL, keepRetired := WALName(m.WALSeq), WALName(keepWALSeq) // -1 names no file
 	keepSegs := make(map[string]bool, len(m.Segments))
 	for _, s := range m.Segments {
 		keepSegs[SegmentName(s.Seq)] = true
@@ -183,7 +184,7 @@ func CleanOrphans(dir string, m Manifest) {
 		name := e.Name()
 		switch {
 		case strings.HasSuffix(name, ".tmp"):
-		case strings.HasPrefix(name, "wal-") && name != keepWAL:
+		case strings.HasPrefix(name, "wal-") && name != keepWAL && name != keepRetired:
 		case strings.HasPrefix(name, "seg-") && !keepSegs[name]:
 		default:
 			continue

@@ -52,8 +52,6 @@ type Config struct {
 	// Policy is the retry → breaker policy of each push; Retry-After hints
 	// from the follower floor its backoff.
 	resilience.Policy
-	// Telemetry, when non-nil, receives shipping counters and the lag gauge.
-	Telemetry *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -125,16 +123,16 @@ type Replicator struct {
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 
-	// tmPushNS times each push (a nil-safe no-op when Config.Telemetry is
-	// unset); the counters' series read the atomics above.
+	// tmPushNS times each push; the counters' series read the atomics above.
 	tmPushNS *telemetry.Histogram
 }
 
 // New builds a replicator shipping src's WAL to the follower behind tr. It
-// arms src's replication tail buffers (the ingest path starts copying
-// journaled payloads into them) and registers a per-target health source on
-// src, so GET /_health reports this follower's lag. Call Start to begin
-// shipping.
+// arms src (each snapshot keeps the WAL it retires, so a follower lagging by
+// less than one snapshot generation streams on), registers a per-target
+// health source on src, so GET /_health reports this follower's lag, and
+// registers its shipping series on src's registry, each labelled with the
+// target, so /metrics reports every follower. Call Start to begin shipping.
 func New(src *store.Store, tr Transport, cfg Config) *Replicator {
 	cfg = cfg.withDefaults()
 	r := &Replicator{
@@ -148,16 +146,15 @@ func New(src *store.Store, tr Transport, cfg Config) *Replicator {
 	}
 	src.ArmReplication()
 	src.RegisterReplicaHealth(r.health)
-	if tm := cfg.Telemetry; tm != nil {
-		tm.CounterFunc(telemetry.MetricReplShippedRecs, "replication records acked by followers", r.shippedRecs.Load)
-		tm.CounterFunc(telemetry.MetricReplShippedBytes, "replication payload and bootstrap segment image bytes acked by followers", r.shippedBytes.Load)
-		tm.CounterFunc(telemetry.MetricReplPushes, "successful replication pushes", r.pushes.Load)
-		tm.CounterFunc(telemetry.MetricReplPushRetries, "replication push attempts beyond the first", r.Retries)
-		tm.CounterFunc(telemetry.MetricReplBootstraps, "full-state transfers shipped", r.bootstraps.Load)
-		r.tmPushNS = tm.Histogram(telemetry.MetricReplPushNS, "one replication push round-trip", nil)
-		tm.GaugeFunc(telemetry.MetricReplLag, "primary head minus follower acked, summed across indices",
-			func() float64 { return float64(r.lag.Load()) })
-	}
+	tm, target := src.Telemetry(), fmt.Sprintf("{target=%q}", tr.Target())
+	tm.CounterFunc(telemetry.MetricReplShippedRecs+target, "replication records acked by followers", r.shippedRecs.Load)
+	tm.CounterFunc(telemetry.MetricReplShippedBytes+target, "replication payload and bootstrap segment image bytes acked by followers", r.shippedBytes.Load)
+	tm.CounterFunc(telemetry.MetricReplPushes+target, "successful replication pushes", r.pushes.Load)
+	tm.CounterFunc(telemetry.MetricReplPushRetries+target, "replication push attempts beyond the first", r.Retries)
+	tm.CounterFunc(telemetry.MetricReplBootstraps+target, "full-state transfers shipped", r.bootstraps.Load)
+	r.tmPushNS = tm.Histogram(telemetry.MetricReplPushNS+target, "one replication push round-trip", nil)
+	tm.GaugeFunc(telemetry.MetricReplLag+target, "primary head minus follower acked, summed across indices",
+		func() float64 { return float64(r.lag.Load()) })
 	return r
 }
 
@@ -297,7 +294,7 @@ func (r *Replicator) syncIndex(ctx context.Context, name string) (lag int64, err
 			continue
 		}
 		if len(frames) == 0 {
-			break // in-flight tail append; next pass picks it up
+			break // nothing readable below head; the next pass retries
 		}
 		applied, err := r.push(ctx, func(c context.Context) (int64, error) {
 			return r.tr.Apply(c, name, acked, frames)

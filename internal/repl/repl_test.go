@@ -130,6 +130,8 @@ func openDurable(t *testing.T, dir string) *store.Store {
 type faultTransport struct {
 	mu sync.Mutex
 	st *store.Store
+	// target names the follower; empty is "fake://follower".
+	target string
 	// clk, when set with delay, advances/sleeps before every delivery.
 	clk   clock.Clock
 	delay time.Duration
@@ -144,7 +146,12 @@ type faultTransport struct {
 	statusCalls, applyCalls, bootstrapCalls int
 }
 
-func (f *faultTransport) Target() string { return "fake://follower" }
+func (f *faultTransport) Target() string {
+	if f.target == "" {
+		return "fake://follower"
+	}
+	return f.target
+}
 
 // fault consumes one injected fault, if armed.
 func (f *faultTransport) fault() error {
@@ -238,8 +245,7 @@ func newPair(t *testing.T, cfg Config) (*store.Store, *store.Store, *faultTransp
 // stats/health surfaces report a caught-up target.
 func TestSyncDrainsAndReports(t *testing.T) {
 	vclk := clock.NewVirtual(0)
-	reg := telemetry.NewRegistry()
-	primary, follower, _, r := newPair(t, Config{Policy: resilience.Policy{Clock: vclk}, Telemetry: reg})
+	primary, follower, _, r := newPair(t, Config{Policy: resilience.Policy{Clock: vclk}})
 	for round := 0; round < 3; round++ {
 		ingestRound(t, primary, round)
 	}
@@ -254,7 +260,7 @@ func TestSyncDrainsAndReports(t *testing.T) {
 		t.Fatalf("stats after clean drain: %+v", st)
 	}
 	// /metrics reads the memory Stats reads.
-	counters := reg.Snapshot().Counters
+	counters := primary.Telemetry().Snapshot().Counters
 	for name, want := range map[string]uint64{
 		telemetry.MetricReplShippedRecs:  st.ShippedRecords,
 		telemetry.MetricReplShippedBytes: st.ShippedBytes,
@@ -262,6 +268,7 @@ func TestSyncDrainsAndReports(t *testing.T) {
 		telemetry.MetricReplBootstraps:   st.Bootstraps,
 		telemetry.MetricReplPushRetries:  st.Retries,
 	} {
+		name += `{target="fake://follower"}`
 		if got, ok := counters[name]; !ok || got != want {
 			t.Errorf("%s = %d (registered %v), Stats says %d", name, got, ok, want)
 		}
@@ -277,6 +284,48 @@ func TestSyncDrainsAndReports(t *testing.T) {
 	}
 	if got := r.Stats().Pushes; got != pushes {
 		t.Fatalf("idle sync pushed: %d → %d", pushes, got)
+	}
+}
+
+// TestReplTelemetryPerTarget checks that every replicator registers its
+// series on the primary's own registry, with no registry passed in, each
+// labelled with its target, so two followers do not overwrite each other.
+func TestReplTelemetryPerTarget(t *testing.T) {
+	primary := openDurable(t, t.TempDir())
+	t.Cleanup(func() { primary.Close() })
+	rs := map[string]*Replicator{}
+	for _, target := range []string{"fake://a", "fake://b"} {
+		follower := memStore(t)
+		follower.SetFollower()
+		rs[target] = New(primary, &faultTransport{st: follower, target: target}, Config{})
+	}
+	ingestRound(t, primary, 0)
+	for _, r := range rs {
+		if err := r.Sync(context.Background()); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+	}
+	ingestRound(t, primary, 1)
+	if err := rs["fake://b"].Sync(context.Background()); err != nil { // b alone ships round 1
+		t.Fatalf("sync: %v", err)
+	}
+	snap := primary.Telemetry().Snapshot()
+	for target, r := range rs {
+		st, label := r.Stats(), `{target="`+target+`"}`
+		for name, want := range map[string]uint64{
+			telemetry.MetricReplShippedRecs: st.ShippedRecords,
+			telemetry.MetricReplPushes:      st.Pushes,
+		} {
+			if got, ok := snap.Counters[name+label]; !ok || got != want {
+				t.Errorf("%s%s = %d (registered %v), Stats says %d", name, label, got, ok, want)
+			}
+		}
+		if got, ok := snap.Gauges[telemetry.MetricReplLag+label]; !ok || got != float64(st.Lag) {
+			t.Errorf("%s%s = %v (registered %v), Stats says %d", telemetry.MetricReplLag, label, got, ok, st.Lag)
+		}
+	}
+	if a, b := rs["fake://a"].Stats(), rs["fake://b"].Stats(); a.ShippedRecords == b.ShippedRecords {
+		t.Fatalf("both targets shipped %d records; the test needs them apart", a.ShippedRecords)
 	}
 }
 

@@ -259,7 +259,7 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord, replicat
 	if !replicated && n[pathUpdated] == 0 {
 		return n, nil
 	}
-	if err := ix.journalApply(durable.RecordPaths, rec.Encode(), true, 0, nil); err != nil {
+	if err := ix.journalApply(durable.RecordPaths, rec.Encode(), 0, nil); err != nil {
 		return n, err
 	}
 	d.addToBook(*rec)

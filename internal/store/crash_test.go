@@ -306,41 +306,59 @@ func TestCrashMidSnapshot(t *testing.T) {
 // TestCrashAfterSnapshotBeforeTruncate kills the store after the manifest
 // committed but before the superseded WAL was deleted: both generations are
 // on disk. Recovery must follow the manifest — segment plus new WAL — and
-// not double-apply the old log.
+// not double-apply the old log. The armed arm reaches the same two
+// generations by design: a replicating snapshot keeps the WAL it retired,
+// and a restart forgets it.
 func TestCrashAfterSnapshotBeforeTruncate(t *testing.T) {
-	dir := t.TempDir()
-	st := openDurable(t, dir)
-	ingestRound(t, st, 0)
-	ingestRound(t, st, 1)
-	if err := st.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	oldWAL, err := os.ReadFile(walFile(dir, 0))
-	if err != nil {
-		t.Fatalf("save old wal: %v", err)
-	}
+	for _, armed := range []bool{false, true} {
+		name := "killed"
+		if armed {
+			name = "armed"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openDurable(t, dir)
+			ingestRound(t, st, 0)
+			ingestRound(t, st, 1)
+			if err := st.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			oldWAL, err := os.ReadFile(walFile(dir, 0))
+			if err != nil {
+				t.Fatalf("save old wal: %v", err)
+			}
 
-	st = openDurable(t, dir)
-	if err := st.Snapshot(); err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	ingestRound(t, st, 2) // journals into wal-000001, after the segment
-	if err := st.Close(); err != nil {
-		t.Fatalf("close after snapshot: %v", err)
-	}
-	// The kill point: resurrect the superseded WAL the cleanup step never
-	// got to delete.
-	if err := os.WriteFile(walFile(dir, 0), oldWAL, 0o644); err != nil {
-		t.Fatalf("restore superseded wal: %v", err)
-	}
+			st = openDurable(t, dir)
+			if armed {
+				st.ArmReplication()
+			}
+			if err := st.Snapshot(); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			ingestRound(t, st, 2) // journals into wal-000001, after the segment
+			if err := st.Close(); err != nil {
+				t.Fatalf("close after snapshot: %v", err)
+			}
+			if armed {
+				kept, err := os.ReadFile(walFile(dir, 0))
+				if err != nil || !bytes.Equal(kept, oldWAL) {
+					t.Fatalf("armed snapshot did not keep the wal it retired (%v)", err)
+				}
+			} else if err := os.WriteFile(walFile(dir, 0), oldWAL, 0o644); err != nil {
+				// The kill point: resurrect the superseded WAL the cleanup step
+				// never got to delete.
+				t.Fatalf("restore superseded wal: %v", err)
+			}
 
-	re := openDurable(t, dir)
-	defer re.Close()
-	if got, want := fingerprint(t, re), fingerprint(t, controlStore(t, 3)); got != want {
-		t.Fatalf("recovered state != never-crashed control (old WAL double-applied or segment ignored)")
-	}
-	if _, err := os.Stat(walFile(dir, 0)); !os.IsNotExist(err) {
-		t.Fatalf("superseded wal-000000 survived recovery")
+			re := openDurable(t, dir)
+			defer re.Close()
+			if got, want := fingerprint(t, re), fingerprint(t, controlStore(t, 3)); got != want {
+				t.Fatalf("recovered state != never-crashed control (old WAL double-applied or segment ignored)")
+			}
+			if _, err := os.Stat(walFile(dir, 0)); !os.IsNotExist(err) {
+				t.Fatalf("superseded wal-000000 survived recovery")
+			}
+		})
 	}
 }
 

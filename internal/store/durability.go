@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"net/url"
 	"os"
@@ -111,9 +110,11 @@ type indexDurable struct {
 	// live WAL's records.
 	baseSeq int64
 	recSeq  atomic.Int64
-	// tail buffers recent WAL records in memory for the replication shipper,
-	// so lagging followers survive a snapshot without a full bootstrap.
-	tail *replTail
+	// retiredBase is the first sequence of wal-<walSeq-1>, the WAL the last
+	// snapshot retired and kept because the store replicates: it holds
+	// [retiredBase, baseSeq). -1 when no retired WAL is kept. Written under
+	// the exclusive gate, read under the shared one.
+	retiredBase int64
 
 	dirty     atomic.Int64 // records appended since the last snapshot
 	unsynced  atomic.Bool  // bytes appended since the last fsync
@@ -191,15 +192,8 @@ var encodePool = sync.Pool{New: func() any {
 // placement order identical to WAL record order even under concurrent
 // writers, which is what lets replay reproduce the original placement and
 // lets a paths record name rows by a global-id horizon. The caller holds
-// gate.RLock.
-//
-// owned declares that payload's buffer belongs to this call: when the
-// replication tail is armed, an owned payload is handed to the buffer
-// without copying (the caller must not reuse it afterward), while an
-// unowned one — a pooled scratch the caller will recycle — is cloned.
-// Callers with pooled buffers avoid the clone by checking tail.wants first
-// and withholding the buffer from the pool (see AddEvents).
-func (ix *Index) journalApply(t durable.RecordType, payload []byte, owned bool, reserve int, apply func(start int)) error {
+// gate.RLock. payload is not kept.
+func (ix *Index) journalApply(t durable.RecordType, payload []byte, reserve int, apply func(start int)) error {
 	d := ix.dur
 	d.appendMu.Lock()
 	startT := time.Now()
@@ -215,13 +209,7 @@ func (ix *Index) journalApply(t durable.RecordType, payload []byte, owned bool, 
 	}
 	// The record's replication sequence is assigned inside appendMu, so
 	// sequence order == WAL order == placement order.
-	seq := d.recSeq.Add(1) - 1
-	if d.tail.wants() {
-		if !owned {
-			payload = bytes.Clone(payload)
-		}
-		d.tail.push(seq, t, payload)
-	}
+	d.recSeq.Add(1)
 	d.appendMu.Unlock()
 	d.dirty.Add(1)
 	d.unsynced.Store(true)
@@ -294,7 +282,9 @@ func (ix *Index) flushRows(start, head int) durable.RowSource {
 //     atomic commit point: before this rename recovery uses the old state,
 //     after it the new,
 //  4. swap the live WAL handle, publish the new segment list, and delete the
-//     superseded files.
+//     superseded files. keepRetired (the store replicates) keeps the WAL
+//     just superseded until the next snapshot, so ReplRange serves a
+//     follower lagging by less than one snapshot generation from it.
 //
 // The flush also evicts: every shard's row storage is cleared in place and
 // the index base advances to the head, so shard memory holds only rows newer
@@ -306,8 +296,8 @@ func (ix *Index) flushRows(start, head int) durable.RowSource {
 // takes shard write locks only for the eviction and the list swap, in
 // commit); writers wait on the gate, which also guarantees memory state ==
 // WAL state.
-func (d *indexDurable) snapshot(ix *Index, force bool) error {
-	if d.dirty.Load() == 0 && !force {
+func (d *indexDurable) snapshot(ix *Index, keepRetired bool) error {
+	if d.dirty.Load() == 0 {
 		return nil
 	}
 	startT := time.Now()
@@ -347,7 +337,7 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 	// Under the exclusive gate no writer is mid-append, so recSeq is the exact
 	// sequence of the flushed rows' last record + 1: the new (empty) WAL's
 	// records will carry sequences from there, which BaseSeq records for
-	// recovery and the replication tail reader.
+	// recovery and ReplRange.
 	headSeq := d.recSeq.Load()
 	m := d.manifest(ix)
 	m.WALSeq, m.Segments, m.BaseSeq = newWALSeq, newSegs, headSeq
@@ -370,6 +360,11 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 	old := d.wal
 	d.wal = newWAL
 	d.appendMu.Unlock()
+	keepWALSeq := -1
+	d.retiredBase = -1
+	if keepRetired {
+		keepWALSeq, d.retiredBase = d.walSeq, d.baseSeq
+	}
 	d.walSeq = newWALSeq
 	d.baseSeq = headSeq
 	d.dirty.Store(0)
@@ -377,7 +372,7 @@ func (d *indexDurable) snapshot(ix *Index, force bool) error {
 	if err := old.Close(); err != nil {
 		return err
 	}
-	durable.CleanOrphans(d.dir, m)
+	durable.CleanOrphans(d.dir, m, keepWALSeq)
 	d.tm.snapshots.Inc()
 	d.tm.snapshotNS.Observe(float64(time.Since(startT)))
 	return nil
@@ -427,9 +422,9 @@ func (s *Store) newDurableIndex(name string) (*Index, error) {
 	ix := NewIndexWithShards(name, s.opts.shards)
 	ix.dur = &indexDurable{
 		dir: dir, fsync: s.opts.fsync, tm: s.dtm, wal: w,
-		retention: s.opts.retention,
-		tail:      newReplTail(s.opts.replTailBytes, &s.replArmed),
-		resident:  residentSegments{budget: residentBudget},
+		retention:   s.opts.retention,
+		retiredBase: -1,
+		resident:    residentSegments{budget: residentBudget},
 	}
 	empty := []durable.SegmentMeta{}
 	ix.dur.segs.Store(&empty)
@@ -479,9 +474,9 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	ix := NewIndexWithShards(name, shards)
 	d := &indexDurable{
 		dir: dir, fsync: s.opts.fsync, tm: s.dtm,
-		retention: s.opts.retention,
-		tail:      newReplTail(s.opts.replTailBytes, &s.replArmed),
-		resident:  residentSegments{budget: residentBudget},
+		retention:   s.opts.retention,
+		retiredBase: -1,
+		resident:    residentSegments{budget: residentBudget},
 	}
 	// Attached before the WAL replays: a replayed paths record joins the book
 	// through ix.dur. Single-threaded here, no WAL open yet.
@@ -541,8 +536,9 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	// Orphan cleanup runs against the loaded manifest — the committed segment
 	// list — never a reconstruction, so a multi-segment layout can never have
 	// live files mistaken for orphans. (A compaction output claimed but not
-	// committed before a crash is exactly what this removes.)
-	durable.CleanOrphans(dir, m)
+	// committed before a crash is exactly what this removes.) A retired WAL
+	// a replicating snapshot kept goes too: a restart forgets it.
+	durable.CleanOrphans(dir, m, -1)
 	w, err := durable.OpenWAL(walPath)
 	if err != nil {
 		return nil, err
@@ -661,7 +657,7 @@ func (s *Store) Snapshot() error {
 		if ix.dur == nil {
 			continue
 		}
-		if err := ix.dur.snapshot(ix, false); err != nil && first == nil {
+		if err := ix.dur.snapshot(ix, s.replArmed.Load()); err != nil && first == nil {
 			first = err
 		}
 	}

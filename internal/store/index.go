@@ -116,37 +116,21 @@ func (ix *Index) AddEvents(events []event.Event) error {
 		}
 	}
 	if ix.dur == nil {
-		start := int(ix.rr.Add(uint64(len(events))) - uint64(len(events)))
-		ix.addEventsAt(start, events)
-		return nil
+		return ix.addEventsFrame(nil, events)
 	}
-	ix.dur.gate.RLock()
-	defer ix.dur.gate.RUnlock()
 	bp := encodePool.Get().(*[]byte)
-	payload := event.EncodeBatch((*bp)[:0], events)
-	// When replication is armed, hand the encode buffer to the tail instead
-	// of recycling it — cheaper than cloning the payload under appendMu. The
-	// pooled box is returned with a replacement buffer pre-sized to the
-	// surrendered one, so the next encode grows from full capacity.
-	owned := ix.dur.tail.wants()
-	err := ix.journalApply(durable.RecordEvents, payload, owned, len(events), func(start int) {
-		ix.addEventsAt(start, events)
-	})
-	if owned {
-		*bp = make([]byte, 0, cap(payload))
-	} else {
-		*bp = payload[:0]
-	}
+	*bp = event.EncodeBatch((*bp)[:0], events)
+	err := ix.addEventsFrame(*bp, events)
 	encodePool.Put(bp)
 	return err
 }
 
-// addEventsFrame places an already-decoded batch whose wire frame is in
-// hand: the frame bytes are journaled verbatim (they are exactly the WAL's
-// RecordEvents payload format), skipping the re-encode AddEvents would pay.
-// Decoded events are already canonical — the codec clears Offset when the
-// HasOffset aux bit is unset — so no normalization pass is needed either.
-// The frame is the caller's: journalApply clones it for the replication tail.
+// addEventsFrame places a canonical batch whose wire frame is in hand, the
+// node's one journaling path for events: the frame bytes are journaled
+// verbatim (they are exactly the WAL's RecordEvents payload format). Decoded
+// events are already canonical — the codec clears Offset when the HasOffset
+// aux bit is unset — so BulkFrame pays for neither a normalization pass nor a
+// re-encode. The frame is not kept (nil on an in-memory index).
 func (ix *Index) addEventsFrame(frame []byte, events []event.Event) error {
 	if len(events) == 0 {
 		return nil
@@ -158,7 +142,7 @@ func (ix *Index) addEventsFrame(frame []byte, events []event.Event) error {
 	}
 	ix.dur.gate.RLock()
 	defer ix.dur.gate.RUnlock()
-	return ix.journalApply(durable.RecordEvents, frame, false, len(events), func(start int) {
+	return ix.journalApply(durable.RecordEvents, frame, len(events), func(start int) {
 		ix.addEventsAt(start, events)
 	})
 }

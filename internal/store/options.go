@@ -61,7 +61,6 @@ type storeOptions struct {
 	fsync         FsyncPolicy
 	snapshotEvery time.Duration
 	cacheEntries  int           // query cache capacity per index (0 disables)
-	replTailBytes int           // per-index replication tail buffer budget
 	retention     time.Duration // drop cold segments older than this (0 keeps all)
 }
 
@@ -70,7 +69,6 @@ func defaultOptions() storeOptions {
 		fsync:         FsyncInterval,
 		snapshotEvery: time.Minute,
 		cacheEntries:  256,
-		replTailBytes: 4 << 20,
 	}
 }
 
@@ -115,25 +113,6 @@ func WithQueryCache(entries int) Option {
 			entries = 0
 		}
 		o.cacheEntries = entries
-	}
-}
-
-// WithReplicationBuffer sets the per-index in-memory replication tail buffer
-// budget in bytes (default 4MB). The buffer keeps recent WAL records
-// available to the replication shipper across snapshots, so a follower lagging
-// by less than the budget is never forced into a full bootstrap; larger
-// budgets tolerate longer partitions at memory cost. Size it to at least one
-// shipper poll interval of sustained ingest (bytes/s x interval): frames
-// evicted before the shipper drains them are re-read from the WAL file —
-// correct, but a re-read and CRC check of bytes that were just in memory.
-// <= 0 disables the buffer — followers then resync from the live WAL file
-// or bootstrap.
-func WithReplicationBuffer(bytes int) Option {
-	return func(o *storeOptions) {
-		if bytes < 0 {
-			bytes = 0
-		}
-		o.replTailBytes = bytes
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
@@ -93,92 +91,17 @@ type ReplSnapshot struct {
 	Frames   []ReplFrame      `json:"frames"`
 }
 
-// ReplCursor remembers where in the primary's live WAL file the previous
-// ReplRange stopped, so steady-state tailing is an incremental file read
-// instead of a scan from the base. It is only a hint: a cursor invalidated by
-// a snapshot (WALSeq moved on) is ignored and the scan restarts from the
-// base offset.
+// ReplCursor remembers where in which of the primary's WAL files the
+// previous ReplRange stopped, so steady-state tailing is an incremental file
+// read instead of a scan from the file's first record. It is only a hint: a
+// cursor into another file than the one a call reads (a snapshot moved the
+// WAL on, or the call crossed from the retired WAL into the live one) is
+// ignored and the scan restarts from that file's first record.
 type ReplCursor struct {
 	WALSeq int   `json:"wal_seq"`
 	Off    int64 `json:"off"`
 	Seq    int64 `json:"seq"`
 	Valid  bool  `json:"valid"`
-}
-
-// replTail is the in-memory buffer of recent WAL records the shipper reads
-// from in steady state. It survives snapshots — the live WAL file is
-// truncated when a segment folds it in, but buffered frames remain — so a
-// follower lagging by less than the byte budget never needs a bootstrap.
-// Frames are appended under the index's appendMu (so buffer order == WAL
-// order) and evicted oldest-first once the budget is exceeded. push takes
-// ownership of the payload it is given; journalApply arranges ownership —
-// transferring the caller's encode buffer outright when it can, cloning
-// only for callers that must keep theirs — so the armed ingest path pays
-// one buffer allocation per record, not a copy.
-type replTail struct {
-	armed *atomic.Bool // store-wide arming flag, shared by pointer
-	max   int
-
-	mu     sync.Mutex
-	frames []ReplFrame
-	bytes  int
-	start  int // frames[start:] are live; amortizes front eviction
-}
-
-func newReplTail(max int, armed *atomic.Bool) *replTail {
-	return &replTail{armed: armed, max: max}
-}
-
-// wants reports whether the buffer is armed and budgeted — i.e. whether a
-// push would retain the payload. Callers check it to decide between
-// transferring their buffer and recycling it.
-func (t *replTail) wants() bool {
-	return t != nil && t.max > 0 && t.armed.Load()
-}
-
-// push buffers one record, taking ownership of payload. Callers must have
-// checked wants() and must not reuse the buffer afterward.
-func (t *replTail) push(seq int64, rt durable.RecordType, payload []byte) {
-	if !t.wants() {
-		return
-	}
-	t.mu.Lock()
-	t.frames = append(t.frames, ReplFrame{Seq: seq, Type: rt, Payload: payload})
-	t.bytes += len(payload)
-	for t.bytes > t.max && t.start < len(t.frames)-1 {
-		t.bytes -= len(t.frames[t.start].Payload)
-		t.frames[t.start].Payload = nil
-		t.start++
-	}
-	if t.start > 64 && t.start > len(t.frames)/2 {
-		t.frames = append(t.frames[:0:0], t.frames[t.start:]...)
-		t.start = 0
-	}
-	t.mu.Unlock()
-}
-
-// slice returns buffered frames from sequence from onward, bounded by the
-// frame and byte budgets. ok is false when the buffer cannot serve from —
-// either it is empty or its oldest retained frame is already past from — in
-// which case the caller falls back to the WAL file or a bootstrap.
-func (t *replTail) slice(from int64, maxFrames, maxBytes int) ([]ReplFrame, bool) {
-	if t == nil {
-		return nil, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	live := t.frames[t.start:]
-	if len(live) == 0 || live[0].Seq > from || live[len(live)-1].Seq < from {
-		return nil, false
-	}
-	i := int(from - live[0].Seq) // sequences are dense, so this is an index
-	out := make([]ReplFrame, 0, min(len(live)-i, maxFrames))
-	b := 0
-	for ; i < len(live) && len(out) < maxFrames && b <= maxBytes; i++ {
-		out = append(out, live[i])
-		b += len(live[i].Payload)
-	}
-	return out, true
 }
 
 // Role returns the store's replication role.
@@ -195,9 +118,11 @@ func (s *Store) SetFollower() { s.role.Store(int32(RoleFollower)) }
 // failover client's concern.
 func (s *Store) Promote() { s.role.Store(int32(RolePrimary)) }
 
-// ArmReplication turns on the per-index replication tail buffers. The
-// shipper arms the store it serves; unarmed stores skip the buffer copy on
-// the ingest hot path entirely, so replication costs nothing until enabled.
+// ArmReplication makes every later snapshot keep the WAL it retires until
+// the next snapshot, so ReplRange serves a follower lagging by less than one
+// snapshot generation from WAL files instead of demanding a bootstrap. The
+// shipper arms the store it serves; an unarmed store deletes a retired WAL
+// at once. The write path is the same either way.
 func (s *Store) ArmReplication() { s.replArmed.Store(true) }
 
 // ReplHeadSeq returns the named index's head sequence: the number of records
@@ -243,11 +168,13 @@ const (
 
 // ReplRange returns WAL frames of the named index starting at sequence from,
 // bounded by maxFrames/maxBytes (budgets are soft by up to one read chunk;
-// non-positive selects defaults). head is the index's current head sequence.
-// bootstrap reports that from is no longer retrievable — older than both the
-// tail buffer and the live WAL file — so the follower must take a full
-// bootstrap instead. cur, when non-nil, carries the file cursor between
-// calls so steady-state tailing reads incrementally.
+// non-positive selects defaults) and by the end of the one WAL file it reads:
+// the retired WAL a replicating snapshot kept serves [retiredBase, baseSeq),
+// the live WAL [baseSeq, head). head is the index's current head sequence.
+// bootstrap reports that from is no longer retrievable — older than both
+// files — so the follower must take a full bootstrap instead. cur, when
+// non-nil, carries the file cursor between calls so steady-state tailing
+// reads incrementally.
 //
 // Only durable indices replicate: the WAL is the replication log, so an
 // in-memory primary has nothing to ship.
@@ -266,9 +193,10 @@ func (s *Store) ReplRange(index string, from int64, cur *ReplCursor, maxFrames, 
 	if maxBytes <= 0 {
 		maxBytes = defaultReplBytes
 	}
-	// The shared gate (read side) pins baseSeq and the live WAL file against
-	// a concurrent snapshot for the duration of the scan; writers are not
-	// excluded — the tail reader only consumes complete records.
+	// The shared gate (read side) pins baseSeq, retiredBase and both WAL
+	// files against a concurrent snapshot for the duration of the scan;
+	// writers are not excluded — the scan stops at head, so it never reads
+	// past the records it knows are complete.
 	d.gate.RLock()
 	defer d.gate.RUnlock()
 	head = d.recSeq.Load()
@@ -281,38 +209,37 @@ func (s *Store) ReplRange(index string, from int64, cur *ReplCursor, maxFrames, 
 	case from == head:
 		return nil, head, false, nil
 	}
-	if fr, ok := d.tail.slice(from, maxFrames, maxBytes); ok {
-		if cur != nil {
-			cur.Valid = false
-		}
-		return fr, head, false, nil
-	}
+	walSeq, base, end := d.walSeq, d.baseSeq, head
 	if from < d.baseSeq {
-		// Folded into the segment and evicted from the buffer: not
-		// reconstructible as WAL records anymore.
-		return nil, head, true, nil
+		if d.retiredBase < 0 || from < d.retiredBase {
+			// Folded into a segment and its WAL deleted: not reconstructible as
+			// WAL records anymore.
+			return nil, head, true, nil
+		}
+		walSeq, base, end = d.walSeq-1, d.retiredBase, d.baseSeq
 	}
-	// Live WAL file scan: records [baseSeq, head) live in wal-<walSeq>. The
-	// cursor skips the prefix already consumed on earlier calls when it still
-	// points into this WAL generation.
-	seq, off := d.baseSeq, int64(0)
-	if cur != nil && cur.Valid && cur.WALSeq == d.walSeq && cur.Seq >= d.baseSeq && cur.Seq <= from {
+	// Records [base, end) live in wal-<walSeq>. The cursor skips the prefix
+	// already consumed on earlier calls when it still points into this file.
+	seq, off := base, int64(0)
+	if cur != nil && cur.Valid && cur.WALSeq == walSeq && cur.Seq >= base && cur.Seq <= from {
 		seq, off = cur.Seq, cur.Off
 	}
-	path := filepath.Join(d.dir, durable.WALName(d.walSeq))
+	path := filepath.Join(d.dir, durable.WALName(walSeq))
 	gotBytes := 0
-	for len(frames) < maxFrames && gotBytes <= maxBytes && seq < head {
-		recs, next, rerr := durable.ReadWALTail(path, off, maxFrames, maxBytes)
+	for len(frames) < maxFrames && gotBytes <= maxBytes && seq < end {
+		// Never read past end: records appended since head was loaded are
+		// not counted in it, and a cursor past them would miss the next call.
+		recs, next, rerr := durable.ReadWALTail(path, off, int(min(int64(maxFrames), end-seq)), maxBytes)
 		if rerr != nil {
 			return nil, head, false, rerr
 		}
 		if len(recs) == 0 {
-			// The remaining records are a concurrent append still in flight;
-			// serve what we have, the follower will ask again.
+			// A record below head is whole on disk before head counts it, so
+			// only a damaged file stops here: serve what we have.
 			break
 		}
 		for _, r := range recs {
-			if seq >= from && seq < head {
+			if seq >= from {
 				frames = append(frames, ReplFrame{Seq: seq, Type: r.Type, Payload: r.Payload})
 				gotBytes += len(r.Payload)
 			}
@@ -321,7 +248,7 @@ func (s *Store) ReplRange(index string, from int64, cur *ReplCursor, maxFrames, 
 		off = next
 	}
 	if cur != nil {
-		*cur = ReplCursor{WALSeq: d.walSeq, Off: off, Seq: seq, Valid: true}
+		*cur = ReplCursor{WALSeq: walSeq, Off: off, Seq: seq, Valid: true}
 	}
 	return frames, head, false, nil
 }
@@ -425,7 +352,7 @@ func (ix *Index) applyReplFrame(f *ReplFrame) error {
 		}
 		ix.dur.gate.RLock()
 		defer ix.dur.gate.RUnlock()
-		return ix.journalApply(durable.RecordEvents, f.Payload, true, len(events), func(start int) {
+		return ix.journalApply(durable.RecordEvents, f.Payload, len(events), func(start int) {
 			ix.addEventsAt(start, events)
 		})
 	case durable.RecordPaths:

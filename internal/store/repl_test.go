@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // pump drains primary's WAL into follower through the in-process replication
@@ -109,12 +111,14 @@ func TestReplStreamToFollower(t *testing.T) {
 	}
 }
 
-// TestReplRangeAcrossSnapshot checks that the tail buffer carries a lagging
-// follower across a primary snapshot (the live WAL is truncated, but the
-// buffered frames remain) — no bootstrap needed. With the buffer disabled the
-// same lag must demand a bootstrap, and the bootstrap must converge.
+// TestReplRangeAcrossSnapshot checks that the WAL a replicating snapshot
+// retires carries a lagging follower across that snapshot — the records
+// folded into the segment are still WAL records in wal-<n-1> — so no
+// bootstrap is needed. Two snapshots past the follower, the retired WAL is
+// gone too: the same lag must demand a bootstrap, and the bootstrap must
+// converge.
 func TestReplRangeAcrossSnapshot(t *testing.T) {
-	t.Run("buffered", func(t *testing.T) {
+	t.Run("retired-wal", func(t *testing.T) {
 		primary := openDurable(t, t.TempDir())
 		defer primary.Close()
 		primary.ArmReplication()
@@ -123,18 +127,18 @@ func TestReplRangeAcrossSnapshot(t *testing.T) {
 
 		ingestRound(t, primary, 0)
 		pump(t, primary, follower, crashIndex, false) // catch up pre-snapshot
-		ingestRound(t, primary, 1)                    // journaled + buffered
+		ingestRound(t, primary, 1)                    // journaled in wal-000000
 		if err := primary.Snapshot(); err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
 		ingestRound(t, primary, 2)
-		pump(t, primary, follower, crashIndex, false) // must cross the snapshot via the buffer
+		pump(t, primary, follower, crashIndex, false) // must cross the snapshot via the retired WAL
 		if got, want := fingerprint(t, follower), fingerprint(t, controlStore(t, 3)); got != want {
 			t.Fatalf("follower diverged after snapshot-crossing catch-up")
 		}
 	})
-	t.Run("unbuffered-bootstrap", func(t *testing.T) {
-		primary := openDurable(t, t.TempDir(), WithReplicationBuffer(0))
+	t.Run("two-snapshots-bootstrap", func(t *testing.T) {
+		primary := openDurable(t, t.TempDir())
 		defer primary.Close()
 		primary.ArmReplication()
 		follower := openDurable(t, t.TempDir())
@@ -146,20 +150,132 @@ func TestReplRangeAcrossSnapshot(t *testing.T) {
 			t.Fatalf("snapshot: %v", err)
 		}
 		ingestRound(t, primary, 1)
-		// The follower is at 0, the records up to the snapshot are folded into
-		// the segment, and there is no buffer: only a bootstrap serves this.
+		if err := primary.Snapshot(); err != nil {
+			t.Fatalf("second snapshot: %v", err)
+		}
+		// The follower is at 0; round 0's records were in wal-000000, which the
+		// second snapshot deleted: only a bootstrap serves this.
 		_, _, bootstrap, err := primary.ReplRange(crashIndex, 0, nil, 0, 0)
 		if err != nil {
 			t.Fatalf("repl range: %v", err)
 		}
 		if !bootstrap {
-			t.Fatalf("expected bootstrap demand with buffer disabled after snapshot")
+			t.Fatalf("expected bootstrap demand two snapshots past the follower")
 		}
 		pump(t, primary, follower, crashIndex, true)
 		if got, want := fingerprint(t, follower), fingerprint(t, controlStore(t, 2)); got != want {
 			t.Fatalf("bootstrapped follower diverged")
 		}
 	})
+}
+
+// TestReplFollowerLagsPastBufferAcrossSnapshot lags a follower by more than
+// 5 MiB of frames, all of them folded into a segment by a snapshot: the
+// retired WAL still holds every one, so the follower streams on from 0
+// without a bootstrap, however large the lag.
+func TestReplFollowerLagsPastBufferAcrossSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	primary := openDurable(t, dir, WithFsyncPolicy(FsyncOff))
+	defer primary.Close()
+	primary.ArmReplication()
+	follower := memStore(t)
+	follower.SetFollower()
+
+	ctx := context.Background()
+	pad := strings.Repeat("p", 2048)
+	for b := 0; b < 64; b++ {
+		evs := make([]event.Event, 40)
+		for i := range evs {
+			evs[i] = event.Event{
+				Session: "lag", Syscall: "write", TID: i,
+				TimeEnterNS: int64(b*40+i) * 1000, TimeExitNS: int64(b*40+i)*1000 + 10,
+				ArgPath: fmt.Sprintf("/%d/%d/%s", b, i, pad), // unique: no frame dictionary shares it
+			}
+		}
+		if err := primary.BulkEvents(ctx, crashIndex, evs); err != nil {
+			t.Fatalf("bulk %d: %v", b, err)
+		}
+	}
+	fi, err := os.Stat(walFile(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() <= 5<<20 {
+		t.Fatalf("wal-000000 holds %d bytes, want more than 5 MiB", fi.Size())
+	}
+	if err := primary.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	pump(t, primary, follower, crashIndex, false)
+	if got, want := fingerprint(t, follower), fingerprint(t, primary); got != want {
+		t.Fatalf("follower diverged from primary")
+	}
+}
+
+// TestReplCursorStopsAtHead freezes the race between a range scan and a
+// concurrent append: a record lands in the live WAL after head was read but
+// before the file is. The scan must serve and step its cursor over the
+// records below head only, so the next call resumes where this one stopped
+// instead of rescanning the file from its first record.
+func TestReplCursorStopsAtHead(t *testing.T) {
+	dir := t.TempDir()
+	primary := openDurable(t, dir)
+	defer primary.Close()
+	ingestRound(t, primary, 0)
+	head, _ := primary.ReplHeadSeq(crashIndex)
+	fi, err := os.Stat(walFile(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The append in flight: a whole record the index has not counted yet.
+	w, err := durable.OpenWAL(walFile(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(durable.RecordEvents, event.EncodeBatch(nil, crashEvents(1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var cur ReplCursor
+	frames, h, bootstrap, err := primary.ReplRange(crashIndex, 0, &cur, 0, 0)
+	if err != nil || bootstrap {
+		t.Fatalf("repl range: bootstrap=%v err=%v", bootstrap, err)
+	}
+	if int64(len(frames)) != head || h != head {
+		t.Fatalf("got %d frames of head %d, want %d of %d", len(frames), h, head, head)
+	}
+	if cur.Seq != head || cur.Off != fi.Size() {
+		t.Fatalf("cursor at sequence %d offset %d, want %d at %d (the end of the counted records)", cur.Seq, cur.Off, head, fi.Size())
+	}
+}
+
+// TestArmedIngestAllocatesAsUnarmed holds the write path to one shape: a
+// store that replicates journals and forgets exactly as one that does not,
+// so arming it adds no allocation to BulkEvents or BulkFrame.
+func TestArmedIngestAllocatesAsUnarmed(t *testing.T) {
+	frame := event.EncodeBatch(nil, crashEvents(0))
+	allocs := func(armed bool) float64 {
+		st := openDurable(t, t.TempDir(), WithFsyncPolicy(FsyncOff))
+		defer st.Close()
+		if armed {
+			st.ArmReplication()
+		}
+		ctx, evs := context.Background(), crashEvents(0)
+		return testing.AllocsPerRun(200, func() {
+			if err := st.BulkEvents(ctx, crashIndex, evs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.BulkFrame(ctx, crashIndex, frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if unarmed, armed := allocs(false), allocs(true); armed > unarmed {
+		t.Fatalf("armed ingest allocates %.0f per BulkEvents+BulkFrame, unarmed %.0f", armed, unarmed)
+	}
 }
 
 // TestReplApplySeqReject checks the follower's duplicate/reorder guard: a

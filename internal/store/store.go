@@ -38,8 +38,7 @@ type Store struct {
 
 	// Replication role: a follower rejects direct writes (they arrive through
 	// ReplApply instead) until Promote flips it back to primary. replArmed
-	// turns on the per-index tail buffers the shipper reads; it is shared by
-	// pointer into every indexDurable so arming is one store-wide store.
+	// makes each snapshot keep the WAL it retires (ArmReplication).
 	role      atomic.Int32
 	replArmed atomic.Bool
 
@@ -327,8 +326,7 @@ func (s *Store) BulkEvents(ctx context.Context, index string, events []event.Eve
 // BulkFrame is BulkEvents for a batch that arrived as a wire frame, decoded
 // into a pooled batch: the frame bytes are journaled verbatim instead of
 // re-encoding the decoded events, so the HTTP ingest path pays for the codec
-// once. frame is not kept; with the replication tail armed the journal
-// clones it. A frame that does not decode is a BadRequest.
+// once. frame is not kept. A frame that does not decode is a BadRequest.
 func (s *Store) BulkFrame(ctx context.Context, index string, frame []byte) (int, error) {
 	bp, events, err := decodeEventBatch(frame)
 	if err != nil {

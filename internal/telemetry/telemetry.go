@@ -15,7 +15,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -217,7 +216,6 @@ type metric struct {
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
-	order   []string
 }
 
 // NewRegistry creates an empty registry.
@@ -230,7 +228,6 @@ func (r *Registry) lookup(name string) *metric {
 	if !ok {
 		m = &metric{}
 		r.metrics[name] = m
-		r.order = append(r.order, name)
 	}
 	return m
 }
@@ -306,7 +303,6 @@ func (r *Registry) Forget(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.metrics, name)
-	r.order = slices.DeleteFunc(r.order, func(n string) bool { return n == name })
 }
 
 // Histogram returns the named histogram, registering it with bounds on
@@ -387,31 +383,46 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // WriteText renders the registry in the Prometheus text exposition format
-// (counters/gauges/histograms; windows are snapshot-only). Metrics are
-// emitted in registration order with names sorted within a write for
-// deterministic output across runs.
+// (counters/gauges/histograms; windows are snapshot-only). Series are
+// ordered by base name, then label block, so each family's samples are
+// grouped under one HELP and one TYPE line, and the output is deterministic
+// across runs.
 func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	lookup := make(map[string]*metric, len(names))
-	for _, n := range names {
-		lookup[n] = r.metrics[n]
+	names := make([]string, 0, len(r.metrics))
+	lookup := make(map[string]*metric, len(r.metrics))
+	for n, m := range r.metrics {
+		if m.window == nil {
+			names = append(names, n)
+			lookup[n] = m
+		}
 	}
 	r.mu.Unlock()
-	sort.Strings(names)
+	sort.Slice(names, func(i, j int) bool {
+		bi, li := splitLabels(names[i])
+		bj, lj := splitLabels(names[j])
+		if bi != bj {
+			return bi < bj
+		}
+		return li < lj
+	})
+	prev := ""
 	for _, name := range names {
-		m := lookup[name]
-		if err := writeMetricText(w, name, m); err != nil {
+		base, _ := splitLabels(name)
+		if err := writeMetricText(w, name, lookup[name], base != prev); err != nil {
 			return err
 		}
+		prev = base
 	}
 	return nil
 }
 
-func writeMetricText(w io.Writer, name string, m *metric) error {
+// writeMetricText renders one series, preceded by its family's HELP and
+// TYPE lines when header is set (the family's first series).
+func writeMetricText(w io.Writer, name string, m *metric, header bool) error {
 	var err error
 	p := func(format string, args ...any) {
 		if err == nil {
@@ -419,21 +430,30 @@ func writeMetricText(w io.Writer, name string, m *metric) error {
 		}
 	}
 	base, labels := splitLabels(name)
-	if m.help != "" {
-		p("# HELP %s %s\n", base, m.help)
+	if header {
+		if m.help != "" {
+			p("# HELP %s %s\n", base, m.help)
+		}
+		kind := "histogram"
+		switch {
+		case m.counter != nil, m.counterFunc != nil:
+			kind = "counter"
+		case m.gauge != nil, m.gaugeFunc != nil:
+			kind = "gauge"
+		}
+		p("# TYPE %s %s\n", base, kind)
 	}
 	switch {
 	case m.counter != nil:
-		p("# TYPE %s counter\n%s %d\n", base, name, m.counter.Value())
+		p("%s %d\n", name, m.counter.Value())
 	case m.counterFunc != nil:
-		p("# TYPE %s counter\n%s %d\n", base, name, m.counterFunc())
+		p("%s %d\n", name, m.counterFunc())
 	case m.gauge != nil:
-		p("# TYPE %s gauge\n%s %d\n", base, name, m.gauge.Value())
+		p("%s %d\n", name, m.gauge.Value())
 	case m.gaugeFunc != nil:
-		p("# TYPE %s gauge\n%s %g\n", base, name, m.gaugeFunc())
+		p("%s %g\n", name, m.gaugeFunc())
 	case m.histogram != nil:
 		s := m.histogram.Snapshot()
-		p("# TYPE %s histogram\n", base)
 		var cum uint64
 		for i, b := range s.Bounds {
 			cum += s.Counts[i]
@@ -465,47 +485,4 @@ func labeledName(base, labels, le string) string {
 	}
 	// labels is `{k="v",...}`; splice le before the closing brace.
 	return fmt.Sprintf("%s_bucket%s,le=%q}", base, labels[:len(labels)-1], le)
-}
-
-// WriteText renders a snapshot in the same text format (counters, gauges,
-// and histograms), for callers that hold a Snapshot rather than a live
-// Registry.
-func (s Snapshot) WriteText(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	for _, name := range sortedKeys(s.Counters) {
-		base, _ := splitLabels(name)
-		p("# TYPE %s counter\n%s %d\n", base, name, s.Counters[name])
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		base, _ := splitLabels(name)
-		p("# TYPE %s gauge\n%s %g\n", base, name, s.Gauges[name])
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		base, labels := splitLabels(name)
-		h := s.Histograms[name]
-		p("# TYPE %s histogram\n", base)
-		var cum uint64
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			p("%s %d\n", labeledName(base, labels, fmt.Sprintf("%g", b)), cum)
-		}
-		cum += h.Counts[len(h.Bounds)]
-		p("%s %d\n", labeledName(base, labels, "+Inf"), cum)
-		p("%s_sum%s %g\n%s_count%s %d\n", base, labels, h.Sum, base, labels, h.Count)
-	}
-	return err
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

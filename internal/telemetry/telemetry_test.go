@@ -121,18 +121,72 @@ func TestWriteTextFormat(t *testing.T) {
 		}
 	}
 
-	// Snapshot exposition agrees on the same lines.
-	var sb2 strings.Builder
-	if err := r.Snapshot().WriteText(&sb2); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb2.String(), "dio_x_total 7") {
-		t.Fatalf("snapshot exposition missing counter:\n%s", sb2.String())
-	}
 	// A CounterFunc is read when snapshotted, never copied at registration.
 	kept.Add(1)
 	if got := r.Snapshot().Counters["dio_kept_total"]; got != 10 {
 		t.Fatalf("counter func snapshot = %d, want 10", got)
+	}
+}
+
+// TestWriteTextOneHeaderPerFamily checks the exposition's grouping rule:
+// one HELP and one TYPE line per metric family, followed by every series of
+// that family and no other — also where one family's base name is a prefix
+// of another's, which a plain sort of the registered names interleaves.
+func TestWriteTextOneHeaderPerFamily(t *testing.T) {
+	r := NewRegistry()
+	for _, ix := range []string{"b", "a"} {
+		r.GaugeFunc(`dio_store_docs{index="`+ix+`"}`, "live documents in the index", func() float64 { return 1 })
+	}
+	r.Counter("dio_store_docs_total", "documents ever").Inc()
+	for _, w := range []string{"1", "0"} {
+		r.Histogram(`dio_lab_ns{worker="`+w+`"}`, "labeled", []float64{100}).Observe(50)
+	}
+	r.Window("dio_lab_ns_window", "snapshot only", 1)
+
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	types := map[string]int{}
+	helps := map[string]int{}
+	family := ""
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			helps[strings.Fields(rest)[0]]++
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family = strings.Fields(rest)[0]
+			types[family]++
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		base, _ := splitLabels(name)
+		if family == "dio_lab_ns" { // a histogram's samples carry suffixes
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				base = strings.TrimSuffix(base, suffix)
+			}
+		}
+		if base != family {
+			t.Fatalf("series %q outside its family (under TYPE %q):\n%s", name, family, out)
+		}
+	}
+	for base, want := range map[string]int{"dio_store_docs": 1, "dio_store_docs_total": 1, "dio_lab_ns": 1} {
+		if types[base] != want {
+			t.Errorf("# TYPE %s printed %d times, want %d:\n%s", base, types[base], want, out)
+		}
+		if helps[base] > 1 {
+			t.Errorf("# HELP %s printed %d times:\n%s", base, helps[base], out)
+		}
+	}
+	if len(types) != 3 {
+		t.Errorf("families %v, want 3 (windows are snapshot-only):\n%s", types, out)
+	}
+	for _, want := range []string{`dio_store_docs{index="a"} 1`, `dio_store_docs{index="b"} 1`, `dio_lab_ns_count{worker="0"} 1`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -3,11 +3,12 @@
 // (durable, interval fsync) behind a real HTTP server. Three variants:
 //
 //   - Primary: no replication at all (baseline).
-//   - Shipped: the primary-side cost — replication armed (each journaled
-//     payload handed to the tail buffer) and a Replicator concurrently
-//     draining the buffer and pushing frames; the transport acks and
-//     discards, standing in for a follower on other hardware. This is the
-//     number the <=10% acceptance bar applies to.
+//   - Shipped: the primary-side cost — replication armed and a Replicator
+//     concurrently reading new records from the live WAL (through its
+//     cursor, from the page cache) and pushing frames; the transport acks
+//     and discards, standing in for a follower on other hardware. This is
+//     the number the <=10% acceptance bar applies to; its B/op is flat in
+//     b.N only while the cursor never rescans the WAL.
 //   - InProcessFollower: the whole pair in one process — frames go over
 //     real HTTP into a real follower that fully applies them. On a
 //     single-core host this double-counts the follower's CPU against the
@@ -74,15 +75,9 @@ func (d *discardTransport) Bootstrap(_ context.Context, index string, snap store
 func BenchmarkReplicationOverhead(b *testing.B) {
 	raws := ingestRecords()
 	run := func(b *testing.B, mkTransport func(b *testing.B) repl.Transport) {
-		// The tail buffer must cover one poll interval of ingest (the sizing
-		// rule on WithReplicationBuffer): this bench sustains ~75 MB/s, so
-		// the 4 MB default would evict frames between 50ms drains and push
-		// the shipper onto the WAL file-scan fallback — correct, but paying
-		// a re-read+CRC for bytes that were just in memory.
 		st, err := store.Open(
 			store.WithDataDir(b.TempDir()),
 			store.WithFsyncPolicy(store.FsyncInterval),
-			store.WithReplicationBuffer(64<<20),
 			store.WithSnapshotInterval(0))
 		if err != nil {
 			b.Fatal(err)
