@@ -13,9 +13,10 @@
 //	diod -addr :9200 -data /var/lib/diod -replicate http://standby:9201
 //	diod -addr :9201 -data /var/lib/diod-standby -follow http://primary:9200 -auto-promote 10s
 //
-// A follower rejects direct writes and applies the primary's WAL frames
-// pushed to /_repl/apply; POST /_repl/promote (or -auto-promote on primary
-// loss) flips it to a writable primary.
+// A follower rejects direct writes and journals the primary's WAL frames
+// pushed to /_repl/apply, so it needs -data: without it diod exits with the
+// store's refusal before serving. POST /_repl/promote (or -auto-promote on
+// primary loss) flips it to a writable primary.
 //
 // Cluster coordinator (DESIGN.md §16): -cluster turns diod into a stateless
 // routing tier over a static topology. Commas separate partitions; a `|`
@@ -93,12 +94,6 @@ func (cfg config) check() error {
 	if cfg.follow != "" && cfg.replicate != "" {
 		return fmt.Errorf("-follow and -replicate are mutually exclusive (chained replication is not supported)")
 	}
-	if cfg.follow != "" && cfg.data == "" {
-		// Every snapshot moves flushed rows into segment files, so a primary
-		// past its first one bootstraps followers with rows only a data dir
-		// can hold; an in-memory follower would refuse that bootstrap.
-		return fmt.Errorf("-follow requires -data: a primary's bootstrap carries flushed segment rows, which only a durable follower can hold")
-	}
 	return nil
 }
 
@@ -121,7 +116,11 @@ func run(cfg config) error {
 		return fmt.Errorf("open store: %w", err)
 	}
 	if cfg.follow != "" {
-		st.SetFollower()
+		// A follower is durable: without -data the store refuses the role.
+		if err := st.SetFollower(); err != nil {
+			st.Close()
+			return fmt.Errorf("-follow: %w", err)
+		}
 	}
 
 	var shippers []*repl.Replicator

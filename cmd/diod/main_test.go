@@ -19,7 +19,7 @@ func TestConfigCheck(t *testing.T) {
 		{"durable primary shipping", config{fsyncMode: "interval", data: "/d", replicate: "http://f"}, ""},
 		{"coordinator", config{cluster: "http://n0,http://n1"}, ""},
 		{"bad fsync policy", config{fsyncMode: "sometimes"}, "sometimes"},
-		{"follower without a data dir", config{fsyncMode: "interval", follow: "http://p"}, "-follow requires -data"},
+		{"follower without a data dir", config{fsyncMode: "interval", follow: "http://p"}, ""}, // the store refuses it
 		{"follower that ships", config{fsyncMode: "interval", data: "/d", follow: "http://p", replicate: "http://f"}, "mutually exclusive"},
 		{"coordinator with a data dir", config{cluster: "http://n0", data: "/d"}, "stateless routing tier"},
 		{"coordinator that follows", config{cluster: "http://n0", follow: "http://p"}, "stateless routing tier"},
@@ -34,5 +34,15 @@ func TestConfigCheck(t *testing.T) {
 				t.Fatalf("error = %v, want one naming %q", err, tc.err)
 			}
 		})
+	}
+}
+
+// TestFollowerWithoutDataExitsBeforeServing: a follower is durable by
+// construction, so diod -follow without -data fails with the store's error
+// before it listens.
+func TestFollowerWithoutDataExitsBeforeServing(t *testing.T) {
+	err := run(config{addr: "127.0.0.1:0", fsyncMode: "interval", follow: "http://127.0.0.1:1"})
+	if err == nil || !strings.Contains(err.Error(), "data dir") {
+		t.Fatalf("run = %v, want the store's refusal naming the data dir", err)
 	}
 }

@@ -323,9 +323,21 @@ func TestClusterCorrelationPartialBroadcast(t *testing.T) {
 	}
 
 	// A follower partition refuses the broadcast: 409 from its node, and the
-	// pass fails naming it.
-	mems[1].st.SetFollower()
-	nsrv := httptest.NewServer(store.NewServer(mems[1].st))
+	// pass fails naming it. A follower is durable, so partition 1's rows move
+	// to a durable node that then follows.
+	fst, _ := corrStores(t, 1, []string{""})
+	rows, err := mems[1].st.SearchEvents(ctx, testIndex, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fst[0].BulkEvents(ctx, testIndex, rows.Hits); err != nil {
+		t.Fatal(err)
+	}
+	if err := fst[0].SetFollower(); err != nil {
+		t.Fatal(err)
+	}
+	co.nodes[1] = &memNode{st: fst[0], name: mems[1].name}
+	nsrv := httptest.NewServer(store.NewServer(fst[0]))
 	defer nsrv.Close()
 	rec := event.PathsRecord{Session: corrSession}
 	var he *store.HTTPError
@@ -336,7 +348,7 @@ func TestClusterCorrelationPartialBroadcast(t *testing.T) {
 		!strings.Contains(err.Error(), "partition 1") {
 		t.Fatalf("correlate over a follower partition: %v", err)
 	}
-	mems[1].st.Promote()
+	co.nodes[1] = mems[1]
 
 	// Two rows on four partitions: two partitions lack the index.
 	co2, _ := newTestCluster(t, 4)

@@ -305,8 +305,8 @@ func TestClusterHealthAndMetricsHTTP(t *testing.T) {
 func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	ctx := context.Background()
 
-	// Partition 0: durable primary + in-memory follower behind a
-	// WAL-shipping replicator, fronted by a two-member FailoverClient.
+	// Partition 0: durable primary + durable follower behind a WAL-shipping
+	// replicator, fronted by a two-member FailoverClient.
 	dir, err := os.MkdirTemp("", "dio-cluster-failover-")
 	if err != nil {
 		t.Fatalf("tempdir: %v", err)
@@ -321,8 +321,17 @@ func TestClusterCursorResumeAcrossPartitionFailover(t *testing.T) {
 	}
 	defer primary.Close()
 	psrv := httptest.NewServer(store.NewServer(primary))
-	follower := memStore(t)
-	follower.SetFollower()
+	follower, err := store.Open(
+		store.WithDataDir(t.TempDir()),
+		store.WithFsyncPolicy(store.FsyncInterval),
+		store.WithSnapshotInterval(0))
+	if err != nil {
+		t.Fatalf("open follower: %v", err)
+	}
+	defer follower.Close()
+	if err := follower.SetFollower(); err != nil {
+		t.Fatalf("set follower: %v", err)
+	}
 	fsrv := httptest.NewServer(store.NewServer(follower))
 	defer fsrv.Close()
 	shipper := repl.New(primary, repl.ClientTransport{C: store.NewClient(fsrv.URL)}, repl.Config{

@@ -28,8 +28,7 @@ func TestFailoverTracedStormLosesNothing(t *testing.T) {
 	defer primary.Close()
 	psrv := httptest.NewServer(store.NewServer(primary))
 	defer psrv.Close()
-	follower := memStore(t)
-	follower.SetFollower()
+	follower := newFollower(t)
 	fsrv := httptest.NewServer(store.NewServer(follower))
 	defer fsrv.Close()
 

@@ -127,7 +127,9 @@ func TestCorrelationSurvivesEveryLayout(t *testing.T) {
 	}
 	syncTo := func(t *testing.T, primary, follower *store.Store) (*Replicator, *faultTransport) {
 		t.Helper()
-		follower.SetFollower()
+		if err := follower.SetFollower(); err != nil {
+			t.Fatalf("set follower: %v", err)
+		}
 		tr := &faultTransport{st: follower}
 		r := New(primary, tr, Config{Policy: resilience.Policy{Clock: clock.NewVirtual(0)}})
 		if err := r.Sync(context.Background()); err != nil {
@@ -213,17 +215,17 @@ func TestCorrelationSurvivesEveryLayout(t *testing.T) {
 	t.Run("followers fed by the replicator", func(t *testing.T) {
 		primary := open(t, t.TempDir())
 		layoutIngest(t, primary, false)
-		mem := memStore(t)
+		hot := open(t, t.TempDir())
 		tiered := open(t, t.TempDir())
-		rMem, _ := syncTo(t, primary, mem)
+		rHot, _ := syncTo(t, primary, hot)
 		rTiered, _ := syncTo(t, primary, tiered)
-		// The durable follower evicts the rows before their names arrive: its
+		// The tiered follower evicts the rows before their names arrive: its
 		// replayed paths records find no hot row and live in its book.
 		if err := tiered.Snapshot(); err != nil {
 			t.Fatalf("follower flush: %v", err)
 		}
 		layoutCorrelate(t, primary)
-		for _, r := range []*Replicator{rMem, rTiered} {
+		for _, r := range []*Replicator{rHot, rTiered} {
 			if err := r.Sync(context.Background()); err != nil {
 				t.Fatalf("sync the passes: %v", err)
 			}
@@ -231,7 +233,7 @@ func TestCorrelationSurvivesEveryLayout(t *testing.T) {
 				t.Fatal("a follower was bootstrapped; the stream should have sufficed")
 			}
 		}
-		check(t, mem)
+		check(t, hot)
 		check(t, tiered)
 	})
 }

@@ -330,7 +330,7 @@ func (r *Replicator) syncIndex(ctx context.Context, name string) (lag int64, err
 // entry at 0 for an index the follower has never seen) and drops the WAL
 // cursor so the next range scan restarts cleanly.
 func (r *Replicator) resync(ctx context.Context, name string) error {
-	st, err := r.push(ctx, func(c context.Context) (int64, error) {
+	st, err := r.call(ctx, func(c context.Context) (int64, error) {
 		s, e := r.tr.Status(c)
 		if e != nil {
 			return 0, e
@@ -371,12 +371,24 @@ func (r *Replicator) bootstrap(ctx context.Context, name string) error {
 	return nil
 }
 
-// push runs one transport call up the ladder. A call the ladder gave up on —
+// push runs one Apply or Bootstrap call up the ladder and, when it
+// succeeds, counts and times it as a push. A Status probe is no push: it
+// goes through call alone.
+func (r *Replicator) push(ctx context.Context, fn func(context.Context) (int64, error)) (int64, error) {
+	start := r.cfg.Clock.NowNS()
+	v, err := r.call(ctx, fn)
+	if err == nil {
+		r.pushes.Add(1)
+		r.tmPushNS.Observe(float64(r.cfg.Clock.NowNS() - start))
+	}
+	return v, err
+}
+
+// call runs one transport call up the ladder. A call the ladder gave up on —
 // its attempts spent or the breaker open — is ErrFollowerDown; any other
 // failure, a sequence mismatch above all, returns as it is for the caller to
 // handle.
-func (r *Replicator) push(ctx context.Context, fn func(context.Context) (int64, error)) (int64, error) {
-	start := r.cfg.Clock.NowNS()
+func (r *Replicator) call(ctx context.Context, fn func(context.Context) (int64, error)) (int64, error) {
 	var v int64
 	err := r.Run(ctx, false, func(c context.Context) (err error) {
 		v, err = fn(c)
@@ -384,8 +396,6 @@ func (r *Replicator) push(ctx context.Context, fn func(context.Context) (int64, 
 	})
 	switch {
 	case err == nil:
-		r.pushes.Add(1)
-		r.tmPushNS.Observe(float64(r.cfg.Clock.NowNS() - start))
 		return v, nil
 	case ctx.Err() != nil || !resilience.IsRetryable(err):
 		return 0, err

@@ -123,6 +123,24 @@ func openDurable(t *testing.T, dir string) *store.Store {
 	return st
 }
 
+// newFollower opens a durable follower on a temp dir: a follower journals
+// every frame it applies, so it needs a data dir.
+func newFollower(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open(
+		store.WithDataDir(tb.TempDir()),
+		store.WithFsyncPolicy(store.FsyncOff),
+		store.WithSnapshotInterval(0))
+	if err != nil {
+		tb.Fatalf("open follower: %v", err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	if err := st.SetFollower(); err != nil {
+		tb.Fatalf("set follower: %v", err)
+	}
+	return st
+}
+
 // faultTransport is the in-process fake transport: it applies frames
 // directly to a follower store and injects network faults on the way —
 // dropped calls (partition), delayed calls, duplicated deliveries, and a
@@ -227,14 +245,13 @@ func (e hintedErr) Error() string                 { return fmt.Sprintf("fake: ba
 func (e hintedErr) Temporary() bool               { return true }
 func (e hintedErr) RetryAfterHint() time.Duration { return e.after }
 
-// newPair builds a primary (durable, dir) and an in-memory follower behind a
-// fault transport, plus a replicator wired with a virtual clock.
+// newPair builds a primary and a follower, both durable, the follower behind
+// a fault transport, plus a replicator wired with a virtual clock.
 func newPair(t *testing.T, cfg Config) (*store.Store, *store.Store, *faultTransport, *Replicator) {
 	t.Helper()
 	primary := openDurable(t, t.TempDir())
 	t.Cleanup(func() { primary.Close() })
-	follower := memStore(t)
-	follower.SetFollower()
+	follower := newFollower(t)
 	tr := &faultTransport{st: follower}
 	r := New(primary, tr, cfg)
 	return primary, follower, tr, r
@@ -289,15 +306,16 @@ func TestSyncDrainsAndReports(t *testing.T) {
 
 // TestReplTelemetryPerTarget checks that every replicator registers its
 // series on the primary's own registry, with no registry passed in, each
-// labelled with its target, so two followers do not overwrite each other.
+// labelled with its target, so two followers do not overwrite each other,
+// and that a push is an Apply or a Bootstrap: the Status probe a first sync
+// runs is not one, so three applies read three pushes.
 func TestReplTelemetryPerTarget(t *testing.T) {
 	primary := openDurable(t, t.TempDir())
 	t.Cleanup(func() { primary.Close() })
-	rs := map[string]*Replicator{}
+	rs, trs := map[string]*Replicator{}, map[string]*faultTransport{}
 	for _, target := range []string{"fake://a", "fake://b"} {
-		follower := memStore(t)
-		follower.SetFollower()
-		rs[target] = New(primary, &faultTransport{st: follower, target: target}, Config{})
+		trs[target] = &faultTransport{st: newFollower(t), target: target}
+		rs[target] = New(primary, trs[target], Config{})
 	}
 	ingestRound(t, primary, 0)
 	for _, r := range rs {
@@ -305,13 +323,18 @@ func TestReplTelemetryPerTarget(t *testing.T) {
 			t.Fatalf("sync: %v", err)
 		}
 	}
-	ingestRound(t, primary, 1)
-	if err := rs["fake://b"].Sync(context.Background()); err != nil { // b alone ships round 1
-		t.Fatalf("sync: %v", err)
+	for round := 1; round < 3; round++ { // b alone ships rounds 1 and 2
+		ingestRound(t, primary, round)
+		if err := rs["fake://b"].Sync(context.Background()); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
 	}
 	snap := primary.Telemetry().Snapshot()
 	for target, r := range rs {
-		st, label := r.Stats(), `{target="`+target+`"}`
+		st, label, tr := r.Stats(), `{target="`+target+`"}`, trs[target]
+		if want := uint64(tr.applyCalls + tr.bootstrapCalls); st.Pushes != want {
+			t.Errorf("%s: %d pushes for %d applies and %d bootstraps", target, st.Pushes, tr.applyCalls, tr.bootstrapCalls)
+		}
 		for name, want := range map[string]uint64{
 			telemetry.MetricReplShippedRecs: st.ShippedRecords,
 			telemetry.MetricReplPushes:      st.Pushes,
@@ -323,6 +346,9 @@ func TestReplTelemetryPerTarget(t *testing.T) {
 		if got, ok := snap.Gauges[telemetry.MetricReplLag+label]; !ok || got != float64(st.Lag) {
 			t.Errorf("%s%s = %v (registered %v), Stats says %d", telemetry.MetricReplLag, label, got, ok, st.Lag)
 		}
+	}
+	if got := rs["fake://b"].Stats().Pushes; got != 3 {
+		t.Errorf("fake://b: %d pushes for three applies", got)
 	}
 	if a, b := rs["fake://a"].Stats(), rs["fake://b"].Stats(); a.ShippedRecords == b.ShippedRecords {
 		t.Fatalf("both targets shipped %d records; the test needs them apart", a.ShippedRecords)
@@ -406,7 +432,9 @@ func TestFollowerCrashMidReplay(t *testing.T) {
 	defer primary.Close()
 	fdir := t.TempDir()
 	follower := openDurable(t, fdir)
-	follower.SetFollower()
+	if err := follower.SetFollower(); err != nil {
+		t.Fatalf("set follower: %v", err)
+	}
 	tr := &faultTransport{st: follower}
 	r := New(primary, tr, Config{Policy: resilience.Policy{Clock: vclk}})
 
@@ -433,7 +461,9 @@ func TestFollowerCrashMidReplay(t *testing.T) {
 
 	restarted := openDurable(t, fdir)
 	defer restarted.Close()
-	restarted.SetFollower()
+	if err := restarted.SetFollower(); err != nil {
+		t.Fatalf("set follower: %v", err)
+	}
 	tr.mu.Lock()
 	tr.st = restarted
 	tr.mu.Unlock()
@@ -555,8 +585,7 @@ func TestRetryAfterFloorHonored(t *testing.T) {
 func TestChaosReplShipping(t *testing.T) {
 	primary := openDurable(t, t.TempDir())
 	defer primary.Close()
-	follower := memStore(t)
-	follower.SetFollower()
+	follower := newFollower(t)
 	chaos := resilience.NewFaultHandler(store.NewServer(follower), 42)
 	chaos.SetErrorRate(0.4)
 	srv := httptest.NewServer(chaos)
@@ -620,8 +649,7 @@ func TestReplCallerCancelEndsLadder(t *testing.T) {
 	vclk := clock.NewVirtual(0)
 	primary := openDurable(t, t.TempDir())
 	t.Cleanup(func() { primary.Close() })
-	follower := memStore(t)
-	follower.SetFollower()
+	follower := newFollower(t)
 	tr := &cancelTransport{faultTransport: &faultTransport{st: follower}}
 	r := New(primary, tr, Config{Policy: resilience.Policy{Clock: vclk}})
 	ingestRound(t, primary, 0)

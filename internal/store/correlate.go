@@ -114,7 +114,7 @@ func (s *Store) NamePaths(ctx context.Context, index string, rec event.PathsReco
 		return CorrelationResult{}, err
 	}
 	var n [pathOutcomes]int
-	observeNS(s.tm.updateNS, func() { n, err = ix.namePaths(ctx, &rec, false) })
+	observeNS(s.tm.updateNS, func() { n, err = ix.namePaths(ctx, &rec) })
 	return CorrelationResult{
 		TagsResolved:          len(rec.Pairs),
 		EventsUpdated:         n[pathUpdated],
@@ -210,14 +210,9 @@ func (ix *Index) applyPaths(rec *event.PathsRecord) (n [pathOutcomes]int) {
 // it; a resident segment named by an older book is decoded again.
 // The shared gate keeps the segment list and base where the tally found them
 // until the hot rows are named, and the epoch brackets the whole pass, book
-// entry included, for the query cache.
-//
-// replicated marks a record arriving at a durable follower from its primary:
-// the horizon is already fixed, the counts are nobody's, so cold rows are not
-// scanned, and the record journals whether or not a local row changed, since
-// the follower's sequence counts records. (An in-memory follower applies
-// records through applyWALRecord.)
-func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord, replicated bool) (n [pathOutcomes]int, err error) {
+// entry included, for the query cache. A follower takes the record its
+// primary journaled through applyRecord instead.
+func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord) (n [pathOutcomes]int, err error) {
 	d := ix.dur
 	if d == nil {
 		rec.H = int64(ix.rr.Load())
@@ -229,34 +224,32 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord, replicat
 	defer d.gate.RUnlock()
 	ix.epoch.Add(1)
 	defer ix.epoch.Add(1)
-	if !replicated {
-		d.appendMu.Lock()
-		rec.H = int64(ix.rr.Load())
-		d.appendMu.Unlock()
-		v := ix.readView(MatchAll(), nil, sortWalk{})
-		v.entries = v.entries[len(ix.shards):] // applyPaths names the hot stripes below
-		cold := make([][pathOutcomes]int, len(v.entries))
-		err := v.each(ctx, true, func(i int, e *readEntry) {
-			for k := range e.sh.rows.len() {
-				row := *e.sh.rows.at(k) // a copy: a resident segment's rows are shared and read-only
-				cold[i][resolvePaths(rec, e.gidOf(int32(k)), &row)]++
-			}
-		})
-		v.release()
-		if err != nil {
-			return n, err
+	d.appendMu.Lock()
+	rec.H = int64(ix.rr.Load())
+	d.appendMu.Unlock()
+	v := ix.readView(MatchAll(), nil, sortWalk{})
+	v.entries = v.entries[len(ix.shards):] // applyPaths names the hot stripes below
+	cold := make([][pathOutcomes]int, len(v.entries))
+	err = v.each(ctx, true, func(i int, e *readEntry) {
+		for k := range e.sh.rows.len() {
+			row := *e.sh.rows.at(k) // a copy: a resident segment's rows are shared and read-only
+			cold[i][resolvePaths(rec, e.gidOf(int32(k)), &row)]++
 		}
-		for _, c := range cold {
-			for o := range c {
-				n[o] += c[o]
-			}
+	})
+	v.release()
+	if err != nil {
+		return n, err
+	}
+	for _, c := range cold {
+		for o := range c {
+			n[o] += c[o]
 		}
 	}
 	hot := ix.applyPaths(rec)
 	for o := range hot {
 		n[o] += hot[o]
 	}
-	if !replicated && n[pathUpdated] == 0 {
+	if n[pathUpdated] == 0 {
 		return n, nil
 	}
 	if err := ix.journalApply(durable.RecordPaths, rec.Encode(), 0, nil); err != nil {

@@ -766,17 +766,11 @@ func TestRetiredV1EventsRecord(t *testing.T) {
 		t.Fatalf("Open changed the WAL: %d bytes before, %d after", len(before), len(after))
 	}
 
-	for _, durableFollower := range []bool{false, true} {
-		follower := memStore(t)
-		if durableFollower {
-			follower = openDurable(t, t.TempDir())
-		}
-		follower.SetFollower()
-		frames := []ReplFrame{{Seq: 0, Type: durable.RecordRetiredEventsV1, Payload: v1}}
-		if _, err := follower.ReplApply(context.Background(), crashIndex, 0, frames); !errors.Is(err, ErrRetiredFormat) {
-			t.Errorf("durable=%v follower applied a version-1 frame: %v, want ErrRetiredFormat", durableFollower, err)
-		}
-		follower.Close()
+	follower := openFollower(t, t.TempDir())
+	defer follower.Close()
+	frames := []ReplFrame{{Seq: 0, Type: durable.RecordRetiredEventsV1, Payload: v1}}
+	if _, err := follower.ReplApply(context.Background(), crashIndex, 0, frames); !errors.Is(err, ErrRetiredFormat) {
+		t.Errorf("follower applied a version-1 frame: %v, want ErrRetiredFormat", err)
 	}
 }
 

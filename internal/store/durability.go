@@ -58,7 +58,8 @@ func newDurTelemetry(reg *telemetry.Registry) *durTelemetry {
 }
 
 // indexDurable is one index's durability state. Lock order: corrMu → gate →
-// shard locks → appendMu; the WAL's own mutex nests innermost.
+// appendMu → shard locks (journalApply places a record under appendMu); the
+// WAL's own mutex nests inside appendMu and holds no other lock.
 //
 // The gate makes snapshots consistent: every mutating operation (bulk adds,
 // correlation's path naming) holds gate.RLock across both its WAL append and
@@ -82,7 +83,7 @@ type indexDurable struct {
 
 	gate     sync.RWMutex // writers share; snapshot/compaction/retention exclude
 	appendMu sync.Mutex   // serializes WAL append + gid reservation
-	corrMu   sync.Mutex   // one correlation pass (or replicated paths record) at a time
+	corrMu   sync.Mutex   // one correlation pass or applied paths record at a time
 
 	wal    *durable.WAL
 	walSeq int
@@ -432,13 +433,9 @@ func (s *Store) newDurableIndex(name string) (*Index, error) {
 }
 
 // restoreIndex builds the index a bootstrap snapshot's frames journal into:
-// on a durable store, the primary's segment images, then its manifest (the
-// commit point), in a fresh index directory, recovered as Open would; on an
-// in-memory store, which takes no segments, an empty index.
+// the primary's segment images, then its manifest (the commit point), in a
+// fresh index directory, recovered as Open would.
 func (s *Store) restoreIndex(name string, snap ReplSnapshot) (*Index, error) {
-	if s.opts.dataDir == "" {
-		return NewIndexWithShards(name, s.opts.shards), nil
-	}
 	dir := filepath.Join(s.opts.dataDir, indexDirName(name))
 	_ = removeIndexDir(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -509,7 +506,7 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	walPath := filepath.Join(dir, durable.WALName(d.walSeq))
 	replayedRows := 0
 	stats, err := durable.ReplayWAL(walPath, func(t durable.RecordType, payload []byte) error {
-		n, err := ix.applyWALRecord(t, payload)
+		n, err := ix.applyRecord(t, payload, nil, true)
 		replayedRows += n
 		return err
 	})
@@ -530,7 +527,6 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	// resume point, so a cleanly restarted follower asks for frames from
 	// where it left off instead of re-requesting the whole stream.
 	d.recSeq.Store(d.baseSeq + int64(stats.Records))
-	ix.replSeq.Store(d.recSeq.Load())
 	s.dtm.replayedB.Add(uint64(stats.Records))
 	s.dtm.replayedE.Add(uint64(replayedRows))
 	// Orphan cleanup runs against the loaded manifest — the committed segment
@@ -546,39 +542,6 @@ func (s *Store) recoverIndex(name, dir string) (*Index, error) {
 	d.wal = w
 	s.dtm.recoveryNS.Observe(float64(time.Since(startT)))
 	return ix, nil
-}
-
-// applyWALRecord replays one journal record, returning how many rows it
-// added (zero for a paths record).
-func (ix *Index) applyWALRecord(t durable.RecordType, payload []byte) (int, error) {
-	if t.Retired() {
-		return 0, retiredRecord(t)
-	}
-	switch t {
-	case durable.RecordEvents:
-		// A recycled batch, as on the live bulk path: a fresh one per record
-		// would allocate the log's rows a second time over.
-		bp, events, err := decodeEventBatch(payload)
-		if err != nil {
-			return 0, fmt.Errorf("store: replay events record: %w", err)
-		}
-		start := int(ix.rr.Add(uint64(len(events))) - uint64(len(events)))
-		ix.addEventsAt(start, events)
-		putEventBatch(bp, events)
-		return len(events), nil
-	case durable.RecordPaths:
-		rec, err := ix.decodePaths(payload)
-		if err != nil {
-			return 0, err
-		}
-		ix.applyPaths(&rec)
-		if ix.dur != nil {
-			ix.dur.addToBook(rec)
-		}
-		return 0, nil
-	default:
-		return 0, fmt.Errorf("store: unknown wal record type %d", t)
-	}
 }
 
 // retiredRecord refuses a record of a type nothing writes any more, by

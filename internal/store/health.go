@@ -28,10 +28,9 @@ type IndexHealth struct {
 	Docs int `json:"docs"`
 	// WALBytes is the live WAL's current size (headers included).
 	WALBytes int64 `json:"wal_bytes"`
-	// HeadSeq is the number of records ever journaled (the head sequence).
+	// HeadSeq is the number of records ever journaled (the head sequence);
+	// on a follower, the primary sequence it has applied.
 	HeadSeq int64 `json:"head_seq"`
-	// AppliedSeq is the primary sequence applied so far (followers only).
-	AppliedSeq int64 `json:"applied_seq,omitempty"`
 	// DirtyRecords counts journaled records not yet folded into a segment.
 	DirtyRecords int64 `json:"dirty_records"`
 	// FsyncAgeMS / SnapshotAgeMS are milliseconds since the last fsync /
@@ -85,7 +84,6 @@ func (s *Store) Health(context.Context) HealthStatus {
 		Durable: s.opts.dataDir != "",
 	}
 	now := time.Now()
-	follower := s.Role() == RoleFollower
 	s.mu.RLock()
 	h.Indices = len(s.indices)
 	for name, ix := range s.indices {
@@ -105,9 +103,6 @@ func (s *Store) Health(context.Context) HealthStatus {
 		d.appendMu.Unlock()
 		if w != nil {
 			ih.WALBytes = w.Size()
-		}
-		if follower {
-			ih.AppliedSeq = ix.replSeq.Load()
 		}
 		if h.Index == nil {
 			h.Index = make(map[string]IndexHealth, len(s.indices))

@@ -3,6 +3,7 @@ package store
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -28,6 +29,11 @@ var indexedFields = [...]string{FieldSession, FieldSyscall, FieldProcName, Field
 // single-writer workload therefore observes ids 0,1,2,… exactly as the
 // unsharded implementation did, and unsorted searches return documents in
 // insertion order.
+//
+// Rows and path names arrive one way, as journal records through
+// applyRecord, whether a client wrote them, recovery replays them, or a
+// follower applies them from its primary; only the live correlation pass
+// (namePaths) journals its own record.
 type Index struct {
 	name   string
 	shards []*shard
@@ -53,11 +59,10 @@ type Index struct {
 	cache *queryCache   // nil = caching disabled
 	rtm   readTelemetry // cold-tier counters (zero value = no-op)
 
-	// Follower-side replication state: replMu serializes ReplApply so frames
-	// land in primary order; replSeq is the primary sequence applied so far
-	// (== dur.recSeq on a durable follower).
-	replMu  sync.Mutex
-	replSeq atomic.Int64
+	// replMu serializes a follower's ReplApply and ReplBootstrap, so frames
+	// land in primary order. The applied sequence is dur.recSeq: a follower is
+	// durable, and it journals every frame it applies.
+	replMu sync.Mutex
 }
 
 // defaultShardCount picks the shard count for new indices: the power of two
@@ -115,36 +120,74 @@ func (ix *Index) AddEvents(events []event.Event) error {
 			events[i].Offset = 0
 		}
 	}
-	if ix.dur == nil {
-		return ix.addEventsFrame(nil, events)
+	var frame []byte
+	if ix.dur != nil {
+		bp := encodePool.Get().(*[]byte)
+		defer encodePool.Put(bp)
+		*bp = event.EncodeBatch((*bp)[:0], events)
+		frame = *bp
 	}
-	bp := encodePool.Get().(*[]byte)
-	*bp = event.EncodeBatch((*bp)[:0], events)
-	err := ix.addEventsFrame(*bp, events)
-	encodePool.Put(bp)
+	_, err := ix.applyRecord(durable.RecordEvents, frame, events, false)
 	return err
 }
 
-// addEventsFrame places a canonical batch whose wire frame is in hand, the
-// node's one journaling path for events: the frame bytes are journaled
-// verbatim (they are exactly the WAL's RecordEvents payload format). Decoded
-// events are already canonical — the codec clears Offset when the HasOffset
-// aux bit is unset — so BulkFrame pays for neither a normalization pass nor a
-// re-encode. The frame is not kept (nil on an in-memory index).
-func (ix *Index) addEventsFrame(frame []byte, events []event.Event) error {
-	if len(events) == 0 {
-		return nil
+// applyRecord applies one journal record, a batch of events or a paths
+// record, and is the one way a record reaches an index: a client write
+// (AddEvents, BulkFrame), recovery's WAL replay, and a follower's apply and
+// bootstrap. On a durable index a writer journals payload verbatim first and
+// places the record inside the append mutex, so placement order is WAL order
+// and a follower's WAL is its primary's; replay only places. events is
+// payload already decoded, when the caller holds it (decoded events are
+// canonical: the codec clears Offset when the HasOffset aux bit is unset);
+// otherwise an events payload decodes into a pooled batch. A payload that
+// does not decode, or a record type this build does not write, is a
+// BadRequest. It returns the rows placed; an empty batch is no record and
+// neither journals nor places. Paths records arrive only at durable indices.
+// Neither payload nor events is kept.
+func (ix *Index) applyRecord(t durable.RecordType, payload []byte, events []event.Event, replay bool) (int, error) {
+	d := ix.dur
+	var place func(start int)
+	switch {
+	case t == durable.RecordEvents:
+		if events == nil {
+			bp, evs, err := decodeEventBatch(payload)
+			if err != nil {
+				return 0, BadRequest(fmt.Errorf("store: events record: %w", err))
+			}
+			defer putEventBatch(bp, evs)
+			events = evs
+		}
+		if len(events) == 0 {
+			return 0, nil
+		}
+		place = func(start int) { ix.addEventsAt(start, events) }
+	case t == durable.RecordPaths:
+		rec, err := ix.decodePaths(payload)
+		if err != nil {
+			return 0, BadRequest(err)
+		}
+		d.corrMu.Lock()
+		defer d.corrMu.Unlock()
+		// The epoch brackets the book entry too: cold rows are named from it.
+		place = func(int) {
+			ix.epoch.Add(1)
+			ix.applyPaths(&rec)
+			d.addToBook(rec)
+			ix.epoch.Add(1)
+		}
+	case t.Retired():
+		return 0, BadRequest(retiredRecord(t))
+	default:
+		return 0, BadRequest(fmt.Errorf("store: unknown record type %d", t))
 	}
-	if ix.dur == nil {
-		start := int(ix.rr.Add(uint64(len(events))) - uint64(len(events)))
-		ix.addEventsAt(start, events)
-		return nil
+	n := len(events) // zero for a paths record
+	if d == nil || replay {
+		place(int(ix.rr.Add(uint64(n)) - uint64(n)))
+		return n, nil
 	}
-	ix.dur.gate.RLock()
-	defer ix.dur.gate.RUnlock()
-	return ix.journalApply(durable.RecordEvents, frame, len(events), func(start int) {
-		ix.addEventsAt(start, events)
-	})
+	d.gate.RLock()
+	defer d.gate.RUnlock()
+	return n, ix.journalApply(t, payload, n, place)
 }
 
 // addEventsAt places events at global ids start..start+len-1, walking each

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
-	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // Replication data plane (DESIGN.md §14). The primary's WAL is already a
@@ -18,11 +17,11 @@ import (
 // number, and this file exposes sequenced ranges of those records
 // (ReplRange), full-state bootstraps for followers too far behind
 // (ReplBootstrapFrames), and the follower-side apply/bootstrap entry points
-// that replay frames through the exact journaling machinery live writes use —
-// so a follower's WAL bytes are the primary's WAL suffix and its state is
-// fingerprint-identical by construction. The shipper that moves frames
-// between nodes lives in internal/repl (it composes this surface with the
-// resilience ladder).
+// that apply frames through Index.applyRecord, the one path every journal
+// record takes — so a follower's WAL bytes are the primary's WAL suffix and
+// its state is fingerprint-identical by construction. The shipper that
+// moves frames between nodes lives in internal/repl (it composes this
+// surface with the resilience ladder).
 
 // Role is a store's replication role.
 type Role int32
@@ -108,8 +107,17 @@ type ReplCursor struct {
 func (s *Store) Role() Role { return Role(s.role.Load()) }
 
 // SetFollower puts the store in follower mode: direct writes are rejected
-// and ReplApply/ReplBootstrap are accepted.
-func (s *Store) SetFollower() { s.role.Store(int32(RoleFollower)) }
+// and ReplApply/ReplBootstrap are accepted. A follower is durable: it
+// journals every frame it applies, so its applied sequence is its WAL head,
+// and a bootstrap carries segment files. A store without a data dir refuses
+// and stays primary.
+func (s *Store) SetFollower() error {
+	if s.opts.dataDir == "" {
+		return errors.New("store: a follower needs a data dir: it journals the frames it applies")
+	}
+	s.role.Store(int32(RoleFollower))
+	return nil
+}
 
 // Promote flips a follower to primary: it keeps everything it has applied,
 // starts accepting writes, and stops accepting replication pushes. Promoting
@@ -135,10 +143,10 @@ func (s *Store) ReplHeadSeq(index string) (int64, bool) {
 	return ix.dur.recSeq.Load(), true
 }
 
-// ReplState is the wire shape of GET /_repl/status: the node's role and its
-// per-index sequence positions — head sequences on a primary, applied
-// primary sequences on a follower. The shipper resyncs from these after a
-// sequence mismatch or reconnect.
+// ReplState is the wire shape of GET /_repl/status: the node's role and each
+// durable index's head sequence — on a follower, the primary sequence it has
+// applied, since it journals every frame. The shipper resyncs from these
+// after a sequence mismatch or reconnect.
 type ReplState struct {
 	Role    string           `json:"role"`
 	Indices map[string]int64 `json:"indices"`
@@ -150,9 +158,7 @@ func (s *Store) ReplStatus() ReplState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for name, ix := range s.indices {
-		if s.Role() == RoleFollower {
-			st.Indices[name] = ix.replSeq.Load()
-		} else if ix.dur != nil {
+		if ix.dur != nil {
 			st.Indices[name] = ix.dur.recSeq.Load()
 		}
 	}
@@ -289,12 +295,13 @@ func (s *Store) ReplBootstrapFrames(index string) (ReplSnapshot, error) {
 }
 
 // ReplApply applies replicated frames to the named index on a follower. from
-// must equal the follower's applied sequence (returned on mismatch inside
-// *ReplSeqError so the shipper can resync), and frames must be consecutive
-// from there. Each frame journals through the same machinery as a live
-// write — payload verbatim — so a durable follower's WAL is byte-identical
-// to the primary's suffix and recovery/fingerprint guarantees carry over
-// unchanged. Returns the new applied sequence.
+// must equal the follower's applied sequence, its WAL head (returned on
+// mismatch inside *ReplSeqError so the shipper can resync), and frames must
+// be consecutive from there. Each frame takes applyRecord, the path a live
+// write takes — payload journaled verbatim — so the follower's WAL is
+// byte-identical to the primary's suffix and recovery/fingerprint guarantees
+// carry over unchanged. A frame that does not decode is a BadRequest.
+// Returns the new applied sequence.
 func (s *Store) ReplApply(ctx context.Context, index string, from int64, frames []ReplFrame) (int64, error) {
 	if s.Role() != RoleFollower {
 		return 0, ErrNotFollower
@@ -305,68 +312,30 @@ func (s *Store) ReplApply(ctx context.Context, index string, from int64, frames 
 	}
 	ix.replMu.Lock()
 	defer ix.replMu.Unlock()
-	applied := ix.replSeq.Load()
-	if from != applied {
+	applied := &ix.dur.recSeq
+	if at := applied.Load(); from != at {
 		s.tm.replRejects.Inc()
-		return applied, &ReplSeqError{Want: applied, Got: from}
+		return at, &ReplSeqError{Want: at, Got: from}
 	}
 	start := time.Now()
 	for i := range frames {
 		if err := ctx.Err(); err != nil {
-			return ix.replSeq.Load(), err
+			return applied.Load(), err
 		}
 		f := &frames[i]
-		if f.Seq != applied+int64(i) {
+		if at := applied.Load(); f.Seq != at {
 			s.tm.replRejects.Inc()
-			return ix.replSeq.Load(), &ReplSeqError{Want: applied + int64(i), Got: f.Seq}
+			return at, &ReplSeqError{Want: at, Got: f.Seq}
 		}
-		if err := ix.applyReplFrame(f); err != nil {
-			return ix.replSeq.Load(), err
+		if _, err := ix.applyRecord(f.Type, f.Payload, nil, false); err != nil {
+			return applied.Load(), err
 		}
-		ix.replSeq.Add(1)
 		s.tm.replApplied.Inc()
 	}
 	if len(frames) > 0 {
 		s.tm.replApplyNS.Observe(float64(time.Since(start).Nanoseconds()) / float64(len(frames)))
 	}
-	return ix.replSeq.Load(), nil
-}
-
-// applyReplFrame applies one replicated record. On a durable follower the
-// payload journals verbatim through journalApply (the same appendMu-guarded
-// append + placement live writes use); an in-memory follower applies it
-// straight to shard storage through the recovery path.
-func (ix *Index) applyReplFrame(f *ReplFrame) error {
-	if ix.dur == nil {
-		_, err := ix.applyWALRecord(f.Type, f.Payload)
-		return err
-	}
-	if f.Type.Retired() {
-		return retiredRecord(f.Type)
-	}
-	switch f.Type {
-	case durable.RecordEvents:
-		events, err := event.DecodeBatch(f.Payload, nil)
-		if err != nil {
-			return fmt.Errorf("store: repl apply events: %w", err)
-		}
-		ix.dur.gate.RLock()
-		defer ix.dur.gate.RUnlock()
-		return ix.journalApply(durable.RecordEvents, f.Payload, len(events), func(start int) {
-			ix.addEventsAt(start, events)
-		})
-	case durable.RecordPaths:
-		// The record re-encodes to the payload it was decoded from, so the
-		// follower's WAL stays the primary's suffix.
-		rec, err := ix.decodePaths(f.Payload)
-		if err != nil {
-			return err
-		}
-		_, err = ix.namePaths(context.TODO(), &rec, true) // a replicated record never scans
-		return err
-	default:
-		return fmt.Errorf("store: repl apply: unknown record type %d", f.Type)
-	}
+	return applied.Load(), nil
 }
 
 // maxSnapshotShards bounds the shard count a bootstrap adopts from its
@@ -376,7 +345,7 @@ const maxSnapshotShards = 1 << 10
 
 // ReplBootstrap replaces the named index with a primary's snapshot, checked
 // whole before the old index is dropped (one that can never apply is a bad
-// request): restoreIndex, then the frames through applyReplFrame, so the
+// request): restoreIndex, then the frames through applyRecord, so the
 // follower numbers records as its primary does. A crash after the manifest
 // commit leaves a prefix of the primary's log to stream on from; one before
 // it, orphans recovery removes, and the follower bootstraps again from 0.
@@ -394,26 +363,22 @@ func (s *Store) ReplBootstrap(ctx context.Context, index string, snap ReplSnapsh
 	}
 	ix.replMu.Lock()
 	defer ix.replMu.Unlock()
-	ix.replSeq.Store(snap.Manifest.BaseSeq)
 	s.mu.Lock()
 	s.register(index, ix)
 	s.mu.Unlock()
-	for i := range snap.Frames {
+	for _, f := range snap.Frames {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := ix.applyReplFrame(&snap.Frames[i]); err != nil {
+		if _, err := ix.applyRecord(f.Type, f.Payload, nil, false); err != nil {
 			return err
 		}
-		ix.replSeq.Add(1)
 	}
 	return nil
 }
 
-// checkSnapshot refuses a snapshot this node cannot restore: segments (or a
-// retention floor, whose rows a memtable cannot place) for an in-memory
-// follower, a shard count recovery would not build (below 1, or past
-// maxSnapshotShards), an image count other than the manifest's segment
+// checkSnapshot refuses a snapshot this node cannot restore: a shard count
+// recovery would not build (below 1, or past maxSnapshotShards), an image count other than the manifest's segment
 // count, frames that do not run consecutively from the manifest's base
 // sequence to Seq, or an image that fails its checks against its manifest
 // entry.
@@ -422,8 +387,6 @@ func (s *Store) checkSnapshot(snap ReplSnapshot) error {
 	switch {
 	case m.Shards < 1 || m.Shards > maxSnapshotShards:
 		return fmt.Errorf("%d shards", m.Shards)
-	case s.opts.dataDir == "" && (len(m.Segments) > 0 || m.RetentionFloor > 0):
-		return fmt.Errorf("a tiered snapshot (%d segments, floor %d) needs a durable follower", len(m.Segments), m.RetentionFloor)
 	case len(snap.Images) != len(m.Segments):
 		return fmt.Errorf("%d segment images for %d manifest segments", len(snap.Images), len(m.Segments))
 	case m.BaseSeq+int64(len(snap.Frames)) != snap.Seq:

@@ -57,6 +57,26 @@ func pump(t *testing.T, primary, follower *Store, index string, allowBootstrap b
 	}
 }
 
+// openFollower opens a durable store in dir as a follower: a follower
+// journals every frame it applies, so it needs a data dir.
+func openFollower(t testing.TB, dir string, opts ...Option) *Store {
+	t.Helper()
+	st := openDurable(t, dir, opts...)
+	if err := st.SetFollower(); err != nil {
+		t.Fatalf("set follower: %v", err)
+	}
+	return st
+}
+
+// TestFollowerNeedsDataDir: an in-memory store refuses the follower role and
+// stays a primary.
+func TestFollowerNeedsDataDir(t *testing.T) {
+	st := memStore(t)
+	if err := st.SetFollower(); err == nil || st.Role() != RolePrimary {
+		t.Fatalf("in-memory SetFollower = %v, role %v; want a refusal and a primary", err, st.Role())
+	}
+}
+
 // TestReplStreamToFollower is the core replication invariant: a follower fed
 // the primary's WAL frames is fingerprint-identical to the primary and to a
 // never-crashed control, and its own WAL file is byte-identical to the
@@ -66,9 +86,8 @@ func TestReplStreamToFollower(t *testing.T) {
 	primary := openDurable(t, pdir)
 	defer primary.Close()
 	primary.ArmReplication()
-	follower := openDurable(t, fdir)
+	follower := openFollower(t, fdir)
 	defer follower.Close()
-	follower.SetFollower()
 
 	for r := 0; r < 3; r++ {
 		ingestRound(t, primary, r)
@@ -100,9 +119,8 @@ func TestReplStreamToFollower(t *testing.T) {
 	if err := follower.Close(); err != nil {
 		t.Fatalf("close follower: %v", err)
 	}
-	re := openDurable(t, fdir)
+	re := openFollower(t, fdir)
 	defer re.Close()
-	re.SetFollower()
 	if got := re.ReplStatus().Indices[crashIndex]; got != applied {
 		t.Fatalf("reopened follower at seq %d, want %d", got, applied)
 	}
@@ -122,8 +140,8 @@ func TestReplRangeAcrossSnapshot(t *testing.T) {
 		primary := openDurable(t, t.TempDir())
 		defer primary.Close()
 		primary.ArmReplication()
-		follower := memStore(t)
-		follower.SetFollower()
+		follower := openFollower(t, t.TempDir())
+		defer follower.Close()
 
 		ingestRound(t, primary, 0)
 		pump(t, primary, follower, crashIndex, false) // catch up pre-snapshot
@@ -141,9 +159,8 @@ func TestReplRangeAcrossSnapshot(t *testing.T) {
 		primary := openDurable(t, t.TempDir())
 		defer primary.Close()
 		primary.ArmReplication()
-		follower := openDurable(t, t.TempDir())
+		follower := openFollower(t, t.TempDir())
 		defer follower.Close()
-		follower.SetFollower()
 
 		ingestRound(t, primary, 0)
 		if err := primary.Snapshot(); err != nil {
@@ -178,8 +195,8 @@ func TestReplFollowerLagsPastBufferAcrossSnapshot(t *testing.T) {
 	primary := openDurable(t, dir, WithFsyncPolicy(FsyncOff))
 	defer primary.Close()
 	primary.ArmReplication()
-	follower := memStore(t)
-	follower.SetFollower()
+	follower := openFollower(t, t.TempDir(), WithFsyncPolicy(FsyncOff))
+	defer follower.Close()
 
 	ctx := context.Background()
 	pad := strings.Repeat("p", 2048)
@@ -285,8 +302,8 @@ func TestReplApplySeqReject(t *testing.T) {
 	primary := openDurable(t, t.TempDir())
 	defer primary.Close()
 	primary.ArmReplication()
-	follower := memStore(t)
-	follower.SetFollower()
+	follower := openFollower(t, t.TempDir())
+	defer follower.Close()
 	ctx := context.Background()
 
 	ingestRound(t, primary, 0)
@@ -328,8 +345,8 @@ func TestReplApplySeqReject(t *testing.T) {
 // TestFollowerRejectsWrites checks the read-only guard on every mutating
 // entry point, and that promotion lifts it.
 func TestFollowerRejectsWrites(t *testing.T) {
-	st := memStore(t)
-	st.SetFollower()
+	st := openFollower(t, t.TempDir())
+	defer st.Close()
 	ctx := context.Background()
 	if err := st.BulkEvents(ctx, crashIndex, crashEvents(0)); !errors.Is(err, ErrReadOnlyFollower) {
 		t.Fatalf("BulkEvents on follower: %v", err)
@@ -353,8 +370,8 @@ func TestReplHTTPEndpoints(t *testing.T) {
 	primary := openDurable(t, t.TempDir())
 	defer primary.Close()
 	primary.ArmReplication()
-	follower := memStore(t)
-	follower.SetFollower()
+	follower := openFollower(t, t.TempDir())
+	defer follower.Close()
 	fsrv := httptest.NewServer(NewServer(follower))
 	defer fsrv.Close()
 	fc := NewClient(fsrv.URL)
@@ -486,9 +503,8 @@ func TestFailoverClientRedirects(t *testing.T) {
 	primary := openDurable(t, t.TempDir())
 	defer primary.Close()
 	primary.ArmReplication()
-	follower := openDurable(t, t.TempDir())
+	follower := openFollower(t, t.TempDir())
 	defer follower.Close()
-	follower.SetFollower()
 
 	psrv := httptest.NewServer(NewServer(primary))
 	fsrv := httptest.NewServer(NewServer(follower))
@@ -597,8 +613,8 @@ func TestFailoverHungPrimary(t *testing.T) {
 // still carries the follower's applied sequence, and a push to a node that
 // is not a follower is a 403.
 func TestReplApplyErrorsThroughStatusTable(t *testing.T) {
-	follower := memStore(t)
-	follower.SetFollower()
+	follower := openFollower(t, t.TempDir())
+	defer follower.Close()
 	push := func(st *Store) (int, map[string]any) {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/_repl/apply", strings.NewReader(`{"index":"ix","from":5,"frames":[]}`))
@@ -626,12 +642,10 @@ func TestFollowerPromotedAfterBootstrapServesPeers(t *testing.T) {
 	p := openDurable(t, t.TempDir())
 	defer p.Close()
 	p.ArmReplication()
-	g := openDurable(t, t.TempDir())
+	g := openFollower(t, t.TempDir())
 	defer g.Close()
-	g.SetFollower()
-	f := openDurable(t, t.TempDir())
+	f := openFollower(t, t.TempDir())
 	defer f.Close()
-	f.SetFollower()
 
 	ingestRound(t, p, 0)
 	if err := p.Snapshot(); err != nil {
@@ -685,14 +699,10 @@ func TestReplBootstrapRefusesBadSnapshot(t *testing.T) {
 		t.Fatalf("snapshot: %v", err)
 	}
 	bulkRound(t, p, 1)
-	f := openDurable(t, t.TempDir())
+	f := openFollower(t, t.TempDir())
 	defer f.Close()
-	f.SetFollower()
-	mem := memStore(t)
-	mem.SetFollower()
 	pump(t, p, f, crashIndex, false)
-	pump(t, p, mem, crashIndex, false)
-	bulkRound(t, p, 2) // the followers lag the snapshot below
+	bulkRound(t, p, 2) // the follower lags the snapshot below
 
 	good, err := p.ReplBootstrapFrames(crashIndex)
 	if err != nil {
@@ -716,28 +726,26 @@ func TestReplBootstrapRefusesBadSnapshot(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		st   *Store
 		snap ReplSnapshot
 	}{
-		{"an image missing", f, edit(func(s *ReplSnapshot) { s.Images = s.Images[:len(s.Images)-1] })},
-		{"frames out of sequence", f, edit(func(s *ReplSnapshot) { s.Frames[0], s.Frames[1] = s.Frames[1], s.Frames[0] })},
-		{"frames short of Seq", f, edit(func(s *ReplSnapshot) { s.Seq++ })},
-		{"frames past Seq", f, edit(func(s *ReplSnapshot) { s.Seq-- })},
-		{"segments for an in-memory follower", mem, good},
-		{"a flipped image byte", f, edit(func(s *ReplSnapshot) { s.Images[0][len(s.Images[0])/2] ^= 0x40 })},
-		{"an entry's row count lies", f, edit(func(s *ReplSnapshot) { s.Manifest.Segments[0].Rows++ })},
-		{"an entry's time range lies", f, edit(func(s *ReplSnapshot) { s.Manifest.Segments[0].MaxTime++ })},
-		{"an entry's row span too short", f, edit(func(s *ReplSnapshot) { s.Manifest.Segments[0].EndRow-- })},
-		{"no shards", f, edit(func(s *ReplSnapshot) { s.Manifest.Shards = 0 })},
-		{"a shard count past the bound", f, edit(func(s *ReplSnapshot) { s.Manifest.Shards = maxSnapshotShards + 1 })},
+		{"an image missing", edit(func(s *ReplSnapshot) { s.Images = s.Images[:len(s.Images)-1] })},
+		{"frames out of sequence", edit(func(s *ReplSnapshot) { s.Frames[0], s.Frames[1] = s.Frames[1], s.Frames[0] })},
+		{"frames short of Seq", edit(func(s *ReplSnapshot) { s.Seq++ })},
+		{"frames past Seq", edit(func(s *ReplSnapshot) { s.Seq-- })},
+		{"a flipped image byte", edit(func(s *ReplSnapshot) { s.Images[0][len(s.Images[0])/2] ^= 0x40 })},
+		{"an entry's row count lies", edit(func(s *ReplSnapshot) { s.Manifest.Segments[0].Rows++ })},
+		{"an entry's time range lies", edit(func(s *ReplSnapshot) { s.Manifest.Segments[0].MaxTime++ })},
+		{"an entry's row span too short", edit(func(s *ReplSnapshot) { s.Manifest.Segments[0].EndRow-- })},
+		{"no shards", edit(func(s *ReplSnapshot) { s.Manifest.Shards = 0 })},
+		{"a shard count past the bound", edit(func(s *ReplSnapshot) { s.Manifest.Shards = maxSnapshotShards + 1 })},
 	}
 	for _, tc := range cases {
-		before, applied := fingerprint(t, tc.st), tc.st.ReplStatus().Indices[crashIndex]
-		err := tc.st.ReplBootstrap(ctx, crashIndex, tc.snap)
+		before, applied := fingerprint(t, f), f.ReplStatus().Indices[crashIndex]
+		err := f.ReplBootstrap(ctx, crashIndex, tc.snap)
 		if err == nil || !IsBadRequest(err) || StatusOf(err) != http.StatusBadRequest {
 			t.Fatalf("%s: bootstrap = %v, want a bad request", tc.name, err)
 		}
-		if fingerprint(t, tc.st) != before || tc.st.ReplStatus().Indices[crashIndex] != applied {
+		if fingerprint(t, f) != before || f.ReplStatus().Indices[crashIndex] != applied {
 			t.Fatalf("%s: a refused snapshot changed the follower's index", tc.name)
 		}
 	}
@@ -775,8 +783,7 @@ func TestCrashFollowerReplOffsetFolded(t *testing.T) {
 	}
 	ingestRound(t, p, 1)
 	fdir := t.TempDir()
-	f := openDurable(t, fdir)
-	f.SetFollower()
+	f := openFollower(t, fdir)
 	snap, err := p.ReplBootstrapFrames(crashIndex)
 	if err != nil {
 		t.Fatalf("bootstrap frames: %v", err)
@@ -811,9 +818,8 @@ func TestCrashFollowerReplOffsetFolded(t *testing.T) {
 		t.Fatalf("write manifest: %v", err)
 	}
 
-	re := openDurable(t, fdir)
+	re := openFollower(t, fdir)
 	defer re.Close()
-	re.SetFollower()
 	if got := re.ReplStatus().Indices[crashIndex]; got != applied {
 		t.Fatalf("reopened at sequence %d, want %d", got, applied)
 	}
@@ -821,4 +827,109 @@ func TestCrashFollowerReplOffsetFolded(t *testing.T) {
 		t.Fatalf("reopened follower diverged")
 	}
 	pump(t, p, re, crashIndex, false)
+}
+
+// TestFollowerApplyAllocatesAsBulk holds a follower's apply to the shape of
+// a client write: a replicated events frame decodes into a pooled batch and
+// journals verbatim through the one record path, so ReplApply of a 512-event
+// frame allocates no more than BulkFrame of the same frame.
+func TestFollowerApplyAllocatesAsBulk(t *testing.T) {
+	var evs []event.Event
+	for r := 0; r < 64; r++ {
+		evs = append(evs, crashEvents(r)...)
+	}
+	frame := event.EncodeBatch(nil, evs)
+	ctx := context.Background()
+	primary := openDurable(t, t.TempDir(), WithFsyncPolicy(FsyncOff))
+	defer primary.Close()
+	follower := openFollower(t, t.TempDir(), WithFsyncPolicy(FsyncOff))
+	defer follower.Close()
+
+	bulk := testing.AllocsPerRun(50, func() {
+		if _, err := primary.BulkFrame(ctx, crashIndex, frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	frames := []ReplFrame{{Type: durable.RecordEvents, Payload: frame}}
+	apply := testing.AllocsPerRun(50, func() {
+		if _, err := follower.ReplApply(ctx, crashIndex, frames[0].Seq, frames); err != nil {
+			t.Fatal(err)
+		}
+		frames[0].Seq++
+	})
+	t.Logf("allocs per 512-event frame: BulkFrame %.0f, ReplApply %.0f", bulk, apply)
+	if apply > bulk {
+		t.Fatalf("ReplApply allocates %.0f per 512-event frame, BulkFrame %.0f", apply, bulk)
+	}
+}
+
+// TestReplApplyBadFrameIsBadRequest: a replicated frame that does not
+// decode, or carries a record type nothing writes, is the pusher's fault, as
+// an undecodable bulk frame is: POST /_repl/apply answers 400, which the
+// shipper's ladder does not retry, and the follower applies nothing.
+func TestReplApplyBadFrameIsBadRequest(t *testing.T) {
+	follower := openFollower(t, t.TempDir())
+	defer follower.Close()
+	srv := NewServer(follower)
+	for _, tc := range []struct {
+		name  string
+		frame ReplFrame
+	}{
+		{"undecodable events", ReplFrame{Type: durable.RecordEvents, Payload: []byte("not a frame")}},
+		{"undecodable paths", ReplFrame{Type: durable.RecordPaths, Payload: []byte{1, 2, 3}}},
+		{"unknown record type", ReplFrame{Type: 9, Payload: event.EncodeBatch(nil, crashEvents(0))}},
+	} {
+		body, err := json.Marshal(replApplyRequest{Index: crashIndex, Frames: []ReplFrame{tc.frame}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/_repl/apply", bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: POST /_repl/apply = %d %s, want 400", tc.name, rec.Code, rec.Body)
+		}
+	}
+	if got := follower.ReplStatus().Indices[crashIndex]; got != 0 {
+		t.Fatalf("follower at sequence %d after refused frames, want 0", got)
+	}
+}
+
+// TestReplCorrelationPassJournalsVerbatim streams a primary's correlation
+// pass, which names cold and hot rows, to a follower bootstrapped past the
+// primary's snapshot: the follower journals the paths record as the primary
+// wrote it, so its live WAL stays byte-identical to the primary's.
+func TestReplCorrelationPassJournalsVerbatim(t *testing.T) {
+	ctx := context.Background()
+	pdir, fdir := t.TempDir(), t.TempDir()
+	p := openDurable(t, pdir)
+	defer p.Close()
+	p.ArmReplication()
+	bulkRound(t, p, 0)
+	if err := p.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	bulkRound(t, p, 1)
+	f := openFollower(t, fdir)
+	defer f.Close()
+	snap, err := p.ReplBootstrapFrames(crashIndex)
+	if err != nil {
+		t.Fatalf("bootstrap frames: %v", err)
+	}
+	if err := f.ReplBootstrap(ctx, crashIndex, snap); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	if res, err := p.Correlate(ctx, crashIndex, "crash"); err != nil || res.EventsUpdated == 0 {
+		t.Fatalf("correlate: %+v, %v", res, err)
+	}
+	bulkRound(t, p, 2)
+	pump(t, p, f, crashIndex, false)
+
+	pw, perr := os.ReadFile(walFile(pdir, snap.Manifest.WALSeq))
+	fw, ferr := os.ReadFile(walFile(fdir, snap.Manifest.WALSeq))
+	if perr != nil || ferr != nil || !bytes.Equal(pw, fw) {
+		t.Fatalf("follower WAL (%d bytes, %v) != primary WAL (%d bytes, %v)", len(fw), ferr, len(pw), perr)
+	}
+	if fingerprint(t, f) != fingerprint(t, p) {
+		t.Fatalf("follower diverged from primary")
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/dsrhaslab/dio-go/internal/durable"
 	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/telemetry"
 )
@@ -333,7 +334,10 @@ func (s *Store) BulkFrame(ctx context.Context, index string, frame []byte) (int,
 		return 0, BadRequest(fmt.Errorf("decode frame: %w", err))
 	}
 	n := len(events)
-	err = s.bulk(ctx, index, n, func(ix *Index) error { return ix.addEventsFrame(frame, events) })
+	err = s.bulk(ctx, index, n, func(ix *Index) error {
+		_, err := ix.applyRecord(durable.RecordEvents, frame, events, false)
+		return err
+	})
 	putEventBatch(bp, events)
 	return n, err
 }

@@ -608,8 +608,7 @@ func TestCrashFollowerBootstrapMultiSegment(t *testing.T) {
 			got, len(snap.Images), len(snap.Manifest.Segments), 3*rowsPerRound)
 	}
 
-	f := openDurable(t, fdir, WithShards(2))
-	f.SetFollower()
+	f := openFollower(t, fdir, WithShards(2))
 	if err := f.ReplBootstrap(ctx, crashIndex, snap); err != nil {
 		t.Fatalf("follower bootstrap: %v", err)
 	}
@@ -645,14 +644,6 @@ func TestCrashFollowerBootstrapMultiSegment(t *testing.T) {
 		t.Fatalf("follower state diverged after restart")
 	}
 
-	// An in-memory follower has nowhere to put cold segments: a tiered
-	// snapshot must be refused, not silently mangled.
-	mem := memStore(t)
-	mem.SetFollower()
-	if err := mem.ReplBootstrap(ctx, crashIndex, snap); err == nil {
-		t.Fatalf("in-memory follower accepted a snapshot listing segments")
-	}
-
 	// A prefix of the frames is an older snapshot of the same log: the
 	// follower takes it and streams the rest without another bootstrap.
 	const k = 1
@@ -661,9 +652,8 @@ func TestCrashFollowerBootstrapMultiSegment(t *testing.T) {
 	}
 	older := snap
 	older.Frames, older.Seq = snap.Frames[:k], snap.Manifest.BaseSeq+k
-	f3 := openDurable(t, t.TempDir())
+	f3 := openFollower(t, t.TempDir())
 	defer f3.Close()
-	f3.SetFollower()
 	if err := f3.ReplBootstrap(ctx, crashIndex, older); err != nil {
 		t.Fatalf("prefix bootstrap: %v", err)
 	}

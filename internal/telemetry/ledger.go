@@ -85,7 +85,7 @@ const (
 	MetricReplRole         = "dio_repl_role"                  // 0 primary, 1 follower
 	MetricReplShippedRecs  = "dio_repl_shipped_records_total" // WAL records pushed to followers
 	MetricReplShippedBytes = "dio_repl_shipped_bytes_total"   // payload and bootstrap segment image bytes pushed to followers
-	MetricReplPushes       = "dio_repl_pushes_total"          // push calls issued (bootstraps included)
+	MetricReplPushes       = "dio_repl_pushes_total"          // Apply and Bootstrap calls that succeeded (resync probes excluded)
 	MetricReplPushRetries  = "dio_repl_push_retries_total"    // push attempts beyond each call's first
 	MetricReplPushNS       = "dio_repl_push_ns"               // one push call (ship + follower apply)
 	MetricReplBootstraps   = "dio_repl_bootstraps_total"      // full-state bootstraps shipped

@@ -10,9 +10,10 @@
 //     the number the <=10% acceptance bar applies to; its B/op is flat in
 //     b.N only while the cursor never rescans the WAL.
 //   - InProcessFollower: the whole pair in one process — frames go over
-//     real HTTP into a real follower that fully applies them. On a
-//     single-core host this double-counts the follower's CPU against the
-//     primary's, so it is reported as the worst-case bound, not the bar.
+//     real HTTP into a real durable follower that journals and applies
+//     them. On a single-core host this double-counts the follower's CPU
+//     against the primary's, so it is reported as the worst-case bound,
+//     not the bar.
 //
 // BENCH_store.json holds the historical numbers; current ones are
 // `go test -bench` output.
@@ -122,8 +123,17 @@ func BenchmarkReplicationOverhead(b *testing.B) {
 	})
 	b.Run("InProcessFollower", func(b *testing.B) {
 		run(b, func(b *testing.B) repl.Transport {
-			follower := memStore(b)
-			follower.SetFollower()
+			follower, err := store.Open(
+				store.WithDataDir(b.TempDir()),
+				store.WithFsyncPolicy(store.FsyncInterval),
+				store.WithSnapshotInterval(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { follower.Close() })
+			if err := follower.SetFollower(); err != nil {
+				b.Fatal(err)
+			}
 			fsrv := httptest.NewServer(store.NewServer(follower))
 			b.Cleanup(fsrv.Close)
 			return repl.ClientTransport{C: store.NewClient(fsrv.URL)}
