@@ -53,7 +53,9 @@ bench:
 ## bench-smoke: a fast (100-iteration) run of the ingest benchmarks so the
 ## data-plane and WAL-overhead numbers cannot silently rot, then one pass of
 ## the million-event ingest + recovery benchmark: 100 batches end near 50 k
-## rows, too few for the cost of growing row storage to show.
+## rows, too few for the cost of growing row storage to show. Its
+## live-B/event is the live heap the reopened store holds per event, the
+## in-tree twin of the end-to-end heap_bytes_per_event.
 bench-smoke:
 	$(GO) test -run xxx -bench IngestWALOverhead -benchtime=100x -benchmem .
 	$(GO) test -run xxx -bench IngestAtScale -benchtime=1x .
@@ -188,6 +190,9 @@ chaos-cluster:
 ## was), and counts
 ## read while an index's first snapshot evicts its rows
 ## (TestDurableCountDuringFirstEviction: every count must see one cut, never
-## the moved rows twice or not at all), under -race.
+## the moved rows twice or not at all), and a correlation pass adding paths
+## to the shards' file_path dictionaries while two cursors page the session
+## (TestCorrelateInternsWhileSearching: a hit reads no name or its final
+## one, and the store ends equal to an in-memory control), under -race.
 crash:
-	$(GO) test -race -run 'TestCrash|TestDurable|TestFrameJournal|TestRecovery|TestRetired|TestWAL|TestSegment|TestManifest' ./internal/store/ ./internal/durable/
+	$(GO) test -race -run 'TestCrash|TestDurable|TestFrameJournal|TestRecovery|TestRetired|TestWAL|TestSegment|TestManifest|TestCorrelateInternsWhileSearching' ./internal/store/ ./internal/durable/

@@ -139,13 +139,15 @@ func BenchmarkIngestWALOverhead(b *testing.B) {
 // 100-iteration benchmarks above stop near 50 k rows, where the cost of
 // growing row storage — paid on ingest and again on WAL replay — has not
 // started to show; this one reports it as ns/event and B/event of ingest and
-// events/s of recovery. Run with -benchtime=1x.
+// events/s of recovery, and live-B/event: the live heap the reopened store
+// holds after a forced GC, per event — the row storage the end-to-end
+// heap_bytes_per_event prices. Run with -benchtime=1x.
 func BenchmarkIngestAtScale(b *testing.B) {
 	const total = 1_000_000
 	batch := ingestParse(ingestRecords(), nil)
 	ctx := context.Background()
 	var ingest, replay time.Duration
-	var allocated uint64
+	var allocated, live uint64
 	for i := 0; i < b.N; i++ {
 		opts := []store.Option{
 			store.WithDataDir(b.TempDir()), store.WithFsyncPolicy(store.FsyncInterval), store.WithSnapshotInterval(0),
@@ -168,6 +170,8 @@ func BenchmarkIngestAtScale(b *testing.B) {
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		start = time.Now()
 		re, err := store.Open(opts...)
 		if err != nil {
@@ -177,10 +181,14 @@ func BenchmarkIngestAtScale(b *testing.B) {
 		if n, err := re.Count(ctx, "bench", store.MatchAll()); err != nil || n != total {
 			b.Fatalf("recovered %d of %d events: %v", n, total, err)
 		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live += after.HeapAlloc - min(before.HeapAlloc, after.HeapAlloc)
 		re.Close()
 	}
 	events := float64(total) * float64(b.N)
 	b.ReportMetric(float64(ingest.Nanoseconds())/events, "ns/event")
 	b.ReportMetric(float64(allocated)/events, "B/event")
 	b.ReportMetric(events/replay.Seconds(), "replay-events/s")
+	b.ReportMetric(float64(live)/events, "live-B/event")
 }

@@ -58,7 +58,9 @@ type SegmentRow struct {
 }
 
 // RowSource enumerates an index's rows in global-id order. WriteSegment
-// reads each row once.
+// reads each row once, and copies it before it asks for the next, so a
+// source may hand every row out in one reused event (a store unpacks its
+// packed rows so).
 type RowSource interface {
 	NumRows() int
 	Row(i int) SegmentRow

@@ -45,7 +45,8 @@ var codecMagic = [4]byte{'D', 'I', 'O', 'E'}
 //	       pid, tid, ret_val, dev, ino, birth  deltas from the previous row
 //	       arg_offset, offset, fd, count, whence, flags, mode   raw
 //	       pid, tid, fd, count, whence and flags hold int32 values, mode a
-//	       uint32: the encoder cuts wider values, the decoder refuses them
+//	       uint32: the encoder cuts wider values (Canonicalize), the
+//	       decoder refuses them
 //	  [1] aux (bit 0: has_offset)
 //
 // A batch repeats the same few strings row after row and its integers move
@@ -62,9 +63,9 @@ const (
 	codecMinRowLen     = codecStringCount + codecIntCount + 1
 	codecAuxHasOffset  = 1 << 0
 	codecMaxFrameCount = 1 << 26 // sanity bound on the count field
-	// codecMaxStringLen caps one literal. EncodeBatch truncates longer values,
-	// before comparing them with anything, and DecodeBatch refuses longer
-	// literals.
+	// codecMaxStringLen caps one literal. EncodeBatch truncates longer values
+	// (Canonicalize), before comparing them with anything, and DecodeBatch
+	// refuses longer literals.
 	codecMaxStringLen = 0xFFFF
 
 	refPrev    = 0
@@ -121,50 +122,59 @@ var encoders = sync.Pool{New: func() any {
 	return &encoder{dict: make(map[string]uint64, 64)}
 }}
 
-// encode appends the frame for events to dst. The table is empty before
-// and after. pid, tid, fd, count, whence and flags are 32-bit fields on
-// every surface (the NDJSON edge, the segment columns), so the frame
-// carries each cut to int32.
+// Canonicalize puts e in the form every encoding of it carries, the frame
+// and so the journal, replication and segments: Offset is cleared without
+// HasOffset, pid, tid, fd, count, whence and flags are cut to int32, and a
+// string longer than a literal may be is truncated to the cap. A stored event
+// is canonical, so what a store serves live is what it serves after a
+// round trip through its own files.
+func (e *Event) Canonicalize() {
+	if !e.HasOffset {
+		e.Offset = 0
+	}
+	for _, f := range [...]*int{&e.PID, &e.TID, &e.FD, &e.Count, &e.Whence, &e.Flags} {
+		*f = int(int32(*f))
+	}
+	for _, ps := range wireStrings(e) {
+		if len(*ps) > codecMaxStringLen {
+			*ps = (*ps)[:codecMaxStringLen]
+		}
+	}
+}
+
+// encode appends the frame for events to dst, each row as Canonicalize
+// leaves a copy of it. The table is empty before and after.
 func (enc *encoder) encode(dst []byte, events []Event) []byte {
 	dst = append(dst, codecMagic[:]...)
 	dst = append(dst, CodecVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
 	enc.next = refDict
-	var zero Event
-	p := &zero
-	var prev [codecStringCount]string // as written, so truncated
+	var e, p Event
 	for i := range events {
-		e := &events[i]
-		for f, ps := range wireStrings(e) {
-			s := *ps
-			if len(s) > codecMaxStringLen {
-				s = s[:codecMaxStringLen]
-			}
-			if s == prev[f] {
+		e = events[i]
+		e.Canonicalize()
+		prev := wireStrings(&p)
+		for f, ps := range wireStrings(&e) {
+			if s := *ps; s == *prev[f] {
 				dst = append(dst, refPrev)
-				continue
+			} else {
+				dst = enc.str(dst, s)
 			}
-			prev[f] = s
-			dst = enc.str(dst, s)
-		}
-		var off int64
-		if e.HasOffset {
-			off = e.Offset
 		}
 		dst = binary.AppendVarint(dst, e.TimeEnterNS-p.TimeEnterNS)
 		dst = binary.AppendVarint(dst, e.TimeExitNS-e.TimeEnterNS)
-		dst = binary.AppendVarint(dst, int64(int32(e.PID))-int64(int32(p.PID)))
-		dst = binary.AppendVarint(dst, int64(int32(e.TID))-int64(int32(p.TID)))
+		dst = binary.AppendVarint(dst, int64(e.PID-p.PID))
+		dst = binary.AppendVarint(dst, int64(e.TID-p.TID))
 		dst = binary.AppendVarint(dst, e.RetVal-p.RetVal)
 		dst = binary.AppendVarint(dst, int64(e.FileTag.Dev-p.FileTag.Dev))
 		dst = binary.AppendVarint(dst, int64(e.FileTag.Ino-p.FileTag.Ino))
 		dst = binary.AppendVarint(dst, e.FileTag.BirthNS-p.FileTag.BirthNS)
 		dst = binary.AppendVarint(dst, e.ArgOff)
-		dst = binary.AppendVarint(dst, off)
-		dst = binary.AppendVarint(dst, int64(int32(e.FD)))
-		dst = binary.AppendVarint(dst, int64(int32(e.Count)))
-		dst = binary.AppendVarint(dst, int64(int32(e.Whence)))
-		dst = binary.AppendVarint(dst, int64(int32(e.Flags)))
+		dst = binary.AppendVarint(dst, e.Offset)
+		dst = binary.AppendVarint(dst, int64(e.FD))
+		dst = binary.AppendVarint(dst, int64(e.Count))
+		dst = binary.AppendVarint(dst, int64(e.Whence))
+		dst = binary.AppendVarint(dst, int64(e.Flags))
 		dst = binary.AppendVarint(dst, int64(e.Mode))
 		var aux byte
 		if e.HasOffset {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -163,82 +164,59 @@ func finalizeStats(res StatsResult) *StatsResult {
 // tree is a columnar count map, sorted value slice, or stats accumulator — no
 // row is materialized to answer an aggregation at any depth.
 
-// termCounts tallies ids, ascending, by term. When the matched set is the
-// whole shard and the field is indexed, the counts are just the posting-list
-// lengths (every row posts a term in every indexed field) — no per-row work
-// at all. Otherwise the ids inside the field's code column count their codes
-// and read no row; only ids past it (rows appended since ensureColumns), or
-// every id of a field with no codes, read their rows through termKey.
+// termCounts tallies ids, ascending, by term. A string field counts codes
+// and hashes no string per row. When the field is indexed and the ids, no
+// fewer than its terms, are a whole span of the shard (every row, a window of
+// its time order), a posting list's entries inside the span are the term's
+// rows there: its length, or two binary searches. Else the rows' codes count
+// into an array indexed by code when the ids outnumber the dictionary, and
+// into the term map when they do not, so a selective query over a session
+// does not allocate a counter per term. Other fields read rows (termKey).
 func (sh *shard) termCounts(t *TermsAgg, ids []int32) map[string]int {
-	if pl, ok := sh.postings[t.Field]; ok && len(ids) == sh.rows.len() {
-		counts := make(map[string]int, len(pl))
-		for term, l := range pl {
-			counts[term] = len(l)
-		}
-		return counts
-	}
-	kc := sh.codes[t.Field]
-	n := kc.covered(ids)
-	counts := kc.count(ids[:n])
-	for _, id := range ids[n:] {
-		counts[sh.termKey(id, t.Field)]++
-	}
-	return counts
-}
-
-// covered returns how many leading ids, ascending, kc codes: none for a
-// field with no code column.
-func (kc *codeColumn) covered(ids []int32) int {
-	if kc == nil {
-		return 0
-	}
-	return sort.Search(len(ids), func(i int) bool { return int(ids[i]) >= len(kc.codes) })
-}
-
-// count tallies ids, every one coded, by term: into an array indexed by code
-// when they outnumber the dictionary, and otherwise straight into the term
-// map, so a selective query over a high-cardinality field (a session) does
-// not allocate a counter per term. A map keyed by code would add a second map
-// and its conversion, which cost a 10-row match more than the string hashes
-// it saved.
-func (kc *codeColumn) count(ids []int32) map[string]int {
 	counts := make(map[string]int)
-	if len(ids) == 0 || len(ids) <= len(kc.terms) {
+	f, coded := strSlot(t.Field)
+	switch {
+	case !coded:
 		for _, id := range ids {
-			counts[kc.terms[kc.codes[id]]]++
+			counts[sh.termKey(id, t.Field)]++
 		}
-		return counts
-	}
-	dense := make([]int, len(kc.terms))
-	for _, id := range ids {
-		dense[kc.codes[id]]++
-	}
-	for code, n := range dense {
-		if n > 0 {
-			counts[kc.terms[code]] = n
+	case f < len(sh.postings) && len(sh.postings[f]) <= len(ids) && int(ids[len(ids)-1]-ids[0])+1 == len(ids):
+		for c, pl := range sh.postings[f] {
+			i, n := 0, len(pl)
+			if len(ids) < sh.rows.len() {
+				i, _ = slices.BinarySearch(pl, ids[0])
+				n, _ = slices.BinarySearch(pl[i:], ids[len(ids)-1]+1)
+			}
+			if n > 0 {
+				counts[sh.dicts[f].terms[c]] = n
+			}
+		}
+	case len(ids) <= len(sh.dicts[f].terms):
+		for _, id := range ids {
+			counts[sh.dicts[f].terms[sh.rows.at(int(id)).str[f]]]++
+		}
+	default:
+		dense := make([]int, len(sh.dicts[f].terms))
+		for _, id := range ids {
+			dense[sh.rows.at(int(id)).str[f]]++
+		}
+		for c, n := range dense {
+			if n > 0 {
+				counts[sh.dicts[f].terms[c]] = n
+			}
 		}
 	}
 	return counts
 }
 
-// termGroups groups ids, ascending, by term: by code inside the field's code
-// column, then by term past it, so each group stays ascending (every id past
-// the column exceeds every coded one). It is partial's terms grouping in a
-// function of its own so that its maps are not in partial's frame, which is
-// on the stack of every aggregation a fan-out worker computes: a worker's
-// stack grows, by a copy, when its deepest frame does not fit.
+// termGroups groups ids, ascending, by term, so each group stays ascending.
+// It is partial's terms grouping in a function of its own so that its map is
+// not in partial's frame, which is on the stack of every aggregation a
+// fan-out worker computes: a worker's stack grows, by a copy, when its
+// deepest frame does not fit.
 func (sh *shard) termGroups(field string, ids []int32) map[string][]int32 {
-	kc := sh.codes[field]
-	n := kc.covered(ids)
-	byCode := make(map[uint32][]int32)
-	for _, id := range ids[:n] {
-		byCode[kc.codes[id]] = append(byCode[kc.codes[id]], id)
-	}
-	groups := make(map[string][]int32, len(byCode))
-	for code, g := range byCode {
-		groups[kc.terms[code]] = g
-	}
-	for _, id := range ids[n:] {
+	groups := make(map[string][]int32)
+	for _, id := range ids {
 		k := sh.termKey(id, field)
 		groups[k] = append(groups[k], id)
 	}
@@ -248,10 +226,11 @@ func (sh *shard) termGroups(field string, ids []int32) map[string][]int32 {
 // termKey returns row id's terms bucket key for field: keyString of the
 // document-view value, with string fields read unboxed.
 func (sh *shard) termKey(id int32, field string) string {
-	if s, ok := sh.rows.at(int(id)).StringField(field); ok {
+	w := sh.row(id)
+	if s, ok := w.StringField(field); ok {
 		return s
 	}
-	return keyString(sh.val(id, field))
+	return keyString(w.field(field))
 }
 
 // histKey returns the interval bucket of row id's field, in exact int64

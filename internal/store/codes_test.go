@@ -11,9 +11,9 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
-// Tests and benchmarks for the keyword code columns: a terms aggregation over
-// an indexed field counts the codes ensureColumns built, and must answer
-// exactly what reading every matched row would.
+// Tests and benchmarks for the terms aggregation over the rows' codes: a
+// terms aggregation over a string field counts its rows' dictionary codes,
+// and must answer exactly what reading every matched row would.
 
 // codesRows is n rows from time at with syscalls drawn from vocab. Class is
 // empty on every row, so every row posts "" in it; proc_name is empty on
@@ -35,9 +35,9 @@ func codesRows(rng *rand.Rand, n int, vocab []string, at int64) []event.Event {
 	return evs
 }
 
-// codesAggs is a terms aggregation over every indexed field and over two
-// that are not (file_path, ret_val), each alone and with a terms
-// sub-aggregation.
+// codesAggs is a terms aggregation over every indexed field, over a string
+// field that is not (file_path) and over one with no codes (ret_val), each
+// alone and with a terms sub-aggregation.
 func codesAggs() map[string]Agg {
 	aggs := make(map[string]Agg)
 	for _, f := range append(indexedFields[:], FieldFilePath, FieldRetVal) {
@@ -52,8 +52,8 @@ func codesAggs() map[string]Agg {
 }
 
 // termsByRow is the reference terms partial: every id's row read through
-// termKey, grouped by term, and each group's terms sub-aggregations the same
-// way.
+// its boxed document value (termKey), grouped by term, and each group's terms
+// sub-aggregations the same way.
 func termsByRow(sh *shard, a Agg, ids []int32) *AggPartial {
 	groups := make(map[string][]int32)
 	for _, id := range ids {
@@ -108,24 +108,13 @@ func checkCodes(t *testing.T, label string, sh *shard, from int) {
 	}
 }
 
-// codedRows reports how many rows field's code column covers, -1 for none.
-func codedRows(sh *shard, field string) int {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if kc := sh.codes[field]; kc != nil {
-		return len(kc.codes)
-	}
-	return -1
-}
-
-// TestTermsCodesMatchRowScan: terms partials read through code columns equal
-// the row reference, with and without sub-aggregations, at 1 and 4 shards —
-// over every indexed field, over fields with no codes, past the coded prefix,
-// after the codes are extended, after a snapshot evicts the rows they
-// covered, on a resident cold segment, and for one row of a 5 000-session
-// dictionary.
+// TestTermsCodesMatchRowScan: terms partials counted from the rows' codes
+// equal the row reference, with and without sub-aggregations, at 1 and 4
+// shards — over every indexed field, a string field that is not indexed and
+// a field with no codes, over rows whose terms a later batch adds to the
+// dictionaries, after a snapshot evicts the rows and their dictionaries, on
+// a resident cold segment, and for one row of a 5 000-session dictionary.
 func TestTermsCodesMatchRowScan(t *testing.T) {
-	cols := neededColumns(SearchRequest{Aggs: codesAggs()})
 	for _, S := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", S), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(S)))
@@ -134,63 +123,26 @@ func TestTermsCodesMatchRowScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			for s, sh := range ix.shards {
-				sh.ensureColumns(cols, sortWalk{})
-				n := sh.len()
-				for _, f := range indexedFields {
-					if got := codedRows(sh, f); got != n {
-						t.Fatalf("shard %d: %s codes cover %d of %d rows", s, f, got, n)
-					}
-				}
-				for _, f := range []string{FieldFilePath, FieldRetVal} {
-					if got := codedRows(sh, f); got != -1 {
-						t.Fatalf("shard %d: %s, not indexed, has codes over %d rows", s, f, got)
-					}
-				}
-				checkCodes(t, fmt.Sprintf("built, shard %d", s), sh, n)
+				checkCodes(t, fmt.Sprintf("built, shard %d", s), sh, sh.len())
 			}
-
-			// Rows appended after the codes: past the prefix until the next
-			// ensureColumns extends them, with a syscall none of the coded
-			// rows holds.
+			// A later batch with a syscall none of the earlier rows holds.
 			from := ix.shards[0].len()
 			if err := ix.AddEvents(codesRows(rng, 100*S, []string{"write", "fsync"}, 1e9)); err != nil {
 				t.Fatal(err)
 			}
 			for s, sh := range ix.shards {
-				if got, n := codedRows(sh, FieldSyscall), sh.len(); got >= n {
-					t.Fatalf("shard %d: codes cover %d of %d rows before the extension", s, got, n)
-				}
-				checkCodes(t, fmt.Sprintf("past the prefix, shard %d", s), sh, from)
-				sh.ensureColumns(cols, sortWalk{})
-				if got, n := codedRows(sh, FieldSyscall), sh.len(); got != n {
-					t.Fatalf("shard %d: extended codes cover %d of %d rows", s, got, n)
-				}
 				checkCodes(t, fmt.Sprintf("extended, shard %d", s), sh, from)
 			}
-
-			// A counted id inside the codes reads no row: rewriting the rows
-			// (which the store never does) leaves the counts where they were.
-			sh := ix.shards[0]
-			window := idSets(sh.len(), 0)["window"]
-			agg := Agg{Terms: &TermsAgg{Field: FieldSyscall}}
-			want := jsonOf(termsByRow(sh, agg, window))
-			for _, id := range window {
-				sh.rows.at(int(id)).Syscall = "rewritten"
-			}
-			if got := jsonOf(sh.partial(agg, window)); got != want {
-				t.Fatalf("counts read rows inside the codes:\n got %s\nwant %s", got, want)
-			}
-
-			t.Run("evicted", func(t *testing.T) { checkEvictedCodes(t, S, cols) })
+			t.Run("evicted", func(t *testing.T) { checkEvictedCodes(t, S) })
 		})
 	}
 	t.Run("sessions=5000", checkSparseCodes)
 }
 
-// checkEvictedCodes builds codes on a durable index's hot stripes, lets a
-// snapshot evict their rows, and checks the rows that follow under another
-// vocabulary, and then the resident cold segment the evicted rows went to.
-func checkEvictedCodes(t *testing.T, S int, cols []string) {
+// checkEvictedCodes lets a snapshot evict a durable index's hot rows, and
+// checks the rows that follow under another vocabulary, and then the
+// resident cold segment the evicted rows went to.
+func checkEvictedCodes(t *testing.T, S int) {
 	ctx := context.Background()
 	st := openDurable(t, t.TempDir(), WithShards(S), WithQueryCache(0))
 	defer st.Close()
@@ -200,14 +152,7 @@ func checkEvictedCodes(t *testing.T, S int, cols []string) {
 	if err := st.BulkEvents(ctx, windowIndex, flushed); err != nil {
 		t.Fatal(err)
 	}
-	req := SearchRequest{Query: MatchAll(), Size: 1, Aggs: codesAggs()}
-	if _, err := st.Search(ctx, windowIndex, req); err != nil {
-		t.Fatal(err)
-	}
 	ix, _ := st.GetIndex(windowIndex)
-	if got := codedRows(ix.shards[0], FieldSyscall); got != 300 {
-		t.Fatalf("fixture: hot codes cover %d rows, want 300", got)
-	}
 	if err := st.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +160,13 @@ func checkEvictedCodes(t *testing.T, S int, cols []string) {
 		t.Fatal(err)
 	}
 	for s, sh := range ix.shards {
-		sh.ensureColumns(cols, sortWalk{})
+		if got := len(sh.dicts[1].terms); got != 3 {
+			t.Fatalf("shard %d: the syscall dictionary holds %d terms after eviction, want \"\", lseek and fsync", s, got)
+		}
 		checkCodes(t, fmt.Sprintf("after eviction, shard %d", s), sh, 0)
 	}
 
-	// A window over the flushed rows opens their segment and codes it.
+	// A window over the flushed rows opens their segment.
 	window := SearchRequest{Query: timeRange(at, at+int64(len(flushed))*1000),
 		Size: 1, Aggs: codesAggs()}
 	if _, err := st.Search(ctx, windowIndex, window); err != nil {
@@ -235,8 +182,8 @@ func checkEvictedCodes(t *testing.T, S int, cols []string) {
 	if e == nil {
 		t.Fatal("the flushed segment is not resident after a window over it")
 	}
-	if got := codedRows(e.cs.sh, FieldSyscall); got != len(flushed) {
-		t.Fatalf("resident codes cover %d of %d rows", got, len(flushed))
+	if got := e.cs.sh.len(); got != len(flushed) {
+		t.Fatalf("the resident segment holds %d of %d rows", got, len(flushed))
 	}
 	checkCodes(t, "resident cold segment", e.cs.sh, 0)
 }
@@ -254,7 +201,6 @@ func checkSparseCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := ix.shards[0]
-	sh.ensureColumns([]string{FieldSession}, sortWalk{})
 	checkCodes(t, "5 000 sessions", sh, sessions)
 	one, agg := []int32{sessions / 2}, Agg{Terms: &TermsAgg{Field: FieldSession}}
 	sh.mu.RLock()

@@ -173,20 +173,27 @@ func resolveFromBook(book []event.PathsRecord, gid int, e *event.Event) bool {
 
 // applyPaths runs rec over every row in shard memory, one shard write lock at
 // a time, and counts the outcomes. file_path is neither indexed nor numeric,
-// so postings, columns and codes stand; the epoch brackets the pass for the
-// query cache. On a durable index the caller holds the gate shared (base is
-// frozen) or is single-threaded recovery.
+// so postings and columns stand; each row is resolved unpacked, and a path
+// it takes that is new to its shard joins the shard's file_path dictionary.
+// The epoch brackets the pass for the query cache. On a durable index the
+// caller holds the gate shared (base is frozen) or is single-threaded
+// recovery.
 func (ix *Index) applyPaths(rec *event.PathsRecord) (n [pathOutcomes]int) {
 	ix.epoch.Add(1)
 	defer ix.epoch.Add(1)
 	S := len(ix.shards)
 	base := int(ix.base.Load())
+	var e event.Event
 	for s, sh := range ix.shards {
 		sh.mu.Lock()
-		for b, blk := range sh.rows.blocks {
-			for j := range blk {
-				n[resolvePaths(rec, base+(b<<blockShift+j)*S+s, &blk[j])]++
+		for id := range sh.rows.len() {
+			w := sh.row(int32(id))
+			w.unpack(&e)
+			o := resolvePaths(rec, base+id*S+s, &e)
+			if o == pathUpdated {
+				w.r.str[slotFilePath] = sh.dicts[slotFilePath].intern(e.FilePath)
 			}
+			n[o]++
 		}
 		sh.mu.Unlock()
 	}
@@ -231,8 +238,10 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord) (n [path
 	v.entries = v.entries[len(ix.shards):] // applyPaths names the hot stripes below
 	cold := make([][pathOutcomes]int, len(v.entries))
 	err = v.each(ctx, true, func(i int, e *readEntry) {
+		var row event.Event // a copy: a resident segment's rows are shared and read-only
 		for k := range e.sh.rows.len() {
-			row := *e.sh.rows.at(k) // a copy: a resident segment's rows are shared and read-only
+			w := e.sh.row(int32(k))
+			w.unpack(&row)
 			cold[i][resolvePaths(rec, e.gidOf(int32(k)), &row)]++
 		}
 	})

@@ -130,8 +130,7 @@ func cursorVal(v any) any {
 func nextAfterRef(ref hitRef, sorts []SortField) []any {
 	out := make([]any, 0, len(sorts)+1)
 	for _, s := range sorts {
-		v, _ := ref.ev.Field(s.Field)
-		out = append(out, cursorVal(v))
+		out = append(out, cursorVal(ref.sh.val(ref.id, s.Field)))
 	}
 	return append(out, ref.gid)
 }

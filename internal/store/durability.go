@@ -243,32 +243,25 @@ func (d *indexDurable) syncWAL() error {
 	return err
 }
 
-// sliceRows adapts a pre-built row snapshot to durable.RowSource.
-type sliceRows []durable.SegmentRow
+// flushRows is rows [start, head) of shard memory in global-id order as the
+// segment writer's source: Row unpacks the row at the global id into one
+// event, which the writer copies before it asks for the next. No shard locks
+// are taken: the caller holds the exclusive snapshot gate, which excludes
+// every row mutator (adds, replays, path naming) — so head is the end of
+// every shard and no dictionary grows — and concurrent searches only read.
+type flushRows struct {
+	ix                *Index
+	start, head, base int
+	ev                event.Event
+}
 
-func (r sliceRows) NumRows() int                 { return len(r) }
-func (r sliceRows) Row(i int) durable.SegmentRow { return r[i] }
+func (f *flushRows) NumRows() int { return f.head - f.start }
 
-// flushRows snapshots rows [start, head) in global-id order for the segment
-// writer, referencing the events in place: each shard's blocks are walked
-// from its first row at or past start, and every row lands at its global id's
-// position. No shard locks are taken: the caller holds the exclusive snapshot
-// gate, which excludes every row mutator (adds, replays, path naming) —
-// so head is the end of every shard — and concurrent searches only read.
-func (ix *Index) flushRows(start, head int) durable.RowSource {
-	S := len(ix.shards)
-	base := int(ix.base.Load())
-	out := make([]durable.SegmentRow, head-start)
-	for s, sh := range ix.shards {
-		first := int(firstLocalAfter(start-base-1, s, S))
-		for b := first >> blockShift; b < len(sh.rows.blocks); b++ {
-			blk := sh.rows.blocks[b]
-			for j := max(first-b<<blockShift, 0); j < len(blk); j++ {
-				out[base+(b<<blockShift+j)*S+s-start] = durable.SegmentRow{Event: &blk[j]}
-			}
-		}
-	}
-	return sliceRows(out)
+func (f *flushRows) Row(i int) durable.SegmentRow {
+	S, m := len(f.ix.shards), f.start+i-f.base
+	w := f.ix.shards[m%S].row(int32(m / S))
+	w.unpack(&f.ev)
+	return durable.SegmentRow{Event: &f.ev}
 }
 
 // snapshot folds the live WAL into the leveled segment layout: it writes a
@@ -319,7 +312,7 @@ func (d *indexDurable) snapshot(ix *Index, keepRetired bool) error {
 	if head > fs {
 		seq := d.segSeq
 		info, err := durable.WriteSegment(filepath.Join(d.dir, durable.SegmentName(seq)), len(ix.shards),
-			ix.flushRows(int(fs), int(head)))
+			&flushRows{ix: ix, start: int(fs), head: int(head), base: int(base)})
 		if err != nil {
 			newWAL.Close()
 			return err

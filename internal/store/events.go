@@ -117,6 +117,7 @@ func (s *Store) eachEvent(ctx context.Context, index string, req SearchRequest, 
 		return err
 	}
 	req.From, req.Size, req.SearchAfter, req.Aggs = 0, walkPage(pageSize), nil, nil
+	var ev event.Event
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -124,8 +125,9 @@ func (s *Store) eachEvent(ctx context.Context, index string, req SearchRequest, 
 		var next []any
 		start := time.Now()
 		err := ix.searchShards(ctx, &searchExec{req: req}, nil, func(refs []hitRef, _ int, _ map[string]*AggPartial) {
-			for _, ref := range refs {
-				fn(ref.ev)
+			for i := range refs {
+				refs[i].event(&ev)
+				fn(&ev)
 			}
 			if len(refs) == req.Size {
 				next = nextAfterRef(refs[len(refs)-1], req.Sort)

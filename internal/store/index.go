@@ -111,14 +111,10 @@ func (ix *Index) AddEvents(events []event.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	// Canonicalize before journaling or placement: Offset is meaningless
-	// without HasOffset, and both the wire codec and the segment reader clear
-	// it on decode. Clearing here keeps the live in-memory state identical to
-	// its own durability round-trip.
+	// Canonicalize before journaling or placement, so what the index holds
+	// live is what its journal, a follower and a reopen hold.
 	for i := range events {
-		if !events[i].HasOffset {
-			events[i].Offset = 0
-		}
+		events[i].Canonicalize()
 	}
 	var frame []byte
 	if ix.dur != nil {
@@ -272,17 +268,25 @@ type shardResult struct {
 	partials map[string]*AggPartial
 }
 
-// hitRef names a matched row for merge ordering without copying it: a pointer
-// into row storage (a shard's, a cold segment's, or — at the
-// cluster coordinator — a partition's decoded hits) and the global id used as
-// the stable tie-break. key is the row's first sort key as IntField reads
-// it, and keyOK whether the row holds it, so the merge compares two integers
-// where it would look a field up by name; both are zero on an unsorted search.
+// hitRef names a matched row for merge ordering without copying it: local
+// row id of sh — a hot stripe, a cold segment, or at the cluster coordinator
+// the shard a partition's decoded hits are packed into — and the global id
+// used as the stable tie-break. key is the row's first sort key as IntField
+// reads it, and keyOK whether the row holds it, so the merge compares two
+// integers where it would look a field up by name; both are zero on an
+// unsorted search.
 type hitRef struct {
-	ev    *event.Event
+	sh    *shard
 	gid   int
 	key   int64
+	id    int32
 	keyOK bool
+}
+
+// event unpacks ref's row into dst.
+func (ref *hitRef) event(dst *event.Event) {
+	w := ref.sh.row(ref.id)
+	w.unpack(dst)
 }
 
 // EventsResult is the answer to a search: the matched count, the requested
@@ -340,8 +344,8 @@ func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (Events
 // hit or a token.
 func eventsResult(req SearchRequest, refs []hitRef, total int, aggs map[string]AggResult) EventsResult {
 	res := EventsResult{Total: total, Hits: make([]event.Event, len(refs)), Aggs: aggs}
-	for i, ref := range refs {
-		res.Hits[i] = *ref.ev
+	for i := range refs {
+		refs[i].event(&res.Hits[i])
 	}
 	if req.Size > 0 && len(refs) == req.Size {
 		res.NextAfter = nextAfterRef(refs[len(refs)-1], req.Sort)
@@ -599,7 +603,7 @@ func (e *readEntry) searchLocked(exec *searchExec) (shardResult, hitSource) {
 	}
 	refs := make([]hitRef, len(hitIDs))
 	for i, id := range hitIDs {
-		refs[i] = hitRef{ev: sh.rows.at(int(id)), gid: e.gidOf(id)}
+		refs[i] = hitRef{sh: sh, id: id, gid: e.gidOf(id)}
 	}
 	if len(req.Sort) > 0 {
 		f := req.Sort[0].Field
@@ -787,16 +791,14 @@ func hitLess(a, b *hitRef, sorts []SortField) bool {
 	for i, s := range sorts {
 		af, aok, bf, bok := a.key, a.keyOK, b.key, b.keyOK
 		if i > 0 {
-			af, aok = a.ev.IntField(s.Field)
-			bf, bok = b.ev.IntField(s.Field)
+			af, aok = a.sh.numAt(a.id, s.Field)
+			bf, bok = b.sh.numAt(b.id, s.Field)
 		}
 		var r int
 		if aok && bok {
 			r = cmpOrdered(af, bf, s.Desc)
 		} else {
-			av, _ := a.ev.Field(s.Field)
-			bv, _ := b.ev.Field(s.Field)
-			r = cmpField(av, bv, s.Desc)
+			r = cmpField(a.sh.val(a.id, s.Field), b.sh.val(b.id, s.Field), s.Desc)
 		}
 		if r != 0 {
 			return r < 0
@@ -809,9 +811,9 @@ func hitLess(a, b *hitRef, sorts []SortField) bool {
 // caches (ensureColumns): range-query fields, the sort fields of a request
 // that walks no list, the percentiles
 // and stats fields of aggregations at any nesting depth (histograms bucket
-// from the row's exact integer, not a column), and the field of a terms
-// aggregation over an indexed field at any depth, which is read through its
-// codes. One list serves every entry of the read view, hot and cold alike.
+// from the row's exact integer, not a column, and a terms aggregation counts
+// the rows' codes). One list serves every entry of the read view, hot and
+// cold alike.
 func neededColumns(req SearchRequest) []string {
 	var out []string
 	seen := make(map[string]struct{})
@@ -857,9 +859,6 @@ func neededColumns(req SearchRequest) []string {
 		}
 		if a.Stats != nil {
 			add(a.Stats.Field)
-		}
-		if a.Terms != nil && slices.Contains(indexedFields[:], a.Terms.Field) {
-			add(a.Terms.Field)
 		}
 		for _, sub := range a.Aggs {
 			walkAgg(sub)

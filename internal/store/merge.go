@@ -65,7 +65,7 @@ func (s *hitSource) advance() {
 		p := s.p
 		s.p++
 		if id := s.l.ids[p]; s.keep == nil || s.keep(id) {
-			s.head = hitRef{ev: s.e.sh.rows.at(int(id)), gid: s.e.gidOf(id), key: s.l.at(p), keyOK: true}
+			s.head = hitRef{sh: s.e.sh, id: id, gid: s.e.gidOf(id), key: s.l.at(p), keyOK: true}
 			return
 		}
 	}

@@ -28,7 +28,7 @@ func oracleRows(ix *Index) (rows []Document, base int) {
 	}
 	rows = make([]Document, n)
 	for m := range rows {
-		rows[m] = EventToDoc(ix.shards[m%S].rows.at(m / S))
+		rows[m] = EventToDoc(ix.shards[m%S].eventAt(m / S))
 	}
 	return rows, int(ix.base.Load())
 }

@@ -416,7 +416,7 @@ func checkUnlistedStripe(t *testing.T, shards int, batches [][]event.Event, req 
 	last.mu.Unlock()
 	got := <-done
 	first.mu.RLock()
-	short := len(first.runs[key].ids) < len(first.postings[FieldSession]["s1"])
+	short := len(first.runs[key].ids) < len(first.postingOf(FieldSession, "s1"))
 	first.mu.RUnlock()
 	if !short {
 		t.Fatalf("%+v: stripe 0's run covers the late row", req)
@@ -668,7 +668,7 @@ func TestSortedPageAllocsFlat(t *testing.T) {
 // termRunWant returns the posting list of session on sh sorted by (time,
 // id), the order the session's run must hold.
 func termRunWant(sh *shard, session string) []int32 {
-	ids := slices.Clone(sh.postings[FieldSession][session])
+	ids := slices.Clone(sh.postingOf(FieldSession, session))
 	slices.SortFunc(ids, func(a, b int32) int {
 		if r := cmp.Compare(sh.rows.at(int(a)).TimeEnterNS, sh.rows.at(int(b)).TimeEnterNS); r != 0 {
 			return r
@@ -804,7 +804,7 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 		ids := make([]int32, len(hits))
 		for i, h := range hits {
 			ids[i] = int32(h.gid)
-			if k := h.ev.TimeEnterNS; !h.keyOK || h.key != k || sh.rows.at(h.gid) != h.ev {
+			if k := sh.rows.at(h.gid).TimeEnterNS; !h.keyOK || h.key != k || h.sh != sh || int(h.id) != h.gid {
 				t.Fatalf("%+v: hit %d (row %d) has key %v (%v), want %v", req.Query, i, h.gid, h.key, h.keyOK, k)
 			}
 		}
@@ -830,7 +830,7 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 		req := SearchRequest{Query: Must(Term(FieldSession, "s3"), Terms(FieldSyscall, "read", "write")), Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}, Size: need}
 		var exp []int32
 		for _, id := range want {
-			if sh.rows.at(int(id)).Syscall != "openat" {
+			if sh.eventAt(int(id)).Syscall != "openat" {
 				exp = append(exp, id)
 			}
 		}

@@ -19,41 +19,40 @@ func numbered(from, n int) []event.Event {
 }
 
 // checkRows requires r to hold exactly the rows numbered 0..n-1, through at
-// and through the block walk, with every block full but the last.
+// and through the blocks, in as many whole blocks as n rows need.
 func checkRows(t *testing.T, r *rows, n int) {
 	t.Helper()
 	if r.len() != n {
 		t.Fatalf("len = %d, want %d", r.len(), n)
 	}
+	if want := (n + blockRows - 1) / blockRows; len(r.blocks) != want {
+		t.Fatalf("%d rows in %d blocks, want %d", n, len(r.blocks), want)
+	}
 	for i := 0; i < n; i++ {
 		if got := r.at(i).RetVal; got != int64(i) {
 			t.Fatalf("at(%d) = row %d", i, got)
 		}
-	}
-	walked := 0
-	for b, blk := range r.blocks {
-		if b < len(r.blocks)-1 && len(blk) != blockRows {
-			t.Fatalf("block %d of %d holds %d rows", b, len(r.blocks), len(blk))
+		if blk := r.blocks[i>>blockShift]; len(blk) != blockRows || blk[i&(blockRows-1)].RetVal != int64(i) {
+			t.Fatalf("block %d of %d rows, slot %d, does not hold row %d", i>>blockShift, len(blk), i&(blockRows-1), i)
 		}
-		for j := range blk {
-			if blk[j].RetVal != int64(b<<blockShift+j) {
-				t.Fatalf("block %d slot %d holds row %d", b, j, blk[j].RetVal)
-			}
-			walked++
-		}
-	}
-	if walked != n {
-		t.Fatalf("block walk saw %d rows, want %d", walked, n)
 	}
 }
 
-func TestRowsAppendAdoptReset(t *testing.T) {
+// addNumbered appends rows numbered from..from+n-1 to r.
+func addNumbered(r *rows, from, n int) {
+	for i := from; i < from+n; i++ {
+		r.add().RetVal = int64(i)
+	}
+}
+
+// TestRowsAppendAcrossBlocks: rows land in order across block boundaries,
+// every block full but the last, and an emptied rows starts over.
+func TestRowsAppendAcrossBlocks(t *testing.T) {
 	var r rows
 	checkRows(t, &r, 0)
 	const n = 3*blockRows + 7
-	evs := numbered(0, n)
-	for i := range evs {
-		r.append(&evs[i])
+	for i := 0; i < n; i++ {
+		addNumbered(&r, i, 1)
 		if i == 0 || (i+1)%blockRows < 2 { // around every block boundary
 			checkRows(t, &r, i+1)
 		}
@@ -61,62 +60,34 @@ func TestRowsAppendAdoptReset(t *testing.T) {
 	if len(r.blocks) != 4 {
 		t.Fatalf("%d rows in %d blocks, want 4", n, len(r.blocks))
 	}
-	r.reset()
+	r = rows{}
 	checkRows(t, &r, 0)
-	r.append(&evs[0])
+	addNumbered(&r, 0, 1)
 	checkRows(t, &r, 1)
-
-	for _, n := range []int{0, 1, blockRows - 1, blockRows, blockRows + 1, 3*blockRows + 7} {
-		// One spare slot past the page: an append after the adopt must extend
-		// the rows, not write into the caller's array.
-		page := numbered(0, n+1)
-		page[n].RetVal = -1
-		flat := page[:n]
-		var a rows
-		a.adopt(flat)
-		checkRows(t, &a, n)
-		if n > 0 && a.at(n-1) != &flat[n-1] {
-			t.Fatalf("adopt(%d) copied its rows", n)
-		}
-		more := numbered(n, blockRows+3)
-		for i := range more {
-			a.append(&more[i])
-		}
-		checkRows(t, &a, n+len(more))
-		if page[n].RetVal != -1 {
-			t.Fatalf("append after adopt(%d) wrote into the adopted page", n)
-		}
-	}
 }
 
 // TestRowsPointersAreStable: a row pointer taken before the shard grows by
 // many blocks still reads — and writes — the row the shard holds.
 func TestRowsPointersAreStable(t *testing.T) {
 	var r rows
-	first := numbered(0, blockRows+5)
-	for i := range first {
-		r.append(&first[i])
-	}
-	held := make([]*event.Event, r.len())
+	addNumbered(&r, 0, blockRows+5)
+	held := make([]*hotRow, r.len())
 	for i := range held {
 		held[i] = r.at(i)
 	}
-	more := numbered(r.len(), 10_000)
-	for i := range more {
-		r.append(&more[i])
-	}
+	addNumbered(&r, r.len(), 10_000)
 	for i, p := range held {
 		if p != r.at(i) || p.RetVal != int64(i) {
 			t.Fatalf("row %d moved after 10 000 appends", i)
 		}
 	}
-	checkRows(t, &r, len(first)+len(more))
+	checkRows(t, &r, len(held)+10_000)
 }
 
 // TestAddEventsAllocatesEachRowOnce is the regression guard for block
-// storage: ingesting N rows must allocate about N rows of storage, where one
-// flat slice per shard allocated (and zeroed) about five times that growing
-// to N. The figure is row storage plus the posting lists, whose own growth is
+// storage: ingesting N rows must allocate about N packed rows of storage,
+// where one flat slice per shard allocated (and zeroed) about five times that
+// growing to N. The figure is row storage plus the posting lists, whose own growth is
 // allowed for explicitly.
 func TestAddEventsAllocatesEachRowOnce(t *testing.T) {
 	const n, batchLen = 200_000, 512
@@ -134,7 +105,7 @@ func TestAddEventsAllocatesEachRowOnce(t *testing.T) {
 	// Five int32 posting entries per row, in lists append grows by a quarter
 	// at a time: the series sums to at most five times their final size.
 	const postingBytesPerRow = 5 * 4 * 5
-	rowSize := float64(unsafe.Sizeof(event.Event{}))
+	rowSize := float64(unsafe.Sizeof(hotRow{}))
 	perRow := float64(after.TotalAlloc-before.TotalAlloc)/n - postingBytesPerRow
 	t.Logf("%.0f bytes allocated per %v-byte row (%.2fx)", perRow, rowSize, perRow/rowSize)
 	if perRow > 1.5*rowSize {
@@ -214,4 +185,19 @@ func TestEventBatchPoolBounded(t *testing.T) {
 	if *big != nil {
 		t.Fatalf("a batch of %d events was pooled", cap(*big))
 	}
+}
+
+// eventAt returns local row id of sh unpacked. Caller holds at least the read
+// lock.
+func (sh *shard) eventAt(id int) *event.Event {
+	var e event.Event
+	w := sh.row(int32(id))
+	w.unpack(&e)
+	return &e
+}
+
+// postingOf returns term's posting list in the indexed field.
+func (sh *shard) postingOf(field, term string) []int32 {
+	ids, _ := sh.posting(field, term)
+	return ids
 }

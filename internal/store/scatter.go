@@ -100,8 +100,9 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 	var resp ScatterResponse
 	err := ix.searchShards(ctx, &searchExec{req: req}, view, func(refs []hitRef, total int, parts map[string]*AggPartial) {
 		resp = ScatterResponse{Total: total, Gids: make([]int, len(refs)), Hits: make([]event.Event, len(refs))}
-		for i, ref := range refs {
-			resp.Gids[i], resp.Hits[i] = ref.gid, *ref.ev
+		for i := range refs {
+			resp.Gids[i] = refs[i].gid
+			refs[i].event(&resp.Hits[i])
 		}
 		if len(parts) > 0 {
 			resp.Partials = make(map[string]AggPartial, len(parts))
@@ -123,7 +124,8 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 // — resps[p] is the response from the node owning partition p of len(resps)
 // — because the back-map from node-local row l on partition p to the
 // cluster-global id is l*P + p. Each node's hit list arrives sorted in
-// request order and windowed to the candidate budget, so the merge is
+// request order and windowed to the candidate budget, and is packed into a
+// shard of its own, so the merge reads one row form at both levels; it is
 // streaming and the From/Size window is applied once, here.
 func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
 	P := len(resps)
@@ -131,11 +133,11 @@ func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
 	total := 0
 	for p := range resps {
 		total += resps[p].Total
-		refs := make([]hitRef, len(resps[p].Hits))
+		refs, sh := make([]hitRef, len(resps[p].Hits)), newShard()
 		for i := range refs {
-			ref := hitRef{ev: &resps[p].Hits[i], gid: resps[p].Gids[i]*P + p}
+			ref := hitRef{sh: sh, id: sh.addEventLocked(&resps[p].Hits[i]), gid: resps[p].Gids[i]*P + p}
 			if len(req.Sort) > 0 {
-				ref.key, ref.keyOK = ref.ev.IntField(req.Sort[0].Field)
+				ref.key, ref.keyOK = sh.numAt(ref.id, req.Sort[0].Field)
 			}
 			refs[i] = ref
 		}

@@ -16,17 +16,19 @@ import (
 // i*S + s. Per-shard global ids are therefore always sorted in append order,
 // which the merge phase of Search relies on.
 //
-// A row is an event.Event, stored as a plain struct: postings, columns, query
-// evaluation, and aggregation read it through the typed accessors and never
-// build a map; a search hit is a copy of the struct. Everything else a shard
-// holds is derived from its rows: postings at append, numeric columns and
-// keyword codes on demand (ensureColumns).
+// A row is a packed hotRow: each string field is a code into the shard's
+// dictionary of that field, written with the row under the write lock, so a
+// string a shard's rows repeat is held once. Postings, columns, query
+// evaluation and aggregation read a row through its accessors (row) and never
+// build a map; a search hit is unpacked into an event.Event only at the edge.
+// Everything else a shard holds is derived from its rows: dictionaries and
+// postings at append, numeric columns on demand (ensureColumns).
 type shard struct {
 	mu       sync.RWMutex
 	rows     rows
-	postings map[string]map[string][]int32 // field -> term -> local row ids
+	dicts    [nSlots]dict                  // per string slot: code <-> term
+	postings [len(indexedFields)][][]int32 // per indexed slot and code: local row ids
 	cols     map[string]*column            // lazy numeric columns, keyed by field
-	codes    map[string]*codeColumn        // lazy keyword codes of indexed fields, keyed by field
 	runs     map[runKey]*termRun           // lazy term runs, keyed by sort field and term
 }
 
@@ -127,7 +129,7 @@ func (sh *shard) termIDs(walk sortWalk) (ids []int32, byRun bool) {
 	if walk.term.field == "" {
 		return nil, false
 	}
-	ids = sh.postings[walk.term.field][walk.term.term]
+	ids, _ = sh.posting(walk.term.field, walk.term.term)
 	return ids, len(ids) < sh.rows.len()
 }
 
@@ -242,49 +244,6 @@ func (l idList) window(r *RangeQuery) idList {
 	return l.slice(lo, hi)
 }
 
-// codeColumn is the dictionary-encoded view of one indexed keyword field,
-// built for a field that a terms aggregation buckets: codes[i] is the code of
-// row i's term and terms[code] the term, so a terms count over rows inside
-// the column reads no row and hashes no string. Like a numeric column it is
-// built up to the current row count and extended on a later use; a stored
-// row's keyword fields never change (the store's one update names
-// file_path), so a code is never stale. Term → code needs no map of its own:
-// a posting list's first id is its term's first row, which is already coded
-// exactly when the term is. It costs 4 B per row plus a string header per
-// term and goes with the columns: eviction drops both.
-type codeColumn struct {
-	codes []uint32
-	terms []string
-}
-
-// extendCodes brings kc, field's code column, up to every row. An empty one
-// fills from the field's posting lists, one code per list and one write per
-// row; a built one codes each appended row by its posting list's first id.
-// Caller holds the write lock.
-func (sh *shard) extendCodes(kc *codeColumn, field string) {
-	pl, n := sh.postings[field], sh.rows.len()
-	if len(kc.codes) == 0 {
-		kc.codes = make([]uint32, n)
-		kc.terms = make([]string, 0, len(pl))
-		for term, ids := range pl {
-			for _, id := range ids {
-				kc.codes[id] = uint32(len(kc.terms))
-			}
-			kc.terms = append(kc.terms, term)
-		}
-		return
-	}
-	for i := len(kc.codes); i < n; i++ {
-		term, _ := sh.rows.at(i).StringField(field)
-		if first := pl[term][0]; int(first) < i {
-			kc.codes = append(kc.codes, kc.codes[first])
-		} else {
-			kc.codes = append(kc.codes, uint32(len(kc.terms)))
-			kc.terms = append(kc.terms, term)
-		}
-	}
-}
-
 // idSet is one request's set of a shard's local ids, a bit per row: built in
 // O(members) plus n/64 words and garbage once the request is answered.
 type idSet []uint64
@@ -312,85 +271,227 @@ func sortedIDs(run []int32, n int) []int32 {
 }
 
 // blockRows is the row count of one storage block: a power of two, so a row
-// id splits into block and slot by shift and mask. 512 rows of 304 bytes are
-// 19 allocator pages exactly (256 rows would round 9.5 pages up to 10, 5 %
-// lost on every block). The tail block is allocated whole, so an index's
-// heap is a staircase in its row count with a step of shards × one block:
-// at 1 024 rows a 20 000-row session index moved by 18 % as it crossed a
-// step; the block list of a million-row shard is still only 2 000 headers.
+// id splits into block and slot by shift and mask. 512 rows of 144 bytes are
+// 9 allocator pages exactly. The tail block is allocated whole, so an index's
+// heap is a staircase in its row count with a step of shards × one block;
+// the block list of a million-row shard is still only 2 000 headers.
 const (
 	blockShift = 9
 	blockRows  = 1 << blockShift
 )
 
-// rows is a shard's row storage: append-only blocks of blockRows rows, every
-// block full but the last. A row is written once into its slot and never
-// moves, so growing the shard allocates (and zeroes) exactly the block being
-// opened, and a pointer from at stays valid for as long as the block is
-// referenced — it does not pin a superseded copy of the whole array.
+// slotNames names the string slots of a hotRow: the indexed keyword fields
+// first, in indexedFields' order, so slot f has posting lists when f <
+// len(indexedFields); those five are present on every row.
+var slotNames = [...]string{FieldSession, FieldSyscall, FieldProcName, FieldThreadName, FieldClass,
+	FieldArgPath, FieldArgPath2, FieldAttrName, FieldFileType, FieldKernelPath, FieldFilePath}
+
+const (
+	nSlots       = len(slotNames)
+	slotFilePath = nSlots - 1
+)
+
+// strSlot returns the slot of a string field, ok false for any other name.
+func strSlot(name string) (int, bool) {
+	f := slices.Index(slotNames[:], name)
+	return f, f >= 0
+}
+
+// slotsOf points at e's string fields by slot.
+func slotsOf(e *event.Event) [nSlots]*string {
+	return [nSlots]*string{&e.Session, &e.Syscall, &e.ProcName, &e.ThreadName, &e.Class,
+		&e.ArgPath, &e.ArgPath2, &e.AttrName, &e.FileType, &e.KernelPath, &e.FilePath}
+}
+
+// hotRow is one stored event in 144 bytes: a dictionary code per string
+// slot, in 32 bits the fields every wire form keeps in 32 (a stored event is
+// canonical, event.Event.Canonicalize), and the rest as the event holds them.
+type hotRow struct {
+	str                                             [nSlots]uint32
+	PID, TID, FD, Count, Whence, Flags              int32
+	Mode                                            uint32
+	RetVal, ArgOff, TimeEnterNS, TimeExitNS, Offset int64
+	FileTag                                         event.FileTag
+	HasOffset                                       bool
+}
+
+// dict is one string slot's dictionary on a shard: terms[c] is code c's term,
+// codes the way back, and code 0 is "". last is the code interned last, so a
+// run of rows repeating a string pays no map lookup.
+type dict struct {
+	terms []string
+	codes map[string]uint32
+	last  uint32
+}
+
+// intern returns s's code, adding s when the dictionary lacks it. Caller
+// holds the shard write lock.
+func (d *dict) intern(s string) uint32 {
+	if s == d.terms[d.last] {
+		return d.last
+	}
+	c, ok := d.codes[s]
+	if !ok && s != "" {
+		c = uint32(len(d.terms))
+		d.terms, d.codes[s] = append(d.terms, s), c
+	}
+	d.last = c
+	return c
+}
+
+// rows is a shard's row storage: append-only blocks of blockRows rows, each
+// allocated whole when the last fills. A row is written once into its slot
+// and never moves, so growing the shard allocates (and zeroes) exactly the
+// block being opened, and a pointer from at stays valid for as long as the
+// block is referenced.
 type rows struct {
-	blocks [][]event.Event
+	blocks [][]hotRow
 	n      int
 }
 
 func (r *rows) len() int { return r.n }
 
 // at returns row i in place.
-func (r *rows) at(i int) *event.Event { return &r.blocks[i>>blockShift][i&(blockRows-1)] }
+func (r *rows) at(i int) *hotRow { return &r.blocks[i>>blockShift][i&(blockRows-1)] }
 
-// append copies e into the next slot, opening a block when the tail is full.
-func (r *rows) append(e *event.Event) {
+// add returns the next slot, zero, opening a block when the last is full.
+func (r *rows) add() *hotRow {
 	if r.n&(blockRows-1) == 0 {
-		r.blocks = append(r.blocks, make([]event.Event, 0, blockRows))
+		r.blocks = append(r.blocks, make([]hotRow, blockRows))
 	}
-	tail := &r.blocks[len(r.blocks)-1]
-	*tail = append(*tail, *e)
 	r.n++
+	return r.at(r.n - 1)
 }
 
-// adopt makes flat the storage of an empty rows by slicing it into
-// block-sized views; no row is copied. The views' capacity is clipped, so an
-// append after adopt reallocates the partial tail view (moving those rows
-// once) rather than writing into flat.
-func (r *rows) adopt(flat []event.Event) {
-	r.blocks = make([][]event.Event, 0, (len(flat)+blockRows-1)>>blockShift)
-	for lo := 0; lo < len(flat); lo += blockRows {
-		hi := min(lo+blockRows, len(flat))
-		r.blocks = append(r.blocks, flat[lo:hi:hi])
+func newShard() *shard {
+	sh := &shard{}
+	sh.evictLocked()
+	return sh
+}
+
+// posting returns term's posting list in field, and whether field is
+// indexed. Caller holds the lock.
+func (sh *shard) posting(field, term string) ([]int32, bool) {
+	f, _ := strSlot(field)
+	if f < 0 || f >= len(sh.postings) {
+		return nil, false
 	}
-	r.n = len(flat)
-}
-
-// reset drops every block.
-func (r *rows) reset() { *r = rows{} }
-
-func newShard() *shard { return &shard{postings: newPostings()} }
-
-// newPostings returns empty posting lists for every indexed field.
-func newPostings() map[string]map[string][]int32 {
-	p := make(map[string]map[string][]int32, len(indexedFields))
-	for _, f := range indexedFields {
-		p[f] = make(map[string][]int32)
+	c, ok := sh.dicts[f].codes[term]
+	if !ok && term != "" {
+		return nil, true
 	}
-	return p
+	return sh.postings[f][c], true
 }
 
-// row adapts one stored event to the query evaluator's fieldSource without
-// materializing a Document. Callers reuse one row value across a scan and
-// only repoint ev, so evaluation allocates nothing per slot.
-type row struct{ ev *event.Event }
+// row is one stored row read in place: the packed row and the shard whose
+// dictionaries its codes index. It is the query evaluator's fieldSource, and
+// its accessors answer as event.Event's do.
+type row struct {
+	sh *shard
+	r  *hotRow
+}
 
-func (r *row) field(name string) any {
-	v, _ := r.ev.Field(name)
+// row returns local row id. Caller holds at least the read lock.
+func (sh *shard) row(id int32) row { return row{sh, sh.rows.at(int(id))} }
+
+// str returns the row's string in slot f.
+func (w *row) str(f int) string { return w.sh.dicts[f].terms[w.r.str[f]] }
+
+func (w *row) field(name string) any {
+	v, _ := w.Field(name)
 	return v
+}
+
+// StringField is event.Event.StringField on the packed row.
+func (w *row) StringField(name string) (string, bool) {
+	if f, ok := strSlot(name); ok {
+		s := w.str(f)
+		return s, f < len(indexedFields) || s != ""
+	}
+	if name != FieldFileTag {
+		return "", false
+	}
+	s := w.r.FileTag.String()
+	return s, s != ""
+}
+
+// Field is event.Event.Field on the packed row.
+func (w *row) Field(name string) (any, bool) {
+	if name == FieldHasOffset {
+		return w.r.HasOffset, true
+	}
+	if n, ok := w.r.IntField(name); ok {
+		return n, true
+	}
+	if s, ok := w.StringField(name); ok {
+		return s, true
+	}
+	return nil, false
+}
+
+// IntField is event.Event.IntField on the packed row: the same presence
+// rules, which TestPackedRowMatchesEvent holds the two copies to.
+func (r *hotRow) IntField(name string) (int64, bool) {
+	switch name {
+	case FieldHasOffset:
+		if r.HasOffset {
+			return 1, true
+		}
+		return 0, true
+	case FieldRetVal:
+		return r.RetVal, true
+	case FieldPID:
+		return int64(r.PID), true
+	case FieldTID:
+		return int64(r.TID), true
+	case FieldTimeEnter:
+		return r.TimeEnterNS, true
+	case FieldTimeExit:
+		return r.TimeExitNS, true
+	case FieldDuration:
+		return r.TimeExitNS - r.TimeEnterNS, true
+	case FieldFD:
+		return int64(r.FD), r.FD != 0
+	case FieldCount:
+		return int64(r.Count), r.Count != 0
+	case FieldArgOffset:
+		return r.ArgOff, r.ArgOff != 0
+	case FieldWhence:
+		return int64(r.Whence), r.Whence != 0
+	case FieldFlags:
+		return int64(r.Flags), r.Flags != 0
+	case FieldMode:
+		return int64(r.Mode), r.Mode != 0
+	case FieldOffset:
+		return r.Offset, r.HasOffset
+	case FieldDevNo:
+		return int64(r.FileTag.Dev), !r.FileTag.Zero()
+	case FieldInodeNo:
+		return int64(r.FileTag.Ino), !r.FileTag.Zero()
+	case FieldTagTS:
+		return r.FileTag.BirthNS, !r.FileTag.Zero()
+	}
+	return 0, false
+}
+
+// unpack writes the row as the event it was stored from, field by field and
+// the strings in slotNames' order: no temporary event or pointer array is
+// built and copied.
+func (w *row) unpack(dst *event.Event) {
+	r := w.r
+	dst.RetVal, dst.ArgOff, dst.TimeEnterNS, dst.TimeExitNS, dst.Offset = r.RetVal, r.ArgOff, r.TimeEnterNS, r.TimeExitNS, r.Offset
+	dst.PID, dst.TID, dst.FD, dst.Count = int(r.PID), int(r.TID), int(r.FD), int(r.Count)
+	dst.Whence, dst.Flags, dst.Mode, dst.FileTag, dst.HasOffset = int(r.Whence), int(r.Flags), r.Mode, r.FileTag, r.HasOffset
+	dst.Session, dst.Syscall, dst.ProcName, dst.ThreadName, dst.Class = w.str(0), w.str(1), w.str(2), w.str(3), w.str(4)
+	dst.ArgPath, dst.ArgPath2, dst.AttrName, dst.FileType, dst.KernelPath, dst.FilePath = w.str(5), w.str(6), w.str(7), w.str(8), w.str(9), w.str(10)
 }
 
 // val returns the document-view value of one field of row id (nil when
 // absent), boxing it on demand; hot paths use numAt instead. Caller holds at
 // least the read lock.
 func (sh *shard) val(id int32, field string) any {
-	v, _ := sh.rows.at(int(id)).Field(field)
-	return v
+	w := sh.row(id)
+	return w.field(field)
 }
 
 // numAt reads one numeric field without boxing. Caller holds at least the
@@ -399,31 +500,28 @@ func (sh *shard) numAt(id int32, field string) (int64, bool) {
 	return sh.rows.at(int(id)).IntField(field)
 }
 
-// addEventLocked appends a row and returns its local id: the struct is
-// copied into shard storage and the keyword postings are fed straight from
-// its fields — no Document is built. Caller holds the write lock.
+// addEventLocked packs e, canonical, into the next row, interning its strings
+// and posting its indexed codes (the empty string's too: those five fields
+// are present on every row), and returns its local id. Every row arrives
+// here: a write, a replay, a follower's apply, a cold segment's decode.
+// Caller holds the write lock.
 func (sh *shard) addEventLocked(e *event.Event) int32 {
-	id := int32(sh.rows.len())
-	sh.rows.append(e)
-	sh.postEventLocked(id)
+	id, r := int32(sh.rows.len()), sh.rows.add()
+	ps := slotsOf(e)
+	for f := range ps {
+		r.str[f] = sh.dicts[f].intern(*ps[f])
+	}
+	r.PID, r.TID, r.FD, r.Count, r.Whence, r.Flags = int32(e.PID), int32(e.TID), int32(e.FD), int32(e.Count), int32(e.Whence), int32(e.Flags)
+	r.Mode, r.RetVal, r.ArgOff, r.TimeEnterNS, r.TimeExitNS = e.Mode, e.RetVal, e.ArgOff, e.TimeEnterNS, e.TimeExitNS
+	r.Offset, r.HasOffset, r.FileTag = e.Offset, e.HasOffset, e.FileTag
+	for f := range sh.postings {
+		if c, pl := r.str[f], sh.postings[f]; int(c) < len(pl) {
+			pl[c] = append(pl[c], id)
+		} else {
+			sh.postings[f] = append(pl, []int32{id})
+		}
+	}
 	return id
-}
-
-// postEventLocked feeds the keyword postings of the row stored at id, which
-// must be past every id already posted. Caller holds the write lock.
-func (sh *shard) postEventLocked(id int32) {
-	e := sh.rows.at(int(id))
-	sh.postTermLocked(FieldSession, e.Session, id)
-	sh.postTermLocked(FieldSyscall, e.Syscall, id)
-	sh.postTermLocked(FieldClass, e.Class, id)
-	sh.postTermLocked(FieldProcName, e.ProcName, id)
-	sh.postTermLocked(FieldThreadName, e.ThreadName, id)
-}
-
-func (sh *shard) postTermLocked(field, term string, id int32) {
-	// Empty terms are posted too: the document view stores these five fields
-	// unconditionally, so a Term query for "" must find the rows that hold it.
-	sh.postings[field][term] = append(sh.postings[field][term], id)
 }
 
 // len returns the shard's row count under its own lock.
@@ -433,24 +531,28 @@ func (sh *shard) len() int {
 	return sh.rows.len()
 }
 
-// evictLocked drops every row and everything derived from them: postings,
-// columns with their orders, term runs, and codes. Caller holds the write
-// lock.
+// evictLocked drops every row and everything derived from them:
+// dictionaries, postings, columns with their orders, and term runs. Caller
+// holds the write lock.
 func (sh *shard) evictLocked() {
-	sh.rows.reset()
-	sh.postings = newPostings()
-	sh.cols, sh.codes, sh.runs = nil, nil, nil
+	sh.rows = rows{}
+	for f := range sh.dicts {
+		sh.dicts[f] = dict{terms: []string{""}, codes: make(map[string]uint32)}
+	}
+	for f := range sh.postings {
+		sh.postings[f] = [][]int32{nil}
+	}
+	sh.cols, sh.runs = nil, nil
 }
 
-// ensureColumns builds or extends, for each of fields, the code column of an
-// indexed keyword field and the numeric column of any other, so they cover
-// every row currently in the shard; a column that has an order keeps it
-// extended. For walk, a single-key sorted page (zero for any other read), it
+// ensureColumns builds or extends the numeric column of each of fields, so
+// they cover every row currently in the shard; a column that has an order
+// keeps it extended. For walk, a single-key sorted page (zero for any other read), it
 // builds or extends the list the page walks (walkList): the term's run when
 // termIDs says so, and otherwise the sort field's column with its order. It
 // is called before the read phase of a search; rows appended concurrently
-// afterwards are handled by the per-row fallbacks in colVal and termCounts,
-// and by the candidate path for a sorted page.
+// afterwards are handled by the per-row fallback in colVal, and by the
+// candidate path for a sorted page.
 func (sh *shard) ensureColumns(fields []string, walk sortWalk) {
 	if len(fields) == 0 && walk.field == "" {
 		return
@@ -466,16 +568,8 @@ func (sh *shard) ensureColumns(fields []string, walk sortWalk) {
 		need = c == nil || len(c.vals) < sh.rows.len() || c.missing == 0 && c.order == nil
 	}
 	for _, f := range fields {
-		if need {
-			break
-		}
-		if _, keyword := sh.postings[f]; keyword {
-			kc := sh.codes[f]
-			need = kc == nil || len(kc.codes) < sh.rows.len()
-		} else {
-			c := sh.cols[f]
-			need = c == nil || len(c.vals) < sh.rows.len()
-		}
+		c := sh.cols[f]
+		need = need || c == nil || len(c.vals) < sh.rows.len()
 	}
 	sh.mu.RUnlock()
 	if !need {
@@ -483,19 +577,7 @@ func (sh *shard) ensureColumns(fields []string, walk sortWalk) {
 	}
 	sh.mu.Lock()
 	for _, f := range fields {
-		if _, keyword := sh.postings[f]; !keyword {
-			sh.fillColumn(f)
-			continue
-		}
-		kc := sh.codes[f]
-		if kc == nil {
-			if sh.codes == nil {
-				sh.codes = make(map[string]*codeColumn)
-			}
-			kc = &codeColumn{}
-			sh.codes[f] = kc
-		}
-		sh.extendCodes(kc, f)
+		sh.fillColumn(f)
 	}
 	switch ids, byRun := sh.termIDs(walk); {
 	case byRun:
@@ -580,9 +662,9 @@ func (sh *shard) matchIDs(q Query) []int32 {
 	}
 	// Plain indexed term: the posting list is the answer.
 	if q.Term != nil {
-		if terms, ok := sh.postings[q.Term.Field]; ok {
-			if val, isStr := q.Term.Value.(string); isStr {
-				return terms[val]
+		if val, isStr := q.Term.Value.(string); isStr {
+			if ids, ok := sh.posting(q.Term.Field, val); ok {
+				return ids
 			}
 		}
 	}
@@ -603,13 +685,10 @@ func (sh *shard) matchIDs(q Query) []int32 {
 	// Fallback: full scan through the row adapter (fields resolve on demand,
 	// no map materialization).
 	var out []int32
-	var r row
-	for b, blk := range sh.rows.blocks {
-		for j := range blk {
-			r.ev = &blk[j]
-			if q.matches(&r) {
-				out = append(out, int32(b<<blockShift+j))
-			}
+	r := row{sh: sh}
+	for id := range sh.rows.len() {
+		if r.r = sh.rows.at(id); q.matches(&r) {
+			out = append(out, int32(id))
 		}
 	}
 	return out
@@ -656,9 +735,9 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 	residualMust := make([]Query, 0, len(q.Bool.Must))
 	for _, sub := range q.Bool.Must {
 		if sub.Term != nil {
-			if terms, ok := sh.postings[sub.Term.Field]; ok {
-				if val, isStr := sub.Term.Value.(string); isStr {
-					lists = append(lists, terms[val])
+			if val, isStr := sub.Term.Value.(string); isStr {
+				if ids, ok := sh.posting(sub.Term.Field, val); ok {
+					lists = append(lists, ids)
 					continue
 				}
 			}
@@ -724,7 +803,7 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 		return candidates, true
 	}
 	var out []int32
-	var rrow row
+	rrow := row{sh: sh}
 next:
 	for _, id := range candidates {
 		for i, r := range colRanges {
@@ -734,7 +813,7 @@ next:
 			}
 		}
 		if needRest {
-			rrow.ev = sh.rows.at(int(id))
+			rrow.r = sh.rows.at(int(id))
 			if !rest.matches(&rrow) {
 				continue
 			}

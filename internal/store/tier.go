@@ -89,26 +89,24 @@ func segMayMatch(sm durable.SegmentMeta, minT, maxT int64) bool {
 	return sm.MinTime <= sm.MaxTime && mayMatchTime(sm.MinTime, sm.MaxTime, minT, maxT)
 }
 
-// coldSegment is one opened segment's rows in a shard of their own, plus the
-// explicit global id of each local row — cold segments can be sparse after
-// compaction folded retention gaps. A resident one holds every typed row and
-// is read-only once filled: queries share it under its read lock, and only
-// ensureColumns writes to it — numeric columns, their orders and term runs,
-// and the code columns of the keyword fields a terms aggregation buckets,
-// which fill from the posting lists the decode built. One over the budget
-// holds one query's window.
+// coldSegment is one opened segment's rows in a shard of their own, packed
+// as a hot stripe's are, plus the explicit global id of each local row —
+// cold segments can be sparse after compaction folded retention gaps. A
+// resident one holds every row and is read-only once filled: queries share it
+// under its read lock, and only ensureColumns writes to it — numeric columns,
+// their orders and term runs. One over the budget holds one query's window.
 type coldSegment struct {
 	sh   *shard
 	gids []int
 }
 
-// rowBytes is what one decoded row costs a cold segment: the event, its gid,
-// and its slot in every indexed field's posting list.
-const rowBytes = int64(unsafe.Sizeof(event.Event{})) + int64(unsafe.Sizeof(0)) + 4*int64(len(indexedFields))
+// rowBytes is what one decoded row costs a cold segment: the packed row, its
+// gid, and its slot in every indexed field's posting list.
+const rowBytes = int64(unsafe.Sizeof(hotRow{})) + int64(unsafe.Sizeof(0)) + 4*int64(len(indexedFields))
 
-// size is cs's decoded bytes: its rows, and the columns, orders, term runs
-// and code columns built on it at their capacity (a term's bytes are its
-// rows'). Caller holds cs.sh.mu or owns cs.
+// size is cs's decoded bytes: its rows, its dictionaries' terms, and the
+// columns, orders and term runs built on it at their capacity. Caller holds
+// cs.sh.mu or owns cs.
 func (cs *coldSegment) size() int64 {
 	n := int64(len(cs.gids)) * rowBytes
 	for _, c := range cs.sh.cols {
@@ -119,8 +117,8 @@ func (cs *coldSegment) size() int64 {
 			n += int64(cap(r.ids))*4 + int64(cap(r.vals))*8
 		}
 	}
-	for _, kc := range cs.sh.codes {
-		n += int64(cap(kc.codes))*4 + int64(cap(kc.terms))*int64(unsafe.Sizeof(""))
+	for _, d := range cs.sh.dicts {
+		n += int64(cap(d.terms)) * int64(unsafe.Sizeof(""))
 	}
 	return n
 }
@@ -289,13 +287,13 @@ func (rs *residentSegments) size() int64 {
 // book, usually empty, which names the rows of a segment written before a
 // correlation pass): from the resident set when it holds them named by that
 // book, and otherwise read and verified from the file and decoded by one
-// path. When the decoded segment fits the budget, every row is decoded, named
-// and posted, and the shard joins the set; the image is then garbage.
-// Otherwise only the blocks whose zone map meets [minT, maxT] are decoded,
-// and their rows inside it kept, for this query alone. Decoded rows do not
-// alias the image. Columns, orders and codes build on demand, as on a hot
-// stripe. Queries that miss one segment together decode it once
-// (residentSegments.get).
+// path. When the decoded segment fits the budget, every row is decoded and
+// the shard joins the set. Otherwise only the blocks whose zone map meets
+// [minT, maxT] are decoded, and their rows inside it kept, for this query
+// alone. Every decoded row is named and then packed as a write is, and the
+// decoded batch and the image are garbage. Columns and orders build on
+// demand, as on a hot stripe. Queries that miss one segment together decode
+// it once (residentSegments.get).
 func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsRecord, minT, maxT int64) (*coldSegment, error) {
 	rs := &ix.dur.resident
 	cs, lead := rs.get(sm.Seq, book, sm.Rows)
@@ -320,13 +318,12 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsReco
 		return nil, fmt.Errorf("%s: %w", durable.SegmentName(sm.Seq), err)
 	}
 	cs = &coldSegment{sh: newShard(), gids: gids}
-	cs.sh.rows.adopt(events)
 	for k := range gids {
 		gids[k] += int(sm.StartRow)
 		if book != nil {
-			resolveFromBook(*book, gids[k], cs.sh.rows.at(k))
+			resolveFromBook(*book, gids[k], &events[k])
 		}
-		cs.sh.postEventLocked(int32(k))
+		cs.sh.addEventLocked(&events[k])
 	}
 	ix.rtm.rowsDecoded.Add(uint64(len(gids)))
 	if kept {

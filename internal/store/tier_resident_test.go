@@ -459,7 +459,7 @@ func TestResidentSegmentsFollowTheBook(t *testing.T) {
 		t.Fatalf("after the pass: %d of %d rows named (%v)", named, rows-1, err)
 	}
 	for k := range held.gids {
-		if p := held.sh.rows.at(k).FilePath; p != "" {
+		if p := held.sh.eventAt(k).FilePath; p != "" {
 			t.Fatalf("the entry resident before the pass had its row %d written: file_path %q", k, p)
 		}
 	}
