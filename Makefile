@@ -105,7 +105,11 @@ bench-read:
 ## slower than before the merge pulled pages from the stripes' walks. A page
 ## pulls its rows through one merge over the stripes' walks; a page that had
 ## every stripe walk and allocate a page of its own grows both with N. Every
-## arm collects the fixture's garbage before its timer starts. Then one
+## arm collects the fixture's garbage before its timer starts. Its
+## backend=client arm walks a 60k-event session through a store.Client over
+## an httptest server: each page is a typed search answer, decoded and
+## packed into the walk's page shard, so it prices the remote walk beside
+## the in-process one; it has no bar yet. Then one
 ## correlation pass over that session on a durable store, with the rows resident and
 ## with them flushed to a cold segment first (the flushed arm prices the
 ## pass's cold count): wal-B/row is what the pass journaled per row it named,

@@ -1,7 +1,7 @@
 // Diagnosis-engine benchmarks: building a per-process syscall
 // Directly-Follows-Graph and running the full detector registry over a
 // 120k-event session. Both are one pass of the same sorted cursor
-// (store.EachEvent), reading each page in place in the store — the engine
+// (store.EachRow), reading each row in place in the store — the engine
 // run feeds every registered detector from the pass that builds the graph —
 // so memory stays flat regardless of session size and the engine/DFG ratio
 // stays near 1; `make bench-diagnose` keeps the pair under the PR gate.
@@ -10,6 +10,7 @@ package dio_test
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -126,12 +127,23 @@ func BenchmarkDFGBuild(b *testing.B) {
 // stripe walk and allocate a page of its own cost N pages per page. No page
 // is copied out of the store, so a page allocates its 32 KB window of refs
 // and a read view and merge tree of N entries, where the copy of its events
-// cost 304 KB more whatever N.
+// cost 304 KB more whatever N. The backend=client arm walks a 60k-event
+// session through a store.Client over an httptest server: each page is a
+// typed search answer, decoded and packed into the walk's page shard, so it
+// prices the remote walk against the in-process one. The index does not
+// change between runs, so the server answers the pages of every run after
+// the first from its query cache: the arm times the HTTP round trips, the
+// decode and the pack, not the server's search.
 // Every arm collects the fixture's build garbage before the timer starts.
 func BenchmarkEngineRun(b *testing.B) {
-	arms := []struct{ events, sessions, shards int }{
-		{30_000, 1, 0}, {diagBenchEvents, 1, 0}, {480_000, 1, 0}, {diagBenchEvents, 2, 0}, {30_000, 8, 0}, {30_000, 32, 0},
-		{60_000, 1, 1}, {60_000, 1, 4}, {60_000, 1, 16},
+	arms := []struct {
+		events, sessions, shards int
+		client                   bool
+	}{
+		{30_000, 1, 0, false}, {diagBenchEvents, 1, 0, false}, {480_000, 1, 0, false},
+		{diagBenchEvents, 2, 0, false}, {30_000, 8, 0, false}, {30_000, 32, 0, false},
+		{60_000, 1, 1, false}, {60_000, 1, 4, false}, {60_000, 1, 16, false},
+		{60_000, 1, 0, true},
 	}
 	for _, arm := range arms {
 		events := arm.events
@@ -144,15 +156,24 @@ func BenchmarkEngineRun(b *testing.B) {
 			name += fmt.Sprintf(",shards=%d", arm.shards)
 			opts = append(opts, store.WithShards(arm.shards))
 		}
+		if arm.client {
+			name += ",backend=client"
+		}
 		b.Run(name, func(b *testing.B) {
 			st := diagBenchStore(b, events, arm.sessions, opts...)
+			var backend store.Backend = st
+			if arm.client {
+				srv := httptest.NewServer(store.NewServer(st))
+				defer srv.Close()
+				backend = store.NewClient(srv.URL)
+			}
 			ctx := context.Background()
 			eng := diagnose.NewEngine(diagnose.DefaultRegistry())
 			b.ReportAllocs()
 			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := eng.Run(ctx, st, "bench", "diagbench")
+				rep, err := eng.Run(ctx, backend, "bench", "diagbench")
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -265,11 +265,17 @@ type (
 	// constructor of its per-session DetectorPass.
 	Detector = diagnose.Detector
 	// DetectorPass is what a custom rule implements: Observe sees every
-	// event of the session in time order, Finish reports the findings.
-	// Observe's event is borrowed for the call, read in place under the
-	// store's read locks: keep no pointer, modify nothing, and do not call
-	// back into the store.
+	// stored row of the session in time order, Finish reports the findings.
+	// Observe's row is borrowed for the call, read in place under the
+	// store's read locks: keep no row past it, read the fields the rule
+	// needs through the row's accessors, and do not call back into the
+	// store.
 	DetectorPass = diagnose.Pass
+	// Row is one stored event read in place, as a DetectorPass observes
+	// it: one accessor per Event field (Syscall(), PID(), FileTag(),
+	// HasOffset(), Offset(), ...), plus DurationNS() and Event(dst) for a
+	// rule that wants a copy.
+	Row = store.Row
 	// DetectorRegistry holds detectors in registration order.
 	DetectorRegistry = diagnose.Registry
 	// DFG is a session's syscall Directly-Follows-Graph.

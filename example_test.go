@@ -143,8 +143,8 @@ func ExampleDiagnose() {
 // and reports when more than half the writes are followed by a flush.
 type fsyncPerWrite struct{ fsyncs, writes int }
 
-func (r *fsyncPerWrite) Observe(e *dio.Event) {
-	switch e.Syscall {
+func (r *fsyncPerWrite) Observe(row dio.Row) {
+	switch row.Syscall() {
 	case "fsync":
 		r.fsyncs++
 	case "write":

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
+	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
 // staleOffsetPass finds the §III-B data-loss signature: on a fresh file
@@ -18,12 +19,18 @@ type staleOffsetPass struct {
 	findings      []Finding
 }
 
-func (s *staleOffsetPass) Observe(e *event.Event) {
-	if isRead, _ := dataSyscall(e.Syscall); !isRead || e.FileTag.Zero() || s.firstReadSeen[e.FileTag] {
+func (s *staleOffsetPass) Observe(r store.Row) {
+	if isRead, _ := dataSyscall(r.Syscall()); !isRead {
 		return
 	}
-	s.firstReadSeen[e.FileTag] = true
-	if e.HasOffset && e.Offset > 0 && e.RetVal == 0 {
+	tag := r.FileTag()
+	if tag.Zero() || s.firstReadSeen[tag] {
+		return
+	}
+	s.firstReadSeen[tag] = true
+	if r.HasOffset() && r.Offset() > 0 && r.RetVal() == 0 {
+		var e event.Event
+		r.Event(&e)
 		path := e.FilePath
 		if path == "" {
 			path = "(unresolved path, tag " + e.FileTag.String() + ")"
@@ -50,7 +57,7 @@ type costlyPatternPass struct {
 	files fileAccesses
 }
 
-func (c costlyPatternPass) Observe(e *event.Event) { c.files.observe(e) }
+func (c costlyPatternPass) Observe(r store.Row) { c.files.observe(r) }
 
 func (c costlyPatternPass) Finish(*DFG) []Finding {
 	var findings []Finding
@@ -90,9 +97,9 @@ type failingSyscallPass struct {
 	total     int
 }
 
-func (f *failingSyscallPass) Observe(e *event.Event) {
-	if e.RetVal < 0 {
-		f.bySyscall[e.Syscall]++
+func (f *failingSyscallPass) Observe(r store.Row) {
+	if r.RetVal() < 0 {
+		f.bySyscall[r.Syscall()]++
 		f.total++
 	}
 }
@@ -132,20 +139,29 @@ type contentionPass struct {
 	windows []ContentionWindow
 	// active holds the background threads seen in the open (last) window.
 	active map[string]bool
+	// end bounds the open window: a row in [its start, end) is in it, and
+	// skips the division. A window at a negative start, which truncating
+	// division gives another shape, sets end to its start.
+	end int64
 }
 
-func (c *contentionPass) Observe(e *event.Event) {
-	start := e.TimeEnterNS / c.p.WindowNS * c.p.WindowNS
-	if n := len(c.windows); n == 0 || c.windows[n-1].StartNS != start {
-		c.windows = append(c.windows, ContentionWindow{StartNS: start})
-		clear(c.active)
+func (c *contentionPass) Observe(r store.Row) {
+	if t, n := r.TimeEnterNS(), len(c.windows); n == 0 || t < c.windows[n-1].StartNS || t >= c.end {
+		start := t / c.p.WindowNS * c.p.WindowNS
+		if n == 0 || c.windows[n-1].StartNS != start {
+			c.windows = append(c.windows, ContentionWindow{StartNS: start})
+			clear(c.active)
+		}
+		if c.end = start + c.p.WindowNS; start < 0 {
+			c.end = start
+		}
 	}
 	w := &c.windows[len(c.windows)-1]
-	switch {
-	case e.ThreadName == c.p.ClientThread:
+	switch thread := r.ThreadName(); {
+	case thread == c.p.ClientThread:
 		w.ClientSyscalls++
-	case strings.HasPrefix(e.ThreadName, c.p.BackgroundPrefix) && !c.active[e.ThreadName]:
-		c.active[e.ThreadName] = true
+	case strings.HasPrefix(thread, c.p.BackgroundPrefix) && !c.active[thread]:
+		c.active[thread] = true
 		w.BackgroundThreads++
 	}
 }
@@ -189,7 +205,7 @@ func (c *contentionPass) Finish(*DFG) []Finding {
 // but the finished graph.
 type dfgPatternPass struct{ p DFGParams }
 
-func (dfgPatternPass) Observe(*event.Event) {}
+func (dfgPatternPass) Observe(store.Row) {}
 
 func (d dfgPatternPass) Finish(g *DFG) []Finding {
 	var findings []Finding

@@ -10,7 +10,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
@@ -130,25 +129,29 @@ func (h *dfgHist) quantile(q float64) float64 {
 	return math.Exp2(63)
 }
 
-// BuildDFG computes the session's DFG by streaming the stored events in
+// BuildDFG computes the session's DFG by streaming the stored rows in
 // total time order through pageSize-bounded cursor pages (pageSize <= 0
 // selects the default). Memory is bounded by the distinct syscall kinds
 // and live threads, not the session length.
 func BuildDFG(ctx context.Context, b store.Backend, index, session string, pageSize int) (*DFG, error) {
 	builder := newDFGBuilder()
-	if err := eachEvent(ctx, b, index, store.Term(store.FieldSession, session), pageSize, builder.observe); err != nil {
+	if err := eachRow(ctx, b, index, store.Term(store.FieldSession, session), pageSize, builder.observe); err != nil {
 		return nil, fmt.Errorf("dfg stream: %w", err)
 	}
 	return builder.finish(session, index), nil
 }
 
-// dfgBuilder folds time-ordered events into per-process node and edge
+// dfgBuilder folds time-ordered rows into per-process node and edge
 // aggregates; Engine.Analyze drives it from the same cursor as the detectors.
-// Each process interns its syscall names to dense ids on first sight, so an
-// event costs one string lookup: its node is a slice index and its edge a
-// uint64 key, from<<32|to.
+// Each process interns its syscall names to dense ids on first sight, so a
+// row costs one string lookup, its node is a slice index and its edge an
+// index into the from-node's out-edges. A process is looked up only when the
+// PID changes from the row before, and a thread's previous call once, to be
+// read and then updated in place.
 type dfgBuilder struct {
 	procs  map[int]*procAgg
+	pid    int      // the PID of proc
+	proc   *procAgg // the process of the last row, nil before the first
 	events int64
 }
 
@@ -156,8 +159,7 @@ type procAgg struct {
 	name  string
 	ids   map[string]int32 // syscall name → index into nodes
 	nodes []nodeAgg
-	edges map[uint64]*edgeAgg // from<<32 | to, both node ids
-	last  map[int]prevCall    // by TID
+	last  map[int]*prevCall // by TID
 }
 
 type prevCall struct {
@@ -169,6 +171,7 @@ type nodeAgg struct {
 	syscall       string
 	count, errors int64
 	dur           dfgHist
+	out           []*edgeAgg // by to-node id, nil where no edge was seen
 }
 
 type edgeAgg struct {
@@ -178,43 +181,50 @@ type edgeAgg struct {
 
 func newDFGBuilder() *dfgBuilder { return &dfgBuilder{procs: make(map[int]*procAgg)} }
 
-func (b *dfgBuilder) observe(e *event.Event) {
+func (b *dfgBuilder) observe(r store.Row) {
 	b.events++
-	p := b.procs[e.PID]
-	if p == nil {
-		p = &procAgg{
-			ids:   make(map[string]int32),
-			edges: make(map[uint64]*edgeAgg),
-			last:  make(map[int]prevCall),
+	p := b.proc
+	if pid := r.PID(); p == nil || pid != b.pid {
+		if p = b.procs[pid]; p == nil {
+			p = &procAgg{ids: make(map[string]int32), last: make(map[int]*prevCall)}
+			b.procs[pid] = p
 		}
-		b.procs[e.PID] = p
+		b.pid, b.proc = pid, p
 	}
 	if p.name == "" {
-		p.name = e.ProcName
+		p.name = r.ProcName()
 	}
-	id, ok := p.ids[e.Syscall]
+	syscall := r.Syscall()
+	id, ok := p.ids[syscall]
 	if !ok {
 		id = int32(len(p.nodes))
-		p.ids[e.Syscall] = id
-		p.nodes = append(p.nodes, nodeAgg{syscall: e.Syscall})
+		p.ids[syscall] = id
+		p.nodes = append(p.nodes, nodeAgg{syscall: syscall})
 	}
 	n := &p.nodes[id]
 	n.count++
-	if e.RetVal < 0 {
+	if r.RetVal() < 0 {
 		n.errors++
 	}
-	n.dur.observe(e.DurationNS())
-	if pr, ok := p.last[e.TID]; ok {
-		k := uint64(pr.id)<<32 | uint64(id)
-		ed := p.edges[k]
-		if ed == nil {
-			ed = &edgeAgg{}
-			p.edges[k] = ed
-		}
-		ed.count++
-		ed.gap.observe(e.TimeEnterNS - pr.exitNS)
+	n.dur.observe(r.DurationNS())
+	tid := r.TID()
+	pr := p.last[tid]
+	if pr == nil {
+		p.last[tid] = &prevCall{id, r.TimeExitNS()}
+		return
 	}
-	p.last[e.TID] = prevCall{id, e.TimeExitNS}
+	from := &p.nodes[pr.id]
+	if int(id) >= len(from.out) {
+		from.out = append(from.out, make([]*edgeAgg, int(id)+1-len(from.out))...)
+	}
+	ed := from.out[id]
+	if ed == nil {
+		ed = &edgeAgg{}
+		from.out[id] = ed
+	}
+	ed.count++
+	ed.gap.observe(r.TimeEnterNS() - pr.exitNS)
+	pr.id, pr.exitNS = id, r.TimeExitNS()
 }
 
 // finish renders the aggregates as the DFG: processes by PID, nodes by
@@ -235,12 +245,8 @@ func (b *dfgBuilder) finish(session, index string) *DFG {
 			byName[i] = i
 		}
 		sort.Slice(byName, func(i, j int) bool { return p.nodes[byName[i]].syscall < p.nodes[byName[j]].syscall })
-		// rank[id] is the node's place in name order, so an edge's place in
-		// (from, to) name order is its key with both ids ranked.
-		rank := make([]uint64, len(p.nodes))
-		for r, i := range byName {
+		for _, i := range byName {
 			n := &p.nodes[i]
-			rank[i] = uint64(r)
 			sub.Nodes = append(sub.Nodes, Node{
 				Syscall: n.syscall, Count: n.count, Errors: n.errors,
 				P50NS: n.dur.quantile(0.50),
@@ -248,20 +254,21 @@ func (b *dfgBuilder) finish(session, index string) *DFG {
 				P99NS: n.dur.quantile(0.99),
 			})
 		}
-		ranked := func(k uint64) uint64 { return rank[k>>32]<<32 | rank[uint32(k)] }
-		keys := make([]uint64, 0, len(p.edges))
-		for k := range p.edges {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return ranked(keys[i]) < ranked(keys[j]) })
-		for _, k := range keys {
-			ed := p.edges[k]
-			sub.Edges = append(sub.Edges, Edge{
-				From: p.nodes[k>>32].syscall, To: p.nodes[uint32(k)].syscall, Count: ed.count,
-				P50NS: ed.gap.quantile(0.50),
-				P95NS: ed.gap.quantile(0.95),
-				P99NS: ed.gap.quantile(0.99),
-			})
+		// Both ends in name order: the edges in (from, to) name order.
+		for _, i := range byName {
+			from := &p.nodes[i]
+			for _, j := range byName {
+				if j >= len(from.out) || from.out[j] == nil {
+					continue
+				}
+				ed := from.out[j]
+				sub.Edges = append(sub.Edges, Edge{
+					From: from.syscall, To: p.nodes[j].syscall, Count: ed.count,
+					P50NS: ed.gap.quantile(0.50),
+					P95NS: ed.gap.quantile(0.95),
+					P99NS: ed.gap.quantile(0.99),
+				})
+			}
 		}
 		d.Procs = append(d.Procs, sub)
 	}

@@ -117,15 +117,16 @@ type Detector struct {
 // built-in rules keep per-file, per-thread, per-window and per-syscall-kind
 // state, never anything proportional to the session length.
 //
-// Observe's event is borrowed for the one call (store.EachEvent). On an
-// in-process store it points into row storage itself, and Observe runs under
-// the store's read locks for the page it belongs to; over any other backend
-// it points into a page the query cache may share with other readers. So a
-// pass may neither keep the pointer past the call nor modify the event, and
-// must not call back into the store. The built-in passes copy the fields
-// they keep (strings, integers, the file tag) and keep no pointer.
+// Observe's row is borrowed for the one call (store.EachRow): a view of
+// the stored row, read through its accessors. On an in-process store it is
+// the row in storage itself, and Observe runs under the store's read locks
+// for the page it belongs to; over any other backend it is a row of the
+// walk's page shard, emptied for the next page. So a pass may not keep the
+// row past the call, and must not call back into the store. The built-in
+// passes copy the fields they keep (strings, integers, the file tag) and
+// keep no row.
 type Pass interface {
-	Observe(e *event.Event)
+	Observe(r store.Row)
 	Finish(g *DFG) []Finding
 }
 
@@ -243,10 +244,10 @@ func (e *Engine) Analyze(ctx context.Context, b store.Backend, index, session st
 	for i, d := range e.reg.detectors {
 		passes[i] = d.Begin(p)
 	}
-	err := eachEvent(ctx, b, index, store.Term(store.FieldSession, session), p.PageSize, func(ev *event.Event) {
-		builder.observe(ev)
+	err := eachRow(ctx, b, index, store.Term(store.FieldSession, session), p.PageSize, func(r store.Row) {
+		builder.observe(r)
 		for _, pass := range passes {
-			pass.Observe(ev)
+			pass.Observe(r)
 		}
 	})
 	if err != nil {
@@ -270,13 +271,13 @@ func (e *Engine) Analyze(ctx context.Context, b store.Backend, index, session st
 	return rep, dfg, nil
 }
 
-// eachEvent is the package's one read path: it walks the events matching q
-// in the sorted cursor's total order through pageSize-bounded pages
-// (pageSize <= 0 selects the cursor's default), in place on an in-process
-// store (store.EachEvent).
-func eachEvent(ctx context.Context, b store.Backend, index string, q store.Query, pageSize int, fn func(*event.Event)) error {
+// eachRow is the package's one read path: it walks the rows matching q in
+// the sorted cursor's total order through pageSize-bounded pages (pageSize
+// <= 0 selects the cursor's default), in place on an in-process store
+// (store.EachRow).
+func eachRow(ctx context.Context, b store.Backend, index string, q store.Query, pageSize int, fn func(store.Row)) error {
 	req := store.SearchRequest{Query: q, Sort: []store.SortField{{Field: store.FieldTimeEnter}}}
-	return store.EachEvent(ctx, b, index, req, pageSize, fn)
+	return store.EachRow(ctx, b, index, req, pageSize, fn)
 }
 
 // DiffSessions runs the engine over two sessions of one index and diffs

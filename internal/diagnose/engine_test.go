@@ -2,6 +2,8 @@ package diagnose
 
 import (
 	"context"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +20,7 @@ import (
 // fakePass reports fixed findings whatever it observes.
 type fakePass []Finding
 
-func (fakePass) Observe(*event.Event)    {}
+func (fakePass) Observe(store.Row)       {}
 func (p fakePass) Finish(*DFG) []Finding { return p }
 
 func fakeDetector(name string, findings ...Finding) Detector {
@@ -68,6 +70,57 @@ func TestEngineRunsDetectorsInRegistrationOrderAndAttributes(t *testing.T) {
 	// 100 - 15 (warning) - 40 (critical) = 45.
 	if rep.HealthScore != 45 {
 		t.Fatalf("health = %d, want 45", rep.HealthScore)
+	}
+}
+
+// TestEachRowOverClientEqualsInProcess: over a store.Client the walk packs
+// each page's hits into its page shard, so a pass reads the same row form as
+// in process. At page size 7 over a session of hundreds of pages, the walk
+// yields the same rows in the same order over the Client as over the
+// *store.Store, and Engine.Analyze gives an equal report and DFG.
+func TestEachRowOverClientEqualsInProcess(t *testing.T) {
+	const pageSize = 7
+	ctx := context.Background()
+	st := memStore(t)
+	syntheticSession(t, st, "synthetic")
+	srv := httptest.NewServer(store.NewServer(st))
+	defer srv.Close()
+	client := store.NewClient(srv.URL)
+	req := store.SearchRequest{Query: store.Term(store.FieldSession, "synthetic"), Sort: []store.SortField{{Field: store.FieldTimeEnter}}}
+	walk := func(b store.Backend) []event.Event {
+		var out []event.Event
+		err := store.EachRow(ctx, b, "events", req, pageSize, func(r store.Row) {
+			var e event.Event
+			r.Event(&e)
+			out = append(out, e)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want, got := walk(st), walk(client)
+	if len(want) <= 3*pageSize {
+		t.Fatalf("the session holds %d rows, want more than three pages", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("over the Client the walk yielded %d rows, in process %d, or others or in another order", len(got), len(want))
+	}
+	eng := NewEngine(DefaultRegistry())
+	p := Params{PageSize: pageSize}
+	repIn, dfgIn, err := eng.Analyze(ctx, st, "events", "synthetic", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repC, dfgC, err := eng.Analyze(ctx, client, "events", "synthetic", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(repC, repIn) {
+		t.Fatalf("over the Client the report is\n%+v\nin process\n%+v", repC, repIn)
+	}
+	if dfgC.Fingerprint() != dfgIn.Fingerprint() {
+		t.Fatalf("over the Client the DFG fingerprint is %s, in process %s", dfgC.Fingerprint(), dfgIn.Fingerprint())
 	}
 }
 

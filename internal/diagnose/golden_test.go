@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -409,5 +411,41 @@ func TestContentionWindowStartsExactAtEpochScale(t *testing.T) {
 				t.Errorf("%s: window start %d is not a multiple of %d", name, start, window)
 			}
 		}
+	}
+}
+
+// TestContentionWindowsMatchDivision: the pass divides only when a row leaves
+// the open window, and its windows are exactly those of dividing every row's
+// time, truncated as Go divides: over times on both sides of zero, at the
+// window edges and past them, and near the int64 extremes.
+func TestContentionWindowsMatchDivision(t *testing.T) {
+	const window = 10
+	times := []int64{math.MinInt64, math.MinInt64 + 5, -25, -20, -19, -11, -10, -9, -1, 0, 1, 9, 10, 11, 19, 20, 35,
+		math.MaxInt64 - 15, math.MaxInt64 - 8, math.MaxInt64 - 7, math.MaxInt64}
+	evs := make([]event.Event, 0, 2*len(times))
+	for _, ts := range times {
+		for _, thread := range []string{"db_bench", "rocksdb:low0"} {
+			evs = append(evs, event.Event{Session: "w", Syscall: "read", ThreadName: thread, TimeEnterNS: ts, TimeExitNS: ts})
+		}
+	}
+	st := memStore(t)
+	if err := st.BulkEvents(context.Background(), "events", evs); err != nil {
+		t.Fatal(err)
+	}
+	c := &contentionPass{p: ContentionParams{ClientThread: "db_bench", BackgroundPrefix: "rocksdb:low", WindowNS: window}, active: map[string]bool{}}
+	err := eachRow(context.Background(), st, "events", store.Term(store.FieldSession, "w"), 4, c.Observe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []ContentionWindow
+	for _, ts := range times {
+		if start := ts / window * window; len(want) == 0 || want[len(want)-1].StartNS != start {
+			want = append(want, ContentionWindow{StartNS: start})
+		}
+		want[len(want)-1].ClientSyscalls++
+		want[len(want)-1].BackgroundThreads = 1
+	}
+	if !reflect.DeepEqual(c.windows, want) {
+		t.Fatalf("windows\n%+v\nwant\n%+v", c.windows, want)
 	}
 }

@@ -1,7 +1,7 @@
 package diagnose
 
 // The custom analyses (the paper's flexibility claim, §IV): context-first,
-// and reading events through the streaming cursor instead of materializing
+// and reading rows through the streaming cursor instead of materializing
 // a whole session per query.
 
 import (
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/dsrhaslab/dio-go/internal/event"
 	"github.com/dsrhaslab/dio-go/internal/store"
 )
 
@@ -89,7 +88,7 @@ type fileAccess struct {
 	pattern OffsetPattern
 	// nextByTID is the expected next offset per thread, as concurrent
 	// streams can interleave while each remains sequential.
-	nextByTID map[int]int64
+	nextByTID map[int]*int64
 }
 
 // fileAccesses is the per-file accumulator HotFiles, FileOffsetPattern and
@@ -97,36 +96,44 @@ type fileAccess struct {
 // have been path-correlated first: rows with no file_path are not counted.
 type fileAccesses map[string]*fileAccess
 
-func (fa fileAccesses) observe(e *event.Event) {
-	isRead, ok := dataSyscall(e.Syscall)
-	if !ok || e.FilePath == "" || e.RetVal < 0 {
+func (fa fileAccesses) observe(r store.Row) {
+	isRead, ok := dataSyscall(r.Syscall())
+	if !ok || r.RetVal() < 0 {
 		return
 	}
-	a := fa[e.FilePath]
+	path := r.FilePath()
+	if path == "" {
+		return
+	}
+	a := fa[path]
 	if a == nil {
 		a = &fileAccess{
-			load:      FileLoad{FilePath: e.FilePath},
-			pattern:   OffsetPattern{FilePath: e.FilePath},
-			nextByTID: make(map[int]int64),
+			load:      FileLoad{FilePath: path},
+			pattern:   OffsetPattern{FilePath: path},
+			nextByTID: make(map[int]*int64),
 		}
-		fa[e.FilePath] = a
+		fa[path] = a
 	}
-	moved := e.RetVal
+	moved := r.RetVal()
 	if !isRead {
-		moved = int64(e.Count)
+		moved = int64(r.Count())
 	}
 	a.load.Events++
 	a.load.Bytes += moved
-	if !e.HasOffset {
+	if !r.HasOffset() {
 		return
 	}
 	p := &a.pattern
 	if moved < SmallIOThreshold {
 		p.SmallIOs++
 	}
-	expected, seen := a.nextByTID[e.TID]
-	sequential := !seen || e.Offset == expected
-	a.nextByTID[e.TID] = e.Offset + moved
+	off, next := r.Offset(), a.nextByTID[r.TID()]
+	sequential := next == nil || off == *next
+	if next == nil {
+		next = new(int64)
+		a.nextByTID[r.TID()] = next
+	}
+	*next = off + moved
 	switch {
 	case isRead && sequential:
 		p.SequentialReads++
@@ -165,7 +172,7 @@ func (fa fileAccesses) ranked() []*fileAccess {
 // session. Events must have been path-correlated first (file_path set).
 func FileOffsetPattern(ctx context.Context, b store.Backend, index, session, filePath string) (OffsetPattern, error) {
 	files := fileAccesses{}
-	err := eachEvent(ctx, b, index, store.Must(
+	err := eachRow(ctx, b, index, store.Must(
 		store.Term(store.FieldSession, session),
 		store.Term(store.FieldFilePath, filePath),
 		store.Terms(store.FieldSyscall, dataSyscalls...),
@@ -183,7 +190,7 @@ func FileOffsetPattern(ctx context.Context, b store.Backend, index, session, fil
 // turns "the disk is busy" into "these files are busy".
 func HotFiles(ctx context.Context, b store.Backend, index, session string, topN int) ([]FileLoad, error) {
 	files := fileAccesses{}
-	err := eachEvent(ctx, b, index, store.Must(
+	err := eachRow(ctx, b, index, store.Must(
 		store.Term(store.FieldSession, session),
 		store.Exists(store.FieldFilePath),
 		store.Terms(store.FieldSyscall, dataSyscalls...),

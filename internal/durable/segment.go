@@ -313,45 +313,46 @@ func (r *SegmentReader) blockRows(k int) int {
 	return min(segBlockRows, r.info.Rows-k*segBlockRows)
 }
 
-// Rows decodes the rows whose time_enter_ns lies in [minT, maxT], in row
-// order, with their segment-local ids. It decodes only the blocks whose zone
-// map meets the window, into slices sized once for all of them. A frame that
-// does not decode to exactly its block's rows, or a row outside its block's
-// stamped range, is ErrCorruptSegment: a wrong zone map never silently hides
-// a row of a block Rows reads. Decoded rows do not alias the image.
-func (r *SegmentReader) Rows(minT, maxT int64) ([]event.Event, []int, error) {
-	n := 0
-	for k, b := range r.blocks {
-		if b.maxT >= minT && b.minT <= maxT {
-			n += r.blockRows(k)
-		}
-	}
-	events, gids := make([]event.Event, 0, n), make([]int, 0, n)
+// EachBlock decodes the rows whose time_enter_ns lies in [minT, maxT] one
+// block at a time, in row order, and hands fn each decoded block's rows in
+// the window with their segment-local ids. It decodes only the blocks whose
+// zone map meets the window, each into one buffer of a block's rows reused
+// for the next block, so the rows and ids are fn's for the call alone and a
+// walk holds one block's decode at a time. A frame that does not decode to
+// exactly its block's rows, or a row outside its block's stamped range, is
+// ErrCorruptSegment: a wrong zone map never silently hides a row of a block
+// the walk reads. fn has seen the blocks before a corrupt one; a non-nil
+// error from fn ends the walk and is returned. Decoded rows do not alias the
+// image.
+func (r *SegmentReader) EachBlock(minT, maxT int64, fn func(rows []event.Event, gids []int) error) error {
+	var buf []event.Event
+	var gids []int
 	run := 0
 	for k, b := range r.blocks {
 		if b.maxT < minT || b.minT > maxT {
 			continue
 		}
-		base := len(events)
-		decoded, err := event.DecodeBatch(b.frame, events)
+		decoded, err := event.DecodeBatch(b.frame, buf[:0])
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: block %d: %v", ErrCorruptSegment, k, err)
+			return fmt.Errorf("%w: block %d: %v", ErrCorruptSegment, k, err)
 		}
-		if got, owed := len(decoded)-base, r.blockRows(k); got != owed {
-			return nil, nil, fmt.Errorf("%w: block %d decodes to %d rows, owes %d", ErrCorruptSegment, k, got, owed)
+		if got, owed := len(decoded), r.blockRows(k); got != owed {
+			return fmt.Errorf("%w: block %d decodes to %d rows, owes %d", ErrCorruptSegment, k, got, owed)
 		}
+		buf = decoded
 		// Keep the window's rows, compacting them in place.
-		w := base
-		for i := base; i < len(decoded); i++ {
+		w := 0
+		gids = gids[:0]
+		for i := range decoded {
 			t := decoded[i].TimeEnterNS
 			if t < b.minT || t > b.maxT {
-				return nil, nil, fmt.Errorf("%w: block %d row %d at %d, outside its stamped [%d, %d]",
-					ErrCorruptSegment, k, i-base, t, b.minT, b.maxT)
+				return fmt.Errorf("%w: block %d row %d at %d, outside its stamped [%d, %d]",
+					ErrCorruptSegment, k, i, t, b.minT, b.maxT)
 			}
 			if t < minT || t > maxT {
 				continue
 			}
-			row := k*segBlockRows + i - base
+			row := k*segBlockRows + i
 			for row >= r.runs[run].row+r.runs[run].n {
 				run++
 			}
@@ -361,28 +362,52 @@ func (r *SegmentReader) Rows(minT, maxT int64) ([]event.Event, []int, error) {
 			w++
 			gids = append(gids, r.runs[run].gid+row-r.runs[run].row)
 		}
-		events = decoded[:w]
+		if err := fn(decoded[:w], gids); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Rows is EachBlock's rows gathered: every row in [minT, maxT], in row
+// order, with its segment-local id.
+func (r *SegmentReader) Rows(minT, maxT int64) ([]event.Event, []int, error) {
+	var events []event.Event
+	var gids []int
+	err := r.EachBlock(minT, maxT, func(rows []event.Event, ids []int) error {
+		events, gids = append(events, rows...), append(gids, ids...)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return events, gids, nil
 }
 
 // ReadSegment loads the segment at path and hands every row to fn in
-// global-id order: OpenSegment, then Rows over every block. doc is always
-// nil; the parameter is kept because benchmark/ still passes a callback of
-// this shape.
+// global-id order: OpenSegment, then EachBlock over every block. The event
+// is borrowed for the call, and fn has seen the rows of the blocks before a
+// corrupt one. doc is always nil; the parameter is kept because benchmark/
+// still passes a callback of this shape.
 func ReadSegment(path string, fn func(gid int, ev *event.Event, doc []byte) error) (SegmentInfo, error) {
 	r, err := OpenSegment(path)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
-	events, gids, err := r.Rows(math.MinInt64, math.MaxInt64)
-	if err != nil {
-		return SegmentInfo{}, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	for i := range events {
-		if err := fn(gids[i], &events[i], nil); err != nil {
-			return r.info, err
+	var fnErr error
+	err = r.EachBlock(math.MinInt64, math.MaxInt64, func(rows []event.Event, gids []int) error {
+		for i := range rows {
+			if fnErr = fn(gids[i], &rows[i], nil); fnErr != nil {
+				return fnErr
+			}
 		}
+		return nil
+	})
+	switch {
+	case fnErr != nil:
+		return r.info, fnErr
+	case err != nil:
+		return SegmentInfo{}, fmt.Errorf("%s: %w", filepath.Base(path), err)
 	}
 	return r.info, nil
 }

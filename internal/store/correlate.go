@@ -188,7 +188,7 @@ func (ix *Index) applyPaths(rec *event.PathsRecord) (n [pathOutcomes]int) {
 		sh.mu.Lock()
 		for id := range sh.rows.len() {
 			w := sh.row(int32(id))
-			w.unpack(&e)
+			w.Event(&e)
 			o := resolvePaths(rec, base+id*S+s, &e)
 			if o == pathUpdated {
 				w.r.str[slotFilePath] = sh.dicts[slotFilePath].intern(e.FilePath)
@@ -240,8 +240,7 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord) (n [path
 	err = v.each(ctx, true, func(i int, e *readEntry) {
 		var row event.Event // a copy: a resident segment's rows are shared and read-only
 		for k := range e.sh.rows.len() {
-			w := e.sh.row(int32(k))
-			w.unpack(&row)
+			e.sh.row(int32(k)).Event(&row)
 			cold[i][resolvePaths(rec, e.gidOf(int32(k)), &row)]++
 		}
 	})

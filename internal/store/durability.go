@@ -259,8 +259,7 @@ func (f *flushRows) NumRows() int { return f.head - f.start }
 
 func (f *flushRows) Row(i int) durable.SegmentRow {
 	S, m := len(f.ix.shards), f.start+i-f.base
-	w := f.ix.shards[m%S].row(int32(m / S))
-	w.unpack(&f.ev)
+	f.ix.shards[m%S].row(int32(m / S)).Event(&f.ev)
 	return durable.SegmentRow{Event: &f.ev}
 }
 

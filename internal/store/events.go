@@ -63,7 +63,7 @@ func SearchEvents(ctx context.Context, b Backend, index string, req SearchReques
 // non-nil error from fn stops the walk and is returned. The page is
 // borrowed: a cached page is shared read-only with every reader the query
 // cache answers, so fn may neither keep its events past the call nor modify
-// them. EachEvent reads a *Store's pages in place, with no copy.
+// them. EachRow reads a *Store's pages in place, with no copy.
 func EachEventPage(ctx context.Context, b Backend, index string, req SearchRequest, pageSize int, fn func(EventsResult) error) error {
 	req.From, req.Size, req.SearchAfter = 0, walkPage(pageSize), nil
 	for {
@@ -89,35 +89,38 @@ func walkPage(pageSize int) int {
 	return pageSize
 }
 
-// EachEvent walks every hit of req as EachEventPage does, calling fn once
-// per event. On the in-process *Store itself each page is one search whose
-// merged rows fn reads in place, under the page's read locks, before the
-// page's last row mints the next cursor: no page is copied or cached, req's
+// EachRow walks every hit of req as EachEventPage does, calling fn once per
+// row. On the in-process *Store itself each page is one search whose merged
+// rows fn reads in place, under the page's read locks, before the page's
+// last row mints the next cursor: no page is copied or cached, req's
 // aggregations are not computed, each page counts as one search, and ctx is
 // checked between pages. Any other backend, a type embedding a *Store
-// included, pages through EachEventPage. The event is borrowed for the
-// call: fn may neither keep the pointer nor modify the event, nor call back
-// into the store, whose writers may be queued on the locks the page holds.
-func EachEvent(ctx context.Context, b Backend, index string, req SearchRequest, pageSize int, fn func(*event.Event)) error {
+// included, pages through EachEventPage, and each page's hits are packed, as
+// MergeScatters packs a partition's, into one shard the walk empties and
+// reuses page after page: fn reads one row form whatever the backend. The
+// row is borrowed for the call: fn may not keep it, nor call back into the
+// store, whose writers may be queued on the locks the page holds.
+func EachRow(ctx context.Context, b Backend, index string, req SearchRequest, pageSize int, fn func(Row)) error {
 	if s, ok := b.(*Store); ok {
-		return s.eachEvent(ctx, index, req, pageSize, fn)
+		return s.eachRow(ctx, index, req, pageSize, fn)
 	}
+	sh := newShard()
 	return EachEventPage(ctx, b, index, req, pageSize, func(page EventsResult) error {
+		sh.reuse()
 		for i := range page.Hits {
-			fn(&page.Hits[i])
+			fn(sh.row(sh.addEventLocked(&page.Hits[i])))
 		}
 		return nil
 	})
 }
 
-// eachEvent is EachEvent on the store itself: one searchShards pass a page.
-func (s *Store) eachEvent(ctx context.Context, index string, req SearchRequest, pageSize int, fn func(*event.Event)) error {
+// eachRow is EachRow on the store itself: one searchShards pass a page.
+func (s *Store) eachRow(ctx context.Context, index string, req SearchRequest, pageSize int, fn func(Row)) error {
 	ix, err := s.lookup(index)
 	if err != nil {
 		return err
 	}
 	req.From, req.Size, req.SearchAfter, req.Aggs = 0, walkPage(pageSize), nil, nil
-	var ev event.Event
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -126,8 +129,7 @@ func (s *Store) eachEvent(ctx context.Context, index string, req SearchRequest, 
 		start := time.Now()
 		err := ix.searchShards(ctx, &searchExec{req: req}, nil, func(refs []hitRef, _ int, _ map[string]*AggPartial) {
 			for i := range refs {
-				refs[i].event(&ev)
-				fn(&ev)
+				fn(refs[i].sh.row(refs[i].id))
 			}
 			if len(refs) == req.Size {
 				next = nextAfterRef(refs[len(refs)-1], req.Sort)

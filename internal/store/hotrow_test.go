@@ -90,16 +90,32 @@ func randomEvent(rng *rand.Rand) event.Event {
 }
 
 // checkPacked requires stored row id of sh to unpack, over an event holding
-// other values in every field, to want, and to answer every field, and a name
-// that is none, as want does.
+// other values in every field, to want; to answer every event.Event field
+// through the Row accessor of that field's name, and DurationNS, as want
+// holds it; and to answer every schema field, and a name that is none, as
+// want does. A field event.Event gains with no accessor fails it.
 func checkPacked(t *testing.T, sh *shard, id int32, want *event.Event) {
 	t.Helper()
 	w := sh.row(id)
 	got := heapFixture(int(id))
 	got.ArgPath2, got.AttrName, got.Whence, got.Flags, got.Mode, got.ArgOff = "x", "y", 9, 9, 9, 9
-	w.unpack(&got)
+	w.Event(&got)
 	if got != *want {
 		t.Fatalf("row %d unpacks to\n %+v\nwant\n %+v", id, got, *want)
+	}
+	ev, rv := reflect.ValueOf(got), reflect.ValueOf(w)
+	for i := range ev.NumField() {
+		name := ev.Type().Field(i).Name
+		m := rv.MethodByName(name)
+		if !m.IsValid() || m.Type().NumIn() != 0 || m.Type().NumOut() != 1 {
+			t.Fatalf("event.Event.%s has no accessor Row.%s()", name, name)
+		}
+		if a, f := m.Call(nil)[0].Interface(), ev.Field(i).Interface(); a != f {
+			t.Fatalf("row %d: Row.%s() is %#v, the unpacked field %#v", id, name, a, f)
+		}
+	}
+	if w.DurationNS() != got.DurationNS() {
+		t.Fatalf("row %d: Row.DurationNS() is %d, the unpacked event's %d", id, w.DurationNS(), got.DurationNS())
 	}
 	for _, name := range append(event.Fields(), "no_such_field") {
 		gs, gok := w.StringField(name)
@@ -116,9 +132,10 @@ func checkPacked(t *testing.T, sh *shard, id int32, want *event.Event) {
 }
 
 // TestPackedRowMatchesEvent is the drift guard for the packed row's copy of
-// the presence rules: over seeded random events, unpack(pack(e)) is e
-// canonicalized, and the packed StringField, IntField and Field answer every
-// schema field, and an unknown name, as the canonical event does.
+// the presence rules and its accessors: over seeded random events,
+// Row.Event(pack(e)) is e canonicalized, every Row accessor equals its field
+// of that unpack, and the packed StringField, IntField and Field answer
+// every schema field, and an unknown name, as the canonical event does.
 func TestPackedRowMatchesEvent(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	sh := newShard()

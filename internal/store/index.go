@@ -283,12 +283,6 @@ type hitRef struct {
 	keyOK bool
 }
 
-// event unpacks ref's row into dst.
-func (ref *hitRef) event(dst *event.Event) {
-	w := ref.sh.row(ref.id)
-	w.unpack(dst)
-}
-
 // EventsResult is the answer to a search: the matched count, the requested
 // window of hits as events copied straight out of row storage, the finalized
 // aggregations, and the continuation token. It is the only form a hit takes
@@ -345,7 +339,7 @@ func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (Events
 func eventsResult(req SearchRequest, refs []hitRef, total int, aggs map[string]AggResult) EventsResult {
 	res := EventsResult{Total: total, Hits: make([]event.Event, len(refs)), Aggs: aggs}
 	for i := range refs {
-		refs[i].event(&res.Hits[i])
+		refs[i].sh.row(refs[i].id).Event(&res.Hits[i])
 	}
 	if req.Size > 0 && len(refs) == req.Size {
 		res.NextAfter = nextAfterRef(refs[len(refs)-1], req.Sort)

@@ -192,7 +192,7 @@ func TestEventBatchPoolBounded(t *testing.T) {
 func (sh *shard) eventAt(id int) *event.Event {
 	var e event.Event
 	w := sh.row(int32(id))
-	w.unpack(&e)
+	w.Event(&e)
 	return &e
 }
 

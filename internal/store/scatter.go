@@ -102,7 +102,7 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 		resp = ScatterResponse{Total: total, Gids: make([]int, len(refs)), Hits: make([]event.Event, len(refs))}
 		for i := range refs {
 			resp.Gids[i] = refs[i].gid
-			refs[i].event(&resp.Hits[i])
+			refs[i].sh.row(refs[i].id).Event(&resp.Hits[i])
 		}
 		if len(parts) > 0 {
 			resp.Partials = make(map[string]AggPartial, len(parts))

@@ -354,9 +354,11 @@ func (r *rows) len() int { return r.n }
 // at returns row i in place.
 func (r *rows) at(i int) *hotRow { return &r.blocks[i>>blockShift][i&(blockRows-1)] }
 
-// add returns the next slot, zero, opening a block when the last is full.
+// add returns the next slot, opening a block when the last is full. The
+// slot is zero unless reuse emptied the shard; addEventLocked writes every
+// field either way.
 func (r *rows) add() *hotRow {
-	if r.n&(blockRows-1) == 0 {
+	if r.n&(blockRows-1) == 0 && r.n>>blockShift == len(r.blocks) {
 		r.blocks = append(r.blocks, make([]hotRow, blockRows))
 	}
 	r.n++
@@ -383,27 +385,60 @@ func (sh *shard) posting(field, term string) ([]int32, bool) {
 	return sh.postings[f][c], true
 }
 
-// row is one stored row read in place: the packed row and the shard whose
-// dictionaries its codes index. It is the query evaluator's fieldSource, and
-// its accessors answer as event.Event's do.
-type row struct {
+// Row is one stored row read in place: the packed row and the shard whose
+// dictionaries its codes index. It is the query evaluator's fieldSource and
+// what a diagnosis pass observes (EachRow); its accessors answer as
+// event.Event's fields and methods do, one per field, so a reader pays for
+// the fields it reads and no more. A Row is borrowed: it is valid while the
+// read lock, or the walk's page, it was handed under lasts.
+type Row struct {
 	sh *shard
 	r  *hotRow
 }
 
 // row returns local row id. Caller holds at least the read lock.
-func (sh *shard) row(id int32) row { return row{sh, sh.rows.at(int(id))} }
+func (sh *shard) row(id int32) Row { return Row{sh, sh.rows.at(int(id))} }
 
 // str returns the row's string in slot f.
-func (w *row) str(f int) string { return w.sh.dicts[f].terms[w.r.str[f]] }
+func (w Row) str(f int) string { return w.sh.dicts[f].terms[w.r.str[f]] }
 
-func (w *row) field(name string) any {
+// The accessors, one per event.Event field, in slotNames' order for the
+// strings; TestPackedRowMatchesEvent holds each to its field.
+
+func (w Row) Session() string        { return w.str(0) }
+func (w Row) Syscall() string        { return w.str(1) }
+func (w Row) ProcName() string       { return w.str(2) }
+func (w Row) ThreadName() string     { return w.str(3) }
+func (w Row) Class() string          { return w.str(4) }
+func (w Row) ArgPath() string        { return w.str(5) }
+func (w Row) ArgPath2() string       { return w.str(6) }
+func (w Row) AttrName() string       { return w.str(7) }
+func (w Row) FileType() string       { return w.str(8) }
+func (w Row) KernelPath() string     { return w.str(9) }
+func (w Row) FilePath() string       { return w.str(slotFilePath) }
+func (w Row) RetVal() int64          { return w.r.RetVal }
+func (w Row) FD() int                { return int(w.r.FD) }
+func (w Row) Count() int             { return int(w.r.Count) }
+func (w Row) ArgOff() int64          { return w.r.ArgOff }
+func (w Row) Whence() int            { return int(w.r.Whence) }
+func (w Row) Flags() int             { return int(w.r.Flags) }
+func (w Row) Mode() uint32           { return w.r.Mode }
+func (w Row) PID() int               { return int(w.r.PID) }
+func (w Row) TID() int               { return int(w.r.TID) }
+func (w Row) TimeEnterNS() int64     { return w.r.TimeEnterNS }
+func (w Row) TimeExitNS() int64      { return w.r.TimeExitNS }
+func (w Row) DurationNS() int64      { return w.r.TimeExitNS - w.r.TimeEnterNS }
+func (w Row) FileTag() event.FileTag { return w.r.FileTag }
+func (w Row) Offset() int64          { return w.r.Offset }
+func (w Row) HasOffset() bool        { return w.r.HasOffset }
+
+func (w Row) field(name string) any {
 	v, _ := w.Field(name)
 	return v
 }
 
 // StringField is event.Event.StringField on the packed row.
-func (w *row) StringField(name string) (string, bool) {
+func (w Row) StringField(name string) (string, bool) {
 	if f, ok := strSlot(name); ok {
 		s := w.str(f)
 		return s, f < len(indexedFields) || s != ""
@@ -416,7 +451,7 @@ func (w *row) StringField(name string) (string, bool) {
 }
 
 // Field is event.Event.Field on the packed row.
-func (w *row) Field(name string) (any, bool) {
+func (w Row) Field(name string) (any, bool) {
 	if name == FieldHasOffset {
 		return w.r.HasOffset, true
 	}
@@ -474,10 +509,10 @@ func (r *hotRow) IntField(name string) (int64, bool) {
 	return 0, false
 }
 
-// unpack writes the row as the event it was stored from, field by field and
+// Event writes the row as the event it was stored from, field by field and
 // the strings in slotNames' order: no temporary event or pointer array is
 // built and copied.
-func (w *row) unpack(dst *event.Event) {
+func (w Row) Event(dst *event.Event) {
 	r := w.r
 	dst.RetVal, dst.ArgOff, dst.TimeEnterNS, dst.TimeExitNS, dst.Offset = r.RetVal, r.ArgOff, r.TimeEnterNS, r.TimeExitNS, r.Offset
 	dst.PID, dst.TID, dst.FD, dst.Count = int(r.PID), int(r.TID), int(r.FD), int(r.Count)
@@ -490,8 +525,7 @@ func (w *row) unpack(dst *event.Event) {
 // absent), boxing it on demand; hot paths use numAt instead. Caller holds at
 // least the read lock.
 func (sh *shard) val(id int32, field string) any {
-	w := sh.row(id)
-	return w.field(field)
+	return sh.row(id).field(field)
 }
 
 // numAt reads one numeric field without boxing. Caller holds at least the
@@ -541,6 +575,23 @@ func (sh *shard) evictLocked() {
 	}
 	for f := range sh.postings {
 		sh.postings[f] = [][]int32{nil}
+	}
+	sh.cols, sh.runs = nil, nil
+}
+
+// reuse empties a walk's page shard (EachRow) for its next page: rows and
+// dictionaries start over in the blocks and maps the shard holds, so a walk
+// allocates its row blocks for its largest page and not for every page. Only
+// the walk that owns the shard reads it.
+func (sh *shard) reuse() {
+	sh.rows.n = 0
+	for f := range sh.dicts {
+		d := &sh.dicts[f]
+		d.terms, d.last = d.terms[:1], 0
+		clear(d.codes)
+	}
+	for f, pl := range sh.postings {
+		sh.postings[f] = append(pl[:0], pl[0][:0])
 	}
 	sh.cols, sh.runs = nil, nil
 }
@@ -685,7 +736,7 @@ func (sh *shard) matchIDs(q Query) []int32 {
 	// Fallback: full scan through the row adapter (fields resolve on demand,
 	// no map materialization).
 	var out []int32
-	r := row{sh: sh}
+	r := Row{sh: sh}
 	for id := range sh.rows.len() {
 		if r.r = sh.rows.at(id); q.matches(&r) {
 			out = append(out, int32(id))
@@ -803,7 +854,7 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 		return candidates, true
 	}
 	var out []int32
-	rrow := row{sh: sh}
+	rrow := Row{sh: sh}
 next:
 	for _, id := range candidates {
 		for i, r := range colRanges {

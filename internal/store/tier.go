@@ -290,8 +290,9 @@ func (rs *residentSegments) size() int64 {
 // path. When the decoded segment fits the budget, every row is decoded and
 // the shard joins the set. Otherwise only the blocks whose zone map meets
 // [minT, maxT] are decoded, and their rows inside it kept, for this query
-// alone. Every decoded row is named and then packed as a write is, and the
-// decoded batch and the image are garbage. Columns and orders build on
+// alone. The segment is decoded one block at a time (EachBlock), and each
+// decoded row is named and then packed as a write is, so the open holds one
+// block's decode beside the packed shard; the image is garbage after. Columns and orders build on
 // demand, as on a hot stripe. Queries that miss one segment together decode
 // it once (residentSegments.get).
 func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsRecord, minT, maxT int64) (*coldSegment, error) {
@@ -313,23 +314,29 @@ func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsReco
 	if kept {
 		minT, maxT = math.MinInt64, math.MaxInt64
 	}
-	events, gids, err := r.Rows(minT, maxT)
+	cs = &coldSegment{sh: newShard()}
+	if kept {
+		cs.gids = make([]int, 0, info.Rows)
+	}
+	err = r.EachBlock(minT, maxT, func(events []event.Event, gids []int) error {
+		for k, gid := range gids {
+			gid += int(sm.StartRow)
+			if book != nil {
+				resolveFromBook(*book, gid, &events[k])
+			}
+			cs.sh.addEventLocked(&events[k])
+			cs.gids = append(cs.gids, gid)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", durable.SegmentName(sm.Seq), err)
 	}
-	cs = &coldSegment{sh: newShard(), gids: gids}
-	for k := range gids {
-		gids[k] += int(sm.StartRow)
-		if book != nil {
-			resolveFromBook(*book, gids[k], &events[k])
-		}
-		cs.sh.addEventLocked(&events[k])
-	}
-	ix.rtm.rowsDecoded.Add(uint64(len(gids)))
+	ix.rtm.rowsDecoded.Add(uint64(len(cs.gids)))
 	if kept {
 		rs.put(sm.Seq, book, cs)
 	} else {
-		ix.rtm.rowsSkipped.Add(uint64(info.Rows - len(gids)))
+		ix.rtm.rowsSkipped.Add(uint64(info.Rows - len(cs.gids)))
 	}
 	return cs, nil
 }

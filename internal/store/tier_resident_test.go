@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
 	"github.com/dsrhaslab/dio-go/internal/event"
@@ -639,5 +641,68 @@ func TestColdTermRunIsAccounted(t *testing.T) {
 	}
 	if got := accounted(); got != after {
 		t.Fatalf("a later page moved the account from %d to %d bytes", after, got)
+	}
+}
+
+// TestColdFirstOpenDecodesOneBlockAtATime prices one first open of a
+// 16-block segment against packing the same rows from memory: beyond the
+// packed shard it builds, the file image it reads and the ids it keeps, the
+// open allocates at most two blocks' decoded events — one block's decode,
+// reused block after block, with its strings and ids — where decoding the
+// whole segment before packing it allocated a decoded event (~300 B) per row.
+func TestColdFirstOpenDecodesOneBlockAtATime(t *testing.T) {
+	const blocks, blockLen = 16, 512
+	const rows = blocks * blockLen
+	st := openDurable(t, t.TempDir(), WithQueryCache(0), WithSnapshotInterval(0))
+	defer st.Close()
+	at := int64(1687859999000000000)
+	evs := make([]event.Event, rows)
+	for i := range evs {
+		ts := at + int64(i)*1000
+		evs[i] = event.Event{Session: "open", Syscall: []string{"read", "write", "openat"}[i%3],
+			ThreadName: fmt.Sprintf("w%d", i%4), ArgPath: fmt.Sprintf("/data/%d", i%8),
+			PID: 100, TID: 101 + i%4, RetVal: int64(i), TimeEnterNS: ts, TimeExitNS: ts + 700}
+	}
+	if err := st.BulkEvents(context.Background(), windowIndex, evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ix, _ := st.GetIndex(windowIndex)
+	segs := ix.coldSegments()
+	if len(segs) != 1 || segs[0].Rows != rows {
+		t.Fatalf("cold segments %+v, want one of %d rows", segs, rows)
+	}
+	allocated := func(fn func()) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	for i := range evs {
+		evs[i].Canonicalize()
+	}
+	pack := allocated(func() {
+		sh := newShard()
+		for i := range evs {
+			sh.addEventLocked(&evs[i])
+		}
+	})
+	ix.dur.resident.clear()
+	var cs *coldSegment
+	var err error
+	open := allocated(func() { cs, err = ix.openColdSegment(segs[0], nil, math.MinInt64, math.MaxInt64) })
+	if err != nil || len(cs.gids) != rows {
+		t.Fatalf("open: %v", err)
+	}
+	block := int64(blockLen * unsafe.Sizeof(event.Event{}))
+	extra := open - pack - segs[0].Bytes - rows*int64(unsafe.Sizeof(0))
+	t.Logf("open %d B, pack %d B, image %d B: %d B past them, one block's events %d B", open, pack, segs[0].Bytes, extra, block)
+	if extra > 2*block {
+		t.Fatalf("a first open of %d rows allocated %d bytes past the packed shard, the image and the ids, want at most %d (two blocks' decoded events)",
+			rows, extra, 2*block)
 	}
 }

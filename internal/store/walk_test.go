@@ -44,7 +44,18 @@ func collect(t *testing.T, walk func(fn func(*event.Event)) error) []event.Event
 	return out
 }
 
-// TestEachEventMatchesPagedWalk: on a *Store, EachEvent reads each page in
+// eachRowEvents is EachRow yielding each row unpacked, for collect.
+func eachRowEvents(ctx context.Context, b Backend, index string, req SearchRequest, size int) func(fn func(*event.Event)) error {
+	return func(fn func(*event.Event)) error {
+		var e event.Event
+		return EachRow(ctx, b, index, req, size, func(r Row) {
+			r.Event(&e)
+			fn(&e)
+		})
+	}
+}
+
+// TestEachRowMatchesPagedWalk: on a *Store, EachRow reads each page in
 // place, and must yield exactly the events EachEventPage yields through the
 // same store's SearchEvents and through a Client over HTTP, for every sorted
 // shape, asc and desc, at page sizes 1, 7 and 1000, on 1, 4 and 16 shards:
@@ -53,7 +64,7 @@ func collect(t *testing.T, walk func(fn func(*event.Event)) error) []event.Event
 // in the query cache. Beside the ordered batches the fixture holds sub-ulp
 // rows, 3 ns apart and shuffled, one half cold and the other hot, and a time
 // sorted walk over HTTP must come out in exact (time, gid) order.
-func TestEachEventMatchesPagedWalk(t *testing.T) {
+func TestEachRowMatchesPagedWalk(t *testing.T) {
 	ctx := context.Background()
 	batches := orderedBatches(240, 16)
 	ulp := subUlpRows(orderBase+150_000, 64, 7)
@@ -102,10 +113,10 @@ func TestEachEventMatchesPagedWalk(t *testing.T) {
 					want := collect(t, paged(st))
 					overHTTP := collect(t, paged(client))
 					searches, puts := st.tm.searches.Value(), st.tm.cacheMisses.Value()
-					got := collect(t, func(fn func(*event.Event)) error { return EachEvent(ctx, st, "walk", req, size, fn) })
+					got := collect(t, eachRowEvents(ctx, st, "walk", req, size))
 					at := fmt.Sprintf("shards=%d %s %+v size %d", shards, name, req, size)
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: EachEvent yielded %d events, EachEventPage %d, or in another order", at, len(got), len(want))
+						t.Fatalf("%s: EachRow yielded %d rows, EachEventPage %d events, or in another order", at, len(got), len(want))
 					}
 					if !reflect.DeepEqual(overHTTP, want) {
 						t.Fatalf("%s: EachEventPage over HTTP yielded %d events, in process %d, or in another order", at, len(overHTTP), len(want))
@@ -117,10 +128,10 @@ func TestEachEventMatchesPagedWalk(t *testing.T) {
 						}
 					}
 					if pages := uint64(len(want)/size + 1); st.tm.searches.Value()-searches != pages {
-						t.Fatalf("%s: EachEvent counted %d searches, want %d pages", at, st.tm.searches.Value()-searches, pages)
+						t.Fatalf("%s: EachRow counted %d searches, want %d pages", at, st.tm.searches.Value()-searches, pages)
 					}
 					if n := st.tm.cacheMisses.Value() - puts; n != 0 {
-						t.Fatalf("%s: EachEvent put %d pages in the query cache", at, n)
+						t.Fatalf("%s: EachRow put %d pages in the query cache", at, n)
 					}
 				}
 			}
@@ -129,13 +140,13 @@ func TestEachEventMatchesPagedWalk(t *testing.T) {
 	}
 }
 
-// TestEachEventPageIsOneCut: a page of EachEvent is read under the page's
+// TestEachRowPageIsOneCut: a page of EachRow is read under the page's
 // read locks. While fn blocks mid-page, a concurrent BulkEvents waits; it
 // completes once the page ends, before the next page takes its locks. So the
 // page fn was in sees none of the batch, and every later page sees all of
 // it that sorts past the cursor. A ctx cancelled during a page ends the walk
 // with ctx.Err() once that page is read, before the next one.
-func TestEachEventPageIsOneCut(t *testing.T) {
+func TestEachRowPageIsOneCut(t *testing.T) {
 	const rows, page = 64, 16
 	ctx := context.Background()
 	st := memStore(t, WithShards(4))
@@ -164,7 +175,7 @@ func TestEachEventPageIsOneCut(t *testing.T) {
 	done := make(chan error, 1)
 	var got []int64
 	var bulkEarly, bulkLate bool
-	err := EachEvent(ctx, st, "cut", req, page, func(e *event.Event) {
+	err := EachRow(ctx, st, "cut", req, page, func(r Row) {
 		switch len(got) {
 		case page / 2:
 			go func() { done <- st.BulkEvents(ctx, "cut", mk(batch...)) }()
@@ -183,7 +194,7 @@ func TestEachEventPageIsOneCut(t *testing.T) {
 				bulkLate = true
 			}
 		}
-		got = append(got, e.TimeEnterNS)
+		got = append(got, r.TimeEnterNS())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +220,7 @@ func TestEachEventPageIsOneCut(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	n := 0
-	err = EachEvent(cctx, st, "cut", req, page, func(*event.Event) {
+	err = EachRow(cctx, st, "cut", req, page, func(Row) {
 		if n++; n == page+1 {
 			cancel()
 		}
