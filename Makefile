@@ -64,8 +64,8 @@ bench-smoke:
 ## (the query cache vs the uncached ablation, and the Flushed arm: the
 ## cached store made durable with its preload snapshotted, so a query the
 ## cache misses counts the preload on a resident cold segment beside the
-## rows ingested during the run, through the code columns of both, and its
-## readers that miss together wait for one decode of the segment;
+## rows ingested during the run, from the rows' dictionary codes in both, and
+## its readers that miss together wait for one decode of the segment;
 ## cache-hits/op is the share of queries the cache answered) and the tiered
 ## segment-pruning benchmark (time-range planner vs the same predicate
 ## spelled so the planner extracts no bounds, over many narrow segments for
@@ -197,6 +197,9 @@ chaos-cluster:
 ## the moved rows twice or not at all), and a correlation pass adding paths
 ## to the shards' file_path dictionaries while two cursors page the session
 ## (TestCorrelateInternsWhileSearching: a hit reads no name or its final
-## one, and the store ends equal to an in-memory control), under -race.
+## one, and the store ends equal to an in-memory control), and cold window
+## searches and sorted walks while snapshots, compactions and retention
+## sweeps run (TestResidentSegmentsUnderMaintenance: every answer the
+## oracle's, and the resident set only what the manifest lists), under -race.
 crash:
-	$(GO) test -race -run 'TestCrash|TestDurable|TestFrameJournal|TestRecovery|TestRetired|TestWAL|TestSegment|TestManifest|TestCorrelateInternsWhileSearching' ./internal/store/ ./internal/durable/
+	$(GO) test -race -run 'TestCrash|TestDurable|TestFrameJournal|TestRecovery|TestRetired|TestWAL|TestSegment|TestManifest|TestCorrelateInternsWhileSearching|TestResidentSegmentsUnderMaintenance' ./internal/store/ ./internal/durable/

@@ -566,7 +566,7 @@ func benchOneShardVsSharded(b *testing.B, op func(ix *store.Index)) {
 	}{{"shards=1", 1}, {"sharded", 0}} {
 		ix := buildBenchIndex(120_000, arm.shards)
 		b.Run(arm.name, func(b *testing.B) {
-			op(ix) // warm columnar caches
+			op(ix) // warm the runs
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				op(ix)
@@ -576,7 +576,7 @@ func benchOneShardVsSharded(b *testing.B, op func(ix *store.Index)) {
 }
 
 // BenchmarkStoreSearchParallel measures what shard fan-out buys the search
-// path (posting lists, columnar range scan, per-shard top-k, k-way merge)
+// path (posting lists, range scan, per-shard top-k, k-way merge)
 // over a session-scale index.
 func BenchmarkStoreSearchParallel(b *testing.B) {
 	req := store.SearchRequest{

@@ -161,7 +161,7 @@ func finalizeStats(res StatsResult) *StatsResult {
 // holding only that shard's read lock, then merges the partials lock-free
 // (merge.go). A bucketing aggregation with sub-aggregations groups the
 // matched local row ids per bucket and recurses, so every leaf of the partial
-// tree is a columnar count map, sorted value slice, or stats accumulator — no
+// tree is a count map, sorted value slice, or stats accumulator — no
 // row is materialized to answer an aggregation at any depth.
 
 // termCounts tallies ids, ascending, by term. A string field counts codes
@@ -250,7 +250,7 @@ func (sh *shard) subPartials(a Agg, ids []int32) map[string]*AggPartial {
 }
 
 // partial computes a's partial over the matched local ids, reading numeric
-// fields through the shard's columnar caches. Caller holds the read lock.
+// fields from the rows unboxed (numAt). Caller holds the read lock.
 func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 	switch {
 	case a.Terms != nil:
@@ -292,20 +292,18 @@ func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 		}
 		return p
 	case a.Percentiles != nil:
-		c := sh.cols[a.Percentiles.Field]
 		vals := make([]float64, 0, len(ids))
 		for _, id := range ids {
-			if n, ok := sh.colVal(c, a.Percentiles.Field, id); ok {
+			if n, ok := sh.numAt(id, a.Percentiles.Field); ok {
 				vals = append(vals, float64(n))
 			}
 		}
 		sort.Float64s(vals)
 		return &AggPartial{Vals: vals}
 	case a.Stats != nil:
-		c := sh.cols[a.Stats.Field]
 		res := newStatsAccum()
 		for _, id := range ids {
-			if n, ok := sh.colVal(c, a.Stats.Field, id); ok {
+			if n, ok := sh.numAt(id, a.Stats.Field); ok {
 				f := float64(n)
 				combineStats(&res, &StatsResult{Count: 1, Min: f, Max: f, Sum: f})
 			}

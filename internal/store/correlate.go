@@ -173,7 +173,7 @@ func resolveFromBook(book []event.PathsRecord, gid int, e *event.Event) bool {
 
 // applyPaths runs rec over every row in shard memory, one shard write lock at
 // a time, and counts the outcomes. file_path is neither indexed nor numeric,
-// so postings and columns stand; each row is resolved unpacked, and a path
+// so postings and runs stand; each row is resolved unpacked, and a path
 // it takes that is new to its shard joins the shard's file_path dictionary.
 // The epoch brackets the pass for the query cache. On a durable index the
 // caller holds the gate shared (base is frozen) or is single-threaded
@@ -234,7 +234,7 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord) (n [path
 	d.appendMu.Lock()
 	rec.H = int64(ix.rr.Load())
 	d.appendMu.Unlock()
-	v := ix.readView(MatchAll(), nil, sortWalk{})
+	v := ix.readView(MatchAll(), sortWalk{})
 	v.entries = v.entries[len(ix.shards):] // applyPaths names the hot stripes below
 	cold := make([][pathOutcomes]int, len(v.entries))
 	err = v.each(ctx, true, func(i int, e *readEntry) {

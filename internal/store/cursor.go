@@ -44,7 +44,7 @@ type searchCursor struct {
 
 // cursorKey is one sort-key value of a cursor as the token carried it, with
 // its integer coercion parsed once per request: a row compares against it
-// through the sort column, unboxed, as cmpIDs compares two rows.
+// unboxed, as cmpIDs compares two rows.
 type cursorKey struct {
 	val any
 	num int64
@@ -81,15 +81,15 @@ func (c *searchCursor) parse(req SearchRequest) (ok bool, err error) {
 }
 
 // afterID reports whether shard row id sorts strictly after the cursor
-// position. Each key reads the row through its sort column (cols, aligned
-// with sorts) and compares unboxed when both sides are integers; only a value
-// that is not goes through cmpField. gidOf is called on a full key tie only.
-// Caller holds the shard read lock.
-func (c *searchCursor) afterID(sh *shard, id int32, sorts []SortField, cols []*column, gidOf func(int32) int) bool {
+// position. Each key reads the row's field unboxed (numAt) and compares
+// unboxed when both sides are integers; only a value that is not goes
+// through cmpField. gidOf is called on a full key tie only. Caller holds the
+// shard read lock.
+func (c *searchCursor) afterID(sh *shard, id int32, sorts []SortField, gidOf func(int32) int) bool {
 	for i, s := range sorts {
 		k := &c.keys[i]
 		var r int
-		if f, ok := sh.colVal(cols[i], s.Field, id); ok && k.ok {
+		if f, ok := sh.numAt(id, s.Field); ok && k.ok {
 			r = cmpOrdered(f, k.num, s.Desc)
 		} else {
 			r = cmpField(sh.val(id, s.Field), k.val, s.Desc)

@@ -402,9 +402,9 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 		// the wire format deliberately rejects.
 		cur.gid = partitionGidAfter(cur.gid, pt, P)
 	}
-	cols, walk := neededColumns(req), sortWalkOf(req)
+	fields, walk := rangeFields(req.Query), sortWalkOf(req)
 	for _, sh := range ix.shards {
-		sh.ensureColumns(cols, walk)
+		sh.ensureRuns(fields, walk)
 	}
 	// Hold every shard's read lock for the whole search. The merge stage
 	// reads rows (sort comparisons, hit materialization) after the per-shard
@@ -429,7 +429,7 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 		exec.need = req.From + req.Size
 	}
 	exec.cur, exec.walk = cur, walk
-	v := ix.readView(req.Query, cols, walk)
+	v := ix.readView(req.Query, walk)
 	defer v.release()
 	// A match-all count opens no cold entry: it takes the rows from the
 	// segment's meta, and decodes nothing.
@@ -530,27 +530,23 @@ func (e *readEntry) searchLocked(exec *searchExec) (shardResult, hitSource) {
 		if src, walked := e.pageWalk(exec, l, listed, getIDs); walked {
 			return res, src
 		}
-		sortCols := make([]*column, len(req.Sort))
-		for i, s := range req.Sort {
-			sortCols[i] = sh.cols[s.Field]
-		}
 		cand := getIDs()
 		if exec.cur != nil {
 			after := make([]int32, 0, len(cand))
 			for _, id := range cand {
-				if exec.cur.afterID(sh, id, req.Sort, sortCols, e.gidOf) {
+				if exec.cur.afterID(sh, id, req.Sort, e.gidOf) {
 					after = append(after, id)
 				}
 			}
 			cand = after
 		}
-		// Sort ids, not documents, comparing through the sort columns, and
+		// Sort ids, not documents, comparing the rows' fields unboxed, and
 		// only materialize the winners. The local-id tie-break makes the
 		// order total, which is exactly the stable insertion order (local id
 		// order == per-shard global id order), so heap selection below
 		// returns the same winners a stable full sort would.
 		less := func(a, b int32) bool {
-			if r := sh.cmpIDs(a, b, req.Sort, sortCols); r != 0 {
+			if r := sh.cmpIDs(a, b, req.Sort); r != 0 {
 				return r < 0
 			}
 			return a < b
@@ -600,47 +596,36 @@ func (e *readEntry) searchLocked(exec *searchExec) (shardResult, hitSource) {
 		refs[i] = hitRef{sh: sh, id: id, gid: e.gidOf(id)}
 	}
 	if len(req.Sort) > 0 {
-		f := req.Sort[0].Field
-		c := sh.cols[f]
 		for i, id := range hitIDs {
-			refs[i].key, refs[i].keyOK = sh.colVal(c, f, id)
+			refs[i].key, refs[i].keyOK = sh.numAt(id, req.Sort[0].Field)
 		}
 	}
 	return res, hitSource{refs: refs}
 }
 
-// walkList returns the list a single-key sorted page walks (idList): its
-// term's run when termIDs says so, and otherwise the sort column's whole
-// order, either cut to the query's window by binary search. Every match of
-// the query is in it, and when the walk is exact every entry is one. ok is
-// false for any other request, and when the list is missing or falls short
-// (rows appended since ensureColumns). Caller holds the read lock.
-func (sh *shard) walkList(w sortWalk) (l idList, ok bool) {
+// walkList returns the run a single-key sorted page walks (walkRun): its
+// term's, or the all-rows run, cut to the query's window by binary search.
+// Every match of the query is in it, and when the walk is exact every entry
+// is one. ok is false for any other request, and when the run is missing or
+// falls short (rows appended since ensureRuns). Caller holds the read lock.
+func (sh *shard) walkList(w sortWalk) (l termRun, ok bool) {
 	if w.field == "" {
-		return idList{}, false
+		return termRun{}, false
 	}
-	switch ids, byRun := sh.termIDs(w); {
-	case !byRun:
-		c := sh.cols[w.field]
-		if c == nil || c.order == nil || len(c.order) != sh.rows.len() {
-			return idList{}, false
-		}
-		l = c.orderList()
-	case len(ids) > 0:
-		r := sh.runs[runKey{w.field, w.term}]
-		if r == nil || len(r.ids) != len(ids) {
-			return idList{}, false
-		}
-		l = idList{ids: r.ids, vals: r.vals}
+	k, _, n := sh.walkRun(w)
+	r := sh.runs[k]
+	if r == nil || r.len() != n {
+		return termRun{}, false
 	}
-	for _, r := range w.window {
-		l = l.window(r)
+	l = *r
+	for _, rq := range w.window {
+		l = l.window(rq)
 	}
 	return l, true
 }
 
-// pageWalk positions a single-key sorted page's walk of l, a list in the
-// sort column's order (walkList), at the cursor: a binary search finds the
+// pageWalk positions a single-key sorted page's walk of l, a run in the
+// sort field's order (walkList), at the cursor: a binary search finds the
 // first row past it, and the page merge (mergePage) then pulls from the walk
 // only the rows the page keeps, each with its sort key as l holds it. A page
 // costs O(log n) per entry to position and O(log k) per row pulled over k
@@ -656,11 +641,11 @@ func (sh *shard) walkList(w sortWalk) (l idList, ok bool) {
 //
 // walked is false, and the caller takes the candidate path, for a multi-key
 // or unbounded sort, a cursor value that is not an integer, a page with no list
-// (listed false: a field some row lacks, rows appended since ensureColumns),
+// (listed false: a field some row lacks, rows appended since ensureRuns),
 // and, off the exact path, matches too sparse for the walk to pay: it visits
 // about need·len/m rows for m matches of the len it may walk, so it is taken
 // when that is at most m.
-func (e *readEntry) pageWalk(exec *searchExec, l idList, listed bool, getIDs func() []int32) (src hitSource, walked bool) {
+func (e *readEntry) pageWalk(exec *searchExec, l termRun, listed bool, getIDs func() []int32) (src hitSource, walked bool) {
 	sh, req, need := e.sh, exec.req, exec.need
 	if len(req.Sort) != 1 || need <= 0 || !listed {
 		return src, false
@@ -718,7 +703,7 @@ func (e *readEntry) pageWalk(exec *searchExec, l idList, listed bool, getIDs fun
 // runStart returns the first position of the run of equal values that ends
 // at position hi-1 of l, galloping backward so that a run costs the log of
 // its length, not the length.
-func runStart(l idList, hi int) int {
+func runStart(l termRun, hi int) int {
 	v := l.at(hi - 1)
 	lo, step := hi-1, 1
 	for lo > 0 {
@@ -801,65 +786,20 @@ func hitLess(a, b *hitRef, sorts []SortField) bool {
 	return a.gid < b.gid
 }
 
-// neededColumns lists the fields a request will read through the columnar
-// caches (ensureColumns): range-query fields, the sort fields of a request
-// that walks no list, the percentiles
-// and stats fields of aggregations at any nesting depth (histograms bucket
-// from the row's exact integer, not a column, and a terms aggregation counts
-// the rows' codes). One list serves every entry of the read view, hot and
-// cold alike.
-func neededColumns(req SearchRequest) []string {
+// rangeFields lists the fields of the ranges a shard may answer from their
+// all-rows run (orderedRun): the query's own, or the must clauses' of a bool
+// that is its one clause. One list serves every hot stripe; a cold
+// segment's rows never grow, so its runs never fall short of them.
+func rangeFields(q Query) []string {
+	clauses := []Query{q}
+	if q.boolOnly() {
+		clauses = q.Bool.Must
+	}
 	var out []string
-	seen := make(map[string]struct{})
-	add := func(f string) {
-		if f == "" {
-			return
+	for _, c := range clauses {
+		if c.isPureRange() && !slices.Contains(out, c.Range.Field) {
+			out = append(out, c.Range.Field)
 		}
-		if _, ok := seen[f]; ok {
-			return
-		}
-		seen[f] = struct{}{}
-		out = append(out, f)
-	}
-	var walk func(q Query)
-	walk = func(q Query) {
-		if q.Range != nil {
-			add(q.Range.Field)
-		}
-		if q.Bool != nil {
-			for _, sub := range q.Bool.Must {
-				walk(sub)
-			}
-			for _, sub := range q.Bool.Should {
-				walk(sub)
-			}
-			for _, sub := range q.Bool.MustNot {
-				walk(sub)
-			}
-		}
-	}
-	walk(req.Query)
-	// A single-key sorted page reads its field through the list ensureColumns
-	// builds for its walk (sortWalkOf), and a term run needs no column.
-	if sortWalkOf(req).field == "" {
-		for _, s := range req.Sort {
-			add(s.Field)
-		}
-	}
-	var walkAgg func(a Agg)
-	walkAgg = func(a Agg) {
-		if a.Percentiles != nil {
-			add(a.Percentiles.Field)
-		}
-		if a.Stats != nil {
-			add(a.Stats.Field)
-		}
-		for _, sub := range a.Aggs {
-			walkAgg(sub)
-		}
-	}
-	for _, a := range req.Aggs {
-		walkAgg(a)
 	}
 	return out
 }
@@ -871,7 +811,7 @@ func neededColumns(req SearchRequest) []string {
 // its one clause. term is the first indexed keyword term with a string value
 // among them, and window their ranges on field; every match holds both. A
 // shard builds the term's run (termRun) when the term holds some but not all
-// of its rows, and the column's order otherwise (termIDs). exact holds
+// of its rows, and the all-rows run otherwise (walkRun). exact holds
 // when nothing else is asked, a match-all included: then the matches are
 // exactly term's rows (every row when term is zero) that window admits, and
 // the page tests none of them. The zero sortWalk is any other request.

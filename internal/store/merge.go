@@ -27,7 +27,7 @@ type hitSource struct {
 	done      bool
 	refs      []hitRef
 	e         *readEntry
-	l         idList
+	l         termRun
 	keep      func(id int32) bool
 	desc      bool
 	p, lo, hi int

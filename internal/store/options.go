@@ -134,7 +134,7 @@ func WithRetention(d time.Duration) Option {
 }
 
 // WithRollupInterval does nothing: the store keeps no ingest-time rollup.
-// A terms count reads posting-list lengths or code columns, and a repeated
+// A terms count reads posting-list lengths or the rows' codes, and a repeated
 // request is answered by the query cache.
 //
 // Deprecated: it is kept only so existing callers compile; drop the option.

@@ -10,9 +10,9 @@ import (
 // sharded pipeline beyond the row storage and the leaf comparators: every
 // hot row is materialized in global-id order, filtered one document at a
 // time, stable-sorted whole, aggregated serially, and windowed by copying.
-// No posting list, numeric column cache, code column, per-shard pre-sort,
-// top-k heap, or merge is consulted, so agreement with Index.Search is evidence
-// about all of them.
+// No posting list, dictionary code, run, per-shard pre-sort, top-k heap, or
+// merge is consulted, so agreement with Index.Search is evidence about all of
+// them.
 
 // oracleRows returns every hot row of ix as a document, in global-id order,
 // with the global id of the first. Placement is round-robin, so the m-th

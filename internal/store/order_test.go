@@ -24,7 +24,7 @@ import (
 
 // orderBase is an epoch-scale stamp (2023-06-26): float64's ulp there is
 // 256 ns, so distinct times a few ns apart would compare equal as floats. The
-// columns, the cursor and the oracle compare them as the integers they are.
+// runs, the cursor and the oracle compare them as the integers they are.
 const orderBase = 1_687_800_000_000_000_000
 
 // orderedBatches is the ordered walk's adversary: n rows in batches of
@@ -34,10 +34,10 @@ const orderBase = 1_687_800_000_000_000_000
 // ulp (several distinct times per float64 value, each ordered exactly),
 // sometimes repeat exactly, and sometimes step back a little. Rows carry their global id in RetVal (the
 // batches are ingested in order by one writer), about one in eight lacks
-// count, and fsync is rare, so a Term on it is a sparse match. Every row is
-// of class "io", and the rows at gids ≡ 3 (mod 160) run as proc "rare": on 4
-// or 16 shards filled from gid 0 that term is absent from all shards but
-// one.
+// count, the rows at gids ≡ 0 (mod 3) lack offset, and fsync is rare, so a
+// Term on it is a sparse match. Every row is of class "io", and the rows at
+// gids ≡ 3 (mod 160) run as proc "rare": on 4 or 16 shards filled from gid 0
+// that term is absent from all shards but one.
 func orderedBatches(n, batch int) [][]event.Event {
 	rng := rand.New(rand.NewSource(26))
 	syscalls := []string{"read", "read", "write", "openat", "close", "read", "write", "lseek"}
@@ -81,6 +81,9 @@ func orderedBatches(n, batch int) [][]event.Event {
 			b := append([]event.Event(nil), streams[w][i:min(i+batch, n/2)]...)
 			for j := range b {
 				b[j].RetVal = int64(gid)
+				if gid%3 != 0 {
+					b[j].Offset, b[j].HasOffset = int64(gid%37)*512, true
+				}
 				if gid%160 == 3 {
 					b[j].ProcName = "rare"
 				}
@@ -122,8 +125,10 @@ func subUlpRows(at int64, n int, seed int64) []event.Event {
 // which cut a run by binary search; a terms list and a bool(term, terms, time
 // window), which walk the order, cut to the window, testing each row for
 // membership; a bool(session, syscall), which walks the session's run
-// testing each row; and count, which some rows lack, so its column never gets
-// an order or a run.
+// testing each row; count, which some rows lack, so it never gets a run; two
+// keys, count then time, which take the candidate path, resumed by cursor;
+// and a range on count or offset, which some rows lack, as a session's
+// residual, beside stats and percentiles of both.
 func orderedRequests() []SearchRequest {
 	var out []SearchRequest
 	gt, lt := int64(orderBase+35_000), int64(orderBase+120_000)
@@ -151,6 +156,14 @@ func orderedRequests() []SearchRequest {
 	for _, desc := range []bool{false, true} {
 		out = append(out, SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: FieldCount, Desc: desc}}, Size: 7})
 		out = append(out, SearchRequest{Query: Term(FieldSession, "s0"), Sort: []SortField{{Field: FieldCount, Desc: desc}}, Size: 1000})
+		for _, q := range []Query{MatchAll(), Term(FieldSession, "s1")} {
+			out = append(out, SearchRequest{Query: q, Sort: []SortField{{Field: FieldCount, Desc: desc}, {Field: FieldTimeEnter, Desc: !desc}}, Size: 7})
+		}
+	}
+	aggs := map[string]Agg{} // one map: both requests ask all four
+	for _, f := range []string{FieldCount, FieldOffset} {
+		aggs["stats "+f], aggs["pct "+f] = Agg{Stats: &StatsAgg{Field: f}}, Agg{Percentiles: &PercentilesAgg{Field: f}}
+		out = append(out, SearchRequest{Query: Must(Term(FieldSession, "s0"), RangeBetween(f, 1024, 16384)), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 7, Aggs: aggs})
 	}
 	return out
 }
@@ -179,8 +192,8 @@ func tieCursor(t *testing.T, ix *Index) []any {
 	return nil
 }
 
-// checkOracle runs req on st and fails unless total, hits and next_after
-// equal the oracle's answer over ix.
+// checkOracle runs req on st and fails unless total, hits, next_after and
+// aggregations equal the oracle's answer over ix.
 func checkOracle(t *testing.T, st *Store, index string, ix *Index, req SearchRequest) SearchResponse {
 	t.Helper()
 	got, err := st.Search(context.Background(), index, req)
@@ -192,16 +205,19 @@ func checkOracle(t *testing.T, st *Store, index string, ix *Index, req SearchReq
 		t.Fatalf("%+v:\n got total %d, %d hits, next %v\nwant total %d, %d hits, next %v",
 			req, got.Total, len(got.Hits), got.NextAfter, want.Total, len(want.Hits), want.NextAfter)
 	}
+	if !reflect.DeepEqual(got.Aggs, want.Aggs) {
+		t.Fatalf("%+v:\n got aggs %v\nwant aggs %v", req, got.Aggs, want.Aggs)
+	}
 	return got
 }
 
 // orderCovers reports whether every hot shard of ix holding rows has an
-// order over field covering all of them.
+// all-rows run over field covering all of them.
 func orderCovers(ix *Index, field string) bool {
 	for _, sh := range ix.shards {
 		sh.mu.RLock()
-		c, n := sh.cols[field], sh.rows.len()
-		ok := n == 0 || (c != nil && c.order != nil && len(c.order) == n)
+		r, n := sh.runs[runKey{field: field}], sh.rows.len()
+		ok := n == 0 || (r != nil && r.len() == n)
 		sh.mu.RUnlock()
 		if !ok {
 			return false
@@ -212,7 +228,7 @@ func orderCovers(ix *Index, field string) bool {
 
 // walkCovers reports whether sh, read-locked by the caller, holds what a
 // page of req walks, covering every row it must: its term's run, or the
-// sort column's order.
+// all-rows run.
 func walkCovers(sh *shard, req SearchRequest) bool {
 	_, ok := sh.walkList(sortWalkOf(req))
 	return ok || sh.rows.len() == 0
@@ -259,12 +275,12 @@ func coldWalkCovers(ix *Index, req SearchRequest) bool {
 // in-memory store, on one whose first stripe holds a row its run lacks
 // while the others walk (checkUnlistedStripe), and on a durable one, compared with an in-memory mirror
 // of the same rows, that takes the next batch after every page and
-// snapshots after every other one. A snapshot drops every hot column with
-// its order and runs, rebuilt on the next page over the rows ingested since;
+// snapshots after every other one. A snapshot drops every hot run, rebuilt
+// on the next page over the rows ingested since;
 // a batch taken without one extends them in place, and as the two streams
 // interleave it sorts partly before rows already in them. Every durable page
 // is read twice, filling the resident cold segments and then walking their
-// orders and runs.
+// runs.
 func TestSortedCursorMatchesOracle(t *testing.T) {
 	batches := orderedBatches(1600, 32)
 	for _, shards := range []int{1, 4, 16} {
@@ -286,10 +302,11 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 						continue
 					}
 					if resume {
-						// count ties in runs of whole multiples of 512.
+						// count ties in runs of whole multiples of 512; a time
+						// key after it, and the gid, come from the tie.
 						req.SearchAfter = tie
 						if req.Sort[0].Field == FieldCount {
-							req.SearchAfter = []any{int64(1024), tie[1]}
+							req.SearchAfter = append([]any{int64(1024)}, tie[len(tie)-len(req.Sort):]...)
 						}
 					}
 					for p := 0; p < maxPages[req.Size]; p++ {
@@ -311,8 +328,8 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			if c := ix.shards[0].cols[FieldCount]; c == nil || c.order != nil {
-				t.Fatal("count, which some rows lack, has an order")
+			if r, built := ix.shards[0].runs[runKey{field: FieldCount}]; !built || r != nil {
+				t.Fatalf("count, which some rows lack: all-rows run %v (built %v), want a nil one", r, built)
 			}
 
 			// The durable arm: half the batches up front, then a snapshot and
@@ -376,7 +393,7 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 
 // checkUnlistedStripe runs one page of req, which walks the session s1's
 // run, over a fresh in-memory index of batches on shards stripes, with a row
-// of s1 landing on stripe 0 after the page's ensureColumns has passed it and
+// of s1 landing on stripe 0 after the page's ensureRuns has passed it and
 // before the page read-locks the stripes: the test holds the last stripe's
 // write lock until the runs of all the others are built. Stripe 0's run is
 // then one row short, so it takes the candidate path while the others walk,
@@ -679,12 +696,13 @@ func termRunWant(sh *shard, session string) []int32 {
 }
 
 // TestTermRunLifecycle follows one shard's run of a session term through the
-// ensureColumns of the pages that read it: sorted from the posting list when
-// the session holds some of the rows, with no column or order built; extended in place
-// by rows appended since, some sorting before its last entry, as two drain
-// workers interleave; none while the session holds every row, when the page
-// walks the order itself; and dropped, with its column, by evictLocked. Each
-// time the page's list must be the session's rows in (time, id) order.
+// ensureRuns of the pages that read it: sorted from the posting list when
+// the session holds some of the rows, with no all-rows run built; extended in
+// place by rows appended since, some sorting before its last entry, as two
+// drain workers interleave; none while the session holds every row, when the
+// page walks the all-rows run; and dropped, with every other run, by
+// evictLocked. Each time the page's list must be the session's rows in
+// (time, id) order.
 func TestTermRunLifecycle(t *testing.T) {
 	sh := newShard()
 	add := func(session string, times ...int64) {
@@ -696,7 +714,7 @@ func TestTermRunLifecycle(t *testing.T) {
 	walk := sortWalkOf(req)
 	page := func(step string) {
 		t.Helper()
-		sh.ensureColumns(neededColumns(req), walk)
+		sh.ensureRuns(rangeFields(req.Query), walk)
 		l, ok := sh.walkList(walk)
 		if !ok {
 			t.Fatalf("%s: the page has no list", step)
@@ -714,8 +732,8 @@ func TestTermRunLifecycle(t *testing.T) {
 	add("a", 5000, 1000, 3000, 3000, 9000)
 	add("b", 2000, 4000)
 	page("first page")
-	if sh.cols[FieldTimeEnter] != nil || len(sh.runs) != 1 {
-		t.Fatalf("first page: column %v and %d runs, want a run alone", sh.cols[FieldTimeEnter], len(sh.runs))
+	if _, ok := sh.runs[runKey{FieldTimeEnter, termKey{FieldSession, "a"}}]; !ok || len(sh.runs) != 1 {
+		t.Fatalf("first page: %d runs, want the session's alone", len(sh.runs))
 	}
 
 	// Appended rows, two of them tied at 3000 with rows already in the run:
@@ -730,7 +748,7 @@ func TestTermRunLifecycle(t *testing.T) {
 	// A term whose rows lack the sort field (no row here has a count) has no
 	// run to walk, and is not read again for one.
 	byCount := SearchRequest{Query: Term(FieldSession, "a"), Sort: []SortField{{Field: FieldCount}}, Size: 10}
-	sh.ensureColumns(neededColumns(byCount), sortWalkOf(byCount))
+	sh.ensureRuns(rangeFields(byCount.Query), sortWalkOf(byCount))
 	if run, built := sh.runs[runKey{FieldCount, termKey{FieldSession, "a"}}]; !built || run != nil {
 		t.Fatalf("a term lacking the field: run %v (built %v), want a nil one", run, built)
 	}
@@ -739,13 +757,13 @@ func TestTermRunLifecycle(t *testing.T) {
 	}
 
 	sh.evictLocked()
-	if sh.cols != nil || sh.runs != nil {
-		t.Fatal("eviction kept the columns or the runs")
+	if sh.runs != nil {
+		t.Fatal("eviction kept the runs")
 	}
 	add("a", 700, 600)
 	page("one session after eviction")
-	if c := sh.cols[FieldTimeEnter]; c == nil || c.order == nil || sh.runs != nil {
-		t.Fatalf("a session holding every row: column %v, %d runs; want the order alone", c, len(sh.runs))
+	if _, ok := sh.runs[runKey{field: FieldTimeEnter}]; !ok || len(sh.runs) != 1 {
+		t.Fatalf("a session holding every row: %d runs; want the all-rows run alone", len(sh.runs))
 	}
 	add("b", 650)
 	page("a second session after eviction")
@@ -781,7 +799,7 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 		} else if ok {
 			exec.cur = &exec.cursor
 		}
-		sh.ensureColumns(neededColumns(req), exec.walk)
+		sh.ensureRuns(rangeFields(req.Query), exec.walk)
 		l, listed := sh.walkList(exec.walk)
 		if !listed || exec.walk.exact == tested || l.len() != rows/sessions {
 			t.Fatalf("%+v: listed %v, exact %v, a list of %d rows; want the session's %d", req.Query, listed, exec.walk.exact, l.len(), rows/sessions)

@@ -158,7 +158,7 @@ func (q Query) boolOnly() bool {
 
 // contains reports whether v satisfies every bound of r. It is the single
 // range-match implementation shared by the per-document evaluator below and
-// the shard's columnar range scan, so the two cannot drift on bound
+// the shard's range scan (rangeScan), so the two cannot drift on bound
 // semantics (GT/LT strict, GTE/LTE inclusive).
 func (r *RangeQuery) contains(v int64) bool {
 	if r.GTE != nil && v < *r.GTE {

@@ -18,146 +18,112 @@ import (
 //
 // A row is a packed hotRow: each string field is a code into the shard's
 // dictionary of that field, written with the row under the write lock, so a
-// string a shard's rows repeat is held once. Postings, columns, query
-// evaluation and aggregation read a row through its accessors (row) and never
-// build a map; a search hit is unpacked into an event.Event only at the edge.
-// Everything else a shard holds is derived from its rows: dictionaries and
-// postings at append, numeric columns on demand (ensureColumns).
+// string a shard's rows repeat is held once. Postings, runs, query evaluation
+// and aggregation read a row through its accessors (row) and never build a
+// map; a numeric field is read from the row itself (numAt), and a search hit
+// is unpacked into an event.Event only at the edge. Everything else a shard
+// holds is derived from its rows: dictionaries and postings at append, sort
+// orders on demand (ensureRuns).
 type shard struct {
 	mu       sync.RWMutex
 	rows     rows
 	dicts    [nSlots]dict                  // per string slot: code <-> term
 	postings [len(indexedFields)][][]int32 // per indexed slot and code: local row ids
-	cols     map[string]*column            // lazy numeric columns, keyed by field
-	runs     map[runKey]*termRun           // lazy term runs, keyed by sort field and term
-}
-
-// column is a pre-extracted numeric view of one field: vals[i] holds row i's
-// field as IntField reads it and ok[i] whether the row holds the field.
-// Columns are built lazily up to the current row count and extended on the
-// next use after writes; a stored row's numeric fields never change.
-//
-// order is the column's sort order, built for a field that a single-key
-// sorted page asked for: the shard's local ids ascending by (vals[id], id),
-// the total order cmpIDs and the id tie-break define. It covers exactly the
-// rows vals covers, is extended with them, and exists only while every row
-// holds the field (missing == 0), so a sorted page can resume by binary
-// search instead of re-testing every match. It costs 4 B per row and goes
-// with the column: eviction drops both.
-type column struct {
-	vals    []int64
-	ok      []bool
-	missing int
-	order   []int32
+	runs     map[runKey]*termRun           // lazy sort orders, keyed by sort field and term
 }
 
 // termKey names one term of one indexed keyword field.
 type termKey struct{ field, term string }
 
-// runKey names a term run: the numeric field it is in the order of, and the
-// term.
+// runKey names a run: the numeric field it is in the order of, and the term
+// whose rows it holds, the zero term for every row of the shard.
 type runKey struct {
 	field string
 	term  termKey
 }
 
-// termRun is, for an indexed keyword term that a single-key sorted page
-// asked for, the term's posting list in the order of the page's sort field:
-// ids ascending by (value, id), as a column's order is, with vals[i] the
-// value of ids[i]. It holds every match of a query that requires the term,
-// so a page over one session of many walks that session's rows alone; a
-// term holding every row of the shard has none, the column's order is its
-// run. A run carries its values and needs no column: its first build reads
-// the term's rows and no other, and a page reads its keys from it. It is
-// extended by the rows posted since when a page asks for it again, costs
-// 12 B per entry, and goes with the rows at eviction. A term some of whose
-// rows lack the field keeps a nil run: it has no order to walk.
+// termRun is a sort order a single-key sorted page asked for: the local ids
+// of one indexed keyword term's rows, or of every row under the zero term,
+// ascending by (value, id) in the page's sort field — the total order cmpIDs
+// and the id tie-break define — with vals[i] the value of ids[i]. A term's
+// run holds every match of a query that requires the term, so a page over
+// one session of many walks that session's rows alone; a term holding every
+// row of the shard has none, the all-rows run is its run. A run's first
+// build reads its rows and no other, and a page reads its keys from it, so
+// that a page can resume by binary search instead of re-testing every
+// match. It is extended by the rows appended since when a page asks for it
+// again, and the all-rows run also when a range on its field does, costs
+// 12 B per entry, and goes with the rows at eviction. A run some of whose
+// rows lack the field is nil: it has no order to walk.
+//
+// A termRun value is also what a page walks: a run, or a window of one cut
+// by binary search (window).
 type termRun struct {
 	ids  []int32
 	vals []int64
 }
 
-// idList is what a sorted page walks, an order or a term run: ids ascending
-// by (value, id), where at(i) is the value of ids[i], read from vals, a
-// run's own, or else from col, the column an order sorts.
-type idList struct {
-	ids  []int32
-	vals []int64
-	col  []int64
-}
+func (l termRun) len() int { return len(l.ids) }
 
-func (l idList) len() int { return len(l.ids) }
-
-func (l idList) at(i int) int64 {
-	if l.vals != nil {
-		return l.vals[i]
-	}
-	return l.col[l.ids[i]]
-}
+func (l termRun) at(i int) int64 { return l.vals[i] }
 
 // slice is the entries [lo, hi) of l.
-func (l idList) slice(lo, hi int) idList {
-	l.ids = l.ids[lo:hi]
-	if l.vals != nil {
-		l.vals = l.vals[lo:hi]
-	}
-	return l
+func (l termRun) slice(lo, hi int) termRun {
+	return termRun{ids: l.ids[lo:hi], vals: l.vals[lo:hi]}
 }
 
-// orderList is c's order as an idList.
-func (c *column) orderList() idList { return idList{ids: c.order, col: c.vals} }
-
-// extendOrder brings order up to len(vals). order's own append growth is the
-// only allocation on the appending path while rows arrive in order. Caller
-// holds the write lock.
-func (c *column) extendOrder() {
-	k, n := len(c.order), len(c.vals)
-	if c.order == nil {
-		c.order = make([]int32, 0, n)
+// walkRun returns the key of the run a page of walk reads on this shard,
+// and the ids that run holds when it covers the shard, n of them: the
+// term's posting list when walk has a term holding fewer than all of the
+// shard's rows (none: the page walks nothing), and otherwise the all-rows
+// run's, ids nil and n the row count. Caller holds the lock.
+func (sh *shard) walkRun(walk sortWalk) (k runKey, ids []int32, n int) {
+	if walk.term.field != "" {
+		ids, _ = sh.posting(walk.term.field, walk.term.term)
+		if len(ids) < sh.rows.len() {
+			return runKey{walk.field, walk.term}, ids, len(ids)
+		}
 	}
-	for id := k; id < n; id++ {
-		c.order = append(c.order, int32(id))
-	}
-	c.orderList().mergeTail(k)
+	return runKey{field: walk.field}, nil, sh.rows.len()
 }
 
-// termIDs returns the posting list of walk's term, and whether a page of
-// walk reads the term's run on this shard rather than the sort column's whole
-// order: walk has a term and it holds fewer than all of the shard's rows
-// (none: the page walks nothing). Caller holds the lock.
-func (sh *shard) termIDs(walk sortWalk) (ids []int32, byRun bool) {
-	if walk.term.field == "" {
-		return nil, false
-	}
-	ids, _ = sh.posting(walk.term.field, walk.term.term)
-	return ids, len(ids) < sh.rows.len()
-}
-
-// extendRun brings the run of k up to ids, the term's posting list: the ids
-// posted since the run was last extended, all of them the first time, are
-// read through colVal (the column where one covers the row, else the row)
-// and merged in as the order's own are. Caller holds the write lock.
-func (sh *shard) extendRun(k runKey, ids []int32) {
+// short reports whether run k falls short of n entries: it was never built,
+// or rows were appended since. A nil run has none to fall short of. Caller
+// holds the lock.
+func (sh *shard) short(k runKey, n int) bool {
 	r, built := sh.runs[k]
-	if built && r == nil || r != nil && len(r.ids) == len(ids) {
+	return !built || r != nil && len(r.ids) < n
+}
+
+// extendRun brings run k up to n entries, ids[i] its i-th row (row i when
+// ids is nil, the all-rows run): the rows since the run was last extended,
+// all of them the first time, are read from the row (numAt) and merged in.
+// Caller holds the write lock.
+func (sh *shard) extendRun(k runKey, ids []int32, n int) {
+	if !sh.short(k, n) {
 		return
 	}
 	if sh.runs == nil {
 		sh.runs = make(map[runKey]*termRun)
 	}
+	r := sh.runs[k]
 	if r == nil {
-		r = &termRun{ids: make([]int32, 0, len(ids)), vals: make([]int64, 0, len(ids))}
+		r = &termRun{ids: make([]int32, 0, n), vals: make([]int64, 0, n)}
 	}
-	m, c := len(r.ids), sh.cols[k.field]
-	for _, id := range ids[m:] {
-		v, ok := sh.colVal(c, k.field, id)
+	m := len(r.ids)
+	for i := m; i < n; i++ {
+		id := int32(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		v, ok := sh.numAt(id, k.field)
 		if !ok {
 			sh.runs[k] = nil
 			return
 		}
 		r.ids, r.vals = append(r.ids, id), append(r.vals, v)
 	}
-	idList{ids: r.ids, vals: r.vals}.mergeTail(m)
+	r.mergeTail(m)
 	sh.runs[k] = r
 }
 
@@ -179,7 +145,7 @@ func cmpValID(a, b valID) int {
 // and sort after the last old one they stay as they are. Otherwise they are
 // sorted among themselves, each value read once, and only the suffix of l
 // whose values they overlap is merged with them, in place from the back.
-func (l idList) mergeTail(k int) {
+func (l termRun) mergeTail(k int) {
 	n := l.len()
 	inOrder := true
 	for i := k + 1; i < n && inOrder; i++ {
@@ -195,12 +161,7 @@ func (l idList) mergeTail(k int) {
 	if !inOrder {
 		slices.SortFunc(vs, cmpValID)
 	}
-	put := func(w int, e valID) {
-		l.ids[w] = e.id
-		if l.vals != nil {
-			l.vals[w] = e.v
-		}
-	}
+	put := func(w int, e valID) { l.ids[w], l.vals[w] = e.id, e.v }
 	if k == 0 || vs[0].v >= l.at(k-1) {
 		for i, e := range vs {
 			put(k+i, e)
@@ -220,19 +181,21 @@ func (l idList) mergeTail(k int) {
 	}
 }
 
-// orderedRun returns the run of c's order holding exactly the rows r admits,
-// or ok false unless the order covers all n rows. Caller holds the read lock.
-func (c *column) orderedRun(r *RangeQuery, n int) (run []int32, ok bool) {
-	if c == nil || c.order == nil || len(c.order) != n {
+// orderedRun returns the ids of the all-rows run of r's field whose values r
+// admits, or ok false unless that run covers every row. Caller holds the read
+// lock.
+func (sh *shard) orderedRun(r *RangeQuery) (run []int32, ok bool) {
+	l := sh.runs[runKey{field: r.Field}]
+	if l == nil || l.len() != sh.rows.len() {
 		return nil, false
 	}
-	return c.orderList().window(r).ids, true
+	return l.window(r).ids, true
 }
 
 // window returns the entries of l whose values r admits: two binary searches
 // making contains' comparisons, whose lower bounds are false then true along
 // the list and upper bounds true then false.
-func (l idList) window(r *RangeQuery) idList {
+func (l termRun) window(r *RangeQuery) termRun {
 	lo := sort.Search(l.len(), func(i int) bool {
 		v := l.at(i)
 		return !(r.GTE != nil && v < *r.GTE) && !(r.GT != nil && v <= *r.GT)
@@ -566,8 +529,7 @@ func (sh *shard) len() int {
 }
 
 // evictLocked drops every row and everything derived from them:
-// dictionaries, postings, columns with their orders, and term runs. Caller
-// holds the write lock.
+// dictionaries, postings and runs. Caller holds the write lock.
 func (sh *shard) evictLocked() {
 	sh.rows = rows{}
 	for f := range sh.dicts {
@@ -576,7 +538,7 @@ func (sh *shard) evictLocked() {
 	for f := range sh.postings {
 		sh.postings[f] = [][]int32{nil}
 	}
-	sh.cols, sh.runs = nil, nil
+	sh.runs = nil
 }
 
 // reuse empties a walk's page shard (EachRow) for its next page: rows and
@@ -593,106 +555,61 @@ func (sh *shard) reuse() {
 	for f, pl := range sh.postings {
 		sh.postings[f] = append(pl[:0], pl[0][:0])
 	}
-	sh.cols, sh.runs = nil, nil
+	sh.runs = nil
 }
 
-// ensureColumns builds or extends the numeric column of each of fields, so
-// they cover every row currently in the shard; a column that has an order
-// keeps it extended. For walk, a single-key sorted page (zero for any other read), it
-// builds or extends the list the page walks (walkList): the term's run when
-// termIDs says so, and otherwise the sort field's column with its order. It
-// is called before the read phase of a search; rows appended concurrently
-// afterwards are handled by the per-row fallback in colVal, and by the
-// candidate path for a sorted page.
-func (sh *shard) ensureColumns(fields []string, walk sortWalk) {
+// ensureRuns builds or extends, before the read phase of a search, the runs
+// it reads, so they cover every row currently in the shard: for walk, a
+// single-key sorted page (zero for any other read), the run the page walks
+// (walkRun); and for each of fields, the fields of the query's ranges, the
+// all-rows run of the field where one exists, so an order is extended by
+// every later use of its field. Rows appended concurrently afterwards leave a
+// run short: a page then takes the candidate path, and a range reads the
+// rows.
+func (sh *shard) ensureRuns(fields []string, walk sortWalk) {
 	if len(fields) == 0 && walk.field == "" {
 		return
 	}
 	sh.mu.RLock()
-	var need bool
-	switch ids, byRun := sh.termIDs(walk); {
-	case byRun:
-		r, built := sh.runs[runKey{walk.field, walk.term}]
-		need = !built || r != nil && len(r.ids) < len(ids)
-	case walk.field != "":
-		c := sh.cols[walk.field]
-		need = c == nil || len(c.vals) < sh.rows.len() || c.missing == 0 && c.order == nil
+	need := false
+	if walk.field != "" {
+		k, _, n := sh.walkRun(walk)
+		need = sh.short(k, n)
 	}
 	for _, f := range fields {
-		c := sh.cols[f]
-		need = need || c == nil || len(c.vals) < sh.rows.len()
+		r := sh.runs[runKey{field: f}]
+		need = need || r != nil && r.len() < sh.rows.len()
 	}
 	sh.mu.RUnlock()
 	if !need {
 		return
 	}
 	sh.mu.Lock()
-	for _, f := range fields {
-		sh.fillColumn(f)
+	if walk.field != "" {
+		sh.extendRun(sh.walkRun(walk))
 	}
-	switch ids, byRun := sh.termIDs(walk); {
-	case byRun:
-		sh.extendRun(runKey{walk.field, walk.term}, ids)
-	case walk.field != "":
-		if c := sh.fillColumn(walk.field); c.missing == 0 && c.order == nil {
-			c.extendOrder()
+	for _, f := range fields {
+		if k := (runKey{field: f}); sh.runs[k] != nil {
+			sh.extendRun(k, nil, sh.rows.len())
 		}
 	}
 	sh.mu.Unlock()
 }
 
-// fillColumn brings the numeric column of f, built on first use, up to every
-// row, and its order with it if it has one; a column some row lacks has none.
-// Caller holds the write lock.
-func (sh *shard) fillColumn(f string) *column {
-	c := sh.cols[f]
-	if c == nil {
-		if sh.cols == nil {
-			sh.cols = make(map[string]*column)
+// cmpIDs orders two local rows under sorts, comparing integers unboxed as
+// numAt reads them and falling back to the exact document-compare semantics
+// when either is not one. Caller holds at least the read lock.
+func (sh *shard) cmpIDs(a, b int32, sorts []SortField) int {
+	for _, s := range sorts {
+		var r int
+		af, aok := sh.numAt(a, s.Field)
+		bf, bok := sh.numAt(b, s.Field)
+		if aok && bok {
+			r = cmpOrdered(af, bf, s.Desc)
+		} else {
+			r = cmpField(sh.val(a, s.Field), sh.val(b, s.Field), s.Desc)
 		}
-		c = &column{}
-		sh.cols[f] = c
-	}
-	for i := len(c.vals); i < sh.rows.len(); i++ {
-		v, ok := sh.numAt(int32(i), f)
-		c.vals = append(c.vals, v)
-		c.ok = append(c.ok, ok)
-		if !ok {
-			c.missing++
-		}
-	}
-	switch {
-	case c.missing > 0:
-		c.order = nil
-	case c.order != nil:
-		c.extendOrder()
-	}
-	return c
-}
-
-// colVal reads one value through the column cache, falling back to the row
-// itself for ids past the built prefix. Caller
-// holds at least the read lock.
-func (sh *shard) colVal(c *column, field string, id int32) (int64, bool) {
-	if c != nil && int(id) < len(c.vals) {
-		return c.vals[id], c.ok[id]
-	}
-	return sh.numAt(id, field)
-}
-
-// cmpIDs orders two local docs under sorts, reading through the sort
-// fields' columns (cols, aligned with sorts) when both values are numeric
-// there, and falling back to the exact document-compare semantics otherwise.
-// Caller holds at least the read lock.
-func (sh *shard) cmpIDs(a, b int32, sorts []SortField, cols []*column) int {
-	for i, s := range sorts {
-		if c := cols[i]; c != nil && int(a) < len(c.vals) && int(b) < len(c.vals) && c.ok[a] && c.ok[b] {
-			if r := cmpOrdered(c.vals[a], c.vals[b], s.Desc); r != 0 {
-				return r
-			}
-			continue
-		}
-		if r := cmpField(sh.val(a, s.Field), sh.val(b, s.Field), s.Desc); r != 0 {
+		if r != 0 {
 			return r
 		}
 	}
@@ -719,12 +636,10 @@ func (sh *shard) matchIDs(q Query) []int32 {
 			}
 		}
 	}
-	// Top-level range with a built column: scan the column, not the docs.
-	// A term beside it is the clause evaluated.
+	// Top-level range: read the field unboxed, or the all-rows run. A term
+	// beside it is the clause evaluated.
 	if q.Range != nil && q.Term == nil && q.Terms == nil {
-		if c := sh.cols[q.Range.Field]; c != nil {
-			return sh.rangeScan(q.Range, c)
-		}
+		return sh.rangeScan(q.Range)
 	}
 	// Bool/must: intersect every indexed keyword term's posting list, then
 	// evaluate the residual query over the candidates only.
@@ -745,22 +660,16 @@ func (sh *shard) matchIDs(q Query) []int32 {
 	return out
 }
 
-// rangeScan evaluates r over the column cache (plus the uncovered tail),
+// rangeScan evaluates r over every row, reading the field unboxed and
 // sharing RangeQuery.contains with the per-document evaluator, or reads the
-// run of the column's order when it covers every row.
-func (sh *shard) rangeScan(r *RangeQuery, c *column) []int32 {
-	if run, ok := c.orderedRun(r, sh.rows.len()); ok {
+// all-rows run of r's field when it covers every row (orderedRun).
+func (sh *shard) rangeScan(r *RangeQuery) []int32 {
+	if run, ok := sh.orderedRun(r); ok {
 		return sortedIDs(run, sh.rows.len())
 	}
 	var out []int32
-	n := min(len(c.vals), sh.rows.len())
-	for i := 0; i < n; i++ {
-		if c.ok[i] && r.contains(c.vals[i]) {
-			out = append(out, int32(i))
-		}
-	}
-	for i := n; i < sh.rows.len(); i++ {
-		if f, ok := sh.numAt(int32(i), r.Field); ok && r.contains(f) {
+	for i := range sh.rows.len() {
+		if v, ok := sh.numAt(int32(i), r.Field); ok && r.contains(v) {
 			out = append(out, int32(i))
 		}
 	}
@@ -768,18 +677,18 @@ func (sh *shard) rangeScan(r *RangeQuery, c *column) []int32 {
 }
 
 // isPureRange reports whether q is exactly one range clause, so it can be
-// evaluated through a numeric column alone.
+// evaluated from one numeric field alone.
 func (q Query) isPureRange() bool {
 	return q.Range != nil && q.Term == nil && q.Terms == nil &&
 		q.Prefix == nil && q.Exists == nil && q.Bool == nil
 }
 
 // boolCandidates resolves a bool query whose must clauses include indexed
-// keyword terms (or a range with a built column) by posting-list
-// intersection followed by residual evaluation. ok is false when no clause
-// can seed a candidate list, meaning the caller should scan. A range whose
-// run of its column's order (orderedRun) is shorter than every posting list
-// that filters seeds; a list holding every row filters nothing.
+// keyword terms (or a range) by posting-list intersection followed by
+// residual evaluation. ok is false when no clause can seed a candidate list,
+// meaning the caller should scan. A range whose window of its field's
+// all-rows run (orderedRun) is shorter than every posting list that filters
+// seeds; a list holding every row filters nothing.
 func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 	n := sh.rows.len()
 	var lists [][]int32
@@ -804,7 +713,7 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 	seed, run := -1, []int32(nil)
 	for i, sub := range residualMust {
 		if sub.isPureRange() {
-			if r, ok := sh.cols[sub.Range.Field].orderedRun(sub.Range, n); ok && (seed < 0 || len(r) < len(run)) {
+			if r, ok := sh.orderedRun(sub.Range); ok && (seed < 0 || len(r) < len(run)) {
 				seed, run = i, r
 			}
 		}
@@ -816,10 +725,9 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 		residualMust = slices.Delete(residualMust, seed, seed+1)
 	case len(lists) > 0:
 		candidates, lists = lists[0], lists[1:]
-	case len(residualMust) > 0 && residualMust[0].isPureRange() && sh.cols[residualMust[0].Range.Field] != nil:
-		// A leading range over a column with no order seeds by a column scan.
-		r := residualMust[0].Range
-		candidates, residualMust = sh.rangeScan(r, sh.cols[r.Field]), residualMust[1:]
+	case len(residualMust) > 0 && residualMust[0].isPureRange():
+		// A leading range with no run seeds by a scan of its field.
+		candidates, residualMust = sh.rangeScan(residualMust[0].Range), residualMust[1:]
 	default:
 		return nil, false
 	}
@@ -828,18 +736,14 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 			return nil, true
 		}
 	}
-	// Pure range residuals read the numeric columns instead of going back to
-	// the row storage; everything else falls through to the generic evaluator.
-	var colRanges []*RangeQuery
-	var colCols []*column
+	// Pure range residuals read their field unboxed; everything else falls
+	// through to the generic evaluator.
+	var ranges []*RangeQuery
 	kept := residualMust[:0]
 	for _, sub := range residualMust {
 		if sub.isPureRange() {
-			if c := sh.cols[sub.Range.Field]; c != nil {
-				colRanges = append(colRanges, sub.Range)
-				colCols = append(colCols, c)
-				continue
-			}
+			ranges = append(ranges, sub.Range)
+			continue
 		}
 		kept = append(kept, sub)
 	}
@@ -850,16 +754,15 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 		MustNot: q.Bool.MustNot,
 	}}
 	needRest := len(residualMust) > 0 || len(q.Bool.Should) > 0 || len(q.Bool.MustNot) > 0
-	if !needRest && len(colRanges) == 0 {
+	if !needRest && len(ranges) == 0 {
 		return candidates, true
 	}
 	var out []int32
 	rrow := Row{sh: sh}
 next:
 	for _, id := range candidates {
-		for i, r := range colRanges {
-			f, ok := sh.colVal(colCols[i], r.Field, id)
-			if !ok || !r.contains(f) {
+		for _, r := range ranges {
+			if v, ok := sh.numAt(id, r.Field); !ok || !r.contains(v) {
 				continue next
 			}
 		}

@@ -93,8 +93,8 @@ func segMayMatch(sm durable.SegmentMeta, minT, maxT int64) bool {
 // as a hot stripe's are, plus the explicit global id of each local row —
 // cold segments can be sparse after compaction folded retention gaps. A
 // resident one holds every row and is read-only once filled: queries share it
-// under its read lock, and only ensureColumns writes to it — numeric columns,
-// their orders and term runs. One over the budget holds one query's window.
+// under its read lock, and only ensureRuns writes to it, the runs pages walk.
+// One over the budget holds one query's window.
 type coldSegment struct {
 	sh   *shard
 	gids []int
@@ -105,13 +105,9 @@ type coldSegment struct {
 const rowBytes = int64(unsafe.Sizeof(hotRow{})) + int64(unsafe.Sizeof(0)) + 4*int64(len(indexedFields))
 
 // size is cs's decoded bytes: its rows, its dictionaries' terms, and the
-// columns, orders and term runs built on it at their capacity. Caller holds
-// cs.sh.mu or owns cs.
+// runs built on it at their capacity. Caller holds cs.sh.mu or owns cs.
 func (cs *coldSegment) size() int64 {
 	n := int64(len(cs.gids)) * rowBytes
-	for _, c := range cs.sh.cols {
-		n += int64(cap(c.vals))*8 + int64(cap(c.ok)) + int64(cap(c.order))*4
-	}
 	for _, r := range cs.sh.runs {
 		if r != nil {
 			n += int64(cap(r.ids))*4 + int64(cap(r.vals))*8
@@ -228,7 +224,7 @@ func (rs *residentSegments) put(seq int, book *[]event.PathsRecord, cs *coldSegm
 }
 
 // account re-accounts segment seq's entry, if it still holds cs, after
-// ensureColumns may have built a column or an order on it. Caller holds
+// ensureRuns may have built a run on it. Caller holds
 // cs.sh.mu, so the size it reads is the one it records.
 func (rs *residentSegments) account(seq int, cs *coldSegment) {
 	size := cs.size()
@@ -292,8 +288,8 @@ func (rs *residentSegments) size() int64 {
 // [minT, maxT] are decoded, and their rows inside it kept, for this query
 // alone. The segment is decoded one block at a time (EachBlock), and each
 // decoded row is named and then packed as a write is, so the open holds one
-// block's decode beside the packed shard; the image is garbage after. Columns and orders build on
-// demand, as on a hot stripe. Queries that miss one segment together decode
+// block's decode beside the packed shard; the image is garbage after. Runs
+// build on demand, as on a hot stripe. Queries that miss one segment together decode
 // it once (residentSegments.get).
 func (ix *Index) openColdSegment(sm durable.SegmentMeta, book *[]event.PathsRecord, minT, maxT int64) (*coldSegment, error) {
 	rs := &ix.dur.resident
@@ -389,14 +385,13 @@ func (e *readEntry) firstAfter(gid int) int32 {
 // readView is the one list of row stores a read passes over, in gid order:
 // every hot stripe, then every cold segment its time window does not prune.
 // It carries what each needs to open a cold entry: the path book, the window,
-// and the columns, order and run the caller built on the hot stripes.
+// and the walk whose run the caller built on the hot stripes.
 type readView struct {
 	ix         *Index
 	entries    []readEntry
 	book       *[]event.PathsRecord
 	minT, maxT int64
 	bounded    bool
-	cols       []string
 	walk       sortWalk
 	locked     bool // each holds every cold entry's read lock
 }
@@ -406,10 +401,10 @@ type readView struct {
 // correlation tally). Either freezes the base and the segment list, so every
 // row is in exactly one entry. The opened/pruned counters move only for a
 // time-bounded q: without a bound there is no decision to report.
-func (ix *Index) readView(q Query, cols []string, walk sortWalk) *readView {
+func (ix *Index) readView(q Query, walk sortWalk) *readView {
 	S := len(ix.shards)
 	base := int(ix.base.Load())
-	v := &readView{ix: ix, entries: make([]readEntry, S), cols: cols, walk: walk}
+	v := &readView{ix: ix, entries: make([]readEntry, S), walk: walk}
 	for s, sh := range ix.shards {
 		v.entries[s] = readEntry{sh: sh, base: base, s: s, S: S}
 	}
@@ -436,7 +431,7 @@ func (ix *Index) readView(q Query, cols []string, walk sortWalk) *readView {
 // caller, then read-locked in the view's order, ascending rows, and stays
 // locked until the caller calls release, as it must whatever each returns:
 // a search's merge walks the entries' lists and reads their rows after fn
-// returns. Opening may take a cold shard's write lock (ensureColumns), so a
+// returns. Opening may take a cold shard's write lock (ensureRuns), so a
 // read opens everything before it holds any cold lock and takes them in one
 // order, which leaves no cycle of waits. A resident segment's open is a
 // lookup, and one over the budget decodes only the query's window. Without
@@ -522,7 +517,7 @@ spawn:
 }
 
 // open reads cold entry e through openColdSegment — resident, or decoded as
-// it decides — builds the view's columns on it, and re-accounts it to the
+// it decides — builds the view's walk's run on it, and re-accounts it to the
 // resident set. It leaves e unlocked.
 func (v *readView) open(e *readEntry) error {
 	cs, err := v.ix.openColdSegment(*e.seg, v.book, v.minT, v.maxT)
@@ -532,7 +527,7 @@ func (v *readView) open(e *readEntry) error {
 	if v.bounded {
 		v.ix.rtm.segOpened.Inc()
 	}
-	cs.sh.ensureColumns(v.cols, v.walk)
+	cs.sh.ensureRuns(nil, v.walk)
 	cs.sh.mu.RLock()
 	v.ix.dur.resident.account(e.seg.Seq, cs)
 	cs.sh.mu.RUnlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -202,6 +203,14 @@ func TestResidentSegmentsUnderMaintenance(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	// Every reader's last cold read may come before the final compaction,
+	// which retires the segments they filled: one more read of each ask
+	// fills the resident set from the segments the manifest lists now.
+	for i, a := range asks {
+		if got, err := st.Search(ctx, windowIndex, a.req); err != nil || answer(got) != a.want {
+			t.Fatalf("ask %d after maintenance: search diverged from the oracle (%v)", i, err)
+		}
+	}
 
 	if st.dtm.compactions.Value() == 0 || st.dtm.retentionDrops.Value() == 0 {
 		t.Fatalf("fixture: %d compactions, %d retention drops during the run; want both",
@@ -268,8 +277,8 @@ func TestResidentSegmentsOverBudget(t *testing.T) {
 	if len(segs) != 4 || segs[0].Level != 1 {
 		t.Fatalf("fixture: segments %+v, want one level-1 and three level-0", segs)
 	}
-	// A small segment decodes to rows × rowBytes, and its one column and
-	// order add a few percent; the compacted one to four times that.
+	// A small segment decodes to rows × rowBytes, and its one run adds a few
+	// percent; the compacted one to four times that.
 	small := rows * rowBytes
 	ix.dur.resident.budget = 2*small + small/2
 	if int64(segs[0].EndRow-segs[0].StartRow)*rowBytes <= ix.dur.resident.budget {
@@ -474,9 +483,8 @@ func TestResidentSegmentsFollowTheBook(t *testing.T) {
 }
 
 // TestResidentSegmentsAccountTheirBytes: the resident set's byte account,
-// taken from the types at a fill and again as columns, orders and code
-// columns are built, is the heap the decoded segments actually hold, within
-// a quarter.
+// taken from the types at a fill and again as runs are built, is the heap
+// the decoded segments actually hold, within a quarter.
 func TestResidentSegmentsAccountTheirBytes(t *testing.T) {
 	ctx := context.Background()
 	st := openDurable(t, t.TempDir(), WithQueryCache(0))
@@ -589,58 +597,104 @@ func TestDurableResidentFillIsSingleFlight(t *testing.T) {
 	}
 }
 
-// TestColdTermRunIsAccounted: a time-sorted page of one of two sessions over
-// a resident cold segment builds that session's run on the segment, and no
-// time order. The segment's byte account grows by 12 B per run entry (an id
-// and its value), and a later page, resumed and descending, adds nothing.
-func TestColdTermRunIsAccounted(t *testing.T) {
+// TestNumericReadsBuildNoRun: a range on ret_val, alone and as a bool's
+// residual, stats and percentiles on duration_ns and a two-key sort resumed
+// by cursor read their fields from the rows, on a hot stripe and on a
+// resident cold segment alike, and answer as the oracle does. They build
+// nothing: the segment's decoded bytes and both shards' runs stay as they
+// were. A single-key sized sorted page builds exactly one run on each, the
+// one it walks: its session's, or the all-rows run of a match-all, at 12 B
+// per entry on the segment's account; a later page of it, resumed and
+// descending, adds nothing.
+func TestNumericReadsBuildNoRun(t *testing.T) {
 	ctx := context.Background()
 	st := openDurable(t, t.TempDir(), WithShards(1), WithQueryCache(0))
 	defer st.Close()
+	mem := memStore(t, WithShards(1))
+	defer mem.Close()
 	const rows = 150
-	evs := append(residentRound("a", 0, orderBase, rows), residentRound("b", 0, orderBase, rows)...)
-	if err := st.BulkEvents(ctx, windowIndex, evs); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
+	// Round 0 is flushed to the cold segment, round 1 stays hot.
+	for r := 0; r < 2; r++ {
+		evs := append(residentRound("a", r, orderBase, rows), residentRound("b", r, orderBase, rows)...)
+		for i := range evs {
+			evs[i].RetVal, evs[i].TimeExitNS = int64(i%40-5), evs[i].TimeEnterNS+int64(i%13)*50
+		}
+		for _, s := range []*Store{st, mem} {
+			if err := s.BulkEvents(ctx, windowIndex, evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r == 0 {
+			if err := st.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	ix, _ := st.GetIndex(windowIndex)
-	accounted := func() int64 {
+	fix, _ := mem.GetIndex(windowIndex)
+	// state returns the resident set's bytes and the runs of the hot stripe
+	// and of the one resident segment.
+	runs := func(sh *shard) map[runKey]*termRun {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return maps.Clone(sh.runs)
+	}
+	state := func() (size int64, hot, cold map[runKey]*termRun) {
 		t.Helper()
-		if got := residentState(t, ix); len(got) != 1 {
-			t.Fatalf("resident %v, want the one segment", got)
+		seqs := residentState(t, ix)
+		if len(seqs) != 1 {
+			t.Fatalf("resident %v, want one segment", seqs)
 		}
-		return ix.dur.resident.size()
+		rs := &ix.dur.resident
+		rs.mu.Lock()
+		cs := rs.bySeq[seqs[0]].cs
+		rs.mu.Unlock()
+		return rs.size(), runs(ix.shards[0]), runs(cs.sh)
 	}
-	// A windowed count opens the segment and builds its time column alone.
-	if n := ix.Count(RangeGTE(FieldTimeEnter, orderBase)); n != 2*rows {
-		t.Fatalf("count %d, want %d", n, 2*rows)
+	if n := ix.Count(RangeGTE(FieldTimeEnter, orderBase)); n != 4*rows { // opens the segment
+		t.Fatalf("count %d, want %d", n, 4*rows)
 	}
-	before := accounted()
-	req := SearchRequest{Query: Term(FieldSession, "a"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 10}
-	res, err := st.SearchEvents(ctx, windowIndex, req)
-	if err != nil || res.Total != rows || res.NextAfter == nil {
-		t.Fatalf("page: total %d, next %v (%v)", res.Total, res.NextAfter, err)
+	size0, hot0, cold0 := state()
+	neg, ten := int64(0), int64(10)
+	for _, req := range []SearchRequest{
+		{Query: Query{Range: &RangeQuery{Field: FieldRetVal, LT: &neg}}, Size: 1},
+		{Query: Must(Term(FieldSession, "a"), Query{Range: &RangeQuery{Field: FieldRetVal, GTE: &ten}}), Size: 1},
+		{Query: Term(FieldSession, "b"), Size: 1, Aggs: map[string]Agg{
+			"stats": {Stats: &StatsAgg{Field: FieldDuration}}, "pct": {Percentiles: &PercentilesAgg{Field: FieldDuration}}}},
+	} {
+		checkOracle(t, st, windowIndex, fix, req)
 	}
-	if grown := accounted() - before; grown != 12*rows {
-		t.Fatalf("the sorted page grew the segment's account by %d bytes, want %d (12 per run entry)", grown, 12*rows)
+	twoKeys := SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: FieldDuration, Desc: true}, {Field: FieldRetVal}}, Size: 25}
+	for p := 0; p < 3; p++ {
+		twoKeys.SearchAfter = checkOracle(t, st, windowIndex, fix, twoKeys).NextAfter
 	}
-	rs := &ix.dur.resident
-	rs.mu.Lock()
-	for _, e := range rs.bySeq {
-		if c := e.cs.sh.cols[FieldTimeEnter]; c.order != nil || len(e.cs.sh.runs) != 1 {
-			t.Errorf("the segment holds order %v and %d runs, want the session's run alone", c.order != nil, len(e.cs.sh.runs))
+	if size, hot, cold := state(); size != size0 || !maps.Equal(hot, hot0) || !maps.Equal(cold, cold0) {
+		t.Fatalf("numeric reads built on the shards: %d B resident (was %d), %d hot runs (was %d), %d cold runs (was %d)",
+			size, size0, len(hot), len(hot0), len(cold), len(cold0))
+	}
+	for _, page := range []struct {
+		req     SearchRequest
+		key     runKey
+		entries int64
+	}{
+		{SearchRequest{Query: Term(FieldSession, "a"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 10},
+			runKey{FieldTimeEnter, termKey{FieldSession, "a"}}, rows},
+		{SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: FieldRetVal, Desc: true}}, Size: 10},
+			runKey{field: FieldRetVal}, 2 * rows},
+	} {
+		res := checkOracle(t, st, windowIndex, fix, page.req)
+		size, hot, cold := state()
+		_, inHot := hot[page.key]
+		_, inCold := cold[page.key]
+		if !inHot || !inCold || len(hot) != len(hot0)+1 || len(cold) != len(cold0)+1 || size != size0+12*page.entries {
+			t.Fatalf("%+v: %d hot runs (were %d), %d cold (were %d), %d B resident (was %d); want %+v added to each, %d B more",
+				page.req.Query, len(hot), len(hot0), len(cold), len(cold0), size, size0, page.key, 12*page.entries)
 		}
-	}
-	rs.mu.Unlock()
-	after := accounted()
-	req.SearchAfter, req.Sort[0].Desc = res.NextAfter, true
-	if _, err := st.SearchEvents(ctx, windowIndex, req); err != nil {
-		t.Fatal(err)
-	}
-	if got := accounted(); got != after {
-		t.Fatalf("a later page moved the account from %d to %d bytes", after, got)
+		page.req.SearchAfter, page.req.Sort[0].Desc = res.NextAfter, !page.req.Sort[0].Desc
+		checkOracle(t, st, windowIndex, fix, page.req)
+		if size0, hot0, cold0 = state(); size0 != size || !maps.Equal(hot0, hot) || !maps.Equal(cold0, cold) {
+			t.Fatalf("%+v: a later page built on the shards", page.req.Query)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -156,9 +157,11 @@ func TestBinaryPathLandsTyped(t *testing.T) {
 
 // TestRangeEdgeDifferential cross-checks every range evaluation path on
 // GT/LT/GTE/LTE edge equality: the shared contains helper (document
-// matching), the columnar rangeScan path, the run of a column's order (alone
-// and seeding a bool), the posting-list path, and the brute-force oracle must
-// agree for every combination of bounds anchored on stored values.
+// matching), the row scan of rangeScan, the window of a field's all-rows run
+// (alone and seeding a bool), the posting-list path, and the brute-force
+// oracle must agree for every combination of bounds anchored on stored
+// values. On count and offset, which some rows lack, stats and percentiles
+// over each range's matches must also equal the oracle's.
 func TestRangeEdgeDifferential(t *testing.T) {
 	vals := []int64{-5, 0, 10, 20, 20, 30, 40}
 	var docs []Document
@@ -168,6 +171,12 @@ func TestRangeEdgeDifferential(t *testing.T) {
 			Session: "s", Syscall: "read", ProcName: "p", ThreadName: "t",
 			RetVal: v, TimeEnterNS: int64(i), TimeExitNS: int64(i) + 1,
 		})
+		if i%2 == 0 {
+			events[i].Count = int(v)
+		}
+		if i%3 != 0 {
+			events[i].Offset, events[i].HasOffset = v, true
+		}
 		docs = append(docs, EventToDoc(&events[i]))
 	}
 	typedIx := NewIndex("typed")
@@ -205,8 +214,7 @@ func TestRangeEdgeDifferential(t *testing.T) {
 		return want
 	}
 	// matched counts q's matches shard by shard through matchIDs alone, over
-	// the columns and orders as they stand, and fails unless every shard's
-	// ids ascend.
+	// the runs as they stand, and fails unless every shard's ids ascend.
 	matched := func(name string, ix *Index, q Query) int {
 		t.Helper()
 		n := 0
@@ -225,7 +233,7 @@ func TestRangeEdgeDifferential(t *testing.T) {
 		t.Helper()
 		want := bruteForce(docs, q)
 		if got := ix.Count(q); got != want {
-			t.Errorf("%s: column path %d, brute force %d", name, got, want)
+			t.Errorf("%s: count %d, brute force %d", name, got, want)
 		}
 		if got := matched(name, ix, q); got != want {
 			t.Errorf("%s: match ids %d, brute force %d", name, got, want)
@@ -236,6 +244,17 @@ func TestRangeEdgeDifferential(t *testing.T) {
 	}
 	bounds := []int64{-6, -5, 0, 9, 10, 20, 21, 30, 40, 41}
 	eachRange(FieldRetVal, bounds, func(name string, q Query) { check(name, typedIx, docs, q) })
+	for _, f := range []string{FieldCount, FieldOffset} {
+		aggs := map[string]Agg{"stats": {Stats: &StatsAgg{Field: f}}, "pct": {Percentiles: &PercentilesAgg{Field: f}}}
+		eachRange(f, bounds, func(name string, q Query) {
+			check(f+" "+name, typedIx, docs, q)
+			check(f+" session ∧ "+name, typedIx, docs, Must(Term(FieldSession, "s"), q))
+			req := SearchRequest{Query: q, Size: 1, Aggs: aggs}
+			if got, want := typedIx.Search(req).Aggs, oracleSearch(typedIx, req).Aggs; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: aggs %v, oracle %v", f, name, got, want)
+			}
+		})
+	}
 
 	// A sorted page builds ret_val's order; a range then reads its run of the
 	// order, alone and seeding a bool whose session term holds every row.
@@ -290,7 +309,7 @@ func TestRangeEdgeDifferential(t *testing.T) {
 
 		// A batch appended after the order was built leaves it shorter than
 		// the rows, so a bool falls back to its posting list and a range to
-		// the column scan with its uncovered tail.
+		// the row scan.
 		more := stamped(len(steps), later)
 		ix.AddEvents(more)
 		for i := range more {
@@ -307,12 +326,20 @@ func TestRangeEdgeDifferential(t *testing.T) {
 				}
 			}
 		})
+		// A range then extends the order over the appended rows, and every
+		// range reads it again.
+		eachRange(FieldTimeEnter, stampBounds, func(name string, q Query) {
+			check(fmt.Sprintf("shards=%d extended %s", shards, name), ix, tdocs, q)
+		})
+		if !orderCovers(ix, FieldTimeEnter) {
+			t.Fatal("a range did not extend the time order over the appended batch")
+		}
 	}
 }
 
 // TestAddEventsAllocs pins the typed ingest path's allocation budget:
-// adding a warm batch of events (terms already in the dictionaries, columns
-// not yet built) must stay under 3 allocations per event amortized.
+// adding a warm batch of events (terms already in the dictionaries) must
+// stay under 3 allocations per event amortized.
 func TestAddEventsAllocs(t *testing.T) {
 	base := make([]event.Event, 512)
 	for i := range base {

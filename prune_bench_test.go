@@ -69,8 +69,8 @@ func pruneBenchStore(b *testing.B, segs, rows int) *store.Store {
 // time pruning. pruned vs full-scan: pruneBenchSegments time-disjoint
 // segments, with and without the header-stamp prune. narrow-window/
 // wide-segment: one compacted segment of 16 trace-minutes and a window over
-// about a tenth of its rows, which the header cannot prune and the time
-// column can — against the same predicate under a Should, which decodes
+// about a tenth of its rows, which the header cannot prune and the rows'
+// times select — against the same predicate under a Should, which decodes
 // every row.
 func BenchmarkSegmentPrunedSearch(b *testing.B) {
 	ctx := context.Background()
