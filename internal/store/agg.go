@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -171,14 +172,15 @@ func finalizeStats(res StatsResult) *StatsResult {
 // rows there: its length, or two binary searches. Else the rows' codes count
 // into an array indexed by code when the ids outnumber the dictionary, and
 // into the term map when they do not, so a selective query over a session
-// does not allocate a counter per term. Other fields read rows (termKey).
-func (sh *shard) termCounts(t *TermsAgg, ids []int32) map[string]int {
+// does not allocate a counter per term. Other fields count each row's key
+// string: keyString of its document value, "" where the row lacks it.
+func (sh *shard) termCounts(field *fieldDef, ids []int32) map[string]int {
 	counts := make(map[string]int)
-	f, coded := strSlot(t.Field)
+	f := field.slot
 	switch {
-	case !coded:
+	case field.kind != slotKind:
 		for _, id := range ids {
-			counts[sh.termKey(id, t.Field)]++
+			counts[field.key(sh.row(id)).text()]++
 		}
 	case f < len(sh.postings) && len(sh.postings[f]) <= len(ids) && int(ids[len(ids)-1]-ids[0])+1 == len(ids):
 		for c, pl := range sh.postings[f] {
@@ -214,30 +216,27 @@ func (sh *shard) termCounts(t *TermsAgg, ids []int32) map[string]int {
 // not in partial's frame, which is on the stack of every aggregation a
 // fan-out worker computes: a worker's stack grows, by a copy, when its
 // deepest frame does not fit.
-func (sh *shard) termGroups(field string, ids []int32) map[string][]int32 {
+func (sh *shard) termGroups(field *fieldDef, ids []int32) map[string][]int32 {
 	groups := make(map[string][]int32)
 	for _, id := range ids {
-		k := sh.termKey(id, field)
+		k := field.key(sh.row(id)).text()
 		groups[k] = append(groups[k], id)
 	}
 	return groups
 }
 
-// termKey returns row id's terms bucket key for field: keyString of the
-// document-view value, with string fields read unboxed.
-func (sh *shard) termKey(id int32, field string) string {
-	w := sh.row(id)
-	if s, ok := w.StringField(field); ok {
-		return s
+// histKey returns the start of the interval bucket holding row id's field,
+// floor-aligned in exact int64 arithmetic: the multiple of interval at or
+// below the value, so a bucket is interval wide on both sides of zero. A
+// bucket whose start would fall below MinInt64 starts at MinInt64: the first
+// bucket is clipped, not wrapped. Such a start is the one product that wraps,
+// to a value past the row's own.
+func (sh *shard) histKey(id int32, field *fieldDef, interval int64) (int64, bool) {
+	n, ok := field.read(sh.rows.at(int(id)))
+	if b := floorDiv(n, interval) * interval; b <= n {
+		return b, ok
 	}
-	return keyString(w.field(field))
-}
-
-// histKey returns the interval bucket of row id's field, in exact int64
-// arithmetic.
-func (sh *shard) histKey(id int32, field string, interval int64) (int64, bool) {
-	n, ok := sh.numAt(id, field)
-	return n / interval * interval, ok
+	return math.MinInt64, ok
 }
 
 // subPartials computes every sub-aggregation of a over one bucket's rows.
@@ -249,15 +248,17 @@ func (sh *shard) subPartials(a Agg, ids []int32) map[string]*AggPartial {
 	return subs
 }
 
-// partial computes a's partial over the matched local ids, reading numeric
-// fields from the rows unboxed (numAt). Caller holds the read lock.
+// partial computes a's partial over the matched local ids, its field
+// resolved once and every row read through the entry. Caller holds the read
+// lock.
 func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 	switch {
 	case a.Terms != nil:
+		field := fieldOf(a.Terms.Field)
 		if len(a.Aggs) == 0 {
-			return &AggPartial{TermCounts: sh.termCounts(a.Terms, ids)}
+			return &AggPartial{TermCounts: sh.termCounts(field, ids)}
 		}
-		groups := sh.termGroups(a.Terms.Field, ids)
+		groups := sh.termGroups(field, ids)
 		p := &AggPartial{
 			TermCounts: make(map[string]int, len(groups)),
 			Subs:       make(map[string]map[string]*AggPartial, len(groups)),
@@ -268,7 +269,7 @@ func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 		}
 		return p
 	case a.DateHistogram != nil:
-		field, interval := a.DateHistogram.Field, a.DateHistogram.IntervalNS
+		field, interval := fieldOf(a.DateHistogram.Field), a.DateHistogram.IntervalNS
 		if interval <= 0 {
 			interval = 1
 		}
@@ -292,18 +293,18 @@ func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 		}
 		return p
 	case a.Percentiles != nil:
-		vals := make([]float64, 0, len(ids))
+		field, vals := fieldOf(a.Percentiles.Field), make([]float64, 0, len(ids))
 		for _, id := range ids {
-			if n, ok := sh.numAt(id, a.Percentiles.Field); ok {
+			if n, ok := field.read(sh.rows.at(int(id))); ok {
 				vals = append(vals, float64(n))
 			}
 		}
 		sort.Float64s(vals)
 		return &AggPartial{Vals: vals}
 	case a.Stats != nil:
-		res := newStatsAccum()
+		field, res := fieldOf(a.Stats.Field), newStatsAccum()
 		for _, id := range ids {
-			if n, ok := sh.numAt(id, a.Stats.Field); ok {
+			if n, ok := field.read(sh.rows.at(int(id))); ok {
 				f := float64(n)
 				combineStats(&res, &StatsResult{Count: 1, Min: f, Max: f, Sum: f})
 			}

@@ -2,7 +2,10 @@ package store
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
@@ -124,5 +127,42 @@ func TestRollupSurvivesRecovery(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHistogramBucketsFloorAligned: a histogram bucket is interval wide on
+// both sides of zero, its key the multiple of interval at or below each of
+// its values, and a bucket whose start would fall below MinInt64 starts at
+// MinInt64. Keys are written out, over 1 and 4 shards.
+func TestHistogramBucketsFloorAligned(t *testing.T) {
+	const least = math.MinInt64
+	cases := []struct {
+		interval int64
+		vals     []int64
+		want     string
+	}{
+		{10, []int64{-15, -10, -5, -1, 0, 5, 9, 10}, "-20:1 -10:3 0:3 10:1"},
+		{10, []int64{least, least + 7, least + 8}, "-9223372036854775808:2 -9223372036854775800:1"},
+		{3, []int64{least, least + 1, least + 2}, "-9223372036854775808:2 -9223372036854775806:1"},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 4} {
+			evs := make([]event.Event, len(c.vals))
+			for i, v := range c.vals {
+				evs[i] = event.Event{Session: "h", RetVal: v}
+			}
+			ix := NewIndexWithShards("h", shards)
+			if err := ix.AddEvents(evs); err != nil {
+				t.Fatal(err)
+			}
+			a := Agg{DateHistogram: &DateHistogramAgg{Field: FieldRetVal, IntervalNS: c.interval}}
+			var got []string
+			for _, b := range ix.SearchEvents(SearchRequest{Size: 1, Aggs: map[string]Agg{"h": a}}).Aggs["h"].Buckets {
+				got = append(got, fmt.Sprintf("%s:%d", b.Key, b.Count))
+			}
+			if strings.Join(got, " ") != c.want {
+				t.Errorf("interval %d over %v, %d shards: buckets %v, want %s", c.interval, c.vals, shards, got, c.want)
+			}
+		}
 	}
 }

@@ -40,7 +40,7 @@ func codesRows(rng *rand.Rand, n int, vocab []string, at int64) []event.Event {
 // alone and with a terms sub-aggregation.
 func codesAggs() map[string]Agg {
 	aggs := make(map[string]Agg)
-	for _, f := range append(indexedFields[:], FieldFilePath, FieldRetVal) {
+	for _, f := range []string{FieldSession, FieldSyscall, FieldProcName, FieldThreadName, FieldClass, FieldFilePath, FieldRetVal} {
 		sub := FieldThreadName
 		if f == sub {
 			sub = FieldSyscall
@@ -52,12 +52,12 @@ func codesAggs() map[string]Agg {
 }
 
 // termsByRow is the reference terms partial: every id's row read through
-// its boxed document value (termKey), grouped by term, and each group's terms
+// its boxed document value (keyString of Row.field), grouped by term, and each group's terms
 // sub-aggregations the same way.
 func termsByRow(sh *shard, a Agg, ids []int32) *AggPartial {
 	groups := make(map[string][]int32)
 	for _, id := range ids {
-		k := sh.termKey(id, a.Terms.Field)
+		k := keyString(sh.row(id).field(a.Terms.Field))
 		groups[k] = append(groups[k], id)
 	}
 	p := &AggPartial{TermCounts: make(map[string]int)}

@@ -31,24 +31,17 @@ var errBadSearchAfter = BadRequest(errors.New("store: invalid search_after curso
 // only shrinks the remaining result set.
 var ErrCursorExpired = errors.New("store: search_after cursor expired: rows beyond it were dropped by retention")
 
-// searchCursor is a parsed SearchAfter: the boundary row's sort keys and its
-// global id. It is parsed in place, into the search's own state, and the keys
-// of a sort on up to two fields — every sort the dashboards and the diagnosis
-// cursor issue — live in inline, so a resumed page allocates nothing a first
-// page does not. It must not be copied once parsed.
+// searchCursor is a parsed SearchAfter: the boundary row's sort keys, each
+// unboxed once per request so that a row compares against it as cmpIDs
+// compares two rows, and its global id. It is parsed in place, into the
+// search's own state, and the keys of a sort on up to two fields — every sort
+// the dashboards and the diagnosis cursor issue — live in inline, so a
+// resumed page allocates nothing a first page does not. It must not be copied
+// once parsed.
 type searchCursor struct {
-	keys   []cursorKey
+	keys   []sortKey
 	gid    int
-	inline [2]cursorKey
-}
-
-// cursorKey is one sort-key value of a cursor as the token carried it, with
-// its integer coercion parsed once per request: a row compares against it
-// unboxed, as cmpIDs compares two rows.
-type cursorKey struct {
-	val any
-	num int64
-	ok  bool
+	inline [2]sortKey
 }
 
 // parse validates and decodes req.SearchAfter into c; ok is false when the
@@ -70,31 +63,25 @@ func (c *searchCursor) parse(req SearchRequest) (ok bool, err error) {
 	}
 	c.gid = int(gid)
 	if c.keys = c.inline[:0]; len(req.Sort) > len(c.inline) {
-		c.keys = make([]cursorKey, 0, len(req.Sort))
+		c.keys = make([]sortKey, 0, len(req.Sort))
 	}
 	for _, v := range req.SearchAfter[:len(req.Sort)] {
-		k := cursorKey{val: v}
-		k.num, k.ok = intOf(v)
+		var k sortKey
+		if k.num, k.isNum = intOf(v); !k.isNum {
+			k.str = keyString(v)
+		}
 		c.keys = append(c.keys, k)
 	}
 	return true, nil
 }
 
 // afterID reports whether shard row id sorts strictly after the cursor
-// position. Each key reads the row's field unboxed (numAt) and compares
-// unboxed when both sides are integers; only a value that is not goes
-// through cmpField. gidOf is called on a full key tie only. Caller holds the
-// shard read lock.
-func (c *searchCursor) afterID(sh *shard, id int32, sorts []SortField, gidOf func(int32) int) bool {
+// position, each key read through its entry and compared by cmpKeys. gidOf
+// is called on a full key tie only. Caller holds the shard read lock.
+func (c *searchCursor) afterID(sh *shard, id int32, sorts []sortBy, gidOf func(int32) int) bool {
+	w := sh.row(id)
 	for i, s := range sorts {
-		k := &c.keys[i]
-		var r int
-		if f, ok := sh.numAt(id, s.Field); ok && k.ok {
-			r = cmpOrdered(f, k.num, s.Desc)
-		} else {
-			r = cmpField(sh.val(id, s.Field), k.val, s.Desc)
-		}
-		if r != 0 {
+		if r := cmpKeys(s.f.key(w), c.keys[i], s.desc); r != 0 {
 			return r > 0
 		}
 	}
@@ -113,7 +100,7 @@ func firstLocalAfter(gid, shardIdx, S int) int32 {
 }
 
 // cursorVal renders one row value as a cursor scalar that survives a JSON
-// round-trip and compares back equal under cmpField: strings stay strings,
+// round-trip and compares back equal under cmpKeys: strings stay strings,
 // integers (bool included — sorting already coerces through intOf) become
 // int64, anything else degrades to null.
 func cursorVal(v any) any {
@@ -127,10 +114,10 @@ func cursorVal(v any) any {
 }
 
 // nextAfterRef encodes the continuation token for the page ending at ref.
-func nextAfterRef(ref hitRef, sorts []SortField) []any {
-	out := make([]any, 0, len(sorts)+1)
+func nextAfterRef(ref hitRef, sorts []sortBy) []any {
+	out, w := make([]any, 0, len(sorts)+1), ref.sh.row(ref.id)
 	for _, s := range sorts {
-		out = append(out, cursorVal(ref.sh.val(ref.id, s.Field)))
+		out = append(out, cursorVal(s.f.value(w)))
 	}
 	return append(out, ref.gid)
 }

@@ -9,8 +9,9 @@ import (
 
 // Document field names for trace events, aliased from the event package —
 // the schema's single source of truth — so queries, correlation, and
-// visualizations keep their store.Field* spelling while the typed accessors
-// (event.Event.Field/Visit) and this document view cannot drift apart.
+// visualizations keep their store.Field* spelling. What a stored row holds
+// for each of them is the schema table (fieldTable), held to EventToDoc's
+// document view by TestPackedRowMatchesEvent.
 const (
 	FieldSession    = event.FieldSession
 	FieldSyscall    = event.FieldSyscall
@@ -127,12 +128,13 @@ func (s *Store) eachRow(ctx context.Context, index string, req SearchRequest, pa
 		}
 		var next []any
 		start := time.Now()
-		err := ix.searchShards(ctx, &searchExec{req: req}, nil, func(refs []hitRef, _ int, _ map[string]*AggPartial) {
+		exec := &searchExec{req: req}
+		err := ix.searchShards(ctx, exec, nil, func(refs []hitRef, _ int, _ map[string]*AggPartial) {
 			for i := range refs {
 				fn(refs[i].sh.row(refs[i].id))
 			}
 			if len(refs) == req.Size {
-				next = nextAfterRef(refs[len(refs)-1], req.Sort)
+				next = nextAfterRef(refs[len(refs)-1], exec.sorts)
 			}
 		})
 		s.tm.searchNS.Observe(float64(time.Since(start)))

@@ -92,8 +92,11 @@ func randomEvent(rng *rand.Rand) event.Event {
 // checkPacked requires stored row id of sh to unpack, over an event holding
 // other values in every field, to want; to answer every event.Event field
 // through the Row accessor of that field's name, and DurationNS, as want
-// holds it; and to answer every schema field, and a name that is none, as
-// want does. A field event.Event gains with no accessor fails it.
+// holds it; and to answer every schema field, and a name that is none,
+// through its resolved table entry as want's document view (EventToDoc)
+// does: the value and its presence, the integer a range or a histogram
+// reads, and the key a sort or a terms bucket reads. A field event.Event
+// gains with no accessor fails it.
 func checkPacked(t *testing.T, sh *shard, id int32, want *event.Event) {
 	t.Helper()
 	w := sh.row(id)
@@ -117,25 +120,28 @@ func checkPacked(t *testing.T, sh *shard, id int32, want *event.Event) {
 	if w.DurationNS() != got.DurationNS() {
 		t.Fatalf("row %d: Row.DurationNS() is %d, the unpacked event's %d", id, w.DurationNS(), got.DurationNS())
 	}
+	doc := EventToDoc(want)
 	for _, name := range append(event.Fields(), "no_such_field") {
-		gs, gok := w.StringField(name)
-		ws, wok := want.StringField(name)
-		gn, gnok := w.r.IntField(name)
-		wn, wnok := want.IntField(name)
-		gv, gvok := w.Field(name)
-		wv, wvok := want.Field(name)
-		if gs != ws || gok != wok || gn != wn || gnok != wnok || !reflect.DeepEqual(gv, wv) || gvok != wvok {
-			t.Fatalf("row %d, %s: packed (%q %v) (%d %v) (%v %v), event (%q %v) (%d %v) (%v %v)",
-				id, name, gs, gok, gn, gnok, gv, gvok, ws, wok, wn, wnok, wv, wvok)
+		f := fieldOf(name)
+		dv, present := doc[name]
+		v := f.value(w)
+		n, isNum := f.read(w.r)
+		dn, dIsNum := intOf(dv)
+		k := f.key(w)
+		if (v != nil) != present || !reflect.DeepEqual(v, dv) || isNum != dIsNum || isNum && n != dn ||
+			k.isNum != dIsNum || k.text() != keyString(dv) {
+			t.Fatalf("row %d, %s: the table reads %#v (integer %d %v, key %+v), the document %#v (present %v)",
+				id, name, v, n, isNum, k, dv, present)
 		}
 	}
 }
 
-// TestPackedRowMatchesEvent is the drift guard for the packed row's copy of
-// the presence rules and its accessors: over seeded random events,
-// Row.Event(pack(e)) is e canonicalized, every Row accessor equals its field
-// of that unpack, and the packed StringField, IntField and Field answer
-// every schema field, and an unknown name, as the canonical event does.
+// TestPackedRowMatchesEvent holds the schema table (fieldTable) and the
+// packed row's accessors to an independent reference: over seeded random
+// events, Row.Event(pack(e)) is e canonicalized, every Row accessor equals
+// its field of that unpack, and every read through a resolved entry, for
+// every schema field and an unknown name, agrees in value and presence with
+// EventToDoc's document of the canonical event.
 func TestPackedRowMatchesEvent(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	sh := newShard()

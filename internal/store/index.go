@@ -8,18 +8,13 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"github.com/dsrhaslab/dio-go/internal/durable"
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
-
-// indexedFields are the keyword fields for which the index maintains posting
-// lists, accelerating the term queries issued by the paper's dashboards
-// (session, syscall, process/thread names), and a terms aggregation over one
-// counts its posting lists or its codes (shard.termCounts).
-var indexedFields = [...]string{FieldSession, FieldSyscall, FieldProcName, FieldThreadName, FieldClass}
 
 // Index stores the documents of one index, striped across shards so that
 // writes contend on 1/N of the index and reads fan out across cores.
@@ -271,16 +266,35 @@ type shardResult struct {
 // hitRef names a matched row for merge ordering without copying it: local
 // row id of sh — a hot stripe, a cold segment, or at the cluster coordinator
 // the shard a partition's decoded hits are packed into — and the global id
-// used as the stable tie-break. key is the row's first sort key as IntField
-// reads it, and keyOK whether the row holds it, so the merge compares two
-// integers where it would look a field up by name; both are zero on an
-// unsorted search.
+// used as the stable tie-break. key is the row's first sort key when it is
+// an integer the row has (keyOK), so the merge compares two integers where it
+// would read two rows; both are zero on an unsorted search, and on a sort
+// whose first key the row holds as a string or lacks.
 type hitRef struct {
 	sh    *shard
 	gid   int
 	key   int64
 	id    int32
 	keyOK bool
+}
+
+// newRef names row id of sh at gid, its key read through the first of the
+// request's resolved sort fields.
+func newRef(sh *shard, id int32, gid int, sorts []sortBy) hitRef {
+	ref := hitRef{sh: sh, id: id, gid: gid}
+	if len(sorts) > 0 {
+		ref.key, ref.keyOK = sorts[0].f.read(sh.rows.at(int(id)))
+	}
+	return ref
+}
+
+// sortKey is ref's i-th sort key under field f: the first as the ref carries
+// it when it is an integer, any other read from the row.
+func (r *hitRef) sortKey(i int, f *fieldDef) sortKey {
+	if i == 0 && r.keyOK {
+		return sortKey{num: r.key, isNum: true}
+	}
+	return f.key(r.sh.row(r.id))
 }
 
 // EventsResult is the answer to a search: the matched count, the requested
@@ -318,7 +332,8 @@ func (ix *Index) SearchEvents(req SearchRequest) EventsResult {
 // held — the copy reads row storage, so it must happen inside the snapshot.
 func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (EventsResult, error) {
 	var res EventsResult
-	err := ix.searchShards(ctx, &searchExec{req: req}, nil, func(refs []hitRef, total int, parts map[string]*AggPartial) {
+	exec := &searchExec{req: req}
+	err := ix.searchShards(ctx, exec, nil, func(refs []hitRef, total int, parts map[string]*AggPartial) {
 		var aggs map[string]AggResult
 		if len(req.Aggs) > 0 {
 			aggs = make(map[string]AggResult, len(req.Aggs))
@@ -326,7 +341,7 @@ func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (Events
 				aggs[name] = finalizePartial(a, parts[name])
 			}
 		}
-		res = eventsResult(req, refs, total, aggs)
+		res = eventsResult(req, exec.sorts, refs, total, aggs)
 	})
 	return res, err
 }
@@ -336,13 +351,13 @@ func (ix *Index) searchEventsCtx(ctx context.Context, req SearchRequest) (Events
 // and this page filled it. The node's shard merge and the coordinator's
 // partition merge both finish here, so the two levels cannot disagree on a
 // hit or a token.
-func eventsResult(req SearchRequest, refs []hitRef, total int, aggs map[string]AggResult) EventsResult {
+func eventsResult(req SearchRequest, sorts []sortBy, refs []hitRef, total int, aggs map[string]AggResult) EventsResult {
 	res := EventsResult{Total: total, Hits: make([]event.Event, len(refs)), Aggs: aggs}
 	for i := range refs {
 		refs[i].sh.row(refs[i].id).Event(&res.Hits[i])
 	}
 	if req.Size > 0 && len(refs) == req.Size {
-		res.NextAfter = nextAfterRef(refs[len(refs)-1], req.Sort)
+		res.NextAfter = nextAfterRef(refs[len(refs)-1], sorts)
 	}
 	return res
 }
@@ -366,7 +381,8 @@ type partitionView struct {
 // held. A non-nil view translates the request's cursor from cluster-global
 // coordinates into node-local ones after validation, so a scattered request
 // rejects exactly the cursors a single node would. exec names the request,
-// and whether this is a counting execution (searchExec.count).
+// and whether this is a counting execution (searchExec.count); its sort
+// fields are resolved here, before any row is read.
 func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *partitionView, finish func(refs []hitRef, total int, parts map[string]*AggPartial)) error {
 	req := exec.req
 	resume, err := exec.cursor.parse(req)
@@ -428,7 +444,7 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 	if req.Size > 0 {
 		exec.need = req.From + req.Size
 	}
-	exec.cur, exec.walk = cur, walk
+	exec.cur, exec.walk, exec.sorts = cur, walk, resolveSorts(req.Sort)
 	v := ix.readView(req.Query, walk)
 	defer v.release()
 	// A match-all count opens no cold entry: it takes the rows from the
@@ -462,17 +478,19 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 			combined[name] = combinePartials(a, parts)
 		}
 	}
-	finish(mergePage(srcs, req.Sort, req.From, req.Size), total, combined)
+	finish(mergePage(srcs, exec.sorts, req.From, req.Size), total, combined)
 	return nil
 }
 
 // searchExec bundles one search's per-request execution state for the shard
-// fan-out: the request, the global candidate budget, the parsed cursor (cur
-// points at cursor, or is nil without one), and what a sorted page walks.
-// count marks a counting execution: every stripe reports its match count and
-// no hit candidates, over the same cut a search reads.
+// fan-out: the request, its sort fields resolved (sorts), the global
+// candidate budget, the parsed cursor (cur points at cursor, or is nil
+// without one), and what a sorted page walks. count marks a counting
+// execution: every stripe reports its match count and no hit candidates,
+// over the same cut a search reads.
 type searchExec struct {
 	req    SearchRequest
+	sorts  []sortBy
 	count  bool
 	need   int
 	cur    *searchCursor
@@ -534,19 +552,19 @@ func (e *readEntry) searchLocked(exec *searchExec) (shardResult, hitSource) {
 		if exec.cur != nil {
 			after := make([]int32, 0, len(cand))
 			for _, id := range cand {
-				if exec.cur.afterID(sh, id, req.Sort, e.gidOf) {
+				if exec.cur.afterID(sh, id, exec.sorts, e.gidOf) {
 					after = append(after, id)
 				}
 			}
 			cand = after
 		}
-		// Sort ids, not documents, comparing the rows' fields unboxed, and
-		// only materialize the winners. The local-id tie-break makes the
-		// order total, which is exactly the stable insertion order (local id
-		// order == per-shard global id order), so heap selection below
-		// returns the same winners a stable full sort would.
+		// Sort ids, not documents, comparing the rows' fields through their
+		// entries, and only materialize the winners. The local-id tie-break
+		// makes the order total, which is exactly the stable insertion order
+		// (local id order == per-shard global id order), so heap selection
+		// below returns the same winners a stable full sort would.
 		less := func(a, b int32) bool {
-			if r := sh.cmpIDs(a, b, req.Sort); r != 0 {
+			if r := sh.cmpIDs(a, b, exec.sorts); r != 0 {
 				return r < 0
 			}
 			return a < b
@@ -593,12 +611,7 @@ func (e *readEntry) searchLocked(exec *searchExec) (shardResult, hitSource) {
 	}
 	refs := make([]hitRef, len(hitIDs))
 	for i, id := range hitIDs {
-		refs[i] = hitRef{sh: sh, id: id, gid: e.gidOf(id)}
-	}
-	if len(req.Sort) > 0 {
-		for i, id := range hitIDs {
-			refs[i].key, refs[i].keyOK = sh.numAt(id, req.Sort[0].Field)
-		}
+		refs[i] = newRef(sh, id, e.gidOf(id), exec.sorts)
 	}
 	return res, hitSource{refs: refs}
 }
@@ -651,7 +664,7 @@ func (e *readEntry) pageWalk(exec *searchExec, l termRun, listed bool, getIDs fu
 		return src, false
 	}
 	cur := exec.cur
-	if cur != nil && !cur.keys[0].ok {
+	if cur != nil && !cur.keys[0].isNum {
 		return src, false
 	}
 	// keep tests a walked row for membership; nil keeps every row. m matches,
@@ -760,26 +773,13 @@ func topK(ids []int32, k int, less func(a, b int32) bool) []int32 {
 	return h
 }
 
-// hitLess orders merged hits by the request's sort fields, breaking ties by
-// global id so that unsorted (and tied) results keep insertion order, as the
-// unsharded implementation's stable sort did. Integer keys — every sort the
-// dashboards and the diagnosis cursor issue — are compared exactly, the first
-// as the refs carry it and any other read unboxed; only a key that is not an
-// integer on both sides goes through the boxed document value.
-func hitLess(a, b *hitRef, sorts []SortField) bool {
+// hitLess orders merged hits by the request's sort fields (cmpKeys),
+// breaking ties by global id so that unsorted (and tied) results keep
+// insertion order, as the unsharded implementation's stable sort did. The
+// first key is compared as the refs carry it when both hold an integer.
+func hitLess(a, b *hitRef, sorts []sortBy) bool {
 	for i, s := range sorts {
-		af, aok, bf, bok := a.key, a.keyOK, b.key, b.keyOK
-		if i > 0 {
-			af, aok = a.sh.numAt(a.id, s.Field)
-			bf, bok = b.sh.numAt(b.id, s.Field)
-		}
-		var r int
-		if aok && bok {
-			r = cmpOrdered(af, bf, s.Desc)
-		} else {
-			r = cmpField(a.sh.val(a.id, s.Field), b.sh.val(b.id, s.Field), s.Desc)
-		}
-		if r != 0 {
+		if r := cmpKeys(a.sortKey(i, s.f), b.sortKey(i, s.f), s.desc); r != 0 {
 			return r < 0
 		}
 	}
@@ -841,7 +841,7 @@ func sortWalkOf(req SearchRequest) sortWalk {
 			v, isStr = c.Term.Value.(string)
 		}
 		switch {
-		case isStr && w.term.field == "" && slices.Contains(indexedFields[:], c.Term.Field):
+		case isStr && w.term.field == "" && fieldOf(c.Term.Field).indexed():
 			w.term = termKey{c.Term.Field, v}
 		case c.isPureRange() && c.Range.Field == w.field:
 			w.window = append(w.window, c.Range)
@@ -866,15 +866,47 @@ func (ix *Index) countCtx(ctx context.Context, q Query) (n int, err error) {
 	return n, err
 }
 
-// cmpField orders two field values under one sort direction: as integers
-// when both coerce, by key string otherwise. Returns -1, 0, or +1.
-func cmpField(av, bv any, desc bool) int {
-	af, aok := intOf(av)
-	bf, bok := intOf(bv)
-	if aok && bok {
-		return cmpOrdered(af, bf, desc)
+// sortBy is one SortField resolved against the schema table.
+type sortBy struct {
+	f    *fieldDef
+	desc bool
+}
+
+// resolveSorts resolves a request's sort fields, once, before its read phase.
+func resolveSorts(sorts []SortField) []sortBy {
+	out := make([]sortBy, len(sorts))
+	for i, s := range sorts {
+		out[i] = sortBy{fieldOf(s.Field), s.Desc}
 	}
-	return cmpOrdered(keyString(av), keyString(bv), desc)
+	return out
+}
+
+// sortKey is one sort-key value, unboxed: an integer (isNum), or else the
+// string it compares as — a row's string, "" where the row lacks the field,
+// a cursor scalar's keyString.
+type sortKey struct {
+	num   int64
+	str   string
+	isNum bool
+}
+
+// cmpKeys is the one sort comparison, of two rows (cmpIDs), two refs
+// (hitLess) or a row and a cursor key (afterID): as integers when both are,
+// else as their keyStrings, so a string compares as itself, boxing nothing.
+// Returns -1, 0 or +1 under one direction.
+func cmpKeys(a, b sortKey, desc bool) int {
+	if a.isNum && b.isNum {
+		return cmpOrdered(a.num, b.num, desc)
+	}
+	return cmpOrdered(a.text(), b.text(), desc)
+}
+
+// text is the key's keyString: an integer in decimal, a string as it is.
+func (k sortKey) text() string {
+	if k.isNum {
+		return strconv.FormatInt(k.num, 10)
+	}
+	return k.str
 }
 
 // cmpOrdered is cmp.Compare under one sort direction.

@@ -80,7 +80,7 @@ func (s *hitSource) advance() {
 // reads the rows the page keeps, not a page of its own. The window is the
 // only allocation proportional to the page. hitLess is a total order (the
 // gid breaks ties), so the merge is the same whatever the sources' order.
-func mergePage(srcs []hitSource, sorts []SortField, from, size int) []hitRef {
+func mergePage(srcs []hitSource, sorts []sortBy, from, size int) []hitRef {
 	n := -from
 	for i := range srcs {
 		n += srcs[i].bound()
@@ -101,7 +101,7 @@ func mergePage(srcs []hitSource, sorts []SortField, from, size int) []hitRef {
 	tree := make([]int, 3*k)
 	loser, win := tree[:k], tree[k:]
 	one := len(sorts) == 1
-	desc := one && sorts[0].Desc
+	desc := one && sorts[0].desc
 	beats := func(a, b int) bool {
 		x, y := &srcs[a], &srcs[b]
 		if x.done || y.done {
@@ -300,11 +300,11 @@ func MergeAggPartials(a Agg, parts []AggPartial) AggResult {
 	return finalizePartial(a, combinePartials(a, ps))
 }
 
-// floorDiv is integer division rounding toward negative infinity, the gid
-// arithmetic for translating a cluster-global cursor position onto one
-// partition (the translated bound may be -1 when the position precedes every
-// row the partition owns).
-func floorDiv(a, b int) int {
+// floorDiv is integer division rounding toward negative infinity: a
+// histogram bucket's start (histKey), and the gid arithmetic for translating
+// a cluster-global cursor position onto one partition (the translated bound
+// may be -1 when the position precedes every row the partition owns).
+func floorDiv[T int | int64](a, b T) T {
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {
 		q--

@@ -57,9 +57,14 @@ type bulkDoc struct {
 // runs it: the one door a caller-made string comes in by (correlation only
 // copies a stored kernel path into file_path).
 func checkEventStrings(e *event.Event) error {
-	for _, f := range event.Fields() {
-		if s, _ := e.StringField(f); len(s) > math.MaxUint16 {
-			return fmt.Errorf("field %s: %d bytes exceed the %d-byte string limit", f, len(s), math.MaxUint16)
+	for f, s := range slotsOf(e) {
+		if len(*s) <= math.MaxUint16 {
+			continue
+		}
+		for name, d := range fieldTable {
+			if d.kind == slotKind && d.slot == f {
+				return fmt.Errorf("field %s: %d bytes exceed the %d-byte string limit", name, len(*s), math.MaxUint16)
+			}
 		}
 	}
 	return nil

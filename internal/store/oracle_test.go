@@ -2,12 +2,14 @@ package store
 
 import (
 	"math"
+	"math/big"
 	"sort"
 	"strconv"
 )
 
 // The differential tests' reference engine. It shares nothing with the
-// sharded pipeline beyond the row storage and the leaf comparators: every
+// sharded pipeline beyond the row storage and the scalar helpers (intOf,
+// keyString, cmpOrdered); its sort comparator is its own boxed cmpField. Every
 // hot row is materialized in global-id order, filtered one document at a
 // time, stable-sorted whole, aggregated serially, and windowed by copying.
 // No posting list, dictionary code, run, per-shard pre-sort, top-k heap, or
@@ -171,6 +173,18 @@ func oracleSearch(ix *Index, req SearchRequest) SearchResponse {
 	return resp
 }
 
+// cmpField orders two document values under one sort direction: as integers
+// when both coerce, by key string otherwise — the boxed comparison the
+// engine's cmpKeys must reproduce unboxed. Returns -1, 0, or +1.
+func cmpField(av, bv any, desc bool) int {
+	af, aok := intOf(av)
+	bf, bok := intOf(bv)
+	if aok && bok {
+		return cmpOrdered(af, bf, desc)
+	}
+	return cmpOrdered(keyString(av), keyString(bv), desc)
+}
+
 // oracleAgg aggregates docs one document at a time: every bucket is a slice
 // of documents and sub-aggregations recurse over those slices. It shares no
 // code with the partial/combine/finalize pipeline — only the scalar helpers
@@ -227,8 +241,12 @@ func oracleAgg(a Agg, docs []Document) AggResult {
 			if !ok {
 				continue
 			}
-			b := n / interval * interval
-			groups[b] = append(groups[b], d)
+			// The floor of n/interval, times interval, clipped at MinInt64.
+			b := new(big.Int).Mul(new(big.Int).Div(big.NewInt(n), big.NewInt(interval)), big.NewInt(interval))
+			if !b.IsInt64() {
+				b.SetInt64(math.MinInt64)
+			}
+			groups[b.Int64()] = append(groups[b.Int64()], d)
 		}
 		keys := make([]int64, 0, len(groups))
 		for k := range groups {

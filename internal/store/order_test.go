@@ -34,10 +34,11 @@ const orderBase = 1_687_800_000_000_000_000
 // ulp (several distinct times per float64 value, each ordered exactly),
 // sometimes repeat exactly, and sometimes step back a little. Rows carry their global id in RetVal (the
 // batches are ingested in order by one writer), about one in eight lacks
-// count, the rows at gids ≡ 0 (mod 3) lack offset, and fsync is rare, so a
-// Term on it is a sparse match. Every row is of class "io", and the rows at
-// gids ≡ 3 (mod 160) run as proc "rare": on 4 or 16 shards filled from gid 0
-// that term is absent from all shards but one.
+// count, the rows at gids ≡ 0 (mod 3) lack offset, those at gids ≡ 1 (mod 4)
+// hold a file tag (one of 39, over three devices) and the rest none, and
+// fsync is rare, so a Term on it is a sparse match. Every row is of class
+// "io", and the rows at gids ≡ 3 (mod 160) run as proc "rare": on 4 or 16
+// shards filled from gid 0 that term is absent from all shards but one.
 func orderedBatches(n, batch int) [][]event.Event {
 	rng := rand.New(rand.NewSource(26))
 	syscalls := []string{"read", "read", "write", "openat", "close", "read", "write", "lseek"}
@@ -87,6 +88,9 @@ func orderedBatches(n, batch int) [][]event.Event {
 				if gid%160 == 3 {
 					b[j].ProcName = "rare"
 				}
+				if gid%4 == 1 {
+					b[j].FileTag = event.FileTag{Dev: uint64(8 + gid%3), Ino: uint64(100 + gid%13), BirthNS: 5}
+				}
 				gid++
 			}
 			out = append(out, b)
@@ -127,8 +131,12 @@ func subUlpRows(at int64, n int, seed int64) []event.Event {
 // membership; a bool(session, syscall), which walks the session's run
 // testing each row; count, which some rows lack, so it never gets a run; two
 // keys, count then time, which take the candidate path, resumed by cursor;
-// and a range on count or offset, which some rows lack, as a session's
-// residual, beside stats and percentiles of both.
+// a range on count or offset, which some rows lack, as a session's residual,
+// beside stats and percentiles of both; a sort on each kind of field the
+// schema table resolves — a string slot as the first key and as the second,
+// file_tag, has_offset (which every row holds, so it has a run), dev_no
+// (which untagged rows lack) and a field the schema lacks; and terms,
+// histograms and stats over tid, has_offset, dev_no and file_tag.
 func orderedRequests() []SearchRequest {
 	var out []SearchRequest
 	gt, lt := int64(orderBase+35_000), int64(orderBase+120_000)
@@ -165,7 +173,32 @@ func orderedRequests() []SearchRequest {
 		aggs["stats "+f], aggs["pct "+f] = Agg{Stats: &StatsAgg{Field: f}}, Agg{Percentiles: &PercentilesAgg{Field: f}}
 		out = append(out, SearchRequest{Query: Must(Term(FieldSession, "s0"), RangeBetween(f, 1024, 16384)), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 7, Aggs: aggs})
 	}
-	return out
+	for _, desc := range []bool{false, true} {
+		for _, sorts := range [][]SortField{
+			{{Field: FieldSyscall, Desc: desc}, {Field: FieldTimeEnter}},
+			{{Field: FieldCount, Desc: desc}, {Field: FieldThreadName, Desc: !desc}},
+			{{Field: FieldFileTag, Desc: desc}},
+			{{Field: FieldHasOffset, Desc: desc}},
+			{{Field: FieldDevNo, Desc: desc}, {Field: FieldTimeEnter, Desc: desc}},
+			{{Field: "no_such_field", Desc: desc}},
+		} {
+			out = append(out, SearchRequest{Query: Term(FieldSession, "s1"), Sort: sorts, Size: 7})
+		}
+	}
+	kinds := map[string]Agg{}
+	for _, f := range []string{FieldTID, FieldHasOffset, FieldDevNo, FieldFileTag} {
+		kinds["terms "+f] = Agg{Terms: &TermsAgg{Field: f}}
+		kinds["hist "+f] = Agg{DateHistogram: &DateHistogramAgg{Field: f, IntervalNS: 2}}
+		kinds["stats "+f] = Agg{Stats: &StatsAgg{Field: f}}
+	}
+	return append(out, SearchRequest{Query: Term(FieldSession, "s1"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 7, Aggs: kinds})
+}
+
+// resumeAt is a cursor value inside the fixture's values of each first sort
+// key of orderedRequests but time, which resumes inside a tie (tieCursor).
+var resumeAt = map[string]any{
+	FieldCount: int64(1024), FieldSyscall: "read", FieldFileTag: "9 105 5",
+	FieldHasOffset: int64(1), FieldDevNo: int64(9), "no_such_field": nil,
 }
 
 // tieCursor returns a search_after token for the time sort that lies inside
@@ -302,11 +335,12 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 						continue
 					}
 					if resume {
-						// count ties in runs of whole multiples of 512; a time
-						// key after it, and the gid, come from the tie.
+						// Any first key but time resumes inside its own ties
+						// (resumeAt); a second key, and the gid, come from
+						// the tie.
 						req.SearchAfter = tie
-						if req.Sort[0].Field == FieldCount {
-							req.SearchAfter = append([]any{int64(1024)}, tie[len(tie)-len(req.Sort):]...)
+						if f := req.Sort[0].Field; f != FieldTimeEnter {
+							req.SearchAfter = append([]any{resumeAt[f]}, tie[len(tie)-len(req.Sort):]...)
 						}
 					}
 					for p := 0; p < maxPages[req.Size]; p++ {
@@ -815,7 +849,7 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 		}
 		srcs := []hitSource{src}
 		before := srcs[0].bound()
-		hits := mergePage(srcs, req.Sort, 0, need)
+		hits := mergePage(srcs, resolveSorts(req.Sort), 0, need)
 		if read := before - srcs[0].bound(); !tested && read > need+1 {
 			t.Fatalf("%+v: the merge read %d rows of the run for a page of %d", req.Query, read, need)
 		}
@@ -896,6 +930,51 @@ func TestSortedPageAllocatesItsRefsOnce(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if b := int(after.TotalAlloc-before.TotalAlloc) / runs; b < refBytes || b > refBytes+refBytes/4 {
 			t.Fatalf("%d shards: a page allocates %d B, want its %d B of refs and at most %d B more", shards, b, refBytes, refBytes/4)
+		}
+	}
+}
+
+// TestStringSortedPageAllocatesAsNumeric: a sort on a string field compares
+// its keys as the strings the rows hold, boxing nothing. A 200-hit page of
+// one session's rows, 10 000 of 20 000 on 4 shards, sorted by (syscall,
+// time) or by (file_path, time desc), first and resumed by cursor, allocates
+// within a small constant of the same page sorted by (count, time), whose
+// keys are integers.
+func TestStringSortedPageAllocatesAsNumeric(t *testing.T) {
+	const rows, size, slack = 20_000, 200, 8
+	syscalls := []string{"read", "write", "openat", "lseek", "close"}
+	evs := make([]event.Event, rows)
+	for i := range evs {
+		evs[i] = event.Event{
+			Session: fmt.Sprintf("s%d", i%2), Syscall: syscalls[i%5], Count: 512 * (1 + i%7),
+			FilePath: fmt.Sprintf("/data/%02d.sst", i%16), TimeEnterNS: orderBase + int64(i)*1000,
+		}
+	}
+	ix := NewIndexWithShards("alloc", 4)
+	if err := ix.AddEvents(evs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(sorts ...SortField) (first, resumed float64) {
+		req := SearchRequest{Query: Term(FieldSession, "s1"), Sort: sorts, Size: size}
+		page := func() {
+			if res := ix.SearchEvents(req); len(res.Hits) != size {
+				t.Fatalf("%v: a page of %d hits, want %d", sorts, len(res.Hits), size)
+			}
+		}
+		first = testing.AllocsPerRun(5, page)
+		req.SearchAfter = ix.SearchEvents(req).NextAfter
+		return first, testing.AllocsPerRun(5, page)
+	}
+	numFirst, numResumed := allocs(SortField{Field: FieldCount}, SortField{Field: FieldTimeEnter})
+	for _, sorts := range [][]SortField{
+		{{Field: FieldSyscall}, {Field: FieldTimeEnter}},
+		{{Field: FieldFilePath}, {Field: FieldTimeEnter, Desc: true}},
+	} {
+		first, resumed := allocs(sorts...)
+		t.Logf("%v: %v allocs a page, %v resumed; (count, time) %v and %v", sorts, first, resumed, numFirst, numResumed)
+		if first > numFirst+slack || resumed > numResumed+slack {
+			t.Errorf("%v: a page allocates %v, resumed %v, past (count, time)'s %v and %v by more than %d",
+				sorts, first, resumed, numFirst, numResumed, slack)
 		}
 	}
 }

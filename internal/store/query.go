@@ -177,8 +177,8 @@ func (r *RangeQuery) contains(v int64) bool {
 }
 
 // fieldSource is any row representation the query evaluator can read: a
-// materialized Document, or a shard slot whose typed event resolves fields
-// on demand without building a map.
+// materialized Document, or a stored Row, which resolves each name it is
+// asked for against the schema table (fieldTable) without building a map.
 type fieldSource interface {
 	// field returns the document-view value of the named field (nil when
 	// absent).

@@ -128,18 +128,14 @@ func (ix *Index) scatterCtx(ctx context.Context, sreq ScatterRequest) (ScatterRe
 // shard of its own, so the merge reads one row form at both levels; it is
 // streaming and the From/Size window is applied once, here.
 func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
-	P := len(resps)
+	P, sorts := len(resps), resolveSorts(req.Sort)
 	srcs := make([]hitSource, P)
 	total := 0
 	for p := range resps {
 		total += resps[p].Total
 		refs, sh := make([]hitRef, len(resps[p].Hits)), newShard()
 		for i := range refs {
-			ref := hitRef{sh: sh, id: sh.addEventLocked(&resps[p].Hits[i]), gid: resps[p].Gids[i]*P + p}
-			if len(req.Sort) > 0 {
-				ref.key, ref.keyOK = sh.numAt(ref.id, req.Sort[0].Field)
-			}
-			refs[i] = ref
+			refs[i] = newRef(sh, sh.addEventLocked(&resps[p].Hits[i]), resps[p].Gids[i]*P+p, sorts)
 		}
 		srcs[p].refs = refs
 	}
@@ -156,5 +152,5 @@ func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
 			aggs[name] = MergeAggPartials(a, parts)
 		}
 	}
-	return eventsResult(req, mergePage(srcs, req.Sort, req.From, req.Size), total, aggs)
+	return eventsResult(req, sorts, mergePage(srcs, sorts, req.From, req.Size), total, aggs)
 }

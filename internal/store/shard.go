@@ -19,17 +19,17 @@ import (
 // A row is a packed hotRow: each string field is a code into the shard's
 // dictionary of that field, written with the row under the write lock, so a
 // string a shard's rows repeat is held once. Postings, runs, query evaluation
-// and aggregation read a row through its accessors (row) and never build a
-// map; a numeric field is read from the row itself (numAt), and a search hit
-// is unpacked into an event.Event only at the edge. Everything else a shard
-// holds is derived from its rows: dictionaries and postings at append, sort
-// orders on demand (ensureRuns).
+// and aggregation read a row in place, each field through its resolved table
+// entry (fieldTable), and never build a map; a search hit is unpacked into an
+// event.Event only at the edge. Everything else a shard holds is derived from
+// its rows: dictionaries and postings at append, sort orders on demand
+// (ensureRuns).
 type shard struct {
 	mu       sync.RWMutex
 	rows     rows
-	dicts    [nSlots]dict                  // per string slot: code <-> term
-	postings [len(indexedFields)][][]int32 // per indexed slot and code: local row ids
-	runs     map[runKey]*termRun           // lazy sort orders, keyed by sort field and term
+	dicts    [nSlots]dict        // per string slot: code <-> term
+	postings [nIndexed][][]int32 // per indexed slot and code: local row ids
+	runs     map[runKey]*termRun // lazy sort orders, keyed by sort field and term
 }
 
 // termKey names one term of one indexed keyword field.
@@ -97,12 +97,13 @@ func (sh *shard) short(k runKey, n int) bool {
 
 // extendRun brings run k up to n entries, ids[i] its i-th row (row i when
 // ids is nil, the all-rows run): the rows since the run was last extended,
-// all of them the first time, are read from the row (numAt) and merged in.
-// Caller holds the write lock.
+// all of them the first time, are read from the row and merged in. Caller
+// holds the write lock.
 func (sh *shard) extendRun(k runKey, ids []int32, n int) {
 	if !sh.short(k, n) {
 		return
 	}
+	f := fieldOf(k.field)
 	if sh.runs == nil {
 		sh.runs = make(map[runKey]*termRun)
 	}
@@ -116,7 +117,7 @@ func (sh *shard) extendRun(k runKey, ids []int32, n int) {
 		if ids != nil {
 			id = ids[i]
 		}
-		v, ok := sh.numAt(id, k.field)
+		v, ok := f.read(sh.rows.at(int(id)))
 		if !ok {
 			sh.runs[k] = nil
 			return
@@ -243,22 +244,120 @@ const (
 	blockRows  = 1 << blockShift
 )
 
-// slotNames names the string slots of a hotRow: the indexed keyword fields
-// first, in indexedFields' order, so slot f has posting lists when f <
-// len(indexedFields); those five are present on every row.
-var slotNames = [...]string{FieldSession, FieldSyscall, FieldProcName, FieldThreadName, FieldClass,
-	FieldArgPath, FieldArgPath2, FieldAttrName, FieldFileType, FieldKernelPath, FieldFilePath}
-
+// The string slots of a hotRow: the first nIndexed are the indexed keyword
+// fields, which have posting lists and are present on every row.
 const (
-	nSlots       = len(slotNames)
+	nSlots       = 11
+	nIndexed     = 5
 	slotFilePath = nSlots - 1
 )
 
-// strSlot returns the slot of a string field, ok false for any other name.
-func strSlot(name string) (int, bool) {
-	f := slices.Index(slotNames[:], name)
-	return f, f >= 0
+// fieldTable is the schema as a packed row holds it, each field listed once:
+// a string slot, file_tag (the tag rendered), or an integer with its
+// presence. A request resolves each field name it reads to its entry once
+// (fieldOf), and every row read goes through the entry; only the generic
+// evaluator's fieldSource (Row.field) looks a name up per read.
+// TestPackedRowMatchesEvent holds every entry to the document view
+// (EventToDoc).
+var fieldTable = map[string]*fieldDef{
+	FieldSession:    {kind: slotKind, slot: 0, read: noInt},
+	FieldSyscall:    {kind: slotKind, slot: 1, read: noInt},
+	FieldProcName:   {kind: slotKind, slot: 2, read: noInt},
+	FieldThreadName: {kind: slotKind, slot: 3, read: noInt},
+	FieldClass:      {kind: slotKind, slot: 4, read: noInt},
+	FieldArgPath:    {kind: slotKind, slot: 5, read: noInt},
+	FieldArgPath2:   {kind: slotKind, slot: 6, read: noInt},
+	FieldAttrName:   {kind: slotKind, slot: 7, read: noInt},
+	FieldFileType:   {kind: slotKind, slot: 8, read: noInt},
+	FieldKernelPath: {kind: slotKind, slot: 9, read: noInt},
+	FieldFilePath:   {kind: slotKind, slot: slotFilePath, read: noInt},
+	FieldFileTag:    {kind: tagKind, read: noInt},
+	FieldRetVal:     {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.RetVal, true }},
+	FieldPID:        {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.PID), true }},
+	FieldTID:        {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.TID), true }},
+	FieldTimeEnter:  {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.TimeEnterNS, true }},
+	FieldTimeExit:   {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.TimeExitNS, true }},
+	FieldDuration:   {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.TimeExitNS - r.TimeEnterNS, true }},
+	FieldFD:         {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.FD), r.FD != 0 }},
+	FieldCount:      {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.Count), r.Count != 0 }},
+	FieldArgOffset:  {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.ArgOff, r.ArgOff != 0 }},
+	FieldWhence:     {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.Whence), r.Whence != 0 }},
+	FieldFlags:      {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.Flags), r.Flags != 0 }},
+	FieldMode:       {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.Mode), r.Mode != 0 }},
+	FieldOffset:     {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.Offset, r.HasOffset }},
+	FieldDevNo:      {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.FileTag.Dev), !r.FileTag.Zero() }},
+	FieldInodeNo:    {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.FileTag.Ino), !r.FileTag.Zero() }},
+	FieldTagTS:      {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.FileTag.BirthNS, !r.FileTag.Zero() }},
+	FieldHasOffset: {kind: flagKind, read: func(r *hotRow) (int64, bool) {
+		if r.HasOffset {
+			return 1, true
+		}
+		return 0, true
+	}},
 }
+
+// fieldKind is what a packed row holds for a field.
+type fieldKind uint8
+
+const (
+	absentKind fieldKind = iota // a name the schema lacks: no row has it
+	slotKind                    // a string slot: present when indexed, else when not ""
+	tagKind                     // file_tag: the tag rendered, present when set
+	intKind                     // an integer, read with its presence by read
+	flagKind                    // has_offset: read gives 0/1, the document view a bool
+)
+
+// fieldDef is one entry of fieldTable. read gives the field of a row as an
+// integer, ok false where the row lacks it and for a field that is not one.
+type fieldDef struct {
+	kind fieldKind
+	slot int
+	read func(r *hotRow) (int64, bool)
+}
+
+// absentField is the entry of every name the schema lacks.
+var absentField = fieldDef{kind: absentKind, read: noInt}
+
+func noInt(*hotRow) (int64, bool) { return 0, false }
+
+// fieldOf resolves a field name to its table entry.
+func fieldOf(name string) *fieldDef {
+	if f := fieldTable[name]; f != nil {
+		return f
+	}
+	return &absentField
+}
+
+// key reads the field of w as a sort key: an integer where it is one the row
+// has, else the string, "" where the row lacks it.
+func (f *fieldDef) key(w Row) sortKey {
+	switch f.kind {
+	case slotKind:
+		return sortKey{str: w.str(f.slot)}
+	case tagKind:
+		return sortKey{str: w.r.FileTag.String()}
+	}
+	n, ok := f.read(w.r)
+	return sortKey{num: n, isNum: ok}
+}
+
+// value is the field of w as the document view holds it: a string, an int64,
+// has_offset's bool, or nil where the row lacks it.
+func (f *fieldDef) value(w Row) any {
+	switch k := f.key(w); {
+	case f.kind == flagKind:
+		return k.num != 0
+	case k.isNum:
+		return k.num
+	case k.str != "" || f.indexed():
+		return k.str
+	}
+	return nil
+}
+
+// indexed reports whether f is an indexed keyword field's: it has posting
+// lists, and every row holds it.
+func (f *fieldDef) indexed() bool { return f.kind == slotKind && f.slot < nIndexed }
 
 // slotsOf points at e's string fields by slot.
 func slotsOf(e *event.Event) [nSlots]*string {
@@ -337,15 +436,15 @@ func newShard() *shard {
 // posting returns term's posting list in field, and whether field is
 // indexed. Caller holds the lock.
 func (sh *shard) posting(field, term string) ([]int32, bool) {
-	f, _ := strSlot(field)
-	if f < 0 || f >= len(sh.postings) {
+	f := fieldOf(field)
+	if !f.indexed() {
 		return nil, false
 	}
-	c, ok := sh.dicts[f].codes[term]
+	c, ok := sh.dicts[f.slot].codes[term]
 	if !ok && term != "" {
 		return nil, true
 	}
-	return sh.postings[f][c], true
+	return sh.postings[f.slot][c], true
 }
 
 // Row is one stored row read in place: the packed row and the shard whose
@@ -365,7 +464,7 @@ func (sh *shard) row(id int32) Row { return Row{sh, sh.rows.at(int(id))} }
 // str returns the row's string in slot f.
 func (w Row) str(f int) string { return w.sh.dicts[f].terms[w.r.str[f]] }
 
-// The accessors, one per event.Event field, in slotNames' order for the
+// The accessors, one per event.Event field, in slot order for the
 // strings; TestPackedRowMatchesEvent holds each to its field.
 
 func (w Row) Session() string        { return w.str(0) }
@@ -395,85 +494,11 @@ func (w Row) FileTag() event.FileTag { return w.r.FileTag }
 func (w Row) Offset() int64          { return w.r.Offset }
 func (w Row) HasOffset() bool        { return w.r.HasOffset }
 
-func (w Row) field(name string) any {
-	v, _ := w.Field(name)
-	return v
-}
-
-// StringField is event.Event.StringField on the packed row.
-func (w Row) StringField(name string) (string, bool) {
-	if f, ok := strSlot(name); ok {
-		s := w.str(f)
-		return s, f < len(indexedFields) || s != ""
-	}
-	if name != FieldFileTag {
-		return "", false
-	}
-	s := w.r.FileTag.String()
-	return s, s != ""
-}
-
-// Field is event.Event.Field on the packed row.
-func (w Row) Field(name string) (any, bool) {
-	if name == FieldHasOffset {
-		return w.r.HasOffset, true
-	}
-	if n, ok := w.r.IntField(name); ok {
-		return n, true
-	}
-	if s, ok := w.StringField(name); ok {
-		return s, true
-	}
-	return nil, false
-}
-
-// IntField is event.Event.IntField on the packed row: the same presence
-// rules, which TestPackedRowMatchesEvent holds the two copies to.
-func (r *hotRow) IntField(name string) (int64, bool) {
-	switch name {
-	case FieldHasOffset:
-		if r.HasOffset {
-			return 1, true
-		}
-		return 0, true
-	case FieldRetVal:
-		return r.RetVal, true
-	case FieldPID:
-		return int64(r.PID), true
-	case FieldTID:
-		return int64(r.TID), true
-	case FieldTimeEnter:
-		return r.TimeEnterNS, true
-	case FieldTimeExit:
-		return r.TimeExitNS, true
-	case FieldDuration:
-		return r.TimeExitNS - r.TimeEnterNS, true
-	case FieldFD:
-		return int64(r.FD), r.FD != 0
-	case FieldCount:
-		return int64(r.Count), r.Count != 0
-	case FieldArgOffset:
-		return r.ArgOff, r.ArgOff != 0
-	case FieldWhence:
-		return int64(r.Whence), r.Whence != 0
-	case FieldFlags:
-		return int64(r.Flags), r.Flags != 0
-	case FieldMode:
-		return int64(r.Mode), r.Mode != 0
-	case FieldOffset:
-		return r.Offset, r.HasOffset
-	case FieldDevNo:
-		return int64(r.FileTag.Dev), !r.FileTag.Zero()
-	case FieldInodeNo:
-		return int64(r.FileTag.Ino), !r.FileTag.Zero()
-	case FieldTagTS:
-		return r.FileTag.BirthNS, !r.FileTag.Zero()
-	}
-	return 0, false
-}
+// field is the generic evaluator's read: one table lookup per read.
+func (w Row) field(name string) any { return fieldOf(name).value(w) }
 
 // Event writes the row as the event it was stored from, field by field and
-// the strings in slotNames' order: no temporary event or pointer array is
+// the strings in slot order: no temporary event or pointer array is
 // built and copied.
 func (w Row) Event(dst *event.Event) {
 	r := w.r
@@ -482,19 +507,6 @@ func (w Row) Event(dst *event.Event) {
 	dst.Whence, dst.Flags, dst.Mode, dst.FileTag, dst.HasOffset = int(r.Whence), int(r.Flags), r.Mode, r.FileTag, r.HasOffset
 	dst.Session, dst.Syscall, dst.ProcName, dst.ThreadName, dst.Class = w.str(0), w.str(1), w.str(2), w.str(3), w.str(4)
 	dst.ArgPath, dst.ArgPath2, dst.AttrName, dst.FileType, dst.KernelPath, dst.FilePath = w.str(5), w.str(6), w.str(7), w.str(8), w.str(9), w.str(10)
-}
-
-// val returns the document-view value of one field of row id (nil when
-// absent), boxing it on demand; hot paths use numAt instead. Caller holds at
-// least the read lock.
-func (sh *shard) val(id int32, field string) any {
-	return sh.row(id).field(field)
-}
-
-// numAt reads one numeric field without boxing. Caller holds at least the
-// read lock.
-func (sh *shard) numAt(id int32, field string) (int64, bool) {
-	return sh.rows.at(int(id)).IntField(field)
 }
 
 // addEventLocked packs e, canonical, into the next row, interning its strings
@@ -596,20 +608,12 @@ func (sh *shard) ensureRuns(fields []string, walk sortWalk) {
 	sh.mu.Unlock()
 }
 
-// cmpIDs orders two local rows under sorts, comparing integers unboxed as
-// numAt reads them and falling back to the exact document-compare semantics
-// when either is not one. Caller holds at least the read lock.
-func (sh *shard) cmpIDs(a, b int32, sorts []SortField) int {
+// cmpIDs orders two local rows under sorts (cmpKeys). Caller holds at least
+// the read lock.
+func (sh *shard) cmpIDs(a, b int32, sorts []sortBy) int {
+	wa, wb := sh.row(a), sh.row(b)
 	for _, s := range sorts {
-		var r int
-		af, aok := sh.numAt(a, s.Field)
-		bf, bok := sh.numAt(b, s.Field)
-		if aok && bok {
-			r = cmpOrdered(af, bf, s.Desc)
-		} else {
-			r = cmpField(sh.val(a, s.Field), sh.val(b, s.Field), s.Desc)
-		}
-		if r != 0 {
+		if r := cmpKeys(s.f.key(wa), s.f.key(wb), s.desc); r != 0 {
 			return r
 		}
 	}
@@ -660,16 +664,17 @@ func (sh *shard) matchIDs(q Query) []int32 {
 	return out
 }
 
-// rangeScan evaluates r over every row, reading the field unboxed and
-// sharing RangeQuery.contains with the per-document evaluator, or reads the
-// all-rows run of r's field when it covers every row (orderedRun).
+// rangeScan evaluates r over every row, reading the field through its entry
+// and sharing RangeQuery.contains with the per-document evaluator, or reads
+// the all-rows run of r's field when it covers every row (orderedRun).
 func (sh *shard) rangeScan(r *RangeQuery) []int32 {
 	if run, ok := sh.orderedRun(r); ok {
 		return sortedIDs(run, sh.rows.len())
 	}
+	f := fieldOf(r.Field)
 	var out []int32
 	for i := range sh.rows.len() {
-		if v, ok := sh.numAt(int32(i), r.Field); ok && r.contains(v) {
+		if v, ok := f.read(sh.rows.at(i)); ok && r.contains(v) {
 			out = append(out, int32(i))
 		}
 	}
@@ -736,13 +741,17 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 			return nil, true
 		}
 	}
-	// Pure range residuals read their field unboxed; everything else falls
-	// through to the generic evaluator.
-	var ranges []*RangeQuery
+	// Pure range residuals read their field through its entry; everything
+	// else falls through to the generic evaluator.
+	type fieldRange struct {
+		f *fieldDef
+		r *RangeQuery
+	}
+	var ranges []fieldRange
 	kept := residualMust[:0]
 	for _, sub := range residualMust {
 		if sub.isPureRange() {
-			ranges = append(ranges, sub.Range)
+			ranges = append(ranges, fieldRange{fieldOf(sub.Range.Field), sub.Range})
 			continue
 		}
 		kept = append(kept, sub)
@@ -761,8 +770,8 @@ func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
 	rrow := Row{sh: sh}
 next:
 	for _, id := range candidates {
-		for _, r := range ranges {
-			if v, ok := sh.numAt(id, r.Field); !ok || !r.contains(v) {
+		for _, fr := range ranges {
+			if v, ok := fr.f.read(sh.rows.at(int(id))); !ok || !fr.r.contains(v) {
 				continue next
 			}
 		}

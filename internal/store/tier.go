@@ -102,7 +102,7 @@ type coldSegment struct {
 
 // rowBytes is what one decoded row costs a cold segment: the packed row, its
 // gid, and its slot in every indexed field's posting list.
-const rowBytes = int64(unsafe.Sizeof(hotRow{})) + int64(unsafe.Sizeof(0)) + 4*int64(len(indexedFields))
+const rowBytes = int64(unsafe.Sizeof(hotRow{})) + int64(unsafe.Sizeof(0)) + 4*nIndexed
 
 // size is cs's decoded bytes: its rows, its dictionaries' terms, and the
 // runs built on it at their capacity. Caller holds cs.sh.mu or owns cs.

@@ -114,23 +114,6 @@ func TestEmptyStringPresenceParity(t *testing.T) {
 			t.Errorf("%s: oracle %d, document views %d", name, got, want)
 		}
 	}
-
-	// Field/Visit agree with the document view key-for-key, empty values
-	// included (every value in the schema is a comparable string/int64/bool).
-	for i := range events {
-		d := docs[i]
-		seen := map[string]any{}
-		events[i].Visit(func(name string, v any) { seen[name] = v })
-		if len(seen) != len(d) {
-			t.Fatalf("event %d: Visit yielded %d fields, document has %d\nvisit: %v\ndoc:   %v",
-				i, len(seen), len(d), seen, d)
-		}
-		for k, dv := range d {
-			if sv, ok := seen[k]; !ok || sv != dv {
-				t.Errorf("event %d field %q: typed %v (present=%t), document %v", i, k, sv, ok, dv)
-			}
-		}
-	}
 }
 
 // TestBinaryPathLandsTyped checks the happy path: a binary BulkEvents call
