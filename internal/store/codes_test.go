@@ -52,12 +52,12 @@ func codesAggs() map[string]Agg {
 }
 
 // termsByRow is the reference terms partial: every id's row read through
-// its boxed document value (keyString of Row.field), grouped by term, and each group's terms
-// sub-aggregations the same way.
+// its boxed document value (keyString of EventToDoc's field), grouped by
+// term, and each group's terms sub-aggregations the same way.
 func termsByRow(sh *shard, a Agg, ids []int32) *AggPartial {
 	groups := make(map[string][]int32)
 	for _, id := range ids {
-		k := keyString(sh.row(id).field(a.Terms.Field))
+		k := keyString(EventToDoc(sh.eventAt(int(id)))[a.Terms.Field])
 		groups[k] = append(groups[k], id)
 	}
 	p := &AggPartial{TermCounts: make(map[string]int)}

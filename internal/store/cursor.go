@@ -99,25 +99,21 @@ func firstLocalAfter(gid, shardIdx, S int) int32 {
 	return int32(min((gid-shardIdx)/S+1, math.MaxInt32))
 }
 
-// cursorVal renders one row value as a cursor scalar that survives a JSON
-// round-trip and compares back equal under cmpKeys: strings stay strings,
-// integers (bool included — sorting already coerces through intOf) become
-// int64, anything else degrades to null.
-func cursorVal(v any) any {
-	if s, ok := v.(string); ok {
-		return s
-	}
-	if n, ok := intOf(v); ok {
-		return n
-	}
-	return nil
-}
-
-// nextAfterRef encodes the continuation token for the page ending at ref.
+// nextAfterRef encodes the continuation token for the page ending at ref:
+// each sort key as a scalar that survives a JSON round-trip and compares
+// back equal under cmpKeys — a string the row holds, an integer it holds
+// (has_offset as 0/1), or null where it lacks the field — then the gid.
 func nextAfterRef(ref hitRef, sorts []sortBy) []any {
 	out, w := make([]any, 0, len(sorts)+1), ref.sh.row(ref.id)
 	for _, s := range sorts {
-		out = append(out, cursorVal(s.f.value(w)))
+		var v any
+		switch k := s.f.key(w); {
+		case k.isNum:
+			v = k.num
+		case k.str != "" || s.f.indexed(): // present (fieldDef.str)
+			v = k.str
+		}
+		out = append(out, v)
 	}
 	return append(out, ref.gid)
 }

@@ -124,14 +124,16 @@ func checkPacked(t *testing.T, sh *shard, id int32, want *event.Event) {
 	for _, name := range append(event.Fields(), "no_such_field") {
 		f := fieldOf(name)
 		dv, present := doc[name]
-		v := f.value(w)
 		n, isNum := f.read(w.r)
 		dn, dIsNum := intOf(dv)
+		str, isStr := f.str(w)
+		dstr, dIsStr := dv.(string)
 		k := f.key(w)
-		if (v != nil) != present || !reflect.DeepEqual(v, dv) || isNum != dIsNum || isNum && n != dn ||
-			k.isNum != dIsNum || k.text() != keyString(dv) {
-			t.Fatalf("row %d, %s: the table reads %#v (integer %d %v, key %+v), the document %#v (present %v)",
-				id, name, v, n, isNum, k, dv, present)
+		equal, absent := compileQuery(Term(name, dv)).match(w), compileQuery(Term(name, nil)).match(w)
+		if isStr != dIsStr || str != dstr || isNum != dIsNum || isNum && n != dn ||
+			k.isNum != dIsNum || k.text() != keyString(dv) || !equal || absent == present {
+			t.Fatalf("row %d, %s: the table reads %q %v, integer %d %v, key %+v, equal %v, absent %v; the document %#v (present %v)",
+				id, name, str, isStr, n, isNum, k, equal, absent, dv, present)
 		}
 	}
 }
@@ -141,7 +143,9 @@ func checkPacked(t *testing.T, sh *shard, id int32, want *event.Event) {
 // events, Row.Event(pack(e)) is e canonicalized, every Row accessor equals
 // its field of that unpack, and every read through a resolved entry, for
 // every schema field and an unknown name, agrees in value and presence with
-// EventToDoc's document of the canonical event.
+// EventToDoc's document of the canonical event: a compiled term of the
+// document's value matches the row, and one of nil only where the document
+// lacks the field.
 func TestPackedRowMatchesEvent(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	sh := newShard()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -381,10 +382,11 @@ type partitionView struct {
 // held. A non-nil view translates the request's cursor from cluster-global
 // coordinates into node-local ones after validation, so a scattered request
 // rejects exactly the cursors a single node would. exec names the request,
-// and whether this is a counting execution (searchExec.count); its sort
-// fields are resolved here, before any row is read.
+// and whether this is a counting execution (searchExec.count); its query is
+// compiled and its sort fields are resolved here, before any row is read.
 func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *partitionView, finish func(refs []hitRef, total int, parts map[string]*AggPartial)) error {
 	req := exec.req
+	exec.q = compileQuery(req.Query)
 	resume, err := exec.cursor.parse(req)
 	if err != nil {
 		return err
@@ -418,7 +420,7 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 		// the wire format deliberately rejects.
 		cur.gid = partitionGidAfter(cur.gid, pt, P)
 	}
-	fields, walk := rangeFields(req.Query), sortWalkOf(req)
+	fields, walk := rangeFields(exec.q), sortWalkOf(req, exec.q)
 	for _, sh := range ix.shards {
 		sh.ensureRuns(fields, walk)
 	}
@@ -445,11 +447,11 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 		exec.need = req.From + req.Size
 	}
 	exec.cur, exec.walk, exec.sorts = cur, walk, resolveSorts(req.Sort)
-	v := ix.readView(req.Query, walk)
+	v := ix.readView(exec.q, walk)
 	defer v.release()
 	// A match-all count opens no cold entry: it takes the rows from the
 	// segment's meta, and decodes nothing.
-	countAll := exec.count && req.Query.matchesAll()
+	countAll := exec.count && exec.q.all()
 	results, srcs := make([]shardResult, len(v.entries)), make([]hitSource, len(v.entries))
 	if err := v.each(ctx, !countAll, func(i int, e *readEntry) {
 		if e.sh == nil {
@@ -483,13 +485,14 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 }
 
 // searchExec bundles one search's per-request execution state for the shard
-// fan-out: the request, its sort fields resolved (sorts), the global
-// candidate budget, the parsed cursor (cur points at cursor, or is nil
-// without one), and what a sorted page walks. count marks a counting
+// fan-out: the request, its query compiled (q), its sort fields resolved
+// (sorts), the global candidate budget, the parsed cursor (cur points at
+// cursor, or is nil without one), and what a sorted page walks. count marks a counting
 // execution: every stripe reports its match count and no hit candidates,
 // over the same cut a search reads.
 type searchExec struct {
 	req    SearchRequest
+	q      *clause
 	sorts  []sortBy
 	count  bool
 	need   int
@@ -507,14 +510,14 @@ type searchExec struct {
 // sparse cold segments.
 func (e *readEntry) searchLocked(exec *searchExec) (shardResult, hitSource) {
 	sh, req, need := e.sh, exec.req, exec.need
-	matchAll := req.Query.matchesAll()
+	matchAll := exec.q.all()
 	// ids materializes lazily: a match-all request with no aggregation may
 	// never need the O(n) id enumeration at all.
 	var ids []int32
 	idsReady := false
 	getIDs := func() []int32 {
 		if !idsReady {
-			ids = sh.matchIDs(req.Query)
+			ids = sh.matchIDs(exec.q)
 			idsReady = true
 		}
 		return ids
@@ -630,11 +633,7 @@ func (sh *shard) walkList(w sortWalk) (l termRun, ok bool) {
 	if r == nil || r.len() != n {
 		return termRun{}, false
 	}
-	l = *r
-	for _, rq := range w.window {
-		l = l.window(rq)
-	}
-	return l, true
+	return r.window(w.lo, w.hi), true
 }
 
 // pageWalk positions a single-key sorted page's walk of l, a run in the
@@ -786,19 +785,15 @@ func hitLess(a, b *hitRef, sorts []sortBy) bool {
 	return a.gid < b.gid
 }
 
-// rangeFields lists the fields of the ranges a shard may answer from their
-// all-rows run (orderedRun): the query's own, or the must clauses' of a bool
-// that is its one clause. One list serves every hot stripe; a cold
-// segment's rows never grow, so its runs never fall short of them.
-func rangeFields(q Query) []string {
-	clauses := []Query{q}
-	if q.boolOnly() {
-		clauses = q.Bool.Must
-	}
+// rangeFields lists the fields of the ranges among q's conjuncts (its must
+// list, compileQuery), which a shard may answer from their all-rows run
+// (orderedRun). One list serves every hot stripe; a cold segment's rows
+// never grow, so its runs never fall short of them.
+func rangeFields(q *clause) []string {
 	var out []string
-	for _, c := range clauses {
-		if c.isPureRange() && !slices.Contains(out, c.Range.Field) {
-			out = append(out, c.Range.Field)
+	for _, c := range q.must {
+		if c.op == opRange && !slices.Contains(out, c.name) {
+			out = append(out, c.name)
 		}
 	}
 	return out
@@ -806,45 +801,35 @@ func rangeFields(q Query) []string {
 
 // sortWalk is what a single-key sorted page on field walks (pageWalk), on
 // hot and resident cold shards alike, so that this and every later page can
-// walk it. Clauses are read as the evaluator reads
-// them (boolOnly): the query itself, or the must clauses of a bool that is
-// its one clause. term is the first indexed keyword term with a string value
-// among them, and window their ranges on field; every match holds both. A
-// shard builds the term's run (termRun) when the term holds some but not all
-// of its rows, and the all-rows run otherwise (walkRun). exact holds
-// when nothing else is asked, a match-all included: then the matches are
-// exactly term's rows (every row when term is zero) that window admits, and
-// the page tests none of them. The zero sortWalk is any other request.
+// walk it. It is read from the query's conjuncts (its must list,
+// compileQuery): term is the first indexed keyword term with one string
+// value among them (seedTerm), and [lo, hi] the window their ranges on field
+// intersect to; every match holds both. A shard builds the term's run
+// (termRun) when the term holds some but not all of its rows, and the
+// all-rows run otherwise (walkRun). exact holds when nothing else is asked,
+// a match-all included: then the matches are exactly term's rows (every row
+// when term is zero) inside the window, and the page tests none of them. The
+// zero sortWalk is any other request.
 type sortWalk struct {
 	field  string
 	exact  bool
 	term   termKey
-	window []*RangeQuery
+	lo, hi int64
 }
 
-func sortWalkOf(req SearchRequest) sortWalk {
+func sortWalkOf(req SearchRequest, q *clause) sortWalk {
 	if len(req.Sort) != 1 || req.Size <= 0 {
 		return sortWalk{}
 	}
-	q := req.Query
-	w := sortWalk{field: req.Sort[0].Field, exact: true}
-	clauses := []Query{q}
-	switch {
-	case q.matchesAll():
-		return w
-	case q.boolOnly():
-		clauses, w.exact = q.Bool.Must, len(q.Bool.Should) == 0 && len(q.Bool.MustNot) == 0
-	}
-	for _, c := range clauses {
-		v, isStr := "", false
-		if c.Term != nil {
-			v, isStr = c.Term.Value.(string)
-		}
+	w := sortWalk{field: req.Sort[0].Field, exact: len(q.should)+len(q.mustNot) == 0, lo: math.MinInt64, hi: math.MaxInt64}
+	for i := range q.must {
+		c := &q.must[i]
+		t, isTerm := c.seedTerm()
 		switch {
-		case isStr && w.term.field == "" && fieldOf(c.Term.Field).indexed():
-			w.term = termKey{c.Term.Field, v}
-		case c.isPureRange() && c.Range.Field == w.field:
-			w.window = append(w.window, c.Range)
+		case isTerm && w.term.field == "":
+			w.term = termKey{c.name, t}
+		case c.op == opRange && c.name == w.field:
+			w.lo, w.hi = max(w.lo, c.lo), min(w.hi, c.hi)
 		default:
 			w.exact = false
 		}

@@ -127,7 +127,7 @@ func FuzzAggPartialWire(f *testing.F) {
 	ix := wireFuzzIndex(1)
 	for _, a := range aggs {
 		for _, sh := range ix.shards {
-			b, err := json.Marshal(sh.partial(a, sh.matchIDs(MatchAll())))
+			b, err := json.Marshal(sh.partial(a, sh.matchIDs(compileQuery(MatchAll()))))
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func FuzzAggPartialWire(f *testing.F) {
 			var mem []*AggPartial
 			var wire []AggPartial
 			for _, sh := range ix.shards {
-				p := sh.partial(a, sh.matchIDs(MatchAll()))
+				p := sh.partial(a, sh.matchIDs(compileQuery(MatchAll())))
 				b, err := json.Marshal(p)
 				if err != nil {
 					t.Fatalf("agg %d: marshal partial: %v", i, err)

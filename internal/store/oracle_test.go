@@ -1,20 +1,128 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"sort"
 	"strconv"
+	"strings"
+	"sync"
 )
 
 // The differential tests' reference engine. It shares nothing with the
 // sharded pipeline beyond the row storage and the scalar helpers (intOf,
-// keyString, cmpOrdered); its sort comparator is its own boxed cmpField. Every
-// hot row is materialized in global-id order, filtered one document at a
-// time, stable-sorted whole, aggregated serially, and windowed by copying.
-// No posting list, dictionary code, run, per-shard pre-sort, top-k heap, or
-// merge is consulted, so agreement with Index.Search is evidence about all of
-// them.
+// keyString, cmpOrdered): its query evaluator (Query.Matches) reads each
+// field of a document by name and compares boxed values, and its sort
+// comparator is its own boxed cmpField. Every hot row is materialized in
+// global-id order, filtered one document at a time, stable-sorted whole,
+// aggregated serially, and windowed by copying. No compiled clause, posting
+// list, dictionary code, run, per-shard pre-sort, top-k heap, or merge is
+// consulted, so agreement with Index.Search is evidence about all of them.
+
+// Matches evaluates the query against doc by name: the first clause set
+// counts, in the order Term, Terms, Range, Prefix, Exists, Bool, and with
+// none set the query matches every document.
+func (q Query) Matches(doc Document) bool {
+	switch {
+	case q.Term != nil:
+		return valueEquals(doc[q.Term.Field], q.Term.Value)
+	case q.Terms != nil:
+		v := doc[q.Terms.Field]
+		for _, want := range q.Terms.Values {
+			if valueEquals(v, want) {
+				return true
+			}
+		}
+		return false
+	case q.Range != nil:
+		n, ok := intOf(doc[q.Range.Field])
+		return ok && q.Range.contains(n)
+	case q.Prefix != nil:
+		s, ok := doc[q.Prefix.Field].(string)
+		return ok && strings.HasPrefix(s, q.Prefix.Value)
+	case q.Exists != nil:
+		v := doc[q.Exists.Field]
+		if v == nil {
+			return false
+		}
+		if s, isStr := v.(string); isStr && s == "" {
+			return false
+		}
+		return true
+	case q.Bool != nil:
+		for _, sub := range q.Bool.Must {
+			if !sub.Matches(doc) {
+				return false
+			}
+		}
+		for _, sub := range q.Bool.MustNot {
+			if sub.Matches(doc) {
+				return false
+			}
+		}
+		for _, sub := range q.Bool.Should {
+			if sub.Matches(doc) {
+				return true
+			}
+		}
+		return len(q.Bool.Should) == 0
+	default:
+		return true
+	}
+}
+
+// contains reports whether v satisfies every bound of r: GT and LT strict,
+// GTE and LTE inclusive.
+func (r *RangeQuery) contains(v int64) bool {
+	if r.GTE != nil && v < *r.GTE {
+		return false
+	}
+	if r.LTE != nil && v > *r.LTE {
+		return false
+	}
+	if r.GT != nil && v <= *r.GT {
+		return false
+	}
+	if r.LT != nil && v >= *r.LT {
+		return false
+	}
+	return true
+}
+
+// valueEquals compares a document value with a query value: strings as
+// strings, integers with intOf's coercion (so a bool is 0/1 and a
+// json.Number an integer), and otherwise by their printed forms, which is
+// how "true" equals a bool and "5" the integer 5. A nil value equals an
+// absent field and nothing else.
+func valueEquals(have, want any) bool {
+	if have == nil || want == nil {
+		return have == nil && want == nil
+	}
+	if hs, ok := have.(string); ok {
+		ws, ok := want.(string)
+		return ok && hs == ws
+	}
+	hn, hok := intOf(have)
+	wn, wok := intOf(want)
+	if hok && wok {
+		return hn == wn
+	}
+	return fmt.Sprintf("%v", have) == fmt.Sprintf("%v", want)
+}
+
+// cursorVal renders one document value as a cursor scalar: strings stay
+// strings, integers (bool included, as sorting coerces through intOf)
+// become int64, anything else is null.
+func cursorVal(v any) any {
+	if s, ok := v.(string); ok {
+		return s
+	}
+	if n, ok := intOf(v); ok {
+		return n
+	}
+	return nil
+}
 
 // oracleRows returns every hot row of ix as a document, in global-id order,
 // with the global id of the first. Placement is round-robin, so the m-th
@@ -33,6 +141,40 @@ func oracleRows(ix *Index) (rows []Document, base int) {
 		rows[m] = EventToDoc(ix.shards[m%S].eventAt(m / S))
 	}
 	return rows, int(ix.base.Load())
+}
+
+// oracleCache holds the documents of the last index state the oracle read:
+// a differential test asks many requests of one state, and materializing
+// every row for each of them dominated its run time. A state is keyed by
+// what any change to the hot rows moves — the index epoch (every mutation
+// bumps it), the base gid (a flush's eviction advances it) and the hot row
+// count — and by the index, which the entry holds so that its address is not
+// reused while cached. The oracle reads a quiescent index: a mutation in
+// flight across two reads of one key would go unseen by the second.
+var oracleCache struct {
+	sync.Mutex
+	ix      *Index
+	epoch   uint64
+	base, n int
+	rows    []Document
+}
+
+// sharedOracleRows is oracleRows through oracleCache, for the oracle's
+// read-only passes: the documents are shared and must not be modified.
+func sharedOracleRows(ix *Index) (rows []Document, base int) {
+	n := 0
+	for _, sh := range ix.shards {
+		n += sh.len()
+	}
+	c := &oracleCache
+	c.Lock()
+	defer c.Unlock()
+	if c.ix != ix || c.epoch != ix.epoch.Load() || c.base != int(ix.base.Load()) || c.n != n {
+		c.ix, c.epoch = ix, ix.epoch.Load()
+		c.rows, c.base = oracleRows(ix)
+		c.n = len(c.rows)
+	}
+	return c.rows, c.base
 }
 
 // oracleCorrelate applies file-path correlation (§II-C) to rows by brute
@@ -89,7 +231,7 @@ func oracleCorrelate(rows []Document, session string) CorrelationResult {
 
 // oracleCount counts the hot rows matching q.
 func oracleCount(ix *Index, q Query) int {
-	rows, _ := oracleRows(ix)
+	rows, _ := sharedOracleRows(ix)
 	n := 0
 	for _, d := range rows {
 		if q.Matches(d) {
@@ -104,7 +246,7 @@ func oracleCount(ix *Index, q Query) int {
 // strictly after it (sort keys first, global id as the tie-break); the
 // cursor is assumed well-formed.
 func oracleSearch(ix *Index, req SearchRequest) SearchResponse {
-	rows, base := oracleRows(ix)
+	rows, base := sharedOracleRows(ix)
 	var matched []Document
 	var gids []int
 	for m, d := range rows {

@@ -161,6 +161,22 @@ func orderedRequests() []SearchRequest {
 			out = append(out, SearchRequest{Query: q, Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}, From: 5, Size: 7})
 		}
 	}
+	// Term equality in each field's domain and the clause precedence rule
+	// (domainQueries): an integer some rows lack against nil, a decimal
+	// string, a fraction and "<nil>"; should, must and must_not two deep; a
+	// term beside the bool it ignores; match_all beside a clause; an empty
+	// bool.
+	for _, q := range []Query{
+		Terms(FieldCount, nil, "512", json.Number("1.5"), "<nil>"),
+		{Bool: &BoolQuery{Should: []Query{Term(FieldPID, json.Number("101")), Must(Term(FieldSession, "s0"), MustNot(Term(FieldSyscall, true)))}}},
+		{Term: Term(FieldSession, "s1").Term, Bool: MustNot(Term(FieldSession, "s1")).Bool},
+		{MatchAll: true, Terms: Terms(FieldSyscall, "fsync", nil, "<nil>").Terms},
+		{Bool: &BoolQuery{}},
+	} {
+		for _, desc := range []bool{false, true} {
+			out = append(out, SearchRequest{Query: q, Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}, Size: 7})
+		}
+	}
 	for _, desc := range []bool{false, true} {
 		out = append(out, SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: FieldCount, Desc: desc}}, Size: 7})
 		out = append(out, SearchRequest{Query: Term(FieldSession, "s0"), Sort: []SortField{{Field: FieldCount, Desc: desc}}, Size: 1000})
@@ -263,7 +279,7 @@ func orderCovers(ix *Index, field string) bool {
 // page of req walks, covering every row it must: its term's run, or the
 // all-rows run.
 func walkCovers(sh *shard, req SearchRequest) bool {
-	_, ok := sh.walkList(sortWalkOf(req))
+	_, ok := sh.walkList(sortWalkOf(req, compileQuery(req.Query)))
 	return ok || sh.rows.len() == 0
 }
 
@@ -402,7 +418,7 @@ func TestSortedCursorMatchesOracle(t *testing.T) {
 						t.Fatalf("%+v page %d: the hot shards' time order or run was not rebuilt", req, p)
 					}
 					// An unbounded query opens every cold segment.
-					minT, maxT := timeBounds(req.Query)
+					minT, maxT := timeBounds(compileQuery(req.Query).must)
 					if req.Sort[0].Field == FieldTimeEnter && minT == math.MinInt64 && maxT == math.MaxInt64 && !coldWalkCovers(dix, req) {
 						t.Fatalf("%+v page %d: a cold segment was not resident with its time order or run", req, p)
 					}
@@ -444,7 +460,7 @@ func checkUnlistedStripe(t *testing.T, shards int, batches [][]event.Event, req 
 	if n%shards != 0 {
 		t.Fatalf("%d rows on %d stripes: the next row would not land on stripe 0", n, shards)
 	}
-	walk := sortWalkOf(req)
+	walk := sortWalkOf(req, compileQuery(req.Query))
 	key := runKey{walk.field, walk.term}
 	last := ix.shards[shards-1]
 	last.mu.Lock()
@@ -745,10 +761,11 @@ func TestTermRunLifecycle(t *testing.T) {
 		}
 	}
 	req := SearchRequest{Query: Term(FieldSession, "a"), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 10}
-	walk := sortWalkOf(req)
+	q := compileQuery(req.Query)
+	walk := sortWalkOf(req, q)
 	page := func(step string) {
 		t.Helper()
-		sh.ensureRuns(rangeFields(req.Query), walk)
+		sh.ensureRuns(rangeFields(q), walk)
 		l, ok := sh.walkList(walk)
 		if !ok {
 			t.Fatalf("%s: the page has no list", step)
@@ -782,11 +799,11 @@ func TestTermRunLifecycle(t *testing.T) {
 	// A term whose rows lack the sort field (no row here has a count) has no
 	// run to walk, and is not read again for one.
 	byCount := SearchRequest{Query: Term(FieldSession, "a"), Sort: []SortField{{Field: FieldCount}}, Size: 10}
-	sh.ensureRuns(rangeFields(byCount.Query), sortWalkOf(byCount))
+	sh.ensureRuns(rangeFields(q), sortWalkOf(byCount, q))
 	if run, built := sh.runs[runKey{FieldCount, termKey{FieldSession, "a"}}]; !built || run != nil {
 		t.Fatalf("a term lacking the field: run %v (built %v), want a nil one", run, built)
 	}
-	if _, ok := sh.walkList(sortWalkOf(byCount)); ok {
+	if _, ok := sh.walkList(sortWalkOf(byCount, q)); ok {
 		t.Fatal("a term lacking the field has a list to walk")
 	}
 
@@ -827,13 +844,14 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 	// page walks one page of req and returns the local ids of its hits.
 	page := func(req SearchRequest, getIDs func() []int32, tested bool) []int32 {
 		t.Helper()
-		exec := &searchExec{req: req, need: need, walk: sortWalkOf(req)}
+		q := compileQuery(req.Query)
+		exec := &searchExec{req: req, q: q, need: need, walk: sortWalkOf(req, q)}
 		if ok, err := exec.cursor.parse(req); err != nil {
 			t.Fatal(err)
 		} else if ok {
 			exec.cur = &exec.cursor
 		}
-		sh.ensureRuns(rangeFields(req.Query), exec.walk)
+		sh.ensureRuns(rangeFields(q), exec.walk)
 		l, listed := sh.walkList(exec.walk)
 		if !listed || exec.walk.exact == tested || l.len() != rows/sessions {
 			t.Fatalf("%+v: listed %v, exact %v, a list of %d rows; want the session's %d", req.Query, listed, exec.walk.exact, l.len(), rows/sessions)
@@ -889,7 +907,7 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 		if desc {
 			slices.Reverse(exp)
 		}
-		if got := page(req, func() []int32 { return sh.matchIDs(req.Query) }, true); !slices.Equal(got, exp[:need]) {
+		if got := page(req, func() []int32 { return sh.matchIDs(compileQuery(req.Query)) }, true); !slices.Equal(got, exp[:need]) {
 			t.Fatalf("desc=%v, session and syscalls: hits %v; want %v", desc, got, exp[:need])
 		}
 	}

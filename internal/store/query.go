@@ -3,21 +3,29 @@
 // aggregations, bulk indexing, and the file-path correlation algorithm. It
 // can be used in-process or through an HTTP server/client pair that mirrors
 // how the paper's tracer ships events to a remote backend.
+//
+// This file holds the query DSL, as it travels in JSON, and its compiled
+// form: a request compiles its Query once, against the schema table, and
+// every stage of its execution reads the compiled clauses.
 package store
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Document is one indexed event (or any JSON-like object).
+// Document is one event as JSON carries it: a hit of a JSON search
+// response, a line of an NDJSON bulk body (EventToDoc).
 type Document map[string]any
 
 // Query is a JSON-serializable query in a miniature Elasticsearch DSL.
-// Exactly one field should be set; a zero Query matches everything.
+// One field should be set; where more are, the first in field order counts
+// (compileQuery), and a zero Query matches everything.
 type Query struct {
 	Term     *TermQuery   `json:"term,omitempty"`
 	Terms    *TermsQuery  `json:"terms,omitempty"`
@@ -85,37 +93,27 @@ func Terms(field string, values ...any) Query {
 // RangeGTE builds a range query with only a lower bound: it admits exactly
 // the integers at or above gte.
 func RangeGTE(field string, gte float64) Query {
-	lo := satCeil(gte)
+	lo := satInt(math.Ceil(gte))
 	return Query{Range: &RangeQuery{Field: field, GTE: &lo}}
 }
 
 // RangeBetween builds a range query with both bounds inclusive: it admits
 // exactly the integers in [gte, lte].
 func RangeBetween(field string, gte, lte float64) Query {
-	lo, hi := satCeil(gte), satFloor(lte)
+	lo, hi := satInt(math.Ceil(gte)), satInt(math.Floor(lte))
 	return Query{Range: &RangeQuery{Field: field, GTE: &lo, LTE: &hi}}
 }
 
-// satFloor/satCeil convert a float bound to int64, saturating at the
+// satInt converts an integral float bound to int64, saturating at the
 // representable range.
-func satFloor(f float64) int64 {
-	if f <= math.MinInt64 {
+func satInt(f float64) int64 {
+	switch {
+	case f <= math.MinInt64:
 		return math.MinInt64
-	}
-	if f >= math.MaxInt64 {
+	case f >= math.MaxInt64:
 		return math.MaxInt64
 	}
-	return int64(math.Floor(f))
-}
-
-func satCeil(f float64) int64 {
-	if f <= math.MinInt64 {
-		return math.MinInt64
-	}
-	if f >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(math.Ceil(f))
+	return int64(f)
 }
 
 // Prefix builds a prefix query.
@@ -141,127 +139,211 @@ func MustNot(qs ...Query) Query {
 	return Query{Bool: &BoolQuery{MustNot: qs}}
 }
 
-// matchesAll reports whether the query matches every document (zero query
-// or explicit match_all), letting evaluation skip per-document checks.
-func (q Query) matchesAll() bool {
-	return q.Term == nil && q.Terms == nil && q.Range == nil &&
-		q.Prefix == nil && q.Exists == nil && q.Bool == nil
+// interval returns the integers r admits as [lo, hi], both inclusive (GT
+// and LT strict, GTE and LTE inclusive); lo > hi when it admits none.
+func (r *RangeQuery) interval() (lo, hi int64) {
+	if r.GT != nil && *r.GT == math.MaxInt64 || r.LT != nil && *r.LT == math.MinInt64 {
+		return math.MaxInt64, math.MinInt64
+	}
+	lo, hi = math.MinInt64, math.MaxInt64
+	if r.GTE != nil {
+		lo = *r.GTE
+	}
+	if r.GT != nil {
+		lo = max(lo, *r.GT+1)
+	}
+	if r.LTE != nil {
+		hi = *r.LTE
+	}
+	if r.LT != nil {
+		hi = min(hi, *r.LT-1)
+	}
+	return lo, hi
 }
 
-// boolOnly reports whether q's bool is the clause it is evaluated by: the
-// evaluator reads the first clause set, in the order Term, Terms, Range,
-// Prefix, Exists, Bool, so a bool beside any other clause is ignored.
-func (q Query) boolOnly() bool {
-	return q.Bool != nil && q.Term == nil && q.Terms == nil &&
-		q.Range == nil && q.Prefix == nil && q.Exists == nil
+// A Query is compiled once per request (compileQuery), against the schema
+// table, into a tree of clauses; the row predicate, the shard's planner
+// (matchIDs), the time window a cold segment is pruned by (timeBounds), the
+// runs a search builds (rangeFields, sortWalkOf) and the read view all read
+// that tree, and none reads the Query. The compile is the one place that
+// says which clause of a Query counts: the first one set, in the order Term,
+// Terms, Range, Prefix, Exists, Bool, so a bool beside another clause is
+// ignored. With none set, or only match_all, the query is an empty bool,
+// which matches every row.
+
+// clauseOp is what a compiled clause tests.
+type clauseOp uint8
+
+const (
+	opBool   clauseOp = iota // must, must_not and should; empty, every row
+	opTerm                   // the field equals one of the values (a term or terms query)
+	opRange                  // the field is an integer in [lo, hi]
+	opPrefix                 // the field is a string starting with prefix
+	opExists                 // the field holds a value, and not ""
+)
+
+// clause is one compiled clause: its field resolved to its table entry and
+// its values typed once, in the field's own domain, so that a row is tested
+// by reading the packed row through the entry and comparing unboxed values.
+type clause struct {
+	op     clauseOp
+	name   string // the field's name, which posting lists and runs are keyed by
+	f      *fieldDef
+	strs   []string // opTerm on a string field: the values
+	nums   []int64  // opTerm on an integer field: the values
+	orNil  bool     // opTerm: a nil value, which a row lacking the field equals
+	lo, hi int64    // opRange: the interval (RangeQuery.interval)
+	prefix string   // opPrefix
+
+	must, should, mustNot []clause // opBool
 }
 
-// contains reports whether v satisfies every bound of r. It is the single
-// range-match implementation shared by the per-document evaluator below and
-// the shard's range scan (rangeScan), so the two cannot drift on bound
-// semantics (GT/LT strict, GTE/LTE inclusive).
-func (r *RangeQuery) contains(v int64) bool {
-	if r.GTE != nil && v < *r.GTE {
-		return false
+// compileQuery compiles q once, for one request, into a bool: the query's
+// own, or one whose must list is its one clause. The must list is then the
+// clauses every match satisfies, which the planner reads. Each cluster node
+// compiles the Query it was sent: the wire form is the Query's JSON.
+func compileQuery(q Query) *clause {
+	c := compileClause(q)
+	if c.op != opBool {
+		c = clause{must: []clause{c}}
 	}
-	if r.LTE != nil && v > *r.LTE {
-		return false
+	return &c
+}
+
+// all reports whether bool c matches every row.
+func (c *clause) all() bool { return len(c.must)+len(c.should)+len(c.mustNot) == 0 }
+
+func compileClause(q Query) clause {
+	switch {
+	case q.Term != nil:
+		return compileTerm(q.Term.Field, []any{q.Term.Value})
+	case q.Terms != nil:
+		return compileTerm(q.Terms.Field, q.Terms.Values)
+	case q.Range != nil:
+		c := clause{op: opRange, name: q.Range.Field, f: fieldOf(q.Range.Field)}
+		c.lo, c.hi = q.Range.interval()
+		return c
+	case q.Prefix != nil:
+		return clause{op: opPrefix, name: q.Prefix.Field, f: fieldOf(q.Prefix.Field), prefix: q.Prefix.Value}
+	case q.Exists != nil:
+		return clause{op: opExists, name: q.Exists.Field, f: fieldOf(q.Exists.Field)}
+	case q.Bool != nil:
+		return clause{must: compileList(q.Bool.Must), should: compileList(q.Bool.Should), mustNot: compileList(q.Bool.MustNot)}
 	}
-	if r.GT != nil && v <= *r.GT {
-		return false
+	return clause{}
+}
+
+func compileList(qs []Query) []clause {
+	out := make([]clause, len(qs))
+	for i, q := range qs {
+		out[i] = compileClause(q)
 	}
-	if r.LT != nil && v >= *r.LT {
-		return false
+	return out
+}
+
+// compileTerm types a term's values in the field's domain. A string field
+// equals a string. An integer field equals a value intOf accepts and the
+// decimal string of the integer; has_offset, read as 0/1, equals those and
+// "true" and "false". A nil value equals a row that lacks the field. Any
+// other value equals nothing, and is dropped here.
+func compileTerm(name string, vals []any) clause {
+	c := clause{op: opTerm, name: name, f: fieldOf(name)}
+	for _, v := range vals {
+		s, isStr := v.(string)
+		switch {
+		case v == nil:
+			c.orNil = true
+		case c.f.isString():
+			if isStr {
+				c.strs = append(c.strs, s)
+			}
+		case !isStr:
+			if n, ok := intOf(v); ok {
+				c.nums = append(c.nums, n)
+			}
+		case c.f.kind == flagKind:
+			switch s {
+			case "true":
+				c.nums = append(c.nums, 1)
+			case "false":
+				c.nums = append(c.nums, 0)
+			}
+		default:
+			if n, err := strconv.ParseInt(s, 10, 64); err == nil && strconv.FormatInt(n, 10) == s {
+				c.nums = append(c.nums, n)
+			}
+		}
+	}
+	return c
+}
+
+// seedTerm returns the term c requires of an indexed keyword field, whose
+// posting list holds c's matches: ok only for a term clause on such a field
+// with one string value.
+func (c *clause) seedTerm() (term string, ok bool) {
+	if c.op == opTerm && c.f.indexed() && len(c.strs) == 1 {
+		return c.strs[0], true
+	}
+	return "", false
+}
+
+// match reports whether row w satisfies c.
+func (c *clause) match(w Row) bool {
+	switch c.op {
+	case opTerm:
+		if s, ok := c.f.str(w); ok {
+			return slices.Contains(c.strs, s)
+		}
+		if n, ok := c.f.read(w.r); ok {
+			return slices.Contains(c.nums, n)
+		}
+		return c.orNil
+	case opRange:
+		n, ok := c.f.read(w.r)
+		return ok && c.lo <= n && n <= c.hi
+	case opPrefix:
+		s, ok := c.f.str(w)
+		return ok && strings.HasPrefix(s, c.prefix)
+	case opExists:
+		if c.f.kind == tagKind { // the tag's presence, without rendering it
+			return !w.r.FileTag.Zero()
+		}
+		s, isStr := c.f.str(w)
+		_, isNum := c.f.read(w.r)
+		return isStr && s != "" || isNum
+	case opBool:
+		for i := range c.must {
+			if !c.must[i].match(w) {
+				return false
+			}
+		}
+		return c.tail(w)
 	}
 	return true
 }
 
-// fieldSource is any row representation the query evaluator can read: a
-// materialized Document, or a stored Row, which resolves each name it is
-// asked for against the schema table (fieldTable) without building a map.
-type fieldSource interface {
-	// field returns the document-view value of the named field (nil when
-	// absent).
-	field(name string) any
-}
-
-func (d Document) field(name string) any { return d[name] }
-
-// Matches evaluates the query against doc.
-func (q Query) Matches(doc Document) bool { return q.matches(doc) }
-
-// matches evaluates the query against any row representation.
-func (q Query) matches(src fieldSource) bool {
-	switch {
-	case q.Term != nil:
-		return valueEquals(src.field(q.Term.Field), q.Term.Value)
-	case q.Terms != nil:
-		v := src.field(q.Terms.Field)
-		for _, want := range q.Terms.Values {
-			if valueEquals(v, want) {
-				return true
-			}
-		}
-		return false
-	case q.Range != nil:
-		n, ok := intOf(src.field(q.Range.Field))
-		return ok && q.Range.contains(n)
-	case q.Prefix != nil:
-		s, ok := src.field(q.Prefix.Field).(string)
-		return ok && strings.HasPrefix(s, q.Prefix.Value)
-	case q.Exists != nil:
-		v := src.field(q.Exists.Field)
-		if v == nil {
+// tail reports whether w satisfies what bool c asks beyond its must list:
+// no must_not clause, and a should clause when there are any.
+func (c *clause) tail(w Row) bool {
+	for i := range c.mustNot {
+		if c.mustNot[i].match(w) {
 			return false
 		}
-		if s, isStr := v.(string); isStr && s == "" {
-			return false
-		}
-		return true
-	case q.Bool != nil:
-		for _, sub := range q.Bool.Must {
-			if !sub.matches(src) {
-				return false
-			}
-		}
-		for _, sub := range q.Bool.MustNot {
-			if sub.matches(src) {
-				return false
-			}
-		}
-		if len(q.Bool.Should) > 0 {
-			any := false
-			for _, sub := range q.Bool.Should {
-				if sub.matches(src) {
-					any = true
-					break
-				}
-			}
-			if !any {
-				return false
-			}
-		}
-		return true
-	default:
-		return true // zero query and match_all behave alike
 	}
+	for i := range c.should {
+		if c.should[i].match(w) {
+			return true
+		}
+	}
+	return len(c.should) == 0
 }
 
-// intOf coerces a scalar to the store's one numeric domain, int64: the int
-// kinds, a bool as 0/1, a json.Number written as an integer, and a float
-// only when it is integral and in range. Anything else is not a number.
+// intOf coerces a scalar to the store's one numeric domain, int64: any Go
+// integer (an unsigned one when it fits), a bool as 0/1, a json.Number
+// written as an integer, and a float only when it is integral and in range.
+// Anything else is not a number.
 func intOf(v any) (int64, bool) {
 	switch x := v.(type) {
-	case int64:
-		return x, true
-	case int:
-		return int64(x), true
-	case int32:
-		return int64(x), true
-	case uint32:
-		return int64(x), true
-	case uint64:
-		return int64(x), x <= math.MaxInt64
 	case bool:
 		if x {
 			return 1, true
@@ -270,30 +352,18 @@ func intOf(v any) (int64, bool) {
 	case json.Number:
 		n, err := strconv.ParseInt(string(x), 10, 64)
 		return n, err == nil
-	case float64:
-		if x != math.Trunc(x) || x < math.MinInt64 || x >= math.MaxInt64 {
-			return 0, false
+	}
+	switch x := reflect.ValueOf(v); {
+	case x.CanInt():
+		return x.Int(), true
+	case x.CanUint() && x.Uint() <= math.MaxInt64:
+		return int64(x.Uint()), true
+	case x.CanFloat():
+		if f := x.Float(); f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+			return int64(f), true
 		}
-		return int64(x), true
-	default:
-		return 0, false
 	}
-}
-
-// valueEquals compares document and query values with integer coercion, so
-// that a query built in Go (int) matches a document field (int64) and a
-// value decoded from JSON (json.Number).
-func valueEquals(have, want any) bool {
-	if hs, ok := have.(string); ok {
-		ws, ok := want.(string)
-		return ok && hs == ws
-	}
-	hn, hok := intOf(have)
-	wn, wok := intOf(want)
-	if hok && wok {
-		return hn == wn
-	}
-	return fmt.Sprintf("%v", have) == fmt.Sprintf("%v", want)
+	return 0, false
 }
 
 // keyString renders any scalar as a stable bucket key.

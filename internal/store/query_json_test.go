@@ -83,28 +83,55 @@ func TestSearchRequestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestValueEqualsCoercionProperty: numeric equality must be symmetric and
-// type-insensitive the way Elasticsearch coerces JSON numbers, and a JSON
-// integer decoded as a json.Number equals its int64 over all 64 bits.
+// TestValueEqualsCoercionProperty: a term on an integer field equals the
+// row's integer whatever Go or JSON type carries the value — every Go
+// integer kind, an integral float, a json.Number over all 64 bits, a bool as
+// 0/1 — and a number never equals a string field's value. Each term is
+// compiled and matched against a stored row, and the oracle's by-name
+// evaluator must agree with it.
 func TestValueEqualsCoercionProperty(t *testing.T) {
+	match := func(e event.Event, q Query) bool {
+		sh := newShard()
+		sh.addEventLocked(&e)
+		got := compileQuery(q).match(sh.row(0))
+		if oracle := q.Matches(EventToDoc(&e)); oracle != got {
+			t.Errorf("%s on %+v: engine %v, oracle %v", jsonOf(q), e, got, oracle)
+		}
+		return got
+	}
+	ret := func(n int64) event.Event { return event.Event{RetVal: n} }
 	f := func(n int32, w int64) bool {
-		v := int64(n)
-		return valueEquals(v, float64(n)) &&
-			valueEquals(float64(n), v) &&
-			valueEquals(int(n), v) &&
-			valueEquals(json.Number(strconv.FormatInt(w, 10)), w) &&
-			!valueEquals(json.Number(strconv.FormatInt(w, 10)), w^1)
+		v, small := int64(n), int16(n)
+		num := json.Number(strconv.FormatInt(w, 10))
+		ok := match(ret(v), Term(FieldRetVal, v)) &&
+			match(ret(v), Term(FieldRetVal, float64(n))) &&
+			match(ret(v), Term(FieldRetVal, int(n))) &&
+			match(ret(v), Term(FieldRetVal, n)) &&
+			match(ret(int64(small)), Term(FieldRetVal, small)) &&
+			match(ret(int64(small)), Term(FieldRetVal, float32(small))) &&
+			match(ret(int64(int8(n))), Term(FieldRetVal, int8(n))) &&
+			match(ret(int64(uint16(n))), Term(FieldRetVal, uint16(n))) &&
+			match(ret(int64(uint32(n))), Term(FieldRetVal, uint32(n))) &&
+			match(ret(int64(uint32(n))), Term(FieldRetVal, uint(uint32(n)))) &&
+			match(ret(w), Term(FieldRetVal, num)) &&
+			!match(ret(w^1), Term(FieldRetVal, num)) &&
+			!match(event.Event{Session: strconv.FormatInt(v, 10)}, Term(FieldSession, v))
+		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if valueEquals("5", 5) {
+	if match(ret(5), Term(FieldRetVal, 5.5)) || match(ret(5), Term(FieldRetVal, ^uint64(0))) {
+		t.Fatal("a non-integral float or an unsigned past int64 equals an integer")
+	}
+	if match(event.Event{Session: "5"}, Term(FieldSession, 5)) {
 		t.Fatal("string '5' equals number 5")
 	}
-	if !valueEquals("a", "a") || valueEquals("a", "b") {
+	if !match(event.Event{Session: "a"}, Term(FieldSession, "a")) || match(event.Event{Session: "b"}, Term(FieldSession, "a")) {
 		t.Fatal("string comparison broken")
 	}
-	if !valueEquals(true, 1) || !valueEquals(false, 0) {
+	if !match(ret(1), Term(FieldRetVal, true)) || !match(ret(0), Term(FieldRetVal, false)) ||
+		!match(event.Event{HasOffset: true}, Term(FieldHasOffset, 1)) || !match(event.Event{}, Term(FieldHasOffset, 0)) {
 		t.Fatal("bool coercion broken")
 	}
 }

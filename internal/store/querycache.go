@@ -289,7 +289,7 @@ func (w *keyWriter) float(f float64) {
 }
 
 // scalar writes one query value type-tagged: a string quoted, an integer
-// (bools included, as valueEquals coerces them) as 'n' and its digits, nil as
+// (bools included, as term equality coerces them) as 'n' and its digits, nil as
 // '_', and anything else as 'v' and its quoted bucket key.
 func (w *keyWriter) scalar(v any) {
 	if s, ok := v.(string); ok {

@@ -271,7 +271,9 @@ func TestReplCursorStopsAtHead(t *testing.T) {
 
 // TestArmedIngestAllocatesAsUnarmed holds the write path to one shape: a
 // store that replicates journals and forgets exactly as one that does not,
-// so arming it adds no allocation to BulkEvents or BulkFrame.
+// so arming it adds no allocation to BulkEvents or BulkFrame. Under -race
+// both stores still ingest, but the counts are not compared: the race
+// detector's pool drops make them differ by one at random.
 func TestArmedIngestAllocatesAsUnarmed(t *testing.T) {
 	frame := event.EncodeBatch(nil, crashEvents(0))
 	allocs := func(armed bool) float64 {
@@ -290,10 +292,17 @@ func TestArmedIngestAllocatesAsUnarmed(t *testing.T) {
 			}
 		})
 	}
-	if unarmed, armed := allocs(false), allocs(true); armed > unarmed {
+	unarmed, armed := allocs(false), allocs(true)
+	if raceEnabled {
+		t.Skipf("the race detector's sync.Pool drops pooled buffers at random: armed %.0f, unarmed %.0f", armed, unarmed)
+	}
+	if armed > unarmed {
 		t.Fatalf("armed ingest allocates %.0f per BulkEvents+BulkFrame, unarmed %.0f", armed, unarmed)
 	}
 }
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
 
 // TestReplApplySeqReject checks the follower's duplicate/reorder guard: a
 // push from any position other than the applied sequence bounces with the

@@ -182,30 +182,23 @@ func (l termRun) mergeTail(k int) {
 	}
 }
 
-// orderedRun returns the ids of the all-rows run of r's field whose values r
-// admits, or ok false unless that run covers every row. Caller holds the read
-// lock.
-func (sh *shard) orderedRun(r *RangeQuery) (run []int32, ok bool) {
-	l := sh.runs[runKey{field: r.Field}]
+// orderedRun returns the ids of the all-rows run of range clause c's field
+// whose values c admits, or ok false unless that run covers every row.
+// Caller holds the read lock.
+func (sh *shard) orderedRun(c *clause) (run []int32, ok bool) {
+	l := sh.runs[runKey{field: c.name}]
 	if l == nil || l.len() != sh.rows.len() {
 		return nil, false
 	}
-	return l.window(r).ids, true
+	return l.window(c.lo, c.hi).ids, true
 }
 
-// window returns the entries of l whose values r admits: two binary searches
-// making contains' comparisons, whose lower bounds are false then true along
-// the list and upper bounds true then false.
-func (l termRun) window(r *RangeQuery) termRun {
-	lo := sort.Search(l.len(), func(i int) bool {
-		v := l.at(i)
-		return !(r.GTE != nil && v < *r.GTE) && !(r.GT != nil && v <= *r.GT)
-	})
-	hi := lo + sort.Search(l.len()-lo, func(i int) bool {
-		v := l.at(lo + i)
-		return r.LTE != nil && v > *r.LTE || r.LT != nil && v >= *r.LT
-	})
-	return l.slice(lo, hi)
+// window returns the entries of l whose values lie in [lo, hi]: two binary
+// searches making a range clause's comparisons.
+func (l termRun) window(lo, hi int64) termRun {
+	i := sort.Search(l.len(), func(k int) bool { return l.at(k) >= lo })
+	j := i + sort.Search(l.len()-i, func(k int) bool { return l.at(i+k) > hi })
+	return l.slice(i, j)
 }
 
 // idSet is one request's set of a shard's local ids, a bit per row: built in
@@ -255,10 +248,9 @@ const (
 // fieldTable is the schema as a packed row holds it, each field listed once:
 // a string slot, file_tag (the tag rendered), or an integer with its
 // presence. A request resolves each field name it reads to its entry once
-// (fieldOf), and every row read goes through the entry; only the generic
-// evaluator's fieldSource (Row.field) looks a name up per read.
-// TestPackedRowMatchesEvent holds every entry to the document view
-// (EventToDoc).
+// (fieldOf, compileQuery, resolveSorts), and every row read goes through
+// the entry. TestPackedRowMatchesEvent holds every entry to the document
+// view (EventToDoc).
 var fieldTable = map[string]*fieldDef{
 	FieldSession:    {kind: slotKind, slot: 0, read: noInt},
 	FieldSyscall:    {kind: slotKind, slot: 1, read: noInt},
@@ -331,29 +323,33 @@ func fieldOf(name string) *fieldDef {
 // key reads the field of w as a sort key: an integer where it is one the row
 // has, else the string, "" where the row lacks it.
 func (f *fieldDef) key(w Row) sortKey {
-	switch f.kind {
-	case slotKind:
-		return sortKey{str: w.str(f.slot)}
-	case tagKind:
-		return sortKey{str: w.r.FileTag.String()}
+	if f.isString() {
+		s, _ := f.str(w)
+		return sortKey{str: s}
 	}
 	n, ok := f.read(w.r)
 	return sortKey{num: n, isNum: ok}
 }
 
-// value is the field of w as the document view holds it: a string, an int64,
-// has_offset's bool, or nil where the row lacks it.
-func (f *fieldDef) value(w Row) any {
-	switch k := f.key(w); {
-	case f.kind == flagKind:
-		return k.num != 0
-	case k.isNum:
-		return k.num
-	case k.str != "" || f.indexed():
-		return k.str
+// str reads the field of w as a string field's value: the slot's string,
+// present when the field is indexed or the string is not "", or the tag
+// rendered, present when set. ok is false for any other field.
+func (f *fieldDef) str(w Row) (s string, ok bool) {
+	switch f.kind {
+	case slotKind:
+		s = w.str(f.slot)
+		return s, s != "" || f.indexed()
+	case tagKind:
+		if w.r.FileTag.Zero() {
+			return "", false
+		}
+		return w.r.FileTag.String(), true
 	}
-	return nil
+	return "", false
 }
+
+// isString reports whether f's values are strings (str), not integers (read).
+func (f *fieldDef) isString() bool { return f.kind == slotKind || f.kind == tagKind }
 
 // indexed reports whether f is an indexed keyword field's: it has posting
 // lists, and every row holds it.
@@ -448,8 +444,8 @@ func (sh *shard) posting(field, term string) ([]int32, bool) {
 }
 
 // Row is one stored row read in place: the packed row and the shard whose
-// dictionaries its codes index. It is the query evaluator's fieldSource and
-// what a diagnosis pass observes (EachRow); its accessors answer as
+// dictionaries its codes index. It is what a compiled clause tests and what
+// a diagnosis pass observes (EachRow); its accessors answer as
 // event.Event's fields and methods do, one per field, so a reader pays for
 // the fields it reads and no more. A Row is borrowed: it is valid while the
 // read lock, or the walk's page, it was handed under lasts.
@@ -493,9 +489,6 @@ func (w Row) DurationNS() int64      { return w.r.TimeExitNS - w.r.TimeEnterNS }
 func (w Row) FileTag() event.FileTag { return w.r.FileTag }
 func (w Row) Offset() int64          { return w.r.Offset }
 func (w Row) HasOffset() bool        { return w.r.HasOffset }
-
-// field is the generic evaluator's read: one table lookup per read.
-func (w Row) field(name string) any { return fieldOf(name).value(w) }
 
 // Event writes the row as the event it was stored from, field by field and
 // the strings in slot order: no temporary event or pointer array is
@@ -620,170 +613,92 @@ func (sh *shard) cmpIDs(a, b int32, sorts []sortBy) int {
 	return 0
 }
 
-// matchIDs evaluates q and returns the local ids of matching docs in
+// matchIDs evaluates q and returns the local ids of the matching rows in
 // ascending order. The returned slice may alias a posting list and must not
 // be mutated. Caller holds at least the read lock.
-func (sh *shard) matchIDs(q Query) []int32 {
-	// Match-all: enumerate without consulting rows.
-	if q.matchesAll() {
-		out := make([]int32, sh.rows.len())
+//
+// The candidates are seeded from q's conjuncts (its must list,
+// compileQuery): the posting lists of the indexed keyword terms, intersected
+// smallest first, unless a range's window of its field's all-rows run
+// (orderedRun) is shorter than every list that filters (a list holding every
+// row filters nothing). Each candidate is then tested against the
+// conjuncts that seeded nothing, and q's must_not and should; with no seed,
+// every row is.
+func (sh *shard) matchIDs(q *clause) []int32 {
+	n := sh.rows.len()
+	if q.all() {
+		out := make([]int32, n)
 		for i := range out {
 			out[i] = int32(i)
 		}
 		return out
 	}
-	// Plain indexed term: the posting list is the answer.
-	if q.Term != nil {
-		if val, isStr := q.Term.Value.(string); isStr {
-			if ids, ok := sh.posting(q.Term.Field, val); ok {
-				return ids
-			}
-		}
-	}
-	// Top-level range: read the field unboxed, or the all-rows run. A term
-	// beside it is the clause evaluated.
-	if q.Range != nil && q.Term == nil && q.Terms == nil {
-		return sh.rangeScan(q.Range)
-	}
-	// Bool/must: intersect every indexed keyword term's posting list, then
-	// evaluate the residual query over the candidates only.
-	if q.boolOnly() && len(q.Bool.Must) > 0 {
-		if ids, ok := sh.boolCandidates(q); ok {
-			return ids
-		}
-	}
-	// Fallback: full scan through the row adapter (fields resolve on demand,
-	// no map materialization).
-	var out []int32
-	r := Row{sh: sh}
-	for id := range sh.rows.len() {
-		if r.r = sh.rows.at(id); q.matches(&r) {
-			out = append(out, int32(id))
-		}
-	}
-	return out
-}
-
-// rangeScan evaluates r over every row, reading the field through its entry
-// and sharing RangeQuery.contains with the per-document evaluator, or reads
-// the all-rows run of r's field when it covers every row (orderedRun).
-func (sh *shard) rangeScan(r *RangeQuery) []int32 {
-	if run, ok := sh.orderedRun(r); ok {
-		return sortedIDs(run, sh.rows.len())
-	}
-	f := fieldOf(r.Field)
-	var out []int32
-	for i := range sh.rows.len() {
-		if v, ok := f.read(sh.rows.at(i)); ok && r.contains(v) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-// isPureRange reports whether q is exactly one range clause, so it can be
-// evaluated from one numeric field alone.
-func (q Query) isPureRange() bool {
-	return q.Range != nil && q.Term == nil && q.Terms == nil &&
-		q.Prefix == nil && q.Exists == nil && q.Bool == nil
-}
-
-// boolCandidates resolves a bool query whose must clauses include indexed
-// keyword terms (or a range) by posting-list intersection followed by
-// residual evaluation. ok is false when no clause can seed a candidate list,
-// meaning the caller should scan. A range whose window of its field's
-// all-rows run (orderedRun) is shorter than every posting list that filters
-// seeds; a list holding every row filters nothing.
-func (sh *shard) boolCandidates(q Query) ([]int32, bool) {
-	n := sh.rows.len()
 	var lists [][]int32
-	residualMust := make([]Query, 0, len(q.Bool.Must))
-	for _, sub := range q.Bool.Must {
-		if sub.Term != nil {
-			if val, isStr := sub.Term.Value.(string); isStr {
-				if ids, ok := sh.posting(sub.Term.Field, val); ok {
-					lists = append(lists, ids)
-					continue
-				}
-			}
+	rest := make([]*clause, 0, len(q.must))
+	for i := range q.must {
+		c := &q.must[i]
+		if t, ok := c.seedTerm(); ok {
+			ids, _ := sh.posting(c.name, t)
+			lists = append(lists, ids)
+		} else {
+			rest = append(rest, c)
 		}
-		residualMust = append(residualMust, sub)
 	}
-	// Intersect smallest-first; lists[:full] are the ones that filter.
 	slices.SortFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
-	full := len(lists)
+	full := len(lists) // lists[:full] are the ones that filter
 	for full > 0 && len(lists[full-1]) == n {
 		full--
 	}
 	seed, run := -1, []int32(nil)
-	for i, sub := range residualMust {
-		if sub.isPureRange() {
-			if r, ok := sh.orderedRun(sub.Range); ok && (seed < 0 || len(r) < len(run)) {
-				seed, run = i, r
-			}
-		}
-	}
-	var candidates []int32
-	switch {
-	case seed >= 0 && (full == 0 || len(run) < len(lists[0])):
-		candidates, lists = sortedIDs(run, n), lists[:full]
-		residualMust = slices.Delete(residualMust, seed, seed+1)
-	case len(lists) > 0:
-		candidates, lists = lists[0], lists[1:]
-	case len(residualMust) > 0 && residualMust[0].isPureRange():
-		// A leading range with no run seeds by a scan of its field.
-		candidates, residualMust = sh.rangeScan(residualMust[0].Range), residualMust[1:]
-	default:
-		return nil, false
-	}
-	for _, l := range lists {
-		if candidates = intersectSorted(candidates, l); len(candidates) == 0 {
-			return nil, true
-		}
-	}
-	// Pure range residuals read their field through its entry; everything
-	// else falls through to the generic evaluator.
-	type fieldRange struct {
-		f *fieldDef
-		r *RangeQuery
-	}
-	var ranges []fieldRange
-	kept := residualMust[:0]
-	for _, sub := range residualMust {
-		if sub.isPureRange() {
-			ranges = append(ranges, fieldRange{fieldOf(sub.Range.Field), sub.Range})
+	for i, c := range rest {
+		if c.op != opRange {
 			continue
 		}
-		kept = append(kept, sub)
+		if r, ok := sh.orderedRun(c); ok && (seed < 0 || len(r) < len(run)) {
+			seed, run = i, r
+		}
 	}
-	residualMust = kept
-	rest := Query{Bool: &BoolQuery{
-		Must:    residualMust,
-		Should:  q.Bool.Should,
-		MustNot: q.Bool.MustNot,
-	}}
-	needRest := len(residualMust) > 0 || len(q.Bool.Should) > 0 || len(q.Bool.MustNot) > 0
-	if !needRest && len(ranges) == 0 {
-		return candidates, true
+	cand, seeded := []int32(nil), true
+	switch {
+	case seed >= 0 && (full == 0 || len(run) < len(lists[0])):
+		cand, lists = sortedIDs(run, n), lists[:full]
+		rest = slices.Delete(rest, seed, seed+1)
+	case len(lists) > 0:
+		cand, lists = lists[0], lists[1:]
+	default:
+		seeded = false
+	}
+	for _, l := range lists {
+		if cand = intersectSorted(cand, l); len(cand) == 0 {
+			return nil
+		}
+	}
+	tailed := len(q.should)+len(q.mustNot) > 0
+	if seeded && len(rest) == 0 && !tailed {
+		return cand
+	}
+	m := len(cand)
+	if !seeded {
+		m = n
 	}
 	var out []int32
-	rrow := Row{sh: sh}
 next:
-	for _, id := range candidates {
-		for _, fr := range ranges {
-			if v, ok := fr.f.read(sh.rows.at(int(id))); !ok || !fr.r.contains(v) {
+	for i := range m {
+		id := int32(i)
+		if seeded {
+			id = cand[i]
+		}
+		w := sh.row(id)
+		for _, c := range rest {
+			if !c.match(w) {
 				continue next
 			}
 		}
-		if needRest {
-			rrow.r = sh.rows.at(int(id))
-			if !rest.matches(&rrow) {
-				continue
-			}
+		if !tailed || q.tail(w) {
+			out = append(out, id)
 		}
-		out = append(out, id)
 	}
-	return out, true
+	return out
 }
 
 // intersectSorted intersects two ascending id lists.

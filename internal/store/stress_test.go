@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -253,7 +254,8 @@ func shardedMatchesOracle(t *testing.T, shards, n int) {
 
 // oracleDocs is the differential fixture: n seeded rows over three sessions,
 // six syscalls and three processes, with an optional numeric field, file tags
-// on about a quarter (anchored by opens and some stats), plus one row whose
+// on about a quarter (anchored by opens and some stats), seven pids, an
+// optional non-indexed string and an offset on a third, plus one row whose
 // syscall no other row carries — its terms bucket lives on exactly one shard
 // and, lacking count, its percentiles have no values.
 func oracleDocs(n int) []Document {
@@ -268,6 +270,15 @@ func oracleDocs(n int) []Document {
 			"syscall":       syscalls[rng.Intn(len(syscalls))],
 			"proc_name":     procs[rng.Intn(len(procs))],
 			"time_enter_ns": int64(rng.Intn(5_000_000)),
+			"pid":           int64(i % 7),
+		}
+		// By position, drawing nothing from rng: a non-indexed string absent
+		// from every fourth row, and an offset on every third.
+		if i%4 != 3 {
+			d["arg_path2"] = []string{"s1", "5", "<nil>"}[i%4]
+		}
+		if i%3 == 0 {
+			d["offset"], d["has_offset"] = int64(i), true
 		}
 		if rng.Intn(10) > 0 { // ~10% of rows miss the optional numeric field
 			d["count"] = float64(rng.Intn(100_000))
@@ -291,10 +302,56 @@ func oracleDocs(n int) []Document {
 	return append(docs, Document{"session": "s1", "syscall": "rare", "proc_name": "dbbench", "time_enter_ns": int64(42)})
 }
 
+// domainValues are a term value of every kind: a string, a JSON integer, a
+// JSON fraction, a bool, nil, a decimal string, and the string "<nil>".
+var domainValues = []any{"s1", json.Number("5"), json.Number("1.5"), true, nil, "5", "<nil>"}
+
+// domainQueries are the shapes term equality and the clause precedence rule
+// turn on: a term of every domainValues value, and a terms of all of them,
+// on every kind of field (an indexed slot, a slot absent where "", file_tag,
+// an integer every row holds, one some rows lack, has_offset, an unknown
+// name); must, should and must_not nested two deep; a term beside the bool
+// it ignores; an empty bool; and match_all beside a clause.
+func domainQueries() []Query {
+	var out []Query
+	for _, f := range []string{FieldSession, FieldArgPath2, FieldFileTag, FieldPID, FieldCount, FieldHasOffset, "no_such_field"} {
+		for _, v := range domainValues {
+			out = append(out, Term(f, v))
+		}
+		out = append(out, Terms(f, domainValues...))
+	}
+	should := func(qs ...Query) Query { return Query{Bool: &BoolQuery{Should: qs}} }
+	nested := Must(
+		should(Term(FieldSession, "s1"), Must(Term(FieldSyscall, "read"), Exists(FieldCount))),
+		MustNot(should(Term(FieldPID, "5"), Term(FieldArgPath2, nil))),
+	)
+	return append(out,
+		nested,
+		Query{Bool: &BoolQuery{
+			Should:  []Query{nested, MustNot(Term(FieldProcName, "rocksdb"))},
+			MustNot: []Query{Must(Term(FieldHasOffset, "true"), Terms(FieldCount, nil, json.Number("1.5")))},
+		}},
+		Query{Term: Term(FieldSyscall, "write").Term, Bool: MustNot(Term(FieldSyscall, "write")).Bool},
+		Query{Bool: &BoolQuery{}},
+		Query{MatchAll: true, Term: Term(FieldSession, "s2").Term},
+		Query{MatchAll: true, Range: RangeGTE(FieldTimeEnter, 2_500_000).Range},
+	)
+}
+
 // oracleRequests is the flat half of the differential matrix over the
-// oracleDocs fixture; nestedAggShapes is the nested half.
+// oracleDocs fixture; nestedAggShapes is the nested half. The domainQueries
+// close it, each a page of ten: the bool and precedence shapes sorted by
+// time, the terms in gid order.
 func oracleRequests() []SearchRequest {
-	return append([]SearchRequest{
+	var domain []SearchRequest
+	for _, q := range domainQueries() {
+		req := SearchRequest{Query: q, Size: 10}
+		if q.Term == nil && q.Terms == nil {
+			req.Sort = []SortField{{Field: FieldTimeEnter, Desc: len(domain)%2 == 1}}
+		}
+		domain = append(domain, req)
+	}
+	return append(append([]SearchRequest{
 		{Query: MatchAll(), Size: -1},
 		{Query: Term("syscall", "write"), Size: -1},
 		{Query: Terms("syscall", "read", "write"), Size: 25, From: 10},
@@ -417,14 +474,14 @@ func oracleRequests() []SearchRequest {
 			Size:  1,
 			Aggs:  map[string]Agg{"by_thread": {Terms: &TermsAgg{Field: "thread_name"}}},
 		},
-	}, dashboardAggShapes()...)
+	}, dashboardAggShapes()...), domain...)
 }
 
 // dashboardAggShapes are the single aggregations a dashboard panel asks of a
 // whole index or of one session: terms over every indexed field (counted from
 // posting-list lengths when the match is the whole shard, from codes
 // otherwise) and over a field no row holds, flat date histograms at several
-// intervals, a numeric session term (valueEquals coerces 5 to "5"), an absent
+// intervals, a numeric session term (which no string matches), an absent
 // session, and a terms aggregation beside a stats one.
 func dashboardAggShapes() []SearchRequest {
 	terms := func(f string) map[string]Agg {

@@ -23,52 +23,21 @@ import (
 // [MinTime, MaxTime] range can contain matches, so a narrow dashboard query
 // over a long retention window only ever touches the segments it needs.
 
-// satInc/satDec step an int64 without overflow.
-func satInc(v int64) int64 {
-	if v == math.MaxInt64 {
-		return v
-	}
-	return v + 1
-}
-
-func satDec(v int64) int64 {
-	if v == math.MinInt64 {
-		return v
-	}
-	return v - 1
-}
-
-// timeBounds extracts the time_enter_ns window every matching row must fall
-// in: [min, max] in integer nanoseconds, (MinInt64, MaxInt64) when the query
-// implies no bound. It mirrors the evaluator's clause precedence exactly
-// (Term → Terms → Range → Prefix → Exists → Bool, first set clause wins) and
-// only descends into Bool.Must — a required conjunct constrains every match,
-// while Should/MustNot clauses never tighten the window.
-func timeBounds(q Query) (minT, maxT int64) {
+// timeBounds extracts the time_enter_ns window every match of a query must
+// fall in from its conjuncts (its must list, compileQuery): [min, max] in
+// integer nanoseconds, (MinInt64, MaxInt64) when they imply no bound. It
+// descends into a bool conjunct's must list only: a required clause
+// constrains every match, while should and must_not clauses never tighten
+// the window.
+func timeBounds(conj []clause) (minT, maxT int64) {
 	minT, maxT = math.MinInt64, math.MaxInt64
-	switch r := q.Range; {
-	case q.Term != nil, q.Terms != nil: // evaluated instead: no bound
-	case r != nil:
-		if r.Field != FieldTimeEnter {
-			break
-		}
-		if r.GTE != nil {
-			minT = max(minT, *r.GTE)
-		}
-		if r.GT != nil {
-			minT = max(minT, satInc(*r.GT))
-		}
-		if r.LTE != nil {
-			maxT = min(maxT, *r.LTE)
-		}
-		if r.LT != nil {
-			maxT = min(maxT, satDec(*r.LT))
-		}
-	case q.Prefix != nil, q.Exists != nil: // no bound
-	case q.Bool != nil:
-		for _, sub := range q.Bool.Must {
-			lo, hi := timeBounds(sub)
+	for i := range conj {
+		switch c := &conj[i]; {
+		case c.op == opBool:
+			lo, hi := timeBounds(c.must)
 			minT, maxT = max(minT, lo), min(maxT, hi)
+		case c.op == opRange && c.name == FieldTimeEnter:
+			minT, maxT = max(minT, c.lo), min(maxT, c.hi)
 		}
 	}
 	return minT, maxT
@@ -401,7 +370,7 @@ type readView struct {
 // correlation tally). Either freezes the base and the segment list, so every
 // row is in exactly one entry. The opened/pruned counters move only for a
 // time-bounded q: without a bound there is no decision to report.
-func (ix *Index) readView(q Query, walk sortWalk) *readView {
+func (ix *Index) readView(q *clause, walk sortWalk) *readView {
 	S := len(ix.shards)
 	base := int(ix.base.Load())
 	v := &readView{ix: ix, entries: make([]readEntry, S), walk: walk}
@@ -412,7 +381,7 @@ func (ix *Index) readView(q Query, walk sortWalk) *readView {
 		return v
 	}
 	v.book = ix.dur.book.Load()
-	v.minT, v.maxT = timeBounds(q)
+	v.minT, v.maxT = timeBounds(q.must)
 	v.bounded = v.minT > math.MinInt64 || v.maxT < math.MaxInt64
 	for _, sm := range ix.coldSegments() {
 		if v.bounded && !segMayMatch(sm, v.minT, v.maxT) {

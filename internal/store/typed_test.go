@@ -139,8 +139,8 @@ func TestBinaryPathLandsTyped(t *testing.T) {
 }
 
 // TestRangeEdgeDifferential cross-checks every range evaluation path on
-// GT/LT/GTE/LTE edge equality: the shared contains helper (document
-// matching), the row scan of rangeScan, the window of a field's all-rows run
+// GT/LT/GTE/LTE edge equality: the oracle's contains (document matching),
+// a compiled range clause's row scan, the window of a field's all-rows run
 // (alone and seeding a bool), the posting-list path, and the brute-force
 // oracle must agree for every combination of bounds anchored on stored
 // values. On count and offset, which some rows lack, stats and percentiles
@@ -203,7 +203,7 @@ func TestRangeEdgeDifferential(t *testing.T) {
 		n := 0
 		for _, sh := range ix.shards {
 			sh.mu.RLock()
-			ids := sh.matchIDs(q)
+			ids := sh.matchIDs(compileQuery(q))
 			sh.mu.RUnlock()
 			if !slices.IsSorted(ids) {
 				t.Fatalf("%s: match ids out of order: %v", name, ids)
