@@ -87,10 +87,12 @@ bench-read:
 	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch|HitPage' -benchtime=50x -benchmem .
 	$(GO) test -run xxx -bench 'ColdWindow|TermsAgg' -benchtime=50x -benchmem ./internal/store
 
-## bench-diagnose: a fast smoke run of the DFG build beside the full engine
-## run over the same 120k-event session. Both are one cursor pass, so the two
-## ns/op figures should sit within a small factor of each other; a wide gap
-## means a detector has started re-reading the session. The engine run also
+## bench-diagnose: a fast smoke run of the bare walk, the DFG build and the
+## full engine run over the same 120k-event session. All three are one
+## cursor pass, so the three ns/op figures should sit within a small factor
+## of each other; a wide gap means a detector has started re-reading the
+## session. EachRow's ns/row is the walk alone, DFGBuild less EachRow the
+## DFG builder's share and EngineRun less DFGBuild the detectors'. The engine run also
 ## has 30k and 480k arms, and its ns/event must stay flat across the three:
 ## a pass is linear in the session, and a page that pays for the rows before
 ## it (a sorted cursor re-testing the whole session) grows it with the
@@ -115,7 +117,7 @@ bench-read:
 ## pass's cold count): wal-B/row is what the pass journaled per row it named,
 ## a fraction of a byte while it journals its tag→path pairs and not the rows.
 bench-diagnose:
-	$(GO) test -run xxx -bench 'DFGBuild|EngineRun|CorrelateJournal' -benchtime=3x .
+	$(GO) test -run xxx -bench 'EachRow|DFGBuild|EngineRun|CorrelateJournal' -benchtime=3x .
 
 ## bench-pair: the protocol behind every performance sentence in CHANGES.md —
 ## the end-to-end benchmark on BASE and on the working tree in PAIRS

@@ -1,10 +1,10 @@
-// Diagnosis-engine benchmarks: building a per-process syscall
+// Diagnosis-engine benchmarks: the bare walk, building a per-process syscall
 // Directly-Follows-Graph and running the full detector registry over a
-// 120k-event session. Both are one pass of the same sorted cursor
+// 120k-event session. All are one pass of the same sorted cursor
 // (store.EachRow), reading each row in place in the store — the engine
 // run feeds every registered detector from the pass that builds the graph —
 // so memory stays flat regardless of session size and the engine/DFG ratio
-// stays near 1; `make bench-diagnose` keeps the pair under the PR gate.
+// stays near 1; `make bench-diagnose` keeps them under the PR gate.
 package dio_test
 
 import (
@@ -108,6 +108,29 @@ func BenchmarkDFGBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkEachRow times the walk under the other two: one in-process
+// store.EachRow over the 120k-event session in time order, with an fn that
+// only counts, so ns/row is the cursor pass alone — the pages' merges and
+// their bookkeeping. Like them it times the first walk, which builds the
+// session's runs, with the rest. Beside it, DFGBuild less EachRow is the
+// DFG builder's share of a diagnosis, and EngineRun less DFGBuild the
+// detectors'.
+func BenchmarkEachRow(b *testing.B) {
+	st := diagBenchStore(b, diagBenchEvents, 1)
+	ctx := context.Background()
+	req := store.SearchRequest{Query: store.Term(store.FieldSession, "diagbench"), Sort: []store.SortField{{Field: store.FieldTimeEnter}}}
+	b.ReportAllocs()
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if err := store.EachRow(ctx, st, "bench", req, 0, func(store.Row) { n++ }); err != nil || n != diagBenchEvents {
+			b.Fatalf("walked %d rows, want %d: %v", n, diagBenchEvents, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*diagBenchEvents), "ns/row")
+}
+
 // BenchmarkEngineRun times a full diagnosis: the same cursor pass feeding
 // the DFG builder and every registered detector (stale-offset, costly
 // patterns, failing syscalls, contention, DFG anti-patterns), over sessions
@@ -125,9 +148,9 @@ func BenchmarkDFGBuild(b *testing.B) {
 // session on N lock stripes: a page pulls its rows through one merge over
 // the stripes' walks, so ns/event stays flat in N; a page that had every
 // stripe walk and allocate a page of its own cost N pages per page. No page
-// is copied out of the store, so a page allocates its 32 KB window of refs
-// and a read view and merge tree of N entries, where the copy of its events
-// cost 304 KB more whatever N. The backend=client arm walks a 60k-event
+// is copied out of the store, and a walk allocates its 32 KB window of refs,
+// read view and merge tree once, for its first page, where every page once
+// allocated all three and the copy of its events cost 304 KB more. The backend=client arm walks a 60k-event
 // session through a store.Client over an httptest server: each page is a
 // typed search answer, decoded and packed into the walk's page shard, so it
 // prices the remote walk against the in-process one. The index does not

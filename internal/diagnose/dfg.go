@@ -143,21 +143,24 @@ func BuildDFG(ctx context.Context, b store.Backend, index, session string, pageS
 
 // dfgBuilder folds time-ordered rows into per-process node and edge
 // aggregates; Engine.Analyze drives it from the same cursor as the detectors.
-// Each process interns its syscall names to dense ids on first sight, so a
-// row costs one string lookup, its node is a slice index and its edge an
-// index into the from-node's out-edges. A process is looked up only when the
-// PID changes from the row before, and a thread's previous call once, to be
-// read and then updated in place.
+// A row's syscall is read as its dictionary code, which the code table
+// (store.CodeTable) turns into a dense syscall id, and each process keys its
+// nodes by that id: a row's node is two slice indexes, with no string hashed,
+// and its edge an index into the from-node's out-edges. Node names are made
+// only in finish. A process is looked up only when the PID changes from the
+// row before, and a thread's previous call once, to be read and then updated
+// in place.
 type dfgBuilder struct {
-	procs  map[int]*procAgg
-	pid    int      // the PID of proc
-	proc   *procAgg // the process of the last row, nil before the first
-	events int64
+	procs    map[int]*procAgg
+	pid      int      // the PID of proc
+	proc     *procAgg // the process of the last row, nil before the first
+	syscalls *store.CodeTable
+	events   int64
 }
 
 type procAgg struct {
 	name  string
-	ids   map[string]int32 // syscall name → index into nodes
+	ids   []int32 // by syscall id: one more than the node's index into nodes, 0 for none
 	nodes []nodeAgg
 	last  map[int]*prevCall // by TID
 }
@@ -168,7 +171,7 @@ type prevCall struct {
 }
 
 type nodeAgg struct {
-	syscall       string
+	syscall       int32 // its syscall id
 	count, errors int64
 	dur           dfgHist
 	out           []*edgeAgg // by to-node id, nil where no edge was seen
@@ -179,14 +182,16 @@ type edgeAgg struct {
 	gap   dfgHist
 }
 
-func newDFGBuilder() *dfgBuilder { return &dfgBuilder{procs: make(map[int]*procAgg)} }
+func newDFGBuilder() *dfgBuilder {
+	return &dfgBuilder{procs: make(map[int]*procAgg), syscalls: store.NewCodeTable(store.FieldSyscall)}
+}
 
 func (b *dfgBuilder) observe(r store.Row) {
 	b.events++
 	p := b.proc
 	if pid := r.PID(); p == nil || pid != b.pid {
 		if p = b.procs[pid]; p == nil {
-			p = &procAgg{ids: make(map[string]int32), last: make(map[int]*prevCall)}
+			p = &procAgg{last: make(map[int]*prevCall)}
 			b.procs[pid] = p
 		}
 		b.pid, b.proc = pid, p
@@ -194,12 +199,15 @@ func (b *dfgBuilder) observe(r store.Row) {
 	if p.name == "" {
 		p.name = r.ProcName()
 	}
-	syscall := r.Syscall()
-	id, ok := p.ids[syscall]
-	if !ok {
+	sc := b.syscalls.ID(r)
+	if int(sc) >= len(p.ids) {
+		p.ids = append(p.ids, make([]int32, int(sc)+1-len(p.ids))...)
+	}
+	id := p.ids[sc] - 1
+	if id < 0 {
 		id = int32(len(p.nodes))
-		p.ids[syscall] = id
-		p.nodes = append(p.nodes, nodeAgg{syscall: syscall})
+		p.ids[sc] = id + 1
+		p.nodes = append(p.nodes, nodeAgg{syscall: sc})
 	}
 	n := &p.nodes[id]
 	n.count++
@@ -240,15 +248,15 @@ func (b *dfgBuilder) finish(session, index string) *DFG {
 	for _, pid := range pids {
 		p := b.procs[pid]
 		sub := ProcessDFG{PID: pid, Proc: p.name}
-		byName := make([]int, len(p.nodes))
+		byName, names := make([]int, len(p.nodes)), make([]string, len(p.nodes))
 		for i := range byName {
-			byName[i] = i
+			byName[i], names[i] = i, b.syscalls.Name(p.nodes[i].syscall)
 		}
-		sort.Slice(byName, func(i, j int) bool { return p.nodes[byName[i]].syscall < p.nodes[byName[j]].syscall })
+		sort.Slice(byName, func(i, j int) bool { return names[byName[i]] < names[byName[j]] })
 		for _, i := range byName {
 			n := &p.nodes[i]
 			sub.Nodes = append(sub.Nodes, Node{
-				Syscall: n.syscall, Count: n.count, Errors: n.errors,
+				Syscall: names[i], Count: n.count, Errors: n.errors,
 				P50NS: n.dur.quantile(0.50),
 				P95NS: n.dur.quantile(0.95),
 				P99NS: n.dur.quantile(0.99),
@@ -263,7 +271,7 @@ func (b *dfgBuilder) finish(session, index string) *DFG {
 				}
 				ed := from.out[j]
 				sub.Edges = append(sub.Edges, Edge{
-					From: from.syscall, To: p.nodes[j].syscall, Count: ed.count,
+					From: names[i], To: names[j], Count: ed.count,
 					P50NS: ed.gap.quantile(0.50),
 					P95NS: ed.gap.quantile(0.95),
 					P99NS: ed.gap.quantile(0.99),

@@ -234,7 +234,8 @@ func (ix *Index) namePaths(ctx context.Context, rec *event.PathsRecord) (n [path
 	d.appendMu.Lock()
 	rec.H = int64(ix.rr.Load())
 	d.appendMu.Unlock()
-	v := ix.readView(compileQuery(MatchAll()), sortWalk{})
+	v := &readView{}
+	ix.readView(v, compileQuery(MatchAll()), sortWalk{})
 	v.entries = v.entries[len(ix.shards):] // applyPaths names the hot stripes below
 	cold := make([][pathOutcomes]int, len(v.entries))
 	err = v.each(ctx, true, func(i int, e *readEntry) {

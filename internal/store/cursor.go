@@ -75,6 +75,20 @@ func (c *searchCursor) parse(req SearchRequest) (ok bool, err error) {
 	return true, nil
 }
 
+// at places c at ref, a page's last row: the position parse reads back from
+// the page's token, which nextAfterRef renders from the keys at reads. A
+// walk in process (Store.eachRow) resumes from c as it is, nothing rendered
+// or boxed. Caller holds ref's read lock.
+func (c *searchCursor) at(ref *hitRef, sorts []sortBy) {
+	if c.keys == nil {
+		c.keys = c.inline[:0]
+	}
+	c.keys, c.gid = c.keys[:0], ref.gid
+	for i := range sorts {
+		c.keys = append(c.keys, ref.sortKey(i, sorts[i].f))
+	}
+}
+
 // afterID reports whether shard row id sorts strictly after the cursor
 // position, each key read through its entry and compared by cmpKeys. gidOf
 // is called on a full key tie only. Caller holds the shard read lock.
@@ -100,20 +114,23 @@ func firstLocalAfter(gid, shardIdx, S int) int32 {
 }
 
 // nextAfterRef encodes the continuation token for the page ending at ref:
-// each sort key as a scalar that survives a JSON round-trip and compares
-// back equal under cmpKeys — a string the row holds, an integer it holds
-// (has_offset as 0/1), or null where it lacks the field — then the gid.
+// each sort key searchCursor.at reads, as a scalar that survives a JSON
+// round-trip and compares back equal under cmpKeys — a string the row
+// holds, an integer it holds (has_offset as 0/1), or null where it lacks the
+// field — then the gid.
 func nextAfterRef(ref hitRef, sorts []sortBy) []any {
-	out, w := make([]any, 0, len(sorts)+1), ref.sh.row(ref.id)
-	for _, s := range sorts {
+	var c searchCursor
+	c.at(&ref, sorts)
+	out := make([]any, 0, len(sorts)+1)
+	for i, k := range c.keys {
 		var v any
-		switch k := s.f.key(w); {
+		switch {
 		case k.isNum:
 			v = k.num
-		case k.str != "" || s.f.indexed(): // present (fieldDef.str)
+		case k.str != "" || sorts[i].f.indexed(): // present (fieldDef.str)
 			v = k.str
 		}
 		out = append(out, v)
 	}
-	return append(out, ref.gid)
+	return append(out, c.gid)
 }

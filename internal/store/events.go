@@ -92,10 +92,14 @@ func walkPage(pageSize int) int {
 
 // EachRow walks every hit of req as EachEventPage does, calling fn once per
 // row. On the in-process *Store itself each page is one search whose merged
-// rows fn reads in place, under the page's read locks, before the page's
-// last row mints the next cursor: no page is copied or cached, req's
-// aggregations are not computed, each page counts as one search, and ctx is
-// checked between pages. Any other backend, a type embedding a *Store
+// rows fn reads in place, under the page's read locks, before the next
+// page's cursor is placed at the page's last row: no page is copied or
+// cached, req's aggregations are not computed, each page counts as one
+// search, and ctx is checked between pages. The walk's buffers are its own,
+// not a page's: it compiles req once, and allocates its read view, merge
+// sources, loser tree and window for its first page and reuses them on
+// every later one, so its allocations do not grow with its page count or
+// its stripe count. Any other backend, a type embedding a *Store
 // included, pages through EachEventPage, and each page's hits are packed, as
 // MergeScatters packs a partition's, into one shard the walk empties and
 // reuses page after page: fn reads one row form whatever the backend. The
@@ -115,26 +119,30 @@ func EachRow(ctx context.Context, b Backend, index string, req SearchRequest, pa
 	})
 }
 
-// eachRow is EachRow on the store itself: one searchShards pass a page.
+// eachRow is EachRow on the store itself: one searchShards pass a page, all
+// on one searchExec, so the walk compiles its query once and allocates its
+// page memory (read view, sources, merge tree and window) for its first page
+// and no other. Each page places the next one's cursor at its last row, in
+// place.
 func (s *Store) eachRow(ctx context.Context, index string, req SearchRequest, pageSize int, fn func(Row)) error {
 	ix, err := s.lookup(index)
 	if err != nil {
 		return err
 	}
 	req.From, req.Size, req.SearchAfter, req.Aggs = 0, walkPage(pageSize), nil, nil
+	exec := &searchExec{req: req}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var next []any
+		more := false
 		start := time.Now()
-		exec := &searchExec{req: req}
 		err := ix.searchShards(ctx, exec, nil, func(refs []hitRef, _ int, _ map[string]*AggPartial) {
 			for i := range refs {
 				fn(refs[i].sh.row(refs[i].id))
 			}
-			if len(refs) == req.Size {
-				next = nextAfterRef(refs[len(refs)-1], exec.sorts)
+			if more = len(refs) == req.Size; more {
+				exec.cursor.at(&refs[len(refs)-1], exec.sorts)
 			}
 		})
 		s.tm.searchNS.Observe(float64(time.Since(start)))
@@ -142,10 +150,10 @@ func (s *Store) eachRow(ctx context.Context, index string, req SearchRequest, pa
 			return err
 		}
 		s.tm.searches.Inc()
-		if next == nil {
+		if !more {
 			return nil
 		}
-		req.SearchAfter = next
+		exec.cur = &exec.cursor
 	}
 }
 

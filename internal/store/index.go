@@ -386,14 +386,21 @@ type partitionView struct {
 // compiled and its sort fields are resolved here, before any row is read.
 func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *partitionView, finish func(refs []hitRef, total int, parts map[string]*AggPartial)) error {
 	req := exec.req
-	exec.q = compileQuery(req.Query)
-	resume, err := exec.cursor.parse(req)
-	if err != nil {
-		return err
+	if exec.q == nil {
+		exec.q, exec.sorts = compileQuery(req.Query), resolveSorts(req.Sort)
+		exec.visitor = exec.visit
 	}
-	var cur *searchCursor
-	if resume {
-		cur = &exec.cursor
+	// A walk's later page resumes where the walk placed its cursor
+	// (searchCursor.at); any other search parses the request's.
+	cur := exec.cur
+	if cur == nil {
+		resume, err := exec.cursor.parse(req)
+		if err != nil {
+			return err
+		}
+		if resume {
+			cur = &exec.cursor
+		}
 	}
 	P, pt := 1, 0
 	if view != nil {
@@ -446,22 +453,18 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 	if req.Size > 0 {
 		exec.need = req.From + req.Size
 	}
-	exec.cur, exec.walk, exec.sorts = cur, walk, resolveSorts(req.Sort)
-	v := ix.readView(exec.q, walk)
+	exec.cur, exec.walk = cur, walk
+	v := &exec.view
+	ix.readView(v, exec.q, walk)
 	defer v.release()
 	// A match-all count opens no cold entry: it takes the rows from the
 	// segment's meta, and decodes nothing.
 	countAll := exec.count && exec.q.all()
-	results, srcs := make([]shardResult, len(v.entries)), make([]hitSource, len(v.entries))
-	if err := v.each(ctx, !countAll, func(i int, e *readEntry) {
-		if e.sh == nil {
-			results[i].total = int(e.seg.Rows)
-			return
-		}
-		results[i], srcs[i] = e.searchLocked(exec)
-	}); err != nil {
+	exec.results, exec.srcs = cleared(exec.results, len(v.entries)), cleared(exec.srcs, len(v.entries))
+	if err := v.each(ctx, !countAll, exec.visitor); err != nil {
 		return err
 	}
+	results, srcs := exec.results, exec.srcs
 
 	total := 0
 	for i := range results {
@@ -480,8 +483,18 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 			combined[name] = combinePartials(a, parts)
 		}
 	}
-	finish(mergePage(srcs, exec.sorts, req.From, req.Size), total, combined)
+	finish(exec.merge.mergePage(srcs, exec.sorts, req.From, req.Size), total, combined)
 	return nil
+}
+
+// cleared returns s holding n zero values, in s's memory when it has room.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // searchExec bundles one search's per-request execution state for the shard
@@ -489,7 +502,12 @@ func (ix *Index) searchShards(ctx context.Context, exec *searchExec, view *parti
 // (sorts), the global candidate budget, the parsed cursor (cur points at
 // cursor, or is nil without one), and what a sorted page walks. count marks a counting
 // execution: every stripe reports its match count and no hit candidates,
-// over the same cut a search reads.
+// over the same cut a search reads. The rest is the page's memory: its read
+// view, its entries' results and merge sources, the merge's tree and
+// window, and visit as the func the view's pass runs. A search allocates
+// them for its one page; a walk runs every page on one searchExec
+// (Store.eachRow), so it compiles its query once and allocates its page
+// memory for its first page, whatever its page count.
 type searchExec struct {
 	req    SearchRequest
 	q      *clause
@@ -499,6 +517,22 @@ type searchExec struct {
 	cur    *searchCursor
 	cursor searchCursor
 	walk   sortWalk
+
+	view    readView
+	results []shardResult
+	srcs    []hitSource
+	merge   pageMerge
+	visitor func(i int, e *readEntry)
+}
+
+// visit fills entry i's result and merge source: a cold entry left unopened
+// (a match-all count) from its segment's meta, any other by searchLocked.
+func (exec *searchExec) visit(i int, e *readEntry) {
+	if e.sh == nil {
+		exec.results[i].total = int(e.seg.Rows)
+		return
+	}
+	exec.results[i], exec.srcs[i] = e.searchLocked(exec)
 }
 
 // searchLocked produces one read view entry's result, and its hits as one
@@ -689,7 +723,7 @@ func (e *readEntry) pageWalk(exec *searchExec, l termRun, listed bool, getIDs fu
 			}
 		}
 	}
-	src = hitSource{e: e, l: l, keep: keep, desc: req.Sort[0].Desc, hi: l.len()}
+	src = hitSource{head: hitRef{sh: sh, keyOK: true}, e: e, l: l, keep: keep, desc: req.Sort[0].Desc, hi: l.len()}
 	switch {
 	case cur != nil:
 		// [lo, hi) is the run of the cursor's value, and p the first position

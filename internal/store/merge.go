@@ -21,7 +21,9 @@ import "math"
 // holds it and kept when keep (nil keeps all) says so; a descending walk then
 // yields every run of equal values below lo, last run first and each run
 // forward, so ties keep ascending ids, as hitLess orders them. head is the
-// ref advance last yielded, and done whether advance found none.
+// ref advance last yielded, and done whether advance found none. A walk's
+// head names e's shard with an integer key from the start (pageWalk), so
+// advance writes only its id, gid and key.
 type hitSource struct {
 	head      hitRef
 	done      bool
@@ -65,10 +67,18 @@ func (s *hitSource) advance() {
 		p := s.p
 		s.p++
 		if id := s.l.ids[p]; s.keep == nil || s.keep(id) {
-			s.head = hitRef{sh: s.e.sh, id: id, gid: s.e.gidOf(id), key: s.l.at(p), keyOK: true}
+			s.head.id, s.head.gid, s.head.key = id, s.e.gidOf(id), s.l.at(p)
 			return
 		}
 	}
+}
+
+// pageMerge is the page merge's memory: its loser tree and its window. A
+// zero pageMerge allocates both for its one page; a walk keeps one across
+// its pages (searchExec), so it allocates them once, for its first page.
+type pageMerge struct {
+	tree   []int
+	window []hitRef
 }
 
 // mergePage merges srcs, each ascending under hitLess by sorts, and returns
@@ -77,10 +87,11 @@ func (s *hitSource) advance() {
 // entries and over a coordinator's partitions. A loser tree over the
 // sources' heads makes each ref pulled cost ⌈log₂ k⌉ comparisons, and a
 // source is read one ref past what the window takes from it, so a walk
-// reads the rows the page keeps, not a page of its own. The window is the
-// only allocation proportional to the page. hitLess is a total order (the
-// gid breaks ties), so the merge is the same whatever the sources' order.
-func mergePage(srcs []hitSource, sorts []sortBy, from, size int) []hitRef {
+// reads the rows the page keeps, not a page of its own. The window, in m's
+// memory, is the only allocation proportional to the page, and it is valid
+// until m's next merge. hitLess is a total order (the gid breaks ties), so
+// the merge is the same whatever the sources' order.
+func (m *pageMerge) mergePage(srcs []hitSource, sorts []sortBy, from, size int) []hitRef {
 	n := -from
 	for i := range srcs {
 		n += srcs[i].bound()
@@ -98,8 +109,10 @@ func mergePage(srcs []hitSource, sorts []sortBy, from, size int) []hitRef {
 	// Two different first keys decide a single-key match with one integer
 	// comparison, as hitLess would.
 	k := len(srcs)
-	tree := make([]int, 3*k)
-	loser, win := tree[:k], tree[k:]
+	if cap(m.tree) < 3*k {
+		m.tree = make([]int, 3*k)
+	}
+	loser, win := m.tree[:k], m.tree[k:3*k]
 	one := len(sorts) == 1
 	desc := one && sorts[0].desc
 	beats := func(a, b int) bool {
@@ -124,7 +137,10 @@ func mergePage(srcs []hitSource, sorts []sortBy, from, size int) []hitRef {
 		win[j], loser[j] = a, b
 	}
 	loser[0] = win[1]
-	out := make([]hitRef, 0, n)
+	if cap(m.window) < n {
+		m.window = make([]hitRef, 0, n)
+	}
+	out := m.window[:0]
 	for w := loser[0]; !srcs[w].done; loser[0] = w {
 		s := &srcs[w]
 		if from > 0 {

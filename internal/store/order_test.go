@@ -867,7 +867,7 @@ func TestSessionPageWalksOnlyItsSession(t *testing.T) {
 		}
 		srcs := []hitSource{src}
 		before := srcs[0].bound()
-		hits := mergePage(srcs, resolveSorts(req.Sort), 0, need)
+		hits := new(pageMerge).mergePage(srcs, resolveSorts(req.Sort), 0, need)
 		if read := before - srcs[0].bound(); !tested && read > need+1 {
 			t.Fatalf("%+v: the merge read %d rows of the run for a page of %d", req.Query, read, need)
 		}

@@ -17,6 +17,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 // Document is one event as JSON carries it: a hit of a JSON search
@@ -189,11 +191,12 @@ type clause struct {
 	op     clauseOp
 	name   string // the field's name, which posting lists and runs are keyed by
 	f      *fieldDef
-	strs   []string // opTerm on a string field: the values
-	nums   []int64  // opTerm on an integer field: the values
-	orNil  bool     // opTerm: a nil value, which a row lacking the field equals
-	lo, hi int64    // opRange: the interval (RangeQuery.interval)
-	prefix string   // opPrefix
+	strs   []string        // opTerm on a string slot: the values
+	tags   []event.FileTag // opTerm on file_tag: the values that render back to themselves
+	nums   []int64         // opTerm on an integer field: the values
+	orNil  bool            // opTerm: a nil value, which a row lacking the field equals
+	lo, hi int64           // opRange: the interval (RangeQuery.interval)
+	prefix string          // opPrefix
 
 	must, should, mustNot []clause // opBool
 }
@@ -242,10 +245,14 @@ func compileList(qs []Query) []clause {
 }
 
 // compileTerm types a term's values in the field's domain. A string field
-// equals a string. An integer field equals a value intOf accepts and the
-// decimal string of the integer; has_offset, read as 0/1, equals those and
-// "true" and "false". A nil value equals a row that lacks the field. Any
-// other value equals nothing, and is dropped here.
+// equals a string. file_tag equals the string its tag renders as, so a
+// string is parsed to the tag once, here, and kept only when the tag renders
+// back to it: a row's packed tag is then compared in place, and a malformed
+// or non-canonical string, which no tag renders as, matches nothing. An
+// integer field equals a value intOf accepts and the decimal string of the
+// integer; has_offset, read as 0/1, equals those and "true" and "false". A
+// nil value equals a row that lacks the field. Any other value equals
+// nothing, and is dropped here.
 func compileTerm(name string, vals []any) clause {
 	c := clause{op: opTerm, name: name, f: fieldOf(name)}
 	for _, v := range vals {
@@ -253,6 +260,12 @@ func compileTerm(name string, vals []any) clause {
 		switch {
 		case v == nil:
 			c.orNil = true
+		case c.f.kind == tagKind:
+			if isStr {
+				if tag, err := event.ParseFileTag(s); err == nil && tag.String() == s {
+					c.tags = append(c.tags, tag)
+				}
+			}
 		case c.f.isString():
 			if isStr {
 				c.strs = append(c.strs, s)
@@ -291,6 +304,12 @@ func (c *clause) seedTerm() (term string, ok bool) {
 func (c *clause) match(w Row) bool {
 	switch c.op {
 	case opTerm:
+		if c.f.kind == tagKind {
+			if w.r.FileTag.Zero() {
+				return c.orNil
+			}
+			return slices.Contains(c.tags, w.r.FileTag)
+		}
 		if s, ok := c.f.str(w); ok {
 			return slices.Contains(c.strs, s)
 		}

@@ -79,6 +79,45 @@ func TestResidualScanAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestTagTermAllocsFlat: a file_tag term compiles its strings to tags once
+// and compares each row's packed tag in place, rendering none: Count of a
+// tag term over 4 000 tagged rows on 4 shards allocates within 16 of the
+// same Count over 1 000. Each string matches exactly the rows whose tag
+// renders as it, so a malformed or non-canonical one matches none.
+func TestTagTermAllocsFlat(t *testing.T) {
+	terms := []string{"1 3 7", "1 4 7", "01 3 7", "1  3 7", " 1 3 7", "1 3", "0 0 0", "", "x y z"}
+	q := Terms(FieldFileTag, "1 3 7", "2 9 7")
+	allocs := func(n int) float64 {
+		ix := NewIndexWithShards("tags", 4)
+		evs := make([]event.Event, n)
+		for i := range evs {
+			evs[i] = event.Event{Session: "s", Syscall: "read", FileTag: event.FileTag{Dev: 1, Ino: uint64(3 + i%2), BirthNS: 7}, TimeEnterNS: int64(1_000 + i)}
+		}
+		if err := ix.AddEvents(evs); err != nil {
+			t.Fatal(err)
+		}
+		for _, term := range terms {
+			want := 0
+			for i := range evs {
+				if evs[i].FileTag.String() == term {
+					want++
+				}
+			}
+			if got := ix.Count(Term(FieldFileTag, term)); got != want {
+				t.Fatalf("term %q counts %d of %d rows, want %d", term, got, n, want)
+			}
+		}
+		if got := ix.Count(q); got != (n+1)/2 {
+			t.Fatalf("count %d of %d rows, want %d", got, n, (n+1)/2)
+		}
+		return testing.AllocsPerRun(20, func() { ix.Count(q) })
+	}
+	small, large := allocs(1_000), allocs(4_000)
+	if large > small+16 {
+		t.Fatalf("a tag term's Count over 4 000 rows allocates %.0f, over 1 000 %.0f", large, small)
+	}
+}
+
 // TestRangeIntervalMatchesBounds: the interval a range clause compiles to
 // admits exactly the integers the oracle's four-bound test does, the ends of
 // int64 included, where a strict bound at an end admits nothing.

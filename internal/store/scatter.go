@@ -152,5 +152,6 @@ func MergeScatters(req SearchRequest, resps []ScatterResponse) EventsResult {
 			aggs[name] = MergeAggPartials(a, parts)
 		}
 	}
-	return eventsResult(req, sorts, mergePage(srcs, sorts, req.From, req.Size), total, aggs)
+	var m pageMerge
+	return eventsResult(req, sorts, m.mergePage(srcs, sorts, req.From, req.Size), total, aggs)
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
@@ -30,6 +31,7 @@ type shard struct {
 	dicts    [nSlots]dict        // per string slot: code <-> term
 	postings [nIndexed][][]int32 // per indexed slot and code: local row ids
 	runs     map[runKey]*termRun // lazy sort orders, keyed by sort field and term
+	gen      uint64              // the dictionaries' generation (dictGens): new each time they are re-made
 }
 
 // termKey names one term of one indexed keyword field.
@@ -533,9 +535,16 @@ func (sh *shard) len() int {
 	return sh.rows.len()
 }
 
+// dictGens numbers dictionary generations across every shard of the
+// process, so a generation names one shard's dictionaries as they stood
+// between two re-makes, and no other shard's, ever (CodeTable).
+var dictGens atomic.Uint64
+
 // evictLocked drops every row and everything derived from them:
-// dictionaries, postings and runs. Caller holds the write lock.
+// dictionaries, postings and runs, and starts the dictionaries' next
+// generation. Caller holds the write lock.
 func (sh *shard) evictLocked() {
+	sh.gen = dictGens.Add(1)
 	sh.rows = rows{}
 	for f := range sh.dicts {
 		sh.dicts[f] = dict{terms: []string{""}, codes: make(map[string]uint32)}
@@ -548,9 +557,12 @@ func (sh *shard) evictLocked() {
 
 // reuse empties a walk's page shard (EachRow) for its next page: rows and
 // dictionaries start over in the blocks and maps the shard holds, so a walk
-// allocates its row blocks for its largest page and not for every page. Only
-// the walk that owns the shard reads it.
+// allocates its row blocks for its largest page and not for every page.
+// The dictionaries start their next generation: a code read on one page
+// names nothing on the next (CodeTable). Only the walk that owns the shard
+// reads it.
 func (sh *shard) reuse() {
+	sh.gen = dictGens.Add(1)
 	sh.rows.n = 0
 	for f := range sh.dicts {
 		d := &sh.dicts[f]

@@ -365,20 +365,24 @@ type readView struct {
 	locked     bool // each holds every cold entry's read lock
 }
 
-// readView builds the view of a read of q under the cut its caller holds:
-// every shard read lock (a search or a count) or the shared gate (the
+// readView builds into v the view of a read of q under the cut its caller
+// holds: every shard read lock (a search or a count) or the shared gate (the
 // correlation tally). Either freezes the base and the segment list, so every
-// row is in exactly one entry. The opened/pruned counters move only for a
+// row is in exactly one entry. v's entries are rebuilt in its own memory, so
+// a walk's pages share one. The opened/pruned counters move only for a
 // time-bounded q: without a bound there is no decision to report.
-func (ix *Index) readView(q *clause, walk sortWalk) *readView {
+func (ix *Index) readView(v *readView, q *clause, walk sortWalk) {
 	S := len(ix.shards)
 	base := int(ix.base.Load())
-	v := &readView{ix: ix, entries: make([]readEntry, S), walk: walk}
+	if cap(v.entries) < S {
+		v.entries = make([]readEntry, 0, S)
+	}
+	*v = readView{ix: ix, entries: v.entries[:0], walk: walk}
 	for s, sh := range ix.shards {
-		v.entries[s] = readEntry{sh: sh, base: base, s: s, S: S}
+		v.entries = append(v.entries, readEntry{sh: sh, base: base, s: s, S: S})
 	}
 	if ix.dur == nil {
-		return v
+		return
 	}
 	v.book = ix.dur.book.Load()
 	v.minT, v.maxT = timeBounds(q.must)
@@ -390,7 +394,6 @@ func (ix *Index) readView(q *clause, walk sortWalk) *readView {
 		}
 		v.entries = append(v.entries, readEntry{seg: &sm})
 	}
-	return v
 }
 
 // each is the one pass over the view: it runs fn on every entry, under the
@@ -447,8 +450,27 @@ func (v *readView) release() {
 // returns ctx.Err() when it skipped an entry, always after every entry
 // taken is done. A helper is spawned per free slot, not per entry: a
 // sorted page's entry only positions a walk, and a goroutine per entry cost
-// more than the entries' work.
+// more than the entries' work. With no slot free the pass runs on the
+// caller and allocates nothing.
 func fan(ctx context.Context, entries []readEntry, fn func(i int, e *readEntry)) error {
+	if len(entries) > 1 {
+		select {
+		case shardSem <- struct{}{}:
+			return fanOut(ctx, entries, fn)
+		default:
+		}
+	}
+	for i := range entries {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		fn(i, &entries[i])
+	}
+	return nil
+}
+
+// fanOut is fan holding a shardSem slot for its first helper.
+func fanOut(ctx context.Context, entries []readEntry, fn func(i int, e *readEntry)) error {
 	var next atomic.Int64
 	var skipped atomic.Bool
 	work := func() {
@@ -461,18 +483,21 @@ func fan(ctx context.Context, entries []readEntry, fn func(i int, e *readEntry))
 		}
 	}
 	var wg sync.WaitGroup
+	help := func() {
+		defer func() {
+			<-shardSem
+			wg.Done()
+		}()
+		work()
+	}
+	wg.Add(1)
+	go help()
 spawn:
-	for h := 1; h < len(entries); h++ {
+	for h := 2; h < len(entries); h++ {
 		select {
 		case shardSem <- struct{}{}:
 			wg.Add(1)
-			go func() {
-				defer func() {
-					<-shardSem
-					wg.Done()
-				}()
-				work()
-			}()
+			go help()
 		default:
 			break spawn
 		}

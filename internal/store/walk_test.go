@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
@@ -227,5 +229,67 @@ func TestEachRowPageIsOneCut(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) || n != 2*page {
 		t.Fatalf("cancelled on page 2: err %v after %d events, want %v after %d", err, n, context.Canceled, 2*page)
+	}
+}
+
+// TestEachRowAllocsFlat: a walk runs every page on one searchExec, so it
+// allocates its page memory once: a walk of one session's 10 000 rows, its
+// runs built by a warm-up walk, allocates its one window of pageSize refs
+// and, besides, the same bytes within slack at page sizes 100 and 1 000
+// (100 and 10 pages) and at 1, 4 and 16 stripes. The slack is the walk's
+// memory for 15 more stripes' entries, sources and results, about 4.5 KB
+// once. A page that allocated its own window, sources, results, read view,
+// merge tree or cursor token cost the walk that per page: at 16 stripes,
+// tens of kilobytes over 100 pages. The fan is outside the bar: the test
+// holds every shardSem slot, so each pass runs on the walk's goroutine, as
+// it does whenever the store's helpers are busy; a pass that has helpers
+// pays the go statements that start them.
+func TestEachRowAllocsFlat(t *testing.T) {
+	const rows, walks, slack = 20_000, 5, 8 << 10
+	ctx := context.Background()
+	evs := make([]event.Event, rows)
+	for i := range evs {
+		evs[i] = event.Event{Session: fmt.Sprintf("s%d", i%2), Syscall: "read", TimeEnterNS: orderBase + int64(i)*1000}
+	}
+	req := SearchRequest{Query: Term(FieldSession, "s1"), Sort: []SortField{{Field: FieldTimeEnter}}}
+	for range cap(shardSem) {
+		shardSem <- struct{}{}
+	}
+	defer func() {
+		for range cap(shardSem) {
+			<-shardSem
+		}
+	}()
+	var lo, hi int64
+	for _, shards := range []int{1, 4, 16} {
+		st := memStore(t, WithShards(shards))
+		if err := st.BulkEvents(ctx, "walk", evs); err != nil {
+			t.Fatal(err)
+		}
+		for _, page := range []int{100, 1000} {
+			walk := func() {
+				n := 0
+				if err := EachRow(ctx, st, "walk", req, page, func(Row) { n++ }); err != nil || n != rows/2 {
+					t.Fatalf("%d stripes, page %d: walked %d rows, %v", shards, page, n, err)
+				}
+			}
+			walk()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range walks {
+				walk()
+			}
+			runtime.ReadMemStats(&after)
+			b := int64(after.TotalAlloc-before.TotalAlloc)/walks - int64(page)*int64(unsafe.Sizeof(hitRef{}))
+			t.Logf("%d stripes, page %d: %d B beside the window", shards, page, b)
+			if lo == 0 && hi == 0 {
+				lo, hi = b, b
+			}
+			lo, hi = min(lo, b), max(hi, b)
+		}
+		st.Close()
+	}
+	if hi-lo > slack {
+		t.Fatalf("beside its window a walk allocates %d to %d B across page sizes and stripes, want a spread of at most %d", lo, hi, slack)
 	}
 }
