@@ -295,6 +295,12 @@ func differentialRequests() map[string]store.SearchRequest {
 				},
 			},
 		}},
+		// Stamps whose sum a float64 rounds at every row: the answer must
+		// not depend on how the rows are partitioned.
+		"aggs_stats_time": {Query: store.MatchAll(), Size: 1, Aggs: map[string]store.Agg{
+			"enter": {Stats: &store.StatsAgg{Field: store.FieldTimeEnter}},
+			"exit":  {Stats: &store.StatsAgg{Field: store.FieldTimeExit}},
+		}},
 		// Percentiles over zero numeric values (loader rows carry no count),
 		// top-level and nested: no percentiles, and a body JSON can carry.
 		"aggs_empty_percentiles": {Query: store.Term(store.FieldProcName, "loader"), Size: 1, Aggs: map[string]store.Agg{
@@ -345,6 +351,33 @@ func TestClusterDifferentialFingerprint(t *testing.T) {
 		}
 		if got, want := fingerprint(t, cresp), fingerprint(t, sresp); got != want {
 			t.Fatalf("%s: cluster response diverged\nsingle:  %s\ncluster: %s", name, want, got)
+		}
+	}
+
+	// Ternary logic partitioning: every row of a query's match either
+	// matches a predicate or does not, so the coordinator's count of Q is
+	// its count of Q ∧ p plus its count of Q ∧ ¬p, p on fields some rows
+	// lack (loader rows carry no count, fd or class) among them.
+	for name, req := range differentialRequests() {
+		for _, p := range []store.Query{
+			store.Exists(store.FieldCount),
+			store.RangeGTE(store.FieldCount, 1024),
+			store.Term(store.FieldFD, 5),
+			store.Term(store.FieldClass, "write"),
+			store.Prefix(store.FieldThreadName, "worker-"),
+			store.Exists("batch"),
+		} {
+			count := func(q store.Query) int {
+				n, err := co.Count(ctx, testIndex, q)
+				if err != nil {
+					t.Fatalf("%s: cluster count: %v", name, err)
+				}
+				return n
+			}
+			n := [3]int{count(req.Query), count(store.Must(req.Query, p)), count(store.Must(req.Query, store.MustNot(p)))}
+			if n[0] != n[1]+n[2] {
+				t.Fatalf("%s ∧ %+v: count %d, but %d with the predicate and %d without", name, p, n[0], n[1], n[2])
+			}
 		}
 	}
 

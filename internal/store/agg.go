@@ -2,6 +2,7 @@ package store
 
 import (
 	"math"
+	"math/big"
 	"slices"
 	"sort"
 	"strconv"
@@ -146,14 +147,19 @@ func percentilesFromSorted(sorted []float64, p *PercentilesAgg) AggResult {
 	return AggResult{Percentiles: out}
 }
 
-// finalizeStats computes the average and normalizes the empty accumulator.
-func finalizeStats(res StatsResult) *StatsResult {
-	if res.Count > 0 {
-		res.Avg = res.Sum / float64(res.Count)
-	} else {
-		res.Min, res.Max = 0, 0
+// finalizeStats renders an accumulator as the aggregation's result: the
+// exact sum and the exact mean each rounded to the nearest float64, once.
+// nil, like any empty accumulator, is all zeros.
+func finalizeStats(p *StatsPartial) *StatsResult {
+	if p == nil || p.Count <= 0 {
+		return &StatsResult{}
 	}
-	return &res
+	sum := new(big.Int).Lsh(big.NewInt(p.SumHi), 64)
+	sum.Add(sum, new(big.Int).SetUint64(p.SumLo))
+	r := new(big.Rat).SetInt(sum)
+	total, _ := r.Float64()
+	mean, _ := r.Quo(r, new(big.Rat).SetInt64(int64(p.Count))).Float64()
+	return &StatsResult{Count: p.Count, Min: float64(p.Min), Max: float64(p.Max), Sum: total, Avg: mean}
 }
 
 // --- Per-shard partials ---
@@ -302,11 +308,10 @@ func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 		sort.Float64s(vals)
 		return &AggPartial{Vals: vals}
 	case a.Stats != nil:
-		field, res := fieldOf(a.Stats.Field), newStatsAccum()
+		field, res := fieldOf(a.Stats.Field), StatsPartial{}
 		for _, id := range ids {
 			if n, ok := field.read(sh.rows.at(int(id))); ok {
-				f := float64(n)
-				combineStats(&res, &StatsResult{Count: 1, Min: f, Max: f, Sum: f})
+				res.add(n)
 			}
 		}
 		if res.Count == 0 {

@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,14 +80,18 @@ func TestHistogramBucketBoundary(t *testing.T) {
 }
 
 // TestRollupSurvivesRecovery rebuilds a durable store from disk and checks
-// that it answers every shape of the oracle matrix, the dashboard panels the
-// store once served from ingest-time rollups among them, exactly as a
-// never-closed in-memory twin does. The tiered arm snapshots partway through
-// the ingest, so the recovered index answers from a cold segment and hot
-// stripes in one pass.
+// that it answers generated requests (genRequest) exactly as a never-closed
+// in-memory twin of the same generated rows does. The tiered arm snapshots
+// partway through the ingest, so the recovered index answers from a cold
+// segment and hot stripes in one pass.
 func TestRollupSurvivesRecovery(t *testing.T) {
 	ctx := context.Background()
-	evs := docEvents(oracleDocs(4000)...)
+	rng := rand.New(rand.NewSource(85))
+	evs := slices.Concat(genBatches(rng, 4000)...)
+	reqs := make([]SearchRequest, 64)
+	for i := range reqs {
+		reqs[i] = genRequest(rng)
+	}
 	live := memStore(t, WithShards(4))
 	t.Cleanup(func() { live.Close() })
 	if err := live.BulkEvents(ctx, "run", evs); err != nil {
@@ -113,7 +120,7 @@ func TestRollupSurvivesRecovery(t *testing.T) {
 			if ix, _ := rec.GetIndex("run"); (coldRows(ix) > 0) != tiered || ix.shards[0].len() == 0 {
 				t.Fatalf("fixture: %d cold rows, %d hot in shard 0", coldRows(ix), ix.shards[0].len())
 			}
-			for i, req := range append(oracleRequests(), nestedAggShapes()...) {
+			for i, req := range reqs {
 				a, err := rec.Search(ctx, "run", req)
 				if err != nil {
 					t.Fatal(err)
@@ -162,6 +169,55 @@ func TestHistogramBucketsFloorAligned(t *testing.T) {
 			}
 			if strings.Join(got, " ") != c.want {
 				t.Errorf("interval %d over %v, %d shards: buckets %v, want %s", c.interval, c.vals, shards, got, c.want)
+			}
+		}
+	}
+}
+
+// TestStatsSumIsExact: stats(time_enter_ns) over 1 500 epoch-scale stamps
+// 0–400 ns apart, where float64's ulp is 256 ns, answers one result at 1, 4
+// and 16 shards, over hot rows and with the first half in a cold segment:
+// the exact least and greatest stamp, and the exact integer sum and mean
+// each rounded to the nearest float64. A float64 running sum rounds at every
+// row, so its answer moved with the shard count and the tier layout.
+func TestStatsSumIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	evs := make([]event.Event, 1500)
+	sum, ts := new(big.Int), int64(orderBase)
+	for i := range evs {
+		ts += int64(rng.Intn(401))
+		evs[i] = event.Event{Session: "s", Syscall: "read", TimeEnterNS: ts, TimeExitNS: ts + 10}
+		sum.Add(sum, big.NewInt(ts))
+	}
+	exact := new(big.Float).SetInt(sum)
+	want := StatsResult{Count: len(evs), Min: float64(evs[0].TimeEnterNS), Max: float64(ts)}
+	want.Sum, _ = exact.Float64()
+	want.Avg, _ = new(big.Float).SetPrec(53).Quo(exact, big.NewFloat(float64(len(evs)))).Float64()
+	req := SearchRequest{Query: MatchAll(), Size: 1, Aggs: map[string]Agg{"st": {Stats: &StatsAgg{Field: FieldTimeEnter}}}}
+	ctx := context.Background()
+	for _, shards := range []int{1, 4, 16} {
+		hot := memStore(t, WithShards(shards))
+		cold := openDurable(t, t.TempDir(), WithShards(shards), WithFsyncPolicy(FsyncOff))
+		t.Cleanup(func() { hot.Close(); cold.Close() })
+		for _, st := range []*Store{hot, cold} {
+			for i := 0; i < len(evs); i += len(evs) / 2 {
+				if err := st.BulkEvents(ctx, "sum", evs[i:i+len(evs)/2]); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 && st == cold {
+					if err := cold.Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for name, st := range map[string]*Store{"hot": hot, "cold+hot": cold} {
+			resp, err := st.Search(ctx, "sum", req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.Aggs["st"].Stats; got == nil || *got != want {
+				t.Errorf("shards=%d %s: stats %+v, want %+v", shards, name, got, want)
 			}
 		}
 	}

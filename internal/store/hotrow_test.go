@@ -68,27 +68,6 @@ func TestHotRowHeapPerEvent(t *testing.T) {
 	}
 }
 
-// randomEvent draws an event over the values the presence rules tell apart:
-// empty strings, a zero file tag, an offset with and without HasOffset,
-// negative values, and the int32 extremes and past them.
-func randomEvent(rng *rand.Rand) event.Event {
-	str := func() string { return []string{"", "", "a", "/p/q", "read", strings.Repeat("x", 40)}[rng.Intn(6)] }
-	ints := []int{0, 0, 1, -1, 7, math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1, 1<<32 + 5}
-	in := func() int { return ints[rng.Intn(len(ints))] }
-	i64 := func() int64 { return []int64{0, 1, -1, math.MaxInt64, math.MinInt64, 1 << 53}[rng.Intn(6)] }
-	e := event.Event{
-		Session: str(), Syscall: str(), Class: str(), RetVal: i64(), FD: in(), ArgPath: str(),
-		ArgPath2: str(), Count: in(), ArgOff: i64(), Whence: in(), Flags: in(),
-		Mode: []uint32{0, 0o644, math.MaxUint32}[rng.Intn(3)], AttrName: str(), PID: in(), TID: in(),
-		ProcName: str(), ThreadName: str(), TimeEnterNS: i64(), TimeExitNS: i64(),
-		FileType: str(), Offset: i64(), HasOffset: rng.Intn(2) == 0, KernelPath: str(), FilePath: str(),
-	}
-	if rng.Intn(2) == 0 {
-		e.FileTag = event.FileTag{Dev: uint64(rng.Intn(3)), Ino: uint64(rng.Intn(3)), BirthNS: i64()}
-	}
-	return e
-}
-
 // checkPacked requires stored row id of sh to unpack, over an event holding
 // other values in every field, to want; to answer every event.Event field
 // through the Row accessor of that field's name, and DurationNS, as want
@@ -139,19 +118,19 @@ func checkPacked(t *testing.T, sh *shard, id int32, want *event.Event) {
 }
 
 // TestPackedRowMatchesEvent holds the schema table (fieldTable) and the
-// packed row's accessors to an independent reference: over seeded random
-// events, Row.Event(pack(e)) is e canonicalized, every Row accessor equals
-// its field of that unpack, and every read through a resolved entry, for
-// every schema field and an unknown name, agrees in value and presence with
-// EventToDoc's document of the canonical event: a compiled term of the
-// document's value matches the row, and one of nil only where the document
-// lacks the field.
+// packed row's accessors to an independent reference: over seeded
+// generated events (genEvent), Row.Event(pack(e)) is e canonicalized, every
+// Row accessor equals its field of that unpack, and every read through a
+// resolved entry, for every schema field and an unknown name, agrees in
+// value and presence with EventToDoc's document of the canonical event: a
+// compiled term of the document's value matches the row, and one of nil
+// only where the document lacks the field.
 func TestPackedRowMatchesEvent(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	sh := newShard()
 	want := make([]event.Event, 4000)
 	for i := range want {
-		want[i] = randomEvent(rng)
+		want[i] = genEvent(rng, genStamp(i))
 		want[i].Canonicalize()
 		e := want[i]
 		if id := sh.addEventLocked(&e); int(id) != i {
@@ -169,7 +148,7 @@ func FuzzPackRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	random := make([]event.Event, 64)
 	for i := range random {
-		random[i] = randomEvent(rng)
+		random[i] = genEvent(rng, genStamp(i))
 	}
 	fixture := make([]event.Event, 64)
 	for i := range fixture {

@@ -1,6 +1,6 @@
 package store
 
-import "math"
+import "math/bits"
 
 // The merge layer: node-count-agnostic reductions shared by the two fan-out
 // levels. Inside one Index the sharded search produces a shardResult per lock
@@ -160,25 +160,40 @@ func (m *pageMerge) mergePage(srcs []hitSource, sorts []sortBy, from, size int) 
 	return out
 }
 
-// newStatsAccum returns the identity element of the stats combine: the
-// accumulator a fresh per-shard scan starts from.
-func newStatsAccum() StatsResult {
-	return StatsResult{Min: math.Inf(1), Max: math.Inf(-1)}
+// StatsPartial is a stats aggregation's mergeable accumulator: the count of
+// values, the least and the greatest, and their sum as a 128-bit two's
+// complement integer (SumHi the high word, SumLo the low one), which no sum
+// of int64 values can overflow. The sum is exact, so partials combine in any
+// order and grouping — by shard, by tier, by partition — to the same
+// accumulator, and it rounds to float64 once, in finalizeStats: a stats
+// answer does not depend on how the rows are laid out. Min and Max are
+// meaningless where Count is 0.
+type StatsPartial struct {
+	Count int    `json:"count"`
+	Min   int64  `json:"min"`
+	Max   int64  `json:"max"`
+	SumHi int64  `json:"sum_hi"`
+	SumLo uint64 `json:"sum_lo"`
 }
 
-// combineStats folds one raw stats accumulator into another.
-func combineStats(dst *StatsResult, p *StatsResult) {
-	if p == nil {
+// add folds one value into s.
+func (s *StatsPartial) add(n int64) {
+	s.combine(&StatsPartial{Count: 1, Min: n, Max: n, SumHi: n >> 63, SumLo: uint64(n)})
+}
+
+// combine folds the accumulator p into s.
+func (s *StatsPartial) combine(p *StatsPartial) {
+	if p == nil || p.Count == 0 {
 		return
 	}
-	dst.Count += p.Count
-	dst.Sum += p.Sum
-	if p.Min < dst.Min {
-		dst.Min = p.Min
+	if s.Count == 0 {
+		s.Min, s.Max = p.Min, p.Max
 	}
-	if p.Max > dst.Max {
-		dst.Max = p.Max
-	}
+	s.Min, s.Max = min(s.Min, p.Min), max(s.Max, p.Max)
+	s.Count += p.Count
+	var carry uint64
+	s.SumLo, carry = bits.Add64(s.SumLo, p.SumLo, 0)
+	s.SumHi += p.SumHi + int64(carry)
 }
 
 // AggPartial is one mergeable aggregation partial: what a shard contributes
@@ -199,7 +214,7 @@ type AggPartial struct {
 	// decimal) -> sub-aggregation name -> partial.
 	Subs  map[string]map[string]*AggPartial `json:"subs,omitempty"`
 	Vals  []float64                         `json:"vals,omitempty"`  // PercentilesAgg values, sorted
-	Stats *StatsResult                      `json:"stats,omitempty"` // StatsAgg raw accumulator (no Avg)
+	Stats *StatsPartial                     `json:"stats,omitempty"` // StatsAgg accumulator
 }
 
 // combinePartials folds per-stripe (or per-node) partials of one aggregation
@@ -233,9 +248,9 @@ func combinePartials(a Agg, parts []*AggPartial) *AggPartial {
 		}
 		return &AggPartial{Vals: merged}
 	case a.Stats != nil:
-		res := newStatsAccum()
+		var res StatsPartial
 		for _, p := range parts {
-			combineStats(&res, p.Stats)
+			res.combine(p.Stats)
 		}
 		if res.Count == 0 {
 			return &AggPartial{}
@@ -295,9 +310,7 @@ func finalizePartial(a Agg, p *AggPartial) AggResult {
 	case a.Percentiles != nil:
 		return percentilesFromSorted(p.Vals, a.Percentiles)
 	case a.Stats != nil:
-		res := newStatsAccum()
-		combineStats(&res, p.Stats)
-		return AggResult{Stats: finalizeStats(res)}
+		return AggResult{Stats: finalizeStats(p.Stats)}
 	default:
 		return AggResult{}
 	}

@@ -420,19 +420,28 @@ func oracleAgg(a Agg, docs []Document) AggResult {
 		}
 		return AggResult{Percentiles: out}
 	case a.Stats != nil:
-		vals := numbers(a.Stats.Field)
-		res := StatsResult{Count: len(vals)}
-		for i, f := range vals {
-			res.Sum += f
-			if i == 0 || f < res.Min {
+		// The sum is exact, a big.Int, and the sum and the mean each round
+		// to float64 once, at 53 bits.
+		var res StatsResult
+		sum := new(big.Int)
+		for _, d := range docs {
+			n, ok := intOf(d[a.Stats.Field])
+			if !ok {
+				continue
+			}
+			if f := float64(n); res.Count == 0 || f < res.Min {
 				res.Min = f
 			}
-			if i == 0 || f > res.Max {
+			if f := float64(n); res.Count == 0 || f > res.Max {
 				res.Max = f
 			}
+			res.Count++
+			sum.Add(sum, big.NewInt(n))
 		}
 		if res.Count > 0 {
-			res.Avg = res.Sum / float64(res.Count)
+			exact := new(big.Float).SetInt(sum)
+			res.Sum, _ = new(big.Float).SetPrec(53).Set(exact).Float64()
+			res.Avg, _ = new(big.Float).SetPrec(53).Quo(exact, new(big.Float).SetInt64(int64(res.Count))).Float64()
 		}
 		return AggResult{Stats: &res}
 	default:

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,9 +15,9 @@ import (
 const fuzzIndex = "fuzz"
 
 // fuzzStores builds the pair FuzzSearchRequest compares, once: an in-memory
-// store and a durable one holding the same oracleDocs rows, fed in four
-// chunks. The durable store snapshots after each of the first three and runs
-// one correlation pass between the second and third, so it answers from
+// store and a durable one holding the same generated rows (genBatches), fed
+// in four chunks. The durable store snapshots after each of the first three
+// and runs one correlation pass between the second and third, so it answers from
 // three cold segments, a hot tail and a path book; the in-memory store runs
 // the same pass at the same point.
 func fuzzStores(f *testing.F) (mem, dur http.Handler) {
@@ -24,7 +26,7 @@ func fuzzStores(f *testing.F) (mem, dur http.Handler) {
 	ms := memStore(f, WithShards(4))
 	ds := openDurable(f, f.TempDir(), WithShards(4))
 	f.Cleanup(func() { ms.Close(); ds.Close() })
-	evs := docEvents(oracleDocs(800)...)
+	evs := slices.Concat(genBatches(rand.New(rand.NewSource(800)), 800)...)
 	for c := 0; c < 4; c++ {
 		for _, st := range []*Store{ms, ds} {
 			if err := st.BulkEvents(ctx, fuzzIndex, evs[c*len(evs)/4:(c+1)*len(evs)/4]); err != nil {
@@ -87,6 +89,17 @@ func seedWide(f *testing.F, mem, dur http.Handler, route string, wrap func(strin
 	}
 }
 
+// fuzzRequests are the generated requests (genRequest) both fuzzers seed
+// their corpus with, drawn from a fixed seed.
+func fuzzRequests() []SearchRequest {
+	rng := rand.New(rand.NewSource(113))
+	reqs := make([]SearchRequest, 130)
+	for i := range reqs {
+		reqs[i] = genRequest(rng)
+	}
+	return reqs
+}
+
 // fuzzSearch posts body to a server.s _search and returns the status and
 // the response body.
 func fuzzSearch(h http.Handler, body []byte) (int, string) {
@@ -107,13 +120,13 @@ func fuzzPost(h http.Handler, route string, body []byte) (int, string) {
 // client's body is — on an in-memory store and on a durable one with the same
 // rows in cold segments, a hot tail and a path book. Both must fail with the
 // same status, or answer byte-equal JSON (total, hits, aggs, next_after). The
-// seeds are the oracle matrix's request shapes, flat and nested, a
-// search_after continuation of each sorted one, 64-bit integers in bounds,
-// terms and cursors, and non-integer bounds.
+// seeds are generated requests (fuzzRequests), a search_after continuation
+// of each sorted one, 64-bit integers in bounds, terms and cursors, and
+// non-integer bounds.
 func FuzzSearchRequest(f *testing.F) {
 	mem, dur := fuzzStores(f)
 	seedWide(f, mem, dur, "_search", func(b string) string { return b })
-	for _, req := range append(oracleRequests(), nestedAggShapes()...) {
+	for _, req := range fuzzRequests() {
 		body, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
@@ -148,8 +161,9 @@ func FuzzSearchRequest(f *testing.F) {
 // a body that does not decode as a ScatterRequest is a 400 on both stores;
 // and both stores must fail with the same status or answer the same typed
 // hits body, byte for byte, that decodeHitsBody accepts. The seeds wrap the
-// oracle matrix's requests at P = 1 and P = 3, a search_after continuation of
-// each sorted one, and FuzzSearchRequest's 64-bit and non-integer bodies.
+// generated requests (fuzzRequests) at P = 1 and P = 3, a search_after
+// continuation of each sorted one, and FuzzSearchRequest's 64-bit and
+// non-integer bodies.
 func FuzzScatterRequest(f *testing.F) {
 	mem, dur := fuzzStores(f)
 	seedWide(f, mem, dur, "_scatter", func(b string) string { return `{"req":` + b + `,"partition":1,"partitions":3}` })
@@ -160,7 +174,7 @@ func FuzzScatterRequest(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	for _, req := range oracleRequests() {
+	for _, req := range fuzzRequests() {
 		for _, P := range []int{1, 3} {
 			add(ScatterRequest{Req: req, Partition: P - 1, Partitions: P})
 		}

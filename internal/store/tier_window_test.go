@@ -167,7 +167,6 @@ func TestColdWindowMatchesOracle(t *testing.T) {
 				"by_syscall": {Terms: &TermsAgg{Field: FieldSyscall}, Aggs: map[string]Agg{"ret": {Stats: &StatsAgg{Field: FieldRetVal}}}},
 				"per_ms":     {DateHistogram: &DateHistogramAgg{Field: FieldTimeEnter, IntervalNS: 1_000_000}},
 			}
-			domain := domainQueries()
 			for w := 0; w < arm.windows; w++ {
 				kind, q := randomWindow(rng, times)
 				// same asks both stores and the oracle and requires one answer.
@@ -187,9 +186,6 @@ func TestColdWindowMatchesOracle(t *testing.T) {
 				}
 				sorted := SearchRequest{Query: q, Sort: []SortField{{Field: FieldTimeEnter, Desc: w%2 == 1}}, Size: 10, Aggs: aggs}
 				same("sorted+aggs", sorted)
-				// One of the term-domain and precedence shapes in turn, as a
-				// conjunct beside the window.
-				same("domain", SearchRequest{Query: Must(q, domain[w%len(domain)]), Sort: sorted.Sort, Size: 10})
 
 				page := SearchRequest{Query: q, Size: 7}
 				for p := 0; p < 6; p++ {

@@ -15,22 +15,43 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
-// walkShapes is every sorted shape of the two differential matrices, by
-// query and sort alone (a walk sets its own From, Size and SearchAfter):
-// exact walks (match-all, a term, a term in a time window), non-exact ones
-// (a terms list, term ∧ terms ∧ window, session ∧ syscall) and the candidate
-// path (a sort on a field some rows lack, multi-key sorts), asc and desc.
+// walkShapes is the sorted shapes a walk reads the orderedBatches fixture
+// by, query and sort alone (a walk sets its own From, Size and SearchAfter):
+// exact walks (match-all, a term, a term in a time window, a term absent from
+// all shards but one, a term holding every row), non-exact ones (a terms
+// list, term ∧ terms ∧ window, session ∧ syscall, a must_not, a term beside
+// the bool it ignores), asc and desc on time; and the candidate path, under a
+// session term: a sort on a field some rows lack, multi-key sorts, a string
+// slot, file_tag, has_offset, dev_no and a field the schema lacks.
 func walkShapes() []SearchRequest {
 	var out []SearchRequest
-	seen := map[string]bool{}
-	for _, req := range append(orderedRequests(), oracleRequests()...) {
-		if len(req.Sort) == 0 {
-			continue
+	for _, q := range []Query{
+		MatchAll(),
+		Term(FieldSession, "s1"),
+		Must(Term(FieldSyscall, "read"), RangeBetween(FieldTimeEnter, orderBase+20_000, orderBase+90_000)),
+		Term(FieldProcName, "rare"),
+		Term(FieldClass, "io"),
+		Terms(FieldSyscall, "write", "fsync"),
+		Must(Term(FieldSession, "s1"), Terms(FieldSyscall, "read", "write"), RangeBetween(FieldTimeEnter, orderBase+20_000, orderBase+90_000)),
+		Must(Term(FieldSession, "s0"), Term(FieldSyscall, "write")),
+		MustNot(Term(FieldSyscall, "read")),
+		{Term: Term(FieldSession, "s1").Term, Bool: MustNot(Term(FieldSession, "s1")).Bool},
+	} {
+		for _, desc := range []bool{false, true} {
+			out = append(out, SearchRequest{Query: q, Sort: []SortField{{Field: FieldTimeEnter, Desc: desc}}})
 		}
-		shape := SearchRequest{Query: req.Query, Sort: req.Sort}
-		if k := cacheKey(shape); !seen[k] {
-			seen[k] = true
-			out = append(out, shape)
+	}
+	for _, desc := range []bool{false, true} {
+		for _, sorts := range [][]SortField{
+			{{Field: FieldCount, Desc: desc}},
+			{{Field: FieldCount, Desc: desc}, {Field: FieldTimeEnter, Desc: !desc}},
+			{{Field: FieldSyscall, Desc: desc}, {Field: FieldTimeEnter}},
+			{{Field: FieldFileTag, Desc: desc}},
+			{{Field: FieldHasOffset, Desc: desc}},
+			{{Field: FieldDevNo, Desc: desc}, {Field: FieldTimeEnter, Desc: desc}},
+			{{Field: "no_such_field", Desc: desc}},
+		} {
+			out = append(out, SearchRequest{Query: Term(FieldSession, "s1"), Sort: sorts})
 		}
 	}
 	return out
