@@ -19,12 +19,15 @@ examples:
 	$(GO) build ./examples/...
 
 ## lint: gofmt must list no file (outside the benchmark's .bench_build/);
-## then dead-symbol analysis — unexported package-level declarations that
+## no non-test Go file under internal/ or cmd/ may declare a Temporary() bool
+## method, a second error classifier beside store.StatusOf (store.Transient
+## is the one retry rule); then dead-symbol analysis — unexported package-level declarations that
 ## nothing in their package references (the class of bug behind the dead
 ## openSyscalls dictionary in correlate.go), plus an audit of every serving
 ## package under internal/ for exported symbols nothing uses.
 lint:
 	@unformatted=$$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@classifiers=$$(grep -rlE --include='*.go' --exclude='*_test.go' '^func \([^)]*\) Temporary\(\) bool' internal cmd); if [ -n "$$classifiers" ]; then echo "Temporary() bool declared (StatusOf is the one classifier) in:"; echo "$$classifiers"; exit 1; fi
 	$(GO) run ./internal/tools/deadsym -exported internal/store,internal/durable,internal/repl,internal/cluster,internal/diagnose,internal/core,internal/resilience,internal/telemetry,internal/event,internal/ebpf,internal/viz,internal/metrics,internal/clock,internal/replay,internal/experiments .
 
 ## loc: Go lines per package, non-test and test, excluding benchmark/ — the

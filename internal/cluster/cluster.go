@@ -75,10 +75,11 @@ var ErrIndexNotFound = store.ErrIndexNotFound
 var ErrNodeUnavailable = errors.New("cluster: partition node unavailable (circuit open)")
 
 // partitionError is one partition's failure, naming the partition and its
-// node. It is a store.StatusError: where the node's own error maps to no
-// status of its own, the front end answers 503 for an open circuit and 502
-// for any other failure — the coordinator's own failure, temporary under
-// the client's retry classification.
+// node. It is a store.StatusError: the node's own status where its error has
+// one (a 400 for a route its front end does not serve, say, as for a server
+// without _scatter: only a 404 is an empty partition), else 503 for an open
+// circuit and 502 for any other failure — the coordinator's own, and
+// store.Transient either way.
 type partitionError struct {
 	p      int
 	target string
@@ -93,8 +94,11 @@ func (e *partitionError) Unwrap() error { return e.err }
 
 // HTTPStatus implements store.StatusError.
 func (e *partitionError) HTTPStatus() int {
-	if errors.Is(e.err, ErrNodeUnavailable) {
+	switch code := store.StatusOf(e.err); {
+	case errors.Is(e.err, ErrNodeUnavailable):
 		return http.StatusServiceUnavailable
+	case code != http.StatusInternalServerError:
+		return code
 	}
 	return http.StatusBadGateway
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -751,7 +752,7 @@ func TestClusterScatterErrorMapping(t *testing.T) {
 		Query: store.MatchAll(), Size: 5, From: 3,
 		SearchAfter: []any{float64(10)},
 	}
-	if _, err := co.SearchEvents(ctx, testIndex, bad); err == nil || !store.IsBadRequest(err) {
+	if _, err := co.SearchEvents(ctx, testIndex, bad); store.StatusOf(err) != http.StatusBadRequest {
 		t.Fatalf("From+cursor through cluster: %v, want a bad-request error", err)
 	}
 	// Arity mismatch likewise.
@@ -760,7 +761,7 @@ func TestClusterScatterErrorMapping(t *testing.T) {
 		Sort:        []store.SortField{{Field: store.FieldTimeEnter}},
 		SearchAfter: []any{float64(10)}, // missing the sort value
 	}
-	if _, err := co.SearchEvents(ctx, testIndex, bad2); err == nil || !store.IsBadRequest(err) {
+	if _, err := co.SearchEvents(ctx, testIndex, bad2); store.StatusOf(err) != http.StatusBadRequest {
 		t.Fatalf("bad arity through cluster: %v, want a bad-request error", err)
 	}
 	// Missing index surfaces as not-found when no partition has it.

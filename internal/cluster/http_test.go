@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -575,9 +576,44 @@ func TestClusterMissingIndexBodiesMatchNode(t *testing.T) {
 	}
 }
 
+// TestClusterPartitionWithoutScatterRouteFails: a partition served by a
+// front end without _scatter (here another coordinator's) answers the
+// scatter 400, an unknown operation, and the search fails naming the
+// partition. Only a 404 is an empty partition, so a search never answers a
+// share of the rows the count reports.
+func TestClusterPartitionWithoutScatterRouteFails(t *testing.T) {
+	_, innerSrv := newHTTPClusterOver(t, []*store.Store{memStore(t)})
+	own := httptest.NewServer(store.NewServer(memStore(t)))
+	t.Cleanup(own.Close)
+	nodes := make([]Node, 2)
+	for i, u := range []string{own.URL, innerSrv.URL} {
+		fc, err := store.NewFailoverClient(store.NewClient(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = fc
+	}
+	co, err := New(Config{Clock: clock.NewVirtual(0)}, nodes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := co.BulkEvents(ctx, testIndex, clusterEvents(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := co.Count(ctx, testIndex, store.MatchAll()); err != nil || n != 10 {
+		t.Fatalf("count = %d, %v; want 10", n, err)
+	}
+	res, err := co.SearchEvents(ctx, testIndex, store.SearchRequest{Query: store.MatchAll(), Size: 20})
+	if err == nil || !strings.Contains(err.Error(), "partition 1") || store.StatusOf(err) != http.StatusBadRequest {
+		t.Fatalf("search = total %d, %v; want partition 1's 400", res.Total, err)
+	}
+}
+
 // TestClusterNodeOnlyRoutesStayOnNodes: one front end serves both, but the
 // partition scatter, the correlation broadcast and the replication routes
-// mount only over a store — a coordinator answers them 404 — and HandleOp
+// mount only over a store — a coordinator answers them 400, as it does any
+// route it does not serve — and HandleOp
 // still refuses to shadow a built-in operation, mounted or not.
 func TestClusterNodeOnlyRoutesStayOnNodes(t *testing.T) {
 	_, csrv, _ := newHTTPCluster(t, 2)
@@ -592,8 +628,8 @@ func TestClusterNodeOnlyRoutesStayOnNodes(t *testing.T) {
 		{http.MethodPost, "/_repl/promote"},
 		{http.MethodPost, "/_repl/promote"},
 	} {
-		if code, body := doRaw(t, tc.method, csrv.URL+tc.route, []byte(`{}`)); code != http.StatusNotFound {
-			t.Errorf("coordinator %s %s = %d %s, want 404", tc.method, tc.route, code, body)
+		if code, body := doRaw(t, tc.method, csrv.URL+tc.route, []byte(`{}`)); code != http.StatusBadRequest {
+			t.Errorf("coordinator %s %s = %d %s, want 400", tc.method, tc.route, code, body)
 		}
 	}
 

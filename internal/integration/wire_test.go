@@ -237,7 +237,7 @@ func TestBulkRefusesRetiredFrame(t *testing.T) {
 // TestIndexNamedV1IsOrdinary: "v1" is an index name like any other, on a
 // node and on a coordinator — bulk (binary and NDJSON), _search, _count,
 // _diagnose and DELETE all reach it — and /v1/ is no route prefix, so
-// GET /v1/_health is a 404.
+// GET /v1/_health is a 400, an unknown operation.
 func TestIndexNamedV1IsOrdinary(t *testing.T) {
 	ctx := context.Background()
 	node := store.NewServer(memStore(t))
@@ -297,8 +297,8 @@ func TestIndexNamedV1IsOrdinary(t *testing.T) {
 			t.Fatal(err)
 		}
 		hresp.Body.Close()
-		if hresp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s: GET /v1/_health = %d, want 404", name, hresp.StatusCode)
+		if hresp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: GET /v1/_health = %d, want 400", name, hresp.StatusCode)
 		}
 	}
 }

@@ -384,10 +384,11 @@ func (r *Replicator) push(ctx context.Context, fn func(context.Context) (int64, 
 	return v, err
 }
 
-// call runs one transport call up the ladder. A call the ladder gave up on —
-// its attempts spent or the breaker open — is ErrFollowerDown; any other
-// failure, a sequence mismatch above all, returns as it is for the caller to
-// handle.
+// call runs one transport call up the ladder. A call that ends in a target
+// fault (resilience.TargetFault: its attempts spent on transient failures,
+// or the breaker open) is ErrFollowerDown; any other failure — a sequence
+// mismatch above all, or a push to a node that is not a follower — returns
+// as it is for the caller to handle.
 func (r *Replicator) call(ctx context.Context, fn func(context.Context) (int64, error)) (int64, error) {
 	var v int64
 	err := r.Run(ctx, false, func(c context.Context) (err error) {
@@ -397,7 +398,7 @@ func (r *Replicator) call(ctx context.Context, fn func(context.Context) (int64, 
 	switch {
 	case err == nil:
 		return v, nil
-	case ctx.Err() != nil || !resilience.IsRetryable(err):
+	case !resilience.TargetFault(ctx, err):
 		return 0, err
 	}
 	return 0, fmt.Errorf("%w: %v", ErrFollowerDown, err)

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -242,7 +244,6 @@ func (f *faultTransport) Bootstrap(ctx context.Context, index string, snap store
 type hintedErr struct{ after time.Duration }
 
 func (e hintedErr) Error() string                 { return fmt.Sprintf("fake: back off %v", e.after) }
-func (e hintedErr) Temporary() bool               { return true }
 func (e hintedErr) RetryAfterHint() time.Duration { return e.after }
 
 // newPair builds a primary and a follower, both durable, the follower behind
@@ -669,5 +670,47 @@ func TestReplCallerCancelEndsLadder(t *testing.T) {
 	}
 	if st := r.Breaker().State(); st != resilience.BreakerClosed || r.Stats().Retries != 0 {
 		t.Fatalf("a caller's cancellation fed the ladder: breaker %v, stats %+v", st, r.Stats())
+	}
+}
+
+// TestReplicatorNonFollowerAlikeInProcessAndOverHTTP: a push to a node that
+// is not a follower is refused with ErrNotFollower, a 403. The replicator
+// reads that one status through an in-process transport and over HTTP
+// alike: one Apply, no retry, and the refusal itself returned, not
+// ErrFollowerDown.
+func TestReplicatorNonFollowerAlikeInProcessAndOverHTTP(t *testing.T) {
+	primary := openDurable(t, t.TempDir())
+	t.Cleanup(func() { primary.Close() })
+	ingestRound(t, primary, 0)
+	other := openDurable(t, t.TempDir()) // a second primary, never a follower
+	t.Cleanup(func() { other.Close() })
+
+	var httpApplies atomic.Int64
+	h := store.NewServer(other)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/_repl/apply" {
+			httpApplies.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	inproc := &faultTransport{st: other}
+
+	for _, arm := range []struct {
+		name    string
+		tr      Transport
+		applies func() int64
+	}{
+		{"in process", inproc, func() int64 { inproc.mu.Lock(); defer inproc.mu.Unlock(); return int64(inproc.applyCalls) }},
+		{"over HTTP", ClientTransport{C: store.NewClient(srv.URL)}, httpApplies.Load},
+	} {
+		r := New(primary, arm.tr, Config{Policy: resilience.Policy{Clock: clock.NewVirtual(0)}})
+		err := r.Sync(context.Background())
+		if !errors.Is(err, store.ErrNotFollower) || errors.Is(err, ErrFollowerDown) {
+			t.Errorf("%s: Sync = %v, want ErrNotFollower and not ErrFollowerDown", arm.name, err)
+		}
+		if n := arm.applies(); n != 1 || r.Stats().Retries != 0 {
+			t.Errorf("%s: %d applies and %d retries, want one apply and none", arm.name, n, r.Stats().Retries)
+		}
 	}
 }

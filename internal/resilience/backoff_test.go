@@ -9,7 +9,6 @@ import (
 type hintedErr struct{ d time.Duration }
 
 func (e *hintedErr) Error() string                 { return "try later" }
-func (e *hintedErr) Temporary() bool               { return true }
 func (e *hintedErr) RetryAfterHint() time.Duration { return e.d }
 
 func TestBackoffCapGrowth(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,17 +76,13 @@ func (p Policy) WithDefaults() Policy {
 }
 
 // TargetFault is the one rule for what counts against a target's breaker: a
-// failure does only while the caller's ctx is still live and the error's
-// status (store.StatusOf) is 5xx or 429. A transport error, and a deadline
-// the client or the ladder set itself, are 500s and count; any other answer
-// — 400, 404, 409, 410 — is the target working, and so is every error once
-// the caller has given up.
+// failure does only while the caller's ctx is still live and the error is
+// store.Transient (its status is 5xx or 429). A transport error, and a
+// deadline the client or the ladder set itself, are 500s and count; any
+// other answer — 400, 403, 404, 409, 410 — is the target working, and so is
+// every error once the caller has given up.
 func TargetFault(ctx context.Context, err error) bool {
-	if err == nil || ctx.Err() != nil {
-		return false
-	}
-	code := store.StatusOf(err)
-	return code >= 500 || code == http.StatusTooManyRequests
+	return ctx.Err() == nil && store.Transient(err)
 }
 
 // Ladder runs calls to one target through the retry → breaker loop: jittered
@@ -117,8 +112,9 @@ func NewLadder(p Policy) *Ladder {
 }
 
 // Run calls attempt until it succeeds or the ladder gives up: the attempt
-// budget is spent (the last error is returned), an error is not retryable
-// (it is returned at once), or the breaker rejects the call (ErrBreakerOpen).
+// budget is spent (the last error is returned), an error is not
+// store.Transient (it is returned at once), or the breaker rejects the call
+// (ErrBreakerOpen).
 // bypassBreaker is the final flush's last-chance mode: attempts proceed even
 // while the breaker is open, and their outcome still feeds it so recovery is
 // observed. The caller's ctx is checked before each attempt and each
@@ -154,7 +150,7 @@ func (l *Ladder) Run(ctx context.Context, bypassBreaker bool, attempt func(conte
 		} else {
 			l.breaker.RecordSuccess()
 		}
-		if err == nil || !IsRetryable(err) {
+		if !store.Transient(err) {
 			return err
 		}
 		lastErr = err
@@ -199,8 +195,9 @@ func (b *Backoff) Delay(attempt int, lastErr error) time.Duration {
 	b.mu.Lock()
 	d := time.Duration(b.rng.Int63n(int64(cap) + 1))
 	b.mu.Unlock()
-	if hint := retryAfter(lastErr); hint > d {
-		d = hint
+	var h interface{ RetryAfterHint() time.Duration }
+	if errors.As(lastErr, &h) && h.RetryAfterHint() > d {
+		d = h.RetryAfterHint()
 	}
 	return d
 }

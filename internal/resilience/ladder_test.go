@@ -185,7 +185,7 @@ func TestFaultyBackendHandler(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		err := c.BulkEvents(ctx, "ix", docs)
-		if store.StatusOf(err) != http.StatusServiceUnavailable || !IsRetryable(err) || !TargetFault(ctx, err) {
+		if store.StatusOf(err) != http.StatusServiceUnavailable || !store.Transient(err) || !TargetFault(ctx, err) {
 			t.Fatalf("outage call %d = %v, want a retryable 503", i, err)
 		}
 	}
@@ -204,14 +204,45 @@ func TestFaultyBackendHandler(t *testing.T) {
 	h.SetErrorRate(1)
 	h.SetPermanent(true)
 	err := c.BulkEvents(ctx, "ix", docs)
-	if store.StatusOf(err) != http.StatusBadRequest || IsRetryable(err) || TargetFault(ctx, err) || h.Calls() != 5 {
+	if store.StatusOf(err) != http.StatusBadRequest || store.Transient(err) || TargetFault(ctx, err) || h.Calls() != 5 {
 		t.Fatalf("permanent fault over HTTP = %v after %d calls, want a permanent 400 after 5", err, h.Calls())
 	}
 	f := NewFaultyBackend(st, 1)
 	f.SetErrorRate(1)
 	f.SetPermanent(true)
 	inproc := f.BulkEvents(ctx, "ix", docs)
-	if store.StatusOf(inproc) != http.StatusBadRequest || IsRetryable(inproc) {
+	if store.StatusOf(inproc) != http.StatusBadRequest || store.Transient(inproc) {
 		t.Fatalf("permanent fault in process = %v, want a permanent 400", inproc)
+	}
+}
+
+// TestShipperFollowerRefusalAlikeInProcessAndOverHTTP: a follower refuses a
+// bulk with ErrReadOnlyFollower, a 409. The shipper reads that one status in
+// process and over HTTP alike, so the event's ledger ends the same on both:
+// not retried, not parked, dropped and counted.
+func TestShipperFollowerRefusalAlikeInProcessAndOverHTTP(t *testing.T) {
+	follower, err := store.Open(store.WithDataDir(t.TempDir()), store.WithFsyncPolicy(store.FsyncOff), store.WithSnapshotInterval(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { follower.Close() })
+	if err := follower.SetFollower(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(store.NewServer(follower))
+	defer srv.Close()
+
+	for _, arm := range []struct {
+		name string
+		b    store.Backend
+	}{{"in process", follower}, {"over HTTP", store.NewClient(srv.URL)}} {
+		s := NewShipper(arm.b, Config{Policy: Policy{Clock: clock.NewVirtual(0)}})
+		err := s.BulkEvents(context.Background(), "ix", batch(0, 1))
+		if store.StatusOf(err) != http.StatusConflict {
+			t.Errorf("%s: BulkEvents = %v, want the follower's 409", arm.name, err)
+		}
+		if st := s.Stats(); st.Retries != 0 || st.Requeued != 0 || st.SpillDropped != 1 || st.SpillPending != 0 {
+			t.Errorf("%s: %+v, want Retries 0, Requeued 0, SpillDropped 1", arm.name, st)
+		}
 	}
 }

@@ -94,24 +94,24 @@ func testConfig(clk clock.Clock) Config {
 }
 
 func TestClassification(t *testing.T) {
-	if IsRetryable(nil) {
-		t.Fatal("nil is retryable")
+	if store.Transient(nil) {
+		t.Fatal("nil is transient")
 	}
 	base := errors.New("boom")
-	if IsRetryable(Permanent(base)) {
-		t.Fatal("Permanent classified retryable")
+	if store.Transient(Permanent(base)) {
+		t.Fatal("Permanent classified transient")
 	}
-	if !IsRetryable(Retryable(base)) {
+	if !store.Transient(Retryable(base)) {
 		t.Fatal("Retryable classified permanent")
 	}
-	if !IsRetryable(base) {
-		t.Fatal("unmarked error should default to retryable")
+	if !store.Transient(base) {
+		t.Fatal("unmarked error should default to transient")
 	}
 	// A refused connection is a transport failure: retried and spilled,
 	// never dropped as if the backend had rejected the batch.
 	refused := fmt.Errorf("POST /ix/_bulk: %w", &url.Error{Op: "Post", URL: "http://127.0.0.1:1/ix/_bulk",
 		Err: &net.OpError{Op: "dial", Net: "tcp", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)}})
-	if !IsRetryable(refused) {
+	if !store.Transient(refused) {
 		t.Fatalf("refused connection classified permanent: %v", refused)
 	}
 	if !errors.Is(Permanent(base), base) {
@@ -119,8 +119,8 @@ func TestClassification(t *testing.T) {
 	}
 	// Wrapping preserves the class.
 	wrapped := fmt.Errorf("ship: %w", Permanent(base))
-	if IsRetryable(wrapped) {
-		t.Fatal("wrapped Permanent classified retryable")
+	if store.Transient(wrapped) {
+		t.Fatal("wrapped Permanent classified transient")
 	}
 }
 
@@ -421,7 +421,6 @@ func TestShipperFinalFlushSpendsOneLadder(t *testing.T) {
 type hintedError struct{ hint time.Duration }
 
 func (e *hintedError) Error() string                 { return "throttled" }
-func (e *hintedError) Temporary() bool               { return true }
 func (e *hintedError) RetryAfterHint() time.Duration { return e.hint }
 
 func TestBackoffHonorsRetryAfterHint(t *testing.T) {
@@ -450,7 +449,7 @@ func TestFaultyBackendScriptedOutageAndRates(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		err := f.BulkEvents(context.Background(), "ix", docs)
-		if !errors.Is(err, ErrInjected) || !IsRetryable(err) {
+		if !errors.Is(err, ErrInjected) || !store.Transient(err) {
 			t.Fatalf("outage call %d = %v, want retryable injected", i, err)
 		}
 	}
@@ -469,7 +468,7 @@ func TestFaultyBackendScriptedOutageAndRates(t *testing.T) {
 	var injected int
 	for i := 0; i < 200; i++ {
 		if err := f2.BulkEvents(context.Background(), "ix", docs); err != nil {
-			if IsRetryable(err) {
+			if store.Transient(err) {
 				t.Fatalf("injected error should be permanent: %v", err)
 			}
 			injected++

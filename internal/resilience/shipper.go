@@ -134,7 +134,7 @@ func (s *Shipper) deliver(ctx context.Context, b spillBatch) error {
 		s.shipped.Add(n)
 		return nil
 	}
-	if IsRetryable(err) {
+	if store.Transient(err) {
 		queued, evicted := s.spill.push(b)
 		s.spillDropped.Add(uint64(evicted))
 		if !queued {
@@ -196,7 +196,7 @@ func (s *Shipper) replay(ctx context.Context, final bool) error {
 		case err == nil:
 			s.replayed.Add(n)
 			s.shipped.Add(n)
-		case !final && IsRetryable(err):
+		case !final && store.Transient(err):
 			s.spill.unshift(b)
 			return nil
 		default:

@@ -16,10 +16,9 @@ import (
 	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
-// HTTPError is a non-2xx response from the backend server. It classifies
-// itself for the resilience layer: 429 (throttled) and 5xx (server-side)
-// responses are temporary and worth retrying, while 4xx client errors are
-// permanent. A Retry-After header is surfaced as a backoff hint.
+// HTTPError is a non-2xx response from the backend server. Its status is
+// the one StatusOf reads, so a remote failure classifies as the node's own
+// error does in process. A Retry-After header is surfaced as a backoff hint.
 type HTTPError struct {
 	Method     string
 	Path       string
@@ -33,26 +32,22 @@ func (e *HTTPError) Error() string {
 	return fmt.Sprintf("%s %s: status %d: %s", e.Method, e.Path, e.Status, e.Message)
 }
 
-// Temporary classifies the status for retry purposes (the structural
-// interface the resilience package looks for).
-func (e *HTTPError) Temporary() bool {
-	return e.Status == http.StatusTooManyRequests ||
-		(e.Status >= 500 && e.Status != http.StatusNotImplemented)
-}
-
 // RetryAfterHint returns the server-provided backoff, if any.
 func (e *HTTPError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
-// Unwrap maps well-known statuses back to their sentinel errors so remote
-// callers can errors.Is against the same values local callers see: 404 is
-// the server-side mapping of ErrIndexNotFound (and of nothing else an index
-// operation can fail with), 410 Gone that of ErrCursorExpired.
+// Unwrap maps the statuses that name one error each back to their sentinels
+// so remote callers can errors.Is against the same values local callers
+// see: 404 is the server-side mapping of ErrIndexNotFound (and of nothing
+// else: an unknown route is a 400), 410 Gone that of ErrCursorExpired, 403
+// that of ErrNotFollower.
 func (e *HTTPError) Unwrap() error {
 	switch e.Status {
 	case http.StatusNotFound:
 		return ErrIndexNotFound
 	case http.StatusGone:
 		return ErrCursorExpired
+	case http.StatusForbidden:
+		return ErrNotFollower
 	}
 	return nil
 }

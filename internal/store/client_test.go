@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"github.com/dsrhaslab/dio-go/internal/event"
 )
 
 func TestHealthEndpoint(t *testing.T) {
@@ -25,21 +28,61 @@ func TestHealthEndpoint(t *testing.T) {
 func TestHTTPErrorClassification(t *testing.T) {
 	cases := []struct {
 		status    int
-		temporary bool
+		transient bool
 	}{
 		{http.StatusTooManyRequests, true},
 		{http.StatusServiceUnavailable, true},
 		{http.StatusBadGateway, true},
 		{http.StatusInternalServerError, true},
-		{http.StatusNotImplemented, false},
+		{http.StatusNotImplemented, true},
 		{http.StatusBadRequest, false},
 		{http.StatusNotFound, false},
 	}
 	for _, tc := range cases {
 		e := &HTTPError{Status: tc.status}
-		if e.Temporary() != tc.temporary {
-			t.Errorf("status %d: Temporary() = %v, want %v", tc.status, e.Temporary(), tc.temporary)
+		if Transient(e) != tc.transient {
+			t.Errorf("status %d: Transient = %v, want %v", tc.status, Transient(e), tc.transient)
 		}
+	}
+}
+
+// TestClientTermPastTwoTo53MatchesAsInProcess: a float64 term value past
+// 2^53 matches over HTTP the row it matches in process, in a count, a search
+// and a terms list. A Client sends the integer the store reads it as (its
+// shortest decimal would spell another integer, or none an int64 holds), and
+// a server reads a decimal no int64 holds as the float64 it spells.
+func TestClientTermPastTwoTo53MatchesAsInProcess(t *testing.T) {
+	st, c := newTestServerClient(t)
+	ctx := context.Background()
+	rows := []event.Event{
+		{Session: "s", Syscall: "lseek", RetVal: math.MinInt64, TimeEnterNS: 1},
+		{Session: "s", Syscall: "lseek", RetVal: math.MinInt64 + 1, TimeEnterNS: 2},
+		{Session: "s", Syscall: "lseek", RetVal: 1 << 62, TimeEnterNS: 3},
+	}
+	if err := st.BulkEvents(ctx, "ix", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Query{
+		Term(FieldRetVal, float64(math.MinInt64)),
+		Term(FieldRetVal, float64(1<<62)),
+		Terms(FieldRetVal, float64(math.MinInt64), "x"),
+	} {
+		for name, b := range map[string]interface {
+			Count(context.Context, string, Query) (int, error)
+			Search(context.Context, string, SearchRequest) (SearchResponse, error)
+		}{"in process": st, "client": c} {
+			n, err := b.Count(ctx, "ix", q)
+			res, serr := b.Search(ctx, "ix", SearchRequest{Query: q, Size: 10})
+			if err != nil || serr != nil || n != 1 || res.Total != 1 || len(res.Hits) != 1 {
+				t.Errorf("%s %s: count %d (%v), search total %d hits %d (%v); want the one row",
+					name, jsonOf(q), n, err, res.Total, len(res.Hits), serr)
+			}
+		}
+	}
+	var out struct{ Count int }
+	body := json.RawMessage(`{"term":{"field":"ret_val","value":-9223372036854776000}}`)
+	if err := c.DoJSON(ctx, http.MethodPost, "/ix/_count", body, &out); err != nil || out.Count != 1 {
+		t.Errorf("count of %s over HTTP = %d (%v), want the MinInt64 row", body, out.Count, err)
 	}
 }
 
@@ -56,7 +99,7 @@ func TestClientSurfacesRetryAfter(t *testing.T) {
 	if !errors.As(err, &he) {
 		t.Fatalf("err = %v (%T), want *HTTPError", err, err)
 	}
-	if !he.Temporary() || he.RetryAfterHint() != 7*time.Second || he.Status != 503 {
+	if !Transient(he) || he.RetryAfterHint() != 7*time.Second || he.Status != 503 {
 		t.Fatalf("HTTPError = %+v", he)
 	}
 }
@@ -76,8 +119,8 @@ func TestClientCapsErrorBody(t *testing.T) {
 	if len(he.Message) > maxErrorBody {
 		t.Fatalf("error message length %d exceeds cap", len(he.Message))
 	}
-	if he.Temporary() {
-		t.Fatal("400 classified temporary")
+	if Transient(he) {
+		t.Fatal("400 classified transient")
 	}
 }
 

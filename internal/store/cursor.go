@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 )
@@ -57,7 +58,13 @@ func (c *searchCursor) parse(req SearchRequest) (ok bool, err error) {
 	if len(req.SearchAfter) != len(req.Sort)+1 {
 		return false, errBadSearchAfter
 	}
-	gid, isInt := intOf(req.SearchAfter[len(req.SearchAfter)-1])
+	last := req.SearchAfter[len(req.SearchAfter)-1]
+	gid, isInt := intOf(last)
+	if n, ok := last.(json.Number); ok {
+		// The gid next_after wrote is an integer literal, never a float's.
+		_, err := n.Int64()
+		isInt = isInt && err == nil
+	}
 	if !isInt || gid < 0 || gid > math.MaxInt {
 		return false, errBadSearchAfter
 	}

@@ -54,17 +54,18 @@ func (f *FailoverClient) Switches() uint64 { return f.switches.Load() }
 
 // failoverWorthy reports whether err suggests the active node is dead or no
 // longer primary, rather than the request itself being bad. It reads the
-// status table: a 5xx qualifies — a transport failure and a deadline the
-// client set itself map to 500, so a hung primary does — and so do 403/409,
-// which the server uses for role mismatches (writes to a read-only
-// follower). Plain client errors — bad query, missing index — and any error
-// once the caller's context is done are returned to the caller untouched.
+// status table: a Transient error qualifies — a transport failure and a
+// deadline the client set itself are 500s, so a hung primary does — and so
+// do 403/409, which the server uses for role mismatches (writes to a
+// read-only follower). Plain client errors — bad query, missing index — and
+// any error once the caller's context is done are returned to the caller
+// untouched.
 func failoverWorthy(ctx context.Context, err error) bool {
 	if err == nil || ctx.Err() != nil {
 		return false
 	}
 	code := StatusOf(err)
-	return code >= 500 || code == http.StatusForbidden || code == http.StatusConflict
+	return Transient(err) || code == http.StatusForbidden || code == http.StatusConflict
 }
 
 // repick probes every node's health — the non-active ones first, since the

@@ -50,6 +50,35 @@ type TermsQuery struct {
 	Values []any  `json:"values"`
 }
 
+// MarshalJSON writes the value as wireValue does.
+func (q TermQuery) MarshalJSON() ([]byte, error) {
+	type plain TermQuery
+	return json.Marshal(plain{q.Field, wireValue(q.Value)})
+}
+
+// MarshalJSON writes each value as wireValue does.
+func (q TermsQuery) MarshalJSON() ([]byte, error) {
+	type plain TermsQuery
+	vals := slices.Clone(q.Values)
+	for i, v := range vals {
+		vals[i] = wireValue(v)
+	}
+	return json.Marshal(plain{q.Field, vals})
+}
+
+// wireValue is a term value as JSON carries it: a float that intOf reads as
+// an integer goes as that integer, since its shortest decimal can spell
+// another one (float64(1<<62) writes as 4611686018427388000).
+func wireValue(v any) any {
+	switch v.(type) {
+	case float64, float32:
+		if n, ok := intOf(v); ok {
+			return n
+		}
+	}
+	return v
+}
+
 // RangeQuery matches integer fields within its bounds (any may be nil):
 // GTE/LTE inclusive, GT/LT strict. Every event field is an integer, so the
 // bounds are too: a JSON bound that is not an integer literal (1.5, 1e18)
@@ -358,19 +387,16 @@ func (c *clause) tail(w Row) bool {
 }
 
 // intOf coerces a scalar to the store's one numeric domain, int64: any Go
-// integer (an unsigned one when it fits), a bool as 0/1, a json.Number
-// written as an integer, and a float only when it is integral and in range.
-// Anything else is not a number.
+// integer (an unsigned one when it fits), a bool as 0/1, and a float only
+// when it is integral and in range; a json.Number is read as number reads
+// it. Anything else is not a number.
 func intOf(v any) (int64, bool) {
-	switch x := v.(type) {
-	case bool:
-		if x {
+	v = number(v)
+	if b, ok := v.(bool); ok {
+		if b {
 			return 1, true
 		}
 		return 0, true
-	case json.Number:
-		n, err := strconv.ParseInt(string(x), 10, 64)
-		return n, err == nil
 	}
 	switch x := reflect.ValueOf(v); {
 	case x.CanInt():
@@ -385,17 +411,33 @@ func intOf(v any) (int64, bool) {
 	return 0, false
 }
 
-// keyString renders any scalar as a stable bucket key.
+// keyString renders any scalar as a stable bucket key, a json.Number as
+// the value number reads it as.
 func keyString(v any) string {
-	switch x := v.(type) {
+	switch x := number(v).(type) {
 	case string:
 		return x
 	case nil:
 		return ""
 	default:
-		if n, ok := intOf(v); ok {
+		if n, ok := intOf(x); ok {
 			return strconv.FormatInt(n, 10)
 		}
 		return fmt.Sprintf("%v", x)
 	}
+}
+
+// number reads a json.Number as the int64 it spells exactly, or else as the
+// float64 it spells: past 2^53 encoding/json writes a float64 as a decimal
+// that no int64 literal spells, and it must mean what the float64 does.
+func number(v any) any {
+	if x, ok := v.(json.Number); ok {
+		if n, err := x.Int64(); err == nil {
+			return n
+		}
+		if f, err := x.Float64(); err == nil {
+			return f
+		}
+	}
+	return v
 }

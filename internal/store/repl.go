@@ -43,8 +43,9 @@ func (r Role) String() string {
 
 var (
 	// ErrReadOnlyFollower rejects direct writes on a follower: they must go
-	// to the primary, which replicates them back. Non-temporary, so the
-	// resilience ladder fails fast instead of retrying into a wall.
+	// to the primary, which replicates them back. It is a 409, not
+	// Transient, so the resilience ladder fails fast instead of retrying
+	// into a wall.
 	ErrReadOnlyFollower = errors.New("store: follower is read-only; write to the primary")
 	// ErrNotFollower rejects replication pushes on a store that is not a
 	// follower (split-brain guard: a primary never silently accepts frames).
@@ -52,9 +53,9 @@ var (
 )
 
 // ReplSeqError reports an out-of-sequence replication push: the follower has
-// applied Want frames and the primary offered frames starting at Got. The
-// shipper answers by resyncing from the follower's reported position, not by
-// retrying the same push.
+// applied Want frames and the primary offered frames starting at Got. It is
+// a 409, not Transient: retrying the identical push can never succeed, so
+// the shipper resyncs from the follower's reported position instead.
 type ReplSeqError struct {
 	Want int64 // next sequence the follower will accept
 	Got  int64 // sequence the push started at
@@ -64,10 +65,6 @@ type ReplSeqError struct {
 func (e *ReplSeqError) Error() string {
 	return fmt.Sprintf("store: replication sequence mismatch: follower at %d, push starts at %d", e.Want, e.Got)
 }
-
-// Temporary marks the mismatch non-retryable: retrying the identical push
-// can never succeed — the shipper must resync first.
-func (e *ReplSeqError) Temporary() bool { return false }
 
 // ReplFrame is one replicated WAL record: its primary-assigned sequence, the
 // record type, and the verbatim WAL payload. JSON encoding base64s the

@@ -410,14 +410,14 @@ func TestReplHTTPEndpoints(t *testing.T) {
 		t.Fatalf("HTTP-replicated follower diverged from primary")
 	}
 
-	// Duplicate push → 409, non-temporary (the shipper must not blind-retry).
+	// Duplicate push → 409, not transient (the shipper must not blind-retry).
 	_, err = fc.ReplApply(ctx, crashIndex, 0, frames)
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != 409 {
 		t.Fatalf("duplicate over HTTP: %v, want 409", err)
 	}
-	if he.Temporary() {
-		t.Fatalf("409 mismatch reported as temporary; the ladder would retry it")
+	if Transient(he) {
+		t.Fatalf("409 mismatch reported as transient; the ladder would retry it")
 	}
 	// Direct writes to the follower → 409 as well.
 	if err := fc.BulkEvents(ctx, crashIndex, crashDocs(9)); !errors.As(err, &he) || he.Status != 409 {
@@ -751,7 +751,7 @@ func TestReplBootstrapRefusesBadSnapshot(t *testing.T) {
 	for _, tc := range cases {
 		before, applied := fingerprint(t, f), f.ReplStatus().Indices[crashIndex]
 		err := f.ReplBootstrap(ctx, crashIndex, tc.snap)
-		if err == nil || !IsBadRequest(err) || StatusOf(err) != http.StatusBadRequest {
+		if StatusOf(err) != http.StatusBadRequest {
 			t.Fatalf("%s: bootstrap = %v, want a bad request", tc.name, err)
 		}
 		if fingerprint(t, f) != before || f.ReplStatus().Indices[crashIndex] != applied {
@@ -764,7 +764,7 @@ func TestReplBootstrapRefusesBadSnapshot(t *testing.T) {
 	defer srv.Close()
 	var he *HTTPError
 	err = NewClient(srv.URL).ReplBootstrap(ctx, crashIndex, cases[0].snap)
-	if !errors.As(err, &he) || he.Status != http.StatusBadRequest || he.Temporary() {
+	if !errors.As(err, &he) || he.Status != http.StatusBadRequest || Transient(he) {
 		t.Fatalf("HTTP bootstrap of a bad snapshot = %v, want a permanent 400", err)
 	}
 

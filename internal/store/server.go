@@ -227,19 +227,19 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 	case len(parts) == 2:
 		rt, ok := s.ops[parts[1]]
 		if !ok {
-			httpError(w, http.StatusNotFound, "unknown operation %q", parts[1])
+			WriteError(w, BadRequest(fmt.Errorf("unknown operation %q", parts[1])))
 			return
 		}
 		serveRoute(w, r, rt, parts[0])
 	default:
-		httpError(w, http.StatusNotFound, "not found")
+		WriteError(w, BadRequest(fmt.Errorf("no handler for %s %s", r.Method, r.URL.Path)))
 	}
 }
 
 // serveRoute runs rt once the request's method passes its check.
 func serveRoute(w http.ResponseWriter, r *http.Request, rt route, index string) {
 	if rt.method != "" && r.Method != rt.method {
-		httpError(w, http.StatusMethodNotAllowed, "%s required", rt.method)
+		WriteError(w, WithStatus(fmt.Errorf("%s required", rt.method), http.StatusMethodNotAllowed))
 		return
 	}
 	rt.serve(w, r, index)
@@ -346,7 +346,7 @@ type replApplyRequest struct {
 func (s *Server) handleReplApply(w http.ResponseWriter, r *http.Request, _ string) {
 	var req replApplyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad repl apply request: %v", err)
+		WriteError(w, BadRequest(fmt.Errorf("bad repl apply request: %w", err)))
 		return
 	}
 	applied, err := s.node.ReplApply(r.Context(), req.Index, req.From, req.Frames)
@@ -365,7 +365,7 @@ type replBootstrapRequest struct {
 func (s *Server) handleReplBootstrap(w http.ResponseWriter, r *http.Request, _ string) {
 	var req replBootstrapRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad repl bootstrap request: %v", err)
+		WriteError(w, BadRequest(fmt.Errorf("bad repl bootstrap request: %w", err)))
 		return
 	}
 	err := s.node.ReplBootstrap(r.Context(), req.Index, req.ReplSnapshot)
@@ -390,13 +390,13 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request, index string
 		return
 	}
 	if strings.HasPrefix(ct, event.ContentTypeRetiredV1) {
-		httpError(w, http.StatusUnsupportedMediaType, "bulk: %s is a retired frame format; send %s",
-			event.ContentTypeRetiredV1, event.ContentTypeBinaryV2)
+		WriteError(w, WithStatus(fmt.Errorf("bulk: %s is a retired frame format; send %s",
+			event.ContentTypeRetiredV1, event.ContentTypeBinaryV2), http.StatusUnsupportedMediaType))
 		return
 	}
 	events, err := DecodeBulkNDJSON(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bulk: %v", err)
+		WriteError(w, BadRequest(fmt.Errorf("bulk: %w", err)))
 		return
 	}
 	writeBulkResult(w, len(events), s.b.BulkEvents(r.Context(), index, events))
@@ -409,7 +409,7 @@ func writeBulkResult(w http.ResponseWriter, items int, err error) {
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, map[string]int{"items": items})
-	case IsBadRequest(err):
+	case StatusOf(err) == http.StatusBadRequest:
 		WriteError(w, err)
 	default:
 		WriteError(w, fmt.Errorf("bulk: %w", err))
@@ -429,7 +429,7 @@ func (s *Server) handleBulkBinary(w http.ResponseWriter, r *http.Request, index 
 		}
 	}()
 	if _, err := buf.ReadFrom(r.Body); err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+		WriteError(w, BadRequest(fmt.Errorf("read body: %w", err)))
 		return
 	}
 	items, err := s.b.BulkFrame(r.Context(), index, buf.Bytes())
@@ -439,7 +439,7 @@ func (s *Server) handleBulkBinary(w http.ResponseWriter, r *http.Request, index 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index string) {
 	var req SearchRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad search request: %v", err)
+		WriteError(w, BadRequest(fmt.Errorf("bad search request: %w", err)))
 		return
 	}
 	res, err := s.b.SearchEvents(r.Context(), index, req)
@@ -450,49 +450,61 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, index stri
 	writeSearchResult(w, r, res)
 }
 
-// StatusError is an error that names its own HTTP status in StatusOf. A
-// cluster coordinator's partition failures are of this kind — a partition it
-// cannot reach (503) or that failed (502) — and so are resilience's
-// Retryable (503) and Permanent (400) marks.
+// StatusError is an error that names its own HTTP status in StatusOf:
+// WithStatus's marks (BadRequest, the server's route refusals, resilience's
+// Retryable and Permanent) and a cluster coordinator's partition failures,
+// which name the node's status, else 503 (circuit open) or 502.
 type StatusError interface {
 	error
 	HTTPStatus() int
 }
 
-// BadRequest marks err as a malformed request: WriteError answers it 400
-// with err's message unchanged.
-func BadRequest(err error) error { return badRequest{err} }
+// WithStatus marks err as meaning code in StatusOf, in process and, through
+// WriteError, on the wire; err's message and chain are unchanged. It is
+// nil for a nil err.
+func WithStatus(err error, code int) error {
+	if err == nil {
+		return nil
+	}
+	return &statusError{err, code}
+}
 
-type badRequest struct{ error }
+// statusError is the one error type that carries a status.
+type statusError struct {
+	err  error
+	code int
+}
 
-func (e badRequest) Unwrap() error { return e.error }
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
 
-// Temporary marks a bad request non-retryable in process as on the wire (a
-// 400): the same request fails the same way.
-func (e badRequest) Temporary() bool { return false }
+// HTTPStatus implements StatusError.
+func (e *statusError) HTTPStatus() int { return e.code }
 
-// IsBadRequest reports whether err is a malformed request (a bad cursor, a
-// bad scatter envelope, a malformed frame or operation parameter) — a
-// client error worth a 400, never a retry.
-func IsBadRequest(err error) bool { return errors.As(err, new(badRequest)) }
+// BadRequest marks err as a malformed request (a bad body, cursor, scatter
+// envelope, frame or operation parameter): a 400, never retried.
+func BadRequest(err error) error { return WithStatus(err, http.StatusBadRequest) }
 
 // StatusOf is the one status table: the HTTP status an error means, in
-// process and on the wire alike. The store's own failures map first, then a
-// node's status a client surfaced (HTTPError), then a StatusError's own
-// status; anything else — a transport failure, a deadline — is a 500. 404
-// means exactly "no such index", because a cluster coordinator reads a
-// node's 404 as an empty partition: a node that cannot read a segment must
-// fail the scattered request (500), never shrink its totals. A replication
-// push out of sequence is a 409 (the shipper resyncs instead of retrying),
-// and one sent to a node that is not a follower a 403.
+// process and on the wire alike, and so the one classifier every retry,
+// spill, breaker and failover decision reads (Transient). The store's own
+// failures map first, then a node's status a client surfaced (HTTPError),
+// then a StatusError's own status; anything else — a transport failure, a
+// deadline — is a 500, and nil a 200. 404 means exactly "no such index",
+// because a cluster coordinator reads a node's 404 as an empty partition: a
+// node that cannot read a segment must fail the scattered request (500),
+// and a route it does not serve is a 400, never a 404 that shrinks the
+// totals. A replication push out of sequence is a 409 (the shipper resyncs
+// instead of retrying), and one sent to a node that is not a follower a 403.
 func StatusOf(err error) int {
+	if err == nil {
+		return http.StatusOK
+	}
 	var he *HTTPError
 	var se StatusError
 	switch {
 	case errors.Is(err, ErrIndexNotFound):
 		return http.StatusNotFound
-	case IsBadRequest(err):
-		return http.StatusBadRequest
 	case errors.Is(err, ErrCursorExpired):
 		// 410 Gone: the cursor named rows the retention horizon already
 		// dropped — a permanent condition, not worth a client retry.
@@ -507,6 +519,15 @@ func StatusOf(err error) int {
 		return se.HTTPStatus()
 	}
 	return http.StatusInternalServerError
+}
+
+// Transient is the one rule for what is worth another try: err's status is
+// 429 or 5xx. A transport failure and a deadline are 500s, so they are; a
+// 4xx — a bad request, a missing index, a role or sequence mismatch — fails
+// the same way again.
+func Transient(err error) bool {
+	code := StatusOf(err)
+	return code >= 500 || code == http.StatusTooManyRequests
 }
 
 // WriteError answers a failed operation — on a node or a coordinator, a
@@ -528,7 +549,7 @@ func WriteError(w http.ResponseWriter, err error) {
 func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request, index string) {
 	var sreq ScatterRequest
 	if err := decodeJSON(r.Body, &sreq); err != nil {
-		httpError(w, http.StatusBadRequest, "bad scatter request: %v", err)
+		WriteError(w, BadRequest(fmt.Errorf("bad scatter request: %w", err)))
 		return
 	}
 	resp, err := s.node.Scatter(r.Context(), index, sreq)
@@ -545,7 +566,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request, index str
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request, index string) {
 	var rec event.PathsRecord
 	if err := decodeJSON(r.Body, &rec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad paths record: %v", err)
+		WriteError(w, BadRequest(fmt.Errorf("bad paths record: %w", err)))
 		return
 	}
 	res, err := s.node.NamePaths(r.Context(), index, rec)
@@ -556,7 +577,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, index strin
 	var q Query
 	if r.Body != nil && r.ContentLength != 0 {
 		if err := decodeJSON(r.Body, &q); err != nil {
-			httpError(w, http.StatusBadRequest, "bad query: %v", err)
+			WriteError(w, BadRequest(fmt.Errorf("bad query: %w", err)))
 			return
 		}
 	}
@@ -595,8 +616,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(append(b, '\n'))
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

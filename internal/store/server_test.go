@@ -283,10 +283,10 @@ func TestHTTPServerErrorPaths(t *testing.T) {
 	if code := post("/x/_search", "{bad"); code != http.StatusBadRequest {
 		t.Fatalf("bad search status = %d", code)
 	}
-	if code := post("/x/_unknownop", ""); code != http.StatusNotFound {
+	if code := post("/x/_unknownop", ""); code != http.StatusBadRequest {
 		t.Fatalf("unknown op status = %d", code)
 	}
-	if code := post("/a/b/c", ""); code != http.StatusNotFound {
+	if code := post("/a/b/c", ""); code != http.StatusBadRequest {
 		t.Fatalf("deep path status = %d", code)
 	}
 

@@ -824,8 +824,8 @@ func TestCursorExpiredAfterRetention(t *testing.T) {
 	if !errors.As(err, &he) || he.Status != http.StatusGone {
 		t.Fatalf("HTTP stale cursor status = %v, want 410", err)
 	}
-	if he.Temporary() {
-		t.Fatalf("410 Gone classified as temporary (would be retried)")
+	if Transient(he) {
+		t.Fatalf("410 Gone classified as transient (would be retried)")
 	}
 	if fc.Switches() != 0 {
 		t.Fatalf("cursor expiry triggered %d failovers, want 0", fc.Switches())

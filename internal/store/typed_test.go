@@ -45,7 +45,7 @@ func eventFixture() []event.Event {
 func TestBulkEventsEarlyResponseNoRace(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// 429 replies without touching r.Body.
-		httpError(w, http.StatusTooManyRequests, "rejected without reading the body")
+		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "rejected without reading the body"})
 	}))
 	t.Cleanup(hs.Close)
 	c := NewClient(hs.URL)

@@ -94,7 +94,7 @@ func (b *hitsBody) write(w http.ResponseWriter) {
 	bp := encodePool.Get().(*[]byte)
 	data, err := b.encode((*bp)[:0])
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode response: %v", err)
+		WriteError(w, fmt.Errorf("encode response: %w", err))
 	} else {
 		w.Header().Set("Content-Type", event.ContentTypeBinaryV2)
 		_, _ = w.Write(data)
