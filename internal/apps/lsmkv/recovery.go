@@ -19,8 +19,13 @@ const manifestName = "MANIFEST"
 // writeManifest persists the current level layout. It runs on the
 // background task that just changed the layout, so the write is part of the
 // traced I/O stream like RocksDB's own manifest updates. db.mu must NOT be
-// held; the method snapshots the layout itself.
+// held; the method snapshots the layout itself, under manifestMu, so two
+// writers install their snapshots in the order they took them: a layout
+// taken earlier but written later would name tables the later writer has
+// already unlinked, and omit the ones it added.
 func (db *DB) writeManifest(task *kernel.Task) error {
+	db.manifestMu.Lock()
+	defer db.manifestMu.Unlock()
 	db.mu.Lock()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "next_file %d\n", atomic.LoadUint64(&db.nextFile))
@@ -32,8 +37,6 @@ func (db *DB) writeManifest(task *kernel.Task) error {
 	}
 	db.mu.Unlock()
 
-	db.manifestMu.Lock()
-	defer db.manifestMu.Unlock()
 	tmp := db.cfg.Dir + "/" + manifestName + ".tmp"
 	fd, err := task.Openat(kernel.AtFDCWD, tmp, kernel.OWronly|kernel.OCreat|kernel.OTrunc, 0o644)
 	if err != nil {

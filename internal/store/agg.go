@@ -238,7 +238,7 @@ func (sh *shard) termGroups(field *fieldDef, ids []int32) map[string][]int32 {
 // bucket is clipped, not wrapped. Such a start is the one product that wraps,
 // to a value past the row's own.
 func (sh *shard) histKey(id int32, field *fieldDef, interval int64) (int64, bool) {
-	n, ok := field.read(sh.rows.at(int(id)))
+	n, ok := field.read(sh.row(id))
 	if b := floorDiv(n, interval) * interval; b <= n {
 		return b, ok
 	}
@@ -301,7 +301,7 @@ func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 	case a.Percentiles != nil:
 		field, vals := fieldOf(a.Percentiles.Field), make([]float64, 0, len(ids))
 		for _, id := range ids {
-			if n, ok := field.read(sh.rows.at(int(id))); ok {
+			if n, ok := field.read(sh.row(id)); ok {
 				vals = append(vals, float64(n))
 			}
 		}
@@ -310,7 +310,7 @@ func (sh *shard) partial(a Agg, ids []int32) *AggPartial {
 	case a.Stats != nil:
 		field, res := fieldOf(a.Stats.Field), StatsPartial{}
 		for _, id := range ids {
-			if n, ok := field.read(sh.rows.at(int(id))); ok {
+			if n, ok := field.read(sh.row(id)); ok {
 				res.add(n)
 			}
 		}

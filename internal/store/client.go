@@ -148,9 +148,9 @@ func (c *Client) BinaryDisabled() bool { return false }
 // Search runs req against the named index as a JSON answer. It is kept
 // because benchmark/ still calls it; SearchEvents is the typed read.
 func (c *Client) Search(ctx context.Context, index string, req SearchRequest) (SearchResponse, error) {
-	body, err := json.Marshal(req)
+	body, err := encodeSearch(req)
 	if err != nil {
-		return SearchResponse{}, fmt.Errorf("encode search: %w", err)
+		return SearchResponse{}, err
 	}
 	var resp SearchResponse
 	err = c.do(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_search", body, &resp)
@@ -160,13 +160,29 @@ func (c *Client) Search(ctx context.Context, index string, req SearchRequest) (S
 // SearchEvents runs req against the named index, asking for the typed hit
 // body: the hits arrive as the events the server holds, bit for bit.
 func (c *Client) SearchEvents(ctx context.Context, index string, req SearchRequest) (EventsResult, error) {
-	body, err := json.Marshal(req)
+	body, err := encodeSearch(req)
 	if err != nil {
-		return EventsResult{}, fmt.Errorf("encode search: %w", err)
+		return EventsResult{}, err
 	}
 	var b hitsBody
 	err = c.do(ctx, http.MethodPost, "/"+url.PathEscape(index)+"/_search", body, &b)
 	return EventsResult{Total: b.Total, Hits: b.Hits, Aggs: b.Aggs, NextAfter: b.NextAfter}, err
+}
+
+// encodeSearch is req's request body. A cursor's gid is checked first, by the
+// rule the server reads it with (cursorGID): JSON cannot carry a float gid
+// as a float.
+func encodeSearch(req SearchRequest) ([]byte, error) {
+	if len(req.SearchAfter) > 0 {
+		if _, err := cursorGID(req.SearchAfter); err != nil {
+			return nil, err
+		}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, fmt.Errorf("encode search: %w", err)
+	}
+	return body, nil
 }
 
 // Count counts documents matching q.

@@ -41,7 +41,8 @@ type codeDict struct {
 const codeIdle = 256
 
 // NewCodeTable returns an empty table over field, which must be a string
-// field of the schema other than file_tag (a row holds the tag, not a code).
+// field of the schema other than file_tag: a row's tag code is not one per
+// tag (tagTable), so it cannot stand for the tag's string.
 func NewCodeTable(field string) *CodeTable {
 	f := fieldOf(field)
 	if f.kind != slotKind {

@@ -45,6 +45,30 @@ type searchCursor struct {
 	inline [2]sortKey
 }
 
+// cursorGID reads a cursor's last element, the boundary row's global id,
+// by the one rule every side applies (parse, and a Client before it sends
+// the request): a non-negative integer, as a Go integer or a JSON integer
+// literal. A float is not one, whatever its value: next_after writes an
+// integer, and JSON would carry a float gid as the integer literal it
+// rounds to, so a Client that sent one would resume where the caller did
+// not ask.
+func cursorGID(after []any) (int, error) {
+	last := after[len(after)-1]
+	switch x := last.(type) {
+	case bool, float32, float64:
+		return 0, errBadSearchAfter
+	case json.Number:
+		if _, err := x.Int64(); err != nil {
+			return 0, errBadSearchAfter
+		}
+	}
+	gid, isInt := intOf(last)
+	if !isInt || gid < 0 || gid > math.MaxInt {
+		return 0, errBadSearchAfter
+	}
+	return int(gid), nil
+}
+
 // parse validates and decodes req.SearchAfter into c; ok is false when the
 // request has none. A cursor replaces From — the caller resumes a walk, not
 // an offset — so a nonzero From alongside one is an error.
@@ -58,17 +82,11 @@ func (c *searchCursor) parse(req SearchRequest) (ok bool, err error) {
 	if len(req.SearchAfter) != len(req.Sort)+1 {
 		return false, errBadSearchAfter
 	}
-	last := req.SearchAfter[len(req.SearchAfter)-1]
-	gid, isInt := intOf(last)
-	if n, ok := last.(json.Number); ok {
-		// The gid next_after wrote is an integer literal, never a float's.
-		_, err := n.Int64()
-		isInt = isInt && err == nil
+	gid, err := cursorGID(req.SearchAfter)
+	if err != nil {
+		return false, err
 	}
-	if !isInt || gid < 0 || gid > math.MaxInt {
-		return false, errBadSearchAfter
-	}
-	c.gid = int(gid)
+	c.gid = gid
 	if c.keys = c.inline[:0]; len(req.Sort) > len(c.inline) {
 		c.keys = make([]sortKey, 0, len(req.Sort))
 	}

@@ -287,6 +287,53 @@ func TestCursorBadRequest(t *testing.T) {
 	}
 }
 
+// TestCursorFloatGIDIsBadAlike: a cursor whose gid is a float, integral or
+// not, small or past 2^53, is a 400 in process and through a Client, on both
+// of its search calls, as the same body posted raw is: the gid is read by
+// one rule on every side (cursorGID). An integer gid of the same value
+// answers on all three.
+func TestCursorFloatGIDIsBadAlike(t *testing.T) {
+	ctx := context.Background()
+	st := memStore(t)
+	srv := httptest.NewServer(NewServer(st))
+	t.Cleanup(srv.Close)
+	if err := st.BulkEvents(ctx, "cur", cursorFixture(16)); err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(srv.URL)
+	sorted := []SortField{{Field: FieldTimeEnter}}
+	for _, tc := range []struct {
+		after []any
+		want  int
+	}{
+		{[]any{12345, 9.1e17}, http.StatusBadRequest},
+		{[]any{12345, float64(3)}, http.StatusBadRequest},
+		{[]any{12345, float32(3)}, http.StatusBadRequest},
+		{[]any{12345, true}, http.StatusBadRequest},
+		{[]any{12345, 3}, http.StatusOK},
+		{[]any{12345, int64(910000000000000000)}, http.StatusOK},
+	} {
+		req := SearchRequest{Query: MatchAll(), Sort: sorted, Size: 5, SearchAfter: tc.after}
+		_, errStore := st.Search(ctx, "cur", req)
+		_, errClient := client.Search(ctx, "cur", req)
+		_, errEvents := client.SearchEvents(ctx, "cur", req)
+		for side, err := range map[string]error{"Store": errStore, "Client.Search": errClient, "Client.SearchEvents": errEvents} {
+			if got := StatusOf(err); got != tc.want {
+				t.Errorf("search_after %#v through %s: status %d (%v), want %d", tc.after, side, got, err, tc.want)
+			}
+		}
+	}
+	body := `{"size":5,"sort":[{"field":"time_enter_ns"}],"search_after":[12345,9.1e17]}`
+	resp, err := http.Post(srv.URL+"/cur/_search", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST %s: status %d, want 400", body, resp.StatusCode)
+	}
+}
+
 // TestCursor19DigitTime: a search_after on time_enter_ns carries a 19-digit
 // integer, past float64's exact range, and resumes exactly there. Five rows
 // 1 ns apart, stored newest first, share one float64; paged one hit at a

@@ -596,14 +596,11 @@ func TestGeneratedDifferential(t *testing.T) {
 }
 
 // FuzzDifferential is a seed of TestGeneratedDifferential drawn from the
-// fuzz input: eight bytes per draw, then a source seeded by their hash.
+// fuzz input: eight bytes per draw, then a source seeded by their hash. A
+// case it finds is kept as the shrinker's literal (genRegressions), not as
+// its bytes, which a change to the generator reroutes.
 func FuzzDifferential(f *testing.F) {
-	// "\x00\x04e," once pivoted on a float64 term of MinInt64, and
-	// "\xcc\xa1 (\xc5\xf1" does under this generator: a Client must send it
-	// as the integer the store reads it as, and a server read the decimal
-	// encoding/json writes for it, which no int64 literal spells, as that
-	// float64.
-	for _, s := range []string{"", "\x00", "seed", "\xff\xff\xff\xff\xff\xff\xff\x7f", "\x00\x04e,", "\xcc\xa1 (\xc5\xf1"} {
+	for _, s := range []string{"", "\x00", "seed", "\xff\xff\xff\xff\xff\xff\xff\x7f"} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -611,6 +608,37 @@ func FuzzDifferential(f *testing.F) {
 		h.Write(data)
 		runSeed(t, rand.New(&byteSource{data, rand.NewSource(int64(h.Sum64()))}), 8)
 	})
+}
+
+// genRegressions are cases the generator found, as the shrinker prints
+// them. Each pivots on float64 terms of time_enter_ns, a float form of a
+// value the rows hold, past 2^53: a stamp step that is a multiple of 256
+// (genStamp(256), genStamp(512)), whose shortest decimal, the one
+// encoding/json writes, spells another integer (…800 for …768, …1500 for
+// …1536), and MinInt64, whose decimal no int64 literal spells. A Client must
+// send each as the integer the store reads it as (wireValue): without that
+// re-typing, each case fails on the client arm.
+var genRegressions = []genCase{
+	{Shards: 4, Batches: [][]event.Event{{
+		{Session: "s0", Syscall: "read", TimeEnterNS: -9223372036854775808, TimeExitNS: 1687800000000000768},
+		{Session: "s1", Syscall: "write", TimeEnterNS: 1687800000000000768, TimeExitNS: 1687800000000000768},
+		{Session: "s1", Syscall: "read", TimeEnterNS: 1687800000000000771, TimeExitNS: 1687800000000000771},
+	}}, Req: SearchRequest{Query: Query{Terms: &TermsQuery{Field: "time_enter_ns", Values: []interface{}{float64(-9.223372036854776e+18), float64(1.6878000000000008e+18)}}}, Size: 7}, Walk: 1, Pred: Query{Term: &TermQuery{Field: "session", Value: "s1"}}},
+	{Shards: 1, Batches: [][]event.Event{{
+		{Session: "s0", Syscall: "openat", FileTag: event.FileTag{Dev: 8, Ino: 1, BirthNS: 5}, TimeEnterNS: 1687800000000001536, TimeExitNS: 1687800000000001536},
+		{Session: "s0", Syscall: "openat", TimeEnterNS: 1687800000000001539, TimeExitNS: 1687800000000001539},
+	}}, Req: SearchRequest{Query: Query{Bool: &BoolQuery{Must: []Query{{Term: &TermQuery{Field: "time_enter_ns", Value: float64(1.6878000000000015e+18)}}, {Exists: &ExistsQuery{Field: "file_tag"}}}}}, Sort: []SortField{{Field: "time_enter_ns", Desc: true}}, Size: 1}, Walk: 3, Pred: Query{Term: &TermQuery{Field: "time_enter_ns", Value: float64(-9.223372036854776e+18)}}},
+}
+
+// TestGenRegressions checks each kept case alone on every arm.
+func TestGenRegressions(t *testing.T) {
+	for i, c := range genRegressions {
+		t.Run(fmt.Sprintf("case=%d", i), func(t *testing.T) {
+			if err := runCase(t, c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 type byteSource struct {
@@ -765,8 +793,9 @@ func queryParts(q Query) []Query {
 }
 
 // goLiteral renders v as Go source: composite literals without their zero
-// fields, pointers as &T{...} or ptr(v), and interface values converted to
-// their dynamic type.
+// fields, pointers as &T{...} or ptr[T](v) (a bound's *int64 does not
+// take an untyped constant's int), and interface values converted to their
+// dynamic type.
 func goLiteral(v any) string {
 	var b strings.Builder
 	writeLiteral(&b, reflect.ValueOf(v))
@@ -787,7 +816,7 @@ func writeLiteral(b *strings.Builder, v reflect.Value) {
 		case v.Kind() == reflect.Interface && (e.Type() == reflect.TypeOf("") || e.Kind() == reflect.Bool):
 			writeLiteral(b, e)
 		default:
-			conv := "ptr"
+			conv := "ptr[" + e.Type().String() + "]"
 			if v.Kind() == reflect.Interface {
 				conv = e.Type().String()
 			}

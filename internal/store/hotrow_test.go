@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -36,14 +37,30 @@ func heapFixture(i int) event.Event {
 }
 
 // TestHotRowHeapPerEvent is the row-storage bar: 2^18 rows of heapFixture in
-// an in-memory index hold at most 175 live heap bytes each after a forced
-// GC — the 144-byte packed row, its posting entries and the dictionaries —
-// where rows stored as whole events held about 325.
+// an in-memory index hold at most 150 live heap bytes each after a forced
+// GC — the 120-byte packed row, its posting entries, the dictionaries and
+// the tag tables — where rows stored as whole events held about 325, and
+// rows holding the tag inline in 144 bytes about 165. A block of rows fills
+// whole allocator pages, so no row pays for page rounding.
 func TestHotRowHeapPerEvent(t *testing.T) {
-	if got := unsafe.Sizeof(hotRow{}); got != 144 {
-		t.Fatalf("a packed row is %d bytes, want 144 (512 of them fill 9 pages)", got)
+	if got := unsafe.Sizeof(hotRow{}); got != 120 {
+		t.Fatalf("a packed row is %d bytes, want 120 (1 024 of them fill 15 pages)", got)
 	}
-	const rows, batchLen = 1 << 18, 1024
+	if block := blockRows * unsafe.Sizeof(hotRow{}); block%8192 != 0 {
+		t.Fatalf("a block of %d rows is %d bytes, not a whole number of 8 KiB pages", blockRows, block)
+	}
+	per := liveBytesPerEvent(t, 1<<18, heapFixture)
+	if per > 150 {
+		t.Fatalf("stored events hold %.1f live heap bytes each, want at most 150", per)
+	}
+}
+
+// liveBytesPerEvent stores rows events, event i mk(i), in an in-memory index
+// of four shards and returns the live heap bytes each holds after a forced
+// GC.
+func liveBytesPerEvent(t *testing.T, rows int, mk func(int) event.Event) float64 {
+	t.Helper()
+	const batchLen = 1024
 	batch := make([]event.Event, batchLen)
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -51,7 +68,7 @@ func TestHotRowHeapPerEvent(t *testing.T) {
 	ix := NewIndexWithShards("heap", 4)
 	for n := 0; n < rows; n += batchLen {
 		for i := range batch {
-			batch[i] = heapFixture(n + i)
+			batch[i] = mk(n + i)
 		}
 		if err := ix.AddEvents(batch); err != nil {
 			t.Fatal(err)
@@ -59,12 +76,111 @@ func TestHotRowHeapPerEvent(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / rows
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(rows)
 	runtime.KeepAlive(ix)
 	runtime.KeepAlive(batch)
 	t.Logf("%.1f live heap bytes per stored event", per)
-	if per > 175 {
-		t.Fatalf("%d stored events hold %.1f live heap bytes each, want at most 175", rows, per)
+	return per
+}
+
+// TestTagChurnHeap bounds the tag table where it costs most: heapFixture
+// rows whose file tag is new every row, or every third row, dealt over four
+// shards, hold at most 172 live heap bytes each. Rows holding the tag inline
+// held 164; a per-shard map from tag to code held 249, an entry and the tag
+// on every shard the tag's rows reach.
+func TestTagChurnHeap(t *testing.T) {
+	for _, every := range []int{1, 3} {
+		t.Run(fmt.Sprintf("new_tag_every_%d", every), func(t *testing.T) {
+			per := liveBytesPerEvent(t, 1<<18, func(i int) event.Event {
+				e := heapFixture(i)
+				e.FileTag.Ino = uint64(1000 + i/every)
+				return e
+			})
+			if per > 172 {
+				t.Fatalf("stored events hold %.1f live heap bytes each, want at most 172", per)
+			}
+		})
+	}
+}
+
+// TestTagTableStartsFresh: evictLocked and reuse each leave a shard's tag
+// table holding code 0 alone with nothing cached, and a row added after
+// either reads its own tag, also where its tag was cached before, under
+// another code.
+func TestTagTableStartsFresh(t *testing.T) {
+	tag := func(i int) event.FileTag { return event.FileTag{Dev: 8, Ino: uint64(i), BirthNS: 77} }
+	for _, empty := range []struct {
+		name string
+		fn   func(*shard)
+	}{{"evictLocked", (*shard).evictLocked}, {"reuse", (*shard).reuse}} {
+		sh := newShard()
+		for i := range 1000 { // more tags than the cache has slots
+			e := heapFixture(i)
+			e.FileTag = tag(i % 600)
+			sh.addEventLocked(&e)
+		}
+		empty.fn(sh)
+		if len(sh.tags.tags) != 1 || !sh.tags.tags[0].Zero() || sh.tags.cache != [256]uint32{} {
+			t.Fatalf("after %s the tag table holds %d tags, or caches a code", empty.name, len(sh.tags.tags))
+		}
+		for i, ino := range []int{599, 3, 599, 0, 3} {
+			e := heapFixture(i)
+			e.FileTag = tag(ino)
+			if ino == 0 {
+				e.FileTag = event.FileTag{}
+			}
+			if got := sh.row(sh.addEventLocked(&e)).FileTag(); got != e.FileTag {
+				t.Fatalf("after %s row %d reads tag %v, want %v", empty.name, i, got, e.FileTag)
+			}
+		}
+		if len(sh.tags.tags) != 3 {
+			t.Fatalf("after %s two tags took %d codes, want 2 and code 0", empty.name, len(sh.tags.tags)-1)
+		}
+	}
+}
+
+// TestEachRowOverClientKeepsEachRowsTag: over a store.Client the walk packs
+// every page into one page shard it empties (reuse) page after page, so a
+// tag code of one page names nothing on the next. At page size 7 over rows
+// whose tags change from row to row, some untagged, every row the Client
+// walk yields reads its own tag, and the walk equals the in-process one.
+func TestEachRowOverClientKeepsEachRowsTag(t *testing.T) {
+	ctx := context.Background()
+	st := memStore(t, WithShards(4))
+	evs := make([]event.Event, 500)
+	for i := range evs {
+		evs[i] = heapFixture(i)
+		evs[i].FileTag = event.FileTag{Dev: uint64(1 + i%3), Ino: uint64(i * 7 % 61), BirthNS: int64(i % 5)}
+	}
+	if err := st.BulkEvents(ctx, "tags", evs); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(st))
+	defer srv.Close()
+	req := SearchRequest{Query: Term(FieldSession, "heap"), Sort: []SortField{{Field: FieldTimeEnter}}}
+	walk := func(b Backend) []event.Event {
+		var out []event.Event
+		err := EachRow(ctx, b, "tags", req, 7, func(r Row) {
+			var e event.Event
+			r.Event(&e)
+			if r.FileTag() != e.FileTag {
+				t.Fatalf("Row.FileTag() is %v, its unpack %v", r.FileTag(), e.FileTag)
+			}
+			out = append(out, e)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want, got := walk(st), walk(NewClient(srv.URL))
+	if len(want) != len(evs) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("over the Client the walk yielded %d rows, in process %d of %d, or others", len(got), len(want), len(evs))
+	}
+	for i, e := range got {
+		if e.FileTag != evs[i].FileTag {
+			t.Fatalf("row %d reads tag %v over the Client, stored with %v", i, e.FileTag, evs[i].FileTag)
+		}
 	}
 }
 
@@ -103,7 +219,7 @@ func checkPacked(t *testing.T, sh *shard, id int32, want *event.Event) {
 	for _, name := range append(event.Fields(), "no_such_field") {
 		f := fieldOf(name)
 		dv, present := doc[name]
-		n, isNum := f.read(w.r)
+		n, isNum := f.read(w)
 		dn, dIsNum := intOf(dv)
 		str, isStr := f.str(w)
 		dstr, dIsStr := dv.(string)

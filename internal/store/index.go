@@ -284,7 +284,7 @@ type hitRef struct {
 func newRef(sh *shard, id int32, gid int, sorts []sortBy) hitRef {
 	ref := hitRef{sh: sh, id: id, gid: gid}
 	if len(sorts) > 0 {
-		ref.key, ref.keyOK = sorts[0].f.read(sh.rows.at(int(id)))
+		ref.key, ref.keyOK = sorts[0].f.read(sh.row(id))
 	}
 	return ref
 }

@@ -276,12 +276,13 @@ func compileList(qs []Query) []clause {
 // compileTerm types a term's values in the field's domain. A string field
 // equals a string. file_tag equals the string its tag renders as, so a
 // string is parsed to the tag once, here, and kept only when the tag renders
-// back to it: a row's packed tag is then compared in place, and a malformed
-// or non-canonical string, which no tag renders as, matches nothing. An
-// integer field equals a value intOf accepts and the decimal string of the
-// integer; has_offset, read as 0/1, equals those and "true" and "false". A
-// nil value equals a row that lacks the field. Any other value equals
-// nothing, and is dropped here.
+// back to it: a row's tag is then read through its shard's tag table and
+// compared by value, never by code (one tag may have several codes), and a
+// malformed or non-canonical string, which no tag renders as, matches
+// nothing. An integer field equals a value intOf accepts and the decimal
+// string of the integer; has_offset, read as 0/1, equals those and "true"
+// and "false". A nil value equals a row that lacks the field. Any other
+// value equals nothing, and is dropped here.
 func compileTerm(name string, vals []any) clause {
 	c := clause{op: opTerm, name: name, f: fieldOf(name)}
 	for _, v := range vals {
@@ -334,30 +335,30 @@ func (c *clause) match(w Row) bool {
 	switch c.op {
 	case opTerm:
 		if c.f.kind == tagKind {
-			if w.r.FileTag.Zero() {
+			if w.r.tag == 0 {
 				return c.orNil
 			}
-			return slices.Contains(c.tags, w.r.FileTag)
+			return slices.Contains(c.tags, w.FileTag())
 		}
 		if s, ok := c.f.str(w); ok {
 			return slices.Contains(c.strs, s)
 		}
-		if n, ok := c.f.read(w.r); ok {
+		if n, ok := c.f.read(w); ok {
 			return slices.Contains(c.nums, n)
 		}
 		return c.orNil
 	case opRange:
-		n, ok := c.f.read(w.r)
+		n, ok := c.f.read(w)
 		return ok && c.lo <= n && n <= c.hi
 	case opPrefix:
 		s, ok := c.f.str(w)
 		return ok && strings.HasPrefix(s, c.prefix)
 	case opExists:
 		if c.f.kind == tagKind { // the tag's presence, without rendering it
-			return !w.r.FileTag.Zero()
+			return w.r.tag != 0
 		}
 		s, isStr := c.f.str(w)
-		_, isNum := c.f.read(w.r)
+		_, isNum := c.f.read(w)
 		return isStr && s != "" || isNum
 	case opBool:
 		for i := range c.must {

@@ -109,8 +109,17 @@ func (c *queryCache) size() int {
 
 // cacheable limits memoization to bounded pages: Size <= 0 means "return
 // every hit", which is a bulk export, not a dashboard query, and one such
-// entry could pin an arbitrarily large response.
-func cacheable(req SearchRequest) bool { return req.Size > 0 }
+// entry could pin an arbitrarily large response. A cursor whose gid is not
+// one (cursorGID) is never looked up: its key reads a float gid as the
+// integer it equals, whose entry would answer a request the search rejects.
+func cacheable(req SearchRequest) bool {
+	if len(req.SearchAfter) > 0 {
+		if _, err := cursorGID(req.SearchAfter); err != nil {
+			return false
+		}
+	}
+	return req.Size > 0
+}
 
 // readTelemetry carries the read-path counters wired by the owning Store
 // (cold-segment pruning, verification and row selection); the zero value

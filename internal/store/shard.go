@@ -18,17 +18,19 @@ import (
 // which the merge phase of Search relies on.
 //
 // A row is a packed hotRow: each string field is a code into the shard's
-// dictionary of that field, written with the row under the write lock, so a
-// string a shard's rows repeat is held once. Postings, runs, query evaluation
-// and aggregation read a row in place, each field through its resolved table
-// entry (fieldTable), and never build a map; a search hit is unpacked into an
-// event.Event only at the edge. Everything else a shard holds is derived from
-// its rows: dictionaries and postings at append, sort orders on demand
-// (ensureRuns).
+// dictionary of that field, and the file tag a code into its tag table,
+// written with the row under the write lock, so a string a shard's rows
+// repeat is held once, and a tag its recent rows repeat. Postings, runs,
+// query evaluation and aggregation read a row in place, each field through
+// its resolved table entry (fieldTable), and never build a map; a search hit
+// is unpacked into an event.Event only at the edge. Everything else a shard
+// holds is derived from its rows: dictionaries, tag table and postings at
+// append, sort orders on demand (ensureRuns).
 type shard struct {
 	mu       sync.RWMutex
 	rows     rows
 	dicts    [nSlots]dict        // per string slot: code <-> term
+	tags     tagTable            // file tags: code -> tag
 	postings [nIndexed][][]int32 // per indexed slot and code: local row ids
 	runs     map[runKey]*termRun // lazy sort orders, keyed by sort field and term
 	gen      uint64              // the dictionaries' generation (dictGens): new each time they are re-made
@@ -119,7 +121,7 @@ func (sh *shard) extendRun(k runKey, ids []int32, n int) {
 		if ids != nil {
 			id = ids[i]
 		}
-		v, ok := f.read(sh.rows.at(int(id)))
+		v, ok := f.read(sh.row(id))
 		if !ok {
 			sh.runs[k] = nil
 			return
@@ -230,12 +232,13 @@ func sortedIDs(run []int32, n int) []int32 {
 }
 
 // blockRows is the row count of one storage block: a power of two, so a row
-// id splits into block and slot by shift and mask. 512 rows of 144 bytes are
-// 9 allocator pages exactly. The tail block is allocated whole, so an index's
-// heap is a staircase in its row count with a step of shards × one block;
-// the block list of a million-row shard is still only 2 000 headers.
+// id splits into block and slot by shift and mask. 1 024 rows of 120 bytes
+// are 15 allocator pages exactly (512 would round up to 8 pages, 128 B a
+// row). The tail block is allocated whole, so an index's heap is a staircase
+// in its row count with a step of shards × one block; the block list of a
+// million-row shard is still only 1 000 headers.
 const (
-	blockShift = 9
+	blockShift = 10
 	blockRows  = 1 << blockShift
 )
 
@@ -266,24 +269,24 @@ var fieldTable = map[string]*fieldDef{
 	FieldKernelPath: {kind: slotKind, slot: 9, read: noInt},
 	FieldFilePath:   {kind: slotKind, slot: slotFilePath, read: noInt},
 	FieldFileTag:    {kind: tagKind, read: noInt},
-	FieldRetVal:     {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.RetVal, true }},
-	FieldPID:        {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.PID), true }},
-	FieldTID:        {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.TID), true }},
-	FieldTimeEnter:  {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.TimeEnterNS, true }},
-	FieldTimeExit:   {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.TimeExitNS, true }},
-	FieldDuration:   {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.TimeExitNS - r.TimeEnterNS, true }},
-	FieldFD:         {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.FD), r.FD != 0 }},
-	FieldCount:      {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.Count), r.Count != 0 }},
-	FieldArgOffset:  {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.ArgOff, r.ArgOff != 0 }},
-	FieldWhence:     {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.Whence), r.Whence != 0 }},
-	FieldFlags:      {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.Flags), r.Flags != 0 }},
-	FieldMode:       {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.Mode), r.Mode != 0 }},
-	FieldOffset:     {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.Offset, r.HasOffset }},
-	FieldDevNo:      {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.FileTag.Dev), !r.FileTag.Zero() }},
-	FieldInodeNo:    {kind: intKind, read: func(r *hotRow) (int64, bool) { return int64(r.FileTag.Ino), !r.FileTag.Zero() }},
-	FieldTagTS:      {kind: intKind, read: func(r *hotRow) (int64, bool) { return r.FileTag.BirthNS, !r.FileTag.Zero() }},
-	FieldHasOffset: {kind: flagKind, read: func(r *hotRow) (int64, bool) {
-		if r.HasOffset {
+	FieldRetVal:     {kind: intKind, read: func(w Row) (int64, bool) { return w.r.RetVal, true }},
+	FieldPID:        {kind: intKind, read: func(w Row) (int64, bool) { return int64(w.r.PID), true }},
+	FieldTID:        {kind: intKind, read: func(w Row) (int64, bool) { return int64(w.r.TID), true }},
+	FieldTimeEnter:  {kind: intKind, read: func(w Row) (int64, bool) { return w.r.TimeEnterNS, true }},
+	FieldTimeExit:   {kind: intKind, read: func(w Row) (int64, bool) { return w.r.TimeExitNS, true }},
+	FieldDuration:   {kind: intKind, read: func(w Row) (int64, bool) { return w.r.TimeExitNS - w.r.TimeEnterNS, true }},
+	FieldFD:         {kind: intKind, read: func(w Row) (int64, bool) { return int64(w.r.FD), w.r.FD != 0 }},
+	FieldCount:      {kind: intKind, read: func(w Row) (int64, bool) { return int64(w.r.Count), w.r.Count != 0 }},
+	FieldArgOffset:  {kind: intKind, read: func(w Row) (int64, bool) { return w.r.ArgOff, w.r.ArgOff != 0 }},
+	FieldWhence:     {kind: intKind, read: func(w Row) (int64, bool) { return int64(w.r.Whence), w.r.Whence != 0 }},
+	FieldFlags:      {kind: intKind, read: func(w Row) (int64, bool) { return int64(w.r.Flags), w.r.Flags != 0 }},
+	FieldMode:       {kind: intKind, read: func(w Row) (int64, bool) { return int64(w.r.Mode), w.r.Mode != 0 }},
+	FieldOffset:     {kind: intKind, read: func(w Row) (int64, bool) { return w.r.Offset, w.r.HasOffset }},
+	FieldDevNo:      {kind: intKind, read: func(w Row) (int64, bool) { return int64(w.FileTag().Dev), w.r.tag != 0 }},
+	FieldInodeNo:    {kind: intKind, read: func(w Row) (int64, bool) { return int64(w.FileTag().Ino), w.r.tag != 0 }},
+	FieldTagTS:      {kind: intKind, read: func(w Row) (int64, bool) { return w.FileTag().BirthNS, w.r.tag != 0 }},
+	FieldHasOffset: {kind: flagKind, read: func(w Row) (int64, bool) {
+		if w.r.HasOffset {
 			return 1, true
 		}
 		return 0, true
@@ -306,13 +309,13 @@ const (
 type fieldDef struct {
 	kind fieldKind
 	slot int
-	read func(r *hotRow) (int64, bool)
+	read func(w Row) (int64, bool)
 }
 
 // absentField is the entry of every name the schema lacks.
 var absentField = fieldDef{kind: absentKind, read: noInt}
 
-func noInt(*hotRow) (int64, bool) { return 0, false }
+func noInt(Row) (int64, bool) { return 0, false }
 
 // fieldOf resolves a field name to its table entry.
 func fieldOf(name string) *fieldDef {
@@ -329,7 +332,7 @@ func (f *fieldDef) key(w Row) sortKey {
 		s, _ := f.str(w)
 		return sortKey{str: s}
 	}
-	n, ok := f.read(w.r)
+	n, ok := f.read(w)
 	return sortKey{num: n, isNum: ok}
 }
 
@@ -342,10 +345,10 @@ func (f *fieldDef) str(w Row) (s string, ok bool) {
 		s = w.str(f.slot)
 		return s, s != "" || f.indexed()
 	case tagKind:
-		if w.r.FileTag.Zero() {
+		if w.r.tag == 0 {
 			return "", false
 		}
-		return w.r.FileTag.String(), true
+		return w.FileTag().String(), true
 	}
 	return "", false
 }
@@ -363,16 +366,17 @@ func slotsOf(e *event.Event) [nSlots]*string {
 		&e.ArgPath, &e.ArgPath2, &e.AttrName, &e.FileType, &e.KernelPath, &e.FilePath}
 }
 
-// hotRow is one stored event in 144 bytes: a dictionary code per string
-// slot, in 32 bits the fields every wire form keeps in 32 (a stored event is
-// canonical, event.Event.Canonicalize), and the rest as the event holds them.
+// hotRow is one stored event in 120 bytes: a dictionary code per string
+// slot, a code into the shard's tag table (0: no tag), in 32 bits the fields
+// every wire form keeps in 32 (a stored event is canonical,
+// event.Event.Canonicalize), and the rest as the event holds them.
 type hotRow struct {
 	str                                             [nSlots]uint32
+	tag                                             uint32
 	PID, TID, FD, Count, Whence, Flags              int32
 	Mode                                            uint32
+	HasOffset                                       bool // in the padding before the int64s
 	RetVal, ArgOff, TimeEnterNS, TimeExitNS, Offset int64
-	FileTag                                         event.FileTag
-	HasOffset                                       bool
 }
 
 // dict is one string slot's dictionary on a shard: terms[c] is code c's term,
@@ -397,6 +401,38 @@ func (d *dict) intern(s string) uint32 {
 	}
 	d.last = c
 	return c
+}
+
+// tagTable is a shard's file tags: tags[c] is code c's tag, and code 0, the
+// zero tag, is a row with none. It is append-only and holds no map: rows are
+// dealt round-robin, so every shard meets most tags, and a map entry per tag
+// per shard would cost more than the inline tag it replaces. A direct-mapped
+// cache of recent codes, indexed by a hash of the tag, finds a tag the
+// shard's recent rows carried; a tag the cache has lost is appended again,
+// so one tag may have several codes, and a reader compares tags, not codes.
+type tagTable struct {
+	tags  []event.FileTag
+	cache [256]uint32
+}
+
+// intern returns tag's code, appending tag when the cache does not hold it.
+// Caller holds the shard write lock.
+func (t *tagTable) intern(tag event.FileTag) uint32 {
+	if tag.Zero() {
+		return 0
+	}
+	h := (tag.Dev<<32 ^ tag.Ino ^ uint64(tag.BirthNS)) * 0x9e3779b97f4a7c15 >> 56
+	if c := t.cache[h]; t.tags[c] == tag {
+		return c
+	}
+	c := uint32(len(t.tags))
+	t.tags, t.cache[h] = append(t.tags, tag), c
+	return c
+}
+
+// reset empties t in place: code 0 alone, and nothing cached.
+func (t *tagTable) reset() {
+	t.tags, t.cache = append(t.tags[:0], event.FileTag{}), [256]uint32{}
 }
 
 // rows is a shard's row storage: append-only blocks of blockRows rows, each
@@ -446,8 +482,8 @@ func (sh *shard) posting(field, term string) ([]int32, bool) {
 }
 
 // Row is one stored row read in place: the packed row and the shard whose
-// dictionaries its codes index. It is what a compiled clause tests and what
-// a diagnosis pass observes (EachRow); its accessors answer as
+// dictionaries and tag table its codes index. It is what a compiled clause
+// tests and what a diagnosis pass observes (EachRow); its accessors answer as
 // event.Event's fields and methods do, one per field, so a reader pays for
 // the fields it reads and no more. A Row is borrowed: it is valid while the
 // read lock, or the walk's page, it was handed under lasts.
@@ -488,7 +524,7 @@ func (w Row) TID() int               { return int(w.r.TID) }
 func (w Row) TimeEnterNS() int64     { return w.r.TimeEnterNS }
 func (w Row) TimeExitNS() int64      { return w.r.TimeExitNS }
 func (w Row) DurationNS() int64      { return w.r.TimeExitNS - w.r.TimeEnterNS }
-func (w Row) FileTag() event.FileTag { return w.r.FileTag }
+func (w Row) FileTag() event.FileTag { return w.sh.tags.tags[w.r.tag] }
 func (w Row) Offset() int64          { return w.r.Offset }
 func (w Row) HasOffset() bool        { return w.r.HasOffset }
 
@@ -499,7 +535,7 @@ func (w Row) Event(dst *event.Event) {
 	r := w.r
 	dst.RetVal, dst.ArgOff, dst.TimeEnterNS, dst.TimeExitNS, dst.Offset = r.RetVal, r.ArgOff, r.TimeEnterNS, r.TimeExitNS, r.Offset
 	dst.PID, dst.TID, dst.FD, dst.Count = int(r.PID), int(r.TID), int(r.FD), int(r.Count)
-	dst.Whence, dst.Flags, dst.Mode, dst.FileTag, dst.HasOffset = int(r.Whence), int(r.Flags), r.Mode, r.FileTag, r.HasOffset
+	dst.Whence, dst.Flags, dst.Mode, dst.FileTag, dst.HasOffset = int(r.Whence), int(r.Flags), r.Mode, w.FileTag(), r.HasOffset
 	dst.Session, dst.Syscall, dst.ProcName, dst.ThreadName, dst.Class = w.str(0), w.str(1), w.str(2), w.str(3), w.str(4)
 	dst.ArgPath, dst.ArgPath2, dst.AttrName, dst.FileType, dst.KernelPath, dst.FilePath = w.str(5), w.str(6), w.str(7), w.str(8), w.str(9), w.str(10)
 }
@@ -517,7 +553,7 @@ func (sh *shard) addEventLocked(e *event.Event) int32 {
 	}
 	r.PID, r.TID, r.FD, r.Count, r.Whence, r.Flags = int32(e.PID), int32(e.TID), int32(e.FD), int32(e.Count), int32(e.Whence), int32(e.Flags)
 	r.Mode, r.RetVal, r.ArgOff, r.TimeEnterNS, r.TimeExitNS = e.Mode, e.RetVal, e.ArgOff, e.TimeEnterNS, e.TimeExitNS
-	r.Offset, r.HasOffset, r.FileTag = e.Offset, e.HasOffset, e.FileTag
+	r.Offset, r.HasOffset, r.tag = e.Offset, e.HasOffset, sh.tags.intern(e.FileTag)
 	for f := range sh.postings {
 		if c, pl := r.str[f], sh.postings[f]; int(c) < len(pl) {
 			pl[c] = append(pl[c], id)
@@ -541,23 +577,25 @@ func (sh *shard) len() int {
 var dictGens atomic.Uint64
 
 // evictLocked drops every row and everything derived from them:
-// dictionaries, postings and runs, and starts the dictionaries' next
-// generation. Caller holds the write lock.
+// dictionaries, tag table, postings and runs, and starts the dictionaries'
+// next generation. Caller holds the write lock.
 func (sh *shard) evictLocked() {
 	sh.gen = dictGens.Add(1)
 	sh.rows = rows{}
 	for f := range sh.dicts {
 		sh.dicts[f] = dict{terms: []string{""}, codes: make(map[string]uint32)}
 	}
+	sh.tags = tagTable{tags: []event.FileTag{{}}}
 	for f := range sh.postings {
 		sh.postings[f] = [][]int32{nil}
 	}
 	sh.runs = nil
 }
 
-// reuse empties a walk's page shard (EachRow) for its next page: rows and
-// dictionaries start over in the blocks and maps the shard holds, so a walk
-// allocates its row blocks for its largest page and not for every page.
+// reuse empties a walk's page shard (EachRow) for its next page: rows,
+// dictionaries and tag table start over in the blocks, maps and slices the
+// shard holds, so a walk allocates its row blocks for its largest page and
+// not for every page.
 // The dictionaries start their next generation: a code read on one page
 // names nothing on the next (CodeTable). Only the walk that owns the shard
 // reads it.
@@ -569,6 +607,7 @@ func (sh *shard) reuse() {
 		d.terms, d.last = d.terms[:1], 0
 		clear(d.codes)
 	}
+	sh.tags.reset()
 	for f, pl := range sh.postings {
 		sh.postings[f] = append(pl[:0], pl[0][:0])
 	}

@@ -73,8 +73,9 @@ type coldSegment struct {
 // gid, and its slot in every indexed field's posting list.
 const rowBytes = int64(unsafe.Sizeof(hotRow{})) + int64(unsafe.Sizeof(0)) + 4*nIndexed
 
-// size is cs's decoded bytes: its rows, its dictionaries' terms, and the
-// runs built on it at their capacity. Caller holds cs.sh.mu or owns cs.
+// size is cs's decoded bytes: its rows, its dictionaries' terms, its tag
+// table, and the runs built on it at their capacity. Caller holds cs.sh.mu
+// or owns cs.
 func (cs *coldSegment) size() int64 {
 	n := int64(len(cs.gids)) * rowBytes
 	for _, r := range cs.sh.runs {
@@ -85,6 +86,7 @@ func (cs *coldSegment) size() int64 {
 	for _, d := range cs.sh.dicts {
 		n += int64(cap(d.terms)) * int64(unsafe.Sizeof(""))
 	}
+	n += int64(cap(cs.sh.tags.tags)) * int64(unsafe.Sizeof(event.FileTag{}))
 	return n
 }
 

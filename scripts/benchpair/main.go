@@ -10,7 +10,11 @@
 // into .bench_build/base-<sha>/ and both trees are built and run by their own
 // benchmark/run.sh, so the base is measured by the base's benchmark code.
 // Nothing under benchmark/ is changed or depended on beyond run.sh's contract:
-// the last line of standard output is one JSON object.
+// the last line of standard output is one JSON object, and the run's result
+// file (benchmark/out/result-<workload>-seed<seed>.json, layers-… when
+// traced) carries the host object that ran it. Every number carries its
+// host: each workload's table prints the host once, and a run on a host
+// other than the first run's fails the comparison.
 package main
 
 import (
@@ -42,8 +46,19 @@ type metric struct {
 	Bound  float64 `json:"bound"` // 0 on per-layer metrics: reported, not judged
 }
 
-// run is the driver line of one benchmark process.
+// host is what a result file records of the machine that produced it, the
+// fields a comparison must hold fixed.
+type host struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// run is the driver line of one benchmark process, and the host of its
+// result file.
 type run struct {
+	host      host
 	Correct   bool `json:"correct"`
 	Attempted int  `json:"attempted"`
 	Failed    int  `json:"failed"`
@@ -93,6 +108,7 @@ func compare(workload, base string, pairs int, seed int64, trace int) error {
 	}
 	fmt.Printf("base %s (%s) vs working tree, %d pairs, seed %d, %d s, trace %d\n", base, sha[:7], pairs, seed, sp.RunSeconds, trace)
 	past := 0
+	var first *host
 	for _, w := range workloads {
 		args := []string{"benchmark/run.sh", "--workload", w, "--seed", strconv.FormatInt(seed, 10),
 			"--seconds", strconv.Itoa(sp.RunSeconds), "--trace", strconv.Itoa(trace)}
@@ -103,14 +119,20 @@ func compare(workload, base string, pairs int, seed int64, trace int) error {
 				if (side == 1) == (p%2 == 0) {
 					dir, into = ".", &change
 				}
-				r, err := benchRun(dir, args)
+				r, err := benchRun(dir, args, resultFile(w, seed, trace))
 				if err != nil {
 					return fmt.Errorf("%s pair %d in %s: %w", w, p+1, dir, err)
+				}
+				if first == nil {
+					first = &r.host
+				}
+				if r.host != *first {
+					return fmt.Errorf("%s pair %d in %s ran on host %+v, the first run on %+v: numbers from two hosts do not compare", w, p+1, dir, r.host, *first)
 				}
 				*into = append(*into, r)
 			}
 		}
-		past += report(w, metrics, parent, change)
+		past += report(w, *first, metrics, parent, change)
 	}
 	if past > 0 {
 		return fmt.Errorf("%d metrics are worse than the base by more than their bound", past)
@@ -151,8 +173,19 @@ func exportBase(rev string) (dir, sha string, err error) {
 	return dir, sha, nil
 }
 
-// benchRun runs one benchmark process in dir and parses its driver line.
-func benchRun(dir string, args []string) (run, error) {
+// resultFile is the path, below a checkout, of the result file a run of
+// workload writes.
+func resultFile(workload string, seed int64, trace int) string {
+	kind := "result"
+	if trace != 0 {
+		kind = "layers"
+	}
+	return filepath.Join("benchmark", "out", fmt.Sprintf("%s-%s-seed%d.json", kind, workload, seed))
+}
+
+// benchRun runs one benchmark process in dir, parses its driver line and
+// reads the host from the result file it wrote at result, below dir.
+func benchRun(dir string, args []string, result string) (run, error) {
 	cmd := exec.Command("bash", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -166,12 +199,23 @@ func benchRun(dir string, args []string) (run, error) {
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
 		return run{}, fmt.Errorf("parse driver line %q: %w", lines[len(lines)-1], err)
 	}
+	raw, err := os.ReadFile(filepath.Join(dir, result))
+	if err != nil {
+		return run{}, fmt.Errorf("read the run's host: %w", err)
+	}
+	var rf struct {
+		Host *host `json:"host"`
+	}
+	if err := json.Unmarshal(raw, &rf); err != nil || rf.Host == nil {
+		return run{}, fmt.Errorf("%s names no host (%v)", result, err)
+	}
+	r.host = *rf.Host
 	return r, nil
 }
 
 // report prints one workload's table and returns how many judged metrics the
 // change's median is worse on by more than the bound.
-func report(workload string, metrics []metric, parent, change []run) int {
+func report(workload string, h host, metrics []metric, parent, change []run) int {
 	failed := func(rs []run) (n int, correct bool) {
 		correct = true
 		for _, r := range rs {
@@ -183,6 +227,7 @@ func report(workload string, metrics []metric, parent, change []run) int {
 	pf, pc := failed(parent)
 	cf, cc := failed(change)
 	fmt.Printf("\n%s (%d pairs; correct parent=%v change=%v; failed ops parent=%d change=%d)\n", workload, len(parent), pc, cc, pf, cf)
+	fmt.Printf("  host: cpu %q, nproc %d, gomaxprocs %d, %s\n", h.CPU, h.NProc, h.GOMAXPROCS, h.GoVersion)
 	fmt.Printf("  %-34s %13s %13s %8s %10s %7s  %s\n", "metric", "parent med", "change med", "delta", "parent IQR", "better", "verdict")
 	past := 0
 	for _, m := range metrics {
