@@ -83,12 +83,16 @@ bench-smoke:
 ## (BenchmarkTermsAgg: terms(syscall) over a 1 500-row window of 6 000 rows
 ## counts codes into an array; terms(session) over a 10-row window of a
 ## 5 000-session shard counts them into a map, so a selective query pays for
-## its rows and not the dictionary), so the p50/p99, pruning-speedup,
-## per-page, per-cold-query and per-matched-row cost numbers cannot silently
-## rot.
+## its rows and not the dictionary), then the tier's compaction
+## (BenchmarkMergeSegments: four 24 000-row segments merged into one, in
+## ns/row and allocated B/row; a merge streams one block at a time, so B/row
+## is about the images' bytes a row and not the run held as events), so the
+## p50/p99, pruning-speedup, per-page, per-cold-query, per-matched-row and
+## per-merged-row cost numbers cannot silently rot.
 bench-read:
 	$(GO) test -run xxx -bench 'DashboardReadPath|SegmentPrunedSearch|HitPage' -benchtime=50x -benchmem .
 	$(GO) test -run xxx -bench 'ColdWindow|TermsAgg' -benchtime=50x -benchmem ./internal/store
+	$(GO) test -run xxx -bench 'MergeSegments' -benchtime=5x -benchmem ./internal/durable
 
 ## bench-diagnose: a fast smoke run of the bare walk, the DFG build and the
 ## full engine run over the same 120k-event session. All three are one

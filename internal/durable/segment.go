@@ -58,18 +58,17 @@ type SegmentRow struct {
 }
 
 // RowSource enumerates an index's rows in global-id order. WriteSegment
-// reads each row once, and copies it before it asks for the next, so a
-// source may hand every row out in one reused event (a store unpacks its
-// packed rows so).
+// reads each row once and copies it into the segment writer's block before
+// it asks for the next, so a source may hand every row out in one reused
+// event (a store unpacks its packed rows so).
 type RowSource interface {
 	NumRows() int
 	Row(i int) SegmentRow
 }
 
 // GidSource is an optional RowSource extension that assigns explicit
-// segment-local row ids instead of the default dense 0..N-1. Compaction uses
-// it when merging across a retention gap: ids must be strictly ascending but
-// may be sparse.
+// segment-local row ids instead of the default dense 0..N-1: strictly
+// ascending, and sparse where rows are missing.
 type GidSource interface {
 	Gid(i int) int
 }
@@ -115,59 +114,115 @@ func WriteSegmentImage(path string, data []byte, meta SegmentMeta) error {
 	return err
 }
 
-// encodeSegment builds the file image WriteSegment publishes.
+// encodeSegment builds the file image WriteSegment publishes: src's rows
+// through one segmentWriter.
 func encodeSegment(shards int, src RowSource) ([]byte, SegmentInfo) {
 	n := src.NumRows()
 	gid := func(i int) int { return i }
 	if gs, ok := src.(GidSource); ok {
 		gid = gs.Gid
 	}
-	buf := make([]byte, segHeaderLen, segHeaderLen+40*n+64)
-	copy(buf, segMagic[:])
-	buf[segMagicLen] = segVersion
-	binary.LittleEndian.PutUint32(buf[segMagicLen+1:], uint32(shards))
-	binary.LittleEndian.PutUint64(buf[segMagicLen+5:], uint64(n))
+	var runs []gidRun
+	for i := range n {
+		runs = appendRun(runs, gid(i), 1)
+	}
+	w := newSegmentWriter(shards, runs, segHeaderLen+40*n+64)
+	for i := range n {
+		w.add(src.Row(i).Event)
+	}
+	return w.finish()
+}
 
-	var runs []byte
-	nRuns, end := 0, 0
-	for i := 0; i < n; nRuns++ {
-		first, j := gid(i), i+1
-		for j < n && gid(j) == first+j-i {
-			j++
+// appendRun gives the next n rows the ids gid, gid+1, ...: runs' last run
+// grows when the ids continue it, so runs stay maximal as the layout
+// requires of a writer.
+func appendRun(runs []gidRun, gid, n int) []gidRun {
+	row := 0
+	if k := len(runs) - 1; k >= 0 {
+		if last := &runs[k]; last.gid+last.n == gid {
+			last.n += n
+			return runs
 		}
-		runs = binary.AppendUvarint(binary.AppendUvarint(runs, uint64(first-end)), uint64(j-i))
-		end, i = first+j-i, j
+		row = runs[k].row + runs[k].n
 	}
-	buf = append(binary.AppendUvarint(buf, uint64(nRuns)), runs...)
+	return append(runs, gidRun{row: row, gid: gid, n: n})
+}
 
-	minT, maxT := int64(math.MaxInt64), int64(math.MinInt64)
-	batch := make([]event.Event, 0, min(n, segBlockRows))
-	var frame []byte
-	for lo := 0; lo < n; lo += segBlockRows {
-		batch = batch[:0]
-		bmin, bmax := int64(math.MaxInt64), int64(math.MinInt64)
-		for i := lo; i < min(lo+segBlockRows, n); i++ {
-			e := src.Row(i).Event
-			batch = append(batch, *e)
-			bmin, bmax = min(bmin, e.TimeEnterNS), max(bmax, e.TimeEnterNS)
-		}
-		frame = event.EncodeBatch(frame[:0], batch)
-		buf = binary.AppendVarint(buf, bmin)
-		buf = binary.AppendUvarint(buf, uint64(bmax)-uint64(bmin))
-		buf = binary.AppendUvarint(buf, uint64(len(frame)))
-		buf = append(buf, frame...)
-		minT, maxT = min(minT, bmin), max(maxT, bmax)
+// segmentWriter builds a segment image one block at a time: the header and
+// the gid runs first, then each block of segBlockRows rows, its zone map and
+// its event.EncodeBatch frame, as soon as the block fills. It holds the image
+// and one block's rows, never the run, so a snapshot (WriteSegment) and a
+// compaction (MergeSegments) write through it alike.
+type segmentWriter struct {
+	buf   []byte
+	info  SegmentInfo // Rows is the rows the gid runs number
+	added int
+	batch []event.Event
+	frame []byte
+}
+
+// newSegmentWriter starts the image of an index of shards shards whose rows
+// runs numbers, appending into a buffer of capacity size.
+func newSegmentWriter(shards int, runs []gidRun, size int) *segmentWriter {
+	w := &segmentWriter{info: SegmentInfo{Shards: shards, MinTime: math.MaxInt64, MaxTime: math.MinInt64}}
+	for _, r := range runs {
+		w.info.Rows += r.n
 	}
-	binary.LittleEndian.PutUint64(buf[segMagicLen+13:], uint64(minT))
-	binary.LittleEndian.PutUint64(buf[segMagicLen+21:], uint64(maxT))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-	return buf, SegmentInfo{
-		Shards:  shards,
-		Rows:    n,
-		Bytes:   int64(len(buf)),
-		MinTime: minT,
-		MaxTime: maxT,
+	w.buf = make([]byte, segHeaderLen, max(size, segHeaderLen))
+	copy(w.buf, segMagic[:])
+	w.buf[segMagicLen] = segVersion
+	binary.LittleEndian.PutUint32(w.buf[segMagicLen+1:], uint32(shards))
+	binary.LittleEndian.PutUint64(w.buf[segMagicLen+5:], uint64(w.info.Rows))
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(runs)))
+	end := 0
+	for _, r := range runs {
+		w.buf = binary.AppendUvarint(binary.AppendUvarint(w.buf, uint64(r.gid-end)), uint64(r.n))
+		end = r.gid + r.n
 	}
+	w.batch = make([]event.Event, 0, min(w.info.Rows, segBlockRows))
+	return w
+}
+
+// add copies e in as the next row; a full block is encoded at once.
+func (w *segmentWriter) add(e *event.Event) {
+	w.batch = append(w.batch, *e)
+	w.added++
+	if len(w.batch) == segBlockRows {
+		w.flush()
+	}
+}
+
+// flush encodes the rows held as one block.
+func (w *segmentWriter) flush() {
+	if len(w.batch) == 0 {
+		return
+	}
+	bmin, bmax := int64(math.MaxInt64), int64(math.MinInt64)
+	for i := range w.batch {
+		bmin, bmax = min(bmin, w.batch[i].TimeEnterNS), max(bmax, w.batch[i].TimeEnterNS)
+	}
+	w.frame = event.EncodeBatch(w.frame[:0], w.batch)
+	w.buf = binary.AppendVarint(w.buf, bmin)
+	w.buf = binary.AppendUvarint(w.buf, uint64(bmax)-uint64(bmin))
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(w.frame)))
+	w.buf = append(w.buf, w.frame...)
+	w.info.MinTime, w.info.MaxTime = min(w.info.MinTime, bmin), max(w.info.MaxTime, bmax)
+	w.batch = w.batch[:0]
+}
+
+// finish encodes the last, possibly short, block, stamps the header's time
+// range and appends the CRC. The rows added must be the rows the gid runs
+// numbered: any other count is a caller's bug.
+func (w *segmentWriter) finish() ([]byte, SegmentInfo) {
+	if w.added != w.info.Rows {
+		panic(fmt.Sprintf("durable: segment writer given %d rows, its gid runs number %d", w.added, w.info.Rows))
+	}
+	w.flush()
+	binary.LittleEndian.PutUint64(w.buf[segMagicLen+13:], uint64(w.info.MinTime))
+	binary.LittleEndian.PutUint64(w.buf[segMagicLen+21:], uint64(w.info.MaxTime))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf, crcTable))
+	w.info.Bytes = int64(len(w.buf))
+	return w.buf, w.info
 }
 
 // SegmentInfo summarizes a written or loaded segment. MinTime/MaxTime are

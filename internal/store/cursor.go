@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strconv"
 )
 
 // Streaming search cursors ("search_after"): a sorted search whose response
@@ -90,14 +91,28 @@ func (c *searchCursor) parse(req SearchRequest) (ok bool, err error) {
 	if c.keys = c.inline[:0]; len(req.Sort) > len(c.inline) {
 		c.keys = make([]sortKey, 0, len(req.Sort))
 	}
-	for _, v := range req.SearchAfter[:len(req.Sort)] {
-		var k sortKey
-		if k.num, k.isNum = intOf(v); !k.isNum {
-			k.str = keyString(v)
-		}
-		c.keys = append(c.keys, k)
+	for i, v := range req.SearchAfter[:len(req.Sort)] {
+		c.keys = append(c.keys, cursorKey(fieldOf(req.Sort[i].Field), v))
 	}
 	return true, nil
+}
+
+// cursorKey reads v, a cursor's value for sort field f, as f's rows hold
+// their keys (fieldDef.key): for a string field its keyString; for any other
+// the integer v is or spells as a decimal string, so that "5" and 5 resume
+// at one place; else its keyString, which cmpKeys compares as text.
+func cursorKey(f *fieldDef, v any) sortKey {
+	if !f.isString() {
+		if n, ok := intOf(v); ok {
+			return sortKey{num: n, isNum: true}
+		}
+		if s, ok := v.(string); ok {
+			if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+				return sortKey{num: n, isNum: true}
+			}
+		}
+	}
+	return sortKey{str: keyString(v)}
 }
 
 // at places c at ref, a page's last row: the position parse reads back from

@@ -413,3 +413,53 @@ func TestCursorPastEveryRow(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorStringKeyOnIntegerField: a cursor key that spells an integer,
+// for an integer sort field, resumes where the integer does, and where the
+// oracle does, in process and through a Client: sorted by pid over pids 0,
+// 2147483647, 512, 0 and 1, both ["5", 0] and [5, 0] resume at 512 then
+// 2147483647. Compared as text, "2147483647" sorts before "5", and the walk
+// loses the row.
+func TestCursorStringKeyOnIntegerField(t *testing.T) {
+	ctx := context.Background()
+	st := memStore(t)
+	srv := httptest.NewServer(NewServer(st))
+	t.Cleanup(srv.Close)
+	var evs []event.Event
+	for i, pid := range []int{0, 2147483647, 512, 0, 1} {
+		evs = append(evs, event.Event{Session: "s", Syscall: "read", PID: pid, TimeEnterNS: int64(1000 + i)})
+	}
+	if err := st.BulkEvents(ctx, "cur", evs); err != nil {
+		t.Fatal(err)
+	}
+	ix, ok := st.GetIndex("cur")
+	if !ok {
+		t.Fatal("index missing")
+	}
+	pids := func(hits []Document) []any {
+		var out []any
+		for _, h := range hits {
+			out = append(out, h[FieldPID])
+		}
+		return out
+	}
+	client := NewClient(srv.URL)
+	for _, after := range [][]any{{"5", 0}, {5, 0}} {
+		req := SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: FieldPID}}, Size: 10, SearchAfter: after}
+		want := pids(oracleSearch(ix, req).Hits)
+		if fmt.Sprint(want) != "[512 2147483647]" {
+			t.Fatalf("after %#v: the oracle resumes at %v", after, want)
+		}
+		for name, search := range map[string]func(context.Context, string, SearchRequest) (SearchResponse, error){
+			"store": st.Search, "client": client.Search,
+		} {
+			resp, err := search(ctx, "cur", req)
+			if err != nil {
+				t.Fatalf("%s, after %#v: %v", name, after, err)
+			}
+			if got := pids(resp.Hits); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s, after %#v: pids %v, want %v", name, after, got, want)
+			}
+		}
+	}
+}

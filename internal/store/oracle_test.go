@@ -283,7 +283,7 @@ func oracleSearch(ix *Index, req SearchRequest) SearchResponse {
 		after, _ := intOf(req.SearchAfter[len(req.Sort)])
 		past := func(i int) bool {
 			for k, s := range req.Sort {
-				if r := cmpField(matched[i][s.Field], vals[k], s.Desc); r != 0 {
+				if r := cmpField(matched[i][s.Field], cursorValue(matched[i][s.Field], vals[k]), s.Desc); r != 0 {
 					return r > 0
 				}
 			}
@@ -313,6 +313,21 @@ func oracleSearch(ix *Index, req SearchRequest) SearchResponse {
 		resp.NextAfter = append(resp.NextAfter, gids[last])
 	}
 	return resp
+}
+
+// cursorValue is cursor value v as compared with doc, a row's value for the
+// sort field: a string that spells an integer is that integer where the row
+// holds an integer (or a has_offset bool), as it is where the row holds a
+// string or nothing.
+func cursorValue(doc, v any) any {
+	if s, ok := v.(string); ok {
+		if _, isInt := intOf(doc); isInt {
+			if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+				return n
+			}
+		}
+	}
+	return v
 }
 
 // cmpField orders two document values under one sort direction: as integers

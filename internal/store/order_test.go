@@ -942,3 +942,39 @@ func TestColdReadLocksHeldThroughMerge(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMatchIDsTimeOrderedWindowAllocatesNothing: on a shard whose rows
+// arrived in time order, as a cold segment's do, a session's time window is a
+// window of the all-rows time run that is already in id order, and matchIDs
+// hands it back as it is, allocating nothing. Rows that arrived out of time
+// order still come back ascending, and exactly the window's.
+func TestMatchIDsTimeOrderedWindowAllocatesNothing(t *testing.T) {
+	const rows = 4000
+	for _, ordered := range []bool{true, false} {
+		rng := rand.New(rand.NewSource(1))
+		sh := newShard()
+		for i := 0; i < rows; i++ {
+			k := int64(i)
+			if !ordered {
+				k = int64(rng.Intn(rows))
+			}
+			sh.addEventLocked(&event.Event{Session: "s", Syscall: "read", TimeEnterNS: orderBase + k*1000})
+		}
+		all := compileQuery(MatchAll())
+		sh.ensureRuns(nil, sortWalkOf(SearchRequest{Query: MatchAll(), Sort: []SortField{{Field: FieldTimeEnter}}, Size: 10}, all))
+		lo, hi := int64(orderBase+1000*1000), int64(orderBase+1500*1000)
+		q := compileQuery(Must(Term(FieldSession, "s"), timeRange(lo, hi)))
+		var want []int32
+		for id := int32(0); id < rows; id++ {
+			if ts := sh.row(id).r.TimeEnterNS; ts >= lo && ts <= hi {
+				want = append(want, id)
+			}
+		}
+		if got := sh.matchIDs(q); !slices.Equal(got, want) {
+			t.Fatalf("ordered=%v: matched %d ids, want %d", ordered, len(got), len(want))
+		}
+		if a := testing.AllocsPerRun(20, func() { sh.matchIDs(q) }); ordered && a != 0 {
+			t.Fatalf("a time-ordered window makes %v allocations, want 0", a)
+		}
+	}
+}

@@ -219,9 +219,14 @@ func newIDSet(n int, ids []int32) idSet {
 
 func (s idSet) has(id int32) bool { return s[id>>6]&(1<<(id&63)) != 0 }
 
-// sortedIDs returns run, distinct local ids below n, in ascending order by a
-// bitmap read-out: two drain workers leave a time order far from id order.
+// sortedIDs returns run, distinct local ids below n, in ascending order: run
+// itself when it already is (a cold segment's time order is its id order),
+// else by a bitmap read-out, as two drain workers leave a time order far from
+// id order.
 func sortedIDs(run []int32, n int) []int32 {
+	if slices.IsSorted(run) {
+		return run
+	}
 	out := make([]int32, 0, len(run))
 	for w, word := range newIDSet(n, run) {
 		for ; word != 0; word &= word - 1 {
@@ -665,8 +670,8 @@ func (sh *shard) cmpIDs(a, b int32, sorts []sortBy) int {
 }
 
 // matchIDs evaluates q and returns the local ids of the matching rows in
-// ascending order. The returned slice may alias a posting list and must not
-// be mutated. Caller holds at least the read lock.
+// ascending order. The returned slice may alias a posting list or a run's
+// window, and must not be mutated. Caller holds at least the read lock.
 //
 // The candidates are seeded from q's conjuncts (its must list,
 // compileQuery): the posting lists of the indexed keyword terms, intersected
@@ -684,8 +689,11 @@ func (sh *shard) matchIDs(q *clause) []int32 {
 		}
 		return out
 	}
-	var lists [][]int32
-	rest := make([]*clause, 0, len(q.must))
+	// Up to four conjuncts, as many as the dashboards' and the cold windows'
+	// queries have, are sorted out without allocating.
+	var listBuf [4][]int32
+	var restBuf [4]*clause
+	lists, rest := listBuf[:0], restBuf[:0]
 	for i := range q.must {
 		c := &q.must[i]
 		if t, ok := c.seedTerm(); ok {
